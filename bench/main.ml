@@ -1377,7 +1377,7 @@ let fleet_bench () =
     grids;
   print_string (Tablefmt.render t);
   (* Gate 1: every pool-of-one cell is bit-identical to the two-host
-     resilience path — the install-time identity rewrite did fire. *)
+     resilience path — both are the same one-link route. *)
   let all_identical =
     List.for_all
       (fun (_, _, grid) ->
@@ -1425,8 +1425,8 @@ let fleet_bench () =
   if not all_identical then exit 3;
   if improved < 2 then exit 3;
   note
-    "Expected shape: a pool of one is rewritten at install time into the plain\n\
-     resilience configuration, so those rows tie bit for bit; wider pools ride\n\
+    "Expected shape: a pool of one is the same one-link route as the\n\
+     resilience path, so those rows tie bit for bit; wider pools ride\n\
      out the crash by promoting the dead host's shards onto standing replicas,\n\
      so the fleet keeps serving remotely while the ladder has already retreated\n\
      to its all-client rung.\n"

@@ -87,6 +87,104 @@ let print_self_profile profiler =
   Format.printf "@.pipeline self-profile (wall time)@.@[<v>%a@]@?" Coign_obs.Profiler.pp_text
     profiler
 
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
+
+(* --jobs, with each command's own default. *)
+let jobs_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf
+             "Worker domains: 1 = sequential, 0 = one per core (default %d). The output is \
+              identical either way."
+             default))
+
+let check_jobs jobs =
+  if jobs < 0 then begin
+    Printf.eprintf "error: --jobs must be >= 0\n";
+    exit 1
+  end
+
+(* Run [f] on the worker pool --jobs asks for: none at 1, the shared
+   default pool at 0, otherwise [n - 1] extra domains, shut down when
+   [f] returns. *)
+let with_jobs jobs f =
+  match jobs with
+  | 1 -> f None
+  | 0 -> f (Some (Parallel.default ()))
+  | n ->
+      let pool = Parallel.create ~domains:(n - 1) () in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f (Some pool))
+
+let seed_arg =
+  Arg.(
+    value & opt int 0x5EED
+    & info [ "seed" ] ~docv:"N"
+        ~doc:"Master seed; every stochastic concern derives its own stream from it.")
+
+let jitter_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
+
+(* The fault-grid axes of faultsim and resilience. *)
+let drops_arg default =
+  Arg.(
+    value
+    & opt (list float) default
+    & info [ "drops" ] ~docv:"RATES"
+        ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
+
+let partitions_arg default =
+  Arg.(
+    value
+    & opt (list float) default
+    & info [ "partitions-ms" ] ~docv:"MS"
+        ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
+
+let partition_start_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "partition-start-ms" ] ~docv:"MS"
+        ~doc:"Where each partition window opens on the run's virtual clock.")
+
+let check_grid drops partitions_ms start_ms =
+  if List.exists (fun d -> d < 0. || d > 1.) drops then begin
+    Printf.eprintf "error: --drops rates must be in [0, 1]\n";
+    exit 1
+  end;
+  if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
+    Printf.eprintf "error: partition lengths and start must be >= 0\n";
+    exit 1
+  end
+
+(* The circuit-breaker knobs of resilience and fleet. *)
+let cooloff_arg =
+  Arg.(
+    value
+    & opt float (Health.default_policy.Health.hp_cooloff_us /. 1e3)
+    & info [ "cooloff-ms" ] ~docv:"MS"
+        ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
+
+let threshold_arg =
+  Arg.(
+    value
+    & opt int Health.default_policy.Health.hp_failure_threshold
+    & info [ "failure-threshold" ] ~docv:"N"
+        ~doc:"Consecutive link failures that trip a breaker.")
+
+let breaker_health cooloff_ms threshold =
+  if cooloff_ms <= 0. || threshold < 1 then begin
+    Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
+    exit 1
+  end;
+  {
+    Health.default_policy with
+    Health.hp_failure_threshold = threshold;
+    hp_cooloff_us = cooloff_ms *. 1e3;
+  }
+
 (* Run one scenario under the image's stored mode — profiling RTE for a
    profiling-mode image, distributed RTE (deterministic: jitter 0) when
    the image carries a distribution — with observability attached. *)
@@ -240,9 +338,6 @@ let gate_exit ~strict diags =
   | _ -> ()
 
 let lint_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as a JSON array.")
-  in
   let run image_path json strict =
     let image = Binary_image.load image_path in
     let diags = Lint.lint_image image in
@@ -251,7 +346,7 @@ let lint_cmd =
     else Format.printf "%a" Lint.pp_text diags;
     gate_exit ~strict diags
   in
-  let term = Term.(const run $ image_arg $ json $ strict_arg) in
+  let term = Term.(const run $ image_arg $ json_arg $ strict_arg) in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -265,23 +360,12 @@ let lint_cmd =
 
 let verify_cmd =
   let module V = Coign_verify in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as a JSON object.")
-  in
   let depth_arg =
     Arg.(
       value
       & opt int V.Explore.default_depth
       & info [ "depth" ] ~docv:"N"
           ~doc:"Bound on the explored interleaving length (BFS layers).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains exploring initial-event subtrees concurrently: 1 (default) = \
-             sequential, 0 = one per core. The output is identical either way.")
   in
   let pool_size_arg =
     Arg.(
@@ -302,10 +386,7 @@ let verify_cmd =
       Printf.eprintf "error: --pool must be in [1, %d]\n" V.Model.max_pool_size;
       exit 1
     end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_jobs jobs;
     let image = Binary_image.load image_path in
     let classifier, icc =
       match Adps.load_profile image with
@@ -321,14 +402,7 @@ let verify_cmd =
         exit 1
     in
     let net = Net_profiler.exact network in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
+    gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
     let base_ladder = Adps.fallback_ladder ?pool ~image ~net () in
     (* With --pool > 1, the checked ladder is the pool-elastic one:
        every pool rung contributes its underlying two-way cut, and the
@@ -366,7 +440,6 @@ let verify_cmd =
     let truth = Fallback.migration_safety session in
     let model = V.Model.build ?pool_sizes ~classifier ~icc ~ladder ~truth () in
     let result = V.Explore.run ?pool ~depth model in
-    Option.iter Parallel.shutdown owned;
     (* I2: every rung honours the static constraints.  The terminal
        all-client rung waives location pins by design — a Server pin
        presumes a reachable server. *)
@@ -473,11 +546,11 @@ let verify_cmd =
       if diags = [] then print_endline "no violations: ladder verified"
       else Format.printf "%a" Lint.pp_text diags
     end;
-    gate_exit ~strict diags
+    diags
   in
   let term =
     Term.(
-      const run $ image_arg $ network_arg $ depth_arg $ jobs_arg $ pool_size_arg $ json_arg
+      const run $ image_arg $ network_arg $ depth_arg $ jobs_arg 1 $ pool_size_arg $ json_arg
       $ strict_arg)
   in
   Cmd.v
@@ -556,26 +629,12 @@ let sweep_cmd =
       & info [ "points" ] ~docv:"N"
           ~doc:"Number of geometrically interpolated network models (>= 2).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the table as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains solving sweep points concurrently: 1 = sequential, 0 (default) = one \
-             per core. The output is identical either way.")
-  in
   let run image_path from_net to_net points json jobs self_profile =
     if points < 2 then begin
       Printf.eprintf "error: --points must be at least 2\n";
       exit 1
     end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_jobs jobs;
     let image = Binary_image.load image_path in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let session =
@@ -587,28 +646,15 @@ let sweep_cmd =
     let networks = Network.geometric_sweep ~points ~from_net ~to_net () in
     (* One session, many networks: stage 1 of the analysis ran once in
        analysis_session; each point below is a reprice+recut. *)
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
+    let rows =
+      with_jobs jobs (fun pool -> Coign_sim.Experiment.sweep ?pool ?profiler ~session networks)
     in
-    let rows = Coign_sim.Experiment.sweep ?pool ?profiler ~session networks in
-    Option.iter Parallel.shutdown owned;
     if json then begin
-      let escape s =
-        String.concat ""
-          (List.map
-             (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-             (List.init (String.length s) (String.get s)))
-      in
       let row (r : Coign_sim.Experiment.sweep_point) =
         Printf.sprintf
           "{\"network\": \"%s\", \"latency_us\": %g, \"bandwidth_mbps\": %g, \"proc_us\": \
            %g, \"server_classifications\": %d, \"cut_ns\": %d, \"predicted_comm_us\": %.17g}"
-          (escape r.Coign_sim.Experiment.sw_network.Network.net_name)
+          (Jsonu.escape r.Coign_sim.Experiment.sw_network.Network.net_name)
           r.Coign_sim.Experiment.sw_network.Network.latency_us
           r.Coign_sim.Experiment.sw_network.Network.bandwidth_mbps
           r.Coign_sim.Experiment.sw_network.Network.proc_us
@@ -637,7 +683,7 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const run $ image_arg $ from_arg $ to_arg $ points_arg $ json_arg $ jobs_arg
+      const run $ image_arg $ from_arg $ to_arg $ points_arg $ json_arg $ jobs_arg 0
       $ self_profile_arg)
   in
   Cmd.v
@@ -651,75 +697,16 @@ let sweep_cmd =
 (* faultsim --------------------------------------------------------- *)
 
 let faultsim_cmd =
-  let drops_arg =
-    Arg.(
-      value
-      & opt (list float) Coign_sim.Faultsim.default_drop_rates
-      & info [ "drops" ] ~docv:"RATES"
-          ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
-  in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (list float) [ 0.; 50. ]
-      & info [ "partitions-ms" ] ~docv:"MS"
-          ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
-  in
-  let partition_start_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "partition-start-ms" ] ~docv:"MS"
-          ~doc:"Where each partition window opens on the run's virtual clock.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Master seed; jitter, backoff, and fault verdicts each derive their own stream.")
-  in
-  let jitter_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
-             core. The output is identical either way.")
-  in
   let run image_path scenario_id network drops partitions_ms start_ms seed jitter json jobs
       self_profile =
-    if List.exists (fun d -> d < 0. || d > 1.) drops then begin
-      Printf.eprintf "error: --drops rates must be in [0, 1]\n";
-      exit 1
-    end;
-    if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
-      Printf.eprintf "error: partition lengths and start must be >= 0\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_grid drops partitions_ms start_ms;
+    check_jobs jobs;
     let image = Binary_image.load image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let grid =
+      with_jobs jobs @@ fun pool ->
       try
         Coign_sim.Faultsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter
           ~drop_rates:drops
@@ -730,15 +717,16 @@ let faultsim_cmd =
         Printf.eprintf "error: %s\n" msg;
         exit 1
     in
-    Option.iter Parallel.shutdown owned;
     if json then print_string (Coign_sim.Faultsim.to_json grid)
     else Format.printf "@[<v>%a@]@?" Coign_sim.Faultsim.pp_text grid;
     Option.iter print_self_profile profiler
   in
   let term =
     Term.(
-      const run $ image_arg $ scenario_arg $ network_arg $ drops_arg $ partitions_arg
-      $ partition_start_arg $ seed_arg $ jitter_arg $ json_arg $ jobs_arg $ self_profile_arg)
+      const run $ image_arg $ scenario_arg $ network_arg
+      $ drops_arg Coign_sim.Faultsim.default_drop_rates
+      $ partitions_arg [ 0.; 50. ] $ partition_start_arg $ seed_arg $ jitter_arg 0. $ json_arg
+      $ jobs_arg 0 $ self_profile_arg)
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -752,100 +740,17 @@ let faultsim_cmd =
 (* resilience ------------------------------------------------------- *)
 
 let resilience_cmd =
-  let drops_arg =
-    Arg.(
-      value
-      & opt (list float) Coign_sim.Resilsim.default_drop_rates
-      & info [ "drops" ] ~docv:"RATES"
-          ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
-  in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (list float) [ 0.; 200. ]
-      & info [ "partitions-ms" ] ~docv:"MS"
-          ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
-  in
-  let partition_start_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "partition-start-ms" ] ~docv:"MS"
-          ~doc:"Where each partition window opens on the run's virtual clock.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Master seed; jitter, backoff, and fault verdicts each derive their own stream.")
-  in
-  let jitter_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
-  let cooloff_arg =
-    Arg.(
-      value
-      & opt float (Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_cooloff_us /. 1e3)
-      & info [ "cooloff-ms" ] ~docv:"MS"
-          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_failure_threshold
-      & info [ "failure-threshold" ] ~docv:"N"
-          ~doc:"Consecutive link failures that trip the breaker.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
-             core. The output is identical either way.")
-  in
   let run image_path scenario_id network drops partitions_ms start_ms seed jitter cooloff_ms
       threshold json jobs self_profile =
-    if List.exists (fun d -> d < 0. || d > 1.) drops then begin
-      Printf.eprintf "error: --drops rates must be in [0, 1]\n";
-      exit 1
-    end;
-    if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
-      Printf.eprintf "error: partition lengths and start must be >= 0\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    if cooloff_ms <= 0. || threshold < 1 then begin
-      Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
-      exit 1
-    end;
+    check_grid drops partitions_ms start_ms;
+    check_jobs jobs;
+    let health = breaker_health cooloff_ms threshold in
     let image = Binary_image.load image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
-    let health =
-      {
-        Coign_netsim.Health.default_policy with
-        Coign_netsim.Health.hp_failure_threshold = threshold;
-        hp_cooloff_us = cooloff_ms *. 1e3;
-      }
-    in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let grid =
+      with_jobs jobs @@ fun pool ->
       try
         Coign_sim.Resilsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
           ~drop_rates:drops
@@ -861,16 +766,16 @@ let resilience_cmd =
           Printf.eprintf "error: distribution rejected by the static validator\n";
           exit 1
     in
-    Option.iter Parallel.shutdown owned;
     if json then print_string (Coign_sim.Resilsim.to_json grid)
     else Format.printf "@[<v>%a@]@?" Coign_sim.Resilsim.pp_text grid;
     Option.iter print_self_profile profiler
   in
   let term =
     Term.(
-      const run $ image_arg $ scenario_arg $ network_arg $ drops_arg $ partitions_arg
-      $ partition_start_arg $ seed_arg $ jitter_arg $ cooloff_arg $ threshold_arg $ json_arg
-      $ jobs_arg $ self_profile_arg)
+      const run $ image_arg $ scenario_arg $ network_arg
+      $ drops_arg Coign_sim.Resilsim.default_drop_rates
+      $ partitions_arg [ 0.; 200. ] $ partition_start_arg $ seed_arg $ jitter_arg 0.
+      $ cooloff_arg $ threshold_arg $ json_arg $ jobs_arg 0 $ self_profile_arg)
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -891,7 +796,7 @@ let fleet_cmd =
       & info [ "pool" ] ~docv:"N"
           ~doc:
             "Largest pool size in the grid; every size from 1 to $(docv) is run. Size 1 is \
-             the PR 5 two-host resilience path bit for bit, and the grid checks that.")
+             the two-host resilience route bit for bit, and the grid checks that.")
   in
   let replicas_arg =
     Arg.(
@@ -915,44 +820,6 @@ let fleet_cmd =
       & info [ "fault-start-ms" ] ~docv:"MS"
           ~doc:"Where the fault window opens on the run's virtual clock.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Master seed; jitter, backoff, fault verdicts, and each pool host's fault \
-             stream derive their own substream.")
-  in
-  let jitter_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
-  let cooloff_arg =
-    Arg.(
-      value
-      & opt float (Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_cooloff_us /. 1e3)
-      & info [ "cooloff-ms" ] ~docv:"MS"
-          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_failure_threshold
-      & info [ "failure-threshold" ] ~docv:"N"
-          ~doc:"Consecutive link failures that trip a host's breaker.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
-             core. The output is identical either way.")
-  in
   let run image_path scenario_id network pool_size replicas fault_ms start_ms seed jitter
       cooloff_ms threshold json jobs self_profile =
     if pool_size < 1 || replicas < 1 then begin
@@ -963,34 +830,14 @@ let fleet_cmd =
       Printf.eprintf "error: --fault-ms must be > 0 and --fault-start-ms >= 0\n";
       exit 1
     end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    if cooloff_ms <= 0. || threshold < 1 then begin
-      Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
-      exit 1
-    end;
+    check_jobs jobs;
+    let health = breaker_health cooloff_ms threshold in
     let image = Binary_image.load image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
-    let health =
-      {
-        Coign_netsim.Health.default_policy with
-        Coign_netsim.Health.hp_failure_threshold = threshold;
-        hp_cooloff_us = cooloff_ms *. 1e3;
-      }
-    in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let grid =
+      with_jobs jobs @@ fun pool ->
       try
         Coign_sim.Fleetsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
           ~replicas
@@ -1009,7 +856,6 @@ let fleet_cmd =
           Printf.eprintf "error: distribution rejected by the static validator\n";
           exit 1
     in
-    Option.iter Parallel.shutdown owned;
     if json then print_string (Coign_sim.Fleetsim.to_json grid)
     else Format.printf "@[<v>%a@]@?" Coign_sim.Fleetsim.pp_text grid;
     Option.iter print_self_profile profiler
@@ -1017,8 +863,8 @@ let fleet_cmd =
   let term =
     Term.(
       const run $ image_arg $ scenario_arg $ network_arg $ pool_arg $ replicas_arg
-      $ fault_len_arg $ fault_start_arg $ seed_arg $ jitter_arg $ cooloff_arg $ threshold_arg
-      $ json_arg $ jobs_arg $ self_profile_arg)
+      $ fault_len_arg $ fault_start_arg $ seed_arg $ jitter_arg 0. $ cooloff_arg
+      $ threshold_arg $ json_arg $ jobs_arg 0 $ self_profile_arg)
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1089,11 +935,6 @@ let trace_cmd =
 (* metrics ---------------------------------------------------------- *)
 
 let metrics_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the registry as JSON instead of Prometheus text.")
-  in
   let run image_path scenario_id network json =
     let image = Binary_image.load image_path in
     let registry = Coign_obs.Metrics.registry () in
@@ -1140,11 +981,6 @@ let show_cmd =
 (* run -------------------------------------------------------------- *)
 
 let run_cmd =
-  let jitter =
-    Arg.(
-      value & opt float 0.015
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
   let compare_default =
     Arg.(
       value & flag
@@ -1177,7 +1013,9 @@ let run_cmd =
          else 0.)
     end
   in
-  let term = Term.(const run $ image_arg $ scenario_arg $ network_arg $ jitter $ compare_default) in
+  let term =
+    Term.(const run $ image_arg $ scenario_arg $ network_arg $ jitter_arg 0.015 $ compare_default)
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a scenario under the distribution stored in the image.")
     term
@@ -1208,12 +1046,6 @@ let load_cmd =
             "Arrival process: poisson:RATE, bursty:RATE,ON_MS,OFF_MS, or \
              diurnal:PEAK,PERIOD_S (rates in sessions/second on the sim clock).")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Master seed; each session derives its own draw stream.")
-  in
   let scenarios_arg =
     Arg.(
       value
@@ -1239,9 +1071,6 @@ let load_cmd =
             "Disable FIFO queueing: every session pays its unloaded Replay estimate \
              (the identity-gate mode).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
   let metrics_arg =
     Arg.(
       value & flag
@@ -1249,36 +1078,18 @@ let load_cmd =
           ~doc:"Attach a metrics registry and print the coign_load_* instruments after the \
                 report (Prometheus text exposition).")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains filling per-session draws concurrently: 1 (default) = sequential, 0 = \
-             one per core. The output is byte-identical either way.")
-  in
   let run image_path sessions arrival seed scenarios deadline_ms no_queueing json metrics
       jobs =
     if sessions <= 0 then begin
       Printf.eprintf "error: --sessions must be positive\n";
       exit 1
     end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_jobs jobs;
     fun network ->
       let image = Binary_image.load image_path in
-      let pool, owned =
-        match jobs with
-        | 1 -> (None, None)
-        | 0 -> (Some (Parallel.default ()), None)
-        | n ->
-            let p = Parallel.create ~domains:(n - 1) () in
-            (Some p, Some p)
-      in
       let registry = if metrics then Some (Coign_obs.Metrics.registry ()) else None in
       let result =
+        with_jobs jobs @@ fun pool ->
         try
           Coign_sim.Loadsim.run ?pool ?metrics:registry ~queueing:(not no_queueing)
             ?deadline_us:(Option.map (fun ms -> ms *. 1e3) deadline_ms)
@@ -1287,7 +1098,6 @@ let load_cmd =
           Printf.eprintf "error: %s\n" msg;
           exit 1
       in
-      Option.iter Parallel.shutdown owned;
       if json then print_endline (Jsonu.to_string (Coign_sim.Loadsim.to_json result))
       else Format.printf "@[<v>%a@]@?" Coign_sim.Loadsim.pp_text result;
       Option.iter
@@ -1297,7 +1107,7 @@ let load_cmd =
   let term =
     Term.(
       const run $ image_arg $ sessions_arg $ arrival_arg $ seed_arg $ scenarios_arg
-      $ deadline_arg $ no_queueing_arg $ json_arg $ metrics_arg $ jobs_arg $ network_arg)
+      $ deadline_arg $ no_queueing_arg $ json_arg $ metrics_arg $ jobs_arg 1 $ network_arg)
   in
   Cmd.v
     (Cmd.info "load"
@@ -1366,12 +1176,6 @@ let watch_cmd =
       & info [ "sample-every" ] ~docv:"K"
           ~doc:"Tap sampling rate: measure and stream one observation in K.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed for the deterministic replay.")
-  in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.") in
   let metrics_arg =
     Arg.(
       value & flag
@@ -1379,15 +1183,6 @@ let watch_cmd =
           ~doc:
             "Attach a metrics registry to the watched run and print the coign_drift_* / \
              coign_watch_* instruments after the report (Prometheus text exposition).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains evaluating the stale/watched/oracle regimes concurrently: 1 \
-             (default) = sequential, 0 = one per core. The output is byte-identical \
-             either way.")
   in
   let parse_phases s =
     List.filter_map
@@ -1401,10 +1196,7 @@ let watch_cmd =
   in
   let run image_path profile phases_spec threshold half_life_ms check_every min_dwell_ms
       min_window sample_every seed json metrics jobs =
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_jobs jobs;
     let phases = parse_phases phases_spec in
     if phases = [] then begin
       Printf.eprintf "error: --phases needs at least one non-empty phase\n";
@@ -1412,16 +1204,9 @@ let watch_cmd =
     end;
     fun network ->
       let image = Binary_image.load image_path in
-      let pool, owned =
-        match jobs with
-        | 1 -> (None, None)
-        | 0 -> (Some (Parallel.default ()), None)
-        | n ->
-            let p = Parallel.create ~domains:(n - 1) () in
-            (Some p, Some p)
-      in
       let registry = if metrics then Some (Coign_obs.Metrics.registry ()) else None in
       let result =
+        with_jobs jobs @@ fun pool ->
         try
           Coign_sim.Watchsim.run ?pool ?metrics:registry ~threshold ~check_every
             ~min_dwell_us:(min_dwell_ms *. 1e3) ~min_window
@@ -1431,7 +1216,6 @@ let watch_cmd =
           Printf.eprintf "error: %s\n" msg;
           exit 1
       in
-      Option.iter Parallel.shutdown owned;
       if json then print_endline (Jsonu.to_string (Coign_sim.Watchsim.to_json result))
       else Format.printf "%a@." Coign_sim.Watchsim.pp_text result;
       Option.iter
@@ -1442,7 +1226,7 @@ let watch_cmd =
     Term.(
       const run $ image_arg $ profile_arg $ phases_arg $ threshold_arg $ half_life_arg
       $ check_every_arg $ min_dwell_arg $ min_window_arg $ sample_every_arg $ seed_arg
-      $ json_arg $ metrics_arg $ jobs_arg $ network_arg)
+      $ json_arg $ metrics_arg $ jobs_arg 1 $ network_arg)
   in
   Cmd.v
     (Cmd.info "watch"

@@ -276,11 +276,7 @@ let execute ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?f
         ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults ?retry
         ?resilience ?watch scenario
 
-(* Pool runs report fleet counters alongside the shared stats. When
-   the install-time identity gate rewrote a pool of one into the plain
-   resilience path, the RTE holds no fleet state — synthesize the
-   counters from the shared set (promotions, splits and resizes are
-   structurally zero with a single host). *)
+(* Pool runs report fleet counters alongside the shared stats. *)
 let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults
     ?retry ~fleet scenario =
   let config = config_of image in
@@ -294,28 +290,7 @@ let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?s
           ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults
           ?retry ~fleet scenario
       in
-      let fs =
-        match fs with
-        | Some fs -> fs
-        | None ->
-            {
-              Rte.fs_breaker_opens = stats.es_breaker_opens;
-              fs_breaker_closes = stats.es_breaker_closes;
-              fs_failovers = stats.es_failovers;
-              fs_failbacks = stats.es_failbacks;
-              fs_migrations = stats.es_migrations;
-              fs_stranded_calls = stats.es_stranded_calls;
-              fs_rescued_calls = stats.es_rescued_calls;
-              fs_promotions = 0;
-              fs_splits = 0;
-              fs_resizes = 0;
-              fs_inter_host_calls = 0;
-              fs_final_rung = stats.es_final_rung;
-              fs_final_hosts = 1;
-              fs_final_shards = 1;
-            }
-      in
-      (stats, fs)
+      (stats, Option.get fs)
 
 (* Build the resilience ladder for a profiled image: rung 0 is the
    image's stored distribution when it has one (so failback restores

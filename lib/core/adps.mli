@@ -212,12 +212,9 @@ val execute_fleet :
   scenario ->
   exec_stats * Rte.fleet_stats
 (** {!execute} under a replicated server pool ({!Rte.fleet_config}),
-    returning the pool counters alongside the shared stats. When the
-    install-time identity gate rewrote a pool of one into the plain
-    resilience path, the fleet counters are synthesized from the
-    shared set (promotions, splits and resizes zero, one host, one
-    shard) — the run itself is bit-identical to {!execute} with the
-    equivalent [resilience]. *)
+    returning the pool counters alongside the shared stats. A pool of
+    one routes exactly as {!execute} with the equivalent [resilience]
+    does, so its stats are bit-identical to that run's. *)
 
 val watch :
   ?profiler:Coign_obs.Profiler.t ->

@@ -325,17 +325,39 @@ let pool_rung_at pl i = pl.pl_rungs.(i)
 let pool_base pl = pl.pl_base
 let pool_components pl = Array.copy pl.pl_component
 
-let pp_pool ppf pl =
-  Format.fprintf ppf "@[<v>pool ladder of %d rung(s):" (Array.length pl.pl_rungs);
-  Array.iteri
-    (fun i r ->
-      let replicated =
-        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 r.pr_replicated
-      in
-      Format.fprintf ppf "@,  %d %-10s %a  shards=%d (%d replicated) predicted=%.1fus" i
-        r.pr_name Pool.pp r.pr_shape r.pr_shard_count replicated r.pr_predicted_us)
-    pl.pl_rungs;
-  Format.fprintf ppf "@]"
+(* A two-host ladder is a pool ladder of one host per rung: the same
+   names, distributions and safety table, every server-side
+   classification in shard 0, each classification its own component
+   (components only matter for splitting, which needs two hosts). *)
+let single_host base =
+  let shape = Pool.shape 1 in
+  let rung r =
+    let d = r.rg_distribution in
+    let replicated = ref true in
+    let shard_of =
+      Array.mapi
+        (fun c loc ->
+          if loc <> Constraints.Server then -1
+          else begin
+            if not (migration_safe base c) then replicated := false;
+            0
+          end)
+        d.Analysis.placement
+    in
+    {
+      pr_name = r.rg_name;
+      pr_distribution = d;
+      pr_shape = shape;
+      pr_shard_of = shard_of;
+      pr_shard_count = 1;
+      pr_replicated = [| !replicated |];
+      pr_predicted_us = d.Analysis.predicted_comm_us;
+    }
+  in
+  let n =
+    Array.fold_left (fun acc r -> max acc r.rg_distribution.Analysis.node_count) 0 base.fb_rungs
+  in
+  { pl_rungs = Array.map rung base.fb_rungs; pl_component = Array.init n Fun.id; pl_base = base }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>ladder of %d rung(s):" (Array.length t.fb_rungs);

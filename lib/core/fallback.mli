@@ -161,5 +161,10 @@ val pool_components : pool_ladder -> int array
 (** Classification -> component representative (smallest member).  The
     granularity below which the RTE must never split a shard. *)
 
+val single_host : t -> pool_ladder
+(** The two-host ladder as a pool ladder of one host per rung: the same
+    rung names, distributions and safety table, every server-side
+    classification in shard 0.  The RTE routes a resilience run over
+    it, so two-host resilience is the one-host case of the pool. *)
+
 val pp : Format.formatter -> t -> unit
-val pp_pool : Format.formatter -> pool_ladder -> unit

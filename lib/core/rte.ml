@@ -60,9 +60,12 @@ let make_instruments reg =
       histogram reg ~help:"Cross-wrapper reply message sizes, in bytes." "coign_rte_reply_bytes";
   }
 
-(* Resilience instruments, separate from the base set so a run without
-   a resilience policy exposes exactly the metrics it always did. *)
-type resil_instruments = {
+(* Routing instruments: the breaker/ladder family and the pool family.
+   Separate from the base set so a run without a policy exposes exactly
+   the metrics it always did — a retry-only route registers none, and a
+   single-host route registers its pool family in [pool_reg], a private
+   registry nothing exports. *)
+type route_instruments = {
   ri_opens : Metrics.counter;
   ri_closes : Metrics.counter;
   ri_failovers : Metrics.counter;
@@ -73,9 +76,15 @@ type resil_instruments = {
   ri_wait_us : Metrics.counter;
   ri_rung : Metrics.gauge;
   ri_ewma : Metrics.gauge;
+  ri_promotions : Metrics.counter;
+  ri_splits : Metrics.counter;
+  ri_resizes : Metrics.counter;
+  ri_inter_host : Metrics.counter;
+  ri_hosts : Metrics.gauge;
+  ri_shards : Metrics.gauge;
 }
 
-let make_resil_instruments reg =
+let make_route_instruments reg ~pool_reg =
   let open Metrics in
   {
     ri_opens =
@@ -104,6 +113,20 @@ let make_resil_instruments reg =
     ri_rung = gauge reg ~help:"Fallback rung currently installed (0 = primary)." "coign_resilience_rung";
     ri_ewma =
       gauge reg ~help:"EWMA link health (1 = all successes)." "coign_resilience_link_ewma";
+    ri_promotions =
+      counter pool_reg ~help:"Shards redirected to a standing replica on breaker open."
+        "coign_fleet_promotions_total";
+    ri_splits =
+      counter pool_reg ~help:"Hot shards split by the decayed-load detector."
+        "coign_fleet_shard_splits_total";
+    ri_resizes =
+      counter pool_reg ~help:"Pool size changes along the pool-elastic ladder."
+        "coign_fleet_resizes_total";
+    ri_inter_host =
+      counter pool_reg ~help:"Completed server-to-server calls between pool hosts."
+        "coign_fleet_inter_host_calls_total";
+    ri_hosts = gauge pool_reg ~help:"Pool hosts currently serving." "coign_fleet_pool_hosts";
+    ri_shards = gauge pool_reg ~help:"Shards currently mapped." "coign_fleet_shards";
   }
 
 type resilience_config = {
@@ -114,36 +137,6 @@ type resilience_config = {
 
 let resilience ?(health = Health.default_policy) ?(max_probe_rounds = 8) ladder =
   { rc_ladder = ladder; rc_health = health; rc_max_probe_rounds = max_probe_rounds }
-
-(* Fleet instruments, separate from both base and resilience sets: a
-   run without a pool exposes exactly the metrics it always did. *)
-type fleet_instruments = {
-  fi_promotions : Metrics.counter;
-  fi_splits : Metrics.counter;
-  fi_resizes : Metrics.counter;
-  fi_inter_host : Metrics.counter;
-  fi_hosts : Metrics.gauge;
-  fi_shards : Metrics.gauge;
-}
-
-let make_fleet_instruments reg =
-  let open Metrics in
-  {
-    fi_promotions =
-      counter reg ~help:"Shards redirected to a standing replica on breaker open."
-        "coign_fleet_promotions_total";
-    fi_splits =
-      counter reg ~help:"Hot shards split by the decayed-load detector."
-        "coign_fleet_shard_splits_total";
-    fi_resizes =
-      counter reg ~help:"Pool size changes along the pool-elastic ladder."
-        "coign_fleet_resizes_total";
-    fi_inter_host =
-      counter reg ~help:"Completed server-to-server calls between pool hosts."
-        "coign_fleet_inter_host_calls_total";
-    fi_hosts = gauge reg ~help:"Pool hosts currently serving." "coign_fleet_pool_hosts";
-    fi_shards = gauge reg ~help:"Shards currently mapped." "coign_fleet_shards";
-  }
 
 type fleet_config = {
   fc_ladder : Fallback.pool_ladder;
@@ -170,7 +163,7 @@ let fleet ?(health = Health.default_policy) ?(max_probe_rounds = 8) ?(split_shar
     fc_host_faults = host_faults;
   }
 
-(* Watch instruments, separate for the same reason as the resilience
+(* Watch instruments, separate for the same reason as the routing
    set: a run without a watch exposes exactly the metrics it always
    did. *)
 type watch_instruments = {
@@ -284,66 +277,53 @@ type watch = {
   mutable w_timeline : watch_checkpoint list;  (* reversed *)
 }
 
-(* Mutable resilience state: breaker, current rung, counters. *)
-type resil = {
-  r_ladder : Fallback.t;
-  r_health : Health.t;
-  r_max_probe_rounds : int;
-  r_obs : resil_instruments option;
+(* Mutable routing state — the one engine every cross-host call and
+   forwarded create goes through: the pool ladder and its current rung,
+   one breaker and one fault model per host link (sized by the widest
+   rung), the dynamic shard table (splits grow it), per-shard active
+   hosts, and one counter set. Retry-only is a one-link, one-rung route
+   whose breaker never opens; [dc_resilience] is a one-link route over
+   the fallback ladder; [dc_fleet] is the same route with k links. *)
+type route = {
+  r_config : fleet_config;
+  r_pool : bool; (* installed as [dc_fleet], so [fleet_stats] reports it *)
+  r_health : Health.t array; (* one breaker per host link *)
+  r_faults : Fault.t option array; (* one fault model per host link *)
+  r_obs : route_instruments option;
+  r_safe : bool array; (* per-classification migration safety *)
+  r_component : int array; (* classification -> component representative *)
+  r_comp_safe : bool array; (* by representative: all members safe *)
+  r_window : Window.t; (* per-shard decayed remote-call load *)
   mutable r_rung : int;
-  mutable r_breaker_opens : int;
-  mutable r_breaker_closes : int;
+  mutable r_shard_of : int array; (* classification -> shard (splits update it) *)
+  mutable r_active : int array; (* shard -> host currently serving it *)
+  mutable r_replicated : bool array; (* shard -> may promote to a replica *)
+  mutable r_since_check : int;
+  mutable r_opens : int;
+  mutable r_closes : int;
   mutable r_failovers : int;
   mutable r_failbacks : int;
   mutable r_migrations : int;
   mutable r_stranded : int; (* calls that waited on an open breaker *)
-  mutable r_rescued : int; (* failed calls completed locally after failover *)
+  mutable r_rescued : int; (* failed calls completed locally after a rung switch *)
+  mutable r_promotions : int;
+  mutable r_splits : int;
+  mutable r_resizes : int;
+  mutable r_inter_host : int;
 }
 
-(* Mutable fleet state: per-host breakers and fault models, the dynamic
-   shard table (splits grow it), per-shard active hosts, counters. *)
-type fleet = {
-  f_config : fleet_config;
-  f_ladder : Fallback.pool_ladder;
-  f_health : Health.t array; (* one breaker per pool host link *)
-  f_faults : Fault.t option array; (* one fault model per host link *)
-  f_obs : fleet_instruments option;
-  f_safe : bool array; (* per-classification migration safety *)
-  f_component : int array; (* classification -> component representative *)
-  f_comp_safe : bool array; (* by representative: all members safe *)
-  f_window : Window.t; (* per-shard decayed remote-call load *)
-  mutable f_rung : int;
-  mutable f_shard_of : int array; (* classification -> shard (splits update it) *)
-  mutable f_active : int array; (* shard -> host currently serving it *)
-  mutable f_replicated : bool array; (* shard -> may promote to a replica *)
-  mutable f_since_check : int;
-  mutable f_opens : int;
-  mutable f_closes : int;
-  mutable f_failovers : int;
-  mutable f_failbacks : int;
-  mutable f_migrations : int;
-  mutable f_stranded : int;
-  mutable f_rescued : int;
-  mutable f_promotions : int;
-  mutable f_splits : int;
-  mutable f_resizes : int;
-  mutable f_inter_host : int;
+type distributed = {
+  m_factory : Factory.t;
+  m_network : Network.t;
+  m_jitter : float;
+  m_rng : Prng.t;          (* jitter noise: stream of dc_seed itself *)
+  m_retry : Fault.retry_policy;
+  m_retry_rng : Prng.t;    (* backoff jitter: its own stream *)
+  m_route : route;
+  m_watch : watch option;
 }
 
-type mode =
-  | M_profiling
-  | M_distributed of {
-      m_factory : Factory.t;
-      m_network : Network.t;
-      m_jitter : float;
-      m_rng : Prng.t;          (* jitter noise: stream of dc_seed itself *)
-      m_faults : Fault.t option;
-      m_retry : Fault.retry_policy;
-      m_retry_rng : Prng.t;    (* backoff jitter: its own stream *)
-      m_resil : resil option;
-      m_watch : watch option;
-      m_fleet : fleet option;
-    }
+type mode = M_profiling | M_distributed of distributed
 
 type t = {
   ctx : Runtime.ctx;
@@ -402,8 +382,9 @@ let retry_seed seed = Prng.stream seed 1
 let fault_seed seed = Prng.stream seed 2
 let watch_seed seed = Prng.stream seed 3
 
-(* Per-host fault-verdict streams for the fleet: streams 8, 9, ... so
-   adding hosts never perturbs the jitter/retry/fault/watch draws. *)
+(* Per-host fault-verdict streams for overlays and pools wider than one
+   host: streams 8, 9, ... so adding hosts never perturbs the
+   jitter/retry/fault/watch draws. *)
 let host_fault_seed seed h = Prng.stream seed (8 + h)
 
 let classification_of t inst =
@@ -414,11 +395,6 @@ let classification_of t inst =
    plus the compute the application has charged. Deterministic for a
    seeded run, so traces golden-test. *)
 let sim_now t = t.comm +. Runtime.compute_us t.ctx
-
-let machine_of_instance t inst =
-  match t.mode with
-  | M_profiling -> Constraints.Client
-  | M_distributed { m_factory; _ } -> Factory.machine_of m_factory inst
 
 (* Zero-duration marker span for a breaker transition or rung switch. *)
 let resil_span t ~name ~at_us args =
@@ -438,7 +414,7 @@ let watch_span t ~name ~at_us args =
 
 (* Atomically install [dist] as the factory policy and migrate every
    live instance the safety predicate allows to its new home; the rest
-   stay where they are. Shared by failover rung switches and watch
+   stay where they are. Shared by rung switches and watch
    re-partitions. Returns (migrated, left behind, moves in instance
    order). *)
 let migrate_instances t m_factory ~safe ~dist =
@@ -478,15 +454,78 @@ let log_migrations t ~at_int moved =
            }))
     moved
 
-(* Switch the placement map to another rung of the fallback ladder and
-   migrate the instances the static remotability facts mark safe; the
-   rest stay where they are (their calls may strand on the breaker). *)
-let switch_rung t m_factory r ~to_rung ~at_us =
+(* --- routing: one engine for retry-only, resilience and the pool ---- *)
+
+let route_shape r = (Fallback.pool_rung_at r.r_config.fc_ladder r.r_rung).Fallback.pr_shape
+
+(* Shard serving a classification: the dynamic table where it speaks,
+   shard 0 for anything outside it (main, run-time classifications,
+   instances stranded server-side by an unsafe migration). *)
+let route_shard r c =
+  let s =
+    if c >= 0 && c < Array.length r.r_shard_of && r.r_shard_of.(c) >= 0 then r.r_shard_of.(c)
+    else 0
+  in
+  if s < Array.length r.r_active then s else 0
+
+let route_host r c = r.r_active.(route_shard r c)
+
+(* The host link a call rides, or -1 when its endpoints share a host:
+   the server-side endpoint's active host; for server-to-server
+   traffic, the callee's. With one host this is exactly [src <> dst].
+   An int, not an option: every intercepted call asks, and the local
+   answer must not allocate. *)
+let route_link r ~src ~dst ~caller_cls ~callee_cls =
+  match (src, dst) with
+  | Constraints.Client, Constraints.Client -> -1
+  | _, Constraints.Server ->
+      let h = route_host r callee_cls in
+      if src = Constraints.Server && route_host r caller_cls = h then -1 else h
+  | Constraints.Server, Constraints.Client -> route_host r caller_cls
+
+(* Span arguments naming the link, on routes with more than one. *)
+let with_host r h args =
+  if Array.length r.r_health > 1 then ("host", Jsonu.Int h) :: args else args
+
+(* Re-home every shard for the current shape: its primary host, unless
+   that breaker is open and a standing replica is healthy — then the
+   first healthy replica in ring order. Deterministic: shards ascend,
+   replica rings are fixed by the shape. *)
+let reset_actives r ~now =
+  let shape = route_shape r in
+  let k = shape.Pool.sh_hosts in
+  Array.iteri
+    (fun s _ ->
+      let primary = s mod k in
+      let serving =
+        if Health.allows r.r_health.(primary) ~now_us:now then primary
+        else if not r.r_replicated.(s) then primary
+        else
+          let rec pick i =
+            if i >= shape.Pool.sh_replicas then primary
+            else
+              let h = (primary + i) mod k in
+              if Health.allows r.r_health.(h) ~now_us:now then h else pick (i + 1)
+          in
+          pick 1
+      in
+      r.r_active.(s) <- serving)
+    r.r_active
+
+(* Move the route along its ladder: install the rung's distribution,
+   migrate the instances the static remotability facts mark safe (the
+   rest stay where they are; their calls may strand on the breaker),
+   and re-home every shard onto the new host count. Events: the
+   aggregate Failover/Failback first, then Pool_resized when the host
+   count changed, then the per-instance migrations. *)
+let switch_rung t factory r ~to_rung ~at_us =
   let from_rung = r.r_rung in
-  let rung = Fallback.rung r.r_ladder to_rung in
-  let dist = rung.Fallback.rg_distribution in
+  let pr = Fallback.pool_rung_at r.r_config.fc_ladder to_rung in
+  let from_hosts = (route_shape r).Pool.sh_hosts in
+  let to_hosts = pr.Fallback.pr_shape.Pool.sh_hosts in
+  let safe c = c >= 0 && c < Array.length r.r_safe && r.r_safe.(c) in
   let migrated, left, moved =
-    migrate_instances t m_factory ~safe:(Fallback.migration_safe r.r_ladder) ~dist
+    migrate_instances t factory ~safe ~dist:pr.Fallback.pr_distribution
   in
   r.r_rung <- to_rung;
   r.r_migrations <- r.r_migrations + migrated;
@@ -499,152 +538,6 @@ let switch_rung t m_factory r ~to_rung ~at_us =
   if to_rung > from_rung then begin
     r.r_failovers <- r.r_failovers + 1;
     (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failovers);
-    t.logger.Logger.log
-      (Event.Failover
-         {
-           at_us = at_int;
-           rung = rung.Fallback.rg_name;
-           from_rung;
-           to_rung;
-           migrated;
-           stranded = left;
-         });
-    resil_span t ~name:"failover" ~at_us
-      [
-        ("from_rung", Jsonu.Int from_rung);
-        ("to_rung", Jsonu.Int to_rung);
-        ("migrated", Jsonu.Int migrated);
-        ("stranded", Jsonu.Int left);
-      ]
-  end
-  else begin
-    r.r_failbacks <- r.r_failbacks + 1;
-    (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failbacks);
-    t.logger.Logger.log
-      (Event.Failback
-         {
-           at_us = at_int;
-           rung = rung.Fallback.rg_name;
-           from_rung;
-           to_rung;
-           migrated;
-         });
-    resil_span t ~name:"failback" ~at_us
-      [
-        ("from_rung", Jsonu.Int from_rung);
-        ("to_rung", Jsonu.Int to_rung);
-        ("migrated", Jsonu.Int migrated);
-      ]
-  end;
-  log_migrations t ~at_int moved
-
-(* React to a breaker transition: count it, log it, and move along the
-   ladder — down a rung when the breaker opens, back to the primary
-   when a probe closes it. *)
-let resil_on_transition t m_factory r (tr : Health.transition) =
-  let at_us = tr.Health.tr_at_us in
-  let at_int = int_of_float at_us in
-  (match r.r_obs with
-  | None -> ()
-  | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-  match tr.Health.tr_to with
-  | Health.Half_open ->
-      resil_span t ~name:"breaker.half_open" ~at_us
-        [ ("cooloff_us", Jsonu.Float (Health.cooloff_us r.r_health)) ]
-  | Health.Open ->
-      r.r_breaker_opens <- r.r_breaker_opens + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_opens);
-      t.logger.Logger.log
-        (Event.Breaker_opened
-           {
-             at_us = at_int;
-             failures = Health.consecutive_failures r.r_health;
-             drops = t.n_drops;
-             spikes = t.n_spikes;
-           });
-      resil_span t ~name:"breaker.open" ~at_us
-        [ ("failures", Jsonu.Int (Health.consecutive_failures r.r_health)) ];
-      let bottom = Fallback.rung_count r.r_ladder - 1 in
-      let next = min (r.r_rung + 1) bottom in
-      if next <> r.r_rung then switch_rung t m_factory r ~to_rung:next ~at_us
-  | Health.Closed ->
-      r.r_breaker_closes <- r.r_breaker_closes + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_closes);
-      t.logger.Logger.log
-        (Event.Breaker_closed
-           { at_us = at_int; probes = (Health.policy r.r_health).Health.hp_probe_successes });
-      resil_span t ~name:"breaker.close" ~at_us [];
-      if r.r_rung <> 0 then switch_rung t m_factory r ~to_rung:0 ~at_us
-
-(* --- fleet: k-way pool execution ----------------------------------- *)
-
-let fleet_shape f = (Fallback.pool_rung_at f.f_ladder f.f_rung).Fallback.pr_shape
-
-(* Shard serving a classification: the dynamic table where it speaks,
-   shard 0 for anything outside it (main, run-time classifications,
-   instances stranded server-side by an unsafe migration). *)
-let fleet_shard f c =
-  let s =
-    if c >= 0 && c < Array.length f.f_shard_of && f.f_shard_of.(c) >= 0 then f.f_shard_of.(c)
-    else 0
-  in
-  if s < Array.length f.f_active then s else 0
-
-let fleet_host f c = f.f_active.(fleet_shard f c)
-
-(* The pool host link a remote call rides: the server-side endpoint's
-   active host; for server-to-server traffic, the callee's. *)
-let fleet_link f ~src ~dst ~caller_cls ~callee_cls =
-  match (src, dst) with
-  | Constraints.Client, Constraints.Client -> None
-  | _, Constraints.Server ->
-      let h = fleet_host f callee_cls in
-      if src = Constraints.Server && fleet_host f caller_cls = h then None else Some h
-  | Constraints.Server, Constraints.Client -> Some (fleet_host f caller_cls)
-
-(* Re-home every shard for the current shape: its primary host, unless
-   that breaker is open and a standing replica is healthy — then the
-   first healthy replica in ring order. Deterministic: shards ascend,
-   replica rings are fixed by the shape. *)
-let fleet_reset_actives f ~now =
-  let shape = fleet_shape f in
-  let k = shape.Pool.sh_hosts in
-  Array.iteri
-    (fun s _ ->
-      let primary = s mod k in
-      let serving =
-        if Health.allows f.f_health.(primary) ~now_us:now then primary
-        else if not f.f_replicated.(s) then primary
-        else
-          let rec pick i =
-            if i >= shape.Pool.sh_replicas then primary
-            else
-              let h = (primary + i) mod k in
-              if Health.allows f.f_health.(h) ~now_us:now then h else pick (i + 1)
-          in
-          pick 1
-      in
-      f.f_active.(s) <- serving)
-    f.f_active
-
-(* Switch the pool along the ladder: install the rung's distribution,
-   migrate the statically-safe instances, re-home every shard onto the
-   new host count. Event order matches the two-host path — aggregate
-   Failover/Failback first, then Pool_resized when the host count
-   changed, then the per-instance migrations. *)
-let fleet_switch_rung t m_factory f ~to_rung ~at_us =
-  let from_rung = f.f_rung in
-  let pr = Fallback.pool_rung_at f.f_ladder to_rung in
-  let dist = pr.Fallback.pr_distribution in
-  let from_hosts = (fleet_shape f).Pool.sh_hosts in
-  let to_hosts = pr.Fallback.pr_shape.Pool.sh_hosts in
-  let safe c = c >= 0 && c < Array.length f.f_safe && f.f_safe.(c) in
-  let migrated, left, moved = migrate_instances t m_factory ~safe ~dist in
-  f.f_rung <- to_rung;
-  f.f_migrations <- f.f_migrations + migrated;
-  let at_int = int_of_float at_us in
-  if to_rung > from_rung then begin
-    f.f_failovers <- f.f_failovers + 1;
     t.logger.Logger.log
       (Event.Failover
          {
@@ -664,7 +557,8 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
       ]
   end
   else begin
-    f.f_failbacks <- f.f_failbacks + 1;
+    r.r_failbacks <- r.r_failbacks + 1;
+    (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failbacks);
     t.logger.Logger.log
       (Event.Failback
          { at_us = at_int; rung = pr.Fallback.pr_name; from_rung; to_rung; migrated });
@@ -676,80 +570,76 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
       ]
   end;
   if from_hosts <> to_hosts then begin
-    f.f_resizes <- f.f_resizes + 1;
-    (match f.f_obs with
+    r.r_resizes <- r.r_resizes + 1;
+    (match r.r_obs with
     | None -> ()
-    | Some fi ->
-        Metrics.inc fi.fi_resizes;
-        Metrics.set fi.fi_hosts (float_of_int to_hosts));
+    | Some ri ->
+        Metrics.inc ri.ri_resizes;
+        Metrics.set ri.ri_hosts (float_of_int to_hosts));
     t.logger.Logger.log
       (Event.Pool_resized
          {
            at_us = at_int;
            from_hosts;
            to_hosts;
-           shards = Array.length f.f_active;
+           shards = Array.length r.r_active;
            migrated;
          });
     resil_span t ~name:"pool.resize" ~at_us
       [ ("from_hosts", Jsonu.Int from_hosts); ("to_hosts", Jsonu.Int to_hosts) ]
   end;
-  fleet_reset_actives f ~now:at_us;
+  reset_actives r ~now:at_us;
   log_migrations t ~at_int moved
 
-(* React to a per-host breaker transition. An open promotes every shard
+(* React to a link's breaker transition. An open promotes every shard
    the host was serving to a healthy replica; a shard with none (or one
-   that may not replicate) forces the whole pool down a rung. A close
-   climbs back to the top rung and re-homes the shards. *)
-let fleet_on_transition t m_factory f ~host (tr : Health.transition) =
+   that may not replicate), and any open on a one-host rung, moves the
+   route one rung down. A close climbs back to the top rung and
+   re-homes the shards. *)
+let on_transition t factory r ~host (tr : Health.transition) =
   let at_us = tr.Health.tr_at_us in
   let at_int = int_of_float at_us in
+  let hb = r.r_health.(host) in
+  (match r.r_obs with None -> () | Some ri -> Metrics.set ri.ri_ewma (Health.ewma hb));
   match tr.Health.tr_to with
   | Health.Half_open ->
       resil_span t ~name:"breaker.half_open" ~at_us
-        [
-          ("host", Jsonu.Int host);
-          ("cooloff_us", Jsonu.Float (Health.cooloff_us f.f_health.(host)));
-        ]
+        (with_host r host [ ("cooloff_us", Jsonu.Float (Health.cooloff_us hb)) ])
   | Health.Open ->
-      f.f_opens <- f.f_opens + 1;
+      r.r_opens <- r.r_opens + 1;
+      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_opens);
       t.logger.Logger.log
         (Event.Breaker_opened
            {
              at_us = at_int;
-             failures = Health.consecutive_failures f.f_health.(host);
+             failures = Health.consecutive_failures hb;
              drops = t.n_drops;
              spikes = t.n_spikes;
            });
       resil_span t ~name:"breaker.open" ~at_us
-        [
-          ("host", Jsonu.Int host);
-          ("failures", Jsonu.Int (Health.consecutive_failures f.f_health.(host)));
-        ];
-      let shape = fleet_shape f in
+        (with_host r host [ ("failures", Jsonu.Int (Health.consecutive_failures hb)) ]);
+      let shape = route_shape r in
       let k = shape.Pool.sh_hosts in
-      let stuck = ref false in
+      let stuck = ref (k = 1) in
       if k > 1 then
         Array.iteri
           (fun s serving ->
             if serving = host then
-              if not f.f_replicated.(s) then stuck := true
+              if not r.r_replicated.(s) then stuck := true
               else begin
                 let primary = s mod k in
                 let rec pick i =
                   if i >= shape.Pool.sh_replicas then None
                   else
                     let h = (primary + i) mod k in
-                    if h <> host && Health.allows f.f_health.(h) ~now_us:at_us then Some h
+                    if h <> host && Health.allows r.r_health.(h) ~now_us:at_us then Some h
                     else pick (i + 1)
                 in
                 match pick 0 with
                 | Some h ->
-                    f.f_active.(s) <- h;
-                    f.f_promotions <- f.f_promotions + 1;
-                    (match f.f_obs with
-                    | None -> ()
-                    | Some fi -> Metrics.inc fi.fi_promotions);
+                    r.r_active.(s) <- h;
+                    r.r_promotions <- r.r_promotions + 1;
+                    (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_promotions);
                     t.logger.Logger.log
                       (Event.Replica_promoted
                          { at_us = at_int; shard = s; from_host = host; to_host = h });
@@ -761,37 +651,34 @@ let fleet_on_transition t m_factory f ~host (tr : Health.transition) =
                       ]
                 | None -> stuck := true
               end)
-          f.f_active
-      else stuck := true;
+          r.r_active;
       if !stuck then begin
-        let bottom = Fallback.pool_rung_count f.f_ladder - 1 in
-        let next = min (f.f_rung + 1) bottom in
-        if next <> f.f_rung then fleet_switch_rung t m_factory f ~to_rung:next ~at_us
+        let bottom = Fallback.pool_rung_count r.r_config.fc_ladder - 1 in
+        let next = min (r.r_rung + 1) bottom in
+        if next <> r.r_rung then switch_rung t factory r ~to_rung:next ~at_us
       end
   | Health.Closed ->
-      f.f_closes <- f.f_closes + 1;
+      r.r_closes <- r.r_closes + 1;
+      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_closes);
       t.logger.Logger.log
         (Event.Breaker_closed
-           {
-             at_us = at_int;
-             probes = (Health.policy f.f_health.(host)).Health.hp_probe_successes;
-           });
-      resil_span t ~name:"breaker.close" ~at_us [ ("host", Jsonu.Int host) ];
-      if f.f_rung <> 0 then fleet_switch_rung t m_factory f ~to_rung:0 ~at_us
-      else fleet_reset_actives f ~now:at_us
+           { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
+      resil_span t ~name:"breaker.close" ~at_us (with_host r host []);
+      if r.r_rung <> 0 then switch_rung t factory r ~to_rung:0 ~at_us
+      else reset_actives r ~now:at_us
 
 (* Deterministic hot-shard check: when one shard carries more than
    [fc_split_share] of the window's decayed remote-call mass and holds
    at least two components, carve off the upper half of its movable
    (migration-safe) components into a fresh shard on the least-loaded
    host. Pure arithmetic over the window snapshot — no randomness. *)
-let fleet_maybe_split t f ~now =
-  let shape = fleet_shape f in
+let maybe_split t r ~now =
+  let shape = route_shape r in
   let k = shape.Pool.sh_hosts in
   if k > 1 then begin
-    let shard_count = Array.length f.f_active in
-    let counts = Window.counts_at f.f_window ~now_us:now in
-    let extras = Window.extras_at f.f_window ~now_us:now in
+    let shard_count = Array.length r.r_active in
+    let counts = Window.counts_at r.r_window ~now_us:now in
+    let extras = Window.extras_at r.r_window ~now_us:now in
     let load = Array.make shard_count 0. in
     Array.iteri (fun s c -> if s < shard_count then load.(s) <- c) counts;
     List.iter
@@ -801,15 +688,15 @@ let fleet_maybe_split t f ~now =
     if total > 0. then begin
       let top = ref 0 in
       Array.iteri (fun s l -> if l > load.(!top) then top := s) load;
-      if load.(!top) /. total > f.f_config.fc_split_share then begin
+      if load.(!top) /. total > r.r_config.fc_split_share then begin
         let s_top = !top in
         (* Components currently in the hot shard, ascending representative. *)
         let reps = Hashtbl.create 8 in
         Array.iteri
-          (fun c sh -> if sh = s_top then Hashtbl.replace reps f.f_component.(c) ())
-          f.f_shard_of;
-        let all = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) reps []) in
-        let movable = List.filter (fun r -> f.f_comp_safe.(r)) all in
+          (fun c sh -> if sh = s_top then Hashtbl.replace reps r.r_component.(c) ())
+          r.r_shard_of;
+        let all = List.sort compare (Hashtbl.fold (fun rep () acc -> rep :: acc) reps []) in
+        let movable = List.filter (fun rep -> r.r_comp_safe.(rep)) all in
         let half = List.length movable / 2 in
         let keep_at_least_one = List.length all - half >= 1 in
         if List.length all >= 2 && half >= 1 && keep_at_least_one then begin
@@ -819,27 +706,27 @@ let fleet_maybe_split t f ~now =
           let new_shard = shard_count in
           (* Least-loaded host by shard count, ties to the lowest id. *)
           let per_host = Array.make k 0 in
-          Array.iter (fun h -> if h < k then per_host.(h) <- per_host.(h) + 1) f.f_active;
+          Array.iter (fun h -> if h < k then per_host.(h) <- per_host.(h) + 1) r.r_active;
           let to_host = ref 0 in
           Array.iteri (fun h n -> if n < per_host.(!to_host) then to_host := h) per_host;
           let to_host = !to_host in
           let moved = ref 0 in
           Array.iteri
             (fun c sh ->
-              if sh = s_top && List.mem f.f_component.(c) moving then begin
-                f.f_shard_of.(c) <- new_shard;
+              if sh = s_top && List.mem r.r_component.(c) moving then begin
+                r.r_shard_of.(c) <- new_shard;
                 incr moved
               end)
-            f.f_shard_of;
-          f.f_active <- Array.append f.f_active [| to_host |];
-          f.f_replicated <- Array.append f.f_replicated [| true |];
-          f.f_active.(new_shard) <- to_host;
-          f.f_splits <- f.f_splits + 1;
-          (match f.f_obs with
+            r.r_shard_of;
+          r.r_active <- Array.append r.r_active [| to_host |];
+          r.r_replicated <- Array.append r.r_replicated [| true |];
+          r.r_active.(new_shard) <- to_host;
+          r.r_splits <- r.r_splits + 1;
+          (match r.r_obs with
           | None -> ()
-          | Some fi ->
-              Metrics.inc fi.fi_splits;
-              Metrics.set fi.fi_shards (float_of_int (Array.length f.f_active)));
+          | Some ri ->
+              Metrics.inc ri.ri_splits;
+              Metrics.set ri.ri_shards (float_of_int (Array.length r.r_active)));
           t.logger.Logger.log
             (Event.Shard_split
                {
@@ -863,17 +750,194 @@ let fleet_maybe_split t f ~now =
 
 (* Feed one served remote call into the per-shard load window; check
    for a hot shard every [fc_check_every] observations. Skipped
-   entirely at pool size 1 — the identity gate's zero-cost half. *)
-let fleet_observe t f ~callee_cls ~bytes =
-  if (fleet_shape f).Pool.sh_hosts > 1 then begin
+   entirely on a one-host rung. *)
+let observe_load t r ~callee_cls ~bytes =
+  if (route_shape r).Pool.sh_hosts > 1 then begin
     let now = sim_now t in
-    let s = fleet_shard f callee_cls in
-    Window.observe f.f_window ~at_us:now ~caller:s ~callee:s ~bytes;
-    f.f_since_check <- f.f_since_check + 1;
-    if f.f_since_check >= f.f_config.fc_check_every then begin
-      f.f_since_check <- 0;
-      fleet_maybe_split t f ~now
+    let s = route_shard r callee_cls in
+    Window.observe r.r_window ~at_us:now ~caller:s ~callee:s ~bytes;
+    r.r_since_check <- r.r_since_check + 1;
+    if r.r_since_check >= r.r_config.fc_check_every then begin
+      r.r_since_check <- 0;
+      maybe_split t r ~now
     end
+  end
+
+(* One simulated round trip over host link [link] with its full fault
+   accounting — the same instructions under every route, so a
+   fault-free run is bit-identical whatever policy watches the outcome.
+   Virtual send time: communication so far plus the compute the
+   application has charged — the clock fault windows are expressed
+   against. *)
+let round_trip t m ~link ~request ~reply ~iface ~mname =
+  let jittered base =
+    if m.m_jitter = 0. then base
+    else Float.max 0. (Prng.gaussian m.m_rng ~mu:base ~sigma:(m.m_jitter *. base))
+  in
+  let oc =
+    Fault.call ?model:m.m_route.r_faults.(link) ~retry:m.m_retry ~rng:m.m_retry_rng
+      ~now_us:(sim_now t) ~request_bytes:request ~reply_bytes:reply
+      ~request_us:(fun () -> jittered (Network.message_us m.m_network ~bytes:request))
+      ~reply_us:(fun () -> jittered (Network.message_us m.m_network ~bytes:reply))
+      ()
+  in
+  t.comm <- t.comm +. oc.Fault.oc_time_us;
+  t.n_retries <- t.n_retries + oc.Fault.oc_retries;
+  t.n_drops <- t.n_drops + oc.Fault.oc_drops;
+  t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
+  t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
+  (match t.obs with
+  | None -> ()
+  | Some i ->
+      Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
+      Metrics.inc_int i.i_retries oc.Fault.oc_retries;
+      Metrics.inc_int i.i_drops oc.Fault.oc_drops;
+      Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
+      Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
+  if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
+    t.logger.Logger.log
+      (Event.Call_retried { iface; meth = mname; retries = oc.Fault.oc_retries });
+  oc
+
+(* Advance the link's breaker to [now]; whether it admits a call. *)
+let admits t factory r ~link ~now =
+  let hb = r.r_health.(link) in
+  (match Health.observe hb ~now_us:now with
+  | Some tr -> on_transition t factory r ~host:link tr
+  | None -> ());
+  Health.allows hb ~now_us:now
+
+(* Feed a round trip's outcome to the link's breaker. *)
+let record_outcome t factory r ~link ok =
+  let hb = r.r_health.(link) in
+  let now = sim_now t in
+  (match
+     if ok then Health.record_success hb ~now_us:now else Health.record_failure hb ~now_us:now
+   with
+  | Some tr -> on_transition t factory r ~host:link tr
+  | None -> ());
+  match r.r_obs with None -> () | Some ri -> Metrics.set ri.ri_ewma (Health.ewma hb)
+
+let count_remote t ~bytes =
+  t.n_remote_calls <- t.n_remote_calls + 1;
+  t.n_remote_bytes <- t.n_remote_bytes + bytes;
+  match t.obs with
+  | None -> ()
+  | Some i ->
+      Metrics.inc i.i_remote_calls;
+      Metrics.inc_int i.i_remote_bytes bytes
+
+(* Route one call whose endpoints sit on different hosts. Failures feed
+   the link's breaker; a transition may promote replicas or move the
+   route along its ladder, after which the link is re-read — the call
+   may then complete locally (the underlying [Runtime.call] already
+   ran; the fault model only decides whether the communication made
+   it), on a promoted replica, or on the shrunken pool. Calls meeting
+   an open breaker are stranded: they wait out the cooloff and become
+   the half-open probe. After [fc_max_probe_rounds] failed rounds the
+   call is unreachable. *)
+let route_call t m ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname =
+  let r = m.m_route in
+  let rounds = ref 0 and stranded = ref false in
+  let rec go () =
+    let src = Factory.machine_of m.m_factory caller in
+    let dst = Factory.machine_of m.m_factory callee in
+    let link = route_link r ~src ~dst ~caller_cls ~callee_cls in
+    if link < 0 then begin
+      if !rounds > 0 then begin
+        r.r_rescued <- r.r_rescued + 1;
+        match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_rescued
+      end
+    end
+    else begin
+      let now = sim_now t in
+      if not (admits t m.m_factory r ~link ~now) then begin
+        if not !stranded then begin
+          stranded := true;
+          r.r_stranded <- r.r_stranded + 1;
+          match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_stranded
+        end;
+        let wait = Health.cooloff_expires_at r.r_health.(link) -. now in
+        t.comm <- t.comm +. wait;
+        t.fault_us <- t.fault_us +. wait;
+        (match t.obs with
+        | None -> ()
+        | Some i ->
+            Metrics.inc ~by:wait i.i_comm_us;
+            Metrics.inc ~by:wait i.i_fault_us);
+        (match r.r_obs with None -> () | Some ri -> Metrics.inc ~by:wait ri.ri_wait_us);
+        go ()
+      end
+      else if !rounds >= r.r_config.fc_max_probe_rounds then begin
+        t.n_unreachable <- t.n_unreachable + 1;
+        (match t.obs with None -> () | Some i -> Metrics.inc i.i_unreachable);
+        Hresult.fail
+          (Hresult.E_unreachable
+             (Printf.sprintf "%s.%s: no reply from %s after %d attempts" iface mname
+                (Constraints.location_name dst)
+                (max 1 m.m_retry.Fault.rp_max_attempts)))
+      end
+      else begin
+        let oc = round_trip t m ~link ~request ~reply ~iface ~mname in
+        (match t.obs with
+        | None -> ()
+        | Some i ->
+            Metrics.observe i.i_request_bytes request;
+            Metrics.observe i.i_reply_bytes reply);
+        record_outcome t m.m_factory r ~link oc.Fault.oc_ok;
+        if oc.Fault.oc_ok then begin
+          count_remote t ~bytes:(request + reply);
+          if src = Constraints.Server && dst = Constraints.Server then begin
+            r.r_inter_host <- r.r_inter_host + 1;
+            match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_inter_host
+          end;
+          if dst = Constraints.Server then observe_load t r ~callee_cls ~bytes:(request + reply)
+        end
+        else begin
+          incr rounds;
+          go ()
+        end
+      end
+    end
+  in
+  go ()
+
+(* Forward an instantiation request to the peer factory over the link
+   the new instance's shard lives on (the creator's when the request
+   travels pool-to-client): one round trip, the request plus the
+   marshaled object reference coming back. Graceful degradation: when
+   the peer never answers — or the breaker is open, and no
+   communication is spent on a link known to be down — the instance is
+   placed with its creator, the factory's co-location default, instead
+   of failing the instantiation. A failure may have tripped the breaker
+   and switched rungs, so the creator's machine is re-read. *)
+let forward_create t m ~creator ~classification ~cname ~machine =
+  let r = m.m_route in
+  let request = Marshal_size.scalar_overhead + (2 * 16) in
+  let reply = Marshal_size.scalar_overhead + Marshal_size.objref_size in
+  let link =
+    route_host r
+      (if machine = Constraints.Server then classification else classification_of t creator)
+  in
+  let ok =
+    admits t m.m_factory r ~link ~now:(sim_now t)
+    && begin
+         let oc =
+           round_trip t m ~link ~request ~reply ~iface:"ICoCreateInstance" ~mname:"create"
+         in
+         record_outcome t m.m_factory r ~link oc.Fault.oc_ok;
+         oc.Fault.oc_ok
+       end
+  in
+  if ok then begin
+    count_remote t ~bytes:(request + reply);
+    machine
+  end
+  else begin
+    t.n_fallbacks <- t.n_fallbacks + 1;
+    (match t.obs with None -> () | Some i -> Metrics.inc i.i_fallbacks);
+    t.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
+    Factory.machine_of m.m_factory creator
   end
 
 (* The window said usage drifted: re-price the profiled graph with the
@@ -1152,263 +1216,33 @@ and intercept_run t raw_h ~meth args =
              request_bytes = sizes.Informer.request_bytes;
              reply_bytes = sizes.Informer.reply_bytes;
            })
-  | M_distributed
-      {
-        m_factory;
-        m_network;
-        m_jitter;
-        m_rng;
-        m_faults;
-        m_retry;
-        m_retry_rng;
-        m_resil;
-        m_watch;
-        m_fleet;
-      } ->
-      (match m_watch with
+  | M_distributed m ->
+      (match m.m_watch with
       | None -> ()
       | Some w ->
-          watch_observe t m_factory w ~kind:Tap.Call
+          watch_observe t m.m_factory w ~kind:Tap.Call
             ~caller_cls:(classification_of t caller) ~callee_cls:callee_classification
             ~measure:(fun () ->
               let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
               sizes.Informer.request_bytes + sizes.Informer.reply_bytes));
-      let src = Factory.machine_of m_factory caller in
-      let dst = Factory.machine_of m_factory callee in
+      let src = Factory.machine_of m.m_factory caller in
+      let dst = Factory.machine_of m.m_factory callee in
       let caller_classification = classification_of t caller in
-      (* A call crosses the wire when the endpoints live on different
-         machines — or, under a pool, on different pool hosts. With no
-         fleet (or a pool of one) the condition is exactly [src <> dst],
-         so the pre-fleet paths run the same instructions they always
-         did. *)
-      let crosses =
-        match m_fleet with
-        | None -> src <> dst
-        | Some f ->
-            fleet_link f ~src ~dst ~caller_cls:caller_classification
-              ~callee_cls:callee_classification
-            <> None
-      in
-      if crosses then begin
+      if
+        route_link m.m_route ~src ~dst ~caller_cls:caller_classification
+          ~callee_cls:callee_classification
+        >= 0
+      then begin
         let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
         if not sizes.Informer.remotable then
           Hresult.fail
             (Hresult.E_cannot_marshal
                (Printf.sprintf "cross-machine call on non-remotable %s.%s"
                   (Itype.name itype) msig.Idl_type.mname));
-        let jittered base =
-          if m_jitter = 0. then base
-          else Float.max 0. (Prng.gaussian m_rng ~mu:base ~sigma:(m_jitter *. base))
-        in
-        (* One simulated round trip with its full fault accounting —
-           identical whether or not a resilience policy is watching the
-           outcome, so fault-free runs are bit-identical either way.
-           Virtual send time: communication so far plus the compute the
-           application has charged — the clock fault windows are
-           expressed against. [model] defaults to the global link fault
-           model; the fleet passes each call's pool-host model. *)
-        let simulate ?(model = m_faults) () =
-          let oc =
-            Fault.call ?model ~retry:m_retry ~rng:m_retry_rng
-              ~now_us:(t.comm +. Runtime.compute_us t.ctx)
-              ~request_bytes:sizes.Informer.request_bytes
-              ~reply_bytes:sizes.Informer.reply_bytes
-              ~request_us:(fun () ->
-                jittered (Network.message_us m_network ~bytes:sizes.Informer.request_bytes))
-              ~reply_us:(fun () ->
-                jittered (Network.message_us m_network ~bytes:sizes.Informer.reply_bytes))
-              ()
-          in
-          t.comm <- t.comm +. oc.Fault.oc_time_us;
-          t.n_retries <- t.n_retries + oc.Fault.oc_retries;
-          t.n_drops <- t.n_drops + oc.Fault.oc_drops;
-          t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
-          t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
-          (match t.obs with
-          | None -> ()
-          | Some i ->
-              Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
-              Metrics.inc_int i.i_retries oc.Fault.oc_retries;
-              Metrics.inc_int i.i_drops oc.Fault.oc_drops;
-              Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
-              Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us;
-              Metrics.observe i.i_request_bytes sizes.Informer.request_bytes;
-              Metrics.observe i.i_reply_bytes sizes.Informer.reply_bytes);
-          if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-            t.logger.Logger.log
-              (Event.Call_retried
-                 {
-                   iface = Itype.name itype;
-                   meth = msig.Idl_type.mname;
-                   retries = oc.Fault.oc_retries;
-                 });
-          oc
-        in
-        let fail_unreachable dst =
-          t.n_unreachable <- t.n_unreachable + 1;
-          (match t.obs with None -> () | Some i -> Metrics.inc i.i_unreachable);
-          Hresult.fail
-            (Hresult.E_unreachable
-               (Printf.sprintf "%s.%s: no reply from %s after %d attempts"
-                  (Itype.name itype) msig.Idl_type.mname
-                  (Constraints.location_name dst)
-                  (max 1 m_retry.Fault.rp_max_attempts)))
-        in
-        let count_remote () =
-          t.n_remote_calls <- t.n_remote_calls + 1;
-          t.n_remote_bytes <-
-            t.n_remote_bytes + sizes.Informer.request_bytes + sizes.Informer.reply_bytes;
-          match t.obs with
-          | None -> ()
-          | Some i ->
-              Metrics.inc i.i_remote_calls;
-              Metrics.inc_int i.i_remote_bytes
-                (sizes.Informer.request_bytes + sizes.Informer.reply_bytes)
-        in
-        match (m_resil, m_fleet) with
-        | None, None ->
-            let oc = simulate () in
-            if not oc.Fault.oc_ok then fail_unreachable dst;
-            count_remote ()
-        | None, Some f ->
-            (* Route the call over the callee's pool-host link, with
-               that host's breaker and fault model. The loop mirrors
-               the two-host resilience path call for call: a breaker
-               transition may promote replicas or move the whole pool
-               along the ladder, after which the link is re-read — the
-               call may then complete locally, on a promoted replica,
-               or on the shrunken pool. *)
-            let rounds = ref 0 in
-            let stranded_counted = ref false in
-            let rec go () =
-              let src = Factory.machine_of m_factory caller in
-              let dst = Factory.machine_of m_factory callee in
-              match
-                fleet_link f ~src ~dst ~caller_cls:caller_classification
-                  ~callee_cls:callee_classification
-              with
-              | None -> if !rounds > 0 then f.f_rescued <- f.f_rescued + 1
-              | Some h ->
-                  let hb = f.f_health.(h) in
-                  let now = sim_now t in
-                  (match Health.observe hb ~now_us:now with
-                  | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                  | None -> ());
-                  if not (Health.allows hb ~now_us:now) then begin
-                    if not !stranded_counted then begin
-                      stranded_counted := true;
-                      f.f_stranded <- f.f_stranded + 1
-                    end;
-                    let wait = Health.cooloff_expires_at hb -. now in
-                    t.comm <- t.comm +. wait;
-                    t.fault_us <- t.fault_us +. wait;
-                    (match t.obs with
-                    | None -> ()
-                    | Some i ->
-                        Metrics.inc ~by:wait i.i_comm_us;
-                        Metrics.inc ~by:wait i.i_fault_us);
-                    go ()
-                  end
-                  else if !rounds >= f.f_config.fc_max_probe_rounds then fail_unreachable dst
-                  else begin
-                    let oc = simulate ~model:f.f_faults.(h) () in
-                    let now' = sim_now t in
-                    if oc.Fault.oc_ok then begin
-                      (match Health.record_success hb ~now_us:now' with
-                      | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                      | None -> ());
-                      count_remote ();
-                      if src = Constraints.Server && dst = Constraints.Server then begin
-                        f.f_inter_host <- f.f_inter_host + 1;
-                        match f.f_obs with
-                        | None -> ()
-                        | Some fi -> Metrics.inc fi.fi_inter_host
-                      end;
-                      if dst = Constraints.Server then
-                        fleet_observe t f ~callee_cls:callee_classification
-                          ~bytes:(sizes.Informer.request_bytes + sizes.Informer.reply_bytes)
-                    end
-                    else begin
-                      incr rounds;
-                      (match Health.record_failure hb ~now_us:now' with
-                      | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                      | None -> ());
-                      go ()
-                    end
-                  end
-            in
-            go ()
-        | Some r, _ ->
-            (* Route the call through the breaker. Failures feed the
-               health tracker; when it opens, the transition handler
-               fails over to the next rung, after which the endpoints
-               may share a machine — the call then completes locally
-               (the underlying [Runtime.call] already ran; the fault
-               model only decides whether the communication made it).
-               Open-breaker calls are stranded: they wait out the
-               cooloff and become the half-open probe. *)
-            let rounds = ref 0 in
-            let stranded_counted = ref false in
-            let rec go () =
-              let src = Factory.machine_of m_factory caller in
-              let dst = Factory.machine_of m_factory callee in
-              if src = dst then begin
-                if !rounds > 0 then begin
-                  r.r_rescued <- r.r_rescued + 1;
-                  match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_rescued
-                end
-              end
-              else begin
-                let now = sim_now t in
-                (match Health.observe r.r_health ~now_us:now with
-                | Some tr -> resil_on_transition t m_factory r tr
-                | None -> ());
-                if not (Health.allows r.r_health ~now_us:now) then begin
-                  if not !stranded_counted then begin
-                    stranded_counted := true;
-                    r.r_stranded <- r.r_stranded + 1;
-                    match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_stranded
-                  end;
-                  let wait = Health.cooloff_expires_at r.r_health -. now in
-                  t.comm <- t.comm +. wait;
-                  t.fault_us <- t.fault_us +. wait;
-                  (match t.obs with
-                  | None -> ()
-                  | Some i ->
-                      Metrics.inc ~by:wait i.i_comm_us;
-                      Metrics.inc ~by:wait i.i_fault_us);
-                  (match r.r_obs with
-                  | None -> ()
-                  | Some ri -> Metrics.inc ~by:wait ri.ri_wait_us);
-                  go ()
-                end
-                else if !rounds >= r.r_max_probe_rounds then fail_unreachable dst
-                else begin
-                  let oc = simulate () in
-                  let now' = sim_now t in
-                  if oc.Fault.oc_ok then begin
-                    (match Health.record_success r.r_health ~now_us:now' with
-                    | Some tr -> resil_on_transition t m_factory r tr
-                    | None -> ());
-                    (match r.r_obs with
-                    | None -> ()
-                    | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                    count_remote ()
-                  end
-                  else begin
-                    incr rounds;
-                    (match Health.record_failure r.r_health ~now_us:now' with
-                    | Some tr -> resil_on_transition t m_factory r tr
-                    | None -> ());
-                    (match r.r_obs with
-                    | None -> ()
-                    | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                    go ()
-                  end
-                end
-              end
-            in
-            go ()
+        route_call t m ~caller ~callee ~caller_cls:caller_classification
+          ~callee_cls:callee_classification ~request:sizes.Informer.request_bytes
+          ~reply:sizes.Informer.reply_bytes ~iface:(Itype.name itype)
+          ~mname:msig.Idl_type.mname
       end);
   (* Keep every escaping interface pointer wrapped — but only walk the
      reply when the method can actually output interface pointers (the
@@ -1465,157 +1299,27 @@ and on_create_run t (req : Runtime.create_request) =
   in
   (match t.mode with
   | M_profiling -> ()
-  | M_distributed
-      {
-        m_factory;
-        m_network;
-        m_jitter;
-        m_rng;
-        m_faults;
-        m_retry;
-        m_retry_rng;
-        m_resil;
-        m_watch;
-        m_fleet;
-      } ->
-      (match m_watch with
+  | M_distributed m ->
+      (match m.m_watch with
       | None -> ()
       | Some w ->
           (* An instantiation request costs a fixed-size round trip
-             (see [forwarded] below) whether or not it crosses
-             machines; that pair of messages is its measured size. *)
-          watch_observe t m_factory w ~kind:Tap.Create
+             (see [forward_create]) whether or not it crosses machines;
+             that pair of messages is its measured size. *)
+          watch_observe t m.m_factory w ~kind:Tap.Create
             ~caller_cls:(classification_of t creator) ~callee_cls:classification
             ~measure:(fun () ->
               (2 * Marshal_size.scalar_overhead) + (2 * 16) + Marshal_size.objref_size));
-      let creator_machine = Factory.machine_of m_factory creator in
-      let machine = Factory.decide m_factory ~classification ~cname ~creator_machine in
+      let creator_machine = Factory.machine_of m.m_factory creator in
+      let machine = Factory.decide m.m_factory ~classification ~cname ~creator_machine in
       let machine =
         if machine = creator_machine then machine
-        else begin
-          (* Forwarding an instantiation request to the peer factory
-             costs one round trip: the request plus the marshaled object
-             reference coming back. *)
-          let jittered base =
-            if m_jitter = 0. then base
-            else Float.max 0. (Prng.gaussian m_rng ~mu:base ~sigma:(m_jitter *. base))
-          in
-          let request = Marshal_size.scalar_overhead + (2 * 16) in
-          let reply = Marshal_size.scalar_overhead + Marshal_size.objref_size in
-          let simulate ?(model = m_faults) () =
-            let oc =
-              Fault.call ?model ~retry:m_retry ~rng:m_retry_rng
-                ~now_us:(t.comm +. Runtime.compute_us t.ctx)
-                ~request_bytes:request ~reply_bytes:reply
-                ~request_us:(fun () -> jittered (Network.message_us m_network ~bytes:request))
-                ~reply_us:(fun () -> jittered (Network.message_us m_network ~bytes:reply))
-                ()
-            in
-            t.comm <- t.comm +. oc.Fault.oc_time_us;
-            t.n_retries <- t.n_retries + oc.Fault.oc_retries;
-            t.n_drops <- t.n_drops + oc.Fault.oc_drops;
-            t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
-            t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
-            (match t.obs with
-            | None -> ()
-            | Some i ->
-                Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
-                Metrics.inc_int i.i_retries oc.Fault.oc_retries;
-                Metrics.inc_int i.i_drops oc.Fault.oc_drops;
-                Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
-                Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
-            if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-              t.logger.Logger.log
-                (Event.Call_retried
-                   { iface = "ICoCreateInstance"; meth = "create"; retries = oc.Fault.oc_retries });
-            oc
-          in
-          let forwarded () =
-            t.n_remote_calls <- t.n_remote_calls + 1;
-            t.n_remote_bytes <- t.n_remote_bytes + request + reply;
-            (match t.obs with
-            | None -> ()
-            | Some i ->
-                Metrics.inc i.i_remote_calls;
-                Metrics.inc_int i.i_remote_bytes (request + reply));
-            machine
-          in
-          (* Graceful degradation: the peer factory never answered (or
-             the breaker is open), so place the instance with its
-             creator — the factory's co-location default — instead of
-             failing the instantiation. *)
-          let degraded creator_machine =
-            t.n_fallbacks <- t.n_fallbacks + 1;
-            (match t.obs with None -> () | Some i -> Metrics.inc i.i_fallbacks);
-            t.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
-            creator_machine
-          in
-          match (m_resil, m_fleet) with
-          | None, None ->
-              if (simulate ()).Fault.oc_ok then forwarded () else degraded creator_machine
-          | None, Some f ->
-              (* Forward over the pool-host link the new instance's
-                 shard lives on (the creator's host when the request
-                 travels pool-to-client). *)
-              let h =
-                if machine = Constraints.Server then fleet_host f classification
-                else fleet_host f (classification_of t creator)
-              in
-              let hb = f.f_health.(h) in
-              let now = sim_now t in
-              (match Health.observe hb ~now_us:now with
-              | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-              | None -> ());
-              if not (Health.allows hb ~now_us:now) then
-                degraded (Factory.machine_of m_factory creator)
-              else begin
-                let oc = simulate ~model:f.f_faults.(h) () in
-                let now' = sim_now t in
-                let transition =
-                  if oc.Fault.oc_ok then Health.record_success hb ~now_us:now'
-                  else Health.record_failure hb ~now_us:now'
-                in
-                (match transition with
-                | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                | None -> ());
-                if oc.Fault.oc_ok then forwarded ()
-                else degraded (Factory.machine_of m_factory creator)
-              end
-          | Some r, _ ->
-              let now = sim_now t in
-              (match Health.observe r.r_health ~now_us:now with
-              | Some tr -> resil_on_transition t m_factory r tr
-              | None -> ());
-              if not (Health.allows r.r_health ~now_us:now) then
-                (* Open breaker: fail fast to the creator, spending no
-                   communication on a link known to be down. *)
-                degraded (Factory.machine_of m_factory creator)
-              else begin
-                let oc = simulate () in
-                let now' = sim_now t in
-                let transition =
-                  if oc.Fault.oc_ok then Health.record_success r.r_health ~now_us:now'
-                  else Health.record_failure r.r_health ~now_us:now'
-                in
-                (match transition with
-                | Some tr -> resil_on_transition t m_factory r tr
-                | None -> ());
-                (match r.r_obs with
-                | None -> ()
-                | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                if oc.Fault.oc_ok then forwarded ()
-                else
-                  (* A failure may have tripped the breaker and failed
-                     over; re-read the creator's machine so the instance
-                     lands where its creator now lives. *)
-                  degraded (Factory.machine_of m_factory creator)
-              end
-        end
+        else forward_create t m ~creator ~classification ~cname ~machine
       in
       (* Record the machine under the instance id we are about to
          allocate; ids are dense so the next instance gets the current
          count. *)
-      Factory.record_instance m_factory ~inst:(Runtime.instance_count t.ctx) machine);
+      Factory.record_instance m.m_factory ~inst:(Runtime.instance_count t.ctx) machine);
   let raw = Runtime.raw_create_instance t.ctx req.Runtime.req_clsid ~iid:req.Runtime.req_iid in
   let inst = Runtime.handle_owner t.ctx raw in
   Hashtbl.replace t.inst_classification inst classification;
@@ -1695,6 +1399,97 @@ let install ?(loggers = []) ?tracer ?metrics ~classifier ~mode ctx =
 let install_profiling ?loggers ?tracer ?metrics ~classifier ctx =
   install ?loggers ?tracer ?metrics ~classifier ~mode:M_profiling ctx
 
+(* Build a route over a pool ladder: one breaker and one fault model
+   per host link of the widest rung (rung 0). A link's fault spec is
+   its host overlay, else the global [dc_faults]. A one-host route
+   draws its verdicts from the global model's stream 2 unless an
+   overlay is given, so retry-only, two-host resilience and a pool of
+   one see the same fault schedule; an overlay, and every host of a
+   wider pool, draws from stream [8 + host]. *)
+let create_route ?metrics ~pool ~seed ~faults fc =
+  let pl = fc.fc_ladder in
+  let rung0 = Fallback.pool_rung_at pl 0 in
+  let hosts = rung0.Fallback.pr_shape.Pool.sh_hosts in
+  let safe = Fallback.migration_safety_table (Fallback.pool_base pl) in
+  let component = Fallback.pool_components pl in
+  let comp_safe = Array.make (max 1 (Array.length component)) true in
+  Array.iteri
+    (fun c rep -> if not (c < Array.length safe && safe.(c)) then comp_safe.(rep) <- false)
+    component;
+  let shard_count = rung0.Fallback.pr_shard_count in
+  let link_model h =
+    let spec, stream =
+      match List.assoc_opt h fc.fc_host_faults with
+      | Some sp -> (Some sp, host_fault_seed seed h)
+      | None -> (faults, if hosts = 1 then fault_seed seed else host_fault_seed seed h)
+    in
+    Option.map (Fault.make ~seed:stream) spec
+  in
+  let obs =
+    Option.map
+      (fun reg ->
+        let ri =
+          make_route_instruments reg
+            ~pool_reg:(if hosts > 1 then reg else Metrics.registry ())
+        in
+        Metrics.set ri.ri_hosts (float_of_int hosts);
+        Metrics.set ri.ri_shards (float_of_int shard_count);
+        ri)
+      metrics
+  in
+  {
+    r_config = fc;
+    r_pool = pool;
+    r_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
+    r_faults = Array.init hosts link_model;
+    r_obs = obs;
+    r_safe = safe;
+    r_component = component;
+    r_comp_safe = comp_safe;
+    r_window =
+      Window.create ~half_life_us:fc.fc_half_life_us
+        ~pairs:(Array.init shard_count (fun s -> (s, s)));
+    r_rung = 0;
+    r_shard_of = Array.copy rung0.Fallback.pr_shard_of;
+    r_active = Array.init shard_count (fun s -> Pool.host_of rung0.Fallback.pr_shape s);
+    r_replicated = Array.copy rung0.Fallback.pr_replicated;
+    r_since_check = 0;
+    r_opens = 0;
+    r_closes = 0;
+    r_failovers = 0;
+    r_failbacks = 0;
+    r_migrations = 0;
+    r_stranded = 0;
+    r_rescued = 0;
+    r_promotions = 0;
+    r_splits = 0;
+    r_resizes = 0;
+    r_inter_host = 0;
+  }
+
+(* The retry-only route: one host, one rung that places nothing, and a
+   breaker that never opens, so the route never leaves the installed
+   factory policy and a call gets exactly one round of retries. *)
+let retry_only =
+  fleet ~max_probe_rounds:1
+    ~health:{ Health.default_policy with Health.hp_failure_threshold = max_int }
+    (Fallback.single_host
+       (Fallback.of_rungs ~migration_safe:[||]
+          [
+            {
+              Fallback.rg_name = "static";
+              rg_distribution =
+                {
+                  Analysis.placement = [||];
+                  cut_ns = 0;
+                  predicted_comm_us = 0.;
+                  server_count = 0;
+                  node_count = 0;
+                  algorithm = Coign_flowgraph.Mincut.Dinic;
+                };
+            };
+          ]))
+
 let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
   (match (config.dc_watch, config.dc_resilience) with
   | Some _, Some _ ->
@@ -1708,28 +1503,6 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
   | Some _, _, Some _ ->
       invalid_arg "Rte.install_distributed: dc_fleet and dc_watch cannot be combined"
   | _ -> ());
-  (* Identity gate: a pool of one with no per-host fault overlays IS
-     the two-host resilience path — install that path, so the fleet
-     layer is not merely equivalent but literally absent: zero cost,
-     bit-identical output by construction. *)
-  let config =
-    match config.dc_fleet with
-    | Some fc
-      when (Fallback.pool_rung_at fc.fc_ladder 0).Fallback.pr_shape.Pool.sh_hosts = 1
-           && fc.fc_host_faults = [] ->
-        {
-          config with
-          dc_fleet = None;
-          dc_resilience =
-            Some
-              {
-                rc_ladder = Fallback.pool_base fc.fc_ladder;
-                rc_health = fc.fc_health;
-                rc_max_probe_rounds = fc.fc_max_probe_rounds;
-              };
-        }
-    | _ -> config
-  in
   (* The main program lives on the client. *)
   let factory = Factory.create ?metrics config.dc_factory_policy in
   Factory.record_instance factory ~inst:Runtime.main_instance Constraints.Client;
@@ -1796,88 +1569,16 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
         })
       config.dc_watch
   in
-  let resil =
-    Option.map
-      (fun rc ->
-        {
-          r_ladder = rc.rc_ladder;
-          r_health = Health.create ~policy:rc.rc_health ();
-          r_max_probe_rounds = rc.rc_max_probe_rounds;
-          r_obs = Option.map make_resil_instruments metrics;
-          r_rung = 0;
-          r_breaker_opens = 0;
-          r_breaker_closes = 0;
-          r_failovers = 0;
-          r_failbacks = 0;
-          r_migrations = 0;
-          r_stranded = 0;
-          r_rescued = 0;
-        })
-      config.dc_resilience
+  let route =
+    let create = create_route ~seed:config.dc_seed ~faults:config.dc_faults in
+    match (config.dc_fleet, config.dc_resilience) with
+    | Some fc, _ -> create ?metrics ~pool:true fc
+    | None, Some rc ->
+        create ?metrics ~pool:false
+          (fleet ~health:rc.rc_health ~max_probe_rounds:rc.rc_max_probe_rounds
+             (Fallback.single_host rc.rc_ladder))
+    | None, None -> create ~pool:false retry_only
   in
-  let fleet_state =
-    Option.map
-      (fun fc ->
-        let pl = fc.fc_ladder in
-        let rung0 = Fallback.pool_rung_at pl 0 in
-        let hosts = rung0.Fallback.pr_shape.Pool.sh_hosts in
-        let base = Fallback.pool_base pl in
-        let safe = Fallback.migration_safety_table base in
-        let component = Fallback.pool_components pl in
-        let comp_safe = Array.make (max 1 (Array.length component)) true in
-        Array.iteri
-          (fun c rep ->
-            if not (c < Array.length safe && safe.(c)) then comp_safe.(rep) <- false)
-          component;
-        let shard_count = rung0.Fallback.pr_shard_count in
-        {
-          f_config = fc;
-          f_ladder = pl;
-          f_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
-          f_faults =
-            Array.init hosts (fun h ->
-                let spec =
-                  match List.assoc_opt h fc.fc_host_faults with
-                  | Some sp -> Some sp
-                  | None -> config.dc_faults
-                in
-                Option.map
-                  (fun sp -> Fault.make ~seed:(host_fault_seed config.dc_seed h) sp)
-                  spec);
-          f_obs = Option.map make_fleet_instruments metrics;
-          f_safe = safe;
-          f_component = component;
-          f_comp_safe = comp_safe;
-          f_window =
-            Window.create ~half_life_us:fc.fc_half_life_us
-              ~pairs:(Array.init shard_count (fun s -> (s, s)));
-          f_rung = 0;
-          f_shard_of = Array.copy rung0.Fallback.pr_shard_of;
-          f_active = Array.init shard_count (fun s -> Pool.host_of rung0.Fallback.pr_shape s);
-          f_replicated = Array.copy rung0.Fallback.pr_replicated;
-          f_since_check = 0;
-          f_opens = 0;
-          f_closes = 0;
-          f_failovers = 0;
-          f_failbacks = 0;
-          f_migrations = 0;
-          f_stranded = 0;
-          f_rescued = 0;
-          f_promotions = 0;
-          f_splits = 0;
-          f_resizes = 0;
-          f_inter_host = 0;
-        })
-      config.dc_fleet
-  in
-  (match fleet_state with
-  | None -> ()
-  | Some f -> (
-      match f.f_obs with
-      | None -> ()
-      | Some fi ->
-          Metrics.set fi.fi_hosts (float_of_int (Array.length f.f_health));
-          Metrics.set fi.fi_shards (float_of_int (Array.length f.f_active))));
   install ?loggers ?tracer ?metrics ~classifier
     ~mode:
       (M_distributed
@@ -1886,15 +1587,10 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
            m_network = config.dc_network;
            m_jitter = config.dc_jitter;
            m_rng = Prng.create (jitter_seed config.dc_seed);
-           m_faults =
-             Option.map
-               (fun sp -> Fault.make ~seed:(fault_seed config.dc_seed) sp)
-               config.dc_faults;
            m_retry = config.dc_retry;
            m_retry_rng = Prng.create (retry_seed config.dc_seed);
-           m_resil = resil;
+           m_route = route;
            m_watch = watch_state;
-           m_fleet = fleet_state;
          })
     ctx
 
@@ -1912,9 +1608,7 @@ let instance_classifications t =
   |> List.sort compare
 
 let instances_created t = List.rev t.created
-
-let factory t =
-  match t.mode with M_profiling -> None | M_distributed { m_factory; _ } -> Some m_factory
+let factory t = match t.mode with M_profiling -> None | M_distributed m -> Some m.m_factory
 
 let call_counts t =
   Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.pair_counts [] |> List.sort compare
@@ -1923,14 +1617,7 @@ let comm_us t = t.comm
 let remote_calls t = t.n_remote_calls
 let remote_bytes t = t.n_remote_bytes
 let intercepted_calls t = t.n_intercepted
-
-let resil_of t =
-  match t.mode with
-  | M_profiling | M_distributed { m_resil = None; _ } -> None
-  | M_distributed { m_resil = Some r; _ } -> Some r
-
-let link_health t = Option.map (fun r -> r.r_health) (resil_of t)
-let current_rung t = match resil_of t with None -> 0 | Some r -> r.r_rung
+let route_of t = match t.mode with M_profiling -> None | M_distributed m -> Some m.m_route
 
 let watch_of t =
   match t.mode with
@@ -1940,16 +1627,8 @@ let watch_of t =
 let watch_timeline t = match watch_of t with None -> [] | Some w -> List.rev w.w_timeline
 let watch_placement t = Option.map (fun w -> w.w_current) (watch_of t)
 
-let watch_window_signature t =
-  Option.map (fun w -> Window.signature_at w.w_window ~now_us:(sim_now t)) (watch_of t)
-
 let watch_tap_counts t =
   Option.map (fun w -> (Tap.offered w.w_tap, Tap.sampled w.w_tap)) (watch_of t)
-
-let fleet_of t =
-  match t.mode with
-  | M_profiling | M_distributed { m_fleet = None; _ } -> None
-  | M_distributed { m_fleet = Some f; _ } -> Some f
 
 type fleet_stats = {
   fs_breaker_opens : int;
@@ -1969,28 +1648,26 @@ type fleet_stats = {
 }
 
 let fleet_stats t =
-  Option.map
-    (fun f ->
-      {
-        fs_breaker_opens = f.f_opens;
-        fs_breaker_closes = f.f_closes;
-        fs_failovers = f.f_failovers;
-        fs_failbacks = f.f_failbacks;
-        fs_migrations = f.f_migrations;
-        fs_stranded_calls = f.f_stranded;
-        fs_rescued_calls = f.f_rescued;
-        fs_promotions = f.f_promotions;
-        fs_splits = f.f_splits;
-        fs_resizes = f.f_resizes;
-        fs_inter_host_calls = f.f_inter_host;
-        fs_final_rung = f.f_rung;
-        fs_final_hosts = (fleet_shape f).Pool.sh_hosts;
-        fs_final_shards = Array.length f.f_active;
-      })
-    (fleet_of t)
-
-let fleet_shard_table t =
-  Option.map (fun f -> (Array.copy f.f_shard_of, Array.copy f.f_active)) (fleet_of t)
+  match route_of t with
+  | Some r when r.r_pool ->
+      Some
+        {
+          fs_breaker_opens = r.r_opens;
+          fs_breaker_closes = r.r_closes;
+          fs_failovers = r.r_failovers;
+          fs_failbacks = r.r_failbacks;
+          fs_migrations = r.r_migrations;
+          fs_stranded_calls = r.r_stranded;
+          fs_rescued_calls = r.r_rescued;
+          fs_promotions = r.r_promotions;
+          fs_splits = r.r_splits;
+          fs_resizes = r.r_resizes;
+          fs_inter_host_calls = r.r_inter_host;
+          fs_final_rung = r.r_rung;
+          fs_final_hosts = (route_shape r).Pool.sh_hosts;
+          fs_final_shards = Array.length r.r_active;
+        }
+  | _ -> None
 
 type stats = {
   st_comm_us : float;
@@ -2003,8 +1680,7 @@ type stats = {
   st_fallbacks : int;
   st_unreachable : int;
   st_fault_us : float;
-  (* Resilience counters — all zero unless a resilience policy was
-     installed. *)
+  (* Routing counters — all zero on a retry-only route. *)
   st_breaker_opens : int;
   st_breaker_closes : int;
   st_failovers : int;
@@ -2025,15 +1701,8 @@ type stats = {
 }
 
 let stats t =
-  let r = resil_of t in
-  let fl = fleet_of t in
-  (* Breaker/ladder counters come from whichever layer is installed —
-     the two-host resilience path or the pool fleet (mutually
-     exclusive), so downstream consumers read one set of fields either
-     way. *)
-  let pick fr ff =
-    match (r, fl) with Some r, _ -> fr r | None, Some f -> ff f | None, None -> 0
-  in
+  let r = route_of t in
+  let ri f = match r with None -> 0 | Some r -> f r in
   let w = watch_of t in
   let wi f = match w with None -> 0 | Some w -> f w in
   {
@@ -2047,14 +1716,14 @@ let stats t =
     st_fallbacks = t.n_fallbacks;
     st_unreachable = t.n_unreachable;
     st_fault_us = t.fault_us;
-    st_breaker_opens = pick (fun r -> r.r_breaker_opens) (fun f -> f.f_opens);
-    st_breaker_closes = pick (fun r -> r.r_breaker_closes) (fun f -> f.f_closes);
-    st_failovers = pick (fun r -> r.r_failovers) (fun f -> f.f_failovers);
-    st_failbacks = pick (fun r -> r.r_failbacks) (fun f -> f.f_failbacks);
-    st_migrations = pick (fun r -> r.r_migrations) (fun f -> f.f_migrations);
-    st_stranded_calls = pick (fun r -> r.r_stranded) (fun f -> f.f_stranded);
-    st_rescued_calls = pick (fun r -> r.r_rescued) (fun f -> f.f_rescued);
-    st_final_rung = pick (fun r -> r.r_rung) (fun f -> f.f_rung);
+    st_breaker_opens = ri (fun r -> r.r_opens);
+    st_breaker_closes = ri (fun r -> r.r_closes);
+    st_failovers = ri (fun r -> r.r_failovers);
+    st_failbacks = ri (fun r -> r.r_failbacks);
+    st_migrations = ri (fun r -> r.r_migrations);
+    st_stranded_calls = ri (fun r -> r.r_stranded);
+    st_rescued_calls = ri (fun r -> r.r_rescued);
+    st_final_rung = ri (fun r -> r.r_rung);
     st_drift_checks = wi (fun w -> w.w_checks);
     st_drift_detections = wi (fun w -> w.w_detections);
     st_repartitions = wi (fun w -> w.w_repartitions);

@@ -78,8 +78,9 @@ type fleet_config = {
   fc_host_faults : (int * Coign_netsim.Fault.spec) list;
       (** per-host fault overlays (host index -> spec), replacing
           [dc_faults] on that host's link; hosts not listed keep the
-          global model. Seeded {!Coign_util.Prng.stream} [8 + host] of
-          [dc_seed], so a pool run never perturbs the global streams *)
+          global spec. An overlay draws from {!Coign_util.Prng.stream}
+          [8 + host] of [dc_seed], so a pool run never perturbs the
+          global streams *)
 }
 
 val fleet :
@@ -162,9 +163,10 @@ type distributed_config = {
                         (** how cross-machine messaging survives drops *)
   dc_resilience : resilience_config option;
                         (** adaptive failover across the fallback
-                            ladder; [None] (the default everywhere)
-                            runs the PR 3 retry-only path, bit for
-                            bit *)
+                            ladder, routed as a one-host pool; [None]
+                            (the default everywhere) routes retry-only:
+                            one round of retries per call, behind a
+                            breaker that never opens *)
   dc_watch : watch_config option;
                         (** online drift watch and bounded-staleness
                             re-partitioning; [None] (the default
@@ -177,15 +179,12 @@ type distributed_config = {
   dc_fleet : fleet_config option;
                         (** replicated server pool with per-replica
                             breakers, hot-shard splitting and
-                            pool-elastic failover; [None] (the default
-                            everywhere) runs the single-server paths
-                            above, bit for bit. Mutually exclusive
-                            with [dc_resilience] and [dc_watch]. A
-                            pool of one with no host overlays is
-                            rewritten at install time into the exact
-                            [dc_resilience] configuration over the
-                            ladder's base — the fleet layer is then
-                            literally absent *)
+                            pool-elastic failover. Mutually exclusive
+                            with [dc_resilience] and [dc_watch]. A pool
+                            of one routes exactly as [dc_resilience]
+                            over the ladder's base does: same breaker,
+                            same fault stream, same events and
+                            metrics *)
 }
 
 val install_distributed :
@@ -211,22 +210,28 @@ val install_distributed :
     gracefully — the instance is placed with its creator and the
     fallback counted (see {!stats}).
 
-    With [dc_resilience], every forwarded call and create is routed
-    through a link circuit breaker ({!Coign_netsim.Health}). Failures
-    feed the breaker; when it opens, the RTE atomically switches the
-    factory to the next rung of the fallback ladder, migrates the
-    instances the static remotability facts mark safe, and lets the
-    failed call complete locally if the failover co-located its
-    endpoints (the underlying call already ran — the fault model only
-    judges the communication). Calls that must still cross the dead
-    link are stranded: they wait out the cooloff on the virtual clock
-    and become the half-open probe; probe success closes the breaker
-    and fails back to rung 0, probe failure reopens it with an
-    escalated cooloff. Breaker transitions and rung switches are
-    logged ({!Event.Breaker_opened} etc.), traced (category
+    Every forwarded call and create goes through one routing engine: a
+    ladder of pool rungs, one circuit breaker
+    ({!Coign_netsim.Health}) and one fault model per host link (sized
+    by the widest rung), and a shard table. Without [dc_resilience] or
+    [dc_fleet] the route has one link, one rung and a breaker that
+    never opens, so a call gets one round of retries and then raises.
+
+    With [dc_resilience], the route is one link over the fallback
+    ladder. Failures feed the breaker; when it opens, the RTE
+    atomically switches the factory to the next rung of the ladder,
+    migrates the instances the static remotability facts mark safe,
+    and lets the failed call complete locally if the failover
+    co-located its endpoints (the underlying call already ran — the
+    fault model only judges the communication). Calls that must still
+    cross the dead link are stranded: they wait out the cooloff on the
+    virtual clock and become the half-open probe; probe success closes
+    the breaker and fails back to rung 0, probe failure reopens it
+    with an escalated cooloff. Breaker transitions and rung switches
+    are logged ({!Event.Breaker_opened} etc.), traced (category
     ["resilience"]) and counted ([coign_resilience_*] metrics and
-    {!stats}). With [dc_resilience = None] the run is bit-identical to
-    one without the resilience layer compiled in.
+    {!stats}). A fault-free run records only successes, so its stats
+    are bit-identical to the retry-only run's.
 
     With [dc_watch], every intercepted call and create also feeds an
     exponentially-decayed observation window ({!Window}) and, when a
@@ -248,22 +253,28 @@ val install_distributed :
     applies to the very call that triggered it. With [dc_watch = None]
     the run is bit-identical to one without the watch compiled in.
 
-    With [dc_fleet], the logical server side runs as a pool: each
-    component shard lives on the host its rung's {!Pool.shape}
-    assigns, every host link carries its own circuit breaker, and
-    reads of a replicated shard survive a host loss by promotion — the
-    first healthy replica in ring order takes over the shard
-    ({!Event.Replica_promoted}) without touching the rest of the pool.
-    A breaker opening on a host whose shards cannot all be promoted
-    shrinks the pool one rung ({!Event.Pool_resized}), migrating only
-    the statically-safe instances, exactly as resilience failover
-    does; probe success on the degraded host fails back to the widest
-    rung. Per-link observation volume feeds a decayed window; a shard
-    exceeding [fc_split_share] of the load is split, its migration-safe
-    upper components moving to a fresh shard on the least-loaded host
-    ({!Event.Shard_split}). All decisions run on the virtual clock off
-    seeded streams, so runs are deterministic and independent of
-    domain-parallel execution. *)
+    With [dc_fleet], the route has one link per host of the widest
+    pool rung: each component shard lives on the host its rung's
+    {!Pool.shape} assigns, and reads of a replicated shard survive a
+    host loss by promotion — the first healthy replica in ring order
+    takes over the shard ({!Event.Replica_promoted}) without touching
+    the rest of the pool. A breaker opening on a host whose shards
+    cannot all be promoted shrinks the pool one rung
+    ({!Event.Pool_resized}), migrating only the statically-safe
+    instances, exactly as resilience failover does; probe success on
+    the degraded host fails back to the widest rung. Per-link
+    observation volume feeds a decayed window; a shard exceeding
+    [fc_split_share] of the load is split, its migration-safe upper
+    components moving to a fresh shard on the least-loaded host
+    ({!Event.Shard_split}). The [coign_fleet_*] instruments are
+    exported for pools wider than one host.
+
+    Fault streams: a one-host route draws its verdicts from
+    {!Coign_util.Prng.stream} 2 of [dc_seed] (the global [dc_faults]
+    model) unless [fc_host_faults] overlays its host; an overlay, and
+    every host of a wider pool, draws from stream [8 + host]. All
+    decisions run on the virtual clock off seeded streams, so runs are
+    deterministic and independent of domain-parallel execution. *)
 
 val uninstall : t -> unit
 (** Remove all hooks; the context reverts to plain local execution. *)
@@ -310,7 +321,7 @@ type stats = {
   st_fallbacks : int;      (** instantiations degraded to the creator *)
   st_unreachable : int;    (** calls abandoned with [E_unreachable] *)
   st_fault_us : float;     (** comm time attributable to faults *)
-  st_breaker_opens : int;  (** breaker trips (zero without resilience) *)
+  st_breaker_opens : int;  (** breaker trips (zero on a retry-only route) *)
   st_breaker_closes : int;
   st_failovers : int;      (** switches down the fallback ladder *)
   st_failbacks : int;      (** switches back up to the primary *)
@@ -331,12 +342,6 @@ type stats = {
 val stats : t -> stats
 (** One-shot snapshot of the run's communication and fault counters. *)
 
-val link_health : t -> Coign_netsim.Health.t option
-(** The breaker state, when a resilience policy is installed. *)
-
-val current_rung : t -> int
-(** Fallback rung currently installed (0 without resilience). *)
-
 val watch_timeline : t -> watch_checkpoint list
 (** Every drift check the watch ran, in virtual-time order (empty
     without a watch). *)
@@ -344,9 +349,6 @@ val watch_timeline : t -> watch_checkpoint list
 val watch_placement : t -> Analysis.distribution option
 (** The distribution the watch currently has installed — the initial
     policy's until the first repartition. *)
-
-val watch_window_signature : t -> Drift.signature option
-(** The observation window's decayed signature as of {!sim_now}. *)
 
 val watch_tap_counts : t -> (int * int) option
 (** [(offered, sampled)] tap counts, when a watch with an attached tap
@@ -373,16 +375,9 @@ type fleet_stats = {
 }
 
 val fleet_stats : t -> fleet_stats option
-(** Pool counters, when a fleet is installed. [None] when the
-    install-time identity gate rewrote a pool of one into the plain
-    resilience path — the shared counters then live in {!stats}. *)
-
-val fleet_shard_table : t -> (int array * int array) option
-(** [(shard_of, active_host_of_shard)]: classification -> shard id
-    (-1 = client side) and shard -> currently serving host, as of now.
-    Copies; mutation-safe. *)
-
-val machine_of_instance : t -> int -> Constraints.location
+(** Pool counters for every install with [dc_fleet], a pool of one
+    included; [None] otherwise. The breaker and ladder counters are the
+    ones {!stats} reports. *)
 
 val call_counts : t -> ((int * int) * int) list
 (** Lightweight per-(caller classification, callee classification) call

@@ -74,12 +74,6 @@ let pp_text ppf g =
     g.fg_runs
 
 let to_json g =
-  let escape s =
-    String.concat ""
-      (List.map
-         (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   let cell r =
     let s = r.fr_stats in
     Printf.sprintf
@@ -87,7 +81,7 @@ let to_json g =
        %.17g, \"remote_calls\": %d, \"retries\": %d, \"drops\": %d, \"spikes\": %d, \
        \"fallbacks\": %d, \"unreachable\": %d, \"comm_us\": %.17g, \"fault_us\": %.17g, \
        \"completed\": %b}"
-      (escape g.fg_network.Network.net_name)
+      (Jsonu.escape g.fg_network.Network.net_name)
       g.fg_seed r.fr_drop_rate r.fr_partition_us s.Adps.es_remote_calls s.Adps.es_retries
       s.Adps.es_drops s.Adps.es_spikes s.Adps.es_fallbacks s.Adps.es_unreachable
       s.Adps.es_comm_us s.Adps.es_fault_us s.Adps.es_completed

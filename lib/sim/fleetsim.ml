@@ -79,8 +79,8 @@ let run ?pool ?profiler ?(seed = 0x5EEDL) ?(jitter = 0.) ?(retry = Fault.default
        crash is a *host* event: host 0's link partitions while the
        rest of the pool stays reachable. A pool of one has no other
        host, so its crash is the global partition — exactly the
-       baseline's world, which is what lets the identity gate fire and
-       the pool-1 row double as the bit-identity check. *)
+       baseline's world, which is what lets the pool-1 row double as
+       the bit-identity check. *)
     let global_faults =
       match regime with
       | Clean -> None
@@ -147,12 +147,6 @@ let pp_text ppf g =
     g.fg_cells
 
 let to_json g =
-  let escape s =
-    String.concat ""
-      (List.map
-         (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   let side (s : Adps.exec_stats) =
     Printf.sprintf
       "{\"availability\": %.17g, \"served\": %.17g, \"intercepted\": %d, \"remote_calls\": %d, \
@@ -178,7 +172,7 @@ let to_json g =
       "{\"network\": \"%s\", \"seed\": \"0x%LX\", \"clean_calls\": %d, \"clean_remote\": %d, \
        \"pool\": %d, \"regime\": \"%s\", \"identical\": %s, \"baseline\": %s, \"fleet\": %s, \
        \"pool_stats\": %s}"
-      (escape g.fg_network.Network.net_name)
+      (Jsonu.escape g.fg_network.Network.net_name)
       g.fg_seed g.fg_clean_calls g.fg_clean_remote r.fr_pool (regime_name r.fr_regime)
       (match r.fr_identical with
       | None -> "null"

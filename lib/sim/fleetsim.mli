@@ -40,9 +40,9 @@ type cell = {
   fr_fleet_stats : Coign_core.Rte.fleet_stats;
   fr_identical : bool option;
       (** pool-1 rows: whether the fleet run's stats equal the
-          baseline's, field for field — the install-time identity gate
-          made them the same configuration, so anything but [Some
-          true] is a bug. [None] for wider pools *)
+          baseline's, field for field — a pool of one is the same
+          one-link route as the baseline, so anything but [Some true]
+          is a bug. [None] for wider pools *)
 }
 
 type grid = {

@@ -111,12 +111,6 @@ let pp_text ppf g =
     g.rg_cells
 
 let to_json g =
-  let escape s =
-    String.concat ""
-      (List.map
-         (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   let side (s : Adps.exec_stats) =
     Printf.sprintf
       "{\"availability\": %.17g, \"intercepted\": %d, \"remote_calls\": %d, \"retries\": %d, \
@@ -134,7 +128,7 @@ let to_json g =
     Printf.sprintf
       "{\"network\": \"%s\", \"seed\": \"0x%LX\", \"clean_calls\": %d, \"drop_rate\": %.17g, \
        \"partition_us\": %.17g, \"baseline\": %s, \"resilient\": %s}"
-      (escape g.rg_network.Network.net_name)
+      (Jsonu.escape g.rg_network.Network.net_name)
       g.rg_seed g.rg_clean_calls r.rr_drop_rate r.rr_partition_us (side r.rr_baseline)
       (side r.rr_resilient)
   in

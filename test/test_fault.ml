@@ -408,6 +408,24 @@ let prop_faultsim_reproducible =
       in
       String.equal j1 j2 && String.equal j1 j3)
 
+(* A network name carrying JSON's special characters still serializes
+   to a grid that parses back to the same name. *)
+let test_faultsim_json_escapes_network_name () =
+  let image, registry, scenario = Lazy.force prepared_octarine in
+  let name = "lab\n\t\"net\"\\1" in
+  let network = { Network.ethernet_10 with Network.net_name = name } in
+  let json =
+    Faultsim.to_json
+      (Faultsim.run ~drop_rates:[ 0. ] ~partitions_us:[ 0. ] ~image ~registry ~network scenario)
+  in
+  match Jsonu.parse json with
+  | Ok (Jsonu.Arr [ cell ]) -> (
+      match Jsonu.member "network" cell with
+      | Some (Jsonu.Str s) -> Alcotest.(check string) "network name round-trips" name s
+      | _ -> Alcotest.fail "cell has no network string")
+  | Ok _ -> Alcotest.fail "expected a one-cell JSON array"
+  | Error e -> Alcotest.fail ("grid JSON does not parse: " ^ e)
+
 (* --- Golden CLI output ------------------------------------------------ *)
 
 let exe = "../bin/coign.exe"
@@ -479,5 +497,7 @@ let suite =
     Alcotest.test_case "replay: counts unreachable and continues" `Quick
       test_replay_counts_unreachable_and_continues;
     QCheck_alcotest.to_alcotest ~long:false prop_faultsim_reproducible;
+    Alcotest.test_case "faultsim JSON escapes the network name" `Slow
+      test_faultsim_json_escapes_network_name;
     Alcotest.test_case "cli faultsim golden output" `Slow test_faultsim_golden;
   ]

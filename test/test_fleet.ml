@@ -66,6 +66,11 @@ let c_front =
 
 let registry () = Runtime.registry [ c_front; c_back ]
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 let run_scenario ctx rounds =
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
   ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ])
@@ -118,19 +123,19 @@ let mini_pool_ladder ~hosts =
   ( dist primary,
     Fallback.pool_ladder ~hosts session ~net:(Net_profiler.exact Network.ethernet_10) base )
 
-let run_fleet ?host_faults ~rounds pl primary =
+let run_fleet ?host_faults ?faults ?metrics ~rounds pl primary =
   let classifier, _, _, _ = Lazy.force profiled in
   let recorder, events = Logger.event_recorder () in
   let ctx = Runtime.create_ctx (registry ()) in
   let rte =
-    Rte.install_distributed ~loggers:[ recorder ] ~classifier
+    Rte.install_distributed ~loggers:[ recorder ] ?metrics ~classifier
       ~config:
         {
           Rte.dc_factory_policy = Factory.By_classification primary;
           dc_network = Network.ethernet_10;
           dc_jitter = 0.;
           dc_seed = 1L;
-          dc_faults = None;
+          dc_faults = faults;
           dc_retry = fixed_retry;
           dc_resilience = None;
           dc_fleet = Some (Rte.fleet ?host_faults pl);
@@ -220,6 +225,44 @@ let test_promotion_trace_hand_computed () =
     clean_st.Rte.st_remote_calls st.Rte.st_remote_calls;
   Alcotest.(check int) "every intercepted call still ran"
     clean_st.Rte.st_intercepted st.Rte.st_intercepted
+
+(* --- Routing metrics agree with the pool counters -----------------------
+   Every route keeps one counter set and one instrument record, so a
+   pool run's coign_resilience_* series equal its fleet_stats: under a
+   single-host crash (a promotion, no failover) and under a global
+   partition (both hosts open, the pool fails over to the base ladder,
+   a stranded call probes and is rescued locally). *)
+
+let test_pool_metrics_match_fleet_stats () =
+  let _, _, _, cback = Lazy.force profiled in
+  let primary, pl = mini_pool_ladder ~hosts:2 in
+  let rung0 = Fallback.pool_rung_at pl 0 in
+  let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of (Pool.Hash 2) cback) in
+  let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
+  let check what ?host_faults ?faults () =
+    let metrics = Coign_obs.Metrics.registry () in
+    let fs, _, _ = run_fleet ?host_faults ?faults ~metrics ~rounds:10 pl primary in
+    let series name =
+      int_of_float
+        (Coign_obs.Metrics.counter_value
+           (Coign_obs.Metrics.counter metrics ("coign_resilience_" ^ name ^ "_total")))
+    in
+    Alcotest.(check int) (what ^ ": breaker opens") fs.Rte.fs_breaker_opens
+      (series "breaker_opens");
+    Alcotest.(check int) (what ^ ": failovers") fs.Rte.fs_failovers (series "failovers");
+    Alcotest.(check int) (what ^ ": stranded calls") fs.Rte.fs_stranded_calls
+      (series "stranded_calls");
+    Alcotest.(check int) (what ^ ": rescued calls") fs.Rte.fs_rescued_calls
+      (series "rescued_calls");
+    fs
+  in
+  let crashed = check "single-host crash" ~host_faults:[ (crash, window) ] () in
+  Alcotest.(check int) "the crash opened one breaker" 1 crashed.Rte.fs_breaker_opens;
+  let partitioned = check "global partition" ~faults:window () in
+  Alcotest.(check bool) "the partition failed the pool over" true
+    (partitioned.Rte.fs_failovers > 0);
+  Alcotest.(check bool) "a stranded call was rescued" true
+    (partitioned.Rte.fs_stranded_calls > 0 && partitioned.Rte.fs_rescued_calls > 0)
 
 (* --- Shard-map stability --------------------------------------------- *)
 
@@ -322,7 +365,44 @@ let test_pool1_bit_identity () =
   Alcotest.(check int) "one host" 1 fstats.Rte.fs_final_hosts;
   Alcotest.(check int) "one shard" 1 fstats.Rte.fs_final_shards;
   Alcotest.(check int) "no promotions on a pool of one" 0 fstats.Rte.fs_promotions;
-  Alcotest.(check int) "no resizes on a pool of one" 0 fstats.Rte.fs_resizes
+  Alcotest.(check int) "no resizes on a pool of one" 0 fstats.Rte.fs_resizes;
+  (* Observed, the two are still one route: equal event logs and
+     byte-identical Prometheus exposition. *)
+  let observed run =
+    let recorder, events = Logger.event_recorder () in
+    let metrics = Coign_obs.Metrics.registry () in
+    run ~loggers:[ recorder ] ~metrics;
+    (events (), Coign_obs.Metrics.prometheus metrics)
+  in
+  let resil_events, resil_text =
+    observed (fun ~loggers ~metrics ->
+        ignore
+          (Adps.execute ~loggers ~metrics ~image ~registry:app.App.app_registry
+             ~network:Network.ethernet_10 ~seed:0x5EEDL ~faults
+             ~resilience:(Rte.resilience base) sc.App.sc_run))
+  in
+  let fleet_events, fleet_text =
+    observed (fun ~loggers ~metrics ->
+        ignore
+          (Adps.execute_fleet ~loggers ~metrics ~image ~registry:app.App.app_registry
+             ~network:Network.ethernet_10 ~seed:0x5EEDL ~faults ~fleet:(Rte.fleet pl)
+             sc.App.sc_run))
+  in
+  Alcotest.(check bool) "pool-1 event log equals the two-host ladder's" true
+    (resil_events = fleet_events);
+  Alcotest.(check string) "pool-1 Prometheus exposition is byte-identical" resil_text
+    fleet_text;
+  (* Retry-only is a route whose breaker never opens: it registers no
+     routing instruments at all. *)
+  let metrics = Coign_obs.Metrics.registry () in
+  ignore
+    (Adps.execute ~metrics ~image ~registry:app.App.app_registry ~network:Network.ethernet_10
+       ~seed:0x5EEDL ~faults sc.App.sc_run);
+  let text = Coign_obs.Metrics.prometheus metrics in
+  Alcotest.(check bool) "retry-only exposes no coign_resilience_* series" false
+    (contains text "coign_resilience_");
+  Alcotest.(check bool) "retry-only exposes no coign_fleet_* series" false
+    (contains text "coign_fleet_")
 
 (* --- The grid is deterministic across domains ------------------------ *)
 
@@ -387,6 +467,8 @@ let suite =
   [
     Alcotest.test_case "hand-computed promotion trace under single-host crash" `Quick
       test_promotion_trace_hand_computed;
+    Alcotest.test_case "routing metrics match the pool counters" `Quick
+      test_pool_metrics_match_fleet_stats;
     QCheck_alcotest.to_alcotest ~long:false qcheck_hash_shard_stable;
     QCheck_alcotest.to_alcotest ~long:false qcheck_range_shard_semantics;
     QCheck_alcotest.to_alcotest ~long:false qcheck_replica_ring;
