@@ -2,7 +2,7 @@
 # CI smoke suites, one per subsystem, run as one matrix job in
 # .github/workflows/ci.yml:
 #
-#   bash .github/smoke.sh bench|resilience|verify|load|watch|fleet|obs
+#   bash .github/smoke.sh bench|resilience|verify|load|watch|fleet|obs|perfbench
 #
 # Run from the repository root after `dune build bin bench`. Each suite
 # writes its artifacts to the working directory and exits non-zero when
@@ -201,8 +201,22 @@ obs)
   bench obs --json obs-bench.json
   ;;
 
+perfbench)
+  # The benchmark's own correctness checks, on a short run of every
+  # workload: the simulated results of every pass must agree to the
+  # bit and every output check must pass. A non-zero exit or
+  # "correct": false fails the suite; each result line is uploaded.
+  for w in suite plan adapt load; do
+    opam exec -- python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 \
+      > "perfbench-$w.out"
+    tail -n 1 "perfbench-$w.out" > "perfbench-$w.json"
+    python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["correct"] is True else 1)' \
+      "perfbench-$w.json"
+  done
+  ;;
+
 *)
-  echo "usage: $0 bench|resilience|verify|load|watch|fleet|obs" >&2
+  echo "usage: $0 bench|resilience|verify|load|watch|fleet|obs|perfbench" >&2
   exit 2
   ;;
 esac

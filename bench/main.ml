@@ -529,6 +529,30 @@ let micro () =
       ~name:("classify-" ^ Classifier.kind_name kind)
       (Staged.stage (fun () -> ignore (Classifier.classify t ~cname:"D" ~stack)))
   in
+  (* The RTE's path: a hit on the same context through a memo whose
+     frames carry call-site ids, and a miss — a fresh memo (its creation
+     included) rendering the descriptor once. *)
+  let memo_hit =
+    let m = Classifier.memo (Classifier.create Classifier.Ifcb) in
+    let s = Shadow_stack.create () in
+    List.iter
+      (fun (f : Frame.t) ->
+        Shadow_stack.push s
+          (Frame.make_site
+             ~site:(Classifier.site m ~cls:f.f_class ~iface:f.f_iface ~meth:f.f_meth)
+             ~inst:f.f_inst ~cls:f.f_class ~classification:f.f_classification ~iface:f.f_iface
+             ~meth:f.f_meth))
+      (List.rev stack);
+    Test.make ~name:"classify-memo-hit-ifcb"
+      (Staged.stage (fun () -> ignore (Classifier.classify_memo m ~cname:"D" s)))
+  in
+  let memo_miss =
+    let t = Classifier.create Classifier.Ifcb in
+    let s = Shadow_stack.create () in
+    List.iter (Shadow_stack.push s) (List.rev stack);
+    Test.make ~name:"classify-memo-miss-ifcb"
+      (Staged.stage (fun () -> ignore (Classifier.classify_memo (Classifier.memo t) ~cname:"D" s)))
+  in
   let tests =
     Test.make_grouped ~name:"kernels"
       [
@@ -543,6 +567,8 @@ let micro () =
         distribution_informer;
         classifier_test Classifier.Ifcb;
         classifier_test Classifier.St;
+        memo_hit;
+        memo_miss;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -1261,12 +1261,27 @@ let list_cmd =
 
 let () =
   let doc = "the Coign automatic distributed partitioning system (OSDI '99 reproduction)" in
+  let cmd =
+    Cmd.group
+      (Cmd.info "coign" ~version:"1.0.0" ~doc)
+      [
+        instrument_cmd; profile_cmd; combine_cmd; lint_cmd; verify_cmd; analyze_cmd; sweep_cmd;
+        faultsim_cmd; resilience_cmd; fleet_cmd; load_cmd; watch_cmd; trace_cmd; metrics_cmd;
+        show_cmd; run_cmd; list_cmd;
+      ]
+  in
+  (* A stored profile that fails to decode is bad input, reported like
+     any other (exit 1), wherever a command loads it. Anything else
+     uncaught stays an internal error (exit 125), as Cmdliner reports
+     it. *)
   exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "coign" ~version:"1.0.0" ~doc)
-          [
-            instrument_cmd; profile_cmd; combine_cmd; lint_cmd; verify_cmd; analyze_cmd; sweep_cmd;
-            faultsim_cmd; resilience_cmd; fleet_cmd; load_cmd; watch_cmd; trace_cmd; metrics_cmd;
-            show_cmd; run_cmd; list_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Icc.Decode_error msg | Classifier.Decode_error msg ->
+        Printf.eprintf "error: %s\n" msg;
+        1
+    | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "coign: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string e);
+        Printexc.print_raw_backtrace stderr bt;
+        Cmd.Exit.internal_error)

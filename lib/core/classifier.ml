@@ -233,32 +233,165 @@ let encode t =
   done;
   Buffer.contents buf
 
+exception Decode_error of string
+
 let decode s =
+  let fail fmt =
+    Printf.ksprintf (fun msg -> raise (Decode_error ("Classifier.decode: " ^ msg))) fmt
+  in
+  let count ~what v =
+    match int_of_string_opt v with Some n when n >= 0 -> n | _ -> fail "bad %s %S" what v
+  in
   match String.split_on_char '\n' s with
   | kind_line :: depth_line :: order_line :: rest ->
       let ckind =
-        match kind_of_name kind_line with
-        | Some k -> k
-        | None -> invalid_arg ("Classifier.decode: unknown kind " ^ kind_line)
+        match kind_of_name kind_line with Some k -> k | None -> fail "unknown kind %S" kind_line
       in
       let depth =
-        if String.equal depth_line "full" then None else Some (int_of_string depth_line)
+        if String.equal depth_line "full" then None
+        else
+          match int_of_string_opt depth_line with
+          | Some d when d >= 1 -> Some d
+          | _ -> fail "bad depth %S" depth_line
       in
       let t = create ?stack_depth:depth ckind in
-      t.order <- int_of_string order_line;
+      t.order <- count ~what:"order" order_line;
       List.iter
         (fun line ->
           if not (String.equal line "") then
             match String.split_on_char '\t' line with
-            | [ count; cls; desc ] ->
+            | [ n; cls; desc ] ->
+                let n = count ~what:"count" n in
+                if Hashtbl.mem t.table desc then fail "duplicate descriptor %S" desc;
                 grow t;
                 let id = t.nclassifications in
                 Hashtbl.add t.table desc id;
                 t.descriptors.(id) <- desc;
                 t.classes.(id) <- cls;
-                t.counts.(id) <- int_of_string count;
+                t.counts.(id) <- n;
                 t.nclassifications <- id + 1
-            | _ -> invalid_arg "Classifier.decode: malformed row")
+            | _ -> fail "malformed row %S" line)
         rest;
       t
-  | _ -> invalid_arg "Classifier.decode: truncated"
+  | _ -> fail "truncated"
+
+(* --- the interception memo ----------------------------------------
+
+   Every descriptor reads only the class name and, per frame inside the
+   depth limit, the frame's classification, its class and method, and
+   whether the next older frame belongs to the same instance (the
+   entry-point collapse). The context key packs exactly those fields as
+   ints — the call site (class, interface, method) interned to one id —
+   so equal keys mean equal descriptors for every kind but Incremental,
+   whose descriptor is the instantiation ordinal. The key is built in a
+   scratch array and probed in place: a hit allocates nothing. *)
+
+type entry = Nil | Entry of { key : int array; hash : int; id : int; next : entry }
+
+type memo = {
+  m_classifier : t;
+  m_classes : (string, int) Hashtbl.t;
+  m_sites : (string * string * string, int) Hashtbl.t;
+  mutable m_buckets : entry array;
+  mutable m_size : int;
+  mutable m_key : int array; (* scratch: the key being probed *)
+}
+
+let memo t =
+  {
+    m_classifier = t;
+    m_classes = Hashtbl.create 64;
+    m_sites = Hashtbl.create 256;
+    m_buckets = Array.make 256 Nil;
+    m_size = 0;
+    m_key = Array.make 32 0;
+  }
+
+let intern table k =
+  match Hashtbl.find table k with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length table in
+      Hashtbl.add table k id;
+      id
+
+let site m ~cls ~iface ~meth = intern m.m_sites (cls, iface, meth)
+
+(* Frames of the stack the kind's descriptor can read. *)
+let key_frames t stack =
+  let n = Shadow_stack.depth stack in
+  let n = match t.depth with None -> n | Some d -> min d n in
+  match t.ckind with St -> 0 | Ib -> min 1 n | Incremental | Pcb | Stcb | Ifcb | Epcb -> n
+
+(* Fill the scratch key; returns its length. *)
+let context_key m ~cname stack =
+  let n = key_frames m.m_classifier stack in
+  let len = 1 + (2 * n) in
+  if Array.length m.m_key < len then m.m_key <- Array.make (2 * len) 0;
+  let key = m.m_key in
+  key.(0) <- intern m.m_classes cname;
+  for i = 0 to n - 1 do
+    let f = Shadow_stack.nth stack i in
+    let site =
+      if f.Frame.f_site >= 0 then f.Frame.f_site
+      else site m ~cls:f.Frame.f_class ~iface:f.Frame.f_iface ~meth:f.Frame.f_meth
+    in
+    let same = i + 1 < n && (Shadow_stack.nth stack (i + 1)).Frame.f_inst = f.Frame.f_inst in
+    key.(1 + (2 * i)) <- f.Frame.f_classification;
+    key.(2 + (2 * i)) <- (site lsl 1) lor Bool.to_int same
+  done;
+  len
+
+let hash_key key len =
+  let h = ref len in
+  for i = 0 to len - 1 do
+    h := (!h lxor key.(i)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29)
+
+let rec same_key stored key i len =
+  i >= len || (stored.(i) = key.(i) && same_key stored key (i + 1) len)
+
+let rec probe e key len h =
+  match e with
+  | Nil -> -1
+  | Entry x ->
+      if x.hash = h && Array.length x.key = len && same_key x.key key 0 len then x.id
+      else probe x.next key len h
+
+let remember m key len h id =
+  if m.m_size >= 2 * Array.length m.m_buckets then begin
+    let buckets = Array.make (2 * Array.length m.m_buckets) Nil in
+    let mask = Array.length buckets - 1 in
+    let rec move = function
+      | Nil -> ()
+      | Entry x ->
+          let b = x.hash land mask in
+          buckets.(b) <- Entry { key = x.key; hash = x.hash; id = x.id; next = buckets.(b) };
+          move x.next
+    in
+    Array.iter move m.m_buckets;
+    m.m_buckets <- buckets
+  end;
+  let b = h land (Array.length m.m_buckets - 1) in
+  m.m_buckets.(b) <- Entry { key = Array.sub key 0 len; hash = h; id; next = m.m_buckets.(b) };
+  m.m_size <- m.m_size + 1
+
+let classify_memo m ~cname stack =
+  let t = m.m_classifier in
+  match t.ckind with
+  | Incremental -> classify t ~cname ~stack:(Shadow_stack.walk ?limit:t.depth stack)
+  | Pcb | St | Stcb | Ifcb | Epcb | Ib ->
+      let len = context_key m ~cname stack in
+      let h = hash_key m.m_key len in
+      let id = probe m.m_buckets.(h land (Array.length m.m_buckets - 1)) m.m_key len h in
+      if id >= 0 then begin
+        t.order <- t.order + 1;
+        if t.counting then t.counts.(id) <- t.counts.(id) + 1;
+        id
+      end
+      else begin
+        let id = classify t ~cname ~stack:(Shadow_stack.walk ?limit:t.depth stack) in
+        remember m m.m_key len h id;
+        id
+      end

@@ -95,5 +95,41 @@ val merge : t -> t -> t * int array
     Raises [Invalid_argument] on configuration mismatch. *)
 
 val encode : t -> string
+
+exception Decode_error of string
+(** A malformed classifier state; the message starts
+    ["Classifier.decode: "]. *)
+
 val decode : string -> t
-(** Round-trips classifier kind, depth, and the descriptor table. *)
+(** Round-trips classifier kind, depth, and the descriptor table.
+    Raises {!Decode_error} on an unknown kind, a depth below 1, a
+    negative or non-numeric order or count, a row without exactly three
+    fields, or a repeated descriptor. *)
+
+(** {1 Interception memo}
+
+    The RTE classifies every instantiation. Rendering the descriptor
+    string each time costs a [sprintf] per frame plus a string hash,
+    yet most instantiations repeat a context the run has already seen.
+    A memo maps an int {e context key} — the class name plus, per frame
+    inside the depth limit, the frame's classification, its call-site
+    id and whether the next older frame belongs to the same instance —
+    to the classification it got. Those are all the fields any
+    descriptor reads, so a hit is exact; only a miss renders the
+    descriptor. *)
+
+type memo
+
+val memo : t -> memo
+(** A fresh, empty memo over the classifier. One per RTE install: memos
+    are independent, so domain-parallel runs stay deterministic. *)
+
+val site : memo -> cls:string -> iface:string -> meth:string -> int
+(** The memo's call-site id for a (class, interface, method) triple,
+    interned on first use — what {!Frame.make_site} expects. *)
+
+val classify_memo : memo -> cname:string -> Shadow_stack.t -> int
+(** Exactly [classify t ~cname ~stack:(Shadow_stack.walk stack)] — the
+    same id, descriptor table, [counts] and ordinal — through the memo.
+    [Incremental], whose descriptor is the ordinal, always takes the
+    descriptor path. *)

@@ -9,7 +9,7 @@ type counters = { co_local : Metrics.counter; co_forwarded : Metrics.counter }
 
 type t = {
   mutable policy : policy;
-  machines : (int, Constraints.location) Hashtbl.t;
+  mutable machines : Constraints.location option array; (* by instance id *)
   mutable local : int;
   mutable forwarded : int;
   obs : counters option;
@@ -27,7 +27,7 @@ let create ?metrics policy =
         { co_local = requests "local"; co_forwarded = requests "forwarded" })
       metrics
   in
-  { policy; machines = Hashtbl.create 256; local = 0; forwarded = 0; obs }
+  { policy; machines = Array.make 64 None; local = 0; forwarded = 0; obs }
 
 let decide t ~classification ~cname ~creator_machine =
   let target =
@@ -56,18 +56,31 @@ let policy t = t.policy
    placed instances keep their recorded machine until re-recorded. *)
 let set_policy t policy = t.policy <- policy
 
-let record_instance t ~inst loc = Hashtbl.replace t.machines inst loc
-
-let instances t =
-  Hashtbl.fold (fun inst loc acc -> (inst, loc) :: acc) t.machines []
-  |> List.sort compare
+let record_instance t ~inst loc =
+  if inst < 0 then invalid_arg "Factory.record_instance: negative instance";
+  if inst >= Array.length t.machines then begin
+    let bigger = Array.make (max (inst + 1) (2 * Array.length t.machines)) None in
+    Array.blit t.machines 0 bigger 0 (Array.length t.machines);
+    t.machines <- bigger
+  end;
+  t.machines.(inst) <- Some loc
 
 let machine_of t inst =
-  Option.value ~default:Constraints.Client (Hashtbl.find_opt t.machines inst)
+  if inst < 0 || inst >= Array.length t.machines then Constraints.Client
+  else match t.machines.(inst) with Some loc -> loc | None -> Constraints.Client
 
-let instances_on t loc =
-  Hashtbl.fold (fun inst l acc -> if l = loc then inst :: acc else acc) t.machines []
-  |> List.sort compare
+(* Recorded instances satisfying [keep], ascending. *)
+let collect t keep =
+  let acc = ref [] in
+  for inst = Array.length t.machines - 1 downto 0 do
+    match t.machines.(inst) with
+    | Some loc -> ( match keep inst loc with Some x -> acc := x :: !acc | None -> ())
+    | None -> ()
+  done;
+  !acc
+
+let instances t = collect t (fun inst loc -> Some (inst, loc))
+let instances_on t loc = collect t (fun inst l -> if l = loc then Some inst else None)
 
 let local_requests t = t.local
 let forwarded_requests t = t.forwarded

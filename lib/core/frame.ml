@@ -4,10 +4,20 @@ type t = {
   f_classification : int;
   f_iface : string;
   f_meth : string;
+  f_site : int;
 }
 
-let make ~inst ~cls ~classification ~iface ~meth =
-  { f_inst = inst; f_class = cls; f_classification = classification; f_iface = iface; f_meth = meth }
+let make_site ~site ~inst ~cls ~classification ~iface ~meth =
+  {
+    f_inst = inst;
+    f_class = cls;
+    f_classification = classification;
+    f_iface = iface;
+    f_meth = meth;
+    f_site = site;
+  }
+
+let make = make_site ~site:(-1)
 
 let pp ppf f =
   Format.fprintf ppf "%s#%d(c%d)::%s.%s" f.f_class f.f_inst f.f_classification f.f_iface

@@ -13,9 +13,18 @@ type t = {
                                its own instantiation *)
   f_iface : string;        (** interface carrying the call *)
   f_meth : string;         (** method name *)
+  f_site : int;
+      (** call-site id of (class, interface, method), interned by a
+          {!Classifier.memo}; -1 when the frame carries none *)
 }
 
 val make :
   inst:int -> cls:string -> classification:int -> iface:string -> meth:string -> t
+(** A frame without a call-site id. *)
+
+val make_site :
+  site:int -> inst:int -> cls:string -> classification:int -> iface:string -> meth:string -> t
+(** A frame carrying the call-site id [site], which must come from
+    {!Classifier.site} on the memo that will classify against it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -24,7 +24,19 @@ val record :
   request:int -> reply:int -> unit
 (** Record one call: two messages ([request] bytes toward [dst],
     [reply] bytes back). A call on a non-remotable interface marks the
-    whole (src,dst,iface) entry non-remotable forever. *)
+    whole (src,dst,iface) entry non-remotable forever. Classification
+    ids must lie in [\[-1, 2^20 - 2\]]. *)
+
+type iface
+(** An interface name interned in one summary: the profiling RTE
+    interns each wrapper's interface once, so recording a call hashes
+    one packed int instead of a (src, dst, name) record. *)
+
+val intern : t -> string -> iface
+
+val record_interned :
+  t -> src:int -> dst:int -> iface -> remotable:bool -> request:int -> reply:int -> unit
+(** {!record} for an interface interned in the same summary. *)
 
 val entries : t -> entry list
 (** Deterministic order (sorted by key). *)
@@ -55,10 +67,16 @@ val map_classifications : (int -> int) -> t -> t
     that collide after mapping merge. *)
 
 val encode : t -> string
+
+exception Decode_error of string
+(** A malformed summary; the message starts ["Icc.decode: "]. *)
+
 val decode : string -> t
 (** [decode (encode t)] preserves per-bucket message counts and byte
     totals (individual sizes within a bucket are summarized — that is
     the point of the buckets), so [encode] is a fixpoint after one
-    round trip. *)
+    round trip. Raises {!Decode_error} on a line without seven fields,
+    a non-numeric or out-of-range id, bucket or call count, a negative
+    message count or byte total, or a remotable flag other than 0/1. *)
 
 val is_empty : t -> bool

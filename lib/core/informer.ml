@@ -5,39 +5,37 @@ type sizes = { request_bytes : int; reply_bytes : int; remotable : bool }
 
 let non_remotable = { request_bytes = 0; reply_bytes = 0; remotable = false }
 
-(* Lockstep walk over the compiled parameter programs and both value
-   lists: [ins] and [outs] each carry one slot per parameter (the RTE
+(* Lockstep walk over the compiled parameter programs and one value
+   list: [ins] and [outs] each carry one slot per parameter (the RTE
    builds them from the same signature), so indexing with [List.nth]
-   would be a quadratic re-scan on wide methods.  The [_exn] sizing
-   walks keep the per-call success path allocation-free. *)
-let rec measure_params req rep ps ins outs =
-  match (ps, ins, outs) with
-  | [], _, _ -> (req, rep)
-  | (dir, proc) :: ps', vin :: ins', vout :: outs' -> (
-      match dir with
-      | Idl_type.In -> measure_params (req + Midl.size_with_exn proc vin) rep ps' ins' outs'
-      | Idl_type.Out -> measure_params req (rep + Midl.size_with_exn proc vout) ps' ins' outs'
-      | Idl_type.In_out ->
-          measure_params
-            (req + Midl.size_with_exn proc vin)
-            (rep + Midl.size_with_exn proc vout)
-            ps' ins' outs')
-  | _, _, _ -> invalid_arg "Informer.measure_call: parameter arity mismatch"
+   would be a quadratic re-scan on wide methods. One walk per
+   direction returning a plain int, and the [_exn] sizing walks, keep
+   the per-call success path down to the result record. *)
+let carries_request = function Idl_type.In | Idl_type.In_out -> true | Idl_type.Out -> false
+let carries_reply = function Idl_type.Out | Idl_type.In_out -> true | Idl_type.In -> false
+
+let rec direction_size carries acc ps vs =
+  match (ps, vs) with
+  | [], _ -> acc
+  | (dir, proc) :: ps', v :: vs' ->
+      direction_size carries (if carries dir then acc + Midl.size_with_exn proc v else acc) ps' vs'
+  | _ :: _, [] -> invalid_arg "Informer.measure_call: parameter arity mismatch"
 
 let measure_call itype ~meth ~ins ~outs ~ret =
   let procs = Itype.procs itype meth in
   if not procs.Midl.remotable then non_remotable
   else
     match
-      let req, rep = measure_params 0 0 procs.Midl.request_procs ins outs in
-      (req, rep + Midl.size_with_exn procs.Midl.ret_proc ret)
+      let request = direction_size carries_request 0 procs.Midl.request_procs ins in
+      let reply = direction_size carries_reply 0 procs.Midl.request_procs outs in
+      let reply = reply + Midl.size_with_exn procs.Midl.ret_proc ret in
+      {
+        request_bytes = Marshal_size.scalar_overhead + request;
+        reply_bytes = Marshal_size.scalar_overhead + reply;
+        remotable = true;
+      }
     with
-    | req, rep ->
-        {
-          request_bytes = Marshal_size.scalar_overhead + req;
-          reply_bytes = Marshal_size.scalar_overhead + rep;
-          remotable = true;
-        }
+    | sizes -> sizes
     | exception Marshal_size.Err _ -> non_remotable
 
 let outgoing_handles itype ~meth ~outs ~ret =

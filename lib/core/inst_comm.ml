@@ -1,49 +1,63 @@
-type cell = { mutable count : int; mutable bytes : int }
+open Coign_util
 
-type t = {
-  cells : (int * int, cell) Hashtbl.t;  (* key: (min, max) instance pair *)
-  mutable messages : int;
-  mutable total : int;
-}
+(* One cell per unordered instance pair, keyed by the packed
+   (min, max) pair; the cell keeps the pair for iteration. *)
+type cell = { lo : int; hi : int; mutable count : int; mutable bytes : int }
 
-let create () = { cells = Hashtbl.create 256; messages = 0; total = 0 }
+type t = { cells : cell Int_table.t; mutable messages : int; mutable total : int }
+
+let no_cell = { lo = 0; hi = 0; count = 0; bytes = 0 }
+
+let create () = { cells = Int_table.create ~absent:no_cell 256; messages = 0; total = 0 }
+
+let key a b =
+  if min a b < 0 || max a b >= 1 lsl 31 then invalid_arg "Inst_comm: instance id out of range";
+  (min a b lsl 31) lor max a b
+
+let cell_of t a b =
+  let k = key a b in
+  let c = Int_table.find t.cells k in
+  if c != no_cell then c
+  else begin
+    let c = { lo = min a b; hi = max a b; count = 0; bytes = 0 } in
+    Int_table.replace t.cells k c;
+    c
+  end
+
+let add t ~src ~dst ~messages ~bytes =
+  let c = cell_of t src dst in
+  c.count <- c.count + messages;
+  c.bytes <- c.bytes + bytes;
+  t.messages <- t.messages + messages;
+  t.total <- t.total + bytes
 
 let record t ~src ~dst ~bytes =
   assert (bytes >= 0);
-  let key = (min src dst, max src dst) in
-  let c =
-    match Hashtbl.find_opt t.cells key with
-    | Some c -> c
-    | None ->
-        let c = { count = 0; bytes = 0 } in
-        Hashtbl.add t.cells key c;
-        c
-  in
-  c.count <- c.count + 1;
-  c.bytes <- c.bytes + bytes;
-  t.messages <- t.messages + 1;
-  t.total <- t.total + bytes
+  add t ~src ~dst ~messages:1 ~bytes
+
+let record_call t ~caller ~callee ~request ~reply =
+  assert (request >= 0 && reply >= 0);
+  add t ~src:caller ~dst:callee ~messages:2 ~bytes:(request + reply)
 
 let pair_total t a b =
-  match Hashtbl.find_opt t.cells (min a b, max a b) with
-  | None -> (0, 0)
-  | Some c -> (c.count, c.bytes)
+  let c = Int_table.find t.cells (key a b) in
+  (c.count, c.bytes)
 
 let peers t inst =
-  Hashtbl.fold
-    (fun (a, b) c acc ->
-      if a = inst then (b, c.count, c.bytes) :: acc
-      else if b = inst then (a, c.count, c.bytes) :: acc
+  Int_table.fold
+    (fun _ c acc ->
+      if c.lo = inst then (c.hi, c.count, c.bytes) :: acc
+      else if c.hi = inst then (c.lo, c.count, c.bytes) :: acc
       else acc)
     t.cells []
   |> List.sort compare
 
 let instances t =
   let seen = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (a, b) _ ->
-      Hashtbl.replace seen a ();
-      Hashtbl.replace seen b ())
+  Int_table.iter
+    (fun _ c ->
+      Hashtbl.replace seen c.lo ();
+      Hashtbl.replace seen c.hi ())
     t.cells;
   Hashtbl.fold (fun i () acc -> i :: acc) seen [] |> List.sort compare
 

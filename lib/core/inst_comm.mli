@@ -11,7 +11,12 @@ type t
 val create : unit -> t
 
 val record : t -> src:int -> dst:int -> bytes:int -> unit
-(** One message of [bytes] from instance [src] to [dst]. *)
+(** One message of [bytes] from instance [src] to [dst]. Instance ids
+    are non-negative and below 2^31. *)
+
+val record_call : t -> caller:int -> callee:int -> request:int -> reply:int -> unit
+(** One call: the [request] message toward [callee] and the [reply]
+    back, in one table probe. *)
 
 val pair_total : t -> int -> int -> int * int
 (** [(count, bytes)] exchanged between two instances, both directions

@@ -325,16 +325,33 @@ type distributed = {
 
 type mode = M_profiling | M_distributed of distributed
 
+(* One Coign wrapper: the raw handle it forwards to, what is known
+   about it at mint time, and per method the frame a call through it
+   pushes — rebuilt only when the owner's classification changes (a
+   wrapper minted inside its owner's constructor first sees -1). *)
+type wrapper = {
+  w_raw : int;
+  w_itype : Itype.t;
+  w_owner : int;
+  w_iface : Icc.iface;  (* interned in [rte_icc] *)
+  w_frames : Frame.t array;
+}
+
 type t = {
   ctx : Runtime.ctx;
   rte_classifier : Classifier.t;
+  memo : Classifier.memo;  (* context key -> classification, this install only *)
   stack : Shadow_stack.t;
   logger : Logger.t;
+  logging : bool;  (* loggers attached: events are built only then *)
   rte_icc : Icc.t;
   rte_inst_comm : Inst_comm.t;
-  inst_classification : (int, int) Hashtbl.t;
-  raw_to_wrap : (int, int) Hashtbl.t;
-  wrap_to_raw : (int, int) Hashtbl.t;
+  create_iface : Icc.iface;  (* "ICoCreateInstance" in [rte_icc] *)
+  (* Dense int-indexed maps, -1 where unset: instance -> classification,
+     raw handle -> wrapper handle, wrapper handle -> raw handle. *)
+  mutable classifications : int array;
+  mutable raw_to_wrap : int array;
+  mutable wrap_to_raw : int array;
   mode : mode;
   mutable created : int list;  (* reversed *)
   mutable comm : float;
@@ -351,8 +368,9 @@ type t = {
   mutable fault_us : float;
   (* Lightweight per-classification-pair message counter, kept even in
      distributed mode (paper SS6: count messages "with only slight
-     additional overhead" so usage drift can be recognized). *)
-  pair_counts : (int * int, int ref) Hashtbl.t;
+     additional overhead" so usage drift can be recognized). Keyed by
+     [pair_key]. *)
+  pair_counts : int Int_table.t;
   (* Observability, both [None] unless the install opted in; every use
      site is behind a match so an unobserved RTE runs the same
      instructions it always did. *)
@@ -387,9 +405,38 @@ let watch_seed seed = Prng.stream seed 3
    jitter/retry/fault/watch draws. *)
 let host_fault_seed seed h = Prng.stream seed (8 + h)
 
-let classification_of t inst =
-  if inst = Runtime.main_instance then -1
-  else Option.value ~default:(-1) (Hashtbl.find_opt t.inst_classification inst)
+(* Read slot [i] of a dense map, -1 past its end. *)
+let slot arr i = if i >= 0 && i < Array.length arr then Array.unsafe_get arr i else -1
+
+(* Store [v] at slot [i], growing the map (the result replaces it). *)
+let store arr i v =
+  let arr =
+    if i < Array.length arr then arr
+    else begin
+      let bigger = Array.make (max (i + 1) (2 * Array.length arr)) (-1) in
+      Array.blit arr 0 bigger 0 (Array.length arr);
+      bigger
+    end
+  in
+  arr.(i) <- v;
+  arr
+
+(* The main program and unclassified instances read -1: main is never
+   stored. *)
+let classification_of t inst = slot t.classifications inst
+
+(* [pair_counts] key of a (caller, callee) classification pair, each
+   in [-1, 2^31 - 2]. *)
+let pair_key a b = ((a + 1) lsl 31) lor (b + 1)
+let pair_of_key k = ((k lsr 31) - 1, (k land 0x7FFF_FFFF) - 1)
+
+(* Stands in for the top frame when the main program is running. *)
+let root_frame =
+  Frame.make ~inst:Runtime.main_instance ~cls:Runtime.main_class_name ~classification:(-1)
+    ~iface:"" ~meth:""
+
+(* Not yet built: no real classification equals [min_int]. *)
+let unbuilt_frame = Frame.make ~inst:(-1) ~cls:"" ~classification:min_int ~iface:"" ~meth:""
 
 (* The virtual clock spans are timed on: accumulated communication time
    plus the compute the application has charged. Deterministic for a
@@ -443,7 +490,7 @@ let migrate_instances t m_factory ~safe ~dist =
 let log_migrations t ~at_int moved =
   List.iter
     (fun (inst, c, machine, target) ->
-      t.logger.Logger.log
+      if t.logging then t.logger.Logger.log
         (Event.Instance_migrated
            {
              at_us = at_int;
@@ -538,7 +585,7 @@ let switch_rung t factory r ~to_rung ~at_us =
   if to_rung > from_rung then begin
     r.r_failovers <- r.r_failovers + 1;
     (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failovers);
-    t.logger.Logger.log
+    if t.logging then t.logger.Logger.log
       (Event.Failover
          {
            at_us = at_int;
@@ -559,7 +606,7 @@ let switch_rung t factory r ~to_rung ~at_us =
   else begin
     r.r_failbacks <- r.r_failbacks + 1;
     (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failbacks);
-    t.logger.Logger.log
+    if t.logging then t.logger.Logger.log
       (Event.Failback
          { at_us = at_int; rung = pr.Fallback.pr_name; from_rung; to_rung; migrated });
     resil_span t ~name:"failback" ~at_us
@@ -576,7 +623,7 @@ let switch_rung t factory r ~to_rung ~at_us =
     | Some ri ->
         Metrics.inc ri.ri_resizes;
         Metrics.set ri.ri_hosts (float_of_int to_hosts));
-    t.logger.Logger.log
+    if t.logging then t.logger.Logger.log
       (Event.Pool_resized
          {
            at_us = at_int;
@@ -608,7 +655,7 @@ let on_transition t factory r ~host (tr : Health.transition) =
   | Health.Open ->
       r.r_opens <- r.r_opens + 1;
       (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_opens);
-      t.logger.Logger.log
+      if t.logging then t.logger.Logger.log
         (Event.Breaker_opened
            {
              at_us = at_int;
@@ -640,7 +687,7 @@ let on_transition t factory r ~host (tr : Health.transition) =
                     r.r_active.(s) <- h;
                     r.r_promotions <- r.r_promotions + 1;
                     (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_promotions);
-                    t.logger.Logger.log
+                    if t.logging then t.logger.Logger.log
                       (Event.Replica_promoted
                          { at_us = at_int; shard = s; from_host = host; to_host = h });
                     resil_span t ~name:"replica.promote" ~at_us
@@ -660,7 +707,7 @@ let on_transition t factory r ~host (tr : Health.transition) =
   | Health.Closed ->
       r.r_closes <- r.r_closes + 1;
       (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_closes);
-      t.logger.Logger.log
+      if t.logging then t.logger.Logger.log
         (Event.Breaker_closed
            { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
       resil_span t ~name:"breaker.close" ~at_us (with_host r host []);
@@ -727,7 +774,7 @@ let maybe_split t r ~now =
           | Some ri ->
               Metrics.inc ri.ri_splits;
               Metrics.set ri.ri_shards (float_of_int (Array.length r.r_active)));
-          t.logger.Logger.log
+          if t.logging then t.logger.Logger.log
             (Event.Shard_split
                {
                  at_us = int_of_float now;
@@ -795,7 +842,7 @@ let round_trip t m ~link ~request ~reply ~iface ~mname =
       Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
       Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
   if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-    t.logger.Logger.log
+    if t.logging then t.logger.Logger.log
       (Event.Call_retried { iface; meth = mname; retries = oc.Fault.oc_retries });
   oc
 
@@ -936,7 +983,7 @@ let forward_create t m ~creator ~classification ~cname ~machine =
   else begin
     t.n_fallbacks <- t.n_fallbacks + 1;
     (match t.obs with None -> () | Some i -> Metrics.inc i.i_fallbacks);
-    t.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
+    if t.logging then t.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
     Factory.machine_of m.m_factory creator
   end
 
@@ -1004,7 +1051,7 @@ let watch_repartition t m_factory w ~now ~similarity =
         Metrics.inc wi.wi_repartitions;
         Metrics.inc_int wi.wi_migrations migrated);
     let at_int = int_of_float now in
-    t.logger.Logger.log
+    if t.logging then t.logger.Logger.log
       (Event.Repartitioned
          {
            at_us = at_int;
@@ -1067,7 +1114,7 @@ let watch_check t m_factory w ~now =
     else begin
       w.w_detections <- w.w_detections + 1;
       (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_detections);
-      t.logger.Logger.log
+      if t.logging then t.logger.Logger.log
         (Event.Drift_detected
            { at_us = int_of_float now; similarity; threshold = cfg.wc_threshold; window_pairs });
       watch_span t ~name:"drift" ~at_us:now
@@ -1121,40 +1168,45 @@ let watch_observe t m_factory w ~kind ~caller_cls ~callee_cls ~measure =
 let rec wrap t raw_h =
   if Runtime.handle_is_wrapper t.ctx raw_h then raw_h
   else
-    match Hashtbl.find_opt t.raw_to_wrap raw_h with
-    | Some w -> w
-    | None ->
-        let itype = Runtime.handle_itype t.ctx raw_h in
-        let owner = Runtime.handle_owner t.ctx raw_h in
-        let w =
-          Runtime.alloc_foreign_handle t.ctx ~owner ~itype ~wrapper:true
-            (fun _ctx ~meth args -> intercept t raw_h ~meth args)
-        in
-        Hashtbl.add t.raw_to_wrap raw_h w;
-        Hashtbl.add t.wrap_to_raw w raw_h;
-        t.logger.Logger.log
-          (Event.Interface_instantiated { owner; iface = Itype.name itype; handle = w });
-        w
-
-and intercept t raw_h ~meth args =
-  match t.obs_tracer with
-  | None -> intercept_run t raw_h ~meth args
-  | Some tr ->
+    let known = slot t.raw_to_wrap raw_h in
+    if known >= 0 then known
+    else begin
       let itype = Runtime.handle_itype t.ctx raw_h in
-      let callee = Runtime.handle_owner t.ctx raw_h in
-      let caller =
-        match Shadow_stack.top t.stack with
-        | Some f -> f.Frame.f_inst
-        | None -> Runtime.main_instance
+      let owner = Runtime.handle_owner t.ctx raw_h in
+      let w =
+        {
+          w_raw = raw_h;
+          w_itype = itype;
+          w_owner = owner;
+          w_iface = Icc.intern t.rte_icc (Itype.name itype);
+          w_frames = Array.make (Itype.method_count itype) unbuilt_frame;
+        }
       in
-      let msig = Itype.method_sig itype meth in
+      let h =
+        Runtime.alloc_foreign_handle t.ctx ~owner ~itype ~wrapper:true (fun _ctx ~meth args ->
+            intercept t w ~meth args)
+      in
+      t.raw_to_wrap <- store t.raw_to_wrap raw_h h;
+      t.wrap_to_raw <- store t.wrap_to_raw h raw_h;
+      if t.logging then
+        t.logger.Logger.log
+          (Event.Interface_instantiated { owner; iface = Itype.name itype; handle = h });
+      h
+    end
+
+and intercept t w ~meth args =
+  match t.obs_tracer with
+  | None -> intercept_run t w ~meth args
+  | Some tr ->
+      let caller = (Shadow_stack.top_or t.stack root_frame).Frame.f_inst in
+      let msig = Itype.method_sig w.w_itype meth in
       let id =
         Trace.open_span tr
-          ~name:(Itype.name itype ^ "." ^ msig.Idl_type.mname)
+          ~name:(Itype.name w.w_itype ^ "." ^ msig.Idl_type.mname)
           ~cat:"call" ~at_us:(sim_now t)
       in
-      let span_args = [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int callee) ] in
-      (match intercept_run t raw_h ~meth args with
+      let span_args = [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int w.w_owner) ] in
+      (match intercept_run t w ~meth args with
       | result ->
           Trace.close_span tr ~args:span_args id ~at_us:(sim_now t);
           result
@@ -1164,106 +1216,114 @@ and intercept t raw_h ~meth args =
             id ~at_us:(sim_now t);
           raise e)
 
-and intercept_run t raw_h ~meth args =
-  let itype = Runtime.handle_itype t.ctx raw_h in
-  let callee = Runtime.handle_owner t.ctx raw_h in
-  let caller =
-    match Shadow_stack.top t.stack with
-    | Some f -> f.Frame.f_inst
-    | None -> Runtime.main_instance
-  in
-  let callee_classification = classification_of t callee in
-  let msig = Itype.method_sig itype meth in
-  Shadow_stack.push t.stack
-    (Frame.make ~inst:callee
-       ~cls:(Runtime.instance_class_name t.ctx callee)
-       ~classification:callee_classification ~iface:(Itype.name itype)
-       ~meth:msig.Idl_type.mname);
-  let finally () = Shadow_stack.pop t.stack in
-  let outs, ret =
-    match Runtime.call t.ctx raw_h ~meth args with
+(* The frame a call through [w] pushes: cached per method, rebuilt when
+   the owner's classification is not the one it was built with. *)
+and frame_for t w ~meth classification =
+  let f = w.w_frames.(meth) in
+  if f.Frame.f_classification = classification then f
+  else begin
+    let cls = Runtime.instance_class_name t.ctx w.w_owner in
+    let iface = Itype.name w.w_itype in
+    let mname = (Itype.method_sig w.w_itype meth).Idl_type.mname in
+    let site =
+      if f == unbuilt_frame then Classifier.site t.memo ~cls ~iface ~meth:mname
+      else f.Frame.f_site
+    in
+    let f =
+      Frame.make_site ~site ~inst:w.w_owner ~cls ~classification ~iface ~meth:mname
+    in
+    w.w_frames.(meth) <- f;
+    f
+  end
+
+(* The per-call path. The caller and its classification come off the
+   top frame (the root frame for the main program): a frame's
+   classification is the one its instance had when the frame was
+   pushed, and an instance's frames have all popped by the time its
+   creation assigns it one. *)
+and intercept_run t w ~meth args =
+  let top = Shadow_stack.top_or t.stack root_frame in
+  let caller = top.Frame.f_inst and caller_cls = top.Frame.f_classification in
+  let callee = w.w_owner in
+  let callee_cls = classification_of t callee in
+  let frame = frame_for t w ~meth callee_cls in
+  Shadow_stack.push t.stack frame;
+  let result =
+    match Runtime.call t.ctx w.w_raw ~meth args with
     | result ->
-        finally ();
+        Shadow_stack.pop t.stack;
         result
     | exception e ->
-        finally ();
+        Shadow_stack.pop t.stack;
         raise e
   in
+  let outs, ret = result in
+  let itype = w.w_itype in
   t.n_intercepted <- t.n_intercepted + 1;
   (match t.obs with None -> () | Some i -> Metrics.inc i.i_intercepted);
-  (let key = (classification_of t caller, callee_classification) in
-   match Hashtbl.find_opt t.pair_counts key with
-   | Some r -> incr r
-   | None -> Hashtbl.add t.pair_counts key (ref 1));
+  Int_table.add_to t.pair_counts (pair_key caller_cls callee_cls) 1;
   (match t.mode with
   | M_profiling ->
       let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
+      let request = sizes.Informer.request_bytes and reply = sizes.Informer.reply_bytes in
       (match t.obs with
       | None -> ()
       | Some i ->
-          Metrics.observe i.i_request_bytes sizes.Informer.request_bytes;
-          Metrics.observe i.i_reply_bytes sizes.Informer.reply_bytes);
-      t.logger.Logger.log
-        (Event.Interface_call
-           {
-             caller;
-             caller_classification = classification_of t caller;
-             callee;
-             callee_classification;
-             iface = Itype.name itype;
-             meth = msig.Idl_type.mname;
-             remotable = sizes.Informer.remotable;
-             request_bytes = sizes.Informer.request_bytes;
-             reply_bytes = sizes.Informer.reply_bytes;
-           })
+          Metrics.observe i.i_request_bytes request;
+          Metrics.observe i.i_reply_bytes reply);
+      Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls w.w_iface
+        ~remotable:sizes.Informer.remotable ~request ~reply;
+      Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply;
+      if t.logging then
+        t.logger.Logger.log
+          (Event.Interface_call
+             {
+               caller;
+               caller_classification = caller_cls;
+               callee;
+               callee_classification = callee_cls;
+               iface = frame.Frame.f_iface;
+               meth = frame.Frame.f_meth;
+               remotable = sizes.Informer.remotable;
+               request_bytes = request;
+               reply_bytes = reply;
+             })
   | M_distributed m ->
       (match m.m_watch with
       | None -> ()
       | Some w ->
-          watch_observe t m.m_factory w ~kind:Tap.Call
-            ~caller_cls:(classification_of t caller) ~callee_cls:callee_classification
+          watch_observe t m.m_factory w ~kind:Tap.Call ~caller_cls ~callee_cls
             ~measure:(fun () ->
               let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
               sizes.Informer.request_bytes + sizes.Informer.reply_bytes));
       let src = Factory.machine_of m.m_factory caller in
       let dst = Factory.machine_of m.m_factory callee in
-      let caller_classification = classification_of t caller in
-      if
-        route_link m.m_route ~src ~dst ~caller_cls:caller_classification
-          ~callee_cls:callee_classification
-        >= 0
-      then begin
+      if route_link m.m_route ~src ~dst ~caller_cls ~callee_cls >= 0 then begin
         let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
         if not sizes.Informer.remotable then
           Hresult.fail
             (Hresult.E_cannot_marshal
-               (Printf.sprintf "cross-machine call on non-remotable %s.%s"
-                  (Itype.name itype) msig.Idl_type.mname));
-        route_call t m ~caller ~callee ~caller_cls:caller_classification
-          ~callee_cls:callee_classification ~request:sizes.Informer.request_bytes
-          ~reply:sizes.Informer.reply_bytes ~iface:(Itype.name itype)
-          ~mname:msig.Idl_type.mname
+               (Printf.sprintf "cross-machine call on non-remotable %s.%s" frame.Frame.f_iface
+                  frame.Frame.f_meth));
+        route_call t m ~caller ~callee ~caller_cls ~callee_cls
+          ~request:sizes.Informer.request_bytes ~reply:sizes.Informer.reply_bytes
+          ~iface:frame.Frame.f_iface ~mname:frame.Frame.f_meth
       end);
   (* Keep every escaping interface pointer wrapped — but only walk the
      reply when the method can actually output interface pointers (the
      distribution informer's "examine parameters only enough to
      identify interface pointers"; most methods skip the walk
      entirely). *)
-  let procs = Itype.procs itype meth in
-  let may_output_ifaces =
-    (not (Midl.iface_walk_trivial procs.Midl.ret_iface_proc))
-    || List.exists2
-         (fun (dir, _) iproc ->
-           match dir with
-           | Idl_type.In -> false
-           | Idl_type.Out | Idl_type.In_out -> not (Midl.iface_walk_trivial iproc))
-         procs.Midl.request_procs procs.Midl.iface_procs
-  in
-  if may_output_ifaces then begin
+  if (Itype.procs itype meth).Midl.may_output_ifaces then begin
     let rewrap v = Value.map_iface_handles (fun h -> wrap t h) v in
     (List.map rewrap outs, rewrap ret)
   end
-  else (outs, ret)
+  else result
+
+(* The instantiation request as an ICC entry: a fixed-size round trip
+   from the creator, priced whether or not it ends up crossing. *)
+let create_request_bytes = Marshal_size.scalar_overhead + (2 * 16)
+let create_reply_bytes = Marshal_size.scalar_overhead + Marshal_size.objref_size
 
 let rec on_create t (req : Runtime.create_request) =
   match t.obs_tracer with
@@ -1289,14 +1349,10 @@ let rec on_create t (req : Runtime.create_request) =
           raise e)
 
 and on_create_run t (req : Runtime.create_request) =
-  let stack = Shadow_stack.walk t.stack in
   let cname = req.Runtime.req_class.Runtime.cname in
-  let classification = Classifier.classify t.rte_classifier ~cname ~stack in
-  let creator =
-    match Shadow_stack.top t.stack with
-    | Some f -> f.Frame.f_inst
-    | None -> Runtime.main_instance
-  in
+  let classification = Classifier.classify_memo t.memo ~cname t.stack in
+  let top = Shadow_stack.top_or t.stack root_frame in
+  let creator = top.Frame.f_inst and creator_cls = top.Frame.f_classification in
   (match t.mode with
   | M_profiling -> ()
   | M_distributed m ->
@@ -1306,10 +1362,9 @@ and on_create_run t (req : Runtime.create_request) =
           (* An instantiation request costs a fixed-size round trip
              (see [forward_create]) whether or not it crosses machines;
              that pair of messages is its measured size. *)
-          watch_observe t m.m_factory w ~kind:Tap.Create
-            ~caller_cls:(classification_of t creator) ~callee_cls:classification
-            ~measure:(fun () ->
-              (2 * Marshal_size.scalar_overhead) + (2 * 16) + Marshal_size.objref_size));
+          watch_observe t m.m_factory w ~kind:Tap.Create ~caller_cls:creator_cls
+            ~callee_cls:classification
+            ~measure:(fun () -> create_request_bytes + create_reply_bytes));
       let creator_machine = Factory.machine_of m.m_factory creator in
       let machine = Factory.decide m.m_factory ~classification ~cname ~creator_machine in
       let machine =
@@ -1322,58 +1377,60 @@ and on_create_run t (req : Runtime.create_request) =
       Factory.record_instance m.m_factory ~inst:(Runtime.instance_count t.ctx) machine);
   let raw = Runtime.raw_create_instance t.ctx req.Runtime.req_clsid ~iid:req.Runtime.req_iid in
   let inst = Runtime.handle_owner t.ctx raw in
-  Hashtbl.replace t.inst_classification inst classification;
+  t.classifications <- store t.classifications inst classification;
   t.created <- inst :: t.created;
   (match t.obs with None -> () | Some i -> Metrics.inc i.i_instantiations);
-  t.logger.Logger.log
-    (Event.Component_instantiated { inst; cname; classification; creator });
+  if t.logging then
+    t.logger.Logger.log (Event.Component_instantiated { inst; cname; classification; creator });
   (* The instantiation request itself is communication: if creator and
      instance end up on different machines, the factory pays a round
      trip. Record it so the analysis engine prices relocated
      instantiations (and Table 5's model covers them). *)
   (match t.mode with
   | M_profiling ->
-      t.logger.Logger.log
-        (Event.Interface_call
-           {
-             caller = creator;
-             caller_classification = classification_of t creator;
-             callee = inst;
-             callee_classification = classification;
-             iface = "ICoCreateInstance";
-             meth = "create";
-             remotable = true;
-             request_bytes = Marshal_size.scalar_overhead + (2 * 16);
-             reply_bytes = Marshal_size.scalar_overhead + Marshal_size.objref_size;
-           })
+      Icc.record_interned t.rte_icc ~src:creator_cls ~dst:classification t.create_iface
+        ~remotable:true ~request:create_request_bytes ~reply:create_reply_bytes;
+      Inst_comm.record_call t.rte_inst_comm ~caller:creator ~callee:inst
+        ~request:create_request_bytes ~reply:create_reply_bytes;
+      if t.logging then
+        t.logger.Logger.log
+          (Event.Interface_call
+             {
+               caller = creator;
+               caller_classification = creator_cls;
+               callee = inst;
+               callee_classification = classification;
+               iface = "ICoCreateInstance";
+               meth = "create";
+               remotable = true;
+               request_bytes = create_request_bytes;
+               reply_bytes = create_reply_bytes;
+             })
   | M_distributed _ -> ());
   wrap t raw
 
 let on_query t h ~iid =
-  let raw = Option.value ~default:h (Hashtbl.find_opt t.wrap_to_raw h) in
-  wrap t (Runtime.raw_query_interface t.ctx raw ~iid)
+  let raw = slot t.wrap_to_raw h in
+  wrap t (Runtime.raw_query_interface t.ctx (if raw >= 0 then raw else h) ~iid)
 
-let on_destroy t inst = t.logger.Logger.log (Event.Component_destroyed { inst })
+let on_destroy t inst = if t.logging then t.logger.Logger.log (Event.Component_destroyed { inst })
 
 let install ?(loggers = []) ?tracer ?metrics ~classifier ~mode ctx =
   let rte_icc = Icc.create () in
-  let rte_inst_comm = Inst_comm.create () in
-  let base_loggers =
-    match mode with
-    | M_profiling -> Logger.profiling ~icc:rte_icc ~inst_comm:rte_inst_comm :: loggers
-    | M_distributed _ -> if loggers = [] then [ Logger.null ] else loggers
-  in
   let t =
     {
       ctx;
       rte_classifier = classifier;
+      memo = Classifier.memo classifier;
       stack = Shadow_stack.create ();
-      logger = Logger.tee base_loggers;
+      logger = (match loggers with [] -> Logger.null | _ -> Logger.tee loggers);
+      logging = loggers <> [];
       rte_icc;
-      rte_inst_comm;
-      inst_classification = Hashtbl.create 256;
-      raw_to_wrap = Hashtbl.create 256;
-      wrap_to_raw = Hashtbl.create 256;
+      rte_inst_comm = Inst_comm.create ();
+      create_iface = Icc.intern rte_icc "ICoCreateInstance";
+      classifications = Array.make 256 (-1);
+      raw_to_wrap = Array.make 256 (-1);
+      wrap_to_raw = Array.make 256 (-1);
       mode;
       created = [];
       comm = 0.;
@@ -1386,7 +1443,7 @@ let install ?(loggers = []) ?tracer ?metrics ~classifier ~mode ctx =
       n_fallbacks = 0;
       n_unreachable = 0;
       fault_us = 0.;
-      pair_counts = Hashtbl.create 256;
+      pair_counts = Int_table.create ~absent:0 256;
       obs_tracer = tracer;
       obs = Option.map make_instruments metrics;
     }
@@ -1604,14 +1661,18 @@ let inst_comm t = t.rte_inst_comm
 let classifier t = t.rte_classifier
 
 let instance_classifications t =
-  Hashtbl.fold (fun inst c acc -> (inst, c) :: acc) t.inst_classification []
-  |> List.sort compare
+  let acc = ref [] in
+  for inst = Array.length t.classifications - 1 downto 0 do
+    let c = t.classifications.(inst) in
+    if c >= 0 then acc := (inst, c) :: !acc
+  done;
+  !acc
 
 let instances_created t = List.rev t.created
 let factory t = match t.mode with M_profiling -> None | M_distributed m -> Some m.m_factory
 
 let call_counts t =
-  Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.pair_counts [] |> List.sort compare
+  Int_table.fold (fun k n acc -> (pair_of_key k, n) :: acc) t.pair_counts [] |> List.sort compare
 
 let comm_us t = t.comm
 let remote_calls t = t.n_remote_calls

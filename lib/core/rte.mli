@@ -31,9 +31,17 @@ val install_profiling :
   classifier:Classifier.t ->
   Coign_com.Runtime.ctx ->
   t
-(** Instrument a context for scenario-based profiling. A profiling
-    logger feeding {!icc} and {!inst_comm} is always installed;
-    [loggers] are additional sinks (e.g. an event recorder).
+(** Instrument a context for scenario-based profiling. Every call and
+    instantiation is recorded straight into {!icc} and {!inst_comm};
+    [loggers] (e.g. an event recorder) receive the {!Event.t} stream,
+    whose values are built only when loggers are attached. Replaying
+    that stream through {!Logger.profiling} rebuilds the same
+    summaries.
+
+    Instantiations are classified through a {!Classifier.memo} owned by
+    this install: same ids, descriptors and counts as
+    {!Classifier.classify}, without rendering a descriptor for a
+    context already seen.
 
     [tracer] records a span per intercepted call (category ["call"],
     named [Iface.method]) and per instantiation (category ["create"],

@@ -16,8 +16,14 @@ val pop : t -> unit
 (** Raises [Invalid_argument] on an empty stack (an unbalanced
     interception is a bug). *)
 
-val top : t -> Frame.t option
-(** The frame of the currently executing method, if any. *)
+val top_or : t -> Frame.t -> Frame.t
+(** [top_or t default] is the frame of the currently executing method,
+    or [default] on an empty stack (the main program is running). The
+    RTE reads it on every call, so it returns no option. *)
+
+val nth : t -> int -> Frame.t
+(** [nth t i] is the [i]th frame from the top (0 = the top), as
+    {!walk} would list it. Raises [Invalid_argument] past the bottom. *)
 
 val depth : t -> int
 

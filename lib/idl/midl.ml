@@ -180,15 +180,23 @@ type method_procs = {
   iface_procs : iface_proc list;
   ret_iface_proc : iface_proc;
   remotable : bool;
+  may_output_ifaces : bool;
 }
 
 let compile_method (msig : Idl_type.method_sig) =
+  let iface_procs = List.map (fun p -> compile_iface_walk p.Idl_type.pty) msig.params in
+  let ret_iface_proc = compile_iface_walk msig.ret in
   {
     request_procs = List.map (fun p -> (p.Idl_type.pdir, compile p.pty)) msig.params;
     ret_proc = compile msig.ret;
-    iface_procs = List.map (fun p -> compile_iface_walk p.Idl_type.pty) msig.params;
-    ret_iface_proc = compile_iface_walk msig.ret;
+    iface_procs;
+    ret_iface_proc;
     remotable = Idl_type.method_remotable msig;
+    may_output_ifaces =
+      (not (iface_walk_trivial ret_iface_proc))
+      || List.exists2
+           (fun p iproc -> p.Idl_type.pdir <> Idl_type.In && not (iface_walk_trivial iproc))
+           msig.params iface_procs;
   }
 
 let rec call_size_exn req rep ps vs =

@@ -9,12 +9,13 @@ type t = { counts : int array; bytes : int array }
 
 let create () = { counts = Array.make nbuckets 0; bytes = Array.make nbuckets 0 }
 
+(* Top-level, so indexing a size allocates no closure. *)
+let rec find_bucket bytes i lo =
+  if bytes < lo * 2 || i = nbuckets - 1 then i else find_bucket bytes (i + 1) (lo * 2)
+
 let bucket_index bytes =
   assert (bytes >= 0);
-  let rec find i lo =
-    if bytes < lo * 2 || i = nbuckets - 1 then i else find (i + 1) (lo * 2)
-  in
-  if bytes < 1 lsl base_bits then 0 else find 1 (1 lsl base_bits)
+  if bytes < 1 lsl base_bits then 0 else find_bucket bytes 1 (1 lsl base_bits)
 
 let bucket_bounds i =
   if i = 0 then (0, (1 lsl base_bits) - 1)

@@ -174,6 +174,93 @@ let prop_encode_decode_stable =
       let t' = Classifier.decode (Classifier.encode t) in
       Classifier.lookup t' ~cname:"D" ~stack:frames = Classifier.lookup t ~cname:"D" ~stack:frames)
 
+(* The interception memo against the descriptor path. A context is a
+   class name and a stack; stacks draw instances from a small pool (so
+   instances recur), a frame may repeat the instance below it (a
+   same-instance run), classifications include -1, and some frames
+   carry no call-site id. Every context also has a twin whose runs are
+   broken by a different instance of the same class — equal in every
+   field but instance identity, which only the entry-point collapse
+   reads. Instantiations pick from the contexts, so most are memo hits;
+   counting freezes partway. *)
+let arb_instantiations =
+  let frame =
+    QCheck.Gen.(
+      map
+        (fun ((inst, same), (classification, iface), (meth, sited)) ->
+          (inst, same, classification, iface, meth, sited))
+        (triple
+           (pair (int_range 1 4) (frequency [ (2, return true); (3, return false) ]))
+           (pair (int_range (-1) 2) (int_range 0 1))
+           (pair (int_range 0 2) bool)))
+  in
+  let context = QCheck.Gen.(pair (int_range 0 2) (list_size (int_range 0 6) frame)) in
+  QCheck.make
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 4) context)
+        (list_size (int_range 1 40) (int_range 0 7))
+        (int_range 0 40))
+
+(* Frames most-recent-first. A [same] frame repeats the next older
+   frame's instance — or, in the twin, enters another instance of its
+   class. *)
+let frames_of ?memo ~twin specs =
+  let rec build = function
+    | [] -> []
+    | (inst, same, classification, iface, meth, sited) :: older ->
+        let older = build older in
+        let inst =
+          match older with
+          | f :: _ when same -> if twin then f.Frame.f_inst + 3 else f.Frame.f_inst
+          | _ -> inst
+        in
+        let cls = Printf.sprintf "K%d" (inst mod 3) in
+        let iface = Printf.sprintf "I%d" iface and meth = Printf.sprintf "m%d" meth in
+        let frame =
+          match memo with
+          | Some m when sited ->
+              Frame.make_site ~site:(Classifier.site m ~cls ~iface ~meth) ~inst ~cls
+                ~classification ~iface ~meth
+          | _ -> Frame.make ~inst ~cls ~classification ~iface ~meth
+        in
+        frame :: older
+  in
+  build specs
+
+let prop_memo_agrees =
+  QCheck.Test.make ~name:"memoised classification equals the descriptor path" ~count:200
+    arb_instantiations (fun (contexts, picks, freeze_at) ->
+      let contexts =
+        Array.of_list
+          (List.map (fun c -> (false, c)) contexts @ List.map (fun c -> (true, c)) contexts)
+      in
+      List.for_all
+        (fun (kind, stack_depth) ->
+          let plain = Classifier.create ?stack_depth kind in
+          let memoed = Classifier.create ?stack_depth kind in
+          let memo = Classifier.memo memoed in
+          let stack = Shadow_stack.create () in
+          let ok =
+            List.for_all
+              (fun (n, pick) ->
+                if n = freeze_at then begin
+                  Classifier.freeze_counts plain;
+                  Classifier.freeze_counts memoed
+                end;
+                let twin, (c, specs) = contexts.(pick mod Array.length contexts) in
+                let cname = Printf.sprintf "D%d" c in
+                Shadow_stack.clear stack;
+                List.iter (Shadow_stack.push stack) (List.rev (frames_of ~memo ~twin specs));
+                let want = Classifier.classify plain ~cname ~stack:(frames_of ~twin specs) in
+                want = Classifier.classify_memo memo ~cname stack)
+              (List.mapi (fun n pick -> (n, pick)) picks)
+          in
+          ok && String.equal (Classifier.encode plain) (Classifier.encode memoed))
+        (List.concat_map
+           (fun kind -> List.map (fun d -> (kind, d)) [ None; Some 1; Some 2; Some 4 ])
+           Classifier.all_kinds))
+
 let suite =
   [
     Alcotest.test_case "figure 3 descriptors" `Quick test_figure3_descriptors;
@@ -190,4 +277,5 @@ let suite =
     Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
     qtest prop_classify_deterministic;
     qtest prop_encode_decode_stable;
+    qtest prop_memo_agrees;
   ]

@@ -75,6 +75,67 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* A stored profile that fails to decode is bad input: every command
+   that loads it prints "error: <decoder>: ..." and exits 1, never an
+   uncaught exception (exit 125). *)
+let test_tampered_profile () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let open Coign_image in
+        let img = Filename.concat dir "oct.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
+        let tamper name key edit =
+          let path = Filename.concat dir (name ^ ".img") in
+          let image = Binary_image.load img in
+          let config = Option.get image.Binary_image.config in
+          let payload = Option.get (Config_record.entry config key) in
+          let config = Config_record.set_entry config key (edit payload) in
+          Binary_image.save { image with Binary_image.config = Some config } path;
+          path
+        in
+        (* Rewrite field [i] of line [n] (tab-separated) of a payload. *)
+        let edit_line n f payload =
+          String.split_on_char '\n' payload
+          |> List.mapi (fun j line -> if j = n then f (String.split_on_char '\t' line) else line)
+          |> String.concat "\n"
+        in
+        let set i v fields =
+          String.concat "\t" (List.mapi (fun j x -> if j = i then v else x) fields)
+        in
+        let cases =
+          [
+            ( "icc-count", Coign_core.Config_keys.icc, edit_line 1 (set 5 "many"), "Icc.decode" );
+            ( "icc-fields", Coign_core.Config_keys.icc,
+              edit_line 1 (fun fields -> String.concat "\t" (List.tl fields)), "Icc.decode" );
+            ( "icc-negative", Coign_core.Config_keys.icc, edit_line 1 (set 5 "-3"), "Icc.decode" );
+            ( "classifier-order", Coign_core.Config_keys.classifier,
+              edit_line 2 (fun _ -> "seven"), "Classifier.decode" );
+          ]
+        in
+        let err = Filename.concat dir "stderr.txt" in
+        List.iter
+          (fun (name, key, edit, decoder) ->
+            let path = tamper name key edit in
+            List.iter
+              (fun args ->
+                let command = List.hd args in
+                let rc =
+                  Sys.command
+                    (Filename.quote_command exe args ^ " > /dev/null 2> " ^ Filename.quote err)
+                in
+                Alcotest.(check int) (Printf.sprintf "%s %s exit" command name) 1 rc;
+                let msg = read_file err in
+                let prefix = "error: " ^ decoder ^ ": " in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s names %s: %S" command name decoder msg)
+                  true
+                  (String.length msg >= String.length prefix
+                  && String.sub msg 0 (String.length prefix) = prefix))
+              [ [ "analyze"; path; "-o"; path ]; [ "show"; path ] ])
+          cases)
+
 let test_trace_golden () =
   (* `coign trace --format spans` output is timed on the deterministic
      sim clock, so the whole trace of a fixed scenario is golden. *)
@@ -201,6 +262,7 @@ let suite =
     Alcotest.test_case "cli full pipeline" `Slow test_full_pipeline;
     Alcotest.test_case "cli log/combine flow" `Slow test_log_combine_flow;
     Alcotest.test_case "cli error reporting" `Quick test_error_reporting;
+    Alcotest.test_case "cli tampered profile" `Quick test_tampered_profile;
     Alcotest.test_case "cli trace golden" `Slow test_trace_golden;
     Alcotest.test_case "cli trace/metrics json" `Slow test_trace_chrome_and_metrics_parse;
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;

@@ -15,15 +15,16 @@ let test_shadow_stack_order () =
   Shadow_stack.push s (frame 1 "a");
   Shadow_stack.push s (frame 2 "b");
   Alcotest.(check int) "depth" 2 (Shadow_stack.depth s);
-  (match Shadow_stack.top s with
-  | Some f -> Alcotest.(check int) "top" 2 f.Frame.f_inst
-  | None -> Alcotest.fail "empty");
+  let none = frame (-1) "none" in
+  Alcotest.(check int) "top" 2 (Shadow_stack.top_or s none).Frame.f_inst;
+  Alcotest.(check int) "nth" 1 (Shadow_stack.nth s 1).Frame.f_inst;
   Alcotest.(check (list int)) "walk order" [ 2; 1 ]
     (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk s));
   Alcotest.(check (list int)) "limited walk" [ 2 ]
     (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk ~limit:1 s));
   Shadow_stack.pop s;
   Shadow_stack.pop s;
+  Alcotest.(check bool) "empty top" true (Shadow_stack.top_or s none == none);
   Alcotest.check_raises "underflow" (Invalid_argument "Shadow_stack.pop: empty stack")
     (fun () -> Shadow_stack.pop s)
 

@@ -244,6 +244,94 @@ let test_factory_machine_tracking () =
   Alcotest.(check bool) "main on client" true
     (Factory.machine_of factory Runtime.main_instance = Constraints.Client)
 
+(* --- The direct profiling recorder ------------------------------------ *)
+
+let octarine_wp0 = Coign_apps.App.scenario Coign_apps.Octarine.app "o_oldwp0"
+let octarine_registry = Coign_apps.Octarine.app.Coign_apps.App.app_registry
+
+let profile_wp0 loggers =
+  let ctx = Runtime.create_ctx octarine_registry in
+  let rte =
+    Rte.install_profiling ~loggers ~classifier:(Classifier.create Classifier.Ifcb) ctx
+  in
+  octarine_wp0.Coign_apps.App.sc_run ctx;
+  Rte.uninstall rte;
+  rte
+
+(* Profiling records straight into the ICC and instance summaries and
+   builds events only for attached loggers. Attaching one must change
+   nothing recorded, and it must see the events the RTE always logged:
+   the counts are pinned from the event-driven recorder, and replaying
+   the events through [Logger.profiling] rebuilds the same summaries. *)
+let test_direct_recorder () =
+  let recorder, events = Logger.event_recorder () in
+  let bare = profile_wp0 [] and logged = profile_wp0 [ recorder ] in
+  let totals rte =
+    let ic = Rte.inst_comm rte in
+    (Inst_comm.message_count ic, Inst_comm.total_bytes ic)
+  in
+  Alcotest.(check string) "icc" (Icc.encode (Rte.icc bare)) (Icc.encode (Rte.icc logged));
+  Alcotest.(check (pair int int)) "instance comm" (totals bare) (totals logged);
+  Alcotest.(check (list (pair (pair int int) int)))
+    "call counts" (Rte.call_counts bare) (Rte.call_counts logged);
+  let evs = events () in
+  let count p = List.length (List.filter p evs) in
+  Alcotest.(check int) "interface calls" 3430
+    (count (function Event.Interface_call _ -> true | _ -> false));
+  Alcotest.(check int) "component instantiations" 547
+    (count (function Event.Component_instantiated _ -> true | _ -> false));
+  Alcotest.(check int) "interface instantiations" 1073
+    (count (function Event.Interface_instantiated _ -> true | _ -> false));
+  let icc = Icc.create () and inst_comm = Inst_comm.create () in
+  List.iter (Logger.profiling ~icc ~inst_comm).Logger.log evs;
+  Alcotest.(check string) "events rebuild the icc" (Icc.encode (Rte.icc bare)) (Icc.encode icc);
+  Alcotest.(check (pair int int))
+    "events rebuild instance comm" (totals bare)
+    (Inst_comm.message_count inst_comm, Inst_comm.total_bytes inst_comm)
+
+(* --- Allocation gate ----------------------------------------------------- *)
+
+(* Minor words the RTE adds per intercepted call over the bare
+   application on o_oldwp0, creates and wrapper mints amortized in:
+   measured 37.2 (all-client distributed) and 67.8 (profiling) with
+   OCaml 5.1. The count is exact and deterministic, and the bounds
+   leave 1.5 words of headroom, so one new per-call allocation (an
+   option, a ref, a cons cell, a tuple) fails the gate. *)
+let test_interception_allocation () =
+  let words run =
+    ignore (run ());
+    let before = Gc.minor_words () in
+    let calls = run () in
+    (Gc.minor_words () -. before, calls)
+  in
+  let bare, _ =
+    words (fun () ->
+        octarine_wp0.Coign_apps.App.sc_run (Runtime.create_ctx octarine_registry);
+        0)
+  in
+  let all_client, ac_calls =
+    words (fun () ->
+        let ctx = Runtime.create_ctx octarine_registry in
+        let rte =
+          Rte.install_distributed ~classifier:(Classifier.create Classifier.Ifcb)
+            ~config:
+              { (distributed_config Factory.All_client) with
+                Rte.dc_network = Coign_netsim.Network.loopback }
+            ctx
+        in
+        octarine_wp0.Coign_apps.App.sc_run ctx;
+        Rte.intercepted_calls rte)
+  in
+  let profiling, prof_calls = words (fun () -> Rte.intercepted_calls (profile_wp0 [])) in
+  let per words calls = (words -. bare) /. float_of_int calls in
+  let check name words calls bound =
+    let w = per words calls in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.1f words/call over bare (bound %.1f)" name w bound)
+      true (w <= bound)
+  in
+  check "all-client" all_client ac_calls 38.7;
+  check "profiling" profiling prof_calls 69.3
+
 let suite =
   [
     Alcotest.test_case "profiling intercepts all calls" `Quick test_profiling_intercepts_all_calls;
@@ -262,4 +350,6 @@ let suite =
     Alcotest.test_case "non-remotable cross-machine fails" `Quick
       test_non_remotable_cross_machine_fails;
     Alcotest.test_case "factory machine tracking" `Quick test_factory_machine_tracking;
+    Alcotest.test_case "direct profiling recorder" `Quick test_direct_recorder;
+    Alcotest.test_case "interception allocation gate" `Quick test_interception_allocation;
   ]
