@@ -112,6 +112,22 @@ load)
     --json > load-par.json
   diff load-seq.json load-par.json
 
+  # The same at benchmark scale: a 1M-session run, whose percentiles
+  # come from in-place selection rather than a sort (well under a
+  # second), must also byte-match across --jobs workers.
+  coign load ing.img --sessions 1000000 --arrival poisson:10 --seed 42 --jobs 1 \
+    --json > load-1m-seq.json
+  coign load ing.img --sessions 1000000 --arrival poisson:10 --seed 42 --jobs 4 \
+    --json > load-1m-par.json
+  diff load-1m-seq.json load-1m-par.json
+
+  # A non-finite arrival spec is a usage error, never a report of NaN
+  # percentiles with exit 0.
+  if coign load ing.img --arrival poisson:nan > /dev/null 2>&1; then
+    echo "coign load accepted --arrival poisson:nan" >&2
+    exit 1
+  fi
+
   # The JSON must be well-formed for scrapers; the in-repo Jsonu.parse
   # validation of the same serializer runs in dune runtest
   # (test/test_cli.ml).

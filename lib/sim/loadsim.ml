@@ -12,18 +12,27 @@ type arrival =
   | Bursty of { b_rate : float; b_on_ms : float; b_off_ms : float }
   | Diurnal of { d_peak : float; d_period_s : float }
 
-let validate_arrival = function
-  | Poisson r ->
-      if r <= 0. then Error "poisson rate must be positive" else Ok (Poisson r)
-  | Bursty { b_rate; b_on_ms; b_off_ms } ->
-      if b_rate <= 0. then Error "bursty rate must be positive"
-      else if b_on_ms <= 0. then Error "bursty on-window must be positive"
-      else if b_off_ms < 0. then Error "bursty off-window must be non-negative"
-      else Ok (Bursty { b_rate; b_on_ms; b_off_ms })
-  | Diurnal { d_peak; d_period_s } ->
-      if d_peak <= 0. then Error "diurnal peak rate must be positive"
-      else if d_period_s <= 0. then Error "diurnal period must be positive"
-      else Ok (Diurnal { d_peak; d_period_s })
+let validate_arrival a =
+  let fields =
+    match a with
+    | Poisson r -> [ r ]
+    | Bursty { b_rate; b_on_ms; b_off_ms } -> [ b_rate; b_on_ms; b_off_ms ]
+    | Diurnal { d_peak; d_period_s } -> [ d_peak; d_period_s ]
+  in
+  if not (List.for_all Float.is_finite fields) then
+    Error "arrival parameters must be finite numbers"
+  else
+    match a with
+    | Poisson r -> if r <= 0. then Error "poisson rate must be positive" else Ok a
+    | Bursty { b_rate; b_on_ms; b_off_ms } ->
+        if b_rate <= 0. then Error "bursty rate must be positive"
+        else if b_on_ms <= 0. then Error "bursty on-window must be positive"
+        else if b_off_ms < 0. then Error "bursty off-window must be non-negative"
+        else Ok a
+    | Diurnal { d_peak; d_period_s } ->
+        if d_peak <= 0. then Error "diurnal peak rate must be positive"
+        else if d_period_s <= 0. then Error "diurnal period must be positive"
+        else Ok a
 
 let arrival_to_string = function
   | Poisson r -> Printf.sprintf "poisson:%g" r
@@ -56,15 +65,38 @@ let arrival_of_string s =
 
 (* Per-session randomness comes from an independent splitmix stream of
    the master seed, so the draws are a pure function of (seed, index):
-   batches can be filled on any domain in any order and still agree
-   with a sequential fill bit for bit. Each session draws a unit-mean
-   exponential (its share of inter-arrival spacing) and a scenario
-   pick, in that fixed order. *)
+   sessions can be filled on any domain in any order and still agree
+   with a sequential fill bit for bit. Session [s] draws, from
+   [Prng.create (Prng.stream seed s)], a unit-mean [Prng.exponential]
+   (its share of inter-arrival spacing) and then [Prng.int g classes]
+   (its scenario), in that order. [draw] is that sequence inlined over
+   a local splitmix state — the stream derivation, the [Prng.float]
+   rejection loop for a non-zero uniform, and the 62-bit [Prng.int] —
+   so a session allocates nothing; a test pins it to [Prng] bit for
+   bit through [session_draws]. *)
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* Session [s]'s draws, written at index [at]. *)
+let[@inline] draw ~seed ~classes (spacing : float array) class_of ~at s =
+  let state = ref (mix (Int64.add seed (Int64.mul golden_gamma (Int64.of_int s)))) in
+  let u = ref 0. in
+  while not (!u > 0.) do
+    state := Int64.add !state golden_gamma;
+    u := Int64.to_float (Int64.shift_right_logical (mix !state) 11) /. 9007199254740992.0
+  done;
+  spacing.(at) <- -.log !u;
+  state := Int64.add !state golden_gamma;
+  class_of.(at) <- Int64.to_int (Int64.shift_right_logical (mix !state) 2) mod classes
+
 let session_draws ~seed ~classes s =
-  let g = Prng.create (Prng.stream seed s) in
-  let e = Prng.exponential g ~mean:1. in
-  let c = Prng.int g classes in
-  (e, c)
+  let e = [| 0. |] and c = [| 0 |] in
+  draw ~seed ~classes e c ~at:0 s;
+  (e.(0), c.(0))
 
 let batch = 16_384
 
@@ -76,31 +108,19 @@ let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
   | Error e -> invalid_arg ("Loadsim.gen_arrivals: " ^ e));
   let spacing = Array.make sessions 0. in
   let class_of = Array.make sessions 0 in
-  let chunks =
-    Array.init
-      ((sessions + batch - 1) / batch)
-      (fun i -> (i * batch, min batch (sessions - (i * batch))))
+  let fill first last =
+    for s = first to last do
+      draw ~seed ~classes spacing class_of ~at:s s
+    done
   in
-  let fill (start, len) =
-    let e = Array.make len 0. and c = Array.make len 0 in
-    for k = 0 to len - 1 do
-      let ek, ck = session_draws ~seed ~classes (start + k) in
-      e.(k) <- ek;
-      c.(k) <- ck
-    done;
-    (e, c)
-  in
-  let filled =
-    match pool with
-    | None -> Array.map fill chunks
-    | Some pool -> Parallel.map pool ~f:fill chunks
-  in
-  Array.iteri
-    (fun i (e, c) ->
-      let start, len = chunks.(i) in
-      Array.blit e 0 spacing start len;
-      Array.blit c 0 class_of start len)
-    filled;
+  (match pool with
+  | None -> fill 0 (sessions - 1)
+  | Some pool ->
+      (* Each batch writes its own disjoint slice of the two arrays. *)
+      ignore
+        (Parallel.map pool
+           ~f:(fun i -> fill (i * batch) (min sessions ((i + 1) * batch) - 1))
+           (Array.init ((sessions + batch - 1) / batch) Fun.id)));
   (* The exponential draws become timestamps in one sequential prefix
      pass — each process is a monotone transform of the accumulated
      spacing, so timestamps are nondecreasing by construction. *)
@@ -353,15 +373,6 @@ type result = {
   r_link_util : float;
 }
 
-(* Same interpolation as Stats.percentile, but over a pre-sorted array
-   so a million-session run sorts once, not once per percentile. *)
-let percentile_sorted sorted p =
-  let n = Array.length sorted in
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  let frac = rank -. floor rank in
-  (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
 let compile_classes ~image ~network ~app scenarios =
   List.map
     (fun (sc : App.scenario) ->
@@ -384,7 +395,7 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
     ~image ~network () =
   if sessions <= 0 then invalid_arg "Loadsim.run: sessions must be positive";
   (match deadline_us with
-  | Some d when d <= 0. -> invalid_arg "Loadsim.run: deadline must be positive"
+  | Some d when not (d > 0.) -> invalid_arg "Loadsim.run: deadline must be positive"
   | _ -> ());
   let app =
     try Suite.find_app image.Coign_image.Binary_image.img_name
@@ -412,17 +423,20 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
     else begin
       (* Queueing off: every server is infinitely wide, so a session's
          latency is exactly its class's unloaded Replay estimate. *)
+      let sum svc = Array.map (fun c -> Array.fold_left ( +. ) 0. (svc c)) classes in
+      let host_sum = sum (fun c -> c.cl_host_svc) and link_sum = sum (fun c -> c.cl_link_svc) in
       let lat = Array.make sessions 0. in
       let host = ref 0. and link = ref 0. in
       let last = ref 0. and ops = ref 0 in
       for s = 0 to sessions - 1 do
-        let c = classes.(class_of.(s)) in
+        let k = class_of.(s) in
+        let c = classes.(k) in
         lat.(s) <- c.cl_comm_us;
         let f = arrivals.(s) +. c.cl_comm_us in
         if f > !last then last := f;
         ops := !ops + Array.length c.cl_host_svc;
-        host := !host +. Array.fold_left ( +. ) 0. c.cl_host_svc;
-        link := !link +. Array.fold_left ( +. ) 0. c.cl_link_svc
+        host := !host +. host_sum.(k);
+        link := !link +. link_sum.(k)
       done;
       {
         st_latency_us = lat;
@@ -434,20 +448,28 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
     end
   in
   let lat = totals.st_latency_us in
-  let sorted = Array.copy lat in
-  Array.sort Float.compare sorted;
   let duration = totals.st_last_finish_us -. arrivals.(0) in
   let throughput =
     if duration > 0. then float_of_int sessions /. (duration /. 1e6) else 0.
   in
+  (* The mean and the deadline count read the latencies in session
+     order, before selection permutes them: the float sum depends on
+     the order of its terms. *)
+  let sum = ref 0. and ok = ref 0 in
+  let deadline = Option.value deadline_us ~default:infinity in
+  for s = 0 to sessions - 1 do
+    sum := !sum +. lat.(s);
+    if lat.(s) <= deadline then incr ok
+  done;
+  let mean = !sum /. float_of_int sessions in
   let availability =
     match deadline_us with
     | None -> 1.
-    | Some d ->
-        let ok = ref 0 in
-        Array.iter (fun l -> if l <= d then incr ok) lat;
-        float_of_int !ok /. float_of_int sessions
+    | Some _ -> float_of_int !ok /. float_of_int sessions
   in
+  (* Percentile 100 is rank n-1, so selection also leaves the maximum
+     at the end of [lat]. *)
+  let q = Stats.percentiles_in_place lat [| 50.; 95.; 99.; 100. |] in
   let per_class_sessions = Array.make (Array.length classes) 0 in
   Array.iter (fun c -> per_class_sessions.(c) <- per_class_sessions.(c) + 1) class_of;
   let class_stats =
@@ -472,11 +494,11 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
       r_deadline_us = deadline_us;
       r_classes = class_stats;
       r_total_ops = totals.st_ops;
-      r_p50_us = percentile_sorted sorted 50.;
-      r_p95_us = percentile_sorted sorted 95.;
-      r_p99_us = percentile_sorted sorted 99.;
-      r_mean_us = Stats.mean lat;
-      r_max_us = (if sessions = 0 then 0. else sorted.(sessions - 1));
+      r_p50_us = q.(0);
+      r_p95_us = q.(1);
+      r_p99_us = q.(2);
+      r_mean_us = mean;
+      r_max_us = lat.(sessions - 1);
       r_throughput_per_s = throughput;
       r_availability = availability;
       r_duration_us = duration;
@@ -500,6 +522,8 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
         Metrics.histogram reg ~help:"End-to-end session latency under load (us)"
           "coign_load_session_latency_us"
       in
+      (* Bucket counts and the integer sum do not depend on order, so
+         the selection's permutation of [lat] is invisible here. *)
       Array.iter (fun l -> Metrics.observe lat_hist (int_of_float l)) lat;
       let comm_hist =
         Metrics.histogram reg ~help:"Unloaded per-session communication time (us)"

@@ -46,7 +46,9 @@ type arrival =
 
 val arrival_of_string : string -> (arrival, string) result
 (** Parse ["poisson:RATE"], ["bursty:RATE,ON_MS,OFF_MS"], or
-    ["diurnal:PEAK,PERIOD_S"]; validates positivity. *)
+    ["diurnal:PEAK,PERIOD_S"]; every field must be a finite number
+    (NaN and infinities are rejected) and rates, windows and periods
+    positive (the bursty off-window may be zero). *)
 
 val arrival_to_string : arrival -> string
 (** Round-trips through {!arrival_of_string}. *)
@@ -63,6 +65,12 @@ val gen_arrivals :
     index, uniform in [\[0, classes)]. Draws are a pure function of
     (seed, session index); the pool parallelizes filling them without
     changing a single bit. *)
+
+val session_draws : seed:int64 -> classes:int -> int -> float * int
+(** Session [s]'s (unit-mean exponential spacing, class) draws as
+    {!gen_arrivals} makes them: bit for bit [Prng.exponential g
+    ~mean:1.] then [Prng.int g classes] with [g = Prng.create
+    (Prng.stream seed s)], computed without allocating per session. *)
 
 (** {1 Session classes} *)
 
@@ -179,8 +187,8 @@ val run :
     prices every session at its class's unloaded estimate (the
     identity-gate mode). [metrics] populates [coign_load_*] counters,
     gauges, and latency/comm histograms. Raises [Invalid_argument] for
-    non-positive sessions, an unknown app or scenario, or an image
-    without a distribution. *)
+    non-positive sessions, a deadline that is not a positive number, an
+    unknown app or scenario, or an image without a distribution. *)
 
 val pp_text : Format.formatter -> result -> unit
 (** Stable human-readable report (golden-tested). *)

@@ -11,15 +11,78 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let percentile xs p =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
+(* Exact order statistics by selection. [select_rank xs hi k] is
+   Hoare-partition quickselect (Wirth's form) over [xs.(0..hi)] with a
+   median-of-three pivot: it leaves at index [k] the value a sort would
+   put there, everything before it no larger and everything after it up
+   to [hi] no smaller. The monomorphic [<] on a [float array] keeps the
+   scan free of boxing; scans stop on equal keys, so all-equal and
+   heavy-duplicate inputs split evenly, and the median of three keeps
+   sorted and reverse-sorted inputs linear. *)
+let swap (xs : float array) i j =
+  let t = xs.(i) in
+  xs.(i) <- xs.(j);
+  xs.(j) <- t
+
+let select_rank (xs : float array) hi k =
+  let lo = ref 0 and hi = ref hi in
+  while !lo < !hi do
+    let l = !lo and h = !hi in
+    let m = l + ((h - l) / 2) in
+    if xs.(m) < xs.(l) then swap xs m l;
+    if xs.(h) < xs.(l) then swap xs h l;
+    if xs.(h) < xs.(m) then swap xs h m;
+    let pivot = xs.(m) in
+    let i = ref l and j = ref h in
+    while !i <= !j do
+      while xs.(!i) < pivot do
+        incr i
+      done;
+      while pivot < xs.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        swap xs !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (* [l..j] <= pivot <= [i..h]; anything strictly between is the
+       pivot itself, already at its sorted index. *)
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done
+
+(* Largest rank first: once rank [k] is in place, [xs.(0..k-1)] holds
+   exactly the [k] smallest values, so every smaller rank is found in
+   that prefix and positions from [k] on are never touched again. *)
+let select xs ranks =
+  let n = Array.length xs in
+  let hi = ref (n - 1) in
+  List.iter
+    (fun k ->
+      if k <= !hi then begin
+        select_rank xs !hi k;
+        hi := k - 1
+      end)
+    (List.sort (fun a b -> compare b a) ranks)
+
+(* The lower and upper ranks percentile [p] of [n] values interpolates
+   between, and the upper one's weight. *)
+let bounds n p =
   let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  let frac = rank -. floor rank in
-  (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+  (int_of_float (floor rank), int_of_float (ceil rank), rank -. floor rank)
+
+let percentiles_in_place xs ps =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Stats.percentile: empty";
+  if not (Array.for_all (fun p -> p >= 0. && p <= 100.) ps) then
+    invalid_arg "Stats.percentile: p outside [0, 100]";
+  let bs = Array.map (bounds n) ps in
+  select xs (Array.fold_left (fun acc (lo, hi, _) -> lo :: hi :: acc) [] bs);
+  Array.map (fun (lo, hi, frac) -> (xs.(lo) *. (1. -. frac)) +. (xs.(hi) *. frac)) bs
+
+let percentile xs p = (percentiles_in_place (Array.copy xs) [| p |]).(0)
 
 let dot a b =
   if Array.length a <> Array.length b then invalid_arg "Stats.dot: length mismatch";

@@ -11,8 +11,21 @@ val stddev : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]]; linear interpolation
-    between order statistics. Raises [Invalid_argument] on empty
-    input. *)
+    between the order statistics at [floor] and [ceil] of rank
+    [p/100 * (n-1)]. Leaves [xs] untouched. Raises [Invalid_argument]
+    on empty input or [p] outside [\[0,100\]]. *)
+
+val percentiles_in_place : float array -> float array -> float array
+(** [percentiles_in_place xs ps] is [Array.map (percentile xs) ps], bit
+    for bit, without a sort: an in-place quickselect (Hoare partition,
+    median-of-three pivot) places the order statistic at each needed
+    rank where a sort would put it, largest rank first so that each
+    later selection scans only the prefix to its left. Exact, expected
+    linear time per rank, no allocation per element. It permutes [xs];
+    after it, [xs.(n-1)] is the maximum when [100.] is among [ps].
+    Precondition: [xs] holds no NaN (the order is [<], under which NaN
+    is unordered); [-0.] and [0.] count as equal. Raises
+    [Invalid_argument] on empty input or a [p] outside [\[0,100\]]. *)
 
 val dot : float array -> float array -> float
 (** Dot product; arrays must have equal length. *)

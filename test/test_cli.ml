@@ -257,6 +257,29 @@ let test_load_golden_ingest () =
               (Coign_util.Jsonu.member field j <> None))
           [ "p50_us"; "p95_us"; "p99_us"; "throughput_per_s"; "availability" ])
 
+(* A non-finite arrival field is a bad command line (exit 124, like
+   poisson:0), never a run that reports NaN percentiles; a NaN
+   deadline is rejected by the run itself (exit 1). *)
+let test_load_rejects_non_finite () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "ben.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "benefits"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "b_addone"; "-o"; img ]);
+        check_ok "analyze" (run_cmd [ "analyze"; img; "-o"; img ]);
+        let load args = run_cmd ([ "load"; img; "--sessions"; "50" ] @ args) in
+        check_ok "finite spec runs" (load [ "--arrival"; "poisson:10" ]);
+        List.iter
+          (fun spec ->
+            Alcotest.(check int) (spec ^ " exit") 124 (load [ "--arrival"; spec; "--json" ]))
+          [
+            "poisson:0"; "poisson:nan"; "poisson:inf"; "bursty:nan,5,5"; "bursty:10,inf,5";
+            "bursty:10,5,-inf"; "diurnal:10,nan"; "diurnal:infinity,5";
+          ];
+        Alcotest.(check int) "nan deadline exit" 1
+          (load [ "--arrival"; "poisson:10"; "--deadline-ms"; "nan" ]))
+
 let suite =
   [
     Alcotest.test_case "cli full pipeline" `Slow test_full_pipeline;
@@ -267,5 +290,6 @@ let suite =
     Alcotest.test_case "cli trace/metrics json" `Slow test_trace_chrome_and_metrics_parse;
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;
     Alcotest.test_case "cli load golden ingest" `Slow test_load_golden_ingest;
+    Alcotest.test_case "cli load rejects non-finite input" `Quick test_load_rejects_non_finite;
     Alcotest.test_case "cli watch golden octarine" `Slow test_watch_golden_octarine;
   ]

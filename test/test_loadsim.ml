@@ -171,6 +171,40 @@ let test_metrics_instruments () =
   Alcotest.(check (float 0.)) "availability gauge" r.Loadsim.r_availability
     (Metrics.gauge_value (Metrics.gauge reg "coign_load_availability"))
 
+(* --- Allocation gate ---------------------------------------------------- *)
+
+(* Minor words Loadsim.run allocates per session, as the difference of
+   a 2N-session and an N-session run so the fixed cost (recording and
+   compiling the mix, the per-class tables) cancels. The per-session
+   arrays are large enough to live on the major heap, the draws run on
+   an unboxed local splitmix state, the event loop touches only flat
+   arrays and the percentiles come from in-place selection: measured
+   0.0 words per session with OCaml 5.1, queueing on and off. The
+   smallest allocation (a boxed float, a ref, an option) is two words,
+   so one per session fails the bound. *)
+let test_run_allocation () =
+  let image = Lazy.force benefits_img in
+  let n = 20_000 in
+  let words ~queueing sessions =
+    let run () =
+      ignore
+        (Loadsim.run ~queueing ~deadline_us:400_000. ~sessions
+           ~scenarios:[ "b_vueone"; "b_addone" ] ~arrival:(Loadsim.Poisson 40.) ~seed:5L
+           ~image ~network ())
+    in
+    let before = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun queueing ->
+      let per_session = (words ~queueing (2 * n) -. words ~queueing n) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "queueing %b: %.3f minor words per session (bound 0.5)" queueing
+           per_session)
+        true (per_session <= 0.5))
+    [ true; false ]
+
 (* --- qcheck properties ----------------------------------------------- *)
 
 let gen_arrival =
@@ -211,12 +245,87 @@ let prop_arrivals_nondecreasing =
       Array.iter (fun c -> if c < 0 || c >= 4 then ok := false) class_of;
       !ok)
 
+(* The draws are inlined over a local splitmix state; this pins them
+   to the Prng calls they replace, at small and very large session
+   indices alike, and through gen_arrivals' Poisson prefix sum. *)
+let prng_draws ~seed ~classes s =
+  let g = Prng.create (Prng.stream seed s) in
+  let e = Prng.exponential g ~mean:1. in
+  (e, Prng.int g classes)
+
+let prop_draws_match_prng =
+  QCheck.Test.make ~name:"inlined session draws == Prng stream reference, bit for bit"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (seed, s, classes, n) ->
+          Printf.sprintf "seed=%Ld s=%d classes=%d sessions=%d" seed s classes n)
+        Gen.(
+          quad int64
+            (oneof [ int_range 0 5000; int_range 0 (1 lsl 40) ])
+            (int_range 1 64) (int_range 1 500)))
+    (fun (seed, s, classes, n) ->
+      let e, c = Loadsim.session_draws ~seed ~classes s in
+      let re, rc = prng_draws ~seed ~classes s in
+      let arrivals, class_of =
+        Loadsim.gen_arrivals ~seed ~sessions:n ~classes (Loadsim.Poisson 7.)
+      in
+      let t = ref 0. and ok = ref true in
+      for k = 0 to n - 1 do
+        let ek, ck = prng_draws ~seed ~classes k in
+        t := !t +. (ek *. 1e6 /. 7.);
+        if bits arrivals.(k) <> bits !t || class_of.(k) <> ck then ok := false
+      done;
+      bits e = bits re && c = rc && !ok)
+
+(* Pooled batches write disjoint slices of the arrays; three batches,
+   the last one partial, must match the sequential fill. *)
+let test_pooled_batches () =
+  let pool = Parallel.create ~domains:3 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun arrival ->
+          let seq = Loadsim.gen_arrivals ~seed:9L ~sessions:40_000 ~classes:3 arrival in
+          let par = Loadsim.gen_arrivals ~pool ~seed:9L ~sessions:40_000 ~classes:3 arrival in
+          Alcotest.(check bool)
+            (Loadsim.arrival_to_string arrival ^ ": pooled == sequential")
+            true (seq = par))
+        [
+          Loadsim.Poisson 50.;
+          Loadsim.Bursty { b_rate = 80.; b_on_ms = 20.; b_off_ms = 30. };
+          Loadsim.Diurnal { d_peak = 60.; d_period_s = 10. };
+        ])
+
 let prop_arrival_spec_roundtrip =
   QCheck.Test.make ~name:"arrival spec parses back to itself" ~count:100 arb_arrival_seed
     (fun (a, _) ->
       match Loadsim.arrival_of_string (Loadsim.arrival_to_string a) with
       | Ok b -> b = a
       | Error _ -> false)
+
+(* A valid spec with one field replaced by a non-finite spelling that
+   [float_of_string] accepts. *)
+let gen_non_finite_spec =
+  QCheck.Gen.(
+    gen_arrival >>= fun a ->
+    let kind, fields =
+      match a with
+      | Loadsim.Poisson r -> ("poisson", [ r ])
+      | Loadsim.Bursty { b_rate; b_on_ms; b_off_ms } -> ("bursty", [ b_rate; b_on_ms; b_off_ms ])
+      | Loadsim.Diurnal { d_peak; d_period_s } -> ("diurnal", [ d_peak; d_period_s ])
+    in
+    pair (int_range 0 (List.length fields - 1)) (oneofl [ "nan"; "inf"; "-inf"; "infinity" ])
+    >|= fun (i, bad) ->
+    kind ^ ":"
+    ^ String.concat ","
+        (List.mapi (fun j v -> if j = i then bad else Printf.sprintf "%g" v) fields))
+
+let prop_non_finite_spec_rejected =
+  QCheck.Test.make ~name:"an arrival spec with a non-finite field is an Error" ~count:100
+    (QCheck.make ~print:Fun.id gen_non_finite_spec) (fun spec ->
+      Result.is_error (Loadsim.arrival_of_string spec))
 
 let prop_percentiles_and_availability =
   QCheck.Test.make ~name:"p50 <= p95 <= p99 <= max; availability in [0,1]" ~count:10
@@ -262,8 +371,12 @@ let suite =
     Alcotest.test_case "identity gate: queueing off == Replay" `Slow test_identity_gate;
     Alcotest.test_case "p99 grows with arrival rate" `Slow test_p99_grows_with_rate;
     Alcotest.test_case "coign_load_* metrics" `Slow test_metrics_instruments;
+    Alcotest.test_case "pooled batches == sequential fill" `Quick test_pooled_batches;
+    Alcotest.test_case "Loadsim.run allocation gate" `Slow test_run_allocation;
     qtest prop_arrivals_nondecreasing;
+    qtest prop_draws_match_prng;
     qtest prop_arrival_spec_roundtrip;
+    qtest prop_non_finite_spec_rejected;
     qtest ~long:false prop_percentiles_and_availability;
     qtest ~long:false prop_seed_determinism_across_pools;
   ]

@@ -158,6 +158,65 @@ let prop_correlation_range =
       let c = Stats.cosine_correlation a b in
       c >= -1e-9 && c <= 1. +. 1e-9)
 
+(* Selection against the definition: copy, sort, interpolate. The
+   shapes mix plain random values with quickselect's hard cases —
+   heavy duplicates, all-equal arrays, zeros, already-sorted,
+   reverse-sorted and organ-pipe inputs. *)
+let gen_select_input =
+  QCheck.Gen.(
+    int_range 1 2000 >>= fun n ->
+    let sorted g = map (fun a -> Array.sort Float.compare a; a) (array_repeat n g) in
+    let values = float_range (-1e6) 1e6 in
+    oneof
+      [
+        array_repeat n values;
+        array_repeat n (map float_of_int (int_range 0 3));
+        map (Array.make n) values;
+        return (Array.make n 0.);
+        array_repeat n (oneofl [ 0.; 1.5; 1e300 ]);
+        sorted values;
+        map
+          (fun a ->
+            let n = Array.length a in
+            Array.init n (fun i -> a.(n - 1 - i)))
+          (sorted values);
+        map
+          (fun a ->
+            let n = Array.length a in
+            Array.init n (fun i -> a.(if i mod 2 = 0 then i / 2 else n - 1 - (i / 2))))
+          (sorted (map float_of_int (int_range 0 50)));
+      ])
+
+let prop_select_matches_sort =
+  QCheck.Test.make ~name:"selected percentiles == sort + interpolate, bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun a -> Printf.sprintf "n=%d [%s ...]" (Array.length a)
+                  (String.concat "; " (List.filteri (fun i _ -> i < 8)
+                     (List.map string_of_float (Array.to_list a)))))
+       gen_select_input)
+    (fun xs ->
+      let bits = Int64.bits_of_float in
+      let n = Array.length xs in
+      let sorted = Array.copy xs in
+      Array.sort Float.compare sorted;
+      let by_sort p =
+        let rank = p /. 100. *. float_of_int (n - 1) in
+        let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+        let frac = rank -. floor rank in
+        (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+      in
+      let ps = [| 0.; 50.; 95.; 99.; 100. |] in
+      let original = Array.copy xs in
+      let work = Array.copy xs in
+      let selected = Stats.percentiles_in_place work ps in
+      let permuted = Array.copy work in
+      Array.sort Float.compare permuted;
+      Array.for_all2 (fun p v -> bits v = bits (by_sort p)) ps selected
+      && Array.for_all (fun p -> bits (Stats.percentile xs p) = bits (by_sort p)) ps
+      && bits work.(n - 1) = bits sorted.(n - 1)
+      && permuted = sorted
+      && xs = original)
+
 (* --- Parallel ------------------------------------------------------ *)
 
 let with_pool domains f =
@@ -282,6 +341,7 @@ let suite =
     Alcotest.test_case "stats linear fit" `Quick test_stats_linear_fit;
     Alcotest.test_case "stats ratio error" `Quick test_stats_ratio_error;
     qtest prop_correlation_range;
+    qtest prop_select_matches_sort;
     Alcotest.test_case "parallel map matches sequential" `Quick test_parallel_map_matches_sequential;
     Alcotest.test_case "parallel inline pool" `Quick test_parallel_inline_pool;
     Alcotest.test_case "parallel empty input" `Quick test_parallel_empty;
