@@ -553,6 +553,14 @@ let micro () =
     Test.make ~name:"classify-memo-miss-ifcb"
       (Staged.stage (fun () -> ignore (Classifier.classify_memo (Classifier.memo t) ~cname:"D" s)))
   in
+  (* The static interface-flow fixpoint every analysis session pays
+     for, on the largest metadata (octarine: 36 classes, 25
+     interfaces, 118 reference pairs at the fixpoint). *)
+  let oct_meta = Option.get Octarine.app.App.app_image.Coign_image.Binary_image.meta in
+  let interface_flow =
+    Test.make ~name:"interface-flow/octarine"
+      (Staged.stage (fun () -> ignore (Interface_flow.analyze oct_meta)))
+  in
   let tests =
     Test.make_grouped ~name:"kernels"
       [
@@ -569,6 +577,7 @@ let micro () =
         classifier_test Classifier.St;
         memo_hit;
         memo_miss;
+        interface_flow;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -1270,13 +1270,13 @@ let () =
         show_cmd; run_cmd; list_cmd;
       ]
   in
-  (* A stored profile that fails to decode is bad input, reported like
-     any other (exit 1), wherever a command loads it. Anything else
-     uncaught stays an internal error (exit 125), as Cmdliner reports
-     it. *)
+  (* A file that is not an image, or a stored profile that fails to
+     decode, is bad input, reported like any other (exit 1), wherever a
+     command loads it. Anything else uncaught stays an internal error
+     (exit 125), as Cmdliner reports it. *)
   exit
     (try Cmd.eval ~catch:false cmd with
-    | Icc.Decode_error msg | Classifier.Decode_error msg ->
+    | Codec.Malformed msg | Icc.Decode_error msg | Classifier.Decode_error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
     | e ->

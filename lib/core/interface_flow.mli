@@ -16,9 +16,16 @@
     still paint it through [IPaint].
 
     The result deliberately over-approximates the dynamic profiler's
-    observations: every non-remotable pair the profiler can ever see is
-    a static pair, so the emitted constraints make the runtime
-    remotability abort in {!Coign_sim.Replay} unreachable. *)
+    observations, as far as components honour their declared
+    signatures: then every non-remotable pair the profiler can see is a
+    static pair (or a client pin), so the emitted constraints make the
+    runtime remotability abort in {!Coign_sim.Replay} unreachable. A
+    component that hands out a handle of another type than it declares
+    escapes the analysis. Octarine's [IWidgetFactory.make] is declared
+    to return [IControl] but returns a [MenuPane]'s [IContainer] for
+    ["menupane"], and [MenuPane] implements no [IControl]; so the
+    profiled non-remotable [IPaint] edge from [Octarine.App] to
+    [Octarine.MenuPane] is neither a static pair nor a client pin. *)
 
 type t
 

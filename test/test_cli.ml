@@ -136,6 +136,37 @@ let test_tampered_profile () =
               [ [ "analyze"; path; "-o"; path ]; [ "show"; path ] ])
           cases)
 
+(* A file that is not an image at all is bad input too: exit 1 with
+   "error: <codec message>" from every command that loads an image,
+   and no output file written. *)
+let test_not_an_image () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let junk = Filename.concat dir "junk.img" in
+        let out = Filename.concat dir "out.img" in
+        let err = Filename.concat dir "stderr.txt" in
+        Out_channel.with_open_bin junk (fun oc -> output_string oc "hello\n");
+        List.iter
+          (fun args ->
+            let command = List.hd args in
+            let rc =
+              Sys.command (Filename.quote_command exe args ^ " > /dev/null 2> " ^ Filename.quote err)
+            in
+            Alcotest.(check int) (command ^ " exit") 1 rc;
+            let msg = read_file err in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s reports an error: %S" command msg)
+              true
+              (String.length msg > 7 && String.sub msg 0 7 = "error: ");
+            Alcotest.(check bool) (command ^ " wrote nothing") false (Sys.file_exists out))
+          [
+            [ "show"; junk ];
+            [ "lint"; junk ];
+            [ "profile"; junk; "--scenario"; "o_oldwp0"; "-o"; out ];
+            [ "analyze"; junk; "-o"; out ];
+          ])
+
 let test_trace_golden () =
   (* `coign trace --format spans` output is timed on the deterministic
      sim clock, so the whole trace of a fixed scenario is golden. *)
@@ -286,6 +317,7 @@ let suite =
     Alcotest.test_case "cli log/combine flow" `Slow test_log_combine_flow;
     Alcotest.test_case "cli error reporting" `Quick test_error_reporting;
     Alcotest.test_case "cli tampered profile" `Quick test_tampered_profile;
+    Alcotest.test_case "cli rejects a non-image file" `Quick test_not_an_image;
     Alcotest.test_case "cli trace golden" `Slow test_trace_golden;
     Alcotest.test_case "cli trace/metrics json" `Slow test_trace_chrome_and_metrics_parse;
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;

@@ -166,6 +166,275 @@ let test_flow_accepts_direction () =
   Alcotest.(check bool) "A-B pair" true (List.mem ("A", "B") pairs);
   Alcotest.(check bool) "B-S pair via In param" true (List.mem ("B", "S") pairs)
 
+(* --- Differential oracle: the string-set fixpoint ------------------- *)
+
+(* The naive analysis Interface_flow used to run: apply the rules to the
+   whole relation of string pairs until it stops growing, recomputing
+   providers by scanning every pair. Slow but obviously the rules; the
+   dense worklist must agree with it on every query, order included. *)
+module Reference = struct
+  module SS = Set.Make (String)
+
+  module SP = Set.Make (struct
+    type t = string * string
+
+    let compare = compare
+  end)
+
+  let main_class = Coign_com.Runtime.main_class_name
+
+  type t = { meta : Image_meta.t; refs : SP.t; non_remotable : SS.t }
+
+  let norm a b = if a <= b then (a, b) else (b, a)
+
+  let rec iface_names acc = function
+    | Idl_type.Iface n -> SS.add n acc
+    | Idl_type.Void | Idl_type.Int32 | Idl_type.Int64 | Idl_type.Double | Idl_type.Bool
+    | Idl_type.Str | Idl_type.Blob | Idl_type.Opaque _ ->
+        acc
+    | Idl_type.Array u | Idl_type.Ptr u -> iface_names acc u
+    | Idl_type.Struct fields -> List.fold_left (fun acc (_, u) -> iface_names acc u) acc fields
+
+  let method_yields (m : Idl_type.method_sig) =
+    List.fold_left
+      (fun acc (p : Idl_type.param) ->
+        match p.Idl_type.pdir with
+        | Idl_type.Out | Idl_type.In_out -> iface_names acc p.Idl_type.pty
+        | Idl_type.In -> acc)
+      (iface_names SS.empty m.Idl_type.ret)
+      m.Idl_type.params
+
+  let method_accepts (m : Idl_type.method_sig) =
+    List.fold_left
+      (fun acc (p : Idl_type.param) ->
+        match p.Idl_type.pdir with
+        | Idl_type.In | Idl_type.In_out -> iface_names acc p.Idl_type.pty
+        | Idl_type.Out -> acc)
+      SS.empty m.Idl_type.params
+
+  let analyze (meta : Image_meta.t) =
+    let impl =
+      List.fold_left
+        (fun m (c : Image_meta.cls) ->
+          (c.Image_meta.cl_name, SS.of_list c.Image_meta.cl_provides) :: m)
+        [] meta.Image_meta.classes
+    in
+    let impl_of name = Option.value ~default:SS.empty (List.assoc_opt name impl) in
+    let yields_of, accepts_of =
+      let tbl f =
+        let h = Hashtbl.create 32 in
+        List.iter
+          (fun (i : Image_meta.iface) ->
+            Hashtbl.replace h i.Image_meta.if_name
+              (List.fold_left (fun acc m -> SS.union acc (f m)) SS.empty i.Image_meta.if_methods))
+          meta.Image_meta.ifaces;
+        fun name -> Option.value ~default:SS.empty (Hashtbl.find_opt h name)
+      in
+      (tbl method_yields, tbl method_accepts)
+    in
+    let seed =
+      List.fold_left
+        (fun refs (c : Image_meta.cls) ->
+          List.fold_left
+            (fun refs child ->
+              if child = c.Image_meta.cl_name then refs else SP.add (c.Image_meta.cl_name, child) refs)
+            refs c.Image_meta.cl_creates)
+        (List.fold_left (fun refs root -> SP.add (main_class, root) refs) SP.empty
+           meta.Image_meta.roots)
+        meta.Image_meta.classes
+    in
+    let providers refs x j =
+      let own = if SS.mem j (impl_of x) then SS.singleton x else SS.empty in
+      SP.fold (fun (a, b) acc -> if a = x && SS.mem j (impl_of b) then SS.add b acc else acc) refs own
+    in
+    let step refs =
+      SP.fold
+        (fun (a, b) acc ->
+          SS.fold
+            (fun i acc ->
+              let acc =
+                SS.fold
+                  (fun j acc ->
+                    SS.fold
+                      (fun c acc -> if c = a then acc else SP.add (a, c) acc)
+                      (providers refs b j) acc)
+                  (yields_of i) acc
+              in
+              SS.fold
+                (fun j acc ->
+                  SS.fold
+                    (fun c acc -> if c = b then acc else SP.add (b, c) acc)
+                    (providers refs a j) acc)
+                (accepts_of i) acc)
+            (impl_of b) acc)
+        refs refs
+    in
+    let rec fix refs =
+      let refs' = step refs in
+      if SP.equal refs refs' then refs else fix refs'
+    in
+    let non_remotable =
+      List.fold_left
+        (fun acc (i : Image_meta.iface) ->
+          if List.for_all Idl_type.method_remotable i.Image_meta.if_methods then acc
+          else SS.add i.Image_meta.if_name acc)
+        SS.empty meta.Image_meta.ifaces
+    in
+    { meta; refs = fix seed; non_remotable }
+
+  let references t = SP.elements t.refs
+  let non_remotable_ifaces t = SS.elements t.non_remotable
+
+  let class_non_remotable t name =
+    not
+      (SS.is_empty
+         (SS.inter
+            (SS.of_list
+               (match Image_meta.cls t.meta name with
+               | Some c -> c.Image_meta.cl_provides
+               | None -> []))
+            t.non_remotable))
+
+  let non_remotable_pairs t =
+    SP.fold
+      (fun (a, b) acc ->
+        if a = main_class || b = main_class then acc
+        else if class_non_remotable t b then SP.add (norm a b) acc
+        else acc)
+      t.refs SP.empty
+    |> SP.elements
+
+  let client_pins t =
+    SP.fold
+      (fun (a, b) acc -> if a = main_class && class_non_remotable t b then SS.add b acc else acc)
+      t.refs SS.empty
+    |> SS.elements
+
+  let unreachable_classes t =
+    let succs x = SP.fold (fun (a, b) acc -> if a = x then SS.add b acc else acc) t.refs SS.empty in
+    let rec walk seen frontier =
+      if SS.is_empty frontier then seen
+      else
+        let next = SS.fold (fun x acc -> SS.union acc (succs x)) frontier SS.empty in
+        let fresh = SS.diff next seen in
+        walk (SS.union seen fresh) fresh
+    in
+    let reached = walk (SS.singleton main_class) (SS.singleton main_class) in
+    List.filter_map
+      (fun (c : Image_meta.cls) ->
+        if SS.mem c.Image_meta.cl_name reached then None else Some c.Image_meta.cl_name)
+      t.meta.Image_meta.classes
+
+  let constraints_of t =
+    let c =
+      List.fold_left
+        (fun c (a, b) -> Constraints.colocate_classes c a b)
+        Constraints.empty (non_remotable_pairs t)
+    in
+    List.fold_left
+      (fun c cname -> Constraints.pin_class c ~cname Constraints.Client)
+      c (client_pins t)
+end
+
+(* Random metadata, built as a raw record so that names repeat,
+   creates and roots name undeclared classes (and MAIN), classes create
+   themselves, and signatures nest interfaces inside arrays, pointers
+   and structs next to opaque (non-remotable) parameters. *)
+let gen_meta =
+  let open QCheck.Gen in
+  let* nclasses = int_range 1 40 and* nifaces = int_range 1 20 in
+  (* Names past the declared counts are never declared; "C10" sorts
+     before "C2", so id order is not declaration order. *)
+  let class_name =
+    frequency
+      [ (30, map (Printf.sprintf "C%d") (int_bound (nclasses + 3)));
+        (1, return Coign_com.Runtime.main_class_name) ]
+  in
+  let iface_name = map (Printf.sprintf "I%d") (int_bound (nifaces + 2)) in
+  let ty =
+    fix
+      (fun self depth ->
+        let leaf =
+          frequency
+            [ (4, map (fun n -> Idl_type.Iface n) iface_name);
+              (1, return (Idl_type.Opaque "HND"));
+              (3, oneofl Idl_type.[ Void; Int32; Int64; Double; Bool; Str; Blob ]) ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (4, leaf);
+              (1, map (fun u -> Idl_type.Array u) (self (depth - 1)));
+              (1, map (fun u -> Idl_type.Ptr u) (self (depth - 1)));
+              (1,
+                map
+                  (fun us -> Idl_type.Struct (List.mapi (fun i u -> (Printf.sprintf "f%d" i, u)) us))
+                  (list_size (int_range 1 3) (self (depth - 1)))) ])
+      2
+  in
+  let param =
+    let* dir = oneofl Idl_type.[ In; Out; In_out ] and* pty = ty in
+    return (Idl_type.param ~dir "p" pty)
+  in
+  let meth =
+    let* ret = ty and* params = list_size (int_range 0 3) param in
+    return (Idl_type.method_ ~ret "m" params)
+  in
+  let iface =
+    let* if_name = iface_name and* if_methods = list_size (int_range 0 3) meth in
+    return { Image_meta.if_name; if_methods }
+  in
+  let cls =
+    let* cl_name = class_name
+    and* cl_provides = list_size (int_range 0 3) iface_name
+    and* cl_creates = list_size (int_range 0 3) class_name in
+    return { Image_meta.cl_name; cl_provides; cl_creates }
+  in
+  let* ifaces = list_repeat nifaces iface
+  and* classes = list_repeat nclasses cls
+  and* roots = list_size (int_range 0 3) class_name in
+  return { Image_meta.ifaces; classes; roots }
+
+let prop_flow_matches_reference =
+  QCheck.Test.make ~name:"interface flow == string-set reference fixpoint" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" Image_meta.pp) gen_meta)
+    (fun meta ->
+      let got = Interface_flow.analyze meta and want = Reference.analyze meta in
+      let same what eq f g = eq (f got) (g want) || QCheck.Test.fail_reportf "%s differs" what in
+      let strings = List.equal String.equal and pairs = ( = ) in
+      same "references" pairs Interface_flow.references Reference.references
+      && same "non_remotable_pairs" pairs Interface_flow.non_remotable_pairs
+           Reference.non_remotable_pairs
+      && same "client_pins" strings Interface_flow.client_pins Reference.client_pins
+      && same "unreachable_classes" strings Interface_flow.unreachable_classes
+           Reference.unreachable_classes
+      && same "non_remotable_ifaces" strings Interface_flow.non_remotable_ifaces
+           Reference.non_remotable_ifaces
+      && same "colocated_class_pairs" pairs
+           (fun t -> Constraints.colocated_class_pairs (Interface_flow.constraints_of t))
+           (fun t -> Constraints.colocated_class_pairs (Reference.constraints_of t))
+      && same "pinned_classes" ( = )
+           (fun t -> Constraints.pinned_classes (Interface_flow.constraints_of t))
+           (fun t -> Constraints.pinned_classes (Reference.constraints_of t)))
+
+(* The bundled applications, through the same oracle. *)
+let test_flow_matches_reference_on_apps () =
+  List.iter
+    (fun (app : App.t) ->
+      let meta = Option.get app.App.app_image.Binary_image.meta in
+      let got = Interface_flow.analyze meta and want = Reference.analyze meta in
+      let check what f g =
+        Alcotest.(check (list (pair string string))) (app.App.app_name ^ " " ^ what) (g want) (f got)
+      in
+      let check_names what f g =
+        Alcotest.(check (list string)) (app.App.app_name ^ " " ^ what) (g want) (f got)
+      in
+      check "references" Interface_flow.references Reference.references;
+      check "non-remotable pairs" Interface_flow.non_remotable_pairs Reference.non_remotable_pairs;
+      check_names "client pins" Interface_flow.client_pins Reference.client_pins;
+      check_names "unreachable" Interface_flow.unreachable_classes Reference.unreachable_classes)
+    Suite.all
+
 (* --- Golden lint output for the three applications ------------------ *)
 
 let read_file path =
@@ -266,6 +535,9 @@ let suite =
     Alcotest.test_case "flow: pairs, pins, unreachable" `Quick test_flow_pairs;
     Alcotest.test_case "flow: derived constraints" `Quick test_flow_constraints;
     Alcotest.test_case "flow: in-parameter direction" `Quick test_flow_accepts_direction;
+    QCheck_alcotest.to_alcotest prop_flow_matches_reference;
+    Alcotest.test_case "flow: apps match the reference" `Quick
+      test_flow_matches_reference_on_apps;
     Alcotest.test_case "golden: photodraw" `Quick
       (check_golden "photodraw" "golden/lint_photodraw.txt");
     Alcotest.test_case "golden: octarine" `Quick
