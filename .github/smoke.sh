@@ -6,27 +6,18 @@
 #
 # Run from the repository root after `dune build bin bench`. Each suite
 # writes its artifacts to the working directory and exits non-zero when
-# one of its gates fails.
-set -eu
+# one of its gates fails. The subsystems' correctness gates themselves
+# run in `dune runtest`.
+set -euo pipefail
 
 coign() { opam exec -- dune exec bin/coign.exe -- "$@"; }
-bench() { opam exec -- dune exec bench/main.exe -- "$@"; }
 
 case "${1:-}" in
 bench)
-  # The session section re-cuts a 24-point network sweep through one
-  # analysis session and exits non-zero if any distribution diverges
-  # from a fresh analysis, so this doubles as a correctness gate.
-  bench session micro --json bench-smoke.json
-
-  # Gate the fresh snapshot on the committed trajectory: the session
-  # sweep must stay bit-identical and fast, the relabel-to-front
-  # kernel must stay within 8x of Dinic, and machine-neutral ratios
-  # may not regress beyond tolerance against the latest BENCH_<n>.
-  latest=$(ls BENCH_*.json | sort -V | tail -1)
-  echo "comparing bench-smoke.json against $latest"
-  opam exec -- dune exec bench/trajectory.exe -- bench-smoke.json "$latest" \
-    | tee trajectory.txt
+  # The paper's reproduction report: every table and figure, the
+  # overhead and adaptivity claims and the extensions, run end to end
+  # so the report cannot rot.
+  opam exec -- dune exec bench/main.exe > bench-report.txt
 
   # Domain-parallel determinism: the same sweep under --jobs 2 must
   # byte-match the sequential run on all three applications.
@@ -67,12 +58,6 @@ resilience)
   # Jsonu.parse validation of the same serializer runs in dune
   # runtest (test/test_resilience.ml).
   python3 -m json.tool resilience.json > /dev/null
-
-  # The resilience bench section exits non-zero unless zero-fault
-  # runs stay bit-identical with the policy attached AND availability
-  # under a sustained partition strictly improves on at least 2 of
-  # the 3 applications.
-  bench resilience --json resilience-bench.json
   ;;
 
 verify)
@@ -90,11 +75,6 @@ verify)
   for app in octarine photodraw benefits; do
     python3 -m json.tool "verify-$app.json" > /dev/null
   done
-
-  # The verify bench section exits non-zero unless exploration is
-  # exhaustive at the default depth with zero CG008/CG009 findings on
-  # all three ladders.
-  bench verify --json verify-bench.json
   ;;
 
 load)
@@ -132,11 +112,6 @@ load)
   # validation of the same serializer runs in dune runtest
   # (test/test_cli.ml).
   python3 -m json.tool load-seq.json > /dev/null
-
-  # The load bench section exits non-zero unless queueing-off pricing
-  # reproduces the Replay estimator bit for bit AND p99 rises strictly
-  # across three arrival rates on both apps.
-  bench load --json load-bench.json
   ;;
 
 watch)
@@ -159,11 +134,6 @@ watch)
   grep -q 'converged to oracle cut: yes' watch-octarine.txt
   grep -q 'coign_drift_similarity' watch-octarine.txt
   python3 -m json.tool watch-seq.json > /dev/null
-
-  # The watch bench section exits non-zero unless the closed loop
-  # converges to the oracle cut on the mix shift AND a detached tap
-  # leaves the distributed run bit-identical.
-  bench watch --json watch-bench.json
   ;;
 
 fleet)
@@ -186,12 +156,6 @@ fleet)
   # (test/test_fleet.ml).
   test "$(grep -c 'yes$' fleet-octarine.txt)" = 3
   python3 -m json.tool fleet-seq.json > /dev/null
-
-  # The fleet bench section exits non-zero unless every pool-of-one
-  # cell is bit-identical to the two-host resilience path AND the
-  # replicated pool serves strictly more remote calls under the
-  # single-host crash on at least 2 of 3 applications.
-  bench fleet --json fleet-bench.json
   ;;
 
 obs)
@@ -211,24 +175,21 @@ obs)
   python3 -m json.tool trace-distributed.json > /dev/null
   python3 -m json.tool metrics-profiling.json > /dev/null
   grep -q 'coign_rte_intercepted_calls_total' metrics-distributed.txt
-
-  # The obs bench section exits non-zero if profile stats change
-  # when tracing and metrics are attached — the zero-cost gate.
-  bench obs --json obs-bench.json
   ;;
 
 perfbench)
-  # The benchmark's own correctness checks, on a short run of every
-  # workload: the simulated results of every pass must agree to the
-  # bit and every output check must pass. A non-zero exit or
-  # "correct": false fails the suite; each result line is uploaded.
-  for w in suite plan adapt load; do
-    opam exec -- python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 \
-      > "perfbench-$w.out"
-    tail -n 1 "perfbench-$w.out" > "perfbench-$w.json"
-    python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["correct"] is True else 1)' \
-      "perfbench-$w.json"
-  done
+  # A short snapshot of every workload, untraced and traced, on the
+  # committed snapshot's two seeds. A run whose simulated results
+  # disagree between passes or whose output check fails exits
+  # non-zero, and so does the snapshot.
+  opam exec -- python3 bench/snapshot.py --seconds 2 > perfbench-snapshot.json
+
+  # Gate the deterministic end-to-end metrics against the latest
+  # committed BENCH_<n>.json within their BENCHMARK.json bounds; host
+  # times and per-layer metrics are reported beside it.
+  latest=$(ls BENCH_*.json | sort -V | tail -1)
+  opam exec -- dune exec bench/trajectory.exe -- perfbench-snapshot.json "$latest" \
+    | tee trajectory.txt
   ;;
 
 *)

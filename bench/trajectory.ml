@@ -1,255 +1,188 @@
-(* Perf-trajectory gate over the bench harness's --json snapshots.
+(* Perf trajectory: compare two perfbench snapshots (BENCH_<n>.json,
+   written by bench/snapshot.py) metric by metric.
 
-   Usage: trajectory NEW.json [OLD.json] [--tolerance T] [--min-speedup S]
+   Usage: trajectory NEW.json OLD.json
 
-   Within-snapshot gates on NEW (machine-independent invariants):
-     - the session sweep reproduced fresh analysis bit for bit
-       (sections.session.identical);
-     - the two-stage session path beats fresh analysis by at least
-       --min-speedup (default 3.0; the PR 7 acceptance bar was 5x on an
-       idle machine, the gate leaves headroom for loaded CI runners);
-     - the relabel-to-front micro kernel runs within 8x of Dinic on the
-       150-node bench graph (the pre-PR-7 pathology was ~60x);
-     - the open-loop load sweep (when present): queueing-off pricing
-       reproduced the Replay estimator bit for bit, and each app's p99
-       latency rises strictly with offered arrival rate;
-     - the drift watch (when present): a quiet watch left the deployed
-       run bit-identical, the closed loop converged to the offline
-       oracle's cut, and steady-state communication went down.
+   Bounds and directions come from BENCHMARK.json, read from the current
+   directory or the nearest ancestor holding one. For every workload:
 
-   Cross-snapshot comparisons against OLD use ratios rather than raw
-   nanoseconds, so trajectories survive machine changes: the session
-   speedup and the rtf/dinic ratio may regress by at most --tolerance
-   (default 0.5, i.e. 50%).
+   - gate: the end-to-end metrics that are deterministic for a given
+     seed (minor_words_per_op and sim_cost_s). NEW's median may be worse
+     than OLD's by at most the metric's bound, in its "better"
+     direction;
+   - report: the other end-to-end metrics (host times) and every
+     per-layer metric, OLD and NEW medians side by side with their
+     quartile spreads. These depend on the machine and never fail.
 
-   Exit codes: 0 all gates pass, 1 a gate failed, 2 usage or parse
-   error. *)
+   Exit codes: 0 every gate holds, 1 a gate failed, 2 usage error, an
+   unreadable or old-schema snapshot, or a workload missing from one. *)
 
 module J = Coign_util.Jsonu
 
-let usage () =
-  prerr_endline
-    "usage: trajectory NEW.json [OLD.json] [--tolerance T] [--min-speedup S]";
-  exit 2
+let schema = "coign-perfbench-snapshot/1"
 
-let read_file path =
+(* Fixed by the seed, not the machine or the run length: sim_cost_s to
+   the bit, minor_words_per_op to a few parts in 10^5. A change beyond
+   the bound is a change in the program. *)
+let gated = [ "minor_words_per_op"; "sim_cost_s" ]
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("trajectory: " ^ msg);
+      exit 2)
+    fmt
+
+let read_json path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> contents
-  | exception Sys_error msg ->
-      Printf.eprintf "trajectory: cannot read %s: %s\n" path msg;
-      exit 2
+  | exception Sys_error msg -> die "%s" msg
+  | text -> ( match J.parse text with Ok j -> j | Error msg -> die "%s: %s" path msg)
 
-let parse_snapshot path =
-  match J.parse (read_file path) with
-  | Ok json -> json
-  | Error msg ->
-      Printf.eprintf "trajectory: %s: %s\n" path msg;
-      exit 2
-
-let section name json = Option.bind (J.member "sections" json) (J.member name)
+let rec find_benchmark dir =
+  let path = Filename.concat dir "BENCHMARK.json" in
+  if Sys.file_exists path then path
+  else
+    let parent = Filename.dirname dir in
+    if String.equal parent dir then die "no BENCHMARK.json in %s or above" (Sys.getcwd ())
+    else find_benchmark parent
 
 let number = function
   | Some (J.Int n) -> Some (float_of_int n)
   | Some (J.Float f) -> Some f
   | _ -> None
 
-let micro_kernels json =
-  match section "micro" json with
-  | Some (J.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match (J.member "kernel" row, number (J.member "ns_per_run" row)) with
-          | Some (J.Str name), Some ns -> Some (name, ns)
-          | _ -> None)
-        rows
-  | _ -> []
+type spec = { name : string; lower_better : bool; bound : float option }
 
-let failures = ref 0
+let specs bench key =
+  let field k m =
+    match J.member k m with
+    | Some (J.Str s) -> s
+    | _ -> die "BENCHMARK.json: %s entry without %s" key k
+  in
+  match J.member key bench with
+  | Some (J.Arr metrics) ->
+      List.map
+        (fun m ->
+          {
+            name = field "name" m;
+            lower_better = String.equal (field "better" m) "lower";
+            bound = number (J.member "bound" m);
+          })
+        metrics
+  | _ -> die "BENCHMARK.json has no %s list" key
 
-let check name ok detail =
-  Printf.printf "%s %-52s %s\n" (if ok then "ok  " else "FAIL") name detail;
-  if not ok then incr failures
+(* The value at a path of object keys. *)
+let rec lookup keys json =
+  match keys with [] -> Some json | k :: rest -> Option.bind (J.member k json) (lookup rest)
 
-let skip name why = Printf.printf "skip %-52s %s\n" name why
+(* A snapshot nests one steady.py report per run kind: [end_to_end]
+   from untraced runs, [per_layer] from traced ones. Each maps a
+   workload to {"metrics": {name: {"median", "iqr_frac", ...}}}. *)
+let sections = [ "end_to_end"; "per_layer" ]
 
-(* --- gates ---------------------------------------------------------- *)
-
-let session_fields json =
-  match section "session" json with
-  | None -> None
-  | Some s ->
-      let identical = match J.member "identical" s with Some (J.Bool b) -> Some b | _ -> None in
-      Some (identical, number (J.member "speedup" s))
-
-let rtf_dinic_ratio json =
-  let kernels = micro_kernels json in
-  match
-    ( List.assoc_opt "kernels/relabel-to-front" kernels,
-      List.assoc_opt "kernels/dinic" kernels )
-  with
-  | Some rtf, Some dinic when dinic > 0. -> Some (rtf /. dinic)
-  | _ -> None
-
-let load_rows json =
-  match section "load" json with
-  | Some (J.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match
-            ( J.member "app" row,
-              number (J.member "rate" row),
-              number (J.member "p99_us" row),
-              J.member "identical" row )
-          with
-          | Some (J.Str app), Some rate, Some p99, Some (J.Bool identical) ->
-              Some (app, rate, p99, identical)
-          | _ -> None)
-        rows
-  | _ -> []
-
-let load_gates fresh =
-  match load_rows fresh with
-  | [] -> skip "load: queueing gates" "no load section in NEW"
-  | rows ->
-      check "load: queueing-off identity vs Replay"
-        (List.for_all (fun (_, _, _, identical) -> identical) rows)
-        (Printf.sprintf "%d rows" (List.length rows));
-      let apps =
-        List.sort_uniq compare (List.map (fun (app, _, _, _) -> app) rows)
-      in
+let load_snapshot path workloads =
+  let snap = read_json path in
+  (match J.member "schema" snap with
+  | Some (J.Str s) when String.equal s schema -> ()
+  | _ ->
+      die "%s: not a perfbench snapshot (want schema %S; rewrite it with bench/snapshot.py)"
+        path schema);
+  List.iter
+    (fun section ->
       List.iter
-        (fun app ->
-          let mine =
-            List.sort
-              (fun (_, a, _, _) (_, b, _, _) -> compare a b)
-              (List.filter (fun (a, _, _, _) -> a = app) rows)
-          in
-          let rec monotone = function
-            | (_, _, a, _) :: ((_, _, b, _) :: _ as rest) ->
-                a < b && monotone rest
-            | _ -> true
-          in
-          check
-            (Printf.sprintf "load: %s p99 rises with arrival rate" app)
-            (monotone mine)
-            (String.concat " < "
-               (List.map (fun (_, _, p99, _) -> Printf.sprintf "%.0fus" p99) mine)))
-        apps
+        (fun w ->
+          if lookup [ section; w ] snap = None then
+            die "%s: workload %S missing from %s" path w section)
+        workloads)
+    sections;
+  snap
 
-let watch_gates fresh =
-  match section "watch" fresh with
-  | None -> skip "watch: drift-loop gates" "no watch section in NEW"
-  | Some s ->
-      let bool_field k =
-        match J.member k s with Some (J.Bool b) -> Some b | _ -> None
-      in
-      check "watch: quiet watch bit-identical"
-        (bool_field "quiet_identical" = Some true)
-        (match bool_field "quiet_identical" with
-        | Some b -> Printf.sprintf "quiet_identical=%b" b
-        | None -> "field missing");
-      check "watch: converged to the oracle cut"
-        (bool_field "converged" = Some true)
-        (match bool_field "converged" with
-        | Some b -> Printf.sprintf "converged=%b" b
-        | None -> "field missing");
-      (match
-         (number (J.member "steady_stale_us" s),
-          number (J.member "steady_watched_us" s))
-       with
-      | Some stale, Some watched ->
-          check "watch: steady-state comm reduced" (watched < stale)
-            (Printf.sprintf "%.0fus -> %.0fus" stale watched)
-      | _ -> skip "watch: steady-state comm reduced" "fields missing")
+(* [(median, iqr_frac)] of a metric, if the snapshot holds it. *)
+let stat snap section workload metric =
+  Option.bind (lookup [ section; workload; "metrics"; metric ] snap) (fun m ->
+      Option.map
+        (fun median -> (median, number (J.member "iqr_frac" m)))
+        (number (J.member "median" m)))
 
-let fleet_gates fresh =
-  match section "fleet" fresh with
-  | None -> skip "fleet: replicated-pool gates" "no fleet section in NEW"
-  | Some s ->
-      (match J.member "all_pool1_identical" s with
-      | Some (J.Bool b) ->
-          check "fleet: pool-of-one bit-identical to the ladder" b
-            (Printf.sprintf "all_pool1_identical=%b" b)
-      | _ -> skip "fleet: pool-of-one bit-identical to the ladder" "field missing");
-      (match number (J.member "crash_improved_apps" s) with
-      | Some n ->
-          check "fleet: crash served-ratio strictly better on >=2 apps" (n >= 2.)
-            (Printf.sprintf "improved on %.0f apps" n)
-      | None -> skip "fleet: crash served-ratio strictly better on >=2 apps" "field missing")
+let cell = function
+  | None -> Printf.sprintf "%21s" "-"
+  | Some (median, iqr) ->
+      Printf.sprintf "%13.6g %s" median
+        (match iqr with Some f -> Printf.sprintf "±%5.1f%%" (f *. 100.) | None -> "     - ")
 
-let within_gates ~min_speedup fresh =
-  (match session_fields fresh with
-  | None -> skip "session: identical" "no session section in NEW"
-  | Some (identical, speedup) -> (
-      check "session: distributions bit-identical" (identical = Some true)
-        (match identical with
-        | Some b -> Printf.sprintf "identical=%b" b
-        | None -> "field missing");
-      match speedup with
-      | None -> skip "session: speedup" "field missing"
-      | Some s ->
-          check
-            (Printf.sprintf "session: reprice speedup >= %.1fx" min_speedup)
-            (s >= min_speedup)
-            (Printf.sprintf "speedup=%.2fx" s)));
-  (match rtf_dinic_ratio fresh with
-  | None -> skip "micro: rtf within 8x of dinic" "kernels missing in NEW"
-  | Some r ->
-      check "micro: rtf within 8x of dinic" (r <= 8.)
-        (Printf.sprintf "rtf/dinic=%.2fx" r));
-  load_gates fresh;
-  watch_gates fresh;
-  fleet_gates fresh
+(* How much worse NEW is than OLD, as a fraction of OLD, in the
+   metric's direction (negative: better). *)
+let worse_frac spec ~old ~now =
+  let delta = if spec.lower_better then now -. old else old -. now in
+  if old <> 0. then delta /. Float.abs old
+  else if delta > 0. then infinity
+  else if delta < 0. then neg_infinity
+  else 0.
 
-let cross_gates ~tolerance ~old_path fresh old =
-  Printf.printf "-- comparing against %s (tolerance %.0f%%)\n" old_path
-    (tolerance *. 100.);
-  (match (session_fields fresh, session_fields old) with
-  | Some (_, Some now), Some (_, Some before) ->
-      let floor = before *. (1. -. tolerance) in
-      check "session: speedup vs previous snapshot" (now >= floor)
-        (Printf.sprintf "%.2fx vs %.2fx (floor %.2fx)" now before floor)
-  | _ -> skip "session: speedup vs previous snapshot" "section missing on one side");
-  (match (rtf_dinic_ratio fresh, rtf_dinic_ratio old) with
-  | Some now, Some before ->
-      let ceiling = Float.max 8. (before *. (1. +. tolerance)) in
-      check "micro: rtf/dinic ratio vs previous snapshot" (now <= ceiling)
-        (Printf.sprintf "%.2fx vs %.2fx (ceiling %.2fx)" now before ceiling)
-  | _ -> skip "micro: rtf/dinic ratio vs previous snapshot" "kernels missing on one side");
-  match (session_fields fresh, session_fields old) with
-  | Some (now, _), Some (before, _) when before = Some true ->
-      check "session: identity regression" (now = Some true)
-        "previous snapshot was bit-identical"
-  | _ -> ()
+let row kind workload spec old now verdict =
+  let change =
+    match (old, now) with
+    | Some (o, _), Some (n, _) when o <> 0. ->
+        Printf.sprintf "%+8.2f%%" ((n -. o) /. Float.abs o *. 100.)
+    | _ -> Printf.sprintf "%9s" "-"
+  in
+  Printf.printf "%-6s %-6s %-34s %s %s %s%s\n" kind workload spec.name (cell old) (cell now) change
+    verdict
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split paths tolerance min_speedup = function
-    | [] -> (List.rev paths, tolerance, min_speedup)
-    | "--tolerance" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some t when t >= 0. -> split paths t min_speedup rest
-        | _ -> usage ())
-    | "--min-speedup" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some s when s > 0. -> split paths tolerance s rest
-        | _ -> usage ())
-    | ("--tolerance" | "--min-speedup") :: [] -> usage ()
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
-    | path :: rest -> split (path :: paths) tolerance min_speedup rest
+  let new_path, old_path =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ n; o ] when not (String.starts_with ~prefix:"-" n || String.starts_with ~prefix:"-" o)
+      ->
+        (n, o)
+    | _ ->
+        prerr_endline "usage: trajectory NEW.json OLD.json";
+        exit 2
   in
-  let paths, tolerance, min_speedup = split [] 0.5 3.0 args in
-  match paths with
-  | [] | _ :: _ :: _ :: _ -> usage ()
-  | fresh_path :: old_paths ->
-      let fresh = parse_snapshot fresh_path in
-      Printf.printf "perf trajectory: %s\n" fresh_path;
-      within_gates ~min_speedup fresh;
-      (match old_paths with
-      | [ old_path ] -> cross_gates ~tolerance ~old_path fresh (parse_snapshot old_path)
-      | _ -> ());
-      if !failures > 0 then begin
-        Printf.printf "%d gate(s) FAILED\n" !failures;
-        exit 1
-      end;
-      print_endline "all gates passed"
+  let bench = read_json (find_benchmark (Sys.getcwd ())) in
+  let workloads =
+    match J.member "workloads" bench with
+    | Some (J.Arr ws) ->
+        List.map
+          (fun w ->
+            match J.member "name" w with
+            | Some (J.Str s) -> s
+            | _ -> die "BENCHMARK.json: unnamed workload")
+          ws
+    | _ -> die "BENCHMARK.json has no workloads list"
+  in
+  let end_to_end = specs bench "end_to_end" and per_layer = specs bench "per_layer" in
+  let fresh = load_snapshot new_path workloads and old = load_snapshot old_path workloads in
+  Printf.printf "perf trajectory: %s against %s (median, quartile spread / median)\n" new_path
+    old_path;
+  Printf.printf "%-6s %-6s %-34s %21s %21s %9s\n" "" "" "metric" "old" "new" "change";
+  let failures = ref 0 and gates = ref 0 in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun spec ->
+          let o = stat old "end_to_end" w spec.name and n = stat fresh "end_to_end" w spec.name in
+          if List.mem spec.name gated then begin
+            incr gates;
+            match (o, n, spec.bound) with
+            | Some (om, _), Some (nm, _), Some bound ->
+                let ok = worse_frac spec ~old:om ~now:nm <= bound in
+                if not ok then incr failures;
+                row "gate" w spec o n
+                  (Printf.sprintf "  bound %g%% %s" (bound *. 100.) (if ok then "ok" else "FAIL"))
+            | _, _, None -> die "BENCHMARK.json: gated metric %s has no bound" spec.name
+            | _ -> die "workload %S: gated metric %s missing from a snapshot" w spec.name
+          end
+          else row "report" w spec o n "")
+        end_to_end;
+      List.iter
+        (fun spec ->
+          let o = stat old "per_layer" w spec.name and n = stat fresh "per_layer" w spec.name in
+          if o <> None || n <> None then row "report" w spec o n "")
+        per_layer)
+    workloads;
+  if !failures > 0 then begin
+    Printf.printf "%d of %d gates FAILED\n" !failures !gates;
+    exit 1
+  end;
+  Printf.printf "all %d gates hold\n" !gates

@@ -35,6 +35,18 @@ let scenario_of app id =
       (String.concat ", " (List.map (fun s -> s.App.sc_id) app.App.app_scenarios));
     exit 1
 
+(* [Adps.execute]'s preconditions, checked up front so that an image
+   without a distribution is reported as bad input. *)
+let require_distribution image =
+  match image.Binary_image.config with
+  | Some c
+    when Config_record.mode c = Config_record.Distributed && Adps.load_distribution image <> None
+    ->
+      ()
+  | _ ->
+      Printf.eprintf "error: image holds no distribution — run coign analyze first\n";
+      exit 1
+
 let network_names =
   [
     ("isdn", Network.isdn_128); ("ethernet10", Network.ethernet_10);
@@ -200,6 +212,7 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
   in
   match Config_record.mode config with
   | Config_record.Distributed ->
+      require_distribution image;
       ignore
         (Adps.execute ?loggers ?tracer ?metrics ~image ~registry:app.App.app_registry ~network
            sc.App.sc_run);
@@ -580,6 +593,10 @@ let analyze_cmd =
      with
     | [] -> ()
     | warnings -> Format.printf "%a" Lint.pp_text warnings);
+    if Adps.load_profile image = None then begin
+      Printf.eprintf "error: image holds no profile — run coign profile first\n";
+      exit 1
+    end;
     let image, dist =
       try Adps.analyze ?profiler ~image ~net ()
       with Lint.Rejected diags ->
@@ -991,6 +1008,7 @@ let run_cmd =
     let image = Binary_image.load image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
+    require_distribution image;
     let es = Adps.execute ~image ~registry:app.App.app_registry ~network ~jitter sc.App.sc_run in
     Printf.printf
       "%s on %s under the Coign distribution:\n\
@@ -1270,13 +1288,17 @@ let () =
         show_cmd; run_cmd; list_cmd;
       ]
   in
-  (* A file that is not an image, or a stored profile that fails to
-     decode, is bad input, reported like any other (exit 1), wherever a
-     command loads it. Anything else uncaught stays an internal error
-     (exit 125), as Cmdliner reports it. *)
+  (* A file that is not an image, or a stored profile, distribution or
+     profile log that fails to decode, is bad input, reported like any
+     other (exit 1), wherever a command loads it. Anything else uncaught
+     stays an internal error (exit 125), as Cmdliner reports it. *)
   exit
     (try Cmd.eval ~catch:false cmd with
-    | Codec.Malformed msg | Icc.Decode_error msg | Classifier.Decode_error msg ->
+    | Codec.Malformed msg
+    | Icc.Decode_error msg
+    | Classifier.Decode_error msg
+    | Analysis.Decode_error msg
+    | Profile_log.Decode_error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
     | e ->

@@ -558,11 +558,13 @@ let algorithm_tag = function
   | Mincut.Edmonds_karp -> "ek"
   | Mincut.Dinic -> "dinic"
 
+exception Decode_error of string
+
 let algorithm_of_tag = function
   | "rtf" -> Mincut.Relabel_to_front
   | "ek" -> Mincut.Edmonds_karp
   | "dinic" -> Mincut.Dinic
-  | s -> invalid_arg ("Analysis.decode: unknown algorithm " ^ s)
+  | s -> raise (Decode_error ("Analysis.decode: unknown algorithm " ^ s))
 
 let encode d =
   let buf = Buffer.create 256 in
@@ -575,22 +577,25 @@ let encode d =
   Buffer.contents buf
 
 let decode s =
+  let fail fmt =
+    Printf.ksprintf (fun msg -> raise (Decode_error ("Analysis.decode: " ^ msg))) fmt
+  in
+  let number parse ~what v = try parse v with Failure _ -> fail "bad %s %S" what v in
   match String.index_opt s '\n' with
-  | None -> invalid_arg "Analysis.decode: truncated"
+  | None -> fail "truncated"
   | Some nl -> (
       let header = String.sub s 0 nl in
       let body = String.sub s (nl + 1) (String.length s - nl - 1) in
       match String.split_on_char ' ' header with
       | [ n; cut; comm; alg ] ->
-          let node_count = int_of_string n in
-          if String.length body <> node_count then
-            invalid_arg "Analysis.decode: placement length mismatch";
+          let node_count = number int_of_string ~what:"node count" n in
+          if String.length body <> node_count then fail "placement length mismatch";
           let placement =
             Array.init node_count (fun i ->
                 match body.[i] with
                 | 'C' -> Constraints.Client
                 | 'S' -> Constraints.Server
-                | c -> invalid_arg (Printf.sprintf "Analysis.decode: bad location %c" c))
+                | c -> fail "bad location %c" c)
           in
           let server_count =
             Array.fold_left
@@ -599,10 +604,10 @@ let decode s =
           in
           {
             placement;
-            cut_ns = int_of_string cut;
-            predicted_comm_us = float_of_string comm;
+            cut_ns = number int_of_string ~what:"cut" cut;
+            predicted_comm_us = number float_of_string ~what:"predicted comm" comm;
             server_count;
             node_count;
             algorithm = algorithm_of_tag alg;
           }
-      | _ -> invalid_arg "Analysis.decode: malformed header")
+      | _ -> fail "malformed header")

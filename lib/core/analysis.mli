@@ -175,5 +175,14 @@ val price_entry : Coign_netsim.Net_profiler.t -> Icc.entry -> float
     time at the bucket's mean size. *)
 
 val encode : distribution -> string
+
+exception Decode_error of string
+(** A malformed encoded distribution; the message starts
+    ["Analysis.decode: "]. *)
+
 val decode : string -> distribution
-(** Round-trips placements and metadata (for the config record). *)
+(** Round-trips placements and metadata (for the config record).
+    Raises {!Decode_error} on a missing header line, a header without
+    four fields, a non-numeric node count, cut or predicted comm, a
+    placement whose length is not the node count, a location other
+    than [C]/[S], or an unknown algorithm tag. *)

@@ -168,7 +168,7 @@ let decode s =
                   let d =
                     match Analysis.decode (dist_header ^ "\n" ^ placement) with
                     | d -> d
-                    | exception (Invalid_argument msg | Failure msg) ->
+                    | exception Analysis.Decode_error msg ->
                         fail (Bad_rung { rung = i; msg })
                   in
                   if d.Analysis.node_count <> n then

@@ -30,6 +30,8 @@ let encode t =
   Coign_image.Codec.w_str w (Icc.encode t.pl_icc);
   Coign_image.Codec.contents w
 
+exception Decode_error of string
+
 let decode s =
   match
     let r = Coign_image.Codec.reader s in
@@ -44,8 +46,9 @@ let decode s =
     { pl_app; pl_scenario; pl_instances; pl_calls; pl_classifier; pl_icc }
   with
   | log -> log
-  | exception Coign_image.Codec.Malformed m ->
-      invalid_arg ("Profile_log.decode: " ^ m)
+  | exception
+      (Coign_image.Codec.Malformed m | Classifier.Decode_error m | Icc.Decode_error m) ->
+      raise (Decode_error ("Profile_log.decode: " ^ m))
 
 let save t path =
   let oc = open_out_bin path in

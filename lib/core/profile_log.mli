@@ -27,11 +27,18 @@ val of_run : app:string -> scenario:string -> Rte.t -> t
 (** Capture a finished profiling RTE's data. *)
 
 val encode : t -> string
+
+exception Decode_error of string
+(** A malformed log; the message starts ["Profile_log.decode: "]. *)
+
 val decode : string -> t
-(** Raises [Invalid_argument] on malformed input. *)
+(** Raises {!Decode_error} on malformed input: a bad magic, truncated
+    or trailing bytes, or a classifier or ICC section that fails to
+    decode. *)
 
 val save : t -> string -> unit
 val load : string -> t
+(** Reads and {!decode}s a log file. *)
 
 val combine : t -> t -> t
 (** Merge two logs of the same application. The logs must agree on the

@@ -318,8 +318,48 @@ let prop_cut_optimal =
       done;
       ok_constraints && d.Analysis.predicted_comm_us <= !best +. 1e-6)
 
+(* --- Decoding never escapes its error contract ------------------------ *)
+
+(* A stored distribution is read back from an image the user hands the
+   CLI, so every corruption must end in a decoded value or a typed
+   Decode_error, never Invalid_argument or Failure. *)
+let arb_distribution =
+  QCheck.make
+    ~print:(fun d -> String.escaped (Analysis.encode d))
+    QCheck.Gen.(
+      array_size (int_range 0 24) bool >>= fun sides ->
+      int_range 0 10_000_000 >>= fun cut_ns ->
+      float_range 0. 1e7 >>= fun comm ->
+      oneofl Coign_flowgraph.Mincut.all_algorithms >>= fun algorithm ->
+      let placement =
+        Array.map (fun s -> if s then Constraints.Server else Constraints.Client) sides
+      in
+      return
+        {
+          Analysis.placement;
+          cut_ns;
+          predicted_comm_us = comm;
+          server_count = Array.fold_left (fun n s -> if s then n + 1 else n) 0 sides;
+          node_count = Array.length sides;
+          algorithm;
+        })
+
+let prop_distribution_bit_flips =
+  QCheck.Test.make ~name:"every bit flip of a distribution decodes or raises Decode_error"
+    ~count:100 arb_distribution (fun d ->
+      let s = Analysis.encode d in
+      for i = 0 to (String.length s * 8) - 1 do
+        let b = Bytes.of_string s in
+        Bytes.set b (i / 8) (Char.chr (Char.code s.[i / 8] lxor (1 lsl (i mod 8))));
+        match Analysis.decode (Bytes.to_string b) with
+        | _ | (exception Analysis.Decode_error _) -> ()
+        | exception e -> QCheck.Test.fail_reportf "bit %d: %s" i (Printexc.to_string e)
+      done;
+      true)
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_cut_optimal;
+      QCheck_alcotest.to_alcotest prop_distribution_bit_flips;
     ]

@@ -219,8 +219,7 @@ let run_split ?(jitter = 0.) ?(seed = 1L) ?faults ?(retry = fixed_retry) rounds 
   ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ]);
   Rte.stats rte
 
-let check_bits what expected actual =
-  Alcotest.(check int64) what (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+let check_bits = Harness.check_bits
 
 let test_rte_zero_fault_identity () =
   (* An installed all-zero model must be bit-identical to no model at
@@ -428,48 +427,17 @@ let test_faultsim_json_escapes_network_name () =
 
 (* --- Golden CLI output ------------------------------------------------ *)
 
-let exe = "../bin/coign.exe"
-let golden = "golden/faultsim_octarine.txt"
-
-let with_tmp f =
-  let dir = Filename.temp_file "coign_fault" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_faultsim_golden () =
-  if not (Sys.file_exists exe && Sys.file_exists golden) then Alcotest.skip ()
-  else
-    with_tmp (fun dir ->
-        let img = Filename.concat dir "oct.img" in
-        let out = Filename.concat dir "faultsim.txt" in
-        let quiet args = Sys.command (Filename.quote_command exe args ^ " > /dev/null 2>&1") in
-        Alcotest.(check int) "instrument" 0 (quiet [ "instrument"; "--app"; "octarine"; "-o"; img ]);
-        Alcotest.(check int) "profile" 0
-          (quiet [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
-        Alcotest.(check int) "analyze" 0
-          (quiet [ "analyze"; img; "--network"; "ethernet10"; "-o"; img ]);
-        let cmd =
-          Filename.quote_command exe
-            [
-              "faultsim"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10";
-              "--drops"; "0,0.05,0.1"; "--partitions-ms"; "0,50"; "--jobs"; "1";
-            ]
-          ^ " > " ^ Filename.quote out ^ " 2>/dev/null"
-        in
-        Alcotest.(check int) "faultsim" 0 (Sys.command cmd);
-        Alcotest.(check string) "faultsim text output matches golden" (read_file golden)
-          (read_file out))
+  let golden = "golden/faultsim_octarine.txt" in
+  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+      let img = Harness.profiled_octarine dir in
+      Harness.check_ok "analyze"
+        (Harness.run [ "analyze"; img; "--network"; "ethernet10"; "-o"; img ]);
+      Harness.check_golden ~dir ~golden "faultsim"
+        [
+          "faultsim"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--drops";
+          "0,0.05,0.1"; "--partitions-ms"; "0,50"; "--jobs"; "1";
+        ])
 
 let suite =
   [

@@ -423,45 +423,54 @@ let test_fleetsim_deterministic_across_domains () =
   | Ok _ -> Alcotest.fail "grid JSON is not an array"
   | Error e -> Alcotest.fail ("grid JSON does not parse: " ^ e)
 
+(* --- The replicated pool rides out a single-host crash ---------------- *)
+
+(* On each of the three distributable apps, the default grid's
+   pool-of-one cells (every regime) tie the two-host ladder field for
+   field, and under the single-host crash every wider pool keeps
+   strictly more of its remote calls remote than the ladder, which has
+   retreated to all-client. At seed 0x5EED the served ratios are
+   octarine 0.467 -> 1, photodraw 0.077 -> 1, benefits 0.392 -> 1. *)
+let test_pool_serves_more_under_crash () =
+  List.iter
+    (fun (app, sc_id) ->
+      let sc = App.scenario app sc_id in
+      let registry = app.App.app_registry in
+      let image = Adps.instrument app.App.app_image in
+      let image, _ = Adps.profile ~image ~registry sc.App.sc_run in
+      let grid =
+        Fleetsim.run ~seed:0x5EEDL ~image ~registry ~network:Network.ethernet_10 sc.App.sc_run
+      in
+      let name = app.App.app_name in
+      let crash = ref 0 in
+      List.iter
+        (fun c ->
+          let regime = Fleetsim.regime_name c.Fleetsim.fr_regime in
+          if c.Fleetsim.fr_pool = 1 then
+            Alcotest.(check (option bool))
+              (Printf.sprintf "%s pool-1 %s ties the ladder" name regime)
+              (Some true) c.Fleetsim.fr_identical
+          else if c.Fleetsim.fr_regime = Fleetsim.Crash then begin
+            incr crash;
+            let ladder = Fleetsim.served grid c.Fleetsim.fr_baseline in
+            let pool = Fleetsim.served grid c.Fleetsim.fr_fleet in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s pool-%d serves more under crash: %.3f > %.3f" name
+                 c.Fleetsim.fr_pool pool ladder)
+              true (pool > ladder)
+          end)
+        grid.Fleetsim.fg_cells;
+      Alcotest.(check int) (name ^ ": crash cells for pools 2 and 3") 2 !crash)
+    [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_vueone") ]
+
 (* --- Golden CLI output ------------------------------------------------ *)
 
-let exe = "../bin/coign.exe"
-let golden = "golden/fleet_octarine.txt"
-
-let with_tmp f =
-  let dir = Filename.temp_file "coign_fleet" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_fleet_golden () =
-  if not (Sys.file_exists exe && Sys.file_exists golden) then Alcotest.skip ()
-  else
-    with_tmp (fun dir ->
-        let img = Filename.concat dir "oct.img" in
-        let out = Filename.concat dir "fleet.txt" in
-        let quiet args = Sys.command (Filename.quote_command exe args ^ " > /dev/null 2>&1") in
-        Alcotest.(check int) "instrument" 0 (quiet [ "instrument"; "--app"; "octarine"; "-o"; img ]);
-        Alcotest.(check int) "profile" 0
-          (quiet [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
-        let cmd =
-          Filename.quote_command exe
-            [ "fleet"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--jobs"; "1" ]
-          ^ " > " ^ Filename.quote out ^ " 2>/dev/null"
-        in
-        Alcotest.(check int) "fleet" 0 (Sys.command cmd);
-        Alcotest.(check string) "fleet text output matches golden" (read_file golden)
-          (read_file out))
+  let golden = "golden/fleet_octarine.txt" in
+  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+      let img = Harness.profiled_octarine dir in
+      Harness.check_golden ~dir ~golden "fleet"
+        [ "fleet"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--jobs"; "1" ])
 
 let suite =
   [
@@ -476,6 +485,8 @@ let suite =
       test_ladder_shards_stable_across_rungs;
     Alcotest.test_case "pool of one is bit-identical to the resilience path" `Slow
       test_pool1_bit_identity;
+    Alcotest.test_case "replicated pool serves more under a single-host crash" `Slow
+      test_pool_serves_more_under_crash;
     Alcotest.test_case "fleet grid deterministic across domains" `Slow
       test_fleetsim_deterministic_across_domains;
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;

@@ -437,19 +437,13 @@ let test_flow_matches_reference_on_apps () =
 
 (* --- Golden lint output for the three applications ------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let check_golden app_name golden_path () =
   if not (Sys.file_exists golden_path) then Alcotest.skip ()
   else
     let app = Suite.find_app app_name in
     let diags = Lint.lint_image app.App.app_image in
     let got = Format.asprintf "%a" Lint.pp_text diags in
-    Alcotest.(check string) (app_name ^ " lint output") (read_file golden_path) got
+    Alcotest.(check string) (app_name ^ " lint output") (Harness.read_file golden_path) got
 
 (* --- Acceptance: static analysis vs. the dynamic profiler ----------- *)
 

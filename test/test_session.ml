@@ -66,15 +66,37 @@ let preset_nets seed =
        (fun network -> Net_profiler.profile (Coign_util.Prng.create seed) network)
        Network.presets
 
+(* PhotoDraw's p_oldmsr profile with its image and static constraints,
+   and 24 networks geometrically spaced from ISDN to a 1 Gb/s SAN: the
+   sweep an adaptive runtime re-cuts across. *)
+let photodraw_sweep () =
+  let open Coign_apps in
+  let app = Photodraw.app in
+  let sc = App.scenario app "p_oldmsr" in
+  let image = Adps.instrument app.App.app_image in
+  let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
+  let classifier, icc = Option.get (Adps.load_profile image) in
+  let constraints =
+    Constraints.merge (Constraints.of_image image) (Adps.static_constraints image)
+  in
+  let nets =
+    List.map
+      (fun net -> Net_profiler.profile (Coign_util.Prng.create 11L) net)
+      (Network.geometric_sweep ~points:24 ~from_net:Network.isdn_128 ~to_net:Network.san_1g ())
+  in
+  ((classifier, icc, constraints), nets)
+
 let test_session_matches_choose () =
-  let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
   List.iter
-    (fun net ->
-      let fresh = Analysis.choose ~classifier ~icc ~constraints ~net () in
-      let solved = Analysis.Session.solve session ~net in
-      check_same net.Net_profiler.profiled_name fresh solved)
-    (preset_nets 3L)
+    (fun ((classifier, icc, constraints), nets) ->
+      let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+      List.iter
+        (fun net ->
+          let fresh = Analysis.choose ~classifier ~icc ~constraints ~net () in
+          let solved = Analysis.Session.solve session ~net in
+          check_same net.Net_profiler.profiled_name fresh solved)
+        nets)
+    [ (sample_profile (), preset_nets 3L); photodraw_sweep () ]
 
 let test_session_reuse_interleaved () =
   (* Re-solving an earlier network after pricing a very different one

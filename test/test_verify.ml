@@ -32,8 +32,7 @@ open Coign_apps
 open Coign_util
 open Coign_verify
 
-let check_bits what expected actual =
-  Alcotest.(check int64) what (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+let check_bits = Harness.check_bits
 
 (* --- Hand-built models ------------------------------------------------ *)
 
@@ -571,52 +570,21 @@ let test_apps_verify_clean () =
 
 (* --- Golden CLI output and the exit-code contract --------------------- *)
 
-let exe = "../bin/coign.exe"
-let golden = "golden/verify_octarine.txt"
-
-let with_tmp f =
-  let dir = Filename.temp_file "coign_verify" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_verify_golden () =
-  if not (Sys.file_exists exe && Sys.file_exists golden) then Alcotest.skip ()
-  else
-    with_tmp (fun dir ->
-        let img = Filename.concat dir "oct.img" in
-        let out = Filename.concat dir "verify.txt" in
-        let quiet args = Sys.command (Filename.quote_command exe args ^ " > /dev/null 2>&1") in
-        Alcotest.(check int) "instrument" 0 (quiet [ "instrument"; "--app"; "octarine"; "-o"; img ]);
-        Alcotest.(check int) "profile" 0
-          (quiet [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
-        let cmd =
-          Filename.quote_command exe [ "verify"; img ]
-          ^ " > " ^ Filename.quote out ^ " 2>/dev/null"
-        in
-        Alcotest.(check int) "verify exits 0 on a clean ladder" 0 (Sys.command cmd);
-        Alcotest.(check string) "verify text output matches golden" (read_file golden)
-          (read_file out);
-        (* Exit-code contract: a clean verify stays 0 under --strict;
-           lint on the same image carries warnings, so --strict gates
-           it to 1 while the default run stays 0. *)
-        Alcotest.(check int) "verify --strict still 0" 0 (quiet [ "verify"; img; "--strict" ]);
-        Alcotest.(check int) "lint without --strict passes" 0 (quiet [ "lint"; img ]);
-        Alcotest.(check int) "lint --strict gates warnings" 1 (quiet [ "lint"; img; "--strict" ]);
-        (* A missing image is a usage error: cmdliner's 124, matching
-           every other image-taking subcommand. *)
-        Alcotest.(check int) "verify on a missing image fails" 124
-          (quiet [ "verify"; Filename.concat dir "nope.img" ]))
+  let golden = "golden/verify_octarine.txt" in
+  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+      let img = Harness.profiled_octarine dir in
+      Harness.check_golden ~dir ~golden "verify" [ "verify"; img ];
+      (* Exit-code contract: a clean verify stays 0 under --strict;
+         lint on the same image carries warnings, so --strict gates
+         it to 1 while the default run stays 0. *)
+      Alcotest.(check int) "verify --strict still 0" 0 (Harness.run [ "verify"; img; "--strict" ]);
+      Alcotest.(check int) "lint without --strict passes" 0 (Harness.run [ "lint"; img ]);
+      Alcotest.(check int) "lint --strict gates warnings" 1 (Harness.run [ "lint"; img; "--strict" ]);
+      (* A missing image is a usage error: cmdliner's 124, matching
+         every other image-taking subcommand. *)
+      Alcotest.(check int) "verify on a missing image fails" 124
+        (Harness.run [ "verify"; Filename.concat dir "nope.img" ]))
 
 let suite =
   [

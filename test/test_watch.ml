@@ -11,8 +11,7 @@ open Coign_apps
 module Tap = Coign_obs.Tap
 module Window = Coign_core.Window
 
-let check_bits name a b =
-  Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
+let check_bits = Harness.check_bits
 
 (* --- Window decay (hand-computed, power-of-two half-life) ----------- *)
 
