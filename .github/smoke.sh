@@ -2,7 +2,7 @@
 # CI smoke suites, one per subsystem, run as one matrix job in
 # .github/workflows/ci.yml:
 #
-#   bash .github/smoke.sh bench|resilience|verify|load|watch|fleet|obs|perfbench
+#   bash .github/smoke.sh bench|grid|verify|load|watch|obs|perfbench
 #
 # Run from the repository root after `dune build bin bench`. Each suite
 # writes its artifacts to the working directory and exits non-zero when
@@ -33,31 +33,35 @@ bench)
     coign sweep "$1.img" --points 6 --jobs 2 --json > "sweep-$1-par.json"
     diff "sweep-$1-seq.json" "sweep-$1-par.json"
   done
-
-  # A tiny fault grid over the analyzed image; the JSON is seeded and
-  # byte-deterministic, so diffs between runs indicate a regression.
-  coign analyze oct.img --network ethernet10 -o oct.img
-  coign faultsim oct.img --scenario o_oldwp0 --drops 0,0.05 --partitions-ms 0,50
-  coign faultsim oct.img --scenario o_oldwp0 --drops 0,0.05 --partitions-ms 0,50 \
-    --json > faultsim.json
   ;;
 
-resilience)
-  # A small failover grid over a profiled image (resilience re-prices
-  # the fallback ladder from the profile, so no analyze step). The
-  # text and JSON forms are seeded and byte-deterministic.
-  coign instrument --app octarine -o oct.img
-  coign profile oct.img --scenario o_oldwp0 -o oct.img
-  coign resilience oct.img --scenario o_oldwp0 \
-    --network atm --drops 0,0.1 --partitions-ms 0,500 --partition-start-ms 50
-  coign resilience oct.img --scenario o_oldwp0 \
-    --network atm --drops 0,0.1 --partitions-ms 0,500 --partition-start-ms 50 \
-    --json > resilience.json
+grid)
+  # The fault grid's three views: faultsim runs the analyzed image's
+  # stored distribution, resilience and fleet re-cut from the profile.
+  # Every view is seeded and runs on the sim clock, so its text and
+  # JSON are byte-deterministic, including across --jobs workers, and
+  # the JSON must be well-formed for scrapers (the in-repo goldens pin
+  # its values in dune runtest).
+  coign instrument --app octarine -o grid-oct.img
+  coign profile grid-oct.img --scenario o_oldwp0 -o grid-oct.img
+  coign analyze grid-oct.img --network ethernet10 -o grid-oct-dist.img
+  view() {
+    local name=$1
+    shift
+    coign "$name" "$@" | tee "grid-$name.txt"
+    coign "$name" "$@" --jobs 1 --json > "grid-$name-seq.json"
+    coign "$name" "$@" --jobs 4 --json > "grid-$name-par.json"
+    diff "grid-$name-seq.json" "grid-$name-par.json"
+    python3 -m json.tool "grid-$name-seq.json" > /dev/null
+  }
+  view faultsim grid-oct-dist.img --scenario o_oldwp0 --drops 0,0.05 --partitions-ms 0,50
+  view resilience grid-oct.img --scenario o_oldwp0 --network atm --drops 0,0.1 \
+    --partitions-ms 0,500 --partition-start-ms 50
+  view fleet grid-oct.img --scenario o_oldwp0 --network ethernet10
 
-  # The grid JSON must be well-formed for scrapers; the in-repo
-  # Jsonu.parse validation of the same serializer runs in dune
-  # runtest (test/test_resilience.ml).
-  python3 -m json.tool resilience.json > /dev/null
+  # A pool of one is the same one-link route as the two-host ladder,
+  # so every pool-of-one row must report identical stats (ident yes).
+  test "$(grep -c 'yes$' grid-fleet.txt)" = 3
   ;;
 
 verify)
@@ -136,28 +140,6 @@ watch)
   python3 -m json.tool watch-seq.json > /dev/null
   ;;
 
-fleet)
-  # The availability grid: pool sizes 1-3 against clean / single-host
-  # crash / global partition, baseline two-host ladder vs replicated
-  # pool. Everything runs on the sim clock from a fixed seed, so the
-  # text and JSON reports are byte-deterministic, including across
-  # --jobs workers.
-  coign instrument --app octarine -o oct.img
-  coign profile oct.img --scenario o_oldwp0 -o oct.img
-  coign fleet oct.img --scenario o_oldwp0 --network ethernet10 | tee fleet-octarine.txt
-  coign fleet oct.img --scenario o_oldwp0 --network ethernet10 --jobs 1 --json > fleet-seq.json
-  coign fleet oct.img --scenario o_oldwp0 --network ethernet10 --jobs 4 --json > fleet-par.json
-  diff fleet-seq.json fleet-par.json
-
-  # A pool of one is the same one-link route as the two-host ladder,
-  # so every pool-of-one row must report identical stats (ident yes),
-  # and the JSON must be well-formed for scrapers; the in-repo
-  # Jsonu.parse validation of the same serializer runs in dune runtest
-  # (test/test_fleet.ml).
-  test "$(grep -c 'yes$' fleet-octarine.txt)" = 3
-  python3 -m json.tool fleet-seq.json > /dev/null
-  ;;
-
 obs)
   # Trace a profiling run, a distributed run, and the self-profiled
   # analysis in between — the three observability surfaces.
@@ -193,7 +175,7 @@ perfbench)
   ;;
 
 *)
-  echo "usage: $0 bench|resilience|verify|load|watch|fleet|obs|perfbench" >&2
+  echo "usage: $0 bench|grid|verify|load|watch|obs|perfbench" >&2
   exit 2
   ;;
 esac

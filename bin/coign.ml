@@ -20,20 +20,25 @@ open Coign_image
 open Coign_core
 open Coign_apps
 
+(* Report bad input as [error: ...] and exit 1. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1)
+    fmt
+
 let app_of_image (img : Binary_image.t) =
   try Suite.find_app img.Binary_image.img_name
   with Not_found ->
-    Printf.eprintf "error: image %S does not name a built-in application (%s)\n"
-      img.Binary_image.img_name
-      (String.concat ", " (List.map (fun a -> a.App.app_name) Suite.all));
-    exit 1
+    die "image %S does not name a built-in application (%s)" img.Binary_image.img_name
+      (String.concat ", " (List.map (fun a -> a.App.app_name) Suite.all))
 
 let scenario_of app id =
   try App.scenario app id
   with Not_found ->
-    Printf.eprintf "error: application %s has no scenario %S (has: %s)\n" app.App.app_name id
-      (String.concat ", " (List.map (fun s -> s.App.sc_id) app.App.app_scenarios));
-    exit 1
+    die "application %s has no scenario %S (has: %s)" app.App.app_name id
+      (String.concat ", " (List.map (fun s -> s.App.sc_id) app.App.app_scenarios))
 
 (* [Adps.execute]'s preconditions, checked up front so that an image
    without a distribution is reported as bad input. *)
@@ -44,8 +49,7 @@ let require_distribution image =
     ->
       ()
   | _ ->
-      Printf.eprintf "error: image holds no distribution — run coign analyze first\n";
-      exit 1
+      die "image holds no distribution — run coign analyze first"
 
 let network_names =
   [
@@ -113,10 +117,7 @@ let jobs_arg default =
              default))
 
 let check_jobs jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "error: --jobs must be >= 0\n";
-    exit 1
-  end
+  if jobs < 0 then die "--jobs must be >= 0"
 
 (* Run [f] on the worker pool --jobs asks for: none at 1, the shared
    default pool at 0, otherwise [n - 1] extra domains, shut down when
@@ -135,67 +136,27 @@ let seed_arg =
     & info [ "seed" ] ~docv:"N"
         ~doc:"Master seed; every stochastic concern derives its own stream from it.")
 
+(* Every float option takes finite numbers only (and [~nonneg] ones
+   none below 0): nan or inf is a bad command line, exit 124 like any
+   other malformed value, never a run that prints nan. *)
+let finite ?(nonneg = false) () =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when Float.is_finite f && not (nonneg && f < 0.) -> Ok f
+    | Ok _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a finite%s number" s
+                (if nonneg then " non-negative" else "")))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let jitter_arg default =
   Arg.(
-    value & opt float default
+    value
+    & opt (finite ~nonneg:true ()) default
     & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-
-(* The fault-grid axes of faultsim and resilience. *)
-let drops_arg default =
-  Arg.(
-    value
-    & opt (list float) default
-    & info [ "drops" ] ~docv:"RATES"
-        ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
-
-let partitions_arg default =
-  Arg.(
-    value
-    & opt (list float) default
-    & info [ "partitions-ms" ] ~docv:"MS"
-        ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
-
-let partition_start_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "partition-start-ms" ] ~docv:"MS"
-        ~doc:"Where each partition window opens on the run's virtual clock.")
-
-let check_grid drops partitions_ms start_ms =
-  if List.exists (fun d -> d < 0. || d > 1.) drops then begin
-    Printf.eprintf "error: --drops rates must be in [0, 1]\n";
-    exit 1
-  end;
-  if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
-    Printf.eprintf "error: partition lengths and start must be >= 0\n";
-    exit 1
-  end
-
-(* The circuit-breaker knobs of resilience and fleet. *)
-let cooloff_arg =
-  Arg.(
-    value
-    & opt float (Health.default_policy.Health.hp_cooloff_us /. 1e3)
-    & info [ "cooloff-ms" ] ~docv:"MS"
-        ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
-
-let threshold_arg =
-  Arg.(
-    value
-    & opt int Health.default_policy.Health.hp_failure_threshold
-    & info [ "failure-threshold" ] ~docv:"N"
-        ~doc:"Consecutive link failures that trip a breaker.")
-
-let breaker_health cooloff_ms threshold =
-  if cooloff_ms <= 0. || threshold < 1 then begin
-    Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
-    exit 1
-  end;
-  {
-    Health.default_policy with
-    Health.hp_failure_threshold = threshold;
-    hp_cooloff_us = cooloff_ms *. 1e3;
-  }
 
 (* Run one scenario under the image's stored mode — profiling RTE for a
    profiling-mode image, distributed RTE (deterministic: jitter 0) when
@@ -207,8 +168,7 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
     match image.Binary_image.config with
     | Some c -> c
     | None ->
-        Printf.eprintf "error: image has no configuration record (not instrumented)\n";
-        exit 1
+        die "image has no configuration record (not instrumented)"
   in
   match Config_record.mode config with
   | Config_record.Distributed ->
@@ -223,8 +183,7 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
            sc.App.sc_run);
       "profiling"
   | Config_record.Off ->
-      Printf.eprintf "error: image's runtime mode is off (instrument or analyze it first)\n";
-      exit 1
+      die "image's runtime mode is off (instrument or analyze it first)"
 
 (* instrument ------------------------------------------------------- *)
 
@@ -251,13 +210,11 @@ let instrument_cmd =
     (match Classifier.kind_of_name classifier with
     | Some _ -> ()
     | None ->
-        Printf.eprintf "error: unknown classifier %S\n" classifier;
-        exit 1);
+        die "unknown classifier %S" classifier);
     let app =
       try Suite.find_app app_name
       with Not_found ->
-        Printf.eprintf "error: unknown application %S\n" app_name;
-        exit 1
+        die "unknown application %S" app_name
     in
     let image = Adps.instrument ~classifier ~stack_depth:depth app.App.app_image in
     Binary_image.save image output;
@@ -391,28 +348,21 @@ let verify_cmd =
              ladder.")
   in
   let run image_path network depth jobs pool_size json strict =
-    if depth < 1 then begin
-      Printf.eprintf "error: --depth must be >= 1\n";
-      exit 1
-    end;
-    if pool_size < 1 || pool_size > V.Model.max_pool_size then begin
-      Printf.eprintf "error: --pool must be in [1, %d]\n" V.Model.max_pool_size;
-      exit 1
-    end;
+    if depth < 1 then die "--depth must be >= 1";
+    if pool_size < 1 || pool_size > V.Model.max_pool_size then
+      die "--pool must be in [1, %d]" V.Model.max_pool_size;
     check_jobs jobs;
     let image = Binary_image.load image_path in
     let classifier, icc =
       match Adps.load_profile image with
       | Some p -> p
       | None ->
-          Printf.eprintf "error: image holds no profile — run coign profile first\n";
-          exit 1
+          die "image holds no profile — run coign profile first"
     in
     let session =
       try Adps.analysis_session image
       with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+        die "%s" msg
     in
     let net = Net_profiler.exact network in
     gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
@@ -430,8 +380,7 @@ let verify_cmd =
             Fallback.pool_ladder ~hosts:pool_size session
               ~net:(Net_profiler.exact network) base_ladder
           with Invalid_argument msg | Fallback.Invalid msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1
+            die "%s" msg
         in
         let k = Fallback.pool_rung_count pl in
         let rungs =
@@ -593,16 +542,12 @@ let analyze_cmd =
      with
     | [] -> ()
     | warnings -> Format.printf "%a" Lint.pp_text warnings);
-    if Adps.load_profile image = None then begin
-      Printf.eprintf "error: image holds no profile — run coign profile first\n";
-      exit 1
-    end;
+    if Adps.load_profile image = None then die "image holds no profile — run coign profile first";
     let image, dist =
       try Adps.analyze ?profiler ~image ~net ()
       with Lint.Rejected diags ->
         Format.eprintf "%a" Lint.pp_text diags;
-        Printf.eprintf "error: distribution rejected by the static validator\n";
-        exit 1
+        die "distribution rejected by the static validator"
     in
     Binary_image.save image output;
     let classifier, _ = Option.get (Adps.load_distribution image) in
@@ -647,18 +592,14 @@ let sweep_cmd =
           ~doc:"Number of geometrically interpolated network models (>= 2).")
   in
   let run image_path from_net to_net points json jobs self_profile =
-    if points < 2 then begin
-      Printf.eprintf "error: --points must be at least 2\n";
-      exit 1
-    end;
+    if points < 2 then die "--points must be at least 2";
     check_jobs jobs;
     let image = Binary_image.load image_path in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let session =
       try Adps.analysis_session ?profiler image
       with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+        die "%s" msg
     in
     let networks = Network.geometric_sweep ~points ~from_net ~to_net () in
     (* One session, many networks: stage 1 of the analysis ran once in
@@ -668,17 +609,19 @@ let sweep_cmd =
     in
     if json then begin
       let row (r : Coign_sim.Experiment.sweep_point) =
-        Printf.sprintf
-          "{\"network\": \"%s\", \"latency_us\": %g, \"bandwidth_mbps\": %g, \"proc_us\": \
-           %g, \"server_classifications\": %d, \"cut_ns\": %d, \"predicted_comm_us\": %.17g}"
-          (Jsonu.escape r.Coign_sim.Experiment.sw_network.Network.net_name)
-          r.Coign_sim.Experiment.sw_network.Network.latency_us
-          r.Coign_sim.Experiment.sw_network.Network.bandwidth_mbps
-          r.Coign_sim.Experiment.sw_network.Network.proc_us
-          r.Coign_sim.Experiment.sw_server_classifications
-          r.Coign_sim.Experiment.sw_cut_ns r.Coign_sim.Experiment.sw_predicted_comm_us
+        let n = r.Coign_sim.Experiment.sw_network in
+        Jsonu.Obj
+          [
+            ("network", Jsonu.Str n.Network.net_name);
+            ("latency_us", Jsonu.Float n.Network.latency_us);
+            ("bandwidth_mbps", Jsonu.Float n.Network.bandwidth_mbps);
+            ("proc_us", Jsonu.Float n.Network.proc_us);
+            ("server_classifications", Jsonu.Int r.Coign_sim.Experiment.sw_server_classifications);
+            ("cut_ns", Jsonu.Int r.Coign_sim.Experiment.sw_cut_ns);
+            ("predicted_comm_us", Jsonu.Float r.Coign_sim.Experiment.sw_predicted_comm_us);
+          ]
       in
-      Printf.printf "[\n%s\n]\n" (String.concat ",\n" (List.map row rows))
+      print_endline (Jsonu.to_string (Jsonu.Arr (List.map row rows)))
     end
     else begin
       Printf.printf "placement vs. network over %d analyzed classifications\n"
@@ -711,57 +654,79 @@ let sweep_cmd =
           optionally across domains.")
     term
 
-(* faultsim --------------------------------------------------------- *)
+(* faultsim, resilience, fleet -------------------------------------- *)
 
-let faultsim_cmd =
-  let run image_path scenario_id network drops partitions_ms start_ms seed jitter json jobs
-      self_profile =
-    check_grid drops partitions_ms start_ms;
+(* The three views of one fault grid. Each command is a term for its
+   view, which also makes the view's range checks (exit 1), and one for
+   its breaker knobs; [grid_cmd] does the rest. *)
+
+let fault_axes ~drops ~partitions_ms =
+  let drops_arg =
+    Arg.(
+      value
+      & opt (list (finite ())) drops
+      & info [ "drops" ] ~docv:"RATES"
+          ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
+  in
+  let partitions_arg =
+    Arg.(
+      value
+      & opt (list (finite ())) partitions_ms
+      & info [ "partitions-ms" ] ~docv:"MS"
+          ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
+  in
+  let start_arg =
+    Arg.(
+      value & opt (finite ()) 0.
+      & info [ "partition-start-ms" ] ~docv:"MS"
+          ~doc:"Where each partition window opens on the run's virtual clock.")
+  in
+  let axes drop_rates partitions_ms start_ms =
+    if List.exists (fun d -> d < 0. || d > 1.) drop_rates then
+      die "--drops rates must be in [0, 1]";
+    if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then
+      die "partition lengths and start must be >= 0";
+    {
+      Coign_sim.Fleetsim.drop_rates;
+      partitions_us = List.map (fun ms -> ms *. 1e3) partitions_ms;
+      partition_start_us = start_ms *. 1e3;
+    }
+  in
+  Term.(const axes $ drops_arg $ partitions_arg $ start_arg)
+
+let breaker_args =
+  let cooloff_arg =
+    Arg.(
+      value
+      & opt (finite ()) (Health.default_policy.Health.hp_cooloff_us /. 1e3)
+      & info [ "cooloff-ms" ] ~docv:"MS"
+          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
+  in
+  let threshold_arg =
+    Arg.(
+      value
+      & opt int Health.default_policy.Health.hp_failure_threshold
+      & info [ "failure-threshold" ] ~docv:"N"
+          ~doc:"Consecutive link failures that trip a breaker.")
+  in
+  let breaker cooloff_ms threshold = Some (cooloff_ms, threshold) in
+  Term.(const breaker $ cooloff_arg $ threshold_arg)
+
+let grid_cmd name ~doc view breaker =
+  let run image_path scenario_id network view seed jitter breaker json jobs self_profile =
     check_jobs jobs;
-    let image = Binary_image.load image_path in
-    let app = app_of_image image in
-    let sc = scenario_of app scenario_id in
-    let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let grid =
-      with_jobs jobs @@ fun pool ->
-      try
-        Coign_sim.Faultsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter
-          ~drop_rates:drops
-          ~partitions_us:(List.map (fun ms -> ms *. 1e3) partitions_ms)
-          ~partition_start_us:(start_ms *. 1e3) ~image ~registry:app.App.app_registry
-          ~network sc.App.sc_run
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+    let health =
+      Option.map
+        (fun (cooloff_ms, threshold) ->
+          if cooloff_ms <= 0. || threshold < 1 then
+            die "--cooloff-ms must be > 0 and --failure-threshold >= 1";
+          {
+            Health.default_policy with
+            Health.hp_failure_threshold = threshold;
+            hp_cooloff_us = cooloff_ms *. 1e3;
+          })
+        breaker
     in
-    if json then print_string (Coign_sim.Faultsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Faultsim.pp_text grid;
-    Option.iter print_self_profile profiler
-  in
-  let term =
-    Term.(
-      const run $ image_arg $ scenario_arg $ network_arg
-      $ drops_arg Coign_sim.Faultsim.default_drop_rates
-      $ partitions_arg [ 0.; 50. ] $ partition_start_arg $ seed_arg $ jitter_arg 0. $ json_arg
-      $ jobs_arg 0 $ self_profile_arg)
-  in
-  Cmd.v
-    (Cmd.info "faultsim"
-       ~doc:
-         "Execute a scenario under the image's distribution across a fault grid (drop rate x \
-          partition length), tabulating completed calls, retries, instantiation fallbacks, \
-          abandoned calls, and fault-attributable communication time. Deterministic: the \
-          seed fixes the whole schedule, across any number of jobs.")
-    term
-
-(* resilience ------------------------------------------------------- *)
-
-let resilience_cmd =
-  let run image_path scenario_id network drops partitions_ms start_ms seed jitter cooloff_ms
-      threshold json jobs self_profile =
-    check_grid drops partitions_ms start_ms;
-    check_jobs jobs;
-    let health = breaker_health cooloff_ms threshold in
     let image = Binary_image.load image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
@@ -769,42 +734,48 @@ let resilience_cmd =
     let grid =
       with_jobs jobs @@ fun pool ->
       try
-        Coign_sim.Resilsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
-          ~drop_rates:drops
-          ~partitions_us:(List.map (fun ms -> ms *. 1e3) partitions_ms)
-          ~partition_start_us:(start_ms *. 1e3) ~image ~registry:app.App.app_registry
-          ~network sc.App.sc_run
+        Coign_sim.Fleetsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ?health ~image
+          ~registry:app.App.app_registry ~network view sc.App.sc_run
       with
-      | Invalid_argument msg | Coign_core.Fallback.Invalid msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+      | Invalid_argument msg | Fallback.Invalid msg -> die "%s" msg
+      | Fallback.Decode_error e -> die "%s" (Fallback.decode_error_message e)
       | Lint.Rejected diags ->
           Format.eprintf "%a" Lint.pp_text diags;
-          Printf.eprintf "error: distribution rejected by the static validator\n";
-          exit 1
+          die "distribution rejected by the static validator"
     in
-    if json then print_string (Coign_sim.Resilsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Resilsim.pp_text grid;
+    if json then print_endline (Jsonu.to_string (Coign_sim.Fleetsim.to_json grid))
+    else Format.printf "@[<v>%a@]@?" Coign_sim.Fleetsim.pp_text grid;
     Option.iter print_self_profile profiler
   in
-  let term =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ image_arg $ scenario_arg $ network_arg
-      $ drops_arg Coign_sim.Resilsim.default_drop_rates
-      $ partitions_arg [ 0.; 200. ] $ partition_start_arg $ seed_arg $ jitter_arg 0.
-      $ cooloff_arg $ threshold_arg $ json_arg $ jobs_arg 0 $ self_profile_arg)
-  in
-  Cmd.v
-    (Cmd.info "resilience"
-       ~doc:
-         "Compare adaptive failover (circuit breaker + precomputed fallback distributions) \
-          against the retry-only distributed RTE across a fault grid: each cell runs the \
-          scenario both ways and tabulates availability, communication delta, breaker \
-          activity, and the final fallback rung. Deterministic: the seed fixes the whole \
-          schedule, across any number of jobs.")
-    term
+      const run $ image_arg $ scenario_arg $ network_arg $ view $ seed_arg $ jitter_arg 0.
+      $ breaker $ json_arg $ jobs_arg 0 $ self_profile_arg)
 
-(* fleet ------------------------------------------------------------ *)
+let faultsim_cmd =
+  grid_cmd "faultsim"
+    ~doc:
+      "Execute a scenario under the image's distribution across a fault grid (drop rate x \
+       partition length), tabulating completed calls, retries, instantiation fallbacks, \
+       abandoned calls, and fault-attributable communication time. Deterministic: the seed \
+       fixes the whole schedule, across any number of jobs."
+    Term.(
+      const (fun axes -> Coign_sim.Fleetsim.Faults axes)
+      $ fault_axes ~drops:[ 0.; 0.01; 0.05; 0.1 ] ~partitions_ms:[ 0.; 50. ])
+    (Term.const None)
+
+let resilience_cmd =
+  grid_cmd "resilience"
+    ~doc:
+      "Compare adaptive failover (circuit breaker + precomputed fallback distributions) \
+       against the retry-only distributed RTE across a fault grid: each cell runs the \
+       scenario both ways and tabulates availability, communication delta, breaker activity, \
+       and the final fallback rung. Deterministic: the seed fixes the whole schedule, across \
+       any number of jobs."
+    Term.(
+      const (fun axes -> Coign_sim.Fleetsim.Resilience axes)
+      $ fault_axes ~drops:[ 0.; 0.05; 0.1 ] ~partitions_ms:[ 0.; 200. ])
+    breaker_args
 
 let fleet_cmd =
   let pool_arg =
@@ -825,7 +796,7 @@ let fleet_cmd =
   in
   let fault_len_arg =
     Arg.(
-      value & opt float 500.
+      value & opt (finite ()) 500.
       & info [ "fault-ms" ] ~docv:"MS"
           ~doc:
             "Length in milliseconds of the fault window the crash and partition regimes \
@@ -833,67 +804,31 @@ let fleet_cmd =
   in
   let fault_start_arg =
     Arg.(
-      value & opt float 50.
+      value & opt (finite ()) 50.
       & info [ "fault-start-ms" ] ~docv:"MS"
           ~doc:"Where the fault window opens on the run's virtual clock.")
   in
-  let run image_path scenario_id network pool_size replicas fault_ms start_ms seed jitter
-      cooloff_ms threshold json jobs self_profile =
-    if pool_size < 1 || replicas < 1 then begin
-      Printf.eprintf "error: --pool and --replicas must be >= 1\n";
-      exit 1
-    end;
-    if fault_ms <= 0. || start_ms < 0. then begin
-      Printf.eprintf "error: --fault-ms must be > 0 and --fault-start-ms >= 0\n";
-      exit 1
-    end;
-    check_jobs jobs;
-    let health = breaker_health cooloff_ms threshold in
-    let image = Binary_image.load image_path in
-    let app = app_of_image image in
-    let sc = scenario_of app scenario_id in
-    let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let grid =
-      with_jobs jobs @@ fun pool ->
-      try
-        Coign_sim.Fleetsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
-          ~replicas
-          ~pools:(List.init pool_size (fun i -> i + 1))
-          ~fault_window_us:(start_ms *. 1e3, (start_ms +. fault_ms) *. 1e3)
-          ~image ~registry:app.App.app_registry ~network sc.App.sc_run
-      with
-      | Invalid_argument msg | Coign_core.Fallback.Invalid msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      | Coign_core.Fallback.Decode_error e ->
-          Printf.eprintf "error: %s\n" (Coign_core.Fallback.decode_error_message e);
-          exit 1
-      | Lint.Rejected diags ->
-          Format.eprintf "%a" Lint.pp_text diags;
-          Printf.eprintf "error: distribution rejected by the static validator\n";
-          exit 1
-    in
-    if json then print_string (Coign_sim.Fleetsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Fleetsim.pp_text grid;
-    Option.iter print_self_profile profiler
+  let view pool_size replicas fault_ms start_ms =
+    if pool_size < 1 || replicas < 1 then die "--pool and --replicas must be >= 1";
+    if fault_ms <= 0. || start_ms < 0. then die "--fault-ms must be > 0 and --fault-start-ms >= 0";
+    Coign_sim.Fleetsim.Fleet
+      {
+        pools = List.init pool_size (fun i -> i + 1);
+        replicas;
+        fault_window_us = (start_ms *. 1e3, (start_ms +. fault_ms) *. 1e3);
+      }
   in
-  let term =
-    Term.(
-      const run $ image_arg $ scenario_arg $ network_arg $ pool_arg $ replicas_arg
-      $ fault_len_arg $ fault_start_arg $ seed_arg $ jitter_arg 0. $ cooloff_arg
-      $ threshold_arg $ json_arg $ jobs_arg 0 $ self_profile_arg)
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Compare a replicated server pool (k-way sharding, per-replica circuit breakers, \
-          hot-shard splitting, pool-elastic fallback rungs) against the two-host resilience \
-          ladder across an availability grid: for each pool size and fault regime (clean, \
-          single-host crash, global partition) the scenario runs both ways and the grid \
-          tabulates availability, the served-remote ratio, and promotion/split/resize \
-          activity. A pool of one must match the resilience path bit for bit. \
-          Deterministic: the seed fixes the whole schedule, across any number of jobs.")
-    term
+  grid_cmd "fleet"
+    ~doc:
+      "Compare a replicated server pool (k-way sharding, per-replica circuit breakers, \
+       hot-shard splitting, pool-elastic fallback rungs) against the two-host resilience \
+       ladder across an availability grid: for each pool size and fault regime (clean, \
+       single-host crash, global partition) the scenario runs both ways and the grid \
+       tabulates availability, the served-remote ratio, and promotion/split/resize activity. \
+       A pool of one must match the resilience path bit for bit. Deterministic: the seed \
+       fixes the whole schedule, across any number of jobs."
+    Term.(const view $ pool_arg $ replicas_arg $ fault_len_arg $ fault_start_arg)
+    breaker_args
 
 (* trace ------------------------------------------------------------ *)
 
@@ -1098,10 +1033,7 @@ let load_cmd =
   in
   let run image_path sessions arrival seed scenarios deadline_ms no_queueing json metrics
       jobs =
-    if sessions <= 0 then begin
-      Printf.eprintf "error: --sessions must be positive\n";
-      exit 1
-    end;
+    if sessions <= 0 then die "--sessions must be positive";
     check_jobs jobs;
     fun network ->
       let image = Binary_image.load image_path in
@@ -1113,8 +1045,7 @@ let load_cmd =
             ?deadline_us:(Option.map (fun ms -> ms *. 1e3) deadline_ms)
             ?scenarios ~sessions ~arrival ~seed:(Int64.of_int seed) ~image ~network ()
         with Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+          die "%s" msg
       in
       if json then print_endline (Jsonu.to_string (Coign_sim.Loadsim.to_json result))
       else Format.printf "@[<v>%a@]@?" Coign_sim.Loadsim.pp_text result;
@@ -1216,10 +1147,7 @@ let watch_cmd =
       min_window sample_every seed json metrics jobs =
     check_jobs jobs;
     let phases = parse_phases phases_spec in
-    if phases = [] then begin
-      Printf.eprintf "error: --phases needs at least one non-empty phase\n";
-      exit 1
-    end;
+    if phases = [] then die "--phases needs at least one non-empty phase";
     fun network ->
       let image = Binary_image.load image_path in
       let registry = if metrics then Some (Coign_obs.Metrics.registry ()) else None in
@@ -1231,8 +1159,7 @@ let watch_cmd =
             ~half_life_us:(half_life_ms *. 1e3) ~sample_every ~seed:(Int64.of_int seed)
             ~profile_mix:profile ~phases ~image ~network ()
         with Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+          die "%s" msg
       in
       if json then print_endline (Jsonu.to_string (Coign_sim.Watchsim.to_json result))
       else Format.printf "%a@." Coign_sim.Watchsim.pp_text result;

@@ -4,7 +4,7 @@
     build, pricing, cut, validation — is what bounds how often an
     adaptive system can re-partition, so it must be measurable per run
     and aggregable across {!Coign_sim.Experiment.sweep} and
-    {!Coign_sim.Faultsim} grids. A profiler accumulates (count, total,
+    {!Coign_sim.Fleetsim} fault grids. A profiler accumulates (count, total,
     max) per phase name; the instrumented stages take [?profiler] and
     cost nothing when it is absent.
 

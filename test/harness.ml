@@ -45,3 +45,13 @@ let check_golden ~dir ~golden what args =
   let out = Filename.concat dir (what ^ ".txt") in
   check_ok what (run_to out args);
   Alcotest.(check string) (what ^ " text output matches golden") (read_file golden) (read_file out)
+
+(* [coign args] exits 0 and prints JSON equal to the golden file's
+   ([Jsonu.equal]: same keys in the same order, same values; the
+   layout may differ). *)
+let check_golden_json ~dir ~golden what args =
+  let out = Filename.concat dir (what ^ ".json") in
+  check_ok what (run_to out args);
+  let parse path = Coign_util.Jsonu.parse_exn (read_file path) in
+  Alcotest.(check bool) (what ^ " JSON output equals golden") true
+    (Coign_util.Jsonu.equal (parse golden) (parse out))

@@ -291,6 +291,80 @@ let test_load_rejects_non_finite () =
       Alcotest.(check int) "nan deadline exit" 1
         (load [ "--arrival"; "poisson:10"; "--deadline-ms"; "nan" ]))
 
+(* Every float option of run and the three grid views is a finite
+   number (--jitter also >= 0): nan, inf or a negative jitter is a bad
+   command line (exit 124), never a run printing nan rows or
+   silently ignoring an infinite fault window. The existing range
+   checks keep exit 1. *)
+let test_grid_rejects_non_finite () =
+  in_tmp (fun dir ->
+      let img = Filename.concat dir "ben.img" in
+      let dist = Filename.concat dir "ben-dist.img" in
+      check_ok "instrument" (run [ "instrument"; "--app"; "benefits"; "-o"; img ]);
+      check_ok "profile" (run [ "profile"; img; "--scenario"; "b_addone"; "-o"; img ]);
+      check_ok "analyze" (run [ "analyze"; img; "-o"; dist ]);
+      let cmd (name, image) args = name :: image :: "--scenario" :: "b_addone" :: args in
+      let faultsim = ("faultsim", dist) and resilience = ("resilience", img) in
+      let fleet = ("fleet", img) and run_ = ("run", dist) in
+      check_ok "finite grid runs"
+        (run (cmd faultsim [ "--drops"; "0"; "--partitions-ms"; "0"; "--jitter"; "0.01" ]));
+      List.iter
+        (fun (c, args) ->
+          Alcotest.(check int) (String.concat " " (fst c :: args) ^ " exit") 124 (run (cmd c args)))
+        [
+          (resilience, [ "--partitions-ms"; "nan" ]);
+          (faultsim, [ "--partitions-ms"; "inf" ]);
+          (fleet, [ "--fault-start-ms"; "inf" ]);
+          (fleet, [ "--fault-ms"; "inf" ]);
+          (faultsim, [ "--jitter"; "nan" ]);
+          (fleet, [ "--jitter"; "nan" ]);
+          (run_, [ "--jitter"; "nan" ]);
+          (run_, [ "--jitter=-0.1" ]);
+          (faultsim, [ "--drops"; "0,nan" ]);
+          (resilience, [ "--partition-start-ms"; "nan" ]);
+          (resilience, [ "--cooloff-ms"; "inf" ]);
+        ];
+      List.iter
+        (fun (c, args) ->
+          Alcotest.(check int) (String.concat " " (fst c :: args) ^ " exit") 1 (run (cmd c args)))
+        [
+          (faultsim, [ "--drops"; "1.5" ]);
+          (resilience, [ "--partitions-ms=-1" ]);
+          (fleet, [ "--fault-ms"; "0" ]);
+          (fleet, [ "--cooloff-ms"; "0" ]);
+        ])
+
+(* sweep --json carries each point's network exactly: a scraper can
+   rebuild the model behind cut_ns bit for bit. *)
+let test_sweep_json_exact () =
+  in_tmp (fun dir ->
+      let img = Harness.profiled_octarine dir in
+      let out = Filename.concat dir "sweep.json" in
+      check_ok "sweep --json" (run_to out [ "sweep"; img; "--points"; "7"; "--json" ]);
+      let networks =
+        Coign_netsim.Network.geometric_sweep ~points:7 ~from_net:Coign_netsim.Network.isdn_128
+          ~to_net:Coign_netsim.Network.san_1g ()
+      in
+      let float field p =
+        match Coign_util.Jsonu.member field p with
+        | Some (Coign_util.Jsonu.Float f) -> f
+        | Some (Coign_util.Jsonu.Int i) -> float_of_int i
+        | _ -> Alcotest.fail ("point lacks " ^ field)
+      in
+      match Coign_util.Jsonu.parse_exn (read_file out) with
+      | Coign_util.Jsonu.Arr points ->
+          Alcotest.(check int) "points" 7 (List.length points);
+          List.iter2
+            (fun (n : Coign_netsim.Network.t) p ->
+              let name = n.Coign_netsim.Network.net_name in
+              check_bits (name ^ " latency_us") n.Coign_netsim.Network.latency_us
+                (float "latency_us" p);
+              check_bits (name ^ " bandwidth_mbps") n.Coign_netsim.Network.bandwidth_mbps
+                (float "bandwidth_mbps" p);
+              check_bits (name ^ " proc_us") n.Coign_netsim.Network.proc_us (float "proc_us" p))
+            networks points
+      | _ -> Alcotest.fail "sweep JSON is not an array")
+
 let suite =
   [
     Alcotest.test_case "cli full pipeline" `Slow test_full_pipeline;
@@ -306,4 +380,6 @@ let suite =
     Alcotest.test_case "cli load golden ingest" `Slow test_load_golden_ingest;
     Alcotest.test_case "cli load rejects non-finite input" `Quick test_load_rejects_non_finite;
     Alcotest.test_case "cli watch golden octarine" `Slow test_watch_golden_octarine;
+    Alcotest.test_case "cli grid rejects non-finite input" `Quick test_grid_rejects_non_finite;
+    Alcotest.test_case "cli sweep json is exact" `Quick test_sweep_json_exact;
   ]

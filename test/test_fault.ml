@@ -394,10 +394,17 @@ let prop_faultsim_reproducible =
     (fun (seed, drop) ->
       let image, registry, scenario = Lazy.force prepared_octarine in
       let go pool =
-        Faultsim.to_json
-          (Faultsim.run ?pool ~seed ~jitter:0.02 ~drop_rates:[ 0.; drop ]
-             ~partitions_us:[ 0.; 20_000. ] ~image ~registry ~network:Network.ethernet_10
-             scenario)
+        Jsonu.to_string
+          (Fleetsim.to_json
+             (Fleetsim.run ?pool ~seed ~jitter:0.02 ~image ~registry
+                ~network:Network.ethernet_10
+                (Fleetsim.Faults
+                   {
+                     drop_rates = [ 0.; drop ];
+                     partitions_us = [ 0.; 20_000. ];
+                     partition_start_us = 0.;
+                   })
+                scenario))
       in
       let j1 = go None in
       let j2 = go None in
@@ -414,8 +421,12 @@ let test_faultsim_json_escapes_network_name () =
   let name = "lab\n\t\"net\"\\1" in
   let network = { Network.ethernet_10 with Network.net_name = name } in
   let json =
-    Faultsim.to_json
-      (Faultsim.run ~drop_rates:[ 0. ] ~partitions_us:[ 0. ] ~image ~registry ~network scenario)
+    Jsonu.to_string
+      (Fleetsim.to_json
+         (Fleetsim.run ~image ~registry ~network
+            (Fleetsim.Faults
+               { drop_rates = [ 0. ]; partitions_us = [ 0. ]; partition_start_us = 0. })
+            scenario))
   in
   match Jsonu.parse json with
   | Ok (Jsonu.Arr [ cell ]) -> (
@@ -429,15 +440,19 @@ let test_faultsim_json_escapes_network_name () =
 
 let test_faultsim_golden () =
   let golden = "golden/faultsim_octarine.txt" in
-  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+  let golden_json = "golden/faultsim_octarine.json" in
+  Harness.in_tmp ~needs:[ golden; golden_json ] (fun dir ->
       let img = Harness.profiled_octarine dir in
       Harness.check_ok "analyze"
         (Harness.run [ "analyze"; img; "--network"; "ethernet10"; "-o"; img ]);
-      Harness.check_golden ~dir ~golden "faultsim"
+      let args =
         [
           "faultsim"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--drops";
           "0,0.05,0.1"; "--partitions-ms"; "0,50"; "--jobs"; "1";
-        ])
+        ]
+      in
+      Harness.check_golden ~dir ~golden "faultsim" args;
+      Harness.check_golden_json ~dir ~golden:golden_json "faultsim" (args @ [ "--json" ]))
 
 let suite =
   [

@@ -406,12 +406,18 @@ let test_pool1_bit_identity () =
 
 (* --- The grid is deterministic across domains ------------------------ *)
 
+(* The grid [coign fleet] runs by default: pools 1-3, two replicas, a
+   500 ms fault window opening at 50 ms. *)
+let fleet_view ?(pools = [ 1; 2; 3 ]) () =
+  Fleetsim.Fleet { pools; replicas = 2; fault_window_us = Fleetsim.default_fault_window_us }
+
 let test_fleetsim_deterministic_across_domains () =
   let app, image, _, sc = Lazy.force prepared_octarine in
   let go pool =
-    Fleetsim.to_json
-      (Fleetsim.run ?pool ~seed:0x5EEDL ~pools:[ 1; 2 ] ~image
-         ~registry:app.App.app_registry ~network:Network.ethernet_10 sc.App.sc_run)
+    Jsonu.to_string
+      (Fleetsim.to_json
+         (Fleetsim.run ?pool ~seed:0x5EEDL ~image ~registry:app.App.app_registry
+            ~network:Network.ethernet_10 (fleet_view ~pools:[ 1; 2 ] ()) sc.App.sc_run))
   in
   let j1 = go None in
   let pool = Parallel.create ~domains:3 () in
@@ -439,38 +445,66 @@ let test_pool_serves_more_under_crash () =
       let image = Adps.instrument app.App.app_image in
       let image, _ = Adps.profile ~image ~registry sc.App.sc_run in
       let grid =
-        Fleetsim.run ~seed:0x5EEDL ~image ~registry ~network:Network.ethernet_10 sc.App.sc_run
+        Fleetsim.run ~seed:0x5EEDL ~image ~registry ~network:Network.ethernet_10 (fleet_view ())
+          sc.App.sc_run
       in
       let name = app.App.app_name in
       let crash = ref 0 in
       List.iter
-        (fun c ->
-          let regime = Fleetsim.regime_name c.Fleetsim.fr_regime in
-          if c.Fleetsim.fr_pool = 1 then
-            Alcotest.(check (option bool))
-              (Printf.sprintf "%s pool-1 %s ties the ladder" name regime)
-              (Some true) c.Fleetsim.fr_identical
-          else if c.Fleetsim.fr_regime = Fleetsim.Crash then begin
-            incr crash;
-            let ladder = Fleetsim.served grid c.Fleetsim.fr_baseline in
-            let pool = Fleetsim.served grid c.Fleetsim.fr_fleet in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s pool-%d serves more under crash: %.3f > %.3f" name
-                 c.Fleetsim.fr_pool pool ladder)
-              true (pool > ladder)
-          end)
-        grid.Fleetsim.fg_cells;
+        (function
+          | Fleetsim.Fleet_row { pool; regime; ladder; fleet; _ } as r ->
+              if pool = 1 then
+                Alcotest.(check (option bool))
+                  (Printf.sprintf "%s pool-1 %s ties the ladder" name (Fleetsim.regime_name regime))
+                  (Some true) (Fleetsim.identical r)
+              else if regime = Fleetsim.Crash then begin
+                incr crash;
+                let ladder = Fleetsim.served grid ladder in
+                let pool_served = Fleetsim.served grid fleet in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s pool-%d serves more under crash: %.3f > %.3f" name pool
+                     pool_served ladder)
+                  true (pool_served > ladder)
+              end
+          | _ -> Alcotest.fail "fleet view returned a non-fleet row")
+        grid.Fleetsim.g_rows;
       Alcotest.(check int) (name ^ ": crash cells for pools 2 and 3") 2 !crash)
     [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_vueone") ]
+
+(* --- Each distinct cell runs once ------------------------------------- *)
+
+(* The default grid's 18 comparisons plus the clean run name 19 cells,
+   but the ladder sees the crash and partition regimes as the same
+   global partition for every pool size, and so does a pool of one: 11
+   distinct cells, each executed once. *)
+let test_default_grid_runs_distinct_cells () =
+  let app, image, _, sc = Lazy.force prepared_octarine in
+  let profiler = Coign_obs.Profiler.create () in
+  let grid =
+    Fleetsim.run ~profiler ~seed:0x5EEDL ~image ~registry:app.App.app_registry
+      ~network:Network.ethernet_10 (fleet_view ()) sc.App.sc_run
+  in
+  Alcotest.(check int) "rows" 9 (List.length grid.Fleetsim.g_rows);
+  match
+    List.find_opt
+      (fun ph -> ph.Coign_obs.Profiler.ph_name = "grid_cell")
+      (Coign_obs.Profiler.phases profiler)
+  with
+  | Some ph -> Alcotest.(check int) "cell executions" 11 ph.Coign_obs.Profiler.ph_count
+  | None -> Alcotest.fail "no grid_cell phase recorded"
 
 (* --- Golden CLI output ------------------------------------------------ *)
 
 let test_fleet_golden () =
   let golden = "golden/fleet_octarine.txt" in
-  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+  let golden_json = "golden/fleet_octarine.json" in
+  Harness.in_tmp ~needs:[ golden; golden_json ] (fun dir ->
       let img = Harness.profiled_octarine dir in
-      Harness.check_golden ~dir ~golden "fleet"
-        [ "fleet"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--jobs"; "1" ])
+      let args =
+        [ "fleet"; img; "--scenario"; "o_oldwp0"; "--network"; "ethernet10"; "--jobs"; "1" ]
+      in
+      Harness.check_golden ~dir ~golden "fleet" args;
+      Harness.check_golden_json ~dir ~golden:golden_json "fleet" (args @ [ "--json" ]))
 
 let suite =
   [
@@ -489,5 +523,7 @@ let suite =
       test_pool_serves_more_under_crash;
     Alcotest.test_case "fleet grid deterministic across domains" `Slow
       test_fleetsim_deterministic_across_domains;
+    Alcotest.test_case "default grid runs each distinct cell once" `Slow
+      test_default_grid_runs_distinct_cells;
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;
   ]

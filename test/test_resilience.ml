@@ -516,39 +516,34 @@ let test_resilsim_improves_availability () =
     let image = Adps.instrument app.App.app_image in
     let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
     let grid =
-      Resilsim.run ~drop_rates:[ 0. ] ~partitions_us:[ 500_000. ]
-        ~partition_start_us:50_000. ~image ~registry:app.App.app_registry
-        ~network:Network.atm_155 sc.App.sc_run
+      Fleetsim.run ~image ~registry:app.App.app_registry ~network:Network.atm_155
+        (Fleetsim.Resilience
+           { drop_rates = [ 0. ]; partitions_us = [ 500_000. ]; partition_start_us = 50_000. })
+        sc.App.sc_run
     in
-    match grid.Resilsim.rg_cells with
-    | [ cell ] -> (Resilsim.availability grid, cell)
-    | cells -> Alcotest.fail (Printf.sprintf "expected 1 cell, got %d" (List.length cells))
+    match grid.Fleetsim.g_rows with
+    | [ Fleetsim.Resilience_row { retry; ladder; _ } ] ->
+        (Fleetsim.availability grid, (retry, ladder))
+    | rows -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length rows))
   in
   let rows =
     List.map
       (fun (app, sc_id) -> (app.App.app_name, partition_cell app sc_id))
       [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_vueone") ]
   in
-  let avail, cell = List.assoc "photodraw" rows in
-  Alcotest.(check bool) "baseline is cut short" false cell.Resilsim.rr_baseline.Adps.es_completed;
-  Alcotest.(check bool) "resilient run completes" true
-    cell.Resilsim.rr_resilient.Adps.es_completed;
+  let avail, (baseline, resilient) = List.assoc "photodraw" rows in
+  Alcotest.(check bool) "baseline is cut short" false baseline.Adps.es_completed;
+  Alcotest.(check bool) "resilient run completes" true resilient.Adps.es_completed;
   Alcotest.(check bool) "availability strictly improves" true
-    (avail cell.Resilsim.rr_resilient > avail cell.Resilsim.rr_baseline);
-  Alcotest.(check bool) "the ladder was used" true
-    (cell.Resilsim.rr_resilient.Adps.es_failovers > 0);
-  let improved =
-    List.filter
-      (fun (_, (avail, c)) -> avail c.Resilsim.rr_resilient > avail c.Resilsim.rr_baseline)
-      rows
-  in
+    (avail resilient > avail baseline);
+  Alcotest.(check bool) "the ladder was used" true (resilient.Adps.es_failovers > 0);
+  let improved = List.filter (fun (_, (avail, (b, r))) -> avail r > avail b) rows in
   Alcotest.(check bool)
     (Printf.sprintf "availability improves on at least 2 of 3 apps: %s"
        (String.concat ", "
           (List.map
-             (fun (name, (avail, c)) ->
-               Printf.sprintf "%s %.3f -> %.3f" name (avail c.Resilsim.rr_baseline)
-                 (avail c.Resilsim.rr_resilient))
+             (fun (name, (avail, (b, r))) ->
+               Printf.sprintf "%s %.3f -> %.3f" name (avail b) (avail r))
              rows)))
     true
     (List.length improved >= 2)
@@ -556,10 +551,13 @@ let test_resilsim_improves_availability () =
 let test_resilsim_deterministic_across_domains () =
   let image, registry, scenario = Lazy.force prepared_octarine in
   let go pool =
-    Resilsim.to_json
-      (Resilsim.run ?pool ~seed:0xD1CEL ~jitter:0.02 ~drop_rates:[ 0.; 0.1 ]
-         ~partitions_us:[ 0.; 20_000. ] ~image ~registry ~network:Network.ethernet_10
-         scenario)
+    Jsonu.to_string
+      (Fleetsim.to_json
+         (Fleetsim.run ?pool ~seed:0xD1CEL ~jitter:0.02 ~image ~registry
+            ~network:Network.ethernet_10
+            (Fleetsim.Resilience
+               { drop_rates = [ 0.; 0.1 ]; partitions_us = [ 0.; 20_000. ]; partition_start_us = 0. })
+            scenario))
   in
   let j1 = go None in
   let j2 = go None in
@@ -576,13 +574,17 @@ let test_resilsim_deterministic_across_domains () =
 
 let test_resilience_golden () =
   let golden = "golden/resilience_octarine.txt" in
-  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+  let golden_json = "golden/resilience_octarine.json" in
+  Harness.in_tmp ~needs:[ golden; golden_json ] (fun dir ->
       let img = Harness.profiled_octarine dir in
-      Harness.check_golden ~dir ~golden "resilience"
+      let args =
         [
           "resilience"; img; "--scenario"; "o_oldwp0"; "--network"; "atm"; "--drops"; "0,0.1";
           "--partitions-ms"; "0,500"; "--partition-start-ms"; "50"; "--jobs"; "1";
-        ])
+        ]
+      in
+      Harness.check_golden ~dir ~golden "resilience" args;
+      Harness.check_golden_json ~dir ~golden:golden_json "resilience" (args @ [ "--json" ]))
 
 let suite =
   [
