@@ -131,6 +131,14 @@ watch)
   coign watch oct.img --profile o_oldwp0 --phases "$phases" --jobs 4 --json > watch-par.json
   diff watch-seq.json watch-par.json
 
+  # A non-finite dwell is a usage error, never a run that silently
+  # turns the watch off and reports no drift with exit 0.
+  if coign watch oct.img --profile o_oldwp0 --phases "$phases" --min-dwell-ms nan \
+    > /dev/null 2>&1; then
+    echo "coign watch accepted --min-dwell-ms nan" >&2
+    exit 1
+  fi
+
   # The report must say the watch reached the offline oracle's cut,
   # and the JSON must be well-formed for scrapers; the in-repo
   # Jsonu.parse validation of the same serializer runs in dune

@@ -243,7 +243,8 @@ let profile_cmd =
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
     let image, stats, rte =
-      Adps.profile_results ~image ~registry:app.App.app_registry sc.App.sc_run
+      try Adps.profile_results ~image ~registry:app.App.app_registry sc.App.sc_run
+      with Invalid_argument msg -> die "%s" msg
     in
     Binary_image.save image output;
     (match log_file with
@@ -1092,13 +1093,13 @@ let watch_cmd =
   in
   let threshold_arg =
     Arg.(
-      value & opt float 0.90
+      value & opt (finite ()) 0.90
       & info [ "threshold" ] ~docv:"SIM"
           ~doc:"Similarity below which the window counts as drifted (cosine, in [0,1]).")
   in
   let half_life_arg =
     Arg.(
-      value & opt float 750.
+      value & opt (finite ()) 750.
       & info [ "half-life-ms" ] ~docv:"MS"
           ~doc:"Observation window half-life on the virtual clock.")
   in
@@ -1109,13 +1110,13 @@ let watch_cmd =
   in
   let min_dwell_arg =
     Arg.(
-      value & opt float 750.
+      value & opt (finite ~nonneg:true ()) 750.
       & info [ "min-dwell-ms" ] ~docv:"MS"
           ~doc:"Minimum virtual time between placement switches (hysteresis).")
   in
   let min_window_arg =
     Arg.(
-      value & opt float 16.
+      value & opt (finite ~nonneg:true ()) 16.
       & info [ "min-window" ] ~docv:"MASS"
           ~doc:"Decayed observation mass required before drift checks may fire.")
   in

@@ -311,13 +311,3 @@ let pool_fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ?replicas ?m
   let primary = Option.map snd (load_distribution image) in
   let base = Fallback.compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () in
   Fallback.pool_ladder ?replicas ?map ~hosts session ~net base
-
-(* Build a watch for a profiled image: the drift loop re-prices the
-   same session the offline analyzer would use, under the same merged
-   constraints, so a re-cut is exactly what a fresh analyze of the
-   shifted usage would choose. *)
-let watch ?profiler ?extra_constraints ?threshold ?check_every ?min_dwell_us ?min_window
-    ?half_life_us ?sample_every ?tap ~image ~net () =
-  let session = analysis_session ?profiler ?extra_constraints image in
-  Rte.watch ?threshold ?check_every ?min_dwell_us ?min_window ?half_life_us ?sample_every
-    ?tap ~net session

@@ -179,7 +179,7 @@ val execute :
     network); [faults] defaults to none and [retry] to
     {!Coign_netsim.Fault.default_retry}. [loggers], [tracer], and
     [metrics] are forwarded to {!Rte.install_distributed} and change
-    nothing when absent. With [watch] (see {!watch}), the RTE monitors
+    nothing when absent. With [watch] (see {!Rte.watch}), the RTE monitors
     usage drift online and re-partitions when it fires. *)
 
 val execute_with_policy :
@@ -215,27 +215,6 @@ val execute_fleet :
     returning the pool counters alongside the shared stats. A pool of
     one routes exactly as {!execute} with the equivalent [resilience]
     does, so its stats are bit-identical to that run's. *)
-
-val watch :
-  ?profiler:Coign_obs.Profiler.t ->
-  ?extra_constraints:Constraints.t ->
-  ?threshold:float ->
-  ?check_every:int ->
-  ?min_dwell_us:float ->
-  ?min_window:float ->
-  ?half_life_us:float ->
-  ?sample_every:int ->
-  ?tap:Coign_obs.Tap.sink ->
-  image:Coign_image.Binary_image.t ->
-  net:Coign_netsim.Net_profiler.t ->
-  unit ->
-  Rte.watch_config
-(** The watch configuration for a profiled image: an
-    {!analysis_session} built from the image's accumulated profile and
-    merged constraints, wrapped by {!Rte.watch}. Because the drift loop
-    re-prices that same session, a re-cut is exactly what a fresh
-    offline analyze of the shifted usage would choose. Raises
-    [Invalid_argument] if the image holds no profile. *)
 
 val fallback_ladder :
   ?algorithm:Coign_flowgraph.Mincut.algorithm ->

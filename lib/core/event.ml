@@ -357,47 +357,3 @@ let of_json j =
     | Jsonu.Str other -> Error ("unknown event kind " ^ other)
     | _ -> Error "event tag is not a string"
   with Bad msg -> Error msg
-
-let pp ppf = function
-  | Component_instantiated { inst; cname; classification; creator } ->
-      Format.fprintf ppf "create #%d %s -> c%d (by #%d)" inst cname classification creator
-  | Component_destroyed { inst } -> Format.fprintf ppf "destroy #%d" inst
-  | Interface_instantiated { owner; iface; handle } ->
-      Format.fprintf ppf "iface+ #%d %s h%d" owner iface handle
-  | Interface_destroyed { owner; iface; handle } ->
-      Format.fprintf ppf "iface- #%d %s h%d" owner iface handle
-  | Interface_call { caller; callee; iface; meth; request_bytes; reply_bytes; _ } ->
-      Format.fprintf ppf "call #%d -> #%d %s.%s (%d/%d bytes)" caller callee iface meth
-        request_bytes reply_bytes
-  | Call_retried { iface; meth; retries } ->
-      Format.fprintf ppf "retry %s.%s x%d" iface meth retries
-  | Instantiation_degraded { cname; classification } ->
-      Format.fprintf ppf "degrade %s c%d -> creator machine" cname classification
-  | Breaker_opened { at_us; failures; drops; spikes } ->
-      Format.fprintf ppf "breaker open @%dus after %d failures (%d drops, %d spikes)" at_us
-        failures drops spikes
-  | Breaker_closed { at_us; probes } ->
-      Format.fprintf ppf "breaker closed @%dus after %d probe(s)" at_us probes
-  | Failover { at_us; rung; from_rung; to_rung; migrated; stranded } ->
-      Format.fprintf ppf "failover @%dus rung %d -> %d (%s), %d migrated, %d stranded" at_us
-        from_rung to_rung rung migrated stranded
-  | Failback { at_us; rung; from_rung; to_rung; migrated } ->
-      Format.fprintf ppf "failback @%dus rung %d -> %d (%s), %d migrated" at_us from_rung
-        to_rung rung migrated
-  | Instance_migrated { at_us; inst; classification; from_loc; to_loc } ->
-      Format.fprintf ppf "migrate @%dus #%d c%d %s -> %s" at_us inst classification from_loc
-        to_loc
-  | Drift_detected { at_us; similarity; threshold; window_pairs } ->
-      Format.fprintf ppf "drift @%dus similarity %.3f < %.3f over %d pair(s)" at_us similarity
-        threshold window_pairs
-  | Repartitioned { at_us; similarity; from_servers; to_servers; migrated; left } ->
-      Format.fprintf ppf "repartition @%dus similarity %.3f, %d -> %d server-side, %d migrated, %d left"
-        at_us similarity from_servers to_servers migrated left
-  | Replica_promoted { at_us; shard; from_host; to_host } ->
-      Format.fprintf ppf "promote @%dus shard %d host %d -> %d" at_us shard from_host to_host
-  | Shard_split { at_us; shard; new_shard; moved; to_host } ->
-      Format.fprintf ppf "split @%dus shard %d -> +%d (%d moved) on host %d" at_us shard
-        new_shard moved to_host
-  | Pool_resized { at_us; from_hosts; to_hosts; shards; migrated } ->
-      Format.fprintf ppf "resize @%dus pool %d -> %d hosts (%d shards), %d migrated" at_us
-        from_hosts to_hosts shards migrated

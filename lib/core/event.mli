@@ -134,4 +134,3 @@ val to_line : t -> string
     newlines inside names cannot break the framing). No trailing
     newline. *)
 
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ type counters = { co_local : Metrics.counter; co_forwarded : Metrics.counter }
 type t = {
   mutable policy : policy;
   mutable machines : Constraints.location option array; (* by instance id *)
-  mutable local : int;
   mutable forwarded : int;
   obs : counters option;
 }
@@ -27,7 +26,7 @@ let create ?metrics policy =
         { co_local = requests "local"; co_forwarded = requests "forwarded" })
       metrics
   in
-  { policy; machines = Array.make 64 None; local = 0; forwarded = 0; obs }
+  { policy; machines = Array.make 64 None; forwarded = 0; obs }
 
 let decide t ~classification ~cname ~creator_machine =
   let target =
@@ -40,7 +39,6 @@ let decide t ~classification ~cname ~creator_machine =
         else creator_machine
   in
   if target = creator_machine then begin
-    t.local <- t.local + 1;
     match t.obs with None -> () | Some c -> Metrics.inc c.co_local
   end
   else begin
@@ -82,5 +80,4 @@ let collect t keep =
 let instances t = collect t (fun inst loc -> Some (inst, loc))
 let instances_on t loc = collect t (fun inst l -> if l = loc then Some inst else None)
 
-let local_requests t = t.local
 let forwarded_requests t = t.forwarded

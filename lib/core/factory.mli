@@ -50,8 +50,5 @@ val instances_on : t -> Constraints.location -> int list
 val instances : t -> (int * Constraints.location) list
 (** All recorded instances with their machines, sorted by instance. *)
 
-val local_requests : t -> int
-(** Requests fulfilled on the machine where they arrived. *)
-
 val forwarded_requests : t -> int
 (** Requests relocated to the peer factory. *)

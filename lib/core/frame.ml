@@ -19,6 +19,3 @@ let make_site ~site ~inst ~cls ~classification ~iface ~meth =
 
 let make = make_site ~site:(-1)
 
-let pp ppf f =
-  Format.fprintf ppf "%s#%d(c%d)::%s.%s" f.f_class f.f_inst f.f_classification f.f_iface
-    f.f_meth

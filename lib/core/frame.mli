@@ -27,4 +27,3 @@ val make_site :
 (** A frame carrying the call-site id [site], which must come from
     {!Classifier.site} on the memo that will classify against it. *)
 
-val pp : Format.formatter -> t -> unit

@@ -127,8 +127,6 @@ let map_classifications f t =
   r.calls <- t.calls;
   r
 
-let is_empty t = Int_table.length t.cells = 0
-
 (* Text encoding: one line per (entry, bucket). *)
 let encode t =
   let buf = Buffer.create 1024 in

@@ -78,5 +78,3 @@ val decode : string -> t
     round trip. Raises {!Decode_error} on a line without seven fields,
     a non-numeric or out-of-range id, bucket or call count, a negative
     message count or byte total, or a remotable flag other than 0/1. *)
-
-val is_empty : t -> bool

@@ -24,9 +24,6 @@ let classification_count t = t.n
 let main_node t = t.n
 let pair_count t = Array.length t.pair_a
 let pair t p = (t.pair_a.(p), t.pair_b.(p))
-let pair_non_remotable t p = t.non_remotable.(p)
-let segment_count t = Array.length t.seg_pair
-let size_count t = Array.length t.sizes
 
 let iter_pairs t f =
   for p = 0 to Array.length t.pair_a - 1 do

@@ -51,15 +51,8 @@ val pair : t -> int -> int * int
 (** Endpoints of a pair id, as [(a, b)] with [a < b]; ids are assigned
     in first-appearance (entry) order. *)
 
-val pair_non_remotable : t -> int -> bool
-
 val iter_pairs : t -> (int -> a:int -> b:int -> non_remotable:bool -> unit) -> unit
 (** Iterate pairs in pair-id order. *)
-
-val segment_count : t -> int
-
-val size_count : t -> int
-(** Distinct interned message sizes — the length of a cost table. *)
 
 val price : t -> net:Coign_netsim.Net_profiler.t -> pricing
 (** Stage 2's entry point: map a network profile onto the abstract

@@ -50,13 +50,3 @@ let host_of shape shard = shard mod shape.sh_hosts
 let replica_hosts shape shard =
   let primary = host_of shape shard in
   List.init shape.sh_replicas (fun i -> (primary + i) mod shape.sh_hosts)
-
-let pp ppf s =
-  let map =
-    match s.sh_map with
-    | Hash k -> Printf.sprintf "hash/%d" k
-    | Range bounds ->
-        Printf.sprintf "range[%s]"
-          (String.concat ";" (Array.to_list (Array.map string_of_int bounds)))
-  in
-  Format.fprintf ppf "pool %d hosts, %d replica(s), %s" s.sh_hosts s.sh_replicas map

@@ -53,4 +53,3 @@ val replica_hosts : shape -> int -> int list
 (** The hosts holding a copy of [shard], primary first, then the next
     [sh_replicas - 1] hosts in ring order. All distinct. *)
 
-val pp : Format.formatter -> shape -> unit

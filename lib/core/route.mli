@@ -1,0 +1,105 @@
+(** The RTE's routing engine: every cross-host call and forwarded
+    instantiation goes through one route. A route owns the link
+    (network, jitter and backoff streams, retry policy), a ladder of pool
+    rungs and the current rung, one circuit breaker and one fault model
+    per host link, the dynamic shard table with each shard's active
+    host, and the [coign_resilience_*]/[coign_fleet_*] instruments.
+    Retry-only is a one-link, one-rung route whose breaker never opens;
+    [Rte.resilience] is a one-link route over a fallback ladder;
+    [Rte.fleet] is the same route with one link per pool host. *)
+
+type config
+
+val config :
+  ?health:Coign_netsim.Health.policy ->
+  ?host_faults:(int * Coign_netsim.Fault.spec) list ->
+  Fallback.pool_ladder ->
+  config
+(** 8 probe rounds per call; see [Rte.fleet]. *)
+
+val retry_only : config
+(** One host, one rung that places nothing, a breaker that never opens
+    and one round of retries per call. *)
+
+type t
+
+val create :
+  ?metrics:Coign_obs.Metrics.registry ->
+  env:Rte_env.t ->
+  factory:Factory.t ->
+  pool:bool ->
+  network:Coign_netsim.Network.t ->
+  jitter:float ->
+  seed:int64 ->
+  retry:Coign_netsim.Fault.retry_policy ->
+  faults:Coign_netsim.Fault.spec option ->
+  config ->
+  t
+(** [pool] marks a route installed as [dc_fleet], which {!pool}
+    reports. [seed] is [dc_seed]: jitter draws from its root stream,
+    backoff from stream 1, a one-host route's fault verdicts from
+    stream 2 and every other link's from stream [8 + host]. *)
+
+val link :
+  t ->
+  src:Constraints.location ->
+  dst:Constraints.location ->
+  caller_cls:int ->
+  callee_cls:int ->
+  int
+(** The host link a call between machines [src] and [dst] rides, or -1
+    when its endpoints share a host: the server-side endpoint's active
+    host; for server-to-server traffic, the callee's. With one host this
+    is exactly [src <> dst]. *)
+
+val call :
+  t ->
+  caller:int ->
+  callee:int ->
+  caller_cls:int ->
+  callee_cls:int ->
+  request:int ->
+  reply:int ->
+  iface:string ->
+  mname:string ->
+  unit
+(** Route one call whose endpoints sit on different hosts, through
+    breaker transitions, replica promotions, rung switches and stranded
+    waits; raises [Com_error (E_unreachable _)] after the config's probe
+    rounds. *)
+
+val create_request_bytes : int
+val create_reply_bytes : int
+(** The fixed sizes of an instantiation request's round trip. *)
+
+val forward_create :
+  t ->
+  creator:int ->
+  classification:int ->
+  cname:string ->
+  machine:Constraints.location ->
+  Constraints.location
+(** Forward an instantiation to the factory on [machine]; where the
+    instance lands — [machine], or its creator's machine when the
+    request cannot get through. *)
+
+type stats = {
+  fs_breaker_opens : int;
+  fs_breaker_closes : int;
+  fs_failovers : int;
+  fs_failbacks : int;
+  fs_migrations : int;
+  fs_stranded_calls : int;
+  fs_rescued_calls : int;
+  fs_promotions : int;
+  fs_splits : int;
+  fs_resizes : int;
+  fs_inter_host_calls : int;
+  fs_final_rung : int;
+  fs_final_hosts : int;
+  fs_final_shards : int;
+}
+(** [Rte.fleet_stats]. *)
+
+val stats : t -> stats
+val pool : t -> bool

@@ -45,85 +45,42 @@ val install_profiling :
 
     [tracer] records a span per intercepted call (category ["call"],
     named [Iface.method]) and per instantiation (category ["create"],
-    named by class), timed on {!sim_now} and nested per the shadow
+    named by class), timed on the virtual clock ({!comm_us} plus the compute
+    the application has charged, never wall time) and nested per the shadow
     stack. [metrics] registers the [coign_rte_*] instruments. Both
     default to off, and when off the RTE runs exactly the instructions
     it always did — profiles, stats, and events are bit-identical. *)
 
-type resilience_config = {
-  rc_ladder : Fallback.t;
-      (** ranked fallback distributions; rung 0 should match the
-          installed factory policy so failback restores it *)
-  rc_health : Coign_netsim.Health.policy;  (** breaker configuration *)
-  rc_max_probe_rounds : int;
-      (** failed attempt/probe rounds a single call endures (waiting
-          out cooloffs in between) before raising [E_unreachable] *)
-}
+(** {1 Routing and watch policies}
 
-val resilience :
-  ?health:Coign_netsim.Health.policy ->
-  ?max_probe_rounds:int ->
-  Fallback.t ->
-  resilience_config
-(** Convenience constructor: {!Coign_netsim.Health.default_policy} and
-    8 probe rounds unless overridden. *)
+    Abstract; [resilience_config] and [fleet_config] are distinct types,
+    so a pool configuration cannot be installed as [dc_resilience]. A
+    routed call endures 8 failed attempt/probe rounds, waiting out
+    cooloffs in between, before it raises [E_unreachable]. *)
 
-type fleet_config = {
-  fc_ladder : Fallback.pool_ladder;
-      (** pool-elastic ladder; rung 0 is the widest pool, the tail is
-          the base two-host ladder at pool size 1 *)
-  fc_health : Coign_netsim.Health.policy;
-      (** breaker configuration, applied per replica link (one breaker
-          per pool host) *)
-  fc_max_probe_rounds : int;
-      (** failed attempt/probe rounds a single call endures before
-          raising [E_unreachable] *)
-  fc_split_share : float;
-      (** a shard carrying more than this share of the decayed window
-          load is hot and gets split, in (0, 1] *)
-  fc_check_every : int;  (** observations between hot-shard checks *)
-  fc_half_life_us : float;  (** shard-load window decay half-life *)
-  fc_host_faults : (int * Coign_netsim.Fault.spec) list;
-      (** per-host fault overlays (host index -> spec), replacing
-          [dc_faults] on that host's link; hosts not listed keep the
-          global spec. An overlay draws from {!Coign_util.Prng.stream}
-          [8 + host] of [dc_seed], so a pool run never perturbs the
-          global streams *)
-}
+type resilience_config
+
+val resilience : ?health:Coign_netsim.Health.policy -> Fallback.t -> resilience_config
+(** Failover over a ranked fallback ladder, whose rung 0 should match
+    the installed factory policy so failback restores it, behind one
+    [health] breaker (default {!Coign_netsim.Health.default_policy}). *)
+
+type fleet_config
 
 val fleet :
   ?health:Coign_netsim.Health.policy ->
-  ?max_probe_rounds:int ->
-  ?split_share:float ->
-  ?check_every:int ->
-  ?half_life_us:float ->
   ?host_faults:(int * Coign_netsim.Fault.spec) list ->
   Fallback.pool_ladder ->
   fleet_config
-(** Convenience constructor: {!Coign_netsim.Health.default_policy},
-    8 probe rounds, 0.6 split share, a check every 64 observations,
-    200 ms half-life, no per-host overlays. Raises on a split share
-    outside (0, 1] or a non-positive check cadence. *)
+(** A replicated pool over a pool-elastic ladder (rung 0 the widest
+    pool, the tail the base two-host ladder at pool size 1), with one
+    [health] breaker per pool host. [host_faults] (default none) maps a
+    host index to a fault spec replacing [dc_faults] on that host's
+    link. A shard carrying more than 0.6 of the decayed remote-call
+    load (200 ms half-life), checked every 64 served remote calls, is
+    hot. *)
 
-type watch_config = {
-  wc_session : Analysis.Session.t;
-      (** the analysis session the re-cut re-prices — its classifier
-          must be the one the RTE runs under *)
-  wc_net : Coign_netsim.Net_profiler.t;
-      (** network profile candidate cuts are priced against *)
-  wc_threshold : float;  (** drift fires below this similarity *)
-  wc_check_every : int;  (** observations between drift checks *)
-  wc_min_dwell_us : float;
-      (** minimum virtual time between placement decisions — the
-          staleness bound, and half the anti-flap hysteresis *)
-  wc_min_window : float;
-      (** minimum decayed window mass before drift is trusted *)
-  wc_half_life_us : float;  (** window decay half-life *)
-  wc_sample_every : int;    (** tap thinning: expect 1-in-k offered *)
-  wc_tap : Coign_obs.Tap.sink option;
-      (** where sampled observations stream; [None] detaches the tap
-          entirely *)
-}
+type watch_config
 
 val watch :
   ?threshold:float ->
@@ -136,10 +93,17 @@ val watch :
   net:Coign_netsim.Net_profiler.t ->
   Analysis.Session.t ->
   watch_config
-(** Convenience constructor: threshold 0.90, a check every 256
-    observations, 50 ms dwell, window mass 32, 200 ms half-life,
-    1-in-16 tap sampling. Raises on a threshold outside [0, 1] or a
-    non-positive check cadence. *)
+(** Re-cuts re-price the session (its classifier must be the one the
+    RTE runs under) against [net]. Drift fires below [threshold]
+    similarity (default 0.90), checked every [check_every] observations
+    (256), once the window holds [min_window] decayed mass (32) and
+    [min_dwell_us] (50 ms) has passed since the last placement decision
+    — the staleness bound, and half the anti-flap hysteresis. The
+    window decays with [half_life_us] (200 ms); the tap samples
+    1-in-[sample_every] observations (16) into [tap] (default
+    detached). Raises [Invalid_argument] on a threshold outside [0, 1],
+    a check cadence below 1, or a non-finite or negative dwell or
+    window mass. *)
 
 (** One drift-check outcome in the watch timeline. *)
 type watch_action =
@@ -179,21 +143,21 @@ type distributed_config = {
                         (** online drift watch and bounded-staleness
                             re-partitioning; [None] (the default
                             everywhere) runs the static placement, bit
-                            for bit. Mutually exclusive with
-                            [dc_resilience] — both drive the factory
-                            policy — and requires a
+                            for bit. Requires a
                             [Factory.By_classification] policy as the
                             initial placement *)
   dc_fleet : fleet_config option;
                         (** replicated server pool with per-replica
                             breakers, hot-shard splitting and
-                            pool-elastic failover. Mutually exclusive
-                            with [dc_resilience] and [dc_watch]. A pool
-                            of one routes exactly as [dc_resilience]
-                            over the ladder's base does: same breaker,
-                            same fault stream, same events and
-                            metrics *)
+                            pool-elastic failover. A pool of one routes
+                            exactly as [dc_resilience] over the
+                            ladder's base does: same breaker, same
+                            fault stream, same events and metrics *)
 }
+(** At most one of [dc_resilience], [dc_fleet] and [dc_watch] may be
+    set, since each drives the factory policy; {!install_distributed}
+    raises [Invalid_argument] otherwise, and on a [dc_watch] over a
+    policy other than [By_classification]. *)
 
 val install_distributed :
   ?loggers:Logger.t list ->
@@ -246,16 +210,16 @@ val install_distributed :
     tap sink is attached, a seeded 1-in-k sample stream
     ({!Coign_obs.Tap} on {!Coign_util.Prng.stream} 3 of [dc_seed] —
     attaching or detaching the tap never perturbs jitter, backoff or
-    fault draws). Every [wc_check_every] observations the RTE compares
+    fault draws). Every [check_every] observations the RTE compares
     the window signature against the adopted baseline
-    ({!Drift.similarity}); below [wc_threshold] it logs
+    ({!Drift.similarity}); below [threshold] it logs
     {!Event.Drift_detected}, re-prices the analysis session with the
     window's per-pair volumes ([Session.solve ~scale]), lint-validates
     the candidate cut, and — when the placement actually changes —
     atomically switches the factory and migrates the statically-safe
     instances, logging {!Event.Repartitioned} and per-instance
     {!Event.Instance_migrated}. The window snapshot then becomes the
-    new baseline and a [wc_min_dwell_us] dwell starts, so the loop
+    new baseline and a [min_dwell_us] dwell starts, so the loop
     cannot flap on the shift it just absorbed. Checks run on the
     virtual clock before the observed call is routed, so a re-cut
     applies to the very call that triggered it. With [dc_watch = None]
@@ -271,15 +235,14 @@ val install_distributed :
     ({!Event.Pool_resized}), migrating only the statically-safe
     instances, exactly as resilience failover does; probe success on
     the degraded host fails back to the widest rung. Per-link
-    observation volume feeds a decayed window; a shard exceeding
-    [fc_split_share] of the load is split, its migration-safe upper
-    components moving to a fresh shard on the least-loaded host
-    ({!Event.Shard_split}). The [coign_fleet_*] instruments are
+    observation volume feeds a decayed window; a hot shard is split,
+    its migration-safe upper components moving to a fresh shard on the
+    least-loaded host ({!Event.Shard_split}). The [coign_fleet_*] instruments are
     exported for pools wider than one host.
 
     Fault streams: a one-host route draws its verdicts from
     {!Coign_util.Prng.stream} 2 of [dc_seed] (the global [dc_faults]
-    model) unless [fc_host_faults] overlays its host; an overlay, and
+    model) unless [host_faults] overlays its host; an overlay, and
     every host of a wider pool, draws from stream [8 + host]. All
     decisions run on the virtual clock off seeded streams, so runs are
     deterministic and independent of domain-parallel execution. *)
@@ -293,10 +256,6 @@ val icc : t -> Icc.t
 val inst_comm : t -> Inst_comm.t
 val classifier : t -> Classifier.t
 
-val classification_of : t -> int -> int
-(** Classification assigned to an instance at its creation; -1 for the
-    main program or instances created before installation. *)
-
 val instance_classifications : t -> (int * int) list
 (** [(instance, classification)] pairs, ascending by instance. *)
 
@@ -308,10 +267,6 @@ val instances_created : t -> int list
 val factory : t -> Factory.t option
 val comm_us : t -> float
 (** Accumulated cross-machine communication time (µs). *)
-
-val sim_now : t -> float
-(** The deterministic virtual clock spans are timed on: {!comm_us} plus
-    the compute time the application has charged. Never wall time. *)
 
 val remote_calls : t -> int
 val remote_bytes : t -> int

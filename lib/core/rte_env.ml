@@ -1,0 +1,181 @@
+(* What the RTE's interception ([Rte]), routing ([Route]) and drift
+   watch ([Watch]) share: the virtual clock, the communication and fault
+   counters, the base [coign_rte_*] instruments, the logger and tracer,
+   and the instance -> classification map. Internal to the RTE and
+   without an interface file: the record is the interface, and each
+   layer updates its counters in place. *)
+
+open Coign_com
+module Trace = Coign_obs.Trace
+module Metrics = Coign_obs.Metrics
+
+(* Registry instruments, resolved once at install time so the hot path
+   never does a name lookup. *)
+type instruments = {
+  i_intercepted : Metrics.counter;
+  i_instantiations : Metrics.counter;
+  i_remote_calls : Metrics.counter;
+  i_remote_bytes : Metrics.counter;
+  i_comm_us : Metrics.counter;
+  i_retries : Metrics.counter;
+  i_drops : Metrics.counter;
+  i_spikes : Metrics.counter;
+  i_fallbacks : Metrics.counter;
+  i_unreachable : Metrics.counter;
+  i_fault_us : Metrics.counter;
+  i_request_bytes : Metrics.histogram;
+  i_reply_bytes : Metrics.histogram;
+}
+
+let make_instruments reg =
+  let open Metrics in
+  {
+    i_intercepted =
+      counter reg ~help:"Calls intercepted by the RTE, local and remote."
+        "coign_rte_intercepted_calls_total";
+    i_instantiations =
+      counter reg ~help:"Component instantiations intercepted."
+        "coign_rte_instantiations_total";
+    i_remote_calls =
+      counter reg ~help:"Completed cross-machine calls and forwarded instantiations."
+        "coign_rte_remote_calls_total";
+    i_remote_bytes =
+      counter reg ~help:"Marshaled bytes moved across machines." "coign_rte_remote_bytes_total";
+    i_comm_us =
+      counter reg ~help:"Virtual communication time accumulated, in microseconds."
+        "coign_rte_comm_us_total";
+    i_retries =
+      counter reg ~help:"Remote-call attempts beyond the first." "coign_rte_retries_total";
+    i_drops = counter reg ~help:"Messages eaten by the fault model." "coign_rte_drops_total";
+    i_spikes = counter reg ~help:"Latency spikes suffered." "coign_rte_spikes_total";
+    i_fallbacks =
+      counter reg ~help:"Instantiations degraded to the creator machine."
+        "coign_rte_degraded_instantiations_total";
+    i_unreachable =
+      counter reg ~help:"Calls abandoned as unreachable." "coign_rte_unreachable_calls_total";
+    i_fault_us =
+      counter reg ~help:"Communication time attributable to faults, in microseconds."
+        "coign_rte_fault_us_total";
+    i_request_bytes =
+      histogram reg ~help:"Cross-wrapper request message sizes, in bytes."
+        "coign_rte_request_bytes";
+    i_reply_bytes =
+      histogram reg ~help:"Cross-wrapper reply message sizes, in bytes." "coign_rte_reply_bytes";
+  }
+
+type t = {
+  ctx : Runtime.ctx;
+  logger : Logger.t;
+  logging : bool;  (* loggers attached: events are built only then *)
+  (* Observability, both [None] unless the install opted in; every use
+     site is behind a match so an unobserved RTE runs the same
+     instructions it always did. *)
+  tracer : Trace.t option;
+  obs : instruments option;
+  mutable classifications : int array;  (* dense, -1 where unset *)
+  mutable comm : float;
+  mutable n_remote_calls : int;
+  mutable n_remote_bytes : int;
+  (* Fault counters (all zero in profiling mode and in fault-free
+     distributed runs). *)
+  mutable n_retries : int;
+  mutable n_drops : int;
+  mutable n_spikes : int;
+  mutable n_fallbacks : int;
+  mutable n_unreachable : int;
+  mutable fault_us : float;
+}
+
+let create ?(loggers = []) ?tracer ?metrics ctx =
+  {
+    ctx;
+    logger = (match loggers with [] -> Logger.null | _ -> Logger.tee loggers);
+    logging = loggers <> [];
+    tracer;
+    obs = Option.map make_instruments metrics;
+    classifications = Array.make 256 (-1);
+    comm = 0.;
+    n_remote_calls = 0;
+    n_remote_bytes = 0;
+    n_retries = 0;
+    n_drops = 0;
+    n_spikes = 0;
+    n_fallbacks = 0;
+    n_unreachable = 0;
+    fault_us = 0.;
+  }
+
+(* Read slot [i] of a dense map, -1 past its end. *)
+let slot arr i = if i >= 0 && i < Array.length arr then Array.unsafe_get arr i else -1
+
+(* Store [v] at slot [i], growing the map (the result replaces it). *)
+let store arr i v =
+  let arr =
+    if i < Array.length arr then arr
+    else begin
+      let bigger = Array.make (max (i + 1) (2 * Array.length arr)) (-1) in
+      Array.blit arr 0 bigger 0 (Array.length arr);
+      bigger
+    end
+  in
+  arr.(i) <- v;
+  arr
+
+(* The main program and unclassified instances read -1: main is never
+   stored. *)
+let classification_of t inst = slot t.classifications inst
+
+(* The virtual clock spans are timed on: accumulated communication time
+   plus the compute the application has charged. Deterministic for a
+   seeded run, so traces golden-test. *)
+let now t = t.comm +. Runtime.compute_us t.ctx
+
+(* Zero-duration marker span for a routing or watch decision. *)
+let marker t ~cat ~name ~at_us args =
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      let id = Trace.open_span tr ~name ~cat ~at_us in
+      Trace.close_span tr ~args id ~at_us
+
+(* Atomically install [dist] as the factory policy and migrate every
+   live instance whose classification [safe] marks to its new home; the
+   rest stay where they are. Shared by rung switches and watch
+   re-partitions. Returns (migrated, left behind, moves in instance
+   order). *)
+let migrate_instances t factory ~safe ~dist =
+  Factory.set_policy factory (Factory.By_classification dist);
+  let migrated = ref 0 and left = ref 0 and moved = ref [] in
+  List.iter
+    (fun (inst, machine) ->
+      if inst <> Runtime.main_instance then begin
+        let c = classification_of t inst in
+        let target =
+          if c >= 0 && c < dist.Analysis.node_count then Analysis.location_of dist c
+          else machine
+        in
+        if target <> machine then
+          if c >= 0 && c < Array.length safe && safe.(c) then begin
+            Factory.record_instance factory ~inst target;
+            moved := (inst, c, machine, target) :: !moved;
+            incr migrated
+          end
+          else incr left
+      end)
+    (Factory.instances factory);
+  (!migrated, !left, List.rev !moved)
+
+(* Per-instance migration events, after the aggregate event. *)
+let log_migrations t ~at_int moved =
+  List.iter
+    (fun (inst, c, machine, target) ->
+      if t.logging then t.logger.Logger.log
+        (Event.Instance_migrated
+           {
+             at_us = at_int;
+             inst;
+             classification = c;
+             from_loc = Constraints.location_name machine;
+             to_loc = Constraints.location_name target;
+           }))
+    moved

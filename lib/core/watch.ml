@@ -1,0 +1,365 @@
+open Coign_util
+module Metrics = Coign_obs.Metrics
+module Tap = Coign_obs.Tap
+
+(* Watch instruments, separate from the base set so a run without a
+   watch exposes exactly the metrics it always did. *)
+type instruments = {
+  wi_similarity : Metrics.gauge;
+  wi_window_pairs : Metrics.gauge;
+  wi_window_mass : Metrics.gauge;
+  wi_checks : Metrics.counter;
+  wi_detections : Metrics.counter;
+  wi_repartitions : Metrics.counter;
+  wi_migrations : Metrics.counter;
+  wi_unchanged : Metrics.counter;
+  wi_rejected : Metrics.counter;
+}
+
+let make_instruments reg =
+  let open Metrics in
+  {
+    wi_similarity =
+      gauge reg ~help:"Window-vs-baseline usage similarity at the last drift check."
+        "coign_drift_similarity";
+    wi_window_pairs =
+      gauge reg ~help:"Distinct pairs carrying window mass at the last drift check."
+        "coign_drift_window_pairs";
+    wi_window_mass =
+      gauge reg ~help:"Decayed observation mass in the window at the last drift check."
+        "coign_drift_window_mass";
+    wi_checks = counter reg ~help:"Drift checks performed." "coign_drift_checks_total";
+    wi_detections =
+      counter reg ~help:"Drift checks that crossed the threshold." "coign_drift_detections_total";
+    wi_repartitions =
+      counter reg ~help:"Placement switches installed by the watch loop."
+        "coign_watch_repartitions_total";
+    wi_migrations =
+      counter reg ~help:"Instances migrated live by watch re-partitions."
+        "coign_watch_migrated_instances_total";
+    wi_unchanged =
+      counter reg ~help:"Drift detections whose re-cut chose the installed placement."
+        "coign_watch_unchanged_cuts_total";
+    wi_rejected =
+      counter reg ~help:"Candidate cuts rejected by constraint validation."
+        "coign_watch_rejected_cuts_total";
+  }
+
+type config = {
+  wc_session : Analysis.Session.t;
+  wc_net : Coign_netsim.Net_profiler.t;
+  wc_threshold : float;
+  wc_check_every : int;
+  wc_min_dwell_us : float;
+  wc_min_window : float;
+  wc_half_life_us : float;
+  wc_sample_every : int;
+  wc_tap : Tap.sink option;
+}
+
+let config ?(threshold = 0.90) ?(check_every = 256) ?(min_dwell_us = 50_000.)
+    ?(min_window = 32.) ?(half_life_us = 200_000.) ?(sample_every = 16) ?tap ~net session =
+  if not (threshold >= 0. && threshold <= 1.) then
+    invalid_arg "Rte.watch: threshold must be in [0, 1]";
+  if check_every < 1 then invalid_arg "Rte.watch: check_every must be >= 1";
+  if not (Float.is_finite min_dwell_us && min_dwell_us >= 0.) then
+    invalid_arg "Rte.watch: min_dwell_us must be finite and >= 0";
+  if not (Float.is_finite min_window && min_window >= 0.) then
+    invalid_arg "Rte.watch: min_window must be finite and >= 0";
+  {
+    wc_session = session;
+    wc_net = net;
+    wc_threshold = threshold;
+    wc_check_every = check_every;
+    wc_min_dwell_us = min_dwell_us;
+    wc_min_window = min_window;
+    wc_half_life_us = half_life_us;
+    wc_sample_every = sample_every;
+    wc_tap = tap;
+  }
+
+type action =
+  | W_steady
+  | W_unchanged
+  | W_repartitioned of { wa_migrated : int; wa_left : int; wa_servers : int }
+  | W_rejected of int  (* constraint violations in the candidate cut *)
+
+type checkpoint = {
+  wk_at_us : float;
+  wk_similarity : float;
+  wk_window_pairs : int;
+  wk_action : action;
+}
+
+(* Mutable watch state: window, adopted baseline, installed cut. *)
+type t = {
+  w_config : config;
+  w_env : Rte_env.t;
+  w_factory : Factory.t;
+  w_window : Window.t;
+  (* Always present: besides feeding the optional sink, the tap's
+     seeded sampler decides which observations get their message sizes
+     measured — the window's byte dimension. *)
+  w_tap : Tap.t;
+  w_obs : instruments option;
+  w_safe : bool array;          (* per-classification migration safety *)
+  w_prof_share : float array;   (* profile's per-pair message share *)
+  w_prof_byte_share : float array;  (* profile's per-pair byte share *)
+  w_scale : Icc_graph.scale;    (* scratch scale vectors, pair-id order *)
+  mutable w_baseline : Drift.signature;        (* message counts *)
+  mutable w_baseline_bytes : Drift.signature;  (* byte volumes *)
+  mutable w_current : Analysis.distribution;
+  mutable w_last_switch_us : float;
+  mutable w_since_check : int;
+  mutable w_checks : int;
+  mutable w_detections : int;
+  mutable w_repartitions : int;
+  mutable w_migrations : int;
+  mutable w_unchanged : int;
+  mutable w_rejected : int;
+  mutable w_last_similarity : float;
+  mutable w_timeline : checkpoint list;  (* reversed *)
+}
+
+let create ?metrics ~env ~factory ~seed ~dist wc =
+  let graph = Analysis.Session.graph wc.wc_session in
+  let main = Icc_graph.main_node graph in
+  let cls v = if v = main then -1 else v in
+  (* Graph pairs in pair-id order, mapped from node space to unordered
+     classification space — the window's slot layout, so a window
+     snapshot is directly a scale vector. *)
+  let pairs =
+    Array.init (Icc_graph.pair_count graph) (fun p ->
+        let a, b = Icc_graph.pair graph p in
+        let ca = cls a and cb = cls b in
+        (min ca cb, max ca cb))
+  in
+  let msgs = Icc_graph.pair_messages graph in
+  let total = Array.fold_left ( +. ) 0. msgs in
+  let pbytes = Icc_graph.pair_bytes graph in
+  let byte_total = Array.fold_left ( +. ) 0. pbytes in
+  {
+    w_config = wc;
+    w_env = env;
+    w_factory = factory;
+    w_window = Window.create ~half_life_us:wc.wc_half_life_us ~pairs;
+    w_tap =
+      Tap.create ~sample_every:wc.wc_sample_every ~seed:(Prng.stream seed 3)
+        (Option.value ~default:Tap.null_sink wc.wc_tap);
+    w_obs = Option.map make_instruments metrics;
+    w_safe = Analysis.Session.migration_safety wc.wc_session;
+    w_prof_share = Array.map (fun m -> m /. total) msgs;
+    w_prof_byte_share =
+      (if byte_total = 0. then Array.map (fun _ -> 0.) pbytes
+       else Array.map (fun b -> b /. byte_total) pbytes);
+    w_scale =
+      {
+        Icc_graph.sc_messages = Array.make (Icc_graph.pair_count graph) 1.;
+        sc_bytes = Array.make (Icc_graph.pair_count graph) 1.;
+      };
+    w_baseline =
+      Drift.of_weights (Array.to_list (Array.mapi (fun p key -> (key, msgs.(p))) pairs));
+    w_baseline_bytes =
+      Drift.of_weights (Array.to_list (Array.mapi (fun p key -> (key, pbytes.(p))) pairs));
+    w_current = dist;
+    w_last_switch_us = 0.;
+    w_since_check = 0;
+    w_checks = 0;
+    w_detections = 0;
+    w_repartitions = 0;
+    w_migrations = 0;
+    w_unchanged = 0;
+    w_rejected = 0;
+    w_last_similarity = 1.;
+    w_timeline = [];
+  }
+
+let span w ~name ~at_us args = Rte_env.marker w.w_env ~cat:"watch" ~name ~at_us args
+
+(* The window said usage drifted: re-price the profiled graph with the
+   window's per-pair volumes, validate the candidate cut, and — when it
+   differs from the installed one — atomically switch the factory and
+   migrate the statically-safe instances. Either way the window
+   snapshot becomes the new comparison baseline, so similarity snaps
+   back to 1 and the loop cannot flap on the same shift. *)
+let repartition w ~now ~similarity =
+  let env = w.w_env in
+  let cfg = w.w_config in
+  let adopt_baseline () =
+    w.w_baseline <- Window.signature_at w.w_window ~now_us:now;
+    w.w_baseline_bytes <- Window.byte_signature_at w.w_window ~now_us:now;
+    w.w_last_switch_us <- now
+  in
+  let counts = Window.counts_at w.w_window ~now_us:now in
+  let win_total = Window.total_at w.w_window ~now_us:now in
+  let bytes = Window.bytes_at w.w_window ~now_us:now in
+  let byte_total = Window.byte_total_at w.w_window ~now_us:now in
+  for p = 0 to Array.length w.w_scale.Icc_graph.sc_messages - 1 do
+    let ms = counts.(p) /. win_total /. w.w_prof_share.(p) in
+    w.w_scale.Icc_graph.sc_messages.(p) <- ms;
+    (* Pairs the profile priced by count alone (no measured bytes), or
+       a window that has not yet seen a remote payload, fall back to
+       the message multiplier: the byte dimension carries no signal. *)
+    w.w_scale.Icc_graph.sc_bytes.(p) <-
+      (if byte_total = 0. || w.w_prof_byte_share.(p) = 0. then ms
+       else bytes.(p) /. byte_total /. w.w_prof_byte_share.(p))
+  done;
+  let candidate = Analysis.Session.solve cfg.wc_session ~scale:w.w_scale ~net:cfg.wc_net in
+  let violations =
+    Analysis.validate
+      ~classifier:(Analysis.Session.classifier cfg.wc_session)
+      ~constraints:(Analysis.Session.constraints cfg.wc_session)
+      candidate
+  in
+  if violations <> [] then begin
+    (* Cannot happen for a cut the session itself computed (the
+       constraint edges are infinite), but the lint gate is cheap and
+       keeps a bad candidate from ever reaching the factory. *)
+    w.w_rejected <- w.w_rejected + 1;
+    (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_rejected);
+    w.w_last_switch_us <- now;
+    W_rejected (List.length violations)
+  end
+  else if candidate.Analysis.placement = w.w_current.Analysis.placement then begin
+    w.w_unchanged <- w.w_unchanged + 1;
+    (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_unchanged);
+    adopt_baseline ();
+    W_unchanged
+  end
+  else begin
+    let from_servers = w.w_current.Analysis.server_count in
+    let migrated, left, moved =
+      Rte_env.migrate_instances env w.w_factory ~safe:w.w_safe ~dist:candidate
+    in
+    w.w_repartitions <- w.w_repartitions + 1;
+    w.w_migrations <- w.w_migrations + migrated;
+    (match w.w_obs with
+    | None -> ()
+    | Some wi ->
+        Metrics.inc wi.wi_repartitions;
+        Metrics.inc_int wi.wi_migrations migrated);
+    let at_int = int_of_float now in
+    if env.logging then env.logger.Logger.log
+      (Event.Repartitioned
+         {
+           at_us = at_int;
+           similarity;
+           from_servers;
+           to_servers = candidate.Analysis.server_count;
+           migrated;
+           left;
+         });
+    span w ~name:"repartition" ~at_us:now
+      [
+        ("similarity", Jsonu.Float similarity);
+        ("migrated", Jsonu.Int migrated);
+        ("left", Jsonu.Int left);
+        ("servers", Jsonu.Int candidate.Analysis.server_count);
+      ];
+    Rte_env.log_migrations env ~at_int moved;
+    w.w_current <- candidate;
+    adopt_baseline ();
+    W_repartitioned
+      { wa_migrated = migrated; wa_left = left; wa_servers = candidate.Analysis.server_count }
+  end
+
+(* One drift check on the virtual clock: compare the decayed window
+   signature against the adopted baseline; below the threshold — with
+   enough evidence in the window and outside the dwell period — re-cut. *)
+let check w ~now =
+  let env = w.w_env in
+  let cfg = w.w_config in
+  w.w_checks <- w.w_checks + 1;
+  let signature = Window.signature_at w.w_window ~now_us:now in
+  (* Drift in either dimension is drift: a usage shift that keeps the
+     call mix but fattens payloads only moves the byte signature. The
+     byte dimension is built from the tap's subsample, so it only
+     speaks once enough sampled sizes back it. *)
+  let count_sim = Drift.similarity w.w_baseline signature in
+  let similarity =
+    if float_of_int (Window.byte_observed w.w_window) < cfg.wc_min_window then count_sim
+    else
+      Float.min count_sim
+        (Drift.similarity w.w_baseline_bytes
+           (Window.byte_signature_at w.w_window ~now_us:now))
+  in
+  let window_pairs = Drift.pair_count signature in
+  let mass = Window.total_at w.w_window ~now_us:now in
+  w.w_last_similarity <- similarity;
+  (match w.w_obs with
+  | None -> ()
+  | Some wi ->
+      Metrics.inc wi.wi_checks;
+      Metrics.set wi.wi_similarity similarity;
+      Metrics.set wi.wi_window_pairs (float_of_int window_pairs);
+      Metrics.set wi.wi_window_mass mass);
+  let drifted =
+    similarity < cfg.wc_threshold
+    && mass >= cfg.wc_min_window
+    && now -. w.w_last_switch_us >= cfg.wc_min_dwell_us
+  in
+  let action =
+    if not drifted then W_steady
+    else begin
+      w.w_detections <- w.w_detections + 1;
+      (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_detections);
+      if env.logging then env.logger.Logger.log
+        (Event.Drift_detected
+           { at_us = int_of_float now; similarity; threshold = cfg.wc_threshold; window_pairs });
+      span w ~name:"drift" ~at_us:now
+        [
+          ("similarity", Jsonu.Float similarity);
+          ("threshold", Jsonu.Float cfg.wc_threshold);
+          ("window_pairs", Jsonu.Int window_pairs);
+        ];
+      repartition w ~now ~similarity
+    end
+  in
+  w.w_timeline <-
+    { wk_at_us = now; wk_similarity = similarity; wk_window_pairs = window_pairs;
+      wk_action = action }
+    :: w.w_timeline
+
+let sample w = Tap.accept w.w_tap
+
+(* Every observation lands in the window; the tap's seeded 1-in-k
+   subsample alone carries a measured size (and reaches the sink), so
+   the window's per-pair byte shares estimate the full traffic without
+   per-call measurement cost. *)
+let observe w ~sampled ~kind ~caller_cls ~callee_cls ~bytes =
+  let now = Rte_env.now w.w_env in
+  if sampled then
+    Tap.emit w.w_tap
+      { Tap.ob_at_us = now; ob_kind = kind; ob_caller = caller_cls; ob_callee = callee_cls;
+        ob_bytes = bytes };
+  Window.observe w.w_window ~at_us:now ~caller:caller_cls ~callee:callee_cls ~bytes;
+  w.w_since_check <- w.w_since_check + 1;
+  if w.w_since_check >= w.w_config.wc_check_every then begin
+    w.w_since_check <- 0;
+    check w ~now
+  end
+
+let timeline w = List.rev w.w_timeline
+let placement w = w.w_current
+let tap_counts w = (Tap.offered w.w_tap, Tap.sampled w.w_tap)
+
+type counters = {
+  checks : int;
+  detections : int;
+  repartitions : int;
+  migrations : int;
+  unchanged : int;
+  rejected : int;
+  last_similarity : float;
+}
+
+let counters w =
+  {
+    checks = w.w_checks;
+    detections = w.w_detections;
+    repartitions = w.w_repartitions;
+    migrations = w.w_migrations;
+    unchanged = w.w_unchanged;
+    rejected = w.w_rejected;
+    last_similarity = w.w_last_similarity;
+  }

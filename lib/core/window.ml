@@ -40,7 +40,6 @@ let create ~half_life_us ~pairs =
     w_byte_observed = 0;
   }
 
-let slot_count t = Array.length t.w_count
 let observed t = t.w_observed
 let byte_observed t = t.w_byte_observed
 let extra_pairs t = Hashtbl.length t.w_extra
@@ -72,25 +71,6 @@ let observe t ~at_us ~caller ~callee ~bytes =
       | None ->
           Hashtbl.add t.w_extra key
             { x_count = 1.; x_bytes = float_of_int bytes; x_last = at_us })
-
-let add_bytes t ~at_us ~caller ~callee ~bytes =
-  if bytes > 0 then t.w_byte_observed <- t.w_byte_observed + 1;
-  let key = (min caller callee, max caller callee) in
-  match Hashtbl.find_opt t.w_index key with
-  | Some s ->
-      t.w_count.(s) <- decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_count.(s);
-      t.w_bytes.(s) <-
-        decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_bytes.(s) +. float_of_int bytes;
-      t.w_last.(s) <- at_us
-  | None -> (
-      match Hashtbl.find_opt t.w_extra key with
-      | Some x ->
-          x.x_count <- decay t ~from_us:x.x_last ~to_us:at_us x.x_count;
-          x.x_bytes <- decay t ~from_us:x.x_last ~to_us:at_us x.x_bytes +. float_of_int bytes;
-          x.x_last <- at_us
-      | None ->
-          Hashtbl.add t.w_extra key
-            { x_count = 0.; x_bytes = float_of_int bytes; x_last = at_us })
 
 let counts_at t ~now_us =
   Array.init (Array.length t.w_count) (fun s ->

@@ -31,12 +31,6 @@ val observe : t -> at_us:float -> caller:int -> callee:int -> bytes:int -> unit
 (** Fold in one observation at virtual time [at_us]. Classification
     [-1] stands for the main program, as in {!Drift} signatures. *)
 
-val add_bytes : t -> at_us:float -> caller:int -> callee:int -> bytes:int -> unit
-(** Fold in bytes without a call count — for paths where message sizes
-    only become known after the call was already counted (e.g. a tap
-    that measures sizes on its sampled subset). *)
-
-val slot_count : t -> int
 val observed : t -> int
 (** Raw (undecayed) observation count ever folded in. *)
 

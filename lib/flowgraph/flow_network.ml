@@ -27,20 +27,6 @@ let add_undirected t a b ~cap =
   add_edge t ~src:a ~dst:b ~cap;
   add_edge t ~src:b ~dst:a ~cap
 
-let set_edge t ~src ~dst ~cap =
-  check_node t src "set_edge";
-  check_node t dst "set_edge";
-  if cap < 0 then invalid_arg "Flow_network.set_edge: negative capacity";
-  if src <> dst then begin
-    let k = key t src dst in
-    if cap = 0 then Hashtbl.remove t.caps k
-    else Hashtbl.replace t.caps k (min infinity_cap cap)
-  end
-
-let set_undirected t a b ~cap =
-  set_edge t ~src:a ~dst:b ~cap;
-  set_edge t ~src:b ~dst:a ~cap
-
 let edge_cap t ~src ~dst =
   check_node t src "edge_cap";
   check_node t dst "edge_cap";
@@ -109,22 +95,12 @@ module Residual = struct
   let node_count g = g.rn
   let arc_count g = Array.length g.arc_to
 
-  let out_degree g v = g.node_first.(v + 1) - g.node_first.(v)
-
-  let first_arc g v = if out_degree g v = 0 then -1 else g.node_first.(v)
-
   let arc_start g v = g.node_first.(v)
   let arc_stop g v = g.node_first.(v + 1)
-
-  let iter_out g v f =
-    for a = g.node_first.(v) to g.node_first.(v + 1) - 1 do
-      f ~arc:a ~dst:g.arc_to.(a) ~cap:g.arc_res.(a)
-    done
 
   let arc_dst g a = g.arc_to.(a)
   let arc_pair g a = g.pair.(a)
   let residual g a = g.arc_res.(a)
-  let base_cap g a = g.arc_cap.(a)
 
   let set_arc_cap g a cap = g.arc_cap.(a) <- cap
 
@@ -162,13 +138,4 @@ module Residual = struct
     let stack = Array.make (max 1 g.rn) 0 in
     min_cut_side_into g ~s ~seen ~stack;
     seen
-
-  let flow_value g _net ~s =
-    (* Net flow out of s: for each arc leaving s, (cap - residual) is
-       the flow it carries (negative when the arc absorbed return
-       flow). *)
-    let total = ref 0 in
-    iter_out g s (fun ~arc ~dst:_ ~cap:_ ->
-        total := !total + (g.arc_cap.(arc) - g.arc_res.(arc)));
-    !total
 end

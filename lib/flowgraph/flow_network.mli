@@ -29,18 +29,6 @@ val add_edge : t -> src:int -> dst:int -> cap:int -> unit
 val add_undirected : t -> int -> int -> cap:int -> unit
 (** Capacity in both directions, as for symmetric communication cost. *)
 
-val set_edge : t -> src:int -> dst:int -> cap:int -> unit
-(** Replace the capacity of [src -> dst] outright (no accumulation),
-    clamped at [infinity_cap]. [cap = 0] removes the edge, so a graph
-    repriced through [set_edge] has exactly the same edge set as one
-    built fresh with {!add_edge} — zero-cost pairs are absent from
-    both. This is the capacity-reset primitive that lets the analysis
-    engine reuse one network across many pricing/cut rounds instead of
-    rebuilding it per network profile. Self-loops are ignored. *)
-
-val set_undirected : t -> int -> int -> cap:int -> unit
-(** {!set_edge} in both directions. *)
-
 val edge_cap : t -> src:int -> dst:int -> int
 (** Current accumulated capacity (0 when absent). *)
 
@@ -89,15 +77,10 @@ module Residual : sig
   (** [set_arc_cap g arc cap] rewrites the base capacity of [arc].
       Takes effect at the next {!reset}. *)
 
-  val base_cap : g -> int -> int
-
   val copy : g -> g
   (** An independent arena sharing the immutable layout arrays
       (destinations, pairs, offsets) but owning its own capacity and
       residual arrays — safe to solve from another domain. *)
-
-  val iter_out : g -> int -> (arc:int -> dst:int -> cap:int -> unit) -> unit
-  (** Iterate arcs leaving a node with their residual capacities. *)
 
   val arc_dst : g -> int -> int
 
@@ -109,17 +92,10 @@ module Residual : sig
   (** [push g arc amount] moves [amount] along [arc] (decreasing its
       residual, increasing its pair's). *)
 
-  val first_arc : g -> int -> int
-  (** Index of the first arc out of a node, or [-1]. Arcs of a node are
-      [first_arc .. first_arc + out_degree - 1]. *)
-
   val arc_start : g -> int -> int
   val arc_stop : g -> int -> int
-  (** Arcs of node [v] are [arc_start v .. arc_stop v - 1]; unlike
-      {!first_arc} this is well-defined (an empty range) for isolated
-      nodes, which suits tight solver loops. *)
-
-  val out_degree : g -> int -> int
+  (** Arcs of node [v] are [arc_start v .. arc_stop v - 1], an empty
+      range for an isolated node. *)
 
   val min_cut_side : g -> s:int -> bool array
   (** After a max flow has been established: the source side of the
@@ -130,8 +106,4 @@ module Residual : sig
   (** Allocation-free {!min_cut_side}: writes the source side into
       [seen] using [stack] as DFS scratch. Both arrays must hold at
       least {!node_count} elements. *)
-
-  val flow_value : g -> t -> s:int -> int
-  (** Net flow out of [s], measured against original capacities in the
-      network the residual was compiled from. *)
 end

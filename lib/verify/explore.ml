@@ -214,7 +214,7 @@ let enabled m st =
   in
   breaker @ migrations @ promotions
 
-(* Mirror of [Rte.on_transition]'s ladder moves on a one-host route. *)
+(* Mirror of the RTE routing engine's ladder moves on a one-host route. *)
 let rung_after m rung = function
   | Some { Health.tr_to = Health.Open; _ } -> min (rung + 1) (Model.rung_count m - 1)
   | Some { Health.tr_to = Health.Closed; _ } -> 0

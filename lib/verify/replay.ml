@@ -4,7 +4,7 @@
    genuine articles — a mutable [Health.t] breaker advanced on a real
    virtual clock, and a [Factory] whose recorded instances stand in for
    the groups, moved under exactly the ladder-table gating
-   [Rte.switch_rung] applies.  A trace is confirmed when the violations
+   the RTE's rung switch applies.  A trace is confirmed when the violations
    it was reported for manifest here too: a separated non-remotable
    pair read back from [Factory.machine_of] is precisely the condition
    under which the RTE's marshaling layer raises [E_cannot_marshal]. *)

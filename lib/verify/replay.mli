@@ -4,7 +4,7 @@
     a trace through a genuine mutable {!Coign_netsim.Health.t} on a
     real virtual clock and a genuine {!Factory} (one recorded instance
     per model group), applying exactly the ladder-table migration
-    gating [Rte.switch_rung] uses.  A reported violation is confirmed
+    gating the RTE's rung switch uses.  A reported violation is confirmed
     when it manifests here too — a separated non-remotable pair read
     back from [Factory.machine_of] is the precise condition under which
     the RTE raises [E_cannot_marshal] at marshal time. *)

@@ -334,6 +334,78 @@ let test_grid_rejects_non_finite () =
           (fleet, [ "--cooloff-ms"; "0" ]);
         ])
 
+(* Every image-taking subcommand, run on an instrumented, a profiled
+   and an analyzed image and on a file that is not an image, succeeds,
+   reports bad input (exit 1) or rejects its command line (exit 124) —
+   never an uncaught exception (exit 125). *)
+let test_exit_codes () =
+  in_tmp (fun dir ->
+      let path name = Filename.concat dir name in
+      let ins = path "ins.img" and prof = path "prof.img" and an = path "an.img" in
+      let junk = path "junk.img" and log = path "wp0.cpl" in
+      check_ok "instrument" (run [ "instrument"; "--app"; "octarine"; "-o"; ins ]);
+      check_ok "profile"
+        (run [ "profile"; ins; "--scenario"; "o_oldwp0"; "--log"; log; "-o"; prof ]);
+      check_ok "analyze" (run [ "analyze"; prof; "-o"; an ]);
+      Out_channel.with_open_bin junk (fun oc -> output_string oc "hello\n");
+      let sc = [ "--scenario"; "o_oldwp0" ] in
+      let commands img =
+        [
+          [ "analyze"; img; "-o"; path "out.img" ];
+          [ "combine"; img; log; "-o"; path "out.img" ];
+          "faultsim" :: img :: sc;
+          "fleet" :: img :: sc;
+          [ "lint"; img ];
+          [ "load"; img; "--sessions"; "50" ];
+          "metrics" :: img :: sc;
+          ("profile" :: img :: sc) @ [ "-o"; path "out.img" ];
+          "resilience" :: img :: sc;
+          "run" :: img :: sc;
+          [ "show"; img ];
+          [ "sweep"; img; "--points"; "3" ];
+          ("trace" :: img :: sc) @ [ "-o"; path "out.json" ];
+          [ "verify"; img ];
+          [ "watch"; img; "--profile"; "o_oldwp0"; "--phases"; "o_oldwp0" ];
+        ]
+      in
+      List.iter
+        (fun img ->
+          List.iter
+            (fun args ->
+              let rc = run args in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s exits %d"
+                   (String.concat " " (List.map Filename.basename args))
+                   rc)
+                true
+                (List.mem rc [ 0; 1; 124 ]))
+            (commands img))
+        [ ins; prof; an; junk ])
+
+(* The watch's float options are finite numbers (the dwell and the
+   window mass also >= 0): nan, inf or a negative value is a bad
+   command line (exit 124), never a run that silently turns the watch
+   off. *)
+let test_watch_rejects_non_finite () =
+  in_tmp (fun dir ->
+      let img = Filename.concat dir "oct.img" in
+      check_ok "instrument" (run [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+      let watch args =
+        run ([ "watch"; img; "--profile"; "o_oldwp0"; "--phases"; "o_oldwp0;o_oldwp7" ] @ args)
+      in
+      check_ok "finite options run" (watch [ "--min-dwell-ms"; "0"; "--min-window"; "0" ]);
+      List.iter
+        (fun args -> Alcotest.(check int) (String.concat " " args ^ " exit") 124 (watch args))
+        [
+          [ "--min-dwell-ms"; "nan" ];
+          [ "--min-window"; "nan" ];
+          [ "--min-dwell-ms=-5" ];
+          [ "--min-window=-1" ];
+          [ "--half-life-ms"; "inf" ];
+          [ "--half-life-ms"; "nan" ];
+          [ "--threshold"; "nan" ];
+        ])
+
 (* sweep --json carries each point's network exactly: a scraper can
    rebuild the model behind cut_ns bit for bit. *)
 let test_sweep_json_exact () =
@@ -382,4 +454,6 @@ let suite =
     Alcotest.test_case "cli watch golden octarine" `Slow test_watch_golden_octarine;
     Alcotest.test_case "cli grid rejects non-finite input" `Quick test_grid_rejects_non_finite;
     Alcotest.test_case "cli sweep json is exact" `Quick test_sweep_json_exact;
+    Alcotest.test_case "cli exit codes stay 0, 1 or 124" `Slow test_exit_codes;
+    Alcotest.test_case "cli watch rejects non-finite input" `Quick test_watch_rejects_non_finite;
   ]

@@ -280,6 +280,78 @@ let test_watch_emits_drift_events () =
       Alcotest.(check bool) "migration count sane" true (migrated >= 0))
     recuts
 
+(* --- Configuration guards ------------------------------------------- *)
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* A nan or negative dwell or window mass would silently turn the watch
+   off: no drift check could ever pass its gate. *)
+let test_watch_rejects_bad_dwell_and_window () =
+  let _, _, session, net = octarine_staged () in
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) (what ^ " rejected") true (raises_invalid f))
+    [
+      ("nan dwell", fun () -> Rte.watch ~min_dwell_us:Float.nan ~net session);
+      ("infinite dwell", fun () -> Rte.watch ~min_dwell_us:Float.infinity ~net session);
+      ("negative dwell", fun () -> Rte.watch ~min_dwell_us:(-5.) ~net session);
+      ("nan window", fun () -> Rte.watch ~min_window:Float.nan ~net session);
+      ("negative window", fun () -> Rte.watch ~min_window:(-1.) ~net session);
+    ]
+
+(* Resilience, the pool and the watch each drive the factory policy, so
+   at most one may be installed; the watch also needs a
+   By_classification placement to start from. *)
+let test_install_distributed_rejections () =
+  let app, profiled, session, net = octarine_staged () in
+  let dist_image, _ = Adps.analyze_with ~session ~image:profiled ~net () in
+  let classifier, dist = Option.get (Adps.load_distribution dist_image) in
+  let ladder =
+    Fallback.of_rungs ~migration_safe:(Fallback.migration_safety session)
+      [ { Fallback.rg_name = "primary"; rg_distribution = dist } ]
+  in
+  let resilience = Some (Rte.resilience ladder) in
+  let fleet = Some (Rte.fleet (Fallback.single_host ladder)) in
+  let watch = Some (Rte.watch ~net session) in
+  let base =
+    {
+      Rte.dc_factory_policy = Factory.By_classification dist;
+      dc_network = Network.ethernet_10;
+      dc_jitter = 0.;
+      dc_seed = 0x5EEDL;
+      dc_faults = None;
+      dc_retry = Fault.default_retry;
+      dc_resilience = None;
+      dc_fleet = None;
+      dc_watch = None;
+    }
+  in
+  let install config =
+    Rte.install_distributed ~classifier ~config
+      (Coign_com.Runtime.create_ctx app.App.app_registry)
+  in
+  (* Each one alone installs. *)
+  List.iter
+    (fun config -> Rte.uninstall (install config))
+    [
+      { base with dc_resilience = resilience };
+      { base with dc_fleet = fleet };
+      { base with dc_watch = watch };
+    ];
+  List.iter
+    (fun (what, config) ->
+      Alcotest.(check bool) (what ^ " rejected") true (raises_invalid (fun () -> install config)))
+    [
+      ("resilience + watch", { base with dc_resilience = resilience; dc_watch = watch });
+      ("fleet + resilience", { base with dc_fleet = fleet; dc_resilience = resilience });
+      ("fleet + watch", { base with dc_fleet = fleet; dc_watch = watch });
+      ( "watch over All_client",
+        { base with dc_factory_policy = Factory.All_client; dc_watch = watch } );
+    ]
+
 (* --- Watchsim: the closed loop -------------------------------------- *)
 
 let watchsim_shift ?pool () =
@@ -346,6 +418,10 @@ let suite =
     Alcotest.test_case "attached tap streams without perturbing" `Quick
       test_attached_tap_streams_without_perturbing;
     Alcotest.test_case "watch emits drift events" `Quick test_watch_emits_drift_events;
+    Alcotest.test_case "watch rejects bad dwell and window" `Quick
+      test_watch_rejects_bad_dwell_and_window;
+    Alcotest.test_case "install_distributed rejections" `Quick
+      test_install_distributed_rejections;
     Alcotest.test_case "watchsim converges to oracle" `Quick
       test_watchsim_converges_to_oracle;
     Alcotest.test_case "watchsim jobs deterministic" `Quick
