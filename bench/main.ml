@@ -310,20 +310,25 @@ let mincut () =
   let module M = Coign_flowgraph.Mincut in
   let n = 150 in
   let rng = Prng.create 77L in
-  let g = F.create ~n in
-  for _ = 1 to n * 4 do
-    let a = Prng.int rng n and b = Prng.int rng n in
-    F.add_undirected g a b ~cap:(1 + Prng.int rng 10_000)
-  done;
+  let edges =
+    List.init (n * 4) (fun _ ->
+        let a = Prng.int rng n and b = Prng.int rng n in
+        let cap = 1 + Prng.int rng 10_000 in
+        [ (a, b, cap); (b, a, cap) ])
+  in
   (* The analysis session's path: one residual arena and scratch, reset
-     and re-cut in place on every solve. *)
-  let arena = F.Residual.of_network g in
+     and re-cut in place on every solve. Sorted like a session's edges,
+     so each node's arcs run in neighbour order. *)
+  let edges = Array.of_list (List.concat edges) in
+  Array.sort compare edges;
+  let arena, _ = F.of_edges ~n edges in
   let scratch = M.scratch arena in
   let solve algorithm =
-    F.Residual.reset arena;
+    F.reset arena;
     M.run ~algorithm arena scratch ~s:0 ~t:1
   in
-  Printf.printf "Random undirected graph: %d nodes, %d directed edges.\n" n (F.edge_count g);
+  Printf.printf "Random undirected graph: %d nodes, %d directed edges.\n" n
+    (F.arc_count arena / 2);
   let rows =
     List.map
       (fun alg -> (alg, solve alg, cpu_us_per_call (fun () -> ignore (solve alg))))

@@ -22,9 +22,17 @@ let price_entry net (e : Icc.entry) =
 
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
-module Session = struct
-  module R = Flow_network.Residual
+(* The classifications of each class name among the first [n],
+   ascending — one index per pass over the class-level constraints. *)
+let classifications_by_class classifier ~n =
+  let tbl : (string, int list) Hashtbl.t = Hashtbl.create 32 in
+  for c = n - 1 downto 0 do
+    let cname = Classifier.class_of_classification classifier c in
+    Hashtbl.replace tbl cname (c :: Option.value ~default:[] (Hashtbl.find_opt tbl cname))
+  done;
+  fun cname -> Option.value ~default:[] (Hashtbl.find_opt tbl cname)
 
+module Session = struct
   (* The network-dependent half of pricing, memoized per network
      profile (by physical identity — profiles are immutable records, so
      the same profile object always compiles to the same table). Sweeps
@@ -43,20 +51,13 @@ module Session = struct
        edges plus one zero-capacity slot per priced traffic pair.
        Repricing writes capacities straight into the arena — no edge
        list is ever rebuilt. *)
-    s_arena : R.g;
+    s_arena : Flow_network.t;
     s_scratch : Mincut.scratch;
     (* Pair ids whose capacity must be re-priced per network: the pairs
        not already held together by an infinite edge. *)
     s_priced : int array;
     s_arc_ab : int array;  (* per priced slot: arena arc a->b *)
     s_arc_ba : int array;  (* per priced slot: arena arc b->a *)
-    s_caps : int array;    (* per priced slot: capacity of the last solve *)
-    (* Static placement adjacency in CSR form over the n+2 nodes; a tag
-       of -1 marks an infinite (constraint) edge, otherwise the priced
-       slot whose current capacity decides whether the edge exists. *)
-    s_adj_first : int array;
-    s_adj_node : int array;
-    s_adj_tag : int array;
     (* Per-solve scratch, preallocated once. *)
     s_seen : bool array;
     s_stack : int array;
@@ -85,17 +86,13 @@ module Session = struct
     in
     Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
         Hashtbl.replace pair_id (a, b) p);
-    (* Infinite undirected edges, deduplicated: repeat constraints on
-       one pair saturate at infinity_cap anyway, so one arena slot per
-       unordered pair carries them all. *)
-    let inf_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let inf_rev = ref [] in
+    (* Infinite undirected edges. Repeat constraints on one pair share
+       its arena arc: the compile sums them, saturating at
+       infinity_cap. *)
+    let infinite = ref [] in
     let add_infinite a b =
       let key = (min a b, max a b) in
-      if not (Hashtbl.mem inf_seen key) then begin
-        Hashtbl.add inf_seen key ();
-        inf_rev := key :: !inf_rev
-      end;
+      infinite := key :: !infinite;
       (* An infinite edge dominates any finite traffic on the pair, so
          its price can never change the cut: skip it when repricing. *)
       match Hashtbl.find_opt pair_id key with
@@ -127,15 +124,7 @@ module Session = struct
       (Constraints.colocated_pairs constraints);
     (* Static class-pair co-location: every classification of one class
        must end up with every classification of the other. *)
-    let classifications_of =
-      let tbl : (string, int list) Hashtbl.t = Hashtbl.create 32 in
-      for c = n - 1 downto 0 do
-        let cname = Classifier.class_of_classification classifier c in
-        Hashtbl.replace tbl cname
-          (c :: Option.value ~default:[] (Hashtbl.find_opt tbl cname))
-      done;
-      fun cname -> Option.value ~default:[] (Hashtbl.find_opt tbl cname)
-    in
+    let classifications_of = classifications_by_class classifier ~n in
     List.iter
       (fun (ca, cb) ->
         List.iter
@@ -148,16 +137,14 @@ module Session = struct
     done;
     let priced = Array.of_list !priced in
     let np = Array.length priced in
-    let inf_pairs = Array.of_list (List.rev !inf_rev) in
+    let inf_pairs = Array.of_list !infinite in
     let ninf = Array.length inf_pairs in
     (* Directed edge list for the arena: both directions of every
        infinite edge and of every priced pair (the latter at capacity
-       zero — inert until priced up). Sorted by (src, dst), the same
-       order Flow_network.edges fed the legacy compile; the inert
-       zero-capacity slots interleave without disturbing the relative
-       order of live arcs, and a zero-residual arc is invisible to
-       every solver, so traversals see exactly the legacy arc
-       sequence. *)
+       zero — inert until priced up). Sorted by (src, dst), so each
+       node's arcs run in neighbour order. A priced pair is never also
+       infinite, so every priced slot owns its arcs. A zero-residual
+       arc is invisible to every solver. *)
     let nedges = 2 * (ninf + np) in
     let edges = Array.make (max 1 nedges) (0, 0, 0, -1) in
     Array.iteri
@@ -174,7 +161,7 @@ module Session = struct
     let edges = if nedges = 0 then [||] else edges in
     Array.sort compare edges;
     let arena, fwd =
-      R.of_edges ~n:(n + 2) (Array.map (fun (s, d, c, _) -> (s, d, c)) edges)
+      Flow_network.of_edges ~n:(n + 2) (Array.map (fun (s, d, c, _) -> (s, d, c)) edges)
     in
     let arc_ab = Array.make np 0 and arc_ba = Array.make np 0 in
     Array.iteri
@@ -182,38 +169,6 @@ module Session = struct
         if slot >= 0 then
           if src < dst then arc_ab.(slot) <- fwd.(i) else arc_ba.(slot) <- fwd.(i))
       edges;
-    (* Placement adjacency CSR over the same undirected edge sets. *)
-    let deg = Array.make (n + 2) 0 in
-    let bump (a, b) =
-      deg.(a) <- deg.(a) + 1;
-      deg.(b) <- deg.(b) + 1
-    in
-    Array.iter bump inf_pairs;
-    Array.iter (fun p -> bump (Icc_graph.pair graph p)) priced;
-    let adj_first = Array.make (n + 3) 0 in
-    for v = 1 to n + 2 do
-      adj_first.(v) <- adj_first.(v - 1) + deg.(v - 1)
-    done;
-    let nadj = adj_first.(n + 2) in
-    let adj_node = Array.make (max 1 nadj) 0 in
-    let adj_tag = Array.make (max 1 nadj) 0 in
-    let fill = Array.make (n + 2) 0 in
-    let link a b tag =
-      let i = adj_first.(a) + fill.(a) in
-      fill.(a) <- fill.(a) + 1;
-      adj_node.(i) <- b;
-      adj_tag.(i) <- tag;
-      let j = adj_first.(b) + fill.(b) in
-      fill.(b) <- fill.(b) + 1;
-      adj_node.(j) <- a;
-      adj_tag.(j) <- tag
-    in
-    Array.iter (fun (a, b) -> link a b (-1)) inf_pairs;
-    Array.iteri
-      (fun i p ->
-        let a, b = Icc_graph.pair graph p in
-        link a b i)
-      priced;
     {
       s_classifier = classifier;
       s_constraints = constraints;
@@ -225,10 +180,6 @@ module Session = struct
       s_priced = priced;
       s_arc_ab = arc_ab;
       s_arc_ba = arc_ba;
-      s_caps = Array.make np 0;
-      s_adj_first = adj_first;
-      s_adj_node = adj_node;
-      s_adj_tag = adj_tag;
       s_seen = Array.make (n + 2) false;
       s_stack = Array.make (n + 2) 0;
       s_server_side = Array.make (n + 2) false;
@@ -245,12 +196,11 @@ module Session = struct
 
   let copy t =
     let n2 = Icc_graph.classification_count t.s_graph + 2 in
-    let arena = R.copy t.s_arena in
+    let arena = Flow_network.copy t.s_arena in
     {
       t with
       s_arena = arena;
       s_scratch = Mincut.scratch arena;
-      s_caps = Array.copy t.s_caps;
       s_seen = Array.make n2 false;
       s_stack = Array.make n2 0;
       s_server_side = Array.make n2 false;
@@ -298,8 +248,8 @@ module Session = struct
               let cost, zero_us = cost_table_for t net in
               Icc_graph.price_scaled_into graph ~cost ~zero_us ~scale pricing);
           (* Reprice: write every non-fixed pair's capacity straight
-             into its preallocated arena slots (clamped exactly as the
-             legacy Hashtbl path clamped). Zero-cost pairs leave
+             into its preallocated arena slots, clamped at
+             infinity_cap as a compile would clamp. Zero-cost pairs leave
              zero-capacity arcs, which no solver can traverse, so the
              usable edge set is exactly what a from-scratch build
              produces. *)
@@ -308,9 +258,8 @@ module Session = struct
               min Flow_network.infinity_cap
                 (ns_of_us pricing.Icc_graph.pair_us.(t.s_priced.(i)))
             in
-            t.s_caps.(i) <- cap;
-            R.set_arc_cap t.s_arena t.s_arc_ab.(i) cap;
-            R.set_arc_cap t.s_arena t.s_arc_ba.(i) cap
+            Flow_network.set_arc_cap t.s_arena t.s_arc_ab.(i) cap;
+            Flow_network.set_arc_cap t.s_arena t.s_arc_ba.(i) cap
           done;
           pricing)
     in
@@ -318,15 +267,18 @@ module Session = struct
     (* A cut must exist even in a graph with no server-pinned component:
        terminals are always present (the cut just puts everything on
        the client). *)
-    R.reset t.s_arena;
+    Flow_network.reset t.s_arena;
     let cut_ns =
       Mincut.run ~algorithm t.s_arena t.s_scratch ~s:t.s_client ~t:t.s_server
     in
     let source_side = t.s_seen in
-    R.min_cut_side_into t.s_arena ~s:t.s_client ~seen:source_side ~stack:t.s_stack;
+    Flow_network.min_cut_side_into t.s_arena ~s:t.s_client ~seen:source_side ~stack:t.s_stack;
     (* A node the min cut leaves on the sink side belongs on the server
        only if it is actually connected to the server's side; components
-       that never communicated are free and default to the client. *)
+       that never communicated are free and default to the client. The
+       walk follows arcs of positive base capacity: an infinite edge or
+       a priced pair with traffic has both directions' forward arcs
+       above zero, so this is the undirected placement adjacency. *)
     let server_side = t.s_server_side in
     Array.fill server_side 0 (n + 2) false;
     server_side.(t.s_server) <- true;
@@ -336,11 +288,10 @@ module Session = struct
     while !head < !tail do
       let v = queue.(!head) in
       incr head;
-      for i = t.s_adj_first.(v) to t.s_adj_first.(v + 1) - 1 do
-        let u = t.s_adj_node.(i) in
-        let tag = t.s_adj_tag.(i) in
+      for a = Flow_network.arc_start t.s_arena v to Flow_network.arc_stop t.s_arena v - 1 do
+        let u = Flow_network.arc_dst t.s_arena a in
         if
-          (tag < 0 || t.s_caps.(tag) > 0)
+          Flow_network.arc_cap t.s_arena a > 0
           && (not server_side.(u))
           && not source_side.(u)
         then begin
@@ -422,15 +373,7 @@ module Session = struct
     (match Constraints.colocated_class_pairs t.s_constraints with
     | [] -> ()
     | class_pairs ->
-        let by_class = Hashtbl.create 16 in
-        for c = 0 to n - 1 do
-          let cname = Classifier.class_of_classification t.s_classifier c in
-          Hashtbl.replace by_class cname
-            (c :: Option.value ~default:[] (Hashtbl.find_opt by_class cname))
-        done;
-        let of_class cname =
-          Option.value ~default:[] (Hashtbl.find_opt by_class cname)
-        in
+        let of_class = classifications_by_class t.s_classifier ~n in
         List.iter
           (fun (ca, cb) ->
             List.iter
@@ -489,13 +432,7 @@ type violation =
    from a config record or a caller's hand-forced placement. *)
 let validate ~classifier ~constraints d =
   let n = Classifier.classification_count classifier in
-  let classifications_of cname =
-    let acc = ref [] in
-    for c = n - 1 downto 0 do
-      if Classifier.class_of_classification classifier c = cname then acc := c :: !acc
-    done;
-    !acc
-  in
+  let classifications_of = classifications_by_class classifier ~n in
   let pin_violations =
     List.concat_map
       (fun (cname, loc) ->

@@ -32,51 +32,26 @@ let choose ~classifier ~icc ~machines ~pins ~net () =
   let n = Icc_graph.classification_count graph in
   (* Nodes 0..n-1: classifications; n..n+k-1: machine terminals. *)
   let terminal m = n + m in
-  let g = Flow_network.create ~n:(n + k) in
-  (* Stage 2: price the abstract pairs against this network profile. *)
+  (* Stage 2: price the abstract pairs against this network profile;
+     non-remotable pairs and pins are infinite edges. *)
   let pricing = Icc_graph.price graph ~net in
+  let edges = ref [] in
+  let undirected a b cap = edges := (b, a, cap) :: (a, b, cap) :: !edges in
   Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable ->
-      Flow_network.add_undirected g a b ~cap:(ns_of_us pricing.Icc_graph.pair_us.(p));
-      if non_remotable then
-        Flow_network.add_undirected g a b ~cap:Flow_network.infinity_cap);
+      undirected a b
+        (if non_remotable then Flow_network.infinity_cap
+         else ns_of_us pricing.Icc_graph.pair_us.(p)));
   for c = 0 to n - 1 do
     match pins (Classifier.class_of_classification classifier c) with
-    | Some name ->
-        Flow_network.add_undirected g c (terminal (machine_index name))
-          ~cap:Flow_network.infinity_cap
+    | Some name -> undirected c (terminal (machine_index name)) Flow_network.infinity_cap
     | None -> ()
   done;
-  let terminals = List.init k terminal in
-  let partition = Multiway.multiway_cut g ~terminals in
-  (* The partition assigns machine indices by terminal list order,
-     which matches our machine order. Classifications disconnected
-     from every terminal default to the main machine. *)
-  let reachable = Array.make (n + k) false in
-  let adjacency = Array.make (n + k) [] in
-  List.iter
-    (fun (a, b, _) ->
-      adjacency.(a) <- b :: adjacency.(a);
-      adjacency.(b) <- a :: adjacency.(b))
-    (Flow_network.edges g);
-  let queue = Queue.create () in
-  List.iter
-    (fun t ->
-      reachable.(t) <- true;
-      Queue.add t queue)
-    terminals;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun u ->
-        if not reachable.(u) then begin
-          reachable.(u) <- true;
-          Queue.add u queue
-        end)
-      adjacency.(v)
-  done;
-  let assignment =
-    Array.init n (fun c -> if reachable.(c) then partition.Multiway.assignment.(c) else 0)
+  let partition =
+    Multiway.multiway_cut ~n:(n + k) (Array.of_list !edges) ~terminals:(List.init k terminal)
   in
+  (* The partition assigns machine indices by terminal list order,
+     which matches our machine order. *)
+  let assignment = Array.sub partition.Multiway.assignment 0 n in
   (* Abstract-graph nodes >= n (the main program) live on machine 0. *)
   let machine_of_node v = if v < 0 || v >= n then 0 else assignment.(v) in
   let predicted_comm_us = predicted_assignment_us graph pricing ~assignment:machine_of_node in

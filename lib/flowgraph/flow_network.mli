@@ -6,7 +6,16 @@
     capacity is the communication time that would be paid if the cut
     separated its endpoints. Capacities are integers (nanoseconds in
     the analysis engine) because the push-relabel family needs exact
-    arithmetic. *)
+    arithmetic.
+
+    A graph is compiled once, from a plain [(src, dst, cap)] edge
+    array, into the form max-flow algorithms run on: an adjacency
+    structure with paired residual arcs, laid out as a CSR (compressed
+    sparse row) arena of flat int arrays. The arena is reusable across
+    pricing rounds: base capacities live in their own array, {!reset}
+    blits them back into the residual array, and {!set_arc_cap}
+    rewrites a single arc's base capacity in place — so a
+    reprice/recut round allocates nothing. *)
 
 type t
 
@@ -16,94 +25,63 @@ val infinity_cap : int
     endpoints of a non-remotable interface. Chosen small enough that
     summing millions of such edges cannot overflow. *)
 
-val create : n:int -> t
-(** A graph with nodes [0 .. n-1] and no edges. *)
+val of_edges : n:int -> (int * int * int) array -> t * int array
+(** Compile an arena over nodes [0 .. n-1] from a directed edge array
+    [(src, dst, cap)]. Parallel entries for one [(src, dst)] share one
+    arc whose capacity is their sum, saturating at {!infinity_cap};
+    self-loops are dropped (they can never be cut). Zero-capacity
+    edges keep their arc, inert until {!set_arc_cap} raises it — this
+    is how a session arena pre-allocates slots for every potential
+    traffic pair. Each node's arcs follow input order, so distinct
+    pre-sorted pairs compile to the same layout every time. Also
+    returns the forward arc of each input edge ([-1] for a
+    self-loop), so callers can rewrite capacities later without
+    searching. Raises [Invalid_argument] on a negative [n], a node out
+    of range or a negative capacity. *)
 
 val node_count : t -> int
 
-val add_edge : t -> src:int -> dst:int -> cap:int -> unit
-(** Add capacity [cap >= 0] to the directed edge [src -> dst]; parallel
-    additions accumulate, saturating at [infinity_cap]. Self-loops are
-    ignored (they can never be cut). *)
+val arc_count : t -> int
+(** Forward plus reverse arcs: twice the number of distinct edges. *)
 
-val add_undirected : t -> int -> int -> cap:int -> unit
-(** Capacity in both directions, as for symmetric communication cost. *)
+val reset : t -> unit
+(** Restore every residual capacity to its base capacity (one blit);
+    run before re-solving on rewritten capacities. *)
 
-val edge_cap : t -> src:int -> dst:int -> int
-(** Current accumulated capacity (0 when absent). *)
+val set_arc_cap : t -> int -> int -> unit
+(** [set_arc_cap g arc cap] rewrites the base capacity of [arc].
+    Takes effect at the next {!reset}. *)
 
-val edges : t -> (int * int * int) list
-(** All [(src, dst, cap)] with [cap > 0], deterministic order. *)
-
-val edge_count : t -> int
+val arc_cap : t -> int -> int
+(** Base capacity of an arc: the edge capacity on a forward arc, 0 on
+    a reverse arc. *)
 
 val copy : t -> t
+(** An independent arena sharing the immutable layout arrays
+    (destinations, pairs, offsets) but owning its own capacity and
+    residual arrays — safe to solve from another domain. *)
 
-(** {1 Residual form}
+val arc_dst : t -> int -> int
 
-    Max-flow algorithms run on a compiled adjacency structure with
-    paired residual arcs, laid out as a CSR (compressed sparse row)
-    arena of flat int arrays. The arena is reusable across pricing
-    rounds: base capacities live in their own array, {!Residual.reset}
-    blits them back into the residual array, and
-    {!Residual.set_arc_cap} rewrites a single arc's base capacity in
-    place — so a reprice/recut round allocates nothing. *)
+val arc_pair : t -> int -> int
+(** The paired reverse arc of an arc. *)
 
-module Residual : sig
-  type g
+val residual : t -> int -> int
+val push : t -> int -> int -> unit
+(** [push g arc amount] moves [amount] along [arc] (decreasing its
+    residual, increasing its pair's). *)
 
-  val of_network : t -> g
+val arc_start : t -> int -> int
+val arc_stop : t -> int -> int
+(** Arcs of node [v] are [arc_start v .. arc_stop v - 1], an empty
+    range for an isolated node. *)
 
-  val of_edges : n:int -> (int * int * int) array -> g * int array
-  (** Compile an arena over nodes [0 .. n-1] from an explicit directed
-      edge array [(src, dst, cap)]. Edges must be distinct directed
-      pairs with [src <> dst] and [cap >= 0]; zero-capacity edges are
-      allowed and inert until {!set_arc_cap} raises them — this is how
-      a session arena pre-allocates slots for every potential traffic
-      pair. Arc layout follows input order, so passing the sorted
-      {!edges} list reproduces {!of_network} exactly. Also returns the
-      forward arc index of each input edge, so callers can rewrite
-      capacities later without searching. *)
+val min_cut_side : t -> s:int -> bool array
+(** After a max flow has been established: the source side of the
+    minimum cut, i.e. nodes reachable from [s] in the residual
+    graph. *)
 
-  val node_count : g -> int
-
-  val arc_count : g -> int
-
-  val reset : g -> unit
-  (** Restore every residual capacity to its base capacity (one blit);
-      run before re-solving on rewritten capacities. *)
-
-  val set_arc_cap : g -> int -> int -> unit
-  (** [set_arc_cap g arc cap] rewrites the base capacity of [arc].
-      Takes effect at the next {!reset}. *)
-
-  val copy : g -> g
-  (** An independent arena sharing the immutable layout arrays
-      (destinations, pairs, offsets) but owning its own capacity and
-      residual arrays — safe to solve from another domain. *)
-
-  val arc_dst : g -> int -> int
-
-  val arc_pair : g -> int -> int
-  (** The paired reverse arc of an arc. *)
-
-  val residual : g -> int -> int
-  val push : g -> int -> int -> unit
-  (** [push g arc amount] moves [amount] along [arc] (decreasing its
-      residual, increasing its pair's). *)
-
-  val arc_start : g -> int -> int
-  val arc_stop : g -> int -> int
-  (** Arcs of node [v] are [arc_start v .. arc_stop v - 1], an empty
-      range for an isolated node. *)
-
-  val min_cut_side : g -> s:int -> bool array
-  (** After a max flow has been established: the source side of the
-      minimum cut, i.e. nodes reachable from [s] in the residual
-      graph. *)
-
-  val min_cut_side_into : g -> s:int -> seen:bool array -> stack:int array -> unit
-  (** Allocation-free {!min_cut_side}: writes the source side into
-      [seen] using [stack] as DFS scratch. Both arrays must hold at
-      least {!node_count} elements. *)
-end
+val min_cut_side_into : t -> s:int -> seen:bool array -> stack:int array -> unit
+(** Allocation-free {!min_cut_side}: writes the source side into
+    [seen] using [stack] as DFS scratch. Both arrays must hold at
+    least {!node_count} elements. *)

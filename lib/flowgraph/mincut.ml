@@ -1,4 +1,4 @@
-module R = Flow_network.Residual
+module G = Flow_network
 
 type algorithm = Relabel_to_front | Edmonds_karp | Dinic
 
@@ -25,7 +25,7 @@ type scratch = {
 }
 
 let scratch g =
-  let n = R.node_count g in
+  let n = G.node_count g in
   {
     sc_n = n;
     sc_h = Array.make n 0;
@@ -48,7 +48,7 @@ let scratch g =
    and chosen placements are unchanged, a property the test suite
    checks against Dinic, Edmonds-Karp and brute force. *)
 let push_relabel g sc ~s ~t =
-  let n = R.node_count g in
+  let n = G.node_count g in
   let h = sc.sc_h and e = sc.sc_e and cur = sc.sc_cur in
   let cnt = sc.sc_cnt and q = sc.sc_q and inq = sc.sc_inq in
   let qcap = Array.length q in
@@ -98,11 +98,11 @@ let push_relabel g sc ~s ~t =
       while !qlen > 0 do
         let v = qpop () in
         let hv = h.(v) in
-        for a = R.arc_start g v to R.arc_stop g v - 1 do
-          let u = R.arc_dst g a in
+        for a = G.arc_start g v to G.arc_stop g v - 1 do
+          let u = G.arc_dst g a in
           (* u can step to v iff the arc u->v (our arc's pair) has
              residual capacity. *)
-          if u <> s && h.(u) = unreachable && R.residual g (R.arc_pair g a) > 0
+          if u <> s && h.(u) = unreachable && G.residual g (G.arc_pair g a) > 0
           then begin
             h.(u) <- hv + 1;
             qpush u
@@ -136,22 +136,22 @@ let push_relabel g sc ~s ~t =
   Array.fill e 0 n 0;
   Array.fill inq 0 n false;
   (* Saturate all arcs out of s. *)
-  for a = R.arc_start g s to R.arc_stop g s - 1 do
-    let c = R.residual g a in
+  for a = G.arc_start g s to G.arc_stop g s - 1 do
+    let c = G.residual g a in
     if c > 0 then begin
-      R.push g a c;
-      e.(R.arc_dst g a) <- e.(R.arc_dst g a) + c;
+      G.push g a c;
+      e.(G.arc_dst g a) <- e.(G.arc_dst g a) + c;
       e.(s) <- e.(s) - c
     end
   done;
   global_relabel ();
-  let gr_threshold = (6 * n) + (R.arc_count g / 2) + 64 in
+  let gr_threshold = (6 * n) + (G.arc_count g / 2) + 64 in
   let gr_work = ref 0 in
   while !qlen > 0 do
     let u = qpop () in
     inq.(u) <- false;
-    let base = R.arc_start g u in
-    let stop = R.arc_stop g u in
+    let base = G.arc_start g u in
+    let stop = G.arc_stop g u in
     let deg = stop - base in
     let discharging = ref true in
     while !discharging && e.(u) > 0 do
@@ -161,7 +161,7 @@ let push_relabel g sc ~s ~t =
         let old = h.(u) in
         let min_h = ref max_int in
         for a = base to stop - 1 do
-          if R.residual g a > 0 then min_h := min !min_h h.(R.arc_dst g a)
+          if G.residual g a > 0 then min_h := min !min_h h.(G.arc_dst g a)
         done;
         cnt.(old) <- cnt.(old) - 1;
         h.(u) <- !min_h + 1;
@@ -178,11 +178,11 @@ let push_relabel g sc ~s ~t =
       end
       else begin
         let a = base + cur.(u) in
-        let dst = R.arc_dst g a in
-        let r = R.residual g a in
+        let dst = G.arc_dst g a in
+        let r = G.residual g a in
         if r > 0 && h.(u) = h.(dst) + 1 then begin
           let amount = min e.(u) r in
-          R.push g a amount;
+          G.push g a amount;
           e.(u) <- e.(u) - amount;
           e.(dst) <- e.(dst) + amount;
           activate dst
@@ -196,7 +196,7 @@ let push_relabel g sc ~s ~t =
 (* --- Edmonds-Karp (BFS augmenting paths) -------------------------- *)
 
 let edmonds_karp g sc ~s ~t =
-  let n = R.node_count g in
+  let n = G.node_count g in
   let parent_node = sc.sc_h and parent_arc = sc.sc_cur in
   let q = sc.sc_q in
   let qcap = Array.length q in
@@ -212,9 +212,9 @@ let edmonds_karp g sc ~s ~t =
     while (not !found) && !qhead <> !qtail do
       let v = q.(!qhead) in
       qhead := (!qhead + 1) mod qcap;
-      for a = R.arc_start g v to R.arc_stop g v - 1 do
-        let dst = R.arc_dst g a in
-        if R.residual g a > 0 && parent_node.(dst) < 0 then begin
+      for a = G.arc_start g v to G.arc_stop g v - 1 do
+        let dst = G.arc_dst g a in
+        if G.residual g a > 0 && parent_node.(dst) < 0 then begin
           parent_node.(dst) <- v;
           parent_arc.(dst) <- a;
           if dst = t then found := true
@@ -230,12 +230,12 @@ let edmonds_karp g sc ~s ~t =
       let b = ref max_int in
       let v = ref t in
       while !v <> s do
-        b := min !b (R.residual g parent_arc.(!v));
+        b := min !b (G.residual g parent_arc.(!v));
         v := parent_node.(!v)
       done;
       v := t;
       while !v <> s do
-        R.push g parent_arc.(!v) !b;
+        G.push g parent_arc.(!v) !b;
         v := parent_node.(!v)
       done;
       total := !total + !b
@@ -247,7 +247,7 @@ let edmonds_karp g sc ~s ~t =
 (* --- Dinic (level graph + blocking flow) -------------------------- *)
 
 let dinic g sc ~s ~t =
-  let n = R.node_count g in
+  let n = G.node_count g in
   let level = sc.sc_h and iter = sc.sc_cur in
   let q = sc.sc_q in
   let qcap = Array.length q in
@@ -260,9 +260,9 @@ let dinic g sc ~s ~t =
     while !qhead <> !qtail do
       let v = q.(!qhead) in
       qhead := (!qhead + 1) mod qcap;
-      for a = R.arc_start g v to R.arc_stop g v - 1 do
-        let dst = R.arc_dst g a in
-        if R.residual g a > 0 && level.(dst) < 0 then begin
+      for a = G.arc_start g v to G.arc_stop g v - 1 do
+        let dst = G.arc_dst g a in
+        if G.residual g a > 0 && level.(dst) < 0 then begin
           level.(dst) <- level.(v) + 1;
           q.(!qtail) <- dst;
           qtail := (!qtail + 1) mod qcap
@@ -274,16 +274,16 @@ let dinic g sc ~s ~t =
   let rec dfs v limit =
     if v = t then limit
     else begin
-      let base = R.arc_start g v in
-      let stop = R.arc_stop g v in
+      let base = G.arc_start g v in
+      let stop = G.arc_stop g v in
       let pushed = ref 0 in
       while !pushed = 0 && base + iter.(v) < stop do
         let arc = base + iter.(v) in
-        let dst = R.arc_dst g arc in
-        if R.residual g arc > 0 && level.(dst) = level.(v) + 1 then begin
-          let got = dfs dst (min limit (R.residual g arc)) in
+        let dst = G.arc_dst g arc in
+        if G.residual g arc > 0 && level.(dst) = level.(v) + 1 then begin
+          let got = dfs dst (min limit (G.residual g arc)) in
           if got > 0 then begin
-            R.push g arc got;
+            G.push g arc got;
             pushed := got
           end
           else iter.(v) <- iter.(v) + 1
@@ -309,52 +309,37 @@ let dinic g sc ~s ~t =
 
 (* ------------------------------------------------------------------ *)
 
-let check_terminals_n n ~s ~t =
+let check_terminals n ~s ~t =
   if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Mincut: terminal out of range";
   if s = t then invalid_arg "Mincut: s = t"
 
-let check_terminals net ~s ~t = check_terminals_n (Flow_network.node_count net) ~s ~t
-
 let run ?(algorithm = Relabel_to_front) g sc ~s ~t =
-  check_terminals_n (R.node_count g) ~s ~t;
-  if sc.sc_n <> R.node_count g then
+  check_terminals (G.node_count g) ~s ~t;
+  if sc.sc_n <> G.node_count g then
     invalid_arg "Mincut.run: scratch/arena size mismatch";
   match algorithm with
   | Relabel_to_front -> push_relabel g sc ~s ~t
   | Edmonds_karp -> edmonds_karp g sc ~s ~t
   | Dinic -> dinic g sc ~s ~t
 
-let max_flow alg net ~s ~t =
-  check_terminals net ~s ~t;
-  let g = R.of_network net in
-  run ~algorithm:alg g (scratch g) ~s ~t
+let min_cut ?algorithm g ~s ~t =
+  G.reset g;
+  let value = run ?algorithm g (scratch g) ~s ~t in
+  { value; source_side = G.min_cut_side g ~s }
 
-let min_cut ?(algorithm = Relabel_to_front) net ~s ~t =
-  check_terminals net ~s ~t;
-  let g = R.of_network net in
-  let value = run ~algorithm g (scratch g) ~s ~t in
-  { value; source_side = R.min_cut_side g ~s }
-
-let cut_edges net cut =
-  List.filter
-    (fun (src, dst, _) -> cut.source_side.(src) && not cut.source_side.(dst))
-    (Flow_network.edges net)
-
-let brute_force_min_cut net ~s ~t =
-  check_terminals net ~s ~t;
-  let n = Flow_network.node_count net in
+let brute_force_min_cut ~n edges ~s ~t =
+  check_terminals n ~s ~t;
   if n > 22 then invalid_arg "Mincut.brute_force_min_cut: too many nodes";
-  let es = Flow_network.edges net in
   let best_value = ref max_int and best_mask = ref 0 in
   (* Enumerate source-side sets containing s and excluding t. *)
   for mask = 0 to (1 lsl n) - 1 do
     if mask land (1 lsl s) <> 0 && mask land (1 lsl t) = 0 then begin
       let v =
-        List.fold_left
+        Array.fold_left
           (fun acc (src, dst, cap) ->
             if mask land (1 lsl src) <> 0 && mask land (1 lsl dst) = 0 then acc + cap
             else acc)
-          0 es
+          0 edges
       in
       if v < !best_value then begin
         best_value := v;

@@ -30,32 +30,27 @@ type scratch
     across every solve; one scratch must not be used from two domains
     at once. *)
 
-val scratch : Flow_network.Residual.g -> scratch
+val scratch : Flow_network.t -> scratch
 
 val run :
   ?algorithm:algorithm ->
-  Flow_network.Residual.g -> scratch -> s:int -> t:int -> int
+  Flow_network.t -> scratch -> s:int -> t:int -> int
 (** Run a max-flow algorithm in place on the arena's {e current}
-    residual state (callers re-solving after {!Flow_network.Residual.set_arc_cap}
-    must {!Flow_network.Residual.reset} first) and return the flow
-    value. Allocates nothing: all working state lives in [scratch].
-    The minimal source side can then be read off with
-    {!Flow_network.Residual.min_cut_side_into}. Raises
-    [Invalid_argument] on bad terminals or a scratch sized for a
-    different arena. *)
-
-val max_flow : algorithm -> Flow_network.t -> s:int -> t:int -> int
-(** Max-flow value only. *)
+    residual state (callers re-solving after {!Flow_network.set_arc_cap}
+    must {!Flow_network.reset} first) and return the flow value.
+    Allocates nothing: all working state lives in [scratch]. The
+    minimal source side can then be read off with
+    {!Flow_network.min_cut_side_into}. Raises [Invalid_argument] on
+    bad terminals or a scratch sized for a different arena. *)
 
 val min_cut : ?algorithm:algorithm -> Flow_network.t -> s:int -> t:int -> cut
-(** Minimum s-t cut (default algorithm: [Relabel_to_front], as in the
-    paper). Raises [Invalid_argument] if [s = t] or either is out of
-    range. *)
+(** Minimum s-t cut of the arena's base capacities (default algorithm:
+    [Relabel_to_front], as in the paper): resets the arena, solves on
+    fresh scratch and reads off the minimal source side. Raises
+    [Invalid_argument] if [s = t] or either is out of range. *)
 
-val cut_edges : Flow_network.t -> cut -> (int * int * int) list
-(** The network edges crossing from the source side to the sink side,
-    with their capacities; their sum equals [cut.value]. *)
-
-val brute_force_min_cut : Flow_network.t -> s:int -> t:int -> cut
-(** Exhaustive minimum cut for verification; exponential, refuses
-    graphs with more than 22 nodes. *)
+val brute_force_min_cut :
+  n:int -> (int * int * int) array -> s:int -> t:int -> cut
+(** Exhaustive minimum cut of a raw [(src, dst, cap)] edge array over
+    nodes [0 .. n-1], for verification; exponential, refuses graphs
+    with more than 22 nodes. *)

@@ -7,7 +7,8 @@
     terminal (terminal vs. all other terminals merged), keep the k-1
     cheapest, and assign every node to the terminal whose isolating cut
     retains it — a (2 - 2/k)-approximation for undirected multiway
-    cut. *)
+    cut. All k cuts run on one {!Flow_network} arena, repricing the
+    terminals' super-sink slots between cuts. *)
 
 type partition = {
   assignment : int array;
@@ -17,13 +18,16 @@ type partition = {
 }
 
 val multiway_cut :
-  ?algorithm:Mincut.algorithm -> Flow_network.t -> terminals:int list -> partition
-(** Requires at least two distinct terminals. With exactly two, this
-    reduces to the exact minimum cut. Treats edge capacities as
-    symmetric demand (an undirected multiway-cut instance): for best
-    results feed it graphs built with
-    {!Flow_network.add_undirected}. *)
+  ?algorithm:Mincut.algorithm ->
+  n:int -> (int * int * int) array -> terminals:int list -> partition
+(** [multiway_cut ~n edges ~terminals] cuts the directed edge array
+    [(src, dst, cap)] over nodes [0 .. n-1]. Requires at least two
+    distinct terminals. With exactly two, this reduces to the exact
+    minimum cut. Treats edge capacities as symmetric demand (an
+    undirected multiway-cut instance): for best results list every
+    edge in both directions. Nodes sharing no connected component with
+    a terminal land on terminal 0. *)
 
-val partition_cost : Flow_network.t -> int array -> int
+val partition_cost : (int * int * int) array -> int array -> int
 (** Capacity of all edges whose endpoints get different machines under
     a given assignment. *)

@@ -6,7 +6,10 @@
 
 type op =
   | O_void
-  | O_fixed of int            (* scalar of fixed width *)
+  | O_int32
+  | O_int64
+  | O_double
+  | O_bool
   | O_counted_str
   | O_counted_blob
   | O_array of int            (* sub-program index for element *)
@@ -29,10 +32,10 @@ let compile ty =
     let op =
       match ty with
       | Idl_type.Void -> O_void
-      | Idl_type.Int32 -> O_fixed 4
-      | Idl_type.Int64 -> O_fixed 8
-      | Idl_type.Double -> O_fixed 8
-      | Idl_type.Bool -> O_fixed 4
+      | Idl_type.Int32 -> O_int32
+      | Idl_type.Int64 -> O_int64
+      | Idl_type.Double -> O_double
+      | Idl_type.Bool -> O_bool
       | Idl_type.Str -> O_counted_str
       | Idl_type.Blob -> O_counted_blob
       | Idl_type.Array elt -> O_array (go elt)
@@ -65,7 +68,10 @@ let rec same_length a b =
 let rec run_exn p idx v =
   match (p.programs.(idx), v) with
   | O_void, Value.Unit -> 0
-  | O_fixed n, (Value.Int _ | Value.Float _ | Value.Bool _) -> n
+  | O_int32, Value.Int _ -> 4
+  | O_int64, Value.Int _ -> 8
+  | O_double, Value.Float _ -> 8
+  | O_bool, Value.Bool _ -> 4
   | O_counted_str, Value.Str s -> 4 + String.length s
   | O_counted_blob, Value.Blob n when n >= 0 -> 4 + n
   | O_array elt, Value.Arr vs -> 4 + run_array p elt vs 0

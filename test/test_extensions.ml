@@ -229,9 +229,7 @@ let test_multiway_unknown_pin_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_multiway_two_machines_matches_two_way () =
-  (* With machines = [client; server] and the same pins, the multiway
-     engine must equal the exact two-way engine's communication cost. *)
+let octarine_two_machines () =
   let app = Octarine.app in
   let sc = App.scenario app "o_oldwp7" in
   let classifier = Classifier.create Classifier.Ifcb in
@@ -252,8 +250,38 @@ let test_multiway_two_machines_matches_two_way () =
   let mw =
     Multiway_analysis.choose ~classifier ~icc ~machines:[ "client"; "server" ] ~pins ~net ()
   in
+  (two_way, mw)
+
+let test_multiway_two_machines_matches_two_way () =
+  (* With machines = [client; server] and the same pins, the multiway
+     engine must equal the exact two-way engine's communication cost. *)
+  let two_way, mw = octarine_two_machines () in
   Alcotest.(check (float 1.)) "same communication cost" two_way.Analysis.predicted_comm_us
     mw.Multiway_analysis.predicted_comm_us
+
+(* Whole-output pins: the assignment, cut cost and predicted-time bits
+   of both multiway cases, fixed so a change of graph representation
+   or solver plumbing cannot move any of them. *)
+let check_multiway_pins mw ~assignment ~cost_ns ~predicted_bits =
+  Alcotest.(check (array int)) "assignment" assignment mw.Multiway_analysis.assignment;
+  Alcotest.(check int) "cost_ns" cost_ns mw.Multiway_analysis.cost_ns;
+  Harness.check_bits "predicted_comm_us" (Int64.float_of_bits predicted_bits)
+    mw.Multiway_analysis.predicted_comm_us
+
+let test_multiway_benefits_pinned () =
+  let _, mw = benefits_multiway () in
+  check_multiway_pins mw
+    ~assignment:
+      [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2; 2; 2; 2; 2; 0; 0; 0; 0; 0; 0; 0; 2; 2; 0;
+         2; 0; 2; 0; 2; 0; 2; 0; 2; 0 |]
+    ~cost_ns:411433600 ~predicted_bits:4686308388263847528L
+
+let test_multiway_octarine_pinned () =
+  let _, mw = octarine_two_machines () in
+  check_multiway_pins mw
+    ~assignment:
+      (Array.init 40 (fun c -> if c >= 28 && c <= 31 then 1 else 0))
+    ~cost_ns:706166400 ~predicted_bits:4694313135279754446L
 
 let suite =
   [
@@ -272,6 +300,10 @@ let suite =
     Alcotest.test_case "multiway: unknown pin rejected" `Quick test_multiway_unknown_pin_rejected;
     Alcotest.test_case "multiway: two machines matches two-way" `Quick
       test_multiway_two_machines_matches_two_way;
+    Alcotest.test_case "multiway: benefits three-tier pinned" `Quick
+      test_multiway_benefits_pinned;
+    Alcotest.test_case "multiway: octarine two machines pinned" `Quick
+      test_multiway_octarine_pinned;
   ]
 
 (* --- Profile logs ------------------------------------------------------ *)

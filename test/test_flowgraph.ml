@@ -2,98 +2,107 @@ open Coign_flowgraph
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let arena ~n edges = fst (Flow_network.of_edges ~n (Array.of_list edges))
+let undirected a b cap = [ (a, b, cap); (b, a, cap) ]
+
 (* --- Flow_network -------------------------------------------------- *)
 
 let test_edge_accumulation () =
-  let g = Flow_network.create ~n:3 in
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:5;
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:7;
-  Alcotest.(check int) "accumulated" 12 (Flow_network.edge_cap g ~src:0 ~dst:1);
-  Alcotest.(check int) "absent" 0 (Flow_network.edge_cap g ~src:1 ~dst:0)
+  let g, fwd = Flow_network.of_edges ~n:3 [| (0, 1, 5); (0, 1, 7) |] in
+  Alcotest.(check int) "one arc pair" 2 (Flow_network.arc_count g);
+  Alcotest.(check int) "shared arc" fwd.(0) fwd.(1);
+  Alcotest.(check int) "accumulated" 12 (Flow_network.arc_cap g fwd.(0));
+  Alcotest.(check int) "reverse arc" 0
+    (Flow_network.arc_cap g (Flow_network.arc_pair g fwd.(0)))
 
 let test_self_loop_ignored () =
-  let g = Flow_network.create ~n:2 in
-  Flow_network.add_edge g ~src:1 ~dst:1 ~cap:100;
-  Alcotest.(check int) "no edges" 0 (Flow_network.edge_count g)
+  let g, fwd = Flow_network.of_edges ~n:2 [| (1, 1, 100) |] in
+  Alcotest.(check int) "no arcs" 0 (Flow_network.arc_count g);
+  Alcotest.(check int) "no forward arc" (-1) fwd.(0)
 
 let test_infinity_saturation () =
-  let g = Flow_network.create ~n:2 in
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:Flow_network.infinity_cap;
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:Flow_network.infinity_cap;
-  Alcotest.(check int) "saturated" Flow_network.infinity_cap
-    (Flow_network.edge_cap g ~src:0 ~dst:1)
+  let inf = Flow_network.infinity_cap in
+  let g, fwd = Flow_network.of_edges ~n:2 [| (0, 1, inf); (0, 1, inf) |] in
+  Alcotest.(check int) "saturated" inf (Flow_network.arc_cap g fwd.(0))
 
 let test_undirected () =
-  let g = Flow_network.create ~n:2 in
-  Flow_network.add_undirected g 0 1 ~cap:4;
-  Alcotest.(check int) "fwd" 4 (Flow_network.edge_cap g ~src:0 ~dst:1);
-  Alcotest.(check int) "bwd" 4 (Flow_network.edge_cap g ~src:1 ~dst:0)
+  let g, fwd = Flow_network.of_edges ~n:2 (Array.of_list (undirected 0 1 4)) in
+  Alcotest.(check int) "two arc pairs" 4 (Flow_network.arc_count g);
+  Alcotest.(check int) "fwd" 4 (Flow_network.arc_cap g fwd.(0));
+  Alcotest.(check int) "bwd" 4 (Flow_network.arc_cap g fwd.(1))
 
 let test_copy_isolated () =
-  let g = Flow_network.create ~n:2 in
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:1;
+  let g, fwd = Flow_network.of_edges ~n:2 [| (0, 1, 1) |] in
   let h = Flow_network.copy g in
-  Flow_network.add_edge h ~src:0 ~dst:1 ~cap:1;
-  Alcotest.(check int) "original unchanged" 1 (Flow_network.edge_cap g ~src:0 ~dst:1)
+  Flow_network.set_arc_cap h fwd.(0) 2;
+  Alcotest.(check int) "original unchanged" 1 (Flow_network.arc_cap g fwd.(0));
+  Alcotest.(check int) "copy rewritten" 2 (Flow_network.arc_cap h fwd.(0))
+
+let test_of_edges_rejects_bad_input () =
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Flow_network.of_edges: negative capacity") (fun () ->
+      ignore (Flow_network.of_edges ~n:2 [| (0, 1, -1) |]));
+  Alcotest.check_raises "node out of range" (Invalid_argument "Flow_network.of_edges: node 2")
+    (fun () -> ignore (Flow_network.of_edges ~n:2 [| (0, 2, 1) |]));
+  Alcotest.check_raises "negative node" (Invalid_argument "Flow_network.of_edges: node -1")
+    (fun () -> ignore (Flow_network.of_edges ~n:2 [| (-1, 0, 1) |]))
 
 (* --- Min cut: textbook instances ----------------------------------- *)
 
 (* The classic CLRS figure 26.1-ish network. *)
-let clrs_network () =
-  let g = Flow_network.create ~n:6 in
-  let e src dst cap = Flow_network.add_edge g ~src ~dst ~cap in
-  e 0 1 16; e 0 2 13; e 1 2 10; e 2 1 4; e 1 3 12; e 3 2 9; e 2 4 14; e 4 3 7; e 3 5 20;
-  e 4 5 4;
-  g
+let clrs_edges =
+  [ (0, 1, 16); (0, 2, 13); (1, 2, 10); (2, 1, 4); (1, 3, 12); (3, 2, 9); (2, 4, 14);
+    (4, 3, 7); (3, 5, 20); (4, 5, 4) ]
+
+let clrs_network () = arena ~n:6 clrs_edges
+
+let cut_edges edges cut =
+  List.filter
+    (fun (src, dst, _) -> cut.Mincut.source_side.(src) && not cut.Mincut.source_side.(dst))
+    edges
+
+let sum_caps = List.fold_left (fun acc (_, _, c) -> acc + c) 0
 
 let test_clrs_maxflow () =
   List.iter
-    (fun alg ->
+    (fun algorithm ->
       Alcotest.(check int)
-        (Mincut.algorithm_name alg ^ " value")
+        (Mincut.algorithm_name algorithm ^ " value")
         23
-        (Mincut.max_flow alg (clrs_network ()) ~s:0 ~t:5))
+        (Mincut.min_cut ~algorithm (clrs_network ()) ~s:0 ~t:5).Mincut.value)
     Mincut.all_algorithms
 
 let test_cut_edges_sum_to_value () =
-  let g = clrs_network () in
-  let cut = Mincut.min_cut g ~s:0 ~t:5 in
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 (Mincut.cut_edges g cut) in
-  Alcotest.(check int) "cut edges sum" cut.Mincut.value total
+  let cut = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
+  Alcotest.(check int) "cut edges sum" cut.Mincut.value (sum_caps (cut_edges clrs_edges cut))
 
 let test_cut_separates_terminals () =
-  let g = clrs_network () in
-  let cut = Mincut.min_cut g ~s:0 ~t:5 in
+  let cut = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check bool) "s on source side" true cut.Mincut.source_side.(0);
   Alcotest.(check bool) "t on sink side" false cut.Mincut.source_side.(5)
 
 let test_disconnected_zero_cut () =
-  let g = Flow_network.create ~n:4 in
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:9;
-  Flow_network.add_edge g ~src:2 ~dst:3 ~cap:9;
-  let cut = Mincut.min_cut g ~s:0 ~t:3 in
+  let cut = Mincut.min_cut (arena ~n:4 [ (0, 1, 9); (2, 3, 9) ]) ~s:0 ~t:3 in
   Alcotest.(check int) "zero" 0 cut.Mincut.value
 
 let test_single_edge () =
-  let g = Flow_network.create ~n:2 in
-  Flow_network.add_edge g ~src:0 ~dst:1 ~cap:42;
+  let g = arena ~n:2 [ (0, 1, 42) ] in
   List.iter
-    (fun alg ->
-      Alcotest.(check int) (Mincut.algorithm_name alg) 42 (Mincut.max_flow alg g ~s:0 ~t:1))
+    (fun algorithm ->
+      Alcotest.(check int) (Mincut.algorithm_name algorithm) 42
+        (Mincut.min_cut ~algorithm g ~s:0 ~t:1).Mincut.value)
     Mincut.all_algorithms
 
 let test_terminal_validation () =
-  let g = Flow_network.create ~n:3 in
+  let g = arena ~n:3 [] in
   Alcotest.check_raises "s = t" (Invalid_argument "Mincut: s = t") (fun () ->
       ignore (Mincut.min_cut g ~s:1 ~t:1));
   Alcotest.check_raises "out of range" (Invalid_argument "Mincut: terminal out of range")
     (fun () -> ignore (Mincut.min_cut g ~s:0 ~t:9))
 
 let test_infinity_edge_never_cut () =
-  let g = Flow_network.create ~n:4 in
-  Flow_network.add_undirected g 0 1 ~cap:Flow_network.infinity_cap;
-  Flow_network.add_undirected g 1 2 ~cap:5;
-  Flow_network.add_undirected g 2 3 ~cap:Flow_network.infinity_cap;
+  let inf = Flow_network.infinity_cap in
+  let g = arena ~n:4 (undirected 0 1 inf @ undirected 1 2 5 @ undirected 2 3 inf) in
   let cut = Mincut.min_cut g ~s:0 ~t:3 in
   Alcotest.(check int) "cut at finite edge" 5 cut.Mincut.value;
   Alcotest.(check bool) "1 with source" true cut.Mincut.source_side.(1);
@@ -116,57 +125,53 @@ let arb_graph =
            (List.map (fun (a, b, c) -> Printf.sprintf "%d->%d:%d" a b c) edges)))
     gen_graph
 
-let build (n, edges) =
-  let g = Flow_network.create ~n in
-  List.iter (fun (src, dst, cap) -> Flow_network.add_edge g ~src ~dst ~cap) edges;
-  g
+let build (n, edges) = arena ~n edges
+
+let max_flow algorithm spec = (Mincut.min_cut ~algorithm (build spec) ~s:0 ~t:1).Mincut.value
+
+let brute_force (n, edges) = Mincut.brute_force_min_cut ~n (Array.of_list edges) ~s:0 ~t:1
 
 let prop_algorithms_agree =
   QCheck.Test.make ~name:"all max-flow algorithms agree" ~count:300 arb_graph (fun spec ->
-      let flows =
-        List.map (fun alg -> Mincut.max_flow alg (build spec) ~s:0 ~t:1) Mincut.all_algorithms
-      in
-      match flows with f :: rest -> List.for_all (( = ) f) rest | [] -> true)
+      match List.map (fun alg -> max_flow alg spec) Mincut.all_algorithms with
+      | f :: rest -> List.for_all (( = ) f) rest
+      | [] -> true)
 
 let prop_each_algorithm_matches_brute_force =
   QCheck.Test.make ~name:"each algorithm matches brute force" ~count:150 arb_graph
     (fun spec ->
-      let brute = Mincut.brute_force_min_cut (build spec) ~s:0 ~t:1 in
-      List.for_all
-        (fun alg -> Mincut.max_flow alg (build spec) ~s:0 ~t:1 = brute.Mincut.value)
-        Mincut.all_algorithms)
+      let brute = brute_force spec in
+      List.for_all (fun alg -> max_flow alg spec = brute.Mincut.value) Mincut.all_algorithms)
 
 let prop_matches_brute_force =
   QCheck.Test.make ~name:"min cut equals brute force" ~count:200 arb_graph (fun spec ->
-      let g = build spec in
-      let cut = Mincut.min_cut g ~s:0 ~t:1 in
-      let brute = Mincut.brute_force_min_cut g ~s:0 ~t:1 in
-      cut.Mincut.value = brute.Mincut.value)
+      let cut = Mincut.min_cut (build spec) ~s:0 ~t:1 in
+      cut.Mincut.value = (brute_force spec).Mincut.value)
 
 let prop_cut_edges_sum =
   QCheck.Test.make ~name:"cut edge capacities sum to cut value" ~count:200 arb_graph
-    (fun spec ->
-      let g = build spec in
-      let cut = Mincut.min_cut g ~s:0 ~t:1 in
-      List.fold_left (fun acc (_, _, c) -> acc + c) 0 (Mincut.cut_edges g cut)
-      = cut.Mincut.value)
+    (fun ((_, edges) as spec) ->
+      let cut = Mincut.min_cut (build spec) ~s:0 ~t:1 in
+      sum_caps (cut_edges edges cut) = cut.Mincut.value)
 
 (* --- Relabel-to-front on analysis-sized graphs --------------------- *)
 
 (* A deterministic generator for graphs big enough to have triggered
    the old relabel-to-front pathology (hundreds of nodes, 4n arcs). *)
-let lcg_graph ~seed ~n ~m =
+let lcg seed =
   let state = ref seed in
-  let rand bound =
+  fun bound ->
     state := ((!state * 25214903917) + 11) land 0x3FFFFFFFFFFF;
     !state mod bound
-  in
-  let g = Flow_network.create ~n in
-  for _ = 1 to m do
-    let a = rand n and b = rand n in
-    if a <> b then Flow_network.add_edge g ~src:a ~dst:b ~cap:(1 + rand 10_000)
-  done;
-  g
+
+let lcg_graph ~seed ~n ~m =
+  let rand = lcg seed in
+  arena ~n
+    (List.concat
+       (List.init m (fun _ ->
+            let a = rand n in
+            let b = rand n in
+            if a <> b then [ (a, b, 1 + rand 10_000) ] else [])))
 
 let test_large_random_algorithms_agree () =
   for trial = 1 to 6 do
@@ -198,88 +203,70 @@ let test_bench_sized_graph_rtf_matches_dinic () =
   (* The shape of the bench micro kernel that exposed the pathology:
      150 nodes, 600 undirected heavy edges. *)
   let n = 150 in
-  let g = Flow_network.create ~n in
-  let state = ref 77 in
-  let rand bound =
-    state := ((!state * 25214903917) + 11) land 0x3FFFFFFFFFFF;
-    !state mod bound
+  let rand = lcg 77 in
+  let g =
+    arena ~n
+      (List.concat
+         (List.init (n * 4) (fun _ ->
+              let a = rand n in
+              let b = rand n in
+              if a <> b then undirected a b (1 + rand 10_000) else [])))
   in
-  for _ = 1 to n * 4 do
-    let a = rand n and b = rand n in
-    if a <> b then Flow_network.add_undirected g a b ~cap:(1 + rand 10_000)
-  done;
   let rtf = Mincut.min_cut ~algorithm:Mincut.Relabel_to_front g ~s:0 ~t:1 in
   let dinic = Mincut.min_cut ~algorithm:Mincut.Dinic g ~s:0 ~t:1 in
   Alcotest.(check int) "value" dinic.Mincut.value rtf.Mincut.value;
   Alcotest.(check (array bool)) "source side" dinic.Mincut.source_side rtf.Mincut.source_side
 
-(* --- CSR arena: reprice path vs legacy adjacency form -------------- *)
-
-module R = Flow_network.Residual
+(* --- CSR arena: reprice path vs fresh compile ---------------------- *)
 
 (* Mimic a session arena: compile every potential edge as a
    zero-capacity slot, raise capacities through set_arc_cap, reset,
    solve in place with preallocated scratch. *)
-let arena_cut ~n ~dedup ~cap_of =
-  let edges =
-    Array.of_list (List.map (fun (src, dst) -> (src, dst, 0)) dedup)
-  in
-  let arena, fwd = R.of_edges ~n edges in
-  let scratch = Mincut.scratch arena in
-  List.iteri (fun i (src, dst) -> R.set_arc_cap arena fwd.(i) (cap_of src dst)) dedup;
-  R.reset arena;
-  let value = Mincut.run arena scratch ~s:0 ~t:1 in
-  (value, R.min_cut_side arena ~s:0, arena, scratch, fwd)
-
-let legacy_cut ~n ~dedup ~cap_of =
-  let g = Flow_network.create ~n in
-  List.iter
-    (fun (src, dst) -> Flow_network.add_edge g ~src ~dst ~cap:(cap_of src dst))
+let reprice arena scratch fwd ~dedup ~cap_of =
+  List.iteri
+    (fun i (src, dst) -> Flow_network.set_arc_cap arena fwd.(i) (cap_of src dst))
     dedup;
-  Mincut.min_cut g ~s:0 ~t:1
+  Flow_network.reset arena;
+  let value = Mincut.run arena scratch ~s:0 ~t:1 in
+  (value, Flow_network.min_cut_side arena ~s:0)
 
-let prop_arena_reprice_matches_legacy =
-  QCheck.Test.make ~name:"CSR arena reprice equals legacy adjacency cut" ~count:200
-    arb_graph (fun (n, edges) ->
-      (* Aggregate to distinct directed pairs (the arena's contract),
-         saturating like the adjacency form does. *)
+let fresh_cut ~n ~dedup ~cap_of =
+  Mincut.min_cut (arena ~n (List.map (fun (src, dst) -> (src, dst, cap_of src dst)) dedup))
+    ~s:0 ~t:1
+
+let prop_arena_reprice_matches_fresh =
+  QCheck.Test.make ~name:"CSR arena reprice equals fresh cut" ~count:200 arb_graph
+    (fun (n, edges) ->
+      (* Aggregate to distinct directed pairs (a session's slots),
+         saturating as a compile does. *)
       let caps = Hashtbl.create 16 in
       List.iter
         (fun (src, dst, cap) ->
           if src <> dst then
             let prior = Option.value ~default:0 (Hashtbl.find_opt caps (src, dst)) in
-            Hashtbl.replace caps (src, dst)
-              (min Flow_network.infinity_cap (prior + cap)))
+            Hashtbl.replace caps (src, dst) (min Flow_network.infinity_cap (prior + cap)))
         edges;
-      let dedup =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) caps [])
+      let dedup = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) caps []) in
+      let slots, fwd =
+        Flow_network.of_edges ~n
+          (Array.of_list (List.map (fun (src, dst) -> (src, dst, 0)) dedup))
+      in
+      let scratch = Mincut.scratch slots in
+      let matches cap_of =
+        let value, side = reprice slots scratch fwd ~dedup ~cap_of in
+        let fresh = fresh_cut ~n ~dedup ~cap_of in
+        value = fresh.Mincut.value && side = fresh.Mincut.source_side
       in
       let cap_of src dst = Hashtbl.find caps (src, dst) in
-      let value, side, arena, scratch, fwd = arena_cut ~n ~dedup ~cap_of in
-      let legacy = legacy_cut ~n ~dedup ~cap_of in
-      let first_matches =
-        value = legacy.Mincut.value && side = legacy.Mincut.source_side
-      in
       (* Second round on the same arena: halved capacities, exercising
          set_arc_cap over dirty residuals plus reset. *)
-      let cap_of2 src dst = cap_of src dst / 2 in
-      List.iteri
-        (fun i (src, dst) -> R.set_arc_cap arena fwd.(i) (cap_of2 src dst))
-        dedup;
-      R.reset arena;
-      let value2 = Mincut.run arena scratch ~s:0 ~t:1 in
-      let side2 = R.min_cut_side arena ~s:0 in
-      let legacy2 = legacy_cut ~n ~dedup ~cap_of:cap_of2 in
-      first_matches
-      && value2 = legacy2.Mincut.value
-      && side2 = legacy2.Mincut.source_side)
+      matches cap_of && matches (fun src dst -> cap_of src dst / 2))
 
 let test_scratch_reuse () =
-  let g = clrs_network () in
-  let arena = R.of_network g in
+  let arena = clrs_network () in
   let scratch = Mincut.scratch arena in
   let v1 = Mincut.run arena scratch ~s:0 ~t:5 in
-  R.reset arena;
+  Flow_network.reset arena;
   let v2 = Mincut.run arena scratch ~s:0 ~t:5 in
   Alcotest.(check int) "first solve" 23 v1;
   Alcotest.(check int) "re-solve on reused scratch" 23 v2
@@ -287,20 +274,20 @@ let test_scratch_reuse () =
 (* --- Multiway ------------------------------------------------------ *)
 
 let test_multiway_two_terminals_exact () =
-  let g = clrs_network () in
-  let p = Multiway.multiway_cut g ~terminals:[ 0; 5 ] in
-  let exact = Mincut.min_cut g ~s:0 ~t:5 in
+  let p = Multiway.multiway_cut ~n:6 (Array.of_list clrs_edges) ~terminals:[ 0; 5 ] in
+  let exact = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check int) "reduces to exact cut" exact.Mincut.value p.Multiway.cost
 
 let test_multiway_three_terminals () =
-  (* A triangle of cheap bridges between three heavy clusters. *)
-  let g = Flow_network.create ~n:9 in
-  let heavy a b = Flow_network.add_undirected g a b ~cap:100 in
-  let light a b = Flow_network.add_undirected g a b ~cap:3 in
-  (* clusters {0,1,2} {3,4,5} {6,7,8} with terminals 0,3,6 *)
-  heavy 0 1; heavy 1 2; heavy 3 4; heavy 4 5; heavy 6 7; heavy 7 8;
-  light 2 3; light 5 6; light 8 0;
-  let p = Multiway.multiway_cut g ~terminals:[ 0; 3; 6 ] in
+  (* A triangle of cheap bridges between three heavy clusters:
+     {0,1,2} {3,4,5} {6,7,8} with terminals 0,3,6. *)
+  let heavy a b = undirected a b 100 and light a b = undirected a b 3 in
+  let edges =
+    List.concat
+      [ heavy 0 1; heavy 1 2; heavy 3 4; heavy 4 5; heavy 6 7; heavy 7 8;
+        light 2 3; light 5 6; light 8 0 ]
+  in
+  let p = Multiway.multiway_cut ~n:9 (Array.of_list edges) ~terminals:[ 0; 3; 6 ] in
   (* Each undirected bridge contributes both directed arcs (2 * 3). *)
   Alcotest.(check int) "cost is the three bridges" 18 p.Multiway.cost;
   Alcotest.(check int) "cluster 1 intact" p.Multiway.assignment.(0) p.Multiway.assignment.(1);
@@ -308,24 +295,32 @@ let test_multiway_three_terminals () =
   Alcotest.(check int) "cluster 3 intact" p.Multiway.assignment.(6) p.Multiway.assignment.(8)
 
 let test_multiway_terminal_ownership () =
-  let g = Flow_network.create ~n:5 in
-  Flow_network.add_undirected g 0 1 ~cap:1;
-  Flow_network.add_undirected g 2 3 ~cap:1;
-  let p = Multiway.multiway_cut g ~terminals:[ 0; 2; 4 ] in
+  let edges = Array.of_list (undirected 0 1 1 @ undirected 2 3 1) in
+  let p = Multiway.multiway_cut ~n:5 edges ~terminals:[ 0; 2; 4 ] in
   Alcotest.(check int) "terminal 0" 0 p.Multiway.assignment.(0);
   Alcotest.(check int) "terminal 2" 1 p.Multiway.assignment.(2);
   Alcotest.(check int) "terminal 4" 2 p.Multiway.assignment.(4)
 
+let test_multiway_unreached_to_terminal_zero () =
+  (* {5,6} shares no component with a terminal; 4 is a lone terminal. *)
+  let edges = Array.of_list (undirected 0 1 5 @ undirected 2 3 5 @ undirected 5 6 5) in
+  let two = Multiway.multiway_cut ~n:7 edges ~terminals:[ 0; 2 ] in
+  Alcotest.(check (array int)) "two terminals" [| 0; 0; 1; 1; 0; 0; 0 |] two.Multiway.assignment;
+  Alcotest.(check int) "two terminals cost" 0 two.Multiway.cost;
+  let three = Multiway.multiway_cut ~n:7 edges ~terminals:[ 0; 2; 4 ] in
+  Alcotest.(check (array int)) "three terminals" [| 0; 0; 1; 1; 2; 0; 0 |]
+    three.Multiway.assignment;
+  Alcotest.(check int) "three terminals cost" 0 three.Multiway.cost
+
 let prop_multiway_cost_consistent =
   QCheck.Test.make ~name:"multiway reported cost equals recomputed cost" ~count:100 arb_graph
-    (fun spec ->
-      let g = build spec in
-      let n = Flow_network.node_count g in
+    (fun (n, edges) ->
       let terminals = [ 0; 1; n - 1 ] |> List.sort_uniq compare in
       if List.length terminals < 2 then true
       else
-        let p = Multiway.multiway_cut g ~terminals in
-        Multiway.partition_cost g p.Multiway.assignment = p.Multiway.cost)
+        let edges = Array.of_list edges in
+        let p = Multiway.multiway_cut ~n edges ~terminals in
+        Multiway.partition_cost edges p.Multiway.assignment = p.Multiway.cost)
 
 let suite =
   [
@@ -334,6 +329,7 @@ let suite =
     Alcotest.test_case "infinity saturation" `Quick test_infinity_saturation;
     Alcotest.test_case "undirected" `Quick test_undirected;
     Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
+    Alcotest.test_case "of_edges rejects bad input" `Quick test_of_edges_rejects_bad_input;
     Alcotest.test_case "clrs maxflow (all algorithms)" `Quick test_clrs_maxflow;
     Alcotest.test_case "cut edges sum to value" `Quick test_cut_edges_sum_to_value;
     Alcotest.test_case "cut separates terminals" `Quick test_cut_separates_terminals;
@@ -349,10 +345,12 @@ let suite =
       test_large_random_algorithms_agree;
     Alcotest.test_case "bench-sized graph: rtf matches dinic" `Quick
       test_bench_sized_graph_rtf_matches_dinic;
-    qtest prop_arena_reprice_matches_legacy;
+    qtest prop_arena_reprice_matches_fresh;
     Alcotest.test_case "scratch reuse across solves" `Quick test_scratch_reuse;
     Alcotest.test_case "multiway two terminals exact" `Quick test_multiway_two_terminals_exact;
     Alcotest.test_case "multiway three terminals" `Quick test_multiway_three_terminals;
     Alcotest.test_case "multiway terminal ownership" `Quick test_multiway_terminal_ownership;
+    Alcotest.test_case "multiway unreached nodes go to terminal 0" `Quick
+      test_multiway_unreached_to_terminal_zero;
     qtest prop_multiway_cost_consistent;
   ]

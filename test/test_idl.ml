@@ -205,7 +205,22 @@ let test_method_procs_match_marshal () =
   let result = Value.Iface_ref 4 in
   let compiled = Midl.method_call_size procs ~args ~result in
   let interpreted = Marshal_size.call msig ~args ~result in
-  Alcotest.(check bool) "equal" true (compiled = interpreted)
+  Alcotest.(check bool) "equal" true (compiled = interpreted);
+  (* A scalar of the wrong kind fails both walks, at any depth. *)
+  List.iter
+    (fun (ty, v) ->
+      Alcotest.(check (pair bool bool))
+        (Format.asprintf "%a / %a rejected" Idl_type.pp ty Value.pp v)
+        (true, true)
+        ( Result.is_error (Midl.size_with (Midl.compile ty) v),
+          Result.is_error (Marshal_size.value_size ty v) ))
+    [
+      (Idl_type.Bool, Value.Float 1.);
+      (Idl_type.Ptr Idl_type.Bool, Value.Ref (Value.Float 1.));
+      (Idl_type.Double, Value.Int 1);
+      ( Idl_type.Array (Idl_type.Struct [ ("f0", Idl_type.Int64) ]),
+        Value.Arr [ Value.Struct [ ("f0", Value.Bool true) ] ] );
+    ]
 
 let test_method_procs_remotable_flag () =
   let dirty = Idl_type.method_ "m" [ Idl_type.param "x" (Idl_type.Opaque "SHM") ] in
