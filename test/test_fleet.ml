@@ -231,7 +231,9 @@ let test_promotion_trace_hand_computed () =
    pool run's coign_resilience_* series equal its fleet_stats: under a
    single-host crash (a promotion, no failover) and under a global
    partition (both hosts open, the pool fails over to the base ladder,
-   a stranded call probes and is rescued locally). *)
+   a stranded call probes and is rescued locally). The whole exposition
+   of each run is golden, gauges (link EWMA, pool hosts, shards)
+   included. *)
 
 let test_pool_metrics_match_fleet_stats () =
   let _, _, _, cback = Lazy.force profiled in
@@ -239,9 +241,11 @@ let test_pool_metrics_match_fleet_stats () =
   let rung0 = Fallback.pool_rung_at pl 0 in
   let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of (Pool.Hash 2) cback) in
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
-  let check what ?host_faults ?faults () =
+  let check what ~golden ?host_faults ?faults () =
     let metrics = Coign_obs.Metrics.registry () in
     let fs, _, _ = run_fleet ?host_faults ?faults ~metrics ~rounds:10 pl primary in
+    Alcotest.(check string) (what ^ ": exposition matches golden") (Harness.read_file golden)
+      (Coign_obs.Metrics.prometheus metrics);
     let series name =
       int_of_float
         (Coign_obs.Metrics.counter_value
@@ -256,9 +260,14 @@ let test_pool_metrics_match_fleet_stats () =
       (series "rescued_calls");
     fs
   in
-  let crashed = check "single-host crash" ~host_faults:[ (crash, window) ] () in
+  let crashed =
+    check "single-host crash" ~golden:"golden/fleet_metrics_crash.txt"
+      ~host_faults:[ (crash, window) ] ()
+  in
   Alcotest.(check int) "the crash opened one breaker" 1 crashed.Rte.fs_breaker_opens;
-  let partitioned = check "global partition" ~faults:window () in
+  let partitioned =
+    check "global partition" ~golden:"golden/fleet_metrics_partition.txt" ~faults:window ()
+  in
   Alcotest.(check bool) "the partition failed the pool over" true
     (partitioned.Rte.fs_failovers > 0);
   Alcotest.(check bool) "a stranded call was rescued" true
