@@ -12,6 +12,20 @@ set -euo pipefail
 
 coign() { opam exec -- dune exec bin/coign.exe -- "$@"; }
 
+# Every coign_* sample line of a Prometheus text exposition reads
+# `name{labels} value`, and the value is a float, NaN, +Inf or -Inf.
+check_exposition() {
+  python3 - "$1" <<'PY'
+import re, sys
+label = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:\\.|[^"\\])*"'
+value = r'[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|[+-]Inf'
+sample = re.compile(r'coign_[a-zA-Z0-9_]*(?:\{%s(?:,%s)*\})? (?:%s)' % (label, label, value))
+bad = [l for l in open(sys.argv[1]) if l.startswith('coign_') and not sample.fullmatch(l.rstrip('\n'))]
+sys.stderr.writelines('bad sample line in %s: %s' % (sys.argv[1], l) for l in bad)
+sys.exit(1 if bad else 0)
+PY
+}
+
 case "${1:-}" in
 bench)
   # The paper's reproduction report: every table and figure, the
@@ -145,6 +159,7 @@ watch)
   # runtest (test/test_watch.ml).
   grep -q 'converged to oracle cut: yes' watch-octarine.txt
   grep -q 'coign_drift_similarity' watch-octarine.txt
+  check_exposition watch-octarine.txt
   python3 -m json.tool watch-seq.json > /dev/null
   ;;
 
@@ -165,6 +180,7 @@ obs)
   python3 -m json.tool trace-distributed.json > /dev/null
   python3 -m json.tool metrics-profiling.json > /dev/null
   grep -q 'coign_rte_intercepted_calls_total' metrics-distributed.txt
+  check_exposition metrics-distributed.txt
   ;;
 
 perfbench)

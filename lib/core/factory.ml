@@ -5,28 +5,14 @@ type policy =
   | By_class of (string -> Constraints.location)
   | All_client
 
-type counters = { co_local : Metrics.counter; co_forwarded : Metrics.counter }
-
 type t = {
   mutable policy : policy;
   mutable machines : Constraints.location option array; (* by instance id *)
+  mutable local : int;
   mutable forwarded : int;
-  obs : counters option;
 }
 
-let create ?metrics policy =
-  let obs =
-    Option.map
-      (fun reg ->
-        let requests kind =
-          Metrics.counter reg
-            ~help:"Instantiation requests decided by the factory, by outcome."
-            ~labels:[ ("kind", kind) ] "coign_factory_requests_total"
-        in
-        { co_local = requests "local"; co_forwarded = requests "forwarded" })
-      metrics
-  in
-  { policy; machines = Array.make 64 None; forwarded = 0; obs }
+let create policy = { policy; machines = Array.make 64 None; local = 0; forwarded = 0 }
 
 let decide t ~classification ~cname ~creator_machine =
   let target =
@@ -38,13 +24,7 @@ let decide t ~classification ~cname ~creator_machine =
           Analysis.location_of d classification
         else creator_machine
   in
-  if target = creator_machine then begin
-    match t.obs with None -> () | Some c -> Metrics.inc c.co_local
-  end
-  else begin
-    t.forwarded <- t.forwarded + 1;
-    match t.obs with None -> () | Some c -> Metrics.inc c.co_forwarded
-  end;
+  if target = creator_machine then t.local <- t.local + 1 else t.forwarded <- t.forwarded + 1;
   target
 
 let policy t = t.policy
@@ -81,3 +61,13 @@ let instances t = collect t (fun inst loc -> Some (inst, loc))
 let instances_on t loc = collect t (fun inst l -> if l = loc then Some inst else None)
 
 let forwarded_requests t = t.forwarded
+
+let publish t reg =
+  let requests kind n =
+    Metrics.inc_int
+      (Metrics.counter reg ~help:"Instantiation requests decided by the factory, by outcome."
+         ~labels:[ ("kind", kind) ] "coign_factory_requests_total")
+      n
+  in
+  requests "local" t.local;
+  requests "forwarded" t.forwarded

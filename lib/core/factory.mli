@@ -20,9 +20,7 @@ type policy =
 
 type t
 
-val create : ?metrics:Coign_obs.Metrics.registry -> policy -> t
-(** With [metrics], {!decide} outcomes also count into
-    [coign_factory_requests_total{kind="local"|"forwarded"}]. *)
+val create : policy -> t
 
 val decide :
   t -> classification:int -> cname:string -> creator_machine:Constraints.location ->
@@ -52,3 +50,7 @@ val instances : t -> (int * Constraints.location) list
 
 val forwarded_requests : t -> int
 (** Requests relocated to the peer factory. *)
+
+val publish : t -> Coign_obs.Metrics.registry -> unit
+(** Add the {!decide} outcomes counted so far to
+    [coign_factory_requests_total{kind="local"|"forwarded"}]. *)

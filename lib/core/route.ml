@@ -4,75 +4,6 @@ open Coign_com
 open Coign_netsim
 module Metrics = Coign_obs.Metrics
 
-(* Routing instruments: the breaker/ladder family and the pool family.
-   Separate from the base set so a run without a policy exposes exactly
-   the metrics it always did — a retry-only route registers none, and a
-   single-host route registers its pool family in [pool_reg], a private
-   registry nothing exports. *)
-type instruments = {
-  ri_opens : Metrics.counter;
-  ri_closes : Metrics.counter;
-  ri_failovers : Metrics.counter;
-  ri_failbacks : Metrics.counter;
-  ri_migrations : Metrics.counter;
-  ri_stranded : Metrics.counter;
-  ri_rescued : Metrics.counter;
-  ri_wait_us : Metrics.counter;
-  ri_rung : Metrics.gauge;
-  ri_ewma : Metrics.gauge;
-  ri_promotions : Metrics.counter;
-  ri_splits : Metrics.counter;
-  ri_resizes : Metrics.counter;
-  ri_inter_host : Metrics.counter;
-  ri_hosts : Metrics.gauge;
-  ri_shards : Metrics.gauge;
-}
-
-let make_instruments reg ~pool_reg =
-  let open Metrics in
-  {
-    ri_opens =
-      counter reg ~help:"Circuit-breaker open transitions." "coign_resilience_breaker_opens_total";
-    ri_closes =
-      counter reg ~help:"Circuit-breaker close transitions."
-        "coign_resilience_breaker_closes_total";
-    ri_failovers =
-      counter reg ~help:"Placement switches down the fallback ladder."
-        "coign_resilience_failovers_total";
-    ri_failbacks =
-      counter reg ~help:"Placement switches back up the fallback ladder."
-        "coign_resilience_failbacks_total";
-    ri_migrations =
-      counter reg ~help:"Instances migrated live between machines."
-        "coign_resilience_migrated_instances_total";
-    ri_stranded =
-      counter reg ~help:"Calls that had to wait out an open breaker."
-        "coign_resilience_stranded_calls_total";
-    ri_rescued =
-      counter reg ~help:"Failed remote calls completed locally after failover."
-        "coign_resilience_rescued_calls_total";
-    ri_wait_us =
-      counter reg ~help:"Virtual time stranded calls spent waiting on cooloffs, in microseconds."
-        "coign_resilience_wait_us_total";
-    ri_rung = gauge reg ~help:"Fallback rung currently installed (0 = primary)." "coign_resilience_rung";
-    ri_ewma =
-      gauge reg ~help:"EWMA link health (1 = all successes)." "coign_resilience_link_ewma";
-    ri_promotions =
-      counter pool_reg ~help:"Shards redirected to a standing replica on breaker open."
-        "coign_fleet_promotions_total";
-    ri_splits =
-      counter pool_reg ~help:"Hot shards split by the decayed-load detector."
-        "coign_fleet_shard_splits_total";
-    ri_resizes =
-      counter pool_reg ~help:"Pool size changes along the pool-elastic ladder."
-        "coign_fleet_resizes_total";
-    ri_inter_host =
-      counter pool_reg ~help:"Completed server-to-server calls between pool hosts."
-        "coign_fleet_inter_host_calls_total";
-    ri_hosts = gauge pool_reg ~help:"Pool hosts currently serving." "coign_fleet_pool_hosts";
-    ri_shards = gauge pool_reg ~help:"Shards currently mapped." "coign_fleet_shards";
-  }
-
 type config = {
   fc_ladder : Fallback.pool_ladder;
   fc_health : Health.policy;
@@ -124,7 +55,6 @@ type t = {
   r_retry_rng : Prng.t; (* backoff jitter: its own stream *)
   r_health : Health.t array; (* one breaker per host link *)
   r_faults : Fault.t option array; (* one fault model per host link *)
-  r_obs : instruments option;
   r_safe : bool array; (* per-classification migration safety *)
   r_component : int array; (* classification -> component representative *)
   r_comp_safe : bool array; (* by representative: all members safe *)
@@ -145,6 +75,8 @@ type t = {
   mutable r_splits : int;
   mutable r_resizes : int;
   mutable r_inter_host : int;
+  mutable r_wait_us : float; (* virtual time stranded calls waited on cooloffs *)
+  mutable r_ewma_link : int; (* link a transition or attempt last touched, -1 before any *)
 }
 
 (* Build a route over a pool ladder: one breaker and one fault model
@@ -158,7 +90,7 @@ type t = {
    the same fault schedule; an overlay, and every host of a wider pool,
    draws from stream [8 + host], so adding hosts never perturbs the
    other draws. *)
-let create ?metrics ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
+let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
   let pl = fc.fc_ladder in
   let rung0 = Fallback.pool_rung_at pl 0 in
   let hosts = rung0.Fallback.pr_shape.Pool.sh_hosts in
@@ -177,17 +109,6 @@ let create ?metrics ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc
     in
     Option.map (Fault.make ~seed:stream) spec
   in
-  let obs =
-    Option.map
-      (fun reg ->
-        let ri =
-          make_instruments reg ~pool_reg:(if hosts > 1 then reg else Metrics.registry ())
-        in
-        Metrics.set ri.ri_hosts (float_of_int hosts);
-        Metrics.set ri.ri_shards (float_of_int shard_count);
-        ri)
-      metrics
-  in
   {
     r_config = fc;
     r_env = env;
@@ -200,7 +121,6 @@ let create ?metrics ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc
     r_retry_rng = Prng.create (Prng.stream seed 1);
     r_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
     r_faults = Array.init hosts link_model;
-    r_obs = obs;
     r_safe = safe;
     r_component = component;
     r_comp_safe = comp_safe;
@@ -222,6 +142,8 @@ let create ?metrics ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc
     r_splits = 0;
     r_resizes = 0;
     r_inter_host = 0;
+    r_wait_us = 0.;
+    r_ewma_link = -1;
   }
 
 let shape r = (Fallback.pool_rung_at r.r_config.fc_ladder r.r_rung).Fallback.pr_shape
@@ -300,21 +222,10 @@ let switch_rung r ~to_rung ~at_us =
   in
   r.r_rung <- to_rung;
   r.r_migrations <- r.r_migrations + migrated;
-  (match r.r_obs with
-  | None -> ()
-  | Some ri ->
-      Metrics.inc_int ri.ri_migrations migrated;
-      Metrics.set ri.ri_rung (float_of_int to_rung));
   let at_int = int_of_float at_us in
   let failover = to_rung > from_rung in
-  if failover then begin
-    r.r_failovers <- r.r_failovers + 1;
-    match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failovers
-  end
-  else begin
-    r.r_failbacks <- r.r_failbacks + 1;
-    match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failbacks
-  end;
+  if failover then r.r_failovers <- r.r_failovers + 1
+  else r.r_failbacks <- r.r_failbacks + 1;
   let rung = pr.Fallback.pr_name in
   if env.logging then env.logger.Logger.log
     (if failover then
@@ -326,11 +237,6 @@ let switch_rung r ~to_rung ~at_us =
     :: (if failover then [ ("stranded", Jsonu.Int left) ] else []));
   if from_hosts <> to_hosts then begin
     r.r_resizes <- r.r_resizes + 1;
-    (match r.r_obs with
-    | None -> ()
-    | Some ri ->
-        Metrics.inc ri.ri_resizes;
-        Metrics.set ri.ri_hosts (float_of_int to_hosts));
     if env.logging then env.logger.Logger.log
       (Event.Pool_resized
          { at_us = at_int; from_hosts; to_hosts; shards = Array.length r.r_active; migrated });
@@ -350,14 +256,13 @@ let on_transition r ~host (tr : Health.transition) =
   let at_us = tr.Health.tr_at_us in
   let at_int = int_of_float at_us in
   let hb = r.r_health.(host) in
-  (match r.r_obs with None -> () | Some ri -> Metrics.set ri.ri_ewma (Health.ewma hb));
+  r.r_ewma_link <- host;
   match tr.Health.tr_to with
   | Health.Half_open ->
       span r ~host ~name:"breaker.half_open" ~at_us
         [ ("cooloff_us", Jsonu.Float (Health.cooloff_us hb)) ]
   | Health.Open ->
       r.r_opens <- r.r_opens + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_opens);
       let failures = Health.consecutive_failures hb in
       if env.logging then env.logger.Logger.log
         (Event.Breaker_opened
@@ -377,7 +282,6 @@ let on_transition r ~host (tr : Health.transition) =
               else begin
                 r.r_active.(s) <- h;
                 r.r_promotions <- r.r_promotions + 1;
-                (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_promotions);
                 if env.logging then env.logger.Logger.log
                   (Event.Replica_promoted
                      { at_us = at_int; shard = s; from_host = host; to_host = h });
@@ -396,7 +300,6 @@ let on_transition r ~host (tr : Health.transition) =
       end
   | Health.Closed ->
       r.r_closes <- r.r_closes + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_closes);
       if env.logging then env.logger.Logger.log
         (Event.Breaker_closed
            { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
@@ -455,11 +358,6 @@ let maybe_split r ~now =
           r.r_active <- Array.append r.r_active [| to_host |];
           r.r_replicated <- Array.append r.r_replicated [| true |];
           r.r_splits <- r.r_splits + 1;
-          (match r.r_obs with
-          | None -> ()
-          | Some ri ->
-              Metrics.inc ri.ri_splits;
-              Metrics.set ri.ri_shards (float_of_int (Array.length r.r_active)));
           let moved = !moved in
           if env.logging then env.logger.Logger.log
             (Event.Shard_split
@@ -511,14 +409,6 @@ let round_trip r ~link ~request ~reply ~iface ~mname =
   env.n_drops <- env.n_drops + oc.Fault.oc_drops;
   env.n_spikes <- env.n_spikes + oc.Fault.oc_spikes;
   env.fault_us <- env.fault_us +. oc.Fault.oc_fault_us;
-  (match env.obs with
-  | None -> ()
-  | Some i ->
-      Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
-      Metrics.inc_int i.i_retries oc.Fault.oc_retries;
-      Metrics.inc_int i.i_drops oc.Fault.oc_drops;
-      Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
-      Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
   if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
     if env.logging then env.logger.Logger.log
       (Event.Call_retried { iface; meth = mname; retries = oc.Fault.oc_retries });
@@ -544,15 +434,10 @@ let attempt r ~link ~request ~reply ~iface ~mname =
    with
   | Some tr -> on_transition r ~host:link tr
   | None -> ());
-  (match r.r_obs with None -> () | Some ri -> Metrics.set ri.ri_ewma (Health.ewma hb));
+  r.r_ewma_link <- link;
   if ok then begin
     env.n_remote_calls <- env.n_remote_calls + 1;
-    env.n_remote_bytes <- env.n_remote_bytes + request + reply;
-    match env.obs with
-    | None -> ()
-    | Some i ->
-        Metrics.inc i.i_remote_calls;
-        Metrics.inc_int i.i_remote_bytes (request + reply)
+    env.n_remote_bytes <- env.n_remote_bytes + request + reply
   end;
   ok
 
@@ -573,33 +458,23 @@ let call r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname
     let dst = Factory.machine_of r.r_factory callee in
     let link = link r ~src ~dst ~caller_cls ~callee_cls in
     if link < 0 then begin
-      if !rounds > 0 then begin
-        r.r_rescued <- r.r_rescued + 1;
-        match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_rescued
-      end
+      if !rounds > 0 then r.r_rescued <- r.r_rescued + 1
     end
     else begin
       let now = Rte_env.now env in
       if not (admits r ~link ~now) then begin
         if not !stranded then begin
           stranded := true;
-          r.r_stranded <- r.r_stranded + 1;
-          match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_stranded
+          r.r_stranded <- r.r_stranded + 1
         end;
         let wait = Health.cooloff_expires_at r.r_health.(link) -. now in
         env.comm <- env.comm +. wait;
         env.fault_us <- env.fault_us +. wait;
-        (match env.obs with
-        | None -> ()
-        | Some i ->
-            Metrics.inc ~by:wait i.i_comm_us;
-            Metrics.inc ~by:wait i.i_fault_us);
-        (match r.r_obs with None -> () | Some ri -> Metrics.inc ~by:wait ri.ri_wait_us);
+        r.r_wait_us <- r.r_wait_us +. wait;
         go ()
       end
       else if !rounds >= r.r_config.fc_max_probe_rounds then begin
         env.n_unreachable <- env.n_unreachable + 1;
-        (match env.obs with None -> () | Some i -> Metrics.inc i.i_unreachable);
         Hresult.fail
           (Hresult.E_unreachable
              (Printf.sprintf "%s.%s: no reply from %s after %d attempts" iface mname
@@ -609,14 +484,12 @@ let call r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname
       else begin
         (match env.obs with
         | None -> ()
-        | Some i ->
-            Metrics.observe i.i_request_bytes request;
-            Metrics.observe i.i_reply_bytes reply);
+        | Some (request_bytes, reply_bytes) ->
+            Metrics.observe request_bytes request;
+            Metrics.observe reply_bytes reply);
         if attempt r ~link ~request ~reply ~iface ~mname then begin
-          if src = Constraints.Server && dst = Constraints.Server then begin
+          if src = Constraints.Server && dst = Constraints.Server then
             r.r_inter_host <- r.r_inter_host + 1;
-            match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_inter_host
-          end;
           if dst = Constraints.Server then observe_load r ~callee_cls ~bytes:(request + reply)
         end
         else begin
@@ -654,10 +527,61 @@ let forward_create r ~creator ~classification ~cname ~machine =
   then machine
   else begin
     env.n_fallbacks <- env.n_fallbacks + 1;
-    (match env.obs with None -> () | Some i -> Metrics.inc i.i_fallbacks);
     if env.logging then
       env.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
     Factory.machine_of r.r_factory creator
+  end
+
+(* Add the route's totals to [reg] and set its gauges to their final
+   values: the breaker/ladder family for any route over a ladder, the
+   pool family only when the widest rung has more than one host.
+   Retry-only (that one config value) publishes nothing, so a run
+   without a routing policy exposes exactly the base series. The rung
+   gauge is set only once a rung has switched and the EWMA gauge only
+   once a link has been used; until then a shared registry keeps what
+   earlier runs left there. *)
+let publish r reg =
+  if r.r_config != retry_only then begin
+    let count ~help name n = Metrics.inc_int (Metrics.counter reg ~help name) n in
+    let gauge ~help name = Metrics.gauge reg ~help name in
+    count ~help:"Circuit-breaker open transitions." "coign_resilience_breaker_opens_total"
+      r.r_opens;
+    count ~help:"Circuit-breaker close transitions." "coign_resilience_breaker_closes_total"
+      r.r_closes;
+    count ~help:"Placement switches down the fallback ladder." "coign_resilience_failovers_total"
+      r.r_failovers;
+    count ~help:"Placement switches back up the fallback ladder."
+      "coign_resilience_failbacks_total" r.r_failbacks;
+    count ~help:"Instances migrated live between machines."
+      "coign_resilience_migrated_instances_total" r.r_migrations;
+    count ~help:"Calls that had to wait out an open breaker."
+      "coign_resilience_stranded_calls_total" r.r_stranded;
+    count ~help:"Failed remote calls completed locally after failover."
+      "coign_resilience_rescued_calls_total" r.r_rescued;
+    Metrics.inc ~by:r.r_wait_us
+      (Metrics.counter reg
+         ~help:"Virtual time stranded calls spent waiting on cooloffs, in microseconds."
+         "coign_resilience_wait_us_total");
+    let rung = gauge ~help:"Fallback rung currently installed (0 = primary)." "coign_resilience_rung" in
+    if r.r_failovers + r.r_failbacks > 0 then Metrics.set rung (float_of_int r.r_rung);
+    let ewma = gauge ~help:"EWMA link health (1 = all successes)." "coign_resilience_link_ewma" in
+    if r.r_ewma_link >= 0 then Metrics.set ewma (Health.ewma r.r_health.(r.r_ewma_link));
+    if Array.length r.r_health > 1 then begin
+      count ~help:"Shards redirected to a standing replica on breaker open."
+        "coign_fleet_promotions_total" r.r_promotions;
+      count ~help:"Hot shards split by the decayed-load detector." "coign_fleet_shard_splits_total"
+        r.r_splits;
+      count ~help:"Pool size changes along the pool-elastic ladder." "coign_fleet_resizes_total"
+        r.r_resizes;
+      count ~help:"Completed server-to-server calls between pool hosts."
+        "coign_fleet_inter_host_calls_total" r.r_inter_host;
+      Metrics.set
+        (gauge ~help:"Pool hosts currently serving." "coign_fleet_pool_hosts")
+        (float_of_int (shape r).Pool.sh_hosts);
+      Metrics.set
+        (gauge ~help:"Shards currently mapped." "coign_fleet_shards")
+        (float_of_int (Array.length r.r_active))
+    end
   end
 
 type stats = {

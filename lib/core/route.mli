@@ -3,7 +3,8 @@
     (network, jitter and backoff streams, retry policy), a ladder of pool
     rungs and the current rung, one circuit breaker and one fault model
     per host link, the dynamic shard table with each shard's active
-    host, and the [coign_resilience_*]/[coign_fleet_*] instruments.
+    host, and the counters behind the [coign_resilience_*] and
+    [coign_fleet_*] instruments.
     Retry-only is a one-link, one-rung route whose breaker never opens;
     [Rte.resilience] is a one-link route over a fallback ladder;
     [Rte.fleet] is the same route with one link per pool host. *)
@@ -24,7 +25,6 @@ val retry_only : config
 type t
 
 val create :
-  ?metrics:Coign_obs.Metrics.registry ->
   env:Rte_env.t ->
   factory:Factory.t ->
   pool:bool ->
@@ -82,6 +82,11 @@ val forward_create :
 (** Forward an instantiation to the factory on [machine]; where the
     instance lands — [machine], or its creator's machine when the
     request cannot get through. *)
+
+val publish : t -> Coign_obs.Metrics.registry -> unit
+(** Add the route's counters to [coign_resilience_*] and set its gauges
+    to their final values, plus [coign_fleet_*] when the widest rung
+    has more than one host. A retry-only route publishes nothing. *)
 
 type stats = {
   fs_breaker_opens : int;

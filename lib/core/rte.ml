@@ -45,7 +45,7 @@ type wrapper = {
 
 type t = {
   ctx : Runtime.ctx;
-  env : Rte_env.t;  (* clock, counters, instruments, logger, classifications *)
+  env : Rte_env.t;  (* clock, counters, registry, logger, classifications *)
   rte_classifier : Classifier.t;
   memo : Classifier.memo;  (* context key -> classification, this install only *)
   stack : Shadow_stack.t;
@@ -188,7 +188,6 @@ and intercept_run t w ~meth args =
   let outs, ret = result in
   let itype = w.w_itype in
   t.n_intercepted <- t.n_intercepted + 1;
-  (match env.obs with None -> () | Some i -> Metrics.inc i.i_intercepted);
   Int_table.add_to t.pair_counts (pair_key caller_cls callee_cls) 1;
   (match t.mode with
   | M_profiling ->
@@ -196,9 +195,9 @@ and intercept_run t w ~meth args =
       let request = sizes.Informer.request_bytes and reply = sizes.Informer.reply_bytes in
       (match env.obs with
       | None -> ()
-      | Some i ->
-          Metrics.observe i.i_request_bytes request;
-          Metrics.observe i.i_reply_bytes reply);
+      | Some (request_bytes, reply_bytes) ->
+          Metrics.observe request_bytes request;
+          Metrics.observe reply_bytes reply);
       Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls w.w_iface
         ~remotable:sizes.Informer.remotable ~request ~reply;
       Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply;
@@ -310,7 +309,6 @@ and on_create_run t (req : Runtime.create_request) =
   let inst = Runtime.handle_owner t.ctx raw in
   env.classifications <- Rte_env.store env.classifications inst classification;
   t.created <- inst :: t.created;
-  (match env.obs with None -> () | Some i -> Metrics.inc i.i_instantiations);
   if env.logging then
     env.logger.Logger.log (Event.Component_instantiated { inst; cname; classification; creator });
   (* The instantiation request itself is communication: if creator and
@@ -384,14 +382,14 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
       "Rte.install_distributed: at most one of dc_resilience, dc_fleet and dc_watch may be set";
   let env = Rte_env.create ?loggers ?tracer ?metrics ctx in
   (* The main program lives on the client. *)
-  let factory = Factory.create ?metrics config.dc_factory_policy in
+  let factory = Factory.create config.dc_factory_policy in
   Factory.record_instance factory ~inst:Runtime.main_instance Constraints.Client;
   let watch_state =
     Option.map
       (fun wc ->
         match config.dc_factory_policy with
         | Factory.By_classification dist ->
-            Watch.create ?metrics ~env ~factory ~seed:config.dc_seed ~dist wc
+            Watch.create ~env ~factory ~seed:config.dc_seed ~dist wc
         | _ ->
             invalid_arg "Rte.install_distributed: dc_watch requires a By_classification policy")
       config.dc_watch
@@ -402,18 +400,31 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
         ~seed:config.dc_seed ~retry:config.dc_retry ~faults:config.dc_faults
     in
     match (config.dc_fleet, config.dc_resilience) with
-    | Some fc, _ -> create ?metrics ~pool:true fc
-    | None, Some rc -> create ?metrics ~pool:false rc
+    | Some fc, _ -> create ~pool:true fc
+    | None, Some rc -> create ~pool:false rc
     | None, None -> create ~pool:false Route.retry_only
   in
   install ~env ~classifier
     ~mode:(M_distributed { m_factory = factory; m_route = route; m_watch = watch_state })
     ctx
 
+(* Publishing clears the registry, so a second uninstall adds nothing. *)
 let uninstall t =
   Runtime.set_create_hook t.ctx None;
   Runtime.set_query_hook t.ctx None;
-  Runtime.set_destroy_hook t.ctx None
+  Runtime.set_destroy_hook t.ctx None;
+  match t.env.metrics with
+  | None -> ()
+  | Some reg ->
+      t.env.metrics <- None;
+      Rte_env.publish t.env reg ~intercepted:t.n_intercepted
+        ~instantiations:(List.length t.created);
+      (match t.mode with
+      | M_profiling -> ()
+      | M_distributed m ->
+          Factory.publish m.m_factory reg;
+          Route.publish m.m_route reg;
+          Option.iter (fun w -> Watch.publish w reg) m.m_watch)
 
 let icc t = t.rte_icc
 let inst_comm t = t.rte_inst_comm
@@ -503,7 +514,7 @@ let stats t =
   let e = t.env in
   let r = Option.map Route.stats (route_of t) in
   let ri f = match r with None -> 0 | Some r -> f r in
-  let w = Option.map Watch.counters (watch_of t) in
+  let w = Option.map Watch.stats (watch_of t) in
   let wi f = match w with None -> 0 | Some w -> f w in
   {
     st_comm_us = e.comm;

@@ -47,9 +47,10 @@ val install_profiling :
     named [Iface.method]) and per instantiation (category ["create"],
     named by class), timed on the virtual clock ({!comm_us} plus the compute
     the application has charged, never wall time) and nested per the shadow
-    stack. [metrics] registers the [coign_rte_*] instruments. Both
-    default to off, and when off the RTE runs exactly the instructions
-    it always did — profiles, stats, and events are bit-identical. *)
+    stack. [metrics] receives the run's [coign_rte_*] counters once, at
+    {!uninstall}; only the per-message size histograms are updated
+    during the run. Both default to off, and neither changes a run:
+    profiles, stats, and events are bit-identical with or without. *)
 
 (** {1 Routing and watch policies}
 
@@ -248,7 +249,11 @@ val install_distributed :
     deterministic and independent of domain-parallel execution. *)
 
 val uninstall : t -> unit
-(** Remove all hooks; the context reverts to plain local execution. *)
+(** Remove all hooks; the context reverts to plain local execution. An
+    install given [metrics] publishes its counters and gauges to the
+    registry here, once: totals add to what the registry holds, so
+    installs sharing a registry accumulate, and gauges take this run's
+    final values. *)
 
 (** {1 Profiling results} *)
 

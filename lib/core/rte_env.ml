@@ -1,77 +1,26 @@
 (* What the RTE's interception ([Rte]), routing ([Route]) and drift
    watch ([Watch]) share: the virtual clock, the communication and fault
-   counters, the base [coign_rte_*] instruments, the logger and tracer,
-   and the instance -> classification map. Internal to the RTE and
-   without an interface file: the record is the interface, and each
-   layer updates its counters in place. *)
+   counters, the metrics registry and the per-message size histograms,
+   the logger and tracer, and the instance -> classification map.
+   Internal to the RTE and without an interface file: the record is the
+   interface, and each layer updates its counters in place. *)
 
 open Coign_com
 module Trace = Coign_obs.Trace
 module Metrics = Coign_obs.Metrics
 
-(* Registry instruments, resolved once at install time so the hot path
-   never does a name lookup. *)
-type instruments = {
-  i_intercepted : Metrics.counter;
-  i_instantiations : Metrics.counter;
-  i_remote_calls : Metrics.counter;
-  i_remote_bytes : Metrics.counter;
-  i_comm_us : Metrics.counter;
-  i_retries : Metrics.counter;
-  i_drops : Metrics.counter;
-  i_spikes : Metrics.counter;
-  i_fallbacks : Metrics.counter;
-  i_unreachable : Metrics.counter;
-  i_fault_us : Metrics.counter;
-  i_request_bytes : Metrics.histogram;
-  i_reply_bytes : Metrics.histogram;
-}
-
-let make_instruments reg =
-  let open Metrics in
-  {
-    i_intercepted =
-      counter reg ~help:"Calls intercepted by the RTE, local and remote."
-        "coign_rte_intercepted_calls_total";
-    i_instantiations =
-      counter reg ~help:"Component instantiations intercepted."
-        "coign_rte_instantiations_total";
-    i_remote_calls =
-      counter reg ~help:"Completed cross-machine calls and forwarded instantiations."
-        "coign_rte_remote_calls_total";
-    i_remote_bytes =
-      counter reg ~help:"Marshaled bytes moved across machines." "coign_rte_remote_bytes_total";
-    i_comm_us =
-      counter reg ~help:"Virtual communication time accumulated, in microseconds."
-        "coign_rte_comm_us_total";
-    i_retries =
-      counter reg ~help:"Remote-call attempts beyond the first." "coign_rte_retries_total";
-    i_drops = counter reg ~help:"Messages eaten by the fault model." "coign_rte_drops_total";
-    i_spikes = counter reg ~help:"Latency spikes suffered." "coign_rte_spikes_total";
-    i_fallbacks =
-      counter reg ~help:"Instantiations degraded to the creator machine."
-        "coign_rte_degraded_instantiations_total";
-    i_unreachable =
-      counter reg ~help:"Calls abandoned as unreachable." "coign_rte_unreachable_calls_total";
-    i_fault_us =
-      counter reg ~help:"Communication time attributable to faults, in microseconds."
-        "coign_rte_fault_us_total";
-    i_request_bytes =
-      histogram reg ~help:"Cross-wrapper request message sizes, in bytes."
-        "coign_rte_request_bytes";
-    i_reply_bytes =
-      histogram reg ~help:"Cross-wrapper reply message sizes, in bytes." "coign_rte_reply_bytes";
-  }
-
 type t = {
   ctx : Runtime.ctx;
   logger : Logger.t;
   logging : bool;  (* loggers attached: events are built only then *)
-  (* Observability, both [None] unless the install opted in; every use
-     site is behind a match so an unobserved RTE runs the same
-     instructions it always did. *)
+  (* Observability, all [None] unless the install opted in. Counters
+     and gauges are plain fields, published to [metrics] once at
+     uninstall; only the request/reply size histograms ([obs]) are
+     updated per message, because a distribution has no plain-field
+     counterpart. *)
   tracer : Trace.t option;
-  obs : instruments option;
+  mutable metrics : Metrics.registry option;  (* cleared once published *)
+  obs : (Metrics.histogram * Metrics.histogram) option;
   mutable classifications : int array;  (* dense, -1 where unset *)
   mutable comm : float;
   mutable n_remote_calls : int;
@@ -92,7 +41,15 @@ let create ?(loggers = []) ?tracer ?metrics ctx =
     logger = (match loggers with [] -> Logger.null | _ -> Logger.tee loggers);
     logging = loggers <> [];
     tracer;
-    obs = Option.map make_instruments metrics;
+    metrics;
+    obs =
+      Option.map
+        (fun reg ->
+          ( Metrics.histogram reg ~help:"Cross-wrapper request message sizes, in bytes."
+              "coign_rte_request_bytes",
+            Metrics.histogram reg ~help:"Cross-wrapper reply message sizes, in bytes."
+              "coign_rte_reply_bytes" ))
+        metrics;
     classifications = Array.make 256 (-1);
     comm = 0.;
     n_remote_calls = 0;
@@ -104,6 +61,31 @@ let create ?(loggers = []) ?tracer ?metrics ctx =
     n_unreachable = 0;
     fault_us = 0.;
   }
+
+(* Add the run's [coign_rte_*] totals to [reg]. [intercepted] and
+   [instantiations] are the interception layer's counts. *)
+let publish t reg ~intercepted ~instantiations =
+  let total ~help name v = Metrics.inc ~by:v (Metrics.counter reg ~help name) in
+  let count ~help name n = Metrics.inc_int (Metrics.counter reg ~help name) n in
+  count ~help:"Calls intercepted by the RTE, local and remote."
+    "coign_rte_intercepted_calls_total" intercepted;
+  count ~help:"Component instantiations intercepted." "coign_rte_instantiations_total"
+    instantiations;
+  count ~help:"Completed cross-machine calls and forwarded instantiations."
+    "coign_rte_remote_calls_total" t.n_remote_calls;
+  count ~help:"Marshaled bytes moved across machines." "coign_rte_remote_bytes_total"
+    t.n_remote_bytes;
+  total ~help:"Virtual communication time accumulated, in microseconds."
+    "coign_rte_comm_us_total" t.comm;
+  count ~help:"Remote-call attempts beyond the first." "coign_rte_retries_total" t.n_retries;
+  count ~help:"Messages eaten by the fault model." "coign_rte_drops_total" t.n_drops;
+  count ~help:"Latency spikes suffered." "coign_rte_spikes_total" t.n_spikes;
+  count ~help:"Instantiations degraded to the creator machine."
+    "coign_rte_degraded_instantiations_total" t.n_fallbacks;
+  count ~help:"Calls abandoned as unreachable." "coign_rte_unreachable_calls_total"
+    t.n_unreachable;
+  total ~help:"Communication time attributable to faults, in microseconds."
+    "coign_rte_fault_us_total" t.fault_us
 
 (* Read slot [i] of a dense map, -1 past its end. *)
 let slot arr i = if i >= 0 && i < Array.length arr then Array.unsafe_get arr i else -1

@@ -2,49 +2,6 @@ open Coign_util
 module Metrics = Coign_obs.Metrics
 module Tap = Coign_obs.Tap
 
-(* Watch instruments, separate from the base set so a run without a
-   watch exposes exactly the metrics it always did. *)
-type instruments = {
-  wi_similarity : Metrics.gauge;
-  wi_window_pairs : Metrics.gauge;
-  wi_window_mass : Metrics.gauge;
-  wi_checks : Metrics.counter;
-  wi_detections : Metrics.counter;
-  wi_repartitions : Metrics.counter;
-  wi_migrations : Metrics.counter;
-  wi_unchanged : Metrics.counter;
-  wi_rejected : Metrics.counter;
-}
-
-let make_instruments reg =
-  let open Metrics in
-  {
-    wi_similarity =
-      gauge reg ~help:"Window-vs-baseline usage similarity at the last drift check."
-        "coign_drift_similarity";
-    wi_window_pairs =
-      gauge reg ~help:"Distinct pairs carrying window mass at the last drift check."
-        "coign_drift_window_pairs";
-    wi_window_mass =
-      gauge reg ~help:"Decayed observation mass in the window at the last drift check."
-        "coign_drift_window_mass";
-    wi_checks = counter reg ~help:"Drift checks performed." "coign_drift_checks_total";
-    wi_detections =
-      counter reg ~help:"Drift checks that crossed the threshold." "coign_drift_detections_total";
-    wi_repartitions =
-      counter reg ~help:"Placement switches installed by the watch loop."
-        "coign_watch_repartitions_total";
-    wi_migrations =
-      counter reg ~help:"Instances migrated live by watch re-partitions."
-        "coign_watch_migrated_instances_total";
-    wi_unchanged =
-      counter reg ~help:"Drift detections whose re-cut chose the installed placement."
-        "coign_watch_unchanged_cuts_total";
-    wi_rejected =
-      counter reg ~help:"Candidate cuts rejected by constraint validation."
-        "coign_watch_rejected_cuts_total";
-  }
-
 type config = {
   wc_session : Analysis.Session.t;
   wc_net : Coign_netsim.Net_profiler.t;
@@ -101,7 +58,6 @@ type t = {
      seeded sampler decides which observations get their message sizes
      measured — the window's byte dimension. *)
   w_tap : Tap.t;
-  w_obs : instruments option;
   w_safe : bool array;          (* per-classification migration safety *)
   w_prof_share : float array;   (* profile's per-pair message share *)
   w_prof_byte_share : float array;  (* profile's per-pair byte share *)
@@ -118,10 +74,11 @@ type t = {
   mutable w_unchanged : int;
   mutable w_rejected : int;
   mutable w_last_similarity : float;
+  mutable w_last_mass : float;  (* window mass at the last check *)
   mutable w_timeline : checkpoint list;  (* reversed *)
 }
 
-let create ?metrics ~env ~factory ~seed ~dist wc =
+let create ~env ~factory ~seed ~dist wc =
   let graph = Analysis.Session.graph wc.wc_session in
   let main = Icc_graph.main_node graph in
   let cls v = if v = main then -1 else v in
@@ -146,7 +103,6 @@ let create ?metrics ~env ~factory ~seed ~dist wc =
     w_tap =
       Tap.create ~sample_every:wc.wc_sample_every ~seed:(Prng.stream seed 3)
         (Option.value ~default:Tap.null_sink wc.wc_tap);
-    w_obs = Option.map make_instruments metrics;
     w_safe = Analysis.Session.migration_safety wc.wc_session;
     w_prof_share = Array.map (fun m -> m /. total) msgs;
     w_prof_byte_share =
@@ -171,6 +127,7 @@ let create ?metrics ~env ~factory ~seed ~dist wc =
     w_unchanged = 0;
     w_rejected = 0;
     w_last_similarity = 1.;
+    w_last_mass = 0.;
     w_timeline = [];
   }
 
@@ -216,13 +173,11 @@ let repartition w ~now ~similarity =
        constraint edges are infinite), but the lint gate is cheap and
        keeps a bad candidate from ever reaching the factory. *)
     w.w_rejected <- w.w_rejected + 1;
-    (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_rejected);
     w.w_last_switch_us <- now;
     W_rejected (List.length violations)
   end
   else if candidate.Analysis.placement = w.w_current.Analysis.placement then begin
     w.w_unchanged <- w.w_unchanged + 1;
-    (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_unchanged);
     adopt_baseline ();
     W_unchanged
   end
@@ -233,11 +188,6 @@ let repartition w ~now ~similarity =
     in
     w.w_repartitions <- w.w_repartitions + 1;
     w.w_migrations <- w.w_migrations + migrated;
-    (match w.w_obs with
-    | None -> ()
-    | Some wi ->
-        Metrics.inc wi.wi_repartitions;
-        Metrics.inc_int wi.wi_migrations migrated);
     let at_int = int_of_float now in
     if env.logging then env.logger.Logger.log
       (Event.Repartitioned
@@ -286,13 +236,7 @@ let check w ~now =
   let window_pairs = Drift.pair_count signature in
   let mass = Window.total_at w.w_window ~now_us:now in
   w.w_last_similarity <- similarity;
-  (match w.w_obs with
-  | None -> ()
-  | Some wi ->
-      Metrics.inc wi.wi_checks;
-      Metrics.set wi.wi_similarity similarity;
-      Metrics.set wi.wi_window_pairs (float_of_int window_pairs);
-      Metrics.set wi.wi_window_mass mass);
+  w.w_last_mass <- mass;
   let drifted =
     similarity < cfg.wc_threshold
     && mass >= cfg.wc_min_window
@@ -302,7 +246,6 @@ let check w ~now =
     if not drifted then W_steady
     else begin
       w.w_detections <- w.w_detections + 1;
-      (match w.w_obs with None -> () | Some wi -> Metrics.inc wi.wi_detections);
       if env.logging then env.logger.Logger.log
         (Event.Drift_detected
            { at_us = int_of_float now; similarity; threshold = cfg.wc_threshold; window_pairs });
@@ -343,7 +286,42 @@ let timeline w = List.rev w.w_timeline
 let placement w = w.w_current
 let tap_counts w = (Tap.offered w.w_tap, Tap.sampled w.w_tap)
 
-type counters = {
+(* Add the watch's totals to [reg]; the drift gauges take the last
+   check's values, and stay untouched by a watch that ran no check. *)
+let publish w reg =
+  let count ~help name n = Metrics.inc_int (Metrics.counter reg ~help name) n in
+  let gauge ~help name = Metrics.gauge reg ~help name in
+  let similarity =
+    gauge ~help:"Window-vs-baseline usage similarity at the last drift check."
+      "coign_drift_similarity"
+  in
+  let window_pairs =
+    gauge ~help:"Distinct pairs carrying window mass at the last drift check."
+      "coign_drift_window_pairs"
+  in
+  let window_mass =
+    gauge ~help:"Decayed observation mass in the window at the last drift check."
+      "coign_drift_window_mass"
+  in
+  (match w.w_timeline with
+  | [] -> ()
+  | last :: _ ->
+      Metrics.set similarity last.wk_similarity;
+      Metrics.set window_pairs (float_of_int last.wk_window_pairs);
+      Metrics.set window_mass w.w_last_mass);
+  count ~help:"Drift checks performed." "coign_drift_checks_total" w.w_checks;
+  count ~help:"Drift checks that crossed the threshold." "coign_drift_detections_total"
+    w.w_detections;
+  count ~help:"Placement switches installed by the watch loop." "coign_watch_repartitions_total"
+    w.w_repartitions;
+  count ~help:"Instances migrated live by watch re-partitions."
+    "coign_watch_migrated_instances_total" w.w_migrations;
+  count ~help:"Drift detections whose re-cut chose the installed placement."
+    "coign_watch_unchanged_cuts_total" w.w_unchanged;
+  count ~help:"Candidate cuts rejected by constraint validation."
+    "coign_watch_rejected_cuts_total" w.w_rejected
+
+type stats = {
   checks : int;
   detections : int;
   repartitions : int;
@@ -353,7 +331,7 @@ type counters = {
   last_similarity : float;
 }
 
-let counters w =
+let stats w =
   {
     checks = w.w_checks;
     detections = w.w_detections;

@@ -2,8 +2,9 @@
     observation window over every intercepted call and create, a seeded
     tap that picks which observations get their message sizes measured,
     drift checks against the adopted baseline, re-cuts of the analysis
-    session, the installed placement, the [coign_drift_*] and
-    [coign_watch_*] instruments, and the check timeline. *)
+    session, the installed placement, the counters behind the
+    [coign_drift_*] and [coign_watch_*] instruments, and the check
+    timeline. *)
 
 type config
 
@@ -36,7 +37,6 @@ type checkpoint = {
 type t
 
 val create :
-  ?metrics:Coign_obs.Metrics.registry ->
   env:Rte_env.t ->
   factory:Factory.t ->
   seed:int64 ->
@@ -67,7 +67,12 @@ val timeline : t -> checkpoint list
 val placement : t -> Analysis.distribution
 val tap_counts : t -> int * int
 
-type counters = {
+val publish : t -> Coign_obs.Metrics.registry -> unit
+(** Add the watch's counters to [coign_drift_*]/[coign_watch_*] and set
+    the drift gauges to the last check's values (untouched when no
+    check ran). *)
+
+type stats = {
   checks : int;
   detections : int;
   repartitions : int;
@@ -77,4 +82,5 @@ type counters = {
   last_similarity : float;
 }
 
-val counters : t -> counters
+val stats : t -> stats
+(** [Rte.stats]'s watch counters. *)

@@ -11,7 +11,7 @@ type family = {
   fa_name : string;
   fa_help : string;
   fa_kind : string;  (* "counter" | "gauge" | "histogram" *)
-  mutable fa_series : series list;  (* registration order *)
+  mutable fa_series : series list;  (* newest first; exposed sorted by label set *)
 }
 
 type registry = {
@@ -55,7 +55,7 @@ let series fa ~labels ~make =
   | Some se -> se.se_value
   | None ->
       let v = make () in
-      fa.fa_series <- fa.fa_series @ [ { se_labels = labels; se_value = v } ];
+      fa.fa_series <- { se_labels = labels; se_value = v } :: fa.fa_series;
       v
 
 let counter reg ?(help = "") ?(labels = []) name =
@@ -82,7 +82,7 @@ let histogram reg ?(help = "") ?(labels = []) name =
   | _ -> assert false
 
 let inc ?(by = 1.) c =
-  if by < 0. then invalid_arg "Metrics.inc: counters only go up";
+  if not (by >= 0.) then invalid_arg "Metrics.inc: counters only go up";
   c := !c +. by
 
 let inc_int c by = inc ~by:(float_of_int by) c
@@ -123,12 +123,18 @@ let label_body labels =
 let labeled name labels =
   if labels = [] then name else Printf.sprintf "%s{%s}" name (label_body labels)
 
+(* The text format spells non-finite values NaN, +Inf and -Inf. *)
 let number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  if Float.is_nan v then "NaN"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else if Float.is_finite v then Printf.sprintf "%.17g" v
+  else if v > 0. then "+Inf"
+  else "-Inf"
 
 let sorted_families reg =
   List.sort (fun a b -> compare a.fa_name b.fa_name) reg.families
+
+let sorted_series fa = List.sort (fun a b -> compare a.se_labels b.se_labels) fa.fa_series
 
 let prometheus reg =
   let buf = Buffer.create 1024 in
@@ -162,7 +168,7 @@ let prometheus reg =
                 (string_of_int (Exp_bucket.total_bytes h));
               line (fa.fa_name ^ "_count") se.se_labels
                 (string_of_int (Exp_bucket.message_count h)))
-        fa.fa_series)
+        (sorted_series fa))
     (sorted_families reg);
   Buffer.contents buf
 
@@ -205,7 +211,7 @@ let json reg =
              [
                ("type", Jsonu.Str fa.fa_kind);
                ("help", Jsonu.Str fa.fa_help);
-               ("series", Jsonu.Arr (List.map series_json fa.fa_series));
+               ("series", Jsonu.Arr (List.map series_json (sorted_series fa)));
              ] ))
        (sorted_families reg))
 

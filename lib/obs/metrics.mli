@@ -3,10 +3,12 @@
     The paper's evaluation (§5) is a set of one-shot measurements; a
     long-running partitioned system — and the adaptive repartitioning
     of §6 — needs the same numbers continuously. This registry is the
-    surface those numbers flow through: the RTE, the component factory,
-    and the analysis engine register instruments against a caller-owned
-    registry and update them as they run; the registry renders as
-    Prometheus-style text exposition or JSON.
+    surface those numbers flow through: the RTE's layers and the
+    analysis engine register instruments against a caller-owned
+    registry; the registry renders as Prometheus-style text exposition
+    or JSON. The RTE keeps its counts in plain fields and publishes them
+    once, when it is uninstalled; only distributions, which have no
+    plain-field counterpart, are observed as they happen.
 
     Histograms reuse {!Coign_util.Exp_bucket}, the paper's §3.3
     exponential size buckets, so a latency or message-size distribution
@@ -16,9 +18,9 @@
 
     Instruments are identified by (name, label set): registering the
     same identity twice returns the existing instrument, so repeated
-    runs against one registry accumulate. Everything here is zero-cost
-    to code that does not pass a registry — the instrumented subsystems
-    take [?metrics] and skip all bookkeeping when it is absent. *)
+    runs against one registry accumulate. Code that passes no registry
+    pays nothing: the instrumented subsystems take [?metrics] and
+    publish nothing when it is absent. *)
 
 type registry
 type counter
@@ -41,7 +43,8 @@ val histogram :
     (bytes, rounded microseconds). *)
 
 val inc : ?by:float -> counter -> unit
-(** Add [by] (default 1); negative [by] raises [Invalid_argument]. *)
+(** Add [by] (default 1); a negative or NaN [by] raises
+    [Invalid_argument]. *)
 
 val inc_int : counter -> int -> unit
 val counter_value : counter -> float
@@ -70,7 +73,8 @@ val prometheus : registry -> string
     [name{labels} value] line per series; histograms render cumulative
     [_bucket{le="..."}] lines over the {!Coign_util.Exp_bucket} bounds
     plus [_sum] and [_count]. Families are sorted by name and series by
-    label set, so equal registries expose byte-identically. *)
+    label set, so equal registries expose byte-identically. Non-finite
+    values print as [NaN], [+Inf] and [-Inf]. *)
 
 val json : registry -> Coign_util.Jsonu.t
 (** The registry as a JSON object keyed by family name, same ordering

@@ -171,46 +171,16 @@ type session_class = {
   cl_comm_us : float;
 }
 
-(* Mirror of Replay.replay's fault-free walk, reduced to the sequence
-   of (request, reply) byte pairs it would charge — same machine
-   tracking, same instantiation-forwarding sizes, same skip rules — so
-   that summing the unloaded per-op costs in trace order reproduces
-   [re_comm_us] bit for bit. *)
+(* The (request, reply) byte pairs Replay.replay's fault-free walk
+   charges, in trace order, so that summing the unloaded per-op costs
+   reproduces [re_comm_us] bit for bit. *)
 let ops_of_events ~placement events =
-  let machines : (int, Constraints.location) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.replace machines Coign_com.Runtime.main_instance Constraints.Client;
-  let machine_of inst =
-    Option.value ~default:Constraints.Client (Hashtbl.find_opt machines inst)
-  in
   let ops = ref [] in
-  List.iter
-    (fun event ->
-      match event with
-      | Event.Component_instantiated { inst; classification; creator; _ } ->
-          let creator_machine = machine_of creator in
-          let machine = placement classification in
-          let machine = if classification < 0 then creator_machine else machine in
-          if machine <> creator_machine then
-            ops :=
-              ( Coign_idl.Marshal_size.scalar_overhead + (2 * 16),
-                Coign_idl.Marshal_size.scalar_overhead + Coign_idl.Marshal_size.objref_size )
-              :: !ops;
-          Hashtbl.replace machines inst machine
-      | Event.Interface_call { caller; callee; iface; remotable; request_bytes; reply_bytes; _ }
-        ->
-          if String.equal iface "ICoCreateInstance" then ()
-          else if machine_of caller <> machine_of callee then
-            if remotable then ops := (request_bytes, reply_bytes) :: !ops
-            else (* cross-cut non-remotable call: Replay records a
-                    violation and charges nothing; so do we. *)
-              ()
-      | Event.Component_destroyed _ | Event.Interface_instantiated _
-      | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
-      | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
-      | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
-      | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _ ->
-          ())
-    events;
+  let charge ~create:_ ~request ~reply =
+    ops := (request, reply) :: !ops;
+    true
+  in
+  ignore (Replay.walk ~placement ~charge ~violation:(fun ~iface:_ ~meth:_ -> ()) events);
   List.rev !ops
 
 let class_of_ops ~network ~scenario ops =

@@ -1,4 +1,3 @@
-open Coign_idl
 open Coign_util
 open Coign_netsim
 open Coign_com
@@ -18,12 +17,59 @@ type estimate = {
   re_fault_us : float;
 }
 
-let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network () =
+(* An instantiation whose forward did not make it is degraded to its
+   creator's machine, as the distributed RTE would. *)
+let walk ~placement ~charge ~violation events =
   let machines : (int, Constraints.location) Hashtbl.t = Hashtbl.create 256 in
   Hashtbl.replace machines Runtime.main_instance Constraints.Client;
   let machine_of inst =
     Option.value ~default:Constraints.Client (Hashtbl.find_opt machines inst)
   in
+  List.iter
+    (fun event ->
+      match event with
+      | Event.Component_instantiated { inst; classification; creator; _ } ->
+          let creator_machine = machine_of creator in
+          (* Follow the factory: profiled classifications go where the
+             placement says; unknown ones stay with their creator. *)
+          let machine =
+            if classification < 0 then creator_machine else placement classification
+          in
+          let machine =
+            if
+              machine = creator_machine
+              || charge ~create:true ~request:Route.create_request_bytes
+                   ~reply:Route.create_reply_bytes
+            then machine
+            else creator_machine
+          in
+          Hashtbl.replace machines inst machine
+      | Event.Interface_call
+          { caller; callee; iface; meth; remotable; request_bytes; reply_bytes; _ } ->
+          (* Instantiation requests are charged by the creation event
+             above (they only cross when the factory forwards). *)
+          if (not (String.equal iface "ICoCreateInstance"))
+             && machine_of caller <> machine_of callee
+          then
+            if remotable then
+              ignore (charge ~create:false ~request:request_bytes ~reply:reply_bytes : bool)
+            else
+              (* Defense in depth: distributions produced by Adps.analyze
+                 are already proven free of cross-cut non-remotable edges
+                 by the static validator (Analysis.validate), so this only
+                 fires for hand-built placements that bypassed it. *)
+              violation ~iface ~meth
+      | Event.Component_destroyed _ | Event.Interface_instantiated _
+      | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
+      | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
+      | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
+      | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _
+        ->
+          ())
+    events;
+  machines
+
+let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network () =
   let comm = ref 0. and calls = ref 0 and bytes = ref 0 in
   let violations = ref [] in
   let retries = ref 0 and drops = ref 0 and spikes = ref 0 in
@@ -36,8 +82,11 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
   in
   (* Replay knows nothing of compute, so its virtual clock is the
      accumulated communication time — fault windows for trace-driven
-     estimates are expressed against that clock. *)
-  let attempt ~request ~reply =
+     estimates are expressed against that clock. A lost instantiation
+     is one the distributed RTE would degrade; a lost call, one a live
+     run would abandon with [E_unreachable] — the estimator counts it
+     and keeps replaying. *)
+  let charge ~create ~request ~reply =
     let oc =
       Fault.call ?model:faults ~retry ~rng ~now_us:!comm ~request_bytes:request
         ~reply_bytes:reply
@@ -53,65 +102,16 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
     if oc.Fault.oc_ok then begin
       incr calls;
       bytes := !bytes + request + reply
-    end;
+    end
+    else if create then incr fallbacks
+    else incr unreachable;
     oc.Fault.oc_ok
   in
-  List.iter
-    (fun event ->
-      match event with
-      | Event.Component_instantiated { inst; classification; creator; _ } ->
-          let creator_machine = machine_of creator in
-          let machine =
-            (* Follow the factory: profiled classifications go where the
-               placement says; unknown ones stay with their creator. *)
-            placement classification
-          in
-          let machine =
-            if classification < 0 then creator_machine else machine
-          in
-          let machine =
-            if machine = creator_machine then machine
-            else if
-              attempt
-                ~request:(Marshal_size.scalar_overhead + (2 * 16))
-                ~reply:(Marshal_size.scalar_overhead + Marshal_size.objref_size)
-            then machine
-            else begin
-              (* The distributed RTE would degrade this instantiation to
-                 the creator's machine; estimate the same placement. *)
-              incr fallbacks;
-              creator_machine
-            end
-          in
-          Hashtbl.replace machines inst machine
-      | Event.Interface_call
-          { caller; callee; iface; meth; remotable; request_bytes; reply_bytes; _ } ->
-          if String.equal iface "ICoCreateInstance" then
-            (* Instantiation requests are charged by the creation event
-               above (they only cross when the factory forwards). *)
-            ()
-          else if machine_of caller <> machine_of callee then
-            if remotable then begin
-              if not (attempt ~request:request_bytes ~reply:reply_bytes) then
-                (* A live run would raise [E_unreachable] here; the
-                   estimator counts the abandoned call and keeps
-                   replaying. *)
-                incr unreachable
-            end
-            else
-              (* Defense in depth: distributions produced by Adps.analyze
-                 are already proven free of cross-cut non-remotable edges
-                 by the static validator (Analysis.validate), so this only
-                 fires for hand-built placements that bypassed it. *)
-              violations := (iface, meth) :: !violations
-      | Event.Component_destroyed _ | Event.Interface_instantiated _
-      | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
-      | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
-      | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
-      | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _
-        ->
-          ())
-    events;
+  let machines =
+    walk ~placement ~charge
+      ~violation:(fun ~iface ~meth -> violations := (iface, meth) :: !violations)
+      events
+  in
   let server_instances =
     Hashtbl.fold
       (fun inst m acc ->

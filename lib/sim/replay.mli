@@ -32,6 +32,22 @@ type estimate = {
   re_fault_us : float;         (** comm time attributable to faults *)
 }
 
+val walk :
+  placement:(int -> Coign_core.Constraints.location) ->
+  charge:(create:bool -> request:int -> reply:int -> bool) ->
+  violation:(iface:string -> meth:string -> unit) ->
+  Coign_core.Event.t list ->
+  (int, Coign_core.Constraints.location) Hashtbl.t
+(** The walk {!replay} runs: track every instance's machine as the
+    component factory would, and call [charge] on each cross-machine
+    round trip in trace order — forwarded instantiations ([create])
+    at {!Coign_core.Route.create_request_bytes}/[create_reply_bytes],
+    remotable calls at their measured sizes. [charge] returns whether
+    the trip made it; an instantiation whose forward failed stays on its
+    creator's machine. Cross-machine calls over non-remotable interfaces
+    charge nothing and are reported to [violation]. Returns the final
+    instance -> machine map, the main program included. *)
+
 val replay :
   ?faults:Coign_netsim.Fault.t ->
   ?retry:Coign_netsim.Fault.retry_policy ->
