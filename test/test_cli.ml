@@ -268,6 +268,20 @@ let test_watch_metrics_golden_octarine () =
           "--metrics";
         ])
 
+(* The events format of the profiling trace, and the span trace of the
+   distributed run (the analyzed image's intercept path). *)
+let test_trace_events_and_distributed_golden () =
+  let events_golden = "golden/trace_events_benefits_addone.txt" in
+  let spans_golden = "golden/trace_benefits_addone_distributed.txt" in
+  in_tmp ~needs:[ events_golden; spans_golden ] (fun dir ->
+      let img = Filename.concat dir "ben.img" in
+      let trace format = [ "trace"; img; "--scenario"; "b_addone"; "--format"; format ] in
+      check_ok "instrument" (run [ "instrument"; "--app"; "benefits"; "-o"; img ]);
+      check_golden ~dir ~golden:events_golden "trace_events" (trace "events");
+      check_ok "profile" (run [ "profile"; img; "--scenario"; "b_addone"; "-o"; img ]);
+      check_ok "analyze" (run [ "analyze"; img; "-o"; img ]);
+      check_golden ~dir ~golden:spans_golden "trace_spans" (trace "spans"))
+
 let test_load_golden_ingest () =
   let golden = "golden/load_ingest.txt" in
   in_tmp ~needs:[ golden ] (fun dir ->
@@ -489,4 +503,6 @@ let suite =
     Alcotest.test_case "cli metrics golden benefits" `Slow test_metrics_golden_benefits;
     Alcotest.test_case "cli watch metrics golden octarine" `Slow
       test_watch_metrics_golden_octarine;
+    Alcotest.test_case "cli trace events and distributed spans golden" `Slow
+      test_trace_events_and_distributed_golden;
   ]
