@@ -26,6 +26,29 @@ sys.exit(1 if bad else 0)
 PY
 }
 
+# A Chrome trace has one `call` event per intercepted call and one
+# `create` event per instantiation: its counts equal the
+# coign_rte_intercepted_calls_total / coign_rte_instantiations_total of
+# the same run's metrics, JSON or Prometheus text.
+check_trace_counts() {
+  python3 - "$1" "$2" <<'PY'
+import collections, json, sys
+trace, metrics = sys.argv[1], sys.argv[2]
+cats = collections.Counter(e['cat'] for e in json.load(open(trace))['traceEvents'])
+names = {'call': 'coign_rte_intercepted_calls_total', 'create': 'coign_rte_instantiations_total'}
+text = open(metrics).read()
+if text.lstrip().startswith('{'):
+    m = json.loads(text)
+    value = lambda n: m[n]['series'][0]['value']
+else:
+    samples = dict(l.split() for l in text.splitlines() if l.startswith('coign_rte_'))
+    value = lambda n: float(samples[n])
+bad = [(c, cats[c], value(n)) for c, n in names.items() if cats[c] != value(n)]
+sys.stderr.writelines('%s: %d %s events, metrics say %g\n' % (trace, k, c, v) for c, k, v in bad)
+sys.exit(1 if bad else 0)
+PY
+}
+
 case "${1:-}" in
 bench)
   # The paper's reproduction report: every table and figure, the
@@ -181,6 +204,8 @@ obs)
   python3 -m json.tool metrics-profiling.json > /dev/null
   grep -q 'coign_rte_intercepted_calls_total' metrics-distributed.txt
   check_exposition metrics-distributed.txt
+  check_trace_counts trace-profiling.json metrics-profiling.json
+  check_trace_counts trace-distributed.json metrics-distributed.txt
   ;;
 
 perfbench)

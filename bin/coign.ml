@@ -161,7 +161,7 @@ let jitter_arg default =
 (* Run one scenario under the image's stored mode — profiling RTE for a
    profiling-mode image, distributed RTE (deterministic: jitter 0) when
    the image carries a distribution — with observability attached. *)
-let observed_run ?loggers ?tracer ?metrics image scenario_id network =
+let observed_run ?logger ?tracer ?metrics image scenario_id network =
   let app = app_of_image image in
   let sc = scenario_of app scenario_id in
   let config =
@@ -174,12 +174,12 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
   | Config_record.Distributed ->
       require_distribution image;
       ignore
-        (Adps.execute ?loggers ?tracer ?metrics ~image ~registry:app.App.app_registry ~network
+        (Adps.execute ?logger ?tracer ?metrics ~image ~registry:app.App.app_registry ~network
            sc.App.sc_run);
       "distributed"
   | Config_record.Profiling ->
       ignore
-        (Adps.profile_results ?loggers ?tracer ?metrics ~image ~registry:app.App.app_registry
+        (Adps.profile_results ?logger ?tracer ?metrics ~image ~registry:app.App.app_registry
            sc.App.sc_run);
       "profiling"
   | Config_record.Off ->
@@ -852,12 +852,10 @@ let trace_cmd =
   in
   let run image_path scenario_id network format output =
     let image = Binary_image.load image_path in
-    let sink, collected = Coign_obs.Trace.collector () in
+    let sink, collected = Coign_obs.Sink.collector () in
     let tracer = Coign_obs.Trace.create sink in
-    let recorder, events = Logger.event_recorder () in
-    let mode =
-      observed_run ~loggers:[ recorder ] ~tracer image scenario_id network
-    in
+    let logger, events = Coign_obs.Sink.collector () in
+    let mode = observed_run ~logger ~tracer image scenario_id network in
     let spans = collected () in
     let body =
       match format with

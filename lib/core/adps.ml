@@ -35,13 +35,13 @@ let classifier_of_config config =
       in
       Classifier.create ?stack_depth:(Config_record.stack_depth config) kind
 
-let profile_results ?loggers ?tracer ?metrics ~image ~registry scenario =
+let profile_results ?logger ?tracer ?metrics ~image ~registry scenario =
   let config = config_of image in
   if Config_record.mode config <> Config_record.Profiling then
     invalid_arg "Adps.profile: image is not in profiling mode";
   let classifier = classifier_of_config config in
   let ctx = Runtime.create_ctx registry in
-  let rte = Rte.install_profiling ?loggers ?tracer ?metrics ~classifier ctx in
+  let rte = Rte.install_profiling ?logger ?tracer ?metrics ~classifier ctx in
   scenario ctx;
   Rte.uninstall rte;
   let icc =
@@ -65,8 +65,8 @@ let profile_results ?loggers ?tracer ?metrics ~image ~registry scenario =
   in
   ({ image with Binary_image.config = Some config }, stats, rte)
 
-let profile ?loggers ?tracer ?metrics ~image ~registry scenario =
-  let image, stats, _rte = profile_results ?loggers ?tracer ?metrics ~image ~registry scenario in
+let profile ?logger ?tracer ?metrics ~image ~registry scenario =
+  let image, stats, _rte = profile_results ?logger ?tracer ?metrics ~image ~registry scenario in
   (image, stats)
 
 let load_profile image =
@@ -184,12 +184,12 @@ type exec_stats = {
   es_last_similarity : float;
 }
 
-let execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~policy ~network
+let execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network
     ?(jitter = 0.) ?(seed = 0x5EEDL) ?faults ?(retry = Coign_netsim.Fault.default_retry)
     ?resilience ?watch ?fleet scenario =
   let ctx = Runtime.create_ctx registry in
   let rte =
-    Rte.install_distributed ?loggers ?tracer ?metrics ~classifier
+    Rte.install_distributed ?logger ?tracer ?metrics ~classifier
       ~config:
         {
           Rte.dc_factory_policy = policy;
@@ -258,13 +258,13 @@ let execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~po
   in
   (stats, Rte.fleet_stats rte)
 
-let execute_with_policy ?loggers ?tracer ?metrics ~registry ~classifier ~policy ~network
+let execute_with_policy ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network
     ?jitter ?seed ?faults ?retry ?resilience ?watch scenario =
   fst
-    (execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~policy ~network
+    (execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network
        ?jitter ?seed ?faults ?retry ?resilience ?watch scenario)
 
-let execute ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults ?retry
+let execute ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults ?retry
     ?resilience ?watch scenario =
   let config = config_of image in
   if Config_record.mode config <> Config_record.Distributed then
@@ -272,12 +272,12 @@ let execute ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?f
   match load_distribution image with
   | None -> invalid_arg "Adps.execute: image holds no distribution"
   | Some (classifier, distribution) ->
-      execute_with_policy ?loggers ?tracer ?metrics ~registry ~classifier
+      execute_with_policy ?logger ?tracer ?metrics ~registry ~classifier
         ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults ?retry
         ?resilience ?watch scenario
 
 (* Pool runs report fleet counters alongside the shared stats. *)
-let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults
+let execute_fleet ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults
     ?retry ~fleet scenario =
   let config = config_of image in
   if Config_record.mode config <> Config_record.Distributed then
@@ -286,7 +286,7 @@ let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?s
   | None -> invalid_arg "Adps.execute_fleet: image holds no distribution"
   | Some (classifier, distribution) ->
       let stats, fs =
-        execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier
+        execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier
           ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults
           ?retry ~fleet scenario
       in

@@ -33,7 +33,7 @@ type profile_stats = {
 }
 
 val profile :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   image:Coign_image.Binary_image.t ->
@@ -45,11 +45,11 @@ val profile :
     config record, runs the scenario under the profiling RTE, and
     writes the merged results back into the returned image. Raises
     [Invalid_argument] if the image is not in profiling mode.
-    [loggers], [tracer], and [metrics] are forwarded to
+    [logger], [tracer], and [metrics] are forwarded to
     {!Rte.install_profiling}. *)
 
 val profile_results :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   image:Coign_image.Binary_image.t ->
@@ -162,7 +162,7 @@ type exec_stats = {
 }
 
 val execute :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   image:Coign_image.Binary_image.t ->
@@ -177,13 +177,13 @@ val execute :
 (** Run a scenario under the distribution stored in the image (which
     must be in distributed mode). [jitter] defaults to 0 (deterministic
     network); [faults] defaults to none and [retry] to
-    {!Coign_netsim.Fault.default_retry}. [loggers], [tracer], and
+    {!Coign_netsim.Fault.default_retry}. [logger], [tracer], and
     [metrics] are forwarded to {!Rte.install_distributed} and change
     nothing when absent. With [watch] (see {!Rte.watch}), the RTE monitors
     usage drift online and re-partitions when it fires. *)
 
 val execute_with_policy :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   registry:Coign_com.Runtime.registry ->
@@ -200,7 +200,7 @@ val execute_with_policy :
     application's default (developer-chosen) distribution. *)
 
 val execute_fleet :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   image:Coign_image.Binary_image.t ->

@@ -117,6 +117,10 @@ val kind_name : t -> string
 (** Stable lowercase tag for each constructor — the key under which
     {!Logger.tally} counts events. *)
 
+val fields : t -> (string * Coign_util.Jsonu.t) list
+(** The record's fields, named exactly as the record labels, in
+    declaration order — the attributes of the RTE's ["event"] spans. *)
+
 val to_json : t -> Coign_util.Jsonu.t
 (** The event as a JSON object: [{"event": kind_name, <field>: <value>, ...}]
     with fields named exactly as the record labels, in declaration

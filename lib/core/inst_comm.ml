@@ -43,14 +43,19 @@ let pair_total t a b =
   let c = Int_table.find t.cells (key a b) in
   (c.count, c.bytes)
 
-let peers t inst =
-  Int_table.fold
-    (fun _ c acc ->
-      if c.lo = inst then (c.hi, c.count, c.bytes) :: acc
-      else if c.hi = inst then (c.lo, c.count, c.bytes) :: acc
-      else acc)
-    t.cells []
-  |> List.sort compare
+(* One pass over the cells indexes every instance's peers; a self-pair
+   is a single entry. *)
+let peers t =
+  let index = Hashtbl.create 64 in
+  let push inst peer =
+    Hashtbl.replace index inst (peer :: Option.value ~default:[] (Hashtbl.find_opt index inst))
+  in
+  Int_table.iter
+    (fun _ c ->
+      push c.lo (c.hi, c.count, c.bytes);
+      if c.hi <> c.lo then push c.hi (c.lo, c.count, c.bytes))
+    t.cells;
+  fun inst -> List.sort compare (Option.value ~default:[] (Hashtbl.find_opt index inst))
 
 let instances t =
   let seen = Hashtbl.create 64 in

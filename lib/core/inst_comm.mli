@@ -24,7 +24,10 @@ val pair_total : t -> int -> int -> int * int
 
 val peers : t -> int -> (int * int * int) list
 (** [(peer, count, bytes)] for every instance that exchanged at least
-    one message with the given instance, ascending by peer id. *)
+    one message with the given instance, ascending by peer id. [peers t]
+    indexes the whole matrix in one pass, so apply it once and look up
+    every instance through the result; messages recorded afterwards do
+    not show in that index. *)
 
 val instances : t -> int list
 (** All instances that appear, ascending. *)

@@ -4,21 +4,18 @@
     which is free to ignore them (the null logger of distributed
     execution), summarize them (the profiling logger), or keep full
     traces (the event logger, which drove a colleague's application
-    simulations). Loggers are replaceable and composable. *)
+    simulations). A logger is a {!Coign_obs.Sink.t} of events, so
+    loggers are replaceable and composable: {!Coign_obs.Sink.null},
+    {!Coign_obs.Sink.collector} (the event logger) and
+    {!Coign_obs.Sink.tee} serve events as they serve spans and tap
+    samples. This module keeps the event-specific loggers. *)
 
-type t = { logger_name : string; log : Event.t -> unit }
-
-val null : t
-(** Ignores everything. *)
+type t = Event.t Coign_obs.Sink.t
 
 val profiling : icc:Icc.t -> inst_comm:Inst_comm.t -> t
 (** Summarizes [Interface_call] events into the classification-level
     ICC histograms and the instance-level matrix; other events are
     ignored (instantiation data lives in the classifier state). *)
-
-val event_recorder : unit -> t * (unit -> Event.t list)
-(** Full in-memory trace; the second component returns events in
-    arrival order. *)
 
 val counting : unit -> t * (unit -> int)
 (** Counts events — the "slight additional overhead" message counter
@@ -29,9 +26,6 @@ val tally : unit -> t * (unit -> (string * int) list)
     for the distributed RTE, where it tallies fault events
     ([call_retried], [instantiation_degraded]) without keeping a
     trace. *)
-
-val tee : t list -> t
-(** Fan an event out to several loggers. *)
 
 val to_channel : out_channel -> t
 (** Stream events one per line in the stable {!Event.to_line} format:

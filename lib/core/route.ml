@@ -170,16 +170,6 @@ let link r ~src ~dst ~caller_cls ~callee_cls =
       if src = Constraints.Server && host r caller_cls = h then -1 else h
   | Constraints.Server, Constraints.Client -> host r caller_cls
 
-(* Zero-duration marker span; names the link on routes with more than
-   one. *)
-let span r ?host ~name ~at_us args =
-  let args =
-    match host with
-    | Some h when Array.length r.r_health > 1 -> ("host", Jsonu.Int h) :: args
-    | _ -> args
-  in
-  Rte_env.marker r.r_env ~cat:"resilience" ~name ~at_us args
-
 (* First host of shard [s]'s replica ring, from its primary on, that is
    not [except] and whose breaker admits calls at [now]. Deterministic:
    replica rings are fixed by the shape. *)
@@ -227,24 +217,20 @@ let switch_rung r ~to_rung ~at_us =
   if failover then r.r_failovers <- r.r_failovers + 1
   else r.r_failbacks <- r.r_failbacks + 1;
   let rung = pr.Fallback.pr_name in
-  if env.logging then env.logger.Logger.log
-    (if failover then
-       Event.Failover { at_us = at_int; rung; from_rung; to_rung; migrated; stranded = left }
-     else Event.Failback { at_us = at_int; rung; from_rung; to_rung; migrated });
-  span r ~name:(if failover then "failover" else "failback") ~at_us
-    (("from_rung", Jsonu.Int from_rung) :: ("to_rung", Jsonu.Int to_rung)
-    :: ("migrated", Jsonu.Int migrated)
-    :: (if failover then [ ("stranded", Jsonu.Int left) ] else []));
+  if env.observed then
+    Rte_env.emit env ~at_us
+      (if failover then
+         Event.Failover { at_us = at_int; rung; from_rung; to_rung; migrated; stranded = left }
+       else Event.Failback { at_us = at_int; rung; from_rung; to_rung; migrated });
   if from_hosts <> to_hosts then begin
     r.r_resizes <- r.r_resizes + 1;
-    if env.logging then env.logger.Logger.log
-      (Event.Pool_resized
-         { at_us = at_int; from_hosts; to_hosts; shards = Array.length r.r_active; migrated });
-    span r ~name:"pool.resize" ~at_us
-      [ ("from_hosts", Jsonu.Int from_hosts); ("to_hosts", Jsonu.Int to_hosts) ]
+    if env.observed then
+      Rte_env.emit env ~at_us
+        (Event.Pool_resized
+           { at_us = at_int; from_hosts; to_hosts; shards = Array.length r.r_active; migrated })
   end;
   reset_actives r ~now:at_us;
-  Rte_env.log_migrations env ~at_int moved
+  Rte_env.log_migrations env ~at_us moved
 
 (* React to a link's breaker transition. An open promotes every shard
    the host was serving to a healthy replica; a shard with none (or one
@@ -258,16 +244,18 @@ let on_transition r ~host (tr : Health.transition) =
   let hb = r.r_health.(host) in
   r.r_ewma_link <- host;
   match tr.Health.tr_to with
-  | Health.Half_open ->
-      span r ~host ~name:"breaker.half_open" ~at_us
-        [ ("cooloff_us", Jsonu.Float (Health.cooloff_us hb)) ]
+  | Health.Half_open -> ()
   | Health.Open ->
       r.r_opens <- r.r_opens + 1;
-      let failures = Health.consecutive_failures hb in
-      if env.logging then env.logger.Logger.log
-        (Event.Breaker_opened
-           { at_us = at_int; failures; drops = env.n_drops; spikes = env.n_spikes });
-      span r ~host ~name:"breaker.open" ~at_us [ ("failures", Jsonu.Int failures) ];
+      if env.observed then
+        Rte_env.emit env ~at_us
+          (Event.Breaker_opened
+             {
+               at_us = at_int;
+               failures = Health.consecutive_failures hb;
+               drops = env.n_drops;
+               spikes = env.n_spikes;
+             });
       let shape = shape r in
       let stuck = ref (shape.Pool.sh_hosts = 1) in
       if not !stuck then
@@ -282,15 +270,10 @@ let on_transition r ~host (tr : Health.transition) =
               else begin
                 r.r_active.(s) <- h;
                 r.r_promotions <- r.r_promotions + 1;
-                if env.logging then env.logger.Logger.log
-                  (Event.Replica_promoted
-                     { at_us = at_int; shard = s; from_host = host; to_host = h });
-                span r ~name:"replica.promote" ~at_us
-                  [
-                    ("shard", Jsonu.Int s);
-                    ("from_host", Jsonu.Int host);
-                    ("to_host", Jsonu.Int h);
-                  ]
+                if env.observed then
+                  Rte_env.emit env ~at_us
+                    (Event.Replica_promoted
+                       { at_us = at_int; shard = s; from_host = host; to_host = h })
               end)
           r.r_active;
       if !stuck then begin
@@ -300,10 +283,10 @@ let on_transition r ~host (tr : Health.transition) =
       end
   | Health.Closed ->
       r.r_closes <- r.r_closes + 1;
-      if env.logging then env.logger.Logger.log
-        (Event.Breaker_closed
-           { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
-      span r ~host ~name:"breaker.close" ~at_us [];
+      if env.observed then
+        Rte_env.emit env ~at_us
+          (Event.Breaker_closed
+             { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
       if r.r_rung <> 0 then switch_rung r ~to_rung:0 ~at_us else reset_actives r ~now:at_us
 
 (* Deterministic hot-shard check: when one shard carries more than
@@ -358,13 +341,10 @@ let maybe_split r ~now =
           r.r_active <- Array.append r.r_active [| to_host |];
           r.r_replicated <- Array.append r.r_replicated [| true |];
           r.r_splits <- r.r_splits + 1;
-          let moved = !moved in
-          if env.logging then env.logger.Logger.log
-            (Event.Shard_split
-               { at_us = int_of_float now; shard = s_top; new_shard; moved; to_host });
-          span r ~name:"shard.split" ~at_us:now
-            [ ("shard", Jsonu.Int s_top); ("new_shard", Jsonu.Int new_shard);
-              ("moved", Jsonu.Int moved); ("to_host", Jsonu.Int to_host) ]
+          if env.observed then
+            Rte_env.emit env ~at_us:now
+              (Event.Shard_split
+                 { at_us = int_of_float now; shard = s_top; new_shard; moved = !moved; to_host })
         end
       end
     end
@@ -397,9 +377,10 @@ let round_trip r ~link ~request ~reply ~iface ~mname =
     if r.r_jitter = 0. then base
     else Float.max 0. (Prng.gaussian r.r_rng ~mu:base ~sigma:(r.r_jitter *. base))
   in
+  let now = Rte_env.now env in
   let oc =
-    Fault.call ?model:r.r_faults.(link) ~retry:r.r_retry ~rng:r.r_retry_rng
-      ~now_us:(Rte_env.now env) ~request_bytes:request ~reply_bytes:reply
+    Fault.call ?model:r.r_faults.(link) ~retry:r.r_retry ~rng:r.r_retry_rng ~now_us:now
+      ~request_bytes:request ~reply_bytes:reply
       ~request_us:(fun () -> jittered (Network.message_us r.r_network ~bytes:request))
       ~reply_us:(fun () -> jittered (Network.message_us r.r_network ~bytes:reply))
       ()
@@ -409,8 +390,8 @@ let round_trip r ~link ~request ~reply ~iface ~mname =
   env.n_drops <- env.n_drops + oc.Fault.oc_drops;
   env.n_spikes <- env.n_spikes + oc.Fault.oc_spikes;
   env.fault_us <- env.fault_us +. oc.Fault.oc_fault_us;
-  if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-    if env.logging then env.logger.Logger.log
+  if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok && env.observed then
+    Rte_env.emit env ~at_us:now
       (Event.Call_retried { iface; meth = mname; retries = oc.Fault.oc_retries });
   oc
 
@@ -520,15 +501,16 @@ let forward_create r ~creator ~classification ~cname ~machine =
       (if machine = Constraints.Server then classification
        else Rte_env.classification_of env creator)
   in
+  let now = Rte_env.now env in
   if
-    admits r ~link ~now:(Rte_env.now env)
+    admits r ~link ~now
     && attempt r ~link ~request:create_request_bytes ~reply:create_reply_bytes
          ~iface:"ICoCreateInstance" ~mname:"create"
   then machine
   else begin
     env.n_fallbacks <- env.n_fallbacks + 1;
-    if env.logging then
-      env.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
+    if env.observed then
+      Rte_env.emit env ~at_us:now (Event.Instantiation_degraded { cname; classification });
     Factory.machine_of r.r_factory creator
   end
 

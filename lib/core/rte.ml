@@ -115,8 +115,8 @@ let rec wrap t raw_h =
       in
       t.raw_to_wrap <- Rte_env.store t.raw_to_wrap raw_h h;
       t.wrap_to_raw <- Rte_env.store t.wrap_to_raw h raw_h;
-      if t.env.logging then
-        t.env.logger.Logger.log
+      if t.env.observed then
+        t.env.logger
           (Event.Interface_instantiated { owner; iface = Itype.name itype; handle = h });
       h
     end
@@ -127,21 +127,11 @@ and intercept t w ~meth args =
   | Some tr ->
       let caller = (Shadow_stack.top_or t.stack root_frame).Frame.f_inst in
       let msig = Itype.method_sig w.w_itype meth in
-      let id =
-        Trace.open_span tr
-          ~name:(Itype.name w.w_itype ^ "." ^ msig.Idl_type.mname)
-          ~cat:"call" ~at_us:(Rte_env.now t.env)
-      in
-      let span_args = [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int w.w_owner) ] in
-      (match intercept_run t w ~meth args with
-      | result ->
-          Trace.close_span tr ~args:span_args id ~at_us:(Rte_env.now t.env);
-          result
-      | exception e ->
-          Trace.close_span tr
-            ~args:(span_args @ [ ("error", Jsonu.Str (Printexc.to_string e)) ])
-            id ~at_us:(Rte_env.now t.env);
-          raise e)
+      Trace.with_span tr
+        ~name:(Itype.name w.w_itype ^ "." ^ msig.Idl_type.mname)
+        ~cat:"call" ~clock:(fun () -> Rte_env.now t.env)
+        ~args:(fun _ -> [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int w.w_owner) ])
+        (fun () -> intercept_run t w ~meth args)
 
 (* The frame a call through [w] pushes: cached per method, rebuilt when
    the owner's classification is not the one it was built with. *)
@@ -201,8 +191,8 @@ and intercept_run t w ~meth args =
       Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls w.w_iface
         ~remotable:sizes.Informer.remotable ~request ~reply;
       Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply;
-      if env.logging then
-        env.logger.Logger.log
+      if env.observed then
+        env.logger
           (Event.Interface_call
              {
                caller;
@@ -258,24 +248,18 @@ let rec on_create t (req : Runtime.create_request) =
   match t.env.tracer with
   | None -> on_create_run t req
   | Some tr ->
-      let cname = req.Runtime.req_class.Runtime.cname in
-      let id = Trace.open_span tr ~name:cname ~cat:"create" ~at_us:(Rte_env.now t.env) in
-      (match on_create_run t req with
-      | h ->
-          let inst = Runtime.handle_owner t.ctx h in
-          Trace.close_span tr
-            ~args:
-              [
-                ("inst", Jsonu.Int inst);
-                ("classification", Jsonu.Int (Rte_env.classification_of t.env inst));
-              ]
-            id ~at_us:(Rte_env.now t.env);
-          h
-      | exception e ->
-          Trace.close_span tr
-            ~args:[ ("error", Jsonu.Str (Printexc.to_string e)) ]
-            id ~at_us:(Rte_env.now t.env);
-          raise e)
+      let args = function
+        | Ok h ->
+            let inst = Runtime.handle_owner t.ctx h in
+            [
+              ("inst", Jsonu.Int inst);
+              ("classification", Jsonu.Int (Rte_env.classification_of t.env inst));
+            ]
+        | Error _ -> []
+      in
+      Trace.with_span tr ~name:req.Runtime.req_class.Runtime.cname ~cat:"create"
+        ~clock:(fun () -> Rte_env.now t.env) ~args
+        (fun () -> on_create_run t req)
 
 and on_create_run t (req : Runtime.create_request) =
   let env = t.env in
@@ -309,8 +293,8 @@ and on_create_run t (req : Runtime.create_request) =
   let inst = Runtime.handle_owner t.ctx raw in
   env.classifications <- Rte_env.store env.classifications inst classification;
   t.created <- inst :: t.created;
-  if env.logging then
-    env.logger.Logger.log (Event.Component_instantiated { inst; cname; classification; creator });
+  if env.observed then
+    env.logger (Event.Component_instantiated { inst; cname; classification; creator });
   (* The instantiation request itself is communication: if creator and
      instance end up on different machines, the factory pays a round
      trip. Record it so the analysis engine prices relocated
@@ -320,8 +304,8 @@ and on_create_run t (req : Runtime.create_request) =
       Icc.record_interned t.rte_icc ~src:creator_cls ~dst:classification t.create_iface
         ~remotable:true ~request ~reply;
       Inst_comm.record_call t.rte_inst_comm ~caller:creator ~callee:inst ~request ~reply;
-      if env.logging then
-        env.logger.Logger.log
+      if env.observed then
+        env.logger
           (Event.Interface_call
              {
                caller = creator;
@@ -342,7 +326,7 @@ let on_query t h ~iid =
   wrap t (Runtime.raw_query_interface t.ctx (if raw >= 0 then raw else h) ~iid)
 
 let on_destroy t inst =
-  if t.env.logging then t.env.logger.Logger.log (Event.Component_destroyed { inst })
+  if t.env.observed then t.env.logger (Event.Component_destroyed { inst })
 
 let install ~env ~classifier ~mode ctx =
   let rte_icc = Icc.create () in
@@ -369,10 +353,10 @@ let install ~env ~classifier ~mode ctx =
   Runtime.set_destroy_hook ctx (Some (on_destroy t));
   t
 
-let install_profiling ?loggers ?tracer ?metrics ~classifier ctx =
-  install ~env:(Rte_env.create ?loggers ?tracer ?metrics ctx) ~classifier ~mode:M_profiling ctx
+let install_profiling ?logger ?tracer ?metrics ~classifier ctx =
+  install ~env:(Rte_env.create ?logger ?tracer ?metrics ctx) ~classifier ~mode:M_profiling ctx
 
-let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
+let install_distributed ?logger ?tracer ?metrics ~classifier ~config ctx =
   (* Each of these layers drives the factory policy; arbitrating
      between a failover rung, a pool shape and a freshly-cut placement
      is out of scope. *)
@@ -380,7 +364,7 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
   if set config.dc_resilience + set config.dc_fleet + set config.dc_watch > 1 then
     invalid_arg
       "Rte.install_distributed: at most one of dc_resilience, dc_fleet and dc_watch may be set";
-  let env = Rte_env.create ?loggers ?tracer ?metrics ctx in
+  let env = Rte_env.create ?logger ?tracer ?metrics ctx in
   (* The main program lives on the client. *)
   let factory = Factory.create config.dc_factory_policy in
   Factory.record_instance factory ~inst:Runtime.main_instance Constraints.Client;

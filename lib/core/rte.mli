@@ -25,7 +25,7 @@ type t
 (** {1 Installation} *)
 
 val install_profiling :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   classifier:Classifier.t ->
@@ -33,10 +33,10 @@ val install_profiling :
   t
 (** Instrument a context for scenario-based profiling. Every call and
     instantiation is recorded straight into {!icc} and {!inst_comm};
-    [loggers] (e.g. an event recorder) receive the {!Event.t} stream,
-    whose values are built only when loggers are attached. Replaying
-    that stream through {!Logger.profiling} rebuilds the same
-    summaries.
+    [logger] (e.g. a {!Coign_obs.Sink.collector}; {!Coign_obs.Sink.tee}
+    composes several) receives the {!Event.t} stream, whose values are
+    built only when a logger or a tracer is attached. Replaying that
+    stream through {!Logger.profiling} rebuilds the same summaries.
 
     Instantiations are classified through a {!Classifier.memo} owned by
     this install: same ids, descriptors and counts as
@@ -103,8 +103,9 @@ val watch :
     window decays with [half_life_us] (200 ms); the tap samples
     1-in-[sample_every] observations (16) into [tap] (default
     detached). Raises [Invalid_argument] on a threshold outside [0, 1],
-    a check cadence below 1, or a non-finite or negative dwell or
-    window mass. *)
+    a check cadence or sample rate below 1, a non-finite or negative
+    dwell or window mass, or a half-life that is not positive (NaN
+    included). *)
 
 (** One drift-check outcome in the watch timeline. *)
 type watch_action =
@@ -161,7 +162,7 @@ type distributed_config = {
     policy other than [By_classification]. *)
 
 val install_distributed :
-  ?loggers:Logger.t list ->
+  ?logger:Logger.t ->
   ?tracer:Coign_obs.Trace.t ->
   ?metrics:Coign_obs.Metrics.registry ->
   classifier:Classifier.t ->
@@ -201,9 +202,8 @@ val install_distributed :
     virtual clock and become the half-open probe; probe success closes
     the breaker and fails back to rung 0, probe failure reopens it
     with an escalated cooloff. Breaker transitions and rung switches
-    are logged ({!Event.Breaker_opened} etc.), traced (category
-    ["resilience"]) and counted ([coign_resilience_*] metrics and
-    {!stats}). A fault-free run records only successes, so its stats
+    are reported ({!Event.Breaker_opened} etc.) and counted
+    ([coign_resilience_*] metrics and {!stats}). A fault-free run records only successes, so its stats
     are bit-identical to the retry-only run's.
 
     With [dc_watch], every intercepted call and create also feeds an
@@ -240,6 +240,12 @@ val install_distributed :
     its migration-safe upper components moving to a fresh shard on the
     least-loaded host ({!Event.Shard_split}). The [coign_fleet_*] instruments are
     exported for pools wider than one host.
+
+    Each routing and watch decision ({!Event.Call_retried} and every
+    later constructor) is reported once: to [logger] and, with
+    [tracer], as a zero-duration span of category ["event"] at the
+    decision's virtual time, named by {!Event.kind_name} and carrying
+    {!Event.fields}.
 
     Fault streams: a one-host route draws its verdicts from
     {!Coign_util.Prng.stream} 2 of [dc_seed] (the global [dc_faults]

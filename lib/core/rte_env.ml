@@ -12,7 +12,7 @@ module Metrics = Coign_obs.Metrics
 type t = {
   ctx : Runtime.ctx;
   logger : Logger.t;
-  logging : bool;  (* loggers attached: events are built only then *)
+  observed : bool;  (* a logger or a tracer attached: events are built only then *)
   (* Observability, all [None] unless the install opted in. Counters
      and gauges are plain fields, published to [metrics] once at
      uninstall; only the request/reply size histograms ([obs]) are
@@ -35,11 +35,11 @@ type t = {
   mutable fault_us : float;
 }
 
-let create ?(loggers = []) ?tracer ?metrics ctx =
+let create ?logger ?tracer ?metrics ctx =
   {
     ctx;
-    logger = (match loggers with [] -> Logger.null | _ -> Logger.tee loggers);
-    logging = loggers <> [];
+    logger = Option.value logger ~default:Coign_obs.Sink.null;
+    observed = Option.is_some logger || Option.is_some tracer;
     tracer;
     metrics;
     obs =
@@ -112,13 +112,16 @@ let classification_of t inst = slot t.classifications inst
    seeded run, so traces golden-test. *)
 let now t = t.comm +. Runtime.compute_us t.ctx
 
-(* Zero-duration marker span for a routing or watch decision. *)
-let marker t ~cat ~name ~at_us args =
+(* Report one routing or watch decision: to the logger and, with a
+   tracer, as a zero-duration ["event"] span at sim time [at_us] named
+   by its kind. Callers build [ev] only when [t.observed]. *)
+let emit t ~at_us ev =
+  t.logger ev;
   match t.tracer with
   | None -> ()
   | Some tr ->
-      let id = Trace.open_span tr ~name ~cat ~at_us in
-      Trace.close_span tr ~args id ~at_us
+      let id = Trace.open_span tr ~name:(Event.kind_name ev) ~cat:"event" ~at_us in
+      Trace.close_span tr ~args:(Event.fields ev) id ~at_us
 
 (* Atomically install [dist] as the factory policy and migrate every
    live instance whose classification [safe] marks to its new home; the
@@ -148,16 +151,17 @@ let migrate_instances t factory ~safe ~dist =
   (!migrated, !left, List.rev !moved)
 
 (* Per-instance migration events, after the aggregate event. *)
-let log_migrations t ~at_int moved =
-  List.iter
-    (fun (inst, c, machine, target) ->
-      if t.logging then t.logger.Logger.log
-        (Event.Instance_migrated
-           {
-             at_us = at_int;
-             inst;
-             classification = c;
-             from_loc = Constraints.location_name machine;
-             to_loc = Constraints.location_name target;
-           }))
-    moved
+let log_migrations t ~at_us moved =
+  if t.observed then
+    List.iter
+      (fun (inst, c, machine, target) ->
+        emit t ~at_us
+          (Event.Instance_migrated
+             {
+               at_us = int_of_float at_us;
+               inst;
+               classification = c;
+               from_loc = Constraints.location_name machine;
+               to_loc = Constraints.location_name target;
+             }))
+      moved

@@ -23,6 +23,8 @@ let config ?(threshold = 0.90) ?(check_every = 256) ?(min_dwell_us = 50_000.)
     invalid_arg "Rte.watch: min_dwell_us must be finite and >= 0";
   if not (Float.is_finite min_window && min_window >= 0.) then
     invalid_arg "Rte.watch: min_window must be finite and >= 0";
+  if not (half_life_us > 0.) then invalid_arg "Rte.watch: half_life_us must be > 0";
+  if sample_every < 1 then invalid_arg "Rte.watch: sample_every must be >= 1";
   {
     wc_session = session;
     wc_net = net;
@@ -131,8 +133,6 @@ let create ~env ~factory ~seed ~dist wc =
     w_timeline = [];
   }
 
-let span w ~name ~at_us args = Rte_env.marker w.w_env ~cat:"watch" ~name ~at_us args
-
 (* The window said usage drifted: re-price the profiled graph with the
    window's per-pair volumes, validate the candidate cut, and — when it
    differs from the installed one — atomically switch the factory and
@@ -188,25 +188,18 @@ let repartition w ~now ~similarity =
     in
     w.w_repartitions <- w.w_repartitions + 1;
     w.w_migrations <- w.w_migrations + migrated;
-    let at_int = int_of_float now in
-    if env.logging then env.logger.Logger.log
-      (Event.Repartitioned
-         {
-           at_us = at_int;
-           similarity;
-           from_servers;
-           to_servers = candidate.Analysis.server_count;
-           migrated;
-           left;
-         });
-    span w ~name:"repartition" ~at_us:now
-      [
-        ("similarity", Jsonu.Float similarity);
-        ("migrated", Jsonu.Int migrated);
-        ("left", Jsonu.Int left);
-        ("servers", Jsonu.Int candidate.Analysis.server_count);
-      ];
-    Rte_env.log_migrations env ~at_int moved;
+    if env.observed then
+      Rte_env.emit env ~at_us:now
+        (Event.Repartitioned
+           {
+             at_us = int_of_float now;
+             similarity;
+             from_servers;
+             to_servers = candidate.Analysis.server_count;
+             migrated;
+             left;
+           });
+    Rte_env.log_migrations env ~at_us:now moved;
     w.w_current <- candidate;
     adopt_baseline ();
     W_repartitioned
@@ -246,15 +239,10 @@ let check w ~now =
     if not drifted then W_steady
     else begin
       w.w_detections <- w.w_detections + 1;
-      if env.logging then env.logger.Logger.log
-        (Event.Drift_detected
-           { at_us = int_of_float now; similarity; threshold = cfg.wc_threshold; window_pairs });
-      span w ~name:"drift" ~at_us:now
-        [
-          ("similarity", Jsonu.Float similarity);
-          ("threshold", Jsonu.Float cfg.wc_threshold);
-          ("window_pairs", Jsonu.Int window_pairs);
-        ];
+      if env.observed then
+        Rte_env.emit env ~at_us:now
+          (Event.Drift_detected
+             { at_us = int_of_float now; similarity; threshold = cfg.wc_threshold; window_pairs });
       repartition w ~now ~similarity
     end
   in

@@ -8,17 +8,9 @@ type obs = {
   ob_bytes : int;
 }
 
-type sink = { tap_name : string; push : obs -> unit }
+type sink = obs Sink.t
 
-let null_sink = { tap_name = "null"; push = ignore }
-
-let collector () =
-  let acc = ref [] in
-  ( { tap_name = "collector"; push = (fun o -> acc := o :: !acc) },
-    fun () -> List.rev !acc )
-
-let tee sinks =
-  { tap_name = "tee"; push = (fun o -> List.iter (fun s -> s.push o) sinks) }
+let null_sink = Sink.null
 
 type t = {
   t_sink : sink;
@@ -48,15 +40,7 @@ let accept t =
 
 let emit t obs =
   t.t_sampled <- t.t_sampled + 1;
-  t.t_sink.push obs
-
-let offer t ~at_us ~kind ~caller ~callee ~bytes =
-  if accept t then
-    emit t
-      { ob_at_us = at_us; ob_kind = kind; ob_caller = caller; ob_callee = callee; ob_bytes = bytes }
+  t.t_sink obs
 
 let offered t = t.t_offered
 let sampled t = t.t_sampled
-let sink_name t = t.t_sink.tap_name
-
-let kind_name = function Call -> "call" | Create -> "create"

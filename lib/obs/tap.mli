@@ -6,14 +6,15 @@
     sampling valve between the interception layer and any consumer: the
     RTE offers every intercepted call and instantiation, the tap keeps a
     deterministic 1-in-k subsample, and pushes the survivors into a
-    caller-supplied sink.
+    caller-supplied {!Sink.t}, the same shape as the logger's and the
+    tracer's.
 
-    Like the {!Trace} sinks, everything here is opt-in and inert by
-    default: the instrumented code paths take the tap as an option and
-    skip all bookkeeping when it is absent, so a detached run is
-    bit-identical to an untapped one. Sampling decisions come from the
-    tap's own seeded PRNG stream — attaching a tap never perturbs the
-    run's jitter, retry, or fault draws. *)
+    Everything here is opt-in and inert by default: the instrumented
+    code paths take the tap as an option and skip all bookkeeping when
+    it is absent, so a detached run is bit-identical to an untapped
+    one. Sampling decisions come from the tap's own seeded PRNG stream
+    — attaching a tap never perturbs the run's jitter, retry, or fault
+    draws. *)
 
 type kind = Call | Create
 
@@ -25,16 +26,9 @@ type obs = {
   ob_bytes : int;  (** request + reply bytes when measured, else [0] *)
 }
 
-type sink = { tap_name : string; push : obs -> unit }
+type sink = obs Sink.t
 
 val null_sink : sink
-
-val collector : unit -> sink * (unit -> obs list)
-(** An in-memory sink and a function returning the observations pushed
-    so far, oldest first. *)
-
-val tee : sink list -> sink
-(** Push every observation to each sink, in list order. *)
 
 type t
 
@@ -43,16 +37,11 @@ val create : ?sample_every:int -> ?seed:int64 -> sink -> t
     (default 1: keep everything). Raises [Invalid_argument] when
     [sample_every < 1]. *)
 
-val offer : t -> at_us:float -> kind:kind -> caller:int -> callee:int -> bytes:int -> unit
-(** Offer one observation; the tap counts it and pushes it to the sink
-    iff the sampler selects it. Equivalent to {!accept} followed (on
-    selection) by {!emit}. *)
-
 val accept : t -> bool
 (** Count one offered observation and draw the sampling decision for
-    it — split out from {!offer} so a caller can defer expensive
-    measurement (message-size walks) to the selected observations
-    only. A [true] result should be followed by exactly one {!emit}. *)
+    it. A caller defers expensive measurement (message-size walks) to
+    the selected observations: a [true] result should be followed by
+    exactly one {!emit}. *)
 
 val emit : t -> obs -> unit
 (** Push a fully-measured observation that {!accept} selected. *)
@@ -62,6 +51,3 @@ val offered : t -> int
 
 val sampled : t -> int
 (** Observations that reached the sink. *)
-
-val sink_name : t -> string
-val kind_name : kind -> string

@@ -1,25 +1,6 @@
 open Coign_util
 
-type sink = { sink_name : string; emit : Span.t -> unit }
-
-let null_sink = { sink_name = "null"; emit = (fun _ -> ()) }
-
-let collector () =
-  let spans = ref [] in
-  ( { sink_name = "collector"; emit = (fun sp -> spans := sp :: !spans) },
-    fun () -> List.rev !spans )
-
-let tee sinks =
-  {
-    sink_name = "tee(" ^ String.concat "," (List.map (fun s -> s.sink_name) sinks) ^ ")";
-    emit = (fun sp -> List.iter (fun s -> s.emit sp) sinks);
-  }
-
-let to_channel oc =
-  {
-    sink_name = "channel";
-    emit = (fun sp -> output_string oc (Format.asprintf "%a\n" Span.pp_line sp));
-  }
+type sink = Span.t Sink.t
 
 type open_span = {
   os_id : int;
@@ -39,7 +20,6 @@ type t = {
 
 let create ?(trace_id = 1) sink = { tr_id = trace_id; tr_sink = sink; tr_next = 0; tr_open = []; tr_emitted = 0 }
 
-let trace_id t = t.tr_id
 let depth t = List.length t.tr_open
 let span_count t = t.tr_emitted
 
@@ -57,7 +37,7 @@ let close_span t ?(args = []) id ~at_us =
   | os :: rest when os.os_id = id ->
       t.tr_open <- rest;
       t.tr_emitted <- t.tr_emitted + 1;
-      t.tr_sink.emit
+      t.tr_sink
         {
           Span.sp_trace = t.tr_id;
           sp_id = os.os_id;
@@ -74,11 +54,11 @@ let with_span t ~name ~cat ~clock ?(args = fun _ -> []) f =
   let id = open_span t ~name ~cat ~at_us:(clock ()) in
   match f () with
   | v ->
-      close_span t ~args:(args (Ok ())) id ~at_us:(clock ());
+      close_span t ~args:(args (Ok v)) id ~at_us:(clock ());
       v
   | exception e ->
       close_span t
-        ~args:(("error", Jsonu.Str (Printexc.to_string e)) :: args (Error e))
+        ~args:(args (Error e) @ [ ("error", Jsonu.Str (Printexc.to_string e)) ])
         id ~at_us:(clock ());
       raise e
 

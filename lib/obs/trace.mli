@@ -2,35 +2,20 @@
 
     Where the information logger streams flat events, a tracer records
     {e spans}: bracketed intervals on the simulation clock whose
-    parent/child structure mirrors the RTE's shadow stack. Sinks follow
-    the logger's design exactly — replaceable, composable records with
-    a null default — so tracing is zero-cost unless a run opts in: the
-    RTE takes [?tracer] and, when absent, executes the same
-    instructions it always did.
+    parent/child structure mirrors the RTE's shadow stack. A tracer
+    hands each span to a {!Sink.t}, the same shape as the logger and
+    the tap; tracing is zero-cost unless a run opts in: the RTE takes
+    [?tracer] and, when absent, executes the same instructions it
+    always did.
 
     Because spans are timed on the deterministic sim clock (virtual
     communication time plus charged compute), a trace of a seeded run
     is byte-reproducible and golden-testable, yet still opens in real
     trace viewers through {!chrome_json}. *)
 
-(** {1 Sinks} *)
-
-type sink = { sink_name : string; emit : Span.t -> unit }
+type sink = Span.t Sink.t
 (** Receives each span when it closes (children before parents,
     emission order = close order). *)
-
-val null_sink : sink
-(** Ignores everything. *)
-
-val collector : unit -> sink * (unit -> Span.t list)
-(** In-memory trace; the second component returns spans in emission
-    (close) order. *)
-
-val tee : sink list -> sink
-(** Fan each span out to several sinks, in list order. *)
-
-val to_channel : out_channel -> sink
-(** Stream spans as {!Span.pp_line} text lines. *)
 
 (** {1 Tracers} *)
 
@@ -40,8 +25,6 @@ type t
 
 val create : ?trace_id:int -> sink -> t
 (** A fresh tracer; span ids start at 0. [trace_id] defaults to 1. *)
-
-val trace_id : t -> int
 
 val open_span : t -> name:string -> cat:string -> at_us:float -> int
 (** Start a span at sim-clock time [at_us]; its parent is the
@@ -57,12 +40,13 @@ val with_span :
   name:string ->
   cat:string ->
   clock:(unit -> float) ->
-  ?args:((unit, exn) result -> (string * Coign_util.Jsonu.t) list) ->
+  ?args:(('a, exn) result -> (string * Coign_util.Jsonu.t) list) ->
   (unit -> 'a) ->
   'a
-(** Bracket [f] in a span, reading entry/exit times from [clock]. If
-    [f] raises, the span still closes, carrying an ["error"] attribute,
-    and the exception is re-raised. *)
+(** Bracket [f] in a span, reading entry/exit times from [clock]; the
+    span's attributes are [args] of [f]'s outcome. If [f] raises, the
+    span still closes, with an ["error"] attribute after [args], and
+    the exception is re-raised. *)
 
 val depth : t -> int
 (** Open spans. *)

@@ -134,8 +134,8 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
 
 let record_scenario ~registry ~classifier scenario =
   let ctx = Runtime.create_ctx registry in
-  let recorder, events = Logger.event_recorder () in
-  let rte = Rte.install_profiling ~loggers:[ recorder ] ~classifier ctx in
+  let logger, events = Coign_obs.Sink.collector () in
+  let rte = Rte.install_profiling ~logger ~classifier ctx in
   scenario ctx;
   Rte.uninstall rte;
   events ()

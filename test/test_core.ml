@@ -101,6 +101,22 @@ let test_inst_comm () =
   Alcotest.(check (list int)) "instances" [ 1; 2; 3 ] (Inst_comm.instances m);
   Alcotest.(check int) "peers of 1" 2 (List.length (Inst_comm.peers m 1))
 
+(* One pass indexes every instance's peers: a self-pair is a single
+   entry, each list ascends by peer. *)
+let test_inst_comm_peers_index () =
+  let m = Inst_comm.create () in
+  Inst_comm.record m ~src:4 ~dst:4 ~bytes:7;
+  Inst_comm.record_call m ~caller:4 ~callee:2 ~request:10 ~reply:5;
+  Inst_comm.record m ~src:9 ~dst:2 ~bytes:1;
+  let peers = Inst_comm.peers m in
+  let check what expected inst =
+    Alcotest.(check (list (triple int int int))) what expected (peers inst)
+  in
+  check "self-pair once" [ (2, 2, 15); (4, 1, 7) ] 4;
+  check "both directions" [ (4, 2, 15); (9, 1, 1) ] 2;
+  check "one message" [ (2, 1, 1) ] 9;
+  check "silent instance" [] 5
+
 (* --- Comm_vector ---------------------------------------------------- *)
 
 let price ~count ~bytes = float_of_int count +. (float_of_int bytes /. 100.)
@@ -156,18 +172,18 @@ let call_event ?(remotable = true) ~caller ~callee ~req ~rep () =
 let test_profiling_logger () =
   let icc = Icc.create () and inst_comm = Inst_comm.create () in
   let logger = Logger.profiling ~icc ~inst_comm in
-  logger.Logger.log (call_event ~caller:1 ~callee:2 ~req:100 ~rep:20 ());
-  logger.Logger.log (Event.Component_instantiated { inst = 3; cname = "X"; classification = 1; creator = 0 });
+  logger (call_event ~caller:1 ~callee:2 ~req:100 ~rep:20 ());
+  logger (Event.Component_instantiated { inst = 3; cname = "X"; classification = 1; creator = 0 });
   Alcotest.(check int) "icc calls" 1 (Icc.call_count icc);
   Alcotest.(check (pair int int)) "inst comm both directions" (2, 120)
     (Inst_comm.pair_total inst_comm 1 2)
 
 let test_event_recorder_and_tee () =
-  let rec_logger, events = Logger.event_recorder () in
+  let rec_logger, events = Coign_obs.Sink.collector () in
   let counting, count = Logger.counting () in
-  let tee = Logger.tee [ rec_logger; counting; Logger.null ] in
-  tee.Logger.log (Event.Component_destroyed { inst = 5 });
-  tee.Logger.log (call_event ~caller:1 ~callee:2 ~req:1 ~rep:1 ());
+  let tee = Coign_obs.Sink.tee [ rec_logger; counting; Coign_obs.Sink.null ] in
+  tee (Event.Component_destroyed { inst = 5 });
+  tee (call_event ~caller:1 ~callee:2 ~req:1 ~rep:1 ());
   Alcotest.(check int) "recorded" 2 (List.length (events ()));
   Alcotest.(check int) "counted" 2 (count ());
   match events () with
@@ -348,4 +364,5 @@ let suite =
       test_drift_similarity_hand_computed;
     qtest qcheck_drift_symmetric;
     qtest qcheck_drift_unit_interval;
+    Alcotest.test_case "inst comm peers index" `Quick test_inst_comm_peers_index;
   ]

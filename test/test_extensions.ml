@@ -20,13 +20,13 @@ let test_replay_matches_distributed_run () =
   let app = Octarine.app in
   let sc = App.scenario app "o_oldwp7" in
   let image = Adps.instrument app.App.app_image in
-  let recorder, events = Logger.event_recorder () in
+  let recorder, events = Coign_obs.Sink.collector () in
   (* Profile with a recorder so we get both the trace and the image. *)
   let config = Option.get image.Coign_image.Binary_image.config in
   ignore config;
   let classifier = Classifier.create Classifier.Ifcb in
   let ctx = Coign_com.Runtime.create_ctx app.App.app_registry in
-  let rte = Rte.install_profiling ~loggers:[ recorder ] ~classifier ctx in
+  let rte = Rte.install_profiling ~logger:recorder ~classifier ctx in
   sc.App.sc_run ctx;
   Rte.uninstall rte;
   let net = Net_profiler.exact Network.ethernet_10 in

@@ -263,7 +263,7 @@ let test_to_channel_golden () =
     (fun () ->
       let oc = open_out path in
       let logger = Logger.to_channel oc in
-      List.iter logger.Logger.log events;
+      List.iter logger events;
       close_out oc;
       let ic = open_in_bin path in
       let got = really_input_string ic (in_channel_length ic) in
@@ -274,19 +274,19 @@ let test_tee_ordering () =
   (* Each event reaches the sinks in list order before the next event
      is delivered to anyone. *)
   let order = ref [] in
-  let mk name = { Logger.logger_name = name; log = (fun e -> order := (name, e) :: !order) } in
-  let tee = Logger.tee [ mk "a"; mk "b" ] in
+  let mk name e = order := (name, e) :: !order in
+  let tee = Sink.tee [ mk "a"; mk "b" ] in
   let e1 = Event.Component_destroyed { inst = 1 } in
   let e2 = Event.Component_destroyed { inst = 2 } in
-  tee.Logger.log e1;
-  tee.Logger.log e2;
+  tee e1;
+  tee e2;
   Alcotest.(check bool) "a then b, per event" true
     (List.rev !order = [ ("a", e1); ("b", e1); ("a", e2); ("b", e2) ])
 
 let test_tally_key_stability () =
   (* Tally keys are Event.kind_name — one stable key per constructor. *)
   let tally, read = Logger.tally () in
-  List.iter tally.Logger.log all_event_shapes;
+  List.iter tally all_event_shapes;
   Alcotest.(check (list (pair string int)))
     "one key per constructor, sorted"
     [
@@ -470,7 +470,7 @@ let test_metrics_json_parses () =
 (* --- Trace ----------------------------------------------------------- *)
 
 let test_trace_nesting_and_emission_order () =
-  let sink, spans = Trace.collector () in
+  let sink, spans = Sink.collector () in
   let tr = Trace.create ~trace_id:9 sink in
   let a = Trace.open_span tr ~name:"a" ~cat:"call" ~at_us:0. in
   let b = Trace.open_span tr ~name:"b" ~cat:"call" ~at_us:1. in
@@ -493,7 +493,7 @@ let test_trace_nesting_and_emission_order () =
   | l -> Alcotest.fail (Printf.sprintf "expected 3 spans, got %d" (List.length l))
 
 let test_trace_lifo_enforced () =
-  let tr = Trace.create Trace.null_sink in
+  let tr = Trace.create Sink.null in
   let a = Trace.open_span tr ~name:"a" ~cat:"call" ~at_us:0. in
   let _b = Trace.open_span tr ~name:"b" ~cat:"call" ~at_us:0. in
   Alcotest.(check bool) "closing the outer span first is rejected" true
@@ -503,7 +503,7 @@ let test_trace_lifo_enforced () =
      with Invalid_argument _ -> true)
 
 let test_trace_with_span_error () =
-  let sink, spans = Trace.collector () in
+  let sink, spans = Sink.collector () in
   let tr = Trace.create sink in
   let clock = Fun.const 0. in
   Alcotest.(check bool) "exception propagates" true
@@ -518,7 +518,7 @@ let test_trace_with_span_error () =
   | _ -> Alcotest.fail "expected exactly one span"
 
 let test_chrome_json_shape () =
-  let sink, spans = Trace.collector () in
+  let sink, spans = Sink.collector () in
   let tr = Trace.create sink in
   Trace.close_span tr (Trace.open_span tr ~name:"IBack.store" ~cat:"call" ~at_us:1.) ~at_us:2.5;
   let j = Jsonu.parse_exn (Trace.chrome_json (spans ())) in
@@ -594,7 +594,7 @@ let profile_with obs =
   match obs with
   | None -> (snd (Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run), None)
   | Some () ->
-      let sink, spans = Trace.collector () in
+      let sink, spans = Sink.collector () in
       let tracer = Trace.create sink in
       let metrics = Metrics.registry () in
       let stats =
@@ -626,11 +626,19 @@ let test_rte_spans_mirror_shadow_stack () =
     spans;
   (* Every intercepted operation got exactly one span, and the metric
      agrees with the trace. *)
-  let calls = List.length (List.filter (fun s -> s.Span.sp_cat = "call") spans) in
+  let count cat = List.length (List.filter (fun s -> s.Span.sp_cat = cat) spans) in
   let json = Jsonu.parse_exn (Metrics.to_json_string metrics) in
   Alcotest.(check bool) "metrics exported" true
     (Jsonu.member "coign_rte_intercepted_calls_total" json <> None);
-  Alcotest.(check bool) "call spans exist" true (calls > 0)
+  let counter name =
+    int_of_float (Metrics.counter_value (Metrics.counter metrics ("coign_rte_" ^ name ^ "_total")))
+  in
+  Alcotest.(check int) "call spans" 322 (count "call");
+  Alcotest.(check int) "a call span per intercepted call" (counter "intercepted_calls")
+    (count "call");
+  Alcotest.(check int) "create spans" 135 (count "create");
+  Alcotest.(check int) "a create span per instantiation" (counter "instantiations")
+    (count "create")
 
 let test_traces_deterministic () =
   let _, a = profile_with (Some ()) in
@@ -658,7 +666,7 @@ let test_observability_zero_cost_distributed () =
     match obs with
     | false -> Adps.execute ~image ~registry:app.App.app_registry ~network sc.App.sc_run
     | true ->
-        let tracer = Trace.create Trace.null_sink in
+        let tracer = Trace.create Sink.null in
         let metrics = Metrics.registry () in
         Adps.execute ~tracer ~metrics ~image ~registry:app.App.app_registry ~network
           sc.App.sc_run
@@ -706,6 +714,98 @@ let test_metrics_accumulate_across_runs () =
       ("degraded_instantiations", fun s -> s.Adps.es_fallbacks);
       ("unreachable_calls", fun s -> s.Adps.es_unreachable);
     ]
+
+(* --- One report per decision -------------------------------------------
+   Octarine profiled on o_oldwp0 and run on o_oldwp7 three ways that
+   make routing or watch decisions: resilience and a two-host pool
+   under a global partition, and an eager drift watch. *)
+
+let octarine_staged =
+  lazy
+    (let app = Octarine.app in
+     let image = Adps.instrument app.App.app_image in
+     let profiled, _ =
+       Adps.profile ~image ~registry:app.App.app_registry (App.scenario app "o_oldwp0").App.sc_run
+     in
+     let net = Coign_netsim.Net_profiler.exact network in
+     let analyzed, _ = Adps.analyze ~image:profiled ~net () in
+     (app, profiled, analyzed, net))
+
+let decision_runs =
+  let partition =
+    { Coign_netsim.Fault.zero with Coign_netsim.Fault.fs_partitions_us = [ (50_000., 550_000.) ] }
+  in
+  let run ?logger ?tracer ?resilience ?watch ?faults () =
+    let app, _, image, _ = Lazy.force octarine_staged in
+    Adps.execute ?logger ?tracer ~image ~registry:app.App.app_registry ~network ~seed:0x5EEDL
+      ?faults ?resilience ?watch (App.scenario app "o_oldwp7").App.sc_run
+  in
+  [
+    ( "resilience",
+      fun ?logger ?tracer () ->
+        let _, profiled, _, net = Lazy.force octarine_staged in
+        let resilience = Rte.resilience (Adps.fallback_ladder ~image:profiled ~net ()) in
+        run ?logger ?tracer ~resilience ~faults:partition () );
+    ( "fleet",
+      fun ?logger ?tracer () ->
+        let app, profiled, image, net = Lazy.force octarine_staged in
+        let pl = Adps.pool_fallback_ladder ~hosts:2 ~image:profiled ~net () in
+        fst
+          (Adps.execute_fleet ?logger ?tracer ~image ~registry:app.App.app_registry ~network
+             ~seed:0x5EEDL ~faults:partition ~fleet:(Rte.fleet pl)
+             (App.scenario app "o_oldwp7").App.sc_run) );
+    ( "watch",
+      fun ?logger ?tracer () ->
+        let _, profiled, _, net = Lazy.force octarine_staged in
+        let watch =
+          Rte.watch ~check_every:64 ~min_dwell_us:0. ~min_window:16. ~half_life_us:750_000.
+            ~sample_every:4 ~net (Adps.analysis_session profiled)
+        in
+        run ?logger ?tracer ~watch () );
+  ]
+
+(* Each decision event reaches the logger and, as a zero-duration
+   "event" span named by its kind and carrying its fields, the tracer:
+   the two streams agree one-to-one, in order. *)
+let test_decision_events_mirror_event_spans () =
+  List.iter
+    (fun (what, run) ->
+      let logger, events = Sink.collector () in
+      let sink, spans = Sink.collector () in
+      ignore (run ?logger:(Some logger) ?tracer:(Some (Trace.create sink)) ());
+      let decisions =
+        List.filter
+          (function
+            | Event.Component_instantiated _ | Event.Component_destroyed _
+            | Event.Interface_instantiated _ | Event.Interface_destroyed _
+            | Event.Interface_call _ ->
+                false
+            | _ -> true)
+          (events ())
+      in
+      let markers = List.filter (fun s -> s.Span.sp_cat = "event") (spans ()) in
+      Alcotest.(check bool) (what ^ ": decisions made") true (decisions <> []);
+      Alcotest.(check int) (what ^ ": one span per decision") (List.length decisions)
+        (List.length markers);
+      List.iter2
+        (fun e s ->
+          Alcotest.(check string) (what ^ ": named by kind") (Event.kind_name e) s.Span.sp_name;
+          Alcotest.(check string) (what ^ ": args are the fields")
+            (Jsonu.to_string (Jsonu.Obj (Event.fields e)))
+            (Jsonu.to_string (Jsonu.Obj s.Span.sp_args));
+          Alcotest.(check (float 0.)) (what ^ ": zero duration") 0. s.Span.sp_dur_us)
+        decisions markers)
+    decision_runs
+
+let test_observability_zero_cost_decisions () =
+  List.iter
+    (fun (what, run) ->
+      let bare = run ?logger:None ?tracer:None () in
+      let observed =
+        run ?logger:(Some (fst (Sink.collector ()))) ?tracer:(Some (Trace.create Sink.null)) ()
+      in
+      Alcotest.(check bool) (what ^ ": exec stats bit-identical") true (bare = observed))
+    decision_runs
 
 let test_analysis_metrics_and_zero_cost () =
   let app = Benefits.app in
@@ -775,4 +875,8 @@ let suite =
       test_metrics_accumulate_across_runs;
     Alcotest.test_case "analysis metrics, zero cost" `Slow test_analysis_metrics_and_zero_cost;
     Alcotest.test_case "pipeline phase names" `Slow test_pipeline_phase_names;
+    Alcotest.test_case "decision events mirror event spans" `Slow
+      test_decision_events_mirror_event_spans;
+    Alcotest.test_case "zero cost: tracer and logger on decision runs" `Slow
+      test_observability_zero_cost_decisions;
   ]

@@ -122,8 +122,8 @@ let test_uninstall_restores () =
 let test_event_logger_sees_lifecycle () =
   let ctx = Runtime.create_ctx (registry ()) in
   let classifier = Classifier.create Classifier.Ifcb in
-  let recorder, events = Logger.event_recorder () in
-  let rte = Rte.install_profiling ~loggers:[ recorder ] ~classifier ctx in
+  let recorder, events = Coign_obs.Sink.collector () in
+  let rte = Rte.install_profiling ~logger:recorder ~classifier ctx in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
   ignore (Runtime.call_named ctx front "run" [ Value.Int 1 ]);
   Runtime.destroy_instance ctx (Runtime.handle_owner ctx front);
@@ -249,23 +249,23 @@ let test_factory_machine_tracking () =
 let octarine_wp0 = Coign_apps.App.scenario Coign_apps.Octarine.app "o_oldwp0"
 let octarine_registry = Coign_apps.Octarine.app.Coign_apps.App.app_registry
 
-let profile_wp0 loggers =
+let profile_wp0 ?logger () =
   let ctx = Runtime.create_ctx octarine_registry in
   let rte =
-    Rte.install_profiling ~loggers ~classifier:(Classifier.create Classifier.Ifcb) ctx
+    Rte.install_profiling ?logger ~classifier:(Classifier.create Classifier.Ifcb) ctx
   in
   octarine_wp0.Coign_apps.App.sc_run ctx;
   Rte.uninstall rte;
   rte
 
 (* Profiling records straight into the ICC and instance summaries and
-   builds events only for attached loggers. Attaching one must change
+   builds events only for an attached logger. Attaching one must change
    nothing recorded, and it must see the events the RTE always logged:
    the counts are pinned from the event-driven recorder, and replaying
    the events through [Logger.profiling] rebuilds the same summaries. *)
 let test_direct_recorder () =
-  let recorder, events = Logger.event_recorder () in
-  let bare = profile_wp0 [] and logged = profile_wp0 [ recorder ] in
+  let recorder, events = Coign_obs.Sink.collector () in
+  let bare = profile_wp0 () and logged = profile_wp0 ~logger:recorder () in
   let totals rte =
     let ic = Rte.inst_comm rte in
     (Inst_comm.message_count ic, Inst_comm.total_bytes ic)
@@ -283,7 +283,7 @@ let test_direct_recorder () =
   Alcotest.(check int) "interface instantiations" 1073
     (count (function Event.Interface_instantiated _ -> true | _ -> false));
   let icc = Icc.create () and inst_comm = Inst_comm.create () in
-  List.iter (Logger.profiling ~icc ~inst_comm).Logger.log evs;
+  List.iter (Logger.profiling ~icc ~inst_comm) evs;
   Alcotest.(check string) "events rebuild the icc" (Icc.encode (Rte.icc bare)) (Icc.encode icc);
   Alcotest.(check (pair int int))
     "events rebuild instance comm" (totals bare)
@@ -322,7 +322,7 @@ let test_interception_allocation () =
         octarine_wp0.Coign_apps.App.sc_run ctx;
         Rte.intercepted_calls rte)
   in
-  let profiling, prof_calls = words (fun () -> Rte.intercepted_calls (profile_wp0 [])) in
+  let profiling, prof_calls = words (fun () -> Rte.intercepted_calls (profile_wp0 ())) in
   let per words calls = (words -. bare) /. float_of_int calls in
   let check name words calls bound =
     let w = per words calls in

@@ -464,11 +464,11 @@ let test_rte_unsafe_migration_faults () =
   let _, _, _, cback, chelper = Lazy.force vdiscover in
   let ladder = lying_vfy_ladder () in
   let primary = (Fallback.rung ladder 0).Fallback.rg_distribution in
-  let logger, events = Logger.event_recorder () in
+  let logger, events = Coign_obs.Sink.collector () in
   let ctx = Runtime.create_ctx (vregistry ()) in
   let classifier = Classifier.create Classifier.Ifcb in
   let rte =
-    Rte.install_distributed ~classifier ~loggers:[ logger ]
+    Rte.install_distributed ~classifier ~logger
       ~config:
         {
           Rte.dc_factory_policy = Factory.By_classification primary;
