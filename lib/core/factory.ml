@@ -34,6 +34,10 @@ let policy t = t.policy
    placed instances keep their recorded machine until re-recorded. *)
 let set_policy t policy = t.policy <- policy
 
+(* The two recorded values, built once: recording allocates no [Some]. *)
+let on_client = Some Constraints.Client
+let on_server = Some Constraints.Server
+
 let record_instance t ~inst loc =
   if inst < 0 then invalid_arg "Factory.record_instance: negative instance";
   if inst >= Array.length t.machines then begin
@@ -41,7 +45,7 @@ let record_instance t ~inst loc =
     Array.blit t.machines 0 bigger 0 (Array.length t.machines);
     t.machines <- bigger
   end;
-  t.machines.(inst) <- Some loc
+  t.machines.(inst) <- (match loc with Constraints.Client -> on_client | Server -> on_server)
 
 let machine_of t inst =
   if inst < 0 || inst >= Array.length t.machines then Constraints.Client

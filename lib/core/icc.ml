@@ -35,10 +35,11 @@ let no_cell =
 let create () =
   { cells = Int_table.create ~absent:no_cell 256; ifaces = Hashtbl.create 64; calls = 0 }
 
+(* [Hashtbl.find], not [find_opt]: a known name costs no [Some]. *)
 let intern t name =
-  match Hashtbl.find_opt t.ifaces name with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find t.ifaces name with
+  | i -> i
+  | exception Not_found ->
       let i = { if_id = Hashtbl.length t.ifaces; if_name = name } in
       if i.if_id >= field_limit then invalid_arg "Icc.intern: too many interfaces";
       Hashtbl.add t.ifaces name i;

@@ -1,16 +1,28 @@
 open Coign_idl
 open Coign_com
 
-type sizes = { request_bytes : int; reply_bytes : int; remotable : bool }
+(* Both sizes in one immediate int, so measuring a call allocates
+   nothing: the request in the high bits, the reply in the low 31. *)
+type sizes = int
 
-let non_remotable = { request_bytes = 0; reply_bytes = 0; remotable = false }
+let reply_bits = 31
+let reply_mask = (1 lsl reply_bits) - 1
+let non_remotable = -1
+let remotable s = s >= 0
+let request_bytes s = if s < 0 then 0 else s lsr reply_bits
+let reply_bytes s = if s < 0 then 0 else s land reply_mask
+
+let sizes ~request ~reply =
+  if reply > reply_mask || request > max_int lsr reply_bits then
+    invalid_arg "Informer.measure_call: message too large";
+  (request lsl reply_bits) lor reply
 
 (* Lockstep walk over the compiled parameter programs and one value
    list: [ins] and [outs] each carry one slot per parameter (the RTE
    builds them from the same signature), so indexing with [List.nth]
    would be a quadratic re-scan on wide methods. One walk per
    direction returning a plain int, and the [_exn] sizing walks, keep
-   the per-call success path down to the result record. *)
+   the per-call success path allocation-free. *)
 let carries_request = function Idl_type.In | Idl_type.In_out -> true | Idl_type.Out -> false
 let carries_reply = function Idl_type.Out | Idl_type.In_out -> true | Idl_type.In -> false
 
@@ -29,41 +41,28 @@ let measure_call itype ~meth ~ins ~outs ~ret =
       let request = direction_size carries_request 0 procs.Midl.request_procs ins in
       let reply = direction_size carries_reply 0 procs.Midl.request_procs outs in
       let reply = reply + Midl.size_with_exn procs.Midl.ret_proc ret in
-      {
-        request_bytes = Marshal_size.scalar_overhead + request;
-        reply_bytes = Marshal_size.scalar_overhead + reply;
-        remotable = true;
-      }
+      sizes ~request:(Marshal_size.scalar_overhead + request)
+        ~reply:(Marshal_size.scalar_overhead + reply)
     with
     | sizes -> sizes
     | exception Marshal_size.Err _ -> non_remotable
 
-let outgoing_handles itype ~meth ~outs ~ret =
-  let procs = Itype.procs itype meth in
-  let from_params =
-    List.concat
-      (List.mapi
-         (fun i iproc ->
-           if Midl.iface_walk_trivial iproc then []
-           else
-             match List.nth_opt procs.Midl.request_procs i with
-             | Some ((Idl_type.Out | Idl_type.In_out), _) ->
-                 Midl.handles_with iproc (List.nth outs i)
-             | Some (Idl_type.In, _) | None -> [])
-         procs.Midl.iface_procs)
-  in
-  if Midl.iface_walk_trivial procs.Midl.ret_iface_proc then from_params
-  else from_params @ Midl.handles_with procs.Midl.ret_iface_proc ret
+(* One slot per parameter, walked in lockstep with its compiled
+   interface walk; unchanged slots and tails are shared. *)
+let rec map_slots iprocs f env vs =
+  match (iprocs, vs) with
+  | [], _ | _, [] -> vs
+  | iproc :: iprocs', v :: vs' ->
+      let v' = Midl.map_handles_with iproc f env v in
+      let vs'' = map_slots iprocs' f env vs' in
+      if v' == v && vs'' == vs' then vs else v' :: vs''
 
-let incoming_handles itype ~meth ~ins =
+let map_handles itype ~meth f env ((outs, ret) as reply) =
   let procs = Itype.procs itype meth in
-  List.concat
-    (List.mapi
-       (fun i iproc ->
-         if Midl.iface_walk_trivial iproc then []
-         else
-           match List.nth_opt procs.Midl.request_procs i with
-           | Some ((Idl_type.In | Idl_type.In_out), _) ->
-               Midl.handles_with iproc (List.nth ins i)
-           | Some (Idl_type.Out, _) | None -> [])
-       procs.Midl.iface_procs)
+  if not procs.Midl.may_output_ifaces then reply
+  else
+    (* The return value first, then the slots left to right: the order
+       handles have always been minted in. *)
+    let ret' = Midl.map_handles_with procs.Midl.ret_iface_proc f env ret in
+    let outs' = map_slots procs.Midl.iface_procs f env outs in
+    if ret' == ret && outs' == outs then reply else (outs', ret')

@@ -11,10 +11,18 @@
     - the {b distribution} informer examines parameters only enough to
       identify interface pointers (under 3% overhead).
 
-    Both also extract the interface handles appearing in a call so the
-    RTE can keep every escaping interface pointer wrapped. *)
+    Both also find the interface handles in a call's reply so the RTE
+    can keep every escaping interface pointer wrapped. *)
 
-type sizes = { request_bytes : int; reply_bytes : int; remotable : bool }
+type sizes = private int
+(** A call's request and reply sizes, packed in one immediate int. *)
+
+val remotable : sizes -> bool
+val request_bytes : sizes -> int
+val reply_bytes : sizes -> int
+
+val non_remotable : sizes
+(** A call that cannot be marshaled: not remotable, both sizes 0. *)
 
 val measure_call :
   Coign_com.Itype.t -> meth:int ->
@@ -25,17 +33,19 @@ val measure_call :
     slots of [outs] plus [ret]; each direction includes the DCOM
     per-message overhead. A call that cannot be marshaled (opaque
     parameter, or a value/type mismatch against a non-remotable
-    method) yields [{request_bytes = 0; reply_bytes = 0;
-    remotable = false}]. *)
+    method) yields {!non_remotable}. Allocates nothing. Raises
+    [Invalid_argument] if the request or the reply reaches 2{^31}
+    bytes. *)
 
-val outgoing_handles :
-  Coign_com.Itype.t -> meth:int -> outs:Coign_idl.Value.t list -> ret:Coign_idl.Value.t ->
-  int list
-(** Interface handles escaping from callee to caller ([Out]/[In_out]
-    slots and the return value) — what the distribution informer
-    identifies. Uses the pre-compiled interface-pointer walks, skipping
-    parameters that cannot carry interface pointers. *)
-
-val incoming_handles :
-  Coign_com.Itype.t -> meth:int -> ins:Coign_idl.Value.t list -> int list
-(** Interface handles passed from caller to callee. *)
+val map_handles :
+  Coign_com.Itype.t -> meth:int -> ('a -> int -> int) -> 'a ->
+  Coign_idl.Value.t list * Coign_idl.Value.t -> Coign_idl.Value.t list * Coign_idl.Value.t
+(** [map_handles itype ~meth f env (slots, ret)] is the distribution
+    informer's walk over a call's reply: every interface handle [h] in
+    [ret] and in the parameter slots [slots] (one per parameter, as a
+    call returns them) becomes [f env h]. [ret] is walked first, then
+    the slots left to right, each in traversal order. Only positions
+    the compiled interface walks type as interfaces are visited, and a
+    method that cannot output interfaces is not walked at all. Values
+    whose handles all map to themselves come back physically equal —
+    the reply itself when nothing changes, with no allocation. *)

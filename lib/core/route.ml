@@ -37,6 +37,10 @@ let retry_only =
   let never_opens = { Health.default_policy with Health.hp_failure_threshold = max_int } in
   { (config ~health:never_opens (Fallback.single_host static)) with fc_max_probe_rounds = 1 }
 
+(* A float of its own: in the mixed record below, every update would
+   box. *)
+type wait = { mutable wait_us : float }
+
 (* Mutable routing state — the one engine every cross-host call and
    forwarded create goes through: the link (network, jitter and backoff
    streams, retry policy), the pool ladder and its current rung, one
@@ -75,7 +79,7 @@ type t = {
   mutable r_splits : int;
   mutable r_resizes : int;
   mutable r_inter_host : int;
-  mutable r_wait_us : float; (* virtual time stranded calls waited on cooloffs *)
+  r_wait : wait; (* virtual time stranded calls waited on cooloffs *)
   mutable r_ewma_link : int; (* link a transition or attempt last touched, -1 before any *)
 }
 
@@ -142,7 +146,7 @@ let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
     r_splits = 0;
     r_resizes = 0;
     r_inter_host = 0;
-    r_wait_us = 0.;
+    r_wait = { wait_us = 0. };
     r_ewma_link = -1;
   }
 
@@ -253,8 +257,8 @@ let on_transition r ~host (tr : Health.transition) =
              {
                at_us = at_int;
                failures = Health.consecutive_failures hb;
-               drops = env.n_drops;
-               spikes = env.n_spikes;
+               drops = env.faults.Fault.drops;
+               spikes = env.faults.Fault.spikes;
              });
       let shape = shape r in
       let stuck = ref (shape.Pool.sh_hosts = 1) in
@@ -365,35 +369,22 @@ let observe_load r ~callee_cls ~bytes =
     end
   end
 
-(* One simulated round trip over host link [link] with its full fault
-   accounting — the same instructions under every route, so a
-   fault-free run is bit-identical whatever policy watches the outcome.
-   Virtual send time: communication so far plus the compute the
-   application has charged — the clock fault windows are expressed
-   against. *)
-let round_trip r ~link ~request ~reply ~iface ~mname =
+(* One simulated round trip over host link [link], sent at [now], with
+   its full fault accounting — the same instructions under every route,
+   so a fault-free run is bit-identical whatever policy watches the
+   outcome. Whether it made it. *)
+let round_trip r ~link ~now ~request ~reply ~iface ~mname =
   let env = r.r_env in
-  let jittered base =
-    if r.r_jitter = 0. then base
-    else Float.max 0. (Prng.gaussian r.r_rng ~mu:base ~sigma:(r.r_jitter *. base))
+  let retries = env.faults.Fault.retries in
+  let ok =
+    Fault.call ~model:r.r_faults.(link) ~retry:r.r_retry ~rng:r.r_retry_rng
+      ~network:r.r_network ~jitter:r.r_jitter ~jitter_rng:r.r_rng ~now_us:now
+      ~request_bytes:request ~reply_bytes:reply ~spent:env.spent ~counts:env.faults
   in
-  let now = Rte_env.now env in
-  let oc =
-    Fault.call ?model:r.r_faults.(link) ~retry:r.r_retry ~rng:r.r_retry_rng ~now_us:now
-      ~request_bytes:request ~reply_bytes:reply
-      ~request_us:(fun () -> jittered (Network.message_us r.r_network ~bytes:request))
-      ~reply_us:(fun () -> jittered (Network.message_us r.r_network ~bytes:reply))
-      ()
-  in
-  env.comm <- env.comm +. oc.Fault.oc_time_us;
-  env.n_retries <- env.n_retries + oc.Fault.oc_retries;
-  env.n_drops <- env.n_drops + oc.Fault.oc_drops;
-  env.n_spikes <- env.n_spikes + oc.Fault.oc_spikes;
-  env.fault_us <- env.fault_us +. oc.Fault.oc_fault_us;
-  if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok && env.observed then
-    Rte_env.emit env ~at_us:now
-      (Event.Call_retried { iface; meth = mname; retries = oc.Fault.oc_retries });
-  oc
+  let retries = env.faults.Fault.retries - retries in
+  if retries > 0 && ok && env.observed then
+    Rte_env.emit env ~at_us:now (Event.Call_retried { iface; meth = mname; retries });
+  ok
 
 (* Advance the link's breaker to [now]; whether it admits a call. *)
 let admits r ~link ~now =
@@ -403,11 +394,12 @@ let admits r ~link ~now =
   | None -> ());
   Health.allows hb ~now_us:now
 
-(* One admitted round trip: feed its outcome to the link's breaker and,
-   when it made it, count it as remote. Whether it made it. *)
-let attempt r ~link ~request ~reply ~iface ~mname =
+(* One admitted round trip sent at [now]: feed its outcome to the
+   link's breaker and, when it made it, count it as remote. Whether it
+   made it. *)
+let attempt r ~link ~now ~request ~reply ~iface ~mname =
   let env = r.r_env in
-  let ok = (round_trip r ~link ~request ~reply ~iface ~mname).Fault.oc_ok in
+  let ok = round_trip r ~link ~now ~request ~reply ~iface ~mname in
   let hb = r.r_health.(link) in
   let now = Rte_env.now env in
   (match
@@ -430,57 +422,57 @@ let attempt r ~link ~request ~reply ~iface ~mname =
    it), on a promoted replica, or on the shrunken pool. Calls meeting
    an open breaker are stranded: they wait out the cooloff and become
    the half-open probe. After [fc_max_probe_rounds] failed rounds the
-   call is unreachable. *)
-let call r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname =
+   call is unreachable. [rounds] counts the failed rounds so far and
+   [stranded] whether the call has waited on a breaker: the loop's
+   state is in its arguments, so routing allocates no closure. *)
+let rec route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname ~rounds
+    ~stranded =
   let env = r.r_env in
-  let rounds = ref 0 and stranded = ref false in
-  let rec go () =
-    let src = Factory.machine_of r.r_factory caller in
-    let dst = Factory.machine_of r.r_factory callee in
-    let link = link r ~src ~dst ~caller_cls ~callee_cls in
-    if link < 0 then begin
-      if !rounds > 0 then r.r_rescued <- r.r_rescued + 1
+  let src = Factory.machine_of r.r_factory caller in
+  let dst = Factory.machine_of r.r_factory callee in
+  let link = link r ~src ~dst ~caller_cls ~callee_cls in
+  if link < 0 then begin
+    if rounds > 0 then r.r_rescued <- r.r_rescued + 1
+  end
+  else begin
+    let now = Rte_env.now env in
+    if not (admits r ~link ~now) then begin
+      if not stranded then r.r_stranded <- r.r_stranded + 1;
+      let wait = Health.cooloff_expires_at r.r_health.(link) -. now in
+      env.spent.Fault.comm_us <- env.spent.Fault.comm_us +. wait;
+      env.spent.Fault.fault_us <- env.spent.Fault.fault_us +. wait;
+      r.r_wait.wait_us <- r.r_wait.wait_us +. wait;
+      route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname ~rounds
+        ~stranded:true
+    end
+    else if rounds >= r.r_config.fc_max_probe_rounds then begin
+      env.n_unreachable <- env.n_unreachable + 1;
+      Hresult.fail
+        (Hresult.E_unreachable
+           (Printf.sprintf "%s.%s: no reply from %s after %d attempts" iface mname
+              (Constraints.location_name dst)
+              (max 1 r.r_retry.Fault.rp_max_attempts)))
     end
     else begin
-      let now = Rte_env.now env in
-      if not (admits r ~link ~now) then begin
-        if not !stranded then begin
-          stranded := true;
-          r.r_stranded <- r.r_stranded + 1
-        end;
-        let wait = Health.cooloff_expires_at r.r_health.(link) -. now in
-        env.comm <- env.comm +. wait;
-        env.fault_us <- env.fault_us +. wait;
-        r.r_wait_us <- r.r_wait_us +. wait;
-        go ()
+      (match env.obs with
+      | None -> ()
+      | Some (request_bytes, reply_bytes) ->
+          Metrics.observe request_bytes request;
+          Metrics.observe reply_bytes reply);
+      if attempt r ~link ~now ~request ~reply ~iface ~mname then begin
+        if src = Constraints.Server && dst = Constraints.Server then
+          r.r_inter_host <- r.r_inter_host + 1;
+        if dst = Constraints.Server then observe_load r ~callee_cls ~bytes:(request + reply)
       end
-      else if !rounds >= r.r_config.fc_max_probe_rounds then begin
-        env.n_unreachable <- env.n_unreachable + 1;
-        Hresult.fail
-          (Hresult.E_unreachable
-             (Printf.sprintf "%s.%s: no reply from %s after %d attempts" iface mname
-                (Constraints.location_name dst)
-                (max 1 r.r_retry.Fault.rp_max_attempts)))
-      end
-      else begin
-        (match env.obs with
-        | None -> ()
-        | Some (request_bytes, reply_bytes) ->
-            Metrics.observe request_bytes request;
-            Metrics.observe reply_bytes reply);
-        if attempt r ~link ~request ~reply ~iface ~mname then begin
-          if src = Constraints.Server && dst = Constraints.Server then
-            r.r_inter_host <- r.r_inter_host + 1;
-          if dst = Constraints.Server then observe_load r ~callee_cls ~bytes:(request + reply)
-        end
-        else begin
-          incr rounds;
-          go ()
-        end
-      end
+      else
+        route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname
+          ~rounds:(rounds + 1) ~stranded
     end
-  in
-  go ()
+  end
+
+let call r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname =
+  route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname ~rounds:0
+    ~stranded:false
 
 let create_request_bytes = Marshal_size.scalar_overhead + (2 * 16)
 let create_reply_bytes = Marshal_size.scalar_overhead + Marshal_size.objref_size
@@ -504,7 +496,7 @@ let forward_create r ~creator ~classification ~cname ~machine =
   let now = Rte_env.now env in
   if
     admits r ~link ~now
-    && attempt r ~link ~request:create_request_bytes ~reply:create_reply_bytes
+    && attempt r ~link ~now ~request:create_request_bytes ~reply:create_reply_bytes
          ~iface:"ICoCreateInstance" ~mname:"create"
   then machine
   else begin
@@ -540,7 +532,7 @@ let publish r reg =
       "coign_resilience_stranded_calls_total" r.r_stranded;
     count ~help:"Failed remote calls completed locally after failover."
       "coign_resilience_rescued_calls_total" r.r_rescued;
-    Metrics.inc ~by:r.r_wait_us
+    Metrics.inc ~by:r.r_wait.wait_us
       (Metrics.counter reg
          ~help:"Virtual time stranded calls spent waiting on cooloffs, in microseconds."
          "coign_resilience_wait_us_total");

@@ -4,6 +4,7 @@ open Coign_com
 module Trace = Coign_obs.Trace
 module Metrics = Coign_obs.Metrics
 module Tap = Coign_obs.Tap
+module Fault = Coign_netsim.Fault
 
 (* Both route configs are one [Route.config]; the interface keeps them
    apart so a pool config cannot be passed as [dc_resilience]. *)
@@ -34,13 +35,15 @@ type mode = M_profiling | M_distributed of distributed
 (* One Coign wrapper: the raw handle it forwards to, what is known
    about it at mint time, and per method the frame a call through it
    pushes — rebuilt only when the owner's classification changes (a
-   wrapper minted inside its owner's constructor first sees -1). *)
+   wrapper minted inside its owner's constructor first sees -1). The
+   frame array is built at the first call: many wrappers never see
+   one. *)
 type wrapper = {
   w_raw : int;
   w_itype : Itype.t;
   w_owner : int;
   w_iface : Icc.iface;  (* interned in [rte_icc] *)
-  w_frames : Frame.t array;
+  mutable w_frames : Frame.t array;  (* empty until the first call *)
 }
 
 type t = {
@@ -106,7 +109,7 @@ let rec wrap t raw_h =
           w_itype = itype;
           w_owner = owner;
           w_iface = Icc.intern t.rte_icc (Itype.name itype);
-          w_frames = Array.make (Itype.method_count itype) unbuilt_frame;
+          w_frames = [||];
         }
       in
       let h =
@@ -136,6 +139,8 @@ and intercept t w ~meth args =
 (* The frame a call through [w] pushes: cached per method, rebuilt when
    the owner's classification is not the one it was built with. *)
 and frame_for t w ~meth classification =
+  if Array.length w.w_frames = 0 then
+    w.w_frames <- Array.make (Itype.method_count w.w_itype) unbuilt_frame;
   let f = w.w_frames.(meth) in
   if f.Frame.f_classification = classification then f
   else begin
@@ -182,14 +187,15 @@ and intercept_run t w ~meth args =
   (match t.mode with
   | M_profiling ->
       let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
-      let request = sizes.Informer.request_bytes and reply = sizes.Informer.reply_bytes in
+      let request = Informer.request_bytes sizes and reply = Informer.reply_bytes sizes in
+      let remotable = Informer.remotable sizes in
       (match env.obs with
       | None -> ()
       | Some (request_bytes, reply_bytes) ->
           Metrics.observe request_bytes request;
           Metrics.observe reply_bytes reply);
       Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls w.w_iface
-        ~remotable:sizes.Informer.remotable ~request ~reply;
+        ~remotable ~request ~reply;
       Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply;
       if env.observed then
         env.logger
@@ -201,48 +207,43 @@ and intercept_run t w ~meth args =
                callee_classification = callee_cls;
                iface = frame.Frame.f_iface;
                meth = frame.Frame.f_meth;
-               remotable = sizes.Informer.remotable;
+               remotable;
                request_bytes = request;
                reply_bytes = reply;
              })
   | M_distributed m ->
       (* The watch sees every call before it is routed, so a re-cut
-         applies to the very call that triggered it; message sizes are
-         walked only for the tap's sample. *)
+         applies to the very call that triggered it. Message sizes are
+         walked only for the tap's sample or a remote call, and once. *)
+      let sampled = match m.m_watch with None -> false | Some wt -> Watch.sample wt in
+      let sizes =
+        if sampled then Informer.measure_call itype ~meth ~ins:args ~outs ~ret
+        else Informer.non_remotable
+      in
       (match m.m_watch with
       | None -> ()
       | Some wt ->
-          let sampled = Watch.sample wt in
-          let bytes =
-            if sampled then
-              let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
-              sizes.Informer.request_bytes + sizes.Informer.reply_bytes
-            else 0
-          in
-          Watch.observe wt ~sampled ~kind:Tap.Call ~caller_cls ~callee_cls ~bytes);
+          Watch.observe wt ~sampled ~kind:Tap.Call ~caller_cls ~callee_cls
+            ~bytes:(Informer.request_bytes sizes + Informer.reply_bytes sizes));
       let src = Factory.machine_of m.m_factory caller in
       let dst = Factory.machine_of m.m_factory callee in
       if Route.link m.m_route ~src ~dst ~caller_cls ~callee_cls >= 0 then begin
-        let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
-        if not sizes.Informer.remotable then
+        let sizes =
+          if sampled then sizes else Informer.measure_call itype ~meth ~ins:args ~outs ~ret
+        in
+        if not (Informer.remotable sizes) then
           Hresult.fail
             (Hresult.E_cannot_marshal
                (Printf.sprintf "cross-machine call on non-remotable %s.%s" frame.Frame.f_iface
                   frame.Frame.f_meth));
         Route.call m.m_route ~caller ~callee ~caller_cls ~callee_cls
-          ~request:sizes.Informer.request_bytes ~reply:sizes.Informer.reply_bytes
+          ~request:(Informer.request_bytes sizes) ~reply:(Informer.reply_bytes sizes)
           ~iface:frame.Frame.f_iface ~mname:frame.Frame.f_meth
       end);
-  (* Keep every escaping interface pointer wrapped — but only walk the
-     reply when the method can actually output interface pointers (the
-     distribution informer's "examine parameters only enough to
-     identify interface pointers"; most methods skip the walk
-     entirely). *)
-  if (Itype.procs itype meth).Midl.may_output_ifaces then begin
-    let rewrap v = Value.map_iface_handles (fun h -> wrap t h) v in
-    (List.map rewrap outs, rewrap ret)
-  end
-  else result
+  (* Keep every escaping interface pointer wrapped: the distribution
+     informer "examines parameters only enough to identify interface
+     pointers", and most methods skip the walk entirely. *)
+  Informer.map_handles itype ~meth wrap t result
 
 let rec on_create t (req : Runtime.create_request) =
   match t.env.tracer with
@@ -428,7 +429,7 @@ let factory t = match t.mode with M_profiling -> None | M_distributed m -> Some 
 let call_counts t =
   Int_table.fold (fun k n acc -> (pair_of_key k, n) :: acc) t.pair_counts [] |> List.sort compare
 
-let comm_us t = t.env.comm
+let comm_us t = t.env.spent.Fault.comm_us
 let remote_calls t = t.env.n_remote_calls
 let remote_bytes t = t.env.n_remote_bytes
 let intercepted_calls t = t.n_intercepted
@@ -501,16 +502,16 @@ let stats t =
   let w = Option.map Watch.stats (watch_of t) in
   let wi f = match w with None -> 0 | Some w -> f w in
   {
-    st_comm_us = e.comm;
+    st_comm_us = e.spent.Fault.comm_us;
     st_remote_calls = e.n_remote_calls;
     st_remote_bytes = e.n_remote_bytes;
     st_intercepted = t.n_intercepted;
-    st_retries = e.n_retries;
-    st_drops = e.n_drops;
-    st_spikes = e.n_spikes;
+    st_retries = e.faults.Fault.retries;
+    st_drops = e.faults.Fault.drops;
+    st_spikes = e.faults.Fault.spikes;
     st_fallbacks = e.n_fallbacks;
     st_unreachable = e.n_unreachable;
-    st_fault_us = e.fault_us;
+    st_fault_us = e.spent.Fault.fault_us;
     st_breaker_opens = ri (fun r -> r.fs_breaker_opens);
     st_breaker_closes = ri (fun r -> r.fs_breaker_closes);
     st_failovers = ri (fun r -> r.fs_failovers);

@@ -8,6 +8,7 @@
 open Coign_com
 module Trace = Coign_obs.Trace
 module Metrics = Coign_obs.Metrics
+module Fault = Coign_netsim.Fault
 
 type t = {
   ctx : Runtime.ctx;
@@ -22,17 +23,16 @@ type t = {
   mutable metrics : Metrics.registry option;  (* cleared once published *)
   obs : (Metrics.histogram * Metrics.histogram) option;
   mutable classifications : int array;  (* dense, -1 where unset *)
-  mutable comm : float;
+  (* Communication time and the part of it due to faults, in a flat
+     all-float record: a mixed record would box every update. *)
+  spent : Fault.spent;
   mutable n_remote_calls : int;
   mutable n_remote_bytes : int;
   (* Fault counters (all zero in profiling mode and in fault-free
      distributed runs). *)
-  mutable n_retries : int;
-  mutable n_drops : int;
-  mutable n_spikes : int;
+  faults : Fault.counts;
   mutable n_fallbacks : int;
   mutable n_unreachable : int;
-  mutable fault_us : float;
 }
 
 let create ?logger ?tracer ?metrics ctx =
@@ -51,15 +51,12 @@ let create ?logger ?tracer ?metrics ctx =
               "coign_rte_reply_bytes" ))
         metrics;
     classifications = Array.make 256 (-1);
-    comm = 0.;
+    spent = Fault.spent ();
     n_remote_calls = 0;
     n_remote_bytes = 0;
-    n_retries = 0;
-    n_drops = 0;
-    n_spikes = 0;
+    faults = Fault.counts ();
     n_fallbacks = 0;
     n_unreachable = 0;
-    fault_us = 0.;
   }
 
 (* Add the run's [coign_rte_*] totals to [reg]. [intercepted] and
@@ -76,16 +73,17 @@ let publish t reg ~intercepted ~instantiations =
   count ~help:"Marshaled bytes moved across machines." "coign_rte_remote_bytes_total"
     t.n_remote_bytes;
   total ~help:"Virtual communication time accumulated, in microseconds."
-    "coign_rte_comm_us_total" t.comm;
-  count ~help:"Remote-call attempts beyond the first." "coign_rte_retries_total" t.n_retries;
-  count ~help:"Messages eaten by the fault model." "coign_rte_drops_total" t.n_drops;
-  count ~help:"Latency spikes suffered." "coign_rte_spikes_total" t.n_spikes;
+    "coign_rte_comm_us_total" t.spent.comm_us;
+  count ~help:"Remote-call attempts beyond the first." "coign_rte_retries_total"
+    t.faults.retries;
+  count ~help:"Messages eaten by the fault model." "coign_rte_drops_total" t.faults.drops;
+  count ~help:"Latency spikes suffered." "coign_rte_spikes_total" t.faults.spikes;
   count ~help:"Instantiations degraded to the creator machine."
     "coign_rte_degraded_instantiations_total" t.n_fallbacks;
   count ~help:"Calls abandoned as unreachable." "coign_rte_unreachable_calls_total"
     t.n_unreachable;
   total ~help:"Communication time attributable to faults, in microseconds."
-    "coign_rte_fault_us_total" t.fault_us
+    "coign_rte_fault_us_total" t.spent.fault_us
 
 (* Read slot [i] of a dense map, -1 past its end. *)
 let slot arr i = if i >= 0 && i < Array.length arr then Array.unsafe_get arr i else -1
@@ -110,7 +108,7 @@ let classification_of t inst = slot t.classifications inst
 (* The virtual clock spans are timed on: accumulated communication time
    plus the compute the application has charged. Deterministic for a
    seeded run, so traces golden-test. *)
-let now t = t.comm +. Runtime.compute_us t.ctx
+let now t = t.spent.comm_us +. Runtime.compute_us t.ctx
 
 (* Report one routing or watch decision: to the logger and, with a
    tracer, as a zero-duration ["event"] span at sim time [at_us] named

@@ -159,25 +159,59 @@ let compile_iface_walk ty =
 
 let iface_walk_trivial p = p.iprograms.(0) = I_skip
 
+(* The walk rebuilds only the spine above a handle [f] changed: an
+   unchanged subtree comes back physically equal, so a reply whose
+   handles all map to themselves allocates nothing. Fields and elements
+   are visited left to right, the order the RTE mints wrappers in. *)
+let rec map_run p f env idx v =
+  match (p.iprograms.(idx), v) with
+  | I_take, Value.Iface_ref h ->
+      let h' = f env h in
+      if h' = h then v else Value.Iface_ref h'
+  | I_array elt, Value.Arr vs ->
+      let vs' = map_elements p f env elt vs in
+      if vs' == vs then v else Value.Arr vs'
+  | I_struct fields, Value.Struct fvs ->
+      let fvs' = map_fields p f env fields 0 fvs in
+      if fvs' == fvs then v else Value.Struct fvs'
+  | I_ptr sub, Value.Ref inner ->
+      let inner' = map_run p f env sub inner in
+      if inner' == inner then v else Value.Ref inner'
+  | (I_skip | I_take | I_array _ | I_struct _ | I_ptr _), _ -> v
+
+and map_elements p f env elt vs =
+  match vs with
+  | [] -> vs
+  | x :: tl ->
+      let x' = map_run p f env elt x in
+      let tl' = map_elements p f env elt tl in
+      if x' == x && tl' == tl then vs else x' :: tl'
+
+(* [fields] lists the (position, sub-program) of the fields that can
+   carry interfaces, ascending; [pos] is the position of [fvs]'s head. *)
+and map_fields p f env fields pos fvs =
+  match (fields, fvs) with
+  | [], _ | _, [] -> fvs
+  | (fpos, sub) :: fields', ((name, fv) as field) :: fvs' ->
+      if fpos = pos then
+        let fv' = map_run p f env sub fv in
+        let fvs'' = map_fields p f env fields' (pos + 1) fvs' in
+        if fv' == fv && fvs'' == fvs' then fvs
+        else (if fv' == fv then field else (name, fv')) :: fvs''
+      else
+        let fvs'' = map_fields p f env fields (pos + 1) fvs' in
+        if fvs'' == fvs' then fvs else field :: fvs''
+
+let map_handles_with p f env v = map_run p f env 0 v
+
 let handles_with p v =
   let acc = ref [] in
-  let rec run idx v =
-    match (p.iprograms.(idx), v) with
-    | I_skip, _ -> ()
-    | I_take, Value.Iface_ref h -> acc := h :: !acc
-    | I_take, _ -> ()
-    | I_array elt, Value.Arr vs -> List.iter (run elt) vs
-    | I_array _, _ -> ()
-    | I_struct fields, Value.Struct fvs ->
-        let fvs = Array.of_list fvs in
-        List.iter
-          (fun (pos, sub) -> if pos < Array.length fvs then run sub (snd fvs.(pos)))
-          fields
-    | I_struct _, _ -> ()
-    | I_ptr sub, Value.Ref inner -> run sub inner
-    | I_ptr _, _ -> ()
-  in
-  run 0 v;
+  ignore
+    (map_handles_with p
+       (fun acc h ->
+         acc := h :: !acc;
+         h)
+       acc v);
   List.rev !acc
 
 type method_procs = {

@@ -40,13 +40,6 @@ let rec iface_handles = function
   | Arr vs -> List.concat_map iface_handles vs
   | Struct fvs -> List.concat_map (fun (_, v) -> iface_handles v) fvs
 
-let rec map_iface_handles f = function
-  | (Unit | Int _ | Float _ | Bool _ | Str _ | Blob _ | Null | Opaque_handle _) as v -> v
-  | Iface_ref h -> Iface_ref (f h)
-  | Ref v -> Ref (map_iface_handles f v)
-  | Arr vs -> Arr (List.map (map_iface_handles f) vs)
-  | Struct fvs -> Struct (List.map (fun (name, v) -> (name, map_iface_handles f v)) fvs)
-
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"
   | Int i -> Format.pp_print_int ppf i

@@ -28,8 +28,4 @@ val iface_handles : t -> int list
 (** All interface handles reachable in the value, in traversal order
     (what the distribution informer extracts). *)
 
-val map_iface_handles : (int -> int) -> t -> t
-(** Rewrite every interface handle (used by the RTE to swap in wrapped
-    interface pointers on the way through an intercepted call). *)
-
 val pp : Format.formatter -> t -> unit

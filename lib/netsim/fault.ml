@@ -82,69 +82,82 @@ let default_retry =
     rp_backoff_jitter = 0.1;
   }
 
-type outcome = {
-  oc_ok : bool;
-  oc_time_us : float;
-  oc_retries : int;
-  oc_drops : int;
-  oc_spikes : int;
-  oc_fault_us : float;
-}
+type spent = { mutable comm_us : float; mutable fault_us : float }
+type counts = { mutable retries : int; mutable drops : int; mutable spikes : int }
 
-let call ?model ?(retry = default_retry) ~rng ~now_us ~request_bytes ~reply_bytes ~request_us
-    ~reply_us () =
-  let verdict_at at bytes =
-    match model with None -> Deliver | Some m -> verdict m ~at_us:at ~bytes
-  in
+let spent () = { comm_us = 0.; fault_us = 0. }
+let counts () = { retries = 0; drops = 0; spikes = 0 }
+
+let[@inline] verdict_of model ~at_us ~bytes =
+  match model with None -> Deliver | Some m -> verdict m ~at_us ~bytes
+
+(* One leg's nominal time over [network], with Gaussian noise of
+   relative spread [jitter] clamped at 0 — [Float.max 0.], written out
+   so the float stays unboxed. *)
+let[@inline] leg_us network ~jitter ~jitter_rng ~bytes =
+  let base = Network.message_us network ~bytes in
+  if jitter = 0. then base
+  else
+    let us = Prng.gaussian jitter_rng ~mu:base ~sigma:(jitter *. base) in
+    if us > 0. || Float.is_nan us then us else 0.
+
+(* The attempts run in a loop over unboxed locals, and the outcome goes
+   straight into the caller's totals: a call allocates nothing unless
+   the model delays a message. *)
+let call ~model ~retry ~rng ~network ~jitter ~jitter_rng ~now_us ~request_bytes ~reply_bytes
+    ~spent ~counts =
   let max_attempts = max 1 retry.rp_max_attempts in
-  let rec attempt n ~elapsed ~drops ~spikes ~fault_us =
-    let at = now_us +. elapsed in
-    let fail ~drops =
-      if n >= max_attempts then
-        {
-          oc_ok = false;
-          oc_time_us = elapsed +. retry.rp_timeout_us;
-          oc_retries = n - 1;
-          oc_drops = drops;
-          oc_spikes = spikes;
-          oc_fault_us = fault_us +. retry.rp_timeout_us;
-        }
-      else
+  let n = ref 1 and elapsed = ref 0. and fault_us = ref 0. in
+  let ok = ref false and over = ref false in
+  while not !over do
+    let at = now_us +. !elapsed in
+    let delivered =
+      match verdict_of model ~at_us:at ~bytes:request_bytes with
+      | Drop -> false
+      | vq -> (
+          (* Reply time before request time: `jittered rq +. jittered rp`
+             evaluated its operands right to left, so the pre-fault RTE
+             drew reply jitter first. Keeping that order makes fault-free
+             runs bit-identical to the old code path at any jitter. *)
+          let rp = leg_us network ~jitter ~jitter_rng ~bytes:reply_bytes in
+          let rq = leg_us network ~jitter ~jitter_rng ~bytes:request_bytes in
+          let dq = match vq with Delay d -> d | Deliver | Drop -> 0. in
+          match verdict_of model ~at_us:(at +. rq +. dq) ~bytes:reply_bytes with
+          | Drop -> false
+          | vp ->
+              let dp = match vp with Delay d -> d | Deliver | Drop -> 0. in
+              let spikes_here =
+                (match vq with Delay _ -> 1 | Deliver | Drop -> 0)
+                + match vp with Delay _ -> 1 | Deliver | Drop -> 0
+              in
+              let spike_us = dq +. dp in
+              spent.comm_us <- spent.comm_us +. (!elapsed +. (rq +. rp) +. spike_us);
+              spent.fault_us <- spent.fault_us +. (!fault_us +. spike_us);
+              counts.spikes <- counts.spikes + spikes_here;
+              true)
+    in
+    if delivered then begin
+      ok := true;
+      over := true
+    end
+    else begin
+      counts.drops <- counts.drops + 1;
+      if !n >= max_attempts then begin
+        spent.comm_us <- spent.comm_us +. (!elapsed +. retry.rp_timeout_us);
+        spent.fault_us <- spent.fault_us +. (!fault_us +. retry.rp_timeout_us);
+        over := true
+      end
+      else begin
         let backoff =
-          let base = retry.rp_backoff_us *. (retry.rp_backoff_mult ** float_of_int (n - 1)) in
+          let base = retry.rp_backoff_us *. (retry.rp_backoff_mult ** float_of_int (!n - 1)) in
           if retry.rp_backoff_jitter = 0. then base
           else base *. (1. +. (retry.rp_backoff_jitter *. Prng.float rng 1.0))
         in
-        attempt (n + 1)
-          ~elapsed:(elapsed +. retry.rp_timeout_us +. backoff)
-          ~drops ~spikes
-          ~fault_us:(fault_us +. retry.rp_timeout_us +. backoff)
-    in
-    match verdict_at at request_bytes with
-    | Drop -> fail ~drops:(drops + 1)
-    | vq -> (
-        (* Reply time before request time: `jittered rq +. jittered rp`
-           evaluated its operands right to left, so the pre-fault RTE
-           drew reply jitter first. Keeping that order makes fault-free
-           runs bit-identical to the old code path at any jitter. *)
-        let rp = reply_us () in
-        let rq = request_us () in
-        let dq = match vq with Delay d -> d | _ -> 0. in
-        match verdict_at (at +. rq +. dq) reply_bytes with
-        | Drop -> fail ~drops:(drops + 1)
-        | vp ->
-            let dp = match vp with Delay d -> d | _ -> 0. in
-            let spikes_here =
-              (match vq with Delay _ -> 1 | _ -> 0) + (match vp with Delay _ -> 1 | _ -> 0)
-            in
-            let spike_us = dq +. dp in
-            {
-              oc_ok = true;
-              oc_time_us = elapsed +. (rq +. rp) +. spike_us;
-              oc_retries = n - 1;
-              oc_drops = drops;
-              oc_spikes = spikes + spikes_here;
-              oc_fault_us = fault_us +. spike_us;
-            })
-  in
-  attempt 1 ~elapsed:0. ~drops:0 ~spikes:0 ~fault_us:0.
+        elapsed := !elapsed +. retry.rp_timeout_us +. backoff;
+        fault_us := !fault_us +. retry.rp_timeout_us +. backoff;
+        incr n
+      end
+    end
+  done;
+  counts.retries <- counts.retries + (!n - 1);
+  !ok

@@ -77,39 +77,56 @@ val default_retry : retry_policy
 
 (** {1 One faulted call} *)
 
-type outcome = {
-  oc_ok : bool;          (** false: retries exhausted, call abandoned *)
-  oc_time_us : float;    (** total elapsed time, faults included *)
-  oc_retries : int;      (** attempts beyond the first *)
-  oc_drops : int;        (** messages the network ate *)
-  oc_spikes : int;       (** latency spikes suffered *)
-  oc_fault_us : float;
+type spent = {
+  mutable comm_us : float;   (** total elapsed time, faults included *)
+  mutable fault_us : float;
       (** time attributable to faults: timeouts waited, backoff pauses,
-          and spike delays — [oc_time_us] minus the clean round trip *)
+          and spike delays — [comm_us] minus the clean round trips *)
 }
+(** Virtual time a run of calls has spent. All floats, so OCaml stores
+    the record flat and {!call} adds to it without allocating. *)
+
+type counts = {
+  mutable retries : int;  (** attempts beyond the first *)
+  mutable drops : int;    (** messages the network ate *)
+  mutable spikes : int;   (** latency spikes suffered *)
+}
+(** Fault counts over a run of calls. *)
+
+val spent : unit -> spent
+(** Zero totals. *)
+
+val counts : unit -> counts
+(** Zero counts. *)
 
 val call :
-  ?model:t ->
-  ?retry:retry_policy ->
+  model:t option ->
+  retry:retry_policy ->
   rng:Coign_util.Prng.t ->
+  network:Network.t ->
+  jitter:float ->
+  jitter_rng:Coign_util.Prng.t ->
   now_us:float ->
   request_bytes:int ->
   reply_bytes:int ->
-  request_us:(unit -> float) ->
-  reply_us:(unit -> float) ->
-  unit ->
-  outcome
+  spent:spent ->
+  counts:counts ->
+  bool
 (** Simulate one synchronous cross-machine call starting at virtual
-    time [now_us]. Each attempt asks the model for a verdict on the
+    time [now_us], add its time to [spent] and its faults to [counts],
+    and return whether it completed ([false]: retries exhausted, call
+    abandoned). Each attempt asks the model for a verdict on the
     request and then on the reply; a [Drop] on either leg costs one
     timeout and, if attempts remain, one backoff pause (jitter drawn
-    from [rng]) before trying again. [request_us]/[reply_us] produce
-    the nominal one-way message times and are called once per
-    delivered leg — they may themselves draw jitter noise.
+    from [rng]) before trying again. A delivered leg takes
+    {!Network.message_us} of its size; when [jitter > 0] that time is
+    the mean of a Gaussian draw from [jitter_rng] with standard
+    deviation [jitter] times the mean, clamped at 0.
 
-    Without a [model] (or with a {!zero} one) no message is ever
-    dropped or delayed and the outcome is exactly
-    [request_us () +. reply_us ()], with the reply time evaluated
-    {e first} — the historical draw order of the distributed RTE's
-    jitter noise, preserved so fault-free runs stay bit-identical to
-    the pre-fault code path. *)
+    Without a [model] ([None], or a {!zero} one) no message is ever
+    dropped or delayed and the call spends exactly the request leg's
+    time plus the reply leg's, with the reply leg drawn {e first} —
+    the historical draw order of the distributed RTE's jitter noise,
+    preserved so fault-free runs stay bit-identical to the pre-fault
+    code path. A call allocates nothing unless the model delays a
+    message. *)

@@ -38,10 +38,11 @@ type transition = { tr_from : state; tr_to : state; tr_at_us : float }
 
    The breaker's control state is the five fields below; everything else
    on [t] (EWMA, lifetime counters) is instrumentation that never feeds
-   back into admission decisions.  [transition] is the single source of
-   truth for how that control state evolves: the mutable API delegates to
-   it, and the verifier folds it over candidate event interleavings, so
-   both observe bit-identical behaviour by construction. *)
+   back into admission decisions.  [next] is the single source of truth
+   for how that control state evolves: [transition] and the mutable API
+   both step it, and the verifier folds [transition] over candidate
+   event interleavings, so both observe bit-identical behaviour by
+   construction. *)
 
 type snapshot = {
   sn_state : state;
@@ -67,17 +68,17 @@ let initial_snapshot policy =
     sn_probe_successes = 0;
   }
 
-let transition policy s ~at_us input =
-  let trip from s =
-    ( { s with sn_state = Open; sn_opened_at_us = at_us; sn_probe_successes = 0 },
-      Some { tr_from = from; tr_to = Open; tr_at_us = at_us } )
-  in
+let trip s ~at_us = { s with sn_state = Open; sn_opened_at_us = at_us; sn_probe_successes = 0 }
+
+(* The control state after [input]: [s] itself when nothing changes,
+   so the per-call Closed steps allocate nothing. *)
+let next policy s ~at_us input =
   match (input, s.sn_state) with
   | Observe, Open when at_us >= s.sn_opened_at_us +. s.sn_cooloff_us ->
-      ( { s with sn_state = Half_open; sn_probe_successes = 0 },
-        Some { tr_from = Open; tr_to = Half_open; tr_at_us = at_us } )
-  | Observe, _ -> (s, None)
-  | Success, Closed -> ({ s with sn_consecutive_failures = 0 }, None)
+      { s with sn_state = Half_open; sn_probe_successes = 0 }
+  | Observe, _ -> s
+  | Success, Closed ->
+      if s.sn_consecutive_failures = 0 then s else { s with sn_consecutive_failures = 0 }
   | Success, (Open | Half_open) ->
       (* A success while Open can only come from a probe the caller issued
          after [allows] turned true; treat it like a Half_open probe. *)
@@ -89,42 +90,46 @@ let transition policy s ~at_us input =
         }
       in
       if s.sn_probe_successes >= policy.hp_probe_successes then
-        ( { s with sn_state = Closed; sn_cooloff_us = policy.hp_cooloff_us },
-          Some { tr_from = s.sn_state; tr_to = Closed; tr_at_us = at_us } )
-      else (s, None)
+        { s with sn_state = Closed; sn_cooloff_us = policy.hp_cooloff_us }
+      else s
   | Failure, Closed ->
       let s = { s with sn_consecutive_failures = s.sn_consecutive_failures + 1 } in
-      if s.sn_consecutive_failures >= policy.hp_failure_threshold then trip Closed s
-      else (s, None)
+      if s.sn_consecutive_failures >= policy.hp_failure_threshold then trip s ~at_us else s
   | Failure, Half_open ->
       (* Failed probe: reopen with an escalated cooloff. *)
-      let s =
+      trip ~at_us
         {
           s with
           sn_consecutive_failures = s.sn_consecutive_failures + 1;
           sn_cooloff_us =
             Float.min (s.sn_cooloff_us *. policy.hp_cooloff_mult) policy.hp_cooloff_max_us;
         }
-      in
-      trip Half_open s
   | Failure, Open ->
       (* Recording while Open without a preceding [observe] keeps the
          breaker open; refresh the window so the cooloff restarts. *)
-      ( {
-          s with
-          sn_consecutive_failures = s.sn_consecutive_failures + 1;
-          sn_opened_at_us = at_us;
-        },
-        None )
+      {
+        s with
+        sn_consecutive_failures = s.sn_consecutive_failures + 1;
+        sn_opened_at_us = at_us;
+      }
+
+(* A step is a transition exactly when it changes the state. *)
+let moved s s' ~at_us =
+  if s'.sn_state = s.sn_state then None
+  else Some { tr_from = s.sn_state; tr_to = s'.sn_state; tr_at_us = at_us }
+
+let transition policy s ~at_us input =
+  let s' = next policy s ~at_us input in
+  (s', moved s s' ~at_us)
+
+(* The EWMA gets an all-float record of its own: in the mixed record
+   below, every update would box. *)
+type level = { mutable level : float }
 
 type t = {
   hl_policy : policy;
-  mutable hl_state : state;
-  mutable hl_ewma : float; (* EWMA of outcomes: success = 1, failure = 0 *)
-  mutable hl_consecutive_failures : int;
-  mutable hl_opened_at_us : float;
-  mutable hl_cooloff_us : float; (* current, possibly escalated, cooloff *)
-  mutable hl_probe_successes : int; (* successes since entering Half_open *)
+  mutable hl_snap : snapshot; (* the control state *)
+  hl_ewma : level; (* EWMA of outcomes: success = 1, failure = 0 *)
   mutable hl_successes : int;
   mutable hl_failures : int;
 }
@@ -144,50 +149,33 @@ let create ?(policy = default_policy) () =
     invalid_arg "Health.create: hp_ewma_alpha outside (0, 1]";
   {
     hl_policy = policy;
-    hl_state = Closed;
-    hl_ewma = 1.;
-    hl_consecutive_failures = 0;
-    hl_opened_at_us = 0.;
-    hl_cooloff_us = policy.hp_cooloff_us;
-    hl_probe_successes = 0;
+    hl_snap = initial_snapshot policy;
+    hl_ewma = { level = 1. };
     hl_successes = 0;
     hl_failures = 0;
   }
 
 let policy t = t.hl_policy
-let state t = t.hl_state
-let ewma t = t.hl_ewma
-let consecutive_failures t = t.hl_consecutive_failures
+let state t = t.hl_snap.sn_state
+let ewma t = t.hl_ewma.level
+let consecutive_failures t = t.hl_snap.sn_consecutive_failures
 let successes t = t.hl_successes
 let failures t = t.hl_failures
-let cooloff_us t = t.hl_cooloff_us
-let cooloff_expires_at t = t.hl_opened_at_us +. t.hl_cooloff_us
+let cooloff_us t = t.hl_snap.sn_cooloff_us
+let cooloff_expires_at t = t.hl_snap.sn_opened_at_us +. t.hl_snap.sn_cooloff_us
 
 let allows t ~now_us =
-  match t.hl_state with
+  match t.hl_snap.sn_state with
   | Closed | Half_open -> true
   | Open -> now_us >= cooloff_expires_at t
 
-let snapshot t =
-  {
-    sn_state = t.hl_state;
-    sn_consecutive_failures = t.hl_consecutive_failures;
-    sn_cooloff_us = t.hl_cooloff_us;
-    sn_opened_at_us = t.hl_opened_at_us;
-    sn_probe_successes = t.hl_probe_successes;
-  }
-
-let restore t s =
-  t.hl_state <- s.sn_state;
-  t.hl_consecutive_failures <- s.sn_consecutive_failures;
-  t.hl_cooloff_us <- s.sn_cooloff_us;
-  t.hl_opened_at_us <- s.sn_opened_at_us;
-  t.hl_probe_successes <- s.sn_probe_successes
+let snapshot t = t.hl_snap
 
 let step t ~now_us input =
-  let s, tr = transition t.hl_policy (snapshot t) ~at_us:now_us input in
-  restore t s;
-  tr
+  let s = t.hl_snap in
+  let s' = next t.hl_policy s ~at_us:now_us input in
+  t.hl_snap <- s';
+  moved s s' ~at_us:now_us
 
 (* Advance the clock: an Open breaker whose cooloff has elapsed moves to
    Half_open, where the next call acts as a probe. *)
@@ -195,7 +183,7 @@ let observe t ~now_us = step t ~now_us Observe
 
 let blend t ok =
   let a = t.hl_policy.hp_ewma_alpha in
-  t.hl_ewma <- ((1. -. a) *. t.hl_ewma) +. (a *. if ok then 1. else 0.)
+  t.hl_ewma.level <- ((1. -. a) *. t.hl_ewma.level) +. (a *. if ok then 1. else 0.)
 
 let record_success t ~now_us =
   blend t true;

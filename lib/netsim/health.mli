@@ -58,9 +58,11 @@ val initial_snapshot : policy -> snapshot
 
 val transition : policy -> snapshot -> at_us:float -> input -> snapshot * transition option
 (** The pure breaker step.  {!observe}, {!record_success} and
-    {!record_failure} all delegate to this function, as does the
-    [lib/verify] explorer, so the model checker and the RTE share one
-    implementation of the state machine by construction. *)
+    {!record_failure} take the same step, and the [lib/verify] explorer
+    folds this function, so the model checker and the RTE share one
+    implementation of the state machine by construction.  A step is a
+    transition exactly when it changes the state; a step that changes
+    nothing returns the snapshot itself. *)
 
 type t
 

@@ -70,10 +70,10 @@ let walk ~placement ~charge ~violation events =
   machines
 
 let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network () =
-  let comm = ref 0. and calls = ref 0 and bytes = ref 0 in
+  let spent = Fault.spent () and counts = Fault.counts () in
+  let calls = ref 0 and bytes = ref 0 in
   let violations = ref [] in
-  let retries = ref 0 and drops = ref 0 and spikes = ref 0 in
-  let fallbacks = ref 0 and unreachable = ref 0 and fault_us = ref 0. in
+  let fallbacks = ref 0 and unreachable = ref 0 in
   (* Backoff jitter for retried estimates; its own stream of the fault
      seed, so the verdict hashes stay untouched. Unused when fault-free
      (a call without a model never retries). *)
@@ -87,25 +87,17 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
      run would abandon with [E_unreachable] — the estimator counts it
      and keeps replaying. *)
   let charge ~create ~request ~reply =
-    let oc =
-      Fault.call ?model:faults ~retry ~rng ~now_us:!comm ~request_bytes:request
-        ~reply_bytes:reply
-        ~request_us:(fun () -> Network.message_us network ~bytes:request)
-        ~reply_us:(fun () -> Network.message_us network ~bytes:reply)
-        ()
+    let ok =
+      Fault.call ~model:faults ~retry ~rng ~network ~jitter:0. ~jitter_rng:rng
+        ~now_us:spent.Fault.comm_us ~request_bytes:request ~reply_bytes:reply ~spent ~counts
     in
-    comm := !comm +. oc.Fault.oc_time_us;
-    retries := !retries + oc.Fault.oc_retries;
-    drops := !drops + oc.Fault.oc_drops;
-    spikes := !spikes + oc.Fault.oc_spikes;
-    fault_us := !fault_us +. oc.Fault.oc_fault_us;
-    if oc.Fault.oc_ok then begin
+    if ok then begin
       incr calls;
       bytes := !bytes + request + reply
     end
     else if create then incr fallbacks
     else incr unreachable;
-    oc.Fault.oc_ok
+    ok
   in
   let machines =
     walk ~placement ~charge
@@ -119,17 +111,17 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
       machines 0
   in
   {
-    re_comm_us = !comm;
+    re_comm_us = spent.Fault.comm_us;
     re_remote_calls = !calls;
     re_remote_bytes = !bytes;
     re_server_instances = server_instances;
     re_violations = List.rev !violations;
-    re_retries = !retries;
-    re_drops = !drops;
-    re_spikes = !spikes;
+    re_retries = counts.Fault.retries;
+    re_drops = counts.Fault.drops;
+    re_spikes = counts.Fault.spikes;
     re_fallbacks = !fallbacks;
     re_unreachable = !unreachable;
-    re_fault_us = !fault_us;
+    re_fault_us = spent.Fault.fault_us;
   }
 
 let record_scenario ~registry ~classifier scenario =

@@ -21,15 +21,16 @@ let create ~absent n =
   let cap = 1 lsl !bits in
   { keys = Array.make cap free; vals = Array.make cap absent; shift = 63 - !bits; size = 0; absent }
 
+(* Linear probing from [i]. Top level, so a lookup allocates no
+   closure over [keys], [mask] and [k]. *)
+let rec probe keys mask k i =
+  let k' = Array.unsafe_get keys i in
+  if k' = k || k' = free then i else probe keys mask k ((i + 1) land mask)
+
 (* The slot holding [k], or the free slot where it would go. *)
 let slot t k =
   let keys = t.keys in
-  let mask = Array.length keys - 1 in
-  let rec probe i =
-    let k' = Array.unsafe_get keys i in
-    if k' = k || k' = free then i else probe ((i + 1) land mask)
-  in
-  probe ((k * golden) lsr t.shift)
+  probe keys (Array.length keys - 1) k ((k * golden) lsr t.shift)
 
 let grow t =
   let keys = t.keys and vals = t.vals in

@@ -1,9 +1,21 @@
-(* Helpers shared by the test suites: bit-exact float checks, and the
-   integration tests that drive the coign executable as a user would,
-   one process per stage over image files in a scratch directory. *)
+(* Helpers shared by the test suites: bit-exact float checks, minor
+   words per run, and the integration tests that drive the coign
+   executable as a user would, one process per stage over image files
+   in a scratch directory. *)
 
 let check_bits what expected actual =
   Alcotest.(check int64) what (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+
+(* Minor words per run of [f], over [n] runs after a warm-up. A block
+   is at least two words, so under one word per run means no run
+   allocated. *)
+let words_per_run n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
 
 let exe = "../bin/coign.exe"
 

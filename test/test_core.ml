@@ -101,6 +101,22 @@ let test_inst_comm () =
   Alcotest.(check (list int)) "instances" [ 1; 2; 3 ] (Inst_comm.instances m);
   Alcotest.(check int) "peers of 1" 2 (List.length (Inst_comm.peers m 1))
 
+(* The profiling RTE records every intercepted call into an ICC cell
+   and an instance-pair cell; once the cells exist, recording allocates
+   nothing. *)
+let test_recording_allocation_free () =
+  let check what f =
+    let w = Harness.words_per_run 1_000 f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.2f words per call" what w) true (w < 1.)
+  in
+  let icc = Icc.create () in
+  let iface = Icc.intern icc "IBack" in
+  check "Icc.record_interned" (fun () ->
+      Icc.record_interned icc ~src:1 ~dst:2 iface ~remotable:true ~request:64 ~reply:8);
+  let m = Inst_comm.create () in
+  check "Inst_comm.record_call" (fun () ->
+      Inst_comm.record_call m ~caller:3 ~callee:4 ~request:64 ~reply:8)
+
 (* One pass indexes every instance's peers: a self-pair is a single
    entry, each list ascends by peer. *)
 let test_inst_comm_peers_index () =
@@ -210,28 +226,44 @@ let test_informer_measures () =
   let ins = [ Value.Blob 100; Value.Str ""; Value.Iface_ref 7 ] in
   let outs = [ Value.Blob 100; Value.Str "result"; Value.Iface_ref 8 ] in
   let sizes = Informer.measure_call i_mixed ~meth:0 ~ins ~outs ~ret:(Value.Iface_ref 9) in
-  Alcotest.(check bool) "remotable" true sizes.Informer.remotable;
+  Alcotest.(check bool) "remotable" true (Informer.remotable sizes);
   Alcotest.(check int) "request"
     (Coign_idl.Marshal_size.scalar_overhead + 104 + Coign_idl.Marshal_size.objref_size)
-    sizes.Informer.request_bytes;
+    (Informer.request_bytes sizes);
   Alcotest.(check int) "reply"
     (Coign_idl.Marshal_size.scalar_overhead + 10 + (2 * Coign_idl.Marshal_size.objref_size))
-    sizes.Informer.reply_bytes
+    (Informer.reply_bytes sizes)
 
 let test_informer_non_remotable () =
   let sizes =
     Informer.measure_call i_opaque ~meth:0 ~ins:[ Value.Opaque_handle "SHM" ]
       ~outs:[ Value.Opaque_handle "SHM" ] ~ret:Value.Unit
   in
-  Alcotest.(check bool) "flagged" false sizes.Informer.remotable;
-  Alcotest.(check int) "zero request" 0 sizes.Informer.request_bytes
+  Alcotest.(check bool) "flagged" false (Informer.remotable sizes);
+  Alcotest.(check int) "zero request" 0 (Informer.request_bytes sizes)
 
 let test_informer_handles () =
   let ins = [ Value.Blob 1; Value.Str ""; Value.Iface_ref 7 ] in
   let outs = [ Value.Blob 1; Value.Str "x"; Value.Iface_ref 8 ] in
-  Alcotest.(check (list int)) "incoming" [ 7 ] (Informer.incoming_handles i_mixed ~meth:0 ~ins);
-  Alcotest.(check (list int)) "outgoing" [ 8; 9 ]
-    (Informer.outgoing_handles i_mixed ~meth:0 ~outs ~ret:(Value.Iface_ref 9))
+  (* The handles the walk visits, ascending. *)
+  let handles slots ret =
+    let seen = ref [] in
+    ignore
+      (Informer.map_handles i_mixed ~meth:0
+         (fun seen h ->
+           seen := h :: !seen;
+           h)
+         seen (slots, ret));
+    List.sort compare !seen
+  in
+  Alcotest.(check (list int)) "incoming" [ 7 ] (handles ins Value.Unit);
+  Alcotest.(check (list int)) "outgoing" [ 8; 9 ] (handles outs (Value.Iface_ref 9));
+  let reply = (outs, Value.Iface_ref 9) in
+  Alcotest.(check bool) "identity returns the reply itself" true
+    (Informer.map_handles i_mixed ~meth:0 (fun () h -> h) () reply == reply);
+  let outs', ret' = Informer.map_handles i_mixed ~meth:0 (fun () h -> h + 100) () reply in
+  Alcotest.(check bool) "mapped reply" true
+    (outs' = [ Value.Blob 1; Value.Str "x"; Value.Iface_ref 108 ] && ret' = Value.Iface_ref 109)
 
 (* --- Constraints / static analysis ---------------------------------- *)
 
@@ -347,6 +379,7 @@ let suite =
     Alcotest.test_case "icc codec preserves totals" `Quick test_icc_codec_preserves_totals;
     qtest prop_icc_codec_fixpoint;
     Alcotest.test_case "inst comm" `Quick test_inst_comm;
+    Alcotest.test_case "recording allocation-free" `Quick test_recording_allocation_free;
     Alcotest.test_case "comm vector shape" `Quick test_comm_vector_shape;
     Alcotest.test_case "comm vector self correlation" `Quick test_comm_vector_correlation_perfect;
     Alcotest.test_case "comm vector unseen classification" `Quick

@@ -81,50 +81,80 @@ let test_drop_rate_statistics () =
 
 (* --- One faulted call: hand-computed outcomes ----------------------- *)
 
-let faulted_call ?model ?(retry = fixed_retry) ?(order = ref []) () =
-  Fault.call ?model ~retry ~rng:(Prng.create 3L) ~now_us:0. ~request_bytes:100 ~reply_bytes:50
-    ~request_us:(fun () ->
-      order := "rq" :: !order;
-      300.)
-    ~reply_us:(fun () ->
-      order := "rp" :: !order;
-      400.)
-    ()
+(* A link whose request leg (50 bytes) takes 300 us and whose reply
+   leg (100 bytes) takes 400 us. *)
+let legs = Network.make ~name:"legs" ~latency_us:200. ~bandwidth_mbps:4. ~proc_us:0.
+
+type outcome = {
+  oc_ok : bool;
+  oc_time_us : float;
+  oc_retries : int;
+  oc_drops : int;
+  oc_spikes : int;
+  oc_fault_us : float;
+}
+
+(* One call from zero totals; jitter draws come from [jitter_rng]. *)
+let faulted_call ?model ?(retry = fixed_retry) ?(jitter = 0.) ?(jitter_rng = Prng.create 5L) () =
+  let spent = Fault.spent () and counts = Fault.counts () in
+  let ok =
+    Fault.call ~model ~retry ~rng:(Prng.create 3L) ~network:legs ~jitter ~jitter_rng ~now_us:0.
+      ~request_bytes:50 ~reply_bytes:100 ~spent ~counts
+  in
+  {
+    oc_ok = ok;
+    oc_time_us = spent.Fault.comm_us;
+    oc_retries = counts.Fault.retries;
+    oc_drops = counts.Fault.drops;
+    oc_spikes = counts.Fault.spikes;
+    oc_fault_us = spent.Fault.fault_us;
+  }
+
+(* A leg's time under 10% jitter, drawn from [rng]. *)
+let jittered_leg rng mu = Float.max 0. (Prng.gaussian rng ~mu ~sigma:(0.1 *. mu))
 
 let test_call_without_model () =
-  let order = ref [] in
-  let oc = faulted_call ~order () in
-  Alcotest.(check bool) "ok" true oc.Fault.oc_ok;
-  Alcotest.(check (float 0.)) "clean round trip" 700. oc.Fault.oc_time_us;
-  Alcotest.(check int) "no retries" 0 oc.Fault.oc_retries;
-  Alcotest.(check (float 0.)) "no fault time" 0. oc.Fault.oc_fault_us;
+  let oc = faulted_call () in
+  Alcotest.(check bool) "ok" true oc.oc_ok;
+  Alcotest.(check (float 0.)) "clean round trip" 700. oc.oc_time_us;
+  Alcotest.(check int) "no retries" 0 oc.oc_retries;
+  Alcotest.(check (float 0.)) "no fault time" 0. oc.oc_fault_us;
   (* The reply time is drawn first — the historical jitter draw order
      the interface documents (and zero-fault bit-identity relies on). *)
-  Alcotest.(check (list string)) "reply drawn before request" [ "rq"; "rp" ] !order
+  let draws = Prng.create 5L in
+  let rp = jittered_leg draws 400. in
+  let rq = jittered_leg draws 300. in
+  Alcotest.(check int64) "reply drawn before request"
+    (Int64.bits_of_float (rq +. rp))
+    (Int64.bits_of_float (faulted_call ~jitter:0.1 ()).oc_time_us)
 
 let test_call_full_drop_exhausts_retries () =
-  let order = ref [] in
-  let oc = faulted_call ~model:(mk { Fault.zero with Fault.fs_drop_rate = 1.0 }) ~order () in
+  let jitter_rng = Prng.create 5L in
+  let oc =
+    faulted_call ~model:(mk { Fault.zero with Fault.fs_drop_rate = 1.0 }) ~jitter:0.1 ~jitter_rng ()
+  in
   (* Three attempts, all eaten on the request leg: two timeouts with
      backoffs 500 and 1000 between them, then the final timeout.
      1000 + 500 + 1000 + 1000 + 1000 = 4500, all of it fault time. *)
-  Alcotest.(check bool) "abandoned" false oc.Fault.oc_ok;
-  Alcotest.(check int) "retries" 2 oc.Fault.oc_retries;
-  Alcotest.(check int) "drops" 3 oc.Fault.oc_drops;
-  Alcotest.(check int) "no spikes" 0 oc.Fault.oc_spikes;
-  Alcotest.(check (float 0.)) "elapsed" 4_500. oc.Fault.oc_time_us;
-  Alcotest.(check (float 0.)) "all of it fault time" 4_500. oc.Fault.oc_fault_us;
-  Alcotest.(check (list string)) "dropped requests draw no jitter" [] !order
+  Alcotest.(check bool) "abandoned" false oc.oc_ok;
+  Alcotest.(check int) "retries" 2 oc.oc_retries;
+  Alcotest.(check int) "drops" 3 oc.oc_drops;
+  Alcotest.(check int) "no spikes" 0 oc.oc_spikes;
+  Alcotest.(check (float 0.)) "elapsed" 4_500. oc.oc_time_us;
+  Alcotest.(check (float 0.)) "all of it fault time" 4_500. oc.oc_fault_us;
+  Alcotest.(check int64) "dropped requests draw no jitter"
+    (Prng.next_int64 (Prng.create 5L))
+    (Prng.next_int64 jitter_rng)
 
 let test_call_partition_then_recovery () =
   (* Attempts start at t = 0, 1500, 3500; the partition covers the
      first two, the third completes cleanly. *)
   let oc = faulted_call ~model:(mk { Fault.zero with Fault.fs_partitions_us = [ (0., 2_000.) ] }) () in
-  Alcotest.(check bool) "recovered" true oc.Fault.oc_ok;
-  Alcotest.(check int) "retries" 2 oc.Fault.oc_retries;
-  Alcotest.(check int) "drops" 2 oc.Fault.oc_drops;
-  Alcotest.(check (float 0.)) "fault time = 2 timeouts + 2 backoffs" 3_500. oc.Fault.oc_fault_us;
-  Alcotest.(check (float 0.)) "total = fault time + round trip" 4_200. oc.Fault.oc_time_us
+  Alcotest.(check bool) "recovered" true oc.oc_ok;
+  Alcotest.(check int) "retries" 2 oc.oc_retries;
+  Alcotest.(check int) "drops" 2 oc.oc_drops;
+  Alcotest.(check (float 0.)) "fault time = 2 timeouts + 2 backoffs" 3_500. oc.oc_fault_us;
+  Alcotest.(check (float 0.)) "total = fault time + round trip" 4_200. oc.oc_time_us
 
 let test_call_reply_leg_drop () =
   (* The request (sent at 0) clears the window, but the reply lands at
@@ -132,11 +162,11 @@ let test_call_reply_leg_drop () =
   let oc =
     faulted_call ~model:(mk { Fault.zero with Fault.fs_partitions_us = [ (200., 1_200.) ] }) ()
   in
-  Alcotest.(check bool) "recovered" true oc.Fault.oc_ok;
-  Alcotest.(check int) "one retry" 1 oc.Fault.oc_retries;
-  Alcotest.(check int) "one drop" 1 oc.Fault.oc_drops;
-  Alcotest.(check (float 0.)) "fault time = 1 timeout + 1 backoff" 1_500. oc.Fault.oc_fault_us;
-  Alcotest.(check (float 0.)) "total" 2_200. oc.Fault.oc_time_us
+  Alcotest.(check bool) "recovered" true oc.oc_ok;
+  Alcotest.(check int) "one retry" 1 oc.oc_retries;
+  Alcotest.(check int) "one drop" 1 oc.oc_drops;
+  Alcotest.(check (float 0.)) "fault time = 1 timeout + 1 backoff" 1_500. oc.oc_fault_us;
+  Alcotest.(check (float 0.)) "total" 2_200. oc.oc_time_us
 
 let test_call_spikes_counted () =
   let oc =
@@ -144,13 +174,13 @@ let test_call_spikes_counted () =
       ~model:(mk { Fault.zero with Fault.fs_spike_rate = 1.0; fs_spike_mean_us = 100. })
       ()
   in
-  Alcotest.(check bool) "delivered" true oc.Fault.oc_ok;
-  Alcotest.(check int) "both legs spiked" 2 oc.Fault.oc_spikes;
-  Alcotest.(check int) "no drops" 0 oc.Fault.oc_drops;
-  Alcotest.(check bool) "spikes cost time" true (oc.Fault.oc_fault_us > 0.);
+  Alcotest.(check bool) "delivered" true oc.oc_ok;
+  Alcotest.(check int) "both legs spiked" 2 oc.oc_spikes;
+  Alcotest.(check int) "no drops" 0 oc.oc_drops;
+  Alcotest.(check bool) "spikes cost time" true (oc.oc_fault_us > 0.);
   Alcotest.(check (float 1e-9)) "total = round trip + spikes"
-    (700. +. oc.Fault.oc_fault_us)
-    oc.Fault.oc_time_us
+    (700. +. oc.oc_fault_us)
+    oc.oc_time_us
 
 (* --- The distributed RTE under a fault matrix ------------------------
    A miniature split application, as in the RTE tests: Front (client)

@@ -102,9 +102,23 @@ let test_iface_handles () =
   Alcotest.(check (list int)) "handles in order" [ 3; 7; 9 ] (Value.iface_handles v)
 
 let test_map_iface_handles () =
-  let v = Value.Arr [ Value.Iface_ref 1; Value.Str "s"; Value.Ref (Value.Iface_ref 2) ] in
-  let v' = Value.map_iface_handles (fun h -> h * 10) v in
-  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Value.iface_handles v')
+  let ty =
+    Idl_type.Struct
+      [ ("a", Idl_type.Iface "I"); ("s", Idl_type.Str); ("p", Idl_type.Ptr (Idl_type.Iface "I")) ]
+  in
+  let v =
+    Value.Struct
+      [ ("a", Value.Iface_ref 1); ("s", Value.Str "s"); ("p", Value.Ref (Value.Iface_ref 2)) ]
+  in
+  let walk = Midl.compile_iface_walk ty in
+  let v' = Midl.map_handles_with walk (fun k h -> h * k) 10 v in
+  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Value.iface_handles v');
+  Alcotest.(check bool) "identity returns the value itself" true
+    (Midl.map_handles_with walk (fun () h -> h) () v == v);
+  match (v, v') with
+  | Value.Struct [ _; s; _ ], Value.Struct [ _; s'; _ ] ->
+      Alcotest.(check bool) "unchanged field shared" true (s == s')
+  | _ -> Alcotest.fail "mapped value changed shape"
 
 (* --- Marshal_size -------------------------------------------------- *)
 
@@ -184,7 +198,11 @@ let prop_iface_walk_equals_handles =
   QCheck.Test.make ~name:"compiled iface walk finds the same handles" ~count:500 arb_typed_value
     (fun (ty, v) ->
       let proc = Midl.compile_iface_walk ty in
-      Midl.handles_with proc v = Value.iface_handles v)
+      let handles = Midl.handles_with proc v in
+      handles = Value.iface_handles v
+      && Midl.map_handles_with proc (fun () h -> h) () v == v
+      && Midl.handles_with proc (Midl.map_handles_with proc (fun () h -> h + 1) () v)
+         = List.map succ handles)
 
 let test_iface_walk_trivial () =
   Alcotest.(check bool) "blob trivial" true

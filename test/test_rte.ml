@@ -293,17 +293,17 @@ let test_direct_recorder () =
 
 (* Minor words the RTE adds per intercepted call over the bare
    application on o_oldwp0, creates and wrapper mints amortized in:
-   measured 37.2 (all-client distributed) and 67.8 (profiling) with
+   measured 19.7 (all-client distributed) and 26.5 (profiling) with
    OCaml 5.1. The count is exact and deterministic, and the bounds
    leave 1.5 words of headroom, so one new per-call allocation (an
    option, a ref, a cons cell, a tuple) fails the gate. *)
+let words run =
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let result = run () in
+  (Gc.minor_words () -. before, result)
+
 let test_interception_allocation () =
-  let words run =
-    ignore (run ());
-    let before = Gc.minor_words () in
-    let calls = run () in
-    (Gc.minor_words () -. before, calls)
-  in
   let bare, _ =
     words (fun () ->
         octarine_wp0.Coign_apps.App.sc_run (Runtime.create_ctx octarine_registry);
@@ -329,8 +329,38 @@ let test_interception_allocation () =
     Alcotest.(check bool) (Printf.sprintf "%s: %.1f words/call over bare (bound %.1f)" name w bound)
       true (w <= bound)
   in
-  check "all-client" all_client ac_calls 38.7;
-  check "profiling" profiling prof_calls 69.3
+  check "all-client" all_client ac_calls 21.2;
+  check "profiling" profiling prof_calls 28.0
+
+(* Minor words per remote call: o_oldtb3 under Octarine's default
+   placement, which sends 1,837 calls across the network, against the
+   same run with every instance on the client. Measured 16.0 with
+   OCaml 5.1 in the default (dev) build, 6.0 in a release build, whose
+   cross-module inlining keeps the jitter draws and message times
+   unboxed; what is left is the send times boxed for the breaker. The
+   bound leaves the same 1.5 words of headroom. *)
+let test_remote_call_allocation () =
+  let app = Coign_apps.Octarine.app in
+  let sc = Coign_apps.App.scenario app "o_oldtb3" in
+  let run policy () =
+    let ctx = Runtime.create_ctx app.Coign_apps.App.app_registry in
+    let rte =
+      Rte.install_distributed ~classifier:(Classifier.create Classifier.Ifcb)
+        ~config:{ (distributed_config policy) with Rte.dc_jitter = 0.015 }
+        ctx
+    in
+    sc.Coign_apps.App.sc_run ctx;
+    Rte.remote_calls rte
+  in
+  let default, remote = words (run (Factory.By_class app.Coign_apps.App.app_default_placement)) in
+  let all_client, none = words (run Factory.All_client) in
+  Alcotest.(check int) "all-client run stays local" 0 none;
+  Alcotest.(check int) "remote calls" 1837 remote;
+  let w = (default -. all_client) /. float_of_int remote in
+  let bound = 17.5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per remote call (bound %.1f)" w bound)
+    true (w <= bound)
 
 let suite =
   [
@@ -352,4 +382,5 @@ let suite =
     Alcotest.test_case "factory machine tracking" `Quick test_factory_machine_tracking;
     Alcotest.test_case "direct profiling recorder" `Quick test_direct_recorder;
     Alcotest.test_case "interception allocation gate" `Quick test_interception_allocation;
+    Alcotest.test_case "remote call allocation gate" `Quick test_remote_call_allocation;
   ]

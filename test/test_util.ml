@@ -73,6 +73,24 @@ let test_bucket_index_within_bounds () =
         (bytes >= lo && bytes <= hi))
     [ 0; 1; 31; 32; 63; 64; 100; 1024; 65536; 1_000_000; 123_456_789 ]
 
+let test_int_table () =
+  let t = Int_table.create ~absent:(-1) 4 in
+  for k = 0 to 99 do
+    Int_table.replace t (k * 7919) k
+  done;
+  Int_table.add_to t 7919 10;
+  Alcotest.(check int) "length" 100 (Int_table.length t);
+  Alcotest.(check int) "found" 42 (Int_table.find t (42 * 7919));
+  Alcotest.(check int) "added" 11 (Int_table.find t 7919);
+  Alcotest.(check int) "absent" (-1) (Int_table.find t 5);
+  let check what f =
+    let w = Harness.words_per_run 1_000 f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.2f words per run" what w) true (w < 1.)
+  in
+  check "find existing" (fun () -> ignore (Int_table.find t (42 * 7919) : int));
+  check "replace existing" (fun () -> Int_table.replace t (42 * 7919) 42);
+  check "add_to existing" (fun () -> Int_table.add_to t (43 * 7919) 0)
+
 let test_bucket_counts () =
   let b = Exp_bucket.create () in
   Exp_bucket.add b ~bytes:10;
@@ -330,6 +348,7 @@ let suite =
     Alcotest.test_case "prng shuffle permutes" `Quick test_prng_shuffle_permutes;
     Alcotest.test_case "bucket bounds contiguous" `Quick test_bucket_bounds_contiguous;
     Alcotest.test_case "bucket index within bounds" `Quick test_bucket_index_within_bounds;
+    Alcotest.test_case "int table allocation-free on existing keys" `Quick test_int_table;
     Alcotest.test_case "bucket counts" `Quick test_bucket_counts;
     Alcotest.test_case "bucket merge" `Quick test_bucket_merge;
     Alcotest.test_case "bucket mean" `Quick test_bucket_mean;
