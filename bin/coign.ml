@@ -367,41 +367,16 @@ let verify_cmd =
     in
     let net = Net_profiler.exact network in
     gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
-    let base_ladder = Adps.fallback_ladder ?pool ~image ~net () in
-    (* With --pool > 1, the checked ladder is the pool-elastic one:
-       every pool rung contributes its underlying two-way cut, and the
-       model carries each rung's host count so the explorer can
-       interleave promotions and resizes. At --pool 1 this is exactly
-       the base ladder. *)
-    let ladder, pool_sizes =
-      if pool_size = 1 then (base_ladder, None)
-      else begin
-        let pl =
-          try
-            Fallback.pool_ladder ~hosts:pool_size session
-              ~net:(Net_profiler.exact network) base_ladder
-          with Invalid_argument msg | Fallback.Invalid msg ->
-            die "%s" msg
-        in
-        let k = Fallback.pool_rung_count pl in
-        let rungs =
-          List.init k (fun i ->
-              let pr = Fallback.pool_rung_at pl i in
-              { Fallback.rg_name = pr.Fallback.pr_name;
-                rg_distribution = pr.Fallback.pr_distribution })
-        in
-        let sizes =
-          List.init k (fun i ->
-              (Fallback.pool_rung_at pl i).Fallback.pr_shape.Coign_core.Pool.sh_hosts)
-        in
-        ( Fallback.of_rungs
-            ~migration_safe:(Fallback.migration_safety_table (Fallback.pool_base pl))
-            rungs,
-          Some sizes )
-      end
+    let ladder = Adps.fallback_ladder ?pool ~image ~net () in
+    (* The checked ladder is the pool-elastic one, one host per rung at
+       --pool 1: the model reads every rung's hosts off it, so the
+       explorer interleaves promotions and resizes where they exist. *)
+    let pl =
+      if pool_size = 1 then Fallback.single_host ladder
+      else Fallback.pool_ladder ~hosts:pool_size session ~net ladder
     in
     let truth = Fallback.migration_safety session in
-    let model = V.Model.build ?pool_sizes ~classifier ~icc ~ladder ~truth () in
+    let model = V.Model.build ~pool:pl ~classifier ~icc ~ladder ~truth () in
     let result = V.Explore.run ?pool ~depth model in
     (* I2: every rung honours the static constraints.  The terminal
        all-client rung waives location pins by design — a Server pin
@@ -409,17 +384,17 @@ let verify_cmd =
     let rung_diags =
       let classifier = Analysis.Session.classifier session in
       let constraints = Analysis.Session.constraints session in
-      let k = Fallback.rung_count ladder in
+      let k = Fallback.pool_rung_count pl in
       List.concat
         (List.init k (fun r ->
-             let rung = Fallback.rung ladder r in
-             Analysis.validate ~classifier ~constraints rung.Fallback.rg_distribution
+             let rung = Fallback.pool_rung_at pl r in
+             Analysis.validate ~classifier ~constraints rung.Fallback.pr_distribution
              |> List.filter (fun v ->
                     r < k - 1
                     || match v with Analysis.Pin_violated _ -> false | _ -> true)
              |> List.map (fun v ->
-                    Lint.diag "CG007" Lint.Error rung.Fallback.rg_name
-                      (Format.asprintf "rung %d (%s): %a" r rung.Fallback.rg_name
+                    Lint.diag "CG007" Lint.Error rung.Fallback.pr_name
+                      (Format.asprintf "rung %d (%s): %a" r rung.Fallback.pr_name
                          Analysis.pp_violation v))))
     in
     let diags = Lint.order (V.Explore.diagnostics model result @ rung_diags) in

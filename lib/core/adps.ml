@@ -305,9 +305,9 @@ let fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ~image ~net () =
 (* Build the pool-elastic ladder for a profiled image: the two-host
    ladder above widened to [hosts] machines, sharded and priced over
    the same analysis session. *)
-let pool_fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ?replicas ?map ~hosts
-    ~image ~net () =
+let pool_fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ?replicas ~hosts ~image
+    ~net () =
   let session = analysis_session ?profiler image in
   let primary = Option.map snd (load_distribution image) in
   let base = Fallback.compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () in
-  Fallback.pool_ladder ?replicas ?map ~hosts session ~net base
+  Fallback.pool_ladder ?replicas ~hosts session ~net base

@@ -240,7 +240,6 @@ val pool_fallback_ladder :
   ?pool:Coign_util.Parallel.t ->
   ?modes:(string * Coign_netsim.Net_profiler.t) list ->
   ?replicas:int ->
-  ?map:Pool.shard_map ->
   hosts:int ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->

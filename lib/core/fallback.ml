@@ -209,6 +209,7 @@ type pool_rung = {
 type pool_ladder = {
   pl_rungs : pool_rung array;
   pl_component : int array;
+  pl_comp_safe : bool array;
   pl_base : t;
 }
 
@@ -220,8 +221,8 @@ type pool_ladder = {
    union of non-remotable graph pairs, explicit classification
    co-location pairs, and class-level co-location pairs resolved
    through the classifier.  Union-by-minimum keeps every component's
-   representative equal to its smallest member — a stable key for the
-   shard map. *)
+   representative equal to its smallest member — a stable key for
+   {!Pool.shard_of}. *)
 let components session =
   let graph = Analysis.Session.graph session in
   let n = Icc_graph.classification_count graph in
@@ -257,12 +258,10 @@ let components session =
   end;
   Array.init n find
 
-let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
+let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
   let n = Array.length component in
-  let map = shape.Pool.sh_map in
-  let shard_count = Pool.shard_count map in
   let shard_of = Array.make n (-1) in
-  let replicated = Array.make shard_count true in
+  let replicated = Array.make shards true in
   Array.iteri
     (fun c loc ->
       if c < n && loc = Constraints.Server then begin
@@ -270,7 +269,7 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
         (* Migration-unsafe components are pinned to shard 0: they can
            never be promoted or moved live, so they stay with the
            pool's anchor host and shard 0 runs unreplicated. *)
-        let s = if comp_safe.(rep) then Pool.shard_of map rep else 0 in
+        let s = if comp_safe.(rep) then Pool.shard_of ~shards rep else 0 in
         shard_of.(c) <- s;
         if not comp_safe.(rep) then replicated.(s) <- false
       end)
@@ -286,12 +285,12 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
     pr_distribution = dist;
     pr_shape = shape;
     pr_shard_of = shard_of;
-    pr_shard_count = shard_count;
+    pr_shard_count = shards;
     pr_replicated = replicated;
     pr_predicted_us = predicted;
   }
 
-let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
+let pool_ladder ?(replicas = 2) ~hosts session ~net base =
   if hosts < 1 then raise (Invalid "pool ladder: hosts < 1");
   if replicas < 1 then raise (Invalid "pool ladder: replicas < 1");
   let graph = Analysis.Session.graph session in
@@ -303,10 +302,9 @@ let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
     (fun c rep ->
       if not (migration_safe base c) then comp_safe.(rep) <- false)
     component;
-  let map = match map with Some m -> (Pool.shape ~map:m hosts).Pool.sh_map | None -> Pool.Hash hosts in
   let rung_at ~name ~k dist =
-    let shape = Pool.shape ~replicas:(min replicas k) ~map k in
-    pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist
+    let shape = Pool.shape ~replicas:(min replicas k) k in
+    pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards:hosts ~shape dist
   in
   let primary = base.fb_rungs.(0).rg_distribution in
   let wide =
@@ -318,12 +316,18 @@ let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
     Array.to_list
       (Array.map (fun r -> rung_at ~name:r.rg_name ~k:1 r.rg_distribution) base.fb_rungs)
   in
-  { pl_rungs = Array.of_list (wide @ narrow); pl_component = component; pl_base = base }
+  {
+    pl_rungs = Array.of_list (wide @ narrow);
+    pl_component = component;
+    pl_comp_safe = comp_safe;
+    pl_base = base;
+  }
 
 let pool_rung_count pl = Array.length pl.pl_rungs
 let pool_rung_at pl i = pl.pl_rungs.(i)
 let pool_base pl = pl.pl_base
 let pool_components pl = Array.copy pl.pl_component
+let pool_component_safety pl = Array.copy pl.pl_comp_safe
 
 (* A two-host ladder is a pool ladder of one host per rung: the same
    names, distributions and safety table, every server-side
@@ -357,7 +361,12 @@ let single_host base =
   let n =
     Array.fold_left (fun acc r -> max acc r.rg_distribution.Analysis.node_count) 0 base.fb_rungs
   in
-  { pl_rungs = Array.map rung base.fb_rungs; pl_component = Array.init n Fun.id; pl_base = base }
+  {
+    pl_rungs = Array.map rung base.fb_rungs;
+    pl_component = Array.init n Fun.id;
+    pl_comp_safe = Array.init n (migration_safe base);
+    pl_base = base;
+  }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>ladder of %d rung(s):" (Array.length t.fb_rungs);

@@ -136,7 +136,6 @@ type pool_ladder
 
 val pool_ladder :
   ?replicas:int ->
-  ?map:Pool.shard_map ->
   hosts:int ->
   Analysis.Session.t ->
   net:Coign_netsim.Net_profiler.t ->
@@ -144,10 +143,11 @@ val pool_ladder :
   pool_ladder
 (** Build the pool ladder over a base (two-host) ladder: rungs
     [pool-hosts, pool-(hosts-1), ..., pool-2] over the base's primary
-    distribution, then every base rung at pool size 1.  The shard map
-    (default [Hash hosts]) is fixed across the whole ladder — only the
-    host count varies, with shards folding onto fewer hosts modulo the
-    pool size — so a key's shard never changes as the pool breathes.
+    distribution, then every base rung at pool size 1.  A component's
+    shard is {!Pool.shard_of} [~shards:hosts] of its representative on
+    every rung — only the host count varies, with shards folding onto
+    fewer hosts by {!Pool.host_of} — so a key's shard never changes as
+    the pool breathes.
     [replicas] (default 2) is clamped to each rung's host count.
     Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
 
@@ -160,6 +160,12 @@ val pool_base : pool_ladder -> t
 val pool_components : pool_ladder -> int array
 (** Classification -> component representative (smallest member).  The
     granularity below which the RTE must never split a shard. *)
+
+val pool_component_safety : pool_ladder -> bool array
+(** By component representative: whether every member is
+    migration-safe under the base ladder's table — the components the
+    ladder shards by hash (the rest are pinned to shard 0) and the RTE
+    may move when it splits a hot shard. *)
 
 val single_host : t -> pool_ladder
 (** The two-host ladder as a pool ladder of one host per rung: the same

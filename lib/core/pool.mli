@@ -3,53 +3,42 @@
     The paper's cut is binary — client machine, server machine. A pool
     shape generalizes the server terminal into [k] hosts carrying a
     set of {e shards} (disjoint groups of server-side classifications)
-    plus a replica factor for read-mostly shards. Placement is a pure
-    function of the shape: the same shard map always sends a
-    classification key to the same shard, and the same shard to the
-    same primary host, so fleet runs are reproducible and a shard map
-    can be reused across pool instantiations without drift.
-
-    Two shard-map families mirror the common partitioned-service
-    placements: [Hash] (stable keyed hash of the classification id,
-    modulo the shard count) and [Range] (explicit upper-bound split
-    points over the classification-id space). *)
-
-type shard_map =
-  | Hash of int  (** [Hash k]: key [c] lands in shard [mix64-hash(c) mod k]. *)
-  | Range of int array
-      (** [Range bounds]: shard [s] holds keys [c] with
-          [bounds.(s-1) <= c < bounds.(s)] (conceptually; the array
-          stores the exclusive upper bound of every shard but the
-          last, which is unbounded). [Range [|4; 9|]] has 3 shards:
-          keys < 4, keys in [4,9), keys >= 9. Bounds must be strictly
-          increasing. *)
+    plus a replica factor for read-mostly shards. This module holds the
+    one placement rule every layer shares: a classification key's
+    shard is a stable keyed hash ({!shard_of}), a shard's primary host
+    is the shard modulo the host count ({!host_of}), and its replicas
+    follow the primary round the ring ({!replica}). The pool ladder
+    ({!Fallback.pool_ladder}) applies the rule once per rung; the RTE's
+    routing engine and the verifier both read the result. *)
 
 type shape = {
   sh_hosts : int;  (** pool size [k >= 1] *)
   sh_replicas : int;  (** replica factor [>= 1]; 1 means no standbys *)
-  sh_map : shard_map;
 }
 
-val shape : ?replicas:int -> ?map:shard_map -> int -> shape
-(** [shape k] is a [k]-host pool, hash-sharded [k] ways with replica
-    factor [min 2 k] by default. Raises [Invalid_argument] on
-    [k < 1], a replica factor outside [\[1, k\]], an empty or
-    non-increasing [Range], or a [Hash] shard count [< 1]. *)
+val shape : ?replicas:int -> int -> shape
+(** [shape k] is a [k]-host pool with replica factor [min 2 k] by
+    default. Raises [Invalid_argument] on [k < 1] or a replica factor
+    outside [\[1, k\]]. *)
 
-val shard_count : shard_map -> int
-(** Number of shards the map can produce. *)
+val shard_of : shards:int -> int -> int
+(** [shard_of ~shards c] places classification key [c] in shard
+    [mix64-hash(c) mod shards]. Pure: equal arguments always yield
+    equal shards, across any number of pool instantiations. [c] may be
+    any int (the main program's [-1] included). Requires
+    [shards >= 1]. *)
 
-val shard_of : shard_map -> int -> int
-(** [shard_of map c] places classification key [c]. Pure: equal
-    arguments always yield equal shards, across any number of pool
-    instantiations. [c] may be any int (the main program's [-1]
-    included). *)
+val shard_in : int array -> int -> int
+(** [shard_in table c] is the shard a classification -> shard table
+    (a pool rung's [pr_shard_of], or the RTE's split-grown copy of it)
+    gives [c]: its entry where the table speaks, shard 0 for anything
+    outside it (main, run-time classifications, client-side entries). *)
 
 val host_of : shape -> int -> int
 (** [host_of shape shard] is the shard's primary host — round-robin,
     [shard mod sh_hosts]. *)
 
-val replica_hosts : shape -> int -> int list
-(** The hosts holding a copy of [shard], primary first, then the next
-    [sh_replicas - 1] hosts in ring order. All distinct. *)
-
+val replica : shape -> int -> int -> int
+(** [replica shape shard i] is the [i]-th host of the shard's replica
+    ring, [0 <= i < sh_replicas]: the primary ([i = 0]), then the next
+    hosts in ring order. All distinct, allocation-free. *)

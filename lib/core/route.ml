@@ -62,7 +62,8 @@ type t = {
   r_safe : bool array; (* per-classification migration safety *)
   r_component : int array; (* classification -> component representative *)
   r_comp_safe : bool array; (* by representative: all members safe *)
-  r_window : Window.t; (* per-shard decayed remote-call load *)
+  mutable r_load : float array; (* shard -> decayed remote-call load, as of r_load_at *)
+  mutable r_load_at : float array; (* shard -> time of its last load update *)
   mutable r_rung : int;
   mutable r_shard_of : int array; (* classification -> shard (splits update it) *)
   mutable r_active : int array; (* shard -> host currently serving it *)
@@ -98,12 +99,6 @@ let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
   let pl = fc.fc_ladder in
   let rung0 = Fallback.pool_rung_at pl 0 in
   let hosts = rung0.Fallback.pr_shape.Pool.sh_hosts in
-  let safe = Fallback.migration_safety_table (Fallback.pool_base pl) in
-  let component = Fallback.pool_components pl in
-  let comp_safe = Array.make (max 1 (Array.length component)) true in
-  Array.iteri
-    (fun c rep -> if not (c < Array.length safe && safe.(c)) then comp_safe.(rep) <- false)
-    component;
   let shard_count = rung0.Fallback.pr_shard_count in
   let link_model h =
     let spec, stream =
@@ -125,11 +120,11 @@ let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
     r_retry_rng = Prng.create (Prng.stream seed 1);
     r_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
     r_faults = Array.init hosts link_model;
-    r_safe = safe;
-    r_component = component;
-    r_comp_safe = comp_safe;
-    r_window =
-      Window.create ~half_life_us ~pairs:(Array.init shard_count (fun s -> (s, s)));
+    r_safe = Fallback.migration_safety_table (Fallback.pool_base pl);
+    r_component = Fallback.pool_components pl;
+    r_comp_safe = Fallback.pool_component_safety pl;
+    r_load = Array.make shard_count 0.;
+    r_load_at = Array.make shard_count 0.;
     r_rung = 0;
     r_shard_of = Array.copy rung0.Fallback.pr_shard_of;
     r_active = Array.init shard_count (fun s -> Pool.host_of rung0.Fallback.pr_shape s);
@@ -156,10 +151,7 @@ let shape r = (Fallback.pool_rung_at r.r_config.fc_ladder r.r_rung).Fallback.pr_
    shard 0 for anything outside it (main, run-time classifications,
    instances stranded server-side by an unsafe migration). *)
 let shard r c =
-  let s =
-    if c >= 0 && c < Array.length r.r_shard_of && r.r_shard_of.(c) >= 0 then r.r_shard_of.(c)
-    else 0
-  in
+  let s = Pool.shard_in r.r_shard_of c in
   if s < Array.length r.r_active then s else 0
 
 let host r c = r.r_active.(shard r c)
@@ -178,11 +170,10 @@ let link r ~src ~dst ~caller_cls ~callee_cls =
    not [except] and whose breaker admits calls at [now]. Deterministic:
    replica rings are fixed by the shape. *)
 let healthy_replica r ~shape ~except ~now s =
-  let k = shape.Pool.sh_hosts in
   let rec pick i =
     if i >= shape.Pool.sh_replicas then -1
     else
-      let h = (s mod k + i) mod k in
+      let h = Pool.replica shape s i in
       if h <> except && Health.allows r.r_health.(h) ~now_us:now then h else pick (i + 1)
   in
   pick 0
@@ -194,9 +185,8 @@ let reset_actives r ~now =
   let shape = shape r in
   Array.iteri
     (fun s _ ->
-      let primary = s mod shape.Pool.sh_hosts in
       let h = if r.r_replicated.(s) then healthy_replica r ~shape ~except:(-1) ~now s else -1 in
-      r.r_active.(s) <- (if h < 0 then primary else h))
+      r.r_active.(s) <- (if h < 0 then Pool.host_of shape s else h))
     r.r_active
 
 (* Move the route along its ladder: install the rung's distribution,
@@ -294,22 +284,19 @@ let on_transition r ~host (tr : Health.transition) =
       if r.r_rung <> 0 then switch_rung r ~to_rung:0 ~at_us else reset_actives r ~now:at_us
 
 (* Deterministic hot-shard check: when one shard carries more than
-   [split_share] of the window's decayed remote-call mass and holds at
-   least two components, carve off the upper half of its movable
-   (migration-safe) components into a fresh shard on the least-loaded
-   host. Pure arithmetic over the window snapshot — no randomness. *)
+   [split_share] of the decayed remote-call mass and holds at least two
+   components, carve off the upper half of its movable (migration-safe)
+   components into a fresh shard on the least-loaded host. Pure
+   arithmetic over the load snapshot — no randomness. *)
 let maybe_split r ~now =
   let env = r.r_env in
   let k = (shape r).Pool.sh_hosts in
   if k > 1 then begin
     let shard_count = Array.length r.r_active in
-    let counts = Window.counts_at r.r_window ~now_us:now in
-    let extras = Window.extras_at r.r_window ~now_us:now in
-    let load = Array.make shard_count 0. in
-    Array.iteri (fun s c -> if s < shard_count then load.(s) <- c) counts;
-    List.iter
-      (fun ((a, b), c) -> if a = b && a >= 0 && a < shard_count then load.(a) <- load.(a) +. c)
-      extras;
+    let load =
+      Array.init shard_count (fun s ->
+          Window.decay_by ~half_life_us ~from_us:r.r_load_at.(s) ~to_us:now r.r_load.(s))
+    in
     let total = Array.fold_left ( +. ) 0. load in
     if total > 0. then begin
       let top = ref 0 in
@@ -344,6 +331,8 @@ let maybe_split r ~now =
             r.r_shard_of;
           r.r_active <- Array.append r.r_active [| to_host |];
           r.r_replicated <- Array.append r.r_replicated [| true |];
+          r.r_load <- Array.append r.r_load [| 0. |];
+          r.r_load_at <- Array.append r.r_load_at [| 0. |];
           r.r_splits <- r.r_splits + 1;
           if env.observed then
             Rte_env.emit env ~at_us:now
@@ -354,14 +343,16 @@ let maybe_split r ~now =
     end
   end
 
-(* Feed one served remote call into the per-shard load window; check
-   for a hot shard every [check_every] observations. Skipped entirely
-   on a one-host rung. *)
-let observe_load r ~callee_cls ~bytes =
+(* Feed one served remote call into its shard's decayed load; check for
+   a hot shard every [check_every] observations. Skipped entirely on a
+   one-host rung. *)
+let observe_load r ~callee_cls =
   if (shape r).Pool.sh_hosts > 1 then begin
     let now = Rte_env.now r.r_env in
     let s = shard r callee_cls in
-    Window.observe r.r_window ~at_us:now ~caller:s ~callee:s ~bytes;
+    r.r_load.(s) <-
+      Window.decay_by ~half_life_us ~from_us:r.r_load_at.(s) ~to_us:now r.r_load.(s) +. 1.;
+    r.r_load_at.(s) <- now;
     r.r_since_check <- r.r_since_check + 1;
     if r.r_since_check >= check_every then begin
       r.r_since_check <- 0;
@@ -462,7 +453,7 @@ let rec route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~
       if attempt r ~link ~now ~request ~reply ~iface ~mname then begin
         if src = Constraints.Server && dst = Constraints.Server then
           r.r_inter_host <- r.r_inter_host + 1;
-        if dst = Constraints.Server then observe_load r ~callee_cls ~bytes:(request + reply)
+        if dst = Constraints.Server then observe_load r ~callee_cls
       end
       else
         route r ~caller ~callee ~caller_cls ~callee_cls ~request ~reply ~iface ~mname

@@ -227,8 +227,8 @@ val install_distributed :
     the run is bit-identical to one without the watch compiled in.
 
     With [dc_fleet], the route has one link per host of the widest
-    pool rung: each component shard lives on the host its rung's
-    {!Pool.shape} assigns, and reads of a replicated shard survive a
+    pool rung: each component shard lives on the host the pool
+    ladder's [pr_shard_of] and {!Pool.host_of} assign, and reads of a replicated shard survive a
     host loss by promotion — the first healthy replica in ring order
     takes over the shard ({!Event.Replica_promoted}) without touching
     the rest of the pool. A breaker opening on a host whose shards
@@ -236,7 +236,7 @@ val install_distributed :
     ({!Event.Pool_resized}), migrating only the statically-safe
     instances, exactly as resilience failover does; probe success on
     the degraded host fails back to the widest rung. Per-link
-    observation volume feeds a decayed window; a hot shard is split,
+    observation volume feeds a decayed per-shard load; a hot shard is split,
     its migration-safe upper components moving to a fresh shard on the
     least-loaded host ({!Event.Shard_split}). The [coign_fleet_*] instruments are
     exported for pools wider than one host.

@@ -48,9 +48,11 @@ let extra_pairs t = Hashtbl.length t.w_extra
    last-update time; reading or bumping it first folds in the decay
    since then. 2^(-dt/h) keeps half-life arithmetic exact at powers of
    two, which the unit tests pin down. *)
-let decay t ~from_us ~to_us v =
+let[@inline] decay_by ~half_life_us ~from_us ~to_us v =
   let dt = to_us -. from_us in
-  if dt <= 0. then v else v *. Float.pow 2. (-.dt /. t.w_half_life_us)
+  if dt <= 0. then v else v *. Float.pow 2. (-.dt /. half_life_us)
+
+let decay t ~from_us ~to_us v = decay_by ~half_life_us:t.w_half_life_us ~from_us ~to_us v
 
 let observe t ~at_us ~caller ~callee ~bytes =
   t.w_observed <- t.w_observed + 1;

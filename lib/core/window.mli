@@ -27,6 +27,12 @@ val create : half_life_us:float -> pairs:(int * int) array -> t
     [(min, max)]). Raises [Invalid_argument] on a non-positive
     half-life or duplicate pairs. *)
 
+val decay_by : half_life_us:float -> from_us:float -> to_us:float -> float -> float
+(** [decay_by ~half_life_us ~from_us ~to_us v]: a weight [v] stored as
+    of [from_us], read at [to_us] — [v * 2^(-dt/half_life_us)], [v]
+    itself when [dt <= 0]. The one decay rule of every window cell,
+    exact at whole half-lives. *)
+
 val observe : t -> at_us:float -> caller:int -> callee:int -> bytes:int -> unit
 (** Fold in one observation at virtual time [at_us]. Classification
     [-1] stands for the main program, as in {!Drift} signatures. *)
@@ -47,9 +53,6 @@ val counts_at : t -> now_us:float -> float array
 
 val bytes_at : t -> now_us:float -> float array
 (** Per-slot decayed byte totals as of [now_us]. Pure. *)
-
-val extras_at : t -> now_us:float -> ((int * int) * float) list
-(** Decayed counts of the out-of-profile pairs, sorted by pair. *)
 
 val total_at : t -> now_us:float -> float
 (** Total decayed mass (slots + extras) — the "how much evidence is in

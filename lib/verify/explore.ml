@@ -118,15 +118,12 @@ let canon (snap : Health.snapshot) =
       | _ -> 0);
   }
 
-let host_target m rung g =
-  if g.Model.g_targets.(rung) = Constraints.Server then Model.target_host m rung g else 0
-
 let init m =
   {
     st_rung = 0;
     st_snap = canon (Health.initial_snapshot m.Model.m_policy);
     st_locs = Array.map (fun g -> g.Model.g_targets.(0)) m.Model.m_groups;
-    st_hosts = Array.map (fun g -> host_target m 0 g) m.Model.m_groups;
+    st_hosts = Array.map (fun g -> Model.target_host g 0) m.Model.m_groups;
   }
 
 let key m st =
@@ -174,7 +171,7 @@ let off_target m st g =
   let grp = m.Model.m_groups.(g) in
   grp.Model.g_ladder_safe
   && (st.st_locs.(g) <> grp.Model.g_targets.(st.st_rung)
-     || st.st_hosts.(g) <> host_target m st.st_rung grp)
+     || st.st_hosts.(g) <> Model.target_host grp st.st_rung)
 
 let enabled m st =
   let migrations =
@@ -187,24 +184,23 @@ let enabled m st =
       m.Model.m_groups;
     List.rev !risky @ if !rest then [ Migrate_rest ] else []
   in
-  (* Replica promotion: a host loss moves a shard to the next host in
-     ring order.  Only risky groups are interleaved — promoting a
-     truth-safe group preserves every invariant (it has no
-     non-remotable incidence, CG009 needs a truth-unsafe subject, and
-     hosts feed neither the breaker nor any other group's
-     enabledness), so those interleavings are collapsed away exactly
-     like safe migrations. *)
+  (* Replica promotion: a host loss moves a shard to the next host of
+     its replica ring, on rungs where the shard keeps one.  Only risky
+     groups are interleaved — promoting a truth-safe group preserves
+     every invariant (it has no non-remotable incidence, CG009 needs a
+     truth-unsafe subject, and hosts feed neither the breaker nor any
+     other group's enabledness), so those interleavings are collapsed
+     away exactly like safe migrations. *)
   let promotions =
-    if Model.pool_size m st.st_rung <= 1 then []
-    else
-      Array.to_list m.Model.m_groups
-      |> List.filter_map (fun grp ->
-             if
-               Model.risky grp
-               && st.st_locs.(grp.Model.g_id) = Constraints.Server
-               && not (off_target m st grp.Model.g_id)
-             then Some (Promote grp.Model.g_id)
-             else None)
+    Array.to_list m.Model.m_groups
+    |> List.filter_map (fun grp ->
+           if
+             Model.risky grp
+             && Array.length grp.Model.g_rings.(st.st_rung) > 1
+             && st.st_locs.(grp.Model.g_id) = Constraints.Server
+             && not (off_target m st grp.Model.g_id)
+           then Some (Promote grp.Model.g_id)
+           else None)
   in
   let breaker =
     match st.st_snap.Health.sn_state with
@@ -251,7 +247,7 @@ let apply m st ev =
       let grp = m.Model.m_groups.(g) in
       let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
       locs.(g) <- grp.Model.g_targets.(st.st_rung);
-      hosts.(g) <- host_target m st.st_rung grp;
+      hosts.(g) <- Model.target_host grp st.st_rung;
       let viols =
         if grp.Model.g_truth_safe then []
         else
@@ -271,14 +267,14 @@ let apply m st ev =
         (fun grp ->
           if (not (Model.risky grp)) && off_target m st grp.Model.g_id then begin
             locs.(grp.Model.g_id) <- grp.Model.g_targets.(st.st_rung);
-            hosts.(grp.Model.g_id) <- host_target m st.st_rung grp
+            hosts.(grp.Model.g_id) <- Model.target_host grp st.st_rung
           end)
         m.Model.m_groups;
       ({ st with st_locs = locs; st_hosts = hosts }, [])
   | Promote g ->
       let grp = m.Model.m_groups.(g) in
       let hosts = Array.copy st.st_hosts in
-      hosts.(g) <- (st.st_hosts.(g) + 1) mod Model.pool_size m st.st_rung;
+      hosts.(g) <- Model.next_replica grp st.st_rung ~from:st.st_hosts.(g);
       (* Only risky groups are ever promoted (see [enabled]), so the
          step always manifests I4: the RTE would be moving a shard the
          static facts say must not move between hosts live. *)

@@ -29,10 +29,11 @@ type event =
   | Migrate of int  (** one risky group migrates to its rung target *)
   | Migrate_rest  (** all pending safe groups migrate atomically *)
   | Promote of int
-      (** one risky group is promoted to the next pool host in ring
-          order — a host loss taking its shard's replica.  Only
-          enabled on rungs whose pool size exceeds 1; promoting safe
-          groups is collapsed away like safe migrations *)
+      (** one risky group is promoted to the next host of its replica
+          ring ({!Model.next_replica}) — a host loss taking its
+          shard's replica.  Only enabled on rungs where the group's
+          shard keeps a replica; promoting safe groups is collapsed
+          away like safe migrations *)
 
 val event_id : Model.t -> event -> string
 (** Stable machine-readable id ([link_fail], [migrate:3], ...). *)
@@ -53,7 +54,7 @@ type state = {
   st_locs : Constraints.location array;  (** per group *)
   st_hosts : int array;
       (** per group: pool host, 0 on the client side.  Inert (all 0,
-          no promotions enabled) when every rung's pool size is 1, so
+          no promotions enabled) on a one-host-per-rung ladder, so
           the classic two-host state space is unchanged *)
 }
 

@@ -6,7 +6,8 @@
    reduction up front: classifications are partitioned into groups that
    are interchangeable with respect to every checked invariant.  Two
    classifications share a group iff they have the same per-rung
-   placement vector, the same ladder migration-safety bit and the same
+   placement vector, the same per-rung replica ring (host vector) under
+   the pool ladder, the same ladder migration-safety bit and the same
    derived (truth) safety bit — and neither touches a non-remotable ICC
    edge.  Classifications incident to a non-remotable edge are split
    into singleton groups so the I1 crossing check stays exact per
@@ -15,9 +16,9 @@
    Soundness of tracking one location per group: members of a group are
    only ever connected to the rest of the graph by remotable edges
    (non-remotable endpoints are singletons), they share safety bits, and
-   they share placement targets on every rung — so any state that
-   distinguishes two members differs from its merged image only on
-   remotable separations, which no invariant observes. *)
+   they share placement targets and pool hosts on every rung — so any
+   state that distinguishes two members differs from its merged image
+   only on remotable separations, which no invariant observes. *)
 
 open Coign_core
 module Health = Coign_netsim.Health
@@ -27,6 +28,7 @@ type group = {
   g_members : int list; (* classifications; -1 is the main program *)
   g_subject : string; (* representative class name, for diagnostics *)
   g_targets : Constraints.location array; (* placement per rung *)
+  g_rings : int array array; (* per rung: the shard's replica ring, primary first *)
   g_ladder_safe : bool; (* what the ladder's table will act on *)
   g_truth_safe : bool; (* what the static facts actually derive *)
 }
@@ -46,22 +48,25 @@ type t = {
   m_policy : Health.policy;
   m_cooloffs : float array; (* escalation chain, base to cap *)
   m_classifications : int; (* classifications folded in, incl. main *)
-  m_pool_sizes : int array; (* server pool hosts per rung; all 1 = two-host model *)
 }
 
 let rung_count m = Array.length m.m_rung_names
-let pool_size m r = m.m_pool_sizes.(r)
 
-(* The host a server-side group belongs on under a rung's pool.  The
-   RTE pins migration-unsafe components to shard 0 — host 0, which
-   survives every resize — and shards the rest by a fixed map folded
-   by modulo, so a group's host only changes when the pool size does.
-   The model reads the *ladder's* table here, exactly as the RTE does:
-   a lying table shards a truth-unsafe group onto a moving host, and
-   the explorer surfaces the resulting migrations as CG008/CG009. *)
-let target_host m r g =
-  let p = m.m_pool_sizes.(r) in
-  if p <= 1 || not g.g_ladder_safe then 0 else g.g_id mod p
+(* The host a group belongs on under a rung: its shard's primary, as
+   the pool ladder placed it; 0 client-side. *)
+let target_host g r =
+  let ring = g.g_rings.(r) in
+  if Array.length ring = 0 then 0 else ring.(0)
+
+(* Where the RTE promotes a shard whose host [from] loses its breaker:
+   the first other host of its replica ring; [from] when it has none. *)
+let next_replica g r ~from =
+  let ring = g.g_rings.(r) in
+  let rec pick i =
+    if i >= Array.length ring then from else if ring.(i) <> from then ring.(i) else pick (i + 1)
+  in
+  pick 0
+
 let group_count m = Array.length m.m_groups
 
 (* A group is risky when the ladder's table will migrate it but the
@@ -92,30 +97,38 @@ let cooloff_index m c =
 
 let max_pool_size = 3
 
-let build ?(policy = Health.default_policy) ?pool_sizes ~classifier ~icc ~ladder ~truth () =
-  let rungs = Fallback.rung_count ladder in
-  let pool_sizes =
-    match pool_sizes with
-    | None -> Array.make rungs 1
-    | Some l ->
-        let a = Array.of_list l in
-        if Array.length a <> rungs then
-          invalid_arg "Verify.Model.build: pool_sizes length must match the rung count";
-        Array.iter
-          (fun p ->
-            if p < 1 || p > max_pool_size then
-              invalid_arg
-                (Printf.sprintf
-                   "Verify.Model.build: pool sizes must be in [1, %d] to keep exploration \
-                    bounded"
-                   max_pool_size))
-          a;
-        a
+let build ?(policy = Health.default_policy) ?pool ~classifier ~icc ~ladder ~truth () =
+  let pl =
+    match pool with
+    | None -> Fallback.single_host ladder
+    | Some pl ->
+        if Fallback.pool_base pl != ladder then
+          invalid_arg "Verify.Model.build: pool is not built over ladder";
+        pl
   in
+  let prs = Array.init (Fallback.pool_rung_count pl) (Fallback.pool_rung_at pl) in
+  Array.iter
+    (fun pr ->
+      if pr.Fallback.pr_shape.Pool.sh_hosts > max_pool_size then
+        invalid_arg
+          (Printf.sprintf
+             "Verify.Model.build: pool sizes must be in [1, %d] to keep exploration bounded"
+             max_pool_size))
+    prs;
   let n = Array.length truth in
-  let place r c =
-    Analysis.location_of (Fallback.rung ladder r).Fallback.rg_distribution c
+  let place r c = Analysis.location_of prs.(r).Fallback.pr_distribution c in
+  (* The replica ring of [c]'s shard on rung [r], as the RTE homes and
+     promotes it: one host for a shard that may not replicate. *)
+  let ring r c =
+    if place r c <> Constraints.Server then [||]
+    else
+      let pr = prs.(r) in
+      let s = Pool.shard_in pr.Fallback.pr_shard_of c in
+      let shape = pr.Fallback.pr_shape in
+      let len = if pr.Fallback.pr_replicated.(s) then shape.Pool.sh_replicas else 1 in
+      Array.init len (Pool.replica shape s)
   in
+  let rungs = Array.length prs in
   let members = Array.init (n + 1) (fun i -> i - 1) in
   let non_remotable_adjacent = Hashtbl.create 16 in
   List.iter
@@ -127,15 +140,17 @@ let build ?(policy = Health.default_policy) ?pool_sizes ~classifier ~icc ~ladder
     (Icc.entries icc);
   let signature c =
     let targets = Array.init rungs (fun r -> place r c) in
+    let rings = Array.init rungs (fun r -> ring r c) in
     let ladder_safe = Fallback.migration_safe ladder c in
     let truth_safe = c >= 0 && c < n && truth.(c) in
-    (targets, ladder_safe, truth_safe)
+    (targets, rings, ladder_safe, truth_safe)
   in
   let subject c = if c < 0 then "main" else Classifier.class_of_classification classifier c in
   (* Partition: singletons for non-remotable endpoints, signature
      buckets for the rest.  Group order is deterministic: by lowest
      member classification. *)
-  let buckets : ((Constraints.location array * bool * bool), int list ref) Hashtbl.t =
+  let buckets :
+      (Constraints.location array * int array array * bool * bool, int list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let singletons = ref [] in
@@ -161,12 +176,13 @@ let build ?(policy = Health.default_policy) ?pool_sizes ~classifier ~icc ~ladder
       (List.mapi
          (fun i ms ->
            let c0 = List.hd ms in
-           let targets, ladder_safe, truth_safe = signature c0 in
+           let targets, rings, ladder_safe, truth_safe = signature c0 in
            {
              g_id = i;
              g_members = ms;
              g_subject = subject c0;
              g_targets = targets;
+             g_rings = rings;
              g_ladder_safe = ladder_safe;
              g_truth_safe = truth_safe;
            })
@@ -203,10 +219,8 @@ let build ?(policy = Health.default_policy) ?pool_sizes ~classifier ~icc ~ladder
   {
     m_groups = groups;
     m_edges = Array.of_list edges;
-    m_rung_names =
-      Array.init rungs (fun r -> (Fallback.rung ladder r).Fallback.rg_name);
+    m_rung_names = Array.map (fun pr -> pr.Fallback.pr_name) prs;
     m_policy = policy;
     m_cooloffs = cooloff_chain policy;
     m_classifications = n + 1;
-    m_pool_sizes = pool_sizes;
   }

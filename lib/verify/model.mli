@@ -1,11 +1,13 @@
 (** The finite component-interaction model checked by {!Explore}.
 
     {!build} compiles an image's profiled ICC facts, its {!Fallback}
-    ladder + migration-safety table, and a {!Coign_netsim.Health}
+    pool ladder + migration-safety table, and a {!Coign_netsim.Health}
     breaker policy into a small automaton alphabet: symmetry-reduced
     {e groups} of classifications, the inter-group communication
     {e edges} that drive and endanger them, and the finite cooloff
-    escalation chain the breaker can visit.
+    escalation chain the breaker can visit.  Hosts come from the pool
+    ladder's [pr_shard_of] through {!Coign_core.Pool}, the rule the
+    RTE routes by, so the model checks the placement the system runs.
 
     The type is transparent so tests can hand-build adversarial models
     (lying safety tables, unreachable rungs) without forging images. *)
@@ -17,6 +19,12 @@ type group = {
   g_members : int list;  (** classifications; -1 is the main program *)
   g_subject : string;  (** representative class name, for diagnostics *)
   g_targets : Constraints.location array;  (** placement per rung *)
+  g_rings : int array array;
+      (** per rung: the hosts of the group's shard in replica-ring
+          order, primary first ({!Coign_core.Pool.replica}), as the
+          pool ladder places it; [[||]] where the rung puts the group
+          client-side, one host where its shard keeps no replicas.
+          Members share it, so they share their host on every rung. *)
   g_ladder_safe : bool;  (** what the ladder's table will act on *)
   g_truth_safe : bool;  (** what the static facts actually derive *)
 }
@@ -36,29 +44,27 @@ type t = {
   m_policy : Coign_netsim.Health.policy;
   m_cooloffs : float array;  (** escalation chain, base to cap *)
   m_classifications : int;  (** classifications folded in, incl. main *)
-  m_pool_sizes : int array;
-      (** server pool hosts per rung; all 1 is the classic two-host
-          model, and then the explorer's host dimension is inert *)
 }
 
 val rung_count : t -> int
 val group_count : t -> int
 
-val pool_size : t -> int -> int
-(** Pool hosts on a rung. *)
-
 val max_pool_size : int
-(** 3 — the bound {!build} enforces on [pool_sizes] so exploration
-    stays finite at useful depths. *)
+(** 3 — the widest pool {!build} accepts, so exploration stays finite
+    at useful depths. *)
 
-val target_host : t -> int -> group -> int
-(** The host a server-side group belongs on under a rung's pool:
-    host 0 for ladder-unsafe groups (the RTE pins their shard there,
-    and host 0 survives every resize), [g_id mod pool] for the rest —
-    the fixed-map-folded-by-modulo rule of the pool ladder. Reads the
-    {e ladder's} safety bit, exactly as the RTE does, so a lying table
-    shards a truth-unsafe group onto a moving host and the explorer
-    surfaces the consequences. *)
+val target_host : group -> int -> int
+(** [target_host g r] is the host the group belongs on under rung [r]:
+    the primary of its ring ([g_rings.(r).(0)]), 0 client-side.  The
+    ladder computed it from the {e ladder's} safety table, exactly as
+    the RTE does — unsafe components are pinned to shard 0, host 0 —
+    so a lying table shards a truth-unsafe group onto a moving host and
+    the explorer surfaces the consequences. *)
+
+val next_replica : group -> int -> from:int -> int
+(** [next_replica g r ~from] is where a promotion moves the group when
+    host [from] fails on rung [r]: the first other host of its ring,
+    as the RTE's replica promotion picks it; [from] if there is none. *)
 
 val risky : group -> bool
 (** Ladder-safe but truth-unsafe: the migrations that can manifest
@@ -76,7 +82,7 @@ val cooloff_index : t -> float -> int
 
 val build :
   ?policy:Coign_netsim.Health.policy ->
-  ?pool_sizes:int list ->
+  ?pool:Fallback.pool_ladder ->
   classifier:Classifier.t ->
   icc:Icc.t ->
   ladder:Fallback.t ->
@@ -86,7 +92,9 @@ val build :
 (** Compile the model.  [truth] is the freshly derived
     {!Fallback.migration_safety} table; the ladder's own table is read
     through {!Fallback.migration_safe} so a stale or hand-edited table
-    shows up as {!risky} groups.  [pool_sizes] (default all 1) gives
-    each rung's server pool size, one entry per rung in [1,
-    {!max_pool_size}]; raises [Invalid_argument] on a length or range
-    mismatch. *)
+    shows up as {!risky} groups.  The rungs, their names and every
+    group's hosts come from [pool], a pool ladder built over [ladder]
+    (default {!Fallback.single_host} [ladder]: one host per rung, the
+    classic two-host model, whose host dimension is inert).  Raises
+    [Invalid_argument] when [pool] is not built over [ladder] or a rung
+    is wider than {!max_pool_size}. *)

@@ -159,7 +159,7 @@ let test_promotion_trace_hand_computed () =
      keyed hash of its classification id, and its primary host is the
      shard modulo the pool size. *)
   let rung0 = Fallback.pool_rung_at pl 0 in
-  let expected_shard = Pool.shard_of (Pool.Hash 2) cback in
+  let expected_shard = Pool.shard_of ~shards:2 cback in
   Alcotest.(check int) "ladder shards Back by keyed hash" expected_shard
     rung0.Fallback.pr_shard_of.(cback);
   let crash = Pool.host_of rung0.Fallback.pr_shape expected_shard in
@@ -239,7 +239,7 @@ let test_pool_metrics_match_fleet_stats () =
   let _, _, _, cback = Lazy.force profiled in
   let primary, pl = mini_pool_ladder ~hosts:2 in
   let rung0 = Fallback.pool_rung_at pl 0 in
-  let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of (Pool.Hash 2) cback) in
+  let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of ~shards:2 cback) in
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let check what ~golden ?host_faults ?faults () =
     let metrics = Coign_obs.Metrics.registry () in
@@ -283,7 +283,7 @@ let test_fleet_event_logs_golden () =
   let _, _, _, cback = Lazy.force profiled in
   let primary, pl = mini_pool_ladder ~hosts:2 in
   let rung0 = Fallback.pool_rung_at pl 0 in
-  let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of (Pool.Hash 2) cback) in
+  let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of ~shards:2 cback) in
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let check what ~golden ?host_faults ?faults () =
     let _, _, events = run_fleet ?host_faults ?faults ~rounds:10 pl primary in
@@ -300,34 +300,8 @@ let qcheck_hash_shard_stable =
   QCheck.Test.make ~count:500 ~name:"hash shard map is pure and in range"
     QCheck.(pair (int_range 1 8) (int_range (-1) 999))
     (fun (k, c) ->
-      let m = Pool.Hash k in
-      let s = Pool.shard_of m c in
-      s >= 0 && s < Pool.shard_count m && s = Pool.shard_of m c)
-
-let qcheck_range_shard_semantics =
-  (* A Range map's shard is the number of split points at or below the
-     key — monotone in the key, bounded by the shard count. *)
-  let gen =
-    QCheck.Gen.(
-      pair (list_size (int_range 1 5) (int_range 0 100)) (int_range (-1) 120)
-      |> map (fun (bounds, c) ->
-             let bounds = List.sort_uniq compare bounds in
-             (Array.of_list bounds, c)))
-  in
-  let print (bounds, c) =
-    Printf.sprintf "bounds=[%s] c=%d"
-      (String.concat ";" (Array.to_list (Array.map string_of_int bounds)))
-      c
-  in
-  QCheck.Test.make ~count:500 ~name:"range shard map counts split points"
-    (QCheck.make ~print gen)
-    (fun (bounds, c) ->
-      QCheck.assume (Array.length bounds > 0);
-      let m = Pool.Range bounds in
-      let reference = Array.fold_left (fun a b -> if b <= c then a + 1 else a) 0 bounds in
-      Pool.shard_of m c = reference
-      && Pool.shard_of m c <= Pool.shard_of m (c + 1)
-      && Pool.shard_of m c < Pool.shard_count m)
+      let s = Pool.shard_of ~shards:k c in
+      s >= 0 && s < k && s = Pool.shard_of ~shards:k c)
 
 let qcheck_replica_ring =
   QCheck.Test.make ~count:500 ~name:"replica ring: primary first, distinct, round-robin"
@@ -335,7 +309,7 @@ let qcheck_replica_ring =
     (fun (k, r, s) ->
       let shape = Pool.shape ~replicas:(min r k) k in
       let primary = Pool.host_of shape s in
-      let ring = Pool.replica_hosts shape s in
+      let ring = List.init shape.Pool.sh_replicas (Pool.replica shape s) in
       primary = s mod k
       && List.hd ring = primary
       && List.length ring = shape.Pool.sh_replicas
@@ -543,7 +517,6 @@ let suite =
     Alcotest.test_case "routing metrics match the pool counters" `Quick
       test_pool_metrics_match_fleet_stats;
     QCheck_alcotest.to_alcotest ~long:false qcheck_hash_shard_stable;
-    QCheck_alcotest.to_alcotest ~long:false qcheck_range_shard_semantics;
     QCheck_alcotest.to_alcotest ~long:false qcheck_replica_ring;
     Alcotest.test_case "pool ladder shards stable across rungs" `Quick
       test_ladder_shards_stable_across_rungs;

@@ -216,9 +216,61 @@ let test_overhead_shape () =
   Alcotest.(check bool) "distribution not dramatically heavier than profiling" true
     (r.Overhead.distributed_us_per_call <= (r.Overhead.profiling_us_per_call *. 2.) +. 1.)
 
+(* EXPERIMENTS.md quotes the reproduction report: the "ours" column of
+   its Table 4 is the pinned report's Table 4, scenario for scenario. *)
+let section_lines ~start ~stop text =
+  let rec drop = function
+    | [] -> []
+    | l :: rest -> if String.starts_with ~prefix:start l then rest else drop rest
+  in
+  let rec take = function
+    | [] -> []
+    | l :: rest -> if String.starts_with ~prefix:stop l then [] else l :: take rest
+  in
+  take (drop (String.split_on_char '\n' text))
+
+let words s = List.filter (( <> ) "") (String.split_on_char ' ' s)
+
+let test_experiments_table4_matches_report () =
+  let doc = "../EXPERIMENTS.md" and golden = "golden/bench_report.txt" in
+  if not (Sys.file_exists doc && Sys.file_exists golden) then Alcotest.skip ();
+  (* "o_oldtb0        0.899      0.786      13%" *)
+  let report =
+    section_lines ~start:"Table 4:" ~stop:"Expected shape" (Harness.read_file golden)
+    |> List.filter_map (fun l ->
+           match words l with
+           | [ id; default; coign; savings ] when Float.of_string_opt default <> None ->
+               Some (id, (default, coign, savings))
+           | _ -> None)
+  in
+  (* "| o_oldtb0 | 1.058 → 1.048 (1%) | 0.899 → 0.786 (13%) |" *)
+  let quoted =
+    section_lines ~start:"## Table 4" ~stop:"## " (Harness.read_file doc)
+    |> List.filter_map (fun l ->
+           match List.map String.trim (String.split_on_char '|' l) with
+           | [ ""; id; _paper; ours; "" ] -> (
+               match words ours with
+               | [ default; "→"; coign; savings ] when Float.of_string_opt default <> None ->
+                   let savings = String.sub savings 1 (String.length savings - 2) in
+                   Some (id, (default, coign, savings))
+               | _ -> None)
+           | _ -> None)
+  in
+  Alcotest.(check int) "every report scenario quoted once" (List.length report)
+    (List.length quoted);
+  List.iter
+    (fun (id, row) ->
+      match List.assoc_opt id quoted with
+      | None -> Alcotest.failf "EXPERIMENTS.md Table 4 lacks %s" id
+      | Some q ->
+          Alcotest.(check (triple string string string)) (id ^ ": ours column = report") row q)
+    report
+
 let suite =
   [
     Alcotest.test_case "experiment row basics" `Quick test_row_basics;
+    Alcotest.test_case "EXPERIMENTS.md Table 4 quotes the pinned report" `Quick
+      test_experiments_table4_matches_report;
     Alcotest.test_case "benefits moves caches" `Quick test_benefits_moves_caches;
     Alcotest.test_case "photodraw property sets server" `Quick
       test_photodraw_property_sets_server;

@@ -46,12 +46,17 @@ let vpolicy =
     hp_ewma_alpha = 0.2;
   }
 
+let vnet = Net_profiler.exact Network.ethernet_10
+
+(* One host per rung: host 0 where the group is server-side, none
+   where it is client-side. *)
 let group id members subject targets ~ladder ~truth =
   {
     Model.g_id = id;
     g_members = members;
     g_subject = subject;
     g_targets = targets;
+    g_rings = Array.map (fun loc -> if loc = Constraints.Server then [| 0 |] else [||]) targets;
     g_ladder_safe = ladder;
     g_truth_safe = truth;
   }
@@ -59,7 +64,7 @@ let group id members subject targets ~ladder ~truth =
 let edge a b iface ~remotable ~non_remotable =
   { Model.e_a = a; e_b = b; e_iface = iface; e_remotable = remotable; e_non_remotable = non_remotable }
 
-let hand_model ?(policy = vpolicy) ?pool_sizes ~groups ~edges ~rungs () =
+let hand_model ?(policy = vpolicy) ~groups ~edges ~rungs () =
   let rungs = Array.of_list rungs in
   {
     Model.m_groups = Array.of_list groups;
@@ -69,10 +74,6 @@ let hand_model ?(policy = vpolicy) ?pool_sizes ~groups ~edges ~rungs () =
     m_cooloffs = Model.cooloff_chain policy;
     m_classifications =
       List.fold_left (fun a g -> a + List.length g.Model.g_members) 0 groups;
-    m_pool_sizes =
-      (match pool_sizes with
-      | None -> Array.make (Array.length rungs) 1
-      | Some l -> Array.of_list l);
   }
 
 let two_rung ~safe =
@@ -508,16 +509,23 @@ let test_rte_unsafe_migration_faults () =
   Alcotest.(check bool) "Helper never moved" true
     (not (List.exists (fun (c, _, _) -> c = chelper) migrations))
 
-let test_verifier_flags_the_vfy_lie () =
-  (* The same lying ladder, checked statically: the verifier finds the
-     CG009 unsafe migration and the CG008 separation the RTE run just
-     manifested, with a replayable trace. *)
-  let classifier, n, cfront, cback, chelper = Lazy.force vdiscover in
-  let ladder = lying_vfy_ladder () in
+(* The profile the Vfy app produces: Front -> Back blobs, Back -> Helper
+   over the non-remotable interface. *)
+let vfy_icc () =
+  let _, _, cfront, cback, chelper = Lazy.force vdiscover in
   let icc = Icc.create () in
   Icc.record icc ~src:cfront ~dst:cback ~iface:"IVfyStore" ~remotable:true ~request:1_000
     ~reply:8;
   Icc.record icc ~src:cback ~dst:chelper ~iface:"IVfyRaw" ~remotable:false ~request:8 ~reply:0;
+  icc
+
+let test_verifier_flags_the_vfy_lie () =
+  (* The same lying ladder, checked statically: the verifier finds the
+     CG009 unsafe migration and the CG008 separation the RTE run just
+     manifested, with a replayable trace. *)
+  let classifier, n, _, _, _ = Lazy.force vdiscover in
+  let ladder = lying_vfy_ladder () in
+  let icc = vfy_icc () in
   let m =
     Model.build ~policy:vpolicy ~classifier ~icc ~ladder ~truth:(Array.make n false) ()
   in
@@ -534,9 +542,60 @@ let test_verifier_flags_the_vfy_lie () =
   Alcotest.(check bool) "counterexample replays" true
     (outcome.Replay.ro_invalid = None && Replay.confirms outcome "CG009")
 
+let test_pool_lie_counterexamples () =
+  (* The same lie on a pool-2 ladder built over the lying table: Back
+     and Helper form one component (the non-remotable edge joins them)
+     whose Helper the table marks unsafe, so the ladder pins both to
+     shard 0 on host 0 without replicas.  No promotion is possible; the
+     breaker walks pool-2 -> primary -> all-client, and the one risky
+     migration on the last rung manifests CG008 and CG009 as before. *)
+  let classifier, n, _, cback, _ = Lazy.force vdiscover in
+  let ladder = lying_vfy_ladder () in
+  let icc = vfy_icc () in
+  let session = Analysis.Session.create ~classifier ~icc ~constraints:Constraints.empty () in
+  let pool = Fallback.pool_ladder ~hosts:2 session ~net:vnet ladder in
+  let m =
+    Model.build ~policy:vpolicy ~pool ~classifier ~icc ~ladder ~truth:(Array.make n false) ()
+  in
+  Alcotest.(check (list string)) "pool-2 rung on top of the base ladder"
+    [ "pool-2"; "primary"; "all-client" ] (Array.to_list m.Model.m_rung_names);
+  let back =
+    let holds_back g = List.mem cback g.Model.g_members in
+    match List.filter holds_back (Array.to_list m.Model.m_groups) with
+    | [ g ] -> g
+    | _ -> Alcotest.fail "Back is not in exactly one group"
+  in
+  Alcotest.(check (array int)) "Back pinned to host 0 without replicas on pool-2" [| 0 |]
+    back.Model.g_rings.(0);
+  let r = Explore.run m in
+  Alcotest.(check bool) "complete" true r.Explore.r_stats.Explore.sr_complete;
+  let codes = List.map (fun v -> v.Explore.vl_code) r.Explore.r_violations in
+  Alcotest.(check bool) "CG008 found" true (List.mem "CG008" codes);
+  Alcotest.(check bool) "CG009 found" true (List.mem "CG009" codes);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (v.Explore.vl_code ^ ": no promotion in the trace") false
+        (List.exists (function Explore.Promote _ -> true | _ -> false) v.Explore.vl_trace);
+      let outcome = Replay.run m v.Explore.vl_trace in
+      Alcotest.(check bool)
+        (v.Explore.vl_code ^ " counterexample replays")
+        true
+        (outcome.Replay.ro_invalid = None && Replay.confirms outcome v.Explore.vl_code))
+    r.Explore.r_violations
+
 (* --- The bundled apps verify clean ------------------------------------ *)
 
-let app_model app sc_id =
+(* Everything [coign verify] builds from a profiled image: the profile,
+   the analysis session, the base ladder and the static safety facts. *)
+type facts = {
+  f_classifier : Classifier.t;
+  f_icc : Icc.t;
+  f_session : Analysis.Session.t;
+  f_ladder : Fallback.t;
+  f_truth : bool array;
+}
+
+let app_facts app sc_id =
   let sc = App.scenario app sc_id in
   let image = Adps.instrument app.App.app_image in
   let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
@@ -546,10 +605,19 @@ let app_model app sc_id =
     | None -> Alcotest.fail "profiled image holds no profile"
   in
   let session = Adps.analysis_session image in
-  let net = Net_profiler.exact Network.ethernet_10 in
-  let ladder = Adps.fallback_ladder ~image ~net () in
-  let truth = Fallback.migration_safety session in
-  Model.build ~classifier ~icc ~ladder ~truth ()
+  {
+    f_classifier = classifier;
+    f_icc = icc;
+    f_session = session;
+    f_ladder = Adps.fallback_ladder ~image ~net:vnet ();
+    f_truth = Fallback.migration_safety session;
+  }
+
+let facts_model ?pool f =
+  Model.build ?pool ~classifier:f.f_classifier ~icc:f.f_icc ~ladder:f.f_ladder ~truth:f.f_truth
+    ()
+
+let app_model app sc_id = facts_model (app_facts app sc_id)
 
 let test_apps_verify_clean () =
   List.iter
@@ -568,6 +636,116 @@ let test_apps_verify_clean () =
         (Model.group_count m < m.Model.m_classifications))
     [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_bigone") ]
 
+(* --- One shard rule ----------------------------------------------------
+   The verifier, the pool ladder and the RTE answer "which host" the
+   same way on every app at pools 2 and 3.  The model's host for a
+   group is its ring's primary; the ladder's is [Pool.host_of] of the
+   rung's [pr_shard_of]; the RTE routes by a copy of rung 0's table,
+   homing each shard on its primary ([Route.link] shows it at rung 0)
+   and re-homing every shard by [Pool.host_of] at each resize. *)
+
+let four_apps =
+  [
+    (Octarine.app, "o_oldwp0");
+    (Photodraw.app, "p_oldmsr");
+    (Benefits.app, "b_bigone");
+    (Ingest.app, "i_strm1");
+  ]
+
+let pool_cases =
+  lazy
+    (List.concat_map
+       (fun (app, sc_id) ->
+         let f = app_facts app sc_id in
+         List.map
+           (fun hosts ->
+             let pl = Fallback.pool_ladder ~hosts f.f_session ~net:vnet f.f_ladder in
+             (app, hosts, pl, facts_model ~pool:pl f))
+           [ 2; 3 ])
+       four_apps)
+
+(* The host a fresh fleet route sends a server-bound call for [c] to. *)
+let route_host app pl =
+  let env = Rte_env.create (Runtime.create_ctx app.App.app_registry) in
+  let route =
+    Route.create ~env ~factory:(Factory.create Factory.All_client) ~pool:true
+      ~network:Network.ethernet_10 ~jitter:0. ~seed:1L ~retry:Fault.default_retry ~faults:None
+      (Route.config pl)
+  in
+  fun c ->
+    Route.link route ~src:Constraints.Client ~dst:Constraints.Server ~caller_cls:(-1)
+      ~callee_cls:c
+
+let test_one_shard_rule () =
+  List.iter
+    (fun (app, hosts, pl, m) ->
+      let what = Printf.sprintf "%s pool-%d" app.App.app_name hosts in
+      let rung r = Fallback.pool_rung_at pl r in
+      let table0 = (rung 0).Fallback.pr_shard_of in
+      let rte_host r c = Pool.host_of (rung r).Fallback.pr_shape (Pool.shard_in table0 c) in
+      let route = route_host app pl in
+      let server r g = g.Model.g_targets.(r) = Constraints.Server in
+      let members g = List.filter (fun c -> c >= 0) g.Model.g_members in
+      for r = 0 to Model.rung_count m - 1 do
+        Array.iter
+          (fun g ->
+            if server r g then
+              List.iter
+                (fun c ->
+                  let pr = rung r in
+                  let s = pr.Fallback.pr_shard_of.(c) in
+                  Alcotest.(check bool) (what ^ ": server-side member is sharded") true (s >= 0);
+                  let ladder_host = Pool.host_of pr.Fallback.pr_shape s in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s rung %d: model host of %d is the ladder's" what r c)
+                    ladder_host (Model.target_host g r);
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s rung %d: RTE host of %d is the ladder's" what r c)
+                    ladder_host (rte_host r c);
+                  if r = 0 then
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s: the route sends %d to the ladder's host" what c)
+                      ladder_host (route c))
+                (members g))
+          m.Model.m_groups
+      done;
+      (* At every resize, the groups the model moves between hosts are
+         exactly the groups whose members the RTE re-homes. *)
+      for r = 0 to Model.rung_count m - 2 do
+        let from_k = (rung r).Fallback.pr_shape.Pool.sh_hosts in
+        let to_k = (rung (r + 1)).Fallback.pr_shape.Pool.sh_hosts in
+        if from_k <> to_k then begin
+          let stays g = server r g && server (r + 1) g in
+          let model_moves =
+            Array.to_list m.Model.m_groups
+            |> List.filter (fun g ->
+                   stays g && Model.target_host g r <> Model.target_host g (r + 1))
+            |> List.map (fun g -> g.Model.g_id)
+          in
+          let rte_moves =
+            Array.to_list m.Model.m_groups
+            |> List.filter (fun g ->
+                   stays g && List.exists (fun c -> rte_host r c <> rte_host (r + 1) c) (members g))
+            |> List.map (fun g -> g.Model.g_id)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: groups moved by the %d -> %d resize" what from_k to_k)
+            rte_moves model_moves
+        end
+      done)
+    (Lazy.force pool_cases)
+
+let test_apps_verify_clean_pooled () =
+  List.iter
+    (fun (app, hosts, _, m) ->
+      let r = Explore.run m in
+      let what = Printf.sprintf "%s pool-%d" app.App.app_name hosts in
+      Alcotest.(check bool) (what ^ ": exploration complete") true
+        r.Explore.r_stats.Explore.sr_complete;
+      Alcotest.(check int) (what ^ ": no violations") 0 (List.length r.Explore.r_violations);
+      Alcotest.(check int) (what ^ ": no diagnostics") 0 (List.length (Explore.diagnostics m r)))
+    (Lazy.force pool_cases)
+
 (* --- Golden CLI output and the exit-code contract --------------------- *)
 
 let test_verify_golden () =
@@ -584,7 +762,29 @@ let test_verify_golden () =
       (* A missing image is a usage error: cmdliner's 124, matching
          every other image-taking subcommand. *)
       Alcotest.(check int) "verify on a missing image fails" 124
-        (Harness.run [ "verify"; Filename.concat dir "nope.img" ]))
+        (Harness.run [ "verify"; Filename.concat dir "nope.img" ]);
+      (* --pool: 2 and 3 verify the pool ladder clean; outside [1, 3]
+         is rejected with the range message. *)
+      let out = Filename.concat dir "pool.txt" in
+      List.iter
+        (fun k ->
+          let flag = [ "verify"; img; "--pool"; string_of_int k ] in
+          Alcotest.(check int) (Printf.sprintf "verify --pool %d exits 0" k) 0
+            (Harness.run_to out flag);
+          Alcotest.(check bool) (Printf.sprintf "verify --pool %d verifies the ladder" k) true
+            (List.mem "no violations: ladder verified"
+               (String.split_on_char '\n' (Harness.read_file out))))
+        [ 2; 3 ];
+      List.iter
+        (fun k ->
+          let cmd =
+            Filename.quote_command Harness.exe [ "verify"; img; "--pool"; string_of_int k ]
+          in
+          Alcotest.(check int) (Printf.sprintf "verify --pool %d exits 1" k) 1
+            (Sys.command (cmd ^ " > /dev/null 2> " ^ Filename.quote out));
+          Alcotest.(check string) (Printf.sprintf "verify --pool %d names the range" k)
+            "error: --pool must be in [1, 3]\n" (Harness.read_file out))
+        [ 0; 4 ])
 
 let suite =
   [
@@ -604,6 +804,11 @@ let suite =
       test_rte_unsafe_migration_faults;
     Alcotest.test_case "verifier flags the same lie statically" `Quick
       test_verifier_flags_the_vfy_lie;
+    Alcotest.test_case "pool-2 ladder over the lying table yields CG008/CG009" `Quick
+      test_pool_lie_counterexamples;
     Alcotest.test_case "bundled apps verify clean" `Slow test_apps_verify_clean;
+    Alcotest.test_case "verifier, ladder and RTE share one shard rule" `Slow test_one_shard_rule;
+    Alcotest.test_case "bundled apps verify clean at pools 2 and 3" `Slow
+      test_apps_verify_clean_pooled;
     Alcotest.test_case "cli verify golden output and exit codes" `Slow test_verify_golden;
   ]
