@@ -714,7 +714,6 @@ let grid_cmd name ~doc view breaker =
           ~registry:app.App.app_registry ~network view sc.App.sc_run
       with
       | Invalid_argument msg | Fallback.Invalid msg -> die "%s" msg
-      | Fallback.Decode_error e -> die "%s" (Fallback.decode_error_message e)
       | Lint.Rejected diags ->
           Format.eprintf "%a" Lint.pp_text diags;
           die "distribution rejected by the static validator"

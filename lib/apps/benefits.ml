@@ -4,7 +4,6 @@ open Coign_com
 let chg ctx us = Runtime.charge ctx ~us
 
 let queries_per_view = 60
-let cache_count = 4
 let rows_per_fetch = 12
 let row_bytes = 700
 let odbc_row_bytes = 1_100

@@ -16,6 +16,3 @@
     but the front-end on the middle tier. *)
 
 val app : App.t
-
-val queries_per_view : int
-val cache_count : int

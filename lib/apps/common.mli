@@ -12,11 +12,6 @@ open Coign_com
 
 (** {1 Interface types} *)
 
-val i_file_read : Itype.t
-(** [open_file(name) -> fh], [file_size(fh) -> int],
-    [read_block(fh, offset, size) -> blob], [read_all(name) -> blob].
-    Remotable. *)
-
 val i_blob_sink : Itype.t
 (** [put(blob)], [finish() -> int]. Remotable bulk-transfer sink. *)
 

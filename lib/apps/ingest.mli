@@ -17,6 +17,3 @@
     open-loop load simulator drives against. *)
 
 val app : App.t
-
-val pack_ratio : int
-(** Raw-to-packed size reduction of the packer stage. *)

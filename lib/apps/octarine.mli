@@ -30,19 +30,6 @@
 
 val app : App.t
 
-(** Knobs the experiments reference (bytes / counts): *)
-
-val text_page_raw : int
-val text_page_parsed : int
-val prefetch_window : int
-
-val table_page_raw : int
-val rows_per_page : int
-val table_row_parsed : int
-val full_fetch_rows : int
-
-val negotiation_rounds : int
-
 val figure5 : App.scenario
 (** Loads a 35-page text-only document — the workload of the paper's
     Figure 5 (not a Table 1 row). *)

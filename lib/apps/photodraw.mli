@@ -16,6 +16,3 @@
       smallest in the suite (5-54% in the paper). *)
 
 val app : App.t
-
-val sprites_per_composition : int
-val property_sets : int

@@ -160,11 +160,6 @@ let build_chrome ctx k ~buttons ~menus ~extras =
   in
   { window_notify; window_paint; window_render; controls; paints }
 
-let paint_all ctx chrome =
-  List.iter
-    (fun p -> ignore (Runtime.call_named ctx p "paint" [ Value.Opaque_handle "HDC" ]))
-    chrome.paints
-
 let click ctx chrome i =
   match List.nth_opt chrome.controls i with
   | Some c -> ignore (Runtime.call_named ctx c "click" [])

@@ -45,10 +45,6 @@ val build_chrome :
     one toolbar/status bar/two scrollbars, [extras] tooltips, and a
     dialog; attach every control to the window. *)
 
-val paint_all : Runtime.ctx -> chrome -> unit
-(** One full repaint pass: [paint] on every widget (small,
-    non-remotable messages). *)
-
 val click : Runtime.ctx -> chrome -> int -> unit
 (** Click the i-th control (it notifies the window). *)
 

@@ -251,9 +251,6 @@ let instance_class_name ctx id =
 
 let instance_itypes ctx id = List.map fst (get_instance ctx id).inst_impl
 
-let instance_clsid ctx id =
-  match (get_instance ctx id).inst_class with None -> None | Some c -> Some c.clsid
-
 let instance_alive ctx id = (get_instance ctx id).inst_alive
 
 let instance_count ctx = ctx.ninstances
@@ -264,11 +261,6 @@ let live_instances ctx =
     else go (i - 1) (if ctx.instances.(i).inst_alive then i :: acc else acc)
   in
   go (ctx.ninstances - 1) []
-
-let iter_instances ctx f =
-  for i = 1 to ctx.ninstances - 1 do
-    f i
-  done
 
 let set_create_hook ctx hook = ctx.create_hook <- hook
 let set_query_hook ctx hook = ctx.query_hook <- hook
@@ -295,5 +287,3 @@ let get_data ctx key =
   match Hashtbl.find_opt ctx.data key with
   | None -> None
   | Some o -> Some (Obj.obj o)
-
-let registry_of ctx = ctx.reg

@@ -69,8 +69,6 @@ val registry : component_class list -> registry
 val registry_classes : registry -> component_class list
 (** All classes, in registration order. *)
 
-val find_class : registry -> Guid.t -> component_class option
-
 (** {1 Context lifecycle} *)
 
 val create_ctx : registry -> ctx
@@ -137,8 +135,6 @@ val instance_itypes : ctx -> instance_id -> Itype.t list
 (** The interfaces an instance implements, in declaration order. *)
 
 val instance_class_name : ctx -> instance_id -> string
-val instance_clsid : ctx -> instance_id -> Guid.t option
-(** [None] for {!main_instance}. *)
 
 val instance_alive : ctx -> instance_id -> bool
 val instance_count : ctx -> int
@@ -146,10 +142,6 @@ val instance_count : ctx -> int
 
 val live_instances : ctx -> instance_id list
 (** Ascending ids of live instances, excluding [main]. *)
-
-val iter_instances : ctx -> (instance_id -> unit) -> unit
-(** All instances ever created (dead included), ascending, excluding
-    [main]. *)
 
 (** {1 Interception hooks} *)
 
@@ -185,4 +177,3 @@ type 'a key
 val new_key : unit -> 'a key
 val set_data : ctx -> 'a key -> 'a -> unit
 val get_data : ctx -> 'a key -> 'a option
-val registry_of : ctx -> registry

@@ -113,10 +113,10 @@ let analysis_session ?profiler ?(extra_constraints = Constraints.empty) image =
   | Some (classifier, icc, constraints) ->
       Analysis.Session.create ?profiler ~classifier ~icc ~constraints ()
 
-let analyze_with ?algorithm ?profiler ?metrics ~session ~image ~net () =
+let analyze_with ?profiler ~session ~image ~net () =
   let classifier = Analysis.Session.classifier session in
   let constraints = Analysis.Session.constraints session in
-  let distribution = Analysis.Session.solve ?algorithm ?profiler ?metrics session ~net in
+  let distribution = Analysis.Session.solve ?profiler session ~net in
   (* The cut construction cannot violate the constraints it was
      given, but hand-forced extra constraints can be mutually
      unsatisfiable (e.g. pins splitting a static co-location pair).
@@ -144,9 +144,9 @@ let analyze_with ?algorithm ?profiler ?metrics ~session ~image ~net () =
   in
   (image, distribution)
 
-let analyze ?algorithm ?profiler ?metrics ?extra_constraints ~image ~net () =
+let analyze ?profiler ?extra_constraints ~image ~net () =
   let session = analysis_session ?profiler ?extra_constraints image in
-  analyze_with ?algorithm ?profiler ?metrics ~session ~image ~net ()
+  analyze_with ?profiler ~session ~image ~net ()
 
 type exec_stats = {
   es_comm_us : float;
@@ -297,17 +297,15 @@ let execute_fleet ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?se
    exactly the analyzed cut) and a fresh solve of the same session
    otherwise; later rungs re-price the same session under the
    failure-mode profiles of [net]. *)
-let fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ~image ~net () =
-  let session = analysis_session ?profiler image in
+let fallback_ladder ?pool ~image ~net () =
+  let session = analysis_session image in
   let primary = Option.map snd (load_distribution image) in
-  Fallback.compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net ()
+  Fallback.compute ?pool ?primary session ~net ()
 
 (* Build the pool-elastic ladder for a profiled image: the two-host
    ladder above widened to [hosts] machines, sharded and priced over
    the same analysis session. *)
-let pool_fallback_ladder ?algorithm ?profiler ?metrics ?pool ?modes ?replicas ~hosts ~image
-    ~net () =
-  let session = analysis_session ?profiler image in
+let pool_fallback_ladder ~hosts ~image ~net () =
+  let session = analysis_session image in
   let primary = Option.map snd (load_distribution image) in
-  let base = Fallback.compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () in
-  Fallback.pool_ladder ?replicas ~hosts session ~net base
+  Fallback.pool_ladder ~hosts session ~net (Fallback.compute ?primary session ~net ())

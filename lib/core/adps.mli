@@ -81,9 +81,7 @@ val analysis_session :
     ["profile_load"] phase, the graph build under ["icc_graph_build"]. *)
 
 val analyze_with :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
   ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
   session:Analysis.Session.t ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
@@ -98,9 +96,7 @@ val analyze_with :
     under the ["pricing"], ["cut"], and ["validation"] phases. *)
 
 val analyze :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
   ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
   ?extra_constraints:Constraints.t ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
@@ -217,11 +213,7 @@ val execute_fleet :
     does, so its stats are bit-identical to that run's. *)
 
 val fallback_ladder :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
-  ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
   ?pool:Coign_util.Parallel.t ->
-  ?modes:(string * Coign_netsim.Net_profiler.t) list ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
   unit ->
@@ -230,22 +222,18 @@ val fallback_ladder :
     stored distribution when it carries one (so failback restores
     exactly the analyzed cut) and a fresh solve otherwise, later rungs
     re-price the same analysis session under the failure-mode profiles
-    of [net] ({!Fallback.compute}). Raises [Invalid_argument] if the
-    image holds no profile. *)
+    of [net] ({!Fallback.compute}). With [pool], the failure-mode
+    rungs price domain-parallel with no change to the ladder. Raises
+    [Invalid_argument] if the image holds no profile. *)
 
 val pool_fallback_ladder :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
-  ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
-  ?pool:Coign_util.Parallel.t ->
-  ?modes:(string * Coign_netsim.Net_profiler.t) list ->
-  ?replicas:int ->
   hosts:int ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
   unit ->
   Fallback.pool_ladder
 (** The pool-elastic ladder for a profiled image: {!fallback_ladder}
-    widened to [hosts] machines ({!Fallback.pool_ladder}), sharded and
-    priced over the same analysis session. Raises [Invalid_argument]
-    if the image holds no profile. *)
+    widened to [hosts] machines ({!Fallback.pool_ladder}) with the
+    default two replicas, sharded and priced over the same analysis
+    session. Raises [Invalid_argument] if the image holds no
+    profile. *)

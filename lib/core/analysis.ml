@@ -402,19 +402,19 @@ module Session = struct
      published cost tables are shared — both immutable). The pool's
      order-preserving map keeps results bit-identical to the
      sequential path. *)
-  let solve_many ?algorithm ?profiler ?metrics ?pool t ~nets =
+  let solve_many ?profiler ?pool t ~nets =
     match pool with
-    | None -> List.map (fun net -> solve ?algorithm ?profiler ?metrics t ~net) nets
+    | None -> List.map (fun net -> solve ?profiler t ~net) nets
     | Some pool ->
         Array.to_list
           (Parallel.map_init pool
              ~init:(fun () -> copy t)
-             ~f:(fun s net -> solve ?algorithm ?profiler ?metrics s ~net)
+             ~f:(fun s net -> solve ?profiler s ~net)
              (Array.of_list nets))
 end
 
-let choose ?algorithm ?profiler ?metrics ~classifier ~icc ~constraints ~net () =
-  Session.solve ?algorithm ?profiler ?metrics
+let choose ?algorithm ?profiler ~classifier ~icc ~constraints ~net () =
+  Session.solve ?algorithm ?profiler
     (Session.create ?profiler ~classifier ~icc ~constraints ())
     ~net
 

@@ -81,9 +81,7 @@ module Session : sig
       bit-identical to the offline engine. *)
 
   val solve_many :
-    ?algorithm:Coign_flowgraph.Mincut.algorithm ->
     ?profiler:Coign_obs.Profiler.t ->
-    ?metrics:Coign_obs.Metrics.registry ->
     ?pool:Coign_util.Parallel.t ->
     t ->
     nets:Coign_netsim.Net_profiler.t list ->
@@ -122,7 +120,6 @@ end
 val choose :
   ?algorithm:Coign_flowgraph.Mincut.algorithm ->
   ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
   classifier:Classifier.t ->
   icc:Icc.t ->
   constraints:Constraints.t ->

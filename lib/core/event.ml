@@ -193,167 +193,6 @@ let fields = function
         ("migrated", Jsonu.Int migrated);
       ]
 
-let to_json e = Jsonu.Obj (("event", Jsonu.Str (kind_name e)) :: fields e)
-
 let to_line e =
   String.concat "\t"
     (kind_name e :: List.map (fun (k, v) -> k ^ "=" ^ Jsonu.to_string v) (fields e))
-
-exception Bad of string
-
-let of_json j =
-  let field k =
-    match Jsonu.member k j with
-    | Some v -> v
-    | None -> raise (Bad ("missing field " ^ k))
-  in
-  let int k =
-    match field k with Jsonu.Int i -> i | _ -> raise (Bad ("field " ^ k ^ " is not an int"))
-  in
-  let str k =
-    match field k with
-    | Jsonu.Str s -> s
-    | _ -> raise (Bad ("field " ^ k ^ " is not a string"))
-  in
-  let bool k =
-    match field k with
-    | Jsonu.Bool b -> b
-    | _ -> raise (Bad ("field " ^ k ^ " is not a bool"))
-  in
-  let float k =
-    match field k with
-    | Jsonu.Float f -> f
-    | Jsonu.Int i -> float_of_int i
-    | _ -> raise (Bad ("field " ^ k ^ " is not a number"))
-  in
-  try
-    match field "event" with
-    | Jsonu.Str "component_instantiated" ->
-        Ok
-          (Component_instantiated
-             {
-               inst = int "inst";
-               cname = str "cname";
-               classification = int "classification";
-               creator = int "creator";
-             })
-    | Jsonu.Str "component_destroyed" -> Ok (Component_destroyed { inst = int "inst" })
-    | Jsonu.Str "interface_instantiated" ->
-        Ok
-          (Interface_instantiated
-             { owner = int "owner"; iface = str "iface"; handle = int "handle" })
-    | Jsonu.Str "interface_destroyed" ->
-        Ok
-          (Interface_destroyed { owner = int "owner"; iface = str "iface"; handle = int "handle" })
-    | Jsonu.Str "interface_call" ->
-        Ok
-          (Interface_call
-             {
-               caller = int "caller";
-               caller_classification = int "caller_classification";
-               callee = int "callee";
-               callee_classification = int "callee_classification";
-               iface = str "iface";
-               meth = str "meth";
-               remotable = bool "remotable";
-               request_bytes = int "request_bytes";
-               reply_bytes = int "reply_bytes";
-             })
-    | Jsonu.Str "call_retried" ->
-        Ok (Call_retried { iface = str "iface"; meth = str "meth"; retries = int "retries" })
-    | Jsonu.Str "instantiation_degraded" ->
-        Ok (Instantiation_degraded { cname = str "cname"; classification = int "classification" })
-    | Jsonu.Str "breaker_opened" ->
-        Ok
-          (Breaker_opened
-             {
-               at_us = int "at_us";
-               failures = int "failures";
-               drops = int "drops";
-               spikes = int "spikes";
-             })
-    | Jsonu.Str "breaker_closed" ->
-        Ok (Breaker_closed { at_us = int "at_us"; probes = int "probes" })
-    | Jsonu.Str "failover" ->
-        Ok
-          (Failover
-             {
-               at_us = int "at_us";
-               rung = str "rung";
-               from_rung = int "from_rung";
-               to_rung = int "to_rung";
-               migrated = int "migrated";
-               stranded = int "stranded";
-             })
-    | Jsonu.Str "failback" ->
-        Ok
-          (Failback
-             {
-               at_us = int "at_us";
-               rung = str "rung";
-               from_rung = int "from_rung";
-               to_rung = int "to_rung";
-               migrated = int "migrated";
-             })
-    | Jsonu.Str "instance_migrated" ->
-        Ok
-          (Instance_migrated
-             {
-               at_us = int "at_us";
-               inst = int "inst";
-               classification = int "classification";
-               from_loc = str "from_loc";
-               to_loc = str "to_loc";
-             })
-    | Jsonu.Str "drift_detected" ->
-        Ok
-          (Drift_detected
-             {
-               at_us = int "at_us";
-               similarity = float "similarity";
-               threshold = float "threshold";
-               window_pairs = int "window_pairs";
-             })
-    | Jsonu.Str "repartitioned" ->
-        Ok
-          (Repartitioned
-             {
-               at_us = int "at_us";
-               similarity = float "similarity";
-               from_servers = int "from_servers";
-               to_servers = int "to_servers";
-               migrated = int "migrated";
-               left = int "left";
-             })
-    | Jsonu.Str "replica_promoted" ->
-        Ok
-          (Replica_promoted
-             {
-               at_us = int "at_us";
-               shard = int "shard";
-               from_host = int "from_host";
-               to_host = int "to_host";
-             })
-    | Jsonu.Str "shard_split" ->
-        Ok
-          (Shard_split
-             {
-               at_us = int "at_us";
-               shard = int "shard";
-               new_shard = int "new_shard";
-               moved = int "moved";
-               to_host = int "to_host";
-             })
-    | Jsonu.Str "pool_resized" ->
-        Ok
-          (Pool_resized
-             {
-               at_us = int "at_us";
-               from_hosts = int "from_hosts";
-               to_hosts = int "to_hosts";
-               shards = int "shards";
-               migrated = int "migrated";
-             })
-    | Jsonu.Str other -> Error ("unknown event kind " ^ other)
-    | _ -> Error "event tag is not a string"
-  with Bad msg -> Error msg

@@ -121,15 +121,6 @@ val fields : t -> (string * Coign_util.Jsonu.t) list
 (** The record's fields, named exactly as the record labels, in
     declaration order — the attributes of the RTE's ["event"] spans. *)
 
-val to_json : t -> Coign_util.Jsonu.t
-(** The event as a JSON object: [{"event": kind_name, <field>: <value>, ...}]
-    with fields named exactly as the record labels, in declaration
-    order. Round-trips through {!of_json}. *)
-
-val of_json : Coign_util.Jsonu.t -> (t, string) result
-(** Inverse of {!to_json}. [Error] names the missing or mistyped field,
-    or the unknown event kind. *)
-
 val to_line : t -> string
 (** The stable machine-readable line format emitted by
     {!Logger.to_channel}: the {!kind_name} tag followed by

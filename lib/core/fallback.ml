@@ -26,16 +26,15 @@ let migration_safety_table t = Array.copy t.fb_migration_safe
 
 let migration_safety = Analysis.Session.migration_safety
 
-let default_modes net =
-  [ ("lossy", Net_profiler.degrade net); ("partition", Net_profiler.link_down net) ]
-
-let compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () =
+let compute ?profiler ?pool ?primary session ~net () =
   let primary =
     match primary with
     | Some d -> d
-    | None -> Analysis.Session.solve ?algorithm ?profiler ?metrics session ~net
+    | None -> Analysis.Session.solve ?profiler session ~net
   in
-  let modes = match modes with Some m -> m | None -> default_modes net in
+  let modes =
+    [ ("lossy", Net_profiler.degrade net); ("partition", Net_profiler.link_down net) ]
+  in
   let classifier = Analysis.Session.classifier session in
   let constraints = Analysis.Session.constraints session in
   let checked name d =
@@ -59,7 +58,7 @@ let compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () 
      back in mode order, so the dedup fold below — and therefore the
      ladder — is identical to the sequential build. *)
   let mode_dists =
-    Analysis.Session.solve_many ?algorithm ?profiler ?metrics ?pool session
+    Analysis.Session.solve_many ?profiler ?pool session
       ~nets:(List.map snd modes)
   in
   List.iter2 (fun (name, _) d -> add name d) modes mode_dists;
@@ -93,106 +92,6 @@ let compute ?algorithm ?profiler ?metrics ?pool ?modes ?primary session ~net () 
 let of_rungs ~migration_safe rungs =
   if rungs = [] then raise (Invalid "fallback ladder needs at least one rung");
   { fb_rungs = Array.of_list rungs; fb_migration_safe = migration_safe }
-
-let encode t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Array.length t.fb_rungs)
-       (Array.length t.fb_migration_safe));
-  Array.iter
-    (fun safe -> Buffer.add_char buf (if safe then '1' else '0'))
-    t.fb_migration_safe;
-  Buffer.add_char buf '\n';
-  Array.iter
-    (fun r ->
-      Buffer.add_string buf r.rg_name;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Analysis.encode r.rg_distribution);
-      Buffer.add_char buf '\n')
-    t.fb_rungs;
-  Buffer.contents buf
-
-type decode_error =
-  | Truncated
-  | Bad_header of string
-  | Safety_mismatch of { expected : int; got : int }
-  | Truncated_rung of int
-  | Bad_rung of { rung : int; msg : string }
-  | Rung_node_count of { rung : int; expected : int; got : int }
-  | Duplicate_placement of { rung : int; first : int }
-
-let decode_error_message = function
-  | Truncated -> "truncated ladder"
-  | Bad_header h -> Printf.sprintf "bad header %S" h
-  | Safety_mismatch { expected; got } ->
-      Printf.sprintf "safety table is %d entries, header said %d" got expected
-  | Truncated_rung i -> Printf.sprintf "truncated rung %d" i
-  | Bad_rung { rung; msg } -> Printf.sprintf "rung %d: %s" rung msg
-  | Rung_node_count { rung; expected; got } ->
-      Printf.sprintf
-        "rung %d places %d classifications, safety table covers %d \
-         (out-of-range classification ids)"
-        rung got expected
-  | Duplicate_placement { rung; first } ->
-      Printf.sprintf "rung %d duplicates the placement of rung %d" rung first
-
-exception Decode_error of decode_error
-
-let () =
-  Printexc.register_printer (function
-    | Decode_error e -> Some ("Fallback.decode: " ^ decode_error_message e)
-    | _ -> None)
-
-let decode s =
-  let fail e = raise (Decode_error e) in
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | header :: safe_line :: rest -> (
-      match String.split_on_char ' ' header with
-      | [ k; n ] ->
-          let int raw =
-            match int_of_string_opt raw with
-            | Some v -> v
-            | None -> fail (Bad_header header)
-          in
-          let k = int k and n = int n in
-          if k < 1 || n < 0 then fail (Bad_header header);
-          if String.length safe_line <> n then
-            fail (Safety_mismatch { expected = n; got = String.length safe_line });
-          let migration_safe = Array.init n (fun i -> safe_line.[i] = '1') in
-          let rec take acc i lines =
-            if i = k then List.rev acc
-            else
-              match lines with
-              | name :: dist_header :: placement :: tl ->
-                  let d =
-                    match Analysis.decode (dist_header ^ "\n" ^ placement) with
-                    | d -> d
-                    | exception Analysis.Decode_error msg ->
-                        fail (Bad_rung { rung = i; msg })
-                  in
-                  if d.Analysis.node_count <> n then
-                    fail
-                      (Rung_node_count
-                         { rung = i; expected = n; got = d.Analysis.node_count });
-                  take ({ rg_name = name; rg_distribution = d } :: acc) (i + 1) tl
-              | _ -> fail (Truncated_rung i)
-          in
-          let rungs = take [] 0 rest in
-          List.iteri
-            (fun i r ->
-              List.iteri
-                (fun j r' ->
-                  if
-                    j < i
-                    && r'.rg_distribution.Analysis.placement
-                       = r.rg_distribution.Analysis.placement
-                  then fail (Duplicate_placement { rung = i; first = j }))
-                rungs)
-            rungs;
-          { fb_rungs = Array.of_list rungs; fb_migration_safe = migration_safe }
-      | _ -> fail (Bad_header header))
-  | _ -> fail Truncated
 
 (* --- pool-elastic ladder ------------------------------------------- *)
 

@@ -28,22 +28,20 @@ exception Invalid of string
     the ladder is empty. *)
 
 val compute :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
   ?profiler:Coign_obs.Profiler.t ->
-  ?metrics:Coign_obs.Metrics.registry ->
   ?pool:Coign_util.Parallel.t ->
-  ?modes:(string * Coign_netsim.Net_profiler.t) list ->
   ?primary:Analysis.distribution ->
   Analysis.Session.t ->
   net:Coign_netsim.Net_profiler.t ->
   unit ->
   t
 (** Build the ladder from an analysis session.  [primary] (default: a
-    fresh solve against [net]) becomes rung 0; each failure mode in
-    [modes] (default: [lossy] then [partition] derived from [net]) is
-    solved and appended unless its placement duplicates an earlier
-    rung; the all-client placement is appended last under the same
-    dedup rule.  With [pool], the mode rungs price domain-parallel
+    fresh solve against [net]) becomes rung 0; the two failure modes
+    derived from [net], [lossy] ({!Coign_netsim.Net_profiler.degrade})
+    then [partition] ({!Coign_netsim.Net_profiler.link_down}), are
+    each solved and appended unless the placement duplicates an
+    earlier rung; the all-client placement is appended last under the
+    same dedup rule.  With [pool], the mode rungs price domain-parallel
     ({!Analysis.Session.solve_many}) with no change to the resulting
     ladder.  The session's pricing is reusable afterwards — the next
     [solve] replaces it as always. *)
@@ -70,35 +68,6 @@ val migration_safety_table : t -> bool array
     classification.  The verifier compares this (what the RTE will act
     on) against a freshly derived {!migration_safety} (the static
     truth) to detect stale or hand-edited tables. *)
-
-val encode : t -> string
-
-type decode_error =
-  | Truncated  (** fewer than header + safety-table lines *)
-  | Bad_header of string  (** header line is not ["k n"] with [k >= 1] *)
-  | Safety_mismatch of { expected : int; got : int }
-      (** safety-table line length disagrees with the header *)
-  | Truncated_rung of int  (** rung [i] is missing lines *)
-  | Bad_rung of { rung : int; msg : string }
-      (** rung [i]'s distribution failed {!Analysis.decode} *)
-  | Rung_node_count of { rung : int; expected : int; got : int }
-      (** rung [i] places a different classification range than the
-          safety table covers — its placement indexes classifications
-          the table knows nothing about *)
-  | Duplicate_placement of { rung : int; first : int }
-      (** rung [i] repeats the placement of an earlier rung — a ladder
-          {!compute} can never produce, and one the RTE's
-          rung-switching logic must not be handed *)
-
-val decode_error_message : decode_error -> string
-
-exception Decode_error of decode_error
-
-val decode : string -> t
-(** Inverse of {!encode}.  Raises {!Decode_error} on malformed input —
-    including duplicate rung placements and rungs whose node count
-    falls outside the safety table's classification range, which older
-    decoders accepted silently. *)
 
 (** {1 Pool-elastic ladder}
 

@@ -16,10 +16,6 @@ let profiling ~icc ~inst_comm = function
   | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _ ->
       ()
 
-let counting () =
-  let n = ref 0 in
-  ((fun _ -> incr n), fun () -> !n)
-
 let tally () =
   let counts : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
   let log e =

@@ -17,10 +17,6 @@ val profiling : icc:Icc.t -> inst_comm:Inst_comm.t -> t
     ICC histograms and the instance-level matrix; other events are
     ignored (instantiation data lives in the classifier state). *)
 
-val counting : unit -> t * (unit -> int)
-(** Counts events — the "slight additional overhead" message counter
-    the paper proposes for recognizing usage drift (§6). *)
-
 val tally : unit -> t * (unit -> (string * int) list)
 (** Counts events per {!Event.kind_name}, sorted by name — cheap enough
     for the distributed RTE, where it tallies fault events

@@ -75,14 +75,3 @@ let rec pp ppf = function
   | Iface name -> Format.fprintf ppf "%s*" name
   | Opaque tag -> Format.fprintf ppf "opaque<%s>" tag
 
-let pp_dir ppf = function
-  | In -> Format.pp_print_string ppf "in"
-  | Out -> Format.pp_print_string ppf "out"
-  | In_out -> Format.pp_print_string ppf "in,out"
-
-let pp_method ppf m =
-  Format.fprintf ppf "%a %s(@[%a@])" pp m.ret m.mname
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf p -> Format.fprintf ppf "[%a] %a %s" pp_dir p.pdir pp p.pty p.pname))
-    m.params

@@ -60,5 +60,3 @@ val contains_iface : t -> bool
     to find interface pointers, §3.2). *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_method : Format.formatter -> method_sig -> unit

@@ -53,8 +53,6 @@ let compile ty =
   List.iter (fun (i, op) -> arr.(i) <- op) !programs;
   { programs = arr; ty }
 
-let opcount p = Array.length p.programs
-
 let rec same_length a b =
   match (a, b) with
   | [], [] -> true

@@ -9,10 +9,15 @@ type t = {
   meta : Image_meta.t option;
 }
 
-let create ~name ?(imports = [ "ole32.dll"; "kernel32.dll"; "user32.dll" ])
-    ?(sections = [ { sec_name = ".text"; sec_size = 65536 }; { sec_name = ".data"; sec_size = 16384 } ])
-    ?meta ~api_refs () =
-  { img_name = name; imports; sections; api_refs; config = None; meta }
+let create ~name ?meta ~api_refs () =
+  {
+    img_name = name;
+    imports = [ "ole32.dll"; "kernel32.dll"; "user32.dll" ];
+    sections = [ { sec_name = ".text"; sec_size = 65536 }; { sec_name = ".data"; sec_size = 16384 } ];
+    api_refs;
+    config = None;
+    meta;
+  }
 
 let class_api_refs t cname =
   Option.value ~default:[] (List.assoc_opt cname t.api_refs)

@@ -23,9 +23,10 @@ type t = {
 }
 
 val create :
-  name:string -> ?imports:string list -> ?sections:section list ->
-  ?meta:Image_meta.t ->
-  api_refs:(string * string list) list -> unit -> t
+  name:string -> ?meta:Image_meta.t -> api_refs:(string * string list) list -> unit -> t
+(** A fresh image importing [ole32.dll], [kernel32.dll] and
+    [user32.dll], with a 64 KiB [.text] and a 16 KiB [.data] section and
+    no config record. *)
 
 val class_api_refs : t -> string -> string list
 (** APIs referenced by a class; empty when unknown. *)

@@ -33,8 +33,6 @@ val create : ifaces:iface list -> classes:cls list -> roots:string list -> t
     method signature with [Opaque recursive_marker] (conservatively
     non-remotable — a cyclic value cannot be marshaled). *)
 
-val sanitize_type : Idl_type.t -> Idl_type.t
-
 val iface : t -> string -> iface option
 val cls : t -> string -> cls option
 

@@ -54,11 +54,6 @@ type snapshot = {
 
 type input = Observe | Success | Failure
 
-let input_name = function
-  | Observe -> "observe"
-  | Success -> "success"
-  | Failure -> "failure"
-
 let initial_snapshot policy =
   {
     sn_state = Closed;

@@ -49,9 +49,6 @@ type input = Observe | Success | Failure
 (** The three stimuli a breaker reacts to: a clock advance, a
     successful call, a failed call. *)
 
-val input_name : input -> string
-(** ["observe"], ["success"], ["failure"]. *)
-
 val initial_snapshot : policy -> snapshot
 (** The control state of a freshly created tracker: [Closed], zero
     counters, base cooloff. *)

@@ -13,14 +13,13 @@ let representative_sizes =
   let rec go acc size = if size > 1 lsl 20 then List.rev acc else go (size :: acc) (size * 2) in
   go [ 16 ] 64
 
-let profile ?(samples_per_size = 7) ?(noise = 0.02) rng net =
-  if samples_per_size < 2 then invalid_arg "Net_profiler.profile: need >= 2 samples";
+let profile rng net =
   let observations =
     List.concat_map
       (fun size ->
-        List.init samples_per_size (fun _ ->
+        List.init 7 (fun _ ->
             let true_us = Network.message_us net ~bytes:size in
-            let observed = Prng.gaussian rng ~mu:true_us ~sigma:(noise *. true_us) in
+            let observed = Prng.gaussian rng ~mu:true_us ~sigma:(0.02 *. true_us) in
             (size, Float.max 0. observed)))
       representative_sizes
     |> Array.of_list
@@ -96,8 +95,6 @@ let pp ppf t =
    *scaling* would leave every min cut unchanged — only a shape change
    can move the fallback cut. *)
 let penalize t ~suffix ~penalty_us =
-  if not (penalty_us >= 0.) then
-    invalid_arg "Net_profiler.penalize: negative penalty";
   {
     profiled_name = t.profiled_name ^ "+" ^ suffix;
     observations = Array.map (fun (b, us) -> (b, us +. penalty_us)) t.observations;
@@ -105,9 +102,8 @@ let penalize t ~suffix ~penalty_us =
     per_byte_us = t.per_byte_us;
   }
 
-let degrade ?(drop_rate = 0.3) ?(retry = Fault.default_retry) t =
-  if not (drop_rate >= 0. && drop_rate < 1.) then
-    invalid_arg "Net_profiler.degrade: drop_rate outside [0, 1)";
+let degrade t =
+  let drop_rate = 0.3 and retry = Fault.default_retry in
   (* A round trip survives only when both legs do; every failed attempt
      costs a full timeout plus the base backoff before the retry. *)
   let p_fail = 1. -. ((1. -. drop_rate) ** 2.) in
@@ -117,4 +113,4 @@ let degrade ?(drop_rate = 0.3) ?(retry = Fault.default_retry) t =
   in
   penalize t ~suffix:(Printf.sprintf "lossy%g" drop_rate) ~penalty_us
 
-let link_down ?(penalty_us = 1e7) t = penalize t ~suffix:"down" ~penalty_us
+let link_down t = penalize t ~suffix:"down" ~penalty_us:1e7

@@ -16,11 +16,9 @@ type t = {
   per_byte_us : float;                  (** fitted marginal cost *)
 }
 
-val profile :
-  ?samples_per_size:int -> ?noise:float -> Coign_util.Prng.t -> Network.t -> t
-(** Sample the network ([samples_per_size] observations per
-    representative size, default 7; [noise] is the relative stddev of
-    an observation, default 0.02). *)
+val profile : Coign_util.Prng.t -> Network.t -> t
+(** Sample the network: 7 observations per representative size, each
+    with a relative standard deviation of 0.02. *)
 
 val predict_us : t -> bytes:int -> float
 (** Fitted one-way message time, clamped at 0. *)
@@ -55,14 +53,13 @@ val pp : Format.formatter -> t -> unit
     shape change like this can move the fallback cut — it taxes chatty
     pairs more than bulky ones. *)
 
-val degrade : ?drop_rate:float -> ?retry:Fault.retry_policy -> t -> t
+val degrade : t -> t
 (** The link as seen through sustained loss: each message pays the
-    expected retry penalty (timeouts plus base backoff) of surviving
-    [drop_rate] (default 0.3) per leg under [retry] (default
-    {!Fault.default_retry}). *)
+    expected retry penalty (timeouts plus base backoff) of surviving a
+    drop rate of 0.3 per leg under {!Fault.default_retry}. *)
 
-val link_down : ?penalty_us:float -> t -> t
+val link_down : t -> t
 (** The link as seen through a partition: a huge fixed per-message cost
-    (default 1e7 µs), so the resulting cut minimizes the number of
+    (1e7 µs), so the resulting cut minimizes the number of
     crossing messages — the principled "pull everything movable to one
     machine" floor, still honouring pins. *)

@@ -1,5 +1,3 @@
-open Coign_util
-
 type phase = {
   ph_name : string;
   ph_count : int;
@@ -93,16 +91,3 @@ let pp_text ppf t =
         (if total > 0. then 100. *. ph.ph_total_s /. total else 0.))
     ps;
   Format.fprintf ppf "%-24s  %7s  %12.3f@," "total" "" (total *. 1e3)
-
-let json t =
-  Jsonu.Arr
-    (List.map
-       (fun ph ->
-         Jsonu.Obj
-           [
-             ("phase", Jsonu.Str ph.ph_name);
-             ("count", Jsonu.Int ph.ph_count);
-             ("total_s", Jsonu.Float ph.ph_total_s);
-             ("max_s", Jsonu.Float ph.ph_max_s);
-           ])
-       (phases t))

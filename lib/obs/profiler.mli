@@ -33,9 +33,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk under a phase timer. If it raises, the time still
     records and the exception propagates. *)
 
-val record : t -> string -> seconds:float -> unit
-(** Record an externally measured duration (clamped at 0). *)
-
 val phases : t -> phase list
 (** Snapshot in first-use order. *)
 
@@ -50,5 +47,3 @@ val reset : t -> unit
 val pp_text : Format.formatter -> t -> unit
 (** A small table (count / total ms / max ms / share); emit inside a
     vertical box. *)
-
-val json : t -> Coign_util.Jsonu.t

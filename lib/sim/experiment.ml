@@ -65,9 +65,6 @@ let run_scenario ?(network = Network.ethernet_10) ?(jitter = 0.015) ?(seed = 0xC
     classifier;
   }
 
-let run_app ?network ?jitter ?seed (app : App.t) =
-  List.map (run_scenario ?network ?jitter ?seed app) app.App.app_scenarios
-
 let run_suite ?network ?jitter ?seed ?pool apps =
   let tasks =
     Array.of_list
@@ -137,8 +134,8 @@ type sweep_point = {
   sw_predicted_comm_us : float;
 }
 
-let sweep_point ?(profile_seed = 7L) ?profiler session network =
-  let net = Net_profiler.profile (Prng.create profile_seed) network in
+let sweep_point ?profiler session network =
+  let net = Net_profiler.profile (Prng.create 7L) network in
   let d = Analysis.Session.solve ?profiler session ~net in
   {
     sw_network = network;
@@ -147,11 +144,11 @@ let sweep_point ?(profile_seed = 7L) ?profiler session network =
     sw_predicted_comm_us = d.Analysis.predicted_comm_us;
   }
 
-let sweep ?pool ?profile_seed ?profiler ~session networks =
+let sweep ?pool ?profiler ~session networks =
   let networks = Array.of_list networks in
   let points =
     match pool with
-    | None -> Array.map (sweep_point ?profile_seed ?profiler session) networks
+    | None -> Array.map (sweep_point ?profiler session) networks
     | Some pool ->
         (* Sessions are single-domain: each participating domain prices
            and cuts on its own copy of the flow network (the abstract
@@ -161,7 +158,7 @@ let sweep ?pool ?profile_seed ?profiler ~session networks =
            aggregate correctly. *)
         Parallel.map_init pool
           ~init:(fun () -> Analysis.Session.copy session)
-          ~f:(fun s network -> sweep_point ?profile_seed ?profiler s network)
+          ~f:(fun s network -> sweep_point ?profiler s network)
           networks
   in
   Array.to_list points

@@ -41,11 +41,6 @@ val run_scenario :
 (** Defaults: the paper's 10BaseT Ethernet testbed, 1.5% measurement
     jitter, a fixed seed. *)
 
-val run_app :
-  ?network:Coign_netsim.Network.t -> ?jitter:float -> ?seed:int64 ->
-  Coign_apps.App.t -> row list
-(** Every scenario of the application, in suite order. *)
-
 val run_suite :
   ?network:Coign_netsim.Network.t ->
   ?jitter:float ->
@@ -94,13 +89,12 @@ type sweep_point = {
 
 val sweep :
   ?pool:Coign_util.Parallel.t ->
-  ?profile_seed:int64 ->
   ?profiler:Coign_obs.Profiler.t ->
   session:Coign_core.Analysis.Session.t ->
   Coign_netsim.Network.t list ->
   sweep_point list
 (** Solve one analysis session against every network (each sampled
-    with a fresh PRNG from [profile_seed], default 7), in list order —
+    with a fresh PRNG seeded 7), in list order —
     the placement-vs-network tables behind the paper's Figures 4-8 and
     the [coign sweep] subcommand. With [pool], points are solved in
     parallel on per-domain session copies; the result is identical to

@@ -1,17 +1,13 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
-
-type t = { columns : (string * align) list; mutable rows : row list (* reversed *) }
+type t = { columns : (string * align) list; mutable rows : string list list (* reversed *) }
 
 let create columns = { columns; rows = [] }
 
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Tablefmt.add_row: cell count mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let headers = List.map fst t.columns in
@@ -21,10 +17,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Separator -> acc
-            | Cells cells -> max acc (String.length (List.nth cells i)))
+          (fun acc cells -> max acc (String.length (List.nth cells i)))
           (String.length h) rows)
       headers
   in
@@ -47,13 +40,7 @@ let render t =
   emit_cells headers;
   Buffer.add_string buf (String.make total_width '-');
   Buffer.add_char buf '\n';
-  List.iter
-    (function
-      | Separator ->
-          Buffer.add_string buf (String.make total_width '-');
-          Buffer.add_char buf '\n'
-      | Cells cells -> emit_cells cells)
-    rows;
+  List.iter emit_cells rows;
   Buffer.contents buf
 
 let print ?title t =

@@ -14,9 +14,6 @@ val create : (string * align) list -> t
 val add_row : t -> string list -> unit
 (** Append a row; must have as many cells as there are columns. *)
 
-val add_separator : t -> unit
-(** Append a horizontal rule. *)
-
 val render : t -> string
 (** Render with every column padded to its widest cell. *)
 

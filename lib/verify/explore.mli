@@ -42,15 +42,9 @@ val event_of_id : Model.t -> string -> event option
 (** Inverse of {!event_id}; [None] on unknown ids or out-of-range
     group numbers. *)
 
-val pp_event : Model.t -> Format.formatter -> event -> unit
-(** Human form; [Migrate] shows the group's subject class. *)
-
-val pp_trace : Model.t -> Format.formatter -> event list -> unit
-(** [ev -> ev -> ...]. *)
-
 type state = {
   st_rung : int;
-  st_snap : Coign_netsim.Health.snapshot;  (** canonical, see [canon] *)
+  st_snap : Coign_netsim.Health.snapshot;  (** canonical, see the implementation header *)
   st_locs : Constraints.location array;  (** per group *)
   st_hosts : int array;
       (** per group: pool host, 0 on the client side.  Inert (all 0,
@@ -61,12 +55,6 @@ type state = {
 val init : Model.t -> state
 (** Rung 0, closed breaker, every group at its primary target (and
     target host). *)
-
-val canon : Coign_netsim.Health.snapshot -> Coign_netsim.Health.snapshot
-(** Canonicalize a snapshot onto the finite grid: opened-at pinned to 0,
-    consecutive failures kept only in [Closed], probe successes only in
-    [Half_open].  Exact (bisimilar) — each field is unread before its
-    next reset outside the kept state; see the implementation header. *)
 
 val enabled : Model.t -> state -> event list
 (** Events enabled in a state, in deterministic order.  Link events

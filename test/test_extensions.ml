@@ -430,6 +430,60 @@ let test_icc_map_classifications () =
     (List.exists (fun e -> e.Icc.src = -1 && e.Icc.dst = 10) entries);
   Alcotest.(check int) "calls preserved" 2 (Icc.call_count mapped)
 
+(* --- Decoders behind files the CLI loads --------------------------------- *)
+
+(* Octarine o_oldwp0's profile log and profiled image: real encodings of
+   every section the CLI reads back. *)
+let bit_flip_log = lazy (profile_log_of "o_oldwp0")
+
+let bit_flip_image =
+  lazy
+    (let app = Octarine.app in
+     fst
+       (Adps.profile
+          ~image:(Adps.instrument app.App.app_image)
+          ~registry:app.App.app_registry (App.scenario app "o_oldwp0").App.sc_run))
+
+(* Flipping any one bit of [encoded] must leave [decode] either decoding
+   or raising its own typed error; each run samples 2,000 seeded bit
+   positions. *)
+let prop_bit_flips name ~encoded ~decode ~typed =
+  let arb =
+    QCheck.make ~print:(Printf.sprintf "bit %d") (fun st ->
+        Random.State.int st (String.length (Lazy.force encoded) * 8))
+  in
+  QCheck.Test.make ~name:("every bit flip of " ^ name ^ " decodes or raises its typed error")
+    ~count:2000 arb (fun i ->
+      let s = Lazy.force encoded in
+      let b = Bytes.of_string s in
+      Bytes.set b (i / 8) (Char.chr (Char.code s.[i / 8] lxor (1 lsl (i mod 8))));
+      match decode (Bytes.to_string b) with
+      | () -> true
+      | exception e when typed e -> true
+      | exception e -> QCheck.Test.fail_reportf "bit %d: %s" i (Printexc.to_string e))
+
+let bit_flip_suite =
+  let log () = Lazy.force bit_flip_log in
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_bit_flips "an icc summary"
+        ~encoded:(lazy (Icc.encode (log ()).Profile_log.pl_icc))
+        ~decode:(fun s -> ignore (Icc.decode s))
+        ~typed:(function Icc.Decode_error _ -> true | _ -> false);
+      prop_bit_flips "a classifier"
+        ~encoded:(lazy (Classifier.encode (log ()).Profile_log.pl_classifier))
+        ~decode:(fun s -> ignore (Classifier.decode s))
+        ~typed:(function Classifier.Decode_error _ -> true | _ -> false);
+      prop_bit_flips "a profile log"
+        ~encoded:(lazy (Profile_log.encode (log ())))
+        ~decode:(fun s -> ignore (Profile_log.decode s))
+        ~typed:(function Profile_log.Decode_error _ -> true | _ -> false);
+      prop_bit_flips "a profiled image"
+        ~encoded:(lazy (Coign_image.Binary_image.encode (Lazy.force bit_flip_image)))
+        ~decode:(fun s -> ignore (Coign_image.Binary_image.decode s))
+        ~typed:(function Coign_image.Codec.Malformed _ -> true | _ -> false);
+    ]
+
 let log_suite =
   [
     Alcotest.test_case "profile log roundtrip" `Quick test_profile_log_roundtrip;
@@ -443,4 +497,4 @@ let log_suite =
     Alcotest.test_case "icc map classifications" `Quick test_icc_map_classifications;
   ]
 
-let suite = suite @ log_suite
+let suite = suite @ log_suite @ bit_flip_suite

@@ -97,134 +97,6 @@ let all_event_shapes =
     Event.Pool_resized { at_us = 61_000; from_hosts = 3; to_hosts = 2; shards = 4; migrated = 5 };
   ]
 
-let test_event_json_roundtrip_all_constructors () =
-  List.iter
-    (fun e ->
-      (* ... including through the printed text, as a scraper would. *)
-      let j = Jsonu.parse_exn (Jsonu.to_string (Event.to_json e)) in
-      match Event.of_json j with
-      | Ok e' -> Alcotest.(check bool) (Event.kind_name e) true (e = e')
-      | Error msg -> Alcotest.fail (Event.kind_name e ^ ": " ^ msg))
-    all_event_shapes
-
-let test_event_of_json_errors () =
-  let err j = match Event.of_json j with Error _ -> true | Ok _ -> false in
-  Alcotest.(check bool) "unknown kind" true
-    (err (Jsonu.Obj [ ("event", Jsonu.Str "nonesuch") ]));
-  Alcotest.(check bool) "missing field" true
-    (err (Jsonu.Obj [ ("event", Jsonu.Str "component_destroyed") ]));
-  Alcotest.(check bool) "mistyped field" true
-    (err (Jsonu.Obj [ ("event", Jsonu.Str "component_destroyed"); ("inst", Jsonu.Str "x") ]))
-
-let gen_event =
-  let open QCheck.Gen in
-  let s = string_size ~gen:char (int_bound 12) in
-  let i = int_bound 10_000 in
-  oneof
-    [
-      ( i >>= fun inst ->
-        s >>= fun cname ->
-        i >>= fun classification ->
-        i >>= fun creator ->
-        return (Event.Component_instantiated { inst; cname; classification; creator }) );
-      (i >>= fun inst -> return (Event.Component_destroyed { inst }));
-      ( i >>= fun owner ->
-        s >>= fun iface ->
-        i >>= fun handle -> return (Event.Interface_instantiated { owner; iface; handle }) );
-      ( i >>= fun owner ->
-        s >>= fun iface ->
-        i >>= fun handle -> return (Event.Interface_destroyed { owner; iface; handle }) );
-      ( i >>= fun caller ->
-        i >>= fun caller_classification ->
-        i >>= fun callee ->
-        i >>= fun callee_classification ->
-        s >>= fun iface ->
-        s >>= fun meth ->
-        bool >>= fun remotable ->
-        i >>= fun request_bytes ->
-        i >>= fun reply_bytes ->
-        return
-          (Event.Interface_call
-             {
-               caller;
-               caller_classification;
-               callee;
-               callee_classification;
-               iface;
-               meth;
-               remotable;
-               request_bytes;
-               reply_bytes;
-             }) );
-      ( s >>= fun iface ->
-        s >>= fun meth ->
-        i >>= fun retries -> return (Event.Call_retried { iface; meth; retries }) );
-      ( s >>= fun cname ->
-        i >>= fun classification ->
-        return (Event.Instantiation_degraded { cname; classification }) );
-      ( i >>= fun at_us ->
-        i >>= fun failures ->
-        i >>= fun drops ->
-        i >>= fun spikes -> return (Event.Breaker_opened { at_us; failures; drops; spikes }) );
-      ( i >>= fun at_us ->
-        i >>= fun probes -> return (Event.Breaker_closed { at_us; probes }) );
-      ( i >>= fun at_us ->
-        s >>= fun rung ->
-        i >>= fun from_rung ->
-        i >>= fun to_rung ->
-        i >>= fun migrated ->
-        i >>= fun stranded ->
-        return (Event.Failover { at_us; rung; from_rung; to_rung; migrated; stranded }) );
-      ( i >>= fun at_us ->
-        s >>= fun rung ->
-        i >>= fun from_rung ->
-        i >>= fun to_rung ->
-        i >>= fun migrated ->
-        return (Event.Failback { at_us; rung; from_rung; to_rung; migrated }) );
-      ( i >>= fun at_us ->
-        i >>= fun inst ->
-        i >>= fun classification ->
-        s >>= fun from_loc ->
-        s >>= fun to_loc ->
-        return (Event.Instance_migrated { at_us; inst; classification; from_loc; to_loc }) );
-      ( i >>= fun at_us ->
-        float_bound_inclusive 1. >>= fun similarity ->
-        float_bound_inclusive 1. >>= fun threshold ->
-        i >>= fun window_pairs ->
-        return (Event.Drift_detected { at_us; similarity; threshold; window_pairs }) );
-      ( i >>= fun at_us ->
-        float_bound_inclusive 1. >>= fun similarity ->
-        i >>= fun from_servers ->
-        i >>= fun to_servers ->
-        i >>= fun migrated ->
-        i >>= fun left ->
-        return
-          (Event.Repartitioned { at_us; similarity; from_servers; to_servers; migrated; left })
-      );
-      ( i >>= fun at_us ->
-        i >>= fun shard ->
-        i >>= fun from_host ->
-        i >>= fun to_host ->
-        return (Event.Replica_promoted { at_us; shard; from_host; to_host }) );
-      ( i >>= fun at_us ->
-        i >>= fun shard ->
-        i >>= fun new_shard ->
-        i >>= fun moved ->
-        i >>= fun to_host ->
-        return (Event.Shard_split { at_us; shard; new_shard; moved; to_host }) );
-      ( i >>= fun at_us ->
-        i >>= fun from_hosts ->
-        i >>= fun to_hosts ->
-        i >>= fun shards ->
-        i >>= fun migrated ->
-        return (Event.Pool_resized { at_us; from_hosts; to_hosts; shards; migrated }) );
-    ]
-
-let qcheck_event_roundtrip =
-  QCheck.Test.make ~name:"event json round-trip (arbitrary strings)" ~count:500
-    (QCheck.make ~print:Event.to_line gen_event)
-    (fun e -> Event.of_json (Jsonu.parse_exn (Jsonu.to_string (Event.to_json e))) = Ok e)
-
 (* --- Logger line format (golden), tee, tally ------------------------ *)
 
 let test_to_channel_golden () =
@@ -842,10 +714,6 @@ let suite =
     Alcotest.test_case "jsonu unicode escapes" `Quick test_jsonu_unicode_escapes;
     Alcotest.test_case "jsonu rejects garbage" `Quick test_jsonu_rejects_garbage;
     qtest qcheck_jsonu_string_roundtrip;
-    Alcotest.test_case "event json round-trip (all constructors)" `Quick
-      test_event_json_roundtrip_all_constructors;
-    Alcotest.test_case "event of_json errors" `Quick test_event_of_json_errors;
-    qtest qcheck_event_roundtrip;
     Alcotest.test_case "logger line format (golden)" `Quick test_to_channel_golden;
     Alcotest.test_case "logger tee ordering" `Quick test_tee_ordering;
     Alcotest.test_case "logger tally key stability" `Quick test_tally_key_stability;

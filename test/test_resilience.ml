@@ -353,7 +353,7 @@ let prepared_octarine =
      let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
      (image, app.App.app_registry, sc.App.sc_run))
 
-let test_ladder_shape_and_roundtrip () =
+let test_ladder_shape () =
   let image, _, _ = Lazy.force prepared_octarine in
   let net = Net_profiler.exact Network.ethernet_10 in
   let ladder = Adps.fallback_ladder ~image ~net () in
@@ -372,120 +372,7 @@ let test_ladder_shape_and_roundtrip () =
         = (Fallback.rung ladder j).Fallback.rg_distribution.Analysis.placement)
     done
   done;
-  Alcotest.(check bool) "main is never migration-safe" false (Fallback.migration_safe ladder (-1));
-  (* encode/decode: names, placements and the safety table survive, and
-     re-encoding is stable bytes. *)
-  let encoded = Fallback.encode ladder in
-  let decoded = Fallback.decode encoded in
-  Alcotest.(check int) "rung count survives" k (Fallback.rung_count decoded);
-  for i = 0 to k - 1 do
-    let a = Fallback.rung ladder i and b = Fallback.rung decoded i in
-    Alcotest.(check string) "name survives" a.Fallback.rg_name b.Fallback.rg_name;
-    Alcotest.(check bool) "placement survives" true
-      (a.Fallback.rg_distribution.Analysis.placement
-      = b.Fallback.rg_distribution.Analysis.placement)
-  done;
-  Alcotest.(check string) "re-encoding is byte-stable" encoded (Fallback.encode decoded)
-
-(* --- Typed decode errors ---------------------------------------------- *)
-
-(* A hand-built distribution over [n] classifications whose placement
-   is given bit by bit; metadata is arbitrary but self-consistent. *)
-let dist_of_bits bits =
-  let placement =
-    Array.of_list
-      (List.map (fun b -> if b then Constraints.Server else Constraints.Client) bits)
-  in
-  {
-    Analysis.placement;
-    cut_ns = 1_000;
-    predicted_comm_us = 1.;
-    server_count = Array.fold_left (fun a l -> if l = Constraints.Server then a + 1 else a) 0 placement;
-    node_count = Array.length placement;
-    algorithm = Coign_flowgraph.Mincut.Relabel_to_front;
-  }
-
-let hand_ladder ~n rung_bits =
-  Fallback.of_rungs ~migration_safe:(Array.make n false)
-    (List.mapi
-       (fun i bits -> { Fallback.rg_name = Printf.sprintf "r%d" i; rg_distribution = dist_of_bits bits })
-       rung_bits)
-
-let decode_err s =
-  match Fallback.decode s with
-  | _ -> Alcotest.fail "decode accepted malformed input"
-  | exception Fallback.Decode_error e -> e
-
-let test_decode_rejects_malformed () =
-  let good = Fallback.encode (hand_ladder ~n:3 [ [ true; true; false ]; [ false; false; false ] ]) in
-  (* Sanity: the well-formed ladder decodes. *)
-  Alcotest.(check int) "well-formed decodes" 2 (Fallback.rung_count (Fallback.decode good));
-  (match decode_err "" with
-  | Fallback.Truncated -> ()
-  | e -> Alcotest.fail ("expected Truncated, got " ^ Fallback.decode_error_message e));
-  (match decode_err "x y\n000\n" with
-  | Fallback.Bad_header _ -> ()
-  | e -> Alcotest.fail ("expected Bad_header, got " ^ Fallback.decode_error_message e));
-  (match decode_err "0 3\n000\n" with
-  | Fallback.Bad_header _ -> ()
-  | e -> Alcotest.fail ("expected Bad_header (k < 1), got " ^ Fallback.decode_error_message e));
-  (* Safety table shorter than the header claims. *)
-  (match decode_err "1 3\n00\nr0\n3 0 0.0 rtf\nSSC\n" with
-  | Fallback.Safety_mismatch { expected = 3; got = 2 } -> ()
-  | e -> Alcotest.fail ("expected Safety_mismatch, got " ^ Fallback.decode_error_message e));
-  (* Rung lines missing entirely. *)
-  (match decode_err "1 3\n000\n" with
-  | Fallback.Truncated_rung 0 -> ()
-  | e -> Alcotest.fail ("expected Truncated_rung, got " ^ Fallback.decode_error_message e));
-  (* A rung whose distribution body is garbage. *)
-  (match decode_err "1 3\n000\nr0\nnot a header\nSSC\n" with
-  | Fallback.Bad_rung { rung = 0; _ } -> ()
-  | e -> Alcotest.fail ("expected Bad_rung, got " ^ Fallback.decode_error_message e))
-
-let test_decode_rejects_out_of_range_ids () =
-  (* A rung placing 4 classifications under a 3-entry safety table:
-     classification 3 has no safety fact, and older decoders let the
-     RTE index past the table. *)
-  let ladder =
-    Fallback.of_rungs ~migration_safe:(Array.make 3 false)
-      [ { Fallback.rg_name = "r0"; rg_distribution = dist_of_bits [ true; false; true; false ] } ]
-  in
-  match decode_err (Fallback.encode ladder) with
-  | Fallback.Rung_node_count { rung = 0; expected = 3; got = 4 } -> ()
-  | e -> Alcotest.fail ("expected Rung_node_count, got " ^ Fallback.decode_error_message e)
-
-let test_decode_rejects_duplicate_placements () =
-  (* Two rungs with byte-identical placements: the RTE's rung switching
-     would spin between them without ever changing the system. *)
-  let dup = [ true; false; true ] in
-  match decode_err (Fallback.encode (hand_ladder ~n:3 [ dup; [ false; false; false ]; dup ])) with
-  | Fallback.Duplicate_placement { rung = 2; first = 0 } -> ()
-  | e -> Alcotest.fail ("expected Duplicate_placement, got " ^ Fallback.decode_error_message e)
-
-(* Round-trip: any ladder with distinct placements survives
-   encode/decode byte-identically. *)
-let qcheck_ladder_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 6 >>= fun n ->
-      int_range 1 4 >>= fun k ->
-      list_size (return (k * n)) bool >>= fun bits ->
-      let rec rungs acc seen i =
-        if i = k then List.rev acc
-        else
-          let row = List.filteri (fun j _ -> j / n = i) bits in
-          if List.mem row seen then rungs acc seen (i + 1)
-          else rungs (row :: acc) (row :: seen) (i + 1)
-      in
-      return (n, rungs [] [] 0))
-  in
-  QCheck.Test.make ~name:"fallback ladder encode/decode round-trip" ~count:300
-    (QCheck.make gen) (fun (n, rows) ->
-      QCheck.assume (rows <> []);
-      let ladder = hand_ladder ~n rows in
-      let encoded = Fallback.encode ladder in
-      let decoded = Fallback.decode encoded in
-      Fallback.encode decoded = encoded)
+  Alcotest.(check bool) "main is never migration-safe" false (Fallback.migration_safe ladder (-1))
 
 let test_execute_zero_fault_identity_with_ladder () =
   (* The whole-pipeline version of the bit-identity guarantee: a real
@@ -602,13 +489,7 @@ let suite =
       test_rte_stranded_probe_failback;
     Alcotest.test_case "rte: zero-fault bit identity with resilience" `Quick
       test_rte_zero_fault_bit_identity;
-    Alcotest.test_case "ladder shape and encode round-trip" `Slow test_ladder_shape_and_roundtrip;
-    Alcotest.test_case "decode rejects malformed ladders" `Quick test_decode_rejects_malformed;
-    Alcotest.test_case "decode rejects out-of-range classification ids" `Quick
-      test_decode_rejects_out_of_range_ids;
-    Alcotest.test_case "decode rejects duplicate rung placements" `Quick
-      test_decode_rejects_duplicate_placements;
-    QCheck_alcotest.to_alcotest ~long:false qcheck_ladder_roundtrip;
+    Alcotest.test_case "ladder shape" `Slow test_ladder_shape;
     Alcotest.test_case "execute: zero-fault identity with ladder" `Slow
       test_execute_zero_fault_identity_with_ladder;
     Alcotest.test_case "resilsim improves availability under partition" `Slow

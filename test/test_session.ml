@@ -189,9 +189,17 @@ let test_fallback_pool_identical () =
       ~finally:(fun () -> Coign_util.Parallel.shutdown pool)
       (fun () -> Fallback.compute ~pool session ~net ())
   in
-  Alcotest.(check string)
-    "ladder identical with and without pool" (Fallback.encode sequential)
-    (Fallback.encode parallel)
+  let k = Fallback.rung_count sequential in
+  Alcotest.(check int) "rung count with and without pool" k (Fallback.rung_count parallel);
+  for i = 0 to k - 1 do
+    let a = Fallback.rung sequential i and b = Fallback.rung parallel i in
+    Alcotest.(check string) "rung name with and without pool" a.Fallback.rg_name b.Fallback.rg_name;
+    check_same "rung with and without pool" a.Fallback.rg_distribution b.Fallback.rg_distribution
+  done;
+  Alcotest.(check (array bool))
+    "safety table with and without pool"
+    (Fallback.migration_safety_table sequential)
+    (Fallback.migration_safety_table parallel)
 
 (* --- Randomized equivalence ----------------------------------------- *)
 

@@ -266,11 +266,72 @@ let test_experiments_table4_matches_report () =
           Alcotest.(check (triple string string string)) (id ^ ": ours column = report") row q)
     report
 
+(* The text after the first [marker] in [text]. *)
+let after marker text =
+  let n = String.length marker in
+  let rec go i =
+    if i + n > String.length text then Alcotest.failf "%S not found" marker
+    else if String.sub text i n = marker then String.sub text (i + n) (String.length text - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+(* Figures 4-8's instance counts and Table 5's worst error, as quoted in
+   EXPERIMENTS.md, are the pinned report's. *)
+let test_experiments_figures_and_table5_match_report () =
+  let doc = "../EXPERIMENTS.md" and golden = "golden/bench_report.txt" in
+  if not (Sys.file_exists doc && Sys.file_exists golden) then Alcotest.skip ();
+  let doc = Harness.read_file doc and golden = Harness.read_file golden in
+  let section ~start ~stop text = String.concat " " (section_lines ~start ~stop text) in
+  List.iter
+    (fun (fig, next) ->
+      let reported = section ~start:(Printf.sprintf "Figure %d:" fig) ~stop:next golden in
+      (* "Coign places 10 of 154 component instances on the server", or
+         Figure 6's "Of 246 component instances, Coign places 27 on the
+         middle tier". *)
+      let placed, total =
+        if fig = 6 then
+          Scanf.sscanf (after "Of " reported) "%d component instances, Coign places %d"
+            (fun total placed -> (placed, total))
+        else Scanf.sscanf (after "Coign places " reported) "%d of %d" (fun p t -> (p, t))
+      in
+      (* "Ours: 10 of 154 — ..." *)
+      let quoted =
+        section ~start:(Printf.sprintf "## Figure %d" fig) ~stop:"## " doc
+        |> after "Ours: "
+        |> fun s -> Scanf.sscanf s " %d of %d" (fun p t -> (p, t))
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "Figure %d: placed of total = report" fig)
+        (placed, total) quoted)
+    [ (4, "Figure 5:"); (5, "Figure 6:"); (6, "Figure 7:"); (7, "Figure 8:"); (8, "Table 4:") ];
+  (* "o_newdoc          0.175         0.172    +1%" *)
+  let table5 = section_lines ~start:"Table 5:" ~stop:"Worst absolute error" golden in
+  let scenarios =
+    List.length
+      (List.filter
+         (fun l ->
+           match words l with
+           | [ _; predicted; _; _ ] -> Float.of_string_opt predicted <> None
+           | _ -> false)
+         table5)
+  in
+  let worst = Scanf.sscanf (after "Worst absolute error: " golden) "%f%%" Fun.id in
+  let quoted_scenarios, quoted_worst =
+    Scanf.sscanf
+      (after "Worst absolute error across all " doc)
+      "%d scenarios: **%f%%" (fun n e -> (n, e))
+  in
+  Alcotest.(check int) "Table 5: scenario count = report" scenarios quoted_scenarios;
+  Alcotest.(check (float 0.)) "Table 5: worst error = report" worst quoted_worst
+
 let suite =
   [
     Alcotest.test_case "experiment row basics" `Quick test_row_basics;
     Alcotest.test_case "EXPERIMENTS.md Table 4 quotes the pinned report" `Quick
       test_experiments_table4_matches_report;
+    Alcotest.test_case "EXPERIMENTS.md Figures 4-8 and Table 5 quote the pinned report" `Quick
+      test_experiments_figures_and_table5_match_report;
     Alcotest.test_case "benefits moves caches" `Quick test_benefits_moves_caches;
     Alcotest.test_case "photodraw property sets server" `Quick
       test_photodraw_property_sets_server;
