@@ -274,12 +274,12 @@ let adaptive () =
           ]
       in
       List.iter
-        (fun (a : Experiment.adaptive_row) ->
+        (fun (p : Experiment.sweep_point) ->
           Tablefmt.add_row t
             [
-              a.Experiment.ar_network;
-              string_of_int a.Experiment.ar_server_classifications;
-              Tablefmt.cell_float (a.Experiment.ar_predicted_comm_us /. 1e6);
+              p.Experiment.sw_network.Coign_netsim.Network.net_name;
+              string_of_int p.Experiment.sw_server_classifications;
+              Tablefmt.cell_float (p.Experiment.sw_predicted_comm_us /. 1e6);
             ])
         (Experiment.across_networks app sc);
       print_string (Tablefmt.render t))

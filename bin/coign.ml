@@ -119,16 +119,16 @@ let jobs_arg default =
 let check_jobs jobs =
   if jobs < 0 then die "--jobs must be >= 0"
 
-(* Run [f] on the worker pool --jobs asks for: none at 1, the shared
-   default pool at 0, otherwise [n - 1] extra domains, shut down when
-   [f] returns. *)
+(* Run [f] on the worker pool --jobs asks for: the zero-worker pool at
+   1, the shared default pool at 0, otherwise [n - 1] extra domains,
+   shut down when [f] returns. *)
 let with_jobs jobs f =
   match jobs with
-  | 1 -> f None
-  | 0 -> f (Some (Parallel.default ()))
+  | 1 -> f Parallel.sequential
+  | 0 -> f (Parallel.default ())
   | n ->
       let pool = Parallel.create ~domains:(n - 1) () in
-      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f (Some pool))
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
 
 let seed_arg =
   Arg.(
@@ -312,7 +312,7 @@ let lint_cmd =
   let run image_path json strict =
     let image = Binary_image.load image_path in
     let diags = Lint.lint_image image in
-    if json then print_endline (Lint.to_json diags)
+    if json then print_endline (Jsonu.to_string (Lint.to_json diags))
     else if diags = [] then print_endline "no diagnostics"
     else Format.printf "%a" Lint.pp_text diags;
     gate_exit ~strict diags
@@ -366,8 +366,10 @@ let verify_cmd =
         die "%s" msg
     in
     let net = Net_profiler.exact network in
+    let ladder =
+      try Adps.fallback_ladder ~image ~net () with Fallback.Invalid msg -> die "%s" msg
+    in
     gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
-    let ladder = Adps.fallback_ladder ?pool ~image ~net () in
     (* The checked ladder is the pool-elastic one, one host per rung at
        --pool 1: the model reads every rung's hosts off it, so the
        explorer interleaves promotions and resizes where they exist. *)
@@ -377,27 +379,8 @@ let verify_cmd =
     in
     let truth = Fallback.migration_safety session in
     let model = V.Model.build ~pool:pl ~classifier ~icc ~ladder ~truth () in
-    let result = V.Explore.run ?pool ~depth model in
-    (* I2: every rung honours the static constraints.  The terminal
-       all-client rung waives location pins by design — a Server pin
-       presumes a reachable server. *)
-    let rung_diags =
-      let classifier = Analysis.Session.classifier session in
-      let constraints = Analysis.Session.constraints session in
-      let k = Fallback.pool_rung_count pl in
-      List.concat
-        (List.init k (fun r ->
-             let rung = Fallback.pool_rung_at pl r in
-             Analysis.validate ~classifier ~constraints rung.Fallback.pr_distribution
-             |> List.filter (fun v ->
-                    r < k - 1
-                    || match v with Analysis.Pin_violated _ -> false | _ -> true)
-             |> List.map (fun v ->
-                    Lint.diag "CG007" Lint.Error rung.Fallback.pr_name
-                      (Format.asprintf "rung %d (%s): %a" r rung.Fallback.pr_name
-                         Analysis.pp_violation v))))
-    in
-    let diags = Lint.order (V.Explore.diagnostics model result @ rung_diags) in
+    let result = V.Explore.run ~pool ~depth model in
+    let diags = Lint.order (V.Explore.diagnostics model result) in
     let stats = result.V.Explore.r_stats in
     let rungs_reached =
       List.filteri (fun r _ -> stats.V.Explore.sr_rungs_reached.(r))
@@ -451,18 +434,7 @@ let verify_cmd =
                                 v.V.Explore.vl_trace) );
                        ])
                    result.V.Explore.r_violations) );
-            ( "diagnostics",
-              Jsonu.Arr
-                (List.map
-                   (fun (d : Lint.diagnostic) ->
-                     Jsonu.Obj
-                       [
-                         ("code", Jsonu.Str d.Lint.code);
-                         ("severity", Jsonu.Str (Lint.severity_name d.Lint.severity));
-                         ("subject", Jsonu.Str d.Lint.subject);
-                         ("message", Jsonu.Str d.Lint.message);
-                       ])
-                   diags) );
+            ("diagnostics", Lint.to_json diags);
             ("errors", Jsonu.Int (sev_count Lint.Error));
             ("warnings", Jsonu.Int (sev_count Lint.Warning));
           ]
@@ -581,7 +553,7 @@ let sweep_cmd =
     (* One session, many networks: stage 1 of the analysis ran once in
        analysis_session; each point below is a reprice+recut. *)
     let rows =
-      with_jobs jobs (fun pool -> Coign_sim.Experiment.sweep ?pool ?profiler ~session networks)
+      with_jobs jobs (fun pool -> Coign_sim.Experiment.sweep ~pool ?profiler ~session networks)
     in
     if json then begin
       let row (r : Coign_sim.Experiment.sweep_point) =
@@ -710,7 +682,7 @@ let grid_cmd name ~doc view breaker =
     let grid =
       with_jobs jobs @@ fun pool ->
       try
-        Coign_sim.Fleetsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ?health ~image
+        Coign_sim.Fleetsim.run ~pool ?profiler ~seed:(Int64.of_int seed) ~jitter ?health ~image
           ~registry:app.App.app_registry ~network view sc.App.sc_run
       with
       | Invalid_argument msg | Fallback.Invalid msg -> die "%s" msg
@@ -1014,7 +986,7 @@ let load_cmd =
       let result =
         with_jobs jobs @@ fun pool ->
         try
-          Coign_sim.Loadsim.run ?pool ?metrics:registry ~queueing:(not no_queueing)
+          Coign_sim.Loadsim.run ~pool ?metrics:registry ~queueing:(not no_queueing)
             ?deadline_us:(Option.map (fun ms -> ms *. 1e3) deadline_ms)
             ?scenarios ~sessions ~arrival ~seed:(Int64.of_int seed) ~image ~network ()
         with Invalid_argument msg ->
@@ -1127,7 +1099,7 @@ let watch_cmd =
       let result =
         with_jobs jobs @@ fun pool ->
         try
-          Coign_sim.Watchsim.run ?pool ?metrics:registry ~threshold ~check_every
+          Coign_sim.Watchsim.run ~pool ?metrics:registry ~threshold ~check_every
             ~min_dwell_us:(min_dwell_ms *. 1e3) ~min_window
             ~half_life_us:(half_life_ms *. 1e3) ~sample_every ~seed:(Int64.of_int seed)
             ~profile_mix:profile ~phases ~image ~network ()

@@ -297,10 +297,10 @@ let execute_fleet ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?se
    exactly the analyzed cut) and a fresh solve of the same session
    otherwise; later rungs re-price the same session under the
    failure-mode profiles of [net]. *)
-let fallback_ladder ?pool ~image ~net () =
+let fallback_ladder ~image ~net () =
   let session = analysis_session image in
   let primary = Option.map snd (load_distribution image) in
-  Fallback.compute ?pool ?primary session ~net ()
+  Fallback.compute ?primary session ~net ()
 
 (* Build the pool-elastic ladder for a profiled image: the two-host
    ladder above widened to [hosts] machines, sharded and priced over

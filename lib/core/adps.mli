@@ -213,7 +213,6 @@ val execute_fleet :
     does, so its stats are bit-identical to that run's. *)
 
 val fallback_ladder :
-  ?pool:Coign_util.Parallel.t ->
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
   unit ->
@@ -222,9 +221,8 @@ val fallback_ladder :
     stored distribution when it carries one (so failback restores
     exactly the analyzed cut) and a fresh solve otherwise, later rungs
     re-price the same analysis session under the failure-mode profiles
-    of [net] ({!Fallback.compute}). With [pool], the failure-mode
-    rungs price domain-parallel with no change to the ladder. Raises
-    [Invalid_argument] if the image holds no profile. *)
+    of [net] ({!Fallback.compute}). Raises [Invalid_argument] if the
+    image holds no profile. *)
 
 val pool_fallback_ladder :
   hosts:int ->

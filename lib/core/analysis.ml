@@ -58,6 +58,9 @@ module Session = struct
     s_priced : int array;
     s_arc_ab : int array;  (* per priced slot: arena arc a->b *)
     s_arc_ba : int array;  (* per priced slot: arena arc b->a *)
+    (* Classification -> smallest member of its component under the
+       infinite classification-classification edges; immutable. *)
+    s_component : int array;
     (* Per-solve scratch, preallocated once. *)
     s_seen : bool array;
     s_stack : int array;
@@ -139,6 +142,25 @@ module Session = struct
     let np = Array.length priced in
     let inf_pairs = Array.of_list !infinite in
     let ninf = Array.length inf_pairs in
+    (* The classifications every cut must keep together: union-find over
+       the infinite edges with a classification at both ends (pins run
+       to a terminal). Union by minimum keeps each root the smallest
+       member. *)
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      if parent.(i) = i then i
+      else begin
+        parent.(i) <- find parent.(i);
+        parent.(i)
+      end
+    in
+    Array.iter
+      (fun (a, b) ->
+        if b < n then begin
+          let ra = find a and rb = find b in
+          if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+        end)
+      inf_pairs;
     (* Directed edge list for the arena: both directions of every
        infinite edge and of every priced pair (the latter at capacity
        zero — inert until priced up). Sorted by (src, dst), so each
@@ -180,6 +202,7 @@ module Session = struct
       s_priced = priced;
       s_arc_ab = arc_ab;
       s_arc_ba = arc_ba;
+      s_component = Array.init n find;
       s_seen = Array.make (n + 2) false;
       s_stack = Array.make (n + 2) 0;
       s_server_side = Array.make (n + 2) false;
@@ -348,69 +371,24 @@ module Session = struct
           predicted_comm_us);
     d
 
+  let components t = Array.copy t.s_component
+
   (* Static migration-safety facts for the resilience layer: a
-     classification may be moved live between distributions only if it
-     touches no non-remotable ICC edge and is not co-location-chained
-     (transitively) to one that does — moving one end of such a chain
-     would split the pair the constraint exists to keep whole. *)
+     classification may be moved live between distributions only if no
+     member of its component touches a non-remotable ICC edge — moving
+     one end of a co-location chain would split the pair the constraint
+     exists to keep whole. *)
   let migration_safety t =
     let graph = t.s_graph in
     let n = Icc_graph.classification_count graph in
+    let comp = t.s_component in
     let safe = Array.make n true in
     Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
         if non_remotable then begin
-          if a < n then safe.(a) <- false;
-          if b < n then safe.(b) <- false
+          if a < n then safe.(comp.(a)) <- false;
+          if b < n then safe.(comp.(b)) <- false
         end);
-    let adj = Array.make n [] in
-    let link a b =
-      if a >= 0 && a < n && b >= 0 && b < n && a <> b then begin
-        adj.(a) <- b :: adj.(a);
-        adj.(b) <- a :: adj.(b)
-      end
-    in
-    List.iter (fun (a, b) -> link a b) (Constraints.colocated_pairs t.s_constraints);
-    (match Constraints.colocated_class_pairs t.s_constraints with
-    | [] -> ()
-    | class_pairs ->
-        let of_class = classifications_by_class t.s_classifier ~n in
-        List.iter
-          (fun (ca, cb) ->
-            List.iter
-              (fun a -> List.iter (fun b -> link a b) (of_class cb))
-              (of_class ca))
-          class_pairs);
-    let queue = Queue.create () in
-    for c = 0 to n - 1 do
-      if not safe.(c) then Queue.add c queue
-    done;
-    while not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      List.iter
-        (fun d ->
-          if safe.(d) then begin
-            safe.(d) <- false;
-            Queue.add d queue
-          end)
-        adj.(c)
-    done;
-    safe
-
-  (* Domain-parallel pricing across network profiles: each
-     participating domain solves on its own session copy (own arena,
-     scratch and pricing buffers; the abstract graph and any already-
-     published cost tables are shared — both immutable). The pool's
-     order-preserving map keeps results bit-identical to the
-     sequential path. *)
-  let solve_many ?profiler ?pool t ~nets =
-    match pool with
-    | None -> List.map (fun net -> solve ?profiler t ~net) nets
-    | Some pool ->
-        Array.to_list
-          (Parallel.map_init pool
-             ~init:(fun () -> copy t)
-             ~f:(fun s net -> solve ?profiler s ~net)
-             (Array.of_list nets))
+    Array.init n (fun c -> safe.(comp.(c)))
 end
 
 let choose ?algorithm ?profiler ~classifier ~icc ~constraints ~net () =

@@ -80,19 +80,6 @@ module Session : sig
       while keeping its message-size mix. Omitted, pricing is
       bit-identical to the offline engine. *)
 
-  val solve_many :
-    ?profiler:Coign_obs.Profiler.t ->
-    ?pool:Coign_util.Parallel.t ->
-    t ->
-    nets:Coign_netsim.Net_profiler.t list ->
-    distribution list
-  (** Solve one session against many network profiles, in input order.
-      With [pool], pricing runs domain-parallel: each participating
-      domain solves on its own {!copy} (private arena and scratch,
-      shared immutable abstract graph), and the pool's order-preserving
-      map makes the result list bit-identical to the sequential
-      path. *)
-
   val copy : t -> t
   (** An independent session sharing the immutable abstract graph but
       owning its own flow arena, solver scratch and pricing buffers —
@@ -109,12 +96,18 @@ module Session : sig
   val graph : t -> Icc_graph.t
   (** The underlying abstract ICC graph. *)
 
+  val components : t -> int array
+  (** Classification -> smallest member of its component: the groups
+      every cut keeps together, joined by the session's infinite edges
+      between two classifications (non-remotable pairs, classification
+      co-location pairs, and class co-location pairs expanded to every
+      classification of both classes). Computed once at {!create}. *)
+
   val migration_safety : t -> bool array
   (** Per-classification static migration-safety facts for the
       resilience layer ({!Fallback}, {!Rte}): a classification is safe
-      to migrate live between distributions iff it touches no
-      non-remotable ICC edge and is not co-location-chained
-      (transitively) to one that does. *)
+      to migrate live between distributions iff no member of its
+      {!components} touches a non-remotable ICC edge. *)
 end
 
 val choose :

@@ -26,7 +26,7 @@ let migration_safety_table t = Array.copy t.fb_migration_safe
 
 let migration_safety = Analysis.Session.migration_safety
 
-let compute ?profiler ?pool ?primary session ~net () =
+let compute ?profiler ?primary session ~net () =
   let primary =
     match primary with
     | Some d -> d
@@ -54,14 +54,7 @@ let compute ?profiler ?pool ?primary session ~net () =
            !rungs)
     then rungs := checked name d :: !rungs
   in
-  (* Rung pricing can fan out across domains; the distributions come
-     back in mode order, so the dedup fold below — and therefore the
-     ladder — is identical to the sequential build. *)
-  let mode_dists =
-    Analysis.Session.solve_many ?profiler ?pool session
-      ~nets:(List.map snd modes)
-  in
-  List.iter2 (fun (name, _) d -> add name d) modes mode_dists;
+  List.iter (fun (name, net) -> add name (Analysis.Session.solve ?profiler session ~net)) modes;
   (* Terminal rung: everything on the client.  Location pins are
      deliberately waived here — a Server pin presumes a reachable
      server, and this rung exists precisely for when there is none.
@@ -112,51 +105,6 @@ type pool_ladder = {
   pl_base : t;
 }
 
-(* Server-side classifications must shard at component granularity: a
-   non-remotable edge or a co-location constraint between two
-   classifications means separating them across pool hosts would fault
-   (or violate the constraint) exactly as separating them across the
-   client/server cut would.  Components are the connected parts of the
-   union of non-remotable graph pairs, explicit classification
-   co-location pairs, and class-level co-location pairs resolved
-   through the classifier.  Union-by-minimum keeps every component's
-   representative equal to its smallest member — a stable key for
-   {!Pool.shard_of}. *)
-let components session =
-  let graph = Analysis.Session.graph session in
-  let n = Icc_graph.classification_count graph in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
-  let union a b =
-    if a >= 0 && b >= 0 && a < n && b < n then begin
-      let ra = find a and rb = find b in
-      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-    end
-  in
-  Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
-      if non_remotable then union a b);
-  let constraints = Analysis.Session.constraints session in
-  List.iter (fun (a, b) -> union a b) (Constraints.colocated_pairs constraints);
-  let class_pairs = Constraints.colocated_class_pairs constraints in
-  if class_pairs <> [] then begin
-    let classifier = Analysis.Session.classifier session in
-    let members name =
-      let out = ref [] in
-      for c = n - 1 downto 0 do
-        if String.equal (Classifier.class_of_classification classifier c) name then
-          out := c :: !out
-      done;
-      !out
-    in
-    List.iter
-      (fun (x, y) ->
-        match members x @ members y with
-        | [] -> ()
-        | first :: rest -> List.iter (union first) rest)
-      class_pairs
-  end;
-  Array.init n find
-
 let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
   let n = Array.length component in
   let shard_of = Array.make n (-1) in
@@ -195,7 +143,12 @@ let pool_ladder ?(replicas = 2) ~hosts session ~net base =
   let graph = Analysis.Session.graph session in
   let n = Icc_graph.classification_count graph in
   let pricing = Icc_graph.price graph ~net in
-  let component = components session in
+  (* Server-side classifications shard at component granularity:
+     separating two members across pool hosts would fault (or break a
+     co-location constraint) exactly as separating them across the
+     client/server cut would.  The representative is the component's
+     smallest member — a stable key for {!Pool.shard_of}. *)
+  let component = Analysis.Session.components session in
   let comp_safe = Array.make n true in
   Array.iteri
     (fun c rep ->

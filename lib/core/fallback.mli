@@ -29,7 +29,6 @@ exception Invalid of string
 
 val compute :
   ?profiler:Coign_obs.Profiler.t ->
-  ?pool:Coign_util.Parallel.t ->
   ?primary:Analysis.distribution ->
   Analysis.Session.t ->
   net:Coign_netsim.Net_profiler.t ->
@@ -41,19 +40,17 @@ val compute :
     then [partition] ({!Coign_netsim.Net_profiler.link_down}), are
     each solved and appended unless the placement duplicates an
     earlier rung; the all-client placement is appended last under the
-    same dedup rule.  With [pool], the mode rungs price domain-parallel
-    ({!Analysis.Session.solve_many}) with no change to the resulting
-    ladder.  The session's pricing is reusable afterwards — the next
-    [solve] replaces it as always. *)
+    same dedup rule.  The session's pricing is reusable afterwards —
+    the next [solve] replaces it as always. *)
 
 val of_rungs : migration_safe:bool array -> rung list -> t
 (** Hand-built ladder (tests, custom policies).  No validation beyond
     non-emptiness — callers own the invariants. *)
 
 val migration_safety : Analysis.Session.t -> bool array
-(** Per-classification safety facts: a classification is safe to
-    migrate live iff it touches no non-remotable ICC edge and is not
-    co-location-chained (transitively) to one that does. *)
+(** {!Analysis.Session.migration_safety}: a classification is safe to
+    migrate live iff no member of its component touches a
+    non-remotable ICC edge. *)
 
 val rung_count : t -> int
 val rung : t -> int -> rung
@@ -77,9 +74,9 @@ val migration_safety_table : t -> bool array
     side sharded across [hosts] machines, intermediate rungs shrink
     the pool one host at a time, and the final rungs are exactly the
     base ladder at pool size 1 — so a pool of one is the PR 5
-    resilience path, bit for bit.  Sharding is by component (connected
-    groups under non-remotable edges and co-location constraints, keyed
-    by the component's smallest classification), migration-unsafe
+    resilience path, bit for bit.  Sharding is by component
+    ({!Analysis.Session.components}, keyed by the component's smallest
+    classification), migration-unsafe
     components are pinned to shard 0 and never replicated, and each
     rung is priced through the same abstract-graph pricing as the
     two-way engine ({!Multiway_analysis.predicted_assignment_us}) with

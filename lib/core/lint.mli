@@ -39,8 +39,6 @@
 
 type severity = Info | Warning | Error
 
-val severity_name : severity -> string
-
 type diagnostic = {
   code : string;
   severity : severity;
@@ -70,6 +68,6 @@ val worst : diagnostic list -> severity option
 val pp_text : Format.formatter -> diagnostic list -> unit
 (** One [severity code subject: message] line per diagnostic. *)
 
-val to_json : diagnostic list -> string
+val to_json : diagnostic list -> Coign_util.Jsonu.t
 (** The diagnostics as a JSON array of objects with [code], [severity],
     [subject] and [message] string fields. *)

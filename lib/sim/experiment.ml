@@ -65,20 +65,15 @@ let run_scenario ?(network = Network.ethernet_10) ?(jitter = 0.015) ?(seed = 0xC
     classifier;
   }
 
-let run_suite ?network ?jitter ?seed ?pool apps =
+let run_suite ?network ?jitter ?seed ?(pool = Parallel.sequential) apps =
   let tasks =
     Array.of_list
       (List.concat_map
          (fun (app : App.t) -> List.map (fun sc -> (app, sc)) app.App.app_scenarios)
          apps)
   in
-  let run (app, sc) = run_scenario ?network ?jitter ?seed app sc in
-  let rows =
-    match pool with
-    | None -> Array.map run tasks
-    | Some pool -> Parallel.map pool ~f:run tasks
-  in
-  Array.to_list rows
+  Array.to_list
+    (Parallel.map pool ~f:(fun (app, sc) -> run_scenario ?network ?jitter ?seed app sc) tasks)
 
 let server_class_histogram row =
   let counts = Hashtbl.create 16 in
@@ -104,29 +99,6 @@ let placements_by_class row =
     totals []
   |> List.sort compare
 
-type adaptive_row = {
-  ar_network : string;
-  ar_server_classifications : int;
-  ar_predicted_comm_us : float;
-}
-
-let across_networks ?(networks = Network.presets) (app : App.t) (sc : App.scenario) =
-  let image = Adps.instrument app.App.app_image in
-  let image, _stats = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
-  (* One analysis session; only the pricing/cut stage runs per network. *)
-  let session = Adps.analysis_session image in
-  List.map
-    (fun network ->
-      let rng = Prng.create 7L in
-      let net = Net_profiler.profile rng network in
-      let distribution = Analysis.Session.solve session ~net in
-      {
-        ar_network = network.Network.net_name;
-        ar_server_classifications = distribution.Analysis.server_count;
-        ar_predicted_comm_us = distribution.Analysis.predicted_comm_us;
-      })
-    networks
-
 type sweep_point = {
   sw_network : Network.t;
   sw_server_classifications : int;
@@ -144,21 +116,20 @@ let sweep_point ?profiler session network =
     sw_predicted_comm_us = d.Analysis.predicted_comm_us;
   }
 
-let sweep ?pool ?profiler ~session networks =
-  let networks = Array.of_list networks in
-  let points =
-    match pool with
-    | None -> Array.map (sweep_point ?profiler session) networks
-    | Some pool ->
-        (* Sessions are single-domain: each participating domain prices
-           and cuts on its own copy of the flow network (the abstract
-           graph itself is shared — it is immutable after creation).
-           The profiler, when given, is shared across the domains — its
-           recording is mutex-protected, so grid-wide phase totals
-           aggregate correctly. *)
-        Parallel.map_init pool
-          ~init:(fun () -> Analysis.Session.copy session)
-          ~f:(fun s network -> sweep_point ?profiler s network)
-          networks
-  in
-  Array.to_list points
+let sweep ?(pool = Parallel.sequential) ?profiler ~session networks =
+  (* Sessions are single-domain: each participating domain (only the
+     caller's on a zero-worker pool) prices and cuts on its own copy,
+     sharing the immutable abstract graph, so [session] is never
+     touched. The profiler, when given, is shared across the domains —
+     its recording is mutex-protected, so grid-wide phase totals
+     aggregate correctly. *)
+  Array.to_list
+    (Parallel.map_init pool
+       ~init:(fun () -> Analysis.Session.copy session)
+       ~f:(fun s network -> sweep_point ?profiler s network)
+       (Array.of_list networks))
+
+let across_networks ?(networks = Network.presets) (app : App.t) (sc : App.scenario) =
+  let image = Adps.instrument app.App.app_image in
+  let image, _stats = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
+  sweep ~session:(Adps.analysis_session image) networks

@@ -66,20 +66,6 @@ val placements_by_class :
 
 (** {1 Network adaptivity (paper §4.4)} *)
 
-type adaptive_row = {
-  ar_network : string;
-  ar_server_classifications : int;
-  ar_predicted_comm_us : float;
-}
-
-val across_networks :
-  ?networks:Coign_netsim.Network.t list ->
-  Coign_apps.App.t -> Coign_apps.App.scenario -> adaptive_row list
-(** Re-analyze one scenario's profile against each network; the chosen
-    distribution shifts as bandwidth/latency tradeoffs change. Profiles
-    once, then reuses one {!Coign_core.Analysis.Session} — only the
-    pricing/cut stage runs per network. *)
-
 type sweep_point = {
   sw_network : Coign_netsim.Network.t;
   sw_server_classifications : int;
@@ -94,10 +80,19 @@ val sweep :
   Coign_netsim.Network.t list ->
   sweep_point list
 (** Solve one analysis session against every network (each sampled
-    with a fresh PRNG seeded 7), in list order —
-    the placement-vs-network tables behind the paper's Figures 4-8 and
-    the [coign sweep] subcommand. With [pool], points are solved in
-    parallel on per-domain session copies; the result is identical to
-    the sequential path. [profiler] aggregates the per-point
-    ["pricing"]/["cut"] phases across the whole grid; it is safe to
-    share with a [pool] (recording is mutex-protected). *)
+    with a fresh PRNG seeded 7), in list order — the placement-vs-
+    network tables behind the paper's Figures 4-8 and the [coign sweep]
+    subcommand. Each domain of [pool] (default
+    {!Coign_util.Parallel.sequential}) solves on its own
+    {!Coign_core.Analysis.Session.copy}, so [session] is left untouched
+    and the result is the same for any worker count. [profiler]
+    aggregates the per-point ["pricing"]/["cut"] phases across the
+    whole grid; it is safe to share with a [pool] (recording is
+    mutex-protected). *)
+
+val across_networks :
+  ?networks:Coign_netsim.Network.t list ->
+  Coign_apps.App.t -> Coign_apps.App.scenario -> sweep_point list
+(** Profile one scenario, then {!sweep} its analysis session across
+    [networks] (default {!Coign_netsim.Network.presets}): the chosen
+    distribution shifts as bandwidth/latency tradeoffs change. *)

@@ -76,8 +76,8 @@ let fault_points a point =
         a.partitions_us)
     a.drop_rates
 
-let run ?pool ?profiler ?(seed = 0x5EEDL) ?(jitter = 0.) ?health ~image ~registry ~network view
-    scenario =
+let run ?(pool = Parallel.sequential) ?profiler ?(seed = 0x5EEDL) ?(jitter = 0.) ?health ~image
+    ~registry ~network view scenario =
   (* The re-cut views price the primary cut, the base ladder and every
      pool ladder in one analysis session, off the exact network model.
      Ladders and configs are immutable; each execution installs its own
@@ -175,11 +175,7 @@ let run ?pool ?profiler ?(seed = 0x5EEDL) ?(jitter = 0.) ?health ~image ~registr
     | Some p -> Coign_obs.Profiler.time p "grid_cell" go
   in
   let cells = Array.of_list distinct in
-  let outcomes =
-    match pool with
-    | None -> Array.map eval cells
-    | Some pool -> Parallel.map pool ~f:eval cells
-  in
+  let outcomes = Parallel.map pool ~f:eval cells in
   let outcome c = outcomes.(Hashtbl.find index c) in
   let clean_calls, clean_remote =
     if Option.is_none base then (0, 0)

@@ -100,7 +100,7 @@ let session_draws ~seed ~classes s =
 
 let batch = 16_384
 
-let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
+let gen_arrivals ?(pool = Parallel.sequential) ~seed ~sessions ~classes arrival =
   if sessions <= 0 then invalid_arg "Loadsim.gen_arrivals: sessions must be positive";
   if classes <= 0 then invalid_arg "Loadsim.gen_arrivals: classes must be positive";
   (match validate_arrival arrival with
@@ -113,14 +113,12 @@ let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
       draw ~seed ~classes spacing class_of ~at:s s
     done
   in
-  (match pool with
-  | None -> fill 0 (sessions - 1)
-  | Some pool ->
-      (* Each batch writes its own disjoint slice of the two arrays. *)
-      ignore
-        (Parallel.map pool
-           ~f:(fun i -> fill (i * batch) (min sessions ((i + 1) * batch) - 1))
-           (Array.init ((sessions + batch - 1) / batch) Fun.id)));
+  (* Each batch writes its own disjoint slice of the two arrays; on a
+     zero-worker pool the batches simply fill in order. *)
+  ignore
+    (Parallel.map pool
+       ~f:(fun i -> fill (i * batch) (min sessions ((i + 1) * batch) - 1))
+       (Array.init ((sessions + batch - 1) / batch) Fun.id));
   (* The exponential draws become timestamps in one sequential prefix
      pass — each process is a monotone transform of the accumulated
      spacing, so timestamps are nondecreasing by construction. *)

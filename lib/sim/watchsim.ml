@@ -56,9 +56,9 @@ type cell = C_sched of sched | C_oracle of Analysis.distribution
 let scenario_of app id =
   try App.scenario app id with Not_found -> invalid_arg ("Watchsim.run: unknown scenario " ^ id)
 
-let run ?pool ?metrics ?(threshold = 0.90) ?(check_every = 64) ?(min_dwell_us = 750_000.)
-    ?(min_window = 16.) ?(half_life_us = 750_000.) ?(sample_every = 4) ?(seed = 0x5EEDL)
-    ~profile_mix ~phases ~image ~network () =
+let run ?(pool = Parallel.sequential) ?metrics ?(threshold = 0.90) ?(check_every = 64)
+    ?(min_dwell_us = 750_000.) ?(min_window = 16.) ?(half_life_us = 750_000.) ?(sample_every = 4)
+    ?(seed = 0x5EEDL) ~profile_mix ~phases ~image ~network () =
   if profile_mix = [] then invalid_arg "Watchsim.run: empty profile mix";
   if phases = [] || List.exists (fun p -> p = []) phases then
     invalid_arg "Watchsim.run: phases must be non-empty";
@@ -164,9 +164,7 @@ let run ?pool ?metrics ?(threshold = 0.90) ?(check_every = 64) ?(min_dwell_us = 
     | `Oracle -> C_oracle (oracle ())
   in
   let cells = [| `Stale; `Watched; `Oracle |] in
-  let evaluated =
-    match pool with None -> Array.map eval cells | Some pool -> Parallel.map pool ~f:eval cells
-  in
+  let evaluated = Parallel.map pool ~f:eval cells in
   let stale, watched, oracle_dist =
     match evaluated with
     | [| C_sched s; C_sched w; C_oracle o |] -> (s, w, o)

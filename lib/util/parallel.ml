@@ -154,6 +154,10 @@ let map t ~f items = map_init t ~init:(fun () -> ()) ~f:(fun () x -> f x) items
 
 let map_list t ~f items = Array.to_list (map t ~f (Array.of_list items))
 
+(* No workers: [map_init] takes its inline path before touching any
+   mutable field, so one value serves every domain. *)
+let sequential = create ~domains:0 ()
+
 let default_pool = ref None
 
 let default () =

@@ -10,8 +10,9 @@
     Determinism contract: [map] with a pure [f] returns exactly
     [Array.map f items] — same values, same order — whether the pool
     has zero workers (everything runs inline on the caller's domain)
-    or many. The experiment driver's parallel paths rely on this to
-    stay byte-identical to their sequential counterparts. *)
+    or many. A sequential run is therefore just a run on a zero-worker
+    pool ({!sequential}): every fan-out site has one code path, and its
+    output is byte-identical for any worker count. *)
 
 type t
 
@@ -47,6 +48,11 @@ val map_init : t -> init:(unit -> 's) -> f:('s -> 'a -> 'b) -> 'a array -> 'b ar
 val shutdown : t -> unit
 (** Join all worker domains. Idempotent. Subsequent [map] calls run
     inline (sequentially). *)
+
+val sequential : t
+(** The shared zero-worker pool: every [map] runs inline on the
+    calling domain. The default wherever a [?pool] is omitted; safe to
+    use from any domain and never needs a {!shutdown}. *)
 
 val default : unit -> t
 (** A lazily created process-wide pool sized for the machine, joined

@@ -395,14 +395,14 @@ let trace_lt m a b =
 
 let default_depth = 40
 
-let run ?pool ?(depth = default_depth) m =
+let run ?(pool = Parallel.sequential) ?(depth = default_depth) m =
   if depth < 1 then invalid_arg "Verify.Explore.run: depth < 1";
   let st0 = init m in
   let init_key = key m st0 in
   (* Exploration always splits on the initial state's successors and
-     merges deterministically, so the result is identical whether the
-     subtrees run sequentially or on a pool ([Parallel.map] preserves
-     input order). *)
+     merges deterministically, so the result is identical for any pool,
+     the zero-worker default included ([Parallel.map] preserves input
+     order). *)
   let roots =
     List.map
       (fun ev ->
@@ -411,10 +411,7 @@ let run ?pool ?(depth = default_depth) m =
       (enabled m st0)
   in
   let subtrees =
-    let f = explore_subtree m ~budget:depth ~init_key in
-    match pool with
-    | None -> List.map f roots
-    | Some pool -> Parallel.map_list pool ~f roots
+    Parallel.map_list pool ~f:(explore_subtree m ~budget:depth ~init_key) roots
   in
   let keys = Hashtbl.create 256 in
   Hashtbl.replace keys init_key ();

@@ -13,8 +13,9 @@
       interleaving.
 
     (I2 — location pins on non-terminal rungs — is a per-rung static
-    property and is checked by the [coign verify] driver through
-    {!Analysis.validate}, not by the explorer.)
+    property that {!Fallback.compute} enforces through
+    {!Analysis.validate} when it builds the ladder, not the
+    explorer.)
 
     Breaker steps reuse the pure {!Coign_netsim.Health.transition}, so
     the explorer and the RTE share one state machine by construction.
@@ -91,8 +92,8 @@ val default_depth : int
 val run : ?pool:Coign_util.Parallel.t -> ?depth:int -> Model.t -> result
 (** Explore to [depth] (default {!default_depth}).  Exploration always
     splits on the initial state's successor subtrees and merges
-    deterministically, so the result is bit-identical with or without a
-    [pool] and for any worker count.  Violations are deduplicated per
+    deterministically, so the result is bit-identical on any [pool]
+    (default {!Coign_util.Parallel.sequential}).  Violations are deduplicated per
     (code, subject), keeping the shortest (then lexicographically
     first) counterexample trace.  Raises [Invalid_argument] when
     [depth < 1]. *)

@@ -518,6 +518,31 @@ let test_forced_split_rejected () =
           Alcotest.(check bool) "severity error" true (d.Lint.severity = Lint.Error))
         diags
 
+(* [coign lint --json] is the text report as JSON: one object per
+   line of [coign lint], in the same order, with the same fields. *)
+let test_cli_lint_json () =
+  Harness.in_tmp (fun dir ->
+      let img = Filename.concat dir "oct.img" in
+      Harness.check_ok "instrument" (Harness.run [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+      let text = Filename.concat dir "lint.txt" and json = Filename.concat dir "lint.json" in
+      let rc = Harness.run_to text [ "lint"; img ] in
+      Alcotest.(check int) "same exit code" rc (Harness.run_to json [ "lint"; img; "--json" ]);
+      let module J = Coign_util.Jsonu in
+      match J.parse (Harness.read_file json) with
+      | Ok (J.Arr items) ->
+          let field k o =
+            match J.member k o with Some (J.Str s) -> s | _ -> Alcotest.failf "no string %s" k
+          in
+          let line o =
+            Printf.sprintf "%s %s %s: %s\n" (field "severity" o) (field "code" o)
+              (field "subject" o) (field "message" o)
+          in
+          Alcotest.(check bool) "some diagnostics" true (items <> []);
+          Alcotest.(check string) "json matches the text report" (Harness.read_file text)
+            (String.concat "" (List.map line items))
+      | Ok _ -> Alcotest.fail "lint --json is not an array"
+      | Error e -> Alcotest.failf "lint --json does not parse: %s" e)
+
 let suite =
   [
     Alcotest.test_case "finite: basics" `Quick test_finite_basic;
@@ -541,4 +566,5 @@ let suite =
     Alcotest.test_case "static covers dynamic web" `Slow test_static_covers_dynamic;
     Alcotest.test_case "analyze accepts its own cut" `Slow test_analyze_accepts_own_cut;
     Alcotest.test_case "forced split rejected" `Slow test_forced_split_rejected;
+    Alcotest.test_case "cli lint json matches the text report" `Slow test_cli_lint_json;
   ]

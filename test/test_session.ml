@@ -152,54 +152,43 @@ let test_session_empty_profile () =
        ~net:exact_net ())
     d
 
-let test_solve_many_matches_sequential () =
-  let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
-  let nets = preset_nets 7L in
-  let sequential = List.map (fun net -> Analysis.Session.solve session ~net) nets in
-  let batched = Analysis.Session.solve_many session ~nets in
-  List.iter2 (fun a b -> check_same "solve_many sequential" a b) sequential batched
-
-let test_solve_many_pool_matches_sequential () =
-  let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
-  let nets = preset_nets 13L in
-  let sequential = Analysis.Session.solve_many session ~nets in
-  let pool = Coign_util.Parallel.create ~domains:3 () in
-  let parallel =
-    Fun.protect
-      ~finally:(fun () -> Coign_util.Parallel.shutdown pool)
-      (fun () -> Analysis.Session.solve_many ~pool session ~nets)
+(* Components are the session's own reading of its infinite edges:
+   non-remotable pairs and classification co-location join, pins and
+   remotable traffic do not, and a class co-location pair joins every
+   classification of one class to every one of the other — so a pair
+   whose partner class has no classification binds nothing. *)
+let test_session_components () =
+  let classifier = Classifier.create Classifier.Incremental in
+  List.iter
+    (fun cname -> ignore (Classifier.classify classifier ~cname ~stack:[]))
+    [ "A"; "B"; "C"; "D"; "E"; "E"; "F"; "G" ];
+  let icc =
+    icc_of
+      [
+        (0, 1, "INR", false, 100, 10);
+        (2, 3, "IQ", true, 5_000, 500);
+        (-1, 6, "IMain", false, 100, 10);
+        (4, 7, "IQ", true, 5_000, 500);
+      ]
   in
-  List.iter2 (fun a b -> check_same "solve_many pool" a b) sequential parallel;
-  (* The batch must not have disturbed the session's own buffers. *)
-  let net = List.hd nets in
-  check_same "session intact after pooled batch"
-    (Analysis.choose ~classifier ~icc ~constraints ~net ())
-    (Analysis.Session.solve session ~net)
-
-let test_fallback_pool_identical () =
-  let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
-  let net = Net_profiler.profile (Coign_util.Prng.create 21L) Network.isdn_128 in
-  let sequential = Fallback.compute session ~net () in
-  let pool = Coign_util.Parallel.create ~domains:2 () in
-  let parallel =
-    Fun.protect
-      ~finally:(fun () -> Coign_util.Parallel.shutdown pool)
-      (fun () -> Fallback.compute ~pool session ~net ())
+  let constraints =
+    let c = Constraints.pin_class Constraints.empty ~cname:"A" Constraints.Server in
+    let c = Constraints.colocate c 1 2 in
+    Constraints.colocate_classes (Constraints.colocate_classes c "D" "G") "E" "Missing"
   in
-  let k = Fallback.rung_count sequential in
-  Alcotest.(check int) "rung count with and without pool" k (Fallback.rung_count parallel);
-  for i = 0 to k - 1 do
-    let a = Fallback.rung sequential i and b = Fallback.rung parallel i in
-    Alcotest.(check string) "rung name with and without pool" a.Fallback.rg_name b.Fallback.rg_name;
-    check_same "rung with and without pool" a.Fallback.rg_distribution b.Fallback.rg_distribution
-  done;
+  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  Alcotest.(check (array int))
+    "components" [| 0; 0; 0; 3; 4; 5; 6; 3 |]
+    (Analysis.Session.components session);
   Alcotest.(check (array bool))
-    "safety table with and without pool"
-    (Fallback.migration_safety_table sequential)
-    (Fallback.migration_safety_table parallel)
+    "migration safety by component"
+    [| false; false; false; true; true; true; false; true |]
+    (Analysis.Session.migration_safety session);
+  let ladder = Fallback.compute session ~net:exact_net () in
+  Alcotest.(check (array int))
+    "pool ladder shards by the session's components"
+    (Analysis.Session.components session)
+    (Fallback.pool_components (Fallback.pool_ladder ~hosts:2 session ~net:exact_net ladder))
 
 (* --- Randomized equivalence ----------------------------------------- *)
 
@@ -295,9 +284,6 @@ let suite =
     Alcotest.test_case "session matches choose per algorithm" `Quick test_session_algorithms;
     Alcotest.test_case "session copies are independent" `Quick test_session_copy_independent;
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
-    Alcotest.test_case "solve_many matches sequential" `Quick test_solve_many_matches_sequential;
-    Alcotest.test_case "solve_many with pool matches sequential" `Quick
-      test_solve_many_pool_matches_sequential;
-    Alcotest.test_case "fallback ladder identical with pool" `Quick test_fallback_pool_identical;
+    Alcotest.test_case "session components" `Quick test_session_components;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
   ]

@@ -71,7 +71,7 @@ let test_across_networks_monotone_comm () =
   match rows with
   | [ isdn; san ] ->
       Alcotest.(check bool) "slower network costs more" true
-        (isdn.Experiment.ar_predicted_comm_us > san.Experiment.ar_predicted_comm_us)
+        (isdn.Experiment.sw_predicted_comm_us > san.Experiment.sw_predicted_comm_us)
   | _ -> Alcotest.fail "expected two rows"
 
 (* --- Parallel determinism (two-stage engine satellites) -------------- *)

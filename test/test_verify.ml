@@ -786,6 +786,38 @@ let test_verify_golden () =
             "error: --pool must be in [1, 3]\n" (Harness.read_file out))
         [ 0; 4 ])
 
+(* A profiled image whose config record also carries a stored
+   distribution that breaks a static constraint (everything on the
+   server, Octarine.App included, which is pinned to the client): the
+   ladder refuses it as rung 0, and verify reports that as an error,
+   exit 1, not an uncaught exception. *)
+let test_verify_rejects_bad_distribution () =
+  Harness.in_tmp (fun dir ->
+      let img = Harness.profiled_octarine dir in
+      let image = Coign_image.Binary_image.load img in
+      let net = Net_profiler.exact Network.ethernet_10 in
+      let d = Analysis.Session.solve (Adps.analysis_session image) ~net in
+      let all_server =
+        { d with Analysis.placement = Array.map (fun _ -> Constraints.Server) d.Analysis.placement }
+      in
+      let config =
+        Coign_image.Config_record.set_entry
+          (Option.get image.Coign_image.Binary_image.config)
+          Config_keys.distribution (Analysis.encode all_server)
+      in
+      let bad = Filename.concat dir "bad.img" in
+      Coign_image.Binary_image.save
+        { image with Coign_image.Binary_image.config = Some config }
+        bad;
+      let err = Filename.concat dir "err.txt" in
+      let cmd = Filename.quote_command Harness.exe [ "verify"; bad ] in
+      Alcotest.(check int) "verify exits 1" 1
+        (Sys.command (cmd ^ " > /dev/null 2> " ^ Filename.quote err));
+      let msg = Harness.read_file err in
+      let prefix = "error: fallback rung primary: " in
+      Alcotest.(check string) "names the failing rung" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix))))
+
 let suite =
   [
     Alcotest.test_case "cooloff escalation chain and index" `Quick test_cooloff_chain;
@@ -811,4 +843,6 @@ let suite =
     Alcotest.test_case "bundled apps verify clean at pools 2 and 3" `Slow
       test_apps_verify_clean_pooled;
     Alcotest.test_case "cli verify golden output and exit codes" `Slow test_verify_golden;
+    Alcotest.test_case "cli verify rejects a constraint-breaking distribution" `Slow
+      test_verify_rejects_bad_distribution;
   ]
