@@ -1162,8 +1162,10 @@ let () =
   in
   (* A file that is not an image, or a stored profile, distribution or
      profile log that fails to decode, is bad input, reported like any
-     other (exit 1), wherever a command loads it. Anything else uncaught
-     stays an internal error (exit 125), as Cmdliner reports it. *)
+     other (exit 1), wherever a command loads it; so is a stored
+     distribution whose run faults (a COM error such as
+     E_CANNOTMARSHAL). Anything else uncaught stays an internal error
+     (exit 125), as Cmdliner reports it. *)
   exit
     (try Cmd.eval ~catch:false cmd with
     | Codec.Malformed msg
@@ -1172,6 +1174,9 @@ let () =
     | Analysis.Decode_error msg
     | Profile_log.Decode_error msg ->
         Printf.eprintf "error: %s\n" msg;
+        1
+    | Coign_com.Hresult.Com_error h ->
+        Printf.eprintf "error: %s\n" (Coign_com.Hresult.to_string h);
         1
     | e ->
         let bt = Printexc.get_raw_backtrace () in

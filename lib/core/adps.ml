@@ -87,11 +87,6 @@ let load_distribution image =
       | Some cls, Some dist -> Some (Classifier.decode cls, Analysis.decode dist)
       | _ -> None)
 
-let static_constraints image =
-  match image.Binary_image.meta with
-  | None -> Constraints.empty
-  | Some meta -> Interface_flow.constraints_of (Interface_flow.analyze meta)
-
 let timed profiler name f =
   match profiler with None -> f () | Some p -> Coign_obs.Profiler.time p name f
 
@@ -101,11 +96,7 @@ let analysis_session ?profiler ?(extra_constraints = Constraints.empty) image =
         match load_profile image with
         | None -> None
         | Some (classifier, icc) ->
-            let constraints =
-              Constraints.merge
-                (Constraints.merge (Constraints.of_image image) (static_constraints image))
-                extra_constraints
-            in
+            let constraints = Constraints.merge (Constraints.of_image image) extra_constraints in
             Some (classifier, icc, constraints))
   in
   match loaded with
@@ -119,7 +110,7 @@ let analyze_with ?profiler ~session ~image ~net () =
   let distribution = Analysis.Session.solve ?profiler session ~net in
   (* The cut construction cannot violate the constraints it was
      given, but hand-forced extra constraints can be mutually
-     unsatisfiable (e.g. pins splitting a static co-location pair).
+     unsatisfiable (e.g. pins splitting a profiled non-remotable pair).
      Prove the result before writing it into the image — the
      analyze-time replacement for Replay's runtime abort. *)
   timed profiler "validation" (fun () ->

@@ -62,20 +62,15 @@ val profile_results :
 
 (** {1 Stage 3: analyze} *)
 
-val static_constraints : Coign_image.Binary_image.t -> Constraints.t
-(** Constraints the static interface-flow analysis derives from the
-    image's metadata ({!Interface_flow.constraints_of}); empty when the
-    image carries none. *)
-
 val analysis_session :
   ?profiler:Coign_obs.Profiler.t ->
   ?extra_constraints:Constraints.t ->
   Coign_image.Binary_image.t ->
   Analysis.Session.t
 (** Stage 1 of {!analyze}, reusable across networks: load the image's
-    accumulated profile, combine every constraint source (API-pin
-    static analysis, {!static_constraints}, [extra_constraints]), and
-    build the network-independent analysis session. Raises
+    accumulated profile, combine its constraint sources (API-pin
+    static analysis and [extra_constraints]), and build the
+    network-independent analysis session. Raises
     [Invalid_argument] if the image holds no profile. With [profiler],
     profile loading and constraint assembly record under the
     ["profile_load"] phase, the graph build under ["icc_graph_build"]. *)
@@ -103,14 +98,14 @@ val analyze :
   unit ->
   Coign_image.Binary_image.t * Analysis.distribution
 (** Combine the accumulated profile with constraints (API-pin static
-    analysis of the image, {!static_constraints} from its interface
-    metadata, and [extra_constraints]) and the network profile; choose
-    the distribution; prove it with {!Analysis.validate}; rewrite the
-    image into distributed mode carrying the classifier state and
-    placement. Raises [Invalid_argument] if the image holds no profile,
-    and {!Lint.Rejected} (CG007 errors) if the constraints are mutually
-    unsatisfiable — e.g. hand-forced pins splitting a statically
-    detected non-remotable pair. The rejection happens at analyze time,
+    analysis of the image and [extra_constraints]) and the network
+    profile; choose the distribution; prove it with
+    {!Analysis.validate}; rewrite the image into distributed mode
+    carrying the classifier state and placement. Raises
+    [Invalid_argument] if the image holds no profile, and
+    {!Lint.Rejected} (CG007 errors) if the constraints are mutually
+    unsatisfiable — e.g. hand-forced pins splitting a profiled
+    non-remotable pair. The rejection happens at analyze time,
     before the distribution can ever reach {!Coign_sim.Replay}'s
     runtime abort. *)
 

@@ -23,7 +23,7 @@ let price_entry net (e : Icc.entry) =
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
 (* The classifications of each class name among the first [n],
-   ascending — one index per pass over the class-level constraints. *)
+   ascending — one index per pass over the class pins. *)
 let classifications_by_class classifier ~n =
   let tbl : (string, int list) Hashtbl.t = Hashtbl.create 32 in
   for c = n - 1 downto 0 do
@@ -125,15 +125,6 @@ module Session = struct
     List.iter
       (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then add_infinite a b)
       (Constraints.colocated_pairs constraints);
-    (* Static class-pair co-location: every classification of one class
-       must end up with every classification of the other. *)
-    let classifications_of = classifications_by_class classifier ~n in
-    List.iter
-      (fun (ca, cb) ->
-        List.iter
-          (fun a -> List.iter (fun b -> add_infinite a b) (classifications_of cb))
-          (classifications_of ca))
-      (Constraints.colocated_class_pairs constraints);
     let priced = ref [] in
     for p = Icc_graph.pair_count graph - 1 downto 0 do
       if not fixed.(p) then priced := p :: !priced
@@ -400,7 +391,6 @@ let location_of d c =
   if c < 0 || c >= Array.length d.placement then Constraints.Client else d.placement.(c)
 
 type violation =
-  | Split_pair of string * string
   | Split_classifications of int * int
   | Pin_violated of string * Constraints.location
 
@@ -432,23 +422,9 @@ let validate ~classifier ~constraints d =
         else None)
       (Constraints.colocated_pairs constraints)
   in
-  let split_pairs =
-    List.filter_map
-      (fun (ca, cb) ->
-        let locs cname = List.map (location_of d) (classifications_of cname) in
-        match (locs ca, locs cb) with
-        | [], _ | _, [] -> None
-        | la, lb ->
-            if List.exists (fun x -> List.exists (fun y -> x <> y) lb) la then
-              Some (Split_pair (ca, cb))
-            else None)
-      (Constraints.colocated_class_pairs constraints)
-  in
-  pin_violations @ split_classifications @ split_pairs
+  pin_violations @ split_classifications
 
 let pp_violation ppf = function
-  | Split_pair (a, b) ->
-      Format.fprintf ppf "co-location pair %s <-> %s is split across the cut" a b
   | Split_classifications (a, b) ->
       Format.fprintf ppf "co-located classifications %d and %d are split across the cut" a b
   | Pin_violated (what, loc) ->

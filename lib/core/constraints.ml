@@ -11,26 +11,13 @@ module Ipair_set = Set.Make (struct
   let compare = compare
 end)
 
-module Spair_set = Set.Make (struct
-  type t = string * string
-
-  let compare = compare
-end)
-
 type t = {
   by_class : location Smap.t;
   by_classification : location Imap.t;
   pairs : Ipair_set.t;  (* normalized (min, max) classification pairs *)
-  class_pairs : Spair_set.t;  (* normalized (min, max) class-name pairs *)
 }
 
-let empty =
-  {
-    by_class = Smap.empty;
-    by_classification = Imap.empty;
-    pairs = Ipair_set.empty;
-    class_pairs = Spair_set.empty;
-  }
+let empty = { by_class = Smap.empty; by_classification = Imap.empty; pairs = Ipair_set.empty }
 
 let conflict what a b =
   if a <> b then invalid_arg ("Constraints: conflicting pins for " ^ what);
@@ -56,10 +43,6 @@ let colocate t a b =
   if a = b then t
   else { t with pairs = Ipair_set.add (min a b, max a b) t.pairs }
 
-let colocate_classes t a b =
-  if a = b then t
-  else { t with class_pairs = Spair_set.add (min a b, max a b) t.class_pairs }
-
 let of_image img =
   List.fold_left
     (fun t (cname, verdict) ->
@@ -79,16 +62,10 @@ let merge a b =
       (fun c la lb -> Some (conflict (Printf.sprintf "classification %d" c) la lb))
       a.by_classification b.by_classification
   in
-  {
-    by_class;
-    by_classification;
-    pairs = Ipair_set.union a.pairs b.pairs;
-    class_pairs = Spair_set.union a.class_pairs b.class_pairs;
-  }
+  { by_class; by_classification; pairs = Ipair_set.union a.pairs b.pairs }
 
 let class_pin t ~cname = Smap.find_opt cname t.by_class
 let classification_pin t c = Imap.find_opt c t.by_classification
 let pinned_classifications t = Imap.bindings t.by_classification
 let colocated_pairs t = Ipair_set.elements t.pairs
-let colocated_class_pairs t = Spair_set.elements t.class_pairs
 let pinned_classes t = Smap.bindings t.by_class

@@ -1,14 +1,17 @@
 (** Component location constraints (paper §2, §4.3).
 
-    Constraints come from three sources: static analysis of component
-    binaries (GUI classes to the client, storage classes to the
-    server), the programmer (absolute constraints forcing an instance
-    to a machine, and pair-wise constraints forcing co-location — the
-    mechanism that protects data integrity and security), and the
-    system itself (the main program runs on the client; data files
-    live on the server). The analysis engine compiles them into
-    infinite-capacity edges of the cut graph, so no chosen distribution
-    can ever violate one. *)
+    Constraints come from three sources: the API references of
+    component binaries (GUI classes to the client, storage classes to
+    the server, {!of_image}), the programmer (absolute constraints
+    forcing an instance to a machine, and pair-wise constraints forcing
+    two classifications together — the mechanism that protects data
+    integrity and security), and the system itself (the main program
+    runs on the client; data files live on the server). The analysis
+    engine compiles them, with the non-remotable pairs the profile
+    observed, into infinite-capacity edges of the cut graph, so no
+    chosen distribution can ever violate one. The static interface-flow
+    analysis ({!Interface_flow}) is not a source: its class pairs are
+    lint findings. *)
 
 type location = Client | Server
 
@@ -26,13 +29,6 @@ val pin_classification : t -> int -> location -> t
 val colocate : t -> int -> int -> t
 (** Pair-wise constraint between two classifications. *)
 
-val colocate_classes : t -> string -> string -> t
-(** Pair-wise constraint between two component classes: every
-    classification of one must share a machine with every
-    classification of the other. This is what the static interface-flow
-    analysis emits — it reasons about classes, before any profile
-    exists to split them into classifications. *)
-
 val of_image : Coign_image.Binary_image.t -> t
 (** Class pins derived by static analysis ({!Static_analysis}). *)
 
@@ -44,6 +40,5 @@ val merge : t -> t -> t
 val class_pin : t -> cname:string -> location option
 val classification_pin : t -> int -> location option
 val colocated_pairs : t -> (int * int) list
-val colocated_class_pairs : t -> (string * string) list
 val pinned_classes : t -> (string * location) list
 val pinned_classifications : t -> (int * location) list

@@ -19,10 +19,7 @@ let decide t ~classification ~cname ~creator_machine =
     match t.policy with
     | All_client -> Constraints.Client
     | By_class f -> f cname
-    | By_classification d ->
-        if classification >= 0 && classification < d.Analysis.node_count then
-          Analysis.location_of d classification
-        else creator_machine
+    | By_classification d -> Analysis.location_of d classification
   in
   if target = creator_machine then t.local <- t.local + 1 else t.forwarded <- t.forwarded + 1;
   target

@@ -26,8 +26,9 @@ val decide :
   t -> classification:int -> cname:string -> creator_machine:Constraints.location ->
   Constraints.location
 (** Where to fulfil an instantiation request. Under
-    [By_classification], an unknown classification (never profiled)
-    stays on the creator's machine. Counts the request as local or
+    [By_classification] this is {!Analysis.location_of}, so an unknown
+    classification (never profiled) goes to the client, as in
+    [Replay] and [Loadsim]. Counts the request as local or
     forwarded. *)
 
 val policy : t -> policy

@@ -242,13 +242,3 @@ let unreachable_classes t =
   reached.(t.main) <- true;
   walk [ t.main ];
   List.filter_map (fun i -> if reached.(i) then None else Some t.names.(i)) t.classes
-
-let constraints_of t =
-  let c =
-    List.fold_left
-      (fun c (a, b) -> Constraints.colocate_classes c a b)
-      Constraints.empty (non_remotable_pairs t)
-  in
-  List.fold_left
-    (fun c cname -> Constraints.pin_class c ~cname Constraints.Client)
-    c (client_pins t)

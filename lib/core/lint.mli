@@ -16,11 +16,13 @@
       main program.
     - [CG005] (warning) — a method carries an unbounded recursive
       structure (sanitized to an opaque marker at image build time).
-    - [CG006] (info) — a static co-location pair or client pin derived
-      by {!Interface_flow}; on PhotoDraw these lines are Figure 5's
-      "black web".
+    - [CG006] (info) — a class pair, or the main program and a class,
+      that can exchange a non-remotable interface, derived by
+      {!Interface_flow}; on PhotoDraw these lines are Figure 5's
+      "black web". A finding only: the cut takes its non-remotable
+      pairs from the profile.
     - [CG007] (error) — a computed or proposed distribution violates a
-      static constraint; raised as {!Rejected} by
+      pin or co-location constraint; raised as {!Rejected} by
       {!Adps.analyze}.
 
     The [Coign_verify] explorer emits three further codes through the
@@ -47,8 +49,8 @@ type diagnostic = {
 }
 
 exception Rejected of diagnostic list
-(** Raised by analysis when a distribution would violate a static
-    constraint (CG007 diagnostics). *)
+(** Raised by analysis when a distribution would violate a constraint
+    (CG007 diagnostics). *)
 
 val diag : string -> severity -> string -> string -> diagnostic
 (** [diag code severity subject message]. *)

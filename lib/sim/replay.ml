@@ -30,8 +30,9 @@ let walk ~placement ~charge ~violation events =
       match event with
       | Event.Component_instantiated { inst; classification; creator; _ } ->
           let creator_machine = machine_of creator in
-          (* Follow the factory: profiled classifications go where the
-             placement says; unknown ones stay with their creator. *)
+          (* Follow the factory: the placement decides every
+             classification; an instance without one stays with its
+             creator. *)
           let machine =
             if classification < 0 then creator_machine else placement classification
           in

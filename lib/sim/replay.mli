@@ -57,9 +57,10 @@ val replay :
   unit ->
   estimate
 (** [placement] maps a classification to a machine (as
-    {!Coign_core.Analysis.location_of} does); instances whose
-    classification maps nowhere follow their creator, like the
-    component factory. The trace must come from a profiling run (it
+    {!Coign_core.Analysis.location_of} does, which is also the
+    component factory's rule: a classification the cut never saw goes
+    to the client); an instance without a classification follows its
+    creator. The trace must come from a profiling run (it
     needs the instantiation events to track instance machines).
 
     [faults] injects a fault model into the estimate: every

@@ -393,6 +393,47 @@ let test_exit_codes () =
       check_ok "analyze" (run [ "analyze"; prof; "-o"; an ]);
       Out_channel.with_open_bin junk (fun oc -> output_string oc "hello\n");
       let sc = [ "--scenario"; "o_oldwp0" ] in
+      (* The analyzed image with a hand-written distribution that splits
+         a profiled non-remotable pair: a run under it faults with
+         E_CANNOTMARSHAL, which is bad input (exit 1), not a crash. *)
+      let split = path "split.img" in
+      let open Coign_core in
+      let _, icc = Option.get (Adps.load_profile (Coign_image.Binary_image.load prof)) in
+      let e =
+        List.find
+          (fun (e : Icc.entry) -> (not e.Icc.remotable) && e.Icc.src >= 0 && e.Icc.dst >= 0)
+          (Icc.entries icc)
+      in
+      let image = Coign_image.Binary_image.load an in
+      let _, d = Option.get (Adps.load_distribution image) in
+      let placement = Array.copy d.Analysis.placement in
+      placement.(e.Icc.src) <-
+        (match placement.(e.Icc.dst) with
+        | Constraints.Client -> Constraints.Server
+        | Constraints.Server -> Constraints.Client);
+      let config =
+        Coign_image.Config_record.set_entry
+          (Option.get image.Coign_image.Binary_image.config)
+          Config_keys.distribution
+          (Analysis.encode { d with Analysis.placement })
+      in
+      Coign_image.Binary_image.save
+        { image with Coign_image.Binary_image.config = Some config }
+        split;
+      List.iter
+        (fun args ->
+          let err = path "err.txt" in
+          let cmd = Filename.quote_command exe args in
+          Alcotest.(check int) (List.hd args ^ " on a faulting distribution exits 1") 1
+            (Sys.command (cmd ^ " > /dev/null 2> " ^ Filename.quote err));
+          let prefix = "error: E_CANNOTMARSHAL: " and msg = read_file err in
+          Alcotest.(check string) (List.hd args ^ " names the fault") prefix
+            (String.sub msg 0 (min (String.length msg) (String.length prefix))))
+        [
+          "run" :: split :: sc;
+          ("trace" :: split :: sc) @ [ "-o"; path "out.json" ];
+          "metrics" :: split :: sc;
+        ];
       let commands img =
         [
           [ "analyze"; img; "-o"; path "out.img" ];

@@ -126,14 +126,19 @@ let test_flow_pairs () =
   Alcotest.(check bool) "MAIN reaches B transitively" true
     (List.mem (Coign_com.Runtime.main_class_name, "B") refs)
 
+(* The derived pairs and pins reach the user as CG006 findings, one per
+   non-remotable pair and one per client pin; the cut never sees them. *)
 let test_flow_constraints () =
   let flow = Interface_flow.analyze (sample_meta ()) in
-  let c = Interface_flow.constraints_of flow in
   Alcotest.(check (list (pair string string)))
-    "colocation constraint" [ ("A", "B") ]
-    (Constraints.colocated_class_pairs c);
-  Alcotest.(check bool) "B pinned to client" true
-    (Constraints.class_pin c ~cname:"B" = Some Constraints.Client)
+    "co-location pair" [ ("A", "B") ]
+    (Interface_flow.non_remotable_pairs flow);
+  Alcotest.(check (list string)) "client pin" [ "B" ] (Interface_flow.client_pins flow);
+  Alcotest.(check (list string))
+    "CG006 subjects" [ "A <-> B"; Coign_com.Runtime.main_class_name ^ " <-> B" ]
+    (List.filter_map
+       (fun d -> if d.Lint.code = "CG006" then Some d.Lint.subject else None)
+       (Lint.lint_meta (sample_meta ())))
 
 let test_flow_accepts_direction () =
   (* Flow through an [In] interface parameter: A passes B's IShared
@@ -324,16 +329,6 @@ module Reference = struct
       (fun (c : Image_meta.cls) ->
         if SS.mem c.Image_meta.cl_name reached then None else Some c.Image_meta.cl_name)
       t.meta.Image_meta.classes
-
-  let constraints_of t =
-    let c =
-      List.fold_left
-        (fun c (a, b) -> Constraints.colocate_classes c a b)
-        Constraints.empty (non_remotable_pairs t)
-    in
-    List.fold_left
-      (fun c cname -> Constraints.pin_class c ~cname Constraints.Client)
-      c (client_pins t)
 end
 
 (* Random metadata, built as a raw record so that names repeat,
@@ -409,13 +404,7 @@ let prop_flow_matches_reference =
       && same "unreachable_classes" strings Interface_flow.unreachable_classes
            Reference.unreachable_classes
       && same "non_remotable_ifaces" strings Interface_flow.non_remotable_ifaces
-           Reference.non_remotable_ifaces
-      && same "colocated_class_pairs" pairs
-           (fun t -> Constraints.colocated_class_pairs (Interface_flow.constraints_of t))
-           (fun t -> Constraints.colocated_class_pairs (Reference.constraints_of t))
-      && same "pinned_classes" ( = )
-           (fun t -> Constraints.pinned_classes (Interface_flow.constraints_of t))
-           (fun t -> Constraints.pinned_classes (Reference.constraints_of t)))
+           Reference.non_remotable_ifaces)
 
 (* The bundled applications, through the same oracle. *)
 let test_flow_matches_reference_on_apps () =

@@ -66,7 +66,7 @@ let preset_nets seed =
        (fun network -> Net_profiler.profile (Coign_util.Prng.create seed) network)
        Network.presets
 
-(* PhotoDraw's p_oldmsr profile with its image and static constraints,
+(* PhotoDraw's p_oldmsr profile with its image's class pins,
    and 24 networks geometrically spaced from ISDN to a 1 Gb/s SAN: the
    sweep an adaptive runtime re-cuts across. *)
 let photodraw_sweep () =
@@ -76,9 +76,7 @@ let photodraw_sweep () =
   let image = Adps.instrument app.App.app_image in
   let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
   let classifier, icc = Option.get (Adps.load_profile image) in
-  let constraints =
-    Constraints.merge (Constraints.of_image image) (Adps.static_constraints image)
-  in
+  let constraints = Constraints.of_image image in
   let nets =
     List.map
       (fun net -> Net_profiler.profile (Coign_util.Prng.create 11L) net)
@@ -154,9 +152,7 @@ let test_session_empty_profile () =
 
 (* Components are the session's own reading of its infinite edges:
    non-remotable pairs and classification co-location join, pins and
-   remotable traffic do not, and a class co-location pair joins every
-   classification of one class to every one of the other — so a pair
-   whose partner class has no classification binds nothing. *)
+   remotable traffic do not. *)
 let test_session_components () =
   let classifier = Classifier.create Classifier.Incremental in
   List.iter
@@ -173,12 +169,11 @@ let test_session_components () =
   in
   let constraints =
     let c = Constraints.pin_class Constraints.empty ~cname:"A" Constraints.Server in
-    let c = Constraints.colocate c 1 2 in
-    Constraints.colocate_classes (Constraints.colocate_classes c "D" "G") "E" "Missing"
+    Constraints.colocate c 1 2
   in
   let session = Analysis.Session.create ~classifier ~icc ~constraints () in
   Alcotest.(check (array int))
-    "components" [| 0; 0; 0; 3; 4; 5; 6; 3 |]
+    "components" [| 0; 0; 0; 3; 4; 5; 6; 7 |]
     (Analysis.Session.components session);
   Alcotest.(check (array bool))
     "migration safety by component"

@@ -74,6 +74,47 @@ let test_across_networks_monotone_comm () =
         (isdn.Experiment.sw_predicted_comm_us > san.Experiment.sw_predicted_comm_us)
   | _ -> Alcotest.fail "expected two rows"
 
+(* --- The report's expected shapes ------------------------------------ *)
+
+(* Table 4: the large table documents and the mixed text+tables
+   document keep most of the paper's savings (99%, 99%, 68%). *)
+let test_table4_expected_shape () =
+  List.iter
+    (fun (id, floor) ->
+      let r = row id in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s saves %.1f%% >= %.0f%%" id (100. *. r.Experiment.savings)
+           (100. *. floor))
+        true
+        (r.Experiment.savings >= floor))
+    [ ("o_oldtb3", 0.95); ("o_offtb3", 0.90); ("o_oldbth", 0.60); ("o_bigone", 0.85) ]
+
+(* Figure 8: embedding tables moves the page-placement cluster to the
+   server (paper: 281 of 786 instances). *)
+let test_figure8_expected_shape () =
+  let r = row "o_oldbth" in
+  Alcotest.(check int) "instances" 698 r.Experiment.total_instances;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d server instances >= 100" r.Experiment.server_instances)
+    true
+    (r.Experiment.server_instances >= 100)
+
+(* §4.4: the chosen distribution itself shifts with the network. *)
+let test_adaptive_placement_moves () =
+  let app, sc = Suite.find_scenario "o_oldbth" in
+  match
+    Experiment.across_networks
+      ~networks:[ Coign_netsim.Network.isdn_128; Coign_netsim.Network.san_1g ]
+      app sc
+  with
+  | [ isdn; san ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "ISDN %d vs SAN %d server classifications"
+           isdn.Experiment.sw_server_classifications san.Experiment.sw_server_classifications)
+        true
+        (isdn.Experiment.sw_server_classifications <> san.Experiment.sw_server_classifications)
+  | _ -> Alcotest.fail "expected two rows"
+
 (* --- Parallel determinism (two-stage engine satellites) -------------- *)
 
 let check_rows_identical msg (a : Experiment.row list) (b : Experiment.row list) =
@@ -339,6 +380,10 @@ let suite =
     Alcotest.test_case "placements by class consistent" `Quick
       test_placements_by_class_consistent;
     Alcotest.test_case "across networks monotone" `Quick test_across_networks_monotone_comm;
+    Alcotest.test_case "table 4 expected shape" `Quick test_table4_expected_shape;
+    Alcotest.test_case "figure 8 expected shape" `Quick test_figure8_expected_shape;
+    Alcotest.test_case "sec 4.4 placement moves with the network" `Quick
+      test_adaptive_placement_moves;
     Alcotest.test_case "run_suite parallel deterministic" `Quick
       test_run_suite_parallel_deterministic;
     Alcotest.test_case "sweep parallel deterministic" `Quick test_sweep_parallel_deterministic;
