@@ -69,13 +69,17 @@ let profile ?logger ?tracer ?metrics ~image ~registry scenario =
   let image, stats, _rte = profile_results ?logger ?tracer ?metrics ~image ~registry scenario in
   (image, stats)
 
-let load_profile image =
+(* The stored classifier and ICC summary texts, undecoded. *)
+let profile_texts image =
   match image.Binary_image.config with
   | None -> None
   | Some config -> (
       match (Config_record.entry config key_classifier, Config_record.entry config key_icc) with
-      | Some cls, Some icc -> Some (Classifier.decode cls, Icc.decode icc)
+      | Some cls, Some icc -> Some (cls, icc)
       | _ -> None)
+
+let load_profile image =
+  Option.map (fun (cls, icc) -> (Classifier.decode cls, Icc.decode icc)) (profile_texts image)
 
 let load_distribution image =
   match image.Binary_image.config with
@@ -93,16 +97,18 @@ let timed profiler name f =
 let analysis_session ?profiler ?(extra_constraints = Constraints.empty) image =
   let loaded =
     timed profiler "profile_load" (fun () ->
-        match load_profile image with
+        match profile_texts image with
         | None -> None
-        | Some (classifier, icc) ->
+        | Some (cls, icc) ->
+            let classifier = Classifier.decode cls in
+            let graph = Icc_graph.decode ~classifier icc in
             let constraints = Constraints.merge (Constraints.of_image image) extra_constraints in
-            Some (classifier, icc, constraints))
+            Some (classifier, graph, constraints))
   in
   match loaded with
   | None -> invalid_arg "Adps.analyze: image holds no profile"
-  | Some (classifier, icc, constraints) ->
-      Analysis.Session.create ?profiler ~classifier ~icc ~constraints ()
+  | Some (classifier, graph, constraints) ->
+      Analysis.Session.of_graph ?profiler ~classifier ~graph ~constraints ()
 
 let analyze_with ?profiler ~session ~image ~net () =
   let classifier = Analysis.Session.classifier session in

@@ -67,13 +67,18 @@ val analysis_session :
   ?extra_constraints:Constraints.t ->
   Coign_image.Binary_image.t ->
   Analysis.Session.t
-(** Stage 1 of {!analyze}, reusable across networks: load the image's
+(** Stage 1 of {!analyze}, reusable across networks: decode the image's
     accumulated profile, combine its constraint sources (API-pin
     static analysis and [extra_constraints]), and build the
-    network-independent analysis session. Raises
-    [Invalid_argument] if the image holds no profile. With [profiler],
-    profile loading and constraint assembly record under the
-    ["profile_load"] phase, the graph build under ["icc_graph_build"]. *)
+    network-independent analysis session. The ICC summary text is
+    decoded straight into the abstract graph ({!Icc_graph.decode}),
+    with no intermediate {!Icc.t}, so a stored summary outside the
+    canonical form {!Icc.scan} accepts raises {!Icc.Decode_error}.
+    Raises [Invalid_argument] if the image holds no profile. With
+    [profiler], the classifier decode, the text-to-graph decode and
+    constraint assembly record under the ["profile_load"] phase, the
+    session's flow-arena build ({!Analysis.Session.of_graph}) under
+    ["icc_graph_build"]. *)
 
 val analyze_with :
   ?profiler:Coign_obs.Profiler.t ->

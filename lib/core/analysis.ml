@@ -77,30 +77,29 @@ module Session = struct
   let node_count t = Icc_graph.classification_count t.s_graph
   let graph t = t.s_graph
 
-  let build_session ~classifier ~icc ~constraints () =
-    let graph = Icc_graph.build ~classifier ~icc in
+  let build_session ~classifier ~graph ~constraints =
     let n = Icc_graph.classification_count graph in
     (* Nodes: 0..n-1 classifications, n = client terminal (also the
-       main program's node), n+1 = server. *)
+       main program's node), n+1 = server. Node pairs are packed into
+       one int, the lower node in the high bits. *)
     let client = n and server = n + 1 in
+    let pack a b = (min a b lsl 30) lor max a b in
     let fixed = Array.make (Icc_graph.pair_count graph) false in
-    let pair_id : (int * int, int) Hashtbl.t =
-      Hashtbl.create (max 16 (2 * Icc_graph.pair_count graph))
-    in
+    let pair_id = Int_table.create ~absent:(-1) (Icc_graph.pair_count graph) in
     Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
-        Hashtbl.replace pair_id (a, b) p);
-    (* Infinite undirected edges. Repeat constraints on one pair share
-       its arena arc: the compile sums them, saturating at
-       infinity_cap. *)
-    let infinite = ref [] in
+        Int_table.replace pair_id (pack a b) p);
+    (* Infinite undirected edges, as packed pairs. Repeat constraints on
+       one pair share its arena arc: the compile sums them, saturating
+       at infinity_cap. *)
+    let infinite = ref [] and ninf = ref 0 in
     let add_infinite a b =
-      let key = (min a b, max a b) in
+      let key = pack a b in
       infinite := key :: !infinite;
+      incr ninf;
       (* An infinite edge dominates any finite traffic on the pair, so
          its price can never change the cut: skip it when repricing. *)
-      match Hashtbl.find_opt pair_id key with
-      | Some p -> fixed.(p) <- true
-      | None -> ()
+      let p = Int_table.find pair_id key in
+      if p >= 0 then fixed.(p) <- true
     in
     Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
         if non_remotable then add_infinite a b);
@@ -131,8 +130,9 @@ module Session = struct
     done;
     let priced = Array.of_list !priced in
     let np = Array.length priced in
+    let ninf = !ninf in
     let inf_pairs = Array.of_list !infinite in
-    let ninf = Array.length inf_pairs in
+    let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
     (* The classifications every cut must keep together: union-find over
        the infinite edges with a classification at both ends (pins run
        to a terminal). Union by minimum keeps each root the smallest
@@ -146,42 +146,53 @@ module Session = struct
       end
     in
     Array.iter
-      (fun (a, b) ->
-        if b < n then begin
-          let ra = find a and rb = find b in
+      (fun key ->
+        if hi key < n then begin
+          let ra = find (lo key) and rb = find (hi key) in
           if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
         end)
       inf_pairs;
-    (* Directed edge list for the arena: both directions of every
-       infinite edge and of every priced pair (the latter at capacity
-       zero — inert until priced up). Sorted by (src, dst), so each
-       node's arcs run in neighbour order. A priced pair is never also
-       infinite, so every priced slot owns its arcs. A zero-residual
-       arc is invisible to every solver. *)
+    (* Directed edges for the arena: both directions of every infinite
+       edge and of every priced pair (the latter at capacity zero —
+       inert until priced up), as parallel arrays. [slot] is the priced
+       slot, -1 for an infinite edge. *)
     let nedges = 2 * (ninf + np) in
-    let edges = Array.make (max 1 nedges) (0, 0, 0, -1) in
+    let src = Array.make nedges 0 and dst = Array.make nedges 0 in
+    let cap = Array.make nedges Flow_network.infinity_cap and slot = Array.make nedges (-1) in
+    let set k a b = src.(k) <- a; dst.(k) <- b in
     Array.iteri
-      (fun i (a, b) ->
-        edges.(2 * i) <- (a, b, Flow_network.infinity_cap, -1);
-        edges.((2 * i) + 1) <- (b, a, Flow_network.infinity_cap, -1))
+      (fun i key ->
+        set (2 * i) (lo key) (hi key);
+        set ((2 * i) + 1) (hi key) (lo key))
       inf_pairs;
     Array.iteri
       (fun i p ->
         let a, b = Icc_graph.pair graph p in
-        edges.((2 * ninf) + (2 * i)) <- (a, b, 0, i);
-        edges.((2 * ninf) + (2 * i) + 1) <- (b, a, 0, i))
+        let k = 2 * (ninf + i) in
+        set k a b;
+        set (k + 1) b a;
+        cap.(k) <- 0;
+        cap.(k + 1) <- 0;
+        slot.(k) <- i;
+        slot.(k + 1) <- i)
       priced;
-    let edges = if nedges = 0 then [||] else edges in
-    Array.sort compare edges;
+    (* Sorted by (src, dst), so each node's arcs run in neighbour order.
+       Edges sharing a (src, dst) are all infinite and interchangeable:
+       a priced pair is never also infinite, so every priced slot owns
+       its arcs. A zero-residual arc is invisible to every solver. *)
+    let key = Array.init nedges (fun k -> (src.(k) lsl 30) lor dst.(k)) in
+    let order = Array.init nedges Fun.id in
+    Array.sort (fun i j -> Int.compare key.(i) key.(j)) order;
     let arena, fwd =
-      Flow_network.of_edges ~n:(n + 2) (Array.map (fun (s, d, c, _) -> (s, d, c)) edges)
+      Flow_network.of_edges ~n:(n + 2) (Array.map (fun k -> (src.(k), dst.(k), cap.(k))) order)
     in
     let arc_ab = Array.make np 0 and arc_ba = Array.make np 0 in
     Array.iteri
-      (fun i (src, dst, _, slot) ->
-        if slot >= 0 then
-          if src < dst then arc_ab.(slot) <- fwd.(i) else arc_ba.(slot) <- fwd.(i))
-      edges;
+      (fun i k ->
+        let sl = slot.(k) in
+        if sl >= 0 then
+          if src.(k) < dst.(k) then arc_ab.(sl) <- fwd.(i) else arc_ba.(sl) <- fwd.(i))
+      order;
     {
       s_classifier = classifier;
       s_constraints = constraints;
@@ -201,12 +212,15 @@ module Session = struct
       s_cost_cache = [];
     }
 
+  let timed profiler name f =
+    match profiler with None -> f () | Some p -> Coign_obs.Profiler.time p name f
+
+  let of_graph ?profiler ~classifier ~graph ~constraints () =
+    timed profiler "icc_graph_build" (fun () -> build_session ~classifier ~graph ~constraints)
+
   let create ?profiler ~classifier ~icc ~constraints () =
-    match profiler with
-    | None -> build_session ~classifier ~icc ~constraints ()
-    | Some p ->
-        Coign_obs.Profiler.time p "icc_graph_build" (fun () ->
-            build_session ~classifier ~icc ~constraints ())
+    timed profiler "icc_graph_build" (fun () ->
+        build_session ~classifier ~graph:(Icc_graph.build ~classifier ~icc) ~constraints)
 
   let copy t =
     let n2 = Icc_graph.classification_count t.s_graph + 2 in

@@ -52,8 +52,23 @@ module Session : sig
     unit ->
     t
   (** Build the network-independent stage: abstract graph, constraint
-      edges, repriceable pair list. With [profiler], the build records
-      under the ["icc_graph_build"] phase. *)
+      edges, repriceable pair list. [= of_graph ~graph:(Icc_graph.build
+      ~classifier ~icc)]; with [profiler], the graph and arena builds
+      together record under the ["icc_graph_build"] phase. *)
+
+  val of_graph :
+    ?profiler:Coign_obs.Profiler.t ->
+    classifier:Classifier.t ->
+    graph:Icc_graph.t ->
+    constraints:Constraints.t ->
+    unit ->
+    t
+  (** The stage over an abstract graph already built, e.g. by
+      {!Icc_graph.decode} straight from a stored profile: the
+      constraint edges, the repriceable pair list and the CSR arena,
+      keyed by packed node pairs and sorted on int keys. With
+      [profiler], this arena build records under the
+      ["icc_graph_build"] phase. *)
 
   val solve :
     ?algorithm:Coign_flowgraph.Mincut.algorithm ->

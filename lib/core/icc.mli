@@ -67,14 +67,38 @@ val map_classifications : (int -> int) -> t -> t
     that collide after mapping merge. *)
 
 val encode : t -> string
+(** The canonical text form: a ["calls N"] line, then one line per
+    (entry, non-empty bucket) of seven tab-separated fields — source,
+    target, interface, remotable flag (1/0), bucket index, message
+    count, byte total — in {!entries} order and ascending bucket
+    order, every line ending in a newline. *)
 
 exception Decode_error of string
 (** A malformed summary; the message starts ["Icc.decode: "]. *)
 
+val scan :
+  string ->
+  cell:(src:int -> dst:int -> remotable:bool -> int -> int -> unit) ->
+  bucket:(index:int -> count:int -> bytes:int -> unit) ->
+  int
+(** The one validating reader of the canonical form, shared by
+    {!decode} and {!Icc_graph.decode}. It reads the text in place,
+    calls [cell] at the first line of each (source, target, interface)
+    cell — the interface name is the substring at the given offset and
+    length — and [bucket] at every line, and returns the call count.
+    A field that is not plain [\[-\]digits] gets [int_of_string]'s
+    semantics. It accepts exactly what {!encode} writes and raises
+    {!Decode_error} on anything else: a missing ["calls"] line, a
+    line without seven fields or final newline, a non-numeric or
+    out-of-range id, bucket, count or byte total, a remotable flag
+    other than 0/1 or one that changes within a cell, lines not
+    strictly ascending by (source, target, interface, bucket) — which
+    also rules out duplicates — an empty bucket, or a byte total whose
+    mean falls outside its bucket's range. *)
+
 val decode : string -> t
-(** [decode (encode t)] preserves per-bucket message counts and byte
-    totals (individual sizes within a bucket are summarized — that is
-    the point of the buckets), so [encode] is a fixpoint after one
-    round trip. Raises {!Decode_error} on a line without seven fields,
-    a non-numeric or out-of-range id, bucket or call count, a negative
-    message count or byte total, or a remotable flag other than 0/1. *)
+(** {!scan} into a summary. [decode (encode t)] preserves per-bucket
+    message counts and byte totals (individual sizes within a bucket
+    are summarized — that is the point of the buckets), so [encode] is
+    a fixpoint after one round trip. Raises {!Decode_error} on any
+    text {!scan} rejects. *)

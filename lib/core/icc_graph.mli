@@ -19,8 +19,13 @@
     product per segment ({!price}), instead of a prediction per
     (entry, bucket, network) as the one-stage engine paid.
 
-    The builder consumes {!Icc.entries} in a single grouped pass — no
-    intermediate per-pair entry lists are rebuilt — and the float
+    One segment accumulator builds the graph, fed either from a
+    summary's {!Icc.entries} ({!build}) or straight from its canonical
+    text ({!decode}, which skips the intermediate {!Icc.t} and its
+    per-cell histograms). Both feed it the same cells in the same
+    order — entries sorted by (source, target, interface), buckets
+    ascending — so they build structurally equal graphs. Pairs and
+    sizes are interned in [Int_table]s on packed int keys. The float
     summation order is exactly the one-stage engine's (per-bucket
     within an entry, entries in sorted order), so priced costs and
     predicted communication times are bit-identical, not merely
@@ -38,6 +43,11 @@ val build : classifier:Classifier.t -> icc:Icc.t -> t
     stands for the main program (classification -1). Entries whose
     endpoints map to the same node carry no potential communication
     and are dropped. *)
+
+val decode : classifier:Classifier.t -> string -> t
+(** [decode ~classifier text] = [build ~classifier ~icc:(Icc.decode text)],
+    read in one {!Icc.scan} pass without building the summary. Raises
+    {!Icc.Decode_error} exactly where {!Icc.decode} does. *)
 
 val classification_count : t -> int
 (** [n]: nodes below this are classifications, node [n] is main. *)

@@ -30,19 +30,21 @@ let of_edges ~n edges =
     edges;
   (* [rep.(i)]: the first input edge sharing edge i's (src, dst), whose
      arc carries the summed capacity; -1 for a self-loop, which no cut
-     can separate. A stable sort by pair groups the duplicates. *)
-  let key i =
-    let src, dst, _ = edges.(i) in
-    (src * n) + dst
-  in
+     can separate. A stable sort by pair groups the duplicates; input
+     already in pair order, as a session's is, skips the sort. *)
+  let key = Array.map (fun (src, dst, _) -> (src * n) + dst) edges in
   let order = Array.init m Fun.id in
-  Array.stable_sort (fun i j -> compare (key i) (key j)) order;
+  let sorted = ref true in
+  for i = 1 to m - 1 do
+    if key.(i - 1) > key.(i) then sorted := false
+  done;
+  if not !sorted then Array.stable_sort (fun i j -> Int.compare key.(i) key.(j)) order;
   let rep = Array.make m (-1) in
   Array.iteri
     (fun k i ->
       let src, dst, _ = edges.(i) in
       if src <> dst then
-        rep.(i) <- (if k > 0 && key order.(k - 1) = key i then rep.(order.(k - 1)) else i))
+        rep.(i) <- (if k > 0 && key.(order.(k - 1)) = key.(i) then rep.(order.(k - 1)) else i))
     order;
   let degree = Array.make (n + 1) 0 in
   Array.iteri

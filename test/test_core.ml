@@ -88,6 +88,94 @@ let prop_icc_codec_fixpoint =
       let d = Icc.decode (Icc.encode icc) in
       Icc.call_count d = Icc.call_count icc && Icc.total_bytes d = Icc.total_bytes icc)
 
+(* The canonical form: both decoders of the stored text accept what
+   [Icc.encode] writes and raise [Icc.Decode_error] on anything else. *)
+let canonical_classifier =
+  let t = Classifier.create Classifier.St in
+  List.iter (fun cname -> ignore (Classifier.classify t ~cname ~stack:[])) [ "A"; "B"; "C" ];
+  t
+
+let decoders_agree what text =
+  let classifier = canonical_classifier in
+  match Icc.decode text with
+  | icc ->
+      Alcotest.(check bool)
+        (what ^ ": graph decoder = build over Icc.decode")
+        true
+        (Icc_graph.decode ~classifier text = Icc_graph.build ~classifier ~icc);
+      icc
+  | exception Icc.Decode_error m -> Alcotest.failf "%s: rejected (%s)" what m
+
+let decoders_reject what text =
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s: %s accepted non-canonical text" what name
+    | exception Icc.Decode_error m ->
+        Alcotest.(check bool) (what ^ ": message prefix") true
+          (String.starts_with ~prefix:"Icc.decode: " m)
+  in
+  rejects "Icc.decode" (fun () -> ignore (Icc.decode text));
+  rejects "Icc_graph.decode" (fun () ->
+      ignore (Icc_graph.decode ~classifier:canonical_classifier text))
+
+let test_icc_canonical_form () =
+  let icc = Icc.create () in
+  Icc.record icc ~src:0 ~dst:1 ~iface:"IB" ~remotable:true ~request:40 ~reply:10;
+  Icc.record icc ~src:0 ~dst:1 ~iface:"IA" ~remotable:false ~request:100 ~reply:3;
+  Icc.record icc ~src:(-1) ~dst:2 ~iface:"IA" ~remotable:true ~request:7 ~reply:7;
+  let text = Icc.encode icc in
+  Alcotest.(check string) "encoded text"
+    "calls 3\n\
+     -1\t2\tIA\t1\t0\t2\t14\n\
+     0\t1\tIA\t0\t0\t1\t3\n\
+     0\t1\tIA\t0\t2\t1\t100\n\
+     0\t1\tIB\t1\t0\t1\t10\n\
+     0\t1\tIB\t1\t1\t1\t40\n"
+    text;
+  ignore (decoders_agree "encode output" text);
+  let lines = String.split_on_char '\n' text in
+  let edit f = String.concat "\n" (f (Array.of_list lines) |> Array.to_list) in
+  let swap i j a =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x;
+    a
+  in
+  decoders_reject "cells out of order" (edit (swap 1 2));
+  decoders_reject "interfaces out of order" (edit (swap 3 4));
+  decoders_reject "buckets out of order" (edit (swap 4 5));
+  decoders_reject "duplicate (cell, bucket)"
+    (edit (fun a ->
+         a.(3) <- a.(2);
+         a));
+  decoders_reject "count 0" "calls 1\n0\t1\tI\t1\t0\t0\t0\n";
+  decoders_reject "mean below its bucket" "calls 1\n0\t1\tI\t1\t1\t2\t63\n";
+  decoders_reject "mean above its bucket" "calls 1\n0\t1\tI\t1\t0\t2\t63\n";
+  decoders_reject "remotable flag changes within a cell"
+    (edit (fun a ->
+         a.(3) <- "0\t1\tIA\t1\t2\t1\t100";
+         a));
+  decoders_reject "no calls line" (String.concat "\n" (List.tl lines));
+  decoders_reject "blank line" ("calls 3\n\n" ^ String.concat "\n" (List.tl lines));
+  decoders_reject "unterminated last line" (String.sub text 0 (String.length text - 1));
+  (* The last bucket's upper bound is max_int: its check must not
+     overflow. *)
+  let lo, _ = Coign_util.Exp_bucket.bucket_bounds 57 in
+  ignore
+    (decoders_agree "last bucket at max_int"
+       (Printf.sprintf "calls 1\n0\t1\tI\t1\t57\t1\t%d\n" max_int));
+  ignore
+    (decoders_agree "last bucket at its floor"
+       (Printf.sprintf "calls 1\n0\t1\tI\t1\t57\t1\t%d\n" lo));
+  decoders_reject "last bucket mean below its floor"
+    (Printf.sprintf "calls 1\n0\t1\tI\t1\t57\t2\t%d\n" max_int);
+  (* A field that is not plain [-]digits reads as int_of_string does. *)
+  let hex = decoders_agree "hex byte total" "calls 0x1\n0\t1\tI\t1\t1\t1\t0x20\n" in
+  Alcotest.(check string) "hex re-encodes canonically" "calls 1\n0\t1\tI\t1\t1\t1\t32\n"
+    (Icc.encode hex);
+  ignore (decoders_agree "19 digits" "calls 1000000000000000000\n");
+  decoders_reject "19-digit overflow" "calls 9999999999999999999\n"
+
 (* --- Inst_comm ------------------------------------------------------ *)
 
 let test_inst_comm () =
@@ -377,6 +465,7 @@ let suite =
     Alcotest.test_case "icc pair entries" `Quick test_icc_pair_entries;
     Alcotest.test_case "icc merge" `Quick test_icc_merge;
     Alcotest.test_case "icc codec preserves totals" `Quick test_icc_codec_preserves_totals;
+    Alcotest.test_case "icc canonical form" `Quick test_icc_canonical_form;
     qtest prop_icc_codec_fixpoint;
     Alcotest.test_case "inst comm" `Quick test_inst_comm;
     Alcotest.test_case "recording allocation-free" `Quick test_recording_allocation_free;

@@ -272,6 +272,67 @@ let prop_session_equals_choose =
              = Int64.bits_of_float solved.Analysis.predicted_comm_us)
         (nets @ List.rev nets))
 
+(* The stored-text decoder: on any summary's encoding it builds the
+   graph [Icc_graph.build] builds over [Icc.decode], and sessions over
+   the two solve alike. Sizes span many buckets, up to 2^40 bytes. *)
+let gen_summary =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    list_size (int_range 0 24)
+      (quad
+         (pair (int_range (-1) (n - 1)) (int_range (-1) (n - 1)))
+         (int_range 0 5)
+         bool
+         (pair
+            (oneof [ int_range 0 300; int_range 0 200_000; int_range 0 (1 lsl 40) ])
+            (int_range 0 5_000)))
+    >>= fun records -> int_range 1 1000 >>= fun seed -> return (n, records, seed))
+
+let arb_summary =
+  QCheck.make
+    ~print:(fun (n, records, seed) ->
+      Printf.sprintf "n=%d seed=%d records=%s" n seed
+        (String.concat ";"
+           (List.map
+              (fun ((a, b), i, r, (req, rep)) ->
+                Printf.sprintf "%d->%d:I%d%s:%d/%d" a b i (if r then "" else "!") req rep)
+              records)))
+    gen_summary
+
+let prop_text_decoder_equals_build =
+  QCheck.Test.make ~name:"graph decoded from stored text equals build over Icc.decode"
+    ~count:200 arb_summary (fun (n, records, seed) ->
+      let classifier = classifier_with (List.init n (Printf.sprintf "K%d")) in
+      let icc = Icc.create () in
+      List.iter
+        (fun ((src, dst), i, remotable, (request, reply)) ->
+          Icc.record icc ~src ~dst ~iface:(Printf.sprintf "I%d" i) ~remotable ~request ~reply)
+        records;
+      let text = Icc.encode icc in
+      let decoded = Icc.decode text in
+      let direct = Icc_graph.decode ~classifier text in
+      let nets =
+        [
+          exact_net;
+          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.isdn_128;
+          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.san_1g;
+        ]
+      in
+      let from_text =
+        Analysis.Session.of_graph ~classifier ~graph:direct ~constraints:Constraints.empty ()
+      in
+      let from_summary =
+        Analysis.Session.create ~classifier ~icc:decoded ~constraints:Constraints.empty ()
+      in
+      String.equal (Icc.encode decoded) text
+      && direct = Icc_graph.build ~classifier ~icc:decoded
+      && List.for_all
+           (fun net ->
+             String.equal
+               (Analysis.encode (Analysis.Session.solve from_text ~net))
+               (Analysis.encode (Analysis.Session.solve from_summary ~net)))
+           nets)
+
 let suite =
   [
     Alcotest.test_case "session matches choose on presets" `Quick test_session_matches_choose;
@@ -281,4 +342,5 @@ let suite =
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
     Alcotest.test_case "session components" `Quick test_session_components;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
+    QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
   ]
