@@ -101,14 +101,15 @@ let lint_meta (m : Image_meta.t) =
     List.map
       (fun (a, b) ->
         diag "CG006" Info (a ^ " <-> " ^ b)
-          "classes can exchange a non-remotable interface; constrained to the same machine")
+          ("classes can exchange a non-remotable interface (static hint: only a profiled "
+         ^ "call on it ties them to one machine)"))
       (Interface_flow.non_remotable_pairs flow)
     @ List.map
         (fun cname ->
           diag "CG006" Info
             (Coign_com.Runtime.main_class_name ^ " <-> " ^ cname)
-            "main program can hold a non-remotable interface on this class; pinned to the client"
-            )
+            ("main program can hold a non-remotable interface on this class (static hint: "
+            ^ "only a profiled call on it pins the class to the client)"))
         (Interface_flow.client_pins flow)
   in
   cg001 @ cg002 @ cg004 @ cg005 @ cg006
