@@ -123,9 +123,11 @@ let emit t ~at_us ev =
 
 (* Atomically install [dist] as the factory policy and migrate every
    live instance whose classification [safe] marks to its new home; the
-   rest stay where they are. Shared by rung switches and watch
-   re-partitions. Returns (migrated, left behind, moves in instance
-   order). *)
+   rest stay where they are. The home is [Analysis.location_of], the
+   factory's rule: an instance whose classification the distribution
+   never saw belongs on the client, and is left behind when it sits on
+   the server. Shared by rung switches and watch re-partitions. Returns
+   (migrated, left behind, moves in instance order). *)
 let migrate_instances t factory ~safe ~dist =
   Factory.set_policy factory (Factory.By_classification dist);
   let migrated = ref 0 and left = ref 0 and moved = ref [] in
@@ -133,10 +135,7 @@ let migrate_instances t factory ~safe ~dist =
     (fun (inst, machine) ->
       if inst <> Runtime.main_instance then begin
         let c = classification_of t inst in
-        let target =
-          if c >= 0 && c < dist.Analysis.node_count then Analysis.location_of dist c
-          else machine
-        in
+        let target = Analysis.location_of dist c in
         if target <> machine then
           if c >= 0 && c < Array.length safe && safe.(c) then begin
             Factory.record_instance factory ~inst target;

@@ -473,6 +473,51 @@ let test_resilience_golden () =
       Harness.check_golden ~dir ~golden "resilience" args;
       Harness.check_golden_json ~dir ~golden:golden_json "resilience" (args @ [ "--json" ]))
 
+(* --- Migration on a re-partition --------------------------------------- *)
+
+(* Live instances move to [Analysis.location_of]'s home when their
+   classification is migration-safe. An instance of a classification the
+   distribution never saw belongs on the client, as the factory would
+   place it: on the server it is left behind, not silently kept. *)
+let test_migrate_unprofiled_targets_client () =
+  let env = Rte_env.create (Runtime.create_ctx Benefits.app.App.app_registry) in
+  List.iter
+    (fun (inst, c) ->
+      env.Rte_env.classifications <- Rte_env.store env.Rte_env.classifications inst c)
+    [ (1, 0); (2, 1); (3, 5); (4, 6) ];
+  let factory = Factory.create Factory.All_client in
+  List.iter
+    (fun (inst, loc) -> Factory.record_instance factory ~inst loc)
+    [
+      (1, Constraints.Server);
+      (2, Constraints.Client);
+      (3, Constraints.Server);
+      (4, Constraints.Client);
+    ];
+  let dist =
+    {
+      Analysis.placement = [| Constraints.Client; Constraints.Server |];
+      cut_ns = 0;
+      predicted_comm_us = 0.;
+      server_count = 1;
+      node_count = 2;
+      algorithm = Coign_flowgraph.Mincut.Relabel_to_front;
+    }
+  in
+  let migrated, left, moves =
+    Rte_env.migrate_instances env factory ~safe:[| true; true |] ~dist
+  in
+  Alcotest.(check int) "profiled instances migrated" 2 migrated;
+  Alcotest.(check int) "unprofiled server instance left behind" 1 left;
+  Alcotest.(check bool) "moves in instance order" true
+    (moves
+    = [ (1, 0, Constraints.Server, Constraints.Client); (2, 1, Constraints.Client, Constraints.Server) ]);
+  Alcotest.(check bool) "the left instance keeps its machine" true
+    (Factory.machine_of factory 3 = Constraints.Server);
+  Alcotest.(check bool) "new instances follow the distribution" true
+    (Factory.decide factory ~cname:"X" ~classification:5 ~creator_machine:Constraints.Server
+    = Constraints.Client)
+
 let suite =
   [
     Alcotest.test_case "breaker trips at the failure threshold" `Quick
@@ -489,6 +534,8 @@ let suite =
       test_rte_stranded_probe_failback;
     Alcotest.test_case "rte: zero-fault bit identity with resilience" `Quick
       test_rte_zero_fault_bit_identity;
+    Alcotest.test_case "migration targets an unprofiled classification to the client" `Quick
+      test_migrate_unprofiled_targets_client;
     Alcotest.test_case "ladder shape" `Slow test_ladder_shape;
     Alcotest.test_case "execute: zero-fault identity with ladder" `Slow
       test_execute_zero_fault_identity_with_ladder;
