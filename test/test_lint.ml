@@ -449,9 +449,15 @@ let photodraw_profiled =
 (* Every non-remotable class pair the dynamic profiler discovers (the
    paper's figure-5 "black web") must already be known statically:
    either as a non-remotable co-location pair or — when one endpoint is
-   the main program — as a client pin. *)
-let test_static_covers_dynamic () =
-  let image = Lazy.force photodraw_profiled in
+   the main program — as a client pin. Checked on every application,
+   each profiled on all its scenarios. *)
+let uncovered_dynamic_pairs app =
+  let image =
+    List.fold_left
+      (fun image sc ->
+        fst (Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run))
+      (Adps.instrument app.App.app_image) app.App.app_scenarios
+  in
   let classifier, icc = Option.get (Adps.load_profile image) in
   let meta = Option.get image.Binary_image.meta in
   let flow = Interface_flow.analyze meta in
@@ -468,16 +474,26 @@ let test_static_covers_dynamic () =
     |> List.sort_uniq compare
     |> List.filter (fun (a, b) -> a <> b)
   in
-  Alcotest.(check bool) "profiler saw non-remotable traffic" true (dynamic <> []);
-  List.iter
-    (fun (a, b) ->
-      let covered =
-        if a = main then List.mem b pins
-        else if b = main then List.mem a pins
-        else List.mem (a, b) static_pairs
-      in
-      Alcotest.(check bool) (Printf.sprintf "static covers %s <-> %s" a b) true covered)
-    dynamic
+  let covered (a, b) =
+    if a = main then List.mem b pins
+    else if b = main then List.mem a pins
+    else List.mem (a, b) static_pairs
+  in
+  (dynamic, List.filter (fun pair -> not (covered pair)) dynamic)
+
+let test_static_covers_dynamic () =
+  let results =
+    List.map (fun app -> (app.App.app_name, uncovered_dynamic_pairs app)) Suite.all
+  in
+  Alcotest.(check bool) "profiler saw non-remotable traffic" true
+    (List.exists (fun (_, (dynamic, _)) -> dynamic <> []) results);
+  let uncovered =
+    List.concat_map
+      (fun (app_name, (_, uncovered)) ->
+        List.map (fun (a, b) -> Printf.sprintf "%s: %s <-> %s" app_name a b) uncovered)
+      results
+  in
+  Alcotest.(check (list string)) "dynamic pairs the static analysis misses" [] uncovered
 
 let test_analyze_accepts_own_cut () =
   let image = Lazy.force photodraw_profiled in
