@@ -235,7 +235,11 @@ let i_container =
 
 let i_widget_factory =
   Itype.declare "IWidgetFactory"
-    [ Idl_type.method_ ~ret:(Idl_type.Iface "IControl") "make" [ Idl_type.param "kind" Idl_type.Str ] ]
+    [
+      Idl_type.method_ ~ret:(Idl_type.Iface "IControl") "make" [ Idl_type.param "kind" Idl_type.Str ];
+      Idl_type.method_ ~ret:(Idl_type.Iface "IContainer") "make_pane"
+        [ Idl_type.param "kind" Idl_type.Str ];
+    ]
 
 let i_undo =
   Itype.declare "IUndoManager"
@@ -280,34 +284,48 @@ let c_control_constructor =
           | "menuitem" -> Common.create ctx kit.Widgets.menu Common.i_control
           | "tooltip" -> Common.create ctx kit.Widgets.tooltip Common.i_control
           | "button" -> Common.create ctx kit.Widgets.button Common.i_control
+          | other -> Hresult.fail (Hresult.E_invalidarg ("ControlConstructor: " ^ other))
+        in
+        chg ctx 10.;
+        Combuild.echo args (Value.Iface_ref ctl)
+      in
+      let make_pane ctx args =
+        let pane =
+          match Combuild.get_str args 0 with
           | "menupane" ->
               Runtime.create_instance ctx (Guid.of_name "CLSID_Octarine.MenuPane")
                 ~iid:(Itype.iid i_container)
           | other -> Hresult.fail (Hresult.E_invalidarg ("ControlConstructor: " ^ other))
         in
         chg ctx 10.;
-        Combuild.echo args (Value.Iface_ref ctl)
+        Combuild.echo args (Value.Iface_ref pane)
       in
-      [ Combuild.iface i_widget_factory [ ("make", make) ] ])
+      [ Combuild.iface i_widget_factory [ ("make", make); ("make_pane", make_pane) ] ])
 
 let c_theme_service =
   Runtime.define_class "Octarine.ThemeService" (fun ctx0 _self ->
       let constructor = Common.create ctx0 c_control_constructor i_widget_factory in
-      let make ctx args =
-        (* Apply the theme, then delegate construction. *)
+      (* Apply the theme, then delegate construction. *)
+      let delegate meth ctx args =
         chg ctx 6.;
-        Combuild.echo args (Common.call ctx constructor "make" args)
+        Combuild.echo args (Common.call ctx constructor meth args)
       in
-      [ Combuild.iface i_widget_factory [ ("make", make) ] ])
+      [
+        Combuild.iface i_widget_factory
+          [ ("make", delegate "make"); ("make_pane", delegate "make_pane") ];
+      ])
 
 let c_widget_factory =
   Runtime.define_class "Octarine.WidgetFactory" (fun ctx0 _self ->
       let theme = Common.create ctx0 c_theme_service i_widget_factory in
-      let make ctx args =
+      let delegate meth ctx args =
         chg ctx 6.;
-        Combuild.echo args (Common.call ctx theme "make" args)
+        Combuild.echo args (Common.call ctx theme meth args)
       in
-      [ Combuild.iface i_widget_factory [ ("make", make) ] ])
+      [
+        Combuild.iface i_widget_factory
+          [ ("make", delegate "make"); ("make_pane", delegate "make_pane") ];
+      ])
 
 (* Containers stamp out their children through the factory and forward
    their notifications and repaints; menu panes nest recursively, so
@@ -368,7 +386,7 @@ let container_class name ~child_kind ~recursive =
         ignore (Runtime.call_named ctx self "adorn" []);
         ignore (Runtime.call_named ctx self "refresh" []);
         if recursive && count > 3 then begin
-          match Common.call ctx f "make" [ Value.Str "menupane" ] with
+          match Common.call ctx f "make_pane" [ Value.Str "menupane" ] with
           | Value.Iface_ref sub ->
               ignore
                 (Runtime.call_named ctx sub "set_context"
@@ -1430,7 +1448,7 @@ let c_app =
           wire (Common.create ctx c_command_bar i_container) 28
         done;
         for _pane = 1 to 12 do
-          match Common.call ctx factory "make" [ Value.Str "menupane" ] with
+          match Common.call ctx factory "make_pane" [ Value.Str "menupane" ] with
           | Value.Iface_ref pane -> wire pane 10
           | _ -> ()
         done;
