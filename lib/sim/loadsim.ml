@@ -363,7 +363,8 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
     ~image ~network () =
   if sessions <= 0 then invalid_arg "Loadsim.run: sessions must be positive";
   (match deadline_us with
-  | Some d when not (d > 0.) -> invalid_arg "Loadsim.run: deadline must be positive"
+  | Some d when not (d > 0. && Float.is_finite d) ->
+      invalid_arg "Loadsim.run: deadline must be finite and positive"
   | _ -> ());
   let app =
     try Suite.find_app image.Coign_image.Binary_image.img_name

@@ -187,8 +187,9 @@ val run :
     prices every session at its class's unloaded estimate (the
     identity-gate mode). [metrics] populates [coign_load_*] counters,
     gauges, and latency/comm histograms. Raises [Invalid_argument] for
-    non-positive sessions, a deadline that is not a positive number, an
-    unknown app or scenario, or an image without a distribution. *)
+    non-positive sessions, a deadline that is not a finite positive
+    number, an unknown app or scenario, or an image without a
+    distribution. *)
 
 val pp_text : Format.formatter -> result -> unit
 (** Stable human-readable report (golden-tested). *)

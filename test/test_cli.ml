@@ -333,7 +333,9 @@ let test_load_rejects_non_finite () =
           "bursty:10,5,-inf"; "diurnal:10,nan"; "diurnal:infinity,5";
         ];
       Alcotest.(check int) "nan deadline exit" 1
-        (load [ "--arrival"; "poisson:10"; "--deadline-ms"; "nan" ]))
+        (load [ "--arrival"; "poisson:10"; "--deadline-ms"; "nan" ]);
+      Alcotest.(check int) "inf deadline exit" 1
+        (load [ "--arrival"; "poisson:10"; "--deadline-ms"; "inf" ]))
 
 (* Every float option of run and the three grid views is a finite
    number (--jitter also >= 0): nan, inf or a negative jitter is a bad
