@@ -366,8 +366,9 @@ let verify_cmd =
         die "%s" msg
     in
     let net = Net_profiler.exact network in
+    let primary = Option.map snd (Adps.load_distribution image) in
     let ladder =
-      try Adps.fallback_ladder ~image ~net () with Fallback.Invalid msg -> die "%s" msg
+      try Fallback.compute ?primary session ~net () with Fallback.Invalid msg -> die "%s" msg
     in
     gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
     (* The checked ladder is the pool-elastic one, one host per rung at
