@@ -4,7 +4,7 @@ type t = {
   iid : Guid.t;
   iname : string;
   methods : Idl_type.method_sig array;
-  procs : Midl.method_procs array;  (* compiled once, per method *)
+  procs : Midl.method_procs array;  (* pruned once, per method *)
   remotable : bool;
 }
 

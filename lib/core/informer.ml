@@ -17,37 +17,39 @@ let sizes ~request ~reply =
     invalid_arg "Informer.measure_call: message too large";
   (request lsl reply_bits) lor reply
 
-(* Lockstep walk over the compiled parameter programs and one value
-   list: [ins] and [outs] each carry one slot per parameter (the RTE
-   builds them from the same signature), so indexing with [List.nth]
-   would be a quadratic re-scan on wide methods. One walk per
-   direction returning a plain int, and the [_exn] sizing walks, keep
-   the per-call success path allocation-free. *)
+(* Lockstep walk over the declared parameters and one value list:
+   [ins] and [outs] each carry one slot per parameter (the RTE builds
+   them from the same signature), so indexing with [List.nth] would be
+   a quadratic re-scan on wide methods. One walk per direction
+   returning a plain int, and the [_exn] size walk, keep the per-call
+   success path allocation-free. *)
 let carries_request = function Idl_type.In | Idl_type.In_out -> true | Idl_type.Out -> false
 let carries_reply = function Idl_type.Out | Idl_type.In_out -> true | Idl_type.In -> false
 
-let rec direction_size carries acc ps vs =
+let rec direction_size carries acc (ps : Idl_type.param list) vs =
   match (ps, vs) with
   | [], _ -> acc
-  | (dir, proc) :: ps', v :: vs' ->
-      direction_size carries (if carries dir then acc + Midl.size_with_exn proc v else acc) ps' vs'
+  | p :: ps', v :: vs' ->
+      direction_size carries
+        (if carries p.pdir then acc + Marshal_size.value_size_exn p.pty v else acc)
+        ps' vs'
   | _ :: _, [] -> invalid_arg "Informer.measure_call: parameter arity mismatch"
 
 let measure_call itype ~meth ~ins ~outs ~ret =
-  let procs = Itype.procs itype meth in
-  if not procs.Midl.remotable then non_remotable
+  if not (Itype.procs itype meth).Midl.remotable then non_remotable
   else
+    let msig = Itype.method_sig itype meth in
     match
-      let request = direction_size carries_request 0 procs.Midl.request_procs ins in
-      let reply = direction_size carries_reply 0 procs.Midl.request_procs outs in
-      let reply = reply + Midl.size_with_exn procs.Midl.ret_proc ret in
+      let request = direction_size carries_request 0 msig.params ins in
+      let reply = direction_size carries_reply 0 msig.params outs in
+      let reply = reply + Marshal_size.value_size_exn msig.ret ret in
       sizes ~request:(Marshal_size.scalar_overhead + request)
         ~reply:(Marshal_size.scalar_overhead + reply)
     with
     | sizes -> sizes
     | exception Marshal_size.Err _ -> non_remotable
 
-(* One slot per parameter, walked in lockstep with its compiled
+(* One slot per parameter, walked in lockstep with its pruned
    interface walk; unchanged slots and tails are shared. *)
 let rec map_slots iprocs f env vs =
   match (iprocs, vs) with

@@ -4,10 +4,10 @@
     static type of interfaces and walks the parameters of interface
     function calls. Two informers exist:
 
-    - the {b profiling} informer walks every parameter with the
-      compiled MIDL descriptors and measures the precise deep-copy
-      message sizes (this is where most of the up-to-85% profiling
-      overhead comes from);
+    - the {b profiling} informer walks every parameter against its
+      declared type ({!Coign_idl.Marshal_size.value_size_exn}) and
+      measures the precise deep-copy message sizes (this is where most
+      of the up-to-85% profiling overhead comes from);
     - the {b distribution} informer examines parameters only enough to
       identify interface pointers (under 3% overhead).
 
@@ -28,14 +28,17 @@ val measure_call :
   Coign_com.Itype.t -> meth:int ->
   ins:Coign_idl.Value.t list -> outs:Coign_idl.Value.t list -> ret:Coign_idl.Value.t ->
   sizes
-(** The profiling informer's measurement. Request direction sizes [In]
-    and [In_out] slots of [ins]; reply direction sizes [Out]/[In_out]
-    slots of [outs] plus [ret]; each direction includes the DCOM
-    per-message overhead. A call that cannot be marshaled (opaque
-    parameter, or a value/type mismatch against a non-remotable
-    method) yields {!non_remotable}. Allocates nothing. Raises
-    [Invalid_argument] if the request or the reply reaches 2{^31}
-    bytes. *)
+(** The profiling informer's measurement, and the one call-level
+    sizer: each slot is sized by {!Coign_idl.Marshal_size.value_size_exn}
+    against the method's declared parameter type. Request direction
+    sizes [In] and [In_out] slots of [ins]; reply direction sizes
+    [Out]/[In_out] slots of [outs] plus [ret]; each direction includes
+    the DCOM per-message overhead. A call that cannot be marshaled (a
+    non-remotable method, or a walked value that does not fit its
+    declared type) yields {!non_remotable}. Allocates nothing. Raises
+    [Invalid_argument] if [ins] or [outs] has fewer slots than the
+    method has parameters, or if the request or the reply reaches
+    2{^31} bytes. *)
 
 val map_handles :
   Coign_com.Itype.t -> meth:int -> ('a -> int -> int) -> 'a ->
@@ -45,7 +48,7 @@ val map_handles :
     [ret] and in the parameter slots [slots] (one per parameter, as a
     call returns them) becomes [f env h]. [ret] is walked first, then
     the slots left to right, each in traversal order. Only positions
-    the compiled interface walks type as interfaces are visited, and a
+    the pruned interface walks type as interfaces are visited, and a
     method that cannot output interfaces is not walked at all. Values
     whose handles all map to themselves come back physically equal —
     the reply itself when nothing changes, with no allocation. *)

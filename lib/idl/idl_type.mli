@@ -5,8 +5,9 @@
     profiling informer reuses exactly that metadata to measure how many
     bytes an interface call *would* move if the caller and callee were
     on different machines (paper §2, §3.2). This module is the type
-    half; {!Marshal_size} computes sizes and {!Midl} compiles types to
-    flat descriptors the way the MIDL compiler emits format strings. *)
+    half and stands in for MIDL's format strings: {!Marshal_size} walks
+    a declared type to size a value, and {!Midl} prunes it to the
+    positions that can carry interface pointers. *)
 
 type t =
   | Void                          (** no data (e.g. a [unit] return) *)

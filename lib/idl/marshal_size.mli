@@ -4,10 +4,12 @@
     profiling informer measures "the number of bytes that would be
     transferred from one machine to another if the two communicating
     components were distributed" (paper §2). This module is that
-    measurement: a type-directed walk of a call's parameters producing
-    request and reply byte counts, following NDR-like encoding rules
-    (fixed scalar widths, counted strings/arrays, pointer null-flags,
-    fixed-size object references for interface pointers). *)
+    measurement: a type-directed walk of one value against its declared
+    {!Idl_type.t}, following NDR-like encoding rules (fixed scalar
+    widths, counted strings/arrays, pointer null-flags, fixed-size
+    object references for interface pointers). The profiling informer
+    ([Informer.measure_call]) sums it over a call's parameters by
+    direction into request and reply byte counts. *)
 
 type error =
   | Not_remotable of string
@@ -36,22 +38,3 @@ val value_size_exn : Idl_type.t -> Value.t -> int
     The success path allocates nothing — no result cells, closures or
     intermediate lists — so the profiling informer can size every
     intercepted call without touching the minor heap. *)
-
-type call_size = { request : int; reply : int }
-(** Bytes moved caller->callee ([In] and [In_out] parameters plus
-    headers) and callee->caller ([Out], [In_out], return value plus
-    headers). *)
-
-val total : call_size -> int
-
-val call :
-  Idl_type.method_sig -> args:Value.t list -> result:Value.t ->
-  (call_size, error) result
-(** Size of one complete method invocation. [args] must match the
-    method's parameter list positionally; an [Out] parameter's slot in
-    [args] contributes only to the reply. *)
-
-val call_request_only :
-  Idl_type.method_sig -> args:Value.t list -> (int, error) result
-(** Request-direction size alone, for loggers that record the two
-    directions as separate messages. *)
