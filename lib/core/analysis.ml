@@ -45,23 +45,28 @@ module Session = struct
     s_classifier : Classifier.t;
     s_constraints : Constraints.t;
     s_graph : Icc_graph.t;
-    s_client : int;  (* = main node of the abstract graph *)
-    s_server : int;
-    (* CSR flow arena holding every potential edge: infinite constraint
-       edges plus one zero-capacity slot per priced traffic pair.
+    (* CSR flow arena over the quotient graph: one node per component
+       of the infinite edges (terminals included), one zero-capacity
+       slot per pair of components that priced traffic joins.
        Repricing writes capacities straight into the arena — no edge
-       list is ever rebuilt. *)
+       list is ever rebuilt. When the pins put both terminals in one
+       component the partition is the identity, and the infinite edges
+       stay as arcs. *)
     s_arena : Flow_network.t;
     s_scratch : Mincut.scratch;
-    (* Pair ids whose capacity must be re-priced per network: the pairs
-       not already held together by an infinite edge. *)
-    s_priced : int array;
-    s_arc_ab : int array;  (* per priced slot: arena arc a->b *)
-    s_arc_ba : int array;  (* per priced slot: arena arc b->a *)
+    s_node : int array;  (* graph node (0..n+1) -> arena node *)
+    s_client : int;  (* arena node of the client terminal and main *)
+    s_server : int;
+    (* Pair id -> the slot its price adds into, -1 for a pair inside
+       one arena node or beside an infinite arc: pairs between the same
+       two arena nodes share one slot. *)
+    s_pair_slot : int array;
+    s_arc_ab : int array;  (* per slot: arena arc lower node -> higher *)
+    s_arc_ba : int array;  (* per slot: the opposite arc *)
     (* Classification -> smallest member of its component under the
        infinite classification-classification edges; immutable. *)
     s_component : int array;
-    (* Per-solve scratch, preallocated once. *)
+    (* Per-solve scratch over the arena's nodes, preallocated once. *)
     s_seen : bool array;
     s_stack : int array;
     s_server_side : bool array;
@@ -79,28 +84,15 @@ module Session = struct
 
   let build_session ~classifier ~graph ~constraints =
     let n = Icc_graph.classification_count graph in
-    (* Nodes: 0..n-1 classifications, n = client terminal (also the
-       main program's node), n+1 = server. Node pairs are packed into
-       one int, the lower node in the high bits. *)
+    (* Graph nodes: 0..n-1 classifications, n = client terminal (also
+       the main program's node), n+1 = server. Node pairs are packed
+       into one int, the lower node in the high bits. *)
     let client = n and server = n + 1 in
     let pack a b = (min a b lsl 30) lor max a b in
-    let fixed = Array.make (Icc_graph.pair_count graph) false in
-    let pair_id = Int_table.create ~absent:(-1) (Icc_graph.pair_count graph) in
-    Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
-        Int_table.replace pair_id (pack a b) p);
-    (* Infinite undirected edges, as packed pairs. Repeat constraints on
-       one pair share its arena arc: the compile sums them, saturating
-       at infinity_cap. *)
-    let infinite = ref [] and ninf = ref 0 in
-    let add_infinite a b =
-      let key = pack a b in
-      infinite := key :: !infinite;
-      incr ninf;
-      (* An infinite edge dominates any finite traffic on the pair, so
-         its price can never change the cut: skip it when repricing. *)
-      let p = Int_table.find pair_id key in
-      if p >= 0 then fixed.(p) <- true
-    in
+    let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
+    (* Infinite undirected edges, as packed pairs. *)
+    let infinite = ref [] in
+    let add_infinite a b = infinite := pack a b :: !infinite in
     Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
         if non_remotable then add_infinite a b);
     (* Constraint edges. *)
@@ -124,20 +116,13 @@ module Session = struct
     List.iter
       (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then add_infinite a b)
       (Constraints.colocated_pairs constraints);
-    let priced = ref [] in
-    for p = Icc_graph.pair_count graph - 1 downto 0 do
-      if not fixed.(p) then priced := p :: !priced
-    done;
-    let priced = Array.of_list !priced in
-    let np = Array.length priced in
-    let ninf = !ninf in
     let inf_pairs = Array.of_list !infinite in
-    let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
-    (* The classifications every cut must keep together: union-find over
-       the infinite edges with a classification at both ends (pins run
-       to a terminal). Union by minimum keeps each root the smallest
-       member. *)
-    let parent = Array.init n Fun.id in
+    (* One union-find over the infinite edges, union by minimum so each
+       root is the smallest member. The edges between two
+       classifications go first: that snapshot is [s_component], the
+       classifications every cut must keep together. The pins and the
+       main node's edges then join components to the terminals. *)
+    let parent = Array.init (n + 2) Fun.id in
     let rec find i =
       if parent.(i) = i then i
       else begin
@@ -145,69 +130,103 @@ module Session = struct
         parent.(i)
       end
     in
+    let union key =
+      let ra = find (lo key) and rb = find (hi key) in
+      if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+    in
+    Array.iter (fun key -> if hi key < n then union key) inf_pairs;
+    let component = Array.init n find in
+    Array.iter (fun key -> if hi key >= n then union key) inf_pairs;
+    (* Arena nodes: one per component, numbered in root order, so no cut
+       the solver can pick separates an infinite edge and max-flow never
+       moves infinite excess. While the flow is finite an infinite edge
+       keeps residual capacity both ways, so the uncontracted graph's
+       minimal source side is a union of components, and the quotient's
+       is the same set. If the terminals share a component no cut
+       honours every constraint: the partition is then the identity,
+       the arena holds every infinite edge, and the solve shows which
+       constraint it broke. *)
+    let contract = find client <> find server in
+    let node = Array.make (n + 2) 0 and nodes = ref 0 in
+    for v = 0 to n + 1 do
+      if contract && find v <> v then node.(v) <- node.(find v)
+      else begin
+        node.(v) <- !nodes;
+        incr nodes
+      end
+    done;
+    let nodes = !nodes in
+    (* Undirected arena edges as (packed arena-node pair, slot): the
+       infinite edges that still join two nodes (identity partition
+       only) with slot -1, then one zero-capacity slot per node pair
+       that priced traffic joins. [slot_of] marks an infinite pair -2:
+       it dominates any finite traffic, so it gets no slot — of_edges
+       would merge the two and repricing would overwrite the infinite
+       capacity. *)
+    let slot_of = Int_table.create ~absent:(-1) (Icc_graph.pair_count graph) in
+    let pair_slot = Array.make (Icc_graph.pair_count graph) (-1) in
+    let edges = ref [] and nslots = ref 0 in
     Array.iter
       (fun key ->
-        if hi key < n then begin
-          let ra = find (lo key) and rb = find (hi key) in
-          if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+        let a = node.(lo key) and b = node.(hi key) in
+        if a <> b then begin
+          Int_table.replace slot_of (pack a b) (-2);
+          edges := (pack a b, -1) :: !edges
         end)
       inf_pairs;
-    (* Directed edges for the arena: both directions of every infinite
-       edge and of every priced pair (the latter at capacity zero —
-       inert until priced up), as parallel arrays. [slot] is the priced
-       slot, -1 for an infinite edge. *)
-    let nedges = 2 * (ninf + np) in
-    let src = Array.make nedges 0 and dst = Array.make nedges 0 in
-    let cap = Array.make nedges Flow_network.infinity_cap and slot = Array.make nedges (-1) in
-    let set k a b = src.(k) <- a; dst.(k) <- b in
-    Array.iteri
-      (fun i key ->
-        set (2 * i) (lo key) (hi key);
-        set ((2 * i) + 1) (hi key) (lo key))
-      inf_pairs;
-    Array.iteri
-      (fun i p ->
-        let a, b = Icc_graph.pair graph p in
-        let k = 2 * (ninf + i) in
-        set k a b;
-        set (k + 1) b a;
-        cap.(k) <- 0;
-        cap.(k + 1) <- 0;
-        slot.(k) <- i;
-        slot.(k + 1) <- i)
-      priced;
-    (* Sorted by (src, dst), so each node's arcs run in neighbour order.
-       Edges sharing a (src, dst) are all infinite and interchangeable:
-       a priced pair is never also infinite, so every priced slot owns
-       its arcs. A zero-residual arc is invisible to every solver. *)
-    let key = Array.init nedges (fun k -> (src.(k) lsl 30) lor dst.(k)) in
+    Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
+        let key = pack node.(a) node.(b) in
+        if node.(a) <> node.(b) then
+          match Int_table.find slot_of key with
+          | -2 -> ()
+          | -1 ->
+              Int_table.replace slot_of key !nslots;
+              edges := (key, !nslots) :: !edges;
+              pair_slot.(p) <- !nslots;
+              incr nslots
+          | sl -> pair_slot.(p) <- sl);
+    (* Both directions of each edge, sorted by (src, dst) so each node's
+       arcs run in neighbour order. Edges sharing a (src, dst) are all
+       infinite and interchangeable, so every slot owns its arcs; repeat
+       constraints on one pair share an arc, whose capacity the compile
+       sums, saturating at infinity_cap. A zero-residual arc is
+       invisible to every solver. *)
+    let edges = Array.of_list !edges in
+    let nedges = 2 * Array.length edges in
+    let src k = if k land 1 = 0 then lo (fst edges.(k / 2)) else hi (fst edges.(k / 2)) in
+    let dst k = src (k lxor 1) in
+    let key = Array.init nedges (fun k -> (src k lsl 30) lor dst k) in
     let order = Array.init nedges Fun.id in
     Array.sort (fun i j -> Int.compare key.(i) key.(j)) order;
     let arena, fwd =
-      Flow_network.of_edges ~n:(n + 2) (Array.map (fun k -> (src.(k), dst.(k), cap.(k))) order)
+      Flow_network.of_edges ~n:nodes
+        (Array.map
+           (fun k ->
+             (src k, dst k, if snd edges.(k / 2) < 0 then Flow_network.infinity_cap else 0))
+           order)
     in
-    let arc_ab = Array.make np 0 and arc_ba = Array.make np 0 in
+    let arc_ab = Array.make !nslots 0 and arc_ba = Array.make !nslots 0 in
     Array.iteri
       (fun i k ->
-        let sl = slot.(k) in
-        if sl >= 0 then
-          if src.(k) < dst.(k) then arc_ab.(sl) <- fwd.(i) else arc_ba.(sl) <- fwd.(i))
+        let sl = snd edges.(k / 2) in
+        if sl >= 0 then if src k < dst k then arc_ab.(sl) <- fwd.(i) else arc_ba.(sl) <- fwd.(i))
       order;
     {
       s_classifier = classifier;
       s_constraints = constraints;
       s_graph = graph;
-      s_client = client;
-      s_server = server;
       s_arena = arena;
       s_scratch = Mincut.scratch arena;
-      s_priced = priced;
+      s_node = node;
+      s_client = node.(client);
+      s_server = node.(server);
+      s_pair_slot = pair_slot;
       s_arc_ab = arc_ab;
       s_arc_ba = arc_ba;
-      s_component = Array.init n find;
-      s_seen = Array.make (n + 2) false;
-      s_stack = Array.make (n + 2) 0;
-      s_server_side = Array.make (n + 2) false;
+      s_component = component;
+      s_seen = Array.make nodes false;
+      s_stack = Array.make nodes 0;
+      s_server_side = Array.make nodes false;
       s_pricing = Icc_graph.make_pricing graph;
       s_cost_cache = [];
     }
@@ -223,15 +242,15 @@ module Session = struct
         build_session ~classifier ~graph:(Icc_graph.build ~classifier ~icc) ~constraints)
 
   let copy t =
-    let n2 = Icc_graph.classification_count t.s_graph + 2 in
+    let nodes = Flow_network.node_count t.s_arena in
     let arena = Flow_network.copy t.s_arena in
     {
       t with
       s_arena = arena;
       s_scratch = Mincut.scratch arena;
-      s_seen = Array.make n2 false;
-      s_stack = Array.make n2 0;
-      s_server_side = Array.make n2 false;
+      s_seen = Array.make nodes false;
+      s_stack = Array.make nodes 0;
+      s_server_side = Array.make nodes false;
       s_pricing = Icc_graph.make_pricing t.s_graph;
       (* The cache list and its entries are immutable once published;
          sharing the snapshot lets a copied session skip re-compiling
@@ -275,19 +294,29 @@ module Session = struct
           | Some scale ->
               let cost, zero_us = cost_table_for t net in
               Icc_graph.price_scaled_into graph ~cost ~zero_us ~scale pricing);
-          (* Reprice: write every non-fixed pair's capacity straight
-             into its preallocated arena slots, clamped at
-             infinity_cap as a compile would clamp. Zero-cost pairs leave
-             zero-capacity arcs, which no solver can traverse, so the
-             usable edge set is exactly what a from-scratch build
-             produces. *)
-          for i = 0 to Array.length t.s_priced - 1 do
-            let cap =
-              min Flow_network.infinity_cap
-                (ns_of_us pricing.Icc_graph.pair_us.(t.s_priced.(i)))
-            in
-            Flow_network.set_arc_cap t.s_arena t.s_arc_ab.(i) cap;
-            Flow_network.set_arc_cap t.s_arena t.s_arc_ba.(i) cap
+          (* Reprice: zero every slot, add each priced pair's
+             capacity into its slot's arc straight in the arena,
+             saturating at infinity_cap as a compile would, then mirror
+             it onto the opposite arc. Integer sums are exact, so every
+             cut of the quotient costs what it costs over the pairs.
+             Zero-cost slots leave zero-capacity arcs, which no solver
+             can traverse. *)
+          let arena = t.s_arena in
+          for sl = 0 to Array.length t.s_arc_ab - 1 do
+            Flow_network.set_arc_cap arena t.s_arc_ab.(sl) 0
+          done;
+          for p = 0 to Array.length t.s_pair_slot - 1 do
+            let sl = t.s_pair_slot.(p) in
+            if sl >= 0 then begin
+              let a = t.s_arc_ab.(sl) in
+              Flow_network.set_arc_cap arena a
+                (min Flow_network.infinity_cap
+                   (Flow_network.arc_cap arena a + ns_of_us pricing.Icc_graph.pair_us.(p)))
+            end
+          done;
+          for sl = 0 to Array.length t.s_arc_ab - 1 do
+            Flow_network.set_arc_cap arena t.s_arc_ba.(sl)
+              (Flow_network.arc_cap arena t.s_arc_ab.(sl))
           done;
           pricing)
     in
@@ -308,7 +337,7 @@ module Session = struct
        a priced pair with traffic has both directions' forward arcs
        above zero, so this is the undirected placement adjacency. *)
     let server_side = t.s_server_side in
-    Array.fill server_side 0 (n + 2) false;
+    Array.fill server_side 0 (Array.length server_side) false;
     server_side.(t.s_server) <- true;
     let queue = t.s_stack in
     queue.(0) <- t.s_server;
@@ -331,7 +360,7 @@ module Session = struct
     done;
     let placement =
       Array.init n (fun c ->
-          if server_side.(c) then Constraints.Server else Constraints.Client)
+          if server_side.(t.s_node.(c)) then Constraints.Server else Constraints.Client)
     in
     let server_count =
       Array.fold_left
@@ -342,8 +371,7 @@ module Session = struct
       if v < 0 || v >= n then Constraints.Client else placement.(v)
     in
     let predicted_comm_us =
-      Icc_graph.predicted_us graph pricing ~separated:(fun p ->
-          let a, b = Icc_graph.pair graph p in
+      Icc_graph.predicted_us graph pricing ~separated:(fun a b ->
           location_of_node a <> location_of_node b)
     in
     let d =

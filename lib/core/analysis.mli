@@ -28,10 +28,12 @@ type distribution = {
 
     Stage 1 ({!Session.create}) builds everything network-independent
     once per profile: the abstract ICC graph ({!Icc_graph}) and a CSR
-    flow arena holding every potential edge — the constraint/pin/
-    non-remotable infinite edges plus one zero-capacity slot per
-    repriceable traffic pair. Stage 2 ({!Session.solve}) prices those
-    pairs against one concrete network profile by writing capacities
+    flow arena over its quotient graph. The constraint, pin and
+    non-remotable edges are infinite, so no cut separates their ends:
+    each of their components, terminals included, is one arena node,
+    and the arena holds one zero-capacity slot per pair of nodes that
+    repriceable traffic joins. Stage 2 ({!Session.solve}) prices those
+    pairs against one concrete network profile by summing capacities
     straight into the arena's flat arrays and cuts in place with
     preallocated solver scratch; per-profile cost tables are memoized
     (keyed by profile identity) so sweeps and fallback ladders compile
@@ -51,8 +53,8 @@ module Session : sig
     constraints:Constraints.t ->
     unit ->
     t
-  (** Build the network-independent stage: abstract graph, constraint
-      edges, repriceable pair list. [= of_graph ~graph:(Icc_graph.build
+  (** Build the network-independent stage: abstract graph, quotient
+      arena, repriceable pair list. [= of_graph ~graph:(Icc_graph.build
       ~classifier ~icc)]; with [profiler], the graph and arena builds
       together record under the ["icc_graph_build"] phase. *)
 
@@ -66,8 +68,15 @@ module Session : sig
   (** The stage over an abstract graph already built, e.g. by
       {!Icc_graph.decode} straight from a stored profile: the
       constraint edges, the repriceable pair list and the CSR arena,
-      keyed by packed node pairs and sorted on int keys. With
-      [profiler], this arena build records under the
+      keyed by packed node pairs and sorted on int keys. One
+      union-find over the infinite edges, terminals included, gives
+      the arena's nodes; the client's and the server's components are
+      its terminals. A priced pair inside one component gets no slot,
+      and pairs between the same two components share one. When the
+      constraints put both terminals in one component (no cut can
+      honour them all) every node is its own component, so the arena
+      keeps the infinite edges and the solve shows which constraint
+      breaks. With [profiler], this arena build records under the
       ["icc_graph_build"] phase. *)
 
   val solve :
@@ -81,6 +90,11 @@ module Session : sig
   (** Price the session's traffic pairs against [net], cut, and trim —
       exactly {!choose} on the session's profile, without rebuilding
       stage 1. Reusable: each call replaces the previous pricing.
+
+      Cut value, placement and predicted time are those of a min cut
+      over the uncontracted graph of all classifications and both
+      terminals: slot sums are exact, and the minimal source side of
+      that graph is a union of the contracted components.
 
       With [profiler], pricing and cutting record under the ["pricing"]
       and ["cut"] phases; with [metrics], each solve updates the
@@ -115,7 +129,8 @@ module Session : sig
   (** Classification -> smallest member of its component: the groups
       every cut keeps together, joined by the session's infinite edges
       between two classifications (profiled non-remotable pairs and
-      classification co-location pairs). Computed once at {!create}. *)
+      classification co-location pairs), before pins join them to the
+      terminals. Computed once at {!create}. *)
 
   val migration_safety : t -> bool array
   (** Per-classification static migration-safety facts for the

@@ -255,6 +255,7 @@ let price t ~net =
 let predicted_us t pricing ~separated =
   let total = ref 0. in
   for s = 0 to Array.length t.seg_pair - 1 do
-    if separated t.seg_pair.(s) then total := !total +. pricing.seg_us.(s)
+    let p = t.seg_pair.(s) in
+    if separated t.pair_a.(p) t.pair_b.(p) then total := !total +. pricing.seg_us.(s)
   done;
   !total

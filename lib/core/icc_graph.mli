@@ -115,6 +115,8 @@ val pair_bytes : t -> float array
 (** Total profiled byte volume per pair id (the [sc_bytes]
     denominators). *)
 
-val predicted_us : t -> pricing -> separated:(int -> bool) -> float
+val predicted_us : t -> pricing -> separated:(int -> int -> bool) -> float
 (** Total cost of the segments whose pair the placement separates,
-    summed in segment order — the [predicted_comm_us] of a cut. *)
+    summed in segment order — the [predicted_comm_us] of a cut.
+    [separated a b] receives the pair's endpoints, as {!pair} gives
+    them, so a caller builds no tuple per segment. *)

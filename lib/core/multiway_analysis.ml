@@ -10,9 +10,7 @@ type t = {
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
 let predicted_assignment_us graph pricing ~assignment =
-  Icc_graph.predicted_us graph pricing ~separated:(fun p ->
-      let a, b = Icc_graph.pair graph p in
-      assignment a <> assignment b)
+  Icc_graph.predicted_us graph pricing ~separated:(fun a b -> assignment a <> assignment b)
 
 let choose ~classifier ~icc ~machines ~pins ~net () =
   let machines = Array.of_list machines in

@@ -46,7 +46,12 @@ let scratch g =
    producing a genuine maximum flow — and every maximum flow induces
    the same minimal source side in the residual graph, so cut values
    and chosen placements are unchanged, a property the test suite
-   checks against Dinic, Edmonds-Karp and brute force. *)
+   checks against Dinic, Edmonds-Karp and brute force. The opening
+   saturation pushes each source arc's full capacity, so an infinite
+   pin arc floods its node with infinity_cap excess that must all
+   drain back. An analysis session therefore contracts every
+   infinite-edge component into one node first: its arena holds no
+   infinite arc unless its constraints are unsatisfiable. *)
 let push_relabel g sc ~s ~t =
   let n = G.node_count g in
   let h = sc.sc_h and e = sc.sc_e and cur = sc.sc_cur in

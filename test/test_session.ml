@@ -272,6 +272,168 @@ let prop_session_equals_choose =
              = Int64.bits_of_float solved.Analysis.predicted_comm_us)
         (nets @ List.rev nets))
 
+(* --- Differential check against the uncontracted graph ------------- *)
+
+(* The session cuts a quotient of the flow graph: every component of
+   the infinite edges, terminals included, is one arena node. The
+   reference here owns no quotient: it compiles all n+2 nodes with
+   [Flow_network.of_edges] — a non-remotable pair, a pin or a
+   co-location is an infinite edge in both directions, every other
+   pair its priced capacity — cuts it with [Mincut.min_cut] and trims
+   the sink side to what stays connected to the server. Only the
+   pricing is shared. *)
+let ns_of_us us = int_of_float (Float.round (us *. 1000.))
+
+let reference_solve ~algorithm ~classifier ~constraints graph pricing =
+  let module G = Coign_flowgraph.Flow_network in
+  let n = Icc_graph.classification_count graph in
+  let client = n and server = n + 1 in
+  let edges = ref [] in
+  let undirected a b cap = edges := (a, b, cap) :: (b, a, cap) :: !edges in
+  Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable ->
+      undirected a b
+        (if non_remotable then G.infinity_cap
+         else min G.infinity_cap (ns_of_us pricing.Icc_graph.pair_us.(p))));
+  for c = 0 to n - 1 do
+    let pin = function
+      | Some Constraints.Client -> undirected c client G.infinity_cap
+      | Some Constraints.Server -> undirected c server G.infinity_cap
+      | None -> ()
+    in
+    pin (Constraints.classification_pin constraints c);
+    pin
+      (Constraints.class_pin constraints ~cname:(Classifier.class_of_classification classifier c))
+  done;
+  List.iter
+    (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then undirected a b G.infinity_cap)
+    (Constraints.colocated_pairs constraints);
+  let g, _ = G.of_edges ~n:(n + 2) (Array.of_list !edges) in
+  let cut = Coign_flowgraph.Mincut.min_cut ~algorithm g ~s:client ~t:server in
+  let server_side = Array.make (n + 2) false in
+  let rec walk v =
+    if not server_side.(v) then begin
+      server_side.(v) <- true;
+      for a = G.arc_start g v to G.arc_stop g v - 1 do
+        let u = G.arc_dst g a in
+        if G.arc_cap g a > 0 && not cut.Coign_flowgraph.Mincut.source_side.(u) then walk u
+      done
+    end
+  in
+  walk server;
+  let placement =
+    Array.init n (fun c -> if server_side.(c) then Constraints.Server else Constraints.Client)
+  in
+  let location v = if v >= n then Constraints.Client else placement.(v) in
+  {
+    Analysis.placement;
+    cut_ns = cut.Coign_flowgraph.Mincut.value;
+    predicted_comm_us =
+      Icc_graph.predicted_us graph pricing ~separated:(fun a b -> location a <> location b);
+    server_count = Array.fold_left (fun k l -> if l = Constraints.Server then k + 1 else k) 0 placement;
+    node_count = n;
+    algorithm;
+  }
+
+(* [gen_instance] plus non-remotable chains (start, length; start -1
+   runs from the main program), so pins regularly fall into one
+   component with each other or with main: both the contracted arena
+   and the unsatisfiable identity arena get exercised. *)
+let gen_contracted =
+  QCheck.Gen.(
+    gen_instance >>= fun instance ->
+    let n, _, _, _, _, _ = instance in
+    list_size (int_range 0 3) (pair (int_range (-1) (n - 2)) (int_range 1 4)) >>= fun chains ->
+    return (instance, chains))
+
+let arb_contracted =
+  QCheck.make
+    ~print:(fun (instance, chains) ->
+      Printf.sprintf "%s chains=%s"
+        (Option.get arb_instance.QCheck.print instance)
+        (String.concat "," (List.map (fun (c, l) -> Printf.sprintf "%d+%d" c l) chains)))
+    gen_contracted
+
+let prop_session_equals_uncontracted =
+  QCheck.Test.make ~name:"session solve equals a min cut of the uncontracted graph" ~count:200
+    arb_contracted
+    (fun ((n, records, pin_client, pin_server, colocations, seed), chains) ->
+      let classifier = classifier_with (List.init n (Printf.sprintf "K%d")) in
+      let icc = Icc.create () in
+      List.iteri
+        (fun i (src, dst, size, remotable) ->
+          if src <> dst then
+            Icc.record icc ~src ~dst
+              ~iface:(Printf.sprintf "I%d" (i mod 4))
+              ~remotable ~request:size ~reply:(size / 5))
+        records;
+      List.iter
+        (fun (start, len) ->
+          for c = start to min (n - 2) (start + len - 1) do
+            Icc.record icc ~src:c ~dst:(c + 1) ~iface:"IChain" ~remotable:false
+              ~request:(1_000 * (c + 2)) ~reply:64
+          done)
+        chains;
+      let constraints =
+        match pin_client with
+        | Some c -> Constraints.pin_classification Constraints.empty c Constraints.Client
+        | None -> Constraints.empty
+      in
+      let constraints =
+        match pin_server with
+        | Some c when pin_client <> Some c ->
+            Constraints.pin_classification constraints c Constraints.Server
+        | _ -> constraints
+      in
+      let constraints =
+        List.fold_left
+          (fun acc (a, b) -> if a <> b then Constraints.colocate acc a b else acc)
+          constraints colocations
+      in
+      let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+      let graph = Analysis.Session.graph session in
+      let rng = Coign_util.Prng.create (Int64.of_int seed) in
+      let scale () =
+        let draw () =
+          Array.init (Icc_graph.pair_count graph) (fun _ -> 0.25 +. Coign_util.Prng.float rng 2.)
+        in
+        let m = draw () in
+        { Icc_graph.sc_messages = m; sc_bytes = (if Coign_util.Prng.int rng 2 = 0 then m else draw ()) }
+      in
+      let nets =
+        [
+          exact_net;
+          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.isdn_128;
+          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.san_1g;
+        ]
+      in
+      let same (a : Analysis.distribution) (b : Analysis.distribution) =
+        a.Analysis.cut_ns = b.Analysis.cut_ns
+        && a.Analysis.placement = b.Analysis.placement
+        && a.Analysis.server_count = b.Analysis.server_count
+        && Int64.bits_of_float a.Analysis.predicted_comm_us
+           = Int64.bits_of_float b.Analysis.predicted_comm_us
+      in
+      (* Solve on the session and on a copy, unscaled then scaled, both
+         passes over the networks, the second reversed so every solve
+         after the first reprices a dirty arena. *)
+      let copy = Analysis.Session.copy session in
+      List.for_all
+        (fun net ->
+          let compiled = Net_profiler.compile net in
+          let cost = Icc_graph.cost_table graph compiled in
+          let zero_us = Net_profiler.predict_compiled_us compiled ~bytes:0 in
+          let scale = scale () in
+          let unscaled = Icc_graph.make_pricing graph and scaled = Icc_graph.make_pricing graph in
+          Icc_graph.price_into graph ~cost unscaled;
+          Icc_graph.price_scaled_into graph ~cost ~zero_us ~scale scaled;
+          List.for_all
+            (fun algorithm ->
+              let reference = reference_solve ~algorithm ~classifier ~constraints graph in
+              same (reference unscaled) (Analysis.Session.solve ~algorithm session ~net)
+              && same (reference scaled) (Analysis.Session.solve ~algorithm ~scale copy ~net))
+            Coign_flowgraph.Mincut.all_algorithms)
+        (nets @ List.rev nets))
+
 (* The stored-text decoder: on any summary's encoding it builds the
    graph [Icc_graph.build] builds over [Icc.decode], and sessions over
    the two solve alike. Sizes span many buckets, up to 2^40 bytes. *)
@@ -342,5 +504,6 @@ let suite =
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
     Alcotest.test_case "session components" `Quick test_session_components;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
+    QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
   ]
