@@ -68,16 +68,14 @@ module Session : sig
   (** The stage over an abstract graph already built, e.g. by
       {!Icc_graph.decode} straight from a stored profile: the
       constraint edges, the repriceable pair list and the CSR arena,
-      keyed by packed node pairs and sorted on int keys. One
-      union-find over the infinite edges, terminals included, gives
-      the arena's nodes; the client's and the server's components are
-      its terminals. A priced pair inside one component gets no slot,
-      and pairs between the same two components share one. When the
-      constraints put both terminals in one component (no cut can
-      honour them all) every node is its own component, so the arena
-      keeps the infinite edges and the solve shows which constraint
-      breaks. With [profiler], this arena build records under the
-      ["icc_graph_build"] phase. *)
+      keyed by packed node pairs and sorted on int keys. Its nodes are
+      {!Coign_flowgraph.Flow_network.Components.quotient} of the
+      infinite edges, terminals included. A priced pair inside one
+      node gets no slot, and pairs between the same two nodes share
+      one. When the constraints put both terminals in one component
+      the quotient is the identity, so the solve shows which
+      constraint breaks. With [profiler], this arena build records
+      under the ["icc_graph_build"] phase. *)
 
   val solve :
     ?algorithm:Coign_flowgraph.Mincut.algorithm ->

@@ -122,11 +122,11 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
       end)
     dist.Analysis.placement;
   let assignment v =
-    if v < 0 || v >= n then -1
-    else if shard_of.(v) < 0 then -1
-    else Pool.host_of shape shard_of.(v)
+    if v < 0 || v >= n || shard_of.(v) < 0 then -1 else Pool.host_of shape shard_of.(v)
   in
-  let predicted = Multiway_analysis.predicted_assignment_us graph pricing ~assignment in
+  let predicted =
+    Icc_graph.predicted_us graph pricing ~separated:(fun a b -> assignment a <> assignment b)
+  in
   {
     pr_name = name;
     pr_distribution = dist;

@@ -79,8 +79,8 @@ val migration_safety_table : t -> bool array
     classification), migration-unsafe
     components are pinned to shard 0 and never replicated, and each
     rung is priced through the same abstract-graph pricing as the
-    two-way engine ({!Multiway_analysis.predicted_assignment_us}) with
-    hosts as machines. *)
+    two-way engine ({!Icc_graph.predicted_us}) with hosts as
+    machines. *)
 
 type pool_rung = {
   pr_name : string;  (** ["pool-3"], ..., then the base rung's name *)

@@ -9,20 +9,14 @@ type t = {
 
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
-let predicted_assignment_us graph pricing ~assignment =
-  Icc_graph.predicted_us graph pricing ~separated:(fun a b -> assignment a <> assignment b)
-
 let choose ~classifier ~icc ~machines ~pins ~net () =
   let machines = Array.of_list machines in
   let k = Array.length machines in
   if k < 2 then invalid_arg "Multiway_analysis.choose: need at least two machines";
   let machine_index name =
-    let rec find i =
-      if i = k then invalid_arg ("Multiway_analysis.choose: unknown machine " ^ name)
-      else if String.equal machines.(i) name then i
-      else find (i + 1)
-    in
-    find 0
+    match Array.find_index (String.equal name) machines with
+    | Some i -> i
+    | None -> invalid_arg ("Multiway_analysis.choose: unknown machine " ^ name)
   in
   (* Stage 1: the shared abstract ICC graph. Its main node (= n) is
      machine terminal 0, matching the two-way engine's client node. *)
@@ -47,12 +41,13 @@ let choose ~classifier ~icc ~machines ~pins ~net () =
   let partition =
     Multiway.multiway_cut ~n:(n + k) (Array.of_list !edges) ~terminals:(List.init k terminal)
   in
-  (* The partition assigns machine indices by terminal list order,
-     which matches our machine order. *)
-  let assignment = Array.sub partition.Multiway.assignment 0 n in
-  (* Abstract-graph nodes >= n (the main program) live on machine 0. *)
-  let machine_of_node v = if v < 0 || v >= n then 0 else assignment.(v) in
-  let predicted_comm_us = predicted_assignment_us graph pricing ~assignment:machine_of_node in
+  (* Machine indices follow the terminal list, which is our machine
+     order; the main program's node is terminal 0. *)
+  let machine = partition.Multiway.assignment in
+  let predicted_comm_us =
+    Icc_graph.predicted_us graph pricing ~separated:(fun a b -> machine.(a) <> machine.(b))
+  in
+  let assignment = Array.sub machine 0 n in
   { machines; assignment; cost_ns = partition.Multiway.cost; predicted_comm_us }
 
 let machine_of t c =

@@ -35,16 +35,6 @@ val choose :
     an unknown machine raises [Invalid_argument]. Non-remotable
     interfaces co-locate their endpoints, as in the two-way engine. *)
 
-val predicted_assignment_us :
-  Icc_graph.t -> Icc_graph.pricing -> assignment:(int -> int) -> float
-(** Predicted communication time (µs) of an arbitrary node-to-machine
-    assignment over a priced abstract graph: the cost of every pair
-    whose endpoints land on different machines, summed in segment
-    order. The node space is the graph's (classifications then main);
-    machine ids are caller-chosen — the pool-elastic fallback ladder
-    prices its k-host shard placements through this with hosts as
-    machines. *)
-
 val machine_of : t -> int -> string
 (** Machine of a classification; out-of-range classifications (new at
     run time) land on the main program's machine. *)

@@ -131,3 +131,39 @@ let min_cut_side g ~s =
   let stack = Array.make (max 1 g.n) 0 in
   min_cut_side_into g ~s ~seen ~stack;
   seen
+
+module Components = struct
+  (* Union by minimum: a root is its component's smallest member. *)
+  type t = int array
+
+  let create n = Array.init n Fun.id
+
+  let rec root parent v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let r = root parent p in
+      parent.(v) <- r;
+      r
+    end
+
+  let join parent a b =
+    let ra = root parent a and rb = root parent b in
+    parent.(Int.max ra rb) <- Int.min ra rb
+
+  let quotient parent ~terminals =
+    let shared = ref false in
+    for i = 0 to Array.length terminals - 1 do
+      for j = 0 to i - 1 do
+        if root parent terminals.(i) = root parent terminals.(j) then shared := true
+      done
+    done;
+    let n = Array.length parent in
+    let node = Array.make n 0 and nodes = ref 0 in
+    for v = 0 to n - 1 do
+      let r = if !shared then v else root parent v in
+      node.(v) <- (if r = v then !nodes else node.(r));
+      if r = v then incr nodes
+    done;
+    (node, !nodes)
+end

@@ -1,10 +1,11 @@
 (** Capacitated directed graphs for minimum-cut partitioning.
 
     The analysis engine turns an application's inter-component
-    communication profile into one of these: a node per instance
-    classification plus two terminals (client, server); an edge's
-    capacity is the communication time that would be paid if the cut
-    separated its endpoints. Capacities are integers (nanoseconds in
+    communication profile into one of these: a node per set of
+    classifications no cut may separate ({!Components}), the client's
+    and the server's sets being the terminals; an edge's capacity is
+    the communication time that would be paid if the cut separated
+    its endpoints. Capacities are integers (nanoseconds in
     the analysis engine) because the push-relabel family needs exact
     arithmetic.
 
@@ -85,3 +86,23 @@ val min_cut_side_into : t -> s:int -> seen:bool array -> stack:int array -> unit
 (** Allocation-free {!min_cut_side}: writes the source side into
     [seen] using [stack] as DFS scratch. Both arrays must hold at
     least {!node_count} elements. *)
+
+(** An {!infinity_cap} edge is never cut, so both cuts (the analysis
+    session and {!Multiway}) run on the quotient graph, one node per
+    component of the infinite edges. While the flow is finite an
+    infinite edge keeps residual capacity both ways, so the minimal
+    source side of the uncontracted graph is a union of components:
+    the quotient's, expanded. *)
+module Components : sig
+  type t  (** Union-find over nodes [0 .. n-1]. *)
+
+  val create : int -> t
+  val join : t -> int -> int -> unit
+  val root : t -> int -> int  (** The smallest member of a node's component. *)
+
+  val quotient : t -> terminals:int array -> int array * int
+  (** Each node's quotient node, numbered in root order, and their
+      count. If two terminals share a component no cut separates them:
+      the quotient is then the identity, and the cut shows which
+      infinite edge it breaks. *)
+end

@@ -49,9 +49,9 @@ let scratch g =
    checks against Dinic, Edmonds-Karp and brute force. The opening
    saturation pushes each source arc's full capacity, so an infinite
    pin arc floods its node with infinity_cap excess that must all
-   drain back. An analysis session therefore contracts every
-   infinite-edge component into one node first: its arena holds no
-   infinite arc unless its constraints are unsatisfiable. *)
+   drain back. Both cuts therefore run on the quotient of the infinite
+   edges (Flow_network.Components), which holds no infinite arc
+   unless its constraints are unsatisfiable. *)
 let push_relabel g sc ~s ~t =
   let n = G.node_count g in
   let h = sc.sc_h and e = sc.sc_e and cur = sc.sc_cur in

@@ -1,3 +1,6 @@
+module G = Flow_network
+module C = G.Components
+
 type partition = { assignment : int array; cost : int }
 
 let partition_cost edges assignment =
@@ -6,81 +9,73 @@ let partition_cost edges assignment =
       if assignment.(src) <> assignment.(dst) then acc + cap else acc)
     0 edges
 
-let multiway_cut ?algorithm ~n edges ~terminals =
-  let terminals = Array.of_list (List.sort_uniq compare terminals) in
+let multiway_cut ~n edges ~terminals =
+  let terminals = Array.of_list terminals in
   let k = Array.length terminals in
   if k < 2 then invalid_arg "Multiway.multiway_cut: need at least two terminals";
-  Array.iter
-    (fun t -> if t < 0 || t >= n then invalid_arg "Multiway.multiway_cut: bad terminal")
+  Array.iteri
+    (fun i t ->
+      if t < 0 || t >= n then invalid_arg "Multiway.multiway_cut: bad terminal";
+      if Array.exists (( = ) t) (Array.sub terminals 0 i) then
+        invalid_arg "Multiway.multiway_cut: repeated terminal")
     terminals;
-  if Array.exists (fun (src, dst, _) -> src >= n || dst >= n) edges then
+  if Array.exists (fun (src, dst, _) -> src < 0 || src >= n || dst < 0 || dst >= n) edges then
     invalid_arg "Multiway.multiway_cut: edge node out of range";
-  (* One arena for every cut: the graph plus a super-sink [n], wired to
-     each terminal by a slot pair that starts at zero capacity. *)
+  (* One arena for every cut: the quotient of the infinite edges plus a
+     super-sink, wired to each terminal by a slot pair that starts at
+     zero capacity. *)
+  let components = C.create n in
+  Array.iter (fun (src, dst, cap) -> if cap >= G.infinity_cap then C.join components src dst) edges;
+  let node, sink = C.quotient components ~terminals in
+  let terminal i = node.(terminals.(i)) in
+  let slot j = if j land 1 = 0 then (terminal (j / 2), sink, 0) else (sink, terminal (j / 2), 0) in
   let m = Array.length edges in
-  let sink_slots =
-    Array.concat (List.map (fun t -> [| (t, n, 0); (n, t, 0) |]) (Array.to_list terminals))
+  let g, fwd =
+    G.of_edges ~n:(sink + 1)
+      (Array.append
+         (Array.map (fun (src, dst, cap) -> (node.(src), node.(dst), cap)) edges)
+         (Array.init (2 * k) slot))
   in
-  let g, fwd = Flow_network.of_edges ~n:(n + 1) (Array.append edges sink_slots) in
   (* Nodes sharing no component with a terminal (over positive-capacity
      edges) cost nothing wherever they go: they land on terminal 0. *)
-  let parent = Array.init n Fun.id in
-  let rec root v =
-    if parent.(v) = v then v
-    else begin
-      let r = root parent.(v) in
-      parent.(v) <- r;
-      r
-    end
-  in
-  Array.iter (fun (src, dst, cap) -> if cap > 0 then parent.(root src) <- root dst) edges;
+  Array.iter (fun (src, dst, cap) -> if cap > 0 then C.join components src dst) edges;
   let anchored = Array.make n false in
-  Array.iter (fun t -> anchored.(root t) <- true) terminals;
-  let finish assignment cost =
-    for v = 0 to n - 1 do
-      if not anchored.(root v) then assignment.(v) <- 0
-    done;
-    (* Terminals always belong to themselves. *)
-    Array.iteri (fun i t -> assignment.(t) <- i) terminals;
-    { assignment; cost }
-  in
-  if k = 2 then begin
-    let cut = Mincut.min_cut ?algorithm g ~s:terminals.(0) ~t:terminals.(1) in
-    finish
-      (Array.init n (fun v -> if cut.Mincut.source_side.(v) then 0 else 1))
-      cut.Mincut.value
-  end
-  else begin
-    (* Isolating cut for terminal i: every other terminal's slot pair
-       goes to infinite capacity, so the super-sink stands for all of
-       them merged. *)
-    let isolating i =
+  Array.iter (fun t -> anchored.(C.root components t) <- true) terminals;
+  (* Two terminals take the exact cut between them. With more, terminal
+     i's isolating cut raises every other terminal's slot pair to
+     infinite capacity, so the super-sink stands for all of them merged;
+     the most expensive cut is dropped (its terminal keeps the
+     leftovers) and cheaper cuts claim their side first. *)
+  let cut i =
+    if k = 2 then Mincut.min_cut g ~s:(terminal 0) ~t:(terminal 1)
+    else begin
       Array.iteri
         (fun j _ ->
-          let cap = if j = i then 0 else Flow_network.infinity_cap in
-          Flow_network.set_arc_cap g fwd.(m + (2 * j)) cap;
-          Flow_network.set_arc_cap g fwd.(m + (2 * j) + 1) cap)
+          let cap = if j = i then 0 else G.infinity_cap in
+          G.set_arc_cap g fwd.(m + (2 * j)) cap;
+          G.set_arc_cap g fwd.(m + (2 * j) + 1) cap)
         terminals;
-      Mincut.min_cut ?algorithm g ~s:terminals.(i) ~t:n
-    in
-    let cuts = Array.init k isolating in
-    (* Drop the most expensive isolating cut (its terminal keeps the
-       leftovers), then assign nodes greedily in ascending cut cost so
-       cheaper cuts claim their side first. *)
-    let order = Array.init k (fun i -> i) in
-    Array.sort (fun a b -> compare cuts.(a).Mincut.value cuts.(b).Mincut.value) order;
-    let assignment = Array.make n order.(k - 1) in
-    let claimed = Array.make n false in
-    Array.iteri
-      (fun rank i ->
-        if rank < k - 1 then
-          let side = cuts.(i).Mincut.source_side in
-          for v = 0 to n - 1 do
-            if side.(v) && not claimed.(v) then begin
-              assignment.(v) <- i;
-              claimed.(v) <- true
-            end
-          done)
-      order;
-    finish assignment (partition_cost edges assignment)
-  end
+      Mincut.min_cut g ~s:(terminal i) ~t:sink
+    end
+  in
+  let cuts = Array.init (if k = 2 then 1 else k) cut in
+  let order = Array.init k Fun.id in
+  if k > 2 then Array.sort (fun a b -> compare cuts.(a).Mincut.value cuts.(b).Mincut.value) order;
+  let assignment = Array.make n order.(k - 1) in
+  let claimed = Array.make n false in
+  for rank = 0 to k - 2 do
+    let side = cuts.(order.(rank)).Mincut.source_side in
+    for v = 0 to n - 1 do
+      if side.(node.(v)) && not claimed.(v) then begin
+        assignment.(v) <- order.(rank);
+        claimed.(v) <- true
+      end
+    done
+  done;
+  let cost = if k = 2 then cuts.(0).Mincut.value else partition_cost edges assignment in
+  for v = 0 to n - 1 do
+    if not anchored.(C.root components v) then assignment.(v) <- 0
+  done;
+  (* Terminals always belong to themselves. *)
+  Array.iteri (fun i t -> assignment.(t) <- i) terminals;
+  { assignment; cost }

@@ -312,6 +312,110 @@ let test_multiway_unreached_to_terminal_zero () =
     three.Multiway.assignment;
   Alcotest.(check int) "three terminals cost" 0 three.Multiway.cost
 
+let test_multiway_terminal_order () =
+  (* Machine i is the i-th terminal as listed, not in sorted order. *)
+  let edges = Array.of_list (undirected 0 1 1 @ undirected 2 3 1) in
+  let p = Multiway.multiway_cut ~n:5 edges ~terminals:[ 4; 2; 0 ] in
+  Alcotest.(check (array int)) "listed order" [| 2; 2; 1; 1; 0 |] p.Multiway.assignment;
+  Alcotest.check_raises "repeated terminal"
+    (Invalid_argument "Multiway.multiway_cut: repeated terminal") (fun () ->
+      ignore (Multiway.multiway_cut ~n:5 edges ~terminals:[ 0; 2; 0 ]))
+
+(* The k-way cut runs on the quotient of the infinite edges. This
+   reference owns no quotient: it compiles every node with
+   [Flow_network.of_edges] plus a super-sink, runs the exact cut (two
+   terminals) or one [Mincut.min_cut] isolating cut per terminal with
+   the other terminals wired to the super-sink at infinite capacity,
+   and assigns greedily in ascending cut value (ties broken by the same
+   [Array.sort]). Nodes with no positive-capacity path to a terminal go
+   to terminal 0, and each terminal to itself. *)
+let reference_multiway ~n edges ~terminals =
+  let terminals = Array.of_list terminals in
+  let k = Array.length terminals in
+  let cuts =
+    if k = 2 then
+      [| Mincut.min_cut (arena ~n (Array.to_list edges)) ~s:terminals.(0) ~t:terminals.(1) |]
+    else
+      Array.init k (fun i ->
+          let sink = ref [] in
+          Array.iteri
+            (fun j t -> if j <> i then sink := undirected t n Flow_network.infinity_cap @ !sink)
+            terminals;
+          Mincut.min_cut (arena ~n:(n + 1) (Array.to_list edges @ !sink)) ~s:terminals.(i) ~t:n)
+  in
+  let order = Array.init k Fun.id in
+  if k > 2 then Array.sort (fun a b -> compare cuts.(a).Mincut.value cuts.(b).Mincut.value) order;
+  let assignment = Array.make n order.(k - 1) in
+  for rank = k - 2 downto 0 do
+    let i = order.(rank) in
+    for v = 0 to n - 1 do
+      if cuts.(i).Mincut.source_side.(v) then assignment.(v) <- i
+    done
+  done;
+  let cost =
+    if k = 2 then cuts.(0).Mincut.value
+    else
+      Array.fold_left
+        (fun acc (src, dst, cap) -> if assignment.(src) <> assignment.(dst) then acc + cap else acc)
+        0 edges
+  in
+  let anchored = Array.make n false in
+  Array.iter (fun t -> anchored.(t) <- true) terminals;
+  let grew = ref true in
+  while !grew do
+    grew := false;
+    Array.iter
+      (fun (src, dst, cap) ->
+        if cap > 0 && anchored.(src) <> anchored.(dst) then begin
+          anchored.(src) <- true;
+          anchored.(dst) <- true;
+          grew := true
+        end)
+      edges
+  done;
+  Array.iteri (fun v a -> if not a then assignment.(v) <- 0) anchored;
+  Array.iteri (fun i t -> assignment.(t) <- i) terminals;
+  (assignment, cost)
+
+(* Random graphs plus infinite chains (both directions) over node
+   ranges, so a chain often joins two terminals and the quotient is
+   then the identity; terminals come in random order. *)
+let gen_multiway =
+  QCheck.Gen.(
+    int_range 4 10 >>= fun n ->
+    int_range 2 4 >>= fun k ->
+    shuffle_l (List.init n Fun.id) >>= fun nodes ->
+    list_size (int_range 0 20) (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 50))
+    >>= fun edges ->
+    list_size (int_range 0 3) (pair (int_range 0 (n - 2)) (int_range 1 4)) >>= fun chains ->
+    return (n, List.filteri (fun i _ -> i < k) nodes, edges, chains))
+
+let arb_multiway =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  QCheck.make
+    ~print:(fun (n, terminals, edges, chains) ->
+      Printf.sprintf "n=%d terminals=%s edges=%s chains=%s" n (ints terminals)
+        (String.concat ";" (List.map (fun (a, b, c) -> Printf.sprintf "%d->%d:%d" a b c) edges))
+        (String.concat ";" (List.map (fun (s, l) -> Printf.sprintf "%d+%d" s l) chains)))
+    gen_multiway
+
+let prop_multiway_equals_uncontracted =
+  QCheck.Test.make ~name:"multiway cut equals the uncontracted reference" ~count:300 arb_multiway
+    (fun (n, terminals, edges, chains) ->
+      let inf = Flow_network.infinity_cap in
+      let chain_edges =
+        List.concat_map
+          (fun (start, len) ->
+            List.concat
+              (List.init (min len (n - 1 - start)) (fun i ->
+                   undirected (start + i) (start + i + 1) inf)))
+          chains
+      in
+      let edges = Array.of_list (edges @ chain_edges) in
+      let p = Multiway.multiway_cut ~n edges ~terminals in
+      let assignment, cost = reference_multiway ~n edges ~terminals in
+      p.Multiway.assignment = assignment && p.Multiway.cost = cost)
+
 let prop_multiway_cost_consistent =
   QCheck.Test.make ~name:"multiway reported cost equals recomputed cost" ~count:100 arb_graph
     (fun (n, edges) ->
@@ -353,4 +457,6 @@ let suite =
     Alcotest.test_case "multiway unreached nodes go to terminal 0" `Quick
       test_multiway_unreached_to_terminal_zero;
     qtest prop_multiway_cost_consistent;
+    Alcotest.test_case "multiway terminal order" `Quick test_multiway_terminal_order;
+    qtest prop_multiway_equals_uncontracted;
   ]
