@@ -112,8 +112,12 @@ verify)
     coign profile "$1.img" --scenario "$2" -o "$1.img"
     coign verify "$1.img" --strict
     coign verify "$1.img" --strict --json > "verify-$1.json"
-    # The pool-3 model explored on the zero-worker pool and on four
-    # domains: the reports must be byte-identical.
+    # The default pool-1 and the pool-3 models explored on the
+    # zero-worker pool and on four domains: the reports must be
+    # byte-identical.
+    coign verify "$1.img" --strict --json --jobs 1 > "verify-$1-seq.json"
+    coign verify "$1.img" --strict --json --jobs 4 > "verify-$1-par.json"
+    diff "verify-$1-seq.json" "verify-$1-par.json"
     coign verify "$1.img" --pool 3 --strict --json --jobs 1 > "verify-$1-pool3-seq.json"
     coign verify "$1.img" --pool 3 --strict --json --jobs 4 > "verify-$1-pool3-par.json"
     diff "verify-$1-pool3-seq.json" "verify-$1-pool3-par.json"

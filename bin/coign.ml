@@ -361,9 +361,9 @@ let verify_cmd =
           die "image holds no profile — run coign profile first"
     in
     let session =
-      try Adps.analysis_session image
-      with Invalid_argument msg ->
-        die "%s" msg
+      try
+        Analysis.Session.create ~classifier ~icc ~constraints:(Constraints.of_image image) ()
+      with Invalid_argument msg -> die "%s" msg
     in
     let net = Net_profiler.exact network in
     let primary = Option.map snd (Adps.load_distribution image) in

@@ -35,10 +35,10 @@ let classifications_by_class classifier ~n =
 module Session = struct
   (* The network-dependent half of pricing, memoized per network
      profile (by physical identity — profiles are immutable records, so
-     the same profile object always compiles to the same table). Sweeps
-     and fallback ladders re-solve against a small set of profile
-     objects, so the compile + per-size prediction work is paid once
-     per profile instead of once per solve. *)
+     the same profile object always yields the same table). Sweeps and
+     fallback ladders re-solve against a small set of profile objects,
+     so the per-size predictions are paid once per profile instead of
+     once per solve. *)
   let cost_cache_cap = 64
 
   type session = {
@@ -69,8 +69,8 @@ module Session = struct
     s_stack : int array;
     s_server_side : bool array;
     s_pricing : Icc_graph.pricing;
-    (* cost table + zero-byte message cost, one entry per seen net *)
-    mutable s_cost_cache : (Net_profiler.t * (float array * float)) list;
+    (* cost table, one entry per seen net *)
+    mutable s_cost_cache : (Net_profiler.t * float array) list;
   }
 
   type t = session
@@ -216,7 +216,7 @@ module Session = struct
       s_server_side = Array.make nodes false;
       s_pricing = Icc_graph.make_pricing t.s_graph;
       (* The cache list and its entries are immutable once published;
-         sharing the snapshot lets a copied session skip re-compiling
+         sharing the snapshot lets a copied session skip re-pricing
          profiles the original already priced. *)
       s_cost_cache = t.s_cost_cache;
     }
@@ -224,17 +224,15 @@ module Session = struct
   let cost_table_for t net =
     let rec find = function
       | [] ->
-          let compiled = Net_profiler.compile net in
-          let cost = Icc_graph.cost_table t.s_graph compiled in
-          let zero = Net_profiler.predict_compiled_us compiled ~bytes:0 in
+          let cost = Icc_graph.cost_table t.s_graph net in
           let cache = t.s_cost_cache in
           let cache =
             if List.length cache >= cost_cache_cap then
               List.filteri (fun i _ -> i < cost_cache_cap - 1) cache
             else cache
           in
-          t.s_cost_cache <- (net, (cost, zero)) :: cache;
-          (cost, zero)
+          t.s_cost_cache <- (net, cost) :: cache;
+          cost
       | (key, entry) :: rest -> if key == net then entry else find rest
     in
     find t.s_cost_cache
@@ -251,10 +249,10 @@ module Session = struct
              without it, the pricing loop is untouched and its floats
              are bit for bit the offline engine's. *)
           (match scale with
-          | None -> Icc_graph.price_into graph ~cost:(fst (cost_table_for t net)) pricing
+          | None -> Icc_graph.price_into graph ~cost:(cost_table_for t net) pricing
           | Some scale ->
-              let cost, zero_us = cost_table_for t net in
-              Icc_graph.price_scaled_into graph ~cost ~zero_us ~scale pricing);
+              Icc_graph.price_scaled_into graph ~cost:(cost_table_for t net)
+                ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale pricing);
           (* Reprice: zero every slot, add each priced pair's
              capacity into its slot's arc straight in the arena,
              saturating at infinity_cap as a compile would, then mirror

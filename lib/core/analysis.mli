@@ -36,8 +36,8 @@ type distribution = {
     pairs against one concrete network profile by summing capacities
     straight into the arena's flat arrays and cuts in place with
     preallocated solver scratch; per-profile cost tables are memoized
-    (keyed by profile identity) so sweeps and fallback ladders compile
-    each network once. Solving the same session across many networks
+    (keyed by profile identity) so sweeps and fallback ladders predict
+    each network's per-size costs once. Solving the same session across many networks
     (the paper's §4.4 adaptivity sweeps) therefore allocates almost
     nothing per round, and is guaranteed — by construction and by
     property test — to produce bit-identical distributions to a fresh

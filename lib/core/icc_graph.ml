@@ -168,8 +168,7 @@ let decode ~classifier text =
        ~bucket:(fun ~index:_ ~count ~bytes -> add_item acc ~count ~bytes));
   finish acc
 
-let cost_table t compiled =
-  Array.map (fun bytes -> Net_profiler.predict_compiled_us compiled ~bytes) t.sizes
+let cost_table t net = Array.map (fun bytes -> Net_profiler.predict_us net ~bytes) t.sizes
 
 let price_into t ~cost pricing =
   Array.fill pricing.pair_us 0 (Array.length pricing.pair_us) 0.;
@@ -247,7 +246,7 @@ let make_pricing t =
   }
 
 let price t ~net =
-  let cost = cost_table t (Net_profiler.compile net) in
+  let cost = cost_table t net in
   let pricing = make_pricing t in
   price_into t ~cost pricing;
   pricing

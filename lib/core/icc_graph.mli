@@ -66,13 +66,13 @@ val iter_pairs : t -> (int -> a:int -> b:int -> non_remotable:bool -> unit) -> u
 
 val price : t -> net:Coign_netsim.Net_profiler.t -> pricing
 (** Stage 2's entry point: map a network profile onto the abstract
-    graph. Cost table first (one compiled prediction per distinct
-    size), then each segment as a count·cost dot product. Equivalent
-    to {!cost_table} + {!price_into} on fresh buffers. *)
+    graph. Cost table first (one prediction per distinct size), then
+    each segment as a count·cost dot product. Equivalent to
+    {!cost_table} + {!price_into} on fresh buffers. *)
 
-val cost_table : t -> Coign_netsim.Net_profiler.compiled -> float array
-(** Per-distinct-size predicted cost (µs) under one compiled network
-    profile — the memoizable, network-dependent half of pricing. *)
+val cost_table : t -> Coign_netsim.Net_profiler.t -> float array
+(** Per-distinct-size predicted cost (µs) under one network profile —
+    the memoizable, network-dependent half of pricing. *)
 
 val make_pricing : t -> pricing
 (** Zeroed pricing buffers sized for this graph, for reuse across

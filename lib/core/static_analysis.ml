@@ -11,13 +11,10 @@ let storage_apis =
 
 let storage_dlls = [ "odbc32."; "mdac." ]
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 let classify_api api =
-  if List.exists (fun p -> has_prefix ~prefix:p api) gui_dlls then Gui
+  if List.exists (fun prefix -> String.starts_with ~prefix api) gui_dlls then Gui
   else if
-    List.exists (fun p -> has_prefix ~prefix:p api) storage_dlls
+    List.exists (fun prefix -> String.starts_with ~prefix api) storage_dlls
     || List.exists (fun exact -> String.equal exact api) storage_apis
   then Storage
   else Neutral
@@ -25,9 +22,15 @@ let classify_api api =
 type verdict = Pin_client | Pin_server | Free
 
 let class_verdict apis =
-  let gui = List.exists (fun a -> classify_api a = Gui) apis in
-  let storage = List.exists (fun a -> classify_api a = Storage) apis in
-  if gui then Pin_client else if storage then Pin_server else Free
+  let rec go verdict = function
+    | [] -> verdict
+    | api :: rest -> (
+        match classify_api api with
+        | Gui -> Pin_client
+        | Storage -> go Pin_server rest
+        | Neutral -> go verdict rest)
+  in
+  go Free apis
 
 let image_verdicts img =
   List.map

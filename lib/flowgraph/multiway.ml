@@ -46,17 +46,19 @@ let multiway_cut ~n edges ~terminals =
      infinite capacity, so the super-sink stands for all of them merged;
      the most expensive cut is dropped (its terminal keeps the
      leftovers) and cheaper cuts claim their side first. *)
+  let scratch = Mincut.scratch g in
   let cut i =
-    if k = 2 then Mincut.min_cut g ~s:(terminal 0) ~t:(terminal 1)
-    else begin
+    if k > 2 then
       Array.iteri
         (fun j _ ->
           let cap = if j = i then 0 else G.infinity_cap in
           G.set_arc_cap g fwd.(m + (2 * j)) cap;
           G.set_arc_cap g fwd.(m + (2 * j) + 1) cap)
         terminals;
-      Mincut.min_cut g ~s:(terminal i) ~t:sink
-    end
+    let s, t = if k = 2 then (terminal 0, terminal 1) else (terminal i, sink) in
+    G.reset g;
+    let value = Mincut.run g scratch ~s ~t in
+    { Mincut.value; source_side = G.min_cut_side g ~s }
   in
   let cuts = Array.init (if k = 2 then 1 else k) cut in
   let order = Array.init k Fun.id in

@@ -3,6 +3,7 @@ open Coign_util
 type t = {
   profiled_name : string;
   observations : (int * float) array;
+  means : (int * float) array;
   fixed_us : float;
   per_byte_us : float;
 }
@@ -12,6 +13,25 @@ type t = {
 let representative_sizes =
   let rec go acc size = if size > 1 lsl 20 then List.rev acc else go (size :: acc) (size * 2) in
   go [ 16 ] 64
+
+(* Mean observed time per representative size, ascending. Observations
+   come in one run per size, sizes ascending ([profile] samples them so
+   and [penalize] keeps the order), so one pass sums each run in
+   observation order. *)
+let means_of (observations : (int * float) array) =
+  let n = Array.length observations in
+  let runs = ref [] and i = ref 0 in
+  while !i < n do
+    let size = fst observations.(!i) in
+    let sum = ref 0. and count = ref 0 in
+    while !i < n && fst observations.(!i) = size do
+      sum := !sum +. snd observations.(!i);
+      incr count;
+      incr i
+    done;
+    runs := (size, !sum /. float_of_int !count) :: !runs
+  done;
+  Array.of_list (List.rev !runs)
 
 let profile rng net =
   let observations =
@@ -26,26 +46,20 @@ let profile rng net =
   in
   let points = Array.map (fun (b, us) -> (float_of_int b, us)) observations in
   let fixed_us, per_byte_us = Stats.linear_fit points in
-  { profiled_name = net.Network.net_name; observations; fixed_us; per_byte_us }
+  {
+    profiled_name = net.Network.net_name;
+    observations;
+    means = means_of observations;
+    fixed_us;
+    per_byte_us;
+  }
 
-(* Mean observed time per representative size, ascending. *)
-let size_means t =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (size, us) ->
-      let sum, n = Option.value ~default:(0., 0) (Hashtbl.find_opt tbl size) in
-      Hashtbl.replace tbl size (sum +. us, n + 1))
-    t.observations;
-  Hashtbl.fold (fun size (sum, n) acc -> (size, sum /. float_of_int n) :: acc) tbl []
-  |> List.sort compare |> Array.of_list
-
-let predict_with t means ~bytes =
-  let line () = t.fixed_us +. (t.per_byte_us *. float_of_int bytes) in
+let predict_us t ~bytes =
+  let means = t.means in
   let m = Array.length means in
   let v =
-    if m < 2 then line ()
+    if m < 2 then t.fixed_us +. (t.per_byte_us *. float_of_int bytes)
     else begin
-      let fb = float_of_int bytes in
       (* Interpolate between the bracketing representative sizes; use
          the global fit's slope beyond the sampled range. *)
       let smallest, t_small = means.(0) in
@@ -53,25 +67,16 @@ let predict_with t means ~bytes =
       if bytes <= smallest then t_small -. (t.per_byte_us *. float_of_int (smallest - bytes))
       else if bytes >= largest then t_large +. (t.per_byte_us *. float_of_int (bytes - largest))
       else begin
-        let rec bracket i =
-          let s1, t1 = means.(i) and s2, t2 = means.(i + 1) in
-          if bytes <= s2 then
-            t1 +. ((t2 -. t1) *. (fb -. float_of_int s1) /. float_of_int (s2 - s1))
-          else bracket (i + 1)
-        in
-        bracket 0
+        let i = ref 0 in
+        while bytes > fst means.(!i + 1) do
+          incr i
+        done;
+        let s1, t1 = means.(!i) and s2, t2 = means.(!i + 1) in
+        t1 +. ((t2 -. t1) *. (float_of_int bytes -. float_of_int s1) /. float_of_int (s2 - s1))
       end
     end
   in
   Float.max 0. v
-
-let predict_us t ~bytes = predict_with t (size_means t) ~bytes
-
-type compiled = { c_profile : t; c_means : (int * float) array }
-
-let compile t = { c_profile = t; c_means = size_means t }
-
-let predict_compiled_us c ~bytes = predict_with c.c_profile c.c_means ~bytes
 
 let predict_round_trip_us t ~request ~reply =
   predict_us t ~bytes:request +. predict_us t ~bytes:reply
@@ -80,6 +85,7 @@ let exact net =
   {
     profiled_name = net.Network.net_name;
     observations = [||];
+    means = [||];
     fixed_us = net.Network.proc_us +. net.Network.latency_us;
     per_byte_us = 8. /. net.Network.bandwidth_mbps;
   }
@@ -95,9 +101,13 @@ let pp ppf t =
    *scaling* would leave every min cut unchanged — only a shape change
    can move the fallback cut. *)
 let penalize t ~suffix ~penalty_us =
+  (* The means are re-derived from the shifted observations: a shifted
+     mean is not the same float as the mean of the shifted values. *)
+  let observations = Array.map (fun (b, us) -> (b, us +. penalty_us)) t.observations in
   {
     profiled_name = t.profiled_name ^ "+" ^ suffix;
-    observations = Array.map (fun (b, us) -> (b, us +. penalty_us)) t.observations;
+    observations;
+    means = means_of observations;
     fixed_us = t.fixed_us +. penalty_us;
     per_byte_us = t.per_byte_us;
   }

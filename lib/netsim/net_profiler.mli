@@ -9,38 +9,38 @@
     edges with the *fitted* profile, never with the ground-truth model,
     so prediction error in Table 5 is honest. *)
 
-type t = {
+type t = private {
   profiled_name : string;
-  observations : (int * float) array;  (** (bytes, observed us) *)
+  observations : (int * float) array;
+      (** (bytes, observed us): one run per sampled size, ascending *)
+  means : (int * float) array;
+      (** (bytes, mean observed us) per sampled size, ascending: each
+          size's observations summed in observation order, computed
+          once when the profile is built *)
   fixed_us : float;                     (** fitted per-message cost *)
   per_byte_us : float;                  (** fitted marginal cost *)
 }
+(** Private: only this module's constructors build a profile, so its
+    [means] always agree with its [observations]. *)
 
 val profile : Coign_util.Prng.t -> Network.t -> t
 (** Sample the network: 7 observations per representative size, each
     with a relative standard deviation of 0.02. *)
 
 val predict_us : t -> bytes:int -> float
-(** Fitted one-way message time, clamped at 0. *)
-
-type compiled
-(** A profile with its per-size observation means precomputed.
-    [predict_us] re-derives the means table from the raw observations
-    on every call; compiling once amortizes that across the thousands
-    of predictions a pricing round makes. *)
-
-val compile : t -> compiled
-
-val predict_compiled_us : compiled -> bytes:int -> float
-(** Bit-identical to [predict_us] on the profile that was compiled —
-    both run the same interpolation over the same means, so analysis
-    results cannot depend on which entry point priced them. *)
+(** Predicted one-way message time, clamped at 0: linear interpolation
+    between the stored [means] of the two sampled sizes that bracket
+    [bytes], extended beyond the sampled range with the fitted
+    [per_byte_us] slope; with fewer than two sampled sizes (an {!exact}
+    profile), the fitted line. Reads the stored means; nothing is
+    rebuilt per call. *)
 
 val predict_round_trip_us : t -> request:int -> reply:int -> float
 
 val exact : Network.t -> t
-(** A profile that reproduces the model exactly (no sampling noise) —
-    for tests that need determinism tighter than the fit error. *)
+(** A profile that reproduces the model exactly (no sampling noise, so
+    no observations and no means) — for tests that need determinism
+    tighter than the fit error. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -51,7 +51,9 @@ val pp : Format.formatter -> t -> unit
     observation and to the fitted intercept, leaving the per-byte slope
     alone: min cuts are invariant under uniform scaling, so only a
     shape change like this can move the fallback cut — it taxes chatty
-    pairs more than bulky ones. *)
+    pairs more than bulky ones. The means are recomputed from the
+    shifted observations, not shifted themselves: adding the penalty to
+    a mean does not give the same float. *)
 
 val degrade : t -> t
 (** The link as seen through sustained loss: each message pays the

@@ -84,6 +84,76 @@ let prop_predictions_nonnegative =
       let p = Net_profiler.profile (Prng.create (Int64.of_int seed)) Network.isdn_128 in
       Net_profiler.predict_us p ~bytes >= 0.)
 
+(* The predictions as they were computed before a profile stored its
+   means: a hash table of per-size sums, sorted, rebuilt on every call,
+   then the same interpolation. The stored means must give the same
+   floats, bit for bit. *)
+let oracle_predict_us (p : Net_profiler.t) ~bytes =
+  let tbl = Hashtbl.create 16 in
+  Array.iter
+    (fun (size, us) ->
+      let sum, n = Option.value ~default:(0., 0) (Hashtbl.find_opt tbl size) in
+      Hashtbl.replace tbl size (sum +. us, n + 1))
+    p.Net_profiler.observations;
+  let means =
+    Hashtbl.fold (fun size (sum, n) acc -> (size, sum /. float_of_int n) :: acc) tbl []
+    |> List.sort compare |> Array.of_list
+  in
+  let line () = p.Net_profiler.fixed_us +. (p.Net_profiler.per_byte_us *. float_of_int bytes) in
+  let m = Array.length means in
+  let v =
+    if m < 2 then line ()
+    else begin
+      let fb = float_of_int bytes in
+      let smallest, t_small = means.(0) in
+      let largest, t_large = means.(m - 1) in
+      if bytes <= smallest then
+        t_small -. (p.Net_profiler.per_byte_us *. float_of_int (smallest - bytes))
+      else if bytes >= largest then
+        t_large +. (p.Net_profiler.per_byte_us *. float_of_int (bytes - largest))
+      else begin
+        let rec bracket i =
+          let s1, t1 = means.(i) and s2, t2 = means.(i + 1) in
+          if bytes <= s2 then
+            t1 +. ((t2 -. t1) *. (fb -. float_of_int s1) /. float_of_int (s2 - s1))
+          else bracket (i + 1)
+        in
+        bracket 0
+      end
+    end
+  in
+  Float.max 0. v
+
+(* Every sampled size, its neighbours and both ends of 0..2^21 are
+   checked in every case, beside the random sizes. *)
+let representative_sizes = 16 :: List.init 15 (fun i -> 64 lsl i)
+
+let fixed_sizes =
+  [ 0; 1 lsl 21 ]
+  @ List.concat_map (fun size -> [ size - 1; size; size + 1 ]) representative_sizes
+
+let prop_predictions_match_oracle =
+  QCheck.Test.make ~name:"stored means predict as the per-call means did" ~count:100
+    QCheck.(pair int (list_of_size (Gen.return 20) (int_bound (1 lsl 21))))
+    (fun (seed, random_sizes) ->
+      let sizes = fixed_sizes @ random_sizes in
+      List.for_all
+        (fun net ->
+          let sampled = Net_profiler.profile (Prng.create (Int64.of_int seed)) net in
+          Array.to_list (Array.map fst sampled.Net_profiler.means) = representative_sizes
+          && List.for_all
+            (fun p ->
+              List.for_all
+                (fun bytes ->
+                  Int64.bits_of_float (Net_profiler.predict_us p ~bytes)
+                  = Int64.bits_of_float (oracle_predict_us p ~bytes))
+                sizes)
+            [
+              sampled; Net_profiler.degrade sampled; Net_profiler.link_down sampled;
+              Net_profiler.exact net;
+            ])
+        Network.presets)
+
 let suite =
   [
     Alcotest.test_case "message time formula" `Quick test_message_time_formula;
@@ -97,4 +167,5 @@ let suite =
     Alcotest.test_case "profile deterministic per seed" `Quick test_profile_deterministic_per_seed;
     Alcotest.test_case "round trip prediction" `Quick test_round_trip_prediction;
     qtest prop_predictions_nonnegative;
+    qtest prop_predictions_match_oracle;
   ]

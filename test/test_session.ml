@@ -419,9 +419,8 @@ let prop_session_equals_uncontracted =
       let copy = Analysis.Session.copy session in
       List.for_all
         (fun net ->
-          let compiled = Net_profiler.compile net in
-          let cost = Icc_graph.cost_table graph compiled in
-          let zero_us = Net_profiler.predict_compiled_us compiled ~bytes:0 in
+          let cost = Icc_graph.cost_table graph net in
+          let zero_us = Net_profiler.predict_us net ~bytes:0 in
           let scale = scale () in
           let unscaled = Icc_graph.make_pricing graph and scaled = Icc_graph.make_pricing graph in
           Icc_graph.price_into graph ~cost unscaled;
