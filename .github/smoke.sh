@@ -173,6 +173,9 @@ watch)
   phases="o_oldwp0;o_oldwp7,o_oldwp7,o_oldwp7;o_oldwp7,o_oldwp7,o_oldwp7"
   coign instrument --app octarine -o oct.img
   coign watch oct.img --profile o_oldwp0 --phases "$phases" --metrics | tee watch-octarine.txt
+  # Byte for byte the golden that dune runtest gates (test_cli.ml), so
+  # a drift in the similarities or the window mass fails here too.
+  diff -u test/golden/watch_octarine_metrics.txt watch-octarine.txt
   coign watch oct.img --profile o_oldwp0 --phases "$phases" --jobs 1 --json > watch-seq.json
   coign watch oct.img --profile o_oldwp0 --phases "$phases" --jobs 4 --json > watch-par.json
   diff watch-seq.json watch-par.json

@@ -32,8 +32,16 @@ let class_verdict apis =
   in
   go Free apis
 
+(* One pass over the image's table; a class listed twice takes its
+   first entry's verdict both times. *)
 let image_verdicts img =
+  let first = Hashtbl.create 64 in
   List.map
-    (fun cname ->
-      (cname, class_verdict (Coign_image.Binary_image.class_api_refs img cname)))
-    (Coign_image.Binary_image.class_names img)
+    (fun (cname, apis) ->
+      match Hashtbl.find_opt first cname with
+      | Some verdict -> (cname, verdict)
+      | None ->
+          let verdict = class_verdict apis in
+          Hashtbl.add first cname verdict;
+          (cname, verdict))
+    img.Coign_image.Binary_image.api_refs

@@ -64,8 +64,8 @@ type t = {
   w_prof_share : float array;   (* profile's per-pair message share *)
   w_prof_byte_share : float array;  (* profile's per-pair byte share *)
   w_scale : Icc_graph.scale;    (* scratch scale vectors, pair-id order *)
-  mutable w_baseline : Drift.signature;        (* message counts *)
-  mutable w_baseline_bytes : Drift.signature;  (* byte volumes *)
+  mutable w_baseline : Window.baseline;        (* message counts *)
+  mutable w_baseline_bytes : Window.baseline;  (* byte volumes *)
   mutable w_current : Analysis.distribution;
   mutable w_last_switch_us : float;
   mutable w_since_check : int;
@@ -97,11 +97,12 @@ let create ~env ~factory ~seed ~dist wc =
   let total = Array.fold_left ( +. ) 0. msgs in
   let pbytes = Icc_graph.pair_bytes graph in
   let byte_total = Array.fold_left ( +. ) 0. pbytes in
+  let window = Window.create ~half_life_us:wc.wc_half_life_us ~pairs in
   {
     w_config = wc;
     w_env = env;
     w_factory = factory;
-    w_window = Window.create ~half_life_us:wc.wc_half_life_us ~pairs;
+    w_window = window;
     w_tap =
       Tap.create ~sample_every:wc.wc_sample_every ~seed:(Prng.stream seed 3)
         (Option.value ~default:Tap.null_sink wc.wc_tap);
@@ -115,10 +116,8 @@ let create ~env ~factory ~seed ~dist wc =
         Icc_graph.sc_messages = Array.make (Icc_graph.pair_count graph) 1.;
         sc_bytes = Array.make (Icc_graph.pair_count graph) 1.;
       };
-    w_baseline =
-      Drift.of_weights (Array.to_list (Array.mapi (fun p key -> (key, msgs.(p))) pairs));
-    w_baseline_bytes =
-      Drift.of_weights (Array.to_list (Array.mapi (fun p key -> (key, pbytes.(p))) pairs));
+    w_baseline = Window.baseline window Window.Calls msgs;
+    w_baseline_bytes = Window.baseline window Window.Bytes pbytes;
     w_current = dist;
     w_last_switch_us = 0.;
     w_since_check = 0;
@@ -138,28 +137,28 @@ let create ~env ~factory ~seed ~dist wc =
    differs from the installed one — atomically switch the factory and
    migrate the statically-safe instances. Either way the window
    snapshot becomes the new comparison baseline, so similarity snaps
-   back to 1 and the loop cannot flap on the same shift. *)
+   back to 1 and the loop cannot flap on the same shift. Reads the
+   window as the check's refresh left it. *)
 let repartition w ~now ~similarity =
   let env = w.w_env in
   let cfg = w.w_config in
+  let window = w.w_window in
   let adopt_baseline () =
-    w.w_baseline <- Window.signature_at w.w_window ~now_us:now;
-    w.w_baseline_bytes <- Window.byte_signature_at w.w_window ~now_us:now;
+    w.w_baseline <- Window.adopt window Window.Calls;
+    w.w_baseline_bytes <- Window.adopt window Window.Bytes;
     w.w_last_switch_us <- now
   in
-  let counts = Window.counts_at w.w_window ~now_us:now in
-  let win_total = Window.total_at w.w_window ~now_us:now in
-  let bytes = Window.bytes_at w.w_window ~now_us:now in
-  let byte_total = Window.byte_total_at w.w_window ~now_us:now in
+  let win_total = Window.mass window in
+  let byte_total = Window.byte_mass window in
   for p = 0 to Array.length w.w_scale.Icc_graph.sc_messages - 1 do
-    let ms = counts.(p) /. win_total /. w.w_prof_share.(p) in
+    let ms = Window.slot_count window p /. win_total /. w.w_prof_share.(p) in
     w.w_scale.Icc_graph.sc_messages.(p) <- ms;
     (* Pairs the profile priced by count alone (no measured bytes), or
        a window that has not yet seen a remote payload, fall back to
        the message multiplier: the byte dimension carries no signal. *)
     w.w_scale.Icc_graph.sc_bytes.(p) <-
       (if byte_total = 0. || w.w_prof_byte_share.(p) = 0. then ms
-       else bytes.(p) /. byte_total /. w.w_prof_byte_share.(p))
+       else Window.slot_bytes window p /. byte_total /. w.w_prof_byte_share.(p))
   done;
   let candidate = Analysis.Session.solve cfg.wc_session ~scale:w.w_scale ~net:cfg.wc_net in
   let violations =
@@ -206,28 +205,26 @@ let repartition w ~now ~similarity =
       { wa_migrated = migrated; wa_left = left; wa_servers = candidate.Analysis.server_count }
   end
 
-(* One drift check on the virtual clock: compare the decayed window
-   signature against the adopted baseline; below the threshold — with
+(* One drift check on the virtual clock: decay the window once and
+   compare it against the adopted baseline; below the threshold — with
    enough evidence in the window and outside the dwell period — re-cut. *)
 let check w ~now =
   let env = w.w_env in
   let cfg = w.w_config in
+  let window = w.w_window in
   w.w_checks <- w.w_checks + 1;
-  let signature = Window.signature_at w.w_window ~now_us:now in
+  Window.refresh window ~now_us:now;
   (* Drift in either dimension is drift: a usage shift that keeps the
      call mix but fattens payloads only moves the byte signature. The
      byte dimension is built from the tap's subsample, so it only
      speaks once enough sampled sizes back it. *)
-  let count_sim = Drift.similarity w.w_baseline signature in
+  let count_sim = Window.similarity window w.w_baseline in
   let similarity =
-    if float_of_int (Window.byte_observed w.w_window) < cfg.wc_min_window then count_sim
-    else
-      Float.min count_sim
-        (Drift.similarity w.w_baseline_bytes
-           (Window.byte_signature_at w.w_window ~now_us:now))
+    if float_of_int (Window.byte_observed window) < cfg.wc_min_window then count_sim
+    else Float.min count_sim (Window.similarity window w.w_baseline_bytes)
   in
-  let window_pairs = Drift.pair_count signature in
-  let mass = Window.total_at w.w_window ~now_us:now in
+  let window_pairs = Window.live_pairs window in
+  let mass = Window.mass window in
   w.w_last_similarity <- similarity;
   w.w_last_mass <- mass;
   let drifted =
@@ -260,9 +257,7 @@ let sample w = Tap.accept w.w_tap
 let observe w ~sampled ~kind ~caller_cls ~callee_cls ~bytes =
   let now = Rte_env.now w.w_env in
   if sampled then
-    Tap.emit w.w_tap
-      { Tap.ob_at_us = now; ob_kind = kind; ob_caller = caller_cls; ob_callee = callee_cls;
-        ob_bytes = bytes };
+    Tap.emit w.w_tap ~at_us:now ~kind ~caller:caller_cls ~callee:callee_cls ~bytes;
   Window.observe w.w_window ~at_us:now ~caller:caller_cls ~callee:callee_cls ~bytes;
   w.w_since_check <- w.w_since_check + 1;
   if w.w_since_check >= w.w_config.wc_check_every then begin

@@ -9,23 +9,26 @@
     as much as one observed now.
 
     Pairs named at creation — in practice, the abstract ICC graph's
-    pairs, in pair-id order — live in flat arrays so the watch loop can
-    turn the window into an {!Icc_graph.price_scaled_into} scale vector
-    without allocation games; pairs the profile never saw (fresh
-    classifications at run time) accumulate on the side and surface in
-    the drift signature.
+    pairs, in pair-id order — are the window's slots: flat arrays that
+    an observation finds through an {!Coign_util.Int_table} on the
+    packed pair, so the watch loop can turn the window into an
+    {!Icc_graph.price_scaled_into} scale vector by index. Pairs the
+    profile never saw (fresh classifications at run time) get cells of
+    their own after the slots and surface in the drift signature.
 
     Decay is per-cell and lazy (each cell remembers its own last-update
-    time), so an observation costs O(1) and reads are pure: snapshots at
-    [now_us] never mutate the window. Everything is deterministic — no
-    wall clock, no randomness. *)
+    time), so an observation costs O(1), allocates nothing once its pair
+    has a cell, and multiplies one decay factor into both the count and
+    the bytes. Everything is deterministic — no wall clock, no
+    randomness. *)
 
 type t
 
 val create : half_life_us:float -> pairs:(int * int) array -> t
 (** A window whose slot [s] tracks [pairs.(s)] (normalized to
     [(min, max)]). Raises [Invalid_argument] on a non-positive
-    half-life or duplicate pairs. *)
+    half-life, duplicate pairs, or a classification outside
+    [[-2^30, 2^30)]. *)
 
 val decay_by : half_life_us:float -> from_us:float -> to_us:float -> float -> float
 (** [decay_by ~half_life_us ~from_us ~to_us v]: a weight [v] stored as
@@ -49,22 +52,58 @@ val extra_pairs : t -> int
 
 val counts_at : t -> now_us:float -> float array
 (** Per-slot decayed call counts as of [now_us] (slot order = creation
-    [pairs] order). Pure. *)
+    [pairs] order), in a fresh array. *)
 
 val bytes_at : t -> now_us:float -> float array
-(** Per-slot decayed byte totals as of [now_us]. Pure. *)
+(** Per-slot decayed byte totals as of [now_us], in a fresh array. *)
 
-val total_at : t -> now_us:float -> float
-(** Total decayed mass (slots + extras) — the "how much evidence is in
-    the window" gate for drift decisions. *)
+(** {2 Drift checks}
 
-val byte_total_at : t -> now_us:float -> float
+    A check decays every cell once ({!refresh}) and reads everything it
+    needs from that pass. The window's drift signature is its cells
+    with positive weight; {!similarity} equals [Drift.similarity]
+    between the baseline's and the window's signatures as [Drift]
+    signatures built from the same weights would compute it, bit for
+    bit. That is why the sums follow a [Drift] signature's hash-table
+    iteration order (a permutation kept until a new extra pair
+    appears): cosine sums in another order round differently. *)
 
-val signature_at : t -> now_us:float -> Drift.signature
-(** The window as a drift signature over unordered pairs (slots and
-    extras, zero-weight cells dropped). *)
+val refresh : t -> now_us:float -> unit
+(** Decay every cell to [now_us] into the window's read buffers. The
+    reads below describe the last refresh; an {!observe} after it
+    leaves them stale. The cells themselves are not touched. *)
 
-val byte_signature_at : t -> now_us:float -> Drift.signature
-(** Like {!signature_at} but weighted by decayed byte totals instead
-    of call counts — the dimension that moves when the call mix holds
-    steady but payloads grow. *)
+val mass : t -> float
+(** Total decayed call count, slots then extras — the "how much
+    evidence is in the window" gate for drift decisions. *)
+
+val byte_mass : t -> float
+(** Total decayed bytes. *)
+
+val live_pairs : t -> int
+(** Pairs whose decayed call count is positive: the signature's size. *)
+
+val slot_count : t -> int -> float
+(** A slot's decayed call count. *)
+
+val slot_bytes : t -> int -> float
+(** A slot's decayed bytes. *)
+
+type dim = Calls | Bytes
+
+type baseline
+(** A signature frozen to compare later windows against: its weighted
+    cells in signature order, and its squared norm, summed once. *)
+
+val baseline : t -> dim -> float array -> baseline
+(** The signature of per-slot weights (one per slot; non-positive ones
+    dropped), e.g. the profile's per-pair messages or bytes. *)
+
+val adopt : t -> dim -> baseline
+(** The last refresh's signature in dimension [dim]. *)
+
+val similarity : t -> baseline -> float
+(** Cosine similarity of the baseline and the last refresh in the
+    baseline's dimension, in [0, 1]; two empty signatures are fully
+    similar. Allocates nothing unless an extra pair appeared since the
+    signature order for this size was last built. *)

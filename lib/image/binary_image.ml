@@ -22,8 +22,6 @@ let create ~name ?meta ~api_refs () =
 let class_api_refs t cname =
   Option.value ~default:[] (List.assoc_opt cname t.api_refs)
 
-let class_names t = List.map fst t.api_refs
-
 let total_size t =
   List.fold_left (fun acc s -> acc + s.sec_size) 0 t.sections
   + match t.config with None -> 0 | Some c -> String.length (Config_record.encode c)

@@ -31,8 +31,6 @@ val create :
 val class_api_refs : t -> string -> string list
 (** APIs referenced by a class; empty when unknown. *)
 
-val class_names : t -> string list
-
 val total_size : t -> int
 (** Sum of section sizes plus the encoded config record. *)
 

@@ -14,6 +14,7 @@ let null_sink = Sink.null
 
 type t = {
   t_sink : sink;
+  t_null : bool;  (* [t_sink] is [Sink.null]: build no observation *)
   t_every : int;
   t_rng : Coign_util.Prng.t;
   mutable t_offered : int;
@@ -25,6 +26,7 @@ let create ?(sample_every = 1) ?(seed = 0x7A9L) sink =
     invalid_arg "Tap.create: sample_every must be >= 1";
   {
     t_sink = sink;
+    t_null = sink == Sink.null;
     t_every = sample_every;
     t_rng = Coign_util.Prng.create seed;
     t_offered = 0;
@@ -38,9 +40,12 @@ let accept t =
      the decision draws from no PRNG shared with the run itself. *)
   t.t_every = 1 || Coign_util.Prng.int t.t_rng t.t_every = 0
 
-let emit t obs =
+let emit t ~at_us ~kind ~caller ~callee ~bytes =
   t.t_sampled <- t.t_sampled + 1;
-  t.t_sink obs
+  if not t.t_null then
+    t.t_sink
+      { ob_at_us = at_us; ob_kind = kind; ob_caller = caller; ob_callee = callee;
+        ob_bytes = bytes }
 
 let offered t = t.t_offered
 let sampled t = t.t_sampled

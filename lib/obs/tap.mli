@@ -43,8 +43,9 @@ val accept : t -> bool
     the selected observations: a [true] result should be followed by
     exactly one {!emit}. *)
 
-val emit : t -> obs -> unit
-(** Push a fully-measured observation that {!accept} selected. *)
+val emit : t -> at_us:float -> kind:kind -> caller:int -> callee:int -> bytes:int -> unit
+(** Push a fully-measured observation that {!accept} selected. A tap
+    over {!null_sink} counts it and builds no {!obs}. *)
 
 val offered : t -> int
 (** Observations offered so far. *)

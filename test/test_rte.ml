@@ -332,6 +332,46 @@ let test_interception_allocation () =
   check "all-client" all_client ac_calls 21.2;
   check "profiling" profiling prof_calls 28.0
 
+(* Minor words a quiet watch (threshold 0: it checks every 256
+   observations but never acts) adds per intercepted call over the same
+   deployed run without it, o_oldwp0 under its own cut on 10BaseT.
+   Measured 5.0 with OCaml 5.1 in the default (dev) build: the window
+   and the tap's draw allocate nothing per call, and a check's reads
+   nothing that grows with the window; what is left is the virtual
+   clock read (two floats boxed across module boundaries, 4 words), the
+   size walk of the 1 in 16 sampled calls and each check's timeline
+   entry. The bound leaves the same 1.5 words of headroom. *)
+let test_quiet_watch_allocation () =
+  let app = Coign_apps.Octarine.app in
+  let image = Adps.instrument app.Coign_apps.App.app_image in
+  let profiled, _ =
+    Adps.profile ~image ~registry:octarine_registry octarine_wp0.Coign_apps.App.sc_run
+  in
+  let session = Adps.analysis_session profiled in
+  let net = Coign_netsim.Net_profiler.exact Coign_netsim.Network.ethernet_10 in
+  let dist_image, _ = Adps.analyze_with ~session ~image:profiled ~net () in
+  let classifier, dist = Option.get (Adps.load_distribution dist_image) in
+  let run watch () =
+    let ctx = Runtime.create_ctx octarine_registry in
+    let rte =
+      Rte.install_distributed ~classifier
+        ~config:
+          { (distributed_config (Factory.By_classification dist)) with Rte.dc_watch = watch }
+        ctx
+    in
+    octarine_wp0.Coign_apps.App.sc_run ctx;
+    Rte.uninstall rte;
+    Rte.intercepted_calls rte
+  in
+  let bare, calls = words (run None) in
+  let quiet, quiet_calls = words (run (Some (Rte.watch ~threshold:0. ~net session))) in
+  Alcotest.(check int) "same calls" calls quiet_calls;
+  let w = (quiet -. bare) /. float_of_int calls in
+  let bound = 6.5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "quiet watch: %.2f words/call over the unwatched run (bound %.1f)" w bound)
+    true (w <= bound)
+
 (* Minor words per remote call: o_oldtb3 under Octarine's default
    placement, which sends 1,837 calls across the network, against the
    same run with every instance on the client. Measured 16.0 with
@@ -382,5 +422,6 @@ let suite =
     Alcotest.test_case "factory machine tracking" `Quick test_factory_machine_tracking;
     Alcotest.test_case "direct profiling recorder" `Quick test_direct_recorder;
     Alcotest.test_case "interception allocation gate" `Quick test_interception_allocation;
+    Alcotest.test_case "quiet watch allocation gate" `Quick test_quiet_watch_allocation;
     Alcotest.test_case "remote call allocation gate" `Quick test_remote_call_allocation;
   ]

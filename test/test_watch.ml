@@ -41,16 +41,34 @@ let test_window_extras_and_signature () =
      surfaces in the signature and totals. *)
   Window.observe w ~at_us:0. ~caller:5 ~callee:3 ~bytes:30;
   Alcotest.(check int) "one extra pair" 1 (Window.extra_pairs w);
-  check_bits "total mass" 2. (Window.total_at w ~now_us:0.);
-  check_bits "byte total" 40. (Window.byte_total_at w ~now_us:0.);
-  let entries = Drift.entries (Window.signature_at w ~now_us:0.) in
-  Alcotest.(check int) "both pairs in signature" 2 (List.length entries);
-  Alcotest.(check bool) "extra normalized to (min,max)" true
-    (List.mem_assoc (3, 5) entries);
-  (* The byte signature weights the same pairs by bytes. *)
-  let bytes = Drift.entries (Window.byte_signature_at w ~now_us:0.) in
-  check_bits "slot bytes" 10. (List.assoc (0, 1) bytes);
-  check_bits "extra bytes" 30. (List.assoc (3, 5) bytes)
+  Window.refresh w ~now_us:0.;
+  check_bits "total mass" 2. (Window.mass w);
+  check_bits "byte total" 40. (Window.byte_mass w);
+  Alcotest.(check int) "both pairs in signature" 2 (Window.live_pairs w);
+  (* Against the slot alone, the extra's weight shows: 1/sqrt 2 by
+     calls, 10*10 / (10 * sqrt (10^2 + 30^2)) by bytes. *)
+  check_bits "call similarity" (1. /. (1. *. sqrt 2.))
+    (Window.similarity w (Window.baseline w Window.Calls [| 1. |]));
+  check_bits "byte similarity" (100. /. (sqrt 100. *. sqrt 1000.))
+    (Window.similarity w (Window.baseline w Window.Bytes [| 10. |]));
+  check_bits "slot bytes" 10. (Window.slot_bytes w 0);
+  (* The same pair the other way round is the same extra. *)
+  Window.observe w ~at_us:0. ~caller:3 ~callee:5 ~bytes:0;
+  Alcotest.(check int) "extra normalized to (min,max)" 1 (Window.extra_pairs w);
+  Window.refresh w ~now_us:0.;
+  check_bits "extra bumped" 3. (Window.mass w);
+  (* A classification too wide to pack into the slot index still gets
+     one cell, whichever way round it is observed. *)
+  Window.observe w ~at_us:0. ~caller:max_int ~callee:7 ~bytes:0;
+  Window.observe w ~at_us:0. ~caller:7 ~callee:max_int ~bytes:0;
+  Alcotest.(check int) "wide pair is one extra" 2 (Window.extra_pairs w);
+  Window.refresh w ~now_us:0.;
+  check_bits "wide pair bumped" 5. (Window.mass w);
+  (* An adopted baseline is the window itself. *)
+  Alcotest.(check (float 1e-12)) "adopted calls" 1.
+    (Window.similarity w (Window.adopt w Window.Calls));
+  Alcotest.(check (float 1e-12)) "adopted bytes" 1.
+    (Window.similarity w (Window.adopt w Window.Bytes))
 
 let test_window_rejects_bad_args () =
   Alcotest.(check bool) "non-positive half-life" true
@@ -62,16 +80,250 @@ let test_window_rejects_bad_args () =
     (try
        ignore (Window.create ~half_life_us:1. ~pairs:[| (0, 1); (1, 0) |]);
        false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "slot classification too wide to pack" true
+    (try
+       ignore (Window.create ~half_life_us:1. ~pairs:[| (0, 1 lsl 30) |]);
+       false
      with Invalid_argument _ -> true)
+
+(* --- Drift checks against the hash-table signatures (oracle) --------- *)
+
+(* The window as it was when every drift check built [Drift]
+   signatures: tuple-keyed tables for the slots and the extras, and a
+   decay per read. The one-pass reads must give the same bits. *)
+module Ref_window = struct
+  type extra = { mutable x_count : float; mutable x_bytes : float; mutable x_last : float }
+
+  type t = {
+    w_half_life_us : float;
+    w_pairs : (int * int) array;
+    w_index : (int * int, int) Hashtbl.t;
+    w_count : float array;
+    w_bytes : float array;
+    w_last : float array;
+    w_extra : (int * int, extra) Hashtbl.t;
+  }
+
+  let create ~half_life_us ~pairs =
+    let n = Array.length pairs in
+    let index = Hashtbl.create (2 * n) in
+    Array.iteri (fun slot (a, b) -> Hashtbl.add index (min a b, max a b) slot) pairs;
+    {
+      w_half_life_us = half_life_us;
+      w_pairs = Array.map (fun (a, b) -> (min a b, max a b)) pairs;
+      w_index = index;
+      w_count = Array.make n 0.;
+      w_bytes = Array.make n 0.;
+      w_last = Array.make n 0.;
+      w_extra = Hashtbl.create 16;
+    }
+
+  let decay t ~from_us ~to_us v =
+    let dt = to_us -. from_us in
+    if dt <= 0. then v else v *. Float.pow 2. (-.dt /. t.w_half_life_us)
+
+  let observe t ~at_us ~caller ~callee ~bytes =
+    let key = (min caller callee, max caller callee) in
+    match Hashtbl.find_opt t.w_index key with
+    | Some s ->
+        t.w_count.(s) <- decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_count.(s) +. 1.;
+        t.w_bytes.(s) <-
+          decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_bytes.(s) +. float_of_int bytes;
+        t.w_last.(s) <- at_us
+    | None -> (
+        match Hashtbl.find_opt t.w_extra key with
+        | Some x ->
+            x.x_count <- decay t ~from_us:x.x_last ~to_us:at_us x.x_count +. 1.;
+            x.x_bytes <- decay t ~from_us:x.x_last ~to_us:at_us x.x_bytes +. float_of_int bytes;
+            x.x_last <- at_us
+        | None ->
+            Hashtbl.add t.w_extra key { x_count = 1.; x_bytes = float_of_int bytes; x_last = at_us })
+
+  let slots t w ~now_us =
+    Array.init (Array.length w) (fun s -> decay t ~from_us:t.w_last.(s) ~to_us:now_us w.(s))
+
+  let total t w x ~now_us =
+    let total = ref 0. in
+    Array.iter (fun v -> total := !total +. v) (slots t w ~now_us);
+    Hashtbl.iter (fun _ e -> total := !total +. decay t ~from_us:e.x_last ~to_us:now_us (x e)) t.w_extra;
+    !total
+
+  let signature t w x ~now_us =
+    let weights = slots t w ~now_us in
+    let slots = Array.to_list (Array.mapi (fun s key -> (key, weights.(s))) t.w_pairs) in
+    let extras =
+      List.sort compare
+        (Hashtbl.fold
+           (fun key e acc -> (key, decay t ~from_us:e.x_last ~to_us:now_us (x e)) :: acc)
+           t.w_extra [])
+    in
+    Drift.of_weights (slots @ extras)
+
+  let total_at t = total t t.w_count (fun e -> e.x_count)
+  let byte_total_at t = total t t.w_bytes (fun e -> e.x_bytes)
+  let signature_at t = signature t t.w_count (fun e -> e.x_count)
+  let byte_signature_at t = signature t t.w_bytes (fun e -> e.x_bytes)
+end
+
+(* One random window history, both windows fed the same observations
+   and checked at the same times; the first difference, by
+   [Int64.bits_of_float]. Classifications -1..39 give 820 pairs: up to
+   300 slots, the rest extras, so signatures cross 128 and 256 weighted
+   pairs (bucket counts 64, 128 and 256). Time mostly moves forward;
+   it sometimes stands still, steps back, or jumps far enough that old
+   cells decay to exactly zero. *)
+let window_history_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let pairs = ref [] in
+  for a = -1 to 39 do
+    for b = a to 39 do
+      pairs := (if int 2 = 0 then (a, b) else (b, a)) :: !pairs
+    done
+  done;
+  let pairs = Array.of_list !pairs in
+  for i = Array.length pairs - 1 downto 1 do
+    let j = int (i + 1) in
+    let p = pairs.(i) in
+    pairs.(i) <- pairs.(j);
+    pairs.(j) <- p
+  done;
+  let n = int 301 in
+  let slots = Array.sub pairs 0 n in
+  let extras = Array.sub pairs n (int 200) in
+  let active = Array.append (Array.sub slots 0 (int (n + 1))) extras in
+  let half_life_us =
+    if int 2 = 0 then Float.pow 2. (float_of_int (int 21))
+    else 1. +. Random.State.float rng 1e6
+  in
+  let w = Window.create ~half_life_us ~pairs:slots in
+  let r = Ref_window.create ~half_life_us ~pairs:slots in
+  let weights () =
+    Array.init n (fun _ -> if int 4 = 0 then 0. else Random.State.float rng 1e4)
+  in
+  let calls = weights () and bytes = weights () in
+  let base = ref (Window.baseline w Window.Calls calls) in
+  let base_bytes = ref (Window.baseline w Window.Bytes bytes) in
+  let of_slots v =
+    Drift.of_weights (Array.to_list (Array.mapi (fun s key -> (key, v.(s))) r.Ref_window.w_pairs))
+  in
+  let ref_base = ref (of_slots calls) and ref_base_bytes = ref (of_slots bytes) in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  let same_array a b = Array.length a = Array.length b && Array.for_all2 same a b in
+  let clock = ref 0. in
+  let failed = ref None in
+  let check () =
+    let now_us = !clock +. if int 3 = 0 then Random.State.float rng half_life_us else 0. in
+    Window.refresh w ~now_us;
+    let signature = Ref_window.signature_at r ~now_us in
+    let byte_signature = Ref_window.byte_signature_at r ~now_us in
+    let counts = Ref_window.slots r r.Ref_window.w_count ~now_us in
+    let slot_bytes = Ref_window.slots r r.Ref_window.w_bytes ~now_us in
+    List.iter
+      (fun (what, agrees) ->
+        if !failed = None && not agrees then
+          failed := Some (Printf.sprintf "%s at %h (%d live pairs)" what now_us
+                            (Drift.pair_count signature)))
+      [
+        ("call similarity", same (Window.similarity w !base) (Drift.similarity !ref_base signature));
+        ( "byte similarity",
+          same (Window.similarity w !base_bytes) (Drift.similarity !ref_base_bytes byte_signature) );
+        ("window pairs", Window.live_pairs w = Drift.pair_count signature);
+        ("mass", same (Window.mass w) (Ref_window.total_at r ~now_us));
+        ("byte mass", same (Window.byte_mass w) (Ref_window.byte_total_at r ~now_us));
+        ("counts_at", same_array (Window.counts_at w ~now_us) counts);
+        ("bytes_at", same_array (Window.bytes_at w ~now_us) slot_bytes);
+        ("slot_count", same_array (Array.init n (Window.slot_count w)) counts);
+        ("slot_bytes", same_array (Array.init n (Window.slot_bytes w)) slot_bytes);
+        ("extra pairs", Window.extra_pairs w = Hashtbl.length r.Ref_window.w_extra);
+      ];
+    if int 4 = 0 then begin
+      base := Window.adopt w Window.Calls;
+      base_bytes := Window.adopt w Window.Bytes;
+      ref_base := signature;
+      ref_base_bytes := byte_signature
+    end
+  in
+  if Array.length active > 0 then
+    for _ = 1 to int 1500 do
+      (match int 400 with
+      | 0 -> clock := !clock +. (2000. *. half_life_us)
+      | k when k < 5 -> clock := !clock -. Random.State.float rng half_life_us
+      | k when k < 120 -> ()
+      | _ -> clock := !clock +. Random.State.float rng (half_life_us /. 50.));
+      let a, b = active.(int (Array.length active)) in
+      let bytes = if int 3 = 0 then 0 else int 100_000 in
+      Window.observe w ~at_us:!clock ~caller:a ~callee:b ~bytes;
+      Ref_window.observe r ~at_us:!clock ~caller:a ~callee:b ~bytes;
+      if int 40 = 0 then check ()
+    done;
+  check ();
+  !failed
+
+let prop_window_matches_signatures =
+  QCheck.Test.make ~name:"window checks equal the hash-table signatures bit for bit" ~count:150
+    QCheck.int (fun seed ->
+      match window_history_agrees seed with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s differs" what)
+
+(* --- Allocation ------------------------------------------------------- *)
+
+(* Observing a pair that already has a cell, a slot or an extra,
+   allocates nothing: a block is at least two words, so under one word
+   per observation means no allocation at all. A check's reads (one
+   refresh, both similarities, the pair count and the mass) allocate
+   nothing that grows with the window: measured 6 words at 10 and at
+   300 slots with OCaml 5.1 in the default (dev) build, the three
+   returned floats boxed across the module boundary. The bound leaves
+   the 1.5 words of headroom of the RTE's gates. *)
+let test_window_allocation () =
+  let observe_words w ~caller ~callee =
+    (* Boxed times, so the loop itself allocates nothing. *)
+    let times = ref (List.init 1_001 (fun i -> float_of_int (i + 1))) in
+    Harness.words_per_run 1_000 (fun () ->
+        match !times with
+        | at_us :: rest ->
+            times := rest;
+            Window.observe w ~at_us ~caller ~callee ~bytes:8
+        | [] -> ())
+  in
+  let w = Window.create ~half_life_us:64. ~pairs:[| (0, 1); (1, 2) |] in
+  Window.observe w ~at_us:0. ~caller:5 ~callee:3 ~bytes:30;
+  List.iter
+    (fun (what, caller, callee) ->
+      let words = observe_words w ~caller ~callee in
+      Alcotest.(check bool)
+        (Printf.sprintf "observe %s: %.2f words" what words) true (words < 1.))
+    [ ("a slot", 1, 0); ("a seen extra", 3, 5) ];
+  let check_words slots =
+    let w = Window.create ~half_life_us:1e6 ~pairs:(Array.init slots (fun s -> (s, s + 1))) in
+    for s = 0 to slots - 1 do
+      Window.observe w ~at_us:(float_of_int s) ~caller:s ~callee:(s + 1) ~bytes:s
+    done;
+    Window.observe w ~at_us:0. ~caller:(-1) ~callee:(-1) ~bytes:0;
+    Window.refresh w ~now_us:1e3;
+    let calls = Window.adopt w Window.Calls and bytes = Window.adopt w Window.Bytes in
+    Harness.words_per_run 100 (fun () ->
+        Window.refresh w ~now_us:2e3;
+        ignore (Window.similarity w calls);
+        ignore (Window.similarity w bytes);
+        ignore (Window.live_pairs w);
+        ignore (Window.mass w))
+  in
+  let small = check_words 10 and large = check_words 300 in
+  let bound = 7.5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "check: %.1f words at 10 slots, %.1f at 300 (bound %.1f)" small large bound)
+    true (small <= bound && large <= bound && Float.abs (large -. small) < 1.5)
 
 (* --- Tap ------------------------------------------------------------ *)
 
 let offer_n tap n =
   for i = 1 to n do
     if Tap.accept tap then
-      Tap.emit tap
-        { Tap.ob_at_us = float_of_int i; ob_kind = Tap.Call; ob_caller = 0; ob_callee = 1;
-          ob_bytes = i }
+      Tap.emit tap ~at_us:(float_of_int i) ~kind:Tap.Call ~caller:0 ~callee:1 ~bytes:i
   done
 
 let test_tap_keep_everything () =
@@ -110,9 +362,7 @@ let test_tap_accept_emit_split () =
   for i = 1 to 100 do
     if Tap.accept tap then begin
       incr measured;
-      Tap.emit tap
-        { Tap.ob_at_us = float_of_int i; ob_kind = Tap.Create; ob_caller = -1;
-          ob_callee = 0; ob_bytes = i }
+      Tap.emit tap ~at_us:(float_of_int i) ~kind:Tap.Create ~caller:(-1) ~callee:0 ~bytes:i
     end
   done;
   Alcotest.(check int) "offered" 100 (Tap.offered tap);
@@ -441,6 +691,8 @@ let suite =
     Alcotest.test_case "window extras and signatures" `Quick
       test_window_extras_and_signature;
     Alcotest.test_case "window rejects bad args" `Quick test_window_rejects_bad_args;
+    QCheck_alcotest.to_alcotest prop_window_matches_signatures;
+    Alcotest.test_case "window allocation gate" `Quick test_window_allocation;
     Alcotest.test_case "tap keeps everything by default" `Quick test_tap_keep_everything;
     Alcotest.test_case "tap sampling deterministic" `Quick test_tap_sampling_deterministic;
     Alcotest.test_case "tap accept/emit split" `Quick test_tap_accept_emit_split;
