@@ -136,6 +136,9 @@ load)
   coign profile ing.img --scenario i_replay -o ing.img
   coign analyze ing.img --network ethernet10 -o ing.img
   coign load ing.img --sessions 100000 --arrival poisson:10 --seed 42 | tee load-ingest.txt
+  # Byte for byte the recorded report, so a change to the event loop or
+  # the percentile selection that moves any printed figure fails here.
+  diff -u test/golden/load_ingest_100k.txt load-ingest.txt
   coign load ing.img --sessions 100000 --arrival poisson:10 --seed 42 --jobs 1 \
     --json > load-seq.json
   coign load ing.img --sessions 100000 --arrival poisson:10 --seed 42 --jobs 4 \
@@ -150,6 +153,11 @@ load)
   coign load ing.img --sessions 1000000 --arrival poisson:10 --seed 42 --jobs 4 \
     --json > load-1m-par.json
   diff load-1m-seq.json load-1m-par.json
+  # The text report, not the JSON: its %.17g floats would tie the
+  # golden to the platform's libm [log].
+  coign load ing.img --sessions 1000000 --arrival poisson:10 --seed 42 --jobs 1 \
+    | tee load-ingest-1m.txt
+  diff -u test/golden/load_ingest_1m.txt load-ingest-1m.txt
 
   # A non-finite arrival spec is a usage error, never a report of NaN
   # percentiles with exit 0.

@@ -107,8 +107,13 @@ let classification_of t inst = slot t.classifications inst
 
 (* The virtual clock spans are timed on: accumulated communication time
    plus the compute the application has charged. Deterministic for a
-   seeded run, so traces golden-test. *)
-let now t = t.spent.comm_us +. Runtime.compute_us t.ctx
+   seeded run, so traces golden-test. Inlined into [now_into], which
+   writes the reading to [cell.(0)]: a float array holds it unboxed, so
+   a reading taken on every call reaches another module without the box
+   [now]'s result needs. *)
+let[@inline] now t = t.spent.comm_us +. Runtime.compute_us t.ctx
+
+let now_into t cell = cell.(0) <- now t
 
 (* Report one routing or watch decision: to the logger and, with a
    tracer, as a zero-duration ["event"] span at sim time [at_us] named

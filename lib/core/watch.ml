@@ -64,6 +64,7 @@ type t = {
   w_prof_share : float array;   (* profile's per-pair message share *)
   w_prof_byte_share : float array;  (* profile's per-pair byte share *)
   w_scale : Icc_graph.scale;    (* scratch scale vectors, pair-id order *)
+  w_clock : float array;        (* one cell: the current observation's time *)
   mutable w_baseline : Window.baseline;        (* message counts *)
   mutable w_baseline_bytes : Window.baseline;  (* byte volumes *)
   mutable w_current : Analysis.distribution;
@@ -116,6 +117,7 @@ let create ~env ~factory ~seed ~dist wc =
         Icc_graph.sc_messages = Array.make (Icc_graph.pair_count graph) 1.;
         sc_bytes = Array.make (Icc_graph.pair_count graph) 1.;
       };
+    w_clock = [| 0. |];
     w_baseline = Window.baseline window Window.Calls msgs;
     w_baseline_bytes = Window.baseline window Window.Bytes pbytes;
     w_current = dist;
@@ -255,14 +257,16 @@ let sample w = Tap.accept w.w_tap
    the window's per-pair byte shares estimate the full traffic without
    per-call measurement cost. *)
 let observe w ~sampled ~kind ~caller_cls ~callee_cls ~bytes =
-  let now = Rte_env.now w.w_env in
+  (* The time reaches the window through [w_clock] and is boxed only
+     for a sampled observation or a check. *)
+  Rte_env.now_into w.w_env w.w_clock;
   if sampled then
-    Tap.emit w.w_tap ~at_us:now ~kind ~caller:caller_cls ~callee:callee_cls ~bytes;
-  Window.observe w.w_window ~at_us:now ~caller:caller_cls ~callee:callee_cls ~bytes;
+    Tap.emit w.w_tap ~at_us:w.w_clock.(0) ~kind ~caller:caller_cls ~callee:callee_cls ~bytes;
+  Window.observe w.w_window ~clock:w.w_clock ~caller:caller_cls ~callee:callee_cls ~bytes;
   w.w_since_check <- w.w_since_check + 1;
   if w.w_since_check >= w.w_config.wc_check_every then begin
     w.w_since_check <- 0;
-    check w ~now
+    check w ~now:w.w_clock.(0)
   end
 
 let timeline w = List.rev w.w_timeline

@@ -133,7 +133,8 @@ let add_extra t lo hi ~at_us ~bytes =
   Array.sort (fun a b -> compare t.w_pair.(a) t.w_pair.(b)) extras;
   t.w_rank <- Array.append (Array.init t.w_slots Fun.id) extras
 
-let observe t ~at_us ~caller ~callee ~bytes =
+let observe t ~clock ~caller ~callee ~bytes =
+  let at_us = clock.(0) in
   t.w_observed <- t.w_observed + 1;
   if bytes > 0 then t.w_byte_observed <- t.w_byte_observed + 1;
   let lo = Int.min caller callee and hi = Int.max caller callee in

@@ -36,9 +36,11 @@ val decay_by : half_life_us:float -> from_us:float -> to_us:float -> float -> fl
     itself when [dt <= 0]. The one decay rule of every window cell,
     exact at whole half-lives. *)
 
-val observe : t -> at_us:float -> caller:int -> callee:int -> bytes:int -> unit
-(** Fold in one observation at virtual time [at_us]. Classification
-    [-1] stands for the main program, as in {!Drift} signatures. *)
+val observe : t -> clock:float array -> caller:int -> callee:int -> bytes:int -> unit
+(** Fold in one observation at virtual time [clock.(0)]. The time comes
+    in a one-cell float array, which the watch refills on every call,
+    so it crosses the call unboxed. Classification [-1] stands for the
+    main program, as in {!Drift} signatures. *)
 
 val observed : t -> int
 (** Raw (undecayed) observation count ever folded in. *)

@@ -231,73 +231,104 @@ type sim_totals = {
    between the streams go to the new arrival (any fixed rule preserves
    determinism; this one is documented so the hand trace can rely on
    it). The whole simulation is O(total ops) with O(sessions) flat
-   storage. *)
+   storage.
+
+   Every class's service demands sit end to end in one host and one
+   link array: class [k]'s ops start at flat index [start.(k)] ([-1]
+   for a class with no ops), and [next.(j)] is the flat index of the
+   op after [j] in its class, or [-1] after the last. A ring slot holds
+   a session's next flat index beside its ready time, so an op reads
+   two flat arrays and no class record. The clocks and busy sums are
+   local refs of the one loop, captured by no closure, so the native
+   compiler keeps them unboxed. The loop reads and writes without
+   bounds checks where the index is in range by construction: ring
+   slots are below [cap], sessions below [n], and flat indices come
+   from [start] and [next]. The one index that comes from the caller,
+   [class_of.(s)], stays checked. *)
 let simulate ?sink ~classes ~arrivals ~class_of () =
   let n = Array.length arrivals in
   if Array.length class_of <> n then invalid_arg "Loadsim.simulate: array length mismatch";
+  let total = Array.fold_left (fun acc c -> acc + Array.length c.cl_host_svc) 0 classes in
+  let host_svc = Array.make total 0. and link_svc = Array.make total 0. in
+  let start = Array.make (Array.length classes) (-1) and next = Array.make total (-1) in
+  let at = ref 0 in
+  for k = 0 to Array.length classes - 1 do
+    let c = classes.(k) in
+    let len = Array.length c.cl_host_svc in
+    Array.blit c.cl_host_svc 0 host_svc !at len;
+    Array.blit c.cl_link_svc 0 link_svc !at len;
+    if len > 0 then start.(k) <- !at;
+    for j = !at to !at + len - 2 do
+      next.(j) <- j + 1
+    done;
+    at := !at + len
+  done;
   let lat = Array.make n 0. in
-  let opix = Array.make n 0 in
   let cap = n + 1 in
-  let ring_s = Array.make cap 0 and ring_t = Array.make cap 0. in
-  let head = ref 0 and tail = ref 0 in
+  let ring_s = Array.make cap 0 and ring_j = Array.make cap 0 and ring_t = Array.make cap 0. in
+  let head = ref 0 and tail = ref 0 and next_new = ref 0 in
   let host_free = ref 0. and link_free = ref 0. in
   let host_busy = ref 0. and link_busy = ref 0. in
   let last_finish = ref 0. and ops_done = ref 0 in
-  let finish_session s t =
-    lat.(s) <- t -. arrivals.(s);
-    if t > !last_finish then last_finish := t
-  in
-  let process s t =
-    let c = classes.(class_of.(s)) in
-    let j = opix.(s) in
-    let hs = if t > !host_free then t else !host_free in
-    let hf = hs +. c.cl_host_svc.(j) in
-    host_free := hf;
-    host_busy := !host_busy +. c.cl_host_svc.(j);
-    let ls = if hf > !link_free then hf else !link_free in
-    let lf = ls +. c.cl_link_svc.(j) in
-    link_free := lf;
-    link_busy := !link_busy +. c.cl_link_svc.(j);
-    incr ops_done;
-    (match sink with
-    | Some f ->
-        f
-          {
-            ot_session = s;
-            ot_op = j;
-            ot_ready_us = t;
-            ot_host_start_us = hs;
-            ot_host_finish_us = hf;
-            ot_link_start_us = ls;
-            ot_finish_us = lf;
-          }
-    | None -> ());
-    opix.(s) <- j + 1;
-    if opix.(s) < Array.length c.cl_host_svc then begin
-      ring_s.(!tail) <- s;
-      ring_t.(!tail) <- lf;
-      tail := if !tail + 1 = cap then 0 else !tail + 1
-    end
-    else finish_session s lf
-  in
-  let next_new = ref 0 in
+  let s = ref 0 and j = ref 0 and t = ref 0. in
   while !next_new < n || !head <> !tail do
     if
       !next_new < n
-      && (!head = !tail || arrivals.(!next_new) <= ring_t.(!head))
+      && (!head = !tail
+         || Array.unsafe_get arrivals !next_new <= Array.unsafe_get ring_t !head)
     then begin
-      let s = !next_new in
+      s := !next_new;
       incr next_new;
-      if Array.length classes.(class_of.(s)).cl_host_svc = 0 then
-        (* A fully co-located mix: the session never touches the
-           network and completes the instant it arrives. *)
-        finish_session s arrivals.(s)
-      else process s arrivals.(s)
+      t := Array.unsafe_get arrivals !s;
+      j := start.(class_of.(!s))
     end
     else begin
-      let s = ring_s.(!head) and t = ring_t.(!head) in
-      head := if !head + 1 = cap then 0 else !head + 1;
-      process s t
+      s := Array.unsafe_get ring_s !head;
+      j := Array.unsafe_get ring_j !head;
+      t := Array.unsafe_get ring_t !head;
+      head := if !head + 1 = cap then 0 else !head + 1
+    end;
+    if !j < 0 then begin
+      (* A fully co-located mix: the session never touches the
+         network and completes the instant it arrives. *)
+      Array.unsafe_set lat !s (!t -. Array.unsafe_get arrivals !s);
+      if !t > !last_finish then last_finish := !t
+    end
+    else begin
+      let h = Array.unsafe_get host_svc !j and l = Array.unsafe_get link_svc !j in
+      let hs = if !t > !host_free then !t else !host_free in
+      let hf = hs +. h in
+      host_free := hf;
+      host_busy := !host_busy +. h;
+      let ls = if hf > !link_free then hf else !link_free in
+      let lf = ls +. l in
+      link_free := lf;
+      link_busy := !link_busy +. l;
+      incr ops_done;
+      (match sink with
+      | Some f ->
+          f
+            {
+              ot_session = !s;
+              ot_op = !j - start.(class_of.(!s));
+              ot_ready_us = !t;
+              ot_host_start_us = hs;
+              ot_host_finish_us = hf;
+              ot_link_start_us = ls;
+              ot_finish_us = lf;
+            }
+      | None -> ());
+      let nj = Array.unsafe_get next !j in
+      if nj >= 0 then begin
+        Array.unsafe_set ring_s !tail !s;
+        Array.unsafe_set ring_j !tail nj;
+        Array.unsafe_set ring_t !tail lf;
+        tail := if !tail + 1 = cap then 0 else !tail + 1
+      end
+      else begin
+        Array.unsafe_set lat !s (lf -. Array.unsafe_get arrivals !s);
+        if lf > !last_finish then last_finish := lf
+      end
     end
   done;
   {

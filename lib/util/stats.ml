@@ -11,22 +11,30 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-(* Exact order statistics by selection. [select_rank xs hi k] is
-   Hoare-partition quickselect (Wirth's form) over [xs.(0..hi)] with a
-   median-of-three pivot: it leaves at index [k] the value a sort would
-   put there, everything before it no larger and everything after it up
-   to [hi] no smaller. The monomorphic [<] on a [float array] keeps the
-   scan free of boxing; scans stop on equal keys, so all-equal and
-   heavy-duplicate inputs split evenly, and the median of three keeps
-   sorted and reverse-sorted inputs linear. *)
+(* Exact order statistics by selection. [select_ranks] is one
+   Hoare-partition descent (Wirth's form) over all of [xs] with a
+   median-of-three pivot: it leaves at every wanted rank the value a
+   sort would put there. After a partition of [lo..hi], every rank at
+   or left of [j] lies in [lo..j], every rank at or right of [i] in
+   [i..hi], and anything strictly between is the pivot itself, already
+   at its sorted index; the descent goes on only into the sides that
+   hold a wanted rank, so each element is scanned about once per level
+   however many ranks are asked for. When both sides hold ranks it
+   recurses into the left one and loops on the right one, and each
+   recursion takes a strict subset of the ranks, so the stack is at most
+   as deep as there are ranks. The monomorphic [<] on a [float array]
+   keeps the scan free of boxing; scans stop on equal keys, so
+   all-equal and heavy-duplicate inputs split evenly, and the median of
+   three keeps sorted and reverse-sorted inputs linear. *)
 let swap (xs : float array) i j =
   let t = xs.(i) in
   xs.(i) <- xs.(j);
   xs.(j) <- t
 
-let select_rank (xs : float array) hi k =
-  let lo = ref 0 and hi = ref hi in
-  while !lo < !hi do
+(* [ks.(klo..khi)] are nondecreasing ranks, all inside [lo..hi]. *)
+let rec select_ranks (xs : float array) (ks : int array) lo hi klo khi =
+  let lo = ref lo and hi = ref hi and klo = ref klo and khi = ref khi in
+  while !lo < !hi && !klo <= !khi do
     let l = !lo and h = !hi in
     let m = l + ((h - l) / 2) in
     if xs.(m) < xs.(l) then swap xs m l;
@@ -47,40 +55,56 @@ let select_rank (xs : float array) hi k =
         decr j
       end
     done;
-    (* [l..j] <= pivot <= [i..h]; anything strictly between is the
-       pivot itself, already at its sorted index. *)
-    if !j < k then lo := !i;
-    if k < !i then hi := !j
+    (* Ranks [klo..a-1] fall in [l..j], ranks [b..khi] in [i..h]. *)
+    let a = ref !klo in
+    while !a <= !khi && ks.(!a) <= !j do
+      incr a
+    done;
+    let b = ref !a in
+    while !b <= !khi && ks.(!b) < !i do
+      incr b
+    done;
+    if !a > !klo && !b <= !khi then select_ranks xs ks l !j !klo (!a - 1);
+    if !b <= !khi then begin
+      lo := !i;
+      klo := !b
+    end
+    else begin
+      hi := !j;
+      khi := !a - 1
+    end
   done
 
-(* Largest rank first: once rank [k] is in place, [xs.(0..k-1)] holds
-   exactly the [k] smallest values, so every smaller rank is found in
-   that prefix and positions from [k] on are never touched again. *)
-let select xs ranks =
-  let n = Array.length xs in
-  let hi = ref (n - 1) in
-  List.iter
-    (fun k ->
-      if k <= !hi then begin
-        select_rank xs !hi k;
-        hi := k - 1
-      end)
-    (List.sort (fun a b -> compare b a) ranks)
-
-(* The lower and upper ranks percentile [p] of [n] values interpolates
-   between, and the upper one's weight. *)
-let bounds n p =
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  (int_of_float (floor rank), int_of_float (ceil rank), rank -. floor rank)
+(* Where percentile [p] of [n] values sits: between the order
+   statistics at [floor] and [ceil] of this rank, weighted by its
+   fractional part. *)
+let rank n p = p /. 100. *. float_of_int (n - 1)
 
 let percentiles_in_place xs ps =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty";
   if not (Array.for_all (fun p -> p >= 0. && p <= 100.) ps) then
     invalid_arg "Stats.percentile: p outside [0, 100]";
-  let bs = Array.map (bounds n) ps in
-  select xs (Array.fold_left (fun acc (lo, hi, _) -> lo :: hi :: acc) [] bs);
-  Array.map (fun (lo, hi, frac) -> (xs.(lo) *. (1. -. frac)) +. (xs.(hi) *. frac)) bs
+  (* Both ranks of every percentile, insertion-sorted into one small
+     int array; a rank asked for twice is harmless to the descent. *)
+  let ks = Array.make (2 * Array.length ps) 0 in
+  for i = 0 to Array.length ks - 1 do
+    let r = rank n ps.(i / 2) in
+    let k = int_of_float (if i land 1 = 0 then floor r else ceil r) in
+    let j = ref i in
+    while !j > 0 && k < ks.(!j - 1) do
+      ks.(!j) <- ks.(!j - 1);
+      decr j
+    done;
+    ks.(!j) <- k
+  done;
+  select_ranks xs ks 0 (n - 1) 0 (Array.length ks - 1);
+  Array.map
+    (fun p ->
+      let r = rank n p in
+      let lo = int_of_float (floor r) and hi = int_of_float (ceil r) and frac = r -. floor r in
+      (xs.(lo) *. (1. -. frac)) +. (xs.(hi) *. frac))
+    ps
 
 let percentile xs p = (percentiles_in_place (Array.copy xs) [| p |]).(0)
 

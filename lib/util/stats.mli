@@ -17,11 +17,13 @@ val percentile : float array -> float -> float
 
 val percentiles_in_place : float array -> float array -> float array
 (** [percentiles_in_place xs ps] is [Array.map (percentile xs) ps], bit
-    for bit, without a sort: an in-place quickselect (Hoare partition,
-    median-of-three pivot) places the order statistic at each needed
-    rank where a sort would put it, largest rank first so that each
-    later selection scans only the prefix to its left. Exact, expected
-    linear time per rank, no allocation per element. It permutes [xs];
+    for bit, without a sort: one in-place Hoare-partition descent
+    (median-of-three pivot) places the order statistic at every needed
+    rank — the floor and ceil of each percentile's rank — where a sort
+    would put it. After each partition it goes on only into the sides
+    that hold a wanted rank, looping on one of them, so the stack is at
+    most as deep as there are ranks. Exact, expected O(n log r) time
+    for r distinct ranks, no allocation per element. It permutes [xs];
     after it, [xs.(n-1)] is the maximum when [100.] is among [ps].
     Precondition: [xs] holds no NaN (the order is [<], under which NaN
     is unordered); [-0.] and [0.] count as equal. Raises

@@ -363,6 +363,154 @@ let prop_seed_determinism_across_pools =
       Parallel.shutdown p4;
       String.equal base again && String.equal base r2 && String.equal base r4)
 
+(* --- Oracle: the record-per-op event loop --------------------------- *)
+
+(* The event loop as it was before its service demands were flattened:
+   a per-session op cursor and a class record looked up on every op.
+   The flat loop must agree with it bit for bit, sink trace included. *)
+let reference_simulate ?sink ~classes ~arrivals ~class_of () =
+  let n = Array.length arrivals in
+  let lat = Array.make n 0. in
+  let opix = Array.make n 0 in
+  let cap = n + 1 in
+  let ring_s = Array.make cap 0 and ring_t = Array.make cap 0. in
+  let head = ref 0 and tail = ref 0 in
+  let host_free = ref 0. and link_free = ref 0. in
+  let host_busy = ref 0. and link_busy = ref 0. in
+  let last_finish = ref 0. and ops_done = ref 0 in
+  let finish_session s t =
+    lat.(s) <- t -. arrivals.(s);
+    if t > !last_finish then last_finish := t
+  in
+  let process s t =
+    let c = classes.(class_of.(s)) in
+    let j = opix.(s) in
+    let hs = if t > !host_free then t else !host_free in
+    let hf = hs +. c.Loadsim.cl_host_svc.(j) in
+    host_free := hf;
+    host_busy := !host_busy +. c.Loadsim.cl_host_svc.(j);
+    let ls = if hf > !link_free then hf else !link_free in
+    let lf = ls +. c.Loadsim.cl_link_svc.(j) in
+    link_free := lf;
+    link_busy := !link_busy +. c.Loadsim.cl_link_svc.(j);
+    incr ops_done;
+    (match sink with
+    | Some f ->
+        f
+          {
+            Loadsim.ot_session = s;
+            ot_op = j;
+            ot_ready_us = t;
+            ot_host_start_us = hs;
+            ot_host_finish_us = hf;
+            ot_link_start_us = ls;
+            ot_finish_us = lf;
+          }
+    | None -> ());
+    opix.(s) <- j + 1;
+    if opix.(s) < Array.length c.Loadsim.cl_host_svc then begin
+      ring_s.(!tail) <- s;
+      ring_t.(!tail) <- lf;
+      tail := if !tail + 1 = cap then 0 else !tail + 1
+    end
+    else finish_session s lf
+  in
+  let next_new = ref 0 in
+  while !next_new < n || !head <> !tail do
+    if !next_new < n && (!head = !tail || arrivals.(!next_new) <= ring_t.(!head)) then begin
+      let s = !next_new in
+      incr next_new;
+      if Array.length classes.(class_of.(s)).Loadsim.cl_host_svc = 0 then
+        finish_session s arrivals.(s)
+      else process s arrivals.(s)
+    end
+    else begin
+      let s = ring_s.(!head) and t = ring_t.(!head) in
+      head := if !head + 1 = cap then 0 else !head + 1;
+      process s t
+    end
+  done;
+  {
+    Loadsim.st_latency_us = lat;
+    st_host_busy_us = !host_busy;
+    st_link_busy_us = !link_busy;
+    st_last_finish_us = !last_finish;
+    st_ops = !ops_done;
+  }
+
+(* Times on a grid of small integers, zero included, so that a
+   continuation's ready time ties a new arrival exactly and often; a
+   share of arbitrary floats keeps the rounding honest. Arrival gaps
+   are shorter than an op's service, so sessions pile up in the ring,
+   and a ring of [n + 1] slots carrying about three continuations per
+   session wraps several times. *)
+let gen_oracle_input =
+  QCheck.Gen.(
+    let grid lo hi = map float_of_int (int_range lo hi) in
+    let svc = frequency [ (1, return 0.); (6, grid 1 5); (2, float_range 0. 6.) ] in
+    let gap = frequency [ (3, return 0.); (4, grid 1 3); (1, float_range 0. 4.) ] in
+    int_range 1 4 >>= fun nc ->
+    array_repeat nc
+      (int_range 0 6 >>= fun ops -> pair (array_repeat ops svc) (array_repeat ops svc))
+    >>= fun demands ->
+    int_range 1 300 >>= fun n ->
+    pair (array_repeat n gap) (array_repeat n (int_range 0 (nc - 1))) >|= fun (gaps, class_of) ->
+    let classes =
+      Array.mapi
+        (fun i (host, link) ->
+          {
+            Loadsim.cl_scenario = string_of_int i;
+            cl_host_svc = host;
+            cl_link_svc = link;
+            cl_comm_us = 0.;
+          })
+        demands
+    in
+    let t = ref 0. in
+    (classes, Array.map (fun g -> t := !t +. g; !t) gaps, class_of))
+
+let prop_simulate_matches_reference =
+  QCheck.Test.make ~name:"flat event loop == record-per-op loop, bit for bit" ~count:400
+    (QCheck.make
+       ~print:(fun (classes, arrivals, _) ->
+         Printf.sprintf "%d sessions, ops per class [%s]" (Array.length arrivals)
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map
+                    (fun c -> string_of_int (Array.length c.Loadsim.cl_host_svc))
+                    classes))))
+       gen_oracle_input)
+    (fun (classes, arrivals, class_of) ->
+      let run sim =
+        let trace = ref [] in
+        let totals =
+          sim ?sink:(Some (fun t -> trace := t :: !trace)) ~classes ~arrivals ~class_of ()
+        in
+        (totals, List.rev !trace)
+      in
+      let same_totals (a : Loadsim.sim_totals) (b : Loadsim.sim_totals) =
+        bits a.st_host_busy_us = bits b.st_host_busy_us
+        && bits a.st_link_busy_us = bits b.st_link_busy_us
+        && bits a.st_last_finish_us = bits b.st_last_finish_us
+        && a.st_ops = b.st_ops
+        && Array.for_all2 (fun x y -> bits x = bits y) a.st_latency_us b.st_latency_us
+      in
+      let same_op (a : Loadsim.op_trace) (b : Loadsim.op_trace) =
+        a.ot_session = b.ot_session && a.ot_op = b.ot_op
+        && bits a.ot_ready_us = bits b.ot_ready_us
+        && bits a.ot_host_start_us = bits b.ot_host_start_us
+        && bits a.ot_host_finish_us = bits b.ot_host_finish_us
+        && bits a.ot_link_start_us = bits b.ot_link_start_us
+        && bits a.ot_finish_us = bits b.ot_finish_us
+      in
+      let ref_totals, ref_trace = run reference_simulate in
+      let totals, trace = run Loadsim.simulate in
+      let unsunk = Loadsim.simulate ~classes ~arrivals ~class_of () in
+      same_totals ref_totals totals
+      && same_totals ref_totals unsunk
+      && List.length ref_trace = List.length trace
+      && List.for_all2 same_op ref_trace trace)
+
 let suite =
   [
     Alcotest.test_case "hand-computed queueing trace" `Quick test_hand_trace;
@@ -379,4 +527,5 @@ let suite =
     qtest prop_non_finite_spec_rejected;
     qtest ~long:false prop_percentiles_and_availability;
     qtest ~long:false prop_seed_determinism_across_pools;
+    qtest prop_simulate_matches_reference;
   ]

@@ -17,14 +17,14 @@ let check_bits = Harness.check_bits
 
 let test_window_decay_hand_computed () =
   let w = Window.create ~half_life_us:100. ~pairs:[| (0, 1); (1, 2) |] in
-  Window.observe w ~at_us:0. ~caller:0 ~callee:1 ~bytes:8;
+  Window.observe w ~clock:[| 0. |] ~caller:0 ~callee:1 ~bytes:8;
   (* One half-life later the weight is exactly 1/2 (2^(-dt/h) is exact
      at powers of two). *)
   check_bits "one half-life" 0.5 (Window.counts_at w ~now_us:100.).(0);
   check_bits "two half-lives" 0.25 (Window.counts_at w ~now_us:200.).(0);
   check_bits "bytes decay too" 2. (Window.bytes_at w ~now_us:200.).(0);
   (* A second observation folds in on top of the decayed first. *)
-  Window.observe w ~at_us:100. ~caller:1 ~callee:0 ~bytes:0;
+  Window.observe w ~clock:[| 100. |] ~caller:1 ~callee:0 ~bytes:0;
   check_bits "1/2 + 1 at the bump" 1.5 (Window.counts_at w ~now_us:100.).(0);
   check_bits "untouched slot stays zero" 0. (Window.counts_at w ~now_us:100.).(1);
   Alcotest.(check int) "observations counted" 2 (Window.observed w);
@@ -36,10 +36,10 @@ let test_window_decay_hand_computed () =
 
 let test_window_extras_and_signature () =
   let w = Window.create ~half_life_us:64. ~pairs:[| (0, 1) |] in
-  Window.observe w ~at_us:0. ~caller:0 ~callee:1 ~bytes:10;
+  Window.observe w ~clock:[| 0. |] ~caller:0 ~callee:1 ~bytes:10;
   (* A pair outside the creation-time set accumulates on the side and
      surfaces in the signature and totals. *)
-  Window.observe w ~at_us:0. ~caller:5 ~callee:3 ~bytes:30;
+  Window.observe w ~clock:[| 0. |] ~caller:5 ~callee:3 ~bytes:30;
   Alcotest.(check int) "one extra pair" 1 (Window.extra_pairs w);
   Window.refresh w ~now_us:0.;
   check_bits "total mass" 2. (Window.mass w);
@@ -53,14 +53,14 @@ let test_window_extras_and_signature () =
     (Window.similarity w (Window.baseline w Window.Bytes [| 10. |]));
   check_bits "slot bytes" 10. (Window.slot_bytes w 0);
   (* The same pair the other way round is the same extra. *)
-  Window.observe w ~at_us:0. ~caller:3 ~callee:5 ~bytes:0;
+  Window.observe w ~clock:[| 0. |] ~caller:3 ~callee:5 ~bytes:0;
   Alcotest.(check int) "extra normalized to (min,max)" 1 (Window.extra_pairs w);
   Window.refresh w ~now_us:0.;
   check_bits "extra bumped" 3. (Window.mass w);
   (* A classification too wide to pack into the slot index still gets
      one cell, whichever way round it is observed. *)
-  Window.observe w ~at_us:0. ~caller:max_int ~callee:7 ~bytes:0;
-  Window.observe w ~at_us:0. ~caller:7 ~callee:max_int ~bytes:0;
+  Window.observe w ~clock:[| 0. |] ~caller:max_int ~callee:7 ~bytes:0;
+  Window.observe w ~clock:[| 0. |] ~caller:7 ~callee:max_int ~bytes:0;
   Alcotest.(check int) "wide pair is one extra" 2 (Window.extra_pairs w);
   Window.refresh w ~now_us:0.;
   check_bits "wide pair bumped" 5. (Window.mass w);
@@ -254,7 +254,7 @@ let window_history_agrees seed =
       | _ -> clock := !clock +. Random.State.float rng (half_life_us /. 50.));
       let a, b = active.(int (Array.length active)) in
       let bytes = if int 3 = 0 then 0 else int 100_000 in
-      Window.observe w ~at_us:!clock ~caller:a ~callee:b ~bytes;
+      Window.observe w ~clock:[| !clock |] ~caller:a ~callee:b ~bytes;
       Ref_window.observe r ~at_us:!clock ~caller:a ~callee:b ~bytes;
       if int 40 = 0 then check ()
     done;
@@ -280,17 +280,15 @@ let prop_window_matches_signatures =
    the 1.5 words of headroom of the RTE's gates. *)
 let test_window_allocation () =
   let observe_words w ~caller ~callee =
-    (* Boxed times, so the loop itself allocates nothing. *)
-    let times = ref (List.init 1_001 (fun i -> float_of_int (i + 1))) in
+    (* Each observation a microsecond after the last, in the one clock
+       cell, so the loop itself allocates nothing. *)
+    let clock = [| 0. |] in
     Harness.words_per_run 1_000 (fun () ->
-        match !times with
-        | at_us :: rest ->
-            times := rest;
-            Window.observe w ~at_us ~caller ~callee ~bytes:8
-        | [] -> ())
+        clock.(0) <- clock.(0) +. 1.;
+        Window.observe w ~clock ~caller ~callee ~bytes:8)
   in
   let w = Window.create ~half_life_us:64. ~pairs:[| (0, 1); (1, 2) |] in
-  Window.observe w ~at_us:0. ~caller:5 ~callee:3 ~bytes:30;
+  Window.observe w ~clock:[| 0. |] ~caller:5 ~callee:3 ~bytes:30;
   List.iter
     (fun (what, caller, callee) ->
       let words = observe_words w ~caller ~callee in
@@ -300,9 +298,9 @@ let test_window_allocation () =
   let check_words slots =
     let w = Window.create ~half_life_us:1e6 ~pairs:(Array.init slots (fun s -> (s, s + 1))) in
     for s = 0 to slots - 1 do
-      Window.observe w ~at_us:(float_of_int s) ~caller:s ~callee:(s + 1) ~bytes:s
+      Window.observe w ~clock:[| float_of_int s |] ~caller:s ~callee:(s + 1) ~bytes:s
     done;
-    Window.observe w ~at_us:0. ~caller:(-1) ~callee:(-1) ~bytes:0;
+    Window.observe w ~clock:[| 0. |] ~caller:(-1) ~callee:(-1) ~bytes:0;
     Window.refresh w ~now_us:1e3;
     let calls = Window.adopt w Window.Calls and bytes = Window.adopt w Window.Bytes in
     Harness.words_per_run 100 (fun () ->
