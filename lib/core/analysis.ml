@@ -8,7 +8,6 @@ type distribution = {
   predicted_comm_us : float;
   server_count : int;
   node_count : int;
-  algorithm : Mincut.algorithm;
 }
 
 let price_entry net (e : Icc.entry) =
@@ -237,7 +236,7 @@ module Session = struct
     in
     find t.s_cost_cache
 
-  let solve ?(algorithm = Mincut.Relabel_to_front) ?profiler ?metrics ?scale t ~net =
+  let solve ?profiler ?metrics ?scale t ~net =
     let timed name f = timed profiler name f in
     let graph = t.s_graph in
     let n = Icc_graph.classification_count graph in
@@ -284,9 +283,7 @@ module Session = struct
        terminals are always present (the cut just puts everything on
        the client). *)
     Flow_network.reset t.s_arena;
-    let cut_ns =
-      Mincut.run ~algorithm t.s_arena t.s_scratch ~s:t.s_client ~t:t.s_server
-    in
+    let cut_ns = Mincut.run t.s_arena t.s_scratch ~s:t.s_client ~t:t.s_server in
     let source_side = t.s_seen in
     Flow_network.min_cut_side_into t.s_arena ~s:t.s_client ~seen:source_side ~stack:t.s_stack;
     (* A node the min cut leaves on the sink side belongs on the server
@@ -333,16 +330,7 @@ module Session = struct
       Icc_graph.predicted_us graph pricing ~separated:(fun a b ->
           location_of_node a <> location_of_node b)
     in
-    let d =
-      {
-        placement;
-        cut_ns;
-        predicted_comm_us;
-        server_count;
-        node_count = n;
-        algorithm;
-      }
-    in
+    let d = { placement; cut_ns; predicted_comm_us; server_count; node_count = n } in
     (match metrics with
     | None -> ()
     | Some reg ->
@@ -383,8 +371,8 @@ module Session = struct
     Array.init n (fun c -> safe.(comp.(c)))
 end
 
-let choose ?algorithm ?profiler ~classifier ~icc ~constraints ~net () =
-  Session.solve ?algorithm ?profiler
+let choose ?profiler ~classifier ~icc ~constraints ~net () =
+  Session.solve ?profiler
     (Session.create ?profiler ~classifier ~icc ~constraints ())
     ~net
 
@@ -445,24 +433,16 @@ let comm_time_under ~icc ~net ~placement =
       if placement e.Icc.src <> placement e.Icc.dst then acc +. price_entry net e else acc)
     0. (Icc.entries icc)
 
-let algorithm_tag = function
-  | Mincut.Relabel_to_front -> "rtf"
-  | Mincut.Edmonds_karp -> "ek"
-  | Mincut.Dinic -> "dinic"
-
 exception Decode_error of string
 
-let algorithm_of_tag = function
-  | "rtf" -> Mincut.Relabel_to_front
-  | "ek" -> Mincut.Edmonds_karp
-  | "dinic" -> Mincut.Dinic
-  | s -> raise (Decode_error ("Analysis.decode: unknown algorithm " ^ s))
-
+(* The header's last field names the solver that made the cut. There
+   is one, push-relabel in the paper's lift-to-front slot, and it has
+   always written "rtf"; keeping the field keeps every stored
+   distribution byte for byte. *)
 let encode d =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "%d %d %f %s\n" d.node_count d.cut_ns d.predicted_comm_us
-       (algorithm_tag d.algorithm));
+    (Printf.sprintf "%d %d %f rtf\n" d.node_count d.cut_ns d.predicted_comm_us);
   Array.iter
     (fun loc -> Buffer.add_char buf (match loc with Constraints.Client -> 'C' | Constraints.Server -> 'S'))
     d.placement;
@@ -480,6 +460,7 @@ let decode s =
       let body = String.sub s (nl + 1) (String.length s - nl - 1) in
       match String.split_on_char ' ' header with
       | [ n; cut; comm; alg ] ->
+          if alg <> "rtf" then fail "unknown algorithm %s" alg;
           let node_count = number int_of_string ~what:"node count" n in
           if String.length body <> node_count then fail "placement length mismatch";
           let placement =
@@ -500,6 +481,5 @@ let decode s =
             predicted_comm_us = number float_of_string ~what:"predicted comm" comm;
             server_count;
             node_count;
-            algorithm = algorithm_of_tag alg;
           }
       | _ -> fail "malformed header")

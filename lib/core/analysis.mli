@@ -21,7 +21,6 @@ type distribution = {
           network profile (equals [cut_ns / 1000] apart from rounding) *)
   server_count : int;     (** classifications placed on the server *)
   node_count : int;
-  algorithm : Coign_flowgraph.Mincut.algorithm;
 }
 
 (** {1 Two-stage engine}
@@ -78,7 +77,6 @@ module Session : sig
       under the ["icc_graph_build"] phase. *)
 
   val solve :
-    ?algorithm:Coign_flowgraph.Mincut.algorithm ->
     ?profiler:Coign_obs.Profiler.t ->
     ?metrics:Coign_obs.Metrics.registry ->
     ?scale:Icc_graph.scale ->
@@ -138,7 +136,6 @@ module Session : sig
 end
 
 val choose :
-  ?algorithm:Coign_flowgraph.Mincut.algorithm ->
   ?profiler:Coign_obs.Profiler.t ->
   classifier:Classifier.t ->
   icc:Icc.t ->
@@ -191,6 +188,9 @@ val price_entry : Coign_netsim.Net_profiler.t -> Icc.entry -> float
     time at the bucket's mean size. *)
 
 val encode : distribution -> string
+(** A header line [node_count cut_ns predicted_comm_us rtf] (the last
+    field names the solver, push-relabel in the paper's lift-to-front
+    slot), then one [C] or [S] per classification. *)
 
 exception Decode_error of string
 (** A malformed encoded distribution; the message starts
@@ -201,4 +201,4 @@ val decode : string -> distribution
     Raises {!Decode_error} on a missing header line, a header without
     four fields, a non-numeric node count, cut or predicted comm, a
     placement whose length is not the node count, a location other
-    than [C]/[S], or an unknown algorithm tag. *)
+    than [C]/[S], or a solver tag other than [rtf]. *)

@@ -68,7 +68,6 @@ let compute ?profiler ?primary session ~net () =
       predicted_comm_us = 0.;
       server_count = 0;
       node_count = n;
-      algorithm = primary.Analysis.algorithm;
     }
   in
   if

@@ -28,7 +28,7 @@ let config ?(health = Health.default_policy) ?(host_faults = []) ladder =
 let retry_only =
   let nothing =
     { Analysis.placement = [||]; cut_ns = 0; predicted_comm_us = 0.; server_count = 0;
-      node_count = 0; algorithm = Coign_flowgraph.Mincut.Dinic }
+      node_count = 0 }
   in
   let static =
     Fallback.of_rungs ~migration_safe:[||]

@@ -1,24 +1,14 @@
 module G = Flow_network
 
-type algorithm = Relabel_to_front | Edmonds_karp | Dinic
-
-let all_algorithms = [ Relabel_to_front; Edmonds_karp; Dinic ]
-
-let algorithm_name = function
-  | Relabel_to_front -> "relabel-to-front"
-  | Edmonds_karp -> "edmonds-karp"
-  | Dinic -> "dinic"
-
 type cut = { value : int; source_side : bool array }
 
-(* Per-arena solver scratch. One record serves all three algorithms by
-   reusing the same flat arrays under different roles, so a session can
-   solve repeatedly without allocating. *)
+(* Per-arena solver scratch, so a session can solve repeatedly without
+   allocating. *)
 type scratch = {
   sc_n : int;
-  sc_h : int array;    (* heights (push-relabel) / levels (Dinic) / BFS parents (EK) *)
-  sc_e : int array;    (* excess (push-relabel) *)
-  sc_cur : int array;  (* current-arc offset / Dinic iterators / EK parent arcs *)
+  sc_h : int array;    (* heights *)
+  sc_e : int array;    (* excess *)
+  sc_cur : int array;  (* current-arc offsets *)
   sc_cnt : int array;  (* height occupancy counts, length 2n+3 *)
   sc_q : int array;    (* FIFO ring, length n+1 *)
   sc_inq : bool array; (* queued? *)
@@ -36,17 +26,18 @@ let scratch g =
     sc_inq = Array.make n false;
   }
 
-(* --- Push-relabel (the paper's "lift-to-front" slot) -------------- *)
+(* --- Push-relabel (the paper's "lift-to-front" solver) ------------ *)
 
 (* Coign names the CLR lift-to-front discharge order; that order turned
-   out pathologically slow on the analysis graphs (~60x Dinic), so the
-   [Relabel_to_front] slot now runs FIFO push-relabel with the gap
-   heuristic and periodic exact-distance global relabeling. It runs to
-   completion (every non-terminal excess drained back to the source),
-   producing a genuine maximum flow — and every maximum flow induces
-   the same minimal source side in the residual graph, so cut values
-   and chosen placements are unchanged, a property the test suite
-   checks against Dinic, Edmonds-Karp and brute force. The opening
+   out pathologically slow on the analysis graphs (~60x a blocking-flow
+   solver), so the solver runs FIFO push-relabel with the gap heuristic
+   and periodic exact-distance global relabeling. It runs to completion
+   (every non-terminal excess drained back to the source), producing a
+   genuine maximum flow — and every maximum flow induces the same
+   minimal source side in the residual graph, so cut values and chosen
+   placements are the textbook algorithm's, a property the test suite
+   checks against the augmenting-path reference, brute force and the
+   flow's own optimality certificate. The opening
    saturation pushes each source arc's full capacity, so an infinite
    pin arc floods its node with infinity_cap excess that must all
    drain back. Both cuts therefore run on the quotient of the infinite
@@ -198,39 +189,52 @@ let push_relabel g sc ~s ~t =
   done;
   e.(t)
 
-(* --- Edmonds-Karp (BFS augmenting paths) -------------------------- *)
+let check_terminals n ~s ~t =
+  if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Mincut: terminal out of range";
+  if s = t then invalid_arg "Mincut: s = t"
 
-let edmonds_karp g sc ~s ~t =
+let run g sc ~s ~t =
+  check_terminals (G.node_count g) ~s ~t;
+  if sc.sc_n <> G.node_count g then
+    invalid_arg "Mincut.run: scratch/arena size mismatch";
+  push_relabel g sc ~s ~t
+
+let min_cut g ~s ~t =
+  G.reset g;
+  let value = run g (scratch g) ~s ~t in
+  { value; source_side = G.min_cut_side g ~s }
+
+(* --- References for the tests ------------------------------------- *)
+
+(* Edmonds-Karp: shortest augmenting paths by BFS, sharing no code with
+   the solver above. *)
+let augmenting_path_min_cut g ~s ~t =
   let n = G.node_count g in
-  let parent_node = sc.sc_h and parent_arc = sc.sc_cur in
-  let q = sc.sc_q in
-  let qcap = Array.length q in
+  check_terminals n ~s ~t;
+  G.reset g;
+  let parent_node = Array.make n (-1) and parent_arc = Array.make n 0 in
+  let q = Array.make n 0 in
   let total = ref 0 in
   let augmenting = ref true in
   while !augmenting do
     Array.fill parent_node 0 n (-1);
-    let qhead = ref 0 and qtail = ref 0 in
-    q.(!qtail) <- s;
-    qtail := (!qtail + 1) mod qcap;
     parent_node.(s) <- s;
-    let found = ref false in
-    while (not !found) && !qhead <> !qtail do
+    q.(0) <- s;
+    let qhead = ref 0 and qtail = ref 1 in
+    while parent_node.(t) < 0 && !qhead < !qtail do
       let v = q.(!qhead) in
-      qhead := (!qhead + 1) mod qcap;
+      incr qhead;
       for a = G.arc_start g v to G.arc_stop g v - 1 do
         let dst = G.arc_dst g a in
         if G.residual g a > 0 && parent_node.(dst) < 0 then begin
           parent_node.(dst) <- v;
           parent_arc.(dst) <- a;
-          if dst = t then found := true
-          else begin
-            q.(!qtail) <- dst;
-            qtail := (!qtail + 1) mod qcap
-          end
+          q.(!qtail) <- dst;
+          incr qtail
         end
       done
     done;
-    if !found then begin
+    if parent_node.(t) >= 0 then begin
       (* Bottleneck along the path, then apply it. *)
       let b = ref max_int in
       let v = ref t in
@@ -247,90 +251,7 @@ let edmonds_karp g sc ~s ~t =
     end
     else augmenting := false
   done;
-  !total
-
-(* --- Dinic (level graph + blocking flow) -------------------------- *)
-
-let dinic g sc ~s ~t =
-  let n = G.node_count g in
-  let level = sc.sc_h and iter = sc.sc_cur in
-  let q = sc.sc_q in
-  let qcap = Array.length q in
-  let bfs () =
-    Array.fill level 0 n (-1);
-    let qhead = ref 0 and qtail = ref 0 in
-    q.(!qtail) <- s;
-    qtail := (!qtail + 1) mod qcap;
-    level.(s) <- 0;
-    while !qhead <> !qtail do
-      let v = q.(!qhead) in
-      qhead := (!qhead + 1) mod qcap;
-      for a = G.arc_start g v to G.arc_stop g v - 1 do
-        let dst = G.arc_dst g a in
-        if G.residual g a > 0 && level.(dst) < 0 then begin
-          level.(dst) <- level.(v) + 1;
-          q.(!qtail) <- dst;
-          qtail := (!qtail + 1) mod qcap
-        end
-      done
-    done;
-    level.(t) >= 0
-  in
-  let rec dfs v limit =
-    if v = t then limit
-    else begin
-      let base = G.arc_start g v in
-      let stop = G.arc_stop g v in
-      let pushed = ref 0 in
-      while !pushed = 0 && base + iter.(v) < stop do
-        let arc = base + iter.(v) in
-        let dst = G.arc_dst g arc in
-        if G.residual g arc > 0 && level.(dst) = level.(v) + 1 then begin
-          let got = dfs dst (min limit (G.residual g arc)) in
-          if got > 0 then begin
-            G.push g arc got;
-            pushed := got
-          end
-          else iter.(v) <- iter.(v) + 1
-        end
-        else iter.(v) <- iter.(v) + 1
-      done;
-      !pushed
-    end
-  in
-  let total = ref 0 in
-  while bfs () do
-    Array.fill iter 0 n 0;
-    let rec pump () =
-      let f = dfs s max_int in
-      if f > 0 then begin
-        total := !total + f;
-        pump ()
-      end
-    in
-    pump ()
-  done;
-  !total
-
-(* ------------------------------------------------------------------ *)
-
-let check_terminals n ~s ~t =
-  if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Mincut: terminal out of range";
-  if s = t then invalid_arg "Mincut: s = t"
-
-let run ?(algorithm = Relabel_to_front) g sc ~s ~t =
-  check_terminals (G.node_count g) ~s ~t;
-  if sc.sc_n <> G.node_count g then
-    invalid_arg "Mincut.run: scratch/arena size mismatch";
-  match algorithm with
-  | Relabel_to_front -> push_relabel g sc ~s ~t
-  | Edmonds_karp -> edmonds_karp g sc ~s ~t
-  | Dinic -> dinic g sc ~s ~t
-
-let min_cut ?algorithm g ~s ~t =
-  G.reset g;
-  let value = run ?algorithm g (scratch g) ~s ~t in
-  { value; source_side = G.min_cut_side g ~s }
+  { value = !total; source_side = G.min_cut_side g ~s }
 
 let brute_force_min_cut ~n edges ~s ~t =
   check_terminals n ~s ~t;

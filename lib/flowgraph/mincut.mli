@@ -4,20 +4,14 @@
     algorithm to choose a distribution with minimal communication
     time" (paper §2) — i.e. the relabel-to-front push-relabel max-flow
     algorithm of CLR ch. 27, with the min cut read off the final
-    residual graph. The [Relabel_to_front] slot is implemented as FIFO
-    push-relabel with the gap heuristic and periodic global relabeling
-    (the textbook discharge order was pathologically slow on analysis
+    residual graph. The solver is implemented as FIFO push-relabel
+    with the gap heuristic and periodic global relabeling (the
+    textbook discharge order was pathologically slow on analysis
     graphs); because it runs to a genuine maximum flow, cut values and
-    minimal source sides are identical to the textbook algorithm's. We
-    also keep two classic baselines (Edmonds-Karp and Dinic) and an
-    exponential brute-force enumerator: the algorithms must agree on
-    cut value, which is one of the library's strongest correctness
-    properties. *)
-
-type algorithm = Relabel_to_front | Edmonds_karp | Dinic
-
-val all_algorithms : algorithm list
-val algorithm_name : algorithm -> string
+    minimal source sides are identical to the textbook algorithm's.
+    Every cut the system makes runs it. Two references exist only for
+    the tests to check it against: an exponential brute-force
+    enumerator for small graphs and Edmonds-Karp for large ones. *)
 
 type cut = {
   value : int;                (** total capacity crossing the cut *)
@@ -32,22 +26,25 @@ type scratch
 
 val scratch : Flow_network.t -> scratch
 
-val run :
-  ?algorithm:algorithm ->
-  Flow_network.t -> scratch -> s:int -> t:int -> int
-(** Run a max-flow algorithm in place on the arena's {e current}
-    residual state (callers re-solving after {!Flow_network.set_arc_cap}
-    must {!Flow_network.reset} first) and return the flow value.
+val run : Flow_network.t -> scratch -> s:int -> t:int -> int
+(** Run the solver in place on the arena's {e current} residual state
+    (callers re-solving after {!Flow_network.set_arc_cap} must
+    {!Flow_network.reset} first) and return the flow value.
     Allocates nothing: all working state lives in [scratch]. The
     minimal source side can then be read off with
     {!Flow_network.min_cut_side_into}. Raises [Invalid_argument] on
     bad terminals or a scratch sized for a different arena. *)
 
-val min_cut : ?algorithm:algorithm -> Flow_network.t -> s:int -> t:int -> cut
-(** Minimum s-t cut of the arena's base capacities (default algorithm:
-    [Relabel_to_front], as in the paper): resets the arena, solves on
-    fresh scratch and reads off the minimal source side. Raises
-    [Invalid_argument] if [s = t] or either is out of range. *)
+val min_cut : Flow_network.t -> s:int -> t:int -> cut
+(** Minimum s-t cut of the arena's base capacities: resets the arena,
+    solves on fresh scratch and reads off the minimal source side.
+    Raises [Invalid_argument] if [s = t] or either is out of range. *)
+
+val augmenting_path_min_cut : Flow_network.t -> s:int -> t:int -> cut
+(** {!min_cut} by Edmonds-Karp (shortest augmenting paths), a reference
+    for verification that shares no code with the solver: resets the
+    arena and leaves its maximum flow there. Any maximum flow leaves
+    the same minimal source side, so both fields equal {!min_cut}'s. *)
 
 val brute_force_min_cut :
   n:int -> (int * int * int) array -> s:int -> t:int -> cut

@@ -157,7 +157,12 @@ let test_cut_is_minimal_vs_alternatives () =
     ];
   Alcotest.(check (float 1.)) "min cut optimal" !best d.Analysis.predicted_comm_us
 
+(* The engine's cut (push-relabel on the session's quotient arena)
+   against the augmenting-path reference on the same graph built by
+   hand: one node per classification plus client (4) and server (5),
+   each pair priced as the engine prices it, pins as infinite edges. *)
 let test_algorithms_agree_on_placement_cost () =
+  let module G = Coign_flowgraph.Flow_network in
   let records =
     [
       (0, 1, "I", true, 12_000, 3_000);
@@ -171,21 +176,19 @@ let test_algorithms_agree_on_placement_cost () =
       (Constraints.pin_class Constraints.empty ~cname:"C0" Constraints.Client)
       ~cname:"C3" Constraints.Server
   in
-  let costs =
-    List.map
-      (fun algorithm ->
-        let classifier = classifier_with [ "C0"; "C1"; "C2"; "C3" ] in
-        let icc = Icc.create () in
-        List.iter
-          (fun (src, dst, iface, remotable, request, reply) ->
-            Icc.record icc ~src ~dst ~iface ~remotable ~request ~reply)
-          records;
-        (Analysis.choose ~algorithm ~classifier ~icc ~constraints ~net:exact_net ()).Analysis.cut_ns)
-      Coign_flowgraph.Mincut.all_algorithms
+  let d, icc = choose ~extra:constraints ~classes:[ "C0"; "C1"; "C2"; "C3" ] ~records () in
+  let edges =
+    [ (0, 4, G.infinity_cap); (4, 0, G.infinity_cap); (3, 5, G.infinity_cap); (5, 3, G.infinity_cap) ]
+    @ List.concat_map
+        (fun (e : Icc.entry) ->
+          let ns = int_of_float (Float.round (Analysis.price_entry exact_net e *. 1000.)) in
+          [ (e.Icc.src, e.Icc.dst, ns); (e.Icc.dst, e.Icc.src, ns) ])
+        (Icc.entries icc)
   in
-  match costs with
-  | c :: rest -> List.iter (fun c' -> Alcotest.(check int) "same cut value" c c') rest
-  | [] -> ()
+  let g, _ = G.of_edges ~n:6 (Array.of_list edges) in
+  Alcotest.(check int) "same cut value"
+    (Coign_flowgraph.Mincut.augmenting_path_min_cut g ~s:4 ~t:5).Coign_flowgraph.Mincut.value
+    d.Analysis.cut_ns
 
 let test_distribution_codec () =
   let d, _ =
@@ -204,6 +207,23 @@ let test_distribution_codec () =
       true
       (Analysis.location_of d c = Analysis.location_of d' c)
   done
+
+(* One solver writes one tag: a stored distribution naming any other
+   solver, the retired "ek" and "dinic" included, is malformed. *)
+let test_decode_rejects_other_tags () =
+  let d, _ = choose ~classes:[ "A"; "B" ] ~records:[ (0, 1, "I", true, 1_000, 1_000) ] () in
+  let s = Analysis.encode d in
+  let nl = String.index s '\n' in
+  let header = String.sub s 0 nl and body = String.sub s nl (String.length s - nl) in
+  Alcotest.(check string) "encode writes rtf" "rtf"
+    (List.nth (String.split_on_char ' ' header) 3);
+  List.iter
+    (fun tag ->
+      let retagged = String.sub header 0 (String.rindex header ' ' + 1) ^ tag ^ body in
+      Alcotest.check_raises tag
+        (Analysis.Decode_error ("Analysis.decode: unknown algorithm " ^ tag))
+        (fun () -> ignore (Analysis.decode retagged)))
+    [ "ek"; "dinic"; "RTF"; "rtf0"; "" ]
 
 let test_price_entry_uses_bucket_means () =
   let icc = Icc.create () in
@@ -224,6 +244,7 @@ let suite =
     Alcotest.test_case "cut minimal vs alternatives" `Quick test_cut_is_minimal_vs_alternatives;
     Alcotest.test_case "algorithms agree" `Quick test_algorithms_agree_on_placement_cost;
     Alcotest.test_case "distribution codec" `Quick test_distribution_codec;
+    Alcotest.test_case "decode accepts only the rtf tag" `Quick test_decode_rejects_other_tags;
     Alcotest.test_case "price entry uses bucket means" `Quick test_price_entry_uses_bucket_means;
   ]
 
@@ -330,7 +351,6 @@ let arb_distribution =
       array_size (int_range 0 24) bool >>= fun sides ->
       int_range 0 10_000_000 >>= fun cut_ns ->
       float_range 0. 1e7 >>= fun comm ->
-      oneofl Coign_flowgraph.Mincut.all_algorithms >>= fun algorithm ->
       let placement =
         Array.map (fun s -> if s then Constraints.Server else Constraints.Client) sides
       in
@@ -341,7 +361,6 @@ let arb_distribution =
           predicted_comm_us = comm;
           server_count = Array.fold_left (fun n s -> if s then n + 1 else n) 0 sides;
           node_count = Array.length sides;
-          algorithm;
         })
 
 let prop_distribution_bit_flips =

@@ -105,7 +105,6 @@ let dist placement =
     server_count =
       Array.fold_left (fun a l -> if l = Constraints.Server then a + 1 else a) 0 placement;
     node_count = Array.length placement;
-    algorithm = Coign_flowgraph.Mincut.Dinic;
   }
 
 let mini_pool_ladder ~hosts =

@@ -64,13 +64,9 @@ let cut_edges edges cut =
 let sum_caps = List.fold_left (fun acc (_, _, c) -> acc + c) 0
 
 let test_clrs_maxflow () =
-  List.iter
-    (fun algorithm ->
-      Alcotest.(check int)
-        (Mincut.algorithm_name algorithm ^ " value")
-        23
-        (Mincut.min_cut ~algorithm (clrs_network ()) ~s:0 ~t:5).Mincut.value)
-    Mincut.all_algorithms
+  Alcotest.(check int) "solver value" 23 (Mincut.min_cut (clrs_network ()) ~s:0 ~t:5).Mincut.value;
+  Alcotest.(check int) "reference value" 23
+    (Mincut.augmenting_path_min_cut (clrs_network ()) ~s:0 ~t:5).Mincut.value
 
 let test_cut_edges_sum_to_value () =
   let cut = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
@@ -87,11 +83,7 @@ let test_disconnected_zero_cut () =
 
 let test_single_edge () =
   let g = arena ~n:2 [ (0, 1, 42) ] in
-  List.iter
-    (fun algorithm ->
-      Alcotest.(check int) (Mincut.algorithm_name algorithm) 42
-        (Mincut.min_cut ~algorithm g ~s:0 ~t:1).Mincut.value)
-    Mincut.all_algorithms
+  Alcotest.(check int) "value" 42 (Mincut.min_cut g ~s:0 ~t:1).Mincut.value
 
 let test_terminal_validation () =
   let g = arena ~n:3 [] in
@@ -127,21 +119,21 @@ let arb_graph =
 
 let build (n, edges) = arena ~n edges
 
-let max_flow algorithm spec = (Mincut.min_cut ~algorithm (build spec) ~s:0 ~t:1).Mincut.value
-
 let brute_force (n, edges) = Mincut.brute_force_min_cut ~n (Array.of_list edges) ~s:0 ~t:1
 
+(* The solver and the augmenting-path reference: any two maximum flows
+   leave the same minimal source side, not merely the same value. *)
 let prop_algorithms_agree =
   QCheck.Test.make ~name:"all max-flow algorithms agree" ~count:300 arb_graph (fun spec ->
-      match List.map (fun alg -> max_flow alg spec) Mincut.all_algorithms with
-      | f :: rest -> List.for_all (( = ) f) rest
-      | [] -> true)
+      Mincut.min_cut (build spec) ~s:0 ~t:1
+      = Mincut.augmenting_path_min_cut (build spec) ~s:0 ~t:1)
 
 let prop_each_algorithm_matches_brute_force =
   QCheck.Test.make ~name:"each algorithm matches brute force" ~count:150 arb_graph
     (fun spec ->
-      let brute = brute_force spec in
-      List.for_all (fun alg -> max_flow alg spec = brute.Mincut.value) Mincut.all_algorithms)
+      let brute = (brute_force spec).Mincut.value in
+      (Mincut.min_cut (build spec) ~s:0 ~t:1).Mincut.value = brute
+      && (Mincut.augmenting_path_min_cut (build spec) ~s:0 ~t:1).Mincut.value = brute)
 
 let prop_matches_brute_force =
   QCheck.Test.make ~name:"min cut equals brute force" ~count:200 arb_graph (fun spec ->
@@ -173,33 +165,26 @@ let lcg_graph ~seed ~n ~m =
             let b = rand n in
             if a <> b then [ (a, b, 1 + rand 10_000) ] else [])))
 
+(* Above brute force's 22 nodes the augmenting-path reference is the
+   independent check. Both run to a genuine max flow, so the minimal
+   source side — residual reachability from s — is the same bool array,
+   not merely some min cut. *)
+let check_matches_reference msg g ~s ~t =
+  let reference = Mincut.augmenting_path_min_cut g ~s ~t in
+  let cut = Mincut.min_cut g ~s ~t in
+  Alcotest.(check int) (msg ^ " value") reference.Mincut.value cut.Mincut.value;
+  Alcotest.(check (array bool)) (msg ^ " source side") reference.Mincut.source_side
+    cut.Mincut.source_side
+
 let test_large_random_algorithms_agree () =
   for trial = 1 to 6 do
     let n = 20 + (trial * 7) in
-    let g = lcg_graph ~seed:(42 + trial) ~n ~m:(4 * n) in
-    let cuts =
-      List.map
-        (fun algorithm -> Mincut.min_cut ~algorithm g ~s:0 ~t:(n - 1))
-        Mincut.all_algorithms
-    in
-    match cuts with
-    | reference :: rest ->
-        List.iteri
-          (fun i c ->
-            Alcotest.(check int)
-              (Printf.sprintf "trial %d value (alg %d)" trial i)
-              reference.Mincut.value c.Mincut.value;
-            (* Every algorithm runs to a genuine max flow, so the
-               minimal source side — residual reachability from s —
-               is the same bool array, not merely some min cut. *)
-            Alcotest.(check (array bool))
-              (Printf.sprintf "trial %d source side (alg %d)" trial i)
-              reference.Mincut.source_side c.Mincut.source_side)
-          rest
-    | [] -> ()
+    check_matches_reference (Printf.sprintf "trial %d" trial)
+      (lcg_graph ~seed:(42 + trial) ~n ~m:(4 * n))
+      ~s:0 ~t:(n - 1)
   done
 
-let test_bench_sized_graph_rtf_matches_dinic () =
+let test_bench_sized_graph_matches_reference () =
   (* The shape of the bench micro kernel that exposed the pathology:
      150 nodes, 600 undirected heavy edges. *)
   let n = 150 in
@@ -212,10 +197,61 @@ let test_bench_sized_graph_rtf_matches_dinic () =
               let b = rand n in
               if a <> b then undirected a b (1 + rand 10_000) else [])))
   in
-  let rtf = Mincut.min_cut ~algorithm:Mincut.Relabel_to_front g ~s:0 ~t:1 in
-  let dinic = Mincut.min_cut ~algorithm:Mincut.Dinic g ~s:0 ~t:1 in
-  Alcotest.(check int) "value" dinic.Mincut.value rtf.Mincut.value;
-  Alcotest.(check (array bool)) "source side" dinic.Mincut.source_side rtf.Mincut.source_side
+  check_matches_reference "bench graph" g ~s:0 ~t:1
+
+(* --- Max-flow certificate ------------------------------------------ *)
+
+(* After [Mincut.run] the arena holds the solver's flow: an arc carries
+   its base capacity minus its residual, and a reverse arc (base
+   capacity 0) its forward arc's flow negated. A feasible, conserved
+   flow whose value equals the capacity of an s-t cut is a maximum flow
+   and that cut a minimum one (weak duality), so this proves the
+   solver's answer optimal at any size with no second solver. Returns
+   the first violation found. *)
+let certificate_violation g ~s ~t =
+  let module G = Flow_network in
+  let n = G.node_count g in
+  G.reset g;
+  let value = Mincut.run g (Mincut.scratch g) ~s ~t in
+  let side = G.min_cut_side g ~s in
+  let flow a = G.arc_cap g a - G.residual g a in
+  let net_out = Array.make n 0 and cut_cap = ref 0 in
+  let found = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !found = None then found := Some m) fmt in
+  for v = 0 to n - 1 do
+    for a = G.arc_start g v to G.arc_stop g v - 1 do
+      let p = G.arc_pair g a in
+      let f = flow a in
+      if f <> -flow p then fail "arc %d carries %d but its pair %d" a f (flow p);
+      if f < -G.arc_cap g p || f > G.arc_cap g a then
+        fail "arc %d carries %d outside [-%d, %d]" a f (G.arc_cap g p) (G.arc_cap g a);
+      net_out.(v) <- net_out.(v) + f;
+      if side.(v) && not side.(G.arc_dst g a) then cut_cap := !cut_cap + G.arc_cap g a
+    done
+  done;
+  for v = 0 to n - 1 do
+    if v <> s && v <> t && net_out.(v) <> 0 then fail "node %d leaks %d" v net_out.(v)
+  done;
+  if net_out.(s) <> value then fail "flow out of s %d, returned %d" net_out.(s) value;
+  if !cut_cap <> value then fail "source side cut %d, flow %d" !cut_cap value;
+  if side.(t) then fail "t on the source side";
+  !found
+
+let prop_flow_certificate =
+  QCheck.Test.make ~name:"solver's flow certifies its cut" ~count:300 arb_graph (fun spec ->
+      match certificate_violation (build spec) ~s:0 ~t:1 with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+(* The large-random trials' graphs, then two far past them. *)
+let test_flow_certificate_large () =
+  List.iter
+    (fun (seed, n) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "seed %d, n = %d" seed n)
+        None
+        (certificate_violation (lcg_graph ~seed ~n ~m:(4 * n)) ~s:0 ~t:(n - 1)))
+    (List.init 6 (fun i -> (43 + i, 27 + (7 * i))) @ [ (49, 300); (50, 2000) ])
 
 (* --- CSR arena: reprice path vs fresh compile ---------------------- *)
 
@@ -447,8 +483,10 @@ let suite =
     qtest prop_cut_edges_sum;
     Alcotest.test_case "large random graphs: all algorithms agree" `Quick
       test_large_random_algorithms_agree;
-    Alcotest.test_case "bench-sized graph: rtf matches dinic" `Quick
-      test_bench_sized_graph_rtf_matches_dinic;
+    Alcotest.test_case "bench-sized graph: rtf matches EK" `Quick
+      test_bench_sized_graph_matches_reference;
+    qtest prop_flow_certificate;
+    Alcotest.test_case "max-flow certificate on large graphs" `Quick test_flow_certificate_large;
     qtest prop_arena_reprice_matches_fresh;
     Alcotest.test_case "scratch reuse across solves" `Quick test_scratch_reuse;
     Alcotest.test_case "multiway two terminals exact" `Quick test_multiway_two_terminals_exact;

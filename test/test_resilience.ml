@@ -217,7 +217,6 @@ let dist placement =
     server_count =
       Array.fold_left (fun a l -> if l = Constraints.Server then a + 1 else a) 0 placement;
     node_count = Array.length placement;
-    algorithm = Coign_flowgraph.Mincut.Dinic;
   }
 
 let two_rung_ladder ~safe =
@@ -501,7 +500,6 @@ let test_migrate_unprofiled_targets_client () =
       predicted_comm_us = 0.;
       server_count = 1;
       node_count = 2;
-      algorithm = Coign_flowgraph.Mincut.Relabel_to_front;
     }
   in
   let migrated, left, moves =

@@ -111,16 +111,6 @@ let test_session_reuse_interleaved () =
     (Analysis.choose ~classifier ~icc ~constraints ~net:isdn ())
     again
 
-let test_session_algorithms () =
-  let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
-  List.iter
-    (fun algorithm ->
-      let fresh = Analysis.choose ~algorithm ~classifier ~icc ~constraints ~net:exact_net () in
-      let solved = Analysis.Session.solve ~algorithm session ~net:exact_net in
-      check_same (Coign_flowgraph.Mincut.algorithm_name algorithm) fresh solved)
-    Coign_flowgraph.Mincut.all_algorithms
-
 let test_session_copy_independent () =
   let classifier, icc, constraints = sample_profile () in
   let session = Analysis.Session.create ~classifier ~icc ~constraints () in
@@ -279,12 +269,13 @@ let prop_session_equals_choose =
    reference here owns no quotient: it compiles all n+2 nodes with
    [Flow_network.of_edges] — a non-remotable pair, a pin or a
    co-location is an infinite edge in both directions, every other
-   pair its priced capacity — cuts it with [Mincut.min_cut] and trims
-   the sink side to what stays connected to the server. Only the
-   pricing is shared. *)
+   pair its priced capacity — cuts it with the augmenting-path
+   reference [Mincut.augmenting_path_min_cut], not the session's
+   push-relabel, and trims the sink side to what stays connected to the
+   server. Only the pricing is shared. *)
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
-let reference_solve ~algorithm ~classifier ~constraints graph pricing =
+let reference_solve ~classifier ~constraints graph pricing =
   let module G = Coign_flowgraph.Flow_network in
   let n = Icc_graph.classification_count graph in
   let client = n and server = n + 1 in
@@ -308,7 +299,7 @@ let reference_solve ~algorithm ~classifier ~constraints graph pricing =
     (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then undirected a b G.infinity_cap)
     (Constraints.colocated_pairs constraints);
   let g, _ = G.of_edges ~n:(n + 2) (Array.of_list !edges) in
-  let cut = Coign_flowgraph.Mincut.min_cut ~algorithm g ~s:client ~t:server in
+  let cut = Coign_flowgraph.Mincut.augmenting_path_min_cut g ~s:client ~t:server in
   let server_side = Array.make (n + 2) false in
   let rec walk v =
     if not server_side.(v) then begin
@@ -331,8 +322,24 @@ let reference_solve ~algorithm ~classifier ~constraints graph pricing =
       Icc_graph.predicted_us graph pricing ~separated:(fun a b -> location a <> location b);
     server_count = Array.fold_left (fun k l -> if l = Constraints.Server then k + 1 else k) 0 placement;
     node_count = n;
-    algorithm;
   }
+
+(* Each min-cut algorithm the project carries — the push-relabel
+   solver behind both [Analysis.choose] and the session, and the
+   augmenting-path reference cutting the uncontracted graph — gives the
+   same distribution on the sample profile. *)
+let test_session_algorithms () =
+  let classifier, icc, constraints = sample_profile () in
+  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  let fresh = Analysis.choose ~classifier ~icc ~constraints ~net:exact_net () in
+  let solved = Analysis.Session.solve session ~net:exact_net in
+  check_same "push-relabel" fresh solved;
+  let graph = Analysis.Session.graph session in
+  let pricing = Icc_graph.make_pricing graph in
+  Icc_graph.price_into graph ~cost:(Icc_graph.cost_table graph exact_net) pricing;
+  check_same "augmenting-path"
+    (reference_solve ~classifier ~constraints graph pricing)
+    solved
 
 (* [gen_instance] plus non-remotable chains (start, length; start -1
    runs from the main program), so pins regularly fall into one
@@ -425,12 +432,9 @@ let prop_session_equals_uncontracted =
           let unscaled = Icc_graph.make_pricing graph and scaled = Icc_graph.make_pricing graph in
           Icc_graph.price_into graph ~cost unscaled;
           Icc_graph.price_scaled_into graph ~cost ~zero_us ~scale scaled;
-          List.for_all
-            (fun algorithm ->
-              let reference = reference_solve ~algorithm ~classifier ~constraints graph in
-              same (reference unscaled) (Analysis.Session.solve ~algorithm session ~net)
-              && same (reference scaled) (Analysis.Session.solve ~algorithm ~scale copy ~net))
-            Coign_flowgraph.Mincut.all_algorithms)
+          let reference = reference_solve ~classifier ~constraints graph in
+          same (reference unscaled) (Analysis.Session.solve session ~net)
+          && same (reference scaled) (Analysis.Session.solve ~scale copy ~net))
         (nets @ List.rev nets))
 
 (* The stored-text decoder: on any summary's encoding it builds the

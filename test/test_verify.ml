@@ -434,7 +434,6 @@ let vdist placement =
     server_count =
       Array.fold_left (fun a l -> if l = Constraints.Server then a + 1 else a) 0 placement;
     node_count = Array.length placement;
-    algorithm = Coign_flowgraph.Mincut.Dinic;
   }
 
 let lying_vfy_ladder () =
