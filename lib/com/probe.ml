@@ -27,10 +27,9 @@ let run reg =
   in
   Runtime.set_create_hook ctx
     (Some
-       (fun (req : Runtime.create_request) ->
-         record req.req_class.Runtime.cname;
-         with_frame req.req_class.Runtime.cname (fun () ->
-             Runtime.raw_create_instance ctx req.req_clsid ~iid:req.req_iid)));
+       (fun (cls : Runtime.component_class) ~iid ->
+         record cls.Runtime.cname;
+         with_frame cls.Runtime.cname (fun () -> Runtime.raw_create_instance ctx cls ~iid)));
   List.map
     (fun (cls : Runtime.component_class) ->
       let provides =

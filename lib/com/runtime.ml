@@ -1,4 +1,5 @@
 open Coign_idl
+module Clsid_table = Hashtbl.Make (Guid)
 
 type instance_id = int
 type handle = int
@@ -9,9 +10,10 @@ type ctx = {
   mutable ninstances : int;
   mutable handles : handle_entry array;     (* index = handle *)
   mutable nhandles : int;
-  mutable create_hook : (create_request -> handle) option;
+  mutable create_hook : (component_class -> iid:Guid.t -> handle) option;
   mutable query_hook : (handle -> iid:Guid.t -> handle) option;
   mutable destroy_hook : (instance_id -> unit) option;
+  mutable wrapper_hook : (handle -> meth:int -> Value.t list -> Value.t list * Value.t) option;
   mutable compute : float;
   data : (int, Obj.t) Hashtbl.t;
 }
@@ -28,7 +30,7 @@ and component_class = {
   constructor : ctx -> instance_id -> impl;
 }
 
-and registry = { classes : component_class list; by_clsid : (Guid.t, component_class) Hashtbl.t }
+and registry = { classes : component_class list; by_clsid : component_class Clsid_table.t }
 
 and instance = {
   inst_id : instance_id;
@@ -38,31 +40,36 @@ and instance = {
   mutable inst_alive : bool;
 }
 
+(* A wrapper's entry copies its target's owner, interface and
+   dispatch, and names the target: with no wrapper hook installed, a
+   call through it runs the target's method as a plain call would. *)
 and handle_entry = {
   h_owner : instance_id;
   h_itype : Itype.t;
   h_dispatch : dispatch;
-  h_wrapper : bool;
+  h_target : handle;  (* the handle a wrapper forwards to; -1 for a plain one *)
 }
-
-and create_request = { req_clsid : Guid.t; req_iid : Guid.t; req_class : component_class }
 
 let define_class ?(api_refs = []) ?(creates = []) cname constructor =
   { clsid = Guid.of_name ("CLSID_" ^ cname); cname; api_refs; creates; constructor }
 
 let registry classes =
-  let by_clsid = Hashtbl.create 64 in
+  let by_clsid = Clsid_table.create 64 in
   List.iter
     (fun c ->
-      if Hashtbl.mem by_clsid c.clsid then
+      if Clsid_table.mem by_clsid c.clsid then
         invalid_arg ("Runtime.registry: duplicate class " ^ c.cname);
-      Hashtbl.add by_clsid c.clsid c)
+      Clsid_table.add by_clsid c.clsid c)
     classes;
   { classes; by_clsid }
 
 let registry_classes r = r.classes
 
-let find_class r clsid = Hashtbl.find_opt r.by_clsid clsid
+(* The one registry lookup of an instantiation. *)
+let find_class ctx clsid =
+  match Clsid_table.find ctx.reg.by_clsid clsid with
+  | cls -> cls
+  | exception Not_found -> Hresult.fail (Hresult.E_noclass (Guid.to_string clsid))
 
 let main_instance = 0
 let main_class_name = "MAIN"
@@ -74,7 +81,7 @@ let dummy_handle_entry =
     h_owner = -1;
     h_itype = dummy_itype;
     h_dispatch = (fun _ ~meth:_ _ -> (([] : Value.t list), Value.Unit));
-    h_wrapper = false;
+    h_target = -1;
   }
 
 let dummy_instance =
@@ -91,6 +98,7 @@ let create_ctx reg =
       create_hook = None;
       query_hook = None;
       destroy_hook = None;
+      wrapper_hook = None;
       compute = 0.;
       data = Hashtbl.create 8;
     }
@@ -132,48 +140,51 @@ let alloc_handle_entry ctx entry =
   ctx.nhandles <- h + 1;
   h
 
-let alloc_foreign_handle ctx ~owner ~itype ~wrapper dispatch =
-  ignore (get_instance ctx owner);
-  alloc_handle_entry ctx
-    { h_owner = owner; h_itype = itype; h_dispatch = dispatch; h_wrapper = wrapper }
+let alloc_wrapper ctx h =
+  let target = get_handle ctx h in
+  alloc_handle_entry ctx { target with h_target = h }
+
+(* Top-level searches, so a lookup builds no closure and no option:
+   [find_handle] answers -1 when [inst] has no handle for [iid] yet. *)
+let rec find_handle iid = function
+  | [] -> -1
+  | (i, h) :: rest -> if Guid.equal i iid then h else find_handle iid rest
+
+let rec find_impl inst iid = function
+  | [] ->
+      Hresult.fail
+        (Hresult.E_nointerface
+           (Printf.sprintf "instance %d does not implement %s" inst.inst_id (Guid.to_string iid)))
+  | ((itype, _) as impl) :: rest ->
+      if Guid.equal (Itype.iid itype) iid then impl else find_impl inst iid rest
 
 (* The canonical handle of [inst] for interface [iid]: allocated lazily,
    then reused, matching COM's per-interface identity. *)
 let canonical_handle ctx inst iid =
-  match List.assoc_opt iid inst.inst_handles with
-  | Some h -> h
-  | None -> (
-      match
-        List.find_opt (fun (it, _) -> Guid.equal (Itype.iid it) iid) inst.inst_impl
-      with
-      | None ->
-          Hresult.fail
-            (Hresult.E_nointerface
-               (Printf.sprintf "instance %d does not implement %s" inst.inst_id
-                  (Guid.to_string iid)))
-      | Some (itype, dispatch) ->
-          let h =
-            alloc_handle_entry ctx
-              { h_owner = inst.inst_id; h_itype = itype; h_dispatch = dispatch; h_wrapper = false }
-          in
-          inst.inst_handles <- (iid, h) :: inst.inst_handles;
-          h)
+  let h = find_handle iid inst.inst_handles in
+  if h >= 0 then h
+  else begin
+    let itype, dispatch = find_impl inst iid inst.inst_impl in
+    let h =
+      alloc_handle_entry ctx
+        { h_owner = inst.inst_id; h_itype = itype; h_dispatch = dispatch; h_target = -1 }
+    in
+    inst.inst_handles <- (iid, h) :: inst.inst_handles;
+    h
+  end
 
-let raw_create_instance ctx clsid ~iid =
-  match find_class ctx.reg clsid with
-  | None -> Hresult.fail (Hresult.E_noclass (Guid.to_string clsid))
-  | Some cls ->
-      grow_instances ctx;
-      let id = ctx.ninstances in
-      let inst =
-        { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = []; inst_alive = true }
-      in
-      ctx.instances.(id) <- inst;
-      ctx.ninstances <- id + 1;
-      (* Constructor may itself create components; it runs with the
-         instance already visible so self-references work. *)
-      inst.inst_impl <- cls.constructor ctx id;
-      canonical_handle ctx inst iid
+let raw_create_instance ctx cls ~iid =
+  grow_instances ctx;
+  let id = ctx.ninstances in
+  let inst =
+    { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = []; inst_alive = true }
+  in
+  ctx.instances.(id) <- inst;
+  ctx.ninstances <- id + 1;
+  (* Constructor may itself create components; it runs with the
+     instance already visible so self-references work. *)
+  inst.inst_impl <- cls.constructor ctx id;
+  canonical_handle ctx inst iid
 
 (* Instantiation without registry lookup or handle allocation: the
    static prober (see {!Probe}) uses this to run a constructor it has
@@ -190,12 +201,10 @@ let raw_instantiate ctx cls =
   id
 
 let create_instance ctx clsid ~iid =
+  let cls = find_class ctx clsid in
   match ctx.create_hook with
-  | None -> raw_create_instance ctx clsid ~iid
-  | Some hook -> (
-      match find_class ctx.reg clsid with
-      | None -> Hresult.fail (Hresult.E_noclass (Guid.to_string clsid))
-      | Some cls -> hook { req_clsid = clsid; req_iid = iid; req_class = cls })
+  | None -> raw_create_instance ctx cls ~iid
+  | Some hook -> hook cls ~iid
 
 let raw_query_interface ctx h ~iid =
   let entry = get_handle ctx h in
@@ -229,7 +238,9 @@ let call ctx h ~meth args =
     Hresult.fail
       (Hresult.E_invalidarg
          (Printf.sprintf "interface %s has no method %d" (Itype.name entry.h_itype) meth));
-  entry.h_dispatch ctx ~meth args
+  match ctx.wrapper_hook with
+  | Some hook when entry.h_target >= 0 -> hook h ~meth args
+  | _ -> entry.h_dispatch ctx ~meth args
 
 let call_named ctx h mname args =
   let entry = get_handle ctx h in
@@ -242,7 +253,11 @@ let call_named ctx h mname args =
 
 let handle_itype ctx h = (get_handle ctx h).h_itype
 let handle_owner ctx h = (get_handle ctx h).h_owner
-let handle_is_wrapper ctx h = (get_handle ctx h).h_wrapper
+let handle_is_wrapper ctx h = (get_handle ctx h).h_target >= 0
+
+let wrapped_handle ctx h =
+  let target = (get_handle ctx h).h_target in
+  if target >= 0 then target else h
 
 let instance_class_name ctx id =
   match (get_instance ctx id).inst_class with
@@ -265,6 +280,7 @@ let live_instances ctx =
 let set_create_hook ctx hook = ctx.create_hook <- hook
 let set_query_hook ctx hook = ctx.query_hook <- hook
 let set_destroy_hook ctx hook = ctx.destroy_hook <- hook
+let set_wrapper_hook ctx hook = ctx.wrapper_hook <- hook
 
 let charge ctx ~us =
   assert (us >= 0.);

@@ -11,7 +11,8 @@
       [CoCreateInstance]);
     - every first-class communication crosses an interface handle, and
       handles can be transparently replaced by wrappers
-      ({!alloc_foreign_handle}) so the RTE can observe every call;
+      ({!alloc_wrapper}), whose calls go to one hook
+      ({!set_wrapper_hook}), so the RTE can observe every call;
     - interfaces carry static type identity ({!Itype}), so informers
       can measure parameters without source code.
 
@@ -82,13 +83,15 @@ val main_class_name : string
 (** {1 Instantiation and interface negotiation} *)
 
 val create_instance : ctx -> Guid.t -> iid:Guid.t -> handle
-(** The application-facing [CoCreateInstance]: consults the create hook
-    if one is installed, otherwise behaves as {!raw_create_instance}.
+(** The application-facing [CoCreateInstance]: resolves the CLSID in
+    the registry once, then hands the class to the create hook if one
+    is installed, otherwise behaves as {!raw_create_instance}.
     Raises [Com_error E_noclass] / [E_nointerface]. *)
 
-val raw_create_instance : ctx -> Guid.t -> iid:Guid.t -> handle
-(** Instantiate bypassing the hook (what the hook itself calls to
-    perform the real local instantiation). Runs the class constructor. *)
+val raw_create_instance : ctx -> component_class -> iid:Guid.t -> handle
+(** Instantiate a resolved class bypassing the hook (what the hook
+    itself calls to perform the real local instantiation). Runs the
+    class constructor. *)
 
 val raw_instantiate : ctx -> component_class -> instance_id
 (** Run [cls]'s constructor on a fresh instance and return its id
@@ -125,11 +128,15 @@ val handle_itype : ctx -> handle -> Itype.t
 val handle_owner : ctx -> handle -> instance_id
 val handle_is_wrapper : ctx -> handle -> bool
 
-val alloc_foreign_handle :
-  ctx -> owner:instance_id -> itype:Itype.t -> wrapper:bool -> dispatch -> handle
-(** Mint a new handle not produced by [query_interface] — the RTE uses
-    this to interpose instrumented interfaces and the factory to expose
-    remote proxies. *)
+val alloc_wrapper : ctx -> handle -> handle
+(** [alloc_wrapper ctx h] mints a wrapper for [h]: a new handle with
+    [h]'s owner and interface. A call through it goes to the wrapper
+    hook ({!set_wrapper_hook}) when one is installed, and otherwise runs
+    [h]'s method as a call through [h] would. The RTE interposes its
+    instrumented interfaces this way, with no closure per wrapper. *)
+
+val wrapped_handle : ctx -> handle -> handle
+(** The handle a wrapper forwards to; a plain handle is its own. *)
 
 val instance_itypes : ctx -> instance_id -> Itype.t list
 (** The interfaces an instance implements, in declaration order. *)
@@ -145,15 +152,21 @@ val live_instances : ctx -> instance_id list
 
 (** {1 Interception hooks} *)
 
-type create_request = {
-  req_clsid : Guid.t;
-  req_iid : Guid.t;
-  req_class : component_class;
-}
+val set_create_hook : ctx -> (component_class -> iid:Guid.t -> handle) option -> unit
+(** The hook gets the class {!create_instance} resolved and the
+    requested IID. *)
 
-val set_create_hook : ctx -> (create_request -> handle) option -> unit
 val set_query_hook : ctx -> (handle -> iid:Guid.t -> handle) option -> unit
 val set_destroy_hook : ctx -> (instance_id -> unit) option -> unit
+
+val set_wrapper_hook :
+  ctx ->
+  (handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t list * Coign_idl.Value.t)
+  option ->
+  unit
+(** Every call through a wrapper ({!alloc_wrapper}) goes to the hook,
+    given the wrapper handle, once {!call} has checked the handle, the
+    instance and the method index. *)
 
 (** {1 Compute accounting}
 

@@ -281,10 +281,11 @@ let decode s =
    depth limit, the frame's classification, its class and method, and
    whether the next older frame belongs to the same instance (the
    entry-point collapse). The context key packs exactly those fields as
-   ints — the call site (class, interface, method) interned to one id —
-   so equal keys mean equal descriptors for every kind but Incremental,
-   whose descriptor is the instantiation ordinal. The key is built in a
-   scratch array and probed in place: a hit allocates nothing. *)
+   ints — the shadow stack already carries the call site (class,
+   interface, method) as one id — so equal keys mean equal descriptors
+   for every kind but Incremental, whose descriptor is the
+   instantiation ordinal. The key is built in a scratch array and
+   probed in place: a hit allocates nothing. *)
 
 type entry = Nil | Entry of { key : int array; hash : int; id : int; next : entry }
 
@@ -292,6 +293,7 @@ type memo = {
   m_classifier : t;
   m_classes : (string, int) Hashtbl.t;
   m_sites : (string * string * string, int) Hashtbl.t;
+  mutable m_site_names : (string * string * string) array;  (* site id -> its triple *)
   mutable m_buckets : entry array;
   mutable m_size : int;
   mutable m_key : int array; (* scratch: the key being probed *)
@@ -302,6 +304,7 @@ let memo t =
     m_classifier = t;
     m_classes = Hashtbl.create 64;
     m_sites = Hashtbl.create 256;
+    m_site_names = Array.make 256 ("", "", "");
     m_buckets = Array.make 256 Nil;
     m_size = 0;
     m_key = Array.make 32 0;
@@ -315,13 +318,23 @@ let intern table k =
       Hashtbl.add table k id;
       id
 
-let site m ~cls ~iface ~meth = intern m.m_sites (cls, iface, meth)
+let site m ~cls ~iface ~meth =
+  let k = (cls, iface, meth) in
+  let id = intern m.m_sites k in
+  let n = Array.length m.m_site_names in
+  if id = n then begin
+    let bigger = Array.make (2 * n) k in
+    Array.blit m.m_site_names 0 bigger 0 n;
+    m.m_site_names <- bigger
+  end;
+  m.m_site_names.(id) <- k;
+  id
 
 (* Frames of the stack the kind's descriptor can read. *)
 let key_frames t stack =
   let n = Shadow_stack.depth stack in
-  let n = match t.depth with None -> n | Some d -> min d n in
-  match t.ckind with St -> 0 | Ib -> min 1 n | Incremental | Pcb | Stcb | Ifcb | Epcb -> n
+  let n = match t.depth with None -> n | Some d -> Int.min d n in
+  match t.ckind with St -> 0 | Ib -> Int.min 1 n | Incremental | Pcb | Stcb | Ifcb | Epcb -> n
 
 (* Fill the scratch key; returns its length. *)
 let context_key m ~cname stack =
@@ -331,16 +344,21 @@ let context_key m ~cname stack =
   let key = m.m_key in
   key.(0) <- intern m.m_classes cname;
   for i = 0 to n - 1 do
-    let f = Shadow_stack.nth stack i in
-    let site =
-      if f.Frame.f_site >= 0 then f.Frame.f_site
-      else site m ~cls:f.Frame.f_class ~iface:f.Frame.f_iface ~meth:f.Frame.f_meth
-    in
-    let same = i + 1 < n && (Shadow_stack.nth stack (i + 1)).Frame.f_inst = f.Frame.f_inst in
-    key.(1 + (2 * i)) <- f.Frame.f_classification;
-    key.(2 + (2 * i)) <- (site lsl 1) lor Bool.to_int same
+    let same = i + 1 < n && Shadow_stack.inst stack (i + 1) = Shadow_stack.inst stack i in
+    key.(1 + (2 * i)) <- Shadow_stack.classification stack i;
+    key.(2 + (2 * i)) <- (Shadow_stack.site stack i lsl 1) lor Bool.to_int same
   done;
   len
+
+(* The frames a descriptor reads, most recent first, spelled out from
+   the stack's site ids: what [classify] takes. *)
+let frames m stack =
+  let n = Shadow_stack.depth stack in
+  let n = match m.m_classifier.depth with None -> n | Some d -> Int.min d n in
+  List.init n (fun i ->
+      let cls, iface, meth = m.m_site_names.(Shadow_stack.site stack i) in
+      Frame.make ~inst:(Shadow_stack.inst stack i) ~cls
+        ~classification:(Shadow_stack.classification stack i) ~iface ~meth)
 
 let hash_key key len =
   let h = ref len in
@@ -380,7 +398,9 @@ let remember m key len h id =
 let classify_memo m ~cname stack =
   let t = m.m_classifier in
   match t.ckind with
-  | Incremental -> classify t ~cname ~stack:(Shadow_stack.walk ?limit:t.depth stack)
+  | Incremental ->
+      (* The descriptor is the ordinal: it reads no frame. *)
+      classify t ~cname ~stack:[]
   | Pcb | St | Stcb | Ifcb | Epcb | Ib ->
       let len = context_key m ~cname stack in
       let h = hash_key m.m_key len in
@@ -391,7 +411,7 @@ let classify_memo m ~cname stack =
         id
       end
       else begin
-        let id = classify t ~cname ~stack:(Shadow_stack.walk ?limit:t.depth stack) in
+        let id = classify t ~cname ~stack:(frames m stack) in
         remember m m.m_key len h id;
         id
       end

@@ -51,8 +51,7 @@ val stack_depth : t -> int option
 
 val descriptor : t -> cname:string -> stack:Frame.t list -> string
 (** The descriptor an instantiation would receive, without recording
-    it. [stack] is most-recent-first (as {!Shadow_stack.walk}
-    returns). Pure except for [Incremental], whose descriptor includes
+    it. [stack] is most-recent-first. Pure except for [Incremental], whose descriptor includes
     the would-be instantiation ordinal. *)
 
 val classify : t -> cname:string -> stack:Frame.t list -> int
@@ -115,8 +114,8 @@ val decode : string -> t
     inside the depth limit, the frame's classification, its call-site
     id and whether the next older frame belongs to the same instance —
     to the classification it got. Those are all the fields any
-    descriptor reads, so a hit is exact; only a miss renders the
-    descriptor. *)
+    descriptor reads, so a hit is exact; only a miss spells the stack
+    out as {!Frame.t}s and renders the descriptor. *)
 
 type memo
 
@@ -126,10 +125,11 @@ val memo : t -> memo
 
 val site : memo -> cls:string -> iface:string -> meth:string -> int
 (** The memo's call-site id for a (class, interface, method) triple,
-    interned on first use — what {!Frame.make_site} expects. *)
+    interned on first use — what a {!Shadow_stack} frame carries. *)
 
 val classify_memo : memo -> cname:string -> Shadow_stack.t -> int
-(** Exactly [classify t ~cname ~stack:(Shadow_stack.walk stack)] — the
-    same id, descriptor table, [counts] and ordinal — through the memo.
-    [Incremental], whose descriptor is the ordinal, always takes the
-    descriptor path. *)
+(** Exactly [classify t ~cname ~stack] on the stack's frames spelled
+    out most recent first — the same id, descriptor table, [counts] and
+    ordinal — through the memo. Every site on the stack must come from
+    {!site} on this memo. [Incremental], whose descriptor is the
+    ordinal, always takes the descriptor path, with no frames. *)

@@ -4,18 +4,7 @@ type t = {
   f_classification : int;
   f_iface : string;
   f_meth : string;
-  f_site : int;
 }
 
-let make_site ~site ~inst ~cls ~classification ~iface ~meth =
-  {
-    f_inst = inst;
-    f_class = cls;
-    f_classification = classification;
-    f_iface = iface;
-    f_meth = meth;
-    f_site = site;
-  }
-
-let make = make_site ~site:(-1)
-
+let make ~inst ~cls ~classification ~iface ~meth =
+  { f_inst = inst; f_class = cls; f_classification = classification; f_iface = iface; f_meth = meth }

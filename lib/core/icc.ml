@@ -45,10 +45,13 @@ let intern t name =
       Hashtbl.add t.ifaces name i;
       i
 
+let no_iface = { if_id = -1; if_name = "" }
+
 let in_range c = c >= -1 && c < field_limit - 1
 
 let key ~src ~dst iface =
   if not (in_range src && in_range dst) then invalid_arg "Icc: classification id out of range";
+  if iface.if_id < 0 then invalid_arg "Icc: no_iface recorded";
   ((src + 1) lsl 40) lor ((dst + 1) lsl 20) lor iface.if_id
 
 let cell_of t ~src ~dst iface =

@@ -34,6 +34,10 @@ type iface
 
 val intern : t -> string -> iface
 
+val no_iface : iface
+(** A placeholder no summary interns, for a wrapper that records into
+    none; recording with it raises [Invalid_argument]. *)
+
 val record_interned :
   t -> src:int -> dst:int -> iface -> remotable:bool -> request:int -> reply:int -> unit
 (** {!record} for an interface interned in the same summary. *)

@@ -10,16 +10,19 @@ let no_cell = { lo = 0; hi = 0; count = 0; bytes = 0 }
 
 let create () = { cells = Int_table.create ~absent:no_cell 256; messages = 0; total = 0 }
 
+(* [Int.min]/[Int.max], not the polymorphic ones: without flambda
+   each of those is a C call. *)
 let key a b =
-  if min a b < 0 || max a b >= 1 lsl 31 then invalid_arg "Inst_comm: instance id out of range";
-  (min a b lsl 31) lor max a b
+  let lo = Int.min a b and hi = Int.max a b in
+  if lo < 0 || hi >= 1 lsl 31 then invalid_arg "Inst_comm: instance id out of range";
+  (lo lsl 31) lor hi
 
 let cell_of t a b =
   let k = key a b in
   let c = Int_table.find t.cells k in
   if c != no_cell then c
   else begin
-    let c = { lo = min a b; hi = max a b; count = 0; bytes = 0 } in
+    let c = { lo = Int.min a b; hi = Int.max a b; count = 0; bytes = 0 } in
     Int_table.replace t.cells k c;
     c
   end

@@ -30,20 +30,23 @@ type watch_checkpoint = Watch.checkpoint = {
 }
 
 type distributed = { m_factory : Factory.t; m_route : Route.t; m_watch : Watch.t option }
-type mode = M_profiling | M_distributed of distributed
+
+(* What only profiling records: the run's summaries, and the
+   instantiation request's interface interned in its ICC. *)
+type profiling = { p_icc : Icc.t; p_inst_comm : Inst_comm.t; p_create_iface : Icc.iface }
+
+type mode = M_profiling of profiling | M_distributed of distributed
 
 (* One Coign wrapper: the raw handle it forwards to, what is known
-   about it at mint time, and per method the frame a call through it
-   pushes — rebuilt only when the owner's classification changes (a
-   wrapper minted inside its owner's constructor first sees -1). The
-   frame array is built at the first call: many wrappers never see
-   one. *)
+   about it at mint time, and per method the call site a call through
+   it pushes. Every wrapper of one class's instances on one interface
+   shares one site array. *)
 type wrapper = {
   w_raw : int;
   w_itype : Itype.t;
   w_owner : int;
-  w_iface : Icc.iface;  (* interned in [rte_icc] *)
-  mutable w_frames : Frame.t array;  (* empty until the first call *)
+  w_iface : Icc.iface;  (* interned in the profile's ICC; [Icc.no_iface] when distributed *)
+  w_sites : int array;
 }
 
 type t = {
@@ -52,15 +55,13 @@ type t = {
   rte_classifier : Classifier.t;
   memo : Classifier.memo;  (* context key -> classification, this install only *)
   stack : Shadow_stack.t;
-  rte_icc : Icc.t;
-  rte_inst_comm : Inst_comm.t;
-  create_iface : Icc.iface;  (* "ICoCreateInstance" in [rte_icc] *)
-  (* Dense int-indexed maps, -1 where unset: raw handle -> wrapper
-     handle, wrapper handle -> raw handle. *)
+  (* Raw handle -> wrapper handle (-1 where unset) and wrapper handle
+     -> wrapper ([no_wrapper] where unset), both dense. *)
   mutable raw_to_wrap : int array;
-  mutable wrap_to_raw : int array;
+  mutable wrappers : wrapper array;
+  (* Class name -> per interface type, its methods' call sites. *)
+  sites : (string, (Itype.t * int array) list) Hashtbl.t;
   mode : mode;
-  mutable created : int list;  (* reversed *)
   mutable n_intercepted : int;
   (* Lightweight per-classification-pair message counter, kept even in
      distributed mode (paper SS6: count messages "with only slight
@@ -86,91 +87,95 @@ type distributed_config = {
 let pair_key a b = ((a + 1) lsl 31) lor (b + 1)
 let pair_of_key k = ((k lsr 31) - 1, (k land 0x7FFF_FFFF) - 1)
 
-(* Stands in for the top frame when the main program is running. *)
-let root_frame =
-  Frame.make ~inst:Runtime.main_instance ~cls:Runtime.main_class_name ~classification:(-1)
-    ~iface:"" ~meth:""
+let no_wrapper =
+  { w_raw = -1; w_itype = Itype.declare "" []; w_owner = -1; w_iface = Icc.no_iface; w_sites = [||] }
 
-(* Not yet built: no real classification equals [min_int]. *)
-let unbuilt_frame = Frame.make ~inst:(-1) ~cls:"" ~classification:min_int ~iface:"" ~meth:""
+(* The instance whose method is executing, and its classification:
+   the main program (-1) on an empty stack. *)
+let current_inst t =
+  if Shadow_stack.depth t.stack = 0 then Runtime.main_instance else Shadow_stack.inst t.stack 0
+
+let current_cls t =
+  if Shadow_stack.depth t.stack = 0 then -1 else Shadow_stack.classification t.stack 0
+
+let rec find_sites itype = function
+  | [] -> [||]
+  | (it, sites) :: rest -> if it == itype then sites else find_sites itype rest
+
+(* The call sites of [itype]'s methods on class [cls], interned when
+   the first wrapper of that class on that interface is minted. *)
+let sites_of t ~cls itype =
+  let known = match Hashtbl.find t.sites cls with l -> l | exception Not_found -> [] in
+  let sites = find_sites itype known in
+  if Array.length sites > 0 || Itype.method_count itype = 0 then sites
+  else begin
+    let iface = Itype.name itype in
+    let sites =
+      Array.init (Itype.method_count itype) (fun m ->
+          Classifier.site t.memo ~cls ~iface ~meth:(Itype.method_sig itype m).Idl_type.mname)
+    in
+    Hashtbl.replace t.sites cls ((itype, sites) :: known);
+    sites
+  end
+
+(* Record a wrapper for [raw] under handle [h]. *)
+let register t ~raw h =
+  let itype = Runtime.handle_itype t.ctx raw in
+  let owner = Runtime.handle_owner t.ctx raw in
+  let w =
+    {
+      w_raw = raw;
+      w_itype = itype;
+      w_owner = owner;
+      w_iface =
+        (match t.mode with
+        | M_profiling p -> Icc.intern p.p_icc (Itype.name itype)
+        | M_distributed _ -> Icc.no_iface);
+      w_sites = sites_of t ~cls:(Runtime.instance_class_name t.ctx owner) itype;
+    }
+  in
+  if h >= Array.length t.wrappers then begin
+    let bigger = Array.make (Int.max (h + 1) (2 * Array.length t.wrappers)) no_wrapper in
+    Array.blit t.wrappers 0 bigger 0 (Array.length t.wrappers);
+    t.wrappers <- bigger
+  end;
+  t.wrappers.(h) <- w;
+  w
+
+(* The wrapper behind handle [h]. One minted by an earlier install on
+   this context is adopted: calls through it are this install's. *)
+let wrapper_of t h =
+  let w = if h < Array.length t.wrappers then t.wrappers.(h) else no_wrapper in
+  if w != no_wrapper then w else register t ~raw:(Runtime.wrapped_handle t.ctx h) h
 
 (* Mint (or reuse) the Coign-instrumented wrapper for a raw handle. *)
-let rec wrap t raw_h =
+let wrap t raw_h =
   if Runtime.handle_is_wrapper t.ctx raw_h then raw_h
   else
     let known = Rte_env.slot t.raw_to_wrap raw_h in
     if known >= 0 then known
     else begin
-      let itype = Runtime.handle_itype t.ctx raw_h in
-      let owner = Runtime.handle_owner t.ctx raw_h in
-      let w =
-        {
-          w_raw = raw_h;
-          w_itype = itype;
-          w_owner = owner;
-          w_iface = Icc.intern t.rte_icc (Itype.name itype);
-          w_frames = [||];
-        }
-      in
-      let h =
-        Runtime.alloc_foreign_handle t.ctx ~owner ~itype ~wrapper:true (fun _ctx ~meth args ->
-            intercept t w ~meth args)
-      in
+      let h = Runtime.alloc_wrapper t.ctx raw_h in
+      let w = register t ~raw:raw_h h in
       t.raw_to_wrap <- Rte_env.store t.raw_to_wrap raw_h h;
-      t.wrap_to_raw <- Rte_env.store t.wrap_to_raw h raw_h;
       if t.env.observed then
         t.env.logger
-          (Event.Interface_instantiated { owner; iface = Itype.name itype; handle = h });
+          (Event.Interface_instantiated
+             { owner = w.w_owner; iface = Itype.name w.w_itype; handle = h });
       h
     end
 
-and intercept t w ~meth args =
-  match t.env.tracer with
-  | None -> intercept_run t w ~meth args
-  | Some tr ->
-      let caller = (Shadow_stack.top_or t.stack root_frame).Frame.f_inst in
-      let msig = Itype.method_sig w.w_itype meth in
-      Trace.with_span tr
-        ~name:(Itype.name w.w_itype ^ "." ^ msig.Idl_type.mname)
-        ~cat:"call" ~clock:(fun () -> Rte_env.now t.env)
-        ~args:(fun _ -> [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int w.w_owner) ])
-        (fun () -> intercept_run t w ~meth args)
-
-(* The frame a call through [w] pushes: cached per method, rebuilt when
-   the owner's classification is not the one it was built with. *)
-and frame_for t w ~meth classification =
-  if Array.length w.w_frames = 0 then
-    w.w_frames <- Array.make (Itype.method_count w.w_itype) unbuilt_frame;
-  let f = w.w_frames.(meth) in
-  if f.Frame.f_classification = classification then f
-  else begin
-    let cls = Runtime.instance_class_name t.ctx w.w_owner in
-    let iface = Itype.name w.w_itype in
-    let mname = (Itype.method_sig w.w_itype meth).Idl_type.mname in
-    let site =
-      if f == unbuilt_frame then Classifier.site t.memo ~cls ~iface ~meth:mname
-      else f.Frame.f_site
-    in
-    let f =
-      Frame.make_site ~site ~inst:w.w_owner ~cls ~classification ~iface ~meth:mname
-    in
-    w.w_frames.(meth) <- f;
-    f
-  end
-
 (* The per-call path. The caller and its classification come off the
-   top frame (the root frame for the main program): a frame's
+   top frame (the main program on an empty stack): a frame's
    classification is the one its instance had when the frame was
    pushed, and an instance's frames have all popped by the time its
    creation assigns it one. *)
-and intercept_run t w ~meth args =
+let intercept_run t w ~meth args =
   let env = t.env in
-  let top = Shadow_stack.top_or t.stack root_frame in
-  let caller = top.Frame.f_inst and caller_cls = top.Frame.f_classification in
+  let caller = current_inst t and caller_cls = current_cls t in
   let callee = w.w_owner in
   let callee_cls = Rte_env.classification_of env callee in
-  let frame = frame_for t w ~meth callee_cls in
-  Shadow_stack.push t.stack frame;
+  Shadow_stack.push t.stack ~inst:callee ~classification:callee_cls ~site:w.w_sites.(meth);
   let result =
     match Runtime.call t.ctx w.w_raw ~meth args with
     | result ->
@@ -185,7 +190,7 @@ and intercept_run t w ~meth args =
   t.n_intercepted <- t.n_intercepted + 1;
   Int_table.add_to t.pair_counts (pair_key caller_cls callee_cls) 1;
   (match t.mode with
-  | M_profiling ->
+  | M_profiling p ->
       let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
       let request = Informer.request_bytes sizes and reply = Informer.reply_bytes sizes in
       let remotable = Informer.remotable sizes in
@@ -194,9 +199,9 @@ and intercept_run t w ~meth args =
       | Some (request_bytes, reply_bytes) ->
           Metrics.observe request_bytes request;
           Metrics.observe reply_bytes reply);
-      Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls w.w_iface
-        ~remotable ~request ~reply;
-      Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply;
+      Icc.record_interned p.p_icc ~src:caller_cls ~dst:callee_cls w.w_iface ~remotable
+        ~request ~reply;
+      Inst_comm.record_call p.p_inst_comm ~caller ~callee ~request ~reply;
       if env.observed then
         env.logger
           (Event.Interface_call
@@ -205,8 +210,8 @@ and intercept_run t w ~meth args =
                caller_classification = caller_cls;
                callee;
                callee_classification = callee_cls;
-               iface = frame.Frame.f_iface;
-               meth = frame.Frame.f_meth;
+               iface = Itype.name itype;
+               meth = (Itype.method_sig itype meth).Idl_type.mname;
                remotable;
                request_bytes = request;
                reply_bytes = reply;
@@ -231,23 +236,37 @@ and intercept_run t w ~meth args =
         let sizes =
           if sampled then sizes else Informer.measure_call itype ~meth ~ins:args ~outs ~ret
         in
+        let iface = Itype.name itype and mname = (Itype.method_sig itype meth).Idl_type.mname in
         if not (Informer.remotable sizes) then
           Hresult.fail
             (Hresult.E_cannot_marshal
-               (Printf.sprintf "cross-machine call on non-remotable %s.%s" frame.Frame.f_iface
-                  frame.Frame.f_meth));
+               (Printf.sprintf "cross-machine call on non-remotable %s.%s" iface mname));
         Route.call m.m_route ~caller ~callee ~caller_cls ~callee_cls
-          ~request:(Informer.request_bytes sizes) ~reply:(Informer.reply_bytes sizes)
-          ~iface:frame.Frame.f_iface ~mname:frame.Frame.f_meth
+          ~request:(Informer.request_bytes sizes) ~reply:(Informer.reply_bytes sizes) ~iface
+          ~mname
       end);
   (* Keep every escaping interface pointer wrapped: the distribution
      informer "examines parameters only enough to identify interface
      pointers", and most methods skip the walk entirely. *)
   Informer.map_handles itype ~meth wrap t result
 
-let rec on_create t (req : Runtime.create_request) =
+(* The wrapper hook: every call through a wrapper lands here. *)
+let on_call t h ~meth args =
+  let w = wrapper_of t h in
   match t.env.tracer with
-  | None -> on_create_run t req
+  | None -> intercept_run t w ~meth args
+  | Some tr ->
+      let caller = current_inst t in
+      let msig = Itype.method_sig w.w_itype meth in
+      Trace.with_span tr
+        ~name:(Itype.name w.w_itype ^ "." ^ msig.Idl_type.mname)
+        ~cat:"call" ~clock:(fun () -> Rte_env.now t.env)
+        ~args:(fun _ -> [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int w.w_owner) ])
+        (fun () -> intercept_run t w ~meth args)
+
+let rec on_create t (cls : Runtime.component_class) ~iid =
+  match t.env.tracer with
+  | None -> on_create_run t cls ~iid
   | Some tr ->
       let args = function
         | Ok h ->
@@ -258,21 +277,20 @@ let rec on_create t (req : Runtime.create_request) =
             ]
         | Error _ -> []
       in
-      Trace.with_span tr ~name:req.Runtime.req_class.Runtime.cname ~cat:"create"
+      Trace.with_span tr ~name:cls.Runtime.cname ~cat:"create"
         ~clock:(fun () -> Rte_env.now t.env) ~args
-        (fun () -> on_create_run t req)
+        (fun () -> on_create_run t cls ~iid)
 
-and on_create_run t (req : Runtime.create_request) =
+and on_create_run t (cls : Runtime.component_class) ~iid =
   let env = t.env in
-  let cname = req.Runtime.req_class.Runtime.cname in
+  let cname = cls.Runtime.cname in
   let classification = Classifier.classify_memo t.memo ~cname t.stack in
-  let top = Shadow_stack.top_or t.stack root_frame in
-  let creator = top.Frame.f_inst and creator_cls = top.Frame.f_classification in
+  let creator = current_inst t and creator_cls = current_cls t in
   (* The instantiation request as an ICC entry: a fixed-size round trip
      from the creator, priced whether or not it ends up crossing. *)
   let request = Route.create_request_bytes and reply = Route.create_reply_bytes in
   (match t.mode with
-  | M_profiling -> ()
+  | M_profiling _ -> ()
   | M_distributed m ->
       (match m.m_watch with
       | None -> ()
@@ -290,10 +308,9 @@ and on_create_run t (req : Runtime.create_request) =
          allocate; ids are dense so the next instance gets the current
          count. *)
       Factory.record_instance m.m_factory ~inst:(Runtime.instance_count t.ctx) machine);
-  let raw = Runtime.raw_create_instance t.ctx req.Runtime.req_clsid ~iid:req.Runtime.req_iid in
+  let raw = Runtime.raw_create_instance t.ctx cls ~iid in
   let inst = Runtime.handle_owner t.ctx raw in
   env.classifications <- Rte_env.store env.classifications inst classification;
-  t.created <- inst :: t.created;
   if env.observed then
     env.logger (Event.Component_instantiated { inst; cname; classification; creator });
   (* The instantiation request itself is communication: if creator and
@@ -301,10 +318,10 @@ and on_create_run t (req : Runtime.create_request) =
      trip. Record it so the analysis engine prices relocated
      instantiations (and Table 5's model covers them). *)
   (match t.mode with
-  | M_profiling ->
-      Icc.record_interned t.rte_icc ~src:creator_cls ~dst:classification t.create_iface
+  | M_profiling p ->
+      Icc.record_interned p.p_icc ~src:creator_cls ~dst:classification p.p_create_iface
         ~remotable:true ~request ~reply;
-      Inst_comm.record_call t.rte_inst_comm ~caller:creator ~callee:inst ~request ~reply;
+      Inst_comm.record_call p.p_inst_comm ~caller:creator ~callee:inst ~request ~reply;
       if env.observed then
         env.logger
           (Event.Interface_call
@@ -322,15 +339,14 @@ and on_create_run t (req : Runtime.create_request) =
   | M_distributed _ -> ());
   wrap t raw
 
-let on_query t h ~iid =
-  let raw = Rte_env.slot t.wrap_to_raw h in
-  wrap t (Runtime.raw_query_interface t.ctx (if raw >= 0 then raw else h) ~iid)
+(* A wrapper and its raw handle share an owner, so either can be
+   queried directly. *)
+let on_query t h ~iid = wrap t (Runtime.raw_query_interface t.ctx h ~iid)
 
 let on_destroy t inst =
   if t.env.observed then t.env.logger (Event.Component_destroyed { inst })
 
 let install ~env ~classifier ~mode ctx =
-  let rte_icc = Icc.create () in
   let t =
     {
       ctx;
@@ -338,13 +354,10 @@ let install ~env ~classifier ~mode ctx =
       rte_classifier = classifier;
       memo = Classifier.memo classifier;
       stack = Shadow_stack.create ();
-      rte_icc;
-      rte_inst_comm = Inst_comm.create ();
-      create_iface = Icc.intern rte_icc "ICoCreateInstance";
       raw_to_wrap = Array.make 256 (-1);
-      wrap_to_raw = Array.make 256 (-1);
+      wrappers = Array.make 256 no_wrapper;
+      sites = Hashtbl.create 64;
       mode;
-      created = [];
       n_intercepted = 0;
       pair_counts = Int_table.create ~absent:0 256;
     }
@@ -352,10 +365,20 @@ let install ~env ~classifier ~mode ctx =
   Runtime.set_create_hook ctx (Some (on_create t));
   Runtime.set_query_hook ctx (Some (on_query t));
   Runtime.set_destroy_hook ctx (Some (on_destroy t));
+  Runtime.set_wrapper_hook ctx (Some (on_call t));
   t
 
 let install_profiling ?logger ?tracer ?metrics ~classifier ctx =
-  install ~env:(Rte_env.create ?logger ?tracer ?metrics ctx) ~classifier ~mode:M_profiling ctx
+  let icc = Icc.create () in
+  let mode =
+    M_profiling
+      {
+        p_icc = icc;
+        p_inst_comm = Inst_comm.create ();
+        p_create_iface = Icc.intern icc "ICoCreateInstance";
+      }
+  in
+  install ~env:(Rte_env.create ?logger ?tracer ?metrics ctx) ~classifier ~mode ctx
 
 let install_distributed ?logger ?tracer ?metrics ~classifier ~config ctx =
   (* Each of these layers drives the factory policy; arbitrating
@@ -393,28 +416,37 @@ let install_distributed ?logger ?tracer ?metrics ~classifier ~config ctx =
     ~mode:(M_distributed { m_factory = factory; m_route = route; m_watch = watch_state })
     ctx
 
-(* Publishing clears the registry, so a second uninstall adds nothing. *)
+(* Publishing clears the registry, so a second uninstall adds nothing.
+   A wrapper outlives the install: with the hooks gone, a call through
+   it runs the raw method, uninterrupted. *)
 let uninstall t =
   Runtime.set_create_hook t.ctx None;
   Runtime.set_query_hook t.ctx None;
   Runtime.set_destroy_hook t.ctx None;
+  Runtime.set_wrapper_hook t.ctx None;
   match t.env.metrics with
   | None -> ()
   | Some reg ->
       t.env.metrics <- None;
       Rte_env.publish t.env reg ~intercepted:t.n_intercepted
-        ~instantiations:(List.length t.created);
+        ~instantiations:(Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0
+                           t.env.classifications);
       (match t.mode with
-      | M_profiling -> ()
+      | M_profiling _ -> ()
       | M_distributed m ->
           Factory.publish m.m_factory reg;
           Route.publish m.m_route reg;
           Option.iter (fun w -> Watch.publish w reg) m.m_watch)
 
-let icc t = t.rte_icc
-let inst_comm t = t.rte_inst_comm
+(* A distributed install builds no summaries: it reports empty ones. *)
+let icc t = match t.mode with M_profiling p -> p.p_icc | M_distributed _ -> Icc.create ()
+
+let inst_comm t =
+  match t.mode with M_profiling p -> p.p_inst_comm | M_distributed _ -> Inst_comm.create ()
+
 let classifier t = t.rte_classifier
 
+(* Every classified instance is one this install created. *)
 let instance_classifications t =
   let cs = t.env.classifications in
   let acc = ref [] in
@@ -423,8 +455,8 @@ let instance_classifications t =
   done;
   !acc
 
-let instances_created t = List.rev t.created
-let factory t = match t.mode with M_profiling -> None | M_distributed m -> Some m.m_factory
+let instances_created t = List.map fst (instance_classifications t)
+let factory t = match t.mode with M_profiling _ -> None | M_distributed m -> Some m.m_factory
 
 let call_counts t =
   Int_table.fold (fun k n acc -> (pair_of_key k, n) :: acc) t.pair_counts [] |> List.sort compare
@@ -433,11 +465,11 @@ let comm_us t = t.env.spent.Fault.comm_us
 let remote_calls t = t.env.n_remote_calls
 let remote_bytes t = t.env.n_remote_bytes
 let intercepted_calls t = t.n_intercepted
-let route_of t = match t.mode with M_profiling -> None | M_distributed m -> Some m.m_route
+let route_of t = match t.mode with M_profiling _ -> None | M_distributed m -> Some m.m_route
 
 let watch_of t =
   match t.mode with
-  | M_profiling | M_distributed { m_watch = None; _ } -> None
+  | M_profiling _ | M_distributed { m_watch = None; _ } -> None
   | M_distributed { m_watch = Some w; _ } -> Some w
 
 let watch_timeline t = match watch_of t with None -> [] | Some w -> Watch.timeline w

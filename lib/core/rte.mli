@@ -255,7 +255,10 @@ val install_distributed :
     deterministic and independent of domain-parallel execution. *)
 
 val uninstall : t -> unit
-(** Remove all hooks; the context reverts to plain local execution. An
+(** Remove all hooks; the context reverts to plain local execution.
+    Wrappers already handed out stay valid: a call through one runs
+    the raw method without interception, and a later install on the
+    same context intercepts it again as its own. An
     install given [metrics] publishes its counters and gauges to the
     registry here, once: totals add to what the registry holds, so
     installs sharing a registry accumulate, and gauges take this run's
@@ -265,6 +268,9 @@ val uninstall : t -> unit
 
 val icc : t -> Icc.t
 val inst_comm : t -> Inst_comm.t
+(** The run's summaries. A distributed install builds none and
+    returns empty ones. *)
+
 val classifier : t -> Classifier.t
 
 val instance_classifications : t -> (int * int) list

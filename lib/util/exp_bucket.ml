@@ -1,13 +1,16 @@
-(* Buckets: [0,31], [32,63], [64,127], ... doubling. 63 slots is enough
-   for any 62-bit size. Stored sparsely-ish in arrays; histograms are
-   tiny so plain arrays are simplest. *)
+(* Buckets: [0,31], [32,63], [64,127], ... doubling; 58 cover any
+   non-negative int. A histogram stores (count, bytes) per bucket,
+   interleaved in one array that reaches only as far as the highest
+   bucket used: most summaries never see a message past bucket 3, so
+   they never pay for the other 54. *)
 
 let base_bits = 5 (* first bucket covers 0 .. 2^5 - 1 *)
 let nbuckets = 58
 
-type t = { counts : int array; bytes : int array }
+(* Bucket [i]'s count at [2i], its bytes at [2i + 1]. *)
+type t = { mutable cells : int array }
 
-let create () = { counts = Array.make nbuckets 0; bytes = Array.make nbuckets 0 }
+let create () = { cells = [||] }
 
 (* Top-level, so indexing a size allocates no closure. *)
 let rec find_bucket bytes i lo =
@@ -23,44 +26,69 @@ let bucket_bounds i =
     let lo = 1 lsl (base_bits + i - 1) in
     (lo, (2 * lo) - 1)
 
-let add t ~bytes =
-  let i = bucket_index bytes in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.bytes.(i) <- t.bytes.(i) + bytes
+let used t = Array.length t.cells / 2
+let count t i = if i < used t then t.cells.(2 * i) else 0
+let bytes t i = if i < used t then t.cells.((2 * i) + 1) else 0
+
+(* Make room for bucket [i]. *)
+let reach t i =
+  let n = Array.length t.cells in
+  if 2 * i >= n then begin
+    let cells = Array.make (2 * (i + 1)) 0 in
+    Array.blit t.cells 0 cells 0 n;
+    t.cells <- cells
+  end
 
 let add_many t ~bytes ~count =
   assert (count >= 0);
   if count > 0 then begin
     let i = bucket_index bytes in
-    t.counts.(i) <- t.counts.(i) + count;
-    t.bytes.(i) <- t.bytes.(i) + (count * bytes)
+    reach t i;
+    let c = t.cells in
+    c.(2 * i) <- c.(2 * i) + count;
+    c.((2 * i) + 1) <- c.((2 * i) + 1) + (count * bytes)
   end
 
+let add t ~bytes = add_many t ~bytes ~count:1
+
 let merge a b =
-  let r = create () in
-  for i = 0 to nbuckets - 1 do
-    r.counts.(i) <- a.counts.(i) + b.counts.(i);
-    r.bytes.(i) <- a.bytes.(i) + b.bytes.(i)
+  let n = Int.max (used a) (used b) in
+  let cells = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
+    cells.(2 * i) <- count a i + count b i;
+    cells.((2 * i) + 1) <- bytes a i + bytes b i
   done;
-  r
+  { cells }
 
-let message_count t = Array.fold_left ( + ) 0 t.counts
+let sum t ~from =
+  let acc = ref 0 in
+  let i = ref from in
+  while !i < Array.length t.cells do
+    acc := !acc + t.cells.(!i);
+    i := !i + 2
+  done;
+  !acc
 
-let total_bytes t = Array.fold_left ( + ) 0 t.bytes
+let message_count t = sum t ~from:0
+let total_bytes t = sum t ~from:1
 
 let fold f t init =
   let acc = ref init in
-  for i = 0 to nbuckets - 1 do
-    if t.counts.(i) > 0 then acc := f ~index:i ~count:t.counts.(i) ~bytes:t.bytes.(i) !acc
+  for i = 0 to used t - 1 do
+    if t.cells.(2 * i) > 0 then acc := f ~index:i ~count:t.cells.(2 * i) ~bytes:t.cells.((2 * i) + 1) !acc
   done;
   !acc
 
 let mean_bytes_in_bucket t i =
-  if t.counts.(i) = 0 then 0. else float_of_int t.bytes.(i) /. float_of_int t.counts.(i)
+  let n = count t i in
+  if n = 0 then 0. else float_of_int (bytes t i) /. float_of_int n
 
 let is_empty t = message_count t = 0
 
-let equal a b = a.counts = b.counts && a.bytes = b.bytes
+let equal a b =
+  let n = Int.max (used a) (used b) in
+  let rec go i = i = n || (count a i = count b i && bytes a i = bytes b i && go (i + 1)) in
+  go 0
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

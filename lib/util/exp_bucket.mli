@@ -8,7 +8,8 @@
     any bucket without re-running the application. *)
 
 type t
-(** A histogram over exponentially growing byte-size ranges. *)
+(** A histogram over exponentially growing byte-size ranges. Its
+    storage reaches only as far as the highest bucket recorded. *)
 
 val create : unit -> t
 (** Empty histogram. *)

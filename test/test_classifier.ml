@@ -177,22 +177,21 @@ let prop_encode_decode_stable =
 (* The interception memo against the descriptor path. A context is a
    class name and a stack; stacks draw instances from a small pool (so
    instances recur), a frame may repeat the instance below it (a
-   same-instance run), classifications include -1, and some frames
-   carry no call-site id. Every context also has a twin whose runs are
-   broken by a different instance of the same class — equal in every
-   field but instance identity, which only the entry-point collapse
-   reads. Instantiations pick from the contexts, so most are memo hits;
-   counting freezes partway. *)
+   same-instance run), and classifications include -1. Every context
+   also has a twin whose runs are broken by a different instance of
+   the same class — equal in every field but instance identity, which
+   only the entry-point collapse reads. Instantiations pick from the
+   contexts, so most are memo hits; counting freezes partway. *)
 let arb_instantiations =
   let frame =
     QCheck.Gen.(
       map
-        (fun ((inst, same), (classification, iface), (meth, sited)) ->
-          (inst, same, classification, iface, meth, sited))
+        (fun ((inst, same), (classification, iface), meth) ->
+          (inst, same, classification, iface, meth))
         (triple
            (pair (int_range 1 4) (frequency [ (2, return true); (3, return false) ]))
            (pair (int_range (-1) 2) (int_range 0 1))
-           (pair (int_range 0 2) bool)))
+           (int_range 0 2)))
   in
   let context = QCheck.Gen.(pair (int_range 0 2) (list_size (int_range 0 6) frame)) in
   QCheck.make
@@ -205,10 +204,10 @@ let arb_instantiations =
 (* Frames most-recent-first. A [same] frame repeats the next older
    frame's instance — or, in the twin, enters another instance of its
    class. *)
-let frames_of ?memo ~twin specs =
+let frames_of ~twin specs =
   let rec build = function
     | [] -> []
-    | (inst, same, classification, iface, meth, sited) :: older ->
+    | (inst, same, classification, iface, meth) :: older ->
         let older = build older in
         let inst =
           match older with
@@ -217,16 +216,19 @@ let frames_of ?memo ~twin specs =
         in
         let cls = Printf.sprintf "K%d" (inst mod 3) in
         let iface = Printf.sprintf "I%d" iface and meth = Printf.sprintf "m%d" meth in
-        let frame =
-          match memo with
-          | Some m when sited ->
-              Frame.make_site ~site:(Classifier.site m ~cls ~iface ~meth) ~inst ~cls
-                ~classification ~iface ~meth
-          | _ -> Frame.make ~inst ~cls ~classification ~iface ~meth
-        in
-        frame :: older
+        Frame.make ~inst ~cls ~classification ~iface ~meth :: older
   in
   build specs
+
+(* Load [frames] onto [stack] as the RTE would: three ints a frame, the
+   call site interned by the memo. *)
+let load_stack memo stack frames =
+  Shadow_stack.clear stack;
+  List.iter
+    (fun (f : Frame.t) ->
+      Shadow_stack.push stack ~inst:f.f_inst ~classification:f.f_classification
+        ~site:(Classifier.site memo ~cls:f.f_class ~iface:f.f_iface ~meth:f.f_meth))
+    (List.rev frames)
 
 let prop_memo_agrees =
   QCheck.Test.make ~name:"memoised classification equals the descriptor path" ~count:200
@@ -250,9 +252,9 @@ let prop_memo_agrees =
                 end;
                 let twin, (c, specs) = contexts.(pick mod Array.length contexts) in
                 let cname = Printf.sprintf "D%d" c in
-                Shadow_stack.clear stack;
-                List.iter (Shadow_stack.push stack) (List.rev (frames_of ~memo ~twin specs));
-                let want = Classifier.classify plain ~cname ~stack:(frames_of ~twin specs) in
+                let frames = frames_of ~twin specs in
+                load_stack memo stack frames;
+                let want = Classifier.classify plain ~cname ~stack:frames in
                 want = Classifier.classify_memo memo ~cname stack)
               (List.mapi (fun n pick -> (n, pick)) picks)
           in

@@ -155,9 +155,9 @@ let test_create_hook_interception () =
   let seen = ref [] in
   Runtime.set_create_hook ctx
     (Some
-       (fun req ->
-         seen := req.Runtime.req_class.Runtime.cname :: !seen;
-         Runtime.raw_create_instance ctx req.Runtime.req_clsid ~iid:req.Runtime.req_iid));
+       (fun cls ~iid ->
+         seen := cls.Runtime.cname :: !seen;
+         Runtime.raw_create_instance ctx cls ~iid));
   ignore (Runtime.create_instance ctx c_chain.Runtime.clsid ~iid:(Itype.iid i_chain));
   (* The chain's constructor creates a Calc: both go through the hook. *)
   Alcotest.(check (list string)) "both intercepted" [ "Test.Chain"; "Test.Calc" ]
@@ -170,18 +170,26 @@ let test_foreign_handle_wrapping () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
   let calls = ref 0 in
-  let wrapper =
-    Runtime.alloc_foreign_handle ctx ~owner:(Runtime.handle_owner ctx h)
-      ~itype:(Runtime.handle_itype ctx h) ~wrapper:true
-      (fun ctx ~meth args ->
-        incr calls;
-        Runtime.call ctx h ~meth args)
-  in
+  let wrapper = Runtime.alloc_wrapper ctx h in
+  Runtime.set_wrapper_hook ctx
+    (Some
+       (fun w ~meth args ->
+         incr calls;
+         Runtime.call ctx (Runtime.wrapped_handle ctx w) ~meth args));
   Alcotest.(check bool) "wrapper flagged" true (Runtime.handle_is_wrapper ctx wrapper);
   Alcotest.(check bool) "original not" false (Runtime.handle_is_wrapper ctx h);
   let _, r = Runtime.call_named ctx wrapper "add" [ Value.Int 1; Value.Int 1 ] in
   Alcotest.(check bool) "forwarded" true (r = Value.Int 2);
-  Alcotest.(check int) "intercepted" 1 !calls
+  Alcotest.(check int) "intercepted" 1 !calls;
+  (* Unhooked, the wrapper runs its target's method directly. *)
+  Runtime.set_wrapper_hook ctx None;
+  let _, r = Runtime.call_named ctx wrapper "add" [ Value.Int 2; Value.Int 3 ] in
+  Alcotest.(check bool) "unhooked call runs the target" true (r = Value.Int 5);
+  Alcotest.(check int) "unhooked call not intercepted" 1 !calls;
+  Alcotest.(check int) "wrapper names its target" h (Runtime.wrapped_handle ctx wrapper);
+  Alcotest.(check int) "a plain handle is its own" h (Runtime.wrapped_handle ctx h);
+  Alcotest.(check int) "same owner" (Runtime.handle_owner ctx h)
+    (Runtime.handle_owner ctx wrapper)
 
 let test_compute_accounting () =
   let ctx = make_ctx () in

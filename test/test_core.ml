@@ -7,24 +7,41 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* --- Shadow stack --------------------------------------------------- *)
 
-let frame i meth =
-  Frame.make ~inst:i ~cls:"K" ~classification:i ~iface:"I" ~meth
+let push s i = Shadow_stack.push s ~inst:i ~classification:(10 + i) ~site:(20 + i)
+
+(* Frames from the top down, at most [limit] of them. *)
+let walk ?limit s =
+  let n = Shadow_stack.depth s in
+  List.init (match limit with None -> n | Some k -> min k n) (fun i ->
+      (Shadow_stack.inst s i, Shadow_stack.classification s i, Shadow_stack.site s i))
 
 let test_shadow_stack_order () =
   let s = Shadow_stack.create () in
-  Shadow_stack.push s (frame 1 "a");
-  Shadow_stack.push s (frame 2 "b");
+  push s 1;
+  push s 2;
   Alcotest.(check int) "depth" 2 (Shadow_stack.depth s);
-  let none = frame (-1) "none" in
-  Alcotest.(check int) "top" 2 (Shadow_stack.top_or s none).Frame.f_inst;
-  Alcotest.(check int) "nth" 1 (Shadow_stack.nth s 1).Frame.f_inst;
-  Alcotest.(check (list int)) "walk order" [ 2; 1 ]
-    (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk s));
-  Alcotest.(check (list int)) "limited walk" [ 2 ]
-    (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk ~limit:1 s));
+  Alcotest.(check int) "top" 2 (Shadow_stack.inst s 0);
+  Alcotest.(check int) "nth" 1 (Shadow_stack.inst s 1);
+  Alcotest.(check (list (triple int int int))) "walk order" [ (2, 12, 22); (1, 11, 21) ] (walk s);
+  Alcotest.(check (list (triple int int int))) "limited walk" [ (2, 12, 22) ] (walk ~limit:1 s);
+  Alcotest.check_raises "past the bottom" (Invalid_argument "Shadow_stack.site")
+    (fun () -> ignore (Shadow_stack.site s 2));
+  (* Growth past the initial capacity keeps every column. *)
+  for i = 3 to 100 do
+    push s i
+  done;
+  Alcotest.(check (list (triple int int int))) "grown" [ (100, 110, 120); (99, 109, 119) ]
+    (walk ~limit:2 s);
+  Alcotest.(check (triple int int int)) "bottom after growth" (1, 11, 21)
+    (List.nth (walk s) 99);
+  for _ = 3 to 100 do
+    Shadow_stack.pop s
+  done;
   Shadow_stack.pop s;
   Shadow_stack.pop s;
-  Alcotest.(check bool) "empty top" true (Shadow_stack.top_or s none == none);
+  Alcotest.(check int) "empty" 0 (Shadow_stack.depth s);
+  Alcotest.check_raises "empty top" (Invalid_argument "Shadow_stack.inst")
+    (fun () -> ignore (Shadow_stack.inst s 0));
   Alcotest.check_raises "underflow" (Invalid_argument "Shadow_stack.pop: empty stack")
     (fun () -> Shadow_stack.pop s)
 

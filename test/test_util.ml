@@ -137,6 +137,103 @@ let prop_bucket_merge_totals =
       Exp_bucket.message_count m = List.length xs + List.length ys
       && Exp_bucket.total_bytes m = List.fold_left ( + ) 0 xs + List.fold_left ( + ) 0 ys)
 
+(* The 58-slot histogram [Exp_bucket] stored before its arrays grew on
+   demand, kept as the reference the current one must match. *)
+module Flat_bucket = struct
+  let nbuckets = 58
+
+  type t = { counts : int array; bytes : int array }
+
+  let create () = { counts = Array.make nbuckets 0; bytes = Array.make nbuckets 0 }
+
+  let add_many t ~bytes ~count =
+    if count > 0 then begin
+      let i = Exp_bucket.bucket_index bytes in
+      t.counts.(i) <- t.counts.(i) + count;
+      t.bytes.(i) <- t.bytes.(i) + (count * bytes)
+    end
+
+  let merge a b =
+    let r = create () in
+    for i = 0 to nbuckets - 1 do
+      r.counts.(i) <- a.counts.(i) + b.counts.(i);
+      r.bytes.(i) <- a.bytes.(i) + b.bytes.(i)
+    done;
+    r
+
+  let message_count t = Array.fold_left ( + ) 0 t.counts
+  let total_bytes t = Array.fold_left ( + ) 0 t.bytes
+
+  let fold f t init =
+    let acc = ref init in
+    for i = 0 to nbuckets - 1 do
+      if t.counts.(i) > 0 then acc := f ~index:i ~count:t.counts.(i) ~bytes:t.bytes.(i) !acc
+    done;
+    !acc
+
+  let mean_bytes_in_bucket t i =
+    if t.counts.(i) = 0 then 0. else float_of_int t.bytes.(i) /. float_of_int t.counts.(i)
+
+  let equal a b = a.counts = b.counts && a.bytes = b.bytes
+end
+
+(* A histogram's history: [(size, None)] is one [add], [(size, Some
+   n)] an [add_many] of [n] (0 included). Sizes cover every bucket:
+   small ones, both sides of each power of two, and anything up to
+   [max_int]. *)
+let arb_bucket_ops =
+  let size =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 0 200);
+          (3, map2 (fun k d -> Int.max 0 ((1 lsl k) + d)) (int_range 5 61) (int_range (-1) 1));
+          (2, map (fun x -> x land max_int) int);
+          (1, return max_int);
+        ])
+  in
+  let op = QCheck.Gen.(pair size (opt (int_range 0 5))) in
+  QCheck.make QCheck.Gen.(pair (list_size (int_range 0 12) op) (list_size (int_range 0 12) op))
+
+let prop_bucket_matches_flat =
+  QCheck.Test.make ~name:"on-demand histogram matches the 58-slot one" ~count:500 arb_bucket_ops
+    (fun (xs, ys) ->
+      let build ops =
+        let e = Exp_bucket.create () and f = Flat_bucket.create () in
+        List.iter
+          (fun (bytes, many) ->
+            match many with
+            | None ->
+                Exp_bucket.add e ~bytes;
+                Flat_bucket.add_many f ~bytes ~count:1
+            | Some count ->
+                Exp_bucket.add_many e ~bytes ~count;
+                Flat_bucket.add_many f ~bytes ~count)
+          ops;
+        (e, f)
+      in
+      let cells fold h = List.rev (fold (fun ~index ~count ~bytes acc -> (index, count, bytes) :: acc) h []) in
+      let same (e, f) =
+        cells Exp_bucket.fold e = cells Flat_bucket.fold f
+        && Exp_bucket.message_count e = Flat_bucket.message_count f
+        && Exp_bucket.total_bytes e = Flat_bucket.total_bytes f
+        && Exp_bucket.is_empty e = (Flat_bucket.message_count f = 0)
+        && List.for_all
+             (fun i ->
+               Float.equal (Exp_bucket.mean_bytes_in_bucket e i) (Flat_bucket.mean_bytes_in_bucket f i))
+             (List.init Flat_bucket.nbuckets Fun.id)
+      in
+      let ((ea, fa) as a) = build xs and ((eb, fb) as b) = build ys in
+      let e0, f0 = build [] in
+      let merged = (Exp_bucket.merge ea eb, Flat_bucket.merge fa fb) in
+      let swapped = (Exp_bucket.merge eb ea, Flat_bucket.merge fb fa) in
+      let agree_equal (e1, f1) (e2, f2) = Exp_bucket.equal e1 e2 = Flat_bucket.equal f1 f2 in
+      same a && same b && same merged && same swapped
+      && same (Exp_bucket.merge ea e0, Flat_bucket.merge fa f0)
+      && agree_equal a b && agree_equal a a && agree_equal merged swapped
+      && agree_equal a (Exp_bucket.merge ea e0, Flat_bucket.merge fa f0)
+      && agree_equal (e0, f0) b)
+
 (* --- Stats --------------------------------------------------------- *)
 
 let test_stats_mean_var () =
@@ -362,6 +459,7 @@ let suite =
     Alcotest.test_case "bucket mean" `Quick test_bucket_mean;
     qtest prop_bucket_index_monotone;
     qtest prop_bucket_merge_totals;
+    qtest prop_bucket_matches_flat;
     Alcotest.test_case "stats mean/var" `Quick test_stats_mean_var;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats correlation" `Quick test_stats_correlation_basics;
