@@ -125,6 +125,22 @@ verify)
   for app in octarine photodraw benefits; do
     python3 -m json.tool "verify-$app.json" > /dev/null
   done
+  # Entries that disagree are bad input, not an internal error: with
+  # the ICC row 35 -> 39 retargeted past the classifier's 40
+  # classifications, analyze exits 1 (not 125) and names the entry.
+  python3 - octarine.img verify-bad-icc.img <<'PY'
+import sys
+image = open(sys.argv[1], 'rb').read()
+row = b'\n35\t39\t'
+assert image.count(row) == 1, 'want one ICC row 35 -> 39'
+open(sys.argv[2], 'wb').write(image.replace(row, b'\n35\t89\t'))
+PY
+  rc=0
+  coign analyze verify-bad-icc.img -o verify-bad-icc.img 2> verify-bad-icc.err || rc=$?
+  cat verify-bad-icc.err
+  test "$rc" -eq 1
+  grep -q '^error: Icc.decode: line [0-9]*: entry 35 -> 89 (ICoCreateInstance) names classification 89' \
+    verify-bad-icc.err
   ;;
 
 load)

@@ -27,13 +27,13 @@ let method_sig t i =
     invalid_arg (Printf.sprintf "Itype.method_sig: %s has no method %d" t.iname i);
   t.methods.(i)
 
-let method_index t mname =
-  let rec find i =
-    if i >= Array.length t.methods then raise Not_found
-    else if String.equal t.methods.(i).Idl_type.mname mname then i
-    else find (i + 1)
-  in
-  find 0
+(* Top level, not a local closure: every named call lands here. *)
+let rec find_method methods mname i =
+  if i >= Array.length methods then raise Not_found
+  else if String.equal methods.(i).Idl_type.mname mname then i
+  else find_method methods mname (i + 1)
+
+let method_index t mname = find_method t.methods mname 0
 
 let procs t i =
   if i < 0 || i >= Array.length t.procs then

@@ -79,7 +79,11 @@ let profile_texts image =
       | _ -> None)
 
 let load_profile image =
-  Option.map (fun (cls, icc) -> (Classifier.decode cls, Icc.decode icc)) (profile_texts image)
+  Option.map
+    (fun (cls, icc) ->
+      let classifier = Classifier.decode cls in
+      (classifier, Icc.decode ~classifications:(Classifier.classification_count classifier) icc))
+    (profile_texts image)
 
 let load_distribution image =
   match image.Binary_image.config with
@@ -88,7 +92,18 @@ let load_distribution image =
       match
         (Config_record.entry config key_classifier, Config_record.entry config key_distribution)
       with
-      | Some cls, Some dist -> Some (Classifier.decode cls, Analysis.decode dist)
+      | Some cls, Some dist ->
+          let d = Analysis.decode dist in
+          let classifier = Classifier.decode cls in
+          let n = Classifier.classification_count classifier in
+          if Array.length d.Analysis.placement <> n then
+            raise
+              (Analysis.Decode_error
+                 (Printf.sprintf
+                    "Analysis.decode: placement covers %d classifications, but the classifier \
+                     has %d"
+                    (Array.length d.Analysis.placement) n));
+          Some (classifier, d)
       | _ -> None)
 
 let timed profiler name f =

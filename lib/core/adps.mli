@@ -115,9 +115,14 @@ val analyze :
     runtime abort. *)
 
 val load_profile : Coign_image.Binary_image.t -> (Classifier.t * Icc.t) option
-(** The accumulated classifier state and ICC summary, if any. *)
+(** The accumulated classifier state and ICC summary, if any. Raises
+    {!Icc.Decode_error} when an ICC entry names a classification the
+    classifier does not have. *)
 
 val load_distribution : Coign_image.Binary_image.t -> (Classifier.t * Analysis.distribution) option
+(** The stored classifier and distribution, if any. Raises
+    {!Analysis.Decode_error} when the placement does not cover exactly
+    the classifier's classifications. *)
 
 (** {1 Stage 4: distributed execution} *)
 

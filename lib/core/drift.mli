@@ -21,18 +21,13 @@ val of_icc : Icc.t -> signature
 val of_counts : ((int * int) * int) list -> signature
 (** A run-time signature from {!Rte.call_counts}. *)
 
-val of_weights : ((int * int) * float) list -> signature
-(** A signature from fractional per-pair weights — the shape produced by
-    an exponentially-decayed observation window. Non-positive weights
-    are dropped; duplicate pairs accumulate. *)
-
 val entries : signature -> ((int * int) * float) list
-(** The signature's (pair, weight) cells, sorted by pair — a
-    deterministic inverse of {!of_weights}. *)
+(** The signature's (pair, weight) cells, sorted by pair. *)
 
 val similarity : signature -> signature -> float
-(** Cosine similarity of the two count distributions, in [0, 1]. Two
-    empty signatures are fully similar. *)
+(** Cosine similarity of the two count distributions, in [0, 1]:
+    {!Window.cosine} over the union of their pairs, summed in pair
+    order. Two empty signatures are fully similar. *)
 
 val drifted : ?threshold:float -> profile:signature -> signature -> bool
 (** [true] when similarity falls below [threshold] (default 0.90) —

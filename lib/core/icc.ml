@@ -205,7 +205,7 @@ let in_range_field s ~what ~lo ~hi a b =
   if v < lo || v > hi then fail "bad %s %S" what (sub s a b);
   v
 
-let scan s ~cell ~bucket =
+let scan ?(classifications = field_limit - 1) s ~cell ~bucket =
   let len = String.length s in
   if not (len > 6 && String.sub s 0 6 = "calls ") then fail "missing calls line";
   let e = field_end s 6 in
@@ -232,6 +232,9 @@ let scan s ~cell ~bucket =
     let src = in_range_field s ~what:"source" ~lo:(-1) ~hi:(field_limit - 2) i f1 in
     let dst = in_range_field s ~what:"target" ~lo:(-1) ~hi:(field_limit - 2) (f1 + 1) f2 in
     let at = f2 + 1 and ilen = f3 - f2 - 1 in
+    if src >= classifications || dst >= classifications then
+      fail "line %d: entry %d -> %d (%s) names classification %d, but the classifier has %d"
+        ln src dst (sub s at f3) (max src dst) classifications;
     let remotable =
       match if f4 - f3 = 2 then s.[f3 + 1] else ' ' with
       | '1' -> true
@@ -274,11 +277,11 @@ let scan s ~cell ~bucket =
   done;
   calls
 
-let decode s =
+let decode ?classifications s =
   let t = create () in
   let cur = ref no_cell in
   t.calls <-
-    scan s
+    scan ?classifications s
       ~cell:(fun ~src ~dst ~remotable at len ->
         let c = cell_of t ~src ~dst (intern t (String.sub s at len)) in
         c.remotable <- remotable;

@@ -81,6 +81,7 @@ exception Decode_error of string
 (** A malformed summary; the message starts ["Icc.decode: "]. *)
 
 val scan :
+  ?classifications:int ->
   string ->
   cell:(src:int -> dst:int -> remotable:bool -> int -> int -> unit) ->
   bucket:(index:int -> count:int -> bytes:int -> unit) ->
@@ -98,9 +99,12 @@ val scan :
     other than 0/1 or one that changes within a cell, lines not
     strictly ascending by (source, target, interface, bucket) — which
     also rules out duplicates — an empty bucket, or a byte total whose
-    mean falls outside its bucket's range. *)
+    mean falls outside its bucket's range. Given [classifications],
+    the count of the classifier the summary goes with, it also rejects
+    an entry whose source or target is not below it, naming the line,
+    the entry and the id. *)
 
-val decode : string -> t
+val decode : ?classifications:int -> string -> t
 (** {!scan} into a summary. [decode (encode t)] preserves per-bucket
     message counts and byte totals (individual sizes within a bucket
     are summarized — that is the point of the buckets), so [encode] is

@@ -163,7 +163,7 @@ let decode ~classifier text =
   let lines = !lines in
   let acc = accumulator classifier ~segments:lines ~items:lines in
   ignore
-    (Icc.scan text
+    (Icc.scan ~classifications:acc.g.n text
        ~cell:(fun ~src ~dst ~remotable _ _ -> open_segment acc ~src ~dst ~remotable)
        ~bucket:(fun ~index:_ ~count ~bytes -> add_item acc ~count ~bytes));
   finish acc

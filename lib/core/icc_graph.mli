@@ -47,7 +47,8 @@ val build : classifier:Classifier.t -> icc:Icc.t -> t
 val decode : classifier:Classifier.t -> string -> t
 (** [decode ~classifier text] = [build ~classifier ~icc:(Icc.decode text)],
     read in one {!Icc.scan} pass without building the summary. Raises
-    {!Icc.Decode_error} exactly where {!Icc.decode} does. *)
+    {!Icc.Decode_error} exactly where {!Icc.decode} does, and on an
+    entry naming a classification the classifier does not have. *)
 
 val classification_count : t -> int
 (** [n]: nodes below this are classifications, node [n] is main. *)

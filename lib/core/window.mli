@@ -63,12 +63,11 @@ val bytes_at : t -> now_us:float -> float array
 
     A check decays every cell once ({!refresh}) and reads everything it
     needs from that pass. The window's drift signature is its cells
-    with positive weight; {!similarity} equals [Drift.similarity]
-    between the baseline's and the window's signatures as [Drift]
-    signatures built from the same weights would compute it, bit for
-    bit. That is why the sums follow a [Drift] signature's hash-table
-    iteration order (a permutation kept until a new extra pair
-    appears): cosine sums in another order round differently. *)
+    with positive weight. Every sum of a check — the masses, the dot
+    product and both norms — runs over the cells in cell order: the
+    slots in slot order, then the extras in first-observation order.
+    {!similarity} is {!cosine} over the baseline's cells and the last
+    refresh. *)
 
 val refresh : t -> now_us:float -> unit
 (** Decay every cell to [now_us] into the window's read buffers. The
@@ -95,7 +94,7 @@ type dim = Calls | Bytes
 
 type baseline
 (** A signature frozen to compare later windows against: its weighted
-    cells in signature order, and its squared norm, summed once. *)
+    cells, ascending. *)
 
 val baseline : t -> dim -> float array -> baseline
 (** The signature of per-slot weights (one per slot; non-positive ones
@@ -104,8 +103,15 @@ val baseline : t -> dim -> float array -> baseline
 val adopt : t -> dim -> baseline
 (** The last refresh's signature in dimension [dim]. *)
 
+val cosine : cells:int array -> weights:float array -> values:float array -> n:int -> float
+(** The one cosine of drift checks, in [0, 1]: a sparse vector, weight
+    [weights.(i)] at cell [cells.(i)] with [cells] ascending, against a
+    dense one, [values.(c)] at cell [c] for [c < n], where a
+    non-positive value counts as absent. The dot product and both norms
+    are summed in ascending cell order. Two empty vectors are fully
+    similar. Allocates nothing but its boxed result. *)
+
 val similarity : t -> baseline -> float
 (** Cosine similarity of the baseline and the last refresh in the
-    baseline's dimension, in [0, 1]; two empty signatures are fully
-    similar. Allocates nothing unless an extra pair appeared since the
-    signature order for this size was last built. *)
+    baseline's dimension: {!cosine} over the baseline's cells and the
+    window's. Allocates nothing but its boxed result. *)

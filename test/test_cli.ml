@@ -49,8 +49,9 @@ let test_error_reporting () =
         (run [ "run"; img; "--scenario"; "b_vueone" ]))
 
 (* Run [args]; the command must exit 1 with stderr starting
-   "error: <decoder>: ", or just "error: " without a decoder. *)
-let check_input_error ~dir ?decoder what args =
+   "error: <decoder>: ", or just "error: " without a decoder, and
+   ending in [says] when given. *)
+let check_input_error ~dir ?decoder ?(says = "") what args =
   let err = Filename.concat dir "stderr.txt" in
   let rc =
     Sys.command (Filename.quote_command exe args ^ " > /dev/null 2> " ^ Filename.quote err)
@@ -59,9 +60,9 @@ let check_input_error ~dir ?decoder what args =
   let msg = read_file err in
   let prefix = match decoder with Some d -> "error: " ^ d ^ ": " | None -> "error: " in
   Alcotest.(check bool)
-    (Printf.sprintf "%s reports %S: %S" what prefix msg)
+    (Printf.sprintf "%s reports %S ... %S: %S" what prefix says msg)
     true
-    (String.starts_with ~prefix msg)
+    (String.starts_with ~prefix msg && String.ends_with ~suffix:(says ^ "\n") msg)
 
 (* [dir]/[name].img: image [src] with configuration entry [key]
    rewritten by [edit]. *)
@@ -75,34 +76,47 @@ let tamper ~dir src name key edit =
   Binary_image.save { image with Binary_image.config = Some config } path;
   path
 
-(* A stored profile that fails to decode is bad input: every command
-   that loads it prints "error: <decoder>: ..." and exits 1, never an
-   uncaught exception (exit 125). *)
+(* A stored profile that fails to decode, or whose entries each decode
+   but disagree (an ICC row naming a classification past the
+   classifier's, a classifier cut short under its ICC), is bad input:
+   every command that loads it prints "error: <decoder>: ..." and exits
+   1, never an uncaught exception (exit 125). *)
 let test_tampered_profile () =
   in_tmp (fun dir ->
       let img = profiled_octarine dir in
+      let lines f payload = String.concat "\n" (f (String.split_on_char '\n' payload)) in
       (* Rewrite field [i] of line [n] (tab-separated) of a payload. *)
-      let edit_line n f payload =
-        String.split_on_char '\n' payload
-        |> List.mapi (fun j line -> if j = n then f (String.split_on_char '\t' line) else line)
-        |> String.concat "\n"
+      let edit_line n f =
+        lines (List.mapi (fun j line -> if j = n then f (String.split_on_char '\t' line) else line))
       in
       let set i v fields =
         String.concat "\t" (List.mapi (fun j x -> if j = i then v else x) fields)
       in
+      let retarget line =
+        if String.starts_with ~prefix:"35\t39\t" line then
+          "35\t89" ^ String.sub line 5 (String.length line - 5)
+        else line
+      in
       List.iter
-        (fun (name, key, edit, decoder) ->
+        (fun (name, key, edit, decoder, says) ->
           let path = tamper ~dir img name key edit in
           List.iter
-            (fun args -> check_input_error ~dir ~decoder (List.hd args ^ " " ^ name) args)
-            [ [ "analyze"; path; "-o"; path ]; [ "show"; path ] ])
+            (fun args -> check_input_error ~dir ~decoder ~says (List.hd args ^ " " ^ name) args)
+            [ [ "analyze"; path; "-o"; path ]; [ "verify"; path ]; [ "show"; path ] ])
         [
-          ("icc-count", Coign_core.Config_keys.icc, edit_line 1 (set 5 "many"), "Icc.decode");
+          ("icc-count", Coign_core.Config_keys.icc, edit_line 1 (set 5 "many"), "Icc.decode", "");
           ( "icc-fields", Coign_core.Config_keys.icc,
-            edit_line 1 (fun fields -> String.concat "\t" (List.tl fields)), "Icc.decode" );
-          ("icc-negative", Coign_core.Config_keys.icc, edit_line 1 (set 5 "-3"), "Icc.decode");
+            edit_line 1 (fun fields -> String.concat "\t" (List.tl fields)), "Icc.decode", "" );
+          ("icc-negative", Coign_core.Config_keys.icc, edit_line 1 (set 5 "-3"), "Icc.decode", "");
           ( "classifier-order", Coign_core.Config_keys.classifier,
-            edit_line 2 (fun _ -> "seven"), "Classifier.decode" );
+            edit_line 2 (fun _ -> "seven"), "Classifier.decode", "" );
+          ( "icc-past-classifier", Coign_core.Config_keys.icc, lines (List.map retarget),
+            "Icc.decode",
+            "entry 35 -> 89 (ICoCreateInstance) names classification 89, "
+            ^ "but the classifier has 40" );
+          ( "classifier-truncated", Coign_core.Config_keys.classifier,
+            lines (List.filteri (fun i line -> i < 23 || line = "")),
+            "Icc.decode", "but the classifier has 20" );
         ])
 
 (* A corrupt profile log or stored distribution is bad input as well:
@@ -141,6 +155,11 @@ let test_malformed_log_and_distribution () =
           ("count-letter", flip_first_byte 0x40);
           ("no-header", String.map (fun c -> if c = '\n' then ' ' else c));
           ("short-placement", fun s -> String.sub s 0 (String.length s - 1));
+          (* Well-formed, but one classification short of its classifier. *)
+          ( "placement-short-of-classifier",
+            fun s ->
+              Scanf.sscanf s "%d %s@\n%s" (fun n header placement ->
+                  Printf.sprintf "%d %s\n%s" (n - 1) header (String.sub placement 0 (n - 1))) );
         ])
 
 (* A file that is not an image at all is bad input too: exit 1 with

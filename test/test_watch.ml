@@ -87,92 +87,55 @@ let test_window_rejects_bad_args () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Drift checks against the hash-table signatures (oracle) --------- *)
+(* --- Drift checks against a cell-order reference (oracle) ------------ *)
 
-(* The window as it was when every drift check built [Drift]
-   signatures: tuple-keyed tables for the slots and the extras, and a
-   decay per read. The one-pass reads must give the same bits. *)
-module Ref_window = struct
-  type extra = { mutable x_count : float; mutable x_bytes : float; mutable x_last : float }
+(* The window recomputed from its whole history: every cell folded from
+   its observations in order, decayed to [now_us], listed in cell order
+   (slots, then extras as first observed) as (count, bytes). *)
+let reference_cells ~half_life_us ~slots history ~now_us =
+  let decay last now v =
+    if now <= last then v else v *. Float.pow 2. (-.(now -. last) /. half_life_us)
+  in
+  let key (a, b) = (min a b, max a b) in
+  let cells = Hashtbl.create 64 and order = ref [] in
+  let cell k =
+    match Hashtbl.find_opt cells k with
+    | Some c -> c
+    | None ->
+        order := k :: !order;
+        (0., 0., 0.)
+  in
+  Array.iter (fun p -> Hashtbl.replace cells (key p) (cell (key p))) slots;
+  List.iter
+    (fun (at, p, bytes) ->
+      let n, b, last = cell (key p) in
+      Hashtbl.replace cells (key p)
+        (decay last at n +. 1., decay last at b +. float_of_int bytes, at))
+    (List.rev history);
+  List.rev_map
+    (fun k ->
+      let n, b, last = Hashtbl.find cells k in
+      (decay last now_us n, decay last now_us b))
+    !order
 
-  type t = {
-    w_half_life_us : float;
-    w_pairs : (int * int) array;
-    w_index : (int * int, int) Hashtbl.t;
-    w_count : float array;
-    w_bytes : float array;
-    w_last : float array;
-    w_extra : (int * int, extra) Hashtbl.t;
-  }
+(* The cosine written out over a baseline's cells (those that existed
+   when it was taken) and the current ones, every sum in cell order. *)
+let reference_cosine base cur =
+  let sum = List.fold_left ( +. ) 0. and pos v = if v > 0. then v else 0. in
+  let base = base @ List.init (List.length cur - List.length base) (fun _ -> 0.) in
+  let dot = sum (List.map2 (fun b v -> pos b *. pos v) base cur) in
+  let na = sum (List.map (fun b -> pos b *. pos b) base) in
+  let nb = sum (List.map (fun v -> pos v *. pos v) cur) in
+  if na = 0. && nb = 0. then 1. else if na = 0. || nb = 0. then 0. else dot /. (sqrt na *. sqrt nb)
 
-  let create ~half_life_us ~pairs =
-    let n = Array.length pairs in
-    let index = Hashtbl.create (2 * n) in
-    Array.iteri (fun slot (a, b) -> Hashtbl.add index (min a b, max a b) slot) pairs;
-    {
-      w_half_life_us = half_life_us;
-      w_pairs = Array.map (fun (a, b) -> (min a b, max a b)) pairs;
-      w_index = index;
-      w_count = Array.make n 0.;
-      w_bytes = Array.make n 0.;
-      w_last = Array.make n 0.;
-      w_extra = Hashtbl.create 16;
-    }
-
-  let decay t ~from_us ~to_us v =
-    let dt = to_us -. from_us in
-    if dt <= 0. then v else v *. Float.pow 2. (-.dt /. t.w_half_life_us)
-
-  let observe t ~at_us ~caller ~callee ~bytes =
-    let key = (min caller callee, max caller callee) in
-    match Hashtbl.find_opt t.w_index key with
-    | Some s ->
-        t.w_count.(s) <- decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_count.(s) +. 1.;
-        t.w_bytes.(s) <-
-          decay t ~from_us:t.w_last.(s) ~to_us:at_us t.w_bytes.(s) +. float_of_int bytes;
-        t.w_last.(s) <- at_us
-    | None -> (
-        match Hashtbl.find_opt t.w_extra key with
-        | Some x ->
-            x.x_count <- decay t ~from_us:x.x_last ~to_us:at_us x.x_count +. 1.;
-            x.x_bytes <- decay t ~from_us:x.x_last ~to_us:at_us x.x_bytes +. float_of_int bytes;
-            x.x_last <- at_us
-        | None ->
-            Hashtbl.add t.w_extra key { x_count = 1.; x_bytes = float_of_int bytes; x_last = at_us })
-
-  let slots t w ~now_us =
-    Array.init (Array.length w) (fun s -> decay t ~from_us:t.w_last.(s) ~to_us:now_us w.(s))
-
-  let total t w x ~now_us =
-    let total = ref 0. in
-    Array.iter (fun v -> total := !total +. v) (slots t w ~now_us);
-    Hashtbl.iter (fun _ e -> total := !total +. decay t ~from_us:e.x_last ~to_us:now_us (x e)) t.w_extra;
-    !total
-
-  let signature t w x ~now_us =
-    let weights = slots t w ~now_us in
-    let slots = Array.to_list (Array.mapi (fun s key -> (key, weights.(s))) t.w_pairs) in
-    let extras =
-      List.sort compare
-        (Hashtbl.fold
-           (fun key e acc -> (key, decay t ~from_us:e.x_last ~to_us:now_us (x e)) :: acc)
-           t.w_extra [])
-    in
-    Drift.of_weights (slots @ extras)
-
-  let total_at t = total t t.w_count (fun e -> e.x_count)
-  let byte_total_at t = total t t.w_bytes (fun e -> e.x_bytes)
-  let signature_at t = signature t t.w_count (fun e -> e.x_count)
-  let byte_signature_at t = signature t t.w_bytes (fun e -> e.x_bytes)
-end
-
-(* One random window history, both windows fed the same observations
-   and checked at the same times; the first difference, by
+(* One random window history, fed to the window and checked against the
+   reference at random times; the first difference, by
    [Int64.bits_of_float]. Classifications -1..39 give 820 pairs: up to
-   300 slots, the rest extras, so signatures cross 128 and 256 weighted
-   pairs (bucket counts 64, 128 and 256). Time mostly moves forward;
-   it sometimes stands still, steps back, or jumps far enough that old
-   cells decay to exactly zero. *)
+   300 slots, the rest extras, so signatures reach several hundred
+   weighted pairs and extras keep appearing between checks, arriving in
+   either orientation. Time mostly moves forward; it sometimes stands
+   still, steps back, or jumps far enough that old cells decay to
+   exactly zero. *)
 let window_history_agrees seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
@@ -198,51 +161,42 @@ let window_history_agrees seed =
     else 1. +. Random.State.float rng 1e6
   in
   let w = Window.create ~half_life_us ~pairs:slots in
-  let r = Ref_window.create ~half_life_us ~pairs:slots in
   let weights () =
     Array.init n (fun _ -> if int 4 = 0 then 0. else Random.State.float rng 1e4)
   in
   let calls = weights () and bytes = weights () in
-  let base = ref (Window.baseline w Window.Calls calls) in
-  let base_bytes = ref (Window.baseline w Window.Bytes bytes) in
-  let of_slots v =
-    Drift.of_weights (Array.to_list (Array.mapi (fun s key -> (key, v.(s))) r.Ref_window.w_pairs))
-  in
-  let ref_base = ref (of_slots calls) and ref_base_bytes = ref (of_slots bytes) in
+  let base = ref (Window.baseline w Window.Calls calls, Array.to_list calls) in
+  let base_bytes = ref (Window.baseline w Window.Bytes bytes, Array.to_list bytes) in
   let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
-  let same_array a b = Array.length a = Array.length b && Array.for_all2 same a b in
-  let clock = ref 0. in
-  let failed = ref None in
+  let clock = ref 0. and history = ref [] and failed = ref None in
   let check () =
     let now_us = !clock +. if int 3 = 0 then Random.State.float rng half_life_us else 0. in
     Window.refresh w ~now_us;
-    let signature = Ref_window.signature_at r ~now_us in
-    let byte_signature = Ref_window.byte_signature_at r ~now_us in
-    let counts = Ref_window.slots r r.Ref_window.w_count ~now_us in
-    let slot_bytes = Ref_window.slots r r.Ref_window.w_bytes ~now_us in
+    let cells = reference_cells ~half_life_us ~slots !history ~now_us in
+    let counts = List.map fst cells and bytes = List.map snd cells in
+    let slot_reads = List.concat_map (List.filteri (fun c _ -> c < n)) [ counts; bytes ] in
+    let live = List.length (List.filter (fun v -> v > 0.) counts) in
     List.iter
-      (fun (what, agrees) ->
-        if !failed = None && not agrees then
-          failed := Some (Printf.sprintf "%s at %h (%d live pairs)" what now_us
-                            (Drift.pair_count signature)))
+      (fun (what, got, want) ->
+        if !failed = None && not (List.equal same got want) then
+          failed := Some (Printf.sprintf "%s at %h (%d live pairs)" what now_us live))
       [
-        ("call similarity", same (Window.similarity w !base) (Drift.similarity !ref_base signature));
-        ( "byte similarity",
-          same (Window.similarity w !base_bytes) (Drift.similarity !ref_base_bytes byte_signature) );
-        ("window pairs", Window.live_pairs w = Drift.pair_count signature);
-        ("mass", same (Window.mass w) (Ref_window.total_at r ~now_us));
-        ("byte mass", same (Window.byte_mass w) (Ref_window.byte_total_at r ~now_us));
-        ("counts_at", same_array (Window.counts_at w ~now_us) counts);
-        ("bytes_at", same_array (Window.bytes_at w ~now_us) slot_bytes);
-        ("slot_count", same_array (Array.init n (Window.slot_count w)) counts);
-        ("slot_bytes", same_array (Array.init n (Window.slot_bytes w)) slot_bytes);
-        ("extra pairs", Window.extra_pairs w = Hashtbl.length r.Ref_window.w_extra);
+        ( "similarities",
+          [ Window.similarity w (fst !base); Window.similarity w (fst !base_bytes) ],
+          [ reference_cosine (snd !base) counts; reference_cosine (snd !base_bytes) bytes ] );
+        ( "masses", [ Window.mass w; Window.byte_mass w ],
+          List.map (List.fold_left ( +. ) 0.) [ counts; bytes ] );
+        ( "pair counts", List.map float_of_int [ Window.live_pairs w; Window.extra_pairs w ],
+          List.map float_of_int [ live; List.length cells - n ] );
+        ( "counts_at, bytes_at",
+          Array.to_list (Window.counts_at w ~now_us) @ Array.to_list (Window.bytes_at w ~now_us),
+          slot_reads );
+        ( "slot_count, slot_bytes",
+          List.init n (Window.slot_count w) @ List.init n (Window.slot_bytes w), slot_reads );
       ];
     if int 4 = 0 then begin
-      base := Window.adopt w Window.Calls;
-      base_bytes := Window.adopt w Window.Bytes;
-      ref_base := signature;
-      ref_base_bytes := byte_signature
+      base := (Window.adopt w Window.Calls, counts);
+      base_bytes := (Window.adopt w Window.Bytes, bytes)
     end
   in
   if Array.length active > 0 then
@@ -255,14 +209,14 @@ let window_history_agrees seed =
       let a, b = active.(int (Array.length active)) in
       let bytes = if int 3 = 0 then 0 else int 100_000 in
       Window.observe w ~clock:[| !clock |] ~caller:a ~callee:b ~bytes;
-      Ref_window.observe r ~at_us:!clock ~caller:a ~callee:b ~bytes;
+      history := (!clock, (a, b), bytes) :: !history;
       if int 40 = 0 then check ()
     done;
   check ();
   !failed
 
-let prop_window_matches_signatures =
-  QCheck.Test.make ~name:"window checks equal the hash-table signatures bit for bit" ~count:150
+let prop_window_matches_reference =
+  QCheck.Test.make ~name:"window checks equal a cell-order reference bit for bit" ~count:150
     QCheck.int (fun seed ->
       match window_history_agrees seed with
       | None -> true
@@ -274,10 +228,12 @@ let prop_window_matches_signatures =
    allocates nothing: a block is at least two words, so under one word
    per observation means no allocation at all. A check's reads (one
    refresh, both similarities, the pair count and the mass) allocate
-   nothing that grows with the window: measured 6 words at 10 and at
-   300 slots with OCaml 5.1 in the default (dev) build, the three
-   returned floats boxed across the module boundary. The bound leaves
-   the 1.5 words of headroom of the RTE's gates. *)
+   nothing that grows with the window, even right after a new extra
+   pair appears: measured 6 words at 10 and at 300 slots with OCaml 5.1
+   in the default (dev) build, the three returned floats boxed across
+   the module boundary (2 words each). The check bound leaves the 1.5
+   words of headroom of the RTE's gates; a similarity may allocate
+   nothing but its boxed result. *)
 let test_window_allocation () =
   let observe_words w ~caller ~callee =
     (* Each observation a microsecond after the last, in the one clock
@@ -295,26 +251,38 @@ let test_window_allocation () =
       Alcotest.(check bool)
         (Printf.sprintf "observe %s: %.2f words" what words) true (words < 1.))
     [ ("a slot", 1, 0); ("a seen extra", 3, 5) ];
+  (* Per check and per similarity, each check right after a new extra
+     pair (whose cell may grow the arrays, unmeasured). *)
   let check_words slots =
     let w = Window.create ~half_life_us:1e6 ~pairs:(Array.init slots (fun s -> (s, s + 1))) in
     for s = 0 to slots - 1 do
       Window.observe w ~clock:[| float_of_int s |] ~caller:s ~callee:(s + 1) ~bytes:s
     done;
-    Window.observe w ~clock:[| 0. |] ~caller:(-1) ~callee:(-1) ~bytes:0;
     Window.refresh w ~now_us:1e3;
     let calls = Window.adopt w Window.Calls and bytes = Window.adopt w Window.Bytes in
-    Harness.words_per_run 100 (fun () ->
-        Window.refresh w ~now_us:2e3;
-        ignore (Window.similarity w calls);
-        ignore (Window.similarity w bytes);
-        ignore (Window.live_pairs w);
-        ignore (Window.mass w))
+    let check = ref 0. and sim = ref 0. in
+    for k = 1 to 100 do
+      Window.observe w ~clock:[| 0. |] ~caller:(-k) ~callee:(-k) ~bytes:k;
+      let before = Gc.minor_words () in
+      Window.refresh w ~now_us:2e3;
+      let sims = Gc.minor_words () in
+      ignore (Window.similarity w calls);
+      ignore (Window.similarity w bytes);
+      sim := !sim +. (Gc.minor_words () -. sims);
+      ignore (Window.live_pairs w);
+      ignore (Window.mass w);
+      check := !check +. (Gc.minor_words () -. before)
+    done;
+    (!check /. 100., !sim /. 200.)
   in
-  let small = check_words 10 and large = check_words 300 in
+  let small, small_sim = check_words 10 and large, large_sim = check_words 300 in
   let bound = 7.5 in
   Alcotest.(check bool)
     (Printf.sprintf "check: %.1f words at 10 slots, %.1f at 300 (bound %.1f)" small large bound)
-    true (small <= bound && large <= bound && Float.abs (large -. small) < 1.5)
+    true (small <= bound && large <= bound && Float.abs (large -. small) < 1.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "similarity: %.2f words at 10 slots, %.2f at 300 (bound 2)" small_sim large_sim)
+    true (small_sim <= 2. && large_sim <= 2.)
 
 (* --- Tap ------------------------------------------------------------ *)
 
@@ -689,7 +657,7 @@ let suite =
     Alcotest.test_case "window extras and signatures" `Quick
       test_window_extras_and_signature;
     Alcotest.test_case "window rejects bad args" `Quick test_window_rejects_bad_args;
-    QCheck_alcotest.to_alcotest prop_window_matches_signatures;
+    QCheck_alcotest.to_alcotest prop_window_matches_reference;
     Alcotest.test_case "window allocation gate" `Quick test_window_allocation;
     Alcotest.test_case "tap keeps everything by default" `Quick test_tap_keep_everything;
     Alcotest.test_case "tap sampling deterministic" `Quick test_tap_sampling_deterministic;
