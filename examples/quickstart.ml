@@ -14,13 +14,17 @@ open Coign_com
 open Coign_core
 module Common = Coign_apps.Common
 
-(* 1. Declare interfaces in the IDL-like type language. ------------- *)
+(* 1. Declare interfaces in the IDL-like type language, and resolve
+   each method slot the program calls once, as a compiled vtable
+   call would. ---------------------------------------------------- *)
 
 let i_report =
   Itype.declare "IReport"
     [
       Idl_type.method_ "generate" [ Idl_type.param "name" Idl_type.Str ];
     ]
+
+let report_generate = Itype.slot i_report "generate"
 
 let i_format =
   Itype.declare "IFormat"
@@ -29,12 +33,17 @@ let i_format =
         [ Idl_type.param "source" (Idl_type.Iface "IDataSource") ];
     ]
 
+let format_format_report = Itype.slot i_format "format_report"
+
 let i_data =
   Itype.declare "IDataSource"
     [
       Idl_type.method_ "open_data" [ Idl_type.param "name" Idl_type.Str ];
       Idl_type.method_ ~ret:Idl_type.Blob "summary" [ Idl_type.param "section" Idl_type.Int32 ];
     ]
+
+let data_open_data = Itype.slot i_data "open_data"
+let data_summary = Itype.slot i_data "summary"
 
 (* 2. Implement components against the object runtime. -------------- *)
 
@@ -46,23 +55,23 @@ let c_data_source =
       let fs = Common.create_file_server ctx0 in
       let open_data ctx args =
         let name = Combuild.get_str args 0 in
-        let fh = Common.call_ret_int ctx fs "open_file" [ Value.Str name ] in
-        let size = Common.call_ret_int ctx fs "file_size" [ Value.Int fh ] in
+        let fh = Common.call_ret_int ctx fs Common.file_read_open_file [ Value.Str name ] in
+        let size = Common.call_ret_int ctx fs Common.file_read_file_size [ Value.Int fh ] in
         (* Scan the whole data set. *)
         let offset = ref 0 in
         while !offset < size do
           ignore
-            (Common.call_ret_blob ctx fs "read_block"
+            (Common.call_ret_blob ctx fs Common.file_read_read_block
                [ Value.Int fh; Value.Int !offset; Value.Int 65_536 ]);
           offset := !offset + 65_536
         done;
         Runtime.charge ctx ~us:500.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let summary ctx args =
         ignore (Combuild.get_int args 0);
         Runtime.charge ctx ~us:200.;
-        Combuild.echo args (Value.Blob 2_000)
+        Value.Blob 2_000
       in
       [ Combuild.iface i_data [ ("open_data", open_data); ("summary", summary) ] ])
 
@@ -72,11 +81,10 @@ let c_formatter =
         let source = Combuild.get_iface args 0 in
         let total = ref 0 in
         for section = 0 to 9 do
-          total :=
-            !total + Common.call_ret_blob ctx source "summary" [ Value.Int section ]
+          total := !total + Common.call_ret_blob ctx source data_summary [ Value.Int section ]
         done;
         Runtime.charge ctx ~us:800.;
-        Combuild.echo args (Value.Blob (!total / 4))
+        Value.Blob (!total / 4)
       in
       [ Combuild.iface i_format [ ("format_report", format_report) ] ])
 
@@ -87,15 +95,12 @@ let c_report_app =
       let generate ctx args =
         let name = Combuild.get_str args 0 in
         let source = Common.create ctx c_data_source i_data in
-        ignore (Runtime.call_named ctx source "open_data" [ Value.Str name ]);
-        let _, report =
-          Runtime.call_named ctx formatter "format_report" [ Value.Iface_ref source ]
-        in
-        (match report with
+        ignore (Runtime.call_slot ctx source data_open_data [ Value.Str name ]);
+        (match Runtime.call_slot ctx formatter format_format_report [ Value.Iface_ref source ] with
         | Value.Blob n -> Printf.printf "  report rendered: %d bytes on screen\n" n
         | _ -> ());
         Runtime.charge ctx ~us:300.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [ Combuild.iface i_report [ ("generate", generate) ] ])
 
@@ -113,7 +118,7 @@ let image =
 let scenario ctx =
   Common.Vfs.add ctx ~name:"sales.dat" ~bytes:4_000_000;
   let app = Common.create ctx c_report_app i_report in
-  ignore (Runtime.call_named ctx app "generate" [ Value.Str "sales.dat" ])
+  ignore (Runtime.call_slot ctx app report_generate [ Value.Str "sales.dat" ])
 
 (* 4. Run the ADPS pipeline. ------------------------------------------ *)
 

@@ -25,12 +25,24 @@ let i_ben_app =
       Idl_type.method_ "shutdown" [];
     ]
 
+let ben_app_startup = Itype.slot i_ben_app "startup"
+let ben_app_login = Itype.slot i_ben_app "login"
+let ben_app_view_employee = Itype.slot i_ben_app "view_employee"
+let ben_app_add_employee = Itype.slot i_ben_app "add_employee"
+let ben_app_delete_employee = Itype.slot i_ben_app "delete_employee"
+let ben_app_run_report = Itype.slot i_ben_app "run_report"
+let ben_app_repaint = Itype.slot i_ben_app "repaint"
+let ben_app_shutdown = Itype.slot i_ben_app "shutdown"
+
 let i_sql =
   Itype.declare "ISql"
     [
       Idl_type.method_ ~ret:Idl_type.Blob "exec" [ Idl_type.param "statement" Idl_type.Str ];
       Idl_type.method_ ~ret:Idl_type.Int32 "exec_update" [ Idl_type.param "statement" Idl_type.Str ];
     ]
+
+let sql_exec = Itype.slot i_sql "exec"
+let sql_exec_update = Itype.slot i_sql "exec_update"
 
 let i_logic =
   Itype.declare "IBusinessLogic"
@@ -44,6 +56,11 @@ let i_logic =
         [ Idl_type.param "entity" Idl_type.Str; Idl_type.param "key" Idl_type.Int32 ];
     ]
 
+let logic_init = Itype.slot i_logic "init"
+let logic_fetch = Itype.slot i_logic "fetch"
+let logic_update = Itype.slot i_logic "update"
+let logic_remove = Itype.slot i_logic "remove"
+
 let i_recordset =
   Itype.declare "IRecordSet"
     [
@@ -51,6 +68,9 @@ let i_recordset =
       Idl_type.method_ ~ret:Idl_type.Blob "rows"
         [ Idl_type.param "start" Idl_type.Int32; Idl_type.param "count" Idl_type.Int32 ];
     ]
+
+let recordset_row_count = Itype.slot i_recordset "row_count"
+let recordset_rows = Itype.slot i_recordset "rows"
 
 let i_cache =
   Itype.declare "IBenCache"
@@ -63,6 +83,11 @@ let i_cache =
       Idl_type.method_ "invalidate_all" [];
     ]
 
+let cache_init = Itype.slot i_cache "init"
+let cache_lookup = Itype.slot i_cache "lookup"
+let cache_refresh = Itype.slot i_cache "refresh"
+let cache_invalidate_all = Itype.slot i_cache "invalidate_all"
+
 let i_validation =
   Itype.declare "IValidation"
     [
@@ -70,12 +95,18 @@ let i_validation =
       Idl_type.method_ ~ret:Idl_type.Int32 "validate" [ Idl_type.param "record" Idl_type.Blob ];
     ]
 
+let validation_init = Itype.slot i_validation "init"
+let validation_validate = Itype.slot i_validation "validate"
+
 let i_report =
   Itype.declare "IReport"
     [
       Idl_type.method_ "init" [ Idl_type.param "logic" (Idl_type.Iface "IBusinessLogic") ];
       Idl_type.method_ ~ret:Idl_type.Blob "build" [ Idl_type.param "kind" Idl_type.Str ];
     ]
+
+let report_init = Itype.slot i_report "init"
+let report_build = Itype.slot i_report "build"
 
 (* ---------------------------------------------------------------- *)
 (* GUI: the Visual Basic front end                                   *)
@@ -91,32 +122,35 @@ let form_class name widget_count =
       let attach ctx args =
         let parent = Combuild.get_iface args 0 in
         List.iter
-          (fun f -> ignore (Runtime.call_named ctx f "attach" [ Value.Iface_ref parent ]))
+          (fun f ->
+            ignore (Runtime.call_slot ctx f Common.control_attach [ Value.Iface_ref parent ]))
           fields;
         chg ctx 40.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let enable ctx args =
+      let enable ctx _args =
         chg ctx 5.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let click ctx args =
+      let click ctx _args =
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let set_label ctx args =
-        List.iter (fun f -> ignore (Runtime.call_named ctx f "set_label" args)) fields;
+        List.iter (fun f -> ignore (Runtime.call_slot ctx f Common.control_set_label args)) fields;
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
-        List.iter (fun f -> ignore (Runtime.call_named ctx f "enable" [ Value.Bool true ])) fields;
+      let paint ctx _args =
+        List.iter
+          (fun f -> ignore (Runtime.call_slot ctx f Common.control_enable [ Value.Bool true ]))
+          fields;
         chg ctx 45.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface Common.i_control
@@ -135,19 +169,19 @@ let c_graph =
       let put ctx args =
         stored := !stored + Combuild.get_blob args 0;
         chg ctx (float_of_int (Combuild.get_blob args 0) /. 150.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 120.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx 160.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ];
@@ -165,11 +199,11 @@ let c_odbc =
         let stmt = Combuild.get_str args 0 in
         let rows = 4 + (String.length stmt mod 13) in
         chg ctx (300. +. float_of_int (rows * 40));
-        Combuild.echo args (Value.Blob (rows * odbc_row_bytes))
+        Value.Blob (rows * odbc_row_bytes)
       in
-      let exec_update ctx args =
+      let exec_update ctx _args =
         chg ctx 450.;
-        Combuild.echo args (Value.Int 1)
+        Value.Int 1
       in
       [ Combuild.iface i_sql [ ("exec", exec); ("exec_update", exec_update) ] ])
 
@@ -179,15 +213,15 @@ let c_recordset =
       let put ctx args =
         stored := !stored + Combuild.get_blob args 0;
         chg ctx 10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 5.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
-      let row_count ctx args =
+      let row_count ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int (!stored / row_bytes))
+        Value.Int (!stored / row_bytes)
       in
       let rows ctx args =
         let start = Combuild.get_int args 0 in
@@ -195,7 +229,7 @@ let c_recordset =
         let have = !stored / row_bytes in
         let n = max 0 (min count (have - start)) in
         chg ctx 8.;
-        Combuild.echo args (Value.Blob (n * row_bytes))
+        Value.Blob (n * row_bytes)
       in
       [
         Combuild.iface i_recordset [ ("row_count", row_count); ("rows", rows) ];
@@ -214,6 +248,8 @@ let i_audit =
       Idl_type.method_ ~ret:Idl_type.Int32 "entry_count" [];
     ]
 
+let audit_append = Itype.slot i_audit "append"
+
 (* Every mutation is audited beside the database. *)
 let c_audit_log =
   Runtime.define_class "Benefits.AuditLog" (fun _ctx _self ->
@@ -225,25 +261,25 @@ let c_audit_log =
         (match !db with
         | Some d ->
             ignore
-              (Common.call_ret_int ctx d "exec_update"
+              (Common.call_ret_int ctx d sql_exec_update
                  [ Value.Str ("INSERT INTO audit VALUES ('" ^ action ^ "')") ])
         | None -> ());
         chg ctx 25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let entry_count ctx args =
+      let entry_count ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !entries)
+        Value.Int !entries
       in
       let init ctx args =
         db := Some (Combuild.get_iface args 0);
         chg ctx 5.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_audit [ ("append", append); ("entry_count", entry_count) ];
         Combuild.iface i_validation
-          [ ("init", init); ("validate", fun ctx args -> chg ctx 1.; Combuild.echo args (Value.Int 0)) ];
+          [ ("init", init); ("validate", fun ctx _args -> chg ctx 1.; (Value.Int 0)) ];
       ])
 
 let i_session =
@@ -253,18 +289,21 @@ let i_session =
       Idl_type.method_ ~ret:Idl_type.Bool "authorized" [ Idl_type.param "action" Idl_type.Str ];
     ]
 
+let session_open_session = Itype.slot i_session "open_session"
+let session_authorized = Itype.slot i_session "authorized"
+
 let c_session_mgr =
   Runtime.define_class "Benefits.SessionMgr" (fun _ctx _self ->
       let user = ref "" in
       let open_session ctx args =
         user := Combuild.get_str args 0;
         chg ctx 60.;
-        Combuild.echo args (Value.Str ("session:" ^ !user))
+        Value.Str ("session:" ^ !user)
       in
       let authorized ctx args =
         ignore (Combuild.get_str args 0);
         chg ctx 8.;
-        Combuild.echo args (Value.Bool true)
+        Value.Bool true
       in
       [ Combuild.iface i_session [ ("open_session", open_session); ("authorized", authorized) ] ])
 
@@ -274,35 +313,35 @@ let logic_class name =
       let init ctx args =
         db := Some (Combuild.get_iface args 0);
         chg ctx 10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let fetch ctx args =
         let entity = Combuild.get_str args 0 in
         let key = Combuild.get_int args 1 in
         let d = Option.get !db in
         let raw =
-          Common.call_ret_blob ctx d "exec"
+          Common.call_ret_blob ctx d sql_exec
             [ Value.Str (Printf.sprintf "SELECT * FROM %s WHERE id=%d" entity key) ]
         in
         (* Shape the raw ODBC rows into a business-rule-filtered record
            set (smaller than the raw rows). *)
         let rs = Common.create ctx c_recordset Common.i_blob_sink in
         let shaped = min (rows_per_fetch * row_bytes) (raw * 2 / 3) in
-        ignore (Runtime.call_named ctx rs "put" [ Value.Blob shaped ]);
-        ignore (Common.call_ret_int ctx rs "finish" []);
+        ignore (Runtime.call_slot ctx rs Common.blob_sink_put [ Value.Blob shaped ]);
+        ignore (Common.call_ret_int ctx rs Common.blob_sink_finish []);
         let rsq = Runtime.query_interface ctx rs ~iid:(Itype.iid i_recordset) in
         chg ctx (120. +. (float_of_int raw /. 500.));
-        Combuild.echo args (Value.Iface_ref rsq)
+        Value.Iface_ref rsq
       in
       let update ctx args =
         let entity = Combuild.get_str args 0 in
         let record = Combuild.get_blob args 1 in
         let d = Option.get !db in
         ignore
-          (Common.call_ret_int ctx d "exec_update"
+          (Common.call_ret_int ctx d sql_exec_update
              [ Value.Str (Printf.sprintf "UPDATE %s SET ... /* %d bytes */" entity record) ]);
         chg ctx 140.;
-        Combuild.echo args (Value.Int 1)
+        Value.Int 1
       in
       let remove ctx args =
         let entity = Combuild.get_str args 0 in
@@ -312,14 +351,14 @@ let logic_class name =
         List.iter
           (fun dep ->
             ignore
-              (Common.call_ret_blob ctx d "exec"
+              (Common.call_ret_blob ctx d sql_exec
                  [ Value.Str (Printf.sprintf "SELECT id FROM %s WHERE emp=%d" dep key) ]))
           [ "dependents"; "benefit_links"; "history" ];
         ignore
-          (Common.call_ret_int ctx d "exec_update"
+          (Common.call_ret_int ctx d sql_exec_update
              [ Value.Str (Printf.sprintf "DELETE FROM %s WHERE id=%d" entity key) ]);
         chg ctx 200.;
-        Combuild.echo args (Value.Int 1)
+        Value.Int 1
       in
       [
         Combuild.iface i_logic
@@ -337,7 +376,7 @@ let c_validation =
       let init ctx args =
         db := Some (Combuild.get_iface args 0);
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let validate ctx args =
         let record = Combuild.get_blob args 0 in
@@ -345,23 +384,24 @@ let c_validation =
         (* Integrity probes against the database. *)
         List.iter
           (fun probe ->
-            ignore (Common.call_ret_blob ctx d "exec" [ Value.Str ("SELECT 1 /* " ^ probe ^ " */") ]))
+            ignore (Common.call_ret_blob ctx d sql_exec
+                      [ Value.Str ("SELECT 1 /* " ^ probe ^ " */") ]))
           [ "ssn-unique"; "plan-exists"; "dept-exists"; "salary-band"; "start-date" ];
         chg ctx (80. +. (float_of_int record /. 100.));
-        Combuild.echo args (Value.Int 0)
+        Value.Int 0
       in
       [ Combuild.iface i_validation [ ("init", init); ("validate", validate) ] ])
 
 (* A cached row materialized beside the cache. *)
 let c_cached_row =
   Runtime.define_class "Benefits.CachedRow" (fun _ctx _self ->
-      let put ctx args =
+      let put ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int 0)
+        Value.Int 0
       in
       [ Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ] ])
 
@@ -374,35 +414,35 @@ let cache_class name =
         logic := Some (Combuild.get_iface args 0);
         entity := Combuild.get_str args 1;
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let refresh ctx args =
         let key = Combuild.get_int args 0 in
         let l = Option.get !logic in
-        (match Common.call ctx l "fetch" [ Value.Str !entity; Value.Int key ] with
+        (match Runtime.call_slot ctx l logic_fetch [ Value.Str !entity; Value.Int key ] with
         | Value.Iface_ref rs ->
-            let n = Common.call_ret_int ctx rs "row_count" [] in
-            ignore (Common.call_ret_blob ctx rs "rows" [ Value.Int 0; Value.Int n ]);
+            let n = Common.call_ret_int ctx rs recordset_row_count [] in
+            ignore (Common.call_ret_blob ctx rs recordset_rows [ Value.Int 0; Value.Int n ]);
             (* Materialize rows beside the cache for fast lookups. *)
             for _ = 1 to n do
               let row = Common.create ctx c_cached_row Common.i_blob_sink in
-              ignore (Runtime.call_named ctx row "put" [ Value.Blob row_bytes ])
+              ignore (Runtime.call_slot ctx row Common.blob_sink_put [ Value.Blob row_bytes ])
             done;
             filled := true
         | _ -> ());
         chg ctx 60.;
-        Combuild.echo args (Value.Int (if !filled then 1 else 0))
+        Value.Int (if !filled then 1 else 0)
       in
       let lookup ctx args =
         let key = Combuild.get_str args 0 in
         if not !filled then ignore (refresh ctx [ Value.Int 0 ]);
         chg ctx 6.;
-        Combuild.echo args (Value.Str ("value-of:" ^ key ^ ";plan=standard;status=active"))
+        Value.Str ("value-of:" ^ key ^ ";plan=standard;status=active")
       in
-      let invalidate_all ctx args =
+      let invalidate_all ctx _args =
         filled := false;
         chg ctx 4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_cache
@@ -423,20 +463,20 @@ let c_report_logic =
       let init ctx args =
         logic := Some (Combuild.get_iface args 0);
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let build ctx args =
+      let build ctx _args =
         let l = Option.get !logic in
         (* Aggregate across many employees. *)
         for key = 1 to 8 do
-          match Common.call ctx l "fetch" [ Value.Str "history"; Value.Int key ] with
+          match Runtime.call_slot ctx l logic_fetch [ Value.Str "history"; Value.Int key ] with
           | Value.Iface_ref rs ->
-              let n = Common.call_ret_int ctx rs "row_count" [] in
-              ignore (Common.call_ret_blob ctx rs "rows" [ Value.Int 0; Value.Int n ])
+              let n = Common.call_ret_int ctx rs recordset_row_count [] in
+              ignore (Common.call_ret_blob ctx rs recordset_rows [ Value.Int 0; Value.Int n ])
           | _ -> ()
         done;
         chg ctx 400.;
-        Combuild.echo args (Value.Blob 60_000)
+        Value.Blob 60_000
       in
       [ Combuild.iface i_report [ ("init", init); ("build", build) ] ])
 
@@ -465,16 +505,17 @@ let c_app =
       let forms = ref [] in
       let audit = ref None in
       let session = ref None in
-      let startup ctx args =
+      let startup ctx _args =
         let c = Widgets.build_chrome ctx kit ~buttons:10 ~menus:4 ~extras:2 in
         chrome := Some c;
         let attach_form cls =
           let f = Common.create ctx cls Common.i_control in
           ignore
-            (Runtime.call_named ctx f "attach" [ Value.Iface_ref c.Widgets.window_notify ]);
+            (Runtime.call_slot ctx f Common.control_attach
+               [ Value.Iface_ref c.Widgets.window_notify ]);
           let fp = Runtime.query_interface ctx f ~iid:(Itype.iid Common.i_paint) in
           ignore
-            (Runtime.call_named ctx c.Widgets.window_render "attach_surface"
+            (Runtime.call_slot ctx c.Widgets.window_render Common.render_attach_surface
                [ Value.Iface_ref fp ]);
           f
         in
@@ -484,7 +525,7 @@ let c_app =
         let db = Common.create ctx c_odbc i_sql in
         let make_logic cls =
           let l = Common.create ctx cls i_logic in
-          ignore (Runtime.call_named ctx l "init" [ Value.Iface_ref db ]);
+          ignore (Runtime.call_slot ctx l logic_init [ Value.Iface_ref db ]);
           l
         in
         let employee = make_logic c_employee_logic in
@@ -495,7 +536,7 @@ let c_app =
         let make_cache cls logic entity =
           let cache = Common.create ctx cls i_cache in
           ignore
-            (Runtime.call_named ctx cache "init" [ Value.Iface_ref logic; Value.Str entity ]);
+            (Runtime.call_slot ctx cache cache_init [ Value.Iface_ref logic; Value.Str entity ]);
           cache
         in
         caches :=
@@ -506,121 +547,127 @@ let c_app =
             make_cache c_dependent_cache dependent "dependents";
           ];
         let v = Common.create ctx c_validation i_validation in
-        ignore (Runtime.call_named ctx v "init" [ Value.Iface_ref db ]);
+        ignore (Runtime.call_slot ctx v validation_init [ Value.Iface_ref db ]);
         validation := Some v;
         let a = Common.create ctx c_audit_log i_audit in
         let a_init = Runtime.query_interface ctx a ~iid:(Itype.iid i_validation) in
-        ignore (Runtime.call_named ctx a_init "init" [ Value.Iface_ref db ]);
+        ignore (Runtime.call_slot ctx a_init validation_init [ Value.Iface_ref db ]);
         audit := Some a;
         session := Some (Common.create ctx c_session_mgr i_session);
         let r = Common.create ctx c_report_logic i_report in
-        ignore (Runtime.call_named ctx r "init" [ Value.Iface_ref history ]);
+        ignore (Runtime.call_slot ctx r report_init [ Value.Iface_ref history ]);
         report := Some r;
         chg ctx 600.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let login ctx args =
         let user = Combuild.get_str args 0 in
         (match !session with
         | Some s ->
-            ignore (Common.call_ret_str ctx s "open_session" [ Value.Str user ]);
-            ignore (Common.call ctx s "authorized" [ Value.Str "login" ])
+            ignore (Common.call_ret_str ctx s session_open_session [ Value.Str user ]);
+            ignore (Runtime.call_slot ctx s session_authorized [ Value.Str "login" ])
         | None -> ());
         (match !caches with
-        | c :: _ -> ignore (Common.call_ret_str ctx c "lookup" [ Value.Str "login-role" ])
+        | c :: _ -> ignore (Common.call_ret_str ctx c cache_lookup [ Value.Str "login-role" ])
         | [] -> ());
         chg ctx 80.;
-        Combuild.echo args (Value.Bool true)
+        Value.Bool true
       in
       let view_employee ctx args =
         let id = Combuild.get_int args 0 in
         (* Prime the caches for this employee, then the form issues a
            storm of small field lookups. *)
         List.iter
-          (fun cache -> ignore (Common.call_ret_int ctx cache "refresh" [ Value.Int id ]))
+          (fun cache -> ignore (Common.call_ret_int ctx cache cache_refresh [ Value.Int id ]))
           !caches;
         let ncaches = List.length !caches in
         for q = 0 to queries_per_view - 1 do
           let cache = List.nth !caches (q mod ncaches) in
           ignore
-            (Common.call_ret_str ctx cache "lookup"
+            (Common.call_ret_str ctx cache cache_lookup
                [ Value.Str (Printf.sprintf "emp%d-field%d" id q) ])
         done;
         (match !forms with
         | _ :: emp_form :: _ ->
-            ignore (Runtime.call_named ctx emp_form "set_label" [ Value.Str "Employee" ])
+            ignore
+              (Runtime.call_slot ctx emp_form Common.control_set_label [ Value.Str "Employee" ])
         | _ -> ());
         chg ctx 250.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let add_employee ctx args =
         let record = Combuild.get_blob args 0 in
         (match !audit with
         | Some a ->
-            ignore (Runtime.call_named ctx a "append" [ Value.Str "add"; Value.Blob 128 ])
+            ignore (Runtime.call_slot ctx a audit_append [ Value.Str "add"; Value.Blob 128 ])
         | None -> ());
         (match !validation with
-        | Some v -> ignore (Common.call_ret_int ctx v "validate" [ Value.Blob record ])
+        | Some v ->
+            ignore (Common.call_ret_int ctx v validation_validate [ Value.Blob record ])
         | None -> ());
         (match !logics with
         | employee :: _ ->
             ignore
-              (Common.call_ret_int ctx employee "update"
+              (Common.call_ret_int ctx employee logic_update
                  [ Value.Str "employees"; Value.Blob record ])
         | [] -> ());
         List.iter
-          (fun cache -> ignore (Runtime.call_named ctx cache "invalidate_all" []))
+          (fun cache -> ignore (Runtime.call_slot ctx cache cache_invalidate_all []))
           !caches;
         chg ctx 200.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let delete_employee ctx args =
         let id = Combuild.get_int args 0 in
         (match !audit with
         | Some a ->
-            ignore (Runtime.call_named ctx a "append" [ Value.Str "delete"; Value.Blob 64 ])
+            ignore (Runtime.call_slot ctx a audit_append [ Value.Str "delete"; Value.Blob 64 ])
         | None -> ());
         (match !logics with
         | employee :: _ ->
-            ignore (Common.call_ret_int ctx employee "remove" [ Value.Str "employees"; Value.Int id ])
+            ignore (Common.call_ret_int ctx employee logic_remove
+                      [ Value.Str "employees"; Value.Int id ])
         | [] -> ());
         List.iter
-          (fun cache -> ignore (Runtime.call_named ctx cache "invalidate_all" []))
+          (fun cache -> ignore (Runtime.call_slot ctx cache cache_invalidate_all []))
           !caches;
         chg ctx 150.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let run_report ctx args =
+      let run_report ctx _args =
         (match !report with
         | Some r ->
-            let data = Common.call_ret_blob ctx r "build" [ Value.Str "benefits-by-dept" ] in
+            let data =
+              Common.call_ret_blob ctx r report_build [ Value.Str "benefits-by-dept" ]
+            in
             let graph = Common.create ctx c_graph Common.i_blob_sink in
-            ignore (Runtime.call_named ctx graph "put" [ Value.Blob data ]);
-            ignore (Common.call_ret_int ctx graph "finish" []);
+            ignore (Runtime.call_slot ctx graph Common.blob_sink_put [ Value.Blob data ]);
+            ignore (Common.call_ret_int ctx graph Common.blob_sink_finish []);
             let gp = Runtime.query_interface ctx graph ~iid:(Itype.iid Common.i_paint) in
             (match !chrome with
             | Some c ->
                 ignore
-                  (Runtime.call_named ctx c.Widgets.window_render "attach_surface"
+                  (Runtime.call_slot ctx c.Widgets.window_render Common.render_attach_surface
                      [ Value.Iface_ref gp ])
             | None -> ())
         | None -> ());
         chg ctx 300.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let repaint ctx args =
+      let repaint ctx _args =
         (match !chrome with
         | Some c ->
             List.iter
-              (fun p -> ignore (Runtime.call_named ctx p "paint" [ Value.Opaque_handle "HDC" ]))
+              (fun p ->
+                ignore (Runtime.call_slot ctx p Common.paint_paint [ Value.Opaque_handle "HDC" ]))
               c.Widgets.paints
         | None -> ());
         chg ctx 50.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let shutdown ctx args =
+      let shutdown ctx _args =
         chg ctx 120.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_ben_app
@@ -637,33 +684,33 @@ let c_app =
 
 let boot ctx =
   let app = Common.create ctx c_app i_ben_app in
-  ignore (Runtime.call_named ctx app "startup" []);
-  ignore (Common.call ctx app "login" [ Value.Str "hradmin" ]);
+  ignore (Runtime.call_slot ctx app ben_app_startup []);
+  ignore (Runtime.call_slot ctx app ben_app_login [ Value.Str "hradmin" ]);
   app
 
 let scenario_view ctx =
   let app = boot ctx in
   List.iter
-    (fun id -> ignore (Runtime.call_named ctx app "view_employee" [ Value.Int id ]))
+    (fun id -> ignore (Runtime.call_slot ctx app ben_app_view_employee [ Value.Int id ]))
     [ 17; 17; 23 ];
-  ignore (Runtime.call_named ctx app "run_report" []);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app ben_app_run_report []);
+  ignore (Runtime.call_slot ctx app ben_app_repaint []);
+  ignore (Runtime.call_slot ctx app ben_app_shutdown [])
 
 let scenario_add ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "add_employee" [ Value.Blob 2_400 ]);
-  ignore (Runtime.call_named ctx app "view_employee" [ Value.Int 99 ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app ben_app_add_employee [ Value.Blob 2_400 ]);
+  ignore (Runtime.call_slot ctx app ben_app_view_employee [ Value.Int 99 ]);
+  ignore (Runtime.call_slot ctx app ben_app_repaint []);
+  ignore (Runtime.call_slot ctx app ben_app_shutdown [])
 
 let scenario_delete ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "view_employee" [ Value.Int 17 ]);
-  ignore (Runtime.call_named ctx app "delete_employee" [ Value.Int 17 ]);
-  ignore (Runtime.call_named ctx app "view_employee" [ Value.Int 23 ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app ben_app_view_employee [ Value.Int 17 ]);
+  ignore (Runtime.call_slot ctx app ben_app_delete_employee [ Value.Int 17 ]);
+  ignore (Runtime.call_slot ctx app ben_app_view_employee [ Value.Int 23 ]);
+  ignore (Runtime.call_slot ctx app ben_app_repaint []);
+  ignore (Runtime.call_slot ctx app ben_app_shutdown [])
 
 let sc id desc run = { App.sc_id = id; sc_desc = desc; sc_bigone = false; sc_run = run }
 

@@ -15,12 +15,20 @@ let i_file_read =
       Idl_type.method_ ~ret:Idl_type.Blob "read_all" [ Idl_type.param "name" Idl_type.Str ];
     ]
 
+let file_read_open_file = Itype.slot i_file_read "open_file"
+let file_read_file_size = Itype.slot i_file_read "file_size"
+let file_read_read_block = Itype.slot i_file_read "read_block"
+let file_read_read_all = Itype.slot i_file_read "read_all"
+
 let i_blob_sink =
   Itype.declare "IBlobSink"
     [
       Idl_type.method_ "put" [ Idl_type.param "data" Idl_type.Blob ];
       Idl_type.method_ ~ret:Idl_type.Int32 "finish" [];
     ]
+
+let blob_sink_put = Itype.slot i_blob_sink "put"
+let blob_sink_finish = Itype.slot i_blob_sink "finish"
 
 let i_query =
   Itype.declare "IQuery"
@@ -29,12 +37,18 @@ let i_query =
       Idl_type.method_ ~ret:Idl_type.Int32 "query_int" [ Idl_type.param "key" Idl_type.Str ];
     ]
 
+let query_query = Itype.slot i_query "query"
+let query_query_int = Itype.slot i_query "query_int"
+
 let i_notify =
   Itype.declare "INotify"
     [
       Idl_type.method_ "notify" [ Idl_type.param "code" Idl_type.Int32 ];
       Idl_type.method_ "notify_str" [ Idl_type.param "text" Idl_type.Str ];
     ]
+
+let notify_notify = Itype.slot i_notify "notify"
+let notify_notify_str = Itype.slot i_notify "notify_str"
 
 let i_paint =
   Itype.declare "IPaint"
@@ -49,6 +63,8 @@ let i_paint =
         ];
     ]
 
+let paint_paint = Itype.slot i_paint "paint"
+
 let i_control =
   Itype.declare "IControl"
     [
@@ -58,6 +74,11 @@ let i_control =
       Idl_type.method_ "set_label" [ Idl_type.param "text" Idl_type.Str ];
     ]
 
+let control_attach = Itype.slot i_control "attach"
+let control_enable = Itype.slot i_control "enable"
+let control_click = Itype.slot i_control "click"
+let control_set_label = Itype.slot i_control "set_label"
+
 let i_render =
   Itype.declare "IRender"
     [
@@ -66,6 +87,9 @@ let i_render =
       Idl_type.method_ "scroll" [ Idl_type.param "line" Idl_type.Int32 ];
       Idl_type.method_ "attach_surface" [ Idl_type.param "surface" (Idl_type.Iface "IPaint") ];
     ]
+
+let render_render_page = Itype.slot i_render "render_page"
+let render_attach_surface = Itype.slot i_render "attach_surface"
 
 module Vfs = struct
   let key : (string, int) Hashtbl.t Runtime.key = Runtime.new_key ()
@@ -105,7 +129,7 @@ let file_server =
         incr next_fh;
         Hashtbl.replace handles fh name;
         Runtime.charge ctx ~us:120.;
-        Combuild.echo args (Value.Int fh)
+        Value.Int fh
       in
       let file_size ctx args =
         let fh = Combuild.get_int args 0 in
@@ -113,7 +137,7 @@ let file_server =
         | None -> Hresult.fail (Hresult.E_invalidarg "bad file handle")
         | Some name ->
             Runtime.charge ctx ~us:5.;
-            Combuild.echo args (Value.Int (Vfs.size ctx name))
+            Value.Int (Vfs.size ctx name)
       in
       let read_block ctx args =
         let fh = Combuild.get_int args 0 in
@@ -125,13 +149,13 @@ let file_server =
             let total = Vfs.size ctx name in
             let n = max 0 (min size (total - offset)) in
             Runtime.charge ctx ~us:(30. +. (float_of_int n /. 100.));
-            Combuild.echo args (Value.Blob n)
+            Value.Blob n
       in
       let read_all ctx args =
         let name = Combuild.get_str args 0 in
         let n = Vfs.size ctx name in
         Runtime.charge ctx ~us:(60. +. (float_of_int n /. 100.));
-        Combuild.echo args (Value.Blob n)
+        Value.Blob n
       in
       [
         Combuild.iface i_file_read
@@ -148,19 +172,17 @@ let create ctx (cls : Runtime.component_class) itype =
 
 let create_file_server ctx = create ctx file_server i_file_read
 
-let call ctx h mname args = snd (Runtime.call_named ctx h mname args)
-
-let call_ret_int ctx h mname args =
-  match call ctx h mname args with
+let call_ret_int ctx h slot args =
+  match Runtime.call_slot ctx h slot args with
   | Value.Int i -> i
   | v -> Hresult.fail (Hresult.E_fail (Format.asprintf "expected int return, got %a" Value.pp v))
 
-let call_ret_blob ctx h mname args =
-  match call ctx h mname args with
+let call_ret_blob ctx h slot args =
+  match Runtime.call_slot ctx h slot args with
   | Value.Blob n -> n
   | v -> Hresult.fail (Hresult.E_fail (Format.asprintf "expected blob return, got %a" Value.pp v))
 
-let call_ret_str ctx h mname args =
-  match call ctx h mname args with
+let call_ret_str ctx h slot args =
+  match Runtime.call_slot ctx h slot args with
   | Value.Str s -> s
   | v -> Hresult.fail (Hresult.E_fail (Format.asprintf "expected str return, got %a" Value.pp v))

@@ -31,6 +31,12 @@ let i_ingest_app =
       Idl_type.method_ "shutdown" [];
     ]
 
+let ingest_app_startup = Itype.slot i_ingest_app "startup"
+let ingest_app_stream = Itype.slot i_ingest_app "stream"
+let ingest_app_replay = Itype.slot i_ingest_app "replay"
+let ingest_app_repaint = Itype.slot i_ingest_app "repaint"
+let ingest_app_shutdown = Itype.slot i_ingest_app "shutdown"
+
 let i_frame_source =
   Itype.declare "IFrameSource"
     [
@@ -39,11 +45,16 @@ let i_frame_source =
         [ Idl_type.param "frames" Idl_type.Int32; Idl_type.param "frame_bytes" Idl_type.Int32 ];
     ]
 
+let frame_source_attach_sink = Itype.slot i_frame_source "attach_sink"
+let frame_source_start_stream = Itype.slot i_frame_source "start_stream"
+
 let i_stage =
   Itype.declare "IIngestStage"
     [
       Idl_type.method_ "connect" [ Idl_type.param "next" (Idl_type.Iface "IBlobSink") ];
     ]
+
+let stage_connect = Itype.slot i_stage "connect"
 
 let i_catalog =
   Itype.declare "ICatalog"
@@ -53,6 +64,9 @@ let i_catalog =
       Idl_type.method_ ~ret:Idl_type.Int32 "entry_count" [];
     ]
 
+let catalog_record = Itype.slot i_catalog "record"
+let catalog_entry_count = Itype.slot i_catalog "entry_count"
+
 let i_replayer =
   Itype.declare "IReplayer"
     [
@@ -61,6 +75,9 @@ let i_replayer =
           Idl_type.param "monitor" (Idl_type.Iface "INotify") ];
       Idl_type.method_ ~ret:Idl_type.Int32 "replay_capture" [ Idl_type.param "name" Idl_type.Str ];
     ]
+
+let replayer_attach_store = Itype.slot i_replayer "attach_store"
+let replayer_replay_capture = Itype.slot i_replayer "replay_capture"
 
 (* ---------------------------------------------------------------- *)
 (* Capture side (client-pinned hardware access)                      *)
@@ -76,7 +93,7 @@ let c_capture =
       let attach_sink ctx args =
         sink := Some (Combuild.get_iface args 0);
         chg ctx 25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let start_stream ctx args =
         let frames = Combuild.get_int args 0 in
@@ -85,11 +102,11 @@ let c_capture =
         for _ = 1 to frames do
           (* DMA the frame out of the card, then push it downstream. *)
           chg ctx (40. +. (float_of_int frame_bytes /. 400.));
-          ignore (Runtime.call_named ctx s "put" [ Value.Blob frame_bytes ])
+          ignore (Runtime.call_slot ctx s Common.blob_sink_put [ Value.Blob frame_bytes ])
         done;
-        ignore (Common.call_ret_int ctx s "finish" []);
+        ignore (Common.call_ret_int ctx s Common.blob_sink_finish []);
         chg ctx 30.;
-        Combuild.echo args (Value.Int frames)
+        Value.Int frames
       in
       [
         Combuild.iface i_frame_source
@@ -111,13 +128,13 @@ let c_monitor =
           incr events;
           chg ctx 6.
         end;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let notify_str ctx args =
         ignore (Combuild.get_str args 0);
         incr events;
         chg ctx 9.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [ Combuild.iface Common.i_notify [ ("notify", notify); ("notify_str", notify_str) ] ])
 
@@ -132,19 +149,20 @@ let c_decoder =
       let connect ctx args =
         next := Some (Combuild.get_iface args 0);
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let put ctx args =
         let raw = Combuild.get_blob args 0 in
         let decoded = raw * decode_num / decode_den in
         chg ctx (60. +. (float_of_int raw /. 250.));
-        ignore (Runtime.call_named ctx (Option.get !next) "put" [ Value.Blob decoded ]);
-        Combuild.echo args Value.Unit
+        ignore
+          (Runtime.call_slot ctx (Option.get !next) Common.blob_sink_put [ Value.Blob decoded ]);
+        Value.Unit
       in
-      let finish ctx args =
-        let n = Common.call_ret_int ctx (Option.get !next) "finish" [] in
+      let finish ctx _args =
+        let n = Common.call_ret_int ctx (Option.get !next) Common.blob_sink_finish [] in
         chg ctx 12.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
       [
         Combuild.iface i_stage [ ("connect", connect) ];
@@ -158,19 +176,20 @@ let c_packer =
       let connect ctx args =
         next := Some (Combuild.get_iface args 0);
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let put ctx args =
         let decoded = Combuild.get_blob args 0 in
         let packed = max min_packed_bytes (decoded / pack_ratio) in
         chg ctx (110. +. (float_of_int decoded /. 120.));
-        ignore (Runtime.call_named ctx (Option.get !next) "put" [ Value.Blob packed ]);
-        Combuild.echo args Value.Unit
+        ignore
+          (Runtime.call_slot ctx (Option.get !next) Common.blob_sink_put [ Value.Blob packed ]);
+        Value.Unit
       in
-      let finish ctx args =
-        let n = Common.call_ret_int ctx (Option.get !next) "finish" [] in
+      let finish ctx _args =
+        let n = Common.call_ret_int ctx (Option.get !next) Common.blob_sink_finish [] in
         chg ctx 10.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
       [
         Combuild.iface i_stage [ ("connect", connect) ];
@@ -190,7 +209,7 @@ let c_archive =
       let connect ctx args =
         catalog := Some (Combuild.get_iface args 0);
         chg ctx 10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let put ctx args =
         let packed = Combuild.get_blob args 0 in
@@ -200,14 +219,14 @@ let c_archive =
         (match !catalog with
         | Some c ->
             ignore
-              (Runtime.call_named ctx c "record"
+              (Runtime.call_slot ctx c catalog_record
                  [ Value.Int !frames; Value.Blob index_row_bytes ])
         | None -> ());
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 80.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
       [
         Combuild.iface i_stage [ ("connect", connect) ];
@@ -223,11 +242,11 @@ let c_catalog =
         ignore (Combuild.get_blob args 1);
         incr entries;
         chg ctx 35.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let entry_count ctx args =
+      let entry_count ctx _args =
         chg ctx 3.;
-        Combuild.echo args (Value.Int !entries)
+        Value.Int !entries
       in
       [ Combuild.iface i_catalog [ ("record", record); ("entry_count", entry_count) ] ])
 
@@ -240,17 +259,17 @@ let c_replayer =
         store := Some (Combuild.get_iface args 0);
         monitor := Some (Combuild.get_iface args 1);
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let replay_capture ctx args =
         let name = Combuild.get_str args 0 in
         let st = Option.get !store and mon = Option.get !monitor in
-        let fh = Common.call_ret_int ctx st "open_file" [ Value.Str name ] in
-        let total = Common.call_ret_int ctx st "file_size" [ Value.Int fh ] in
+        let fh = Common.call_ret_int ctx st Common.file_read_open_file [ Value.Str name ] in
+        let total = Common.call_ret_int ctx st Common.file_read_file_size [ Value.Int fh ] in
         let segments = max 1 ((total + replay_segment_bytes - 1) / replay_segment_bytes) in
         for s = 0 to segments - 1 do
           let chunk =
-            Common.call_ret_blob ctx st "read_block"
+            Common.call_ret_blob ctx st Common.file_read_read_block
               [ Value.Int fh; Value.Int (s * replay_segment_bytes);
                 Value.Int replay_segment_bytes ]
           in
@@ -258,11 +277,11 @@ let c_replayer =
              but the result shipped onward is a tiny report. *)
           chg ctx (150. +. (float_of_int chunk /. 80.));
           ignore
-            (Runtime.call_named ctx mon "notify_str"
+            (Runtime.call_slot ctx mon Common.notify_notify_str
                [ Value.Str (String.make replay_report_bytes 's') ])
         done;
         chg ctx 40.;
-        Combuild.echo args (Value.Int segments)
+        Value.Int segments
       in
       [
         Combuild.iface i_replayer
@@ -284,68 +303,70 @@ let c_pipeline =
     (fun _ctx _self ->
       let capture = ref None and monitor = ref None in
       let replayer = ref None and catalog = ref None in
-      let startup ctx args =
+      let startup ctx _args =
         let mon = Common.create ctx c_monitor Common.i_notify in
         monitor := Some mon;
         let cat = Common.create ctx c_catalog i_catalog in
         catalog := Some cat;
         let archive = Common.create ctx c_archive Common.i_blob_sink in
         let archive_connect = Runtime.query_interface ctx archive ~iid:(Itype.iid i_stage) in
-        ignore (Runtime.call_named ctx archive_connect "connect" [ Value.Iface_ref cat ]);
+        ignore (Runtime.call_slot ctx archive_connect stage_connect [ Value.Iface_ref cat ]);
         let packer = Common.create ctx c_packer i_stage in
-        ignore (Runtime.call_named ctx packer "connect" [ Value.Iface_ref archive ]);
+        ignore (Runtime.call_slot ctx packer stage_connect [ Value.Iface_ref archive ]);
         let packer_sink = Runtime.query_interface ctx packer ~iid:(Itype.iid Common.i_blob_sink) in
         let decoder = Common.create ctx c_decoder i_stage in
-        ignore (Runtime.call_named ctx decoder "connect" [ Value.Iface_ref packer_sink ]);
+        ignore (Runtime.call_slot ctx decoder stage_connect [ Value.Iface_ref packer_sink ]);
         let decoder_sink =
           Runtime.query_interface ctx decoder ~iid:(Itype.iid Common.i_blob_sink)
         in
         let cap = Common.create ctx c_capture i_frame_source in
-        ignore (Runtime.call_named ctx cap "attach_sink" [ Value.Iface_ref decoder_sink ]);
+        ignore
+          (Runtime.call_slot ctx cap frame_source_attach_sink [ Value.Iface_ref decoder_sink ]);
         capture := Some cap;
         let store = Common.create_file_server ctx in
         let rep = Common.create ctx c_replayer i_replayer in
         ignore
-          (Runtime.call_named ctx rep "attach_store"
+          (Runtime.call_slot ctx rep replayer_attach_store
              [ Value.Iface_ref store; Value.Iface_ref mon ]);
         replayer := Some rep;
         chg ctx 250.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let stream ctx args =
         let frames = Combuild.get_int args 0 in
         let frame_bytes = Combuild.get_int args 1 in
         let n =
-          Common.call_ret_int ctx (Option.get !capture) "start_stream"
+          Common.call_ret_int ctx (Option.get !capture) frame_source_start_stream
             [ Value.Int frames; Value.Int frame_bytes ]
         in
         (match !monitor with
-        | Some m -> ignore (Runtime.call_named ctx m "notify" [ Value.Int n ])
+        | Some m -> ignore (Runtime.call_slot ctx m Common.notify_notify [ Value.Int n ])
         | None -> ());
         (match !catalog with
-        | Some c -> ignore (Common.call_ret_int ctx c "entry_count" [])
+        | Some c -> ignore (Common.call_ret_int ctx c catalog_entry_count [])
         | None -> ());
         chg ctx 50.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
       let replay ctx args =
         let name = Combuild.get_str args 0 in
         let n =
-          Common.call_ret_int ctx (Option.get !replayer) "replay_capture" [ Value.Str name ]
+          Common.call_ret_int ctx (Option.get !replayer) replayer_replay_capture
+            [ Value.Str name ]
         in
         chg ctx 35.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
-      let repaint ctx args =
+      let repaint ctx _args =
         (match !monitor with
-        | Some m -> ignore (Runtime.call_named ctx m "notify" [ Value.Int (-1) ])
+        | Some m -> ignore (Runtime.call_slot ctx m Common.notify_notify [ Value.Int (-1) ])
         | None -> ());
         chg ctx 20.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let shutdown ctx args =
+      let shutdown ctx _args =
         chg ctx 60.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_ingest_app
@@ -366,20 +387,21 @@ let prepare ctx =
 let boot ctx =
   prepare ctx;
   let app = Common.create ctx c_pipeline i_ingest_app in
-  ignore (Runtime.call_named ctx app "startup" []);
+  ignore (Runtime.call_slot ctx app ingest_app_startup []);
   app
 
 let scenario_stream frames frame_bytes ctx =
   let app = boot ctx in
-  ignore (Common.call_ret_int ctx app "stream" [ Value.Int frames; Value.Int frame_bytes ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Common.call_ret_int ctx app ingest_app_stream
+            [ Value.Int frames; Value.Int frame_bytes ]);
+  ignore (Runtime.call_slot ctx app ingest_app_repaint []);
+  ignore (Runtime.call_slot ctx app ingest_app_shutdown [])
 
 let scenario_replay name ctx =
   let app = boot ctx in
-  ignore (Common.call_ret_int ctx app "replay" [ Value.Str name ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Common.call_ret_int ctx app ingest_app_replay [ Value.Str name ]);
+  ignore (Runtime.call_slot ctx app ingest_app_repaint []);
+  ignore (Runtime.call_slot ctx app ingest_app_shutdown [])
 
 let sc id desc run = { App.sc_id = id; sc_desc = desc; sc_bigone = false; sc_run = run }
 

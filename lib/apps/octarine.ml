@@ -83,6 +83,13 @@ let i_doc_app =
       Idl_type.method_ "shutdown" [];
     ]
 
+let doc_app_startup = Itype.slot i_doc_app "startup"
+let doc_app_open_document = Itype.slot i_doc_app "open_document"
+let doc_app_new_document = Itype.slot i_doc_app "new_document"
+let doc_app_repaint = Itype.slot i_doc_app "repaint"
+let doc_app_click = Itype.slot i_doc_app "click"
+let doc_app_shutdown = Itype.slot i_doc_app "shutdown"
+
 let i_document =
   Itype.declare "IDocument"
     [
@@ -95,6 +102,10 @@ let i_document =
       Idl_type.method_ ~ret:Idl_type.Int32 "page_count" [];
       Idl_type.method_ "add_fragment" [ Idl_type.param "kind" Idl_type.Str ];
     ]
+
+let document_init = Itype.slot i_document "init"
+let document_show_page = Itype.slot i_document "show_page"
+let document_add_fragment = Itype.slot i_document "add_fragment"
 
 let i_doc_source =
   Itype.declare "IDocSource"
@@ -109,6 +120,16 @@ let i_doc_source =
       Idl_type.method_ ~ret:Idl_type.Blob "page_summary" [ Idl_type.param "page" Idl_type.Int32 ];
       Idl_type.method_ ~ret:(Idl_type.Iface "IQuery") "props" [];
     ]
+
+let doc_source_open_doc = Itype.slot i_doc_source "open_doc"
+let doc_source_page_count = Itype.slot i_doc_source "page_count"
+let doc_source_doc_kind = Itype.slot i_doc_source "doc_kind"
+let doc_source_table_count = Itype.slot i_doc_source "table_count"
+let doc_source_read_page = Itype.slot i_doc_source "read_page"
+let doc_source_reflow_page = Itype.slot i_doc_source "reflow_page"
+let doc_source_read_table = Itype.slot i_doc_source "read_table"
+let doc_source_page_summary = Itype.slot i_doc_source "page_summary"
+let doc_source_props = Itype.slot i_doc_source "props"
 
 let i_story =
   Itype.declare "IStory"
@@ -127,6 +148,13 @@ let i_story =
       Idl_type.method_ ~ret:Idl_type.Int32 "paragraph_count" [];
     ]
 
+let story_init = Itype.slot i_story "init"
+let story_load = Itype.slot i_story "load"
+let story_show_page = Itype.slot i_story "show_page"
+let story_type_text = Itype.slot i_story "type_text"
+let story_paragraph = Itype.slot i_story "paragraph"
+let story_paragraph_count = Itype.slot i_story "paragraph_count"
+
 let i_paragraph =
   Itype.declare "IParagraph"
     [
@@ -140,6 +168,11 @@ let i_paragraph =
       Idl_type.method_ ~ret:Idl_type.Blob "line_boxes" [];
     ]
 
+let paragraph_set_text = Itype.slot i_paragraph "set_text"
+let paragraph_layout = Itype.slot i_paragraph "layout"
+let paragraph_measure = Itype.slot i_paragraph "measure"
+let paragraph_line_boxes = Itype.slot i_paragraph "line_boxes"
+
 let i_run =
   Itype.declare "ITextRun"
     [
@@ -148,9 +181,14 @@ let i_run =
         [ Idl_type.param "props" (Idl_type.Iface "IQuery") ];
     ]
 
+let run_set_text = Itype.slot i_run "set_text"
+let run_metrics = Itype.slot i_run "metrics"
+
 let i_breaker =
   Itype.declare "ILineBreaker"
     [ Idl_type.method_ ~ret:Idl_type.Int32 "break_lines" [ Idl_type.param "data" Idl_type.Blob ] ]
+
+let breaker_break_lines = Itype.slot i_breaker "break_lines"
 
 let i_layout =
   Itype.declare "IPageLayout"
@@ -160,6 +198,11 @@ let i_layout =
       Idl_type.method_ "add_text" [ Idl_type.param "data" Idl_type.Blob ];
       Idl_type.method_ "finish" [ Idl_type.param "page" Idl_type.Int32 ];
     ]
+
+let layout_init = Itype.slot i_layout "init"
+let layout_begin_page = Itype.slot i_layout "begin_page"
+let layout_add_text = Itype.slot i_layout "add_text"
+let layout_finish = Itype.slot i_layout "finish"
 
 let i_table_model =
   Itype.declare "ITableModel"
@@ -177,6 +220,13 @@ let i_table_model =
       Idl_type.method_ "append_row" [ Idl_type.param "data" Idl_type.Blob ];
     ]
 
+let table_model_init = Itype.slot i_table_model "init"
+let table_model_load = Itype.slot i_table_model "load"
+let table_model_row_count = Itype.slot i_table_model "row_count"
+let table_model_fetch_rows = Itype.slot i_table_model "fetch_rows"
+let table_model_cell_probe = Itype.slot i_table_model "cell_probe"
+let table_model_append_row = Itype.slot i_table_model "append_row"
+
 let i_table_view =
   Itype.declare "ITableView"
     [
@@ -187,6 +237,9 @@ let i_table_view =
         ];
       Idl_type.method_ "show" [ Idl_type.param "page" Idl_type.Int32 ];
     ]
+
+let table_view_init = Itype.slot i_table_view "init"
+let table_view_show = Itype.slot i_table_view "show"
 
 let i_placement =
   Itype.declare "IPlacement"
@@ -203,6 +256,12 @@ let i_placement =
       Idl_type.method_ ~ret:Idl_type.Blob "commit" [];
     ]
 
+let placement_set_source = Itype.slot i_placement "set_source"
+let placement_add_paragraph = Itype.slot i_placement "add_paragraph"
+let placement_add_table = Itype.slot i_placement "add_table"
+let placement_negotiate = Itype.slot i_placement "negotiate"
+let placement_commit = Itype.slot i_placement "commit"
+
 let i_music =
   Itype.declare "IMusicSheet"
     [
@@ -211,6 +270,10 @@ let i_music =
       Idl_type.method_ "compose" [ Idl_type.param "page" Idl_type.Int32 ];
     ]
 
+let music_init = Itype.slot i_music "init"
+let music_add_staff = Itype.slot i_music "add_staff"
+let music_compose = Itype.slot i_music "compose"
+
 let i_music_staff =
   Itype.declare "IMusicStaff"
     [
@@ -218,6 +281,9 @@ let i_music_staff =
         [ Idl_type.param "pitch" Idl_type.Int32; Idl_type.param "duration" Idl_type.Int32 ];
       Idl_type.method_ ~ret:Idl_type.Int32 "layout_staff" [];
     ]
+
+let music_staff_add_note = Itype.slot i_music_staff "add_note"
+let music_staff_layout_staff = Itype.slot i_music_staff "layout_staff"
 
 let i_container =
   Itype.declare "IContainer"
@@ -233,6 +299,11 @@ let i_container =
       Idl_type.method_ ~ret:Idl_type.Int32 "refresh" [];
     ]
 
+let container_set_context = Itype.slot i_container "set_context"
+let container_populate = Itype.slot i_container "populate"
+let container_adorn = Itype.slot i_container "adorn"
+let container_refresh = Itype.slot i_container "refresh"
+
 let i_widget_factory =
   Itype.declare "IWidgetFactory"
     [
@@ -240,6 +311,9 @@ let i_widget_factory =
       Idl_type.method_ ~ret:(Idl_type.Iface "IContainer") "make_pane"
         [ Idl_type.param "kind" Idl_type.Str ];
     ]
+
+let widget_factory_make = Itype.slot i_widget_factory "make"
+let widget_factory_make_pane = Itype.slot i_widget_factory "make_pane"
 
 let i_undo =
   Itype.declare "IUndoManager"
@@ -250,9 +324,13 @@ let i_undo =
       Idl_type.method_ ~ret:Idl_type.Int32 "depth" [];
     ]
 
+let undo_record_edit = Itype.slot i_undo "record_edit"
+
 let i_spell =
   Itype.declare "ISpellChecker"
     [ Idl_type.method_ ~ret:Idl_type.Int32 "check_text" [ Idl_type.param "data" Idl_type.Blob ] ]
+
+let spell_check_text = Itype.slot i_spell "check_text"
 
 let i_style_gallery =
   Itype.declare "IStyleGallery"
@@ -260,6 +338,9 @@ let i_style_gallery =
       Idl_type.method_ ~ret:Idl_type.Int32 "load_template" [ Idl_type.param "data" Idl_type.Blob ];
       Idl_type.method_ ~ret:Idl_type.Str "style_of" [ Idl_type.param "name" Idl_type.Str ];
     ]
+
+let style_gallery_load_template = Itype.slot i_style_gallery "load_template"
+let style_gallery_style_of = Itype.slot i_style_gallery "style_of"
 
 (* ---------------------------------------------------------------- *)
 (* GUI                                                               *)
@@ -287,7 +368,7 @@ let c_control_constructor =
           | other -> Hresult.fail (Hresult.E_invalidarg ("ControlConstructor: " ^ other))
         in
         chg ctx 10.;
-        Combuild.echo args (Value.Iface_ref ctl)
+        Value.Iface_ref ctl
       in
       let make_pane ctx args =
         let pane =
@@ -298,7 +379,7 @@ let c_control_constructor =
           | other -> Hresult.fail (Hresult.E_invalidarg ("ControlConstructor: " ^ other))
         in
         chg ctx 10.;
-        Combuild.echo args (Value.Iface_ref pane)
+        Value.Iface_ref pane
       in
       [ Combuild.iface i_widget_factory [ ("make", make); ("make_pane", make_pane) ] ])
 
@@ -308,11 +389,14 @@ let c_theme_service =
       (* Apply the theme, then delegate construction. *)
       let delegate meth ctx args =
         chg ctx 6.;
-        Combuild.echo args (Common.call ctx constructor meth args)
+        Runtime.call_slot ctx constructor meth args
       in
       [
         Combuild.iface i_widget_factory
-          [ ("make", delegate "make"); ("make_pane", delegate "make_pane") ];
+          [
+            ("make", delegate widget_factory_make);
+            ("make_pane", delegate widget_factory_make_pane);
+          ];
       ])
 
 let c_widget_factory =
@@ -320,11 +404,14 @@ let c_widget_factory =
       let theme = Common.create ctx0 c_theme_service i_widget_factory in
       let delegate meth ctx args =
         chg ctx 6.;
-        Combuild.echo args (Common.call ctx theme meth args)
+        Runtime.call_slot ctx theme meth args
       in
       [
         Combuild.iface i_widget_factory
-          [ ("make", delegate "make"); ("make_pane", delegate "make_pane") ];
+          [
+            ("make", delegate widget_factory_make);
+            ("make_pane", delegate widget_factory_make_pane);
+          ];
       ])
 
 (* Containers stamp out their children through the factory and forward
@@ -339,30 +426,30 @@ let container_class name ~child_kind ~recursive =
         parent := Some (Combuild.get_iface args 1);
         self_h := Some (Combuild.get_iface args 2);
         chg ctx 6.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let make_tooltip ctx =
         match !factory with
         | Some f -> (
-            match Common.call ctx f "make" [ Value.Str "tooltip" ] with
+            match Runtime.call_slot ctx f widget_factory_make [ Value.Str "tooltip" ] with
             | Value.Iface_ref tip -> children := tip :: !children
             | _ -> ())
         | None -> ()
       in
-      let adorn ctx args =
+      let adorn ctx _args =
         (* Decorations (tooltips) attached to this container. *)
         make_tooltip ctx;
         chg ctx 8.;
-        Combuild.echo args (Value.Int (List.length !children))
+        Value.Int (List.length !children)
       in
-      let refresh ctx args =
+      let refresh ctx _args =
         (* Rebuilding hover decorations: a second internal path that
            also instantiates tooltips — the entry-point classifier
            cannot tell it from [adorn], the internal-function
            classifier can. *)
         make_tooltip ctx;
         chg ctx 10.;
-        Combuild.echo args (Value.Int (List.length !children))
+        Value.Int (List.length !children)
       in
       let populate ctx args =
         let count = Combuild.get_int args 0 in
@@ -370,60 +457,62 @@ let container_class name ~child_kind ~recursive =
         let self = Option.get !self_h in
         let self_notify = Runtime.query_interface ctx self ~iid:(Itype.iid Common.i_notify) in
         for _ = 1 to count do
-          match Common.call ctx f "make" [ Value.Str child_kind ] with
+          match Runtime.call_slot ctx f widget_factory_make [ Value.Str child_kind ] with
           | Value.Iface_ref ctl ->
-              ignore (Runtime.call_named ctx ctl "attach" [ Value.Iface_ref self_notify ]);
+              ignore
+                (Runtime.call_slot ctx ctl Common.control_attach [ Value.Iface_ref self_notify ]);
               children := ctl :: !children
           | _ -> ()
         done;
         (* Flash the first few children (they notify us back). *)
         List.iteri
-          (fun i ctl -> if i < 3 then ignore (Runtime.call_named ctx ctl "click" []))
+          (fun i ctl -> if i < 3 then ignore (Runtime.call_slot ctx ctl Common.control_click []))
           !children;
         (* Self-calls through our own interface: the entry-point
            classifier collapses them, the internal-function classifier
            does not. *)
-        ignore (Runtime.call_named ctx self "adorn" []);
-        ignore (Runtime.call_named ctx self "refresh" []);
+        ignore (Runtime.call_slot ctx self container_adorn []);
+        ignore (Runtime.call_slot ctx self container_refresh []);
         if recursive && count > 3 then begin
-          match Common.call ctx f "make_pane" [ Value.Str "menupane" ] with
+          match Runtime.call_slot ctx f widget_factory_make_pane [ Value.Str "menupane" ] with
           | Value.Iface_ref sub ->
               ignore
-                (Runtime.call_named ctx sub "set_context"
+                (Runtime.call_slot ctx sub container_set_context
                    [ Value.Iface_ref f; Value.Iface_ref self_notify; Value.Iface_ref sub ]);
-              ignore (Runtime.call_named ctx sub "populate" [ Value.Int (count / 2) ]);
+              ignore (Runtime.call_slot ctx sub container_populate [ Value.Int (count / 2) ]);
               children := sub :: !children
           | _ -> ()
         end;
         chg ctx (float_of_int count *. 9.);
-        Combuild.echo args (Value.Int count)
+        Value.Int count
       in
       let notify ctx args =
         (match !parent with
-        | Some p -> ignore (Runtime.call_named ctx p "notify" args)
+        | Some p -> ignore (Runtime.call_slot ctx p Common.notify_notify args)
         | None -> ());
         chg ctx 4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let notify_str ctx args =
+      let notify_str ctx _args =
         chg ctx 4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         List.iter
           (fun ctl ->
             match
               Runtime.query_interface ctx ctl ~iid:(Itype.iid Common.i_paint)
             with
-            | p -> ignore (Runtime.call_named ctx p "paint" [ Value.Opaque_handle "HDC" ])
+            | p ->
+                ignore (Runtime.call_slot ctx p Common.paint_paint [ Value.Opaque_handle "HDC" ])
             | exception Hresult.Com_error _ -> ())
           !children;
         chg ctx 22.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 2.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_container
@@ -448,11 +537,11 @@ let c_undo_record =
       let put ctx args =
         stored := !stored + Combuild.get_blob args 0;
         chg ctx 4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
       [ Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ] ])
 
@@ -463,23 +552,23 @@ let c_undo_manager =
       let record_edit ctx args =
         let data = Combuild.get_blob args 1 in
         let rcd = Common.create ctx c_undo_record Common.i_blob_sink in
-        ignore (Runtime.call_named ctx rcd "put" [ Value.Blob (min data 512) ]);
+        ignore (Runtime.call_slot ctx rcd Common.blob_sink_put [ Value.Blob (min data 512) ]);
         stack := rcd :: !stack;
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let undo ctx args =
+      let undo ctx _args =
         (match !stack with
         | rcd :: rest ->
-            ignore (Common.call_ret_int ctx rcd "finish" []);
+            ignore (Common.call_ret_int ctx rcd Common.blob_sink_finish []);
             stack := rest
         | [] -> ());
         chg ctx 15.;
-        Combuild.echo args (Value.Int (List.length !stack))
+        Value.Int (List.length !stack)
       in
-      let depth ctx args =
+      let depth ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int (List.length !stack))
+        Value.Int (List.length !stack)
       in
       [ Combuild.iface i_undo [ ("record_edit", record_edit); ("undo", undo); ("depth", depth) ] ])
 
@@ -491,19 +580,19 @@ let c_spell_checker =
         checked := !checked + data;
         (* In-memory dictionary lookups. *)
         chg ctx (25. +. (float_of_int data /. 150.));
-        Combuild.echo args (Value.Int (data / 900))
+        Value.Int (data / 900)
       in
       [ Combuild.iface i_spell [ ("check_text", check_text) ] ])
 
 let c_style =
   Runtime.define_class "Octarine.Style" (fun _ctx _self ->
-      let put ctx args =
+      let put ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int 0)
+        Value.Int 0
       in
       [ Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ] ])
 
@@ -517,16 +606,16 @@ let c_style_gallery =
         let count = max 4 (min 12 (data / 16_000)) in
         for _ = 1 to count do
           let st = Common.create ctx c_style Common.i_blob_sink in
-          ignore (Runtime.call_named ctx st "put" [ Value.Blob (data / count / 8) ]);
+          ignore (Runtime.call_slot ctx st Common.blob_sink_put [ Value.Blob (data / count / 8) ]);
           styles := st :: !styles
         done;
         chg ctx (40. +. (float_of_int data /. 1_000.));
-        Combuild.echo args (Value.Int count)
+        Value.Int count
       in
       let style_of ctx args =
         ignore (Combuild.get_str args 0);
         chg ctx 5.;
-        Combuild.echo args (Value.Str "font:Garamond;weight:400")
+        Value.Str "font:Garamond;weight:400"
       in
       [
         Combuild.iface i_style_gallery
@@ -543,13 +632,15 @@ let c_text_run =
       let set_text ctx args =
         bytes := Combuild.get_blob args 0;
         chg ctx (float_of_int !bytes /. 400.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let metrics ctx args =
         let props = Combuild.get_iface args 0 in
-        let fm = Common.call_ret_int ctx props "query_int" [ Value.Str "font-metrics" ] in
+        let fm =
+          Common.call_ret_int ctx props Common.query_query_int [ Value.Str "font-metrics" ]
+        in
         chg ctx 14.;
-        Combuild.echo args (Value.Int (fm + (!bytes / 8)))
+        Value.Int (fm + (!bytes / 8))
       in
       [ Combuild.iface i_run [ ("set_text", set_text); ("metrics", metrics) ] ])
 
@@ -566,36 +657,39 @@ let c_paragraph =
         List.iteri
           (fun i r ->
             ignore
-              (Runtime.call_named ctx r "set_text" [ Value.Blob (if i = 0 then half else n - half) ]))
+              (Runtime.call_slot ctx r run_set_text
+                 [ Value.Blob (if i = 0 then half else n - half) ]))
           runs;
         chg ctx (float_of_int n /. 300.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let layout ctx args =
         let width = Combuild.get_int args 0 in
         let props = Combuild.get_iface args 1 in
         let widths =
-          List.map (fun r -> Common.call_ret_int ctx r "metrics" [ Value.Iface_ref props ]) runs
+          List.map
+            (fun r -> Common.call_ret_int ctx r run_metrics [ Value.Iface_ref props ])
+            runs
         in
         let total = List.fold_left ( + ) 0 widths in
         chg ctx 60.;
-        Combuild.echo args (Value.Int (1 + (total / max 1 width)))
+        Value.Int (1 + (total / max 1 width))
       in
-      let measure ctx args =
+      let measure ctx _args =
         chg ctx 6.;
-        Combuild.echo args (Value.Int !bytes)
+        Value.Int !bytes
       in
-      let line_boxes ctx args =
+      let line_boxes ctx _args =
         chg ctx 18.;
-        Combuild.echo args (Value.Blob (!bytes + (!bytes / 16)))
+        Value.Blob (!bytes + (!bytes / 16))
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx 30.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 2.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_paragraph
@@ -611,7 +705,7 @@ let c_line_breaker =
       let break_lines ctx args =
         let n = Combuild.get_blob args 0 in
         chg ctx (20. +. (float_of_int n /. 250.));
-        Combuild.echo args (Value.Int (1 + (n / 900)))
+        Value.Int (1 + (n / 900))
       in
       [ Combuild.iface i_breaker [ ("break_lines", break_lines) ] ])
 
@@ -622,35 +716,36 @@ let c_page_layout =
       let init ctx args =
         render := Some (Combuild.get_iface args 0);
         chg ctx 10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let begin_page ctx args =
+      let begin_page ctx _args =
         pending := 0;
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let add_text ctx args =
         pending := !pending + Combuild.get_blob args 0;
         chg ctx 25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let finish ctx args =
         let page = Combuild.get_int args 0 in
         (match !render with
         | Some r ->
             ignore
-              (Runtime.call_named ctx r "render_page" [ Value.Int page; Value.Blob 2_000 ])
+              (Runtime.call_slot ctx r Common.render_render_page
+                 [ Value.Int page; Value.Blob 2_000 ])
         | None -> ());
         chg ctx (40. +. (float_of_int !pending /. 500.));
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx 90.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_layout
@@ -664,19 +759,19 @@ let c_text_properties =
       let put ctx args =
         stored := !stored + Combuild.get_blob args 0;
         chg ctx (float_of_int (Combuild.get_blob args 0) /. 200.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 8.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
-      let query ctx args =
+      let query ctx _args =
         chg ctx 5.;
-        Combuild.echo args (Value.Str "style:normal;font:Garamond;size:11")
+        Value.Str "style:normal;font:Garamond;size:11"
       in
-      let query_int ctx args =
+      let query_int ctx _args =
         chg ctx 4.;
-        Combuild.echo args (Value.Int (512 + (!stored mod 97)))
+        Value.Int (512 + (!stored mod 97))
       in
       [
         Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ];
@@ -698,15 +793,15 @@ let c_document_reader =
         let name = Combuild.get_str args 0 in
         opened_name := name;
         let spec = spec_of ctx name in
-        let fh = Common.call_ret_int ctx fs "open_file" [ Value.Str name ] in
-        let size = Common.call_ret_int ctx fs "file_size" [ Value.Int fh ] in
+        let fh = Common.call_ret_int ctx fs Common.file_read_open_file [ Value.Str name ] in
+        let size = Common.call_ret_int ctx fs Common.file_read_file_size [ Value.Int fh ] in
         (* Full scan in 16 KiB blocks: pagination requires touching the
            entire document even to show page one. *)
         let block = 16_384 in
         let offset = ref 0 in
         while !offset < size do
           let got =
-            Common.call_ret_blob ctx fs "read_block"
+            Common.call_ret_blob ctx fs Common.file_read_read_block
               [ Value.Int fh; Value.Int !offset; Value.Int block ]
           in
           chg ctx (float_of_int got /. 800.);
@@ -716,37 +811,37 @@ let c_document_reader =
           if spec.d_kind = K_text || spec.d_kind = K_mixed then begin
             let p = Common.create ctx c_text_properties Common.i_blob_sink in
             ignore
-              (Runtime.call_named ctx p "put"
+              (Runtime.call_slot ctx p Common.blob_sink_put
                  [ Value.Blob (max 64 (spec.d_pages * props_bytes_per_page)) ]);
-            ignore (Runtime.call_named ctx p "finish" []);
+            ignore (Runtime.call_slot ctx p Common.blob_sink_finish []);
             Some (Runtime.query_interface ctx p ~iid:(Itype.iid Common.i_query))
           end
           else None
         in
         state := Some (spec, props);
         chg ctx 150.;
-        Combuild.echo args (Value.Int spec.d_pages)
+        Value.Int spec.d_pages
       in
       let with_state f =
         match !state with
         | Some (spec, props) -> f spec props
         | None -> Hresult.fail (Hresult.E_fail "Octarine.DocumentReader: no document open")
       in
-      let page_count ctx args =
+      let page_count ctx _args =
         with_state (fun spec _ ->
             chg ctx 2.;
-            Combuild.echo args (Value.Int spec.d_pages))
+            Value.Int spec.d_pages)
       in
-      let doc_kind ctx args =
+      let doc_kind ctx _args =
         with_state (fun spec _ ->
             chg ctx 2.;
-            Combuild.echo args (Value.Str (kind_name spec.d_kind)))
+            Value.Str (kind_name spec.d_kind))
       in
-      let table_count ctx args =
+      let table_count ctx _args =
         with_state (fun spec _ ->
             chg ctx 2.;
             let n = match spec.d_kind with K_table -> 1 | K_mixed -> spec.d_tables | _ -> 0 in
-            Combuild.echo args (Value.Int n))
+            Value.Int n)
       in
       let read_page ctx args =
         with_state (fun spec _ ->
@@ -760,7 +855,7 @@ let c_document_reader =
               | K_music -> 4_000
             in
             chg ctx (float_of_int bytes /. 1_500.);
-            Combuild.echo args (Value.Blob bytes))
+            Value.Blob bytes)
       in
       let reflow_page ctx args =
         with_state (fun spec _ ->
@@ -769,12 +864,15 @@ let c_document_reader =
               Hresult.fail (Hresult.E_invalidarg "Octarine: page out of range");
             (* Re-flow works from the file, not the parse cache: the
                trial layout needs the unflowed source. *)
-            let fh = Common.call_ret_int ctx fs "open_file" [ Value.Str (current_name ()) ] in
+            let fh =
+              Common.call_ret_int ctx fs Common.file_read_open_file
+                [ Value.Str (current_name ()) ]
+            in
             ignore
-              (Common.call_ret_blob ctx fs "read_block"
+              (Common.call_ret_blob ctx fs Common.file_read_read_block
                  [ Value.Int fh; Value.Int (page * text_page_raw); Value.Int text_page_raw ]);
             chg ctx (float_of_int text_page_parsed /. 700.);
-            Combuild.echo args (Value.Blob text_page_parsed))
+            Value.Blob text_page_parsed)
       in
       let read_table ctx args =
         with_state (fun spec _ ->
@@ -782,19 +880,19 @@ let c_document_reader =
             if index < 0 || index >= max 1 spec.d_tables then
               Hresult.fail (Hresult.E_invalidarg "Octarine: table out of range");
             chg ctx 30.;
-            Combuild.echo args (Value.Blob (mixed_table_rows * mixed_row_parsed)))
+            Value.Blob (mixed_table_rows * mixed_row_parsed))
       in
-      let page_summary ctx args =
+      let page_summary ctx _args =
         with_state (fun _spec _ ->
             chg ctx 4.;
-            Combuild.echo args (Value.Blob page_summary_bytes))
+            Value.Blob page_summary_bytes)
       in
-      let props_m ctx args =
+      let props_m ctx _args =
         with_state (fun _spec props ->
             chg ctx 2.;
             match props with
-            | Some p -> Combuild.echo args (Value.Iface_ref p)
-            | None -> Combuild.echo args Value.Null)
+            | Some p -> Value.Iface_ref p
+            | None -> Value.Null)
       in
       [
         Combuild.iface i_doc_source
@@ -821,15 +919,15 @@ let c_story =
         (match List.nth args 2 with
         | Value.Iface_ref p -> props := Some p
         | _ -> props := None);
-        ignore (Runtime.call_named ctx layout "init" [ List.nth args 1 ]);
+        ignore (Runtime.call_slot ctx layout layout_init [ List.nth args 1 ]);
         (* Register the layout surface with the window so repaints reach
            it over the non-remotable paint interface. *)
         let layout_paint = Runtime.query_interface ctx layout ~iid:(Itype.iid Common.i_paint) in
         ignore
-          (Runtime.call_named ctx (Combuild.get_iface args 1) "attach_surface"
+          (Runtime.call_slot ctx (Combuild.get_iface args 1) Common.render_attach_surface
              [ Value.Iface_ref layout_paint ]);
         chg ctx 25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let load ctx args =
         let total = Combuild.get_int args 0 in
@@ -838,19 +936,19 @@ let c_story =
         let page_paras = Array.make (max window 0) [] in
         let all = ref [] in
         for p = 0 to window - 1 do
-          let data = Common.call_ret_blob ctx s "read_page" [ Value.Int p ] in
+          let data = Common.call_ret_blob ctx s doc_source_read_page [ Value.Int p ] in
           let chunk = data / paras_per_page in
           let paras =
             List.init paras_per_page (fun i ->
                 let para = Common.create ctx c_paragraph i_paragraph in
                 let sz = if i = paras_per_page - 1 then data - (chunk * (paras_per_page - 1)) else chunk in
-                ignore (Runtime.call_named ctx para "set_text" [ Value.Blob sz ]);
-                ignore (Common.call_ret_int ctx breaker "break_lines" [ Value.Blob sz ]);
+                ignore (Runtime.call_slot ctx para paragraph_set_text [ Value.Blob sz ]);
+                ignore (Common.call_ret_int ctx breaker breaker_break_lines [ Value.Blob sz ]);
                 (* Paragraphs draw themselves: the window repaints them
                    through the non-remotable device-context interface. *)
                 let pp = Runtime.query_interface ctx para ~iid:(Itype.iid Common.i_paint) in
                 ignore
-                  (Runtime.call_named ctx (Option.get !render) "attach_surface"
+                  (Runtime.call_slot ctx (Option.get !render) Common.render_attach_surface
                      [ Value.Iface_ref pp ]);
                 para)
           in
@@ -859,65 +957,67 @@ let c_story =
         done;
         (* Pagination summaries for everything beyond the window. *)
         for p = window to total - 1 do
-          ignore (Common.call_ret_blob ctx s "page_summary" [ Value.Int p ])
+          ignore (Common.call_ret_blob ctx s doc_source_page_summary [ Value.Int p ])
         done;
         pages := page_paras;
         paragraphs := Array.of_list !all;
         chg ctx (float_of_int total *. 15.);
-        Combuild.echo args (Value.Int window)
+        Value.Int window
       in
       let show_page ctx args =
         let page = Combuild.get_int args 0 in
         if page >= 0 && page < Array.length !pages then begin
-          ignore (Runtime.call_named ctx layout "begin_page" [ Value.Int page ]);
+          ignore (Runtime.call_slot ctx layout layout_begin_page [ Value.Int page ]);
           List.iter
             (fun para ->
               (match !props with
               | Some p ->
                   ignore
-                    (Runtime.call_named ctx para "layout" [ Value.Int 640; Value.Iface_ref p ])
+                    (Runtime.call_slot ctx para paragraph_layout
+                       [ Value.Int 640; Value.Iface_ref p ])
               | None -> ());
-              let boxes = Common.call_ret_blob ctx para "line_boxes" [] in
-              ignore (Runtime.call_named ctx layout "add_text" [ Value.Blob boxes ]))
+              let boxes = Common.call_ret_blob ctx para paragraph_line_boxes [] in
+              ignore (Runtime.call_slot ctx layout layout_add_text [ Value.Blob boxes ]))
             !pages.(page);
-          ignore (Runtime.call_named ctx layout "finish" [ Value.Int page ])
+          ignore (Runtime.call_slot ctx layout layout_finish [ Value.Int page ])
         end;
         chg ctx 35.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let type_text ctx args =
         let n = Combuild.get_blob args 0 in
         let para = Common.create ctx c_paragraph i_paragraph in
-        ignore (Runtime.call_named ctx para "set_text" [ Value.Blob n ]);
-        ignore (Common.call_ret_int ctx breaker "break_lines" [ Value.Blob n ]);
+        ignore (Runtime.call_slot ctx para paragraph_set_text [ Value.Blob n ]);
+        ignore (Common.call_ret_int ctx breaker breaker_break_lines [ Value.Blob n ]);
         (match !render with
         | Some r ->
             let pp = Runtime.query_interface ctx para ~iid:(Itype.iid Common.i_paint) in
-            ignore (Runtime.call_named ctx r "attach_surface" [ Value.Iface_ref pp ])
+            ignore (Runtime.call_slot ctx r Common.render_attach_surface [ Value.Iface_ref pp ])
         | None -> ());
         (match !props with
         | Some p ->
-            ignore (Runtime.call_named ctx para "layout" [ Value.Int 640; Value.Iface_ref p ])
+            ignore
+              (Runtime.call_slot ctx para paragraph_layout [ Value.Int 640; Value.Iface_ref p ])
         | None -> ());
         if Array.length !pages = 0 then pages := [| [ para ] |]
         else !pages.(0) <- !pages.(0) @ [ para ];
         paragraphs := Array.append !paragraphs [| para |];
-        ignore (Runtime.call_named ctx layout "begin_page" [ Value.Int 0 ]);
-        ignore (Runtime.call_named ctx layout "add_text" [ Value.Blob (n + (n / 16)) ]);
-        ignore (Runtime.call_named ctx layout "finish" [ Value.Int 0 ]);
+        ignore (Runtime.call_slot ctx layout layout_begin_page [ Value.Int 0 ]);
+        ignore (Runtime.call_slot ctx layout layout_add_text [ Value.Blob (n + (n / 16)) ]);
+        ignore (Runtime.call_slot ctx layout layout_finish [ Value.Int 0 ]);
         chg ctx 45.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let paragraph ctx args =
         let i = Combuild.get_int args 0 in
         chg ctx 2.;
         if i >= 0 && i < Array.length !paragraphs then
-          Combuild.echo args (Value.Iface_ref !paragraphs.(i))
-        else Combuild.echo args Value.Null
+          Value.Iface_ref !paragraphs.(i)
+        else Value.Null
       in
-      let paragraph_count ctx args =
+      let paragraph_count ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int (Array.length !paragraphs))
+        Value.Int (Array.length !paragraphs)
       in
       [
         Combuild.iface i_story
@@ -937,12 +1037,12 @@ let c_table_row =
       let set_text ctx args =
         bytes := Combuild.get_blob args 0;
         chg ctx 6.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let metrics ctx args =
         ignore (Combuild.get_iface args 0);
         chg ctx 4.;
-        Combuild.echo args (Value.Int (!bytes / 8))
+        Value.Int (!bytes / 8)
       in
       [ Combuild.iface i_run [ ("set_text", set_text); ("metrics", metrics) ] ])
 
@@ -959,13 +1059,13 @@ let c_table_model =
         | _ -> src := None);
         index := Combuild.get_int args 1;
         chg ctx 8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let load ctx args =
+      let load ctx _args =
         (match (!src, !index) with
         | Some s, -1 ->
             (* Whole-document table: stream every parsed page. *)
-            let kind = Common.call_ret_str ctx s "doc_kind" [] in
+            let kind = Common.call_ret_str ctx s doc_source_doc_kind [] in
             ignore kind;
             let pages =
               (* The model learns the page count from its first read;
@@ -974,40 +1074,40 @@ let c_table_model =
             in
             ignore pages
         | Some s, i when i >= 0 ->
-            let data = Common.call_ret_blob ctx s "read_table" [ Value.Int i ] in
+            let data = Common.call_ret_blob ctx s doc_source_read_table [ Value.Int i ] in
             rows := mixed_table_rows;
             row_bytes := data / max 1 mixed_table_rows;
             for _r = 1 to mixed_table_rows do
               let row = Common.create ctx c_table_row i_run in
-              ignore (Runtime.call_named ctx row "set_text" [ Value.Blob !row_bytes ])
+              ignore (Runtime.call_slot ctx row run_set_text [ Value.Blob !row_bytes ])
             done;
             chg ctx (float_of_int data /. 600.)
         | _ -> ());
         chg ctx 20.;
-        Combuild.echo args (Value.Int !rows)
+        Value.Int !rows
       in
-      let row_count ctx args =
+      let row_count ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !rows)
+        Value.Int !rows
       in
       let fetch_rows ctx args =
         let start = Combuild.get_int args 0 in
         let count = Combuild.get_int args 1 in
         let n = max 0 (min count (!rows - start)) in
         chg ctx (float_of_int (n * !row_bytes) /. 2_000.);
-        Combuild.echo args (Value.Blob (n * !row_bytes))
+        Value.Blob (n * !row_bytes)
       in
       let cell_probe ctx args =
         let row = Combuild.get_int args 0 in
         chg ctx 4.;
-        Combuild.echo args (Value.Int ((row * 37) mod 101))
+        Value.Int ((row * 37) mod 101)
       in
       let append_row ctx args =
         let data = Combuild.get_blob args 0 in
         rows := !rows + 1;
         row_bytes := max !row_bytes data;
         chg ctx 15.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       (* Document-level tables stream pages through this sink. *)
       let put ctx args =
@@ -1015,11 +1115,11 @@ let c_table_model =
         rows := !rows + (data / max 1 table_row_parsed);
         row_bytes := table_row_parsed;
         chg ctx (float_of_int data /. 2_500.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 10.;
-        Combuild.echo args (Value.Int !rows)
+        Value.Int !rows
       in
       [
         Combuild.iface i_table_model
@@ -1037,34 +1137,36 @@ let c_table_view =
         model := Some (Combuild.get_iface args 0);
         render := Some (Combuild.get_iface args 1);
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let show ctx args =
         let page = Combuild.get_int args 0 in
         (match (!model, !render) with
         | Some m, Some r ->
-            let rows = Common.call_ret_int ctx m "row_count" [] in
+            let rows = Common.call_ret_int ctx m table_model_row_count [] in
             let wanted = if rows <= full_fetch_rows then rows else view_window_rows in
             (* Fetch in 10-row chunks, as a scrolling grid would. *)
             let fetched = ref 0 in
             while !fetched < wanted do
               let n = min 10 (wanted - !fetched) in
               ignore
-                (Common.call_ret_blob ctx m "fetch_rows" [ Value.Int !fetched; Value.Int n ]);
+                (Common.call_ret_blob ctx m table_model_fetch_rows
+                   [ Value.Int !fetched; Value.Int n ]);
               fetched := !fetched + n
             done;
-            ignore (Runtime.call_named ctx r "render_page" [ Value.Int page; Value.Blob 2_200 ])
+            ignore (Runtime.call_slot ctx r Common.render_render_page
+                      [ Value.Int page; Value.Blob 2_200 ])
         | _ -> ());
         chg ctx 80.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx 70.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_table_view [ ("init", init); ("show", show) ];
@@ -1077,7 +1179,7 @@ let c_trial_layout =
       let break_lines ctx args =
         let n = Combuild.get_blob args 0 in
         chg ctx (15. +. (float_of_int n /. 900.));
-        Combuild.echo args (Value.Int (n / 700))
+        Value.Int (n / 700)
       in
       [ Combuild.iface i_breaker [ ("break_lines", break_lines) ] ])
 
@@ -1092,17 +1194,17 @@ let c_page_placement =
         | Value.Iface_ref p -> props := Some p
         | _ -> props := None);
         chg ctx 6.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let add_paragraph ctx args =
         paras := Combuild.get_iface args 0 :: !paras;
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let add_table ctx args =
         tables := Combuild.get_iface args 0 :: !tables;
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let negotiate ctx args =
         let rounds = Combuild.get_int args 0 in
@@ -1112,29 +1214,32 @@ let c_page_placement =
           (* Re-read the candidate pages to re-flow text around the
              tables under the new trial placement. *)
           for p = 0 to pages - 1 do
-            ignore (Common.call_ret_blob ctx s "reflow_page" [ Value.Int p ])
+            ignore (Common.call_ret_blob ctx s doc_source_reflow_page [ Value.Int p ])
           done;
           List.iter
             (fun m ->
               let trial = Common.create ctx c_trial_layout i_breaker in
               ignore
-                (Common.call_ret_int ctx trial "break_lines" [ Value.Blob text_page_parsed ]);
-              ignore (Common.call_ret_int ctx m "row_count" []);
-              ignore (Common.call_ret_int ctx m "cell_probe" [ Value.Int 1 ]))
+                (Common.call_ret_int ctx trial breaker_break_lines
+                   [ Value.Blob text_page_parsed ]);
+              ignore (Common.call_ret_int ctx m table_model_row_count []);
+              ignore (Common.call_ret_int ctx m table_model_cell_probe [ Value.Int 1 ]))
             !tables;
-          List.iter (fun p -> ignore (Common.call_ret_int ctx p "measure" [])) !paras;
+          List.iter (fun p -> ignore (Common.call_ret_int ctx p paragraph_measure [])) !paras;
           (match !props with
           | Some pr ->
-              ignore (Common.call_ret_int ctx pr "query_int" [ Value.Str "page-metrics" ]);
-              ignore (Common.call_ret_int ctx pr "query_int" [ Value.Str "float-rules" ])
+              ignore (Common.call_ret_int ctx pr Common.query_query_int
+                        [ Value.Str "page-metrics" ]);
+              ignore (Common.call_ret_int ctx pr Common.query_query_int
+                        [ Value.Str "float-rules" ])
           | None -> ());
           chg ctx 180.
         done;
-        Combuild.echo args (Value.Int (rounds * pages))
+        Value.Int (rounds * pages)
       in
-      let commit ctx args =
+      let commit ctx _args =
         chg ctx 30.;
-        Combuild.echo args (Value.Blob (16 * (List.length !tables + 1)))
+        Value.Blob (16 * (List.length !tables + 1))
       in
       [
         Combuild.iface i_placement
@@ -1155,11 +1260,11 @@ let c_music_bar =
         ignore (Combuild.get_int args 0);
         incr notes;
         chg ctx 7.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let layout_staff ctx args =
+      let layout_staff ctx _args =
         chg ctx 15.;
-        Combuild.echo args (Value.Int !notes)
+        Value.Int !notes
       in
       [ Combuild.iface i_music_staff [ ("add_note", add_note); ("layout_staff", layout_staff) ] ])
 
@@ -1174,15 +1279,17 @@ let c_music_staff =
            bars := bar :: !bars);
         incr count;
         (match !bars with
-        | bar :: _ -> ignore (Runtime.call_named ctx bar "add_note" args)
+        | bar :: _ -> ignore (Runtime.call_slot ctx bar music_staff_add_note args)
         | [] -> ());
         chg ctx 6.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let layout_staff ctx args =
-        List.iter (fun b -> ignore (Common.call_ret_int ctx b "layout_staff" [])) !bars;
+      let layout_staff ctx _args =
+        List.iter
+          (fun b -> ignore (Common.call_ret_int ctx b music_staff_layout_staff []))
+          !bars;
         chg ctx 40.;
-        Combuild.echo args (Value.Int !count)
+        Value.Int !count
       in
       [ Combuild.iface i_music_staff [ ("add_note", add_note); ("layout_staff", layout_staff) ] ])
 
@@ -1194,31 +1301,34 @@ let c_music_sheet =
       let init ctx args =
         render := Some (Combuild.get_iface args 0);
         chg ctx 12.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let add_staff ctx args =
+      let add_staff ctx _args =
         let staff = Common.create ctx c_music_staff i_music_staff in
         staves := staff :: !staves;
         chg ctx 10.;
-        Combuild.echo args (Value.Iface_ref staff)
+        Value.Iface_ref staff
       in
       let compose ctx args =
         let page = Combuild.get_int args 0 in
-        List.iter (fun s -> ignore (Common.call_ret_int ctx s "layout_staff" [])) !staves;
+        List.iter
+          (fun s -> ignore (Common.call_ret_int ctx s music_staff_layout_staff []))
+          !staves;
         (match !render with
         | Some r ->
-            ignore (Runtime.call_named ctx r "render_page" [ Value.Int page; Value.Blob 1_800 ])
+            ignore (Runtime.call_slot ctx r Common.render_render_page
+                      [ Value.Int page; Value.Blob 1_800 ])
         | None -> ());
         chg ctx 90.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx 60.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_music [ ("init", init); ("add_staff", add_staff); ("compose", compose) ];
@@ -1244,27 +1354,29 @@ let c_document =
       let pages = ref 0 in
       let attach_surface_of ctx render_h comp =
         let p = Runtime.query_interface ctx comp ~iid:(Itype.iid Common.i_paint) in
-        ignore (Runtime.call_named ctx render_h "attach_surface" [ Value.Iface_ref p ])
+        ignore (Runtime.call_slot ctx render_h Common.render_attach_surface [ Value.Iface_ref p ])
       in
       let setup_text ctx s r props_v =
         let st = Common.create ctx c_story i_story in
-        ignore (Runtime.call_named ctx st "init" [ Value.Iface_ref s; Value.Iface_ref r; props_v ]);
-        ignore (Runtime.call_named ctx st "load" [ Value.Int !pages ]);
+        ignore
+          (Runtime.call_slot ctx st story_init [ Value.Iface_ref s; Value.Iface_ref r; props_v ]);
+        ignore (Runtime.call_slot ctx st story_load [ Value.Int !pages ]);
         story := Some st
       in
       let setup_doc_table ctx s r =
         (* A whole-document table: the model streams every parsed page
            from the reader, the view fetches what it shows. *)
         let model = Common.create ctx c_table_model i_table_model in
-        ignore (Runtime.call_named ctx model "init" [ Value.Iface_ref s; Value.Int (-1) ]);
+        ignore (Runtime.call_slot ctx model table_model_init [ Value.Iface_ref s; Value.Int (-1) ]);
         let sink = Runtime.query_interface ctx model ~iid:(Itype.iid Common.i_blob_sink) in
         for p = 0 to !pages - 1 do
-          let data = Common.call_ret_blob ctx s "read_page" [ Value.Int p ] in
-          ignore (Runtime.call_named ctx sink "put" [ Value.Blob data ])
+          let data = Common.call_ret_blob ctx s doc_source_read_page [ Value.Int p ] in
+          ignore (Runtime.call_slot ctx sink Common.blob_sink_put [ Value.Blob data ])
         done;
-        ignore (Common.call_ret_int ctx sink "finish" []);
+        ignore (Common.call_ret_int ctx sink Common.blob_sink_finish []);
         let view = Common.create ctx c_table_view i_table_view in
-        ignore (Runtime.call_named ctx view "init" [ Value.Iface_ref model; Value.Iface_ref r ]);
+        ignore (Runtime.call_slot ctx view table_view_init
+                  [ Value.Iface_ref model; Value.Iface_ref r ]);
         attach_surface_of ctx r view;
         views := (model, view) :: !views
       in
@@ -1273,11 +1385,13 @@ let c_document =
         let models =
           List.init ntables (fun i ->
               let model = Common.create ctx c_table_model i_table_model in
-              ignore (Runtime.call_named ctx model "init" [ Value.Iface_ref s; Value.Int i ]);
-              ignore (Common.call_ret_int ctx model "load" []);
+              ignore
+                (Runtime.call_slot ctx model table_model_init [ Value.Iface_ref s; Value.Int i ]);
+              ignore (Common.call_ret_int ctx model table_model_load []);
               let view = Common.create ctx c_table_view i_table_view in
               ignore
-                (Runtime.call_named ctx view "init" [ Value.Iface_ref model; Value.Iface_ref r ]);
+                (Runtime.call_slot ctx view table_view_init
+                   [ Value.Iface_ref model; Value.Iface_ref r ]);
               attach_surface_of ctx r view;
               views := (model, view) :: !views;
               model)
@@ -1285,39 +1399,42 @@ let c_document =
         (* Page-placement negotiation between the text flow and the
            embedded tables. *)
         let placement = Common.create ctx c_page_placement i_placement in
-        ignore (Runtime.call_named ctx placement "set_source" [ Value.Iface_ref s; props_v ]);
+        ignore
+          (Runtime.call_slot ctx placement placement_set_source [ Value.Iface_ref s; props_v ]);
         (match !story with
         | Some st ->
-            let n = Common.call_ret_int ctx st "paragraph_count" [] in
+            let n = Common.call_ret_int ctx st story_paragraph_count [] in
             for i = 0 to min (n - 1) 9 do
-              match Common.call ctx st "paragraph" [ Value.Int i ] with
+              match Runtime.call_slot ctx st story_paragraph [ Value.Int i ] with
               | Value.Iface_ref p ->
-                  ignore (Runtime.call_named ctx placement "add_paragraph" [ Value.Iface_ref p ])
+                  ignore
+                    (Runtime.call_slot ctx placement placement_add_paragraph [ Value.Iface_ref p ])
               | _ -> ()
             done
         | None -> ());
         List.iter
-          (fun m -> ignore (Runtime.call_named ctx placement "add_table" [ Value.Iface_ref m ]))
+          (fun m ->
+            ignore (Runtime.call_slot ctx placement placement_add_table [ Value.Iface_ref m ]))
           models;
         ignore
-          (Common.call_ret_int ctx placement "negotiate"
+          (Common.call_ret_int ctx placement placement_negotiate
              [ Value.Int negotiation_rounds; Value.Int !pages ]);
-        ignore (Common.call_ret_blob ctx placement "commit" [])
+        ignore (Common.call_ret_blob ctx placement placement_commit [])
       in
       let setup_music ctx r =
         let sh = Common.create ctx c_music_sheet i_music in
-        ignore (Runtime.call_named ctx sh "init" [ Value.Iface_ref r ]);
+        ignore (Runtime.call_slot ctx sh music_init [ Value.Iface_ref r ]);
         for _staff = 1 to 5 do
-          match Common.call ctx sh "add_staff" [] with
+          match Runtime.call_slot ctx sh music_add_staff [] with
           | Value.Iface_ref staff ->
               for note = 1 to 20 do
                 ignore
-                  (Runtime.call_named ctx staff "add_note"
+                  (Runtime.call_slot ctx staff music_staff_add_note
                      [ Value.Int (40 + (note mod 24)); Value.Int 8 ])
               done
           | _ -> ()
         done;
-        ignore (Runtime.call_named ctx sh "compose" [ Value.Int 0 ]);
+        ignore (Runtime.call_slot ctx sh music_compose [ Value.Int 0 ]);
         attach_surface_of ctx r sh;
         sheet := Some sh
       in
@@ -1326,82 +1443,88 @@ let c_document =
         let r = Combuild.get_iface args 1 in
         src := Some s;
         render := Some r;
-        pages := Common.call_ret_int ctx s "page_count" [];
-        let kind = Common.call_ret_str ctx s "doc_kind" [] in
-        let props_v = Common.call ctx s "props" [] in
+        pages := Common.call_ret_int ctx s doc_source_page_count [];
+        let kind = Common.call_ret_str ctx s doc_source_doc_kind [] in
+        let props_v = Runtime.call_slot ctx s doc_source_props [] in
         (match kind with
         | "text" -> setup_text ctx s r props_v
         | "table" -> setup_doc_table ctx s r
-        | "mixed" -> setup_mixed ctx s r props_v (Common.call_ret_int ctx s "table_count" [])
+        | "mixed" ->
+            setup_mixed ctx s r props_v
+              (Common.call_ret_int ctx s doc_source_table_count [])
         | "music" -> setup_music ctx r
         | other -> Hresult.fail (Hresult.E_fail ("Octarine: unknown document kind " ^ other)));
         chg ctx 40.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let show_page ctx args =
         let page = Combuild.get_int args 0 in
         (match !story with
-        | Some st -> ignore (Runtime.call_named ctx st "show_page" [ Value.Int page ])
+        | Some st -> ignore (Runtime.call_slot ctx st story_show_page [ Value.Int page ])
         | None -> ());
         List.iter
-          (fun (_, view) -> ignore (Runtime.call_named ctx view "show" [ Value.Int page ]))
+          (fun (_, view) -> ignore (Runtime.call_slot ctx view table_view_show [ Value.Int page ]))
           !views;
         (match !sheet with
-        | Some sh -> ignore (Runtime.call_named ctx sh "compose" [ Value.Int page ])
+        | Some sh -> ignore (Runtime.call_slot ctx sh music_compose [ Value.Int page ])
         | None -> ());
         chg ctx 25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let page_count ctx args =
+      let page_count ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !pages)
+        Value.Int !pages
       in
       let add_fragment ctx args =
-        ignore (Runtime.call_named ctx undo "record_edit" [ List.nth args 0; Value.Blob 800 ]);
+        ignore (Runtime.call_slot ctx undo undo_record_edit [ List.nth args 0; Value.Blob 800 ]);
         (match Combuild.get_str args 0 with
         | "text" ->
-            ignore (Common.call_ret_int ctx spell "check_text" [ Value.Blob 800 ]);
+            ignore (Common.call_ret_int ctx spell spell_check_text [ Value.Blob 800 ]);
             (
             match (!story, !render) with
-            | Some st, _ -> ignore (Runtime.call_named ctx st "type_text" [ Value.Blob 800 ])
+            | Some st, _ -> ignore (Runtime.call_slot ctx st story_type_text [ Value.Blob 800 ])
             | None, Some r ->
                 let props_v =
-                  match !src with Some s -> Common.call ctx s "props" [] | None -> Value.Null
+                  match !src with
+                  | Some s -> Runtime.call_slot ctx s doc_source_props []
+                  | None -> Value.Null
                 in
                 (match !src with
                 | Some s ->
                     let st = Common.create ctx c_story i_story in
                     ignore
-                      (Runtime.call_named ctx st "init"
+                      (Runtime.call_slot ctx st story_init
                          [ Value.Iface_ref s; Value.Iface_ref r; props_v ]);
-                    ignore (Runtime.call_named ctx st "type_text" [ Value.Blob 800 ]);
+                    ignore (Runtime.call_slot ctx st story_type_text [ Value.Blob 800 ]);
                     story := Some st
                 | None -> ())
             | None, None -> ())
         | "row" -> (
             match (!views, (!src, !render)) with
             | (model, view) :: _, _ ->
-                ignore (Runtime.call_named ctx model "append_row" [ Value.Blob 400 ]);
-                ignore (Runtime.call_named ctx view "show" [ Value.Int 0 ])
+                ignore (Runtime.call_slot ctx model table_model_append_row [ Value.Blob 400 ]);
+                ignore (Runtime.call_slot ctx view table_view_show [ Value.Int 0 ])
             | [], (Some s, Some r) ->
                 let model = Common.create ctx c_table_model i_table_model in
-                ignore (Runtime.call_named ctx model "init" [ Value.Iface_ref s; Value.Int (-1) ]);
-                ignore (Runtime.call_named ctx model "append_row" [ Value.Blob 400 ]);
+                ignore (Runtime.call_slot ctx model table_model_init
+                          [ Value.Iface_ref s; Value.Int (-1) ]);
+                ignore (Runtime.call_slot ctx model table_model_append_row [ Value.Blob 400 ]);
                 let view = Common.create ctx c_table_view i_table_view in
                 ignore
-                  (Runtime.call_named ctx view "init" [ Value.Iface_ref model; Value.Iface_ref r ]);
+                  (Runtime.call_slot ctx view table_view_init
+                     [ Value.Iface_ref model; Value.Iface_ref r ]);
                 attach_surface_of ctx r view;
-                ignore (Runtime.call_named ctx view "show" [ Value.Int 0 ]);
+                ignore (Runtime.call_slot ctx view table_view_show [ Value.Int 0 ]);
                 views := [ (model, view) ]
             | [], _ -> ())
         | "notes" -> (
             match !sheet with
-            | Some sh -> ignore (Runtime.call_named ctx sh "compose" [ Value.Int 0 ])
+            | Some sh -> ignore (Runtime.call_slot ctx sh music_compose [ Value.Int 0 ])
             | None -> (
                 match !render with Some r -> setup_music ctx r | None -> ()))
         | other -> Hresult.fail (Hresult.E_invalidarg ("Octarine: fragment kind " ^ other)));
         chg ctx 20.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_document
@@ -1427,7 +1550,7 @@ let c_app =
       let chrome = ref None in
       let fs = ref None in
       let container_paints = ref [] in
-      let startup ctx args =
+      let startup ctx _args =
         (* Big word-processor chrome: command bars and a nested menu
            strip, each stamping out its children through the shared
            widget factory. *)
@@ -1436,10 +1559,10 @@ let c_app =
         let factory = Common.create ctx c_widget_factory i_widget_factory in
         let wire box count =
           ignore
-            (Runtime.call_named ctx box "set_context"
+            (Runtime.call_slot ctx box container_set_context
                [ Value.Iface_ref factory; Value.Iface_ref c.Widgets.window_notify;
                  Value.Iface_ref box ]);
-          ignore (Runtime.call_named ctx box "populate" [ Value.Int count ]);
+          ignore (Runtime.call_slot ctx box container_populate [ Value.Int count ]);
           container_paints :=
             Runtime.query_interface ctx box ~iid:(Itype.iid Common.i_paint)
             :: !container_paints
@@ -1448,29 +1571,30 @@ let c_app =
           wire (Common.create ctx c_command_bar i_container) 28
         done;
         for _pane = 1 to 12 do
-          match Common.call ctx factory "make_pane" [ Value.Str "menupane" ] with
+          match Runtime.call_slot ctx factory widget_factory_make_pane
+                  [ Value.Str "menupane" ] with
           | Value.Iface_ref pane -> wire pane 10
           | _ -> ()
         done;
         (* Application settings live on the file server. *)
         let f = Common.create_file_server ctx in
         fs := Some f;
-        ignore (Common.call_ret_blob ctx f "read_all" [ Value.Str "octarine.ini" ]);
+        ignore (Common.call_ret_blob ctx f Common.file_read_read_all [ Value.Str "octarine.ini" ]);
         chg ctx 800.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let open_document ctx args =
         let name = Combuild.get_str args 0 in
         let c = Option.get !chrome in
         let reader = Common.create ctx c_document_reader i_doc_source in
-        ignore (Common.call_ret_int ctx reader "open_doc" [ Value.Str name ]);
+        ignore (Common.call_ret_int ctx reader doc_source_open_doc [ Value.Str name ]);
         let doc = Common.create ctx c_document i_document in
         ignore
-          (Runtime.call_named ctx doc "init"
+          (Runtime.call_slot ctx doc document_init
              [ Value.Iface_ref reader; Value.Iface_ref c.Widgets.window_render ]);
-        ignore (Runtime.call_named ctx doc "show_page" [ Value.Int 0 ]);
+        ignore (Runtime.call_slot ctx doc document_show_page [ Value.Int 0 ]);
         chg ctx 200.;
-        Combuild.echo args (Value.Iface_ref doc)
+        Value.Iface_ref doc
       in
       let new_document ctx args =
         let kind = Combuild.get_str args 0 in
@@ -1478,13 +1602,16 @@ let c_app =
            tables start blank. *)
         (match (kind, !fs) with
         | "text", Some f ->
-            let data = Common.call_ret_blob ctx f "read_all" [ Value.Str "normal.dot" ] in
+            let data =
+              Common.call_ret_blob ctx f Common.file_read_read_all [ Value.Str "normal.dot" ]
+            in
             let gallery = Common.create ctx c_style_gallery i_style_gallery in
-            ignore (Runtime.call_named ctx gallery "load_template" [ Value.Blob data ]);
-            ignore (Common.call_ret_str ctx gallery "style_of" [ Value.Str "Normal" ]);
-            ignore (Common.call_ret_str ctx gallery "style_of" [ Value.Str "Heading 1" ])
+            ignore (Runtime.call_slot ctx gallery style_gallery_load_template [ Value.Blob data ]);
+            ignore (Common.call_ret_str ctx gallery style_gallery_style_of [ Value.Str "Normal" ]);
+            ignore (Common.call_ret_str ctx gallery style_gallery_style_of
+                      [ Value.Str "Heading 1" ])
         | "music", Some f ->
-            ignore (Common.call_ret_blob ctx f "read_all" [ Value.Str "music.mst" ])
+            ignore (Common.call_ret_blob ctx f Common.file_read_read_all [ Value.Str "music.mst" ])
         | _ -> ());
         let name = "__new." ^ kind in
         register_doc ctx name
@@ -1501,30 +1628,31 @@ let c_app =
           };
         open_document ctx [ Value.Str name ]
       in
-      let repaint ctx args =
+      let repaint ctx _args =
         (match !chrome with
         | Some c ->
             List.iter
-              (fun p -> ignore (Runtime.call_named ctx p "paint" [ Value.Opaque_handle "HDC" ]))
+              (fun p ->
+                ignore (Runtime.call_slot ctx p Common.paint_paint [ Value.Opaque_handle "HDC" ]))
               (c.Widgets.paints @ !container_paints)
         | None -> ());
         chg ctx 60.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let click ctx args =
         let i = Combuild.get_int args 0 in
         (match !chrome with
         | Some c -> (
             match List.nth_opt c.Widgets.controls (i mod max 1 (List.length c.Widgets.controls)) with
-            | Some ctl -> ignore (Runtime.call_named ctx ctl "click" [])
+            | Some ctl -> ignore (Runtime.call_slot ctx ctl Common.control_click [])
             | None -> ())
         | None -> ());
         chg ctx 10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let shutdown ctx args =
+      let shutdown ctx _args =
         chg ctx 150.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_doc_app
@@ -1558,45 +1686,45 @@ let prepare ctx =
 let boot ctx =
   prepare ctx;
   let app = Common.create ctx c_app i_doc_app in
-  ignore (Runtime.call_named ctx app "startup" []);
+  ignore (Runtime.call_slot ctx app doc_app_startup []);
   app
 
 let scenario_new kind frags ctx =
   let app = boot ctx in
-  (match Common.call ctx app "new_document" [ Value.Str kind ] with
+  (match Runtime.call_slot ctx app doc_app_new_document [ Value.Str kind ] with
   | Value.Iface_ref doc ->
       List.iter
-        (fun frag -> ignore (Runtime.call_named ctx doc "add_fragment" [ Value.Str frag ]))
+        (fun frag -> ignore (Runtime.call_slot ctx doc document_add_fragment [ Value.Str frag ]))
         frags
   | _ -> ());
-  ignore (Runtime.call_named ctx app "click" [ Value.Int 3 ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app doc_app_click [ Value.Int 3 ]);
+  ignore (Runtime.call_slot ctx app doc_app_repaint []);
+  ignore (Runtime.call_slot ctx app doc_app_shutdown [])
 
 let scenario_open name extra_pages ctx =
   let app = boot ctx in
-  (match Common.call ctx app "open_document" [ Value.Str name ] with
+  (match Runtime.call_slot ctx app doc_app_open_document [ Value.Str name ] with
   | Value.Iface_ref doc ->
       List.iter
-        (fun p -> ignore (Runtime.call_named ctx doc "show_page" [ Value.Int p ]))
+        (fun p -> ignore (Runtime.call_slot ctx doc document_show_page [ Value.Int p ]))
         extra_pages
   | _ -> ());
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app doc_app_repaint []);
+  ignore (Runtime.call_slot ctx app doc_app_shutdown [])
 
 let scenario_off first name ctx =
   (* "o_newdoc then o_old...": one session, two documents. *)
   let app = boot ctx in
-  (match Common.call ctx app "new_document" [ Value.Str first ] with
+  (match Runtime.call_slot ctx app doc_app_new_document [ Value.Str first ] with
   | Value.Iface_ref doc ->
-      ignore (Runtime.call_named ctx doc "add_fragment" [ Value.Str "text" ])
+      ignore (Runtime.call_slot ctx doc document_add_fragment [ Value.Str "text" ])
   | _ -> ());
-  ignore (Runtime.call_named ctx app "repaint" []);
-  (match Common.call ctx app "open_document" [ Value.Str name ] with
-  | Value.Iface_ref doc -> ignore (Runtime.call_named ctx doc "show_page" [ Value.Int 0 ])
+  ignore (Runtime.call_slot ctx app doc_app_repaint []);
+  (match Runtime.call_slot ctx app doc_app_open_document [ Value.Str name ] with
+  | Value.Iface_ref doc -> ignore (Runtime.call_slot ctx doc document_show_page [ Value.Int 0 ])
   | _ -> ());
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app doc_app_repaint []);
+  ignore (Runtime.call_slot ctx app doc_app_shutdown [])
 
 let sc id desc run = { App.sc_id = id; sc_desc = desc; sc_bigone = false; sc_run = run }
 

@@ -58,6 +58,13 @@ let i_pd_app =
       Idl_type.method_ "shutdown" [];
     ]
 
+let pd_app_startup = Itype.slot i_pd_app "startup"
+let pd_app_new_image = Itype.slot i_pd_app "new_image"
+let pd_app_open_image = Itype.slot i_pd_app "open_image"
+let pd_app_new_composition = Itype.slot i_pd_app "new_composition"
+let pd_app_repaint = Itype.slot i_pd_app "repaint"
+let pd_app_shutdown = Itype.slot i_pd_app "shutdown"
+
 let i_mix_source =
   Itype.declare "IMixSource"
     [
@@ -68,6 +75,12 @@ let i_mix_source =
       Idl_type.method_ ~ret:(Idl_type.Iface "IQuery") "propset"
         [ Idl_type.param "index" Idl_type.Int32 ];
     ]
+
+let mix_source_open_mix = Itype.slot i_mix_source "open_mix"
+let mix_source_sprite_count = Itype.slot i_mix_source "sprite_count"
+let mix_source_read_sprite = Itype.slot i_mix_source "read_sprite"
+let mix_source_propset_count = Itype.slot i_mix_source "propset_count"
+let mix_source_propset = Itype.slot i_mix_source "propset"
 
 (* The sprite surface: pixel buffers travel as opaque shared-memory
    handles, so the whole interface is non-remotable. *)
@@ -84,6 +97,10 @@ let i_sprite =
       Idl_type.method_ ~ret:Idl_type.Int32 "pixel_bytes" [];
     ]
 
+let sprite_set_pixels = Itype.slot i_sprite "set_pixels"
+let sprite_blend = Itype.slot i_sprite "blend"
+let sprite_pixel_bytes = Itype.slot i_sprite "pixel_bytes"
+
 let i_composition =
   Itype.declare "IComposition"
     [
@@ -98,6 +115,11 @@ let i_composition =
       Idl_type.method_ "blank" [ Idl_type.param "sprites" Idl_type.Int32 ];
     ]
 
+let composition_init = Itype.slot i_composition "init"
+let composition_build = Itype.slot i_composition "build"
+let composition_show = Itype.slot i_composition "show"
+let composition_blank = Itype.slot i_composition "blank"
+
 let i_transform =
   Itype.declare "ITransform"
     [
@@ -108,6 +130,8 @@ let i_transform =
           Idl_type.param "shm" (Idl_type.Opaque "SHM");
         ];
     ]
+
+let transform_apply = Itype.slot i_transform "apply"
 
 (* ---------------------------------------------------------------- *)
 (* GUI                                                               *)
@@ -125,19 +149,19 @@ let c_property_set =
       let put ctx args =
         stored := !stored + Combuild.get_blob args 0;
         chg ctx (float_of_int (Combuild.get_blob args 0) /. 300.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 6.;
-        Combuild.echo args (Value.Int !stored)
+        Value.Int !stored
       in
-      let query ctx args =
+      let query ctx _args =
         chg ctx 5.;
-        Combuild.echo args (Value.Str "color-profile:sRGB;dpi:300")
+        Value.Str "color-profile:sRGB;dpi:300"
       in
-      let query_int ctx args =
+      let query_int ctx _args =
         chg ctx 4.;
-        Combuild.echo args (Value.Int (!stored mod 4099))
+        Value.Int (!stored mod 4099)
       in
       [
         Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ];
@@ -156,13 +180,13 @@ let c_mix_reader =
       let open_mix ctx args =
         let name = Combuild.get_str args 0 in
         let spec = spec_of ctx name in
-        let fh = Common.call_ret_int ctx fs "open_file" [ Value.Str name ] in
-        let size = Common.call_ret_int ctx fs "file_size" [ Value.Int fh ] in
+        let fh = Common.call_ret_int ctx fs Common.file_read_open_file [ Value.Str name ] in
+        let size = Common.call_ret_int ctx fs Common.file_read_file_size [ Value.Int fh ] in
         let block = 32_768 in
         let offset = ref 0 in
         while !offset < size do
           let got =
-            Common.call_ret_blob ctx fs "read_block"
+            Common.call_ret_blob ctx fs Common.file_read_read_block
               [ Value.Int fh; Value.Int !offset; Value.Int block ]
           in
           chg ctx (float_of_int got /. 1_000.);
@@ -172,24 +196,25 @@ let c_mix_reader =
           if spec.p_kind = K_composition then
             List.init property_sets (fun _ ->
                 let p = Common.create ctx c_property_set Common.i_blob_sink in
-                ignore (Runtime.call_named ctx p "put" [ Value.Blob propset_input_bytes ]);
-                ignore (Common.call_ret_int ctx p "finish" []);
+                ignore (Runtime.call_slot ctx p Common.blob_sink_put
+                          [ Value.Blob propset_input_bytes ]);
+                ignore (Common.call_ret_int ctx p Common.blob_sink_finish []);
                 Runtime.query_interface ctx p ~iid:(Itype.iid Common.i_query))
           else []
         in
         state := Some (spec, propsets);
         chg ctx 200.;
-        Combuild.echo args (Value.Int spec.p_sprites)
+        Value.Int spec.p_sprites
       in
       let with_state f =
         match !state with
         | Some (spec, propsets) -> f spec propsets
         | None -> Hresult.fail (Hresult.E_fail "PhotoDraw.MixReader: nothing open")
       in
-      let sprite_count ctx args =
+      let sprite_count ctx _args =
         with_state (fun spec _ ->
             chg ctx 2.;
-            Combuild.echo args (Value.Int spec.p_sprites))
+            Value.Int spec.p_sprites)
       in
       let read_sprite ctx args =
         with_state (fun spec _ ->
@@ -201,20 +226,20 @@ let c_mix_reader =
               / max 1 spec.p_sprites
             in
             chg ctx (float_of_int parsed /. 2_000.);
-            Combuild.echo args (Value.Blob parsed))
+            Value.Blob parsed)
       in
-      let propset_count ctx args =
+      let propset_count ctx _args =
         with_state (fun _ propsets ->
             chg ctx 2.;
-            Combuild.echo args (Value.Int (List.length propsets)))
+            Value.Int (List.length propsets))
       in
       let propset ctx args =
         with_state (fun _ propsets ->
             let index = Combuild.get_int args 0 in
             chg ctx 2.;
             match List.nth_opt propsets index with
-            | Some p -> Combuild.echo args (Value.Iface_ref p)
-            | None -> Combuild.echo args Value.Null)
+            | Some p -> Value.Iface_ref p
+            | None -> Value.Null)
       in
       [
         Combuild.iface i_mix_source
@@ -227,13 +252,13 @@ let c_mix_reader =
 
 let c_event_manager =
   Runtime.define_class "PhotoDraw.EventManager" (fun _ctx _self ->
-      let notify ctx args =
+      let notify ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let notify_str ctx args =
+      let notify_str ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [ Combuild.iface Common.i_notify [ ("notify", notify); ("notify_str", notify_str) ] ])
 
@@ -243,21 +268,21 @@ let c_sprite_cache =
       let set_pixels ctx args =
         bytes := Combuild.get_int args 0;
         chg ctx (float_of_int !bytes /. 3_000.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let blend ctx args =
         let dst = Combuild.get_iface args 0 in
         (* Push our pixels into the destination sprite via shared
            memory: a non-remotable, zero-copy hop. *)
         ignore
-          (Runtime.call_named ctx dst "set_pixels"
+          (Runtime.call_slot ctx dst sprite_set_pixels
              [ Value.Int !bytes; Value.Opaque_handle "SHM" ]);
         chg ctx (float_of_int !bytes /. 2_500.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let pixel_bytes ctx args =
+      let pixel_bytes ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !bytes)
+        Value.Int !bytes
       in
       [
         Combuild.iface i_sprite
@@ -272,6 +297,9 @@ let i_layer =
       Idl_type.method_ "compose" [ Idl_type.param "target" (Idl_type.Iface "ISprite") ];
     ]
 
+let layer_load = Itype.slot i_layer "load"
+let layer_compose = Itype.slot i_layer "compose"
+
 let c_layer =
   Runtime.define_class "PhotoDraw.Layer" (fun ctx0 _self ->
       let sprite = Common.create ctx0 c_sprite_cache i_sprite in
@@ -279,20 +307,20 @@ let c_layer =
       let load ctx args =
         let data = Combuild.get_blob args 0 in
         ignore
-          (Runtime.call_named ctx sprite "set_pixels"
+          (Runtime.call_slot ctx sprite sprite_set_pixels
              [ Value.Int data; Value.Opaque_handle "SHM" ]);
-        ignore (Runtime.call_named ctx events "notify" [ Value.Int 1 ]);
+        ignore (Runtime.call_slot ctx events Common.notify_notify [ Value.Int 1 ]);
         chg ctx (float_of_int data /. 2_000.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let compose ctx args =
         let target = Combuild.get_iface args 0 in
         ignore
-          (Runtime.call_named ctx sprite "blend"
+          (Runtime.call_slot ctx sprite sprite_blend
              [ Value.Iface_ref target; Value.Opaque_handle "SHM" ]);
-        ignore (Runtime.call_named ctx events "notify" [ Value.Int 2 ]);
+        ignore (Runtime.call_slot ctx events Common.notify_notify [ Value.Int 2 ]);
         chg ctx 40.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [ Combuild.iface i_layer [ ("load", load); ("compose", compose) ] ])
 
@@ -309,16 +337,18 @@ let i_effect =
         ];
     ]
 
+let effect_run = Itype.slot i_effect "run"
+
 let c_effect_instance =
   Runtime.define_class "PhotoDraw.EffectInstance" (fun _ctx _self ->
       let run ctx args =
         let target = Combuild.get_iface args 0 in
-        let n = Common.call_ret_int ctx target "pixel_bytes" [] in
+        let n = Common.call_ret_int ctx target sprite_pixel_bytes [] in
         ignore
-          (Runtime.call_named ctx target "set_pixels"
+          (Runtime.call_slot ctx target sprite_set_pixels
              [ Value.Int n; Value.Opaque_handle "SHM" ]);
         chg ctx (150. +. (float_of_int n /. 900.));
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
       [ Combuild.iface i_effect [ ("run", run) ] ])
 
@@ -329,12 +359,12 @@ let c_transform =
         let target = Combuild.get_iface args 0 in
         let effect = Common.create ctx c_effect_instance i_effect in
         let n =
-          Common.call_ret_int ctx effect "run"
+          Common.call_ret_int ctx effect effect_run
             [ List.nth args 0; Value.Opaque_handle "SHM" ]
         in
         ignore target;
         chg ctx 60.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
       [ Combuild.iface i_transform [ ("apply", apply) ] ])
 
@@ -343,11 +373,11 @@ let c_thumbnail =
   Runtime.define_class "PhotoDraw.Thumbnail" (fun _ctx _self ->
       let put ctx args =
         chg ctx (float_of_int (Combuild.get_blob args 0) /. 600.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let finish ctx args =
+      let finish ctx _args =
         chg ctx 3.;
-        Combuild.echo args (Value.Int 0)
+        Value.Int 0
       in
       [ Combuild.iface Common.i_blob_sink [ ("put", put); ("finish", finish) ] ])
 
@@ -359,24 +389,24 @@ let c_renderer =
       let set_pixels ctx args =
         bytes := max !bytes (Combuild.get_int args 0);
         chg ctx (float_of_int (Combuild.get_int args 0) /. 4_000.);
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let blend ctx args =
         ignore (Combuild.get_iface args 0);
         chg ctx 30.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let pixel_bytes ctx args =
+      let pixel_bytes ctx _args =
         chg ctx 2.;
-        Combuild.echo args (Value.Int !bytes)
+        Value.Int !bytes
       in
-      let paint ctx args =
+      let paint ctx _args =
         chg ctx (100. +. (float_of_int !bytes /. 8_000.));
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         chg ctx 3.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_sprite
@@ -396,50 +426,51 @@ let c_composition =
         target := Some (Combuild.get_iface args 1);
         render := Some (Combuild.get_iface args 2);
         chg ctx 15.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let build ctx args =
+      let build ctx _args =
         let s = Option.get !src in
-        let n = Common.call_ret_int ctx s "sprite_count" [] in
+        let n = Common.call_ret_int ctx s mix_source_sprite_count [] in
         for i = 0 to n - 1 do
-          let data = Common.call_ret_blob ctx s "read_sprite" [ Value.Int i ] in
+          let data = Common.call_ret_blob ctx s mix_source_read_sprite [ Value.Int i ] in
           let layer = Common.create ctx c_layer i_layer in
-          ignore (Runtime.call_named ctx layer "load" [ Value.Blob data ]);
+          ignore (Runtime.call_slot ctx layer layer_load [ Value.Blob data ]);
           layers := layer :: !layers
         done;
         (* Consult the property sets for rendering intent. *)
-        let np = Common.call_ret_int ctx s "propset_count" [] in
+        let np = Common.call_ret_int ctx s mix_source_propset_count [] in
         for i = 0 to np - 1 do
-          match Common.call ctx s "propset" [ Value.Int i ] with
+          match Runtime.call_slot ctx s mix_source_propset [ Value.Int i ] with
           | Value.Iface_ref p ->
-              ignore (Common.call_ret_str ctx p "query" [ Value.Str "render-intent" ]);
-              ignore (Common.call_ret_int ctx p "query_int" [ Value.Str "gamma" ])
+              ignore (Common.call_ret_str ctx p Common.query_query [ Value.Str "render-intent" ]);
+              ignore (Common.call_ret_int ctx p Common.query_query_int [ Value.Str "gamma" ])
           | _ -> ()
         done;
         chg ctx 120.;
-        Combuild.echo args (Value.Int n)
+        Value.Int n
       in
-      let show ctx args =
+      let show ctx _args =
         (match (!target, !render) with
         | Some t, Some r ->
             List.iter
               (fun layer ->
-                ignore (Runtime.call_named ctx layer "compose" [ Value.Iface_ref t ]))
+                ignore (Runtime.call_slot ctx layer layer_compose [ Value.Iface_ref t ]))
               (List.rev !layers);
-            ignore (Runtime.call_named ctx r "render_page" [ Value.Int 0; Value.Blob 1_500 ])
+            ignore
+              (Runtime.call_slot ctx r Common.render_render_page [ Value.Int 0; Value.Blob 1_500 ])
         | _ -> ());
         chg ctx 200.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let blank ctx args =
         let n = Combuild.get_int args 0 in
         for _ = 1 to n do
           let layer = Common.create ctx c_layer i_layer in
-          ignore (Runtime.call_named ctx layer "load" [ Value.Blob 4_096 ]);
+          ignore (Runtime.call_slot ctx layer layer_load [ Value.Blob 4_096 ]);
           layers := layer :: !layers
         done;
         chg ctx 60.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_composition
@@ -462,16 +493,16 @@ let c_app =
         let c = Option.get !chrome in
         let r = Option.get !renderer in
         let reader = Common.create ctx c_mix_reader i_mix_source in
-        ignore (Common.call_ret_int ctx reader "open_mix" [ Value.Str name ]);
+        ignore (Common.call_ret_int ctx reader mix_source_open_mix [ Value.Str name ]);
         let comp = Common.create ctx c_composition i_composition in
         ignore
-          (Runtime.call_named ctx comp "init"
+          (Runtime.call_slot ctx comp composition_init
              [ Value.Iface_ref reader; Value.Iface_ref r; Value.Iface_ref c.Widgets.window_render ]);
-        ignore (Common.call_ret_int ctx comp "build" []);
-        ignore (Runtime.call_named ctx comp "show" []);
+        ignore (Common.call_ret_int ctx comp composition_build []);
+        ignore (Runtime.call_slot ctx comp composition_show []);
         comp
       in
-      let startup ctx args =
+      let startup ctx _args =
         let c = Widgets.build_chrome ctx kit ~buttons:42 ~menus:9 ~extras:12 in
         chrome := Some c;
         (* Tool palettes: two extra bars of buttons. *)
@@ -479,36 +510,38 @@ let c_app =
         renderer := Some r;
         let rp = Runtime.query_interface ctx r ~iid:(Itype.iid Common.i_paint) in
         ignore
-          (Runtime.call_named ctx c.Widgets.window_render "attach_surface" [ Value.Iface_ref rp ]);
+          (Runtime.call_slot ctx c.Widgets.window_render Common.render_attach_surface
+             [ Value.Iface_ref rp ]);
         let f = Common.create_file_server ctx in
         fs := Some f;
-        ignore (Common.call_ret_blob ctx f "read_all" [ Value.Str "photodraw.ini" ]);
+        ignore (Common.call_ret_blob ctx f Common.file_read_read_all
+                  [ Value.Str "photodraw.ini" ]);
         chg ctx 900.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let new_image ctx args =
+      let new_image ctx _args =
         (* The template gallery streams through a reader of its own;
            the chooser materializes a thumbnail per template. *)
         let comp_gallery = open_with_reader ctx "gallery.mix" in
         ignore comp_gallery;
         for _ = 1 to 16 do
           let thumb = Common.create ctx c_thumbnail Common.i_blob_sink in
-          ignore (Runtime.call_named ctx thumb "put" [ Value.Blob 3_000 ])
+          ignore (Runtime.call_slot ctx thumb Common.blob_sink_put [ Value.Blob 3_000 ])
         done;
         let c = Option.get !chrome in
         let r = Option.get !renderer in
         let comp = Common.create ctx c_composition i_composition in
         ignore
-          (Runtime.call_named ctx comp "init"
+          (Runtime.call_slot ctx comp composition_init
              [ Value.Null; Value.Iface_ref r; Value.Iface_ref c.Widgets.window_render ]);
-        ignore (Runtime.call_named ctx comp "blank" [ Value.Int 4 ]);
+        ignore (Runtime.call_slot ctx comp composition_blank [ Value.Int 4 ]);
         chg ctx 150.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let open_image ctx args =
         ignore (open_with_reader ctx (Combuild.get_str args 0));
         chg ctx 80.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let new_composition ctx args =
         let a = Combuild.get_str args 0 in
@@ -521,25 +554,26 @@ let c_app =
         List.iter
           (fun kind ->
             ignore
-              (Common.call_ret_int ctx t "apply"
+              (Common.call_ret_int ctx t transform_apply
                  [ Value.Iface_ref r; Value.Str kind; Value.Opaque_handle "SHM" ]))
           [ "sharpen"; "tint"; "crop" ];
         chg ctx 400.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let repaint ctx args =
+      let repaint ctx _args =
         (match !chrome with
         | Some c ->
             List.iter
-              (fun p -> ignore (Runtime.call_named ctx p "paint" [ Value.Opaque_handle "HDC" ]))
+              (fun p ->
+                ignore (Runtime.call_slot ctx p Common.paint_paint [ Value.Opaque_handle "HDC" ]))
               c.Widgets.paints
         | None -> ());
         chg ctx 60.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let shutdown ctx args =
+      let shutdown ctx _args =
         chg ctx 180.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface i_pd_app
@@ -569,34 +603,35 @@ let prepare ctx =
 let boot ctx =
   prepare ctx;
   let app = Common.create ctx c_app i_pd_app in
-  ignore (Runtime.call_named ctx app "startup" []);
+  ignore (Runtime.call_slot ctx app pd_app_startup []);
   app
 
 let scenario_new_image ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "new_image" []);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app pd_app_new_image []);
+  ignore (Runtime.call_slot ctx app pd_app_repaint []);
+  ignore (Runtime.call_slot ctx app pd_app_shutdown [])
 
 let scenario_new_composition ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "new_composition" [ Value.Str "scan_a.mix"; Value.Str "scan_b.mix" ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app pd_app_new_composition
+            [ Value.Str "scan_a.mix"; Value.Str "scan_b.mix" ]);
+  ignore (Runtime.call_slot ctx app pd_app_repaint []);
+  ignore (Runtime.call_slot ctx app pd_app_shutdown [])
 
 let scenario_open name ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "open_image" [ Value.Str name ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app pd_app_open_image [ Value.Str name ]);
+  ignore (Runtime.call_slot ctx app pd_app_repaint []);
+  ignore (Runtime.call_slot ctx app pd_app_shutdown [])
 
 let scenario_off name ctx =
   let app = boot ctx in
-  ignore (Runtime.call_named ctx app "new_image" []);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "open_image" [ Value.Str name ]);
-  ignore (Runtime.call_named ctx app "repaint" []);
-  ignore (Runtime.call_named ctx app "shutdown" [])
+  ignore (Runtime.call_slot ctx app pd_app_new_image []);
+  ignore (Runtime.call_slot ctx app pd_app_repaint []);
+  ignore (Runtime.call_slot ctx app pd_app_open_image [ Value.Str name ]);
+  ignore (Runtime.call_slot ctx app pd_app_repaint []);
+  ignore (Runtime.call_slot ctx app pd_app_shutdown [])
 
 let sc id desc run = { App.sc_id = id; sc_desc = desc; sc_bigone = false; sc_run = run }
 

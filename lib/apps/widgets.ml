@@ -23,32 +23,33 @@ let control_class name ~click_code ~paint_us =
       let attach ctx args =
         parent := Some (Combuild.get_iface args 0);
         Runtime.charge ctx ~us:15.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let enable ctx args =
         enabled := Combuild.get_bool args 0;
         Runtime.charge ctx ~us:2.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let click ctx args =
+      let click ctx _args =
         (if !enabled then
            match !parent with
-           | Some p -> ignore (Runtime.call_named ctx p "notify" [ Value.Int click_code ])
+           | Some p ->
+               ignore (Runtime.call_slot ctx p Common.notify_notify [ Value.Int click_code ])
            | None -> ());
         Runtime.charge ctx ~us:10.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let set_label ctx args =
+      let set_label ctx _args =
         Runtime.charge ctx ~us:4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         Runtime.charge ctx ~us:paint_us;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         Runtime.charge ctx ~us:2.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface Common.i_control
@@ -64,41 +65,41 @@ let window_class name =
         ignore (Combuild.get_int args 0);
         incr events;
         Runtime.charge ctx ~us:8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let notify_str ctx args =
+      let notify_str ctx _args =
         incr events;
         Runtime.charge ctx ~us:8.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let paint ctx args =
+      let paint ctx _args =
         Runtime.charge ctx ~us:120.;
         (* Repaint every attached document surface through the
            non-remotable device-context interface. *)
         List.iter
           (fun s ->
-            ignore (Runtime.call_named ctx s "paint" [ Value.Opaque_handle "HDC" ]))
+            ignore (Runtime.call_slot ctx s Common.paint_paint [ Value.Opaque_handle "HDC" ]))
           !surfaces;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let invalidate ctx args =
+      let invalidate ctx _args =
         Runtime.charge ctx ~us:4.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let render_page ctx args =
         (* Blitting a page image to the screen. *)
         let bytes = Combuild.get_blob args 1 in
         Runtime.charge ctx ~us:(80. +. (float_of_int bytes /. 400.));
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
-      let scroll ctx args =
+      let scroll ctx _args =
         Runtime.charge ctx ~us:25.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       let attach_surface ctx args =
         surfaces := Combuild.get_iface args 0 :: !surfaces;
         Runtime.charge ctx ~us:6.;
-        Combuild.echo args Value.Unit
+        Value.Unit
       in
       [
         Combuild.iface Common.i_notify [ ("notify", notify); ("notify_str", notify_str) ];
@@ -139,7 +140,7 @@ let build_chrome ctx k ~buttons ~menus ~extras =
   let make cls count =
     List.init count (fun _ ->
         let ctl = Common.create ctx cls Common.i_control in
-        ignore (Runtime.call_named ctx ctl "attach" [ Value.Iface_ref window_notify ]);
+        ignore (Runtime.call_slot ctx ctl Common.control_attach [ Value.Iface_ref window_notify ]);
         ctl)
   in
   let controls =
@@ -162,5 +163,5 @@ let build_chrome ctx k ~buttons ~menus ~extras =
 
 let click ctx chrome i =
   match List.nth_opt chrome.controls i with
-  | Some c -> ignore (Runtime.call_named ctx c "click" [])
+  | Some c -> ignore (Runtime.call_slot ctx c Common.control_click [])
   | None -> invalid_arg "Widgets.click: no such control"

@@ -1,39 +1,35 @@
 open Coign_idl
 
-type handler = Runtime.ctx -> Value.t list -> Value.t list * Value.t
+type handler = Runtime.ctx -> Value.t list -> Value.t
+
+let missing : handler = fun _ _ -> assert false
 
 let iface itype handlers =
   let n = Itype.method_count itype in
-  let table = Array.make n None in
+  let table = Array.make n missing in
   List.iter
     (fun (mname, h) ->
       match Itype.method_index itype mname with
       | i ->
-          if table.(i) <> None then
+          if table.(i) != missing then
             invalid_arg
               (Printf.sprintf "Combuild.iface: duplicate handler %s.%s" (Itype.name itype) mname);
-          table.(i) <- Some h
+          table.(i) <- h
       | exception Not_found ->
           invalid_arg
             (Printf.sprintf "Combuild.iface: %s has no method %S" (Itype.name itype) mname))
     handlers;
   Array.iteri
-    (fun i slot ->
-      if slot = None then
+    (fun i h ->
+      if h == missing then
         invalid_arg
           (Printf.sprintf "Combuild.iface: missing handler for %s.%s" (Itype.name itype)
              (Itype.method_sig itype i).Idl_type.mname))
     table;
-  let dispatch ctx ~meth args =
-    match table.(meth) with
-    | Some h -> h ctx args
-    | None -> assert false
-  in
+  let dispatch ctx ~meth args = table.(meth) ctx args in
   (itype, dispatch)
 
-let echo args ret = (args, ret)
-
-let ret v : handler = fun _ctx args -> (args, v)
+let ret v : handler = fun _ctx _args -> v
 
 let nop : handler = ret Value.Unit
 
@@ -41,10 +37,13 @@ let arg_error what pos =
   Hresult.fail
     (Hresult.E_invalidarg (Printf.sprintf "expected %s at argument %d" what pos))
 
-let nth args pos =
-  match List.nth_opt args pos with
-  | Some v -> v
-  | None -> arg_error "argument" pos
+(* A top-level walk: fetching an argument builds no option. *)
+let rec nth_from args pos i =
+  match args with
+  | [] -> arg_error "argument" pos
+  | v :: rest -> if i = 0 then v else nth_from rest pos (i - 1)
+
+let nth args pos = if pos < 0 then arg_error "argument" pos else nth_from args pos pos
 
 let get_int args pos =
   match nth args pos with Value.Int i -> i | _ -> arg_error "int" pos

@@ -4,22 +4,19 @@
     provides the common reply shapes, so application components read
     like vtable definitions rather than index arithmetic. *)
 
-type handler =
-  Runtime.ctx -> Coign_idl.Value.t list -> Coign_idl.Value.t list * Coign_idl.Value.t
-(** Receives the caller's argument values; returns the post-call value
-    of every parameter slot plus the return value. *)
+type handler = Runtime.ctx -> Coign_idl.Value.t list -> Coign_idl.Value.t
+(** Receives the caller's argument values and returns the return
+    value. A handler writes no parameter slot: every slot's post-call
+    value, [Out] and [In_out] included, is the caller's argument (see
+    {!Runtime.dispatch}). *)
 
 val iface : Itype.t -> (string * handler) list -> Itype.t * Runtime.dispatch
 (** Build a dispatch for an interface. Every method of the interface
     must have exactly one handler; extra or missing handlers raise
     [Invalid_argument] at construction time. *)
 
-val echo : Coign_idl.Value.t list -> Coign_idl.Value.t -> Coign_idl.Value.t list * Coign_idl.Value.t
-(** The common reply: parameter slots unchanged, plus a return value. *)
-
 val ret : Coign_idl.Value.t -> handler
-(** Handler that ignores its arguments' content and returns a constant,
-    echoing the slots. *)
+(** Handler that ignores its arguments and returns a constant. *)
 
 val nop : handler
 (** [ret Value.Unit]. *)

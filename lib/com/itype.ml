@@ -35,6 +35,10 @@ let rec find_method methods mname i =
 
 let method_index t mname = find_method t.methods mname 0
 
+type slot = { slot_itype : t; slot_index : int }
+
+let slot t mname = { slot_itype = t; slot_index = method_index t mname }
+
 let procs t i =
   if i < 0 || i >= Array.length t.procs then
     invalid_arg (Printf.sprintf "Itype.procs: %s has no method %d" t.iname i);

@@ -26,6 +26,16 @@ val method_sig : t -> int -> Coign_idl.Idl_type.method_sig
 val method_index : t -> string -> int
 (** Index of the named method. Raises [Not_found]. *)
 
+type slot = private { slot_itype : t; slot_index : int }
+(** A method's vtable slot together with the interface it belongs to,
+    so a call can check that the handle it goes through is of that
+    interface (see {!Runtime.call_slot}). *)
+
+val slot : t -> string -> slot
+(** [slot itype name]: the named method's slot, resolved once where
+    the interface is declared, as a compiled client fixes a vtable
+    offset. Raises [Not_found]. *)
+
 val procs : t -> int -> Coign_idl.Midl.method_procs
 (** Per-method facts and interface walks for method [i], cached at
     declaration. Raises [Invalid_argument] on an out-of-range index. *)

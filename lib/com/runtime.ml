@@ -8,17 +8,22 @@ type ctx = {
   reg : registry;
   mutable instances : instance array;       (* index = instance_id *)
   mutable ninstances : int;
-  mutable handles : handle_entry array;     (* index = handle *)
+  (* The handle table, with no record per handle: [h]'s owner at
+     [2h] and the handle a wrapper forwards to at [2h+1] (-1 for a
+     plain handle), and its interface with the dispatch that serves it
+     as the owner's own impl pair. *)
+  mutable handle_ints : int array;
+  mutable handle_impls : (Itype.t * dispatch) array;
   mutable nhandles : int;
   mutable create_hook : (component_class -> iid:Guid.t -> handle) option;
   mutable query_hook : (handle -> iid:Guid.t -> handle) option;
   mutable destroy_hook : (instance_id -> unit) option;
-  mutable wrapper_hook : (handle -> meth:int -> Value.t list -> Value.t list * Value.t) option;
-  mutable compute : float;
+  mutable wrapper_hook : (handle -> meth:int -> Value.t list -> Value.t) option;
+  compute : float array;  (* one cell, so a charge boxes nothing *)
   data : (int, Obj.t) Hashtbl.t;
 }
 
-and dispatch = ctx -> meth:int -> Value.t list -> Value.t list * Value.t
+and dispatch = ctx -> meth:int -> Value.t list -> Value.t
 
 and impl = (Itype.t * dispatch) list
 
@@ -36,18 +41,10 @@ and instance = {
   inst_id : instance_id;
   inst_class : component_class option;      (* None for the main pseudo-instance *)
   mutable inst_impl : impl;
-  mutable inst_handles : (Guid.t * handle) list;  (* iid -> canonical handle *)
+  (* The canonical handle of each interface, aligned with [inst_impl];
+     -1 until first asked for. *)
+  mutable inst_handles : int array;
   mutable inst_alive : bool;
-}
-
-(* A wrapper's entry copies its target's owner, interface and
-   dispatch, and names the target: with no wrapper hook installed, a
-   call through it runs the target's method as a plain call would. *)
-and handle_entry = {
-  h_owner : instance_id;
-  h_itype : Itype.t;
-  h_dispatch : dispatch;
-  h_target : handle;  (* the handle a wrapper forwards to; -1 for a plain one *)
 }
 
 let define_class ?(api_refs = []) ?(creates = []) cname constructor =
@@ -74,18 +71,11 @@ let find_class ctx clsid =
 let main_instance = 0
 let main_class_name = "MAIN"
 
-let dummy_itype = Itype.declare "IUnknown" []
-
-let dummy_handle_entry =
-  {
-    h_owner = -1;
-    h_itype = dummy_itype;
-    h_dispatch = (fun _ ~meth:_ _ -> (([] : Value.t list), Value.Unit));
-    h_target = -1;
-  }
+let dummy_impl : Itype.t * dispatch =
+  (Itype.declare "IUnknown" [], fun _ ~meth:_ _ -> Value.Unit)
 
 let dummy_instance =
-  { inst_id = -1; inst_class = None; inst_impl = []; inst_handles = []; inst_alive = false }
+  { inst_id = -1; inst_class = None; inst_impl = []; inst_handles = [||]; inst_alive = false }
 
 let create_ctx reg =
   let ctx =
@@ -93,19 +83,20 @@ let create_ctx reg =
       reg;
       instances = Array.make 64 dummy_instance;
       ninstances = 0;
-      handles = Array.make 256 dummy_handle_entry;
+      handle_ints = Array.make 512 (-1);
+      handle_impls = Array.make 256 dummy_impl;
       nhandles = 0;
       create_hook = None;
       query_hook = None;
       destroy_hook = None;
       wrapper_hook = None;
-      compute = 0.;
+      compute = [| 0. |];
       data = Hashtbl.create 8;
     }
   in
   (* Instance 0: the application main program. *)
   ctx.instances.(0) <-
-    { inst_id = 0; inst_class = None; inst_impl = []; inst_handles = []; inst_alive = true };
+    { inst_id = 0; inst_class = None; inst_impl = []; inst_handles = [||]; inst_alive = true };
   ctx.ninstances <- 1;
   ctx
 
@@ -116,89 +107,81 @@ let grow_instances ctx =
     ctx.instances <- bigger
   end
 
-let grow_handles ctx =
-  if ctx.nhandles = Array.length ctx.handles then begin
-    let bigger = Array.make (2 * Array.length ctx.handles) dummy_handle_entry in
-    Array.blit ctx.handles 0 bigger 0 ctx.nhandles;
-    ctx.handles <- bigger
-  end
-
 let get_instance ctx id =
   if id < 0 || id >= ctx.ninstances then
     Hresult.fail (Hresult.E_pointer (Printf.sprintf "unknown instance %d" id));
   ctx.instances.(id)
 
-let get_handle ctx h =
+let check_handle ctx h =
   if h < 0 || h >= ctx.nhandles then
-    Hresult.fail (Hresult.E_pointer (Printf.sprintf "unknown handle %d" h));
-  ctx.handles.(h)
+    Hresult.fail (Hresult.E_pointer (Printf.sprintf "unknown handle %d" h))
 
-let alloc_handle_entry ctx entry =
-  grow_handles ctx;
+let alloc_handle ctx ~owner ~target impl =
   let h = ctx.nhandles in
-  ctx.handles.(h) <- entry;
+  if h = Array.length ctx.handle_impls then begin
+    let ints = Array.make (4 * h) (-1) and impls = Array.make (2 * h) dummy_impl in
+    Array.blit ctx.handle_ints 0 ints 0 (2 * h);
+    Array.blit ctx.handle_impls 0 impls 0 h;
+    ctx.handle_ints <- ints;
+    ctx.handle_impls <- impls
+  end;
+  ctx.handle_ints.(2 * h) <- owner;
+  ctx.handle_ints.((2 * h) + 1) <- target;
+  ctx.handle_impls.(h) <- impl;
   ctx.nhandles <- h + 1;
   h
 
+(* A wrapper shares its target's owner and impl pair and names the
+   target: with no wrapper hook installed, a call through it runs the
+   target's method as a plain call would. *)
 let alloc_wrapper ctx h =
-  let target = get_handle ctx h in
-  alloc_handle_entry ctx { target with h_target = h }
+  check_handle ctx h;
+  alloc_handle ctx ~owner:ctx.handle_ints.(2 * h) ~target:h ctx.handle_impls.(h)
 
-(* Top-level searches, so a lookup builds no closure and no option:
-   [find_handle] answers -1 when [inst] has no handle for [iid] yet. *)
-let rec find_handle iid = function
-  | [] -> -1
-  | (i, h) :: rest -> if Guid.equal i iid then h else find_handle iid rest
-
-let rec find_impl inst iid = function
+(* The position of [iid] in [inst]'s impl list; a top-level loop, so a
+   lookup builds no closure. *)
+let rec impl_index inst iid i = function
   | [] ->
       Hresult.fail
         (Hresult.E_nointerface
            (Printf.sprintf "instance %d does not implement %s" inst.inst_id (Guid.to_string iid)))
-  | ((itype, _) as impl) :: rest ->
-      if Guid.equal (Itype.iid itype) iid then impl else find_impl inst iid rest
+  | (itype, _) :: rest ->
+      if Guid.equal (Itype.iid itype) iid then i else impl_index inst iid (i + 1) rest
 
 (* The canonical handle of [inst] for interface [iid]: allocated lazily,
    then reused, matching COM's per-interface identity. *)
 let canonical_handle ctx inst iid =
-  let h = find_handle iid inst.inst_handles in
+  let i = impl_index inst iid 0 inst.inst_impl in
+  let h = inst.inst_handles.(i) in
   if h >= 0 then h
   else begin
-    let itype, dispatch = find_impl inst iid inst.inst_impl in
-    let h =
-      alloc_handle_entry ctx
-        { h_owner = inst.inst_id; h_itype = itype; h_dispatch = dispatch; h_target = -1 }
-    in
-    inst.inst_handles <- (iid, h) :: inst.inst_handles;
+    let h = alloc_handle ctx ~owner:inst.inst_id ~target:(-1) (List.nth inst.inst_impl i) in
+    inst.inst_handles.(i) <- h;
     h
   end
 
-let raw_create_instance ctx cls ~iid =
+(* Register a fresh instance of [cls] and run its constructor, with
+   the instance already visible so self-references work. *)
+let instantiate ctx cls =
   grow_instances ctx;
   let id = ctx.ninstances in
   let inst =
-    { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = []; inst_alive = true }
+    { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = [||]; inst_alive = true }
   in
   ctx.instances.(id) <- inst;
   ctx.ninstances <- id + 1;
-  (* Constructor may itself create components; it runs with the
-     instance already visible so self-references work. *)
-  inst.inst_impl <- cls.constructor ctx id;
-  canonical_handle ctx inst iid
+  (* Constructor may itself create components. *)
+  let impl = cls.constructor ctx id in
+  inst.inst_impl <- impl;
+  inst.inst_handles <- Array.make (List.length impl) (-1);
+  inst
+
+let raw_create_instance ctx cls ~iid = canonical_handle ctx (instantiate ctx cls) iid
 
 (* Instantiation without registry lookup or handle allocation: the
    static prober (see {!Probe}) uses this to run a constructor it has
    already resolved and then inspect the implementation table. *)
-let raw_instantiate ctx cls =
-  grow_instances ctx;
-  let id = ctx.ninstances in
-  let inst =
-    { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = []; inst_alive = true }
-  in
-  ctx.instances.(id) <- inst;
-  ctx.ninstances <- id + 1;
-  inst.inst_impl <- cls.constructor ctx id;
-  id
+let raw_instantiate ctx cls = (instantiate ctx cls).inst_id
 
 let create_instance ctx clsid ~iid =
   let cls = find_class ctx clsid in
@@ -207,8 +190,8 @@ let create_instance ctx clsid ~iid =
   | Some hook -> hook cls ~iid
 
 let raw_query_interface ctx h ~iid =
-  let entry = get_handle ctx h in
-  let inst = get_instance ctx entry.h_owner in
+  check_handle ctx h;
+  let inst = get_instance ctx ctx.handle_ints.(2 * h) in
   if not inst.inst_alive then
     Hresult.fail (Hresult.E_pointer (Printf.sprintf "instance %d is dead" inst.inst_id));
   canonical_handle ctx inst iid
@@ -228,36 +211,53 @@ let destroy_instance ctx id =
   inst.inst_alive <- false
 
 let call ctx h ~meth args =
-  let entry = get_handle ctx h in
-  let inst = get_instance ctx entry.h_owner in
+  check_handle ctx h;
+  let inst = get_instance ctx ctx.handle_ints.(2 * h) in
   if not inst.inst_alive then
     Hresult.fail
       (Hresult.E_pointer
          (Printf.sprintf "call through handle %d of dead instance %d" h inst.inst_id));
-  if meth < 0 || meth >= Itype.method_count entry.h_itype then
+  let itype, dispatch = ctx.handle_impls.(h) in
+  if meth < 0 || meth >= Itype.method_count itype then
     Hresult.fail
       (Hresult.E_invalidarg
-         (Printf.sprintf "interface %s has no method %d" (Itype.name entry.h_itype) meth));
+         (Printf.sprintf "interface %s has no method %d" (Itype.name itype) meth));
   match ctx.wrapper_hook with
-  | Some hook when entry.h_target >= 0 -> hook h ~meth args
-  | _ -> entry.h_dispatch ctx ~meth args
+  | Some hook when ctx.handle_ints.((2 * h) + 1) >= 0 -> hook h ~meth args
+  | _ -> dispatch ctx ~meth args
+
+let handle_itype ctx h =
+  check_handle ctx h;
+  fst ctx.handle_impls.(h)
+
+let call_slot ctx h (slot : Itype.slot) args =
+  let itype = handle_itype ctx h in
+  if itype != slot.slot_itype then
+    Hresult.fail
+      (Hresult.E_invalidarg
+         (Printf.sprintf "slot %d of %s called through a handle of %s" slot.slot_index
+            (Itype.name slot.slot_itype) (Itype.name itype)));
+  call ctx h ~meth:slot.slot_index args
 
 let call_named ctx h mname args =
-  let entry = get_handle ctx h in
-  match Itype.method_index entry.h_itype mname with
+  let itype = handle_itype ctx h in
+  match Itype.method_index itype mname with
   | meth -> call ctx h ~meth args
   | exception Not_found ->
       Hresult.fail
         (Hresult.E_invalidarg
-           (Printf.sprintf "interface %s has no method %S" (Itype.name entry.h_itype) mname))
+           (Printf.sprintf "interface %s has no method %S" (Itype.name itype) mname))
 
-let handle_itype ctx h = (get_handle ctx h).h_itype
-let handle_owner ctx h = (get_handle ctx h).h_owner
-let handle_is_wrapper ctx h = (get_handle ctx h).h_target >= 0
+let handle_owner ctx h =
+  check_handle ctx h;
+  ctx.handle_ints.(2 * h)
 
 let wrapped_handle ctx h =
-  let target = (get_handle ctx h).h_target in
+  check_handle ctx h;
+  let target = ctx.handle_ints.((2 * h) + 1) in
   if target >= 0 then target else h
+
+let handle_is_wrapper ctx h = wrapped_handle ctx h <> h
 
 let instance_class_name ctx id =
   match (get_instance ctx id).inst_class with
@@ -284,10 +284,11 @@ let set_wrapper_hook ctx hook = ctx.wrapper_hook <- hook
 
 let charge ctx ~us =
   assert (us >= 0.);
-  ctx.compute <- ctx.compute +. us
+  ctx.compute.(0) <- ctx.compute.(0) +. us
 
-let compute_us ctx = ctx.compute
-let reset_compute ctx = ctx.compute <- 0.
+let compute_clock ctx = ctx.compute
+let compute_us ctx = ctx.compute.(0)
+let reset_compute ctx = ctx.compute.(0) <- 0.
 
 type 'a key = int
 

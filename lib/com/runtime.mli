@@ -31,11 +31,14 @@ type instance_id = int
 type handle = int
 (** Interface pointer. *)
 
-type dispatch = ctx -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t list * Coign_idl.Value.t
-(** A vtable: given a method index and the caller's argument values,
-    runs the method and returns the post-call values of all parameter
-    slots (positionally aligned; [In] slots are echoed) and the return
-    value. *)
+type dispatch = ctx -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t
+(** A vtable: given a method slot and the caller's argument values,
+    runs the method and returns its return value.
+
+    A method writes no parameter slot: the post-call value of every
+    slot, [Out] and [In_out] included, is the argument the caller
+    passed. So a reply is its return value alone, and an informer that
+    sizes or walks a call's out slots reads them from its arguments. *)
 
 type impl = (Itype.t * dispatch) list
 (** The interfaces one instance exposes. *)
@@ -111,16 +114,24 @@ val destroy_instance : ctx -> instance_id -> unit
 
 (** {1 Calls} *)
 
-val call :
-  ctx -> handle -> meth:int -> Coign_idl.Value.t list ->
-  Coign_idl.Value.t list * Coign_idl.Value.t
-(** Invoke a method through an interface handle. All inter-component
-    communication in an application goes through here. *)
+val call : ctx -> handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t
+(** Invoke method index [meth] through an interface handle and return
+    its return value. All inter-component communication in an
+    application goes through here. Allocates nothing itself: a call
+    through a plain handle costs what the method allocates. Raises
+    [Com_error E_pointer] on an unknown handle or a dead instance and
+    [Com_error E_invalidarg] on an index the interface lacks. *)
 
-val call_named :
-  ctx -> handle -> string -> Coign_idl.Value.t list ->
-  Coign_idl.Value.t list * Coign_idl.Value.t
-(** Convenience: resolve the method by name on the handle's itype. *)
+val call_slot : ctx -> handle -> Itype.slot -> Coign_idl.Value.t list -> Coign_idl.Value.t
+(** {!call} by a slot resolved once with {!Itype.slot}, next to the
+    interface's {!Itype.declare}, as a compiled vtable call would:
+    how applications call. Raises [Com_error E_invalidarg] when the
+    handle's interface is not, physically, the slot's, so a slot of
+    another interface never runs a method of this one. *)
+
+val call_named : ctx -> handle -> string -> Coign_idl.Value.t list -> Coign_idl.Value.t
+(** Resolve the method by name on the handle's itype, then {!call}: a
+    lookup per call, for test drivers. *)
 
 (** {1 Handle and instance introspection (used by the Coign RTE)} *)
 
@@ -160,10 +171,7 @@ val set_query_hook : ctx -> (handle -> iid:Guid.t -> handle) option -> unit
 val set_destroy_hook : ctx -> (instance_id -> unit) option -> unit
 
 val set_wrapper_hook :
-  ctx ->
-  (handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t list * Coign_idl.Value.t)
-  option ->
-  unit
+  ctx -> (handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t) option -> unit
 (** Every call through a wrapper ({!alloc_wrapper}) goes to the hook,
     given the wrapper handle, once {!call} has checked the handle, the
     instance and the method index. *)
@@ -178,6 +186,10 @@ val charge : ctx -> us:float -> unit
 
 val compute_us : ctx -> float
 val reset_compute : ctx -> unit
+
+val compute_clock : ctx -> float array
+(** The one cell {!charge} adds into and {!reset_compute} zeroes, for
+    a reader that must take the clock without boxing it. *)
 
 (** {1 User-data slots}
 

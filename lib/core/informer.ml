@@ -50,21 +50,19 @@ let measure_call itype ~meth ~ins ~outs ~ret =
     | exception Marshal_size.Err _ -> non_remotable
 
 (* One slot per parameter, walked in lockstep with its pruned
-   interface walk; unchanged slots and tails are shared. *)
-let rec map_slots iprocs f env vs =
+   interface walk, for the handles [f] sees; the mapped slots are
+   dropped, as a caller reads only the return value. *)
+let rec iter_slots iprocs f env vs =
   match (iprocs, vs) with
-  | [], _ | _, [] -> vs
+  | [], _ | _, [] -> ()
   | iproc :: iprocs', v :: vs' ->
-      let v' = Midl.map_handles_with iproc f env v in
-      let vs'' = map_slots iprocs' f env vs' in
-      if v' == v && vs'' == vs' then vs else v' :: vs''
+      ignore (Midl.map_handles_with iproc f env v : Value.t);
+      iter_slots iprocs' f env vs'
 
-let map_handles itype ~meth f env ((outs, ret) as reply) =
+let map_handles itype ~meth f env ~outs ret =
   let procs = Itype.procs itype meth in
-  if not procs.Midl.may_output_ifaces then reply
-  else
-    (* The return value first, then the slots left to right: the order
-       handles have always been minted in. *)
-    let ret' = Midl.map_handles_with procs.Midl.ret_iface_proc f env ret in
-    let outs' = map_slots procs.Midl.iface_procs f env outs in
-    if ret' == ret && outs' == outs then reply else (outs', ret')
+  (* The return value first, then the slots left to right: the order
+     handles have always been minted in. *)
+  let ret' = Midl.map_handles_with procs.Midl.ret_iface_proc f env ret in
+  iter_slots procs.Midl.iface_procs f env outs;
+  ret'

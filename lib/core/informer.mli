@@ -42,13 +42,16 @@ val measure_call :
 
 val map_handles :
   Coign_com.Itype.t -> meth:int -> ('a -> int -> int) -> 'a ->
-  Coign_idl.Value.t list * Coign_idl.Value.t -> Coign_idl.Value.t list * Coign_idl.Value.t
-(** [map_handles itype ~meth f env (slots, ret)] is the distribution
+  outs:Coign_idl.Value.t list -> Coign_idl.Value.t -> Coign_idl.Value.t
+(** [map_handles itype ~meth f env ~outs ret] is the distribution
     informer's walk over a call's reply: every interface handle [h] in
-    [ret] and in the parameter slots [slots] (one per parameter, as a
-    call returns them) becomes [f env h]. [ret] is walked first, then
-    the slots left to right, each in traversal order. Only positions
-    the pruned interface walks type as interfaces are visited, and a
-    method that cannot output interfaces is not walked at all. Values
-    whose handles all map to themselves come back physically equal —
-    the reply itself when nothing changes, with no allocation. *)
+    the return value [ret] and in the parameter slots [outs] (one per
+    parameter; a method writes none, so they are the call's arguments,
+    see {!Coign_com.Runtime.dispatch}) is passed to [f env h], [ret]
+    first, then the slots left to right, each in traversal order. The
+    result is [ret] with each [h] replaced by [f env h]; the slots'
+    mapped values are dropped. Only positions the pruned interface
+    walks type as interfaces are visited; the caller skips the walk for
+    a method whose {!Coign_idl.Midl.method_procs} [may_output_ifaces]
+    is false. A [ret] whose handles all map to themselves comes back
+    physically equal, with no allocation. *)

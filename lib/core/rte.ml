@@ -176,16 +176,18 @@ let intercept_run t w ~meth args =
   let callee = w.w_owner in
   let callee_cls = Rte_env.classification_of env callee in
   Shadow_stack.push t.stack ~inst:callee ~classification:callee_cls ~site:w.w_sites.(meth);
-  let result =
+  let ret =
     match Runtime.call t.ctx w.w_raw ~meth args with
-    | result ->
+    | ret ->
         Shadow_stack.pop t.stack;
-        result
+        ret
     | exception e ->
         Shadow_stack.pop t.stack;
         raise e
   in
-  let outs, ret = result in
+  (* A method writes no parameter slot, so a call's out slots are its
+     arguments. *)
+  let outs = args in
   let itype = w.w_itype in
   t.n_intercepted <- t.n_intercepted + 1;
   Int_table.add_to t.pair_counts (pair_key caller_cls callee_cls) 1;
@@ -248,7 +250,9 @@ let intercept_run t w ~meth args =
   (* Keep every escaping interface pointer wrapped: the distribution
      informer "examines parameters only enough to identify interface
      pointers", and most methods skip the walk entirely. *)
-  Informer.map_handles itype ~meth wrap t result
+  if (Itype.procs itype meth).Midl.may_output_ifaces then
+    Informer.map_handles itype ~meth wrap t ~outs ret
+  else ret
 
 (* The wrapper hook: every call through a wrapper lands here. *)
 let on_call t h ~meth args =

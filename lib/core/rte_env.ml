@@ -12,6 +12,7 @@ module Fault = Coign_netsim.Fault
 
 type t = {
   ctx : Runtime.ctx;
+  compute : float array;  (* [Runtime.compute_clock ctx], read in place *)
   logger : Logger.t;
   observed : bool;  (* a logger or a tracer attached: events are built only then *)
   (* Observability, all [None] unless the install opted in. Counters
@@ -38,6 +39,7 @@ type t = {
 let create ?logger ?tracer ?metrics ctx =
   {
     ctx;
+    compute = Runtime.compute_clock ctx;
     logger = Option.value logger ~default:Coign_obs.Sink.null;
     observed = Option.is_some logger || Option.is_some tracer;
     tracer;
@@ -111,7 +113,7 @@ let classification_of t inst = slot t.classifications inst
    writes the reading to [cell.(0)]: a float array holds it unboxed, so
    a reading taken on every call reaches another module without the box
    [now]'s result needs. *)
-let[@inline] now t = t.spent.comm_us +. Runtime.compute_us t.ctx
+let[@inline] now t = t.spent.comm_us +. t.compute.(0)
 
 let now_into t cell = cell.(0) <- now t
 

@@ -158,7 +158,9 @@ let test_vfs_missing_file () =
   let fs = Common.create_file_server ctx in
   Alcotest.(check bool) "missing file fails" true
     (try
-       ignore (Common.call_ret_int ctx fs "open_file" [ Coign_idl.Value.Str "ghost.doc" ]);
+       ignore
+         (Common.call_ret_int ctx fs Common.file_read_open_file
+            [ Coign_idl.Value.Str "ghost.doc" ]);
        false
      with Hresult.Com_error (Hresult.E_fail _) -> true)
 
@@ -166,14 +168,16 @@ let test_file_server_reads () =
   let ctx = Runtime.create_ctx Octarine.app.App.app_registry in
   Common.Vfs.add ctx ~name:"f.dat" ~bytes:10_000;
   let fs = Common.create_file_server ctx in
-  let fh = Common.call_ret_int ctx fs "open_file" [ Coign_idl.Value.Str "f.dat" ] in
+  let fh =
+    Common.call_ret_int ctx fs Common.file_read_open_file [ Coign_idl.Value.Str "f.dat" ]
+  in
   Alcotest.(check int) "size" 10_000
-    (Common.call_ret_int ctx fs "file_size" [ Coign_idl.Value.Int fh ]);
+    (Common.call_ret_int ctx fs Common.file_read_file_size [ Coign_idl.Value.Int fh ]);
   Alcotest.(check int) "block clipped at eof" 2_000
-    (Common.call_ret_blob ctx fs "read_block"
+    (Common.call_ret_blob ctx fs Common.file_read_read_block
        [ Coign_idl.Value.Int fh; Coign_idl.Value.Int 8_000; Coign_idl.Value.Int 4_096 ]);
   Alcotest.(check int) "read_all" 10_000
-    (Common.call_ret_blob ctx fs "read_all" [ Coign_idl.Value.Str "f.dat" ])
+    (Common.call_ret_blob ctx fs Common.file_read_read_all [ Coign_idl.Value.Str "f.dat" ])
 
 let suite =
   [

@@ -55,8 +55,8 @@ let c_calc =
                 let a = Combuild.get_int args 0 and b = Combuild.get_int args 1 in
                 total := !total + a + b;
                 Runtime.charge ctx ~us:1.;
-                Combuild.echo args (Value.Int (a + b)) );
-            ("total", fun _ctx args -> Combuild.echo args (Value.Int !total));
+                Value.Int (a + b) );
+            ("total", fun _ctx _args -> Value.Int !total);
           ];
       ])
 
@@ -74,8 +74,7 @@ let c_chain =
             ( "push",
               fun ctx args ->
                 let v = Combuild.get_int args 0 in
-                let _, r = Runtime.call_named ctx calc "add" [ Value.Int v; Value.Int 1 ] in
-                Combuild.echo args r );
+                Runtime.call_named ctx calc "add" [ Value.Int v; Value.Int 1 ] );
           ];
       ])
 
@@ -89,9 +88,9 @@ let test_registry_duplicate () =
 let test_create_and_call () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  let _, r = Runtime.call_named ctx h "add" [ Value.Int 2; Value.Int 3 ] in
+  let r = Runtime.call_named ctx h "add" [ Value.Int 2; Value.Int 3 ] in
   Alcotest.(check bool) "sum" true (r = Value.Int 5);
-  let _, t = Runtime.call_named ctx h "total" [] in
+  let t = Runtime.call_named ctx h "total" [] in
   Alcotest.(check bool) "total" true (t = Value.Int 5)
 
 let test_create_unknown_class () =
@@ -120,7 +119,7 @@ let test_query_interface_missing () =
 let test_nested_instantiation () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_chain.Runtime.clsid ~iid:(Itype.iid i_chain) in
-  let _, r = Runtime.call_named ctx h "push" [ Value.Int 9 ] in
+  let r = Runtime.call_named ctx h "push" [ Value.Int 9 ] in
   Alcotest.(check bool) "chained" true (r = Value.Int 10);
   (* main + chain + inner calc *)
   Alcotest.(check int) "instances" 3 (Runtime.instance_count ctx)
@@ -178,12 +177,12 @@ let test_foreign_handle_wrapping () =
          Runtime.call ctx (Runtime.wrapped_handle ctx w) ~meth args));
   Alcotest.(check bool) "wrapper flagged" true (Runtime.handle_is_wrapper ctx wrapper);
   Alcotest.(check bool) "original not" false (Runtime.handle_is_wrapper ctx h);
-  let _, r = Runtime.call_named ctx wrapper "add" [ Value.Int 1; Value.Int 1 ] in
+  let r = Runtime.call_named ctx wrapper "add" [ Value.Int 1; Value.Int 1 ] in
   Alcotest.(check bool) "forwarded" true (r = Value.Int 2);
   Alcotest.(check int) "intercepted" 1 !calls;
   (* Unhooked, the wrapper runs its target's method directly. *)
   Runtime.set_wrapper_hook ctx None;
-  let _, r = Runtime.call_named ctx wrapper "add" [ Value.Int 2; Value.Int 3 ] in
+  let r = Runtime.call_named ctx wrapper "add" [ Value.Int 2; Value.Int 3 ] in
   Alcotest.(check bool) "unhooked call runs the target" true (r = Value.Int 5);
   Alcotest.(check int) "unhooked call not intercepted" 1 !calls;
   Alcotest.(check int) "wrapper names its target" h (Runtime.wrapped_handle ctx wrapper);
@@ -214,6 +213,87 @@ let test_live_instances () =
   ignore h2;
   Runtime.destroy_instance ctx (Runtime.handle_owner ctx h1);
   Alcotest.(check int) "one live (excluding main)" 1 (List.length (Runtime.live_instances ctx))
+
+(* An instance with two interfaces, so each has two canonical handles. *)
+let c_twin =
+  Runtime.define_class "Test.Twin" (fun _ctx _self ->
+      [
+        Combuild.iface i_calc
+          [ ("add", Combuild.ret (Value.Int 0)); ("total", Combuild.ret (Value.Int 7)) ];
+        Combuild.iface i_raw [ ("blit", Combuild.nop) ];
+      ])
+
+let com_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no error" what
+  | exception Hresult.Com_error e -> e
+
+(* The handle table past its initial 256 slots: every handle, raw or
+   wrapper, keeps its owner, interface and target after growth, and a
+   bad handle, a dead instance, a bad slot and a slot of another
+   interface still fail as typed COM errors. *)
+let test_handle_table_growth () =
+  let ctx = Runtime.create_ctx (Runtime.registry [ c_twin ]) in
+  let calc_iid = Itype.iid i_calc and raw_iid = Itype.iid i_raw in
+  (* Per instance, in mint order: its ICalc handle, a wrapper of it,
+     its IRawPixels handle and a wrapper of the wrapper, each as
+     (handle, owner, itype, wrapped handle). *)
+  let minted =
+    List.concat_map
+      (fun i ->
+        let owner = i + 1 in
+        let calc = Runtime.create_instance ctx c_twin.Runtime.clsid ~iid:calc_iid in
+        let w = Runtime.alloc_wrapper ctx calc in
+        let raw = Runtime.query_interface ctx w ~iid:raw_iid in
+        let ww = Runtime.alloc_wrapper ctx w in
+        [
+          (calc, owner, i_calc, calc);
+          (w, owner, i_calc, calc);
+          (raw, owner, i_raw, raw);
+          (ww, owner, i_calc, w);
+        ])
+      (List.init 100 Fun.id)
+  in
+  List.iteri
+    (fun i (h, owner, itype, target) ->
+      let name = Printf.sprintf "handle %d" i in
+      Alcotest.(check int) (name ^ " minted in order") i h;
+      Alcotest.(check int) (name ^ " owner") owner (Runtime.handle_owner ctx h);
+      Alcotest.(check bool) (name ^ " itype") true (Itype.equal itype (Runtime.handle_itype ctx h));
+      Alcotest.(check int) (name ^ " target") target (Runtime.wrapped_handle ctx h);
+      Alcotest.(check bool) (name ^ " wrapper") (target <> h) (Runtime.handle_is_wrapper ctx h))
+    minted;
+  Alcotest.(check int) "canonical handles reused" 2
+    (Runtime.query_interface ctx 1 ~iid:raw_iid);
+  Alcotest.(check int) "canonical handles reused, last instance" 396
+    (Runtime.query_interface ctx 399 ~iid:calc_iid);
+  Alcotest.(check bool) "calls before and after growth" true
+    (Runtime.call ctx 1 ~meth:1 [] = Value.Int 7 && Runtime.call ctx 399 ~meth:1 [] = Value.Int 7);
+  let pointer what f =
+    match com_error what f with
+    | Hresult.E_pointer _ -> ()
+    | _ -> Alcotest.failf "%s: not E_pointer" what
+  and invalidarg what f =
+    match com_error what f with
+    | Hresult.E_invalidarg _ -> ()
+    | _ -> Alcotest.failf "%s: not E_invalidarg" what
+  in
+  pointer "unknown handle" (fun () -> Runtime.call ctx 400 ~meth:0 []);
+  pointer "negative handle" (fun () -> Runtime.call ctx (-1) ~meth:0 []);
+  pointer "unknown handle's owner" (fun () -> Runtime.handle_owner ctx 400);
+  pointer "unknown handle wrapped" (fun () -> Runtime.alloc_wrapper ctx 400);
+  invalidarg "slot past the interface" (fun () -> Runtime.call ctx 399 ~meth:2 []);
+  invalidarg "negative slot" (fun () -> Runtime.call ctx 0 ~meth:(-1) []);
+  invalidarg "unknown method name" (fun () -> Runtime.call_named ctx 0 "nope" []);
+  let total = Itype.slot i_calc "total" in
+  Alcotest.(check bool) "slot call through a wrapper" true
+    (Runtime.call_slot ctx 397 total [] = Value.Int 7);
+  invalidarg "slot of another interface" (fun () -> Runtime.call_slot ctx 398 total []);
+  Runtime.destroy_instance ctx 100;
+  pointer "call into a dead instance" (fun () -> Runtime.call ctx 396 ~meth:1 []);
+  pointer "call through a dead instance's wrapper" (fun () -> Runtime.call ctx 399 ~meth:1 []);
+  pointer "query a dead instance" (fun () -> Runtime.query_interface ctx 398 ~iid:calc_iid);
+  Alcotest.(check int) "its handles still resolve" 100 (Runtime.handle_owner ctx 399)
 
 (* --- Combuild ------------------------------------------------------- *)
 
@@ -264,6 +344,7 @@ let suite =
     Alcotest.test_case "compute accounting" `Quick test_compute_accounting;
     Alcotest.test_case "data slots" `Quick test_data_slots;
     Alcotest.test_case "live instances" `Quick test_live_instances;
+    Alcotest.test_case "handle table growth" `Quick test_handle_table_growth;
     Alcotest.test_case "combuild validation" `Quick test_combuild_validation;
     Alcotest.test_case "combuild getters" `Quick test_combuild_getters;
   ]

@@ -25,4 +25,5 @@ let () =
       ("lint", Test_lint.suite);
       ("verify", Test_verify.suite);
       ("cli", Test_cli.suite);
+      ("fuzz", Test_fuzz.suite);
     ]

@@ -344,9 +344,9 @@ let c_vhelper =
         Combuild.iface i_vraw
           [
             ( "touch",
-              fun ctx args ->
+              fun ctx _args ->
                 Runtime.charge ctx ~us:5.;
-                Combuild.echo args Value.Unit );
+                Value.Unit );
           ];
       ])
 
@@ -364,7 +364,7 @@ let c_vback =
                 stored := !stored + Combuild.get_blob args 0;
                 ignore (Runtime.call_named ctx helper "touch" [ Value.Opaque_handle "SHM" ]);
                 Runtime.charge ctx ~us:10.;
-                Combuild.echo args (Value.Int !stored) );
+                Value.Int !stored );
           ];
       ])
 
@@ -380,7 +380,7 @@ let c_vfront =
                 for _ = 1 to rounds do
                   ignore (Runtime.call_named ctx back "store" [ Value.Blob 1_000 ])
                 done;
-                Combuild.echo args Value.Unit );
+                Value.Unit );
           ];
       ])
 
