@@ -112,15 +112,20 @@ verify)
     coign profile "$1.img" --scenario "$2" -o "$1.img"
     coign verify "$1.img" --strict
     coign verify "$1.img" --strict --json > "verify-$1.json"
-    # The default pool-1 and the pool-3 models explored on the
-    # zero-worker pool and on four domains: the reports must be
+    # --pool 1 is the default two-host ladder: the same report.
+    coign verify "$1.img" --pool 1 --strict --json > "verify-$1-pool1.json"
+    diff "verify-$1.json" "verify-$1-pool1.json"
+    # The default pool-1 and the pool-2 and pool-3 models explored on
+    # the zero-worker pool and on four domains: the reports must be
     # byte-identical.
     coign verify "$1.img" --strict --json --jobs 1 > "verify-$1-seq.json"
     coign verify "$1.img" --strict --json --jobs 4 > "verify-$1-par.json"
     diff "verify-$1-seq.json" "verify-$1-par.json"
-    coign verify "$1.img" --pool 3 --strict --json --jobs 1 > "verify-$1-pool3-seq.json"
-    coign verify "$1.img" --pool 3 --strict --json --jobs 4 > "verify-$1-pool3-par.json"
-    diff "verify-$1-pool3-seq.json" "verify-$1-pool3-par.json"
+    for k in 2 3; do
+      coign verify "$1.img" --pool "$k" --strict --json --jobs 1 > "verify-$1-pool$k-seq.json"
+      coign verify "$1.img" --pool "$k" --strict --json --jobs 4 > "verify-$1-pool$k-par.json"
+      diff "verify-$1-pool$k-seq.json" "verify-$1-pool$k-par.json"
+    done
   done
   for app in octarine photodraw benefits; do
     python3 -m json.tool "verify-$app.json" > /dev/null

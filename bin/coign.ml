@@ -361,9 +361,7 @@ let verify_cmd =
           die "image holds no profile — run coign profile first"
     in
     let session =
-      try
-        Analysis.Session.create ~classifier ~icc ~constraints:(Constraints.of_image image) ()
-      with Invalid_argument msg -> die "%s" msg
+      Analysis.Session.create ~classifier ~icc ~constraints:(Constraints.of_image image) ()
     in
     let net = Net_profiler.exact network in
     let primary = Option.map snd (Adps.load_distribution image) in
@@ -371,15 +369,14 @@ let verify_cmd =
       try Fallback.compute ?primary session ~net () with Fallback.Invalid msg -> die "%s" msg
     in
     gate_exit ~strict @@ with_jobs jobs @@ fun pool ->
-    (* The checked ladder is the pool-elastic one, one host per rung at
-       --pool 1: the model reads every rung's hosts off it, so the
-       explorer interleaves promotions and resizes where they exist. *)
-    let pl =
-      if pool_size = 1 then Fallback.single_host ladder
-      else Fallback.pool_ladder ~hosts:pool_size session ~net ladder
+    (* The checked ladder is the one the RTE routes: the two-host ladder
+       at --pool 1, widened to --pool hosts otherwise, so the explorer
+       interleaves promotions and resizes where they exist. *)
+    let ladder =
+      if pool_size = 1 then ladder else Fallback.pool_ladder ~hosts:pool_size session ~net ladder
     in
     let truth = Fallback.migration_safety session in
-    let model = V.Model.build ~pool:pl ~classifier ~icc ~ladder ~truth () in
+    let model = V.Model.build ~classifier ~icc ~ladder ~truth () in
     let result = V.Explore.run ~pool ~depth model in
     let diags = Lint.order (V.Explore.diagnostics model result) in
     let stats = result.V.Explore.r_stats in

@@ -222,7 +222,8 @@ val fallback_ladder :
   net:Coign_netsim.Net_profiler.t ->
   unit ->
   Fallback.t
-(** The resilience ladder for a profiled image: rung 0 is the image's
+(** The two-host resilience ladder for a profiled image, one host per
+    rung: rung 0 is the image's
     stored distribution when it carries one (so failback restores
     exactly the analyzed cut) and a fresh solve otherwise, later rungs
     re-price the same analysis session under the failure-mode profiles
@@ -234,7 +235,7 @@ val pool_fallback_ladder :
   image:Coign_image.Binary_image.t ->
   net:Coign_netsim.Net_profiler.t ->
   unit ->
-  Fallback.pool_ladder
+  Fallback.t
 (** The pool-elastic ladder for a profiled image: {!fallback_ladder}
     widened to [hosts] machines ({!Fallback.pool_ladder}) with the
     default two replicas, sharded and priced over the same analysis

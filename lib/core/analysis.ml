@@ -236,22 +236,28 @@ module Session = struct
     in
     find t.s_cost_cache
 
+  let price t ~net =
+    Icc_graph.price_into t.s_graph ~cost:(cost_table_for t net) t.s_pricing;
+    t.s_pricing
+
   let solve ?profiler ?metrics ?scale t ~net =
     let timed name f = timed profiler name f in
     let graph = t.s_graph in
     let n = Icc_graph.classification_count graph in
     let pricing =
       timed "pricing" (fun () ->
-          let pricing = t.s_pricing in
           (* With ?scale, an observation window rescales each pair's
              profiled traffic before pricing (online re-partitioning);
              without it, the pricing loop is untouched and its floats
              are bit for bit the offline engine's. *)
-          (match scale with
-          | None -> Icc_graph.price_into graph ~cost:(cost_table_for t net) pricing
-          | Some scale ->
-              Icc_graph.price_scaled_into graph ~cost:(cost_table_for t net)
-                ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale pricing);
+          let pricing =
+            match scale with
+            | None -> price t ~net
+            | Some scale ->
+                Icc_graph.price_scaled_into graph ~cost:(cost_table_for t net)
+                  ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale t.s_pricing;
+                t.s_pricing
+          in
           (* Reprice: zero every slot, add each priced pair's
              capacity into its slot's arc straight in the arena,
              saturating at infinity_cap as a compile would, then mirror

@@ -6,25 +6,78 @@
    ranked ladder of alternative distributions the RTE can fail over to
    when the link degrades at run time.  Every rung passes the same
    pre-cut validation as the primary cut, so failover never lands on a
-   placement the lint would have rejected. *)
+   placement the lint would have rejected.  A rung places the server
+   side on a pool of hosts; the two-host ladder is the one-host case. *)
 
 module Net_profiler = Coign_netsim.Net_profiler
 
-type rung = { rg_name : string; rg_distribution : Analysis.distribution }
+type rung = {
+  pr_name : string;
+  pr_distribution : Analysis.distribution;
+  pr_shape : Pool.shape;
+  pr_shard_of : int array;
+  pr_shard_count : int;
+  pr_replicated : bool array;
+  pr_predicted_us : float;
+}
 
 type t = {
   fb_rungs : rung array; (* rung 0 is the primary distribution *)
   fb_migration_safe : bool array; (* indexed by classification *)
+  fb_component : int array; (* classification -> component representative *)
+  fb_comp_safe : bool array; (* by representative: all members safe *)
 }
 
 exception Invalid of string
 
 let rung_count t = Array.length t.fb_rungs
+let pool_rung_count = rung_count
 let rung t i = t.fb_rungs.(i)
-let migration_safe t c = c >= 0 && c < Array.length t.fb_migration_safe && t.fb_migration_safe.(c)
+let safe_in table c = c >= 0 && c < Array.length table && table.(c)
+let migration_safe t c = safe_in t.fb_migration_safe c
 let migration_safety_table t = Array.copy t.fb_migration_safe
+let components t = Array.copy t.fb_component
+let component_safety t = Array.copy t.fb_comp_safe
 
 let migration_safety = Analysis.Session.migration_safety
+
+(* One host per rung: every server-side classification in shard 0,
+   replicated only when all of them are migration-safe, each
+   classification its own component (components only matter for
+   splitting, which needs two hosts), and the cut's own prediction. *)
+let of_rungs ~migration_safe rungs =
+  if rungs = [] then raise (Invalid "fallback ladder needs at least one rung");
+  let shape = Pool.shape 1 in
+  let rung (name, d) =
+    let replicated = ref true in
+    let shard_of =
+      Array.mapi
+        (fun c loc ->
+          if loc <> Constraints.Server then -1
+          else begin
+            if not (safe_in migration_safe c) then replicated := false;
+            0
+          end)
+        d.Analysis.placement
+    in
+    {
+      pr_name = name;
+      pr_distribution = d;
+      pr_shape = shape;
+      pr_shard_of = shard_of;
+      pr_shard_count = 1;
+      pr_replicated = [| !replicated |];
+      pr_predicted_us = d.Analysis.predicted_comm_us;
+    }
+  in
+  let rungs = Array.of_list (List.map rung rungs) in
+  let n = Array.fold_left (fun acc r -> max acc r.pr_distribution.Analysis.node_count) 0 rungs in
+  {
+    fb_rungs = rungs;
+    fb_migration_safe = migration_safe;
+    fb_component = Array.init n Fun.id;
+    fb_comp_safe = Array.init n (safe_in migration_safe);
+  }
 
 let compute ?profiler ?primary session ~net () =
   let primary =
@@ -39,7 +92,7 @@ let compute ?profiler ?primary session ~net () =
   let constraints = Analysis.Session.constraints session in
   let checked name d =
     match Analysis.validate ~classifier ~constraints d with
-    | [] -> { rg_name = name; rg_distribution = d }
+    | [] -> (name, d)
     | v :: _ ->
         raise
           (Invalid
@@ -50,7 +103,7 @@ let compute ?profiler ?primary session ~net () =
     if
       not
         (List.exists
-           (fun r -> r.rg_distribution.Analysis.placement = d.Analysis.placement)
+           (fun (_, r) -> r.Analysis.placement = d.Analysis.placement)
            !rungs)
     then rungs := checked name d :: !rungs
   in
@@ -73,36 +126,12 @@ let compute ?profiler ?primary session ~net () =
   if
     not
       (List.exists
-         (fun r -> r.rg_distribution.Analysis.placement = all_client.Analysis.placement)
+         (fun (_, r) -> r.Analysis.placement = all_client.Analysis.placement)
          !rungs)
-  then rungs := { rg_name = "all-client"; rg_distribution = all_client } :: !rungs;
-  {
-    fb_rungs = Array.of_list (List.rev !rungs);
-    fb_migration_safe = migration_safety session;
-  }
+  then rungs := ("all-client", all_client) :: !rungs;
+  of_rungs ~migration_safe:(migration_safety session) (List.rev !rungs)
 
-let of_rungs ~migration_safe rungs =
-  if rungs = [] then raise (Invalid "fallback ladder needs at least one rung");
-  { fb_rungs = Array.of_list rungs; fb_migration_safe = migration_safe }
-
-(* --- pool-elastic ladder ------------------------------------------- *)
-
-type pool_rung = {
-  pr_name : string;
-  pr_distribution : Analysis.distribution;
-  pr_shape : Pool.shape;
-  pr_shard_of : int array;
-  pr_shard_count : int;
-  pr_replicated : bool array;
-  pr_predicted_us : float;
-}
-
-type pool_ladder = {
-  pl_rungs : pool_rung array;
-  pl_component : int array;
-  pl_comp_safe : bool array;
-  pl_base : t;
-}
+(* --- widening onto a pool ------------------------------------------ *)
 
 let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
   let n = Array.length component in
@@ -141,7 +170,9 @@ let pool_ladder ?(replicas = 2) ~hosts session ~net base =
   if replicas < 1 then raise (Invalid "pool ladder: replicas < 1");
   let graph = Analysis.Session.graph session in
   let n = Icc_graph.classification_count graph in
-  let pricing = Icc_graph.price graph ~net in
+  (* The session's own buffers: every rung reads them before this
+     returns, and the next [price] or [solve] overwrites them. *)
+  let pricing = Analysis.Session.price session ~net in
   (* Server-side classifications shard at component granularity:
      separating two members across pool hosts would fault (or break a
      co-location constraint) exactly as separating them across the
@@ -157,7 +188,7 @@ let pool_ladder ?(replicas = 2) ~hosts session ~net base =
     let shape = Pool.shape ~replicas:(min replicas k) k in
     pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards:hosts ~shape dist
   in
-  let primary = base.fb_rungs.(0).rg_distribution in
+  let primary = base.fb_rungs.(0).pr_distribution in
   let wide =
     List.init (max 0 (hosts - 1)) (fun i ->
         let k = hosts - i in
@@ -165,67 +196,22 @@ let pool_ladder ?(replicas = 2) ~hosts session ~net base =
   in
   let narrow =
     Array.to_list
-      (Array.map (fun r -> rung_at ~name:r.rg_name ~k:1 r.rg_distribution) base.fb_rungs)
+      (Array.map (fun r -> rung_at ~name:r.pr_name ~k:1 r.pr_distribution) base.fb_rungs)
   in
   {
-    pl_rungs = Array.of_list (wide @ narrow);
-    pl_component = component;
-    pl_comp_safe = comp_safe;
-    pl_base = base;
-  }
-
-let pool_rung_count pl = Array.length pl.pl_rungs
-let pool_rung_at pl i = pl.pl_rungs.(i)
-let pool_base pl = pl.pl_base
-let pool_components pl = Array.copy pl.pl_component
-let pool_component_safety pl = Array.copy pl.pl_comp_safe
-
-(* A two-host ladder is a pool ladder of one host per rung: the same
-   names, distributions and safety table, every server-side
-   classification in shard 0, each classification its own component
-   (components only matter for splitting, which needs two hosts). *)
-let single_host base =
-  let shape = Pool.shape 1 in
-  let rung r =
-    let d = r.rg_distribution in
-    let replicated = ref true in
-    let shard_of =
-      Array.mapi
-        (fun c loc ->
-          if loc <> Constraints.Server then -1
-          else begin
-            if not (migration_safe base c) then replicated := false;
-            0
-          end)
-        d.Analysis.placement
-    in
-    {
-      pr_name = r.rg_name;
-      pr_distribution = d;
-      pr_shape = shape;
-      pr_shard_of = shard_of;
-      pr_shard_count = 1;
-      pr_replicated = [| !replicated |];
-      pr_predicted_us = d.Analysis.predicted_comm_us;
-    }
-  in
-  let n =
-    Array.fold_left (fun acc r -> max acc r.rg_distribution.Analysis.node_count) 0 base.fb_rungs
-  in
-  {
-    pl_rungs = Array.map rung base.fb_rungs;
-    pl_component = Array.init n Fun.id;
-    pl_comp_safe = Array.init n (migration_safe base);
-    pl_base = base;
+    fb_rungs = Array.of_list (wide @ narrow);
+    fb_migration_safe = base.fb_migration_safe;
+    fb_component = component;
+    fb_comp_safe = comp_safe;
   }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>ladder of %d rung(s):" (Array.length t.fb_rungs);
   Array.iteri
     (fun i r ->
-      Format.fprintf ppf "@,  %d %-10s server=%d/%d predicted=%.1fus" i r.rg_name
-        r.rg_distribution.Analysis.server_count r.rg_distribution.Analysis.node_count
-        r.rg_distribution.Analysis.predicted_comm_us)
+      Format.fprintf ppf "@,  %d %-10s server=%d/%d predicted=%.1fus" i r.pr_name
+        r.pr_distribution.Analysis.server_count r.pr_distribution.Analysis.node_count
+        r.pr_distribution.Analysis.predicted_comm_us)
     t.fb_rungs;
   let unsafe =
     Array.fold_left (fun acc s -> if s then acc else acc + 1) 0 t.fb_migration_safe

@@ -14,78 +14,21 @@
     all-client rung waives location pins by design (a Server pin
     presumes a reachable server) and is trivially valid otherwise.  A
     per-classification migration-safety table records which instances
-    the RTE may move live. *)
+    the RTE may move live.
+
+    Each rung places the cut's server side on a pool of hosts
+    ({!Pool.shape}).  {!compute} builds the classic two-host ladder,
+    one host per rung; {!pool_ladder} widens a ladder to [k] hosts by
+    prepending rungs that shard the primary cut's server side across
+    [k], [k-1], ..., 2 machines.  The RTE routes and the verifier
+    checks this one type, so a pool of one is the two-host path. *)
 
 type rung = {
-  rg_name : string;  (** ["primary"], ["lossy"], ["partition"], ... *)
-  rg_distribution : Analysis.distribution;
-}
-
-type t
-
-exception Invalid of string
-(** Raised by {!compute} / {!of_rungs} when a rung fails validation or
-    the ladder is empty. *)
-
-val compute :
-  ?profiler:Coign_obs.Profiler.t ->
-  ?primary:Analysis.distribution ->
-  Analysis.Session.t ->
-  net:Coign_netsim.Net_profiler.t ->
-  unit ->
-  t
-(** Build the ladder from an analysis session.  [primary] (default: a
-    fresh solve against [net]) becomes rung 0; the two failure modes
-    derived from [net], [lossy] ({!Coign_netsim.Net_profiler.degrade})
-    then [partition] ({!Coign_netsim.Net_profiler.link_down}), are
-    each solved and appended unless the placement duplicates an
-    earlier rung; the all-client placement is appended last under the
-    same dedup rule.  The session's pricing is reusable afterwards —
-    the next [solve] replaces it as always. *)
-
-val of_rungs : migration_safe:bool array -> rung list -> t
-(** Hand-built ladder (tests, custom policies).  No validation beyond
-    non-emptiness — callers own the invariants. *)
-
-val migration_safety : Analysis.Session.t -> bool array
-(** {!Analysis.Session.migration_safety}: a classification is safe to
-    migrate live iff no member of its component touches a
-    non-remotable ICC edge. *)
-
-val rung_count : t -> int
-val rung : t -> int -> rung
-(** Rungs are ranked: 0 is primary, higher indexes suit worse regimes. *)
-
-val migration_safe : t -> int -> bool
-(** Whether a classification may be migrated live; out-of-range
-    classifications (including main, -1) are unsafe. *)
-
-val migration_safety_table : t -> bool array
-(** A copy of the ladder's per-classification safety table, indexed by
-    classification.  The verifier compares this (what the RTE will act
-    on) against a freshly derived {!migration_safety} (the static
-    truth) to detect stale or hand-edited tables. *)
-
-(** {1 Pool-elastic ladder}
-
-    The two-host ladder above degrades by moving classifications
-    between {e two} machines.  A pool ladder generalizes each rung
-    into a {!Pool.shape}: the top rung runs the primary cut's server
-    side sharded across [hosts] machines, intermediate rungs shrink
-    the pool one host at a time, and the final rungs are exactly the
-    base ladder at pool size 1 — so a pool of one is the PR 5
-    resilience path, bit for bit.  Sharding is by component
-    ({!Analysis.Session.components}, keyed by the component's smallest
-    classification), migration-unsafe
-    components are pinned to shard 0 and never replicated, and each
-    rung is priced through the same abstract-graph pricing as the
-    two-way engine ({!Icc_graph.predicted_us}) with hosts as
-    machines. *)
-
-type pool_rung = {
-  pr_name : string;  (** ["pool-3"], ..., then the base rung's name *)
+  pr_name : string;
+      (** ["pool-3"], ..., then ["primary"], ["lossy"], ["partition"],
+          ["all-client"] *)
   pr_distribution : Analysis.distribution;  (** underlying two-way cut *)
-  pr_shape : Pool.shape;
+  pr_shape : Pool.shape;  (** the hosts the server side runs on *)
   pr_shard_of : int array;
       (** classification -> shard id, [-1] for client-side (and thus
           unsharded) classifications *)
@@ -97,8 +40,40 @@ type pool_rung = {
       (** priced communication time of the sharded placement: the
           client/server cut plus inter-host server-server traffic *)
 }
+(** One rung: a two-way cut whose server side is sharded across
+    [pr_shape.sh_hosts] hosts.  On a one-host rung every server-side
+    classification is in shard 0, the one shard replicates iff all of
+    them are migration-safe, and [pr_predicted_us] is the cut's own
+    [predicted_comm_us]. *)
 
-type pool_ladder
+type t
+
+exception Invalid of string
+(** Raised by {!compute} / {!of_rungs} when a rung fails validation or
+    the ladder is empty, and by {!pool_ladder} on a bad host or
+    replica count. *)
+
+val compute :
+  ?profiler:Coign_obs.Profiler.t ->
+  ?primary:Analysis.distribution ->
+  Analysis.Session.t ->
+  net:Coign_netsim.Net_profiler.t ->
+  unit ->
+  t
+(** Build the two-host ladder from an analysis session, one host per
+    rung.  [primary] (default: a fresh solve against [net]) becomes
+    rung 0; the two failure modes derived from [net], [lossy]
+    ({!Coign_netsim.Net_profiler.degrade}) then [partition]
+    ({!Coign_netsim.Net_profiler.link_down}), are each solved and
+    appended unless the placement duplicates an earlier rung; the
+    all-client placement is appended last under the same dedup rule.
+    The session's pricing is reusable afterwards — the next [solve]
+    replaces it as always. *)
+
+val of_rungs : migration_safe:bool array -> (string * Analysis.distribution) list -> t
+(** Hand-built one-host ladder of named distributions (tests, custom
+    policies), each classification its own component.  No validation
+    beyond non-emptiness — callers own the invariants. *)
 
 val pool_ladder :
   ?replicas:int ->
@@ -106,37 +81,54 @@ val pool_ladder :
   Analysis.Session.t ->
   net:Coign_netsim.Net_profiler.t ->
   t ->
-  pool_ladder
-(** Build the pool ladder over a base (two-host) ladder: rungs
-    [pool-hosts, pool-(hosts-1), ..., pool-2] over the base's primary
-    distribution, then every base rung at pool size 1.  A component's
+  t
+(** Widen a two-host ladder ({!compute}, {!of_rungs}) onto a pool of
+    [hosts] machines: rungs [pool-hosts, pool-(hosts-1), ..., pool-2]
+    over the base's primary distribution, then every base rung at pool
+    size 1.  Sharding is by component ({!Analysis.Session.components},
+    keyed by the component's smallest classification): a component's
     shard is {!Pool.shard_of} [~shards:hosts] of its representative on
     every rung — only the host count varies, with shards folding onto
     fewer hosts by {!Pool.host_of} — so a key's shard never changes as
-    the pool breathes.
-    [replicas] (default 2) is clamped to each rung's host count.
-    Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
+    the pool breathes.  Migration-unsafe components (under the base's
+    table, which the result keeps) are pinned to shard 0 and never
+    replicated.  Each rung is priced against [net] through the
+    session's memoised pricing ({!Analysis.Session.price}), with hosts
+    as machines.  [replicas] (default 2) is clamped to each rung's
+    host count.  Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
 
-val pool_rung_count : pool_ladder -> int
-val pool_rung_at : pool_ladder -> int -> pool_rung
-val pool_base : pool_ladder -> t
-(** The base ladder the pool ladder was built over (rung names,
-    migration-safety table). *)
+val migration_safety : Analysis.Session.t -> bool array
+(** {!Analysis.Session.migration_safety}: a classification is safe to
+    migrate live iff no member of its component touches a
+    non-remotable ICC edge. *)
 
-val pool_components : pool_ladder -> int array
+val rung_count : t -> int
+
+val pool_rung_count : t -> int
+(** {!rung_count}, under the name the pool ladder's count had. *)
+
+val rung : t -> int -> rung
+(** Rungs are ranked: 0 is primary (the widest pool), higher indexes
+    suit worse regimes. *)
+
+val migration_safe : t -> int -> bool
+(** Whether a classification may be migrated live; out-of-range
+    classifications (including main, -1) are unsafe. *)
+
+val migration_safety_table : t -> bool array
+(** A copy of the ladder's per-classification safety table, indexed by
+    classification.  The verifier compares this (what the RTE will act
+    on) against a freshly derived {!migration_safety} (the static
+    truth) to detect stale or hand-edited tables. *)
+
+val components : t -> int array
 (** Classification -> component representative (smallest member).  The
     granularity below which the RTE must never split a shard. *)
 
-val pool_component_safety : pool_ladder -> bool array
+val component_safety : t -> bool array
 (** By component representative: whether every member is
-    migration-safe under the base ladder's table — the components the
+    migration-safe under the ladder's table — the components a widened
     ladder shards by hash (the rest are pinned to shard 0) and the RTE
     may move when it splits a hot shard. *)
-
-val single_host : t -> pool_ladder
-(** The two-host ladder as a pool ladder of one host per rung: the same
-    rung names, distributions and safety table, every server-side
-    classification in shard 0.  The RTE routes a resilience run over
-    it, so two-host resilience is the one-host case of the pool. *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,7 @@ open Coign_netsim
 module Metrics = Coign_obs.Metrics
 
 type config = {
-  fc_ladder : Fallback.pool_ladder;
+  fc_ladder : Fallback.t;
   fc_health : Health.policy;
   fc_host_faults : (int * Fault.spec) list;
   fc_max_probe_rounds : int;
@@ -30,12 +30,9 @@ let retry_only =
     { Analysis.placement = [||]; cut_ns = 0; predicted_comm_us = 0.; server_count = 0;
       node_count = 0 }
   in
-  let static =
-    Fallback.of_rungs ~migration_safe:[||]
-      [ { Fallback.rg_name = "static"; rg_distribution = nothing } ]
-  in
+  let static = Fallback.of_rungs ~migration_safe:[||] [ ("static", nothing) ] in
   let never_opens = { Health.default_policy with Health.hp_failure_threshold = max_int } in
-  { (config ~health:never_opens (Fallback.single_host static)) with fc_max_probe_rounds = 1 }
+  { (config ~health:never_opens static) with fc_max_probe_rounds = 1 }
 
 (* A float of its own: in the mixed record below, every update would
    box. *)
@@ -43,7 +40,7 @@ type wait = { mutable wait_us : float }
 
 (* Mutable routing state — the one engine every cross-host call and
    forwarded create goes through: the link (network, jitter and backoff
-   streams, retry policy), the pool ladder and its current rung, one
+   streams, retry policy), the ladder and its current rung, one
    breaker and one fault model per host link (sized by the widest
    rung), the dynamic shard table (splits grow it), per-shard active
    hosts, and one counter set. *)
@@ -84,7 +81,7 @@ type t = {
   mutable r_ewma_link : int; (* link a transition or attempt last touched, -1 before any *)
 }
 
-(* Build a route over a pool ladder: one breaker and one fault model
+(* Build a route over a ladder: one breaker and one fault model
    per host link of the widest rung (rung 0). One master seed, one
    stream per stochastic concern: jitter keeps the master seed itself
    (stream "-1") so fault-free runs reproduce the pre-fault draw
@@ -96,8 +93,8 @@ type t = {
    draws from stream [8 + host], so adding hosts never perturbs the
    other draws. *)
 let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
-  let pl = fc.fc_ladder in
-  let rung0 = Fallback.pool_rung_at pl 0 in
+  let ladder = fc.fc_ladder in
+  let rung0 = Fallback.rung ladder 0 in
   let hosts = rung0.Fallback.pr_shape.Pool.sh_hosts in
   let shard_count = rung0.Fallback.pr_shard_count in
   let link_model h =
@@ -120,9 +117,9 @@ let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
     r_retry_rng = Prng.create (Prng.stream seed 1);
     r_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
     r_faults = Array.init hosts link_model;
-    r_safe = Fallback.migration_safety_table (Fallback.pool_base pl);
-    r_component = Fallback.pool_components pl;
-    r_comp_safe = Fallback.pool_component_safety pl;
+    r_safe = Fallback.migration_safety_table ladder;
+    r_component = Fallback.components ladder;
+    r_comp_safe = Fallback.component_safety ladder;
     r_load = Array.make shard_count 0.;
     r_load_at = Array.make shard_count 0.;
     r_rung = 0;
@@ -145,7 +142,7 @@ let create ~env ~factory ~pool ~network ~jitter ~seed ~retry ~faults fc =
     r_ewma_link = -1;
   }
 
-let shape r = (Fallback.pool_rung_at r.r_config.fc_ladder r.r_rung).Fallback.pr_shape
+let shape r = (Fallback.rung r.r_config.fc_ladder r.r_rung).Fallback.pr_shape
 
 (* Shard serving a classification: the dynamic table where it speaks,
    shard 0 for anything outside it (main, run-time classifications,
@@ -198,7 +195,7 @@ let reset_actives r ~now =
 let switch_rung r ~to_rung ~at_us =
   let env = r.r_env in
   let from_rung = r.r_rung in
-  let pr = Fallback.pool_rung_at r.r_config.fc_ladder to_rung in
+  let pr = Fallback.rung r.r_config.fc_ladder to_rung in
   let from_hosts = (shape r).Pool.sh_hosts in
   let to_hosts = pr.Fallback.pr_shape.Pool.sh_hosts in
   let migrated, left, moved =
@@ -271,7 +268,7 @@ let on_transition r ~host (tr : Health.transition) =
               end)
           r.r_active;
       if !stuck then begin
-        let bottom = Fallback.pool_rung_count r.r_config.fc_ladder - 1 in
+        let bottom = Fallback.rung_count r.r_config.fc_ladder - 1 in
         let next = min (r.r_rung + 1) bottom in
         if next <> r.r_rung then switch_rung r ~to_rung:next ~at_us
       end

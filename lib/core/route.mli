@@ -1,20 +1,23 @@
 (** The RTE's routing engine: every cross-host call and forwarded
     instantiation goes through one route. A route owns the link
-    (network, jitter and backoff streams, retry policy), a ladder of pool
-    rungs and the current rung, one circuit breaker and one fault model
-    per host link, the dynamic shard table with each shard's active
-    host, and the counters behind the [coign_resilience_*] and
-    [coign_fleet_*] instruments.
-    Retry-only is a one-link, one-rung route whose breaker never opens;
-    [Rte.resilience] is a one-link route over a fallback ladder;
-    [Rte.fleet] is the same route with one link per pool host. *)
+    (network, jitter and backoff streams, retry policy), a
+    {!Fallback.t} ladder and its current rung, one circuit breaker and
+    one fault model per host link of the ladder's widest rung, the
+    dynamic shard table with each shard's active host, and the
+    counters behind the [coign_resilience_*] and [coign_fleet_*]
+    instruments.
+    Retry-only is a one-link route over a one-rung ladder that places
+    nothing, whose breaker never opens; [Rte.resilience] routes a
+    two-host ladder ({!Fallback.compute}), one link; [Rte.fleet] routes
+    any ladder, typically one widened by {!Fallback.pool_ladder}, one
+    link per host. *)
 
 type config
 
 val config :
   ?health:Coign_netsim.Health.policy ->
   ?host_faults:(int * Coign_netsim.Fault.spec) list ->
-  Fallback.pool_ladder ->
+  Fallback.t ->
   config
 (** 8 probe rounds per call; see [Rte.fleet]. *)
 

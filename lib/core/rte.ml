@@ -12,7 +12,7 @@ type resilience_config = Route.config
 type fleet_config = Route.config
 type watch_config = Watch.config
 
-let resilience ?health ladder = Route.config ?health (Fallback.single_host ladder)
+let resilience ?health ladder = Route.config ?health ladder
 let fleet = Route.config
 let watch = Watch.config
 

@@ -62,24 +62,26 @@ val install_profiling :
 type resilience_config
 
 val resilience : ?health:Coign_netsim.Health.policy -> Fallback.t -> resilience_config
-(** Failover over a ranked fallback ladder, whose rung 0 should match
-    the installed factory policy so failback restores it, behind one
-    [health] breaker (default {!Coign_netsim.Health.default_policy}). *)
+(** Failover over a ranked fallback ladder ({!Fallback.compute}: one
+    host per rung), whose rung 0 should match the installed factory
+    policy so failback restores it, behind one [health] breaker
+    (default {!Coign_netsim.Health.default_policy}). *)
 
 type fleet_config
 
 val fleet :
   ?health:Coign_netsim.Health.policy ->
   ?host_faults:(int * Coign_netsim.Fault.spec) list ->
-  Fallback.pool_ladder ->
+  Fallback.t ->
   fleet_config
-(** A replicated pool over a pool-elastic ladder (rung 0 the widest
-    pool, the tail the base two-host ladder at pool size 1), with one
-    [health] breaker per pool host. [host_faults] (default none) maps a
-    host index to a fault spec replacing [dc_faults] on that host's
-    link. A shard carrying more than 0.6 of the decayed remote-call
-    load (200 ms half-life), checked every 64 served remote calls, is
-    hot. *)
+(** A replicated pool over a ladder widened by {!Fallback.pool_ladder}
+    (rung 0 the widest pool, the tail the base two-host ladder at pool
+    size 1), with one [health] breaker per host of rung 0. Over a
+    one-host ladder it routes exactly as {!resilience} does.
+    [host_faults] (default none) maps a host index to a fault spec
+    replacing [dc_faults] on that host's link. A shard carrying more
+    than 0.6 of the decayed remote-call load (200 ms half-life),
+    checked every 64 served remote calls, is hot. *)
 
 type watch_config
 

@@ -7,7 +7,7 @@
    are interchangeable with respect to every checked invariant.  Two
    classifications share a group iff they have the same per-rung
    placement vector, the same per-rung replica ring (host vector) under
-   the pool ladder, the same ladder migration-safety bit and the same
+   the ladder, the same ladder migration-safety bit and the same
    derived (truth) safety bit — and neither touches a non-remotable ICC
    edge.  Classifications incident to a non-remotable edge are split
    into singleton groups so the I1 crossing check stays exact per
@@ -53,7 +53,7 @@ type t = {
 let rung_count m = Array.length m.m_rung_names
 
 (* The host a group belongs on under a rung: its shard's primary, as
-   the pool ladder placed it; 0 client-side. *)
+   the ladder placed it; 0 client-side. *)
 let target_host g r =
   let ring = g.g_rings.(r) in
   if Array.length ring = 0 then 0 else ring.(0)
@@ -97,16 +97,8 @@ let cooloff_index m c =
 
 let max_pool_size = 3
 
-let build ?(policy = Health.default_policy) ?pool ~classifier ~icc ~ladder ~truth () =
-  let pl =
-    match pool with
-    | None -> Fallback.single_host ladder
-    | Some pl ->
-        if Fallback.pool_base pl != ladder then
-          invalid_arg "Verify.Model.build: pool is not built over ladder";
-        pl
-  in
-  let prs = Array.init (Fallback.pool_rung_count pl) (Fallback.pool_rung_at pl) in
+let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
+  let prs = Array.init (Fallback.rung_count ladder) (Fallback.rung ladder) in
   Array.iter
     (fun pr ->
       if pr.Fallback.pr_shape.Pool.sh_hosts > max_pool_size then

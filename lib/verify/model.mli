@@ -1,11 +1,11 @@
 (** The finite component-interaction model checked by {!Explore}.
 
     {!build} compiles an image's profiled ICC facts, its {!Fallback}
-    pool ladder + migration-safety table, and a {!Coign_netsim.Health}
+    ladder + migration-safety table, and a {!Coign_netsim.Health}
     breaker policy into a small automaton alphabet: symmetry-reduced
     {e groups} of classifications, the inter-group communication
     {e edges} that drive and endanger them, and the finite cooloff
-    escalation chain the breaker can visit.  Hosts come from the pool
+    escalation chain the breaker can visit.  Hosts come from the
     ladder's [pr_shard_of] through {!Coign_core.Pool}, the rule the
     RTE routes by, so the model checks the placement the system runs.
 
@@ -22,7 +22,7 @@ type group = {
   g_rings : int array array;
       (** per rung: the hosts of the group's shard in replica-ring
           order, primary first ({!Coign_core.Pool.replica}), as the
-          pool ladder places it; [[||]] where the rung puts the group
+          ladder places it; [[||]] where the rung puts the group
           client-side, one host where its shard keeps no replicas.
           Members share it, so they share their host on every rung. *)
   g_ladder_safe : bool;  (** what the ladder's table will act on *)
@@ -82,19 +82,17 @@ val cooloff_index : t -> float -> int
 
 val build :
   ?policy:Coign_netsim.Health.policy ->
-  ?pool:Fallback.pool_ladder ->
   classifier:Classifier.t ->
   icc:Icc.t ->
   ladder:Fallback.t ->
   truth:bool array ->
   unit ->
   t
-(** Compile the model.  [truth] is the freshly derived
+(** Compile the model of [ladder], the ladder the RTE routes.  Its
+    rungs, their names and every group's hosts come from the ladder's
+    rungs; on a two-host ladder ({!Fallback.compute}, one host per
+    rung) the host dimension is inert.  [truth] is the freshly derived
     {!Fallback.migration_safety} table; the ladder's own table is read
     through {!Fallback.migration_safe} so a stale or hand-edited table
-    shows up as {!risky} groups.  The rungs, their names and every
-    group's hosts come from [pool], a pool ladder built over [ladder]
-    (default {!Fallback.single_host} [ladder]: one host per rung, the
-    classic two-host model, whose host dimension is inert).  Raises
-    [Invalid_argument] when [pool] is not built over [ladder] or a rung
+    shows up as {!risky} groups.  Raises [Invalid_argument] when a rung
     is wider than {!max_pool_size}. *)

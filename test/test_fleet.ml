@@ -115,8 +115,8 @@ let mini_pool_ladder ~hosts =
     Fallback.of_rungs
       ~migration_safe:(Array.make n true)
       [
-        { Fallback.rg_name = "primary"; rg_distribution = dist primary };
-        { Fallback.rg_name = "all-client"; rg_distribution = dist (Array.make n Constraints.Client) };
+        ("primary", dist primary);
+        ("all-client", dist (Array.make n Constraints.Client));
       ]
   in
   ( dist primary,
@@ -157,7 +157,7 @@ let test_promotion_trace_hand_computed () =
      single migration-safe classification, Back's shard is the plain
      keyed hash of its classification id, and its primary host is the
      shard modulo the pool size. *)
-  let rung0 = Fallback.pool_rung_at pl 0 in
+  let rung0 = Fallback.rung pl 0 in
   let expected_shard = Pool.shard_of ~shards:2 cback in
   Alcotest.(check int) "ladder shards Back by keyed hash" expected_shard
     rung0.Fallback.pr_shard_of.(cback);
@@ -237,7 +237,7 @@ let test_promotion_trace_hand_computed () =
 let test_pool_metrics_match_fleet_stats () =
   let _, _, _, cback = Lazy.force profiled in
   let primary, pl = mini_pool_ladder ~hosts:2 in
-  let rung0 = Fallback.pool_rung_at pl 0 in
+  let rung0 = Fallback.rung pl 0 in
   let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of ~shards:2 cback) in
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let check what ~golden ?host_faults ?faults () =
@@ -281,7 +281,7 @@ let event_log events = String.concat "" (List.map (fun e -> Event.to_line e ^ "\
 let test_fleet_event_logs_golden () =
   let _, _, _, cback = Lazy.force profiled in
   let primary, pl = mini_pool_ladder ~hosts:2 in
-  let rung0 = Fallback.pool_rung_at pl 0 in
+  let rung0 = Fallback.rung pl 0 in
   let crash = Pool.host_of rung0.Fallback.pr_shape (Pool.shard_of ~shards:2 cback) in
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let check what ~golden ?host_faults ?faults () =
@@ -319,11 +319,11 @@ let test_ladder_shards_stable_across_rungs () =
      classification is server-side on two rungs, it sits in the same
      shard on both. *)
   let _, pl = mini_pool_ladder ~hosts:4 in
-  let rungs = List.init (Fallback.pool_rung_count pl) (Fallback.pool_rung_at pl) in
+  let rungs = List.init (Fallback.rung_count pl) (Fallback.rung pl) in
   List.iter
-    (fun (r1 : Fallback.pool_rung) ->
+    (fun (r1 : Fallback.rung) ->
       List.iter
-        (fun (r2 : Fallback.pool_rung) ->
+        (fun (r2 : Fallback.rung) ->
           Array.iteri
             (fun c s1 ->
               let s2 = r2.Fallback.pr_shard_of.(c) in

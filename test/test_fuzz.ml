@@ -103,9 +103,7 @@ let verify image =
       let primary = Option.map snd (Adps.load_distribution image) in
       let ladder = Fallback.compute ?primary session ~net () in
       let truth = Fallback.migration_safety session in
-      let model =
-        V.Model.build ~pool:(Fallback.single_host ladder) ~classifier ~icc ~ladder ~truth ()
-      in
+      let model = V.Model.build ~classifier ~icc ~ladder ~truth () in
       ignore (V.Explore.run ~depth:2 model)
 
 let execute image =

@@ -227,8 +227,8 @@ let two_rung_ladder ~safe =
     Fallback.of_rungs
       ~migration_safe:(Array.make n safe)
       [
-        { Fallback.rg_name = "primary"; rg_distribution = dist primary };
-        { Fallback.rg_name = "all-client"; rg_distribution = dist (Array.make n Constraints.Client) };
+        ("primary", dist primary);
+        ("all-client", dist (Array.make n Constraints.Client));
       ] )
 
 let run_resil ?faults ?resilience ?(policy = None) ~rounds () =
@@ -358,17 +358,17 @@ let test_ladder_shape () =
   let ladder = Adps.fallback_ladder ~image ~net () in
   let k = Fallback.rung_count ladder in
   Alcotest.(check bool) "at least primary + all-client" true (k >= 2);
-  Alcotest.(check string) "rung 0 is the primary" "primary" (Fallback.rung ladder 0).Fallback.rg_name;
+  Alcotest.(check string) "rung 0 is the primary" "primary" (Fallback.rung ladder 0).Fallback.pr_name;
   let last = Fallback.rung ladder (k - 1) in
-  Alcotest.(check string) "final rung is all-client" "all-client" last.Fallback.rg_name;
+  Alcotest.(check string) "final rung is all-client" "all-client" last.Fallback.pr_name;
   Alcotest.(check int) "all-client has an empty server" 0
-    last.Fallback.rg_distribution.Analysis.server_count;
+    last.Fallback.pr_distribution.Analysis.server_count;
   (* Rungs are deduplicated by placement. *)
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
       Alcotest.(check bool) "distinct placements" false
-        ((Fallback.rung ladder i).Fallback.rg_distribution.Analysis.placement
-        = (Fallback.rung ladder j).Fallback.rg_distribution.Analysis.placement)
+        ((Fallback.rung ladder i).Fallback.pr_distribution.Analysis.placement
+        = (Fallback.rung ladder j).Fallback.pr_distribution.Analysis.placement)
     done
   done;
   Alcotest.(check bool) "main is never migration-safe" false (Fallback.migration_safe ladder (-1))

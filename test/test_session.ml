@@ -173,7 +173,7 @@ let test_session_components () =
   Alcotest.(check (array int))
     "pool ladder shards by the session's components"
     (Analysis.Session.components session)
-    (Fallback.pool_components (Fallback.pool_ladder ~hosts:2 session ~net:exact_net ladder))
+    (Fallback.components (Fallback.pool_ladder ~hosts:2 session ~net:exact_net ladder))
 
 (* --- Randomized equivalence ----------------------------------------- *)
 

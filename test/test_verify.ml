@@ -445,11 +445,8 @@ let lying_vfy_ladder () =
   safe.(cback) <- true;
   Fallback.of_rungs ~migration_safe:safe
     [
-      { Fallback.rg_name = "primary"; rg_distribution = vdist primary };
-      {
-        Fallback.rg_name = "all-client";
-        rg_distribution = vdist (Array.make n Constraints.Client);
-      };
+      ("primary", vdist primary);
+      ("all-client", vdist (Array.make n Constraints.Client));
     ]
 
 let test_rte_unsafe_migration_faults () =
@@ -463,7 +460,7 @@ let test_rte_unsafe_migration_faults () =
      the Opaque interface and faults at the marshaling layer. *)
   let _, _, _, cback, chelper = Lazy.force vdiscover in
   let ladder = lying_vfy_ladder () in
-  let primary = (Fallback.rung ladder 0).Fallback.rg_distribution in
+  let primary = (Fallback.rung ladder 0).Fallback.pr_distribution in
   let logger, events = Coign_obs.Sink.collector () in
   let ctx = Runtime.create_ctx (vregistry ()) in
   let classifier = Classifier.create Classifier.Ifcb in
@@ -554,7 +551,7 @@ let test_pool_lie_counterexamples () =
   let session = Analysis.Session.create ~classifier ~icc ~constraints:Constraints.empty () in
   let pool = Fallback.pool_ladder ~hosts:2 session ~net:vnet ladder in
   let m =
-    Model.build ~policy:vpolicy ~pool ~classifier ~icc ~ladder ~truth:(Array.make n false) ()
+    Model.build ~policy:vpolicy ~classifier ~icc ~ladder:pool ~truth:(Array.make n false) ()
   in
   Alcotest.(check (list string)) "pool-2 rung on top of the base ladder"
     [ "pool-2"; "primary"; "all-client" ] (Array.to_list m.Model.m_rung_names);
@@ -612,9 +609,9 @@ let app_facts app sc_id =
     f_truth = Fallback.migration_safety session;
   }
 
-let facts_model ?pool f =
-  Model.build ?pool ~classifier:f.f_classifier ~icc:f.f_icc ~ladder:f.f_ladder ~truth:f.f_truth
-    ()
+let facts_model ?ladder f =
+  Model.build ~classifier:f.f_classifier ~icc:f.f_icc
+    ~ladder:(Option.value ladder ~default:f.f_ladder) ~truth:f.f_truth ()
 
 let app_model app sc_id = facts_model (app_facts app sc_id)
 
@@ -659,7 +656,7 @@ let pool_cases =
          List.map
            (fun hosts ->
              let pl = Fallback.pool_ladder ~hosts f.f_session ~net:vnet f.f_ladder in
-             (app, hosts, pl, facts_model ~pool:pl f))
+             (app, hosts, pl, facts_model ~ladder:pl f))
            [ 2; 3 ])
        four_apps)
 
@@ -679,7 +676,7 @@ let test_one_shard_rule () =
   List.iter
     (fun (app, hosts, pl, m) ->
       let what = Printf.sprintf "%s pool-%d" app.App.app_name hosts in
-      let rung r = Fallback.pool_rung_at pl r in
+      let rung r = Fallback.rung pl r in
       let table0 = (rung 0).Fallback.pr_shard_of in
       let rte_host r c = Pool.host_of (rung r).Fallback.pr_shape (Pool.shard_in table0 c) in
       let route = route_host app pl in
@@ -745,11 +742,53 @@ let test_apps_verify_clean_pooled () =
       Alcotest.(check int) (what ^ ": no diagnostics") 0 (List.length (Explore.diagnostics m r)))
     (Lazy.force pool_cases)
 
+(* --- A pool of one is the two-host ladder --------------------------------
+   Widening a two-host ladder onto one host changes nothing the RTE or
+   the verifier reads: the same rungs, shards, replica flags, shapes and
+   safety table on every app and scenario, and so the same model. *)
+
+let test_pool_of_one_is_the_ladder () =
+  List.iter
+    (fun (app, _) ->
+      List.iter
+        (fun sc ->
+          let f = app_facts app sc.App.sc_id in
+          let l = f.f_ladder in
+          let p = Fallback.pool_ladder ~hosts:1 f.f_session ~net:vnet l in
+          let what = Printf.sprintf "%s %s" app.App.app_name sc.App.sc_id in
+          Alcotest.(check int) (what ^ ": rung count") (Fallback.rung_count l)
+            (Fallback.rung_count p);
+          for r = 0 to Fallback.rung_count l - 1 do
+            let a = Fallback.rung l r and b = Fallback.rung p r in
+            let what = Printf.sprintf "%s rung %d" what r in
+            Alcotest.(check string) (what ^ ": name") a.Fallback.pr_name b.Fallback.pr_name;
+            Alcotest.(check string) (what ^ ": distribution")
+              (Analysis.encode a.Fallback.pr_distribution)
+              (Analysis.encode b.Fallback.pr_distribution);
+            Alcotest.(check (array int)) (what ^ ": shards") a.Fallback.pr_shard_of
+              b.Fallback.pr_shard_of;
+            Alcotest.(check (array bool)) (what ^ ": replicated") a.Fallback.pr_replicated
+              b.Fallback.pr_replicated;
+            Alcotest.(check bool) (what ^ ": shape") true
+              (a.Fallback.pr_shape = b.Fallback.pr_shape)
+          done;
+          Alcotest.(check (array bool)) (what ^ ": safety table")
+            (Fallback.migration_safety_table l) (Fallback.migration_safety_table p);
+          let ml = facts_model f and mp = facts_model ~ladder:p f in
+          Alcotest.(check bool) (what ^ ": model groups") true
+            (ml.Model.m_groups = mp.Model.m_groups);
+          Alcotest.(check bool) (what ^ ": model edges") true (ml.Model.m_edges = mp.Model.m_edges);
+          Alcotest.(check (array string)) (what ^ ": model rung names") ml.Model.m_rung_names
+            mp.Model.m_rung_names)
+        app.App.app_scenarios)
+    four_apps
+
 (* --- Golden CLI output and the exit-code contract --------------------- *)
 
 let test_verify_golden () =
   let golden = "golden/verify_octarine.txt" in
-  Harness.in_tmp ~needs:[ golden ] (fun dir ->
+  let pool_golden k = Printf.sprintf "golden/verify_octarine_pool%d.txt" k in
+  Harness.in_tmp ~needs:[ golden; pool_golden 2; pool_golden 3 ] (fun dir ->
       let img = Harness.profiled_octarine dir in
       Harness.check_golden ~dir ~golden "verify" [ "verify"; img ];
       (* Exit-code contract: a clean verify stays 0 under --strict;
@@ -762,8 +801,9 @@ let test_verify_golden () =
          every other image-taking subcommand. *)
       Alcotest.(check int) "verify on a missing image fails" 124
         (Harness.run [ "verify"; Filename.concat dir "nope.img" ]);
-      (* --pool: 2 and 3 verify the pool ladder clean; outside [1, 3]
-         is rejected with the range message. *)
+      (* --pool: 2 and 3 verify the pool ladder clean, with exactly the
+         golden report; outside [1, 3] is rejected with the range
+         message. *)
       let out = Filename.concat dir "pool.txt" in
       List.iter
         (fun k ->
@@ -772,7 +812,9 @@ let test_verify_golden () =
             (Harness.run_to out flag);
           Alcotest.(check bool) (Printf.sprintf "verify --pool %d verifies the ladder" k) true
             (List.mem "no violations: ladder verified"
-               (String.split_on_char '\n' (Harness.read_file out))))
+               (String.split_on_char '\n' (Harness.read_file out)));
+          Harness.check_golden ~dir ~golden:(pool_golden k) (Printf.sprintf "verify-pool%d" k)
+            flag)
         [ 2; 3 ];
       List.iter
         (fun k ->
@@ -841,6 +883,8 @@ let suite =
     Alcotest.test_case "verifier, ladder and RTE share one shard rule" `Slow test_one_shard_rule;
     Alcotest.test_case "bundled apps verify clean at pools 2 and 3" `Slow
       test_apps_verify_clean_pooled;
+    Alcotest.test_case "a pool of one is the two-host ladder on every scenario" `Slow
+      test_pool_of_one_is_the_ladder;
     Alcotest.test_case "cli verify golden output and exit codes" `Slow test_verify_golden;
     Alcotest.test_case "cli verify rejects a constraint-breaking distribution" `Slow
       test_verify_rejects_bad_distribution;

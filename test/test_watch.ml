@@ -562,10 +562,10 @@ let test_install_distributed_rejections () =
   let classifier, dist = Option.get (Adps.load_distribution dist_image) in
   let ladder =
     Fallback.of_rungs ~migration_safe:(Fallback.migration_safety session)
-      [ { Fallback.rg_name = "primary"; rg_distribution = dist } ]
+      [ ("primary", dist) ]
   in
   let resilience = Some (Rte.resilience ladder) in
-  let fleet = Some (Rte.fleet (Fallback.single_host ladder)) in
+  let fleet = Some (Rte.fleet ladder) in
   let watch = Some (Rte.watch ~net session) in
   let base =
     {
