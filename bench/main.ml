@@ -321,7 +321,12 @@ let mincut () =
      so each node's arcs run in neighbour order. *)
   let edges = Array.of_list (List.concat edges) in
   Array.sort compare edges;
-  let arena, _ = F.of_edges ~n edges in
+  let arena, _ =
+    F.of_edges ~n
+      ~src:(Array.map (fun (a, _, _) -> a) edges)
+      ~dst:(Array.map (fun (_, b, _) -> b) edges)
+      ~cap:(Array.map (fun (_, _, cap) -> cap) edges)
+  in
   let scratch = M.scratch arena in
   let solve () =
     F.reset arena;

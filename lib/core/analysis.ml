@@ -79,100 +79,128 @@ module Session = struct
   let node_count t = Icc_graph.classification_count t.s_graph
   let graph t = t.s_graph
 
+  let slot_table = Domain.DLS.new_key (fun () -> Int_table.create ~absent:(-1) 64)
+
   let build_session ~classifier ~graph ~constraints =
     let n = Icc_graph.classification_count graph in
     (* Graph nodes: 0..n-1 classifications, n = client terminal (also
        the main program's node), n+1 = server. Node pairs are packed
        into one int, the lower node in the high bits. *)
     let client = n and server = n + 1 in
-    let pack a b = (min a b lsl 30) lor max a b in
+    let pack a b = (Int.min a b lsl 30) lor Int.max a b in
     let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
-    (* Infinite undirected edges, as packed pairs. *)
-    let infinite = ref [] in
-    let add_infinite a b = infinite := pack a b :: !infinite in
-    Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
-        if non_remotable then add_infinite a b);
-    (* Constraint edges. *)
-    let pin c = function
-      | Some Constraints.Client -> add_infinite c client
-      | Some Constraints.Server -> add_infinite c server
+    (* The infinite undirected edges — non-remotable pairs, pins and
+       colocations — handed to [f] without being stored: with
+       [~terminals:false] those between two classifications, with
+       [~terminals:true] those reaching main or a terminal. *)
+    let colocated = Constraints.colocated_pairs constraints in
+    let pin f c = function
+      | Some Constraints.Client -> f c client
+      | Some Constraints.Server -> f c server
       | None -> ()
     in
-    for c = 0 to n - 1 do
-      pin c (Constraints.classification_pin constraints c);
-      pin c
-        (Constraints.class_pin constraints ~cname:(Classifier.class_of_classification classifier c))
-    done;
-    List.iter
-      (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then add_infinite a b)
-      (Constraints.colocated_pairs constraints);
-    let inf_pairs = Array.of_list !infinite in
+    let iter_infinite ~terminals f =
+      (* A pair's lower end is a classification; its upper one is main
+         when it is n. *)
+      Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
+          if non_remotable && (b >= n) = terminals then f a b);
+      if terminals then
+        for c = 0 to n - 1 do
+          pin f c (Constraints.classification_pin constraints c);
+          pin f c
+            (Constraints.class_pin constraints
+               ~cname:(Classifier.class_of_classification classifier c))
+        done
+      else List.iter (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b) colocated
+    in
     (* Edges between two classifications join first: that snapshot is
        [s_component]. Pins and the main node's edges then join
        components to the terminals, and the quotient is the arena. *)
     let components = Flow_network.Components.create (n + 2) in
-    let join key = Flow_network.Components.join components (lo key) (hi key) in
-    Array.iter (fun key -> if hi key < n then join key) inf_pairs;
+    let join a b = Flow_network.Components.join components a b in
+    iter_infinite ~terminals:false join;
     let component = Array.init n (Flow_network.Components.root components) in
-    Array.iter (fun key -> if hi key >= n then join key) inf_pairs;
+    iter_infinite ~terminals:true join;
     let node, nodes =
       Flow_network.Components.quotient components ~terminals:[| client; server |]
     in
-    (* Undirected arena edges as (packed arena-node pair, slot): the
-       infinite edges that still join two nodes (identity quotient
-       only) with slot -1, then one zero-capacity slot per node pair
-       that priced traffic joins. [slot_of] marks an infinite pair -2:
-       it dominates any finite traffic, so it gets no slot — of_edges
-       would merge the two and repricing would overwrite the infinite
-       capacity. *)
-    let slot_of = Int_table.create ~absent:(-1) (Icc_graph.pair_count graph) in
+    (* One undirected arena edge per pair of arena nodes, keyed in
+       [slot_of] by the packed pair: the infinite edges that still join
+       two nodes (identity quotient only; otherwise every infinite edge
+       lies inside one node) marked -2, then a zero-capacity slot per
+       node pair that priced traffic joins. An infinite pair dominates
+       any finite traffic, so it gets no slot: repricing would
+       overwrite its infinite capacity. The table is per-domain
+       scratch, cleared for each build. *)
+    let slot_of = Domain.DLS.get slot_table in
+    Int_table.clear slot_of;
     let pair_slot = Array.make (Icc_graph.pair_count graph) (-1) in
-    let edges = ref [] and nslots = ref 0 in
-    Array.iter
-      (fun key ->
-        let a = node.(lo key) and b = node.(hi key) in
-        if a <> b then begin
-          Int_table.replace slot_of (pack a b) (-2);
-          edges := (pack a b, -1) :: !edges
-        end)
-      inf_pairs;
+    if nodes = n + 2 then begin
+      let mark a b =
+        if node.(a) <> node.(b) then Int_table.replace slot_of (pack node.(a) node.(b)) (-2)
+      in
+      iter_infinite ~terminals:false mark;
+      iter_infinite ~terminals:true mark
+    end;
+    let nslots = ref 0 in
     Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
         let key = pack node.(a) node.(b) in
         if node.(a) <> node.(b) then
-          match Int_table.find slot_of key with
+          match Int_table.find_or_add slot_of key !nslots with
           | -2 -> ()
-          | -1 ->
-              Int_table.replace slot_of key !nslots;
-              edges := (key, !nslots) :: !edges;
-              pair_slot.(p) <- !nslots;
-              incr nslots
-          | sl -> pair_slot.(p) <- sl);
-    (* Both directions of each edge, sorted by (src, dst) so each node's
-       arcs run in neighbour order. Edges sharing a (src, dst) are all
-       infinite and interchangeable, so every slot owns its arcs; repeat
-       constraints on one pair share an arc, whose capacity the compile
-       sums, saturating at infinity_cap. A zero-residual arc is
-       invisible to every solver. *)
-    let edges = Array.of_list !edges in
-    let nedges = 2 * Array.length edges in
-    let src k = if k land 1 = 0 then lo (fst edges.(k / 2)) else hi (fst edges.(k / 2)) in
-    let dst k = src (k lxor 1) in
-    let key = Array.init nedges (fun k -> (src k lsl 30) lor dst k) in
-    let order = Array.init nedges Fun.id in
-    Array.sort (fun i j -> Int.compare key.(i) key.(j)) order;
-    let arena, fwd =
-      Flow_network.of_edges ~n:nodes
-        (Array.map
-           (fun k ->
-             (src k, dst k, if snd edges.(k / 2) < 0 then Flow_network.infinity_cap else 0))
-           order)
+          | sl ->
+              pair_slot.(p) <- sl;
+              if sl = !nslots then incr nslots);
+    (* Both directions of each edge, as keys packed src-high, sorted by
+       (src, dst) so each node's arcs run in neighbour order: a
+       counting sort by dst into [spare], then a stable one by src back
+       into [keys]. The two arrays then become the endpoint columns. A
+       zero-residual arc is invisible to every solver. *)
+    let ndir = 2 * Int_table.length slot_of in
+    let keys = Array.make ndir 0 and spare = Array.make ndir 0 in
+    let k = ref 0 in
+    Int_table.iter
+      (fun key _ ->
+        keys.(!k) <- key;
+        keys.(!k + 1) <- (hi key lsl 30) lor lo key;
+        k := !k + 2)
+      slot_of;
+    let first = Array.make (nodes + 1) 0 in
+    let sort_by ~shift ~from ~into =
+      let field key = (key lsr shift) land ((1 lsl 30) - 1) in
+      Array.fill first 0 (nodes + 1) 0;
+      for i = 0 to ndir - 1 do
+        let f = field from.(i) + 1 in
+        first.(f) <- first.(f) + 1
+      done;
+      for v = 1 to nodes do
+        first.(v) <- first.(v) + first.(v - 1)
+      done;
+      for i = 0 to ndir - 1 do
+        let key = from.(i) in
+        let f = field key in
+        into.(first.(f)) <- key;
+        first.(f) <- first.(f) + 1
+      done
     in
+    sort_by ~shift:0 ~from:keys ~into:spare;
+    sort_by ~shift:30 ~from:spare ~into:keys;
+    let src = spare and dst = keys in
+    for i = 0 to ndir - 1 do
+      src.(i) <- lo keys.(i);
+      dst.(i) <- hi keys.(i)
+    done;
+    (* Every arc starts at zero; an infinite pair's arcs are raised to
+       infinity_cap once compiled, and the reset makes that their
+       residual too. *)
+    let arena, fwd = Flow_network.of_edges ~n:nodes ~src ~dst ~cap:(Array.make ndir 0) in
     let arc_ab = Array.make !nslots 0 and arc_ba = Array.make !nslots 0 in
-    Array.iteri
-      (fun i k ->
-        let sl = snd edges.(k / 2) in
-        if sl >= 0 then if src k < dst k then arc_ab.(sl) <- fwd.(i) else arc_ba.(sl) <- fwd.(i))
-      order;
+    for i = 0 to ndir - 1 do
+      match Int_table.find slot_of (pack src.(i) dst.(i)) with
+      | -2 -> Flow_network.set_arc_cap arena fwd.(i) Flow_network.infinity_cap
+      | sl -> if src.(i) < dst.(i) then arc_ab.(sl) <- fwd.(i) else arc_ba.(sl) <- fwd.(i)
+    done;
+    Flow_network.reset arena;
     {
       s_classifier = classifier;
       s_constraints = constraints;

@@ -1,3 +1,5 @@
+open Coign_util
+
 type kind = Incremental | Pcb | St | Stcb | Ifcb | Epcb | Ib
 
 let all_kinds = [ Incremental; Pcb; St; Stcb; Ifcb; Epcb; Ib ]
@@ -235,45 +237,64 @@ let encode t =
 
 exception Decode_error of string
 
+let rec line_end s i =
+  if i = String.length s || String.unsafe_get s i = '\n' then i else line_end s (i + 1)
+
+(* One pass over the text: fields are read in place, and only the kind
+   line, each class and each descriptor are copied out. *)
 let decode s =
   let fail fmt =
     Printf.ksprintf (fun msg -> raise (Decode_error ("Classifier.decode: " ^ msg))) fmt
   in
-  let count ~what v =
-    match int_of_string_opt v with Some n when n >= 0 -> n | _ -> fail "bad %s %S" what v
+  let len = String.length s in
+  let count ~what i j =
+    let n = Text_field.int s i j in
+    if n < 0 then fail "bad %s %S" what (String.sub s i (j - i));
+    n
   in
-  match String.split_on_char '\n' s with
-  | kind_line :: depth_line :: order_line :: rest ->
-      let ckind =
-        match kind_of_name kind_line with Some k -> k | None -> fail "unknown kind %S" kind_line
-      in
-      let depth =
-        if String.equal depth_line "full" then None
-        else
-          match int_of_string_opt depth_line with
-          | Some d when d >= 1 -> Some d
-          | _ -> fail "bad depth %S" depth_line
-      in
-      let t = create ?stack_depth:depth ckind in
-      t.order <- count ~what:"order" order_line;
-      List.iter
-        (fun line ->
-          if not (String.equal line "") then
-            match String.split_on_char '\t' line with
-            | [ n; cls; desc ] ->
-                let n = count ~what:"count" n in
-                if Hashtbl.mem t.table desc then fail "duplicate descriptor %S" desc;
-                grow t;
-                let id = t.nclassifications in
-                Hashtbl.add t.table desc id;
-                t.descriptors.(id) <- desc;
-                t.classes.(id) <- cls;
-                t.counts.(id) <- n;
-                t.nclassifications <- id + 1
-            | _ -> fail "malformed row %S" line)
-        rest;
-      t
-  | _ -> fail "truncated"
+  let kind_end = line_end s 0 in
+  let depth_end = if kind_end = len then len else line_end s (kind_end + 1) in
+  if depth_end = len then fail "truncated";
+  let kind_line = String.sub s 0 kind_end in
+  let ckind =
+    match kind_of_name kind_line with Some k -> k | None -> fail "unknown kind %S" kind_line
+  in
+  let depth =
+    if depth_end - kind_end = 5 && String.equal (String.sub s (kind_end + 1) 4) "full" then None
+    else
+      let d = Text_field.int s (kind_end + 1) depth_end in
+      if d >= 1 then Some d
+      else fail "bad depth %S" (String.sub s (kind_end + 1) (depth_end - kind_end - 1))
+  in
+  let t = create ?stack_depth:depth ckind in
+  let order_end = line_end s (depth_end + 1) in
+  t.order <- count ~what:"order" (depth_end + 1) order_end;
+  let i = ref (order_end + 1) in
+  while !i < len do
+    let start = !i in
+    if String.unsafe_get s start = '\n' then i := start + 1
+    else begin
+      (* Exactly three tab-separated fields: count, class, descriptor. *)
+      let f1 = Text_field.field_end s start in
+      let f2 = if Text_field.is_tab s f1 then Text_field.field_end s (f1 + 1) else f1 in
+      let stop = if Text_field.is_tab s f2 then Text_field.field_end s (f2 + 1) else f2 in
+      if (not (Text_field.is_tab s f2)) || Text_field.is_tab s stop then
+        fail "malformed row %S" (String.sub s start (line_end s start - start));
+      let n = count ~what:"count" start f1 in
+      let desc = String.sub s (f2 + 1) (stop - f2 - 1) in
+      grow t;
+      let id = t.nclassifications in
+      (* One hash per descriptor: a repeat replaces instead of adding. *)
+      Hashtbl.replace t.table desc id;
+      if Hashtbl.length t.table = id then fail "duplicate descriptor %S" desc;
+      t.descriptors.(id) <- desc;
+      t.classes.(id) <- String.sub s (f1 + 1) (f2 - f1 - 1);
+      t.counts.(id) <- n;
+      t.nclassifications <- id + 1;
+      i := stop + 1
+    end
+  done;
+  t
 
 (* --- the interception memo ----------------------------------------
 

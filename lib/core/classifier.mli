@@ -100,10 +100,14 @@ exception Decode_error of string
     ["Classifier.decode: "]. *)
 
 val decode : string -> t
-(** Round-trips classifier kind, depth, and the descriptor table.
-    Raises {!Decode_error} on an unknown kind, a depth below 1, a
-    negative or non-numeric order or count, a row without exactly three
-    fields, or a repeated descriptor. *)
+(** Round-trips classifier kind, depth, and the descriptor table. One
+    pass over the text reads each field in place ({!Coign_util.Text_field}):
+    only the kind line and each row's class and descriptor are copied,
+    and each descriptor is hashed once. The order, counts and depth
+    take [int_of_string]'s spellings too. Raises {!Decode_error} on an
+    unknown kind, a depth below 1, a negative or non-numeric order or
+    count, a row without exactly three fields, or a repeated
+    descriptor. *)
 
 (** {1 Interception memo}
 

@@ -159,78 +159,91 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Decode_error ("Icc.decode: " ^
 
 let max_bucket = Exp_bucket.bucket_index max_int
 
-(* Field parsing reads the text in place. [bad] marks a field that is
-   not an integer; no field may be [min_int], as every range below
-   starts at -1. *)
-let bad = min_int
-
-let rec digits s k j acc =
-  if k = j then acc
-  else
-    match String.unsafe_get s k with
-    | '0' .. '9' as c -> digits s (k + 1) j ((acc * 10) + Char.code c - 48)
-    | _ -> bad
-
-(* The integer in [s.[i .. j-1]]: plain [-]digits (at most 18, so no
-   overflow) are read in place; any other spelling gets
-   [int_of_string]'s semantics. *)
-let int_field s i j =
-  let d = if i < j && String.unsafe_get s i = '-' then i + 1 else i in
-  let v = if j - d >= 1 && j - d <= 18 then digits s d j 0 else bad in
-  if v <> bad then if d > i then -v else v
-  else match int_of_string_opt (String.sub s i (j - i)) with Some v -> v | None -> bad
-
-(* The end of the field at [i]: the first tab, newline or end of
-   text. *)
-let rec field_end s i =
-  if i = String.length s then i
-  else match String.unsafe_get s i with '\t' | '\n' -> i | _ -> field_end s (i + 1)
-
-let is_tab s i = i < String.length s && String.unsafe_get s i = '\t'
+let field_end = Text_field.field_end
 
 let sub s a b = String.sub s a (b - a)
 
-(* [String.compare] on two substrings of [s]. *)
-let compare_sub s a alen b blen =
-  let rec go k =
-    if k = alen || k = blen then Int.compare alen blen
-    else
-      let c = Char.compare (String.unsafe_get s (a + k)) (String.unsafe_get s (b + k)) in
-      if c <> 0 then c else go (k + 1)
-  in
-  go 0
+external get64 : string -> int -> int64 = "%caml_string_get64u"
 
-let in_range_field s ~what ~lo ~hi a b =
-  let v = int_field s a b in
-  if v < lo || v > hi then fail "bad %s %S" what (sub s a b);
-  v
+(* [String.compare] on two substrings of [s], from offset [k]: eight
+   bytes at a time while the two agree, then byte by byte. *)
+let rec compare_sub s a alen b blen k =
+  if k + 8 <= alen && k + 8 <= blen && get64 s (a + k) = get64 s (b + k) then
+    compare_sub s a alen b blen (k + 8)
+  else compare_bytes s a alen b blen k
+
+and compare_bytes s a alen b blen k =
+  if k = alen || k = blen then Int.compare alen blen
+  else
+    let c = Char.compare (String.unsafe_get s (a + k)) (String.unsafe_get s (b + k)) in
+    if c <> 0 then c else compare_bytes s a alen b blen (k + 1)
+
+(* [scan]'s one mutable cell: [num] leaves the value of the field it
+   read here, so reading a field returns no pair. *)
+type cursor = { mutable v : int }
+
+(* Read the field at [i], ending at the first tab, newline or end of
+   text, into [cur.v] as [Text_field.int] would, and return its end.
+   Plain digits, 1 to 18 of them, are summed in the pass that finds the
+   end; any other field (a sign, more digits, another spelling, none)
+   is handed to [Text_field.int] whole. *)
+let rec num s len cur i k acc =
+  if k = len then num_end s cur i k acc
+  else
+    match String.unsafe_get s k with
+    | '0' .. '9' as c -> num s len cur i (k + 1) ((acc * 10) + Char.code c - 48)
+    | '\t' | '\n' -> num_end s cur i k acc
+    | _ ->
+        let e = field_end s k in
+        cur.v <- Text_field.int s i e;
+        e
+
+and num_end s cur i k acc =
+  cur.v <- (if k > i && k - i <= 18 then acc else Text_field.int s i k);
+  k
+
+let field s cur i = num s (String.length s) cur i i 0
+
+(* Every range starts at -1 or above, so a field that is not an
+   integer ([Text_field.bad]) is out of range too. *)
+let bad_field s ~what a b = fail "bad %s %S" what (sub s a b)
 
 let scan ?(classifications = field_limit - 1) s ~cell ~bucket =
   let len = String.length s in
-  if not (len > 6 && String.sub s 0 6 = "calls ") then fail "missing calls line";
-  let e = field_end s 6 in
-  if e = len || is_tab s e then fail "malformed calls line";
-  let calls = in_range_field s ~what:"call count" ~lo:0 ~hi:max_int 6 e in
-  (* The previous line's cell and bucket; [p_src = bad] before the
-     first entry line. *)
-  let p_src = ref bad and p_dst = ref 0 and p_at = ref 0 and p_len = ref 0 in
+  if not (len > 6 && String.starts_with ~prefix:"calls " s) then fail "missing calls line";
+  let tab k = k < len && String.unsafe_get s k = '\t' in
+  let cur = { v = 0 } in
+  let e = field s cur 6 in
+  if e = len || tab e then fail "malformed calls line";
+  let calls = cur.v in
+  if calls < 0 then bad_field s ~what:"call count" 6 e;
+  (* The previous line's cell and bucket; [p_src = Text_field.bad]
+     before the first entry line. *)
+  let p_src = ref Text_field.bad and p_dst = ref 0 and p_at = ref 0 and p_len = ref 0 in
   let p_bucket = ref 0 and p_remotable = ref true in
   let pos = ref (e + 1) and line = ref 2 in
   while !pos < len do
     let i = !pos and ln = !line in
-    (* Seven fields: a missing tab leaves the rest at the line end. *)
-    let f1 = field_end s i in
-    let f2 = if is_tab s f1 then field_end s (f1 + 1) else f1 in
-    let f3 = if is_tab s f2 then field_end s (f2 + 1) else f2 in
-    let f4 = if is_tab s f3 then field_end s (f3 + 1) else f3 in
-    let f5 = if is_tab s f4 then field_end s (f4 + 1) else f4 in
-    let f6 = if is_tab s f5 then field_end s (f5 + 1) else f5 in
-    let e = if is_tab s f6 then field_end s (f6 + 1) else f6 in
-    if (not (is_tab s f6)) || is_tab s e then
+    (* Seven fields, the numeric ones read as their ends are found: a
+       missing tab leaves the rest at the line end, and the values of a
+       malformed line are never looked at. *)
+    let f1 = field s cur i in
+    let src = cur.v in
+    let f2 = if tab f1 then field s cur (f1 + 1) else f1 in
+    let dst = cur.v in
+    let f3 = if tab f2 then field_end s (f2 + 1) else f2 in
+    let f4 = if tab f3 then field_end s (f3 + 1) else f3 in
+    let f5 = if tab f4 then field s cur (f4 + 1) else f4 in
+    let index = cur.v in
+    let f6 = if tab f5 then field s cur (f5 + 1) else f5 in
+    let count = cur.v in
+    let e = if tab f6 then field s cur (f6 + 1) else f6 in
+    let bytes = cur.v in
+    if (not (tab f6)) || tab e then
       fail "line %d: malformed (want 7 tab-separated fields)" ln;
     if e = len then fail "unterminated line at byte %d" i;
-    let src = in_range_field s ~what:"source" ~lo:(-1) ~hi:(field_limit - 2) i f1 in
-    let dst = in_range_field s ~what:"target" ~lo:(-1) ~hi:(field_limit - 2) (f1 + 1) f2 in
+    if src < -1 || src > field_limit - 2 then bad_field s ~what:"source" i f1;
+    if dst < -1 || dst > field_limit - 2 then bad_field s ~what:"target" (f1 + 1) f2;
     let at = f2 + 1 and ilen = f3 - f2 - 1 in
     if src >= classifications || dst >= classifications then
       fail "line %d: entry %d -> %d (%s) names classification %d, but the classifier has %d"
@@ -241,17 +254,17 @@ let scan ?(classifications = field_limit - 1) s ~cell ~bucket =
       | '0' -> false
       | _ -> fail "bad remotable flag %S" (sub s (f3 + 1) f4)
     in
-    let index = in_range_field s ~what:"bucket" ~lo:0 ~hi:max_bucket (f4 + 1) f5 in
-    let count = in_range_field s ~what:"message count" ~lo:0 ~hi:max_int (f5 + 1) f6 in
-    let bytes = in_range_field s ~what:"byte total" ~lo:0 ~hi:max_int (f6 + 1) e in
+    if index < 0 || index > max_bucket then bad_field s ~what:"bucket" (f4 + 1) f5;
+    if count < 0 then bad_field s ~what:"message count" (f5 + 1) f6;
+    if bytes < 0 then bad_field s ~what:"byte total" (f6 + 1) e;
     let order =
-      if !p_src = bad then 1
+      if !p_src = Text_field.bad then 1
       else
         let c = Int.compare src !p_src in
         if c <> 0 then c
         else
           let c = Int.compare dst !p_dst in
-          if c <> 0 then c else compare_sub s at ilen !p_at !p_len
+          if c <> 0 then c else compare_sub s at ilen !p_at !p_len 0
     in
     if order < 0 || (order = 0 && index <= !p_bucket) then fail "line %d out of order" ln;
     if order = 0 && remotable <> !p_remotable then
@@ -260,7 +273,7 @@ let scan ?(classifications = field_limit - 1) s ~cell ~bucket =
     (* The bucket's messages must fit its range: lo <= bytes / count and
        bytes <= hi * count, the latter by division so the last bucket
        (hi = max_int) cannot overflow. *)
-    let lo, hi = Exp_bucket.bucket_bounds index in
+    let lo = Exp_bucket.bucket_lo index and hi = Exp_bucket.bucket_hi index in
     let mean = bytes / count in
     if mean < lo || mean > hi || (mean = hi && bytes mod count <> 0) then
       fail "line %d: mean of %d bytes over %d messages outside bucket %d" ln bytes count index;

@@ -87,22 +87,26 @@ val scan :
   bucket:(index:int -> count:int -> bytes:int -> unit) ->
   int
 (** The one validating reader of the canonical form, shared by
-    {!decode} and {!Icc_graph.decode}. It reads the text in place,
-    calls [cell] at the first line of each (source, target, interface)
-    cell — the interface name is the substring at the given offset and
+    {!decode} and {!Icc_graph.decode}. It reads the text once, in
+    place: a numeric field's digits are summed in the pass that finds
+    its end, and interfaces are compared where they lie. It calls
+    [cell] at the first line of each (source, target, interface) cell
+    — the interface name is the substring at the given offset and
     length — and [bucket] at every line, and returns the call count.
-    A field that is not plain [\[-\]digits] gets [int_of_string]'s
-    semantics. It accepts exactly what {!encode} writes and raises
-    {!Decode_error} on anything else: a missing ["calls"] line, a
-    line without seven fields or final newline, a non-numeric or
-    out-of-range id, bucket, count or byte total, a remotable flag
-    other than 0/1 or one that changes within a cell, lines not
-    strictly ascending by (source, target, interface, bucket) — which
-    also rules out duplicates — an empty bucket, or a byte total whose
-    mean falls outside its bucket's range. Given [classifications],
-    the count of the classifier the summary goes with, it also rejects
-    an entry whose source or target is not below it, naming the line,
-    the entry and the id. *)
+    It allocates nothing of its own on canonical text; a field that is
+    not plain [\[-\]digits] gets [int_of_string]'s semantics, which
+    copies it. It accepts what {!encode} writes, plus [int_of_string]
+    spellings of its numbers ([0x20], [1_000], [+5]), which re-encode
+    in canonical form. It raises {!Decode_error} on anything else: a
+    missing ["calls"] line, a line without seven fields or final
+    newline, a non-numeric or out-of-range id, bucket, count or byte
+    total, a remotable flag other than 0/1 or one that changes within
+    a cell, lines not strictly ascending by (source, target,
+    interface, bucket) — which also rules out duplicates — an empty
+    bucket, or a byte total whose mean falls outside its bucket's
+    range. Given [classifications], the count of the classifier the
+    summary goes with, it also rejects an entry whose source or target
+    is not below it, naming the line, the entry and the id. *)
 
 val decode : ?classifications:int -> string -> t
 (** {!scan} into a summary. [decode (encode t)] preserves per-bucket

@@ -33,11 +33,19 @@ let iter_pairs t f =
 (* The one segment accumulator both builders feed, in entry order: a
    segment per ICC cell, an item per non-empty bucket. Pairs and sizes
    are interned in first-appearance order, a pair keyed by its
-   endpoints packed into one int. The graph's arrays are allocated at
-   the caller's bounds on segments and items, and trimmed by
-   [finish]. *)
+   endpoints packed into one int. The accumulator's arrays grow by
+   doubling and are kept per domain, reused by every build on it, so
+   a build allocates only the trimmed arrays [finish] returns. *)
 type acc = {
-  g : t;
+  mutable a_n : int;
+  mutable a_pair_a : int array;
+  mutable a_pair_b : int array;
+  mutable a_non_remotable : bool array;  (* pair arrays: never longer than the segments *)
+  mutable a_seg_pair : int array;
+  mutable a_seg_first : int array;  (* one longer than [a_seg_pair] *)
+  mutable a_item_size : int array;
+  mutable a_item_count : float array;
+  mutable a_sizes : int array;  (* never longer than the items *)
   pair_ids : int Int_table.t;
   size_ids : int Int_table.t;
   mutable npairs : int;
@@ -47,53 +55,71 @@ type acc = {
   mutable open_pair : int;  (* pair of the open segment; -1 skips its items *)
 }
 
-let accumulator classifier ~segments ~items =
-  {
-    g =
+let scratch =
+  Domain.DLS.new_key (fun () ->
       {
-        n = Classifier.classification_count classifier;
-        pair_a = Array.make segments 0;
-        pair_b = Array.make segments 0;
-        non_remotable = Array.make segments false;
-        seg_pair = Array.make segments 0;
-        seg_first = Array.make (segments + 1) 0;
-        item_size = Array.make items 0;
-        item_count = Array.make items 0.;
-        sizes = Array.make items 0;
-      };
-    pair_ids = Int_table.create ~absent:(-1) 64;
-    size_ids = Int_table.create ~absent:(-1) 64;
-    npairs = 0;
-    nsegs = 0;
-    nitems = 0;
-    nsizes = 0;
-    open_pair = -1;
-  }
+        a_n = 0;
+        a_pair_a = Array.make 64 0;
+        a_pair_b = Array.make 64 0;
+        a_non_remotable = Array.make 64 false;
+        a_seg_pair = Array.make 64 0;
+        a_seg_first = Array.make 65 0;
+        a_item_size = Array.make 64 0;
+        a_item_count = Array.make 64 0.;
+        a_sizes = Array.make 64 0;
+        pair_ids = Int_table.create ~absent:(-1) 64;
+        size_ids = Int_table.create ~absent:(-1) 64;
+        npairs = 0;
+        nsegs = 0;
+        nitems = 0;
+        nsizes = 0;
+        open_pair = -1;
+      })
+
+let accumulator ~n =
+  let acc = Domain.DLS.get scratch in
+  acc.a_n <- n;
+  Int_table.clear acc.pair_ids;
+  Int_table.clear acc.size_ids;
+  acc.npairs <- 0;
+  acc.nsegs <- 0;
+  acc.nitems <- 0;
+  acc.nsizes <- 0;
+  acc.open_pair <- -1;
+  acc
+
+let doubled a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* Open the segment of one cell. A cell whose endpoints map to the
    same node carries no potential communication: its items are
    dropped. *)
 let open_segment acc ~src ~dst ~remotable =
-  let g = acc.g in
-  let src = if src < 0 then g.n else src and dst = if dst < 0 then g.n else dst in
-  let a = min src dst and b = max src dst in
+  let n = acc.a_n in
+  let src = if src < 0 then n else src and dst = if dst < 0 then n else dst in
+  let a = Int.min src dst and b = Int.max src dst in
   if a = b then acc.open_pair <- -1
   else begin
+    if acc.nsegs = Array.length acc.a_seg_pair then begin
+      acc.a_pair_a <- doubled acc.a_pair_a 0;
+      acc.a_pair_b <- doubled acc.a_pair_b 0;
+      acc.a_non_remotable <- doubled acc.a_non_remotable false;
+      acc.a_seg_pair <- doubled acc.a_seg_pair 0;
+      acc.a_seg_first <- doubled acc.a_seg_first 0
+    end;
     let key = (a lsl 30) lor b in
-    let pid =
-      match Int_table.find acc.pair_ids key with
-      | -1 ->
-          let pid = acc.npairs in
-          Int_table.replace acc.pair_ids key pid;
-          g.pair_a.(pid) <- a;
-          g.pair_b.(pid) <- b;
-          acc.npairs <- pid + 1;
-          pid
-      | pid -> pid
-    in
-    if not remotable then g.non_remotable.(pid) <- true;
-    g.seg_pair.(acc.nsegs) <- pid;
-    g.seg_first.(acc.nsegs) <- acc.nitems;
+    let pid = Int_table.find_or_add acc.pair_ids key acc.npairs in
+    if pid = acc.npairs then begin
+      acc.a_pair_a.(pid) <- a;
+      acc.a_pair_b.(pid) <- b;
+      acc.a_non_remotable.(pid) <- false;
+      acc.npairs <- pid + 1
+    end;
+    if not remotable then acc.a_non_remotable.(pid) <- true;
+    acc.a_seg_pair.(acc.nsegs) <- pid;
+    acc.a_seg_first.(acc.nsegs) <- acc.nitems;
     acc.nsegs <- acc.nsegs + 1;
     acc.open_pair <- pid
   end
@@ -103,67 +129,53 @@ let open_segment acc ~src ~dst ~remotable =
    max_int instead of wrapping. *)
 let add_item acc ~count ~bytes =
   if acc.open_pair >= 0 then begin
-    let g = acc.g in
+    if acc.nitems = Array.length acc.a_item_size then begin
+      acc.a_item_size <- doubled acc.a_item_size 0;
+      acc.a_item_count <- doubled acc.a_item_count 0.;
+      acc.a_sizes <- doubled acc.a_sizes 0
+    end;
     let mean = Float.round (float_of_int bytes /. float_of_int count) in
     let size = if mean >= 0x1p62 then max_int else int_of_float mean in
-    let sid =
-      match Int_table.find acc.size_ids size with
-      | -1 ->
-          let sid = acc.nsizes in
-          Int_table.replace acc.size_ids size sid;
-          g.sizes.(sid) <- size;
-          acc.nsizes <- sid + 1;
-          sid
-      | sid -> sid
-    in
-    g.item_size.(acc.nitems) <- sid;
-    g.item_count.(acc.nitems) <- float_of_int count;
+    let sid = Int_table.find_or_add acc.size_ids size acc.nsizes in
+    if sid = acc.nsizes then begin
+      acc.a_sizes.(sid) <- size;
+      acc.nsizes <- sid + 1
+    end;
+    acc.a_item_size.(acc.nitems) <- sid;
+    acc.a_item_count.(acc.nitems) <- float_of_int count;
     acc.nitems <- acc.nitems + 1
   end
 
 let finish acc =
-  let g = acc.g in
-  g.seg_first.(acc.nsegs) <- acc.nitems;
+  acc.a_seg_first.(acc.nsegs) <- acc.nitems;
   {
-    g with
-    pair_a = Array.sub g.pair_a 0 acc.npairs;
-    pair_b = Array.sub g.pair_b 0 acc.npairs;
-    non_remotable = Array.sub g.non_remotable 0 acc.npairs;
-    seg_pair = Array.sub g.seg_pair 0 acc.nsegs;
-    seg_first = Array.sub g.seg_first 0 (acc.nsegs + 1);
-    item_size = Array.sub g.item_size 0 acc.nitems;
-    item_count = Array.sub g.item_count 0 acc.nitems;
-    sizes = Array.sub g.sizes 0 acc.nsizes;
+    n = acc.a_n;
+    pair_a = Array.sub acc.a_pair_a 0 acc.npairs;
+    pair_b = Array.sub acc.a_pair_b 0 acc.npairs;
+    non_remotable = Array.sub acc.a_non_remotable 0 acc.npairs;
+    seg_pair = Array.sub acc.a_seg_pair 0 acc.nsegs;
+    seg_first = Array.sub acc.a_seg_first 0 (acc.nsegs + 1);
+    item_size = Array.sub acc.a_item_size 0 acc.nitems;
+    item_count = Array.sub acc.a_item_count 0 acc.nitems;
+    sizes = Array.sub acc.a_sizes 0 acc.nsizes;
   }
 
 let build ~classifier ~icc =
-  let entries = Icc.entries icc in
-  let items =
-    List.fold_left
-      (fun k (e : Icc.entry) ->
-        Exp_bucket.fold (fun ~index:_ ~count:_ ~bytes:_ k -> k + 1) e.Icc.messages k)
-      0 entries
-  in
-  let acc = accumulator classifier ~segments:(List.length entries) ~items in
+  let acc = accumulator ~n:(Classifier.classification_count classifier) in
   List.iter
     (fun (e : Icc.entry) ->
       open_segment acc ~src:e.Icc.src ~dst:e.Icc.dst ~remotable:e.Icc.remotable;
       Exp_bucket.fold
         (fun ~index:_ ~count ~bytes () -> add_item acc ~count ~bytes)
         e.Icc.messages ())
-    entries;
+    (Icc.entries icc);
   finish acc
 
 let decode ~classifier text =
-  (* Every entry line holds one item and opens at most one segment. *)
-  let lines = ref 0 in
-  for i = 0 to String.length text - 1 do
-    if String.unsafe_get text i = '\n' then incr lines
-  done;
-  let lines = !lines in
-  let acc = accumulator classifier ~segments:lines ~items:lines in
+  let n = Classifier.classification_count classifier in
+  let acc = accumulator ~n in
   ignore
-    (Icc.scan ~classifications:acc.g.n text
+    (Icc.scan ~classifications:n text
        ~cell:(fun ~src ~dst ~remotable _ _ -> open_segment acc ~src ~dst ~remotable)
        ~bucket:(fun ~index:_ ~count ~bytes -> add_item acc ~count ~bytes));
   finish acc

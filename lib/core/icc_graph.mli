@@ -22,7 +22,9 @@
     One segment accumulator builds the graph, fed either from a
     summary's {!Icc.entries} ({!build}) or straight from its canonical
     text ({!decode}, which skips the intermediate {!Icc.t} and its
-    per-cell histograms). Both feed it the same cells in the same
+    per-cell histograms). The accumulator's arrays grow by doubling and
+    are reused per domain, so neither builder counts its input first
+    and a build allocates only the arrays the graph keeps. Both feed it the same cells in the same
     order — entries sorted by (source, target, interface), buckets
     ascending — so they build structurally equal graphs. Pairs and
     sizes are interned in [Int_table]s on packed int keys. The float
@@ -46,7 +48,8 @@ val build : classifier:Classifier.t -> icc:Icc.t -> t
 
 val decode : classifier:Classifier.t -> string -> t
 (** [decode ~classifier text] = [build ~classifier ~icc:(Icc.decode text)],
-    read in one {!Icc.scan} pass without building the summary. Raises
+    read in one {!Icc.scan} pass, with no count of the lines first and
+    without building the summary. Raises
     {!Icc.Decode_error} exactly where {!Icc.decode} does, and on an
     entry naming a classification the classifier does not have. *)
 

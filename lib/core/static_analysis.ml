@@ -11,12 +11,19 @@ let storage_apis =
 
 let storage_dlls = [ "odbc32."; "mdac." ]
 
+(* Top-level walks, so classifying an API builds no closure over it:
+   every analysis session classifies every API its image names. *)
+let rec has_prefix api = function
+  | [] -> false
+  | prefix :: rest -> String.starts_with ~prefix api || has_prefix api rest
+
+let rec is_one_of api = function
+  | [] -> false
+  | exact :: rest -> String.equal exact api || is_one_of api rest
+
 let classify_api api =
-  if List.exists (fun prefix -> String.starts_with ~prefix api) gui_dlls then Gui
-  else if
-    List.exists (fun prefix -> String.starts_with ~prefix api) storage_dlls
-    || List.exists (fun exact -> String.equal exact api) storage_apis
-  then Storage
+  if has_prefix api gui_dlls then Gui
+  else if has_prefix api storage_dlls || is_one_of api storage_apis then Storage
   else Neutral
 
 type verdict = Pin_client | Pin_server | Free

@@ -16,73 +16,82 @@ type t = {
                                node_first.(v) .. node_first.(v+1)-1 *)
 }
 
-let of_edges ~n edges =
+let of_edges ~n ~src ~dst ~cap =
   if n < 0 then invalid_arg "Flow_network.of_edges: negative size";
-  let m = Array.length edges in
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length cap <> m then
+    invalid_arg "Flow_network.of_edges: edge arrays differ in length";
   let check_node v =
     if v < 0 || v >= n then invalid_arg (Printf.sprintf "Flow_network.of_edges: node %d" v)
   in
-  Array.iter
-    (fun (src, dst, cap) ->
-      check_node src;
-      check_node dst;
-      if cap < 0 then invalid_arg "Flow_network.of_edges: negative capacity")
-    edges;
-  (* [rep.(i)]: the first input edge sharing edge i's (src, dst), whose
-     arc carries the summed capacity; -1 for a self-loop, which no cut
-     can separate. A stable sort by pair groups the duplicates; input
-     already in pair order, as a session's is, skips the sort. *)
-  let key = Array.map (fun (src, dst, _) -> (src * n) + dst) edges in
-  let order = Array.init m Fun.id in
+  for i = 0 to m - 1 do
+    let s = src.(i) and d = dst.(i) in
+    if s < 0 || s >= n || d < 0 || d >= n || cap.(i) < 0 then begin
+      check_node s;
+      check_node d;
+      invalid_arg "Flow_network.of_edges: negative capacity"
+    end
+  done;
+  (* [fwd.(i)] first holds edge i's representative: the first input
+     edge sharing its (src, dst), whose arc carries the summed
+     capacity; -1 for a self-loop, which no cut can separate. A stable
+     sort by pair groups the duplicates; input already in pair order,
+     as a session's is, skips the sort. *)
+  let key i = (src.(i) * n) + dst.(i) in
   let sorted = ref true in
   for i = 1 to m - 1 do
-    if key.(i - 1) > key.(i) then sorted := false
+    if key (i - 1) > key i then sorted := false
   done;
-  if not !sorted then Array.stable_sort (fun i j -> Int.compare key.(i) key.(j)) order;
-  let rep = Array.make m (-1) in
-  Array.iteri
-    (fun k i ->
-      let src, dst, _ = edges.(i) in
-      if src <> dst then
-        rep.(i) <- (if k > 0 && key.(order.(k - 1)) = key.(i) then rep.(order.(k - 1)) else i))
-    order;
-  let degree = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i (src, dst, _) ->
-      if rep.(i) = i then begin
-        degree.(src) <- degree.(src) + 1;
-        degree.(dst) <- degree.(dst) + 1
-      end)
-    edges;
+  let fwd = Array.make m (-1) in
+  if !sorted then
+    for i = 0 to m - 1 do
+      if src.(i) <> dst.(i) then
+        fwd.(i) <- (if i > 0 && key (i - 1) = key i then fwd.(i - 1) else i)
+    done
+  else begin
+    let order = Array.init m Fun.id in
+    Array.stable_sort (fun i j -> Int.compare (key i) (key j)) order;
+    for k = 0 to m - 1 do
+      let i = order.(k) in
+      if src.(i) <> dst.(i) then
+        fwd.(i) <- (if k > 0 && key order.(k - 1) = key i then fwd.(order.(k - 1)) else i)
+    done
+  end;
+  (* Degrees counted one slot up, then summed into offsets. *)
   let node_first = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    if fwd.(i) = i then begin
+      node_first.(src.(i) + 1) <- node_first.(src.(i) + 1) + 1;
+      node_first.(dst.(i) + 1) <- node_first.(dst.(i) + 1) + 1
+    end
+  done;
   for v = 1 to n do
-    node_first.(v) <- node_first.(v - 1) + degree.(v - 1)
+    node_first.(v) <- node_first.(v) + node_first.(v - 1)
   done;
   let arcs = node_first.(n) in
-  let fill = Array.make (max 1 n) 0 in
+  let fill = Array.sub node_first 0 (max 1 n) in
   let arc_to = Array.make arcs 0 in
   let arc_cap = Array.make arcs 0 in
   let pair = Array.make arcs 0 in
-  let fwd = Array.make m (-1) in
-  Array.iteri
-    (fun i (src, dst, cap) ->
-      if rep.(i) = i then begin
-        let a = node_first.(src) + fill.(src) in
-        fill.(src) <- fill.(src) + 1;
-        let b = node_first.(dst) + fill.(dst) in
-        fill.(dst) <- fill.(dst) + 1;
-        arc_to.(a) <- dst;
-        arc_to.(b) <- src;
-        pair.(a) <- b;
-        pair.(b) <- a;
-        fwd.(i) <- a
-      end;
-      if rep.(i) >= 0 then begin
-        let a = fwd.(rep.(i)) in
-        fwd.(i) <- a;
-        arc_cap.(a) <- min infinity_cap (arc_cap.(a) + cap)
-      end)
-    edges;
+  (* In input order, so a representative's arc exists before its
+     duplicates read it; [fwd.(i)] becomes edge i's forward arc. *)
+  for i = 0 to m - 1 do
+    let r = fwd.(i) in
+    if r = i then begin
+      let s = src.(i) and d = dst.(i) in
+      let a = fill.(s) in
+      fill.(s) <- a + 1;
+      let b = fill.(d) in
+      fill.(d) <- b + 1;
+      arc_to.(a) <- d;
+      arc_to.(b) <- s;
+      pair.(a) <- b;
+      pair.(b) <- a;
+      fwd.(i) <- a
+    end
+    else if r >= 0 then fwd.(i) <- fwd.(r);
+    if r >= 0 then arc_cap.(fwd.(i)) <- Int.min infinity_cap (arc_cap.(fwd.(i)) + cap.(i))
+  done;
   ({ n; arc_to; arc_res = Array.copy arc_cap; arc_cap; pair; node_first }, fwd)
 
 let node_count g = g.n

@@ -9,8 +9,8 @@
     the analysis engine) because the push-relabel family needs exact
     arithmetic.
 
-    A graph is compiled once, from a plain [(src, dst, cap)] edge
-    array, into the form max-flow algorithms run on: an adjacency
+    A graph is compiled once, from plain [src], [dst] and [cap] edge
+    arrays, into the form max-flow algorithms run on: an adjacency
     structure with paired residual arcs, laid out as a CSR (compressed
     sparse row) arena of flat int arrays. The arena is reusable across
     pricing rounds: base capacities live in their own array, {!reset}
@@ -26,19 +26,20 @@ val infinity_cap : int
     endpoints of a non-remotable interface. Chosen small enough that
     summing millions of such edges cannot overflow. *)
 
-val of_edges : n:int -> (int * int * int) array -> t * int array
-(** Compile an arena over nodes [0 .. n-1] from a directed edge array
-    [(src, dst, cap)]. Parallel entries for one [(src, dst)] share one
-    arc whose capacity is their sum, saturating at {!infinity_cap};
-    self-loops are dropped (they can never be cut). Zero-capacity
-    edges keep their arc, inert until {!set_arc_cap} raises it — this
-    is how a session arena pre-allocates slots for every potential
-    traffic pair. Each node's arcs follow input order, so distinct
-    pre-sorted pairs compile to the same layout every time. Also
-    returns the forward arc of each input edge ([-1] for a
+val of_edges : n:int -> src:int array -> dst:int array -> cap:int array -> t * int array
+(** Compile an arena over nodes [0 .. n-1] from a directed edge list
+    held as three parallel arrays: edge [i] runs from [src.(i)] to
+    [dst.(i)] with capacity [cap.(i)]. Parallel entries for one
+    [(src, dst)] share one arc whose capacity is their sum, saturating
+    at {!infinity_cap}; self-loops are dropped (they can never be cut).
+    Zero-capacity edges keep their arc, inert until {!set_arc_cap}
+    raises it — this is how a session arena pre-allocates slots for
+    every potential traffic pair. Each node's arcs follow input order,
+    so distinct pre-sorted pairs compile to the same layout every
+    time. Also returns the forward arc of each input edge ([-1] for a
     self-loop), so callers can rewrite capacities later without
-    searching. Raises [Invalid_argument] on a negative [n], a node out
-    of range or a negative capacity. *)
+    searching. Raises [Invalid_argument] on a negative [n], arrays of
+    different lengths, a node out of range or a negative capacity. *)
 
 val node_count : t -> int
 

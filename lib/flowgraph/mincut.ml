@@ -3,7 +3,7 @@ module G = Flow_network
 type cut = { value : int; source_side : bool array }
 
 (* Per-arena solver scratch, so a session can solve repeatedly without
-   allocating. *)
+   allocating: every array and counter the solver touches lives here. *)
 type scratch = {
   sc_n : int;
   sc_h : int array;    (* heights *)
@@ -12,6 +12,9 @@ type scratch = {
   sc_cnt : int array;  (* height occupancy counts, length 2n+3 *)
   sc_q : int array;    (* FIFO ring, length n+1 *)
   sc_inq : bool array; (* queued? *)
+  mutable sc_qhead : int;
+  mutable sc_qtail : int;
+  mutable sc_qlen : int;
 }
 
 let scratch g =
@@ -24,6 +27,9 @@ let scratch g =
     sc_cnt = Array.make ((2 * n) + 3) 0;
     sc_q = Array.make (n + 1) 0;
     sc_inq = Array.make n false;
+    sc_qhead = 0;
+    sc_qtail = 0;
+    sc_qlen = 0;
   }
 
 (* --- Push-relabel (the paper's "lift-to-front" solver) ------------ *)
@@ -42,93 +48,98 @@ let scratch g =
    pin arc floods its node with infinity_cap excess that must all
    drain back. Both cuts therefore run on the quotient of the infinite
    edges (Flow_network.Components), which holds no infinite arc
-   unless its constraints are unsatisfiable. *)
+   unless its constraints are unsatisfiable.
+
+   Each step is a top-level function over the scratch, so a solve
+   allocates no closure. *)
+
+let qpush sc v =
+  sc.sc_q.(sc.sc_qtail) <- v;
+  sc.sc_qtail <- (sc.sc_qtail + 1) mod Array.length sc.sc_q;
+  sc.sc_qlen <- sc.sc_qlen + 1
+
+let qpop sc =
+  let v = sc.sc_q.(sc.sc_qhead) in
+  sc.sc_qhead <- (sc.sc_qhead + 1) mod Array.length sc.sc_q;
+  sc.sc_qlen <- sc.sc_qlen - 1;
+  v
+
+let activate sc ~s ~t v =
+  if v <> s && v <> t && (not sc.sc_inq.(v)) && sc.sc_e.(v) > 0 then begin
+    sc.sc_inq.(v) <- true;
+    qpush sc v
+  end
+
+(* Nodes cut off from the sink sit above every label a BFS gives. *)
+let unreachable sc = (2 * sc.sc_n) + 1
+
+(* Label every node [root] reaches backwards over residual arcs with
+   its distance plus [height]; [s] is never labelled. *)
+let bfs g sc ~s root height =
+  let h = sc.sc_h in
+  h.(root) <- height;
+  qpush sc root;
+  while sc.sc_qlen > 0 do
+    let v = qpop sc in
+    let hv = h.(v) in
+    for a = G.arc_start g v to G.arc_stop g v - 1 do
+      let u = G.arc_dst g a in
+      (* u can step to v iff the arc u->v (our arc's pair) has
+         residual capacity. *)
+      if u <> s && h.(u) = unreachable sc && G.residual g (G.arc_pair g a) > 0 then begin
+        h.(u) <- hv + 1;
+        qpush sc u
+      end
+    done
+  done
+
+(* Exact-distance heights: BFS from t labels distance-to-sink; nodes
+   cut off from t (their excess must return) get n + distance-to-s
+   from a second BFS. Heights only ever grow under this update (BFS
+   distance >= current height while the labeling is valid), which
+   keeps the standard validity invariant — in particular a node that
+   ever pushed into s sits at height >= n+1 forever and can never be
+   relabeled below the source. Rebuilds counts, current-arc pointers
+   and the active queue. *)
+let global_relabel g sc ~s ~t =
+  let n = sc.sc_n and h = sc.sc_h and cnt = sc.sc_cnt in
+  Array.fill cnt 0 ((2 * n) + 3) 0;
+  for v = 0 to n - 1 do
+    h.(v) <- unreachable sc;
+    sc.sc_cur.(v) <- 0;
+    sc.sc_inq.(v) <- false
+  done;
+  sc.sc_qhead <- 0;
+  sc.sc_qtail <- 0;
+  sc.sc_qlen <- 0;
+  bfs g sc ~s t 0;
+  h.(s) <- unreachable sc;
+  bfs g sc ~s s n;
+  for v = 0 to n - 1 do
+    cnt.(h.(v)) <- cnt.(h.(v)) + 1
+  done;
+  for v = 0 to n - 1 do
+    activate sc ~s ~t v
+  done
+
+(* The gap heuristic: when no node sits at height [k] any more, no
+   excess above [k] can ever descend through it to reach t — lift the
+   whole stranded band straight past n. *)
+let gap sc ~s k =
+  let n = sc.sc_n and h = sc.sc_h and cnt = sc.sc_cnt in
+  for v = 0 to n - 1 do
+    if v <> s && h.(v) > k && h.(v) < n then begin
+      cnt.(h.(v)) <- cnt.(h.(v)) - 1;
+      h.(v) <- n + 1;
+      cnt.(n + 1) <- cnt.(n + 1) + 1;
+      sc.sc_cur.(v) <- 0
+    end
+  done
+
 let push_relabel g sc ~s ~t =
   let n = G.node_count g in
   let h = sc.sc_h and e = sc.sc_e and cur = sc.sc_cur in
-  let cnt = sc.sc_cnt and q = sc.sc_q and inq = sc.sc_inq in
-  let qcap = Array.length q in
-  let qhead = ref 0 and qtail = ref 0 and qlen = ref 0 in
-  let qpush v =
-    q.(!qtail) <- v;
-    qtail := (!qtail + 1) mod qcap;
-    incr qlen
-  in
-  let qpop () =
-    let v = q.(!qhead) in
-    qhead := (!qhead + 1) mod qcap;
-    decr qlen;
-    v
-  in
-  let qclear () =
-    qhead := 0;
-    qtail := 0;
-    qlen := 0
-  in
-  let activate v =
-    if v <> s && v <> t && (not inq.(v)) && e.(v) > 0 then begin
-      inq.(v) <- true;
-      qpush v
-    end
-  in
-  let unreachable = (2 * n) + 1 in
-  (* Exact-distance heights: BFS from t labels distance-to-sink; nodes
-     cut off from t (their excess must return) get n + distance-to-s
-     from a second BFS. Heights only ever grow under this update (BFS
-     distance >= current height while the labeling is valid), which
-     keeps the standard validity invariant — in particular a node that
-     ever pushed into s sits at height >= n+1 forever and can never be
-     relabeled below the source. Rebuilds counts, current-arc pointers
-     and the active queue. *)
-  let global_relabel () =
-    Array.fill cnt 0 ((2 * n) + 3) 0;
-    for v = 0 to n - 1 do
-      h.(v) <- unreachable;
-      cur.(v) <- 0;
-      inq.(v) <- false
-    done;
-    qclear ();
-    let bfs root height =
-      h.(root) <- height;
-      qpush root;
-      while !qlen > 0 do
-        let v = qpop () in
-        let hv = h.(v) in
-        for a = G.arc_start g v to G.arc_stop g v - 1 do
-          let u = G.arc_dst g a in
-          (* u can step to v iff the arc u->v (our arc's pair) has
-             residual capacity. *)
-          if u <> s && h.(u) = unreachable && G.residual g (G.arc_pair g a) > 0
-          then begin
-            h.(u) <- hv + 1;
-            qpush u
-          end
-        done
-      done
-    in
-    bfs t 0;
-    h.(s) <- unreachable;
-    bfs s n;
-    for v = 0 to n - 1 do
-      cnt.(h.(v)) <- cnt.(h.(v)) + 1
-    done;
-    for v = 0 to n - 1 do
-      activate v
-    done
-  in
-  (* The gap heuristic: when no node sits at height [k] any more, no
-     excess above [k] can ever descend through it to reach t — lift the
-     whole stranded band straight past n. *)
-  let gap k =
-    for v = 0 to n - 1 do
-      if v <> s && h.(v) > k && h.(v) < n then begin
-        cnt.(h.(v)) <- cnt.(h.(v)) - 1;
-        h.(v) <- n + 1;
-        cnt.(n + 1) <- cnt.(n + 1) + 1;
-        cur.(v) <- 0
-      end
-    done
-  in
+  let cnt = sc.sc_cnt and inq = sc.sc_inq in
   Array.fill e 0 n 0;
   Array.fill inq 0 n false;
   (* Saturate all arcs out of s. *)
@@ -140,11 +151,11 @@ let push_relabel g sc ~s ~t =
       e.(s) <- e.(s) - c
     end
   done;
-  global_relabel ();
+  global_relabel g sc ~s ~t;
   let gr_threshold = (6 * n) + (G.arc_count g / 2) + 64 in
   let gr_work = ref 0 in
-  while !qlen > 0 do
-    let u = qpop () in
+  while sc.sc_qlen > 0 do
+    let u = qpop sc in
     inq.(u) <- false;
     let base = G.arc_start g u in
     let stop = G.arc_stop g u in
@@ -163,11 +174,11 @@ let push_relabel g sc ~s ~t =
         h.(u) <- !min_h + 1;
         cnt.(h.(u)) <- cnt.(h.(u)) + 1;
         cur.(u) <- 0;
-        if old < n && cnt.(old) = 0 then gap old;
+        if old < n && cnt.(old) = 0 then gap sc ~s old;
         gr_work := !gr_work + deg + 8;
         if !gr_work >= gr_threshold then begin
           gr_work := 0;
-          global_relabel ();
+          global_relabel g sc ~s ~t;
           (* u was re-queued by the rebuild if it still has excess. *)
           discharging := false
         end
@@ -181,7 +192,7 @@ let push_relabel g sc ~s ~t =
           G.push g a amount;
           e.(u) <- e.(u) - amount;
           e.(dst) <- e.(dst) + amount;
-          activate dst
+          activate sc ~s ~t dst
         end
         else cur.(u) <- cur.(u) + 1
       end

@@ -30,7 +30,10 @@ val run : Flow_network.t -> scratch -> s:int -> t:int -> int
 (** Run the solver in place on the arena's {e current} residual state
     (callers re-solving after {!Flow_network.set_arc_cap} must
     {!Flow_network.reset} first) and return the flow value.
-    Allocates nothing: all working state lives in [scratch]. The
+    Allocates nothing: all working state, the FIFO queue's cursors
+    included, lives in [scratch], and every solver step is a top-level
+    function over it, so no closure is built per solve
+    ([test_flowgraph] gates this at under one word a solve). The
     minimal source side can then be read off with
     {!Flow_network.min_cut_side_into}. Raises [Invalid_argument] on
     bad terminals or a scratch sized for a different arena. *)

@@ -28,14 +28,21 @@ let multiway_cut ~n edges ~terminals =
   Array.iter (fun (src, dst, cap) -> if cap >= G.infinity_cap then C.join components src dst) edges;
   let node, sink = C.quotient components ~terminals in
   let terminal i = node.(terminals.(i)) in
-  let slot j = if j land 1 = 0 then (terminal (j / 2), sink, 0) else (sink, terminal (j / 2), 0) in
   let m = Array.length edges in
-  let g, fwd =
-    G.of_edges ~n:(sink + 1)
-      (Array.append
-         (Array.map (fun (src, dst, cap) -> (node.(src), node.(dst), cap)) edges)
-         (Array.init (2 * k) slot))
-  in
+  let src = Array.make (m + (2 * k)) sink and dst = Array.make (m + (2 * k)) sink in
+  let cap = Array.make (m + (2 * k)) 0 in
+  Array.iteri
+    (fun i (s, d, c) ->
+      src.(i) <- node.(s);
+      dst.(i) <- node.(d);
+      cap.(i) <- c)
+    edges;
+  (* Slot pair i: terminal i -> super-sink, then back. *)
+  for i = 0 to k - 1 do
+    src.(m + (2 * i)) <- terminal i;
+    dst.(m + (2 * i) + 1) <- terminal i
+  done;
+  let g, fwd = G.of_edges ~n:(sink + 1) ~src ~dst ~cap in
   (* Nodes sharing no component with a terminal (over positive-capacity
      edges) cost nothing wherever they go: they land on terminal 0. *)
   Array.iter (fun (src, dst, cap) -> if cap > 0 then C.join components src dst) edges;

@@ -20,11 +20,9 @@ let bucket_index bytes =
   assert (bytes >= 0);
   if bytes < 1 lsl base_bits then 0 else find_bucket bytes 1 (1 lsl base_bits)
 
-let bucket_bounds i =
-  if i = 0 then (0, (1 lsl base_bits) - 1)
-  else
-    let lo = 1 lsl (base_bits + i - 1) in
-    (lo, (2 * lo) - 1)
+let bucket_lo i = if i = 0 then 0 else 1 lsl (base_bits + i - 1)
+let bucket_hi i = if i = 0 then (1 lsl base_bits) - 1 else (2 * bucket_lo i) - 1
+let bucket_bounds i = (bucket_lo i, bucket_hi i)
 
 let used t = Array.length t.cells / 2
 let count t i = if i < used t then t.cells.(2 * i) else 0

@@ -23,6 +23,10 @@ val bucket_bounds : int -> int * int
 (** [bucket_bounds i] is the inclusive [(lo, hi)] byte range of bucket
     [i]. *)
 
+val bucket_lo : int -> int
+val bucket_hi : int -> int
+(** The two ends of {!bucket_bounds}, without the pair. *)
+
 val add : t -> bytes:int -> unit
 (** Record one message of [bytes] bytes. *)
 

@@ -27,10 +27,14 @@ let rec probe keys mask k i =
   let k' = Array.unsafe_get keys i in
   if k' = k || k' = free then i else probe keys mask k ((i + 1) land mask)
 
-(* The slot holding [k], or the free slot where it would go. *)
+(* The slot holding [k], or the free slot where it would go; the home
+   slot is tried before the probe loop is called. *)
 let slot t k =
   let keys = t.keys in
-  probe keys (Array.length keys - 1) k ((k * golden) lsr t.shift)
+  let mask = Array.length keys - 1 in
+  let i = (k * golden) lsr t.shift in
+  let k' = Array.unsafe_get keys i in
+  if k' = k || k' = free then i else probe keys mask k ((i + 1) land mask)
 
 let grow t =
   let keys = t.keys and vals = t.vals in
@@ -63,10 +67,23 @@ let replace t k v =
   let s = slot t k in
   if t.keys.(s) = k then t.vals.(s) <- v else insert t s k v
 
+let find_or_add t k v =
+  if k = free then invalid_arg "Int_table.find_or_add: reserved key";
+  let s = slot t k in
+  if t.keys.(s) = k then t.vals.(s)
+  else begin
+    insert t s k v;
+    v
+  end
+
 let add_to t k by =
   if k = free then invalid_arg "Int_table.add_to: reserved key";
   let s = slot t k in
   if t.keys.(s) = k then t.vals.(s) <- t.vals.(s) + by else insert t s k by
+
+let clear t =
+  Array.fill t.keys 0 (Array.length t.keys) free;
+  t.size <- 0
 
 let length t = t.size
 

@@ -17,6 +17,13 @@ let words_per_run n f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* [Flow_network.of_edges] over an array of [(src, dst, cap)] edges. *)
+let of_edges ~n edges =
+  Coign_flowgraph.Flow_network.of_edges ~n
+    ~src:(Array.map (fun (src, _, _) -> src) edges)
+    ~dst:(Array.map (fun (_, dst, _) -> dst) edges)
+    ~cap:(Array.map (fun (_, _, cap) -> cap) edges)
+
 let exe = "../bin/coign.exe"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all

@@ -259,3 +259,61 @@ let test_cross_scenario_matrix () =
 let suite =
   suite
   @ [ Alcotest.test_case "cross-scenario matrix" `Slow test_cross_scenario_matrix ]
+
+(* golden/profile_octarine.txt holds three stored entries: octarine's
+   classifier and ICC summary accumulated over all its scenarios (as
+   perfbench plan's set-up builds them), then the distribution
+   [Adps.analyze] stores for that profile on an exact 10BaseT profile.
+   Each is written as a "== <name> <N> bytes ==" line, the N bytes and
+   a newline. Rebuilding the entries must give the same bytes, and a
+   session decoded from the golden's own bytes must solve to its
+   distribution: the decoders are checked against fixed text, whatever
+   the encoders do. *)
+let golden_entries text =
+  let rec go at acc =
+    if at >= String.length text then List.rev acc
+    else
+      let nl = String.index_from text at '\n' in
+      let name, len = Scanf.sscanf (String.sub text at (nl - at)) "== %s %d bytes ==" (fun n l -> (n, l)) in
+      go (nl + 1 + len + 1) ((name, String.sub text (nl + 1) len) :: acc)
+  in
+  go 0 []
+
+let test_stored_profile_golden () =
+  let golden = Harness.read_file "golden/profile_octarine.txt" in
+  let image =
+    List.fold_left
+      (fun image (sc : App.scenario) ->
+        fst (Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run))
+      (Adps.instrument app.App.app_image) app.App.app_scenarios
+  in
+  let net = Net_profiler.exact Network.ethernet_10 in
+  let entry image key = Option.get (Config_record.entry (Option.get image.Binary_image.config) key) in
+  let analyzed, _ = Adps.analyze ~image ~net () in
+  let rebuilt =
+    String.concat ""
+      (List.map
+         (fun (name, text) -> Printf.sprintf "== %s %d bytes ==\n%s\n" name (String.length text) text)
+         [
+           ("classifier", entry image Config_keys.classifier);
+           ("icc", entry image Config_keys.icc);
+           ("distribution", entry analyzed Config_keys.distribution);
+         ])
+  in
+  Alcotest.(check string) "entries rebuilt byte for byte" golden rebuilt;
+  let stored = golden_entries golden in
+  let config =
+    List.fold_left
+      (fun config (name, key) -> Config_record.set_entry config key (List.assoc name stored))
+      (Option.get (Adps.instrument app.App.app_image).Binary_image.config)
+      [ ("classifier", Config_keys.classifier); ("icc", Config_keys.icc) ]
+  in
+  let session =
+    Adps.analysis_session { image with Binary_image.config = Some config }
+  in
+  Alcotest.(check string) "session from the golden bytes solves to its distribution"
+    (List.assoc "distribution" stored)
+    (Analysis.encode (Analysis.Session.solve session ~net))
+
+let suite =
+  suite @ [ Alcotest.test_case "stored profile golden" `Quick test_stored_profile_golden ]

@@ -185,7 +185,7 @@ let test_algorithms_agree_on_placement_cost () =
           [ (e.Icc.src, e.Icc.dst, ns); (e.Icc.dst, e.Icc.src, ns) ])
         (Icc.entries icc)
   in
-  let g, _ = G.of_edges ~n:6 (Array.of_list edges) in
+  let g, _ = Harness.of_edges ~n:6 (Array.of_list edges) in
   Alcotest.(check int) "same cut value"
     (Coign_flowgraph.Mincut.augmenting_path_min_cut g ~s:4 ~t:5).Coign_flowgraph.Mincut.value
     d.Analysis.cut_ns

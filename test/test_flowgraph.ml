@@ -2,13 +2,13 @@ open Coign_flowgraph
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let arena ~n edges = fst (Flow_network.of_edges ~n (Array.of_list edges))
+let arena ~n edges = fst (Harness.of_edges ~n (Array.of_list edges))
 let undirected a b cap = [ (a, b, cap); (b, a, cap) ]
 
 (* --- Flow_network -------------------------------------------------- *)
 
 let test_edge_accumulation () =
-  let g, fwd = Flow_network.of_edges ~n:3 [| (0, 1, 5); (0, 1, 7) |] in
+  let g, fwd = Harness.of_edges ~n:3 [| (0, 1, 5); (0, 1, 7) |] in
   Alcotest.(check int) "one arc pair" 2 (Flow_network.arc_count g);
   Alcotest.(check int) "shared arc" fwd.(0) fwd.(1);
   Alcotest.(check int) "accumulated" 12 (Flow_network.arc_cap g fwd.(0));
@@ -16,23 +16,23 @@ let test_edge_accumulation () =
     (Flow_network.arc_cap g (Flow_network.arc_pair g fwd.(0)))
 
 let test_self_loop_ignored () =
-  let g, fwd = Flow_network.of_edges ~n:2 [| (1, 1, 100) |] in
+  let g, fwd = Harness.of_edges ~n:2 [| (1, 1, 100) |] in
   Alcotest.(check int) "no arcs" 0 (Flow_network.arc_count g);
   Alcotest.(check int) "no forward arc" (-1) fwd.(0)
 
 let test_infinity_saturation () =
   let inf = Flow_network.infinity_cap in
-  let g, fwd = Flow_network.of_edges ~n:2 [| (0, 1, inf); (0, 1, inf) |] in
+  let g, fwd = Harness.of_edges ~n:2 [| (0, 1, inf); (0, 1, inf) |] in
   Alcotest.(check int) "saturated" inf (Flow_network.arc_cap g fwd.(0))
 
 let test_undirected () =
-  let g, fwd = Flow_network.of_edges ~n:2 (Array.of_list (undirected 0 1 4)) in
+  let g, fwd = Harness.of_edges ~n:2 (Array.of_list (undirected 0 1 4)) in
   Alcotest.(check int) "two arc pairs" 4 (Flow_network.arc_count g);
   Alcotest.(check int) "fwd" 4 (Flow_network.arc_cap g fwd.(0));
   Alcotest.(check int) "bwd" 4 (Flow_network.arc_cap g fwd.(1))
 
 let test_copy_isolated () =
-  let g, fwd = Flow_network.of_edges ~n:2 [| (0, 1, 1) |] in
+  let g, fwd = Harness.of_edges ~n:2 [| (0, 1, 1) |] in
   let h = Flow_network.copy g in
   Flow_network.set_arc_cap h fwd.(0) 2;
   Alcotest.(check int) "original unchanged" 1 (Flow_network.arc_cap g fwd.(0));
@@ -41,11 +41,14 @@ let test_copy_isolated () =
 let test_of_edges_rejects_bad_input () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Flow_network.of_edges: negative capacity") (fun () ->
-      ignore (Flow_network.of_edges ~n:2 [| (0, 1, -1) |]));
+      ignore (Harness.of_edges ~n:2 [| (0, 1, -1) |]));
   Alcotest.check_raises "node out of range" (Invalid_argument "Flow_network.of_edges: node 2")
-    (fun () -> ignore (Flow_network.of_edges ~n:2 [| (0, 2, 1) |]));
+    (fun () -> ignore (Harness.of_edges ~n:2 [| (0, 2, 1) |]));
   Alcotest.check_raises "negative node" (Invalid_argument "Flow_network.of_edges: node -1")
-    (fun () -> ignore (Flow_network.of_edges ~n:2 [| (-1, 0, 1) |]))
+    (fun () -> ignore (Harness.of_edges ~n:2 [| (-1, 0, 1) |]));
+  Alcotest.check_raises "ragged arrays"
+    (Invalid_argument "Flow_network.of_edges: edge arrays differ in length") (fun () ->
+      ignore (Flow_network.of_edges ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~cap:[||]))
 
 (* --- Min cut: textbook instances ----------------------------------- *)
 
@@ -284,7 +287,7 @@ let prop_arena_reprice_matches_fresh =
         edges;
       let dedup = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) caps []) in
       let slots, fwd =
-        Flow_network.of_edges ~n
+        Harness.of_edges ~n
           (Array.of_list (List.map (fun (src, dst) -> (src, dst, 0)) dedup))
       in
       let scratch = Mincut.scratch slots in
@@ -306,6 +309,30 @@ let test_scratch_reuse () =
   let v2 = Mincut.run arena scratch ~s:0 ~t:5 in
   Alcotest.(check int) "first solve" 23 v1;
   Alcotest.(check int) "re-solve on reused scratch" 23 v2
+
+(* A solve keeps all its state in the scratch: on a 31-node arena of
+   94 undirected edges (376 arcs, octarine's session size), re-solving
+   allocates nothing. The solver's old local closures and the refs they
+   captured cost 84 words a solve here, in dev and release builds. *)
+let test_solve_allocation_free () =
+  let n = 31 in
+  let rand = lcg 5 in
+  (* Each node joined to the next three round the ring, plus a chord. *)
+  let g =
+    arena ~n
+      (undirected 0 15 (1 + rand 10_000)
+      @ List.concat
+          (List.init (3 * n) (fun i ->
+               undirected (i / 3) (((i / 3) + 1 + (i mod 3)) mod n) (1 + rand 10_000))))
+  in
+  Alcotest.(check int) "arcs" 376 (Flow_network.arc_count g);
+  let scratch = Mincut.scratch g in
+  let words =
+    Harness.words_per_run 1_000 (fun () ->
+        Flow_network.reset g;
+        ignore (Mincut.run g scratch ~s:0 ~t:(n - 1)))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per solve" words) true (words < 1.)
 
 (* --- Multiway ------------------------------------------------------ *)
 
@@ -489,6 +516,7 @@ let suite =
     Alcotest.test_case "max-flow certificate on large graphs" `Quick test_flow_certificate_large;
     qtest prop_arena_reprice_matches_fresh;
     Alcotest.test_case "scratch reuse across solves" `Quick test_scratch_reuse;
+    Alcotest.test_case "a solve allocates nothing" `Quick test_solve_allocation_free;
     Alcotest.test_case "multiway two terminals exact" `Quick test_multiway_two_terminals_exact;
     Alcotest.test_case "multiway three terminals" `Quick test_multiway_three_terminals;
     Alcotest.test_case "multiway terminal ownership" `Quick test_multiway_terminal_ownership;

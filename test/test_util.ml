@@ -441,8 +441,32 @@ let test_tablefmt_cells () =
   Alcotest.(check string) "float" "1.50" (Tablefmt.cell_float ~decimals:2 1.5);
   Alcotest.(check string) "pct" "95%" (Tablefmt.cell_pct 0.95)
 
+(* [Text_field.field_end] skips eight bytes at a time: on every text
+   of up to 20 bytes with a tab or newline (or none) at each position,
+   after neighbours that differ from a separator in one bit, it stops
+   where a byte-by-byte scan does, from every start. *)
+let test_field_end_word_scan () =
+  let naive s i =
+    let rec go k = if k = String.length s || s.[k] = '\t' || s.[k] = '\n' then k else go (k + 1) in
+    go i
+  in
+  for len = 0 to 20 do
+    for at = -1 to len - 1 do
+      List.iter
+        (fun (sep, filler) ->
+          let s = String.init len (fun k -> if k = at then sep else filler) in
+          for i = 0 to len do
+            Alcotest.(check int)
+              (Printf.sprintf "%S from %d" s i)
+              (naive s i) (Text_field.field_end s i)
+          done)
+        [ ('\t', '\x08'); ('\n', '\x0b'); ('\t', '\x89'); ('\n', 'a') ]
+    done
+  done
+
 let suite =
   [
+    Alcotest.test_case "text field end scans by word" `Quick test_field_end_word_scan;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
     Alcotest.test_case "prng seed sensitivity" `Quick test_prng_seed_sensitivity;
     Alcotest.test_case "prng int bounds" `Quick test_prng_int_bounds;
