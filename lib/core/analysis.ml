@@ -67,6 +67,9 @@ module Session = struct
     s_seen : bool array;
     s_stack : int array;
     s_server_side : bool array;
+    (* Per-solve host of each graph node 0..n, 1 on the server, for
+       [Icc_graph.predicted_us]; main (n) stays on the client, 0. *)
+    s_host : int array;
     s_pricing : Icc_graph.pricing;
     (* cost table, one entry per seen net *)
     mutable s_cost_cache : (Net_profiler.t * float array) list;
@@ -217,6 +220,7 @@ module Session = struct
       s_seen = Array.make nodes false;
       s_stack = Array.make nodes 0;
       s_server_side = Array.make nodes false;
+      s_host = Array.make (n + 1) 0;
       s_pricing = Icc_graph.make_pricing graph;
       s_cost_cache = [];
     }
@@ -241,6 +245,7 @@ module Session = struct
       s_seen = Array.make nodes false;
       s_stack = Array.make nodes 0;
       s_server_side = Array.make nodes false;
+      s_host = Array.make (Array.length t.s_host) 0;
       s_pricing = Icc_graph.make_pricing t.s_graph;
       (* The cache list and its entries are immutable once published;
          sharing the snapshot lets a copied session skip re-pricing
@@ -248,71 +253,70 @@ module Session = struct
       s_cost_cache = t.s_cost_cache;
     }
 
+  (* The table cached for [net], found by physical identity; a
+     top-level loop, so a lookup builds no closure. *)
+  let rec cached net = function
+    | [] -> raise_notrace Not_found
+    | (key, entry) :: rest -> if key == net then entry else cached net rest
+
   let cost_table_for t net =
-    let rec find = function
-      | [] ->
-          let cost = Icc_graph.cost_table t.s_graph net in
-          let cache = t.s_cost_cache in
-          let cache =
-            if List.length cache >= cost_cache_cap then
-              List.filteri (fun i _ -> i < cost_cache_cap - 1) cache
-            else cache
-          in
-          t.s_cost_cache <- (net, cost) :: cache;
-          cost
-      | (key, entry) :: rest -> if key == net then entry else find rest
-    in
-    find t.s_cost_cache
+    match cached net t.s_cost_cache with
+    | cost -> cost
+    | exception Not_found ->
+        let cost = Icc_graph.cost_table t.s_graph net in
+        let cache = t.s_cost_cache in
+        let cache =
+          if List.length cache >= cost_cache_cap then
+            List.filteri (fun i _ -> i < cost_cache_cap - 1) cache
+          else cache
+        in
+        t.s_cost_cache <- (net, cost) :: cache;
+        cost
 
   let price t ~net =
     Icc_graph.price_into t.s_graph ~cost:(cost_table_for t net) t.s_pricing;
     t.s_pricing
 
-  let solve ?profiler ?metrics ?scale t ~net =
-    let timed name f = timed profiler name f in
+  (* With ?scale, an observation window rescales each pair's profiled
+     traffic before pricing (online re-partitioning); without it, the
+     pricing loop is untouched and its floats are bit for bit the
+     offline engine's. Then reprice: zero every slot, add each priced
+     pair's capacity into its slot's arc straight in the arena,
+     saturating at infinity_cap as a compile would, then mirror it onto
+     the opposite arc. Integer sums are exact, so every cut of the
+     quotient costs what it costs over the pairs. Zero-cost slots leave
+     zero-capacity arcs, which no solver can traverse. *)
+  let reprice ?scale t ~net =
+    let pricing =
+      match scale with
+      | None -> price t ~net
+      | Some scale ->
+          Icc_graph.price_scaled_into t.s_graph ~cost:(cost_table_for t net)
+            ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale t.s_pricing;
+          t.s_pricing
+    in
+    let arena = t.s_arena in
+    for sl = 0 to Array.length t.s_arc_ab - 1 do
+      Flow_network.set_arc_cap arena t.s_arc_ab.(sl) 0
+    done;
+    for p = 0 to Array.length t.s_pair_slot - 1 do
+      let sl = t.s_pair_slot.(p) in
+      if sl >= 0 then begin
+        let a = t.s_arc_ab.(sl) in
+        Flow_network.set_arc_cap arena a
+          (Int.min Flow_network.infinity_cap
+             (Flow_network.arc_cap arena a + ns_of_us pricing.Icc_graph.pair_us.(p)))
+      end
+    done;
+    for sl = 0 to Array.length t.s_arc_ab - 1 do
+      Flow_network.set_arc_cap arena t.s_arc_ba.(sl) (Flow_network.arc_cap arena t.s_arc_ab.(sl))
+    done;
+    pricing
+
+  (* Cut the repriced arena and read the placement off it. *)
+  let cut ?metrics t pricing =
     let graph = t.s_graph in
     let n = Icc_graph.classification_count graph in
-    let pricing =
-      timed "pricing" (fun () ->
-          (* With ?scale, an observation window rescales each pair's
-             profiled traffic before pricing (online re-partitioning);
-             without it, the pricing loop is untouched and its floats
-             are bit for bit the offline engine's. *)
-          let pricing =
-            match scale with
-            | None -> price t ~net
-            | Some scale ->
-                Icc_graph.price_scaled_into graph ~cost:(cost_table_for t net)
-                  ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale t.s_pricing;
-                t.s_pricing
-          in
-          (* Reprice: zero every slot, add each priced pair's
-             capacity into its slot's arc straight in the arena,
-             saturating at infinity_cap as a compile would, then mirror
-             it onto the opposite arc. Integer sums are exact, so every
-             cut of the quotient costs what it costs over the pairs.
-             Zero-cost slots leave zero-capacity arcs, which no solver
-             can traverse. *)
-          let arena = t.s_arena in
-          for sl = 0 to Array.length t.s_arc_ab - 1 do
-            Flow_network.set_arc_cap arena t.s_arc_ab.(sl) 0
-          done;
-          for p = 0 to Array.length t.s_pair_slot - 1 do
-            let sl = t.s_pair_slot.(p) in
-            if sl >= 0 then begin
-              let a = t.s_arc_ab.(sl) in
-              Flow_network.set_arc_cap arena a
-                (min Flow_network.infinity_cap
-                   (Flow_network.arc_cap arena a + ns_of_us pricing.Icc_graph.pair_us.(p)))
-            end
-          done;
-          for sl = 0 to Array.length t.s_arc_ab - 1 do
-            Flow_network.set_arc_cap arena t.s_arc_ba.(sl)
-              (Flow_network.arc_cap arena t.s_arc_ab.(sl))
-          done;
-          pricing)
-    in
-    timed "cut" @@ fun () ->
     (* A cut must exist even in a graph with no server-pinned component:
        terminals are always present (the cut just puts everything on
        the client). *)
@@ -327,7 +331,9 @@ module Session = struct
        a priced pair with traffic has both directions' forward arcs
        above zero, so this is the undirected placement adjacency. *)
     let server_side = t.s_server_side in
-    Array.fill server_side 0 (Array.length server_side) false;
+    for v = 0 to Array.length server_side - 1 do
+      server_side.(v) <- false
+    done;
     server_side.(t.s_server) <- true;
     let queue = t.s_stack in
     queue.(0) <- t.s_server;
@@ -348,22 +354,21 @@ module Session = struct
         end
       done
     done;
-    let placement =
-      Array.init n (fun c ->
-          if server_side.(t.s_node.(c)) then Constraints.Server else Constraints.Client)
-    in
-    let server_count =
-      Array.fold_left
-        (fun acc l -> if l = Constraints.Server then acc + 1 else acc)
-        0 placement
-    in
-    let location_of_node v =
-      if v < 0 || v >= n then Constraints.Client else placement.(v)
-    in
-    let predicted_comm_us =
-      Icc_graph.predicted_us graph pricing ~separated:(fun a b ->
-          location_of_node a <> location_of_node b)
-    in
+    (* Placement, server count and each node's host in one pass; main
+       (node n) keeps host 0, the client's. *)
+    let placement = Array.make n Constraints.Client in
+    let host = t.s_host in
+    let server_count = ref 0 in
+    for c = 0 to n - 1 do
+      if server_side.(t.s_node.(c)) then begin
+        placement.(c) <- Constraints.Server;
+        host.(c) <- 1;
+        incr server_count
+      end
+      else host.(c) <- 0
+    done;
+    let server_count = !server_count in
+    let predicted_comm_us = Icc_graph.predicted_us graph pricing ~host in
     let d = { placement; cut_ns; predicted_comm_us; server_count; node_count = n } in
     (match metrics with
     | None -> ()
@@ -384,6 +389,15 @@ module Session = struct
              "coign_analysis_predicted_comm_us")
           predicted_comm_us);
     d
+
+  (* Without a profiler the two phases are direct calls, so a solve
+     allocates only its result. *)
+  let solve ?profiler ?metrics ?scale t ~net =
+    match profiler with
+    | None -> cut ?metrics t (reprice ?scale t ~net)
+    | Some p ->
+        let pricing = Coign_obs.Profiler.time p "pricing" (fun () -> reprice ?scale t ~net) in
+        Coign_obs.Profiler.time p "cut" (fun () -> cut ?metrics t pricing)
 
   let components t = Array.copy t.s_component
 

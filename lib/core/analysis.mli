@@ -95,7 +95,9 @@ module Session : sig
       With [profiler], pricing and cutting record under the ["pricing"]
       and ["cut"] phases; with [metrics], each solve updates the
       [coign_analysis_*] instruments. Neither changes the
-      distribution.
+      distribution. Without either, an unscaled solve on a profile
+      whose cost table is cached allocates only its result: the
+      placement and the distribution record.
 
       With [scale] (arrays of length {!Icc_graph.pair_count} of
       {!graph}), each pair's profiled traffic is rescaled before

@@ -137,6 +137,9 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
   let n = Array.length component in
   let shard_of = Array.make n (-1) in
   let replicated = Array.make shards true in
+  (* Each graph node's host, -1 off the pool: the client side and the
+     main node n. *)
+  let host = Array.make (n + 1) (-1) in
   Array.iteri
     (fun c loc ->
       if c < n && loc = Constraints.Server then begin
@@ -146,15 +149,11 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
            pool's anchor host and shard 0 runs unreplicated. *)
         let s = if comp_safe.(rep) then Pool.shard_of ~shards rep else 0 in
         shard_of.(c) <- s;
+        host.(c) <- Pool.host_of shape s;
         if not comp_safe.(rep) then replicated.(s) <- false
       end)
     dist.Analysis.placement;
-  let assignment v =
-    if v < 0 || v >= n || shard_of.(v) < 0 then -1 else Pool.host_of shape shard_of.(v)
-  in
-  let predicted =
-    Icc_graph.predicted_us graph pricing ~separated:(fun a b -> assignment a <> assignment b)
-  in
+  let predicted = Icc_graph.predicted_us graph pricing ~host in
   {
     pr_name = name;
     pr_distribution = dist;

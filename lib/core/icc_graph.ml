@@ -263,10 +263,12 @@ let price t ~net =
   price_into t ~cost pricing;
   pricing
 
-let predicted_us t pricing ~separated =
+let predicted_us t pricing ~(host : int array) =
+  if Array.length host <= t.n then
+    invalid_arg "Icc_graph.predicted_us: host array shorter than the graph's nodes";
   let total = ref 0. in
   for s = 0 to Array.length t.seg_pair - 1 do
     let p = t.seg_pair.(s) in
-    if separated t.pair_a.(p) t.pair_b.(p) then total := !total +. pricing.seg_us.(s)
+    if host.(t.pair_a.(p)) <> host.(t.pair_b.(p)) then total := !total +. pricing.seg_us.(s)
   done;
   !total

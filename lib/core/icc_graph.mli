@@ -119,8 +119,11 @@ val pair_bytes : t -> float array
 (** Total profiled byte volume per pair id (the [sc_bytes]
     denominators). *)
 
-val predicted_us : t -> pricing -> separated:(int -> int -> bool) -> float
+val predicted_us : t -> pricing -> host:int array -> float
 (** Total cost of the segments whose pair the placement separates,
     summed in segment order — the [predicted_comm_us] of a cut.
-    [separated a b] receives the pair's endpoints, as {!pair} gives
-    them, so a caller builds no tuple per segment. *)
+    [host.(v)] is the machine of graph node [v], one int per node
+    [0 .. n] where [n] is the main node; a segment counts when its
+    pair's two ends sit on different hosts. An int-array kernel, so a
+    caller builds no closure and no tuple per segment. Raises
+    [Invalid_argument] when [host] has fewer than [n + 1] cells. *)

@@ -32,8 +32,14 @@ val choose :
 (** [machines] must contain at least two names; the first is the
     machine the main program runs on. [pins] maps a component class
     name to the machine it must live on ([None] = free); a pin naming
-    an unknown machine raises [Invalid_argument]. Non-remotable
-    interfaces co-locate their endpoints, as in the two-way engine. *)
+    an unknown machine raises [Invalid_argument]. [pins] is called once
+    per distinct class name, in first-classification order, and its
+    answer applies to every classification of that class, so it must
+    depend only on the class name. Non-remotable interfaces co-locate
+    their endpoints, as in the two-way engine. The cut's edges go
+    straight into {!Coign_flowgraph.Multiway.multiway_cut}'s int arrays
+    and the predicted time is priced by {!Icc_graph.predicted_us} over
+    the cut's machine array. *)
 
 val machine_of : t -> int -> string
 (** Machine of a classification; out-of-range classifications (new at

@@ -16,6 +16,28 @@ type t = {
                                node_first.(v) .. node_first.(v+1)-1 *)
 }
 
+(* Stable counting sort of the edge indices [from] into [into] by
+   [key.(i)], a node id; [count] has one cell per node plus one. *)
+let sort_by key ~count ~from ~into =
+  Array.fill count 0 (Array.length count) 0;
+  for j = 0 to Array.length from - 1 do
+    let f = key.(from.(j)) + 1 in
+    count.(f) <- count.(f) + 1
+  done;
+  for v = 1 to Array.length count - 1 do
+    count.(v) <- count.(v) + count.(v - 1)
+  done;
+  for j = 0 to Array.length from - 1 do
+    let i = from.(j) in
+    let f = key.(i) in
+    into.(count.(f)) <- i;
+    count.(f) <- count.(f) + 1
+  done
+
+(* The [k]-th edge in (src, dst) order: [order.(k)], or [k] itself
+   when [order] is empty because the input is already in that order. *)
+let edge_at order k = if Array.length order = 0 then k else order.(k)
+
 let of_edges ~n ~src ~dst ~cap =
   if n < 0 then invalid_arg "Flow_network.of_edges: negative size";
   let m = Array.length src in
@@ -32,38 +54,43 @@ let of_edges ~n ~src ~dst ~cap =
       invalid_arg "Flow_network.of_edges: negative capacity"
     end
   done;
-  (* [fwd.(i)] first holds edge i's representative: the first input
-     edge sharing its (src, dst), whose arc carries the summed
-     capacity; -1 for a self-loop, which no cut can separate. A stable
-     sort by pair groups the duplicates; input already in pair order,
-     as a session's is, skips the sort. *)
-  let key i = (src.(i) * n) + dst.(i) in
+  (* The arena is laid out in (src, dst) order, input order among equal
+     pairs. Input already in that order, as a session's is, is read as
+     it stands; otherwise two stable counting sorts, by dst and then by
+     src, order the edge indices. *)
   let sorted = ref true in
   for i = 1 to m - 1 do
-    if key (i - 1) > key i then sorted := false
+    let before = src.(i - 1) and here = src.(i) in
+    if before > here || (before = here && dst.(i - 1) > dst.(i)) then sorted := false
   done;
-  let fwd = Array.make m (-1) in
-  if !sorted then
-    for i = 0 to m - 1 do
-      if src.(i) <> dst.(i) then
-        fwd.(i) <- (if i > 0 && key (i - 1) = key i then fwd.(i - 1) else i)
-    done
-  else begin
-    let order = Array.init m Fun.id in
-    Array.stable_sort (fun i j -> Int.compare (key i) (key j)) order;
-    for k = 0 to m - 1 do
-      let i = order.(k) in
-      if src.(i) <> dst.(i) then
-        fwd.(i) <- (if k > 0 && key order.(k - 1) = key i then fwd.(order.(k - 1)) else i)
-    done
-  end;
-  (* Degrees counted one slot up, then summed into offsets. *)
-  let node_first = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    if fwd.(i) = i then begin
-      node_first.(src.(i) + 1) <- node_first.(src.(i) + 1) + 1;
-      node_first.(dst.(i) + 1) <- node_first.(dst.(i) + 1) + 1
+  let order =
+    if !sorted then [||]
+    else begin
+      let order = Array.init m Fun.id and spare = Array.make m 0 in
+      let count = Array.make (n + 1) 0 in
+      sort_by dst ~count ~from:order ~into:spare;
+      sort_by src ~count ~from:spare ~into:order;
+      order
     end
+  in
+  (* [fwd.(i)] first holds edge i's representative: the first edge in
+     order sharing its (src, dst), whose arc carries the summed
+     capacity; -1 for a self-loop, which no cut can separate. Degrees
+     are counted one slot up per representative, then summed into
+     offsets. *)
+  let fwd = Array.make m (-1) in
+  let node_first = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let i = edge_at order k in
+    let s = src.(i) and d = dst.(i) in
+    let prev = if k > 0 then edge_at order (k - 1) else i in
+    if s <> d then
+      if prev <> i && src.(prev) = s && dst.(prev) = d then fwd.(i) <- fwd.(prev)
+      else begin
+        fwd.(i) <- i;
+        node_first.(s + 1) <- node_first.(s + 1) + 1;
+        node_first.(d + 1) <- node_first.(d + 1) + 1
+      end
   done;
   for v = 1 to n do
     node_first.(v) <- node_first.(v) + node_first.(v - 1)
@@ -73,9 +100,10 @@ let of_edges ~n ~src ~dst ~cap =
   let arc_to = Array.make arcs 0 in
   let arc_cap = Array.make arcs 0 in
   let pair = Array.make arcs 0 in
-  (* In input order, so a representative's arc exists before its
-     duplicates read it; [fwd.(i)] becomes edge i's forward arc. *)
-  for i = 0 to m - 1 do
+  (* In order, so a representative's arc exists before its duplicates
+     read it; [fwd.(i)] becomes edge i's forward arc. *)
+  for k = 0 to m - 1 do
+    let i = edge_at order k in
     let r = fwd.(i) in
     if r = i then begin
       let s = src.(i) and d = dst.(i) in
@@ -107,7 +135,13 @@ let residual g a = g.arc_res.(a)
 
 let set_arc_cap g a cap = g.arc_cap.(a) <- cap
 
-let reset g = Array.blit g.arc_cap 0 g.arc_res 0 (Array.length g.arc_cap)
+(* A loop, not [Array.blit]: the runtime's blit cannot tell an int
+   array from one of pointers, so into an array on the major heap it
+   stores each element through [caml_modify]. *)
+let reset g =
+  for a = 0 to Array.length g.arc_cap - 1 do
+    g.arc_res.(a) <- g.arc_cap.(a)
+  done
 
 let copy g = { g with arc_res = Array.copy g.arc_res; arc_cap = Array.copy g.arc_cap }
 
@@ -118,7 +152,9 @@ let push g a amount =
   g.arc_res.(p) <- g.arc_res.(p) + amount
 
 let min_cut_side_into g ~s ~seen ~stack =
-  Array.fill seen 0 g.n false;
+  for v = 0 to g.n - 1 do
+    seen.(v) <- false
+  done;
   seen.(s) <- true;
   stack.(0) <- s;
   let top = ref 1 in

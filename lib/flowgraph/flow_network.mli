@@ -14,7 +14,7 @@
     structure with paired residual arcs, laid out as a CSR (compressed
     sparse row) arena of flat int arrays. The arena is reusable across
     pricing rounds: base capacities live in their own array, {!reset}
-    blits them back into the residual array, and {!set_arc_cap}
+    copies them back into the residual array, and {!set_arc_cap}
     rewrites a single arc's base capacity in place — so a
     reprice/recut round allocates nothing. *)
 
@@ -34,10 +34,14 @@ val of_edges : n:int -> src:int array -> dst:int array -> cap:int array -> t * i
     at {!infinity_cap}; self-loops are dropped (they can never be cut).
     Zero-capacity edges keep their arc, inert until {!set_arc_cap}
     raises it — this is how a session arena pre-allocates slots for
-    every potential traffic pair. Each node's arcs follow input order,
-    so distinct pre-sorted pairs compile to the same layout every
-    time. Also returns the forward arc of each input edge ([-1] for a
-    self-loop), so callers can rewrite capacities later without
+    every potential traffic pair. The arena is laid out in [(src, dst)]
+    order, so each node's arcs run in neighbour order and any
+    permutation of one edge list compiles to the same arena: input
+    already in that order (a session's) is read as it stands, and
+    other input is ordered first by two stable counting sorts, by
+    [dst] and then by [src] (linear in edges plus nodes, no comparison
+    closure). Also returns the forward arc of each input edge ([-1] for
+    a self-loop), so callers can rewrite capacities later without
     searching. Raises [Invalid_argument] on a negative [n], arrays of
     different lengths, a node out of range or a negative capacity. *)
 
@@ -47,7 +51,7 @@ val arc_count : t -> int
 (** Forward plus reverse arcs: twice the number of distinct edges. *)
 
 val reset : t -> unit
-(** Restore every residual capacity to its base capacity (one blit);
+(** Restore every residual capacity to its base capacity (one pass);
     run before re-solving on rewritten capacities. *)
 
 val set_arc_cap : t -> int -> int -> unit

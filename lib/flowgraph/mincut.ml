@@ -51,16 +51,22 @@ let scratch g =
    unless its constraints are unsatisfiable.
 
    Each step is a top-level function over the scratch, so a solve
-   allocates no closure. *)
+   allocates no closure, and every comparison is on ints ([Int.min]),
+   never the polymorphic [Stdlib.min]. Scratch is cleared by loops
+   rather than [Array.fill], a C call per array. *)
+
+(* The ring's cursors wrap with a compare, not [mod]: an integer
+   division per queue step costs tens of cycles. *)
+let next sc i = if i + 1 = Array.length sc.sc_q then 0 else i + 1
 
 let qpush sc v =
   sc.sc_q.(sc.sc_qtail) <- v;
-  sc.sc_qtail <- (sc.sc_qtail + 1) mod Array.length sc.sc_q;
+  sc.sc_qtail <- next sc sc.sc_qtail;
   sc.sc_qlen <- sc.sc_qlen + 1
 
 let qpop sc =
   let v = sc.sc_q.(sc.sc_qhead) in
-  sc.sc_qhead <- (sc.sc_qhead + 1) mod Array.length sc.sc_q;
+  sc.sc_qhead <- next sc sc.sc_qhead;
   sc.sc_qlen <- sc.sc_qlen - 1;
   v
 
@@ -103,7 +109,9 @@ let bfs g sc ~s root height =
    and the active queue. *)
 let global_relabel g sc ~s ~t =
   let n = sc.sc_n and h = sc.sc_h and cnt = sc.sc_cnt in
-  Array.fill cnt 0 ((2 * n) + 3) 0;
+  for k = 0 to (2 * n) + 2 do
+    cnt.(k) <- 0
+  done;
   for v = 0 to n - 1 do
     h.(v) <- unreachable sc;
     sc.sc_cur.(v) <- 0;
@@ -140,8 +148,10 @@ let push_relabel g sc ~s ~t =
   let n = G.node_count g in
   let h = sc.sc_h and e = sc.sc_e and cur = sc.sc_cur in
   let cnt = sc.sc_cnt and inq = sc.sc_inq in
-  Array.fill e 0 n 0;
-  Array.fill inq 0 n false;
+  (* The global relabel below clears the queue flags. *)
+  for v = 0 to n - 1 do
+    e.(v) <- 0
+  done;
   (* Saturate all arcs out of s. *)
   for a = G.arc_start g s to G.arc_stop g s - 1 do
     let c = G.residual g a in
@@ -168,7 +178,7 @@ let push_relabel g sc ~s ~t =
         let old = h.(u) in
         let min_h = ref max_int in
         for a = base to stop - 1 do
-          if G.residual g a > 0 then min_h := min !min_h h.(G.arc_dst g a)
+          if G.residual g a > 0 then min_h := Int.min !min_h h.(G.arc_dst g a)
         done;
         cnt.(old) <- cnt.(old) - 1;
         h.(u) <- !min_h + 1;
@@ -188,7 +198,7 @@ let push_relabel g sc ~s ~t =
         let dst = G.arc_dst g a in
         let r = G.residual g a in
         if r > 0 && h.(u) = h.(dst) + 1 then begin
-          let amount = min e.(u) r in
+          let amount = Int.min e.(u) r in
           G.push g a amount;
           e.(u) <- e.(u) - amount;
           e.(dst) <- e.(dst) + amount;
@@ -250,7 +260,7 @@ let augmenting_path_min_cut g ~s ~t =
       let b = ref max_int in
       let v = ref t in
       while !v <> s do
-        b := min !b (G.residual g parent_arc.(!v));
+        b := Int.min !b (G.residual g parent_arc.(!v));
         v := parent_node.(!v)
       done;
       v := t;

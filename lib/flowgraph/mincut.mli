@@ -34,6 +34,9 @@ val run : Flow_network.t -> scratch -> s:int -> t:int -> int
     included, lives in [scratch], and every solver step is a top-level
     function over it, so no closure is built per solve
     ([test_flowgraph] gates this at under one word a solve). The
+    kernel is monomorphic: pushes and relabels take [Int.min], never
+    the polymorphic [Stdlib.min], and the FIFO ring wraps its cursors
+    with a compare instead of [mod]. The
     minimal source side can then be read off with
     {!Flow_network.min_cut_side_into}. Raises [Invalid_argument] on
     bad terminals or a scratch sized for a different arena. *)

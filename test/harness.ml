@@ -17,12 +17,17 @@ let words_per_run n f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* An array of [(src, dst, cap)] edges as the three parallel arrays
+   [Flow_network.of_edges] and [Multiway.multiway_cut] take. *)
+let columns edges =
+  ( Array.map (fun (src, _, _) -> src) edges,
+    Array.map (fun (_, dst, _) -> dst) edges,
+    Array.map (fun (_, _, cap) -> cap) edges )
+
 (* [Flow_network.of_edges] over an array of [(src, dst, cap)] edges. *)
 let of_edges ~n edges =
-  Coign_flowgraph.Flow_network.of_edges ~n
-    ~src:(Array.map (fun (src, _, _) -> src) edges)
-    ~dst:(Array.map (fun (_, dst, _) -> dst) edges)
-    ~cap:(Array.map (fun (_, _, cap) -> cap) edges)
+  let src, dst, cap = columns edges in
+  Coign_flowgraph.Flow_network.of_edges ~n ~src ~dst ~cap
 
 let exe = "../bin/coign.exe"
 

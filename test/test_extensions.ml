@@ -283,6 +283,61 @@ let test_multiway_octarine_pinned () =
       (Array.init 40 (fun c -> if c >= 28 && c <= 31 then 1 else 0))
     ~cost_ns:706166400 ~predicted_bits:4694313135279754446L
 
+(* The k-way cut on octarine's profile accumulated over every
+   scenario, k = 2, 3 and 4: the image's API pins, plus SpellChecker on
+   the middle tier and Document on the edge host once those machines
+   exist. The assignments, costs and predicted-time bits are the ones
+   the cut made when it still took a tuple per edge and asked [pins]
+   once per classification (64 asks for 36 class names); a counting
+   [pins] shows it now asks once per class name. *)
+let test_multiway_octarine_k_way () =
+  let app = Octarine.app in
+  let image =
+    List.fold_left
+      (fun image (sc : App.scenario) ->
+        fst (Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run))
+      (Adps.instrument app.App.app_image) app.App.app_scenarios
+  in
+  let classifier, icc = Option.get (Adps.load_profile image) in
+  let constraints = Constraints.of_image app.App.app_image in
+  let net = Net_profiler.exact Network.ethernet_10 in
+  let classes = Hashtbl.create 16 in
+  for c = 0 to Classifier.classification_count classifier - 1 do
+    Hashtbl.replace classes (Classifier.class_of_classification classifier c) ()
+  done;
+  List.iter
+    (fun (k, assignment, cost_ns, predicted_bits) ->
+      let asks = Hashtbl.create 16 in
+      let pins cname =
+        Hashtbl.replace asks cname (1 + Option.value ~default:0 (Hashtbl.find_opt asks cname));
+        match Constraints.class_pin constraints ~cname with
+        | Some Constraints.Client -> Some "client"
+        | Some Constraints.Server -> Some "server"
+        | None ->
+            if k >= 3 && String.equal cname "Octarine.SpellChecker" then Some "middle"
+            else if k >= 4 && String.equal cname "Octarine.Document" then Some "edge"
+            else None
+      in
+      let machines = List.filteri (fun i _ -> i < k) [ "client"; "server"; "middle"; "edge" ] in
+      let mw = Multiway_analysis.choose ~classifier ~icc ~machines ~pins ~net () in
+      Alcotest.(check int)
+        (Printf.sprintf "k = %d: class names asked" k)
+        (Hashtbl.length classes) (Hashtbl.length asks);
+      Hashtbl.iter
+        (fun cname n -> Alcotest.(check int) (Printf.sprintf "k = %d: asks for %s" k cname) 1 n)
+        asks;
+      check_multiway_pins mw
+        ~assignment:(Array.init (String.length assignment) (fun c -> Char.code assignment.[c] - 48))
+        ~cost_ns ~predicted_bits)
+    [
+      (2, "0000000000000000000000000000100010000000000000001110010100000111", 11345640000,
+       4712352754696192000L);
+      (3, "0000000000000000000000000000100010002000000000001110210100000111", 22807497600,
+       4712383951620643226L);
+      (4, "0000000000000000000000000000100310332000300033001130230100000311", 212147964800,
+       4726890913943099800L);
+    ]
+
 let suite =
   [
     Alcotest.test_case "replay matches distributed run" `Quick
@@ -304,6 +359,8 @@ let suite =
       test_multiway_benefits_pinned;
     Alcotest.test_case "multiway: octarine two machines pinned" `Quick
       test_multiway_octarine_pinned;
+    Alcotest.test_case "multiway: octarine k-way pinned, pins asked once per class" `Quick
+      test_multiway_octarine_k_way;
   ]
 
 (* --- Profile logs ------------------------------------------------------ *)

@@ -50,6 +50,51 @@ let test_of_edges_rejects_bad_input () =
     (Invalid_argument "Flow_network.of_edges: edge arrays differ in length") (fun () ->
       ignore (Flow_network.of_edges ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~cap:[||]))
 
+(* Unsorted input is put in (src, dst) order before the arena is laid
+   out, so a shuffled edge list, with duplicates, self-loops and
+   infinite edges, compiles to the arena of the same list sorted: the
+   same node ranges and the same destination, base capacity and pair of
+   every arc. Each edge's forward arc still joins its own endpoints. *)
+let gen_edge_list =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    list_size (int_range 0 30)
+      (triple (int_range 0 (n - 1)) (int_range 0 (n - 1))
+         (frequency [ (4, int_range 0 50); (1, return Flow_network.infinity_cap) ]))
+    >>= fun edges ->
+    shuffle_l edges >>= fun shuffled -> return (n, edges, shuffled))
+
+let arb_edge_list =
+  QCheck.make
+    ~print:(fun (n, edges, _) ->
+      Printf.sprintf "n=%d edges=%s" n
+        (String.concat ";" (List.map (fun (a, b, c) -> Printf.sprintf "%d->%d:%d" a b c) edges)))
+    gen_edge_list
+
+let prop_of_edges_orders_input =
+  QCheck.Test.make ~name:"of_edges orders any input like sorted input" ~count:300 arb_edge_list
+    (fun (n, _, shuffled) ->
+      let module G = Flow_network in
+      let sorted =
+        List.stable_sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) shuffled
+      in
+      let g, fwd = Harness.of_edges ~n (Array.of_list shuffled) in
+      let h, _ = Harness.of_edges ~n (Array.of_list sorted) in
+      let arcs g f = List.init (G.arc_count g) f in
+      let same_arena =
+        List.for_all (fun v -> G.arc_start g v = G.arc_start h v && G.arc_stop g v = G.arc_stop h v)
+          (List.init n Fun.id)
+        && arcs g (G.arc_dst g) = arcs h (G.arc_dst h)
+        && arcs g (G.arc_cap g) = arcs h (G.arc_cap h)
+        && arcs g (G.arc_pair g) = arcs h (G.arc_pair h)
+      in
+      same_arena
+      && List.for_all2
+           (fun (src, dst, _) a ->
+             if src = dst then a = -1
+             else G.arc_dst g a = dst && G.arc_dst g (G.arc_pair g a) = src)
+           shuffled (Array.to_list fwd))
+
 (* --- Min cut: textbook instances ----------------------------------- *)
 
 (* The classic CLRS figure 26.1-ish network. *)
@@ -336,8 +381,13 @@ let test_solve_allocation_free () =
 
 (* --- Multiway ------------------------------------------------------ *)
 
+(* [Multiway.multiway_cut] over an array of [(src, dst, cap)] edges. *)
+let multiway_cut ~n edges ~terminals =
+  let src, dst, cap = Harness.columns edges in
+  Multiway.multiway_cut ~n ~src ~dst ~cap ~terminals
+
 let test_multiway_two_terminals_exact () =
-  let p = Multiway.multiway_cut ~n:6 (Array.of_list clrs_edges) ~terminals:[ 0; 5 ] in
+  let p = multiway_cut ~n:6 (Array.of_list clrs_edges) ~terminals:[ 0; 5 ] in
   let exact = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check int) "reduces to exact cut" exact.Mincut.value p.Multiway.cost
 
@@ -350,7 +400,7 @@ let test_multiway_three_terminals () =
       [ heavy 0 1; heavy 1 2; heavy 3 4; heavy 4 5; heavy 6 7; heavy 7 8;
         light 2 3; light 5 6; light 8 0 ]
   in
-  let p = Multiway.multiway_cut ~n:9 (Array.of_list edges) ~terminals:[ 0; 3; 6 ] in
+  let p = multiway_cut ~n:9 (Array.of_list edges) ~terminals:[ 0; 3; 6 ] in
   (* Each undirected bridge contributes both directed arcs (2 * 3). *)
   Alcotest.(check int) "cost is the three bridges" 18 p.Multiway.cost;
   Alcotest.(check int) "cluster 1 intact" p.Multiway.assignment.(0) p.Multiway.assignment.(1);
@@ -359,7 +409,7 @@ let test_multiway_three_terminals () =
 
 let test_multiway_terminal_ownership () =
   let edges = Array.of_list (undirected 0 1 1 @ undirected 2 3 1) in
-  let p = Multiway.multiway_cut ~n:5 edges ~terminals:[ 0; 2; 4 ] in
+  let p = multiway_cut ~n:5 edges ~terminals:[ 0; 2; 4 ] in
   Alcotest.(check int) "terminal 0" 0 p.Multiway.assignment.(0);
   Alcotest.(check int) "terminal 2" 1 p.Multiway.assignment.(2);
   Alcotest.(check int) "terminal 4" 2 p.Multiway.assignment.(4)
@@ -367,10 +417,10 @@ let test_multiway_terminal_ownership () =
 let test_multiway_unreached_to_terminal_zero () =
   (* {5,6} shares no component with a terminal; 4 is a lone terminal. *)
   let edges = Array.of_list (undirected 0 1 5 @ undirected 2 3 5 @ undirected 5 6 5) in
-  let two = Multiway.multiway_cut ~n:7 edges ~terminals:[ 0; 2 ] in
+  let two = multiway_cut ~n:7 edges ~terminals:[ 0; 2 ] in
   Alcotest.(check (array int)) "two terminals" [| 0; 0; 1; 1; 0; 0; 0 |] two.Multiway.assignment;
   Alcotest.(check int) "two terminals cost" 0 two.Multiway.cost;
-  let three = Multiway.multiway_cut ~n:7 edges ~terminals:[ 0; 2; 4 ] in
+  let three = multiway_cut ~n:7 edges ~terminals:[ 0; 2; 4 ] in
   Alcotest.(check (array int)) "three terminals" [| 0; 0; 1; 1; 2; 0; 0 |]
     three.Multiway.assignment;
   Alcotest.(check int) "three terminals cost" 0 three.Multiway.cost
@@ -378,11 +428,11 @@ let test_multiway_unreached_to_terminal_zero () =
 let test_multiway_terminal_order () =
   (* Machine i is the i-th terminal as listed, not in sorted order. *)
   let edges = Array.of_list (undirected 0 1 1 @ undirected 2 3 1) in
-  let p = Multiway.multiway_cut ~n:5 edges ~terminals:[ 4; 2; 0 ] in
+  let p = multiway_cut ~n:5 edges ~terminals:[ 4; 2; 0 ] in
   Alcotest.(check (array int)) "listed order" [| 2; 2; 1; 1; 0 |] p.Multiway.assignment;
   Alcotest.check_raises "repeated terminal"
     (Invalid_argument "Multiway.multiway_cut: repeated terminal") (fun () ->
-      ignore (Multiway.multiway_cut ~n:5 edges ~terminals:[ 0; 2; 0 ]))
+      ignore (multiway_cut ~n:5 edges ~terminals:[ 0; 2; 0 ]))
 
 (* The k-way cut runs on the quotient of the infinite edges. This
    reference owns no quotient: it compiles every node with
@@ -475,7 +525,7 @@ let prop_multiway_equals_uncontracted =
           chains
       in
       let edges = Array.of_list (edges @ chain_edges) in
-      let p = Multiway.multiway_cut ~n edges ~terminals in
+      let p = multiway_cut ~n edges ~terminals in
       let assignment, cost = reference_multiway ~n edges ~terminals in
       p.Multiway.assignment = assignment && p.Multiway.cost = cost)
 
@@ -486,8 +536,9 @@ let prop_multiway_cost_consistent =
       if List.length terminals < 2 then true
       else
         let edges = Array.of_list edges in
-        let p = Multiway.multiway_cut ~n edges ~terminals in
-        Multiway.partition_cost edges p.Multiway.assignment = p.Multiway.cost)
+        let p = multiway_cut ~n edges ~terminals in
+        let src, dst, cap = Harness.columns edges in
+        Multiway.partition_cost ~src ~dst ~cap p.Multiway.assignment = p.Multiway.cost)
 
 let suite =
   [
@@ -497,6 +548,7 @@ let suite =
     Alcotest.test_case "undirected" `Quick test_undirected;
     Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
     Alcotest.test_case "of_edges rejects bad input" `Quick test_of_edges_rejects_bad_input;
+    qtest prop_of_edges_orders_input;
     Alcotest.test_case "clrs maxflow (all algorithms)" `Quick test_clrs_maxflow;
     Alcotest.test_case "cut edges sum to value" `Quick test_cut_edges_sum_to_value;
     Alcotest.test_case "cut separates terminals" `Quick test_cut_separates_terminals;

@@ -314,12 +314,13 @@ let reference_solve ~classifier ~constraints graph pricing =
   let placement =
     Array.init n (fun c -> if server_side.(c) then Constraints.Server else Constraints.Client)
   in
-  let location v = if v >= n then Constraints.Client else placement.(v) in
+  let host =
+    Array.init (n + 1) (fun v -> if v < n && placement.(v) = Constraints.Server then 1 else 0)
+  in
   {
     Analysis.placement;
     cut_ns = cut.Coign_flowgraph.Mincut.value;
-    predicted_comm_us =
-      Icc_graph.predicted_us graph pricing ~separated:(fun a b -> location a <> location b);
+    predicted_comm_us = Icc_graph.predicted_us graph pricing ~host;
     server_count = Array.fold_left (fun k l -> if l = Constraints.Server then k + 1 else k) 0 placement;
     node_count = n;
   }
@@ -518,6 +519,33 @@ let test_analysis_session_allocation () =
     true
     (words <= 1.25 *. 4_280.)
 
+(* A solve allocates only its result: the placement (n + 1 words) and
+   the distribution record with its boxed predicted time (8 words).
+   Repricing, the cut, the placement walk and the predicted-comm kernel
+   run on the session's preallocated buffers, and without a profiler no
+   closure is built. On the profiled o_oldwp0 session (n = 40) a solve
+   took 89 minor words while it wrapped its phases in closures and
+   priced predicted comm through one (48 beyond the placement; 113
+   words at n = 64 on octarine's all-scenario session); it now takes
+   49 (OCaml 5.1, dev and release builds alike). *)
+let test_solve_allocation () =
+  let open Coign_apps in
+  let app = Octarine.app in
+  let sc = App.scenario app "o_oldwp0" in
+  let image, _ =
+    Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
+      sc.App.sc_run
+  in
+  let session = Adps.analysis_session image in
+  let n = Analysis.Session.node_count session in
+  let words =
+    Harness.words_per_run 20 (fun () -> ignore (Analysis.Session.solve session ~net:exact_net))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per solve at n = %d" words n)
+    true
+    (words <= float_of_int (n + 16))
+
 let suite =
   [
     Alcotest.test_case "session matches choose on presets" `Quick test_session_matches_choose;
@@ -527,6 +555,7 @@ let suite =
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
     Alcotest.test_case "session components" `Quick test_session_components;
     Alcotest.test_case "analysis session allocation" `Quick test_analysis_session_allocation;
+    Alcotest.test_case "a solve allocates only its result" `Quick test_solve_allocation;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
     QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
