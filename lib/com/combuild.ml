@@ -31,8 +31,6 @@ let iface itype handlers =
 
 let ret v : handler = fun _ctx _args -> v
 
-let nop : handler = ret Value.Unit
-
 let arg_error what pos =
   Hresult.fail
     (Hresult.E_invalidarg (Printf.sprintf "expected %s at argument %d" what pos))

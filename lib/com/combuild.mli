@@ -18,9 +18,6 @@ val iface : Itype.t -> (string * handler) list -> Itype.t * Runtime.dispatch
 val ret : Coign_idl.Value.t -> handler
 (** Handler that ignores its arguments and returns a constant. *)
 
-val nop : handler
-(** [ret Value.Unit]. *)
-
 val get_int : Coign_idl.Value.t list -> int -> int
 (** Fetch an [Int] argument by position; raises [Com_error E_invalidarg]
     on shape mismatch — component implementations should not crash on

@@ -17,7 +17,6 @@ type ctx = {
   mutable nhandles : int;
   mutable create_hook : (component_class -> iid:Guid.t -> handle) option;
   mutable query_hook : (handle -> iid:Guid.t -> handle) option;
-  mutable destroy_hook : (instance_id -> unit) option;
   mutable wrapper_hook : (handle -> meth:int -> Value.t list -> Value.t) option;
   compute : float array;  (* one cell, so a charge boxes nothing *)
   data : (int, Obj.t) Hashtbl.t;
@@ -44,7 +43,6 @@ and instance = {
   (* The canonical handle of each interface, aligned with [inst_impl];
      -1 until first asked for. *)
   mutable inst_handles : int array;
-  mutable inst_alive : bool;
 }
 
 let define_class ?(api_refs = []) ?(creates = []) cname constructor =
@@ -75,7 +73,7 @@ let dummy_impl : Itype.t * dispatch =
   (Itype.declare "IUnknown" [], fun _ ~meth:_ _ -> Value.Unit)
 
 let dummy_instance =
-  { inst_id = -1; inst_class = None; inst_impl = []; inst_handles = [||]; inst_alive = false }
+  { inst_id = -1; inst_class = None; inst_impl = []; inst_handles = [||] }
 
 let create_ctx reg =
   let ctx =
@@ -88,7 +86,6 @@ let create_ctx reg =
       nhandles = 0;
       create_hook = None;
       query_hook = None;
-      destroy_hook = None;
       wrapper_hook = None;
       compute = [| 0. |];
       data = Hashtbl.create 8;
@@ -96,7 +93,7 @@ let create_ctx reg =
   in
   (* Instance 0: the application main program. *)
   ctx.instances.(0) <-
-    { inst_id = 0; inst_class = None; inst_impl = []; inst_handles = [||]; inst_alive = true };
+    { inst_id = 0; inst_class = None; inst_impl = []; inst_handles = [||] };
   ctx.ninstances <- 1;
   ctx
 
@@ -165,9 +162,7 @@ let canonical_handle ctx inst iid =
 let instantiate ctx cls =
   grow_instances ctx;
   let id = ctx.ninstances in
-  let inst =
-    { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = [||]; inst_alive = true }
-  in
+  let inst = { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = [||] } in
   ctx.instances.(id) <- inst;
   ctx.ninstances <- id + 1;
   (* Constructor may itself create components. *)
@@ -191,32 +186,15 @@ let create_instance ctx clsid ~iid =
 
 let raw_query_interface ctx h ~iid =
   check_handle ctx h;
-  let inst = get_instance ctx ctx.handle_ints.(2 * h) in
-  if not inst.inst_alive then
-    Hresult.fail (Hresult.E_pointer (Printf.sprintf "instance %d is dead" inst.inst_id));
-  canonical_handle ctx inst iid
+  canonical_handle ctx (get_instance ctx ctx.handle_ints.(2 * h)) iid
 
 let query_interface ctx h ~iid =
   match ctx.query_hook with
   | None -> raw_query_interface ctx h ~iid
   | Some hook -> hook h ~iid
 
-let destroy_instance ctx id =
-  let inst = get_instance ctx id in
-  if id = main_instance then
-    Hresult.fail (Hresult.E_invalidarg "cannot destroy the main instance");
-  if not inst.inst_alive then
-    Hresult.fail (Hresult.E_invalidarg (Printf.sprintf "instance %d already dead" id));
-  (match ctx.destroy_hook with Some hook -> hook id | None -> ());
-  inst.inst_alive <- false
-
 let call ctx h ~meth args =
   check_handle ctx h;
-  let inst = get_instance ctx ctx.handle_ints.(2 * h) in
-  if not inst.inst_alive then
-    Hresult.fail
-      (Hresult.E_pointer
-         (Printf.sprintf "call through handle %d of dead instance %d" h inst.inst_id));
   let itype, dispatch = ctx.handle_impls.(h) in
   if meth < 0 || meth >= Itype.method_count itype then
     Hresult.fail
@@ -239,15 +217,6 @@ let call_slot ctx h (slot : Itype.slot) args =
             (Itype.name slot.slot_itype) (Itype.name itype)));
   call ctx h ~meth:slot.slot_index args
 
-let call_named ctx h mname args =
-  let itype = handle_itype ctx h in
-  match Itype.method_index itype mname with
-  | meth -> call ctx h ~meth args
-  | exception Not_found ->
-      Hresult.fail
-        (Hresult.E_invalidarg
-           (Printf.sprintf "interface %s has no method %S" (Itype.name itype) mname))
-
 let handle_owner ctx h =
   check_handle ctx h;
   ctx.handle_ints.(2 * h)
@@ -266,20 +235,10 @@ let instance_class_name ctx id =
 
 let instance_itypes ctx id = List.map fst (get_instance ctx id).inst_impl
 
-let instance_alive ctx id = (get_instance ctx id).inst_alive
-
 let instance_count ctx = ctx.ninstances
-
-let live_instances ctx =
-  let rec go i acc =
-    if i < 1 then acc
-    else go (i - 1) (if ctx.instances.(i).inst_alive then i :: acc else acc)
-  in
-  go (ctx.ninstances - 1) []
 
 let set_create_hook ctx hook = ctx.create_hook <- hook
 let set_query_hook ctx hook = ctx.query_hook <- hook
-let set_destroy_hook ctx hook = ctx.destroy_hook <- hook
 let set_wrapper_hook ctx hook = ctx.wrapper_hook <- hook
 
 let charge ctx ~us =
@@ -288,7 +247,6 @@ let charge ctx ~us =
 
 let compute_clock ctx = ctx.compute
 let compute_us ctx = ctx.compute.(0)
-let reset_compute ctx = ctx.compute.(0) <- 0.
 
 type 'a key = int
 

@@ -1,7 +1,7 @@
 (** The component object runtime.
 
     Holds everything a running component application needs: the class
-    registry, live component instances, and the interface-handle table
+    registry, component instances, and the interface-handle table
     through which all inter-component calls flow. Mirrors the COM
     properties Coign depends on (paper §2):
 
@@ -107,11 +107,6 @@ val query_interface : ctx -> handle -> iid:Guid.t -> handle
 
 val raw_query_interface : ctx -> handle -> iid:Guid.t -> handle
 
-val destroy_instance : ctx -> instance_id -> unit
-(** Release an instance; its handles become stale. Consults the destroy
-    hook. Destroying [main_instance] or an already-dead instance raises
-    [Com_error E_invalidarg]. *)
-
 (** {1 Calls} *)
 
 val call : ctx -> handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t
@@ -119,7 +114,7 @@ val call : ctx -> handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Valu
     its return value. All inter-component communication in an
     application goes through here. Allocates nothing itself: a call
     through a plain handle costs what the method allocates. Raises
-    [Com_error E_pointer] on an unknown handle or a dead instance and
+    [Com_error E_pointer] on an unknown handle and
     [Com_error E_invalidarg] on an index the interface lacks. *)
 
 val call_slot : ctx -> handle -> Itype.slot -> Coign_idl.Value.t list -> Coign_idl.Value.t
@@ -128,10 +123,6 @@ val call_slot : ctx -> handle -> Itype.slot -> Coign_idl.Value.t list -> Coign_i
     how applications call. Raises [Com_error E_invalidarg] when the
     handle's interface is not, physically, the slot's, so a slot of
     another interface never runs a method of this one. *)
-
-val call_named : ctx -> handle -> string -> Coign_idl.Value.t list -> Coign_idl.Value.t
-(** Resolve the method by name on the handle's itype, then {!call}: a
-    lookup per call, for test drivers. *)
 
 (** {1 Handle and instance introspection (used by the Coign RTE)} *)
 
@@ -154,12 +145,8 @@ val instance_itypes : ctx -> instance_id -> Itype.t list
 
 val instance_class_name : ctx -> instance_id -> string
 
-val instance_alive : ctx -> instance_id -> bool
 val instance_count : ctx -> int
 (** Number of instances ever created, including [main]. *)
-
-val live_instances : ctx -> instance_id list
-(** Ascending ids of live instances, excluding [main]. *)
 
 (** {1 Interception hooks} *)
 
@@ -168,13 +155,12 @@ val set_create_hook : ctx -> (component_class -> iid:Guid.t -> handle) option ->
     requested IID. *)
 
 val set_query_hook : ctx -> (handle -> iid:Guid.t -> handle) option -> unit
-val set_destroy_hook : ctx -> (instance_id -> unit) option -> unit
 
 val set_wrapper_hook :
   ctx -> (handle -> meth:int -> Coign_idl.Value.t list -> Coign_idl.Value.t) option -> unit
 (** Every call through a wrapper ({!alloc_wrapper}) goes to the hook,
-    given the wrapper handle, once {!call} has checked the handle, the
-    instance and the method index. *)
+    given the wrapper handle, once {!call} has checked the handle and
+    the method index. *)
 
 (** {1 Compute accounting}
 
@@ -185,11 +171,10 @@ val charge : ctx -> us:float -> unit
 (** Record [us] microseconds of computation by the current method. *)
 
 val compute_us : ctx -> float
-val reset_compute : ctx -> unit
 
 val compute_clock : ctx -> float array
-(** The one cell {!charge} adds into and {!reset_compute} zeroes, for
-    a reader that must take the clock without boxing it. *)
+(** The one cell {!charge} adds into, for a reader that must take the
+    clock without boxing it. *)
 
 (** {1 User-data slots}
 

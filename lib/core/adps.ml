@@ -276,33 +276,30 @@ let execute_with_policy ?logger ?tracer ?metrics ~registry ~classifier ~policy ~
     (execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network
        ?jitter ?seed ?faults ?retry ?resilience ?watch scenario)
 
+(* The classifier and the placement policy a distributed image runs
+   under; [entry] names the caller in the error. *)
+let stored_policy ~entry image =
+  if Config_record.mode (config_of image) <> Config_record.Distributed then
+    invalid_arg (entry ^ ": image is not in distributed mode");
+  match load_distribution image with
+  | None -> invalid_arg (entry ^ ": image holds no distribution")
+  | Some (classifier, distribution) -> (classifier, Factory.By_classification distribution)
+
 let execute ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults ?retry
     ?resilience ?watch scenario =
-  let config = config_of image in
-  if Config_record.mode config <> Config_record.Distributed then
-    invalid_arg "Adps.execute: image is not in distributed mode";
-  match load_distribution image with
-  | None -> invalid_arg "Adps.execute: image holds no distribution"
-  | Some (classifier, distribution) ->
-      execute_with_policy ?logger ?tracer ?metrics ~registry ~classifier
-        ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults ?retry
-        ?resilience ?watch scenario
+  let classifier, policy = stored_policy ~entry:"Adps.execute" image in
+  execute_with_policy ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network ?jitter
+    ?seed ?faults ?retry ?resilience ?watch scenario
 
-(* Pool runs report fleet counters alongside the shared stats. *)
+(* Pool runs report the pool's own counters alongside the run's stats. *)
 let execute_fleet ?logger ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults
     ?retry ~fleet scenario =
-  let config = config_of image in
-  if Config_record.mode config <> Config_record.Distributed then
-    invalid_arg "Adps.execute_fleet: image is not in distributed mode";
-  match load_distribution image with
-  | None -> invalid_arg "Adps.execute_fleet: image holds no distribution"
-  | Some (classifier, distribution) ->
-      let stats, fs =
-        execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier
-          ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults
-          ?retry ~fleet scenario
-      in
-      (stats, Option.get fs)
+  let classifier, policy = stored_policy ~entry:"Adps.execute_fleet" image in
+  let stats, fs =
+    execute_with_policy_full ?logger ?tracer ?metrics ~registry ~classifier ~policy ~network
+      ?jitter ?seed ?faults ?retry ~fleet scenario
+  in
+  (stats, Option.get fs)
 
 (* Build the resilience ladder for a profiled image: rung 0 is the
    image's stored distribution when it has one (so failback restores

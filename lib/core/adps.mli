@@ -217,9 +217,10 @@ val execute_fleet :
   scenario ->
   exec_stats * Rte.fleet_stats
 (** {!execute} under a replicated server pool ({!Rte.fleet_config}),
-    returning the pool counters alongside the shared stats. A pool of
-    one routes exactly as {!execute} with the equivalent [resilience]
-    does, so its stats are bit-identical to that run's. *)
+    returning the pool's own counters ({!Rte.fleet_stats}) alongside
+    the run's stats, which hold its breaker and ladder counters. A pool
+    of one routes exactly as {!execute} with the equivalent
+    [resilience] does, so its stats are bit-identical to that run's. *)
 
 val fallback_ladder :
   image:Coign_image.Binary_image.t ->

@@ -10,15 +10,6 @@ type distribution = {
   node_count : int;
 }
 
-let price_entry net (e : Icc.entry) =
-  Exp_bucket.fold
-    (fun ~index ~count ~bytes:_ acc ->
-      let mean = Exp_bucket.mean_bytes_in_bucket e.Icc.messages index in
-      acc
-      +. (float_of_int count
-         *. Net_profiler.predict_us net ~bytes:(int_of_float (Float.round mean))))
-    e.Icc.messages 0.
-
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
 (* The classifications of each class name among the first [n],
@@ -474,12 +465,6 @@ let server_classifications d =
     if d.placement.(c) = Constraints.Server then acc := c :: !acc
   done;
   !acc
-
-let comm_time_under ~icc ~net ~placement =
-  List.fold_left
-    (fun acc (e : Icc.entry) ->
-      if placement e.Icc.src <> placement e.Icc.dst then acc +. price_entry net e else acc)
-    0. (Icc.entries icc)
 
 exception Decode_error of string
 

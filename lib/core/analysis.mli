@@ -181,21 +181,6 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val server_classifications : distribution -> int list
 
-val comm_time_under :
-  icc:Icc.t -> net:Coign_netsim.Net_profiler.t ->
-  placement:(int -> Constraints.location) -> float
-(** Predicted communication time (µs) of an arbitrary placement: the
-    priced traffic of every ICC entry whose endpoints are separated.
-    Useful for evaluating default/manual distributions against Coign's.
-    Calls over non-remotable interfaces that the placement separates
-    are priced as if remotable (a real run would fault — see
-    {!Rte}). *)
-
-val price_entry : Coign_netsim.Net_profiler.t -> Icc.entry -> float
-(** Time (µs) for one ICC entry's messages if its endpoints were
-    separated: per-bucket message count times the fitted per-message
-    time at the bucket's mean size. *)
-
 val encode : distribution -> string
 (** A header line [node_count cut_ns predicted_comm_us rtf] (the last
     field names the solver, push-relabel in the paper's lift-to-front

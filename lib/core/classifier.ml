@@ -41,7 +41,6 @@ type t = {
   mutable counts : int array;             (* instances per classification *)
   mutable nclassifications : int;
   mutable order : int;                    (* instantiation ordinal *)
-  mutable counting : bool;
 }
 
 let create ?stack_depth ckind =
@@ -57,7 +56,6 @@ let create ?stack_depth ckind =
     counts = Array.make 64 0;
     nclassifications = 0;
     order = 0;
-    counting = true;
   }
 
 let kind t = t.ckind
@@ -152,7 +150,7 @@ let classify t ~cname ~stack =
         t.nclassifications <- id + 1;
         id
   in
-  if t.counting then t.counts.(id) <- t.counts.(id) + 1;
+  t.counts.(id) <- t.counts.(id) + 1;
   id
 
 let lookup t ~cname ~stack = Hashtbl.find_opt t.table (descriptor t ~cname ~stack)
@@ -178,8 +176,6 @@ let descriptor_of_classification t id =
 let class_of_classification t id =
   if id < 0 || id >= t.nclassifications then invalid_arg "Classifier.class_of_classification";
   t.classes.(id)
-
-let freeze_counts t = t.counting <- false
 
 let copy t =
   let c = create ?stack_depth:t.depth t.ckind in
@@ -428,7 +424,7 @@ let classify_memo m ~cname stack =
       let id = probe m.m_buckets.(h land (Array.length m.m_buckets - 1)) m.m_key len h in
       if id >= 0 then begin
         t.order <- t.order + 1;
-        if t.counting then t.counts.(id) <- t.counts.(id) + 1;
+        t.counts.(id) <- t.counts.(id) + 1;
         id
       end
       else begin

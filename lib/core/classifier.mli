@@ -54,12 +54,6 @@ val descriptor : t -> cname:string -> stack:Frame.t list -> string
     it. [stack] is most-recent-first. Pure except for [Incremental], whose descriptor includes
     the would-be instantiation ordinal. *)
 
-val classify : t -> cname:string -> stack:Frame.t list -> int
-(** Assign (creating if needed) the classification for an instantiation
-    with the given context, and count the instance against it.
-    Classifications are dense non-negative integers, stable for the
-    lifetime of the classifier state. *)
-
 val lookup : t -> cname:string -> stack:Frame.t list -> int option
 (** The classification this context would map to, or [None] if the
     descriptor has never been seen. Does not record anything. *)
@@ -76,12 +70,6 @@ val descriptor_of_classification : t -> int -> string
 
 val class_of_classification : t -> int -> string
 (** Component class name the classification belongs to. *)
-
-val freeze_counts : t -> unit
-(** Stop counting instances (used when replaying a test scenario
-    against profiled state to measure how many *new* classifications
-    appear without polluting the profile counts). New descriptors still
-    allocate fresh classifications. *)
 
 val copy : t -> t
 (** Independent copy of the classifier state. *)
@@ -132,8 +120,12 @@ val site : memo -> cls:string -> iface:string -> meth:string -> int
     interned on first use — what a {!Shadow_stack} frame carries. *)
 
 val classify_memo : memo -> cname:string -> Shadow_stack.t -> int
-(** Exactly [classify t ~cname ~stack] on the stack's frames spelled
-    out most recent first — the same id, descriptor table, [counts] and
-    ordinal — through the memo. Every site on the stack must come from
-    {!site} on this memo. [Incremental], whose descriptor is the
-    ordinal, always takes the descriptor path, with no frames. *)
+(** Assign (creating if needed) the classification for an instantiation
+    of [cname] from the given stack, and count the instance against it.
+    Classifications are dense non-negative integers, stable for the
+    lifetime of the classifier state. A hit gives exactly what a miss
+    would — the same id, descriptor table, [counts] and ordinal — where
+    a miss renders the {!descriptor} of the stack's frames spelled out
+    most recent first. Every site on the stack must come from {!site}
+    on this memo. [Incremental], whose descriptor is the ordinal, always
+    takes the descriptor path, with no frames. *)

@@ -20,9 +20,6 @@ let vector run ~dims ~price peers inst =
     (peers inst);
   v
 
-let instance_vector run ~dims ~price inst =
-  vector run ~dims ~price (Inst_comm.peers run.comm) inst
-
 let classification_profiles ~runs ~dims ~price =
   let sums : (int, float array * int ref) Hashtbl.t = Hashtbl.create 256 in
   List.iter

@@ -23,17 +23,13 @@ type price = count:int -> bytes:int -> float
     [bytes], if the peer were remote (typically from a
     {!Coign_netsim.Net_profiler} fit). *)
 
-val instance_vector : run -> dims:int -> price:price -> int -> float array
-(** [instance_vector run ~dims ~price inst]: dimension [c < dims] is
-    time with peers classified [c]; dimension [dims] (the array has
-    [dims + 1] slots) collects peers with classification outside
-    [0..dims-1]. *)
-
 val classification_profiles :
   runs:run list -> dims:int -> price:price -> (int, float array) Hashtbl.t
 (** Mean vector per classification across all instances of that
     classification in the profiling runs — the "profile" a future
-    instance is correlated against. *)
+    instance is correlated against. Dimension [c < dims] is time with
+    peers classified [c]; dimension [dims] (the array has [dims + 1]
+    slots) collects peers with classification outside [0..dims-1]. *)
 
 val correlation : float array -> float array -> float
 (** Normalized dot product in [0, 1]. *)

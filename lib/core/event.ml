@@ -2,9 +2,7 @@ open Coign_util
 
 type t =
   | Component_instantiated of { inst : int; cname : string; classification : int; creator : int }
-  | Component_destroyed of { inst : int }
   | Interface_instantiated of { owner : int; iface : string; handle : int }
-  | Interface_destroyed of { owner : int; iface : string; handle : int }
   | Interface_call of {
       caller : int;
       caller_classification : int;
@@ -62,9 +60,7 @@ type t =
 
 let kind_name = function
   | Component_instantiated _ -> "component_instantiated"
-  | Component_destroyed _ -> "component_destroyed"
   | Interface_instantiated _ -> "interface_instantiated"
-  | Interface_destroyed _ -> "interface_destroyed"
   | Interface_call _ -> "interface_call"
   | Call_retried _ -> "call_retried"
   | Instantiation_degraded _ -> "instantiation_degraded"
@@ -87,10 +83,7 @@ let fields = function
         ("classification", Jsonu.Int classification);
         ("creator", Jsonu.Int creator);
       ]
-  | Component_destroyed { inst } -> [ ("inst", Jsonu.Int inst) ]
   | Interface_instantiated { owner; iface; handle } ->
-      [ ("owner", Jsonu.Int owner); ("iface", Jsonu.Str iface); ("handle", Jsonu.Int handle) ]
-  | Interface_destroyed { owner; iface; handle } ->
       [ ("owner", Jsonu.Int owner); ("iface", Jsonu.Str iface); ("handle", Jsonu.Int handle) ]
   | Interface_call
       {

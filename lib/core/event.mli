@@ -1,6 +1,5 @@
 (** Application events reported to information loggers (paper §3.3):
-    component instantiations and destructions, interface instantiations
-    and destructions, and interface calls. *)
+    component and interface instantiations and interface calls. *)
 
 type t =
   | Component_instantiated of {
@@ -9,9 +8,7 @@ type t =
       classification : int;
       creator : int;  (** instance on whose behalf the request was made *)
     }
-  | Component_destroyed of { inst : int }
   | Interface_instantiated of { owner : int; iface : string; handle : int }
-  | Interface_destroyed of { owner : int; iface : string; handle : int }
   | Interface_call of {
       caller : int;                (** calling instance *)
       caller_classification : int;
@@ -114,18 +111,16 @@ type t =
           shrinking or growing the server pool *)
 
 val kind_name : t -> string
-(** Stable lowercase tag for each constructor — the key under which
-    {!Logger.tally} counts events. *)
+(** Stable lowercase tag for each constructor. *)
 
 val fields : t -> (string * Coign_util.Jsonu.t) list
 (** The record's fields, named exactly as the record labels, in
     declaration order — the attributes of the RTE's ["event"] spans. *)
 
 val to_line : t -> string
-(** The stable machine-readable line format emitted by
-    {!Logger.to_channel}: the {!kind_name} tag followed by
-    [field=value] pairs, tab-separated, fields in declaration order.
-    Values are JSON literals (strings quoted and escaped, so tabs and
-    newlines inside names cannot break the framing). No trailing
-    newline. *)
+(** The stable machine-readable line format: the {!kind_name} tag
+    followed by [field=value] pairs, tab-separated, fields in
+    declaration order. Values are JSON literals (strings quoted and
+    escaped, so tabs and newlines inside names cannot break the
+    framing). No trailing newline. *)
 

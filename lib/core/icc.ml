@@ -91,17 +91,6 @@ let entries t =
            let c = Int.compare a.dst b.dst in
            if c <> 0 then c else String.compare a.iface b.iface)
 
-let pair_entries t =
-  let pairs = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let key = (min e.src e.dst, max e.src e.dst) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt pairs key) in
-      Hashtbl.replace pairs key (e :: cur))
-    (entries t);
-  Hashtbl.fold (fun k es acc -> (k, List.rev es) :: acc) pairs []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let fold_messages f t init =
   Int_table.fold
     (fun _ (c : cell) acc ->

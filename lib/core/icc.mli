@@ -45,10 +45,6 @@ val record_interned :
 val entries : t -> entry list
 (** Deterministic order (sorted by key). *)
 
-val pair_entries : t -> ((int * int) * entry list) list
-(** Entries grouped by unordered classification pair; the pair key is
-    [(min, max)]. *)
-
 val fold_messages :
   (src:int -> dst:int -> count:int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold the message count of every (src, dst, iface) cell without

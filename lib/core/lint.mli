@@ -58,9 +58,6 @@ val diag : string -> severity -> string -> string -> diagnostic
 val order : diagnostic list -> diagnostic list
 (** Deterministic report order: by code, then subject, then message. *)
 
-val lint_meta : Coign_image.Image_meta.t -> diagnostic list
-(** The metadata-only checks (CG001/CG002/CG004/CG005/CG006), unordered. *)
-
 val lint_image : Coign_image.Binary_image.t -> diagnostic list
 (** All checks applicable to the image, ordered. Runs the interface-flow
     analysis when the image has metadata. *)

@@ -547,38 +547,31 @@ let publish r reg =
   end
 
 type stats = {
-  fs_breaker_opens : int;
-  fs_breaker_closes : int;
-  fs_failovers : int;
-  fs_failbacks : int;
-  fs_migrations : int;
-  fs_stranded_calls : int;
-  fs_rescued_calls : int;
   fs_promotions : int;
   fs_splits : int;
   fs_resizes : int;
   fs_inter_host_calls : int;
-  fs_final_rung : int;
   fs_final_hosts : int;
   fs_final_shards : int;
 }
 
 let pool r = r.r_pool
 
+let breaker_opens r = r.r_opens
+let breaker_closes r = r.r_closes
+let failovers r = r.r_failovers
+let failbacks r = r.r_failbacks
+let migrations r = r.r_migrations
+let stranded_calls r = r.r_stranded
+let rescued_calls r = r.r_rescued
+let rung r = r.r_rung
+
 let stats r =
   {
-    fs_breaker_opens = r.r_opens;
-    fs_breaker_closes = r.r_closes;
-    fs_failovers = r.r_failovers;
-    fs_failbacks = r.r_failbacks;
-    fs_migrations = r.r_migrations;
-    fs_stranded_calls = r.r_stranded;
-    fs_rescued_calls = r.r_rescued;
     fs_promotions = r.r_promotions;
     fs_splits = r.r_splits;
     fs_resizes = r.r_resizes;
     fs_inter_host_calls = r.r_inter_host;
-    fs_final_rung = r.r_rung;
     fs_final_hosts = (shape r).Pool.sh_hosts;
     fs_final_shards = Array.length r.r_active;
   }

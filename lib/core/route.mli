@@ -91,23 +91,29 @@ val publish : t -> Coign_obs.Metrics.registry -> unit
     to their final values, plus [coign_fleet_*] when the widest rung
     has more than one host. A retry-only route publishes nothing. *)
 
+(** {1 Counters}
+
+    The breaker and ladder counters, which [Rte.stats] reports: *)
+
+val breaker_opens : t -> int
+val breaker_closes : t -> int
+val failovers : t -> int
+val failbacks : t -> int
+val migrations : t -> int
+val stranded_calls : t -> int
+val rescued_calls : t -> int
+val rung : t -> int
+(** The rung the route stands on. *)
+
 type stats = {
-  fs_breaker_opens : int;
-  fs_breaker_closes : int;
-  fs_failovers : int;
-  fs_failbacks : int;
-  fs_migrations : int;
-  fs_stranded_calls : int;
-  fs_rescued_calls : int;
   fs_promotions : int;
   fs_splits : int;
   fs_resizes : int;
   fs_inter_host_calls : int;
-  fs_final_rung : int;
   fs_final_hosts : int;
   fs_final_shards : int;
 }
-(** [Rte.fleet_stats]. *)
+(** [Rte.fleet_stats]: the pool's own counters. *)
 
 val stats : t -> stats
 val pool : t -> bool

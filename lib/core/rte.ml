@@ -347,9 +347,6 @@ and on_create_run t (cls : Runtime.component_class) ~iid =
    queried directly. *)
 let on_query t h ~iid = wrap t (Runtime.raw_query_interface t.ctx h ~iid)
 
-let on_destroy t inst =
-  if t.env.observed then t.env.logger (Event.Component_destroyed { inst })
-
 let install ~env ~classifier ~mode ctx =
   let t =
     {
@@ -368,7 +365,6 @@ let install ~env ~classifier ~mode ctx =
   in
   Runtime.set_create_hook ctx (Some (on_create t));
   Runtime.set_query_hook ctx (Some (on_query t));
-  Runtime.set_destroy_hook ctx (Some (on_destroy t));
   Runtime.set_wrapper_hook ctx (Some (on_call t));
   t
 
@@ -426,7 +422,6 @@ let install_distributed ?logger ?tracer ?metrics ~classifier ~config ctx =
 let uninstall t =
   Runtime.set_create_hook t.ctx None;
   Runtime.set_query_hook t.ctx None;
-  Runtime.set_destroy_hook t.ctx None;
   Runtime.set_wrapper_hook t.ctx None;
   match t.env.metrics with
   | None -> ()
@@ -466,8 +461,6 @@ let call_counts t =
   Int_table.fold (fun k n acc -> (pair_of_key k, n) :: acc) t.pair_counts [] |> List.sort compare
 
 let comm_us t = t.env.spent.Fault.comm_us
-let remote_calls t = t.env.n_remote_calls
-let remote_bytes t = t.env.n_remote_bytes
 let intercepted_calls t = t.n_intercepted
 let route_of t = match t.mode with M_profiling _ -> None | M_distributed m -> Some m.m_route
 
@@ -481,18 +474,10 @@ let watch_placement t = Option.map Watch.placement (watch_of t)
 let watch_tap_counts t = Option.map Watch.tap_counts (watch_of t)
 
 type fleet_stats = Route.stats = {
-  fs_breaker_opens : int;
-  fs_breaker_closes : int;
-  fs_failovers : int;
-  fs_failbacks : int;
-  fs_migrations : int;
-  fs_stranded_calls : int;
-  fs_rescued_calls : int;
   fs_promotions : int;
   fs_splits : int;
   fs_resizes : int;
   fs_inter_host_calls : int;
-  fs_final_rung : int;
   fs_final_hosts : int;
   fs_final_shards : int;
 }
@@ -533,7 +518,7 @@ type stats = {
 
 let stats t =
   let e = t.env in
-  let r = Option.map Route.stats (route_of t) in
+  let r = route_of t in
   let ri f = match r with None -> 0 | Some r -> f r in
   let w = Option.map Watch.stats (watch_of t) in
   let wi f = match w with None -> 0 | Some w -> f w in
@@ -548,14 +533,14 @@ let stats t =
     st_fallbacks = e.n_fallbacks;
     st_unreachable = e.n_unreachable;
     st_fault_us = e.spent.Fault.fault_us;
-    st_breaker_opens = ri (fun r -> r.fs_breaker_opens);
-    st_breaker_closes = ri (fun r -> r.fs_breaker_closes);
-    st_failovers = ri (fun r -> r.fs_failovers);
-    st_failbacks = ri (fun r -> r.fs_failbacks);
-    st_migrations = ri (fun r -> r.fs_migrations);
-    st_stranded_calls = ri (fun r -> r.fs_stranded_calls);
-    st_rescued_calls = ri (fun r -> r.fs_rescued_calls);
-    st_final_rung = ri (fun r -> r.fs_final_rung);
+    st_breaker_opens = ri Route.breaker_opens;
+    st_breaker_closes = ri Route.breaker_closes;
+    st_failovers = ri Route.failovers;
+    st_failbacks = ri Route.failbacks;
+    st_migrations = ri Route.migrations;
+    st_stranded_calls = ri Route.stranded_calls;
+    st_rescued_calls = ri Route.rescued_calls;
+    st_final_rung = ri Route.rung;
     st_drift_checks = wi (fun w -> w.Watch.checks);
     st_drift_detections = wi (fun w -> w.Watch.detections);
     st_repartitions = wi (fun w -> w.Watch.repartitions);

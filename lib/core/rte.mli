@@ -33,15 +33,14 @@ val install_profiling :
   t
 (** Instrument a context for scenario-based profiling. Every call and
     instantiation is recorded straight into {!icc} and {!inst_comm};
-    [logger] (e.g. a {!Coign_obs.Sink.collector}; {!Coign_obs.Sink.tee}
-    composes several) receives the {!Event.t} stream, whose values are
-    built only when a logger or a tracer is attached. Replaying that
-    stream through {!Logger.profiling} rebuilds the same summaries.
+    [logger] (e.g. a {!Coign_obs.Sink.collector}) receives the
+    {!Event.t} stream, whose values are built only when a logger or a
+    tracer is attached. Summarizing that stream's [Interface_call]
+    events rebuilds the same summaries.
 
     Instantiations are classified through a {!Classifier.memo} owned by
-    this install: same ids, descriptors and counts as
-    {!Classifier.classify}, without rendering a descriptor for a
-    context already seen.
+    this install, which renders no descriptor for a context already
+    seen.
 
     [tracer] records a span per intercepted call (category ["call"],
     named [Iface.method]) and per instantiation (category ["create"],
@@ -287,8 +286,6 @@ val factory : t -> Factory.t option
 val comm_us : t -> float
 (** Accumulated cross-machine communication time (µs). *)
 
-val remote_calls : t -> int
-val remote_bytes : t -> int
 val intercepted_calls : t -> int
 (** All calls that crossed a Coign wrapper, local or remote. *)
 
@@ -337,29 +334,23 @@ val watch_tap_counts : t -> (int * int) option
     is installed. *)
 
 type fleet_stats = {
-  fs_breaker_opens : int;   (** per-host breaker trips, summed *)
-  fs_breaker_closes : int;
-  fs_failovers : int;       (** switches down the pool ladder *)
-  fs_failbacks : int;       (** switches back up to the widest rung *)
-  fs_migrations : int;      (** instances moved live between hosts *)
-  fs_stranded_calls : int;  (** calls that waited on an open breaker *)
-  fs_rescued_calls : int;   (** failed calls completed locally after a
-                                pool change co-located their endpoints *)
   fs_promotions : int;      (** replica promotions (shard kept serving
                                 through a host loss) *)
   fs_splits : int;          (** hot shards split *)
   fs_resizes : int;         (** pool size changes (up or down) *)
   fs_inter_host_calls : int;  (** server-to-server calls that crossed
                                   pool hosts *)
-  fs_final_rung : int;
   fs_final_hosts : int;
   fs_final_shards : int;
 }
 
 val fleet_stats : t -> fleet_stats option
-(** Pool counters for every install with [dc_fleet], a pool of one
-    included; [None] otherwise. The breaker and ladder counters are the
-    ones {!stats} reports. *)
+(** The pool's own counters for every install with [dc_fleet], a pool
+    of one included; [None] otherwise. The pool's breaker and ladder
+    counters (per-host breaker trips summed, switches down and back up
+    the pool ladder, instances moved live between hosts, stranded and
+    rescued calls, the final rung) are the routing counters of
+    {!stats}. *)
 
 val call_counts : t -> ((int * int) * int) list
 (** Lightweight per-(caller classification, callee classification) call

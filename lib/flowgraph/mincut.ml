@@ -220,12 +220,7 @@ let run g sc ~s ~t =
     invalid_arg "Mincut.run: scratch/arena size mismatch";
   push_relabel g sc ~s ~t
 
-let min_cut g ~s ~t =
-  G.reset g;
-  let value = run g (scratch g) ~s ~t in
-  { value; source_side = G.min_cut_side g ~s }
-
-(* --- References for the tests ------------------------------------- *)
+(* --- A reference for verification ---------------------------------- *)
 
 (* Edmonds-Karp: shortest augmenting paths by BFS, sharing no code with
    the solver above. *)
@@ -273,25 +268,3 @@ let augmenting_path_min_cut g ~s ~t =
     else augmenting := false
   done;
   { value = !total; source_side = G.min_cut_side g ~s }
-
-let brute_force_min_cut ~n edges ~s ~t =
-  check_terminals n ~s ~t;
-  if n > 22 then invalid_arg "Mincut.brute_force_min_cut: too many nodes";
-  let best_value = ref max_int and best_mask = ref 0 in
-  (* Enumerate source-side sets containing s and excluding t. *)
-  for mask = 0 to (1 lsl n) - 1 do
-    if mask land (1 lsl s) <> 0 && mask land (1 lsl t) = 0 then begin
-      let v =
-        Array.fold_left
-          (fun acc (src, dst, cap) ->
-            if mask land (1 lsl src) <> 0 && mask land (1 lsl dst) = 0 then acc + cap
-            else acc)
-          0 edges
-      in
-      if v < !best_value then begin
-        best_value := v;
-        best_mask := mask
-      end
-    end
-  done;
-  { value = !best_value; source_side = Array.init n (fun v -> !best_mask land (1 lsl v) <> 0) }

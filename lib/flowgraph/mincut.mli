@@ -9,9 +9,9 @@
     textbook discharge order was pathologically slow on analysis
     graphs); because it runs to a genuine maximum flow, cut values and
     minimal source sides are identical to the textbook algorithm's.
-    Every cut the system makes runs it. Two references exist only for
-    the tests to check it against: an exponential brute-force
-    enumerator for small graphs and Edmonds-Karp for large ones. *)
+    Every cut the system makes runs it. Edmonds-Karp
+    ({!augmenting_path_min_cut}) is a reference that shares no code
+    with it, which the bench's mincut table checks it against. *)
 
 type cut = {
   value : int;                (** total capacity crossing the cut *)
@@ -41,19 +41,10 @@ val run : Flow_network.t -> scratch -> s:int -> t:int -> int
     {!Flow_network.min_cut_side_into}. Raises [Invalid_argument] on
     bad terminals or a scratch sized for a different arena. *)
 
-val min_cut : Flow_network.t -> s:int -> t:int -> cut
-(** Minimum s-t cut of the arena's base capacities: resets the arena,
-    solves on fresh scratch and reads off the minimal source side.
-    Raises [Invalid_argument] if [s = t] or either is out of range. *)
-
 val augmenting_path_min_cut : Flow_network.t -> s:int -> t:int -> cut
-(** {!min_cut} by Edmonds-Karp (shortest augmenting paths), a reference
-    for verification that shares no code with the solver: resets the
-    arena and leaves its maximum flow there. Any maximum flow leaves
-    the same minimal source side, so both fields equal {!min_cut}'s. *)
-
-val brute_force_min_cut :
-  n:int -> (int * int * int) array -> s:int -> t:int -> cut
-(** Exhaustive minimum cut of a raw [(src, dst, cap)] edge array over
-    nodes [0 .. n-1], for verification; exponential, refuses graphs
-    with more than 22 nodes. *)
+(** Minimum s-t cut of the arena's base capacities by Edmonds-Karp
+    (shortest augmenting paths), a reference for verification that
+    shares no code with the solver: resets the arena and leaves its
+    maximum flow there. Any maximum flow leaves the same minimal source
+    side, so both fields equal what {!run} after
+    {!Flow_network.reset} reads off. *)

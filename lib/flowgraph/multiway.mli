@@ -35,7 +35,3 @@ val multiway_cut :
     {!Flow_network.infinity_cap} edge, either way, keeps its ends on
     one machine unless infinite edges join two terminals. Nodes sharing
     no connected component with a terminal land on terminal 0. *)
-
-val partition_cost : src:int array -> dst:int array -> cap:int array -> int array -> int
-(** Capacity of all edges (the arrays {!multiway_cut} takes) whose
-    endpoints get different machines under a given assignment. *)

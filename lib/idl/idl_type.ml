@@ -50,12 +50,6 @@ let finite ty =
   in
   go [] ty
 
-let rec contains_iface = function
-  | Iface _ -> true
-  | Void | Int32 | Int64 | Double | Bool | Str | Blob | Opaque _ -> false
-  | Array t | Ptr t -> contains_iface t
-  | Struct fields -> List.exists (fun (_, t) -> contains_iface t) fields
-
 let rec pp ppf = function
   | Void -> Format.pp_print_string ppf "void"
   | Int32 -> Format.pp_print_string ppf "int32"

@@ -55,9 +55,4 @@ val finite : t -> bool
     of an unbounded recursive struct): the marshaler would never
     terminate on it. Detected by physical identity of ancestor nodes. *)
 
-val contains_iface : t -> bool
-(** Whether values of this type can carry interface pointers (needed by
-    the distribution informer, which walks parameters only far enough
-    to find interface pointers, §3.2). *)
-
 val pp : Format.formatter -> t -> unit

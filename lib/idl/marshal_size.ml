@@ -2,12 +2,6 @@ type error =
   | Not_remotable of string
   | Type_mismatch of { expected : Idl_type.t; got : Value.t }
 
-let pp_error ppf = function
-  | Not_remotable tag -> Format.fprintf ppf "not remotable: opaque<%s>" tag
-  | Type_mismatch { expected; got } ->
-      Format.fprintf ppf "type mismatch: expected %a, got %a" Idl_type.pp expected
-        Value.pp got
-
 (* Sizes follow NDR-ish conventions: 4-byte length prefixes, 4-byte
    null-flags for unique pointers, 8-byte alignment ignored (we model
    payload, not padding). OBJREF size approximates DCOM's standard
@@ -57,8 +51,7 @@ and array_size elt vs acc =
   | v :: tl -> array_size elt tl (acc + value_size_exn elt v)
 
 (* [ty]/[v] are the enclosing struct, carried only for the mismatch
-   payload — a field-name disagreement reports the whole struct, as the
-   result-based walk always did. *)
+   payload: a field-name disagreement reports the whole struct. *)
 and struct_size ty v fts fvs acc =
   match (fts, fvs) with
   | [], [] -> acc
@@ -67,8 +60,3 @@ and struct_size ty v fts fvs acc =
         struct_size ty v fts' fvs' (acc + value_size_exn fty fv)
       else raise (Err (Type_mismatch { expected = ty; got = v }))
   | _, _ -> raise (Err (Type_mismatch { expected = ty; got = v }))
-
-let value_size ty v =
-  match value_size_exn ty v with
-  | n -> Ok n
-  | exception Err e -> Error e

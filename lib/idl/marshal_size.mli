@@ -18,8 +18,6 @@ type error =
           lines in the paper's figures). *)
   | Type_mismatch of { expected : Idl_type.t; got : Value.t }
 
-val pp_error : Format.formatter -> error -> unit
-
 val scalar_overhead : int
 (** Per-message DCOM/RPC header bytes added to every request and every
     reply. *)
@@ -30,11 +28,8 @@ val objref_size : int
 exception Err of error
 (** Exception form of {!error}, raised by the [_exn] walks. *)
 
-val value_size : Idl_type.t -> Value.t -> (int, error) result
-(** Deep-copy size of a single value against its declared type. *)
-
 val value_size_exn : Idl_type.t -> Value.t -> int
-(** {!value_size} returning a plain int and raising [Err] on failure.
-    The success path allocates nothing — no result cells, closures or
+(** Deep-copy size of a single value against its declared type,
+    raising [Err] on failure. The success path allocates nothing — no result cells, closures or
     intermediate lists — so the profiling informer can size every
     intercepted call without touching the minor heap. *)

@@ -63,16 +63,6 @@ and map_fields fields f env fvs =
       if fv' == fv && fvs'' == fvs' then fvs
       else (if fv' == fv then field else (name, fv')) :: fvs''
 
-let handles_with p v =
-  let acc = ref [] in
-  ignore
-    (map_handles_with p
-       (fun acc h ->
-         acc := h :: !acc;
-         h)
-       acc v);
-  List.rev !acc
-
 type method_procs = {
   iface_procs : iface_proc list;
   ret_iface_proc : iface_proc;

@@ -15,23 +15,13 @@
 type iface_proc
 (** A declared type pruned to the paths that reach an [Iface]. *)
 
-val compile_iface_walk : Idl_type.t -> iface_proc
-
-val iface_walk_trivial : iface_proc -> bool
-(** [true] when the type cannot carry interface pointers, so the
-    distribution informer can skip the parameter entirely. *)
-
 val map_handles_with : iface_proc -> ('a -> int -> int) -> 'a -> Value.t -> Value.t
 (** [map_handles_with p f env v] replaces each interface handle [h] at
-    a position typed [Iface] by [f env h], in traversal order (the
-    order {!handles_with} lists them) — how the RTE swaps in wrapped
+    a position typed [Iface] by [f env h], in traversal order (fields
+    and elements left to right) — how the RTE swaps in wrapped
     interface pointers on the way through an intercepted call.
     Unchanged subtrees are shared, and when every handle maps to itself
     the result is [v] itself: no allocation. *)
-
-val handles_with : iface_proc -> Value.t -> int list
-(** Interface handles in traversal order; equals
-    [Value.iface_handles v] restricted to positions typed [Iface]. *)
 
 type method_procs = {
   iface_procs : iface_proc list;                     (** one per param *)

@@ -12,34 +12,6 @@ type t =
   | Iface_ref of int
   | Opaque_handle of string
 
-let rec conforms ty v =
-  match (ty, v) with
-  | Idl_type.Void, Unit -> true
-  | (Idl_type.Int32 | Idl_type.Int64), Int _ -> true
-  | Idl_type.Double, Float _ -> true
-  | Idl_type.Bool, Bool _ -> true
-  | Idl_type.Str, Str _ -> true
-  | Idl_type.Blob, Blob n -> n >= 0
-  | Idl_type.Array elt, Arr vs -> List.for_all (conforms elt) vs
-  | Idl_type.Struct fts, Struct fvs ->
-      List.length fts = List.length fvs
-      && List.for_all2
-           (fun (fname, fty) (vname, fv) -> String.equal fname vname && conforms fty fv)
-           fts fvs
-  | Idl_type.Ptr _, Null -> true
-  | Idl_type.Ptr pointee, Ref v -> conforms pointee v
-  | Idl_type.Iface _, Iface_ref _ -> true
-  | Idl_type.Iface _, Null -> true
-  | Idl_type.Opaque _, Opaque_handle _ -> true
-  | _, _ -> false
-
-let rec iface_handles = function
-  | Unit | Int _ | Float _ | Bool _ | Str _ | Blob _ | Null | Opaque_handle _ -> []
-  | Iface_ref h -> [ h ]
-  | Ref v -> iface_handles v
-  | Arr vs -> List.concat_map iface_handles vs
-  | Struct fvs -> List.concat_map (fun (_, v) -> iface_handles v) fvs
-
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"
   | Int i -> Format.pp_print_int ppf i

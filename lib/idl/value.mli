@@ -19,13 +19,4 @@ type t =
   | Iface_ref of int               (** interface handle *)
   | Opaque_handle of string        (** non-remotable raw pointer/handle *)
 
-val conforms : Idl_type.t -> t -> bool
-(** Structural conformance of a value to an IDL type. [Int] conforms to
-    both integer widths; [Null] and [Ref _] conform to [Ptr _];
-    [Iface_ref] conforms to any [Iface _]. *)
-
-val iface_handles : t -> int list
-(** All interface handles reachable in the value, in traversal order
-    (what the distribution informer extracts). *)
-
 val pp : Format.formatter -> t -> unit

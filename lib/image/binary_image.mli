@@ -31,9 +31,6 @@ val create :
 val class_api_refs : t -> string -> string list
 (** APIs referenced by a class; empty when unknown. *)
 
-val total_size : t -> int
-(** Sum of section sizes plus the encoded config record. *)
-
 val encode : t -> string
 val decode : string -> t
 (** Raises {!Codec.Malformed}. Round-trips with [encode]. *)

@@ -13,13 +13,6 @@ let w_u32 b v =
   Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
   Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF))
 
-let w_i64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done
-
-let w_f64 b v = w_i64 b (Int64.bits_of_float v)
-
 let w_str b s =
   w_u32 b (String.length s);
   Buffer.add_string b s
@@ -51,17 +44,6 @@ let r_u32 r =
   let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
   r.pos <- r.pos + 4;
   v
-
-let r_i64 r =
-  need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
-  r.pos <- r.pos + 8;
-  !v
-
-let r_f64 r = Int64.float_of_bits (r_i64 r)
 
 let r_str r =
   let n = r_u32 r in

@@ -1,14 +1,12 @@
 (** Tiny length-prefixed binary codec shared by the image format and the
     configuration record. All integers are unsigned LEB128-free fixed
-    32/64-bit little-endian; strings and blobs carry a 32-bit length. *)
+    8/32-bit little-endian; strings and blobs carry a 32-bit length. *)
 
 type writer
 
 val writer : unit -> writer
 val w_u8 : writer -> int -> unit
 val w_u32 : writer -> int -> unit
-val w_i64 : writer -> int64 -> unit
-val w_f64 : writer -> float -> unit
 val w_str : writer -> string -> unit
 val w_list : writer -> ('a -> unit) -> 'a list -> unit
 (** Writes a u32 count then each element via the callback. *)
@@ -22,8 +20,6 @@ exception Malformed of string
 val reader : string -> reader
 val r_u8 : reader -> int
 val r_u32 : reader -> int
-val r_i64 : reader -> int64
-val r_f64 : reader -> float
 val r_str : reader -> string
 val r_list : reader -> (reader -> 'a) -> 'a list
 val at_end : reader -> bool

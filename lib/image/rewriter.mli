@@ -8,19 +8,16 @@
     instrumentation and installs the lightweight distribution
     runtime. *)
 
-val runtime_dll : string
-(** Name of the injected runtime library ("coignrte.dll"). *)
-
 val is_instrumented : Binary_image.t -> bool
-(** The runtime DLL occupies the first import slot. *)
+(** The runtime DLL ([coignrte.dll]) occupies the first import slot. *)
 
 val instrument :
   ?classifier:string -> ?stack_depth:int option -> Binary_image.t -> Binary_image.t
 (** Produce the profiling-instrumented image: runtime DLL first in the
-    import table, config record in [Profiling] mode. Instrumenting an
-    already-instrumented image just updates the config. Existing
-    profile entries in the config record are preserved, so successive
-    scenario runs accumulate. *)
+    import table ([coignrte.dll]), config record in [Profiling] mode.
+    Instrumenting an already-instrumented image just updates the
+    config. Existing profile entries in the config record are
+    preserved, so successive scenario runs accumulate. *)
 
 val write_distribution :
   Binary_image.t -> entries:(string * string) list -> Binary_image.t

@@ -78,9 +78,6 @@ let predict_us t ~bytes =
   in
   Float.max 0. v
 
-let predict_round_trip_us t ~request ~reply =
-  predict_us t ~bytes:request +. predict_us t ~bytes:reply
-
 let exact net =
   {
     profiled_name = net.Network.net_name;

@@ -35,8 +35,6 @@ val predict_us : t -> bytes:int -> float
     profile), the fitted line. Reads the stored means; nothing is
     rebuilt per call. *)
 
-val predict_round_trip_us : t -> request:int -> reply:int -> float
-
 val exact : Network.t -> t
 (** A profile that reproduces the model exactly (no sampling noise, so
     no observations and no means) — for tests that need determinism

@@ -15,9 +15,6 @@ let[@inline] message_us t ~bytes =
   assert (bytes >= 0);
   t.proc_us +. t.latency_us +. (float_of_int bytes *. 8. /. t.bandwidth_mbps)
 
-let round_trip_us t ~request ~reply =
-  message_us t ~bytes:request +. message_us t ~bytes:reply
-
 (* Decomposition of [message_us] for queueing simulators: the protocol
    stack occupies a host CPU while the wire (propagation plus
    transmission) occupies the link, so the two components contend in

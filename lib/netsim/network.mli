@@ -21,10 +21,6 @@ val make : name:string -> latency_us:float -> bandwidth_mbps:float -> proc_us:fl
 val message_us : t -> bytes:int -> float
 (** One-way time to move a message: [proc + latency + bytes*8/bandwidth]. *)
 
-val round_trip_us : t -> request:int -> reply:int -> float
-(** A call's full communication time: request message plus reply
-    message (DCOM calls are synchronous). *)
-
 val host_us : t -> float
 (** The host-CPU share of {!message_us}: per-message protocol
     processing ([proc_us]). Under load this is the service demand a

@@ -113,12 +113,9 @@ let prometheus_escape ~quote v =
     v;
   Buffer.contents buf
 
-let escape_label_value = prometheus_escape ~quote:true
-let escape_help = prometheus_escape ~quote:false
-
 let label_body labels =
   String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v)) labels)
+    (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prometheus_escape ~quote:true v)) labels)
 
 let labeled name labels =
   if labels = [] then name else Printf.sprintf "%s{%s}" name (label_body labels)
@@ -145,7 +142,7 @@ let prometheus reg =
     (fun fa ->
       if fa.fa_help <> "" then
         Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" fa.fa_name (escape_help fa.fa_help));
+          (Printf.sprintf "# HELP %s %s\n" fa.fa_name (prometheus_escape ~quote:false fa.fa_help));
       Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" fa.fa_name fa.fa_kind);
       List.iter
         (fun se ->

@@ -58,23 +58,17 @@ val observe : histogram -> int -> unit
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> int
 
-val escape_label_value : string -> string
-(** Prometheus text-format escaping for a quoted label value: exactly
-    backslash, double-quote, and line-feed gain a backslash; every
-    other byte — tabs included — passes through raw. The format is not
-    JSON; JSON escaping would corrupt values a scraper reads back. *)
-
-val escape_help : string -> string
-(** Escaping for [# HELP] text, which is unquoted: backslash and
-    line-feed only — a double-quote stays raw. *)
-
 val prometheus : registry -> string
 (** Text exposition: [# HELP] / [# TYPE] headers and one
     [name{labels} value] line per series; histograms render cumulative
     [_bucket{le="..."}] lines over the {!Coign_util.Exp_bucket} bounds
     plus [_sum] and [_count]. Families are sorted by name and series by
     label set, so equal registries expose byte-identically. Non-finite
-    values print as [NaN], [+Inf] and [-Inf]. *)
+    values print as [NaN], [+Inf] and [-Inf]. Quoted label values
+    escape exactly backslash, double-quote and line-feed, and help text
+    backslash and line-feed; every other byte, tabs included, passes
+    through raw (JSON escaping would corrupt what a scraper reads
+    back). *)
 
 val json : registry -> Coign_util.Jsonu.t
 (** The registry as a JSON object keyed by family name, same ordering

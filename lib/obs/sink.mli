@@ -1,5 +1,5 @@
-(** Observer sinks (paper §3.3: information loggers are "replaceable
-    and composable").
+(** Observer sinks (paper §3.3: information loggers are
+    "replaceable").
 
     One shape for every stream the RTE reports: events
     ({!Coign_core.Logger}), spans ({!Trace}) and tap samples ({!Tap}).
@@ -13,6 +13,3 @@ val null : 'a t
 val collector : unit -> 'a t * (unit -> 'a list)
 (** In-memory sink; the second component returns the values received
     so far, oldest first. *)
-
-val tee : 'a t list -> 'a t
-(** Hand each value to several sinks, in list order. *)

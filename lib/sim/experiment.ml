@@ -85,20 +85,6 @@ let server_class_histogram row =
   Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) counts []
   |> List.sort (fun (ca, na) (cb, nb) -> compare (-na, ca) (-nb, cb))
 
-let placements_by_class row =
-  let totals = Hashtbl.create 32 and server = Hashtbl.create 32 in
-  for c = 0 to row.node_count - 1 do
-    let cls = Classifier.class_of_classification row.classifier c in
-    Hashtbl.replace totals cls (1 + Option.value ~default:0 (Hashtbl.find_opt totals cls));
-    if Analysis.location_of row.distribution c = Constraints.Server then
-      Hashtbl.replace server cls (1 + Option.value ~default:0 (Hashtbl.find_opt server cls))
-  done;
-  Hashtbl.fold
-    (fun cls total acc ->
-      (cls, Option.value ~default:0 (Hashtbl.find_opt server cls), total) :: acc)
-    totals []
-  |> List.sort compare
-
 type sweep_point = {
   sw_network : Network.t;
   sw_server_classifications : int;

@@ -59,11 +59,6 @@ val server_class_histogram : row -> (string * int) list
     contributes — the textual rendering of the paper's distribution
     figures. Sorted descending by count, then by name. *)
 
-val placements_by_class :
-  row -> (string * int * int) list
-(** [(class, server_classifications, total_classifications)] for every
-    class that appears in the analyzed graph. *)
-
 (** {1 Network adaptivity (paper §4.4)} *)
 
 type sweep_point = {

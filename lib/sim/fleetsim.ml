@@ -250,8 +250,8 @@ let pp_text ppf g =
           Format.fprintf ppf
             "%4d  %9s  %7.3f  %7.3f  %7.3f  %7.3f  %6d  %6d  %6d  %7d  %5d  %6d  %5s@," pool
             (regime_name regime) (availability g b) (availability g f) (served g b) (served g f)
-            fs.Rte.fs_breaker_opens fs.Rte.fs_promotions fs.Rte.fs_splits fs.Rte.fs_resizes
-            fs.Rte.fs_final_hosts fs.Rte.fs_final_rung
+            f.Adps.es_breaker_opens fs.Rte.fs_promotions fs.Rte.fs_splits fs.Rte.fs_resizes
+            fs.Rte.fs_final_hosts f.Adps.es_final_rung
             (match identical r with None -> "-" | Some true -> "yes" | Some false -> "NO"))
     g.g_rows
 

@@ -73,7 +73,7 @@ let arrival_of_string s =
    a local splitmix state — the stream derivation, the [Prng.float]
    rejection loop for a non-zero uniform, and the 62-bit [Prng.int] —
    so a session allocates nothing; a test pins it to [Prng] bit for
-   bit through [session_draws]. *)
+   bit through [gen_arrivals]. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let[@inline] mix z =
@@ -92,11 +92,6 @@ let[@inline] draw ~seed ~classes (spacing : float array) class_of ~at s =
   spacing.(at) <- -.log !u;
   state := Int64.add !state golden_gamma;
   class_of.(at) <- Int64.to_int (Int64.shift_right_logical (mix !state) 2) mod classes
-
-let session_draws ~seed ~classes s =
-  let e = [| 0. |] and c = [| 0 |] in
-  draw ~seed ~classes e c ~at:0 s;
-  (e.(0), c.(0))
 
 let batch = 16_384
 

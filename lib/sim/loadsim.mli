@@ -66,12 +66,6 @@ val gen_arrivals :
     (seed, session index); the pool parallelizes filling them without
     changing a single bit. *)
 
-val session_draws : seed:int64 -> classes:int -> int -> float * int
-(** Session [s]'s (unit-mean exponential spacing, class) draws as
-    {!gen_arrivals} makes them: bit for bit [Prng.exponential g
-    ~mean:1.] then [Prng.int g classes] with [g = Prng.create
-    (Prng.stream seed s)], computed without allocating per session. *)
-
 (** {1 Session classes} *)
 
 type session_class = {

@@ -60,8 +60,7 @@ let walk ~placement ~charge ~violation events =
                  by the static validator (Analysis.validate), so this only
                  fires for hand-built placements that bypassed it. *)
               violation ~iface ~meth
-      | Event.Component_destroyed _ | Event.Interface_instantiated _
-      | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
+      | Event.Interface_instantiated _ | Event.Call_retried _ | Event.Instantiation_degraded _
       | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
       | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
       | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _

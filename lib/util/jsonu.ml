@@ -249,9 +249,6 @@ let parse s =
   | v -> Ok v
   | exception Bad msg -> Error msg
 
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> invalid_arg ("Jsonu.parse: " ^ msg)
-
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None

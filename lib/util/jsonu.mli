@@ -37,9 +37,6 @@ val parse : string -> (t, string) result
     an OCaml [int] parse as [Int], everything else as [Float].
     [\uXXXX] escapes decode to UTF-8, surrogate pairs included. *)
 
-val parse_exn : string -> t
-(** [parse], raising [Invalid_argument] on malformed input. *)
-
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] for absent fields or non-objects. *)
 

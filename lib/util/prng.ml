@@ -65,14 +65,6 @@ let mix64 = mix
    cannot perturb the draws of any other stream of the same seed. *)
 let stream seed i = mix (Int64.add seed (Int64.mul golden_gamma (Int64.of_int i)))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let choose t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))

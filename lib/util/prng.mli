@@ -14,9 +14,6 @@ val create : int64 -> t
 val copy : t -> t
 (** Independent copy with the same internal state. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
@@ -48,9 +45,6 @@ val stream : int64 -> int -> int64
     draws. [stream seed 0] intentionally differs from [seed] itself;
     the convention is that the root generator [create seed] is "stream
     -1" and derived concerns use [create (stream seed i)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -4,9 +4,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on empty input. *)
 
-val variance : float array -> float
-(** Population variance; 0 on inputs shorter than 2. *)
-
 val stddev : float array -> float
 
 val percentile : float array -> float -> float
@@ -31,8 +28,6 @@ val percentiles_in_place : float array -> float array -> float array
 
 val dot : float array -> float array -> float
 (** Dot product; arrays must have equal length. *)
-
-val norm : float array -> float
 
 val cosine_correlation : float array -> float array -> float
 (** Normalized dot product in [\[0,1\]] for non-negative vectors; the

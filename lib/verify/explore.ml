@@ -43,24 +43,6 @@ let event_id _m = function
   | Migrate_rest -> "migrate_rest"
   | Promote g -> Printf.sprintf "promote:%d" g
 
-let event_of_id m s =
-  match s with
-  | "link_ok" -> Some Link_ok
-  | "link_fail" -> Some Link_fail
-  | "cooloff" -> Some Cooloff
-  | "migrate_rest" -> Some Migrate_rest
-  | _ ->
-      (match String.index_opt s ':' with
-      | Some i -> (
-          let head = String.sub s 0 i in
-          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some g when g >= 0 && g < Model.group_count m ->
-              if head = "migrate" then Some (Migrate g)
-              else if head = "promote" then Some (Promote g)
-              else None
-          | _ -> None)
-      | _ -> None)
-
 let pp_event m ppf = function
   | Link_ok -> Format.pp_print_string ppf "link_ok"
   | Link_fail -> Format.pp_print_string ppf "link_fail"

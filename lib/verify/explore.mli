@@ -39,10 +39,6 @@ type event =
 val event_id : Model.t -> event -> string
 (** Stable machine-readable id ([link_fail], [migrate:3], ...). *)
 
-val event_of_id : Model.t -> string -> event option
-(** Inverse of {!event_id}; [None] on unknown ids or out-of-range
-    group numbers. *)
-
 type state = {
   st_rung : int;
   st_snap : Coign_netsim.Health.snapshot;  (** canonical, see the implementation header *)

@@ -42,7 +42,9 @@ type t = {
   m_edges : edge array;
   m_rung_names : string array;
   m_policy : Coign_netsim.Health.policy;
-  m_cooloffs : float array;  (** escalation chain, base to cap *)
+  m_cooloffs : float array;
+      (** escalation chain, base to cap: [c, min(c*mult, cap), ...] to
+          fixpoint, every cooloff the breaker can reach *)
   m_classifications : int;  (** classifications folded in, incl. main *)
 }
 
@@ -69,10 +71,6 @@ val next_replica : group -> int -> from:int -> int
 val risky : group -> bool
 (** Ladder-safe but truth-unsafe: the migrations that can manifest
     I1/I4 violations, interleaved individually by the explorer. *)
-
-val cooloff_chain : Coign_netsim.Health.policy -> float array
-(** [c, min(c*mult, cap), ...] to fixpoint — every cooloff value the
-    breaker can reach by escalation. *)
 
 val cooloff_index : t -> float -> int
 (** Position of a cooloff value in the chain, by float bit equality

@@ -14,8 +14,6 @@ module Health = Coign_netsim.Health
 
 type outcome = { ro_codes : string list; ro_invalid : string option }
 
-let confirms outcome code = List.mem code outcome.ro_codes
-
 (* One factory instance per group, numbered from 1 (0 is main). *)
 let inst_of_group g = g + 1
 

@@ -17,7 +17,4 @@ type outcome = {
           explorer never emits such traces *)
 }
 
-val confirms : outcome -> string -> bool
-(** Whether the replay manifested the given violation code. *)
-
 val run : Model.t -> Explore.event list -> outcome

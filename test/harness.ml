@@ -33,6 +33,10 @@ let exe = "../bin/coign.exe"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* [Jsonu.parse], raising [Invalid_argument] on malformed input. *)
+let parse_json s =
+  match Coign_util.Jsonu.parse s with Ok v -> v | Error msg -> invalid_arg ("Jsonu.parse: " ^ msg)
+
 (* Run [f] on a fresh scratch directory, deleted with its files
    afterwards; skip the test when the executable or one of [needs] is
    missing. *)
@@ -76,6 +80,6 @@ let check_golden ~dir ~golden what args =
 let check_golden_json ~dir ~golden what args =
   let out = Filename.concat dir (what ^ ".json") in
   check_ok what (run_to out args);
-  let parse path = Coign_util.Jsonu.parse_exn (read_file path) in
+  let parse path = parse_json (read_file path) in
   Alcotest.(check bool) (what ^ " JSON output equals golden") true
     (Coign_util.Jsonu.equal (parse golden) (parse out))

@@ -5,7 +5,7 @@ open Coign_core
    name given. *)
 let classifier_with classes =
   let t = Classifier.create Classifier.St in
-  List.iter (fun cname -> ignore (Classifier.classify t ~cname ~stack:[])) classes;
+  List.iter (fun cname -> ignore (Oracles.classify t ~cname ~stack:[])) classes;
   t
 
 let exact_net = Net_profiler.exact Network.ethernet_10
@@ -117,7 +117,7 @@ let test_predicted_comm_consistency () =
   in
   let placement c = Analysis.location_of d c in
   Alcotest.(check (float 1.)) "predicted equals recomputed" d.Analysis.predicted_comm_us
-    (Analysis.comm_time_under ~icc ~net:exact_net ~placement)
+    (Oracles.comm_time_under ~icc ~net:exact_net ~placement)
 
 let test_cut_is_minimal_vs_alternatives () =
   let constraints =
@@ -147,7 +147,7 @@ let test_cut_is_minimal_vs_alternatives () =
         | 3 -> m2
         | _ -> Constraints.Client
       in
-      let cost = Analysis.comm_time_under ~icc ~net:exact_net ~placement in
+      let cost = Oracles.comm_time_under ~icc ~net:exact_net ~placement in
       if cost < !best then best := cost)
     [
       (Constraints.Client, Constraints.Client);
@@ -181,7 +181,7 @@ let test_algorithms_agree_on_placement_cost () =
     [ (0, 4, G.infinity_cap); (4, 0, G.infinity_cap); (3, 5, G.infinity_cap); (5, 3, G.infinity_cap) ]
     @ List.concat_map
         (fun (e : Icc.entry) ->
-          let ns = int_of_float (Float.round (Analysis.price_entry exact_net e *. 1000.)) in
+          let ns = int_of_float (Float.round (Oracles.price_entry exact_net e *. 1000.)) in
           [ (e.Icc.src, e.Icc.dst, ns); (e.Icc.dst, e.Icc.src, ns) ])
         (Icc.entries icc)
   in
@@ -230,7 +230,7 @@ let test_price_entry_uses_bucket_means () =
   Icc.record icc ~src:0 ~dst:1 ~iface:"I" ~remotable:true ~request:1_000 ~reply:1_000;
   let e = List.hd (Icc.entries icc) in
   let expected = 2. *. Net_profiler.predict_us exact_net ~bytes:1_000 in
-  Alcotest.(check (float 0.5)) "two messages priced" expected (Analysis.price_entry exact_net e)
+  Alcotest.(check (float 0.5)) "two messages priced" expected (Oracles.price_entry exact_net e)
 
 let suite =
   [
@@ -331,7 +331,7 @@ let prop_cut_optimal =
           else if (mask lsr c) land 1 = 1 then Constraints.Server
           else Constraints.Client
         in
-        Analysis.comm_time_under ~icc ~net:exact_net ~placement
+        Oracles.comm_time_under ~icc ~net:exact_net ~placement
       in
       let best = ref infinity in
       for mask = 0 to (1 lsl n) - 1 do

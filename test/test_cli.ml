@@ -204,7 +204,7 @@ let test_trace_chrome_and_metrics_parse () =
       check_ok "trace chrome"
         (run
            [ "trace"; img; "--scenario"; "b_addone"; "--format"; "chrome"; "-o"; chrome ]);
-      let j = Coign_util.Jsonu.parse_exn (read_file chrome) in
+      let j = Harness.parse_json (read_file chrome) in
       (match Coign_util.Jsonu.member "traceEvents" j with
       | Some (Coign_util.Jsonu.Arr evs) ->
           Alcotest.(check bool) "trace events present" true (List.length evs > 100)
@@ -214,7 +214,7 @@ let test_trace_chrome_and_metrics_parse () =
           [ "metrics"; img; "--scenario"; "b_addone"; "--json" ]
       in
       check_ok "metrics --json" (Sys.command (cmd ^ " > " ^ Filename.quote prom ^ " 2>/dev/null"));
-      let m = Coign_util.Jsonu.parse_exn (read_file prom) in
+      let m = Harness.parse_json (read_file prom) in
       Alcotest.(check bool) "rte counters exported" true
         (Coign_util.Jsonu.member "coign_rte_intercepted_calls_total" m <> None))
 
@@ -326,7 +326,7 @@ let test_load_golden_ingest () =
       (* The JSON form parses with the in-repo parser and carries the
          percentile fields. *)
       check_ok "load --json" (run_to js (args "1" @ [ "--json" ]));
-      let j = Coign_util.Jsonu.parse_exn (read_file js) in
+      let j = Harness.parse_json (read_file js) in
       List.iter
         (fun field ->
           Alcotest.(check bool) (field ^ " present") true
@@ -529,7 +529,7 @@ let test_sweep_json_exact () =
         | Some (Coign_util.Jsonu.Int i) -> float_of_int i
         | _ -> Alcotest.fail ("point lacks " ^ field)
       in
-      match Coign_util.Jsonu.parse_exn (read_file out) with
+      match Harness.parse_json (read_file out) with
       | Coign_util.Jsonu.Arr points ->
           Alcotest.(check int) "points" 7 (List.length points);
           List.iter2

@@ -74,7 +74,7 @@ let c_chain =
             ( "push",
               fun ctx args ->
                 let v = Combuild.get_int args 0 in
-                Runtime.call_named ctx calc "add" [ Value.Int v; Value.Int 1 ] );
+                Oracles.call_named ctx calc "add" [ Value.Int v; Value.Int 1 ] );
           ];
       ])
 
@@ -88,9 +88,9 @@ let test_registry_duplicate () =
 let test_create_and_call () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  let r = Runtime.call_named ctx h "add" [ Value.Int 2; Value.Int 3 ] in
+  let r = Oracles.call_named ctx h "add" [ Value.Int 2; Value.Int 3 ] in
   Alcotest.(check bool) "sum" true (r = Value.Int 5);
-  let t = Runtime.call_named ctx h "total" [] in
+  let t = Oracles.call_named ctx h "total" [] in
   Alcotest.(check bool) "total" true (t = Value.Int 5)
 
 let test_create_unknown_class () =
@@ -119,35 +119,10 @@ let test_query_interface_missing () =
 let test_nested_instantiation () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_chain.Runtime.clsid ~iid:(Itype.iid i_chain) in
-  let r = Runtime.call_named ctx h "push" [ Value.Int 9 ] in
+  let r = Oracles.call_named ctx h "push" [ Value.Int 9 ] in
   Alcotest.(check bool) "chained" true (r = Value.Int 10);
   (* main + chain + inner calc *)
   Alcotest.(check int) "instances" 3 (Runtime.instance_count ctx)
-
-let test_destroy_semantics () =
-  let ctx = make_ctx () in
-  let h = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  let inst = Runtime.handle_owner ctx h in
-  Runtime.destroy_instance ctx inst;
-  Alcotest.(check bool) "dead" false (Runtime.instance_alive ctx inst);
-  Alcotest.(check bool) "call through stale handle fails" true
-    (try
-       ignore (Runtime.call_named ctx h "total" []);
-       false
-     with Hresult.Com_error (Hresult.E_pointer _) -> true);
-  Alcotest.(check bool) "double destroy fails" true
-    (try
-       Runtime.destroy_instance ctx inst;
-       false
-     with Hresult.Com_error (Hresult.E_invalidarg _) -> true)
-
-let test_destroy_main_forbidden () =
-  let ctx = make_ctx () in
-  Alcotest.(check bool) "main protected" true
-    (try
-       Runtime.destroy_instance ctx Runtime.main_instance;
-       false
-     with Hresult.Com_error (Hresult.E_invalidarg _) -> true)
 
 let test_create_hook_interception () =
   let ctx = make_ctx () in
@@ -177,12 +152,12 @@ let test_foreign_handle_wrapping () =
          Runtime.call ctx (Runtime.wrapped_handle ctx w) ~meth args));
   Alcotest.(check bool) "wrapper flagged" true (Runtime.handle_is_wrapper ctx wrapper);
   Alcotest.(check bool) "original not" false (Runtime.handle_is_wrapper ctx h);
-  let r = Runtime.call_named ctx wrapper "add" [ Value.Int 1; Value.Int 1 ] in
+  let r = Oracles.call_named ctx wrapper "add" [ Value.Int 1; Value.Int 1 ] in
   Alcotest.(check bool) "forwarded" true (r = Value.Int 2);
   Alcotest.(check int) "intercepted" 1 !calls;
   (* Unhooked, the wrapper runs its target's method directly. *)
   Runtime.set_wrapper_hook ctx None;
-  let r = Runtime.call_named ctx wrapper "add" [ Value.Int 2; Value.Int 3 ] in
+  let r = Oracles.call_named ctx wrapper "add" [ Value.Int 2; Value.Int 3 ] in
   Alcotest.(check bool) "unhooked call runs the target" true (r = Value.Int 5);
   Alcotest.(check int) "unhooked call not intercepted" 1 !calls;
   Alcotest.(check int) "wrapper names its target" h (Runtime.wrapped_handle ctx wrapper);
@@ -193,11 +168,9 @@ let test_foreign_handle_wrapping () =
 let test_compute_accounting () =
   let ctx = make_ctx () in
   let h = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  ignore (Runtime.call_named ctx h "add" [ Value.Int 1; Value.Int 2 ]);
-  ignore (Runtime.call_named ctx h "add" [ Value.Int 1; Value.Int 2 ]);
-  Alcotest.(check (float 1e-9)) "charged" 2. (Runtime.compute_us ctx);
-  Runtime.reset_compute ctx;
-  Alcotest.(check (float 1e-9)) "reset" 0. (Runtime.compute_us ctx)
+  ignore (Oracles.call_named ctx h "add" [ Value.Int 1; Value.Int 2 ]);
+  ignore (Oracles.call_named ctx h "add" [ Value.Int 1; Value.Int 2 ]);
+  Alcotest.(check (float 1e-9)) "charged" 2. (Runtime.compute_us ctx)
 
 let test_data_slots () =
   let ctx = make_ctx () in
@@ -206,13 +179,7 @@ let test_data_slots () =
   Runtime.set_data ctx key "hello";
   Alcotest.(check (option string)) "stored" (Some "hello") (Runtime.get_data ctx key)
 
-let test_live_instances () =
-  let ctx = make_ctx () in
-  let h1 = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  let h2 = Runtime.create_instance ctx c_calc.Runtime.clsid ~iid:(Itype.iid i_calc) in
-  ignore h2;
-  Runtime.destroy_instance ctx (Runtime.handle_owner ctx h1);
-  Alcotest.(check int) "one live (excluding main)" 1 (List.length (Runtime.live_instances ctx))
+let nop = Combuild.ret Value.Unit
 
 (* An instance with two interfaces, so each has two canonical handles. *)
 let c_twin =
@@ -220,7 +187,7 @@ let c_twin =
       [
         Combuild.iface i_calc
           [ ("add", Combuild.ret (Value.Int 0)); ("total", Combuild.ret (Value.Int 7)) ];
-        Combuild.iface i_raw [ ("blit", Combuild.nop) ];
+        Combuild.iface i_raw [ ("blit", nop) ];
       ])
 
 let com_error what f =
@@ -230,8 +197,8 @@ let com_error what f =
 
 (* The handle table past its initial 256 slots: every handle, raw or
    wrapper, keeps its owner, interface and target after growth, and a
-   bad handle, a dead instance, a bad slot and a slot of another
-   interface still fail as typed COM errors. *)
+   bad handle, a bad slot and a slot of another interface still fail
+   as typed COM errors. *)
 let test_handle_table_growth () =
   let ctx = Runtime.create_ctx (Runtime.registry [ c_twin ]) in
   let calc_iid = Itype.iid i_calc and raw_iid = Itype.iid i_raw in
@@ -284,30 +251,25 @@ let test_handle_table_growth () =
   pointer "unknown handle wrapped" (fun () -> Runtime.alloc_wrapper ctx 400);
   invalidarg "slot past the interface" (fun () -> Runtime.call ctx 399 ~meth:2 []);
   invalidarg "negative slot" (fun () -> Runtime.call ctx 0 ~meth:(-1) []);
-  invalidarg "unknown method name" (fun () -> Runtime.call_named ctx 0 "nope" []);
+  invalidarg "unknown method name" (fun () -> Oracles.call_named ctx 0 "nope" []);
   let total = Itype.slot i_calc "total" in
   Alcotest.(check bool) "slot call through a wrapper" true
     (Runtime.call_slot ctx 397 total [] = Value.Int 7);
-  invalidarg "slot of another interface" (fun () -> Runtime.call_slot ctx 398 total []);
-  Runtime.destroy_instance ctx 100;
-  pointer "call into a dead instance" (fun () -> Runtime.call ctx 396 ~meth:1 []);
-  pointer "call through a dead instance's wrapper" (fun () -> Runtime.call ctx 399 ~meth:1 []);
-  pointer "query a dead instance" (fun () -> Runtime.query_interface ctx 398 ~iid:calc_iid);
-  Alcotest.(check int) "its handles still resolve" 100 (Runtime.handle_owner ctx 399)
+  invalidarg "slot of another interface" (fun () -> Runtime.call_slot ctx 398 total [])
 
 (* --- Combuild ------------------------------------------------------- *)
 
 let test_combuild_validation () =
   Alcotest.(check bool) "missing handler rejected" true
     (try
-       ignore (Combuild.iface i_calc [ ("add", Combuild.nop) ]);
+       ignore (Combuild.iface i_calc [ ("add", nop) ]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "unknown handler rejected" true
     (try
        ignore
          (Combuild.iface i_calc
-            [ ("add", Combuild.nop); ("total", Combuild.nop); ("bogus", Combuild.nop) ]);
+            [ ("add", nop); ("total", nop); ("bogus", nop) ]);
        false
      with Invalid_argument _ -> true)
 
@@ -337,13 +299,10 @@ let suite =
     Alcotest.test_case "query interface identity" `Quick test_query_interface_identity;
     Alcotest.test_case "query interface missing" `Quick test_query_interface_missing;
     Alcotest.test_case "nested instantiation" `Quick test_nested_instantiation;
-    Alcotest.test_case "destroy semantics" `Quick test_destroy_semantics;
-    Alcotest.test_case "destroy main forbidden" `Quick test_destroy_main_forbidden;
     Alcotest.test_case "create hook interception" `Quick test_create_hook_interception;
     Alcotest.test_case "foreign handle wrapping" `Quick test_foreign_handle_wrapping;
     Alcotest.test_case "compute accounting" `Quick test_compute_accounting;
     Alcotest.test_case "data slots" `Quick test_data_slots;
-    Alcotest.test_case "live instances" `Quick test_live_instances;
     Alcotest.test_case "handle table growth" `Quick test_handle_table_growth;
     Alcotest.test_case "combuild validation" `Quick test_combuild_validation;
     Alcotest.test_case "combuild getters" `Quick test_combuild_getters;

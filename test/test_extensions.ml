@@ -205,7 +205,7 @@ let test_multiway_benefits_three_tier () =
 
 let test_multiway_requires_two_machines () =
   let classifier = Classifier.create Classifier.St in
-  ignore (Classifier.classify classifier ~cname:"A" ~stack:[]);
+  ignore (Oracles.classify classifier ~cname:"A" ~stack:[]);
   let icc = Icc.create () in
   let net = Net_profiler.exact Network.ethernet_10 in
   Alcotest.(check bool) "one machine rejected" true
@@ -218,7 +218,7 @@ let test_multiway_requires_two_machines () =
 
 let test_multiway_unknown_pin_rejected () =
   let classifier = Classifier.create Classifier.St in
-  ignore (Classifier.classify classifier ~cname:"A" ~stack:[]);
+  ignore (Oracles.classify classifier ~cname:"A" ~stack:[]);
   let icc = Icc.create () in
   let net = Net_profiler.exact Network.ethernet_10 in
   Alcotest.(check bool) "unknown machine rejected" true
@@ -464,10 +464,10 @@ let test_classifier_merge_remap () =
     [ Frame.make ~inst:1 ~cls:"A" ~classification:0 ~iface:"I" ~meth:"m" ]
   in
   let a = Classifier.create Classifier.Ifcb in
-  ignore (Classifier.classify a ~cname:"X" ~stack);
+  ignore (Oracles.classify a ~cname:"X" ~stack);
   let b = Classifier.create Classifier.Ifcb in
-  ignore (Classifier.classify b ~cname:"Y" ~stack);
-  ignore (Classifier.classify b ~cname:"X" ~stack);
+  ignore (Oracles.classify b ~cname:"Y" ~stack);
+  ignore (Oracles.classify b ~cname:"X" ~stack);
   let m, remap = Classifier.merge a b in
   Alcotest.(check int) "union size" 2 (Classifier.classification_count m);
   (* b's X (id 1) must map to a's X (id 0). *)

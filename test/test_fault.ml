@@ -142,9 +142,9 @@ let test_call_full_drop_exhausts_retries () =
   Alcotest.(check int) "no spikes" 0 oc.oc_spikes;
   Alcotest.(check (float 0.)) "elapsed" 4_500. oc.oc_time_us;
   Alcotest.(check (float 0.)) "all of it fault time" 4_500. oc.oc_fault_us;
-  Alcotest.(check int64) "dropped requests draw no jitter"
-    (Prng.next_int64 (Prng.create 5L))
-    (Prng.next_int64 jitter_rng)
+  Alcotest.(check int) "dropped requests draw no jitter"
+    (Prng.int (Prng.create 5L) max_int)
+    (Prng.int jitter_rng max_int)
 
 let test_call_partition_then_recovery () =
   (* Attempts start at t = 0, 1500, 3500; the partition covers the
@@ -217,7 +217,7 @@ let c_front =
               fun ctx args ->
                 let rounds = Combuild.get_int args 0 in
                 for _ = 1 to rounds do
-                  ignore (Runtime.call_named ctx back "store" [ Value.Blob 1_000 ])
+                  ignore (Oracles.call_named ctx back "store" [ Value.Blob 1_000 ])
                 done;
                 Value.Unit );
           ];
@@ -246,7 +246,7 @@ let run_split ?(jitter = 0.) ?(seed = 1L) ?faults ?(retry = fixed_retry) rounds 
       ctx
   in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ]);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int rounds ]);
   Rte.stats rte
 
 let check_bits = Harness.check_bits
@@ -333,7 +333,7 @@ let test_rte_partition_mid_run_unreachable () =
       ctx
   in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  (match Runtime.call_named ctx front "run" [ Value.Int 2 ] with
+  (match Oracles.call_named ctx front "run" [ Value.Int 2 ] with
   | _ -> Alcotest.fail "expected E_unreachable"
   | exception Hresult.Com_error (Hresult.E_unreachable _) -> ());
   let s = Rte.stats rte in
@@ -349,7 +349,7 @@ let mini_trace () =
   let events =
     Replay.record_scenario ~registry:(registry ()) ~classifier (fun ctx ->
         let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-        ignore (Runtime.call_named ctx front "run" [ Value.Int 5 ]))
+        ignore (Oracles.call_named ctx front "run" [ Value.Int 5 ]))
   in
   let placement c =
     if

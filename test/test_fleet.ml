@@ -58,7 +58,7 @@ let c_front =
               fun ctx args ->
                 let rounds = Combuild.get_int args 0 in
                 for _ = 1 to rounds do
-                  ignore (Runtime.call_named ctx back "store" [ Value.Blob 1_000 ])
+                  ignore (Oracles.call_named ctx back "store" [ Value.Blob 1_000 ])
                 done;
                 Value.Unit );
           ];
@@ -73,7 +73,7 @@ let contains s sub =
 
 let run_scenario ctx rounds =
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ])
+  ignore (Oracles.call_named ctx front "run" [ Value.Int rounds ])
 
 (* Profile the app once to get a classifier and an analysis session —
    the same two-stage machinery [Adps.analysis_session] drives, without
@@ -180,16 +180,16 @@ let test_promotion_trace_hand_computed () =
      reopens or closes the breaker. *)
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let fs, st, events = run_fleet ~host_faults:[ (crash, window) ] ~rounds:10 pl primary in
-  Alcotest.(check int) "one breaker open" 1 fs.Rte.fs_breaker_opens;
-  Alcotest.(check int) "no breaker close" 0 fs.Rte.fs_breaker_closes;
+  Alcotest.(check int) "one breaker open" 1 st.Rte.st_breaker_opens;
+  Alcotest.(check int) "no breaker close" 0 st.Rte.st_breaker_closes;
   Alcotest.(check int) "one promotion" 1 fs.Rte.fs_promotions;
-  Alcotest.(check int) "no rung switch down" 0 fs.Rte.fs_failovers;
-  Alcotest.(check int) "no rung switch up" 0 fs.Rte.fs_failbacks;
+  Alcotest.(check int) "no rung switch down" 0 st.Rte.st_failovers;
+  Alcotest.(check int) "no rung switch up" 0 st.Rte.st_failbacks;
   Alcotest.(check int) "no resize" 0 fs.Rte.fs_resizes;
   Alcotest.(check int) "no split" 0 fs.Rte.fs_splits;
-  Alcotest.(check int) "no stranded call" 0 fs.Rte.fs_stranded_calls;
-  Alcotest.(check int) "no local rescue" 0 fs.Rte.fs_rescued_calls;
-  Alcotest.(check int) "still on the widest rung" 0 fs.Rte.fs_final_rung;
+  Alcotest.(check int) "no stranded call" 0 st.Rte.st_stranded_calls;
+  Alcotest.(check int) "no local rescue" 0 st.Rte.st_rescued_calls;
+  Alcotest.(check int) "still on the widest rung" 0 st.Rte.st_final_rung;
   Alcotest.(check int) "both hosts standing" 2 fs.Rte.fs_final_hosts;
   Alcotest.(check int) "both shards mapped" 2 fs.Rte.fs_final_shards;
   (* The event log pins the trace bit for bit: exactly one open
@@ -218,7 +218,7 @@ let test_promotion_trace_hand_computed () =
   (* Availability: the promoted replica keeps every store remote, so
      the crashed run serves exactly what the clean pool serves. *)
   let clean_fs, clean_st, _ = run_fleet ~rounds:10 pl primary in
-  Alcotest.(check int) "clean pool never opens" 0 clean_fs.Rte.fs_breaker_opens;
+  Alcotest.(check int) "clean pool never opens" 0 clean_st.Rte.st_breaker_opens;
   Alcotest.(check int) "clean pool never promotes" 0 clean_fs.Rte.fs_promotions;
   Alcotest.(check int) "every remote call still served"
     clean_st.Rte.st_remote_calls st.Rte.st_remote_calls;
@@ -227,7 +227,7 @@ let test_promotion_trace_hand_computed () =
 
 (* --- Routing metrics agree with the pool counters -----------------------
    Every route keeps one counter set and one instrument record, so a
-   pool run's coign_resilience_* series equal its fleet_stats: under a
+   pool run's coign_resilience_* series equal its stats: under a
    single-host crash (a promotion, no failover) and under a global
    partition (both hosts open, the pool fails over to the base ladder,
    a stranded call probes and is rescued locally). The whole exposition
@@ -242,7 +242,7 @@ let test_pool_metrics_match_fleet_stats () =
   let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
   let check what ~golden ?host_faults ?faults () =
     let metrics = Coign_obs.Metrics.registry () in
-    let fs, _, _ = run_fleet ?host_faults ?faults ~metrics ~rounds:10 pl primary in
+    let _, st, _ = run_fleet ?host_faults ?faults ~metrics ~rounds:10 pl primary in
     Alcotest.(check string) (what ^ ": exposition matches golden") (Harness.read_file golden)
       (Coign_obs.Metrics.prometheus metrics);
     let series name =
@@ -250,27 +250,27 @@ let test_pool_metrics_match_fleet_stats () =
         (Coign_obs.Metrics.counter_value
            (Coign_obs.Metrics.counter metrics ("coign_resilience_" ^ name ^ "_total")))
     in
-    Alcotest.(check int) (what ^ ": breaker opens") fs.Rte.fs_breaker_opens
+    Alcotest.(check int) (what ^ ": breaker opens") st.Rte.st_breaker_opens
       (series "breaker_opens");
-    Alcotest.(check int) (what ^ ": failovers") fs.Rte.fs_failovers (series "failovers");
-    Alcotest.(check int) (what ^ ": stranded calls") fs.Rte.fs_stranded_calls
+    Alcotest.(check int) (what ^ ": failovers") st.Rte.st_failovers (series "failovers");
+    Alcotest.(check int) (what ^ ": stranded calls") st.Rte.st_stranded_calls
       (series "stranded_calls");
-    Alcotest.(check int) (what ^ ": rescued calls") fs.Rte.fs_rescued_calls
+    Alcotest.(check int) (what ^ ": rescued calls") st.Rte.st_rescued_calls
       (series "rescued_calls");
-    fs
+    st
   in
   let crashed =
     check "single-host crash" ~golden:"golden/fleet_metrics_crash.txt"
       ~host_faults:[ (crash, window) ] ()
   in
-  Alcotest.(check int) "the crash opened one breaker" 1 crashed.Rte.fs_breaker_opens;
+  Alcotest.(check int) "the crash opened one breaker" 1 crashed.Rte.st_breaker_opens;
   let partitioned =
     check "global partition" ~golden:"golden/fleet_metrics_partition.txt" ~faults:window ()
   in
   Alcotest.(check bool) "the partition failed the pool over" true
-    (partitioned.Rte.fs_failovers > 0);
+    (partitioned.Rte.st_failovers > 0);
   Alcotest.(check bool) "a stranded call was rescued" true
-    (partitioned.Rte.fs_stranded_calls > 0 && partitioned.Rte.fs_rescued_calls > 0)
+    (partitioned.Rte.st_stranded_calls > 0 && partitioned.Rte.st_rescued_calls > 0)
 
 (* --- Decision event logs (golden) ---------------------------------------
    The full event log of the two runs above, one [Event.to_line] per

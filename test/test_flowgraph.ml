@@ -112,38 +112,38 @@ let cut_edges edges cut =
 let sum_caps = List.fold_left (fun acc (_, _, c) -> acc + c) 0
 
 let test_clrs_maxflow () =
-  Alcotest.(check int) "solver value" 23 (Mincut.min_cut (clrs_network ()) ~s:0 ~t:5).Mincut.value;
+  Alcotest.(check int) "solver value" 23 (Oracles.min_cut (clrs_network ()) ~s:0 ~t:5).Mincut.value;
   Alcotest.(check int) "reference value" 23
     (Mincut.augmenting_path_min_cut (clrs_network ()) ~s:0 ~t:5).Mincut.value
 
 let test_cut_edges_sum_to_value () =
-  let cut = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
+  let cut = Oracles.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check int) "cut edges sum" cut.Mincut.value (sum_caps (cut_edges clrs_edges cut))
 
 let test_cut_separates_terminals () =
-  let cut = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
+  let cut = Oracles.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check bool) "s on source side" true cut.Mincut.source_side.(0);
   Alcotest.(check bool) "t on sink side" false cut.Mincut.source_side.(5)
 
 let test_disconnected_zero_cut () =
-  let cut = Mincut.min_cut (arena ~n:4 [ (0, 1, 9); (2, 3, 9) ]) ~s:0 ~t:3 in
+  let cut = Oracles.min_cut (arena ~n:4 [ (0, 1, 9); (2, 3, 9) ]) ~s:0 ~t:3 in
   Alcotest.(check int) "zero" 0 cut.Mincut.value
 
 let test_single_edge () =
   let g = arena ~n:2 [ (0, 1, 42) ] in
-  Alcotest.(check int) "value" 42 (Mincut.min_cut g ~s:0 ~t:1).Mincut.value
+  Alcotest.(check int) "value" 42 (Oracles.min_cut g ~s:0 ~t:1).Mincut.value
 
 let test_terminal_validation () =
   let g = arena ~n:3 [] in
   Alcotest.check_raises "s = t" (Invalid_argument "Mincut: s = t") (fun () ->
-      ignore (Mincut.min_cut g ~s:1 ~t:1));
+      ignore (Oracles.min_cut g ~s:1 ~t:1));
   Alcotest.check_raises "out of range" (Invalid_argument "Mincut: terminal out of range")
-    (fun () -> ignore (Mincut.min_cut g ~s:0 ~t:9))
+    (fun () -> ignore (Oracles.min_cut g ~s:0 ~t:9))
 
 let test_infinity_edge_never_cut () =
   let inf = Flow_network.infinity_cap in
   let g = arena ~n:4 (undirected 0 1 inf @ undirected 1 2 5 @ undirected 2 3 inf) in
-  let cut = Mincut.min_cut g ~s:0 ~t:3 in
+  let cut = Oracles.min_cut g ~s:0 ~t:3 in
   Alcotest.(check int) "cut at finite edge" 5 cut.Mincut.value;
   Alcotest.(check bool) "1 with source" true cut.Mincut.source_side.(1);
   Alcotest.(check bool) "2 with sink" false cut.Mincut.source_side.(2)
@@ -167,31 +167,31 @@ let arb_graph =
 
 let build (n, edges) = arena ~n edges
 
-let brute_force (n, edges) = Mincut.brute_force_min_cut ~n (Array.of_list edges) ~s:0 ~t:1
+let brute_force (n, edges) = Oracles.brute_force_min_cut ~n (Array.of_list edges) ~s:0 ~t:1
 
 (* The solver and the augmenting-path reference: any two maximum flows
    leave the same minimal source side, not merely the same value. *)
 let prop_algorithms_agree =
   QCheck.Test.make ~name:"all max-flow algorithms agree" ~count:300 arb_graph (fun spec ->
-      Mincut.min_cut (build spec) ~s:0 ~t:1
+      Oracles.min_cut (build spec) ~s:0 ~t:1
       = Mincut.augmenting_path_min_cut (build spec) ~s:0 ~t:1)
 
 let prop_each_algorithm_matches_brute_force =
   QCheck.Test.make ~name:"each algorithm matches brute force" ~count:150 arb_graph
     (fun spec ->
       let brute = (brute_force spec).Mincut.value in
-      (Mincut.min_cut (build spec) ~s:0 ~t:1).Mincut.value = brute
+      (Oracles.min_cut (build spec) ~s:0 ~t:1).Mincut.value = brute
       && (Mincut.augmenting_path_min_cut (build spec) ~s:0 ~t:1).Mincut.value = brute)
 
 let prop_matches_brute_force =
   QCheck.Test.make ~name:"min cut equals brute force" ~count:200 arb_graph (fun spec ->
-      let cut = Mincut.min_cut (build spec) ~s:0 ~t:1 in
+      let cut = Oracles.min_cut (build spec) ~s:0 ~t:1 in
       cut.Mincut.value = (brute_force spec).Mincut.value)
 
 let prop_cut_edges_sum =
   QCheck.Test.make ~name:"cut edge capacities sum to cut value" ~count:200 arb_graph
     (fun ((_, edges) as spec) ->
-      let cut = Mincut.min_cut (build spec) ~s:0 ~t:1 in
+      let cut = Oracles.min_cut (build spec) ~s:0 ~t:1 in
       sum_caps (cut_edges edges cut) = cut.Mincut.value)
 
 (* --- Relabel-to-front on analysis-sized graphs --------------------- *)
@@ -219,7 +219,7 @@ let lcg_graph ~seed ~n ~m =
    not merely some min cut. *)
 let check_matches_reference msg g ~s ~t =
   let reference = Mincut.augmenting_path_min_cut g ~s ~t in
-  let cut = Mincut.min_cut g ~s ~t in
+  let cut = Oracles.min_cut g ~s ~t in
   Alcotest.(check int) (msg ^ " value") reference.Mincut.value cut.Mincut.value;
   Alcotest.(check (array bool)) (msg ^ " source side") reference.Mincut.source_side
     cut.Mincut.source_side
@@ -315,7 +315,7 @@ let reprice arena scratch fwd ~dedup ~cap_of =
   (value, Flow_network.min_cut_side arena ~s:0)
 
 let fresh_cut ~n ~dedup ~cap_of =
-  Mincut.min_cut (arena ~n (List.map (fun (src, dst) -> (src, dst, cap_of src dst)) dedup))
+  Oracles.min_cut (arena ~n (List.map (fun (src, dst) -> (src, dst, cap_of src dst)) dedup))
     ~s:0 ~t:1
 
 let prop_arena_reprice_matches_fresh =
@@ -388,7 +388,7 @@ let multiway_cut ~n edges ~terminals =
 
 let test_multiway_two_terminals_exact () =
   let p = multiway_cut ~n:6 (Array.of_list clrs_edges) ~terminals:[ 0; 5 ] in
-  let exact = Mincut.min_cut (clrs_network ()) ~s:0 ~t:5 in
+  let exact = Oracles.min_cut (clrs_network ()) ~s:0 ~t:5 in
   Alcotest.(check int) "reduces to exact cut" exact.Mincut.value p.Multiway.cost
 
 let test_multiway_three_terminals () =
@@ -437,7 +437,7 @@ let test_multiway_terminal_order () =
 (* The k-way cut runs on the quotient of the infinite edges. This
    reference owns no quotient: it compiles every node with
    [Flow_network.of_edges] plus a super-sink, runs the exact cut (two
-   terminals) or one [Mincut.min_cut] isolating cut per terminal with
+   terminals) or one [Oracles.min_cut] isolating cut per terminal with
    the other terminals wired to the super-sink at infinite capacity,
    and assigns greedily in ascending cut value (ties broken by the same
    [Array.sort]). Nodes with no positive-capacity path to a terminal go
@@ -447,14 +447,14 @@ let reference_multiway ~n edges ~terminals =
   let k = Array.length terminals in
   let cuts =
     if k = 2 then
-      [| Mincut.min_cut (arena ~n (Array.to_list edges)) ~s:terminals.(0) ~t:terminals.(1) |]
+      [| Oracles.min_cut (arena ~n (Array.to_list edges)) ~s:terminals.(0) ~t:terminals.(1) |]
     else
       Array.init k (fun i ->
           let sink = ref [] in
           Array.iteri
             (fun j t -> if j <> i then sink := undirected t n Flow_network.infinity_cap @ !sink)
             terminals;
-          Mincut.min_cut (arena ~n:(n + 1) (Array.to_list edges @ !sink)) ~s:terminals.(i) ~t:n)
+          Oracles.min_cut (arena ~n:(n + 1) (Array.to_list edges @ !sink)) ~s:terminals.(i) ~t:n)
   in
   let order = Array.init k Fun.id in
   if k > 2 then Array.sort (fun a b -> compare cuts.(a).Mincut.value cuts.(b).Mincut.value) order;
@@ -538,7 +538,7 @@ let prop_multiway_cost_consistent =
         let edges = Array.of_list edges in
         let p = multiway_cut ~n edges ~terminals in
         let src, dst, cap = Harness.columns edges in
-        Multiway.partition_cost ~src ~dst ~cap p.Multiway.assignment = p.Multiway.cost)
+        Oracles.partition_cost ~src ~dst ~cap p.Multiway.assignment = p.Multiway.cost)
 
 let suite =
   [

@@ -70,28 +70,21 @@ let test_method_remotable () =
   let m2 = Idl_type.method_ ~ret:Idl_type.Blob "g" [ Idl_type.param "x" Idl_type.Int32 ] in
   Alcotest.(check bool) "clean" true (Idl_type.method_remotable m2)
 
-let test_contains_iface () =
-  Alcotest.(check bool) "direct" true (Idl_type.contains_iface (Idl_type.Iface "I"));
-  Alcotest.(check bool) "nested" true
-    (Idl_type.contains_iface (Idl_type.Ptr (Idl_type.Array (Idl_type.Iface "I"))));
-  Alcotest.(check bool) "absent" false
-    (Idl_type.contains_iface (Idl_type.Struct [ ("a", Idl_type.Blob) ]))
-
 (* --- Value --------------------------------------------------------- *)
 
 let test_conforms () =
-  Alcotest.(check bool) "int32" true (Value.conforms Idl_type.Int32 (Value.Int 5));
-  Alcotest.(check bool) "null ptr" true (Value.conforms (Idl_type.Ptr Idl_type.Str) Value.Null);
-  Alcotest.(check bool) "null iface" true (Value.conforms (Idl_type.Iface "I") Value.Null);
-  Alcotest.(check bool) "mismatch" false (Value.conforms Idl_type.Str (Value.Int 1));
+  Alcotest.(check bool) "int32" true (Oracles.conforms Idl_type.Int32 (Value.Int 5));
+  Alcotest.(check bool) "null ptr" true (Oracles.conforms (Idl_type.Ptr Idl_type.Str) Value.Null);
+  Alcotest.(check bool) "null iface" true (Oracles.conforms (Idl_type.Iface "I") Value.Null);
+  Alcotest.(check bool) "mismatch" false (Oracles.conforms Idl_type.Str (Value.Int 1));
   Alcotest.(check bool) "struct field order" false
-    (Value.conforms
+    (Oracles.conforms
        (Idl_type.Struct [ ("a", Idl_type.Int32); ("b", Idl_type.Str) ])
        (Value.Struct [ ("b", Value.Str "x"); ("a", Value.Int 1) ]))
 
 let prop_generated_values_conform =
   QCheck.Test.make ~name:"generated values conform to their types" ~count:500 arb_typed_value
-    (fun (ty, v) -> Value.conforms ty v)
+    (fun (ty, v) -> Oracles.conforms ty v)
 
 let test_iface_handles () =
   let v =
@@ -99,7 +92,7 @@ let test_iface_handles () =
       [ ("a", Value.Iface_ref 3); ("b", Value.Arr [ Value.Iface_ref 7; Value.Int 1 ]);
         ("c", Value.Ref (Value.Iface_ref 9)) ]
   in
-  Alcotest.(check (list int)) "handles in order" [ 3; 7; 9 ] (Value.iface_handles v)
+  Alcotest.(check (list int)) "handles in order" [ 3; 7; 9 ] (Oracles.iface_handles v)
 
 let test_map_iface_handles () =
   let ty =
@@ -110,9 +103,9 @@ let test_map_iface_handles () =
     Value.Struct
       [ ("a", Value.Iface_ref 1); ("s", Value.Str "s"); ("p", Value.Ref (Value.Iface_ref 2)) ]
   in
-  let walk = Midl.compile_iface_walk ty in
+  let walk = Oracles.compile_iface_walk ty in
   let v' = Midl.map_handles_with walk (fun k h -> h * k) 10 v in
-  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Value.iface_handles v');
+  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Oracles.iface_handles v');
   Alcotest.(check bool) "identity returns the value itself" true
     (Midl.map_handles_with walk (fun () h -> h) () v == v);
   match (v, v') with
@@ -123,9 +116,9 @@ let test_map_iface_handles () =
 (* --- Marshal_size -------------------------------------------------- *)
 
 let size_exn ty v =
-  match Marshal_size.value_size ty v with
+  match Oracles.value_size ty v with
   | Ok n -> n
-  | Error e -> Alcotest.failf "unexpected error: %a" Marshal_size.pp_error e
+  | Error _ -> Alcotest.fail "unexpected sizing error"
 
 let test_scalar_sizes () =
   Alcotest.(check int) "int32" 4 (size_exn Idl_type.Int32 (Value.Int 1));
@@ -145,7 +138,7 @@ let test_deep_copy_compositional () =
   Alcotest.(check int) "struct" (6 + 12) (size_exn ty v)
 
 let test_opaque_not_remotable () =
-  match Marshal_size.value_size (Idl_type.Opaque "HDC") (Value.Opaque_handle "HDC") with
+  match Oracles.value_size (Idl_type.Opaque "HDC") (Value.Opaque_handle "HDC") with
   | Error (Marshal_size.Not_remotable "HDC") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Not_remotable"
 
@@ -201,7 +194,7 @@ let test_mistyped_scalar_rejected () =
       Alcotest.(check bool)
         (Format.asprintf "%a / %a rejected" Idl_type.pp ty Value.pp v)
         true
-        (Result.is_error (Marshal_size.value_size ty v)))
+        (Result.is_error (Oracles.value_size ty v)))
     [
       (Idl_type.Bool, Value.Float 1.);
       (Idl_type.Ptr Idl_type.Bool, Value.Ref (Value.Float 1.));
@@ -252,7 +245,7 @@ let prop_measure_call_sums_value_sizes =
         List.fold_left2
           (fun acc p v ->
             if carries p.Idl_type.pdir then
-              Result.bind acc (fun n -> Result.map (( + ) n) (Marshal_size.value_size p.pty v))
+              Result.bind acc (fun n -> Result.map (( + ) n) (Oracles.value_size p.pty v))
             else acc)
           (Ok 0) msig.Idl_type.params vs
       in
@@ -260,7 +253,7 @@ let prop_measure_call_sums_value_sizes =
         match
           ( sum (fun d -> d <> Idl_type.Out) ins,
             sum (fun d -> d <> Idl_type.In) outs,
-            Marshal_size.value_size msig.ret ret )
+            Oracles.value_size msig.ret ret )
         with
         | Ok req, Ok rep, Ok r when Idl_type.method_remotable msig ->
             Some (Marshal_size.scalar_overhead + req, Marshal_size.scalar_overhead + rep + r)
@@ -281,18 +274,23 @@ let prop_measure_call_sums_value_sizes =
 let prop_iface_walk_equals_handles =
   QCheck.Test.make ~name:"compiled iface walk finds the same handles" ~count:500 arb_typed_value
     (fun (ty, v) ->
-      let proc = Midl.compile_iface_walk ty in
-      let handles = Midl.handles_with proc v in
-      handles = Value.iface_handles v
+      let proc = Oracles.compile_iface_walk ty in
+      let handles = Oracles.handles_with proc v in
+      handles = Oracles.iface_handles v
       && Midl.map_handles_with proc (fun () h -> h) () v == v
-      && Midl.handles_with proc (Midl.map_handles_with proc (fun () h -> h + 1) () v)
+      && Oracles.handles_with proc (Midl.map_handles_with proc (fun () h -> h + 1) () v)
          = List.map succ handles)
 
 let test_iface_walk_trivial () =
-  Alcotest.(check bool) "blob trivial" true
-    (Midl.iface_walk_trivial (Midl.compile_iface_walk Idl_type.Blob));
-  Alcotest.(check bool) "iface not trivial" false
-    (Midl.iface_walk_trivial (Midl.compile_iface_walk (Idl_type.Iface "I")))
+  (* A reply needs a walk only when an out parameter's walk is not
+     trivial. *)
+  let trivial ty =
+    not
+      (Midl.compile_method (Idl_type.method_ "m" [ Idl_type.param ~dir:Idl_type.Out "x" ty ]))
+        .Midl.may_output_ifaces
+  in
+  Alcotest.(check bool) "blob trivial" true (trivial Idl_type.Blob);
+  Alcotest.(check bool) "iface not trivial" false (trivial (Idl_type.Iface "I"))
 
 let test_method_procs_remotable_flag () =
   let dirty = Idl_type.method_ "m" [ Idl_type.param "x" (Idl_type.Opaque "SHM") ] in
@@ -311,7 +309,7 @@ let prop_exn_walks_agree =
         | n -> Ok n
         | exception Marshal_size.Err e -> Error e
       in
-      direct = Marshal_size.value_size ty v)
+      direct = Oracles.value_size ty v)
 
 let test_size_walk_zero_alloc () =
   let ty =
@@ -328,7 +326,7 @@ let test_size_walk_zero_alloc () =
                ("p", Value.Ref (Value.Blob 128)); ("i", Value.Iface_ref i) ]))
   in
   let expected =
-    match Marshal_size.value_size ty v with Ok n -> n | Error _ -> -1 in
+    match Oracles.value_size ty v with Ok n -> n | Error _ -> -1 in
   (* Warm up, then measure: 10k walks of a nested value must not grow
      the minor heap beyond the noise of reading the GC counters. *)
   ignore (Marshal_size.value_size_exn ty v);
@@ -345,7 +343,6 @@ let suite =
   [
     Alcotest.test_case "remotable" `Quick test_remotable;
     Alcotest.test_case "method remotable" `Quick test_method_remotable;
-    Alcotest.test_case "contains iface" `Quick test_contains_iface;
     Alcotest.test_case "conforms" `Quick test_conforms;
     qtest prop_generated_values_conform;
     Alcotest.test_case "iface handles" `Quick test_iface_handles;

@@ -4,6 +4,10 @@ open Coign_image
 open Coign_core
 open Coign_apps
 
+(* The metadata checks, through an image that carries [meta] and
+   references no system API. *)
+let lint_meta meta = Lint.lint_image (Binary_image.create ~name:"meta" ~meta ~api_refs:[] ())
+
 (* --- Idl_type.finite ----------------------------------------------- *)
 
 let test_finite_basic () =
@@ -52,7 +56,7 @@ let test_meta_sanitizes_recursive () =
   Alcotest.(check bool) "replaced by opaque marker" true
     (p.Idl_type.pty = Idl_type.Opaque Image_meta.recursive_marker);
   (* ... which the linter reports as an unbounded recursive structure. *)
-  let diags = Lint.lint_meta meta in
+  let diags = lint_meta meta in
   Alcotest.(check bool) "CG005 emitted" true
     (List.exists (fun d -> d.Lint.code = "CG005") diags)
 
@@ -138,7 +142,7 @@ let test_flow_constraints () =
     "CG006 subjects" [ "A <-> B"; Coign_com.Runtime.main_class_name ^ " <-> B" ]
     (List.filter_map
        (fun d -> if d.Lint.code = "CG006" then Some d.Lint.subject else None)
-       (Lint.lint_meta (sample_meta ())))
+       (lint_meta (sample_meta ())))
 
 let test_flow_accepts_direction () =
   (* Flow through an [In] interface parameter: A passes B's IShared

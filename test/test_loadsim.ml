@@ -246,37 +246,45 @@ let prop_arrivals_nondecreasing =
       !ok)
 
 (* The draws are inlined over a local splitmix state; this pins them
-   to the Prng calls they replace, at small and very large session
-   indices alike, and through gen_arrivals' Poisson prefix sum. *)
+   to the Prng calls they replace through gen_arrivals' Poisson prefix
+   sum. *)
 let prng_draws ~seed ~classes s =
   let g = Prng.create (Prng.stream seed s) in
   let e = Prng.exponential g ~mean:1. in
   (e, Prng.int g classes)
+
+(* gen_arrivals' Poisson arrivals and classes for [n] sessions, each
+   equal bit for bit to the prefix sum of the reference draws. *)
+let arrivals_match_prng ~seed ~classes n =
+  let arrivals, class_of = Loadsim.gen_arrivals ~seed ~sessions:n ~classes (Loadsim.Poisson 7.) in
+  let t = ref 0. and ok = ref true in
+  for k = 0 to n - 1 do
+    let ek, ck = prng_draws ~seed ~classes k in
+    t := !t +. (ek *. 1e6 /. 7.);
+    if bits arrivals.(k) <> bits !t || class_of.(k) <> ck then ok := false
+  done;
+  !ok
 
 let prop_draws_match_prng =
   QCheck.Test.make ~name:"inlined session draws == Prng stream reference, bit for bit"
     ~count:300
     QCheck.(
       make
-        ~print:(fun (seed, s, classes, n) ->
-          Printf.sprintf "seed=%Ld s=%d classes=%d sessions=%d" seed s classes n)
-        Gen.(
-          quad int64
-            (oneof [ int_range 0 5000; int_range 0 (1 lsl 40) ])
-            (int_range 1 64) (int_range 1 500)))
-    (fun (seed, s, classes, n) ->
-      let e, c = Loadsim.session_draws ~seed ~classes s in
-      let re, rc = prng_draws ~seed ~classes s in
-      let arrivals, class_of =
-        Loadsim.gen_arrivals ~seed ~sessions:n ~classes (Loadsim.Poisson 7.)
-      in
-      let t = ref 0. and ok = ref true in
-      for k = 0 to n - 1 do
-        let ek, ck = prng_draws ~seed ~classes k in
-        t := !t +. (ek *. 1e6 /. 7.);
-        if bits arrivals.(k) <> bits !t || class_of.(k) <> ck then ok := false
-      done;
-      bits e = bits re && c = rc && !ok)
+        ~print:(fun (seed, classes, n) ->
+          Printf.sprintf "seed=%Ld classes=%d sessions=%d" seed classes n)
+        Gen.(triple int64 (int_range 1 64) (int_range 1 500)))
+    (fun (seed, classes, n) -> arrivals_match_prng ~seed ~classes n)
+
+(* Past the 16,384-session fill batch, twice over and into a partial
+   third batch, the draws still follow the reference. *)
+let test_draws_match_prng_across_batches () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %Ld: 32,773 sessions == Prng stream reference" seed)
+        true
+        (arrivals_match_prng ~seed ~classes:7 ((2 * 16_384) + 5)))
+    [ 0L; -3L; 0x7FFF_FFFF_FFFF_FFFFL ]
 
 (* Pooled batches write disjoint slices of the arrays; three batches,
    the last one partial, must match the sequential fill. *)
@@ -528,4 +536,6 @@ let suite =
     qtest ~long:false prop_percentiles_and_availability;
     qtest ~long:false prop_seed_determinism_across_pools;
     qtest prop_simulate_matches_reference;
+    Alcotest.test_case "session draws == Prng stream reference across batches" `Quick
+      test_draws_match_prng_across_batches;
   ]

@@ -8,12 +8,6 @@ let test_message_time_formula () =
   (* 1000 bytes at 8 Mbps = 1000 us *)
   Alcotest.(check (float 1e-6)) "formula" 1150. (Network.message_us net ~bytes:1000)
 
-let test_round_trip () =
-  let net = Network.ethernet_10 in
-  Alcotest.(check (float 1e-9)) "request+reply"
-    (Network.message_us net ~bytes:100 +. Network.message_us net ~bytes:200)
-    (Network.round_trip_us net ~request:100 ~reply:200)
-
 let test_monotone_in_size () =
   List.iter
     (fun net ->
@@ -70,12 +64,6 @@ let test_profile_deterministic_per_seed () =
   let p1 = Net_profiler.profile (Prng.create 9L) Network.ethernet_10 in
   let p2 = Net_profiler.profile (Prng.create 9L) Network.ethernet_10 in
   Alcotest.(check (float 0.)) "same fit" p1.Net_profiler.fixed_us p2.Net_profiler.fixed_us
-
-let test_round_trip_prediction () =
-  let p = Net_profiler.exact Network.ethernet_10 in
-  Alcotest.(check (float 1e-9)) "sum of directions"
-    (Net_profiler.predict_us p ~bytes:10 +. Net_profiler.predict_us p ~bytes:20)
-    (Net_profiler.predict_round_trip_us p ~request:10 ~reply:20)
 
 let prop_predictions_nonnegative =
   QCheck.Test.make ~name:"predictions are non-negative" ~count:200
@@ -157,7 +145,6 @@ let prop_predictions_match_oracle =
 let suite =
   [
     Alcotest.test_case "message time formula" `Quick test_message_time_formula;
-    Alcotest.test_case "round trip" `Quick test_round_trip;
     Alcotest.test_case "monotone in size" `Quick test_monotone_in_size;
     Alcotest.test_case "loopback free" `Quick test_loopback_free;
     Alcotest.test_case "preset ordering" `Quick test_preset_ordering;
@@ -165,7 +152,6 @@ let suite =
     Alcotest.test_case "profiler fit close to truth" `Quick test_profile_fit_close_to_truth;
     Alcotest.test_case "exact profile is exact" `Quick test_exact_profile_is_exact;
     Alcotest.test_case "profile deterministic per seed" `Quick test_profile_deterministic_per_seed;
-    Alcotest.test_case "round trip prediction" `Quick test_round_trip_prediction;
     qtest prop_predictions_nonnegative;
     qtest prop_predictions_match_oracle;
   ]

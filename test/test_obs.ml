@@ -12,7 +12,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* --- Jsonu ---------------------------------------------------------- *)
 
-let roundtrip j = Jsonu.parse_exn (Jsonu.to_string j)
+let roundtrip j = Harness.parse_json (Jsonu.to_string j)
 
 let test_jsonu_print_parse () =
   let j =
@@ -38,9 +38,9 @@ let test_jsonu_float_never_reparses_as_int () =
 let test_jsonu_unicode_escapes () =
   (* \u00e9 = é in UTF-8; a surrogate pair decodes to a 4-byte scalar. *)
   Alcotest.(check bool) "BMP escape" true
-    (Jsonu.parse_exn {|"caf\u00e9"|} = Jsonu.Str "caf\xc3\xa9");
+    (Harness.parse_json {|"caf\u00e9"|} = Jsonu.Str "caf\xc3\xa9");
   Alcotest.(check bool) "surrogate pair" true
-    (Jsonu.parse_exn {|"\ud83d\ude00"|} = Jsonu.Str "\xf0\x9f\x98\x80")
+    (Harness.parse_json {|"\ud83d\ude00"|} = Jsonu.Str "\xf0\x9f\x98\x80")
 
 let test_jsonu_rejects_garbage () =
   let bad s = match Jsonu.parse s with Error _ -> true | Ok _ -> false in
@@ -58,9 +58,7 @@ let all_event_shapes =
   [
     Event.Component_instantiated
       { inst = 3; cname = "Mini.Back\twith\ttabs"; classification = 1; creator = 0 };
-    Event.Component_destroyed { inst = 3 };
     Event.Interface_instantiated { owner = 2; iface = "IBack"; handle = 7 };
-    Event.Interface_destroyed { owner = 2; iface = "IBack"; handle = 7 };
     Event.Interface_call
       {
         caller = 1;
@@ -97,11 +95,12 @@ let all_event_shapes =
     Event.Pool_resized { at_us = 61_000; from_hosts = 3; to_hosts = 2; shards = 4; migrated = 5 };
   ]
 
-(* --- Logger line format (golden), tee, tally ------------------------ *)
+(* --- Logger line format (golden), kind tally ------------------------ *)
 
 let test_to_channel_golden () =
-  (* The exact bytes Logger.to_channel emits — a compatibility surface;
-     update this test only with a deliberate format change. *)
+  (* The exact bytes an event log holds, one Event.to_line per line —
+     a compatibility surface; update this test only with a deliberate
+     format change. *)
   let expected =
     "component_instantiated\tinst=1\tcname=\"Mini.Front\"\tclassification=0\tcreator=0\n\
      interface_call\tcaller=1\tcaller_classification=0\tcallee=2\tcallee_classification=1\t\
@@ -129,43 +128,25 @@ let test_to_channel_golden () =
       Event.Instantiation_degraded { cname = "A \"odd\"\tname"; classification = 1 };
     ]
   in
-  let path = Filename.temp_file "coign_obs" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      let logger = Logger.to_channel oc in
-      List.iter logger events;
-      close_out oc;
-      let ic = open_in_bin path in
-      let got = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check string) "stable line format" expected got)
-
-let test_tee_ordering () =
-  (* Each event reaches the sinks in list order before the next event
-     is delivered to anyone. *)
-  let order = ref [] in
-  let mk name e = order := (name, e) :: !order in
-  let tee = Sink.tee [ mk "a"; mk "b" ] in
-  let e1 = Event.Component_destroyed { inst = 1 } in
-  let e2 = Event.Component_destroyed { inst = 2 } in
-  tee e1;
-  tee e2;
-  Alcotest.(check bool) "a then b, per event" true
-    (List.rev !order = [ ("a", e1); ("b", e1); ("a", e2); ("b", e2) ])
+  let got = String.concat "" (List.map (fun e -> Event.to_line e ^ "\n") events) in
+  Alcotest.(check string) "stable line format" expected got
 
 let test_tally_key_stability () =
-  (* Tally keys are Event.kind_name — one stable key per constructor. *)
-  let tally, read = Logger.tally () in
-  List.iter tally all_event_shapes;
+  (* A log tallied by Event.kind_name — one stable key per
+     constructor. *)
+  let tally =
+    List.fold_left
+      (fun acc e ->
+        let k = Event.kind_name e in
+        (k, 1 + Option.value ~default:0 (List.assoc_opt k acc)) :: List.remove_assoc k acc)
+      [] all_event_shapes
+  in
   Alcotest.(check (list (pair string int)))
     "one key per constructor, sorted"
     [
       ("breaker_closed", 1);
       ("breaker_opened", 1);
       ("call_retried", 1);
-      ("component_destroyed", 1);
       ("component_instantiated", 1);
       ("drift_detected", 1);
       ("failback", 1);
@@ -173,14 +154,13 @@ let test_tally_key_stability () =
       ("instance_migrated", 1);
       ("instantiation_degraded", 1);
       ("interface_call", 1);
-      ("interface_destroyed", 1);
       ("interface_instantiated", 1);
       ("pool_resized", 1);
       ("repartitioned", 1);
       ("replica_promoted", 1);
       ("shard_split", 1);
     ]
-    (read ())
+    (List.sort compare tally)
 
 (* --- Metrics registry ----------------------------------------------- *)
 
@@ -284,21 +264,30 @@ let test_metrics_exposition_deterministic () =
   Alcotest.(check bool) "histogram sum" true (contains "coign_bytes_sum{dir=\"request\"} 90100")
 
 let test_prometheus_escaping () =
+  (* One counter whose help text and label value are given, against
+     the exposition it must have with both written as [help'] and
+     [label']. *)
+  let check what ?(help = "h") ?(help' = "h") label label' =
+    let reg = Metrics.registry () in
+    Metrics.inc (Metrics.counter reg ~help ~labels:[ ("l", label) ] "c_total");
+    Alcotest.(check string) what
+      (Printf.sprintf "# HELP c_total %s\n# TYPE c_total counter\nc_total{l=\"%s\"} 1\n" help'
+         label')
+      (Metrics.prometheus reg)
+  in
   (* The exposition format escapes exactly three characters in quoted
      label values — not JSON's repertoire. Per character: *)
-  Alcotest.(check string) "backslash" {|a\\b|} (Metrics.escape_label_value {|a\b|});
-  Alcotest.(check string) "double quote" {|a\"b|} (Metrics.escape_label_value {|a"b|});
-  Alcotest.(check string) "line feed" {|a\nb|} (Metrics.escape_label_value "a\nb");
-  Alcotest.(check string) "tab passes raw" "a\tb" (Metrics.escape_label_value "a\tb");
-  Alcotest.(check string) "carriage return passes raw" "a\rb"
-    (Metrics.escape_label_value "a\rb");
-  Alcotest.(check string) "high byte passes raw" "caf\xc3\xa9"
-    (Metrics.escape_label_value "caf\xc3\xa9");
-  Alcotest.(check string) "empty" "" (Metrics.escape_label_value "");
+  check "backslash" {|a\b|} {|a\\b|};
+  check "double quote" {|a"b|} {|a\"b|};
+  check "line feed" "a\nb" {|a\nb|};
+  check "tab passes raw" "a\tb" "a\tb";
+  check "carriage return passes raw" "a\rb" "a\rb";
+  check "high byte passes raw" "caf\xc3\xa9" "caf\xc3\xa9";
+  check "empty" "" "";
   (* HELP text is unquoted: backslash and line feed only. *)
-  Alcotest.(check string) "help backslash" {|a\\b|} (Metrics.escape_help {|a\b|});
-  Alcotest.(check string) "help line feed" {|a\nb|} (Metrics.escape_help "a\nb");
-  Alcotest.(check string) "help quote stays raw" {|a"b|} (Metrics.escape_help {|a"b|})
+  check "help backslash" ~help:{|a\b|} ~help':{|a\\b|} "" "";
+  check "help line feed" ~help:"a\nb" ~help':{|a\nb|} "" "";
+  check "help quote stays raw" ~help:{|a"b|} ~help':{|a"b|} "" ""
 
 let test_prometheus_escaping_end_to_end () =
   (* The tricky characters, pushed through the full exposition. *)
@@ -331,7 +320,7 @@ let test_prometheus_escaping_end_to_end () =
     (String.split_on_char '\n' text)
 
 let test_metrics_json_parses () =
-  let j = Jsonu.parse_exn (Metrics.to_json_string (sample_registry ())) in
+  let j = Harness.parse_json (Metrics.to_json_string (sample_registry ())) in
   Alcotest.(check bool) "counter present" true
     (Jsonu.member "coign_calls_total" j <> None);
   Alcotest.(check bool) "stable" true
@@ -393,7 +382,7 @@ let test_chrome_json_shape () =
   let sink, spans = Sink.collector () in
   let tr = Trace.create sink in
   Trace.close_span tr (Trace.open_span tr ~name:"IBack.store" ~cat:"call" ~at_us:1.) ~at_us:2.5;
-  let j = Jsonu.parse_exn (Trace.chrome_json (spans ())) in
+  let j = Harness.parse_json (Trace.chrome_json (spans ())) in
   match Jsonu.member "traceEvents" j with
   | Some (Jsonu.Arr [ ev ]) ->
       Alcotest.(check bool) "complete event" true (Jsonu.member "ph" ev = Some (Jsonu.Str "X"));
@@ -499,7 +488,7 @@ let test_rte_spans_mirror_shadow_stack () =
   (* Every intercepted operation got exactly one span, and the metric
      agrees with the trace. *)
   let count cat = List.length (List.filter (fun s -> s.Span.sp_cat = cat) spans) in
-  let json = Jsonu.parse_exn (Metrics.to_json_string metrics) in
+  let json = Harness.parse_json (Metrics.to_json_string metrics) in
   Alcotest.(check bool) "metrics exported" true
     (Jsonu.member "coign_rte_intercepted_calls_total" json <> None);
   let counter name =
@@ -648,8 +637,7 @@ let test_decision_events_mirror_event_spans () =
       let decisions =
         List.filter
           (function
-            | Event.Component_instantiated _ | Event.Component_destroyed _
-            | Event.Interface_instantiated _ | Event.Interface_destroyed _
+            | Event.Component_instantiated _ | Event.Interface_instantiated _
             | Event.Interface_call _ ->
                 false
             | _ -> true)
@@ -691,7 +679,7 @@ let test_analysis_metrics_and_zero_cost () =
   let observed = Analysis.Session.solve session ~metrics ~net in
   Alcotest.(check string) "distribution unchanged by metrics" (Analysis.encode bare)
     (Analysis.encode observed);
-  let json = Jsonu.parse_exn (Metrics.to_json_string metrics) in
+  let json = Harness.parse_json (Metrics.to_json_string metrics) in
   Alcotest.(check bool) "solve counted" true
     (Jsonu.member "coign_analysis_solves_total" json <> None)
 
@@ -715,7 +703,6 @@ let suite =
     Alcotest.test_case "jsonu rejects garbage" `Quick test_jsonu_rejects_garbage;
     qtest qcheck_jsonu_string_roundtrip;
     Alcotest.test_case "logger line format (golden)" `Quick test_to_channel_golden;
-    Alcotest.test_case "logger tee ordering" `Quick test_tee_ordering;
     Alcotest.test_case "logger tally key stability" `Quick test_tally_key_stability;
     Alcotest.test_case "metrics counters and gauges" `Quick test_metrics_counters_and_gauges;
     Alcotest.test_case "metrics identity and mismatch" `Quick test_metrics_identity_and_mismatch;

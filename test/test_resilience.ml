@@ -165,7 +165,7 @@ let c_front =
               fun ctx args ->
                 let rounds = Combuild.get_int args 0 in
                 for _ = 1 to rounds do
-                  ignore (Runtime.call_named ctx back "store" [ Value.Blob 1_000 ])
+                  ignore (Oracles.call_named ctx back "store" [ Value.Blob 1_000 ])
                 done;
                 Value.Unit );
           ];
@@ -198,7 +198,7 @@ let discover =
          ctx
      in
      let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-     ignore (Runtime.call_named ctx front "run" [ Value.Int 1 ]);
+     ignore (Oracles.call_named ctx front "run" [ Value.Int 1 ]);
      Rte.uninstall rte;
      let n = Classifier.classification_count classifier in
      let cback = ref (-1) in
@@ -256,7 +256,7 @@ let run_resil ?faults ?resilience ?(policy = None) ~rounds () =
   in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
   let completed =
-    match Runtime.call_named ctx front "run" [ Value.Int rounds ] with
+    match Oracles.call_named ctx front "run" [ Value.Int rounds ] with
     | _ -> true
     | exception Hresult.Com_error (Hresult.E_unreachable _) -> false
   in

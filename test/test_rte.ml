@@ -48,7 +48,7 @@ let c_front =
               fun ctx args ->
                 let rounds = Combuild.get_int args 0 in
                 for _ = 1 to rounds do
-                  ignore (Runtime.call_named ctx back "store" [ Value.Blob 1_000 ])
+                  ignore (Oracles.call_named ctx back "store" [ Value.Blob 1_000 ])
                 done;
                 Value.Unit );
             ("back", fun _ctx _args -> Value.Iface_ref back);
@@ -62,7 +62,7 @@ let profile_mini rounds =
   let classifier = Classifier.create Classifier.Ifcb in
   let rte = Rte.install_profiling ~classifier ctx in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ]);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int rounds ]);
   (ctx, rte, front)
 
 let test_profiling_intercepts_all_calls () =
@@ -90,7 +90,7 @@ let test_icc_collected () =
 let test_returned_handles_are_wrapped () =
   let ctx, _, front = profile_mini 1 in
   Alcotest.(check bool) "create returns wrapper" true (Runtime.handle_is_wrapper ctx front);
-  let back_v = Runtime.call_named ctx front "back" [] in
+  let back_v = Oracles.call_named ctx front "back" [] in
   match back_v with
   | Value.Iface_ref h ->
       Alcotest.(check bool) "escaping handle wrapped" true (Runtime.handle_is_wrapper ctx h)
@@ -98,19 +98,19 @@ let test_returned_handles_are_wrapped () =
 
 let test_wrap_idempotent_identity () =
   let ctx, _, front = profile_mini 1 in
-  let b1 = Runtime.call_named ctx front "back" [] in
-  let b2 = Runtime.call_named ctx front "back" [] in
+  let b1 = Oracles.call_named ctx front "back" [] in
+  let b2 = Oracles.call_named ctx front "back" [] in
   Alcotest.(check bool) "same wrapper both times" true (b1 = b2)
 
 let test_query_interface_through_rte () =
   let ctx, _, front = profile_mini 1 in
-  let back_v = Runtime.call_named ctx front "back" [] in
+  let back_v = Oracles.call_named ctx front "back" [] in
   match back_v with
   | Value.Iface_ref back ->
       let shm = Runtime.query_interface ctx back ~iid:(Itype.iid i_shm) in
       Alcotest.(check bool) "QI result wrapped" true (Runtime.handle_is_wrapper ctx shm);
       (* calling through it still works *)
-      ignore (Runtime.call_named ctx shm "map" [ Value.Opaque_handle "SHM" ])
+      ignore (Oracles.call_named ctx shm "map" [ Value.Opaque_handle "SHM" ])
   | _ -> Alcotest.fail "expected interface"
 
 let test_uninstall_restores () =
@@ -126,12 +126,12 @@ let test_wrapper_after_uninstall () =
   let ctx, rte, front = profile_mini 1 in
   Rte.uninstall rte;
   let calls = Rte.intercepted_calls rte and icc = Icc.encode (Rte.icc rte) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int 2 ]);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int 2 ]);
   Alcotest.(check bool) "still a wrapper" true (Runtime.handle_is_wrapper ctx front);
   Alcotest.(check int) "not intercepted" calls (Rte.intercepted_calls rte);
   Alcotest.(check string) "not recorded" icc (Icc.encode (Rte.icc rte));
   let again = Rte.install_profiling ~classifier:(Classifier.create Classifier.Ifcb) ctx in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int 2 ]);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int 2 ]);
   Rte.uninstall again;
   (* run + 2 stores, through the first install's wrappers *)
   Alcotest.(check int) "adopted by the next install" 3 (Rte.intercepted_calls again);
@@ -143,17 +143,13 @@ let test_event_logger_sees_lifecycle () =
   let recorder, events = Coign_obs.Sink.collector () in
   let rte = Rte.install_profiling ~logger:recorder ~classifier ctx in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int 1 ]);
-  Runtime.destroy_instance ctx (Runtime.handle_owner ctx front);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int 1 ]);
   Rte.uninstall rte;
   let evs = events () in
   let count p = List.length (List.filter p evs) in
   Alcotest.(check int) "two instantiations"
     2
     (count (function Event.Component_instantiated _ -> true | _ -> false));
-  Alcotest.(check int) "one destruction"
-    1
-    (count (function Event.Component_destroyed _ -> true | _ -> false));
   Alcotest.(check bool) "interface instantiations seen" true
     (count (function Event.Interface_instantiated _ -> true | _ -> false) >= 2);
   (* run + 1 store, plus one instantiation-request record per created
@@ -182,7 +178,7 @@ let run_distributed policy rounds =
   let classifier = Classifier.create Classifier.Ifcb in
   let rte = Rte.install_distributed ~classifier ~config:(distributed_config policy) ctx in
   let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-  ignore (Runtime.call_named ctx front "run" [ Value.Int rounds ]);
+  ignore (Oracles.call_named ctx front "run" [ Value.Int rounds ]);
   (ctx, rte)
 
 let by_class_placement cname =
@@ -191,14 +187,14 @@ let by_class_placement cname =
 let test_all_client_no_comm () =
   let _, rte = run_distributed Factory.All_client 5 in
   Alcotest.(check (float 0.)) "no communication" 0. (Rte.comm_us rte);
-  Alcotest.(check int) "no remote calls" 0 (Rte.remote_calls rte)
+  Alcotest.(check int) "no remote calls" 0 (Rte.stats rte).Rte.st_remote_calls
 
 let test_split_placement_accounts_comm () =
   let _, rte = run_distributed (Factory.By_class by_class_placement) 5 in
   (* 5 remote stores plus the forwarded instantiation round trip. *)
-  Alcotest.(check int) "remote exchanges" 6 (Rte.remote_calls rte);
+  Alcotest.(check int) "remote exchanges" 6 (Rte.stats rte).Rte.st_remote_calls;
   Alcotest.(check bool) "time charged" true (Rte.comm_us rte > 0.);
-  Alcotest.(check bool) "bytes counted" true (Rte.remote_bytes rte > 5_000);
+  Alcotest.(check bool) "bytes counted" true ((Rte.stats rte).Rte.st_remote_bytes > 5_000);
   let factory = Option.get (Rte.factory rte) in
   Alcotest.(check int) "one forwarded instantiation" 1 (Factory.forwarded_requests factory)
 
@@ -227,7 +223,7 @@ let test_jitter_perturbs () =
         ctx
     in
     let front = Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front) in
-    ignore (Runtime.call_named ctx front "run" [ Value.Int 5 ]);
+    ignore (Oracles.call_named ctx front "run" [ Value.Int 5 ]);
     Rte.comm_us rte
   in
   let base = run 0. 1L in
@@ -243,13 +239,13 @@ let test_non_remotable_cross_machine_fails () =
     (* main's handle to front: recreate one (front is on the client) *)
     Runtime.create_instance ctx c_front.Runtime.clsid ~iid:(Itype.iid i_front)
   in
-  let back_v = Runtime.call_named ctx front_h "back" [] in
+  let back_v = Oracles.call_named ctx front_h "back" [] in
   match back_v with
   | Value.Iface_ref back ->
       let shm = Runtime.query_interface ctx back ~iid:(Itype.iid i_shm) in
       Alcotest.(check bool) "E_cannot_marshal" true
         (try
-           ignore (Runtime.call_named ctx shm "map" [ Value.Opaque_handle "SHM" ]);
+           ignore (Oracles.call_named ctx shm "map" [ Value.Opaque_handle "SHM" ]);
            false
          with Hresult.Com_error (Hresult.E_cannot_marshal _) -> true)
   | _ -> Alcotest.fail "expected interface"
@@ -280,7 +276,7 @@ let profile_wp0 ?logger () =
    builds events only for an attached logger. Attaching one must change
    nothing recorded, and it must see the events the RTE always logged:
    the counts are pinned from the event-driven recorder, and replaying
-   the events through [Logger.profiling] rebuilds the same summaries. *)
+   the events through [Oracles.profiling_logger] rebuilds the same summaries. *)
 let test_direct_recorder () =
   let recorder, events = Coign_obs.Sink.collector () in
   let bare = profile_wp0 () and logged = profile_wp0 ~logger:recorder () in
@@ -301,7 +297,7 @@ let test_direct_recorder () =
   Alcotest.(check int) "interface instantiations" 1073
     (count (function Event.Interface_instantiated _ -> true | _ -> false));
   let icc = Icc.create () and inst_comm = Inst_comm.create () in
-  List.iter (Logger.profiling ~icc ~inst_comm) evs;
+  List.iter (Oracles.profiling_logger ~icc ~inst_comm) evs;
   Alcotest.(check string) "events rebuild the icc" (Icc.encode (Rte.icc bare)) (Icc.encode icc);
   Alcotest.(check (pair int int))
     "events rebuild instance comm" (totals bare)
@@ -437,7 +433,7 @@ let test_remote_call_allocation () =
         ctx
     in
     sc.Coign_apps.App.sc_run ctx;
-    Rte.remote_calls rte
+    (Rte.stats rte).Rte.st_remote_calls
   in
   let default, remote = words (run (Factory.By_class app.Coign_apps.App.app_default_placement)) in
   let all_client, none = words (run Factory.All_client) in

@@ -8,7 +8,7 @@ open Coign_core
 
 let classifier_with classes =
   let t = Classifier.create Classifier.St in
-  List.iter (fun cname -> ignore (Classifier.classify t ~cname ~stack:[])) classes;
+  List.iter (fun cname -> ignore (Oracles.classify t ~cname ~stack:[])) classes;
   t
 
 let icc_of records =
@@ -146,7 +146,7 @@ let test_session_empty_profile () =
 let test_session_components () =
   let classifier = Classifier.create Classifier.Incremental in
   List.iter
-    (fun cname -> ignore (Classifier.classify classifier ~cname ~stack:[]))
+    (fun cname -> ignore (Oracles.classify classifier ~cname ~stack:[]))
     [ "A"; "B"; "C"; "D"; "E"; "E"; "F"; "G" ];
   let icc =
     icc_of

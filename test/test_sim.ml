@@ -51,16 +51,6 @@ let test_octarine_reader_server () =
     (List.mem_assoc "Octarine.TextProperties" hist);
   Alcotest.(check bool) "GUI stays on client" false (List.mem_assoc "Octarine.Button" hist)
 
-let test_placements_by_class_consistent () =
-  let r = row "o_newtbl" in
-  let rows = Experiment.placements_by_class r in
-  let total = List.fold_left (fun acc (_, _, t) -> acc + t) 0 rows in
-  Alcotest.(check int) "totals cover all classifications" r.Experiment.node_count total;
-  List.iter
-    (fun (cls, s, t) ->
-      Alcotest.(check bool) (cls ^ " server <= total") true (s <= t))
-    rows
-
 let test_across_networks_monotone_comm () =
   let app, sc = Suite.find_scenario "o_oldwp0" in
   let rows =
@@ -377,9 +367,8 @@ let suite =
     Alcotest.test_case "photodraw property sets server" `Quick
       test_photodraw_property_sets_server;
     Alcotest.test_case "octarine reader server" `Quick test_octarine_reader_server;
-    Alcotest.test_case "placements by class consistent" `Quick
-      test_placements_by_class_consistent;
     Alcotest.test_case "across networks monotone" `Quick test_across_networks_monotone_comm;
+    Alcotest.test_case "overhead shape" `Quick test_overhead_shape;
     Alcotest.test_case "table 4 expected shape" `Quick test_table4_expected_shape;
     Alcotest.test_case "figure 8 expected shape" `Quick test_figure8_expected_shape;
     Alcotest.test_case "sec 4.4 placement moves with the network" `Quick
@@ -393,5 +382,4 @@ let suite =
     Alcotest.test_case "table2 granularity ordering" `Slow test_table2_granularity_ordering;
     Alcotest.test_case "table2 accuracy ordering" `Slow test_table2_accuracy_ordering;
     Alcotest.test_case "table3 depth monotone" `Slow test_table3_depth_monotone;
-    Alcotest.test_case "overhead shape" `Quick test_overhead_shape;
   ]

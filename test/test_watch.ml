@@ -423,10 +423,10 @@ let test_quiet_watch_leaves_run_bit_identical () =
   let bare = run_deployed staged ids in
   let quiet = run_deployed ~watch:(0., None) staged ids in
   check_bits "comm bits identical" (Rte.comm_us bare) (Rte.comm_us quiet);
-  Alcotest.(check int) "remote calls identical" (Rte.remote_calls bare)
-    (Rte.remote_calls quiet);
-  Alcotest.(check int) "remote bytes identical" (Rte.remote_bytes bare)
-    (Rte.remote_bytes quiet);
+  Alcotest.(check int) "remote calls identical" (Rte.stats bare).Rte.st_remote_calls
+    (Rte.stats quiet).Rte.st_remote_calls;
+  Alcotest.(check int) "remote bytes identical" (Rte.stats bare).Rte.st_remote_bytes
+    (Rte.stats quiet).Rte.st_remote_bytes;
   let checks =
     List.length (Rte.watch_timeline quiet)
   in
@@ -504,8 +504,7 @@ let test_watch_emits_drift_events () =
 (* Interception events are the application's; the rest are RTE
    decisions. *)
 let decision_event = function
-  | Event.Component_instantiated _ | Event.Component_destroyed _
-  | Event.Interface_instantiated _ | Event.Interface_destroyed _ | Event.Interface_call _ ->
+  | Event.Component_instantiated _ | Event.Interface_instantiated _ | Event.Interface_call _ ->
       false
   | _ -> true
 
@@ -645,7 +644,7 @@ let test_watchsim_jobs_deterministic () =
 
 let test_watchsim_json_parses () =
   let r = watchsim_shift () in
-  let j = Jsonu.parse_exn (Jsonu.to_string (Coign_sim.Watchsim.to_json r)) in
+  let j = Harness.parse_json (Jsonu.to_string (Coign_sim.Watchsim.to_json r)) in
   let member k = Jsonu.member k j in
   Alcotest.(check bool) "converged present" true (member "converged" <> None);
   Alcotest.(check bool) "timeline present" true (member "timeline" <> None);
