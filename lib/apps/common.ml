@@ -111,7 +111,6 @@ module Vfs = struct
     | Some n -> n
     | None -> Hresult.fail (Hresult.E_fail ("no such file: " ^ name))
 
-  let exists ctx name = Hashtbl.mem (table ctx) name
 end
 
 let file_server_class_name = "Storage.FileServer"

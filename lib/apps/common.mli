@@ -67,10 +67,6 @@ module Vfs : sig
   val add : Runtime.ctx -> name:string -> bytes:int -> unit
   (** Register a file and its size for the context's file server. *)
 
-  val size : Runtime.ctx -> string -> int
-  (** Raises [Com_error (E_fail _)] for a missing file. *)
-
-  val exists : Runtime.ctx -> string -> bool
 end
 
 (** {1 Storage server} *)

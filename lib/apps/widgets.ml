@@ -160,8 +160,3 @@ let build_chrome ctx k ~buttons ~menus ~extras =
     :: List.map (fun c -> Runtime.query_interface ctx c ~iid:(Itype.iid Common.i_paint)) controls
   in
   { window_notify; window_paint; window_render; controls; paints }
-
-let click ctx chrome i =
-  match List.nth_opt chrome.controls i with
-  | Some c -> ignore (Runtime.call_slot ctx c Common.control_click [])
-  | None -> invalid_arg "Widgets.click: no such control"

@@ -45,8 +45,5 @@ val build_chrome :
     one toolbar/status bar/two scrollbars, [extras] tooltips, and a
     dialog; attach every control to the window. *)
 
-val click : Runtime.ctx -> chrome -> int -> unit
-(** Click the i-th control (it notifies the window). *)
-
 val gui_apis : string list
 (** The user32/gdi32 API references every widget class carries. *)

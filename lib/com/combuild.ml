@@ -29,8 +29,6 @@ let iface itype handlers =
   let dispatch ctx ~meth args = table.(meth) ctx args in
   (itype, dispatch)
 
-let ret v : handler = fun _ctx _args -> v
-
 let arg_error what pos =
   Hresult.fail
     (Hresult.E_invalidarg (Printf.sprintf "expected %s at argument %d" what pos))

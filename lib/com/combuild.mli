@@ -15,9 +15,6 @@ val iface : Itype.t -> (string * handler) list -> Itype.t * Runtime.dispatch
     must have exactly one handler; extra or missing handlers raise
     [Invalid_argument] at construction time. *)
 
-val ret : Coign_idl.Value.t -> handler
-(** Handler that ignores its arguments and returns a constant. *)
-
 val get_int : Coign_idl.Value.t list -> int -> int
 (** Fetch an [Int] argument by position; raises [Com_error E_invalidarg]
     on shape mismatch — component implementations should not crash on

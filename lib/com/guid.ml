@@ -33,8 +33,6 @@ let to_string t =
     (Int64.shift_right_logical t.lo 48)
     (Int64.logand t.lo 0xFFFFFFFFFFFFL)
 
-let pp ppf t = Format.fprintf ppf "%s%s" (to_string t) (if t.gname = "" then "" else " (" ^ t.gname ^ ")")
-
 module Ord = struct
   type nonrec t = t
 

@@ -13,7 +13,6 @@ val of_name : string -> t
     folding). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 val name : t -> string
@@ -22,8 +21,6 @@ val name : t -> string
 
 val to_string : t -> string
 (** Canonical ["{XXXXXXXX-XXXX-...}"] rendering. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -20,8 +20,6 @@ let to_string = function
   | E_cannot_marshal s -> "E_CANNOTMARSHAL: " ^ s
   | E_unreachable s -> "E_UNREACHABLE: " ^ s
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let () =
   Printexc.register_printer (function
     | Com_error e -> Some ("Com_error (" ^ to_string e ^ ")")

@@ -21,4 +21,3 @@ val fail : t -> 'a
 (** Raise [Com_error]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

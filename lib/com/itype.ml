@@ -45,10 +45,3 @@ let procs t i =
   t.procs.(i)
 
 let remotable t = t.remotable
-
-let equal a b = Guid.equal a.iid b.iid
-
-let pp ppf t =
-  Format.fprintf ppf "interface %s%s (%d methods)" t.iname
-    (if t.remotable then "" else " [non-remotable]")
-    (Array.length t.methods)

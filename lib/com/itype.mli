@@ -44,6 +44,3 @@ val remotable : t -> bool
 (** All methods marshalable; a call across machines on a non-remotable
     interface is a runtime error, so the partitioner must co-locate the
     endpoints. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -62,8 +62,14 @@ module Session = struct
        [Icc_graph.predicted_us]; main (n) stays on the client, 0. *)
     s_host : int array;
     s_pricing : Icc_graph.pricing;
-    (* cost table, one entry per seen net *)
-    mutable s_cost_cache : (Net_profiler.t * float array) list;
+    (* Cost tables per seen net in two generations, newest first: an
+       insertion conses onto [s_cost_young]; once it holds
+       [cost_cache_cap] entries it becomes [s_cost_old] and the old
+       generation is dropped whole, so eviction allocates nothing and
+       the cache holds the [cost_cache_cap] newest tables or more. *)
+    mutable s_cost_young : (Net_profiler.t * float array) list;
+    mutable s_cost_young_len : int;
+    mutable s_cost_old : (Net_profiler.t * float array) list;
   }
 
   type t = session
@@ -213,7 +219,9 @@ module Session = struct
       s_server_side = Array.make nodes false;
       s_host = Array.make (n + 1) 0;
       s_pricing = Icc_graph.make_pricing graph;
-      s_cost_cache = [];
+      s_cost_young = [];
+      s_cost_young_len = 0;
+      s_cost_old = [];
     }
 
   let timed profiler name f =
@@ -229,6 +237,9 @@ module Session = struct
   let copy t =
     let nodes = Flow_network.node_count t.s_arena in
     let arena = Flow_network.copy t.s_arena in
+    (* The cost cache's generations and their entries are immutable
+       once published; [t with] shares them, so a copied session skips
+       re-pricing profiles the original already priced. *)
     {
       t with
       s_arena = arena;
@@ -238,10 +249,6 @@ module Session = struct
       s_server_side = Array.make nodes false;
       s_host = Array.make (Array.length t.s_host) 0;
       s_pricing = Icc_graph.make_pricing t.s_graph;
-      (* The cache list and its entries are immutable once published;
-         sharing the snapshot lets a copied session skip re-pricing
-         profiles the original already priced. *)
-      s_cost_cache = t.s_cost_cache;
     }
 
   (* The table cached for [net], found by physical identity; a
@@ -251,18 +258,21 @@ module Session = struct
     | (key, entry) :: rest -> if key == net then entry else cached net rest
 
   let cost_table_for t net =
-    match cached net t.s_cost_cache with
+    match cached net t.s_cost_young with
     | cost -> cost
-    | exception Not_found ->
-        let cost = Icc_graph.cost_table t.s_graph net in
-        let cache = t.s_cost_cache in
-        let cache =
-          if List.length cache >= cost_cache_cap then
-            List.filteri (fun i _ -> i < cost_cache_cap - 1) cache
-          else cache
-        in
-        t.s_cost_cache <- (net, cost) :: cache;
-        cost
+    | exception Not_found -> (
+        match cached net t.s_cost_old with
+        | cost -> cost
+        | exception Not_found ->
+            let cost = Icc_graph.cost_table t.s_graph net in
+            if t.s_cost_young_len = cost_cache_cap then begin
+              t.s_cost_old <- t.s_cost_young;
+              t.s_cost_young <- [];
+              t.s_cost_young_len <- 0
+            end;
+            t.s_cost_young <- (net, cost) :: t.s_cost_young;
+            t.s_cost_young_len <- t.s_cost_young_len + 1;
+            cost)
 
   let price t ~net =
     Icc_graph.price_into t.s_graph ~cost:(cost_table_for t net) t.s_pricing;

@@ -31,9 +31,6 @@ val classification_profiles :
     peers classified [c]; dimension [dims] (the array has [dims + 1]
     slots) collects peers with classification outside [0..dims-1]. *)
 
-val correlation : float array -> float array -> float
-(** Normalized dot product in [0, 1]. *)
-
 val average_correlation :
   profiles:(int, float array) Hashtbl.t -> test:run -> dims:int -> price:price -> float
 (** Mean over the test run's instances of the correlation between each

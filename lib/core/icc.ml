@@ -91,12 +91,6 @@ let entries t =
            let c = Int.compare a.dst b.dst in
            if c <> 0 then c else String.compare a.iface b.iface)
 
-let fold_messages f t init =
-  Int_table.fold
-    (fun _ (c : cell) acc ->
-      f ~src:c.c_src ~dst:c.c_dst ~count:(Exp_bucket.message_count c.buckets) acc)
-    t.cells init
-
 let call_count t = t.calls
 
 let total_bytes t =

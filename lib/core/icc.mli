@@ -45,13 +45,6 @@ val record_interned :
 val entries : t -> entry list
 (** Deterministic order (sorted by key). *)
 
-val fold_messages :
-  (src:int -> dst:int -> count:int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold the message count of every (src, dst, iface) cell without
-    materializing the sorted {!entries} list. One call per cell,
-    unspecified order — for callers (usage signatures, summaries) that
-    aggregate into their own order-insensitive structures. *)
-
 val call_count : t -> int
 (** Total calls recorded (= messages / 2). *)
 

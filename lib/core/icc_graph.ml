@@ -23,7 +23,6 @@ type pricing = { pair_us : float array; seg_us : float array }
 let classification_count t = t.n
 let main_node t = t.n
 let pair_count t = Array.length t.pair_a
-let pair t p = (t.pair_a.(p), t.pair_b.(p))
 
 let iter_pairs t f =
   for p = 0 to Array.length t.pair_a - 1 do

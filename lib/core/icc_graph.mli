@@ -61,12 +61,9 @@ val main_node : t -> int
 
 val pair_count : t -> int
 
-val pair : t -> int -> int * int
-(** Endpoints of a pair id, as [(a, b)] with [a < b]; ids are assigned
-    in first-appearance (entry) order. *)
-
 val iter_pairs : t -> (int -> a:int -> b:int -> non_remotable:bool -> unit) -> unit
-(** Iterate pairs in pair-id order. *)
+(** Iterate pairs in pair-id order, each with its endpoints [a < b];
+    ids are assigned in first-appearance (entry) order. *)
 
 val price : t -> net:Coign_netsim.Net_profiler.t -> pricing
 (** Stage 2's entry point: map a network profile onto the abstract

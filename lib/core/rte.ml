@@ -63,11 +63,6 @@ type t = {
   sites : (string, (Itype.t * int array) list) Hashtbl.t;
   mode : mode;
   mutable n_intercepted : int;
-  (* Lightweight per-classification-pair message counter, kept even in
-     distributed mode (paper SS6: count messages "with only slight
-     additional overhead" so usage drift can be recognized). Keyed by
-     [pair_key]. *)
-  pair_counts : int Int_table.t;
 }
 
 type distributed_config = {
@@ -81,11 +76,6 @@ type distributed_config = {
   dc_watch : watch_config option;
   dc_fleet : fleet_config option;
 }
-
-(* [pair_counts] key of a (caller, callee) classification pair, each
-   in [-1, 2^31 - 2]. *)
-let pair_key a b = ((a + 1) lsl 31) lor (b + 1)
-let pair_of_key k = ((k lsr 31) - 1, (k land 0x7FFF_FFFF) - 1)
 
 let no_wrapper =
   { w_raw = -1; w_itype = Itype.declare "" []; w_owner = -1; w_iface = Icc.no_iface; w_sites = [||] }
@@ -190,7 +180,6 @@ let intercept_run t w ~meth args =
   let outs = args in
   let itype = w.w_itype in
   t.n_intercepted <- t.n_intercepted + 1;
-  Int_table.add_to t.pair_counts (pair_key caller_cls callee_cls) 1;
   (match t.mode with
   | M_profiling p ->
       let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
@@ -360,7 +349,6 @@ let install ~env ~classifier ~mode ctx =
       sites = Hashtbl.create 64;
       mode;
       n_intercepted = 0;
-      pair_counts = Int_table.create ~absent:0 256;
     }
   in
   Runtime.set_create_hook ctx (Some (on_create t));
@@ -456,9 +444,6 @@ let instance_classifications t =
 
 let instances_created t = List.map fst (instance_classifications t)
 let factory t = match t.mode with M_profiling _ -> None | M_distributed m -> Some m.m_factory
-
-let call_counts t =
-  Int_table.fold (fun k n acc -> (pair_of_key k, n) :: acc) t.pair_counts [] |> List.sort compare
 
 let comm_us t = t.env.spent.Fault.comm_us
 let intercepted_calls t = t.n_intercepted

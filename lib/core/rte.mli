@@ -214,7 +214,7 @@ val install_distributed :
     attaching or detaching the tap never perturbs jitter, backoff or
     fault draws). Every [check_every] observations the RTE compares
     the window signature against the adopted baseline
-    ({!Drift.similarity}); below [threshold] it logs
+    ({!Window.similarity}); below [threshold] it logs
     {!Event.Drift_detected}, re-prices the analysis session with the
     window's per-pair volumes ([Session.solve ~scale]), lint-validates
     the candidate cut, and — when the placement actually changes —
@@ -351,10 +351,3 @@ val fleet_stats : t -> fleet_stats option
     the pool ladder, instances moved live between hosts, stranded and
     rescued calls, the final rung) are the routing counters of
     {!stats}. *)
-
-val call_counts : t -> ((int * int) * int) list
-(** Lightweight per-(caller classification, callee classification) call
-    counts, maintained in both modes — the "slight additional overhead"
-    message counting of paper §6 that lets the runtime recognize when
-    usage differs from the profiled scenarios (see {!Drift}). Sorted by
-    pair. *)

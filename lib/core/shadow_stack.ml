@@ -41,5 +41,3 @@ let slot t i name =
 let inst t i = Array.unsafe_get t.insts (slot t i "Shadow_stack.inst")
 let classification t i = Array.unsafe_get t.classifications (slot t i "Shadow_stack.classification")
 let site t i = Array.unsafe_get t.sites (slot t i "Shadow_stack.site")
-
-let clear t = t.n <- 0

@@ -29,5 +29,3 @@ val depth : t -> int
 val inst : t -> int -> int
 val classification : t -> int -> int
 val site : t -> int -> int
-
-val clear : t -> unit

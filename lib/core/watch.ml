@@ -61,8 +61,9 @@ type t = {
      measured — the window's byte dimension. *)
   w_tap : Tap.t;
   w_safe : bool array;          (* per-classification migration safety *)
-  w_prof_share : float array;   (* profile's per-pair message share *)
-  w_prof_byte_share : float array;  (* profile's per-pair byte share *)
+  w_msgs : float array;         (* profile's per-pair messages *)
+  w_bytes : float array;        (* profile's per-pair bytes *)
+  w_totals : float array;       (* [| messages; bytes |] summed, unboxed *)
   w_scale : Icc_graph.scale;    (* scratch scale vectors, pair-id order *)
   w_clock : float array;        (* one cell: the current observation's time *)
   mutable w_baseline : Window.baseline;        (* message counts *)
@@ -85,20 +86,17 @@ let create ~env ~factory ~seed ~dist wc =
   let graph = Analysis.Session.graph wc.wc_session in
   let main = Icc_graph.main_node graph in
   let cls v = if v = main then -1 else v in
-  (* Graph pairs in pair-id order, mapped from node space to unordered
+  (* Graph pairs in pair-id order, mapped from node space to
      classification space — the window's slot layout, so a window
      snapshot is directly a scale vector. *)
-  let pairs =
-    Array.init (Icc_graph.pair_count graph) (fun p ->
-        let a, b = Icc_graph.pair graph p in
-        let ca = cls a and cb = cls b in
-        (min ca cb, max ca cb))
-  in
+  let n = Icc_graph.pair_count graph in
+  let a = Array.make n 0 and b = Array.make n 0 in
+  Icc_graph.iter_pairs graph (fun p ~a:pa ~b:pb ~non_remotable:_ ->
+      a.(p) <- cls pa;
+      b.(p) <- cls pb);
   let msgs = Icc_graph.pair_messages graph in
-  let total = Array.fold_left ( +. ) 0. msgs in
   let pbytes = Icc_graph.pair_bytes graph in
-  let byte_total = Array.fold_left ( +. ) 0. pbytes in
-  let window = Window.create ~half_life_us:wc.wc_half_life_us ~pairs in
+  let window = Window.create ~half_life_us:wc.wc_half_life_us ~a ~b in
   {
     w_config = wc;
     w_env = env;
@@ -108,15 +106,10 @@ let create ~env ~factory ~seed ~dist wc =
       Tap.create ~sample_every:wc.wc_sample_every ~seed:(Prng.stream seed 3)
         (Option.value ~default:Tap.null_sink wc.wc_tap);
     w_safe = Analysis.Session.migration_safety wc.wc_session;
-    w_prof_share = Array.map (fun m -> m /. total) msgs;
-    w_prof_byte_share =
-      (if byte_total = 0. then Array.map (fun _ -> 0.) pbytes
-       else Array.map (fun b -> b /. byte_total) pbytes);
-    w_scale =
-      {
-        Icc_graph.sc_messages = Array.make (Icc_graph.pair_count graph) 1.;
-        sc_bytes = Array.make (Icc_graph.pair_count graph) 1.;
-      };
+    w_msgs = msgs;
+    w_bytes = pbytes;
+    w_totals = [| Array.fold_left ( +. ) 0. msgs; Array.fold_left ( +. ) 0. pbytes |];
+    w_scale = { Icc_graph.sc_messages = Array.make n 1.; sc_bytes = Array.make n 1. };
     w_clock = [| 0. |];
     w_baseline = Window.baseline window Window.Calls msgs;
     w_baseline_bytes = Window.baseline window Window.Bytes pbytes;
@@ -152,15 +145,18 @@ let repartition w ~now ~similarity =
   in
   let win_total = Window.mass window in
   let byte_total = Window.byte_mass window in
+  let prof_total = w.w_totals.(0) and prof_byte_total = w.w_totals.(1) in
   for p = 0 to Array.length w.w_scale.Icc_graph.sc_messages - 1 do
-    let ms = Window.slot_count window p /. win_total /. w.w_prof_share.(p) in
+    (* Each window share over the profile's share of the same pair. *)
+    let ms = Window.slot_count window p /. win_total /. (w.w_msgs.(p) /. prof_total) in
     w.w_scale.Icc_graph.sc_messages.(p) <- ms;
     (* Pairs the profile priced by count alone (no measured bytes), or
        a window that has not yet seen a remote payload, fall back to
        the message multiplier: the byte dimension carries no signal. *)
+    let byte_share = if prof_byte_total = 0. then 0. else w.w_bytes.(p) /. prof_byte_total in
     w.w_scale.Icc_graph.sc_bytes.(p) <-
-      (if byte_total = 0. || w.w_prof_byte_share.(p) = 0. then ms
-       else Window.slot_bytes window p /. byte_total /. w.w_prof_byte_share.(p))
+      (if byte_total = 0. || byte_share = 0. then ms
+       else Window.slot_bytes window p /. byte_total /. byte_share)
   done;
   let candidate = Analysis.Session.solve cfg.wc_session ~scale:w.w_scale ~net:cfg.wc_net in
   let violations =

@@ -13,7 +13,6 @@ type t = {
   mutable w_count : float array;
   mutable w_bytes : float array;
   mutable w_last : float array;
-  mutable w_observed : int;
   mutable w_byte_observed : int;
   (* The last [refresh]: per-cell decayed counts and bytes, the two
      masses, and how many cells carry calls. *)
@@ -28,20 +27,20 @@ type t = {
 let packable c = c >= -(1 lsl 30) && c < 1 lsl 30
 let pack lo hi = ((lo + (1 lsl 30)) lsl 31) lor (hi + (1 lsl 30))
 
-let create ~half_life_us ~pairs =
+let create ~half_life_us ~a ~b =
   if not (half_life_us > 0.) then
     invalid_arg "Window.create: half_life_us must be positive";
-  let n = Array.length pairs in
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "Window.create: one b per a";
   let cell = Int_table.create ~absent:(-1) (n + 16) in
-  Array.iteri
-    (fun slot (a, b) ->
-      let lo = Int.min a b and hi = Int.max a b in
-      if not (packable lo && packable hi) then
-        invalid_arg "Window.create: classification out of range";
-      let key = pack lo hi in
-      if Int_table.find cell key >= 0 then invalid_arg "Window.create: duplicate pair"
-      else Int_table.replace cell key slot)
-    pairs;
+  for slot = 0 to n - 1 do
+    let lo = Int.min a.(slot) b.(slot) and hi = Int.max a.(slot) b.(slot) in
+    if not (packable lo && packable hi) then
+      invalid_arg "Window.create: classification out of range";
+    let key = pack lo hi in
+    if Int_table.find cell key >= 0 then invalid_arg "Window.create: duplicate pair"
+    else Int_table.replace cell key slot
+  done;
   {
     w_half_life_us = half_life_us;
     w_slots = n;
@@ -51,7 +50,6 @@ let create ~half_life_us ~pairs =
     w_count = Array.make n 0.;
     w_bytes = Array.make n 0.;
     w_last = Array.make n 0.;
-    w_observed = 0;
     w_byte_observed = 0;
     r_count = Array.make n 0.;
     r_bytes = Array.make n 0.;
@@ -59,7 +57,6 @@ let create ~half_life_us ~pairs =
     r_live = 0;
   }
 
-let observed t = t.w_observed
 let byte_observed t = t.w_byte_observed
 let extra_pairs t = t.w_cells - t.w_slots
 
@@ -100,7 +97,6 @@ let add_extra t lo hi ~at_us ~bytes =
 
 let observe t ~clock ~caller ~callee ~bytes =
   let at_us = clock.(0) in
-  t.w_observed <- t.w_observed + 1;
   if bytes > 0 then t.w_byte_observed <- t.w_byte_observed + 1;
   let lo = Int.min caller callee and hi = Int.max caller callee in
   let c =
@@ -144,22 +140,6 @@ let live_pairs t = t.r_live
 let slot_count t s = t.r_count.(s)
 let slot_bytes t s = t.r_bytes.(s)
 
-let cosine ~cells ~weights ~values ~n =
-  let dot = ref 0. and na = ref 0. and nb = ref 0. in
-  for i = 0 to Array.length cells - 1 do
-    let w = weights.(i) and v = values.(cells.(i)) in
-    na := !na +. (w *. w);
-    if v > 0. then dot := !dot +. (w *. v)
-  done;
-  for c = 0 to n - 1 do
-    let v = values.(c) in
-    if v > 0. then nb := !nb +. (v *. v)
-  done;
-  let na = !na and nb = !nb in
-  if na = 0. && nb = 0. then 1.
-  else if na = 0. || nb = 0. then 0.
-  else !dot /. (sqrt na *. sqrt nb)
-
 type dim = Calls | Bytes
 
 type baseline = {
@@ -170,9 +150,20 @@ type baseline = {
 
 let freeze t dim weights =
   let weight c = if c < Array.length weights then weights.(c) else 0. in
-  let cells = List.filter (fun c -> weight c > 0.) (List.init t.w_cells Fun.id) in
-  let b_cell = Array.of_list cells in
-  { b_dim = dim; b_cell; b_weight = Array.map weight b_cell }
+  let n = ref 0 in
+  for c = 0 to t.w_cells - 1 do
+    if weight c > 0. then incr n
+  done;
+  let b_cell = Array.make !n 0 and b_weight = Array.make !n 0. in
+  n := 0;
+  for c = 0 to t.w_cells - 1 do
+    if weight c > 0. then begin
+      b_cell.(!n) <- c;
+      b_weight.(!n) <- weight c;
+      incr n
+    end
+  done;
+  { b_dim = dim; b_cell; b_weight }
 
 let baseline t dim weights =
   if Array.length weights <> t.w_slots then invalid_arg "Window.baseline: one weight per slot";
@@ -182,4 +173,17 @@ let adopt t dim = freeze t dim (match dim with Calls -> t.r_count | Bytes -> t.r
 
 let similarity t b =
   let values = match b.b_dim with Calls -> t.r_count | Bytes -> t.r_bytes in
-  cosine ~cells:b.b_cell ~weights:b.b_weight ~values ~n:t.w_cells
+  let dot = ref 0. and na = ref 0. and nb = ref 0. in
+  for i = 0 to Array.length b.b_cell - 1 do
+    let w = b.b_weight.(i) and v = values.(b.b_cell.(i)) in
+    na := !na +. (w *. w);
+    if v > 0. then dot := !dot +. (w *. v)
+  done;
+  for c = 0 to t.w_cells - 1 do
+    let v = values.(c) in
+    if v > 0. then nb := !nb +. (v *. v)
+  done;
+  let na = !na and nb = !nb in
+  if na = 0. && nb = 0. then 1.
+  else if na = 0. || nb = 0. then 0.
+  else !dot /. (sqrt na *. sqrt nb)

@@ -24,11 +24,11 @@
 
 type t
 
-val create : half_life_us:float -> pairs:(int * int) array -> t
-(** A window whose slot [s] tracks [pairs.(s)] (normalized to
-    [(min, max)]). Raises [Invalid_argument] on a non-positive
-    half-life, duplicate pairs, or a classification outside
-    [[-2^30, 2^30)]. *)
+val create : half_life_us:float -> a:int array -> b:int array -> t
+(** A window whose slot [s] tracks the unordered pair of
+    classifications [a.(s)] and [b.(s)]. Raises [Invalid_argument] on a
+    non-positive half-life, arrays of different lengths, duplicate
+    pairs, or a classification outside [[-2^30, 2^30)]. *)
 
 val decay_by : half_life_us:float -> from_us:float -> to_us:float -> float -> float
 (** [decay_by ~half_life_us ~from_us ~to_us v]: a weight [v] stored as
@@ -40,10 +40,7 @@ val observe : t -> clock:float array -> caller:int -> callee:int -> bytes:int ->
 (** Fold in one observation at virtual time [clock.(0)]. The time comes
     in a one-cell float array, which the watch refills on every call,
     so it crosses the call unboxed. Classification [-1] stands for the
-    main program, as in {!Drift} signatures. *)
-
-val observed : t -> int
-(** Raw (undecayed) observation count ever folded in. *)
+    main program. *)
 
 val byte_observed : t -> int
 (** Raw count of observations that carried a measured (positive) byte
@@ -65,9 +62,7 @@ val bytes_at : t -> now_us:float -> float array
     needs from that pass. The window's drift signature is its cells
     with positive weight. Every sum of a check — the masses, the dot
     product and both norms — runs over the cells in cell order: the
-    slots in slot order, then the extras in first-observation order.
-    {!similarity} is {!cosine} over the baseline's cells and the last
-    refresh. *)
+    slots in slot order, then the extras in first-observation order. *)
 
 val refresh : t -> now_us:float -> unit
 (** Decay every cell to [now_us] into the window's read buffers. The
@@ -103,15 +98,9 @@ val baseline : t -> dim -> float array -> baseline
 val adopt : t -> dim -> baseline
 (** The last refresh's signature in dimension [dim]. *)
 
-val cosine : cells:int array -> weights:float array -> values:float array -> n:int -> float
-(** The one cosine of drift checks, in [0, 1]: a sparse vector, weight
-    [weights.(i)] at cell [cells.(i)] with [cells] ascending, against a
-    dense one, [values.(c)] at cell [c] for [c < n], where a
-    non-positive value counts as absent. The dot product and both norms
-    are summed in ascending cell order. Two empty vectors are fully
-    similar. Allocates nothing but its boxed result. *)
-
 val similarity : t -> baseline -> float
-(** Cosine similarity of the baseline and the last refresh in the
-    baseline's dimension: {!cosine} over the baseline's cells and the
-    window's. Allocates nothing but its boxed result. *)
+(** Cosine similarity, in [0, 1], of the baseline and the last refresh
+    in the baseline's dimension, where a non-positive weight counts as
+    absent. The dot product and both norms are summed in cell order.
+    Two empty signatures are fully similar. Allocates nothing but its
+    boxed result. *)

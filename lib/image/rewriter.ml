@@ -34,6 +34,3 @@ let write_distribution (img : Binary_image.t) ~entries =
   in
   let config = List.fold_left (fun c (k, v) -> Config_record.set_entry c k v) cleaned entries in
   { img with imports = runtime_dll :: without_runtime img.imports; config = Some config }
-
-let strip (img : Binary_image.t) =
-  { img with imports = without_runtime img.imports; config = None }

@@ -25,7 +25,3 @@ val write_distribution :
     switch the config record to [Distributed] mode, drop accumulated
     raw profile entries, and store the analyzer's output entries (the
     "ICC graph and component classification data", §2). *)
-
-val strip : Binary_image.t -> Binary_image.t
-(** Restore the original un-instrumented image: remove the runtime
-    import and the configuration record. *)

@@ -61,7 +61,3 @@ let geometric_sweep ?(points = 20) ~from_net ~to_net () =
         ~latency_us:(interp from_net.latency_us to_net.latency_us frac)
         ~bandwidth_mbps:bandwidth
         ~proc_us:(interp from_net.proc_us to_net.proc_us frac))
-
-let pp ppf t =
-  Format.fprintf ppf "%s (lat %.0fus, bw %.1fMbps, proc %.0fus)" t.net_name t.latency_us
-    t.bandwidth_mbps t.proc_us

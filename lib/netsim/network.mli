@@ -55,5 +55,3 @@ val geometric_sweep : ?points:int -> from_net:t -> to_net:t -> unit -> t list
     Latency, bandwidth, and processing cost each interpolate on a log
     scale (linearly when an endpoint value is zero, as for
     [loopback]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -70,8 +70,6 @@ val prometheus : registry -> string
     through raw (JSON escaping would corrupt what a scraper reads
     back). *)
 
-val json : registry -> Coign_util.Jsonu.t
+val to_json_string : registry -> string
 (** The registry as a JSON object keyed by family name, same ordering
     guarantees as {!prometheus}. *)
-
-val to_json_string : registry -> string

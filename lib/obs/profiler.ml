@@ -54,30 +54,6 @@ let phases t =
 
 let total_s t = List.fold_left (fun acc ph -> acc +. ph.ph_total_s) 0. (phases t)
 
-let absorb t other =
-  List.iter
-    (fun ph ->
-      (* Replay the other profiler's aggregate as count records so max
-         survives; total is exact, per-record averages are not needed. *)
-      Mutex.lock t.lock;
-      (match Hashtbl.find_opt t.cells ph.ph_name with
-      | Some c ->
-          c.c_count <- c.c_count + ph.ph_count;
-          c.c_total_s <- c.c_total_s +. ph.ph_total_s;
-          if ph.ph_max_s > c.c_max_s then c.c_max_s <- ph.ph_max_s
-      | None ->
-          Hashtbl.add t.cells ph.ph_name
-            { c_count = ph.ph_count; c_total_s = ph.ph_total_s; c_max_s = ph.ph_max_s };
-          t.order <- ph.ph_name :: t.order);
-      Mutex.unlock t.lock)
-    (phases other)
-
-let reset t =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.cells;
-  t.order <- [];
-  Mutex.unlock t.lock
-
 let pp_text ppf t =
   let ps = phases t in
   let total = List.fold_left (fun acc ph -> acc +. ph.ph_total_s) 0. ps in

@@ -38,12 +38,6 @@ val phases : t -> phase list
 
 val total_s : t -> float
 
-val absorb : t -> t -> unit
-(** [absorb t other] folds [other]'s phases into [t] (counts and totals
-    add, maxima take the max). [other] is unchanged. *)
-
-val reset : t -> unit
-
 val pp_text : Format.formatter -> t -> unit
 (** A small table (count / total ms / max ms / share); emit inside a
     vertical box. *)

@@ -19,14 +19,6 @@ type row = {
                                   against their chosen profiles *)
 }
 
-val evaluate :
-  ?network:Coign_netsim.Network.t ->
-  kind:Coign_core.Classifier.kind ->
-  ?stack_depth:int ->
-  Coign_apps.App.t ->
-  row
-(** One classifier against one application (the paper uses Octarine). *)
-
 val table2 : ?network:Coign_netsim.Network.t -> Coign_apps.App.t -> row list
 (** All seven classifiers at full stack depth (paper Table 2). *)
 

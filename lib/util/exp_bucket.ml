@@ -80,22 +80,3 @@ let fold f t init =
 let mean_bytes_in_bucket t i =
   let n = count t i in
   if n = 0 then 0. else float_of_int (bytes t i) /. float_of_int n
-
-let is_empty t = message_count t = 0
-
-let equal a b =
-  let n = Int.max (used a) (used b) in
-  let rec go i = i = n || (count a i = count b i && bytes a i = bytes b i && go (i + 1)) in
-  go 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  ignore
-    (fold
-       (fun ~index ~count ~bytes first ->
-         let lo, hi = bucket_bounds index in
-         if not first then Format.fprintf ppf "@,";
-         Format.fprintf ppf "[%d..%d]: %d msgs, %d bytes" lo hi count bytes;
-         false)
-       t true);
-  Format.fprintf ppf "@]"

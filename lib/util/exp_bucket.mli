@@ -50,9 +50,3 @@ val fold : (index:int -> count:int -> bytes:int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val mean_bytes_in_bucket : t -> int -> float
 (** Average message size within bucket [i]; 0 if the bucket is empty. *)
-
-val is_empty : t -> bool
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -76,11 +76,6 @@ let find_or_add t k v =
     v
   end
 
-let add_to t k by =
-  if k = free then invalid_arg "Int_table.add_to: reserved key";
-  let s = slot t k in
-  if t.keys.(s) = k then t.vals.(s) <- t.vals.(s) + by else insert t s k by
-
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) free;
   t.size <- 0

@@ -21,10 +21,6 @@ val find_or_add : 'a t -> int -> 'a -> 'a
 (** [find_or_add t k v] is [k]'s value; a missing key is first bound
     to [v]. One probe either way. *)
 
-val add_to : int t -> int -> int -> unit
-(** [add_to t k n] adds [n] to [k]'s count, starting from 0 for a
-    missing key, in one probe. *)
-
 val clear : 'a t -> unit
 (** Remove every key, keeping the table's capacity. The removed values
     stay in the table, unreachable through it, until their slots are

@@ -252,19 +252,3 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool a, Bool b -> a = b
-  | Int a, Int b -> a = b
-  | Float a, Float b -> a = b
-  | Int a, Float b | Float b, Int a -> float_of_int a = b
-  | Str a, Str b -> String.equal a b
-  | Arr a, Arr b -> List.length a = List.length b && List.for_all2 equal a b
-  | Obj a, Obj b ->
-      List.length a = List.length b
-      && List.for_all2
-           (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb)
-           a b
-  | _ -> false

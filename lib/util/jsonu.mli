@@ -39,5 +39,3 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] for absent fields or non-objects. *)
-
-val equal : t -> t -> bool

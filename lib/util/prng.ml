@@ -14,8 +14,6 @@ let create seed =
   set64 t 0 seed;
   t
 
-let copy = Bytes.copy
-
 (* splitmix64 finalizer: the standard avalanche mix. *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -38,8 +36,6 @@ let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* A uniform draw in (0, 1): a 0 is drawn again. *)
 let[@inline] nonzero t =
   let u = ref (float t 1.0) in
@@ -56,15 +52,9 @@ let[@inline] gaussian t ~mu ~sigma =
 
 let exponential t ~mean = -.mean *. log (nonzero t)
 
-let split t = create (mix (next_int64 t))
-
 let mix64 = mix
 
 (* Stream derivation is stateless: it never draws from (or even
    constructs) the root generator, so adding a consumer of stream [i]
    cannot perturb the draws of any other stream of the same seed. *)
 let stream seed i = mix (Int64.add seed (Int64.mul golden_gamma (Int64.of_int i)))
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

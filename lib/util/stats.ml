@@ -1,16 +1,3 @@
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else
-    let m = mean xs in
-    Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs /. float_of_int n
-
-let stddev xs = sqrt (variance xs)
-
 (* Exact order statistics by selection. [select_ranks] is one
    Hoare-partition descent (Wirth's form) over all of [xs] with a
    median-of-three pivot: it leaves at every wanted rank the value a
@@ -105,8 +92,6 @@ let percentiles_in_place xs ps =
       let lo = int_of_float (floor r) and hi = int_of_float (ceil r) and frac = r -. floor r in
       (xs.(lo) *. (1. -. frac)) +. (xs.(hi) *. frac))
     ps
-
-let percentile xs p = (percentiles_in_place (Array.copy xs) [| p |]).(0)
 
 let dot a b =
   if Array.length a <> Array.length b then invalid_arg "Stats.dot: length mismatch";

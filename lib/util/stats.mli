@@ -1,20 +1,11 @@
 (** Small statistics toolkit used by the network profiler, the
     classifier-accuracy evaluation, and the benchmark reports. *)
 
-val mean : float array -> float
-(** Arithmetic mean; 0 on empty input. *)
-
-val stddev : float array -> float
-
-val percentile : float array -> float -> float
-(** [percentile xs p] with [p] in [\[0,100\]]; linear interpolation
-    between the order statistics at [floor] and [ceil] of rank
-    [p/100 * (n-1)]. Leaves [xs] untouched. Raises [Invalid_argument]
-    on empty input or [p] outside [\[0,100\]]. *)
-
 val percentiles_in_place : float array -> float array -> float array
-(** [percentiles_in_place xs ps] is [Array.map (percentile xs) ps], bit
-    for bit, without a sort: one in-place Hoare-partition descent
+(** [percentiles_in_place xs ps] is, for each [p] in [ps] (in
+    [\[0,100\]]), the linear interpolation between the order statistics
+    at [floor] and [ceil] of rank [p/100 * (n-1)], bit for bit what a
+    sort would give, without a sort: one in-place Hoare-partition descent
     (median-of-three pivot) places the order statistic at every needed
     rank — the floor and ceil of each percentile's rank — where a sort
     would put it. After each partition it goes on only into the sides
@@ -25,9 +16,6 @@ val percentiles_in_place : float array -> float array -> float array
     Precondition: [xs] holds no NaN (the order is [<], under which NaN
     is unordered); [-0.] and [0.] count as equal. Raises
     [Invalid_argument] on empty input or a [p] outside [\[0,100\]]. *)
-
-val dot : float array -> float array -> float
-(** Dot product; arrays must have equal length. *)
 
 val cosine_correlation : float array -> float array -> float
 (** Normalized dot product in [\[0,1\]] for non-negative vectors; the

@@ -43,15 +43,6 @@ let render t =
   List.iter emit_cells rows;
   Buffer.contents buf
 
-let print ?title t =
-  (match title with
-  | Some s ->
-      print_newline ();
-      print_endline s;
-      print_endline (String.make (String.length s) '=')
-  | None -> ());
-  print_string (render t)
-
 let cell_float ?(decimals = 3) v = Printf.sprintf "%.*f" decimals v
 
 let cell_pct r = Printf.sprintf "%.0f%%" (r *. 100.)

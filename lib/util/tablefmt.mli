@@ -17,10 +17,6 @@ val add_row : t -> string list -> unit
 val render : t -> string
 (** Render with every column padded to its widest cell. *)
 
-val print : ?title:string -> t -> unit
-(** [print ~title t] writes the table to stdout, preceded by an
-    underlined title. *)
-
 val cell_float : ?decimals:int -> float -> string
 (** Format a float with fixed [decimals] (default 3). *)
 

@@ -19,7 +19,8 @@
 
     Breaker steps reuse the pure {!Coign_netsim.Health.transition}, so
     the explorer and the RTE share one state machine by construction.
-    Counterexamples are replayable event traces ({!Replay}). *)
+    Counterexamples are replayable event traces: the tests replay each
+    through a real breaker and factory. *)
 
 open Coign_core
 
@@ -48,21 +49,6 @@ type state = {
           no promotions enabled) on a one-host-per-rung ladder, so
           the classic two-host state space is unchanged *)
 }
-
-val init : Model.t -> state
-(** Rung 0, closed breaker, every group at its primary target (and
-    target host). *)
-
-val enabled : Model.t -> state -> event list
-(** Events enabled in a state, in deterministic order.  Link events
-    need an admitting breaker and remotable separated traffic;
-    [Cooloff] needs an open breaker; migrations need a ladder-safe
-    group away from its current rung target. *)
-
-val apply : Model.t -> state -> event -> state * (string * Lint.severity * string * string) list
-(** Successor state plus the (code, severity, subject, message)
-    violations the step itself manifests (I3, I4).  I1 is a property of
-    the arrival state — see {!run}. *)
 
 type violation = {
   vl_code : string;

@@ -95,18 +95,8 @@ let cooloff_index m c =
   in
   find 0
 
-let max_pool_size = 3
-
 let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
   let prs = Array.init (Fallback.rung_count ladder) (Fallback.rung ladder) in
-  Array.iter
-    (fun pr ->
-      if pr.Fallback.pr_shape.Pool.sh_hosts > max_pool_size then
-        invalid_arg
-          (Printf.sprintf
-             "Verify.Model.build: pool sizes must be in [1, %d] to keep exploration bounded"
-             max_pool_size))
-    prs;
   let n = Array.length truth in
   let place r c = Analysis.location_of prs.(r).Fallback.pr_distribution c in
   (* The replica ring of [c]'s shard on rung [r], as the RTE homes and

@@ -51,10 +51,6 @@ type t = {
 val rung_count : t -> int
 val group_count : t -> int
 
-val max_pool_size : int
-(** 3 — the widest pool {!build} accepts, so exploration stays finite
-    at useful depths. *)
-
 val target_host : group -> int -> int
 (** [target_host g r] is the host the group belongs on under rung [r]:
     the primary of its ring ([g_rings.(r).(0)]), 0 client-side.  The
@@ -92,5 +88,5 @@ val build :
     rung) the host dimension is inert.  [truth] is the freshly derived
     {!Fallback.migration_safety} table; the ladder's own table is read
     through {!Fallback.migration_safe} so a stale or hand-edited table
-    shows up as {!risky} groups.  Raises [Invalid_argument] when a rung
-    is wider than {!max_pool_size}. *)
+    shows up as {!risky} groups.  A pool of any width compiles; the
+    explorer's depth bound is what keeps exploration finite. *)

@@ -411,58 +411,71 @@ let test_constraints_of_image () =
   Alcotest.(check (option bool)) "free unpinned" None
     (Option.map (fun l -> l = Constraints.Client) (Constraints.class_pin c ~cname:"Free.Thing"))
 
-(* --- Drift signatures ----------------------------------------------- *)
+(* --- Drift similarity ----------------------------------------------- *)
+
+(* The window's call similarity between per-slot [base] counts and a
+   window that observed [seen.(s)] calls of slot [s] (and the [extra]
+   calls of pairs outside the slots), all at time 0, so nothing
+   decays. *)
+let window_similarity ~pairs ?(extra = []) base seen =
+  let w =
+    Window.create ~half_life_us:1e6 ~a:(Array.map fst pairs) ~b:(Array.map snd pairs)
+  in
+  let clock = [| 0. |] in
+  let feed (caller, callee) n =
+    for _ = 1 to n do
+      Window.observe w ~clock ~caller ~callee ~bytes:0
+    done
+  in
+  Array.iteri (fun s n -> feed pairs.(s) n) seen;
+  List.iter (fun (p, n) -> feed p n) extra;
+  Window.refresh w ~now_us:0.;
+  Window.similarity w (Window.baseline w Window.Calls (Array.map float_of_int base))
 
 let test_drift_similarity_hand_computed () =
   (* cos(a, b) = a·b / (|a||b|), computed by hand for small vectors. *)
-  let sig_of l = Drift.of_counts l in
-  let a = sig_of [ ((0, 1), 3); ((1, 2), 4) ] in
-  Alcotest.(check (float 1e-12)) "identical" 1. (Drift.similarity a a);
-  let scaled = sig_of [ ((0, 1), 30); ((1, 2), 40) ] in
-  Alcotest.(check (float 1e-12)) "scale invariant" 1. (Drift.similarity a scaled);
-  let orthogonal = sig_of [ ((2, 3), 7) ] in
-  Alcotest.(check (float 1e-12)) "disjoint pairs" 0. (Drift.similarity a orthogonal);
+  let sim = window_similarity ~pairs:[| (0, 1); (1, 2) |] in
+  let a = [| 3; 4 |] in
+  Alcotest.(check (float 1e-12)) "identical" 1. (sim a a);
+  Alcotest.(check (float 1e-12)) "scale invariant" 1. (sim a [| 30; 40 |]);
+  Alcotest.(check (float 1e-12)) "disjoint pairs" 0. (sim a [| 0; 0 |] ~extra:[ ((2, 3), 7) ]);
   (* (3,4)·(4,3) / 25 = 24/25 *)
-  let b = sig_of [ ((0, 1), 4); ((1, 2), 3) ] in
-  Alcotest.(check (float 1e-12)) "24/25" 0.96 (Drift.similarity a b);
+  Alcotest.(check (float 1e-12)) "24/25" 0.96 (sim a [| 4; 3 |]);
   (* (1,0)·(1,1) / (1·sqrt 2) = 1/sqrt 2 *)
-  let unit = sig_of [ ((0, 1), 1) ] in
-  let diag = sig_of [ ((0, 1), 1); ((1, 2), 1) ] in
-  Alcotest.(check (float 1e-12)) "1/sqrt2" (1. /. sqrt 2.) (Drift.similarity unit diag);
-  Alcotest.(check (float 1e-12)) "both empty" 1. (Drift.similarity (sig_of []) (sig_of []));
-  Alcotest.(check (float 1e-12)) "empty vs non-empty" 0. (Drift.similarity (sig_of []) a);
-  Alcotest.(check bool) "drifted below threshold" true
-    (Drift.drifted ~threshold:0.97 ~profile:a b);
-  Alcotest.(check bool) "not drifted above threshold" false
-    (Drift.drifted ~threshold:0.95 ~profile:a b)
+  Alcotest.(check (float 1e-12)) "1/sqrt2" (1. /. sqrt 2.) (sim [| 1; 0 |] [| 1; 1 |]);
+  Alcotest.(check (float 1e-12)) "both empty" 1. (sim [| 0; 0 |] [| 0; 0 |]);
+  Alcotest.(check (float 1e-12)) "empty vs non-empty" 0. (sim [| 0; 0 |] a);
+  Alcotest.(check (float 1e-12)) "non-empty vs empty" 0. (sim a [| 0; 0 |])
 
-let gen_signature =
-  QCheck.Gen.(
-    list_size (int_bound 12)
-      (pair (pair (int_bound 6) (int_bound 6)) (int_range 1 1000))
-    >|= Drift.of_counts)
+(* Call counts over the ten unordered pairs of classifications 0..3,
+   most of them zero. *)
+let drift_pairs =
+  Array.of_list (List.concat_map (fun a -> List.init (4 - a) (fun d -> (a, a + d))) [ 0; 1; 2; 3 ])
 
-let arb_signature =
+let arb_counts =
+  let n = Array.length drift_pairs in
   QCheck.make
-    ~print:(fun s ->
-      String.concat ";"
-        (List.map
-           (fun ((a, b), w) -> Printf.sprintf "(%d,%d)=%g" a b w)
-           (Drift.entries s)))
-    gen_signature
+    ~print:(fun c -> String.concat ";" (Array.to_list (Array.map string_of_int c)))
+    QCheck.Gen.(
+      list_size (int_bound 6) (pair (int_bound (n - 1)) (int_range 1 100)) >|= fun cells ->
+      let c = Array.make n 0 in
+      List.iter (fun (s, k) -> c.(s) <- c.(s) + k) cells;
+      c)
 
 let qcheck_drift_symmetric =
   QCheck.Test.make ~name:"drift similarity is symmetric" ~count:300
-    (QCheck.pair arb_signature arb_signature)
-    (fun (a, b) -> Float.abs (Drift.similarity a b -. Drift.similarity b a) < 1e-12)
+    (QCheck.pair arb_counts arb_counts)
+    (fun (a, b) ->
+      let sim = window_similarity ~pairs:drift_pairs in
+      Float.abs (sim a b -. sim b a) < 1e-12)
 
 let qcheck_drift_unit_interval =
   QCheck.Test.make ~name:"drift similarity lies in [0,1], self = 1" ~count:300
-    (QCheck.pair arb_signature arb_signature)
+    (QCheck.pair arb_counts arb_counts)
     (fun (a, b) ->
-      let s = Drift.similarity a b in
-      s >= 0. && s <= 1. +. 1e-12
-      && (Drift.pair_count a = 0 || Float.abs (Drift.similarity a a -. 1.) < 1e-12))
+      let sim = window_similarity ~pairs:drift_pairs in
+      let s = sim a b in
+      s >= 0. && s <= 1. +. 1e-12 && Float.abs (sim a a -. 1.) < 1e-12)
 
 let suite =
   [

@@ -91,70 +91,43 @@ let test_replay_cheaper_placement_costs_less () =
 
 (* --- Drift ----------------------------------------------------------- *)
 
-let run_distributed_counts (app : App.t) classifier policy (sc : App.scenario) =
-  let ctx = Coign_com.Runtime.create_ctx app.App.app_registry in
-  let rte =
-    Rte.install_distributed ~classifier
-      ~config:
-        {
-          Rte.dc_factory_policy = policy;
-          dc_network = Network.loopback;
-          dc_jitter = 0.;
-          dc_seed = 1L;
-          dc_faults = None;
-          dc_retry = Fault.default_retry;
-          dc_resilience = None;
-          dc_fleet = None;
-          dc_watch = None;
-        }
-      ctx
+(* A run of [sc_id] under the o_oldwp0 cut, watched with [coign watch]'s
+   settings. *)
+let watched_run =
+  let app = Octarine.app in
+  let registry = app.App.app_registry in
+  let setup =
+    lazy
+      (let image, _ =
+         Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry
+           (App.scenario app "o_oldwp0").App.sc_run
+       in
+       let session = Adps.analysis_session image in
+       let net = Net_profiler.exact Network.ethernet_10 in
+       (fst (Adps.analyze_with ~session ~image ~net ()), session, net))
   in
-  sc.App.sc_run ctx;
-  Rte.uninstall rte;
-  Rte.call_counts rte
+  fun sc_id ->
+    let image, session, net = Lazy.force setup in
+    let watch =
+      Rte.watch ~threshold:0.90 ~check_every:64 ~min_dwell_us:750_000. ~min_window:16.
+        ~half_life_us:750_000. ~sample_every:4 ~net (Analysis.Session.copy session)
+    in
+    Adps.execute ~image ~registry ~network:Network.ethernet_10 ~watch
+      (App.scenario app sc_id).App.sc_run
 
 let test_drift_same_usage_similar () =
-  let app = Octarine.app in
-  let sc = App.scenario app "o_oldwp0" in
-  let classifier = Classifier.create Classifier.Ifcb in
-  (* Profile. *)
-  let ctx = Coign_com.Runtime.create_ctx app.App.app_registry in
-  let rte = Rte.install_profiling ~classifier ctx in
-  sc.App.sc_run ctx;
-  Rte.uninstall rte;
-  let profile = Drift.of_icc (Rte.icc rte) in
-  (* Same scenario under the lightweight runtime. *)
-  let counts = run_distributed_counts app classifier Factory.All_client sc in
-  let observed = Drift.of_counts counts in
-  Alcotest.(check bool) "high similarity" true (Drift.similarity profile observed > 0.95);
-  Alcotest.(check bool) "no drift" false (Drift.drifted ~profile observed)
+  let s = watched_run "o_oldwp0" in
+  Alcotest.(check bool) "checks ran" true (s.Adps.es_drift_checks > 0);
+  Alcotest.(check int) "no drift" 0 s.Adps.es_drift_detections;
+  Alcotest.(check int) "no re-cut" 0 s.Adps.es_repartitions;
+  Alcotest.(check bool) "high similarity" true (s.Adps.es_last_similarity > 0.95)
 
 let test_drift_changed_usage_detected () =
-  let app = Octarine.app in
-  let classifier = Classifier.create Classifier.Ifcb in
-  let ctx = Coign_com.Runtime.create_ctx app.App.app_registry in
-  let rte = Rte.install_profiling ~classifier ctx in
-  (App.scenario app "o_oldwp0").App.sc_run ctx;
-  Rte.uninstall rte;
-  let profile = Drift.of_icc (Rte.icc rte) in
   (* The user switches to a radically different document type. *)
-  let counts =
-    run_distributed_counts app classifier Factory.All_client (App.scenario app "o_oldtb3")
-  in
-  let observed = Drift.of_counts counts in
-  Alcotest.(check bool) "similarity degrades" true
-    (Drift.similarity profile observed < 0.9);
-  Alcotest.(check bool) "drift detected" true (Drift.drifted ~profile observed)
-
-let test_drift_signature_basics () =
-  let a = Drift.of_counts [ ((0, 1), 10); ((1, 2), 5) ] in
-  let b = Drift.of_counts [ ((0, 1), 20); ((1, 2), 10) ] in
-  Alcotest.(check (float 1e-9)) "scale invariant" 1. (Drift.similarity a b);
-  let c = Drift.of_counts [ ((3, 4), 7) ] in
-  Alcotest.(check (float 1e-9)) "disjoint" 0. (Drift.similarity a c);
-  Alcotest.(check (float 1e-9)) "empty vs empty" 1.
-    (Drift.similarity (Drift.of_counts []) (Drift.of_counts []));
-  Alcotest.(check int) "pair count" 2 (Drift.pair_count a)
+  let s = watched_run "o_oldtb3" in
+  Alcotest.(check bool) "drift detected" true (s.Adps.es_drift_detections >= 1);
+  Alcotest.(check bool) "re-cut" true (s.Adps.es_repartitions >= 1);
+  Alcotest.(check bool) "similarity degrades" true (s.Adps.es_last_similarity < 0.9)
 
 (* --- Multiway analysis ------------------------------------------------ *)
 
@@ -348,7 +321,6 @@ let suite =
       test_replay_cheaper_placement_costs_less;
     Alcotest.test_case "drift: same usage similar" `Quick test_drift_same_usage_similar;
     Alcotest.test_case "drift: changed usage detected" `Quick test_drift_changed_usage_detected;
-    Alcotest.test_case "drift: signature basics" `Quick test_drift_signature_basics;
     Alcotest.test_case "multiway: benefits three-tier" `Quick test_multiway_benefits_three_tier;
     Alcotest.test_case "multiway: requires two machines" `Quick
       test_multiway_requires_two_machines;

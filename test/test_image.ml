@@ -143,7 +143,7 @@ let test_write_distribution () =
 
 let test_strip () =
   let original = sample_image () in
-  let stripped = Rewriter.strip (Rewriter.instrument original) in
+  let stripped = Oracles.strip (Rewriter.instrument original) in
   Alcotest.(check bool) "equals original" true (Binary_image.equal original stripped)
 
 let suite =

@@ -26,7 +26,7 @@ let test_jsonu_print_parse () =
         ("a", Jsonu.Arr [ Jsonu.Int 1; Jsonu.Str ""; Jsonu.Obj [] ]);
       ]
   in
-  Alcotest.(check bool) "round-trips" true (Jsonu.equal j (roundtrip j))
+  Alcotest.(check bool) "round-trips" true (Harness.json_equal j (roundtrip j))
 
 let test_jsonu_float_never_reparses_as_int () =
   Alcotest.(check bool) "2.0 stays float" true
@@ -426,24 +426,6 @@ let test_profiler_records_on_exception () =
       Alcotest.(check (float 1e-9)) "time still recorded" 3. ph.Profiler.ph_total_s
   | _ -> Alcotest.fail "expected one phase"
 
-let test_profiler_absorb_and_reset () =
-  let na, a = fake_clock () in
-  let nb, b = fake_clock () in
-  Profiler.time a "cut" (fun () -> na := !na +. 2.);
-  Profiler.time b "cut" (fun () -> nb := !nb +. 5.);
-  Profiler.time b "validation" (fun () -> nb := !nb +. 1.);
-  Profiler.absorb a b;
-  (match Profiler.phases a with
-  | [ cut; v ] ->
-      Alcotest.(check int) "counts add" 2 cut.Profiler.ph_count;
-      Alcotest.(check (float 1e-9)) "totals add" 7. cut.Profiler.ph_total_s;
-      Alcotest.(check (float 1e-9)) "max is max" 5. cut.Profiler.ph_max_s;
-      Alcotest.(check string) "new phase arrives" "validation" v.Profiler.ph_name
-  | _ -> Alcotest.fail "expected two phases after absorb");
-  Alcotest.(check int) "absorb leaves the source alone" 2 (List.length (Profiler.phases b));
-  Profiler.reset a;
-  Alcotest.(check int) "reset empties" 0 (List.length (Profiler.phases a))
-
 (* --- Pipeline integration (real application runs) -------------------- *)
 
 let network = Coign_netsim.Network.ethernet_10
@@ -721,7 +703,6 @@ let suite =
     Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "profiler phases" `Quick test_profiler_phases;
     Alcotest.test_case "profiler records on exception" `Quick test_profiler_records_on_exception;
-    Alcotest.test_case "profiler absorb and reset" `Quick test_profiler_absorb_and_reset;
     Alcotest.test_case "rte spans mirror shadow stack" `Slow test_rte_spans_mirror_shadow_stack;
     Alcotest.test_case "traces deterministic" `Slow test_traces_deterministic;
     Alcotest.test_case "zero cost: profiling" `Slow test_observability_zero_cost_profiling;

@@ -286,8 +286,6 @@ let test_direct_recorder () =
   in
   Alcotest.(check string) "icc" (Icc.encode (Rte.icc bare)) (Icc.encode (Rte.icc logged));
   Alcotest.(check (pair int int)) "instance comm" (totals bare) (totals logged);
-  Alcotest.(check (list (pair (pair int int) int)))
-    "call counts" (Rte.call_counts bare) (Rte.call_counts logged);
   let evs = events () in
   let count p = List.length (List.filter p evs) in
   Alcotest.(check int) "interface calls" 3430
@@ -368,15 +366,15 @@ let test_bare_allocation () =
 (* Minor words a quiet watch (threshold 0: it checks every 256
    observations but never acts) adds per intercepted call over the same
    deployed run without it, o_oldwp0 under its own cut on 10BaseT.
-   Measured 2.22 with OCaml 5.1 in the default (dev) build, of which
-   1.72 is the watch's set-up at install (4,946 words: the window's
+   Measured 1.63 with OCaml 5.1 in the default (dev) build, of which
+   1.13 is the watch's set-up at install (3,267 words: the window's
    per-pair arrays and the profile's baselines, built once per run)
    and 0.50 the calls themselves: the window and the tap's draw
    allocate nothing per call, a check's reads nothing that grows with
    the window, and the virtual clock reaches the window in a one-cell
    float array, unboxed; what is left is the 1 in 16 sampled calls'
-   boxed times and each check's timeline entry. Both bounds leave the
-   same 1.5 words of headroom. *)
+   boxed times and each check's timeline entry. Both bounds leave
+   about 1.5 words of headroom. *)
 let test_quiet_watch_allocation () =
   let app = Coign_apps.Octarine.app in
   let image = Adps.instrument app.Coign_apps.App.app_image in
@@ -412,7 +410,7 @@ let test_quiet_watch_allocation () =
       (Printf.sprintf "quiet watch: %.2f words/call %s (bound %.1f)" w what bound)
       true (w <= bound)
   in
-  check "over the unwatched run" per_call 3.7;
+  check "over the unwatched run" per_call 3.1;
   check "over the unwatched run, past its set-up" after_setup 2.0
 
 (* Minor words per remote call: o_oldtb3 under Octarine's default

@@ -546,6 +546,38 @@ let test_solve_allocation () =
     true
     (words <= float_of_int (n + 16))
 
+(* The session caches one cost table per network profile in two
+   generations of at most 64, dropping the older generation whole.
+   Evicting allocates nothing: a solve against a fresh profile past the
+   64th allocates no more than one below it, the table it prices, its
+   cache entry and its result. On the profiled o_oldwp0 session a fresh
+   solve takes 135 words either side of the 64th; the list this cache
+   replaced, trimmed by [List.filteri] once full, took 324 past it
+   (OCaml 5.1, dev build). *)
+let test_cost_cache_eviction_allocation () =
+  let open Coign_apps in
+  let app = Octarine.app in
+  let sc = App.scenario app "o_oldwp0" in
+  let image, _ =
+    Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
+      sc.App.sc_run
+  in
+  let session = Adps.analysis_session image in
+  let nets = Array.init 200 (fun _ -> Net_profiler.exact Network.ethernet_10) in
+  let words =
+    Array.map
+      (fun net ->
+        let before = Gc.minor_words () in
+        ignore (Analysis.Session.solve session ~net);
+        Gc.minor_words () -. before)
+      nets
+  in
+  let below = Array.fold_left Float.min infinity (Array.sub words 0 64) in
+  let past = Array.fold_left Float.max 0. (Array.sub words 64 136) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh-profile solve: %.0f words past the 64th, %.0f below" past below)
+    true (past <= below)
+
 let suite =
   [
     Alcotest.test_case "session matches choose on presets" `Quick test_session_matches_choose;
@@ -556,6 +588,8 @@ let suite =
     Alcotest.test_case "session components" `Quick test_session_components;
     Alcotest.test_case "analysis session allocation" `Quick test_analysis_session_allocation;
     Alcotest.test_case "a solve allocates only its result" `Quick test_solve_allocation;
+    Alcotest.test_case "cost cache evicts without allocating" `Quick
+      test_cost_cache_eviction_allocation;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
     QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
