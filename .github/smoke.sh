@@ -130,6 +130,10 @@ verify)
   for app in octarine photodraw benefits; do
     python3 -m json.tool "verify-$app.json" > /dev/null
   done
+  # Any pool width verifies: 1001 rungs, truncated at the depth bound
+  # with CG010 warnings, but a whole report (exit 0, not --strict).
+  coign verify octarine.img --pool 1000 --json > verify-octarine-pool1000.json
+  python3 -m json.tool verify-octarine-pool1000.json > /dev/null
   # Entries that disagree are bad input, not an internal error: with
   # the ICC row 35 -> 39 retargeted past the classifier's 40
   # classifications, analyze exits 1 (not 125) and names the entry.

@@ -127,7 +127,6 @@ let analysis_session ?profiler ?(extra_constraints = Constraints.empty) image =
 
 let analyze_with ?profiler ~session ~image ~net () =
   let classifier = Analysis.Session.classifier session in
-  let constraints = Analysis.Session.constraints session in
   let distribution = Analysis.Session.solve ?profiler session ~net in
   (* The cut construction cannot violate the constraints it was
      given, but hand-forced extra constraints can be mutually
@@ -135,7 +134,7 @@ let analyze_with ?profiler ~session ~image ~net () =
      Prove the result before writing it into the image — the
      analyze-time replacement for Replay's runtime abort. *)
   timed profiler "validation" (fun () ->
-      match Analysis.validate ~classifier ~constraints distribution with
+      match Analysis.Session.validate session distribution with
       | [] -> ()
       | violations ->
           raise

@@ -92,7 +92,7 @@ val analyze_with :
   unit ->
   Coign_image.Binary_image.t * Analysis.distribution
 (** Stage 2: solve an {!analysis_session} against one network profile,
-    prove the result with {!Analysis.validate} (raising
+    prove the result with {!Analysis.Session.validate} (raising
     {!Lint.Rejected} on CG007 violations), and rewrite the image into
     distributed mode. [image] should be the image the session was built
     from. Adaptive callers keep one session and call this once per
@@ -109,7 +109,7 @@ val analyze :
 (** Combine the accumulated profile with constraints (API-pin static
     analysis of the image and [extra_constraints]) and the network
     profile; choose the distribution; prove it with
-    {!Analysis.validate}; rewrite the image into distributed mode
+    {!Analysis.Session.validate}; rewrite the image into distributed mode
     carrying the classifier state and placement. Raises
     [Invalid_argument] if the image holds no profile, and
     {!Lint.Rejected} (CG007 errors) if the constraints are mutually

@@ -22,6 +22,43 @@ let classifications_by_class classifier ~n =
   done;
   fun cname -> Option.value ~default:[] (Hashtbl.find_opt tbl cname)
 
+let location_of d c =
+  if c < 0 || c >= Array.length d.placement then Constraints.Client else d.placement.(c)
+
+type violation =
+  | Split_classifications of int * int
+  | Pin_violated of string * Constraints.location
+
+(* Independent re-check of a distribution against the constraint set:
+   the cut construction above makes violations impossible for
+   distributions it computes itself, but distributions can also arrive
+   from a config record or a caller's hand-forced placement. *)
+let validate ~classifier ~constraints d =
+  let n = Classifier.classification_count classifier in
+  let classifications_of = classifications_by_class classifier ~n in
+  let pin_violations =
+    List.concat_map
+      (fun (cname, loc) ->
+        if List.exists (fun c -> location_of d c <> loc) (classifications_of cname)
+        then [ Pin_violated (cname, loc) ]
+        else [])
+      (Constraints.pinned_classes constraints)
+    @ List.concat_map
+        (fun (c, loc) ->
+          if c >= 0 && c < n && location_of d c <> loc then
+            [ Pin_violated (Printf.sprintf "classification %d" c, loc) ]
+          else [])
+        (Constraints.pinned_classifications constraints)
+  in
+  let split_classifications =
+    List.filter_map
+      (fun (a, b) ->
+        if location_of d a <> location_of d b then Some (Split_classifications (a, b))
+        else None)
+      (Constraints.colocated_pairs constraints)
+  in
+  pin_violations @ split_classifications
+
 module Session = struct
   (* The network-dependent half of pricing, memoized per network
      profile (by physical identity — profiles are immutable records, so
@@ -35,6 +72,16 @@ module Session = struct
     s_classifier : Classifier.t;
     s_constraints : Constraints.t;
     s_graph : Icc_graph.t;
+    (* What [validate] reads, resolved once: the pinned classes in
+       [Constraints.pinned_classes] order, the classifications of class
+       [i] at [s_pin_members.(s_pin_start.(i)) ..
+       s_pin_members.(s_pin_start.(i + 1) - 1)], ascending, and the
+       classification pins and co-location pairs as listed. *)
+    s_pinned : (string * Constraints.location) array;
+    s_pin_start : int array;
+    s_pin_members : int array;
+    s_classification_pins : (int * Constraints.location) list;
+    s_colocated : (int * int) list;
     (* CSR flow arena over the quotient of the infinite edges
        (Flow_network.Components), one zero-capacity slot per pair of
        arena nodes that priced traffic joins. Repricing writes
@@ -94,10 +141,47 @@ module Session = struct
        [~terminals:false] those between two classifications, with
        [~terminals:true] those reaching main or a terminal. *)
     let colocated = Constraints.colocated_pairs constraints in
+    (* Each classification's class pin, resolved once: the index of its
+       class among the pinned classes (sorted by name), or -1. *)
+    let pinned = Array.of_list (Constraints.pinned_classes constraints) in
+    let rec pinned_index cname lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let c = String.compare cname (fst pinned.(mid)) in
+        if c = 0 then mid
+        else if c < 0 then pinned_index cname lo mid
+        else pinned_index cname (mid + 1) hi
+    in
+    let class_pin =
+      Array.init n (fun c ->
+          pinned_index (Classifier.class_of_classification classifier c) 0 (Array.length pinned))
+    in
+    let pin_start = Array.make (Array.length pinned + 1) 0 in
+    Array.iter (fun i -> if i >= 0 then pin_start.(i + 1) <- pin_start.(i + 1) + 1) class_pin;
+    for i = 1 to Array.length pinned do
+      pin_start.(i) <- pin_start.(i) + pin_start.(i - 1)
+    done;
+    let pin_members = Array.make pin_start.(Array.length pinned) 0 in
+    let fill = Array.sub pin_start 0 (Array.length pinned) in
+    Array.iteri
+      (fun c i ->
+        if i >= 0 then begin
+          pin_members.(fill.(i)) <- c;
+          fill.(i) <- fill.(i) + 1
+        end)
+      class_pin;
     let pin f c = function
       | Some Constraints.Client -> f c client
       | Some Constraints.Server -> f c server
       | None -> ()
+    in
+    let class_pin_to f c =
+      let i = class_pin.(c) in
+      if i >= 0 then
+        match snd pinned.(i) with
+        | Constraints.Client -> f c client
+        | Constraints.Server -> f c server
     in
     let iter_infinite ~terminals f =
       (* A pair's lower end is a classification; its upper one is main
@@ -107,9 +191,7 @@ module Session = struct
       if terminals then
         for c = 0 to n - 1 do
           pin f c (Constraints.classification_pin constraints c);
-          pin f c
-            (Constraints.class_pin constraints
-               ~cname:(Classifier.class_of_classification classifier c))
+          class_pin_to f c
         done
       else List.iter (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b) colocated
     in
@@ -205,6 +287,11 @@ module Session = struct
       s_classifier = classifier;
       s_constraints = constraints;
       s_graph = graph;
+      s_pinned = pinned;
+      s_pin_start = pin_start;
+      s_pin_members = pin_members;
+      s_classification_pins = Constraints.pinned_classifications constraints;
+      s_colocated = colocated;
       s_arena = arena;
       s_scratch = Mincut.scratch arena;
       s_node = node;
@@ -418,49 +505,56 @@ module Session = struct
           if b < n then safe.(comp.(b)) <- false
         end);
     Array.init n (fun c -> safe.(comp.(c)))
+
+  (* [validate] over what the build resolved: the same violations in
+     the same order, without naming a class.  A classifier that has
+     grown past the session's graph since the build has
+     classifications the session never saw, so it goes to the
+     by-name check.  The scans are top-level loops, so a clean
+     distribution allocates nothing. *)
+  let rec members_hold d members loc j stop =
+    j >= stop || (location_of d members.(j) = loc && members_hold d members loc (j + 1) stop)
+
+  let rec pins_hold d n = function
+    | [] -> true
+    | (c, loc) :: rest -> (c < 0 || c >= n || location_of d c = loc) && pins_hold d n rest
+
+  let rec pairs_hold d = function
+    | [] -> true
+    | (a, b) :: rest -> location_of d a = location_of d b && pairs_hold d rest
+
+  let validate t d =
+    let n = Icc_graph.classification_count t.s_graph in
+    if Classifier.classification_count t.s_classifier <> n then
+      validate ~classifier:t.s_classifier ~constraints:t.s_constraints d
+    else begin
+      let acc = ref [] in
+      for i = Array.length t.s_pinned - 1 downto 0 do
+        let cname, loc = t.s_pinned.(i) in
+        if not (members_hold d t.s_pin_members loc t.s_pin_start.(i) t.s_pin_start.(i + 1)) then
+          acc := Pin_violated (cname, loc) :: !acc
+      done;
+      if pins_hold d n t.s_classification_pins && pairs_hold d t.s_colocated then !acc
+      else
+        !acc
+        @ List.filter_map
+            (fun (c, loc) ->
+              if c >= 0 && c < n && location_of d c <> loc then
+                Some (Pin_violated (Printf.sprintf "classification %d" c, loc))
+              else None)
+            t.s_classification_pins
+        @ List.filter_map
+            (fun (a, b) ->
+              if location_of d a <> location_of d b then Some (Split_classifications (a, b))
+              else None)
+            t.s_colocated
+    end
 end
 
 let choose ?profiler ~classifier ~icc ~constraints ~net () =
   Session.solve ?profiler
     (Session.create ?profiler ~classifier ~icc ~constraints ())
     ~net
-
-let location_of d c =
-  if c < 0 || c >= Array.length d.placement then Constraints.Client else d.placement.(c)
-
-type violation =
-  | Split_classifications of int * int
-  | Pin_violated of string * Constraints.location
-
-(* Independent re-check of a distribution against the constraint set:
-   the cut construction above makes violations impossible for
-   distributions it computes itself, but distributions can also arrive
-   from a config record or a caller's hand-forced placement. *)
-let validate ~classifier ~constraints d =
-  let n = Classifier.classification_count classifier in
-  let classifications_of = classifications_by_class classifier ~n in
-  let pin_violations =
-    List.concat_map
-      (fun (cname, loc) ->
-        if List.exists (fun c -> location_of d c <> loc) (classifications_of cname)
-        then [ Pin_violated (cname, loc) ]
-        else [])
-      (Constraints.pinned_classes constraints)
-    @ List.concat_map
-        (fun (c, loc) ->
-          if c >= 0 && c < n && location_of d c <> loc then
-            [ Pin_violated (Printf.sprintf "classification %d" c, loc) ]
-          else [])
-        (Constraints.pinned_classifications constraints)
-  in
-  let split_classifications =
-    List.filter_map
-      (fun (a, b) ->
-        if location_of d a <> location_of d b then Some (Split_classifications (a, b))
-        else None)
-      (Constraints.colocated_pairs constraints)
-  in
-  pin_violations @ split_classifications
 
 let pp_violation ppf = function
   | Split_classifications (a, b) ->

@@ -23,6 +23,10 @@ type distribution = {
   node_count : int;
 }
 
+type violation =
+  | Split_classifications of int * int
+  | Pin_violated of string * Constraints.location
+
 (** {1 Two-stage engine}
 
     Stage 1 ({!Session.create}) builds everything network-independent
@@ -142,6 +146,13 @@ module Session : sig
       resilience layer ({!Fallback}, {!Rte}): a classification is safe
       to migrate live between distributions iff no member of its
       {!components} touches a non-remotable ICC edge. *)
+
+  val validate : t -> distribution -> violation list
+  (** Exactly {!Analysis.validate} against the session's classifier
+      and constraints, the same violations in the same order, read off
+      the pins the build resolved once (each pinned class's
+      classifications) instead of a class-name table built per call.
+      A clean distribution allocates nothing. *)
 end
 
 val choose :
@@ -162,10 +173,6 @@ val location_of : distribution -> int -> Constraints.location
 (** Placement of a classification; classifications outside the analyzed
     range (new at run time) default to [Client]. [-1] (main) is
     [Client]. *)
-
-type violation =
-  | Split_classifications of int * int
-  | Pin_violated of string * Constraints.location
 
 val validate :
   classifier:Classifier.t -> constraints:Constraints.t -> distribution ->

@@ -88,10 +88,8 @@ let compute ?profiler ?primary session ~net () =
   let modes =
     [ ("lossy", Net_profiler.degrade net); ("partition", Net_profiler.link_down net) ]
   in
-  let classifier = Analysis.Session.classifier session in
-  let constraints = Analysis.Session.constraints session in
   let checked name d =
-    match Analysis.validate ~classifier ~constraints d with
+    match Analysis.Session.validate session d with
     | [] -> (name, d)
     | v :: _ ->
         raise

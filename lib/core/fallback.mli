@@ -9,7 +9,7 @@
     cuts as a ranked ladder: rung 0 is the primary distribution, later
     rungs suit progressively worse regimes, and the final rung places
     everything on the client — the regime where the server is simply
-    gone.  Every solved rung passes {!Analysis.validate}, so failover
+    gone.  Every solved rung passes {!Analysis.Session.validate}, so failover
     can never land on a placement the pre-cut lint would reject; the
     all-client rung waives location pins by design (a Server pin
     presumes a reachable server) and is trivially valid otherwise.  A

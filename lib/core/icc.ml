@@ -77,6 +77,21 @@ let record_interned t ~src ~dst iface ~remotable ~request ~reply =
 let record t ~src ~dst ~iface ~remotable ~request ~reply =
   record_interned t ~src ~dst (intern t iface) ~remotable ~request ~reply
 
+let columns t =
+  let n = Int_table.length t.cells in
+  let src = Array.make n 0 and dst = Array.make n 0 in
+  let iface = Array.make n "" and remotable = Array.make n false in
+  let i = ref 0 in
+  Int_table.iter
+    (fun _ (c : cell) ->
+      src.(!i) <- c.c_src;
+      dst.(!i) <- c.c_dst;
+      iface.(!i) <- c.c_iface;
+      remotable.(!i) <- c.remotable;
+      incr i)
+    t.cells;
+  (src, dst, iface, remotable)
+
 let entries t =
   Int_table.fold
     (fun _ (c : cell) acc ->

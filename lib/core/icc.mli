@@ -45,6 +45,12 @@ val record_interned :
 val entries : t -> entry list
 (** Deterministic order (sorted by key). *)
 
+val columns : t -> int array * int array * string array * bool array
+(** Every entry's source, target, interface and remotability as four
+    parallel arrays, in no fixed order, without building the entries:
+    for readers whose result does not depend on the order (the
+    verifier's model builder). *)
+
 val call_count : t -> int
 (** Total calls recorded (= messages / 2). *)
 

@@ -1,10 +1,10 @@
 (* Explicit-state exploration of failover interleavings.
 
-   States are (rung, canonical breaker snapshot, per-group locations);
-   events are the model's alphabet below.  Breaker steps go through the
-   real, pure [Health.transition] — the same function the RTE's mutable
-   API delegates to — applied at canonical times so the float fields
-   stay on a finite grid:
+   States are (rung, canonical breaker snapshot, per-group locations
+   and hosts); events are the model's alphabet below.  Breaker steps go
+   through the real, pure [Health.transition] — the same function the
+   RTE's mutable API delegates to — applied at canonical times so the
+   float fields stay on a finite grid:
 
    - [sn_opened_at_us] is pinned to 0 and Observe is applied exactly at
      cooloff expiry.  Exact: the field is only read by Observe's expiry
@@ -27,7 +27,30 @@
    link events.  Likewise the safe (truth-safe, ladder-safe) groups
    can't violate any invariant in any order, so their pending moves
    collapse into one atomic Migrate_rest; only risky groups keep
-   individual Migrate events. *)
+   individual Migrate events.
+
+   Representation.  Everything a state holds is an int:
+
+   - The canonical breakers reachable from the initial one form a small
+     automaton, built once per run by stepping [Health.transition] from
+     the initial snapshot; a breaker is its index there, and each link
+     or cooloff event is a table lookup.  Two snapshots share an index
+     iff their canonical fields (state, failure count, probe count,
+     cooloff by chain index) are equal — the fields the state key has
+     always held.
+   - A placement is one int per group, [host * 2 + server bit].  Each
+     subtree interns the placements it reaches (a placement is an index
+     into its store), and remembers per placement whether the link is
+     active and whether some non-remotable pair is separated: both read
+     nothing else.
+   - The state key is [(placement * rungs + rung) * breakers + breaker],
+     an [Int_table] key.  Breaker events keep the placement, so they
+     cost a lookup; only migrations and promotions write a placement
+     and look it up.
+   - A subtree stores its states in admission order, with their parent
+     and event: BFS pops them in that order, and a counterexample's
+     trace is read back off the parent chain only when one is
+     recorded. *)
 
 open Coign_util
 open Coign_core
@@ -58,13 +81,6 @@ let pp_trace m ppf trace =
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
     (pp_event m) ppf trace
 
-type state = {
-  st_rung : int;
-  st_snap : Health.snapshot;
-  st_locs : Constraints.location array; (* per group *)
-  st_hosts : int array; (* per group; pool host, 0 on the client side *)
-}
-
 type violation = {
   vl_code : string;
   vl_severity : Lint.severity;
@@ -84,7 +100,23 @@ type stats = {
 
 type result = { r_stats : stats; r_violations : violation list }
 
-(* --- State mechanics -------------------------------------------------- *)
+(* --- Events as ints --------------------------------------------------- *)
+
+(* 0 link_ok, 1 link_fail, 2 cooloff, 3 migrate_rest, then 4 + 2g for
+   migrate g and 5 + 2g for promote g. *)
+let ev_link_ok = 0
+let ev_link_fail = 1
+let ev_cooloff = 2
+let ev_migrate_rest = 3
+
+let event_of_code = function
+  | 0 -> Link_ok
+  | 1 -> Link_fail
+  | 2 -> Cooloff
+  | 3 -> Migrate_rest
+  | c -> if c land 1 = 0 then Migrate ((c - 4) / 2) else Promote ((c - 5) / 2)
+
+(* --- The breaker automaton -------------------------------------------- *)
 
 let canon (snap : Health.snapshot) =
   {
@@ -100,275 +132,592 @@ let canon (snap : Health.snapshot) =
       | _ -> 0);
   }
 
-let init m =
-  {
-    st_rung = 0;
-    st_snap = canon (Health.initial_snapshot m.Model.m_policy);
-    st_locs = Array.map (fun g -> g.Model.g_targets.(0)) m.Model.m_groups;
-    st_hosts = Array.map (fun g -> Model.target_host g 0) m.Model.m_groups;
-  }
+(* How a link event's transition moves the ladder, mirroring the RTE
+   routing engine on a one-host route: 1 down a rung on a trip, 2 back
+   to the primary on a close, 0 nowhere. *)
+let ladder_move = function
+  | Some { Health.tr_to = Health.Open; _ } -> 1
+  | Some { Health.tr_to = Health.Closed; _ } -> 2
+  | _ -> 0
 
-let key m st =
-  let b = Buffer.create 32 in
-  Buffer.add_string b (string_of_int st.st_rung);
-  Buffer.add_char b '|';
-  Buffer.add_string b (Health.state_name st.st_snap.Health.sn_state);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int st.st_snap.Health.sn_consecutive_failures);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int st.st_snap.Health.sn_probe_successes);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int (Model.cooloff_index m st.st_snap.Health.sn_cooloff_us));
-  Buffer.add_char b '|';
-  Array.iter
-    (fun loc ->
-      Buffer.add_char b (match loc with Constraints.Client -> 'c' | Constraints.Server -> 's'))
-    st.st_locs;
-  Buffer.add_char b '|';
-  Array.iter (fun h -> Buffer.add_char b (Char.chr (Char.code '0' + h))) st.st_hosts;
-  Buffer.contents b
-
-(* Client/server separation drives the link breaker; for the I1
-   crossing check a pair is also separated when both endpoints are
-   server-side but on different pool hosts — an inter-host call
-   marshals exactly like a client-server one. *)
-let separated_loc st (e : Model.edge) = st.st_locs.(e.Model.e_a) <> st.st_locs.(e.Model.e_b)
-
-let separated st (e : Model.edge) =
-  separated_loc st e
-  || st.st_locs.(e.Model.e_a) = Constraints.Server
-     && st.st_hosts.(e.Model.e_a) <> st.st_hosts.(e.Model.e_b)
-
-(* The breaker only sees outcomes of calls that actually cross the
-   machine boundary on a marshalable interface: non-remotable calls
-   fault before reaching the link (that fault IS the I1 violation,
-   caught as a state invariant).  Host splits do not feed it — each
-   pool host has its own breaker in the RTE, and modeling the one
-   shared abstraction on client-server traffic keeps the breaker
-   dynamics identical to the two-host model's. *)
-let link_active m st =
-  Array.exists (fun e -> e.Model.e_remotable && separated_loc st e) m.Model.m_edges
-
-let off_target m st g =
-  let grp = m.Model.m_groups.(g) in
-  grp.Model.g_ladder_safe
-  && (st.st_locs.(g) <> grp.Model.g_targets.(st.st_rung)
-     || st.st_hosts.(g) <> Model.target_host grp st.st_rung)
-
-let enabled m st =
-  let migrations =
-    let risky = ref [] and rest = ref false in
-    Array.iter
-      (fun grp ->
-        if off_target m st grp.Model.g_id then
-          if Model.risky grp then risky := Migrate grp.Model.g_id :: !risky
-          else rest := true)
-      m.Model.m_groups;
-    List.rev !risky @ if !rest then [ Migrate_rest ] else []
-  in
-  (* Replica promotion: a host loss moves a shard to the next host of
-     its replica ring, on rungs where the shard keeps one.  Only risky
-     groups are interleaved — promoting a truth-safe group preserves
-     every invariant (it has no non-remotable incidence, CG009 needs a
-     truth-unsafe subject, and hosts feed neither the breaker nor any
-     other group's enabledness), so those interleavings are collapsed
-     away exactly like safe migrations. *)
-  let promotions =
-    Array.to_list m.Model.m_groups
-    |> List.filter_map (fun grp ->
-           if
-             Model.risky grp
-             && Array.length grp.Model.g_rings.(st.st_rung) > 1
-             && st.st_locs.(grp.Model.g_id) = Constraints.Server
-             && not (off_target m st grp.Model.g_id)
-           then Some (Promote grp.Model.g_id)
-           else None)
-  in
-  let breaker =
-    match st.st_snap.Health.sn_state with
-    | Health.Open -> [ Cooloff ]
-    | Health.Closed | Health.Half_open ->
-        if link_active m st then [ Link_ok; Link_fail ] else []
-  in
-  breaker @ migrations @ promotions
-
-(* Mirror of the RTE routing engine's ladder moves on a one-host route. *)
-let rung_after m rung = function
-  | Some { Health.tr_to = Health.Open; _ } -> min (rung + 1) (Model.rung_count m - 1)
-  | Some { Health.tr_to = Health.Closed; _ } -> 0
+let rung_after ~rungs rung = function
+  | 1 -> Int.min (rung + 1) (rungs - 1)
+  | 2 -> 0
   | _ -> rung
 
-(* Apply one event.  Returns the successor plus the I3/I4 violations the
-   step itself manifests (I1 is a property of the arrival state, checked
-   separately by [state_violations]). *)
-let apply m st ev =
-  match ev with
-  | Link_ok | Link_fail ->
-      let input = match ev with Link_ok -> Health.Success | _ -> Health.Failure in
-      let snap, tr = Health.transition m.Model.m_policy st.st_snap ~at_us:0. input in
-      ({ st with st_rung = rung_after m st.st_rung tr; st_snap = canon snap }, [])
-  | Cooloff -> (
-      let at_us = st.st_snap.Health.sn_opened_at_us +. st.st_snap.Health.sn_cooloff_us in
-      let snap, tr = Health.transition m.Model.m_policy st.st_snap ~at_us Health.Observe in
-      match tr with
-      | Some { Health.tr_to = Health.Half_open; _ } -> ({ st with st_snap = canon snap }, [])
-      | _ ->
-          (* I3: an open breaker must admit a half-open probe at cooloff
-             expiry.  Unreachable with the shared transition function —
-             kept as the explicit deadlock check. *)
-          ( st,
-            [
-              ( "CG010",
-                Lint.Error,
-                m.Model.m_rung_names.(st.st_rung),
-                Printf.sprintf
-                  "open breaker on rung %d (%s) admits no half-open probe at cooloff expiry"
-                  st.st_rung m.Model.m_rung_names.(st.st_rung) );
-            ] ))
-  | Migrate g ->
-      let grp = m.Model.m_groups.(g) in
-      let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
-      locs.(g) <- grp.Model.g_targets.(st.st_rung);
-      hosts.(g) <- Model.target_host grp st.st_rung;
-      let viols =
-        if grp.Model.g_truth_safe then []
-        else
-          [
-            ( "CG009",
-              Lint.Error,
-              grp.Model.g_subject,
-              Printf.sprintf
-                "ladder table migrates %s live on rung %d (%s), but the static facts mark it unsafe"
-                grp.Model.g_subject st.st_rung m.Model.m_rung_names.(st.st_rung) );
-          ]
-      in
-      ({ st with st_locs = locs; st_hosts = hosts }, viols)
-  | Migrate_rest ->
-      let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
-      Array.iter
-        (fun grp ->
-          if (not (Model.risky grp)) && off_target m st grp.Model.g_id then begin
-            locs.(grp.Model.g_id) <- grp.Model.g_targets.(st.st_rung);
-            hosts.(grp.Model.g_id) <- Model.target_host grp st.st_rung
-          end)
-        m.Model.m_groups;
-      ({ st with st_locs = locs; st_hosts = hosts }, [])
-  | Promote g ->
-      let grp = m.Model.m_groups.(g) in
-      let hosts = Array.copy st.st_hosts in
-      hosts.(g) <- Model.next_replica grp st.st_rung ~from:st.st_hosts.(g);
-      (* Only risky groups are ever promoted (see [enabled]), so the
-         step always manifests I4: the RTE would be moving a shard the
-         static facts say must not move between hosts live. *)
-      let viols =
-        [
-          ( "CG009",
-            Lint.Error,
-            grp.Model.g_subject,
-            Printf.sprintf
-              "ladder table promotes %s between pool hosts on rung %d (%s), but the static \
-               facts mark it unsafe"
-              grp.Model.g_subject st.st_rung m.Model.m_rung_names.(st.st_rung) );
-        ]
-      in
-      ({ st with st_hosts = hosts }, viols)
+type breakers = {
+  b_policy : Health.policy;
+  b_chain : float array;  (* the model's cooloff chain *)
+  b_snap : Health.snapshot array;  (* canonical *)
+  b_on_chain : bool array;  (* the cooloff is a chain value *)
+  b_open : bool array;
+  b_ok : int array;  (* successor on link_ok *)
+  b_fail : int array;  (* successor on link_fail *)
+  b_move : int array;  (* ladder move on link_ok + 3 * on link_fail *)
+  b_cooloff : int array;  (* successor at cooloff expiry; -1: no probe (I3) *)
+  b_count : int;
+}
 
-(* I1: no reachable placement — transient mid-migration ones included —
-   separates a non-remotable pair. *)
-let state_violations m st =
-  Array.to_list m.Model.m_edges
-  |> List.filter_map (fun e ->
-         if e.Model.e_non_remotable && separated st e then
-           let a = m.Model.m_groups.(e.Model.e_a).Model.g_subject
-           and b = m.Model.m_groups.(e.Model.e_b).Model.g_subject in
-           let message =
-             if separated_loc st e then
-               Printf.sprintf
-                 "reachable placement separates %s and %s across non-remotable %s (rung %d, %s)"
-                 a b e.Model.e_iface st.st_rung m.Model.m_rung_names.(st.st_rung)
-             else
-               Printf.sprintf
-                 "reachable placement splits %s and %s across pool hosts %d/%d on \
-                  non-remotable %s (rung %d, %s)"
-                 a b
-                 st.st_hosts.(e.Model.e_a)
-                 st.st_hosts.(e.Model.e_b)
-                 e.Model.e_iface st.st_rung m.Model.m_rung_names.(st.st_rung)
-           in
-           Some ("CG008", Lint.Error, e.Model.e_iface, message)
-         else None)
+let same_snapshot (a : Health.snapshot) (b : Health.snapshot) =
+  a.Health.sn_state = b.Health.sn_state
+  && a.Health.sn_consecutive_failures = b.Health.sn_consecutive_failures
+  && a.Health.sn_probe_successes = b.Health.sn_probe_successes
+  && Int64.equal
+       (Int64.bits_of_float a.Health.sn_cooloff_us)
+       (Int64.bits_of_float b.Health.sn_cooloff_us)
+
+let grown a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Every canonical breaker reachable from the initial one, stepped by
+   [Health.transition] exactly as the explorer applies events: link
+   outcomes at time 0 from Closed and Half_open, Observe at cooloff
+   expiry from Open.  A snapshot whose cooloff is off the chain is
+   neither shared nor stepped: admitting a state that holds it raises
+   {!Model.cooloff_index}'s error, as keying it always did. *)
+let build_breakers (m : Model.t) =
+  let policy = m.Model.m_policy in
+  let s0 = canon (Health.initial_snapshot policy) in
+  let snap = ref (Array.make 8 s0) and on_chain = ref (Array.make 8 false) in
+  let ok = ref (Array.make 8 0) and fail = ref (Array.make 8 0) in
+  let move = ref (Array.make 8 0) and cooloff = ref (Array.make 8 (-1)) in
+  let count = ref 0 in
+  let add s =
+    let chained =
+      match Model.cooloff_index m s.Health.sn_cooloff_us with
+      | _ -> true
+      | exception Invalid_argument _ -> false
+    in
+    let rec find i =
+      if i >= !count then -1
+      else if !on_chain.(i) && same_snapshot !snap.(i) s then i
+      else find (i + 1)
+    in
+    let i = if chained then find 0 else -1 in
+    if i >= 0 then i
+    else begin
+      let i = !count in
+      snap := grown !snap i s0;
+      on_chain := grown !on_chain i false;
+      ok := grown !ok i 0;
+      fail := grown !fail i 0;
+      move := grown !move i 0;
+      cooloff := grown !cooloff i (-1);
+      !snap.(i) <- s;
+      !on_chain.(i) <- chained;
+      incr count;
+      i
+    end
+  in
+  ignore (add s0);
+  let next = ref 0 in
+  while !next < !count do
+    let i = !next in
+    incr next;
+    let s = !snap.(i) in
+    if !on_chain.(i) then
+      match s.Health.sn_state with
+      | Health.Open -> (
+          let at_us = s.Health.sn_opened_at_us +. s.Health.sn_cooloff_us in
+          match Health.transition policy s ~at_us Health.Observe with
+          | s', Some { Health.tr_to = Health.Half_open; _ } ->
+              let j = add (canon s') in
+              !cooloff.(i) <- j
+          | _ -> !cooloff.(i) <- -1)
+      | Health.Closed | Health.Half_open ->
+          let s_ok, tr_ok = Health.transition policy s ~at_us:0. Health.Success in
+          let j_ok = add (canon s_ok) in
+          let s_fail, tr_fail = Health.transition policy s ~at_us:0. Health.Failure in
+          let j_fail = add (canon s_fail) in
+          !ok.(i) <- j_ok;
+          !fail.(i) <- j_fail;
+          !move.(i) <- ladder_move tr_ok + (3 * ladder_move tr_fail)
+  done;
+  let n = !count in
+  {
+    b_policy = policy;
+    b_chain = m.Model.m_cooloffs;
+    b_snap = Array.sub !snap 0 n;
+    b_on_chain = Array.sub !on_chain 0 n;
+    b_open = Array.init n (fun i -> !snap.(i).Health.sn_state = Health.Open);
+    b_ok = !ok;
+    b_fail = !fail;
+    b_move = !move;
+    b_cooloff = !cooloff;
+    b_count = n;
+  }
+
+let same_chain a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* The automaton depends only on the policy and the chain, so each
+   domain keeps the last one it built: every model compiled with the
+   same policy shares it. *)
+let last_breakers = Domain.DLS.new_key (fun () -> None)
+
+let breakers m =
+  match Domain.DLS.get last_breakers with
+  | Some b when b.b_policy == m.Model.m_policy && same_chain b.b_chain m.Model.m_cooloffs -> b
+  | _ ->
+      let b = build_breakers m in
+      Domain.DLS.set last_breakers (Some b);
+      b
+
+(* --- What a run reads of the model ------------------------------------ *)
+
+(* A placement holds one int per group: [host * 2 + 1] server-side,
+   [host * 2] client-side. *)
+let packed loc host =
+  (host lsl 1) lor match loc with Constraints.Server -> 1 | Constraints.Client -> 0
+
+type ctx = {
+  c_model : Model.t;
+  c_groups : int;
+  c_rungs : int;
+  c_breakers : breakers;
+  c_target : int array;  (* rung * groups + g: where the rung places g, packed *)
+  c_risky : int array;  (* risky groups, ascending: individual events *)
+  c_rest : int array;  (* ladder-safe, truth-safe: what migrate_rest moves *)
+  c_link_a : int array;  (* endpoints of the edges carrying remotable traffic *)
+  c_link_b : int array;
+  c_strict : int array;  (* the non-remotable edges, in edge order *)
+  c_strict_key : int array;  (* per strict edge: first one with its interface *)
+  c_subject_key : int array;  (* per risky group: first group with its subject *)
+}
+
+(* The indices [i < n] where [keep i] holds, ascending. *)
+let indices n keep =
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then incr count
+  done;
+  let a = Array.make !count 0 in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      a.(!j) <- i;
+      incr j
+    end
+  done;
+  a
+
+let context m =
+  let groups = m.Model.m_groups and edges = m.Model.m_edges in
+  let g = Array.length groups and rungs = Model.rung_count m in
+  let links = indices (Array.length edges) (fun i -> edges.(i).Model.e_remotable) in
+  let strict = indices (Array.length edges) (fun i -> edges.(i).Model.e_non_remotable) in
+  let risky = indices g (fun i -> Model.risky groups.(i)) in
+  (* First occurrences by a linear scan: strict edges and risky groups
+     are few (a clean ladder has no risky group). *)
+  let strict_key =
+    Array.map
+      (fun e ->
+        let iface = edges.(e).Model.e_iface in
+        let rec first j =
+          if String.equal edges.(strict.(j)).Model.e_iface iface then j else first (j + 1)
+        in
+        first 0)
+      strict
+  in
+  let subject_key = Array.make g 0 in
+  Array.iter
+    (fun r ->
+      let subject = groups.(r).Model.g_subject in
+      let rec first j =
+        if String.equal groups.(j).Model.g_subject subject then j else first (j + 1)
+      in
+      subject_key.(r) <- first 0)
+    risky;
+  let target = Array.make (rungs * g) 0 in
+  for r = 0 to rungs - 1 do
+    for i = 0 to g - 1 do
+      let grp = groups.(i) in
+      target.((r * g) + i) <- packed grp.Model.g_targets.(r) (Model.target_host grp r)
+    done
+  done;
+  {
+    c_model = m;
+    c_groups = g;
+    c_rungs = rungs;
+    c_breakers = breakers m;
+    c_target = target;
+    c_risky = risky;
+    c_rest =
+      indices g (fun i -> groups.(i).Model.g_ladder_safe && not (Model.risky groups.(i)));
+    c_link_a = Array.map (fun e -> edges.(e).Model.e_a) links;
+    c_link_b = Array.map (fun e -> edges.(e).Model.e_b) links;
+    c_strict = strict;
+    c_strict_key = strict_key;
+    c_subject_key = subject_key;
+  }
+
+(* I1's separation: client/server, or two server-side pool hosts (an
+   inter-host call marshals exactly like a client-server one). *)
+let separated va vb = va land 1 <> vb land 1 || (va land 1 = 1 && va lsr 1 <> vb lsr 1)
+
+(* --- Placement stores ------------------------------------------------- *)
+
+type store = {
+  mutable s_vecs : int array;  (* [c_groups] ints per placement *)
+  mutable s_hash : int array;
+  mutable s_next : int array;  (* an older placement with the same hash, or -1 *)
+  mutable s_flags : int array;  (* 1: the link is active; 2: I1 is broken *)
+  mutable s_count : int;
+  s_index : int Int_table.t;  (* hash -> newest placement with it *)
+}
+
+let flag_link = 1
+let flag_split = 2
+
+let store_create ctx cap =
+  {
+    s_vecs = Array.make (cap * ctx.c_groups) 0;
+    s_hash = Array.make cap 0;
+    s_next = Array.make cap 0;
+    s_flags = Array.make cap 0;
+    s_count = 0;
+    s_index = Int_table.create ~absent:(-1) cap;
+  }
+
+let hash_placement a off g =
+  let h = ref g in
+  for j = off to off + g - 1 do
+    h := (!h * 0x100000001b3) lxor Array.unsafe_get a j
+  done;
+  !h land max_int
+
+let rec same_placement a off b boff j g =
+  j >= g || (a.(off + j) = b.(boff + j) && same_placement a off b boff (j + 1) g)
+
+let rec find_placement st g a off h p =
+  if p < 0 then -1
+  else if st.s_hash.(p) = h && same_placement st.s_vecs (p * g) a off 0 g then p
+  else find_placement st g a off h st.s_next.(p)
+
+(* What a placement alone decides: whether remotable traffic crosses
+   the machine boundary (the breaker is driven), and whether some
+   non-remotable pair is separated (I1 is broken). *)
+let placement_flags ctx a off =
+  let flags = ref 0 in
+  for i = 0 to Array.length ctx.c_link_a - 1 do
+    if a.(off + ctx.c_link_a.(i)) land 1 <> a.(off + ctx.c_link_b.(i)) land 1 then
+      flags := flag_link
+  done;
+  let edges = ctx.c_model.Model.m_edges in
+  for i = 0 to Array.length ctx.c_strict - 1 do
+    let e = edges.(ctx.c_strict.(i)) in
+    if separated a.(off + e.Model.e_a) a.(off + e.Model.e_b) then flags := !flags lor flag_split
+  done;
+  !flags
+
+(* The placement's index in [st], added if new. *)
+let intern ctx st a off =
+  let g = ctx.c_groups in
+  let h = hash_placement a off g in
+  let head = Int_table.find st.s_index h in
+  let p = find_placement st g a off h head in
+  if p >= 0 then p
+  else begin
+    let p = st.s_count in
+    if p >= Array.length st.s_hash then begin
+      let cap = 2 * (p + 1) in
+      let vecs = Array.make (cap * g) 0 in
+      Array.blit st.s_vecs 0 vecs 0 (p * g);
+      st.s_vecs <- vecs;
+      st.s_hash <- grown st.s_hash p 0;
+      st.s_next <- grown st.s_next p 0;
+      st.s_flags <- grown st.s_flags p 0
+    end;
+    Array.blit a off st.s_vecs (p * g) g;
+    st.s_hash.(p) <- h;
+    st.s_next.(p) <- head;
+    st.s_flags.(p) <- placement_flags ctx a off;
+    Int_table.replace st.s_index h p;
+    st.s_count <- p + 1;
+    p
+  end
+
+(* --- Events ----------------------------------------------------------- *)
+
+(* Enumerate the events enabled in the state (placement [p] of [st],
+   [rung], breaker [brk]), in the model's fixed order — breaker events,
+   risky migrations by group, migrate_rest, promotions by group — and
+   hand each successor to [f ev p' rung' brk' viol], [viol] when the
+   step itself manifests a violation (I3 or I4).  Breaker events keep
+   the placement; the others write it into [scratch] and intern it. *)
+let successors ctx st scratch ~p ~rung ~brk f =
+  let g = ctx.c_groups and b = ctx.c_breakers in
+  let off = p * g in
+  if b.b_open.(brk) then begin
+    let brk' = b.b_cooloff.(brk) in
+    if brk' < 0 then f ev_cooloff p rung brk true else f ev_cooloff p rung brk' false
+  end
+  else if st.s_flags.(p) land flag_link <> 0 then begin
+    let move = b.b_move.(brk) in
+    f ev_link_ok p (rung_after ~rungs:ctx.c_rungs rung (move mod 3)) b.b_ok.(brk) false;
+    f ev_link_fail p (rung_after ~rungs:ctx.c_rungs rung (move / 3)) b.b_fail.(brk) false
+  end;
+  let target = rung * g in
+  let groups = ctx.c_model.Model.m_groups in
+  for i = 0 to Array.length ctx.c_risky - 1 do
+    let gi = ctx.c_risky.(i) in
+    let t = ctx.c_target.(target + gi) in
+    if st.s_vecs.(off + gi) <> t then begin
+      Array.blit st.s_vecs off scratch 0 g;
+      scratch.(gi) <- t;
+      f (4 + (2 * gi)) (intern ctx st scratch 0) rung brk (not groups.(gi).Model.g_truth_safe)
+    end
+  done;
+  let rest = ctx.c_rest in
+  let rec pending i =
+    i < Array.length rest
+    && (st.s_vecs.(off + rest.(i)) <> ctx.c_target.(target + rest.(i)) || pending (i + 1))
+  in
+  if pending 0 then begin
+    Array.blit st.s_vecs off scratch 0 g;
+    for i = 0 to Array.length rest - 1 do
+      scratch.(rest.(i)) <- ctx.c_target.(target + rest.(i))
+    done;
+    f ev_migrate_rest (intern ctx st scratch 0) rung brk false
+  end;
+  for i = 0 to Array.length ctx.c_risky - 1 do
+    let gi = ctx.c_risky.(i) in
+    let v = st.s_vecs.(off + gi) in
+    if
+      Array.length groups.(gi).Model.g_rings.(rung) > 1
+      && v land 1 = 1
+      && v = ctx.c_target.(target + gi)
+    then begin
+      Array.blit st.s_vecs off scratch 0 g;
+      scratch.(gi) <- (Model.next_replica groups.(gi) rung ~from:(v lsr 1) lsl 1) lor 1;
+      f (5 + (2 * gi)) (intern ctx st scratch 0) rung brk true
+    end
+  done
+
+(* --- Violations ------------------------------------------------------- *)
+
+(* Violations are deduplicated per (code, subject); the key is an int,
+   3 * (first index with the subject) + the code's tag. *)
+let rung_key m rung =
+  let name = m.Model.m_rung_names.(rung) in
+  let rec first r = if String.equal m.Model.m_rung_names.(r) name then r else first (r + 1) in
+  first 0
+
+let step_key ctx ~rung ev =
+  if ev = ev_cooloff then (3 * rung_key ctx.c_model rung) + 2
+  else (3 * ctx.c_subject_key.((ev - 4) / 2)) + 1
+
+(* The I3/I4 violation event [ev] manifests from a state on [rung]. *)
+let step_violation ctx ~rung ev trace =
+  let m = ctx.c_model in
+  let name = m.Model.m_rung_names.(rung) in
+  if ev = ev_cooloff then
+    {
+      vl_code = "CG010";
+      vl_severity = Lint.Error;
+      vl_subject = name;
+      vl_message =
+        Printf.sprintf "open breaker on rung %d (%s) admits no half-open probe at cooloff expiry"
+          rung name;
+      vl_trace = trace;
+    }
+  else
+    let subject = m.Model.m_groups.((ev - 4) / 2).Model.g_subject in
+    {
+      vl_code = "CG009";
+      vl_severity = Lint.Error;
+      vl_subject = subject;
+      vl_message =
+        (if ev land 1 = 0 then
+           Printf.sprintf
+             "ladder table migrates %s live on rung %d (%s), but the static facts mark it unsafe"
+             subject rung name
+         else
+           Printf.sprintf
+             "ladder table promotes %s between pool hosts on rung %d (%s), but the static facts \
+              mark it unsafe"
+             subject rung name);
+      vl_trace = trace;
+    }
+
+(* The I1 violation of strict edge [i], which placement [a]/[off]
+   separates on [rung]. *)
+let crossing_violation ctx a off ~rung i trace =
+  let m = ctx.c_model in
+  let e = m.Model.m_edges.(ctx.c_strict.(i)) in
+  let va = a.(off + e.Model.e_a) and vb = a.(off + e.Model.e_b) in
+  let sa = m.Model.m_groups.(e.Model.e_a).Model.g_subject
+  and sb = m.Model.m_groups.(e.Model.e_b).Model.g_subject in
+  let name = m.Model.m_rung_names.(rung) in
+  {
+    vl_code = "CG008";
+    vl_severity = Lint.Error;
+    vl_subject = e.Model.e_iface;
+    vl_message =
+      (if va land 1 <> vb land 1 then
+         Printf.sprintf
+           "reachable placement separates %s and %s across non-remotable %s (rung %d, %s)" sa sb
+           e.Model.e_iface rung name
+       else
+         Printf.sprintf
+           "reachable placement splits %s and %s across pool hosts %d/%d on non-remotable %s \
+            (rung %d, %s)"
+           sa sb (va lsr 1) (vb lsr 1) e.Model.e_iface rung name);
+    vl_trace = trace;
+  }
+
+let rec recorded k = function
+  | [] -> false
+  | (k', _) :: rest -> k = k' || recorded k rest
 
 (* --- The explorer ----------------------------------------------------- *)
 
+(* One root's bounded BFS.  States are kept in admission order, four
+   ints each — key, parent, event, depth — and the BFS queue is the
+   suffix not yet expanded.  A state's key is
+   [(placement * rungs + rung) * breakers + breaker]. *)
 type subtree = {
-  su_keys : string list;
-  su_transitions : int;
-  su_dedup_hits : int;
-  su_depth : int;
-  su_complete : bool;
+  su_store : store;
+  su_visited : int Int_table.t;  (* key -> state *)
+  mutable su_states : int array;
+  mutable su_count : int;
+  su_scratch : int array;
   su_rungs : bool array;
-  su_violations : (string * violation) list; (* keyed by code\x00subject *)
+  mutable su_transitions : int;
+  mutable su_dedup_hits : int;
+  mutable su_depth : int;
+  mutable su_complete : bool;
+  mutable su_violations : (int * violation) list;  (* first recorded per key *)
 }
 
-let viol_key code subject = code ^ "\x00" ^ subject
+let state_key ctx ~p ~rung ~brk = (((p * ctx.c_rungs) + rung) * ctx.c_breakers.b_count) + brk
 
-let record_violation tbl trace (code, severity, subject, message) =
-  let k = viol_key code subject in
-  if not (Hashtbl.mem tbl k) then
-    Hashtbl.add tbl k
-      {
-        vl_code = code;
-        vl_severity = severity;
-        vl_subject = subject;
-        vl_message = message;
-        vl_trace = List.rev trace;
-      }
-
-(* Bounded BFS from one root; [visited] is pre-seeded with the initial
-   state's key so subtrees never re-expand it (any state reachable only
-   through init belongs to a sibling subtree).  Traces are kept reversed
-   on the queue. *)
-let explore_subtree m ~budget ~init_key (root_ev, root_st, root_viols) =
-  let visited = Hashtbl.create 256 in
-  Hashtbl.replace visited init_key ();
-  let viols = Hashtbl.create 8 in
-  let transitions = ref 1 and dedup = ref 0 and max_depth = ref 0 in
-  let rungs = Array.make (Array.length m.Model.m_rung_names) false in
-  let truncated = ref false in
-  let q = Queue.create () in
-  let admit st trace depth =
-    let k = key m st in
-    if Hashtbl.mem visited k then incr dedup
-    else begin
-      Hashtbl.replace visited k ();
-      rungs.(st.st_rung) <- true;
-      if depth > !max_depth then max_depth := depth;
-      List.iter (record_violation viols trace) (state_violations m st);
-      if depth < budget then Queue.add (st, trace, depth) q else truncated := true
-    end
+(* The events from the subtree's root to state [s], then [tail]. *)
+let trace_to sub s tail =
+  let rec go acc s =
+    if s <= 0 then acc
+    else go (event_of_code sub.su_states.((4 * s) + 2) :: acc) sub.su_states.((4 * s) + 1)
   in
-  List.iter (record_violation viols [ root_ev ]) root_viols;
-  admit root_st [ root_ev ] 1;
-  while not (Queue.is_empty q) do
-    let st, trace, depth = Queue.pop q in
-    List.iter
-      (fun ev ->
-        incr transitions;
-        let st', step_viols = apply m st ev in
-        let trace' = ev :: trace in
-        List.iter (record_violation viols trace') step_viols;
-        admit st' trace' (depth + 1))
-      (enabled m st)
+  go tail s
+
+let push sub k ~parent ~ev ~depth =
+  let s = sub.su_count in
+  if 4 * (s + 1) > Array.length sub.su_states then sub.su_states <- grown sub.su_states (4 * s) 0;
+  let a = sub.su_states in
+  a.(4 * s) <- k;
+  a.((4 * s) + 1) <- parent;
+  a.((4 * s) + 2) <- ev;
+  a.((4 * s) + 3) <- depth;
+  Int_table.replace sub.su_visited k s;
+  sub.su_count <- s + 1;
+  s
+
+(* Record, first come first kept, every I1 violation of state [s] on
+   [rung] at placement [p], whose flags say I1 is broken. *)
+let record_crossings ctx sub s ~p ~rung =
+  let st = sub.su_store and g = ctx.c_groups in
+  let edges = ctx.c_model.Model.m_edges in
+  for i = 0 to Array.length ctx.c_strict - 1 do
+    let e = edges.(ctx.c_strict.(i)) in
+    let k = 3 * ctx.c_strict_key.(i) in
+    let a = st.s_vecs and off = p * g in
+    if separated a.(off + e.Model.e_a) a.(off + e.Model.e_b) && not (recorded k sub.su_violations)
+    then
+      sub.su_violations <-
+        (k, crossing_violation ctx a off ~rung i (trace_to sub s [])) :: sub.su_violations
+  done
+
+let admit ctx sub ~budget ~p ~rung ~brk ~parent ~ev ~depth =
+  let b = ctx.c_breakers in
+  if not b.b_on_chain.(brk) then
+    ignore (Model.cooloff_index ctx.c_model b.b_snap.(brk).Health.sn_cooloff_us);
+  let k = state_key ctx ~p ~rung ~brk in
+  if Int_table.find sub.su_visited k >= 0 then sub.su_dedup_hits <- sub.su_dedup_hits + 1
+  else begin
+    let s = push sub k ~parent ~ev ~depth in
+    sub.su_rungs.(rung) <- true;
+    if depth > sub.su_depth then sub.su_depth <- depth;
+    if sub.su_store.s_flags.(p) land flag_split <> 0 then record_crossings ctx sub s ~p ~rung;
+    if depth >= budget then sub.su_complete <- false
+  end
+
+let record_step ctx sub s ~rung ev =
+  let k = step_key ctx ~rung ev in
+  if not (recorded k sub.su_violations) then
+    sub.su_violations <-
+      (k, step_violation ctx ~rung ev (trace_to sub s [ event_of_code ev ])) :: sub.su_violations
+
+(* Initial capacity of a subtree's state tables: a breaker automaton's
+   worth of states per rung.  Placements: one per rung, plus the
+   initial one. *)
+let state_capacity ctx = Int.max 8 (Int.min 1024 (ctx.c_breakers.b_count * ctx.c_rungs))
+
+(* A subtree holding only the initial state, at index 0, placement 0. *)
+let subtree_create ctx ~cap ~placements ~init =
+  let sub =
+    {
+      su_store = store_create ctx placements;
+      su_visited = Int_table.create ~absent:(-1) cap;
+      su_states = Array.make (4 * cap) 0;
+      su_count = 0;
+      su_scratch = Array.make ctx.c_groups 0;
+      su_rungs = Array.make ctx.c_rungs false;
+      su_transitions = 1;
+      su_dedup_hits = 0;
+      su_depth = 0;
+      su_complete = true;
+      su_violations = [];
+    }
+  in
+  ignore (intern ctx sub.su_store init 0);
+  ignore (push sub (state_key ctx ~p:0 ~rung:0 ~brk:0) ~parent:(-1) ~ev:0 ~depth:0);
+  sub
+
+(* Explore the subtree of the initial state's [root]-th successor.
+   The subtree's store and visited table are seeded with the initial
+   state, which is never expanded: any state reachable only through it
+   belongs to a sibling subtree. *)
+let explore_subtree ctx ~budget ~init root =
+  let cap = state_capacity ctx in
+  let sub = subtree_create ctx ~cap ~placements:(Int.min cap (ctx.c_rungs + 1)) ~init in
+  (* The root is the [root]-th event enabled at the initial state. *)
+  let nth = ref 0 in
+  successors ctx sub.su_store sub.su_scratch ~p:0 ~rung:0 ~brk:0 (fun ev p rung brk viol ->
+      if !nth = root then begin
+        if viol then record_step ctx sub 0 ~rung:0 ev;
+        admit ctx sub ~budget ~p ~rung ~brk ~parent:0 ~ev ~depth:1
+      end;
+      incr nth);
+  (* The state being expanded, read by [emit]. *)
+  let cur = ref 0 and cur_rung = ref 0 and cur_depth = ref 0 in
+  let emit ev p rung brk viol =
+    sub.su_transitions <- sub.su_transitions + 1;
+    if viol then record_step ctx sub !cur ~rung:!cur_rung ev;
+    admit ctx sub ~budget ~p ~rung ~brk ~parent:!cur ~ev ~depth:(!cur_depth + 1)
+  in
+  let nb = ctx.c_breakers.b_count in
+  let s = ref 1 in
+  while !s < sub.su_count do
+    let a = sub.su_states in
+    let depth = a.((4 * !s) + 3) in
+    if depth < budget then begin
+      let k = a.(4 * !s) in
+      let brk = k mod nb and pr = k / nb in
+      let rung = pr mod ctx.c_rungs in
+      cur := !s;
+      cur_rung := rung;
+      cur_depth := depth;
+      successors ctx sub.su_store sub.su_scratch ~p:(pr / ctx.c_rungs) ~rung ~brk emit
+    end;
+    incr s
   done;
-  {
-    su_keys = Hashtbl.fold (fun k () acc -> k :: acc) visited [];
-    su_transitions = !transitions;
-    su_dedup_hits = !dedup;
-    su_depth = !max_depth;
-    su_complete = not !truncated;
-    su_rungs = rungs;
-    su_violations = Hashtbl.fold (fun k v acc -> (k, v) :: acc) viols [];
-  }
+  sub
 
 let trace_lt m a b =
   let la = List.length a and lb = List.length b in
@@ -379,49 +728,70 @@ let default_depth = 40
 
 let run ?(pool = Parallel.sequential) ?(depth = default_depth) m =
   if depth < 1 then invalid_arg "Verify.Explore.run: depth < 1";
-  let st0 = init m in
-  let init_key = key m st0 in
-  (* Exploration always splits on the initial state's successors and
-     merges deterministically, so the result is identical for any pool,
-     the zero-worker default included ([Parallel.map] preserves input
+  let ctx = context m in
+  let g = ctx.c_groups and nb = ctx.c_breakers.b_count in
+  let init = Array.sub ctx.c_target 0 g in
+  if not ctx.c_breakers.b_on_chain.(0) then
+    ignore (Model.cooloff_index m ctx.c_breakers.b_snap.(0).Health.sn_cooloff_us);
+  (* The initial state's own I1 violations, and its successors: one
+     subtree each.  Exploration always splits on them and merges
+     deterministically, so the result is identical for any pool, the
+     zero-worker default included ([Parallel.map] preserves input
      order). *)
-  let roots =
-    List.map
-      (fun ev ->
-        let st', viols = apply m st0 ev in
-        (ev, st', viols))
-      (enabled m st0)
-  in
+  let top = subtree_create ctx ~cap:1 ~placements:1 ~init in
+  if top.su_store.s_flags.(0) land flag_split <> 0 then record_crossings ctx top 0 ~p:0 ~rung:0;
+  let roots = ref 0 in
+  successors ctx top.su_store top.su_scratch ~p:0 ~rung:0 ~brk:0 (fun _ _ _ _ _ -> incr roots);
   let subtrees =
-    Parallel.map_list pool ~f:(explore_subtree m ~budget:depth ~init_key) roots
+    Parallel.map_list pool ~f:(explore_subtree ctx ~budget:depth ~init) (List.init !roots Fun.id)
   in
-  let keys = Hashtbl.create 256 in
-  Hashtbl.replace keys init_key ();
-  List.iter (fun s -> List.iter (fun k -> Hashtbl.replace keys k ()) s.su_keys) subtrees;
+  (* Distinct states across the subtrees: every subtree's placements
+     are interned into the first one's store and its keys re-keyed
+     into the first one's visited table. *)
+  let states =
+    match subtrees with
+    | [] -> 1
+    | first :: rest ->
+        List.iter
+          (fun s ->
+            let own = s.su_store in
+            let map =
+              Array.init own.s_count (fun p -> intern ctx first.su_store own.s_vecs (p * g))
+            in
+            for i = 0 to s.su_count - 1 do
+              let k = s.su_states.(4 * i) in
+              let brk = k mod nb and pr = k / nb in
+              let k = state_key ctx ~p:map.(pr / ctx.c_rungs) ~rung:(pr mod ctx.c_rungs) ~brk in
+              ignore (Int_table.find_or_add first.su_visited k i)
+            done)
+          rest;
+        Int_table.length first.su_visited
+  in
   let rungs = Array.make (Model.rung_count m) false in
-  rungs.(st0.st_rung) <- true;
+  rungs.(0) <- true;
   List.iter
     (fun s -> Array.iteri (fun i b -> if b then rungs.(i) <- true) s.su_rungs)
     subtrees;
-  let viols = Hashtbl.create 8 in
-  List.iter (record_violation viols []) (state_violations m st0);
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (k, v) ->
-          match Hashtbl.find_opt viols k with
-          | Some cur when not (trace_lt m v.vl_trace cur.vl_trace) -> ()
-          | _ -> Hashtbl.replace viols k v)
-        s.su_violations)
-    subtrees;
+  let viols =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc (k, v) ->
+            match List.assoc_opt k acc with
+            | Some cur when not (trace_lt m v.vl_trace cur.vl_trace) -> acc
+            | Some _ -> (k, v) :: List.remove_assoc k acc
+            | None -> (k, v) :: acc)
+          acc s.su_violations)
+      top.su_violations subtrees
+  in
   let violations =
-    Hashtbl.fold (fun _ v acc -> v :: acc) viols []
+    List.map snd viols
     |> List.sort (fun a b -> compare (a.vl_code, a.vl_subject) (b.vl_code, b.vl_subject))
   in
   {
     r_stats =
       {
-        sr_states = Hashtbl.length keys;
+        sr_states = states;
         sr_transitions = List.fold_left (fun a s -> a + s.su_transitions) 0 subtrees;
         sr_dedup_hits = List.fold_left (fun a s -> a + s.su_dedup_hits) 0 subtrees;
         sr_depth = List.fold_left (fun a s -> max a s.su_depth) 0 subtrees;

@@ -20,7 +20,14 @@
     Breaker steps reuse the pure {!Coign_netsim.Health.transition}, so
     the explorer and the RTE share one state machine by construction.
     Counterexamples are replayable event traces: the tests replay each
-    through a real breaker and factory. *)
+    through a real breaker and factory.
+
+    A state is ints only: its rung, its breaker — an index into the
+    automaton of canonical breakers reachable from the initial one,
+    stepped once through [Health.transition] — and its placement, one
+    [host * 2 + server bit] per group, interned per subtree.  The
+    visited-state key packs the three into one int, so any pool width
+    keys, and costs per group and per state, not per classification. *)
 
 open Coign_core
 
@@ -39,16 +46,6 @@ type event =
 
 val event_id : Model.t -> event -> string
 (** Stable machine-readable id ([link_fail], [migrate:3], ...). *)
-
-type state = {
-  st_rung : int;
-  st_snap : Coign_netsim.Health.snapshot;  (** canonical, see the implementation header *)
-  st_locs : Constraints.location array;  (** per group *)
-  st_hosts : int array;
-      (** per group: pool host, 0 on the client side.  Inert (all 0,
-          no promotions enabled) on a one-host-per-rung ladder, so
-          the classic two-host state space is unchanged *)
-}
 
 type violation = {
   vl_code : string;

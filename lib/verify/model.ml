@@ -20,6 +20,7 @@
    state that distinguishes two members differs from its merged image
    only on remotable separations, which no invariant observes. *)
 
+open Coign_util
 open Coign_core
 module Health = Coign_netsim.Health
 
@@ -95,8 +96,27 @@ let cooloff_index m c =
   in
   find 0
 
-let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
+(* Per-domain scratch, cleared for each build: signature hash -> the
+   newest bucket with that hash, and packed group pair -> edge index. *)
+let bucket_table = Domain.DLS.new_key (fun () -> Int_table.create ~absent:(-1) 64)
+let pair_table = Domain.DLS.new_key (fun () -> Int_table.create ~absent:(-1) 64)
+
+(* [before src dst iface i j]: ICC entry [i] precedes [j] in the
+   summary's canonical order, (source, target, interface). *)
+let before src dst iface i j =
+  let c = Int.compare src.(i) src.(j) in
+  if c <> 0 then c < 0
+  else
+    let c = Int.compare dst.(i) dst.(j) in
+    if c <> 0 then c < 0 else String.compare iface.(i) iface.(j) < 0
+
+(* The core: one ICC entry per index of [src], [dst], [iface] and
+   [remotable], in any order.  Nothing here depends on the order: the
+   adjacency marks and remotability bits are unions, and an edge's
+   sample interface is picked by the canonical order itself. *)
+let of_pairs ~policy ~classifier ~ladder ~truth ~src ~dst ~iface ~remotable =
   let prs = Array.init (Fallback.rung_count ladder) (Fallback.rung ladder) in
+  let rungs = Array.length prs in
   let n = Array.length truth in
   let place r c = Analysis.location_of prs.(r).Fallback.pr_distribution c in
   (* The replica ring of [c]'s shard on rung [r], as the RTE homes and
@@ -108,101 +128,186 @@ let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
       let s = Pool.shard_in pr.Fallback.pr_shard_of c in
       let shape = pr.Fallback.pr_shape in
       let len = if pr.Fallback.pr_replicated.(s) then shape.Pool.sh_replicas else 1 in
-      Array.init len (Pool.replica shape s)
+      let hosts = Array.make len 0 in
+      for i = 0 to len - 1 do
+        hosts.(i) <- Pool.replica shape s i
+      done;
+      hosts
   in
-  let rungs = Array.length prs in
-  let members = Array.init (n + 1) (fun i -> i - 1) in
-  let non_remotable_adjacent = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Icc.entry) ->
-      if (not e.Icc.remotable) && e.Icc.src <> e.Icc.dst then begin
-        Hashtbl.replace non_remotable_adjacent e.Icc.src ();
-        Hashtbl.replace non_remotable_adjacent e.Icc.dst ()
-      end)
-    (Icc.entries icc);
-  let signature c =
-    let targets = Array.init rungs (fun r -> place r c) in
-    let rings = Array.init rungs (fun r -> ring r c) in
-    let ladder_safe = Fallback.migration_safe ladder c in
-    let truth_safe = c >= 0 && c < n && truth.(c) in
-    (targets, rings, ladder_safe, truth_safe)
+  (* One signature word per rung: 0 client-side, else the ring.  A
+     ring runs round the pool from its primary, so its primary and
+     whether it is longer than one host name it: 1 + 2 * primary +
+     long.  A last word holds the ladder and truth safety bits. *)
+  let code r c =
+    if place r c <> Constraints.Server then 0
+    else
+      let pr = prs.(r) in
+      let s = Pool.shard_in pr.Fallback.pr_shard_of c in
+      let shape = pr.Fallback.pr_shape in
+      let long = pr.Fallback.pr_replicated.(s) && shape.Pool.sh_replicas > 1 in
+      1 + (2 * Pool.host_of shape s) + Bool.to_int long
   in
-  let subject c = if c < 0 then "main" else Classifier.class_of_classification classifier c in
+  let ladder_safe c = Fallback.migration_safe ladder c in
+  let truth_safe c = c >= 0 && c < n && truth.(c) in
+  let width = rungs + 1 in
+  (* Classification [c] lives at index [c + 1]: main is -1. *)
+  let slot c = if c < -1 || c >= n then raise Not_found else c + 1 in
+  let entries = Array.length src in
+  let non_remotable_adjacent = Array.make (n + 1) false in
+  for i = 0 to entries - 1 do
+    if (not remotable.(i)) && src.(i) <> dst.(i) then begin
+      if src.(i) >= -1 && src.(i) < n then non_remotable_adjacent.(src.(i) + 1) <- true;
+      if dst.(i) >= -1 && dst.(i) < n then non_remotable_adjacent.(dst.(i) + 1) <- true
+    end
+  done;
   (* Partition: singletons for non-remotable endpoints, signature
-     buckets for the rest.  Group order is deterministic: by lowest
-     member classification. *)
-  let buckets :
-      (Constraints.location array * int array array * bool * bool, int list ref) Hashtbl.t =
-    Hashtbl.create 16
+     buckets for the rest.  Classifications are visited in ascending
+     order, so group ids come out ordered by lowest member. *)
+  let group_of = Array.make (n + 1) 0 and rep = Array.make (n + 1) 0 in
+  let groups = ref 0 in
+  let sigs = Array.make ((n + 1) * width) 0 in
+  let bucket_group = Array.make (n + 1) 0 and bucket_next = Array.make (n + 1) 0 in
+  let buckets = ref 0 in
+  let index = Domain.DLS.get bucket_table in
+  Int_table.clear index;
+  let scratch = Array.make width 0 in
+  let same b =
+    let base = b * width in
+    let rec go j = j >= width || (sigs.(base + j) = scratch.(j) && go (j + 1)) in
+    go 0
   in
-  let singletons = ref [] in
-  Array.iter
-    (fun c ->
-      if Hashtbl.mem non_remotable_adjacent c then singletons := c :: !singletons
-      else
-        let key = signature c in
-        match Hashtbl.find_opt buckets key with
-        | Some l -> l := c :: !l
-        | None -> Hashtbl.add buckets key (ref [ c ]))
-    members;
-  let proto =
-    List.map (fun c -> [ c ]) !singletons
-    @ Hashtbl.fold (fun _ l acc -> List.rev !l :: acc) buckets []
-  in
-  let proto =
-    List.sort (fun a b -> compare (List.hd a) (List.hd b))
-      (List.map (fun l -> List.sort compare l) proto)
-  in
+  for c = -1 to n - 1 do
+    let g =
+      if non_remotable_adjacent.(c + 1) then begin
+        let g = !groups in
+        incr groups;
+        rep.(g) <- c;
+        g
+      end
+      else begin
+        let h = ref ((2 * Bool.to_int (ladder_safe c)) + Bool.to_int (truth_safe c)) in
+        scratch.(rungs) <- !h;
+        for r = 0 to rungs - 1 do
+          let w = code r c in
+          scratch.(r) <- w;
+          h := (!h * 0x100000001b3) lxor w
+        done;
+        let h = !h land max_int in
+        let head = Int_table.find index h in
+        let b = ref head in
+        while !b >= 0 && not (same !b) do
+          b := bucket_next.(!b)
+        done;
+        if !b >= 0 then bucket_group.(!b)
+        else begin
+          let b = !buckets and g = !groups in
+          incr buckets;
+          incr groups;
+          Array.blit scratch 0 sigs (b * width) width;
+          bucket_group.(b) <- g;
+          bucket_next.(b) <- head;
+          Int_table.replace index h b;
+          rep.(g) <- c;
+          g
+        end
+      end
+    in
+    group_of.(c + 1) <- g
+  done;
+  let ngroups = !groups in
+  let members = Array.make ngroups [] in
+  for c = n - 1 downto -1 do
+    let g = group_of.(c + 1) in
+    members.(g) <- c :: members.(g)
+  done;
   let groups =
-    Array.of_list
-      (List.mapi
-         (fun i ms ->
-           let c0 = List.hd ms in
-           let targets, rings, ladder_safe, truth_safe = signature c0 in
-           {
-             g_id = i;
-             g_members = ms;
-             g_subject = subject c0;
-             g_targets = targets;
-             g_rings = rings;
-             g_ladder_safe = ladder_safe;
-             g_truth_safe = truth_safe;
-           })
-         proto)
+    Array.init ngroups (fun g ->
+        let c0 = rep.(g) in
+        {
+          g_id = g;
+          g_members = members.(g);
+          g_subject = (if c0 < 0 then "main" else Classifier.class_of_classification classifier c0);
+          g_targets = Array.init rungs (fun r -> place r c0);
+          g_rings = Array.init rungs (fun r -> ring r c0);
+          g_ladder_safe = ladder_safe c0;
+          g_truth_safe = truth_safe c0;
+        })
   in
-  let group_of = Hashtbl.create 16 in
-  Array.iter (fun g -> List.iter (fun c -> Hashtbl.replace group_of c g.g_id) g.g_members) groups;
-  (* Aggregate ICC traffic onto group pairs; intra-group edges are
-     dropped (members never separate — see the header argument). *)
-  let acc : (int * int, string * bool * bool) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Icc.entry) ->
-      if e.Icc.src <> e.Icc.dst then
-        let ga = Hashtbl.find group_of e.Icc.src and gb = Hashtbl.find group_of e.Icc.dst in
-        if ga <> gb then begin
-          let key = (min ga gb, max ga gb) in
-          let iface, rem, nonrem =
-            match Hashtbl.find_opt acc key with
-            | Some cur -> cur
-            | None -> (e.Icc.iface, false, false)
-          in
-          let iface = if (not e.Icc.remotable) && not nonrem then e.Icc.iface else iface in
-          Hashtbl.replace acc key
-            (iface, rem || e.Icc.remotable, nonrem || not e.Icc.remotable)
-        end)
-    (Icc.entries icc);
+  (* Aggregate ICC traffic onto group pairs, packed lower group high;
+     intra-group edges are dropped (members never separate — see the
+     header argument).  An edge's sample interface is its canonically
+     first non-remotable entry's, else its canonically first entry's. *)
+  let pairs = Domain.DLS.get pair_table in
+  Int_table.clear pairs;
+  let pair_key = Array.make entries 0 and first = Array.make entries 0 in
+  let first_non_remotable = Array.make entries (-1) and any_remotable = Array.make entries false in
+  let edges = ref 0 in
+  for i = 0 to entries - 1 do
+    if src.(i) <> dst.(i) then begin
+      let ga = group_of.(slot src.(i)) and gb = group_of.(slot dst.(i)) in
+      if ga <> gb then begin
+        let key = (Int.min ga gb lsl 30) lor Int.max ga gb in
+        let e = Int_table.find_or_add pairs key !edges in
+        if e = !edges then begin
+          incr edges;
+          pair_key.(e) <- key;
+          first.(e) <- i
+        end
+        else if before src dst iface i first.(e) then first.(e) <- i;
+        if remotable.(i) then any_remotable.(e) <- true
+        else if first_non_remotable.(e) < 0 || before src dst iface i first_non_remotable.(e)
+        then first_non_remotable.(e) <- i
+      end
+    end
+  done;
+  (* Edges in (lower, higher) group order: a counting sort by the
+     higher group, then a stable one by the lower. *)
+  let edges = !edges in
+  let count = Array.make (ngroups + 1) 0 in
+  let by_b = Array.make edges 0 and order = Array.make edges 0 in
+  let sort_by field ~from ~into =
+    Array.fill count 0 (ngroups + 1) 0;
+    for j = 0 to edges - 1 do
+      let f = field pair_key.(from.(j)) + 1 in
+      count.(f) <- count.(f) + 1
+    done;
+    for v = 1 to ngroups do
+      count.(v) <- count.(v) + count.(v - 1)
+    done;
+    for j = 0 to edges - 1 do
+      let e = from.(j) in
+      let f = field pair_key.(e) in
+      into.(count.(f)) <- e;
+      count.(f) <- count.(f) + 1
+    done
+  in
+  for e = 0 to edges - 1 do
+    order.(e) <- e
+  done;
+  sort_by (fun key -> key land ((1 lsl 30) - 1)) ~from:order ~into:by_b;
+  sort_by (fun key -> key lsr 30) ~from:by_b ~into:order;
   let edges =
-    Hashtbl.fold
-      (fun (a, b) (iface, rem, nonrem) l ->
-        { e_a = a; e_b = b; e_iface = iface; e_remotable = rem; e_non_remotable = nonrem } :: l)
-      acc []
+    Array.map
+      (fun e ->
+        let key = pair_key.(e) and nr = first_non_remotable.(e) in
+        {
+          e_a = key lsr 30;
+          e_b = key land ((1 lsl 30) - 1);
+          e_iface = iface.(if nr >= 0 then nr else first.(e));
+          e_remotable = any_remotable.(e);
+          e_non_remotable = nr >= 0;
+        })
+      order
   in
-  let edges = List.sort (fun x y -> compare (x.e_a, x.e_b) (y.e_a, y.e_b)) edges in
   {
     m_groups = groups;
-    m_edges = Array.of_list edges;
+    m_edges = edges;
     m_rung_names = Array.map (fun pr -> pr.Fallback.pr_name) prs;
     m_policy = policy;
     m_cooloffs = cooloff_chain policy;
     m_classifications = n + 1;
   }
+
+let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
+  let src, dst, iface, remotable = Icc.columns icc in
+  of_pairs ~policy ~classifier ~ladder ~truth ~src ~dst ~iface ~remotable

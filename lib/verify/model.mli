@@ -89,4 +89,13 @@ val build :
     {!Fallback.migration_safety} table; the ladder's own table is read
     through {!Fallback.migration_safe} so a stale or hand-edited table
     shows up as {!risky} groups.  A pool of any width compiles; the
-    explorer's depth bound is what keeps exploration finite. *)
+    explorer's depth bound is what keeps exploration finite.
+
+    It works in ints: the ICC entries are read as {!Icc.columns}, each
+    classification's signature is one int per rung (client-side, or
+    its ring's primary host and whether the ring holds more than one
+    host) plus its two safety bits, bucketed by hash in an
+    {!Coign_util.Int_table}, and group pairs aggregate on the packed
+    pair.  The result does not depend on the order of the entries: an
+    edge's sample interface is picked by the summary's canonical
+    order. *)

@@ -344,3 +344,451 @@ module Replay = struct
     List.iter (fun ev -> if !invalid = None then step ev) trace;
     { ro_codes = !codes; ro_invalid = !invalid }
 end
+
+(* --- Reference verifier ------------------------------------------------
+   The string-keyed model builder and explorer the verifier replaced,
+   kept as the differential oracle for [Coign_verify.Model.build] and
+   [Coign_verify.Explore.run]: polymorphic hash tables keyed on whole
+   signatures and state strings, lists for every event and edge scan.
+   Slow and simple; the properties in [test_verify] check that the
+   int-keyed implementation returns exactly what this one does. *)
+module Verify_ref = struct
+  open Coign_core
+  open Coign_verify
+  module Health = Coign_netsim.Health
+
+  let build ?(policy = Health.default_policy) ~classifier ~icc ~ladder ~truth () =
+    let prs = Array.init (Fallback.rung_count ladder) (Fallback.rung ladder) in
+    let n = Array.length truth in
+    let place r c = Analysis.location_of prs.(r).Fallback.pr_distribution c in
+    let ring r c =
+      if place r c <> Constraints.Server then [||]
+      else
+        let pr = prs.(r) in
+        let s = Pool.shard_in pr.Fallback.pr_shard_of c in
+        let shape = pr.Fallback.pr_shape in
+        let len = if pr.Fallback.pr_replicated.(s) then shape.Pool.sh_replicas else 1 in
+        Array.init len (Pool.replica shape s)
+    in
+    let rungs = Array.length prs in
+    let members = Array.init (n + 1) (fun i -> i - 1) in
+    let non_remotable_adjacent = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Icc.entry) ->
+        if (not e.Icc.remotable) && e.Icc.src <> e.Icc.dst then begin
+          Hashtbl.replace non_remotable_adjacent e.Icc.src ();
+          Hashtbl.replace non_remotable_adjacent e.Icc.dst ()
+        end)
+      (Icc.entries icc);
+    let signature c =
+      let targets = Array.init rungs (fun r -> place r c) in
+      let rings = Array.init rungs (fun r -> ring r c) in
+      let ladder_safe = Fallback.migration_safe ladder c in
+      let truth_safe = c >= 0 && c < n && truth.(c) in
+      (targets, rings, ladder_safe, truth_safe)
+    in
+    let subject c = if c < 0 then "main" else Classifier.class_of_classification classifier c in
+    let buckets :
+        (Constraints.location array * int array array * bool * bool, int list ref) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    let singletons = ref [] in
+    Array.iter
+      (fun c ->
+        if Hashtbl.mem non_remotable_adjacent c then singletons := c :: !singletons
+        else
+          let key = signature c in
+          match Hashtbl.find_opt buckets key with
+          | Some l -> l := c :: !l
+          | None -> Hashtbl.add buckets key (ref [ c ]))
+      members;
+    let proto =
+      List.map (fun c -> [ c ]) !singletons
+      @ Hashtbl.fold (fun _ l acc -> List.rev !l :: acc) buckets []
+    in
+    let proto =
+      List.sort (fun a b -> compare (List.hd a) (List.hd b))
+        (List.map (fun l -> List.sort compare l) proto)
+    in
+    let groups =
+      Array.of_list
+        (List.mapi
+           (fun i ms ->
+             let c0 = List.hd ms in
+             let targets, rings, ladder_safe, truth_safe = signature c0 in
+             {
+               Model.g_id = i;
+               g_members = ms;
+               g_subject = subject c0;
+               g_targets = targets;
+               g_rings = rings;
+               g_ladder_safe = ladder_safe;
+               g_truth_safe = truth_safe;
+             })
+           proto)
+    in
+    let group_of = Hashtbl.create 16 in
+    Array.iter
+      (fun g -> List.iter (fun c -> Hashtbl.replace group_of c g.Model.g_id) g.Model.g_members)
+      groups;
+    let acc : (int * int, string * bool * bool) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Icc.entry) ->
+        if e.Icc.src <> e.Icc.dst then
+          let ga = Hashtbl.find group_of e.Icc.src and gb = Hashtbl.find group_of e.Icc.dst in
+          if ga <> gb then begin
+            let key = (min ga gb, max ga gb) in
+            let iface, rem, nonrem =
+              match Hashtbl.find_opt acc key with
+              | Some cur -> cur
+              | None -> (e.Icc.iface, false, false)
+            in
+            let iface = if (not e.Icc.remotable) && not nonrem then e.Icc.iface else iface in
+            Hashtbl.replace acc key (iface, rem || e.Icc.remotable, nonrem || not e.Icc.remotable)
+          end)
+      (Icc.entries icc);
+    let edges =
+      Hashtbl.fold
+        (fun (a, b) (iface, rem, nonrem) l ->
+          { Model.e_a = a; e_b = b; e_iface = iface; e_remotable = rem; e_non_remotable = nonrem }
+          :: l)
+        acc []
+    in
+    let edges =
+      List.sort (fun x y -> compare (x.Model.e_a, x.Model.e_b) (y.Model.e_a, y.Model.e_b)) edges
+    in
+    {
+      Model.m_groups = groups;
+      m_edges = Array.of_list edges;
+      m_rung_names = Array.map (fun pr -> pr.Fallback.pr_name) prs;
+      m_policy = policy;
+      m_cooloffs =
+        (let p = policy in
+         let rec go acc c =
+           let c' = Float.min (c *. p.Health.hp_cooloff_mult) p.Health.hp_cooloff_max_us in
+           if c' = c then List.rev (c :: acc) else go (c :: acc) c'
+         in
+         Array.of_list (go [] p.Health.hp_cooloff_us));
+      m_classifications = n + 1;
+    }
+
+  type state = {
+    st_rung : int;
+    st_snap : Health.snapshot;
+    st_locs : Constraints.location array;
+    st_hosts : int array;
+  }
+
+  let canon (snap : Health.snapshot) =
+    {
+      snap with
+      Health.sn_opened_at_us = 0.;
+      sn_consecutive_failures =
+        (match snap.Health.sn_state with
+        | Health.Closed -> snap.Health.sn_consecutive_failures
+        | _ -> 0);
+      sn_probe_successes =
+        (match snap.Health.sn_state with
+        | Health.Half_open -> snap.Health.sn_probe_successes
+        | _ -> 0);
+    }
+
+  let init m =
+    {
+      st_rung = 0;
+      st_snap = canon (Health.initial_snapshot m.Model.m_policy);
+      st_locs = Array.map (fun g -> g.Model.g_targets.(0)) m.Model.m_groups;
+      st_hosts = Array.map (fun g -> Model.target_host g 0) m.Model.m_groups;
+    }
+
+  (* The parent's key wrote each host as one character, which raised
+     for hosts above 207; this one writes it as a number, so the
+     oracle explores every pool the explorer does. *)
+  let key m st =
+    let b = Buffer.create 32 in
+    Buffer.add_string b (string_of_int st.st_rung);
+    Buffer.add_char b '|';
+    Buffer.add_string b (Health.state_name st.st_snap.Health.sn_state);
+    Buffer.add_char b '|';
+    Buffer.add_string b (string_of_int st.st_snap.Health.sn_consecutive_failures);
+    Buffer.add_char b '|';
+    Buffer.add_string b (string_of_int st.st_snap.Health.sn_probe_successes);
+    Buffer.add_char b '|';
+    Buffer.add_string b (string_of_int (Model.cooloff_index m st.st_snap.Health.sn_cooloff_us));
+    Buffer.add_char b '|';
+    Array.iter
+      (fun loc ->
+        Buffer.add_char b (match loc with Constraints.Client -> 'c' | Constraints.Server -> 's'))
+      st.st_locs;
+    Array.iter
+      (fun h ->
+        Buffer.add_char b '|';
+        Buffer.add_string b (string_of_int h))
+      st.st_hosts;
+    Buffer.contents b
+
+  let separated_loc st (e : Model.edge) = st.st_locs.(e.Model.e_a) <> st.st_locs.(e.Model.e_b)
+
+  let separated st (e : Model.edge) =
+    separated_loc st e
+    || st.st_locs.(e.Model.e_a) = Constraints.Server
+       && st.st_hosts.(e.Model.e_a) <> st.st_hosts.(e.Model.e_b)
+
+  let link_active m st =
+    Array.exists (fun e -> e.Model.e_remotable && separated_loc st e) m.Model.m_edges
+
+  let off_target m st g =
+    let grp = m.Model.m_groups.(g) in
+    grp.Model.g_ladder_safe
+    && (st.st_locs.(g) <> grp.Model.g_targets.(st.st_rung)
+       || st.st_hosts.(g) <> Model.target_host grp st.st_rung)
+
+  let enabled m st =
+    let migrations =
+      let risky = ref [] and rest = ref false in
+      Array.iter
+        (fun grp ->
+          if off_target m st grp.Model.g_id then
+            if Model.risky grp then risky := Explore.Migrate grp.Model.g_id :: !risky
+            else rest := true)
+        m.Model.m_groups;
+      List.rev !risky @ if !rest then [ Explore.Migrate_rest ] else []
+    in
+    let promotions =
+      Array.to_list m.Model.m_groups
+      |> List.filter_map (fun grp ->
+             if
+               Model.risky grp
+               && Array.length grp.Model.g_rings.(st.st_rung) > 1
+               && st.st_locs.(grp.Model.g_id) = Constraints.Server
+               && not (off_target m st grp.Model.g_id)
+             then Some (Explore.Promote grp.Model.g_id)
+             else None)
+    in
+    let breaker =
+      match st.st_snap.Health.sn_state with
+      | Health.Open -> [ Explore.Cooloff ]
+      | Health.Closed | Health.Half_open ->
+          if link_active m st then [ Explore.Link_ok; Explore.Link_fail ] else []
+    in
+    breaker @ migrations @ promotions
+
+  let rung_after m rung = function
+    | Some { Health.tr_to = Health.Open; _ } -> min (rung + 1) (Model.rung_count m - 1)
+    | Some { Health.tr_to = Health.Closed; _ } -> 0
+    | _ -> rung
+
+  let apply m st ev =
+    match ev with
+    | Explore.Link_ok | Explore.Link_fail ->
+        let input = match ev with Explore.Link_ok -> Health.Success | _ -> Health.Failure in
+        let snap, tr = Health.transition m.Model.m_policy st.st_snap ~at_us:0. input in
+        ({ st with st_rung = rung_after m st.st_rung tr; st_snap = canon snap }, [])
+    | Explore.Cooloff -> (
+        let at_us = st.st_snap.Health.sn_opened_at_us +. st.st_snap.Health.sn_cooloff_us in
+        let snap, tr = Health.transition m.Model.m_policy st.st_snap ~at_us Health.Observe in
+        match tr with
+        | Some { Health.tr_to = Health.Half_open; _ } -> ({ st with st_snap = canon snap }, [])
+        | _ ->
+            ( st,
+              [
+                ( "CG010",
+                  Lint.Error,
+                  m.Model.m_rung_names.(st.st_rung),
+                  Printf.sprintf
+                    "open breaker on rung %d (%s) admits no half-open probe at cooloff expiry"
+                    st.st_rung m.Model.m_rung_names.(st.st_rung) );
+              ] ))
+    | Explore.Migrate g ->
+        let grp = m.Model.m_groups.(g) in
+        let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
+        locs.(g) <- grp.Model.g_targets.(st.st_rung);
+        hosts.(g) <- Model.target_host grp st.st_rung;
+        let viols =
+          if grp.Model.g_truth_safe then []
+          else
+            [
+              ( "CG009",
+                Lint.Error,
+                grp.Model.g_subject,
+                Printf.sprintf
+                  "ladder table migrates %s live on rung %d (%s), but the static facts mark it \
+                   unsafe"
+                  grp.Model.g_subject st.st_rung m.Model.m_rung_names.(st.st_rung) );
+            ]
+        in
+        ({ st with st_locs = locs; st_hosts = hosts }, viols)
+    | Explore.Migrate_rest ->
+        let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
+        Array.iter
+          (fun grp ->
+            if (not (Model.risky grp)) && off_target m st grp.Model.g_id then begin
+              locs.(grp.Model.g_id) <- grp.Model.g_targets.(st.st_rung);
+              hosts.(grp.Model.g_id) <- Model.target_host grp st.st_rung
+            end)
+          m.Model.m_groups;
+        ({ st with st_locs = locs; st_hosts = hosts }, [])
+    | Explore.Promote g ->
+        let grp = m.Model.m_groups.(g) in
+        let hosts = Array.copy st.st_hosts in
+        hosts.(g) <- Model.next_replica grp st.st_rung ~from:st.st_hosts.(g);
+        let viols =
+          [
+            ( "CG009",
+              Lint.Error,
+              grp.Model.g_subject,
+              Printf.sprintf
+                "ladder table promotes %s between pool hosts on rung %d (%s), but the static \
+                 facts mark it unsafe"
+                grp.Model.g_subject st.st_rung m.Model.m_rung_names.(st.st_rung) );
+          ]
+        in
+        ({ st with st_hosts = hosts }, viols)
+
+  let state_violations m st =
+    Array.to_list m.Model.m_edges
+    |> List.filter_map (fun e ->
+           if e.Model.e_non_remotable && separated st e then
+             let a = m.Model.m_groups.(e.Model.e_a).Model.g_subject
+             and b = m.Model.m_groups.(e.Model.e_b).Model.g_subject in
+             let message =
+               if separated_loc st e then
+                 Printf.sprintf
+                   "reachable placement separates %s and %s across non-remotable %s (rung %d, %s)"
+                   a b e.Model.e_iface st.st_rung m.Model.m_rung_names.(st.st_rung)
+               else
+                 Printf.sprintf
+                   "reachable placement splits %s and %s across pool hosts %d/%d on \
+                    non-remotable %s (rung %d, %s)"
+                   a b
+                   st.st_hosts.(e.Model.e_a)
+                   st.st_hosts.(e.Model.e_b)
+                   e.Model.e_iface st.st_rung m.Model.m_rung_names.(st.st_rung)
+             in
+             Some ("CG008", Lint.Error, e.Model.e_iface, message)
+           else None)
+
+  type subtree = {
+    su_keys : string list;
+    su_transitions : int;
+    su_dedup_hits : int;
+    su_depth : int;
+    su_complete : bool;
+    su_rungs : bool array;
+    su_violations : (string * Explore.violation) list;
+  }
+
+  let record_violation tbl trace (code, severity, subject, message) =
+    let k = code ^ "\x00" ^ subject in
+    if not (Hashtbl.mem tbl k) then
+      Hashtbl.add tbl k
+        {
+          Explore.vl_code = code;
+          vl_severity = severity;
+          vl_subject = subject;
+          vl_message = message;
+          vl_trace = List.rev trace;
+        }
+
+  let explore_subtree m ~budget ~init_key (root_ev, root_st, root_viols) =
+    let visited = Hashtbl.create 256 in
+    Hashtbl.replace visited init_key ();
+    let viols = Hashtbl.create 8 in
+    let transitions = ref 1 and dedup = ref 0 and max_depth = ref 0 in
+    let rungs = Array.make (Array.length m.Model.m_rung_names) false in
+    let truncated = ref false in
+    let q = Queue.create () in
+    let admit st trace depth =
+      let k = key m st in
+      if Hashtbl.mem visited k then incr dedup
+      else begin
+        Hashtbl.replace visited k ();
+        rungs.(st.st_rung) <- true;
+        if depth > !max_depth then max_depth := depth;
+        List.iter (record_violation viols trace) (state_violations m st);
+        if depth < budget then Queue.add (st, trace, depth) q else truncated := true
+      end
+    in
+    List.iter (record_violation viols [ root_ev ]) root_viols;
+    admit root_st [ root_ev ] 1;
+    while not (Queue.is_empty q) do
+      let st, trace, depth = Queue.pop q in
+      List.iter
+        (fun ev ->
+          incr transitions;
+          let st', step_viols = apply m st ev in
+          let trace' = ev :: trace in
+          List.iter (record_violation viols trace') step_viols;
+          admit st' trace' (depth + 1))
+        (enabled m st)
+    done;
+    {
+      su_keys = Hashtbl.fold (fun k () acc -> k :: acc) visited [];
+      su_transitions = !transitions;
+      su_dedup_hits = !dedup;
+      su_depth = !max_depth;
+      su_complete = not !truncated;
+      su_rungs = rungs;
+      su_violations = Hashtbl.fold (fun k v acc -> (k, v) :: acc) viols [];
+    }
+
+  let trace_lt m a b =
+    let la = List.length a and lb = List.length b in
+    if la <> lb then la < lb
+    else
+      String.concat ";" (List.map (Explore.event_id m) a)
+      < String.concat ";" (List.map (Explore.event_id m) b)
+
+  let run ?(pool = Coign_util.Parallel.sequential) ?(depth = Explore.default_depth) m =
+    if depth < 1 then invalid_arg "Verify.Explore.run: depth < 1";
+    let st0 = init m in
+    let init_key = key m st0 in
+    let roots =
+      List.map
+        (fun ev ->
+          let st', viols = apply m st0 ev in
+          (ev, st', viols))
+        (enabled m st0)
+    in
+    let subtrees =
+      Coign_util.Parallel.map_list pool ~f:(explore_subtree m ~budget:depth ~init_key) roots
+    in
+    let keys = Hashtbl.create 256 in
+    Hashtbl.replace keys init_key ();
+    List.iter (fun s -> List.iter (fun k -> Hashtbl.replace keys k ()) s.su_keys) subtrees;
+    let rungs = Array.make (Model.rung_count m) false in
+    rungs.(st0.st_rung) <- true;
+    List.iter
+      (fun s -> Array.iteri (fun i b -> if b then rungs.(i) <- true) s.su_rungs)
+      subtrees;
+    let viols = Hashtbl.create 8 in
+    List.iter (record_violation viols []) (state_violations m st0);
+    List.iter
+      (fun s ->
+        List.iter
+          (fun (k, v) ->
+            match Hashtbl.find_opt viols k with
+            | Some cur when not (trace_lt m v.Explore.vl_trace cur.Explore.vl_trace) -> ()
+            | _ -> Hashtbl.replace viols k v)
+          s.su_violations)
+      subtrees;
+    let violations =
+      Hashtbl.fold (fun _ v acc -> v :: acc) viols []
+      |> List.sort (fun a b ->
+             compare
+               (a.Explore.vl_code, a.Explore.vl_subject)
+               (b.Explore.vl_code, b.Explore.vl_subject))
+    in
+    {
+      Explore.r_stats =
+        {
+          Explore.sr_states = Hashtbl.length keys;
+          sr_transitions = List.fold_left (fun a s -> a + s.su_transitions) 0 subtrees;
+          sr_dedup_hits = List.fold_left (fun a s -> a + s.su_dedup_hits) 0 subtrees;
+          sr_depth = List.fold_left (fun a s -> max a s.su_depth) 0 subtrees;
+          sr_complete = List.for_all (fun s -> s.su_complete) subtrees;
+          sr_rungs_reached = rungs;
+        };
+      r_violations = violations;
+    }
+end

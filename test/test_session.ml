@@ -578,6 +578,89 @@ let test_cost_cache_eviction_allocation () =
     (Printf.sprintf "fresh-profile solve: %.0f words past the 64th, %.0f below" past below)
     true (past <= below)
 
+(* The session's validator is [Analysis.validate]: on the four apps,
+   with the image's pins alone and with forced classification pins and
+   co-location pairs on top, both return the same violations in the
+   same order for the solved placement, all-server and all-client
+   placements, placements that break every class pin or split every
+   co-located pair, and a placement shorter than the classifier. *)
+let test_session_validate_is_validate () =
+  let open Coign_apps in
+  List.iter
+    (fun ((app : App.t), sc_id) ->
+      let sc = App.scenario app sc_id in
+      let image, _ =
+        Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
+          sc.App.sc_run
+      in
+      let n =
+        Classifier.classification_count
+          (Analysis.Session.classifier (Adps.analysis_session image))
+      in
+      let forced =
+        Constraints.(
+          pin_classification
+            (pin_classification (colocate (colocate empty 0 (n - 1)) 1 2) 3 Server)
+            4 Client)
+      in
+      List.iter
+        (fun (what, extra_constraints) ->
+          let session = Adps.analysis_session ~extra_constraints image in
+          let classifier = Analysis.Session.classifier session in
+          let constraints = Analysis.Session.constraints session in
+          let d = Analysis.Session.solve session ~net:exact_net in
+          let with_placement placement = { d with Analysis.placement } in
+          let flip = function Constraints.Client -> Constraints.Server | _ -> Constraints.Client in
+          let pinned_broken =
+            let p = Array.copy d.Analysis.placement in
+            List.iter
+              (fun (cname, loc) ->
+                Array.iteri
+                  (fun c _ ->
+                    if String.equal (Classifier.class_of_classification classifier c) cname then
+                      p.(c) <- flip loc)
+                  p)
+              (Constraints.pinned_classes constraints);
+            List.iter (fun (c, loc) -> if c < n then p.(c) <- flip loc)
+              (Constraints.pinned_classifications constraints);
+            p
+          in
+          let split =
+            let p = Array.copy d.Analysis.placement in
+            List.iter (fun (a, b) -> p.(a) <- flip p.(b)) (Constraints.colocated_pairs constraints);
+            p
+          in
+          let cases =
+            [
+              ("solved", d);
+              ("all-server", with_placement (Array.make n Constraints.Server));
+              ("all-client", with_placement (Array.make n Constraints.Client));
+              ("pins broken", with_placement pinned_broken);
+              ("co-location split", with_placement split);
+              ("short", with_placement (Array.sub pinned_broken 0 (n / 2)));
+            ]
+          in
+          List.iter
+            (fun (case, d) ->
+              let expected = Analysis.validate ~classifier ~constraints d in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s %s: %d violations" app.App.app_name what case
+                   (List.length expected))
+                true
+                (Analysis.Session.validate session d = expected))
+            cases;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: breaking the pins is caught" app.App.app_name what)
+            true
+            (Analysis.Session.validate session (with_placement pinned_broken) <> []))
+        [ ("image pins", Constraints.empty); ("forced", forced) ])
+    [
+      (Octarine.app, "o_oldwp0");
+      (Photodraw.app, "p_oldmsr");
+      (Benefits.app, "b_bigone");
+      (Ingest.app, "i_strm1");
+    ]
+
 let suite =
   [
     Alcotest.test_case "session matches choose on presets" `Quick test_session_matches_choose;
@@ -587,6 +670,8 @@ let suite =
     Alcotest.test_case "session on empty profile" `Quick test_session_empty_profile;
     Alcotest.test_case "session components" `Quick test_session_components;
     Alcotest.test_case "analysis session allocation" `Quick test_analysis_session_allocation;
+    Alcotest.test_case "the session's validator is Analysis.validate" `Quick
+      test_session_validate_is_validate;
     Alcotest.test_case "a solve allocates only its result" `Quick test_solve_allocation;
     Alcotest.test_case "cost cache evicts without allocating" `Quick
       test_cost_cache_eviction_allocation;

@@ -283,6 +283,57 @@ let prop_counterexamples_replay =
           outcome.Replay.ro_invalid = None && List.mem v.Explore.vl_code outcome.Replay.ro_codes)
         r.Explore.r_violations)
 
+(* --- Property: the explorer is the reference explorer ------------------
+   [Oracles.Verify_ref] is the string-keyed explorer the int-keyed one
+   replaced.  The generated models gain up to two pool rungs in front
+   of the two-host pair, each placing every non-main group client-side
+   or on a replica ring of 2–3 consecutive hosts of a 2- or 3-host pool,
+   so promotions and host splits are exercised alongside migrations,
+   lying tables and truncation at every depth bound. *)
+
+let gen_pool_model =
+  QCheck.Gen.(
+    let* m = gen_model in
+    let* ks = list_size (int_range 0 2) (int_range 2 3) in
+    let g = Array.length m.Model.m_groups in
+    let* cells = list_repeat (List.length ks * g) (triple bool (int_bound 2) (int_range 2 3)) in
+    let cells = Array.of_list cells in
+    let pool_rung j k gi =
+      let server, primary, len = cells.((j * g) + gi) in
+      if gi = 0 || not server then (Constraints.Client, [||])
+      else (Constraints.Server, Array.init (min len k) (fun i -> (primary + i) mod k))
+    in
+    let groups =
+      Array.mapi
+        (fun gi grp ->
+          let extra = Array.of_list (List.mapi (fun j k -> pool_rung j k gi) ks) in
+          {
+            grp with
+            Model.g_targets = Array.append (Array.map fst extra) grp.Model.g_targets;
+            g_rings = Array.append (Array.map snd extra) grp.Model.g_rings;
+          })
+        m.Model.m_groups
+    in
+    let names = List.mapi (fun j k -> Printf.sprintf "pool-%d/%d" k j) ks in
+    return
+      {
+        m with
+        Model.m_groups = groups;
+        m_rung_names = Array.append (Array.of_list names) m.Model.m_rung_names;
+      })
+
+let prop_explorer_is_the_reference =
+  QCheck.Test.make ~name:"explorer equals the reference explorer, sequential and pooled"
+    ~count:150
+    (QCheck.make QCheck.Gen.(pair gen_pool_model (int_range 1 40)))
+    (fun (m, depth) ->
+      let expected = Oracles.Verify_ref.run ~depth m in
+      let same r =
+        r.Explore.r_stats = expected.Explore.r_stats
+        && r.Explore.r_violations = expected.Explore.r_violations
+      in
+      same (Explore.run ~depth m) && same (Explore.run ~pool:(Parallel.default ()) ~depth m))
+
 (* --- The RTE acceptance run ------------------------------------------
    Vfy: Front (client) pumps blobs at Back (server); Back's constructor
    creates Helper (server) and every store touches it over a
@@ -785,6 +836,72 @@ let test_pool_of_one_is_the_ladder () =
         app.App.app_scenarios)
     four_apps
 
+(* --- The model and the exploration are the reference's ----------------
+   On every scenario of the four apps and pools 1–4, the int-signature
+   model builder returns exactly the reference builder's groups, members,
+   edges and rung names, and the explorer exactly the reference
+   explorer's stats and violations. *)
+
+let test_matches_reference_on_apps () =
+  List.iter
+    (fun (app, _) ->
+      List.iter
+        (fun sc ->
+          let f = app_facts app sc.App.sc_id in
+          List.iter
+            (fun hosts ->
+              let ladder =
+                if hosts = 1 then f.f_ladder
+                else Fallback.pool_ladder ~hosts f.f_session ~net:vnet f.f_ladder
+              in
+              let what = Printf.sprintf "%s %s pool %d" app.App.app_name sc.App.sc_id hosts in
+              let m = facts_model ~ladder f in
+              let expected =
+                Oracles.Verify_ref.build ~classifier:f.f_classifier ~icc:f.f_icc ~ladder
+                  ~truth:f.f_truth ()
+              in
+              Alcotest.(check bool) (what ^ ": groups") true
+                (m.Model.m_groups = expected.Model.m_groups);
+              Alcotest.(check bool) (what ^ ": edges") true
+                (m.Model.m_edges = expected.Model.m_edges);
+              Alcotest.(check bool) (what ^ ": the rest of the model") true (m = expected);
+              let r = Explore.run m and r_ref = Oracles.Verify_ref.run m in
+              Alcotest.(check bool) (what ^ ": stats") true
+                (r.Explore.r_stats = r_ref.Explore.r_stats);
+              Alcotest.(check bool) (what ^ ": violations") true
+                (r.Explore.r_violations = r_ref.Explore.r_violations))
+            [ 1; 2; 3; 4 ])
+        app.App.app_scenarios)
+    four_apps
+
+(* --- Allocation ----------------------------------------------------------
+   The verifier allocates per group and per state, in ints.  On the
+   profiled o_oldwp0 image at pools 1, 2 and 3 (30 groups, 51 edges;
+   18, 16 and 24 states), [Model.build] took 2,884 / 2,991 / 3,098
+   minor words and [Explore.run] 1,882 / 2,046 / 2,547 (OCaml 5.1, dev
+   build; a release build inlines across modules and allocates less).
+   The string-keyed implementations took 15,238 / 15,355 / 15,472 and
+   10,676 / 9,595 / 15,296: every bound is under a quarter of those. *)
+let test_verify_allocation () =
+  let f = app_facts Octarine.app "o_oldwp0" in
+  List.iter
+    (fun (hosts, model_bound, explore_bound) ->
+      let ladder =
+        if hosts = 1 then f.f_ladder
+        else Fallback.pool_ladder ~hosts f.f_session ~net:vnet f.f_ladder
+      in
+      let build () = facts_model ~ladder f in
+      let m = build () in
+      let model = Harness.words_per_run 20 (fun () -> ignore (build ())) in
+      let explore = Harness.words_per_run 20 (fun () -> ignore (Explore.run m)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "pool %d: %.0f minor words per model" hosts model)
+        true (model <= model_bound);
+      Alcotest.(check bool)
+        (Printf.sprintf "pool %d: %.0f minor words per exploration" hosts explore)
+        true (explore <= explore_bound))
+    [ (1, 2_884., 1_882.); (2, 2_991., 2_046.); (3, 3_098., 2_547.) ]
+
 (* --- Golden CLI output and the exit-code contract --------------------- *)
 
 let test_verify_golden () =
@@ -823,6 +940,23 @@ let test_verify_golden () =
       Alcotest.(check bool) "verify --pool 4 verifies the ladder" true
         (List.mem "no violations: ladder verified"
            (String.split_on_char '\n' (Harness.read_file out)));
+      (* Any width compiles and explores: at --pool 1000 the ladder has
+         1001 rungs, so the explorer stops at the depth bound and warns
+         CG010 for the rungs it never reached, but the report is whole
+         (a host above 207 once crashed the state key). *)
+      Alcotest.(check int) "verify --pool 1000 exits 0" 0
+        (Harness.run_to out [ "verify"; img; "--pool"; "1000" ]);
+      (match String.split_on_char '\n' (Harness.read_file out) with
+      | header :: model :: explored :: rest ->
+          Alcotest.(check bool) "verify --pool 1000 warns CG010 for unreached rungs" true
+            (List.exists (String.starts_with ~prefix:"warning CG010 pool-") rest);
+          Alcotest.(check string) "verify --pool 1000 names the image"
+            "verify: octarine on 10BaseT Ethernet, depth 40" header;
+          Alcotest.(check bool) "verify --pool 1000 compiles 1001 rungs" true
+            (String.ends_with ~suffix:", 1001 rungs" model);
+          Alcotest.(check bool) "verify --pool 1000 is truncated at the depth bound" true
+            (String.ends_with ~suffix:"depth 40, truncated" explored)
+      | _ -> Alcotest.fail "verify --pool 1000 printed no report");
       let cmd = Filename.quote_command Harness.exe [ "verify"; img; "--pool"; "0" ] in
       Alcotest.(check int) "verify --pool 0 exits 1" 1
         (Sys.command (cmd ^ " > /dev/null 2> " ^ Filename.quote out));
@@ -875,6 +1009,9 @@ let suite =
     Alcotest.test_case "exploration deterministic across domains" `Quick test_pool_determinism;
     QCheck_alcotest.to_alcotest ~long:false prop_pure_transition_lockstep;
     QCheck_alcotest.to_alcotest ~long:false prop_counterexamples_replay;
+    QCheck_alcotest.to_alcotest ~long:false prop_explorer_is_the_reference;
+    Alcotest.test_case "model build and exploration allocate per group and state" `Quick
+      test_verify_allocation;
     Alcotest.test_case "rte: the lying table's migration faults live" `Quick
       test_rte_unsafe_migration_faults;
     Alcotest.test_case "verifier flags the same lie statically" `Quick
@@ -887,6 +1024,8 @@ let suite =
       test_apps_verify_clean_pooled;
     Alcotest.test_case "a pool of one is the two-host ladder on every scenario" `Slow
       test_pool_of_one_is_the_ladder;
+    Alcotest.test_case "model and exploration equal the reference on every scenario" `Slow
+      test_matches_reference_on_apps;
     Alcotest.test_case "cli verify golden output and exit codes" `Slow test_verify_golden;
     Alcotest.test_case "cli verify rejects a constraint-breaking distribution" `Slow
       test_verify_rejects_bad_distribution;
