@@ -77,7 +77,7 @@ val analysis_session :
     does not accept raises {!Icc.Decode_error}. The arena is compiled
     from int arrays with no list or tuple per edge, so the build
     allocates little beyond what the session keeps (on the profiled
-    o_oldwp0 image, 4,280 minor words; [test_session] gates it).
+    o_oldwp0 image, 4,492 minor words; [test_session] gates it).
     Raises [Invalid_argument] if the image holds no profile. With
     [profiler], the classifier decode, the text-to-graph decode and
     constraint assembly record under the ["profile_load"] phase, the

@@ -12,16 +12,6 @@ type distribution = {
 
 let ns_of_us us = int_of_float (Float.round (us *. 1000.))
 
-(* The classifications of each class name among the first [n],
-   ascending — one index per pass over the class pins. *)
-let classifications_by_class classifier ~n =
-  let tbl : (string, int list) Hashtbl.t = Hashtbl.create 32 in
-  for c = n - 1 downto 0 do
-    let cname = Classifier.class_of_classification classifier c in
-    Hashtbl.replace tbl cname (c :: Option.value ~default:[] (Hashtbl.find_opt tbl cname))
-  done;
-  fun cname -> Option.value ~default:[] (Hashtbl.find_opt tbl cname)
-
 let location_of d c =
   if c < 0 || c >= Array.length d.placement then Constraints.Client else d.placement.(c)
 
@@ -29,35 +19,84 @@ type violation =
   | Split_classifications of int * int
   | Pin_violated of string * Constraints.location
 
+(* The constraints a distribution is checked against, resolved over
+   the first [n] classifications: the pinned classes in name order,
+   each classification's class pin as an index among them (-1 for
+   none; [n] entries), and the classification pins and co-location
+   pairs as listed. *)
+type resolved = {
+  r_pinned : (string * Constraints.location) array;
+  r_class_pin : int array;
+  r_classification_pins : (int * Constraints.location) list;
+  r_colocated : (int * int) list;
+}
+
+let resolve ~classifier ~constraints ~n =
+  let pinned = Array.of_list (Constraints.pinned_classes constraints) in
+  let rec index cname lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare cname (fst pinned.(mid)) in
+      if c = 0 then mid else if c < 0 then index cname lo mid else index cname (mid + 1) hi
+  in
+  {
+    r_pinned = pinned;
+    r_class_pin =
+      Array.init n (fun c ->
+          index (Classifier.class_of_classification classifier c) 0 (Array.length pinned));
+    r_classification_pins = Constraints.pinned_classifications constraints;
+    r_colocated = Constraints.colocated_pairs constraints;
+  }
+
+(* The scans below are top-level functions, so on a clean distribution
+   [check] builds no closure and returns the shared empty list. *)
+let rec off_class_pin r d c =
+  if c >= Array.length r.r_class_pin then -1
+  else
+    let i = r.r_class_pin.(c) in
+    if i >= 0 && location_of d c <> snd r.r_pinned.(i) then c else off_class_pin r d (c + 1)
+
+let rec pin_violations d n = function
+  | [] -> []
+  | (c, loc) :: rest ->
+      if c >= 0 && c < n && location_of d c <> loc then
+        Pin_violated (Printf.sprintf "classification %d" c, loc) :: pin_violations d n rest
+      else pin_violations d n rest
+
+let rec split_violations d = function
+  | [] -> []
+  | (a, b) :: rest ->
+      if location_of d a <> location_of d b then
+        Split_classifications (a, b) :: split_violations d rest
+      else split_violations d rest
+
 (* Independent re-check of a distribution against the constraint set:
-   the cut construction above makes violations impossible for
-   distributions it computes itself, but distributions can also arrive
-   from a config record or a caller's hand-forced placement. *)
+   the cut construction makes violations impossible for distributions
+   it computes itself, but distributions can also arrive from a config
+   record or a caller's hand-forced placement. Broken class pins come
+   first, in name order, then classification pins and split
+   co-location pairs as listed. *)
+let check r d =
+  let class_violations =
+    match off_class_pin r d 0 with
+    | -1 -> []
+    | first ->
+        let broken = Array.make (Array.length r.r_pinned) false in
+        let c = ref first in
+        while !c >= 0 do
+          broken.(r.r_class_pin.(!c)) <- true;
+          c := off_class_pin r d (!c + 1)
+        done;
+        List.filteri (fun i _ -> broken.(i)) (Array.to_list r.r_pinned)
+        |> List.map (fun (cname, loc) -> Pin_violated (cname, loc))
+  in
+  class_violations
+  @ pin_violations d (Array.length r.r_class_pin) r.r_classification_pins
+  @ split_violations d r.r_colocated
+
 let validate ~classifier ~constraints d =
-  let n = Classifier.classification_count classifier in
-  let classifications_of = classifications_by_class classifier ~n in
-  let pin_violations =
-    List.concat_map
-      (fun (cname, loc) ->
-        if List.exists (fun c -> location_of d c <> loc) (classifications_of cname)
-        then [ Pin_violated (cname, loc) ]
-        else [])
-      (Constraints.pinned_classes constraints)
-    @ List.concat_map
-        (fun (c, loc) ->
-          if c >= 0 && c < n && location_of d c <> loc then
-            [ Pin_violated (Printf.sprintf "classification %d" c, loc) ]
-          else [])
-        (Constraints.pinned_classifications constraints)
-  in
-  let split_classifications =
-    List.filter_map
-      (fun (a, b) ->
-        if location_of d a <> location_of d b then Some (Split_classifications (a, b))
-        else None)
-      (Constraints.colocated_pairs constraints)
-  in
-  pin_violations @ split_classifications
+  check (resolve ~classifier ~constraints ~n:(Classifier.classification_count classifier)) d
 
 module Session = struct
   (* The network-dependent half of pricing, memoized per network
@@ -72,16 +111,9 @@ module Session = struct
     s_classifier : Classifier.t;
     s_constraints : Constraints.t;
     s_graph : Icc_graph.t;
-    (* What [validate] reads, resolved once: the pinned classes in
-       [Constraints.pinned_classes] order, the classifications of class
-       [i] at [s_pin_members.(s_pin_start.(i)) ..
-       s_pin_members.(s_pin_start.(i + 1) - 1)], ascending, and the
-       classification pins and co-location pairs as listed. *)
-    s_pinned : (string * Constraints.location) array;
-    s_pin_start : int array;
-    s_pin_members : int array;
-    s_classification_pins : (int * Constraints.location) list;
-    s_colocated : (int * int) list;
+    (* The constraints resolved over the graph's classifications, for
+       the build's pins and for [validate]. *)
+    s_resolved : resolved;
     (* CSR flow arena over the quotient of the infinite edges
        (Flow_network.Components), one zero-capacity slot per pair of
        arena nodes that priced traffic joins. Repricing writes
@@ -136,50 +168,20 @@ module Session = struct
     let client = n and server = n + 1 in
     let pack a b = (Int.min a b lsl 30) lor Int.max a b in
     let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
+    let resolved = resolve ~classifier ~constraints ~n in
     (* The infinite undirected edges — non-remotable pairs, pins and
        colocations — handed to [f] without being stored: with
        [~terminals:false] those between two classifications, with
        [~terminals:true] those reaching main or a terminal. *)
-    let colocated = Constraints.colocated_pairs constraints in
-    (* Each classification's class pin, resolved once: the index of its
-       class among the pinned classes (sorted by name), or -1. *)
-    let pinned = Array.of_list (Constraints.pinned_classes constraints) in
-    let rec pinned_index cname lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let c = String.compare cname (fst pinned.(mid)) in
-        if c = 0 then mid
-        else if c < 0 then pinned_index cname lo mid
-        else pinned_index cname (mid + 1) hi
-    in
-    let class_pin =
-      Array.init n (fun c ->
-          pinned_index (Classifier.class_of_classification classifier c) 0 (Array.length pinned))
-    in
-    let pin_start = Array.make (Array.length pinned + 1) 0 in
-    Array.iter (fun i -> if i >= 0 then pin_start.(i + 1) <- pin_start.(i + 1) + 1) class_pin;
-    for i = 1 to Array.length pinned do
-      pin_start.(i) <- pin_start.(i) + pin_start.(i - 1)
-    done;
-    let pin_members = Array.make pin_start.(Array.length pinned) 0 in
-    let fill = Array.sub pin_start 0 (Array.length pinned) in
-    Array.iteri
-      (fun c i ->
-        if i >= 0 then begin
-          pin_members.(fill.(i)) <- c;
-          fill.(i) <- fill.(i) + 1
-        end)
-      class_pin;
     let pin f c = function
       | Some Constraints.Client -> f c client
       | Some Constraints.Server -> f c server
       | None -> ()
     in
     let class_pin_to f c =
-      let i = class_pin.(c) in
+      let i = resolved.r_class_pin.(c) in
       if i >= 0 then
-        match snd pinned.(i) with
+        match snd resolved.r_pinned.(i) with
         | Constraints.Client -> f c client
         | Constraints.Server -> f c server
     in
@@ -193,7 +195,10 @@ module Session = struct
           pin f c (Constraints.classification_pin constraints c);
           class_pin_to f c
         done
-      else List.iter (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b) colocated
+      else
+        List.iter
+          (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b)
+          resolved.r_colocated
     in
     (* Edges between two classifications join first: that snapshot is
        [s_component]. Pins and the main node's edges then join
@@ -233,48 +238,23 @@ module Session = struct
           | sl ->
               pair_slot.(p) <- sl;
               if sl = !nslots then incr nslots);
-    (* Both directions of each edge, as keys packed src-high, sorted by
-       (src, dst) so each node's arcs run in neighbour order: a
-       counting sort by dst into [spare], then a stable one by src back
-       into [keys]. The two arrays then become the endpoint columns. A
-       zero-residual arc is invisible to every solver. *)
+    (* Both directions of each slot-table edge, the lower node first,
+       in table order; [of_edges] lays them out in (src, dst) order.
+       Every arc starts at zero; an infinite pair's arcs are raised to
+       infinity_cap once compiled, and the reset makes that their
+       residual too. A zero-residual arc is invisible to every
+       solver. *)
     let ndir = 2 * Int_table.length slot_of in
-    let keys = Array.make ndir 0 and spare = Array.make ndir 0 in
+    let src = Array.make ndir 0 and dst = Array.make ndir 0 in
     let k = ref 0 in
     Int_table.iter
       (fun key _ ->
-        keys.(!k) <- key;
-        keys.(!k + 1) <- (hi key lsl 30) lor lo key;
+        src.(!k) <- lo key;
+        dst.(!k) <- hi key;
+        src.(!k + 1) <- hi key;
+        dst.(!k + 1) <- lo key;
         k := !k + 2)
       slot_of;
-    let first = Array.make (nodes + 1) 0 in
-    let sort_by ~shift ~from ~into =
-      let field key = (key lsr shift) land ((1 lsl 30) - 1) in
-      Array.fill first 0 (nodes + 1) 0;
-      for i = 0 to ndir - 1 do
-        let f = field from.(i) + 1 in
-        first.(f) <- first.(f) + 1
-      done;
-      for v = 1 to nodes do
-        first.(v) <- first.(v) + first.(v - 1)
-      done;
-      for i = 0 to ndir - 1 do
-        let key = from.(i) in
-        let f = field key in
-        into.(first.(f)) <- key;
-        first.(f) <- first.(f) + 1
-      done
-    in
-    sort_by ~shift:0 ~from:keys ~into:spare;
-    sort_by ~shift:30 ~from:spare ~into:keys;
-    let src = spare and dst = keys in
-    for i = 0 to ndir - 1 do
-      src.(i) <- lo keys.(i);
-      dst.(i) <- hi keys.(i)
-    done;
-    (* Every arc starts at zero; an infinite pair's arcs are raised to
-       infinity_cap once compiled, and the reset makes that their
-       residual too. *)
     let arena, fwd = Flow_network.of_edges ~n:nodes ~src ~dst ~cap:(Array.make ndir 0) in
     let arc_ab = Array.make !nslots 0 and arc_ba = Array.make !nslots 0 in
     for i = 0 to ndir - 1 do
@@ -287,11 +267,7 @@ module Session = struct
       s_classifier = classifier;
       s_constraints = constraints;
       s_graph = graph;
-      s_pinned = pinned;
-      s_pin_start = pin_start;
-      s_pin_members = pin_members;
-      s_classification_pins = Constraints.pinned_classifications constraints;
-      s_colocated = colocated;
+      s_resolved = resolved;
       s_arena = arena;
       s_scratch = Mincut.scratch arena;
       s_node = node;
@@ -506,49 +482,13 @@ module Session = struct
         end);
     Array.init n (fun c -> safe.(comp.(c)))
 
-  (* [validate] over what the build resolved: the same violations in
-     the same order, without naming a class.  A classifier that has
-     grown past the session's graph since the build has
-     classifications the session never saw, so it goes to the
-     by-name check.  The scans are top-level loops, so a clean
-     distribution allocates nothing. *)
-  let rec members_hold d members loc j stop =
-    j >= stop || (location_of d members.(j) = loc && members_hold d members loc (j + 1) stop)
-
-  let rec pins_hold d n = function
-    | [] -> true
-    | (c, loc) :: rest -> (c < 0 || c >= n || location_of d c = loc) && pins_hold d n rest
-
-  let rec pairs_hold d = function
-    | [] -> true
-    | (a, b) :: rest -> location_of d a = location_of d b && pairs_hold d rest
-
+  (* A classifier that has grown past the session's graph since the
+     build has classifications the session never resolved, so it goes
+     to the by-name check. *)
   let validate t d =
-    let n = Icc_graph.classification_count t.s_graph in
-    if Classifier.classification_count t.s_classifier <> n then
+    if Classifier.classification_count t.s_classifier <> node_count t then
       validate ~classifier:t.s_classifier ~constraints:t.s_constraints d
-    else begin
-      let acc = ref [] in
-      for i = Array.length t.s_pinned - 1 downto 0 do
-        let cname, loc = t.s_pinned.(i) in
-        if not (members_hold d t.s_pin_members loc t.s_pin_start.(i) t.s_pin_start.(i + 1)) then
-          acc := Pin_violated (cname, loc) :: !acc
-      done;
-      if pins_hold d n t.s_classification_pins && pairs_hold d t.s_colocated then !acc
-      else
-        !acc
-        @ List.filter_map
-            (fun (c, loc) ->
-              if c >= 0 && c < n && location_of d c <> loc then
-                Some (Pin_violated (Printf.sprintf "classification %d" c, loc))
-              else None)
-            t.s_classification_pins
-        @ List.filter_map
-            (fun (a, b) ->
-              if location_of d a <> location_of d b then Some (Split_classifications (a, b))
-              else None)
-            t.s_colocated
-    end
+    else check t.s_resolved d
 end
 
 let choose ?profiler ~classifier ~icc ~constraints ~net () =

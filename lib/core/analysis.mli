@@ -149,10 +149,11 @@ module Session : sig
 
   val validate : t -> distribution -> violation list
   (** Exactly {!Analysis.validate} against the session's classifier
-      and constraints, the same violations in the same order, read off
-      the pins the build resolved once (each pinned class's
-      classifications) instead of a class-name table built per call.
-      A clean distribution allocates nothing. *)
+      and constraints, the same violations in the same order, checked
+      against the pins the build resolved once (each classification's
+      class pin). A clean distribution allocates nothing. If the
+      classifier has grown past the session's graph since the build,
+      this is {!Analysis.validate} itself. *)
 end
 
 val choose :

@@ -159,12 +159,7 @@ let repartition w ~now ~similarity =
        else Window.slot_bytes window p /. byte_total /. byte_share)
   done;
   let candidate = Analysis.Session.solve cfg.wc_session ~scale:w.w_scale ~net:cfg.wc_net in
-  let violations =
-    Analysis.validate
-      ~classifier:(Analysis.Session.classifier cfg.wc_session)
-      ~constraints:(Analysis.Session.constraints cfg.wc_session)
-      candidate
-  in
+  let violations = Analysis.Session.validate cfg.wc_session candidate in
   if violations <> [] then begin
     (* Cannot happen for a cut the session itself computed (the
        constraint edges are infinite), but the lint gate is cheap and

@@ -34,10 +34,6 @@ let sort_by key ~count ~from ~into =
     count.(f) <- count.(f) + 1
   done
 
-(* The [k]-th edge in (src, dst) order: [order.(k)], or [k] itself
-   when [order] is empty because the input is already in that order. *)
-let edge_at order k = if Array.length order = 0 then k else order.(k)
-
 let of_edges ~n ~src ~dst ~cap =
   if n < 0 then invalid_arg "Flow_network.of_edges: negative size";
   let m = Array.length src in
@@ -55,24 +51,12 @@ let of_edges ~n ~src ~dst ~cap =
     end
   done;
   (* The arena is laid out in (src, dst) order, input order among equal
-     pairs. Input already in that order, as a session's is, is read as
-     it stands; otherwise two stable counting sorts, by dst and then by
-     src, order the edge indices. *)
-  let sorted = ref true in
-  for i = 1 to m - 1 do
-    let before = src.(i - 1) and here = src.(i) in
-    if before > here || (before = here && dst.(i - 1) > dst.(i)) then sorted := false
-  done;
-  let order =
-    if !sorted then [||]
-    else begin
-      let order = Array.init m Fun.id and spare = Array.make m 0 in
-      let count = Array.make (n + 1) 0 in
-      sort_by dst ~count ~from:order ~into:spare;
-      sort_by src ~count ~from:spare ~into:order;
-      order
-    end
-  in
+     pairs: two stable counting sorts, by dst and then by src, order the
+     edge indices. *)
+  let order = Array.init m Fun.id and spare = Array.make m 0 in
+  let count = Array.make (n + 1) 0 in
+  sort_by dst ~count ~from:order ~into:spare;
+  sort_by src ~count ~from:spare ~into:order;
   (* [fwd.(i)] first holds edge i's representative: the first edge in
      order sharing its (src, dst), whose arc carries the summed
      capacity; -1 for a self-loop, which no cut can separate. Degrees
@@ -81,9 +65,9 @@ let of_edges ~n ~src ~dst ~cap =
   let fwd = Array.make m (-1) in
   let node_first = Array.make (n + 1) 0 in
   for k = 0 to m - 1 do
-    let i = edge_at order k in
+    let i = order.(k) in
     let s = src.(i) and d = dst.(i) in
-    let prev = if k > 0 then edge_at order (k - 1) else i in
+    let prev = if k > 0 then order.(k - 1) else i in
     if s <> d then
       if prev <> i && src.(prev) = s && dst.(prev) = d then fwd.(i) <- fwd.(prev)
       else begin
@@ -103,7 +87,7 @@ let of_edges ~n ~src ~dst ~cap =
   (* In order, so a representative's arc exists before its duplicates
      read it; [fwd.(i)] becomes edge i's forward arc. *)
   for k = 0 to m - 1 do
-    let i = edge_at order k in
+    let i = order.(k) in
     let r = fwd.(i) in
     if r = i then begin
       let s = src.(i) and d = dst.(i) in

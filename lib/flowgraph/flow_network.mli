@@ -36,11 +36,9 @@ val of_edges : n:int -> src:int array -> dst:int array -> cap:int array -> t * i
     raises it — this is how a session arena pre-allocates slots for
     every potential traffic pair. The arena is laid out in [(src, dst)]
     order, so each node's arcs run in neighbour order and any
-    permutation of one edge list compiles to the same arena: input
-    already in that order (a session's) is read as it stands, and
-    other input is ordered first by two stable counting sorts, by
-    [dst] and then by [src] (linear in edges plus nodes, no comparison
-    closure). Also returns the forward arc of each input edge ([-1] for
+    permutation of one edge list compiles to the same arena: two
+    stable counting sorts, by [dst] and then by [src], order the input
+    (linear in edges plus nodes, no comparison closure). Also returns the forward arc of each input edge ([-1] for
     a self-loop), so callers can rewrite capacities later without
     searching. Raises [Invalid_argument] on a negative [n], arrays of
     different lengths, a node out of range or a negative capacity. *)

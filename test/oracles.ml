@@ -103,6 +103,53 @@ let comm_time_under ~icc ~net ~(placement : int -> Coign_core.Constraints.locati
       else acc)
     0. (Coign_core.Icc.entries icc)
 
+(* --- Constraints ----------------------------------------------------- *)
+
+module Validate_ref = struct
+  open Coign_core
+
+  (* The classifications of each class name among the first [n],
+     ascending — one index per pass over the class pins. *)
+  let classifications_by_class classifier ~n =
+    let tbl : (string, int list) Hashtbl.t = Hashtbl.create 32 in
+    for c = n - 1 downto 0 do
+      let cname = Classifier.class_of_classification classifier c in
+      Hashtbl.replace tbl cname (c :: Option.value ~default:[] (Hashtbl.find_opt tbl cname))
+    done;
+    fun cname -> Option.value ~default:[] (Hashtbl.find_opt tbl cname)
+
+  (* The by-name validator [Analysis.validate] replaced: each pinned
+     class's classifications looked up in a class-name table built per
+     call. Broken class pins in name order, then classification pins
+     and split co-location pairs as listed. *)
+  let validate ~classifier ~constraints (d : Analysis.distribution) =
+    let location_of = Analysis.location_of in
+    let n = Classifier.classification_count classifier in
+    let classifications_of = classifications_by_class classifier ~n in
+    let pin_violations =
+      List.concat_map
+        (fun (cname, loc) ->
+          if List.exists (fun c -> location_of d c <> loc) (classifications_of cname)
+          then [ Analysis.Pin_violated (cname, loc) ]
+          else [])
+        (Constraints.pinned_classes constraints)
+      @ List.concat_map
+          (fun (c, loc) ->
+            if c >= 0 && c < n && location_of d c <> loc then
+              [ Analysis.Pin_violated (Printf.sprintf "classification %d" c, loc) ]
+            else [])
+          (Constraints.pinned_classifications constraints)
+    in
+    let split_classifications =
+      List.filter_map
+        (fun (a, b) ->
+          if location_of d a <> location_of d b then Some (Analysis.Split_classifications (a, b))
+          else None)
+        (Constraints.colocated_pairs constraints)
+    in
+    pin_violations @ split_classifications
+end
+
 (* --- Values and their declared types -------------------------------- *)
 
 (* Structural conformance of a value to an IDL type. [Int] conforms to
