@@ -150,6 +150,32 @@ PY
   test "$rc" -eq 1
   grep -q '^error: Icc.decode: line [0-9]*: entry 35 -> 89 (ICoCreateInstance) names classification 89' \
     verify-bad-icc.err
+  # The analyzer and the verifier read one set of hard constraints:
+  # with the ICC cell 0 -> 28 IFileRead (client-pinned Octarine.App to
+  # server-pinned Storage.FileServer) marked non-remotable, no finite
+  # cut exists, so analyze exits 1 with a CG007 error and writes no
+  # image, and verify exits 1 rejecting the same split in its ladder's
+  # primary rung.
+  python3 - octarine.img verify-non-remotable.img <<'PY'
+import sys
+image = open(sys.argv[1], 'rb').read()
+cell = b'\n0\t28\tIFileRead\t1\t'
+assert image.count(cell) == 2, 'want the two bucket rows of ICC cell 0 -> 28 IFileRead'
+open(sys.argv[2], 'wb').write(image.replace(cell, b'\n0\t28\tIFileRead\t0\t'))
+PY
+  split='classifications 0 and 28 share a non-remotable interface but are split across the cut'
+  rc=0
+  coign analyze verify-non-remotable.img -o verify-non-remotable-out.img \
+    2> verify-non-remotable-analyze.err || rc=$?
+  cat verify-non-remotable-analyze.err
+  test "$rc" -eq 1
+  test ! -e verify-non-remotable-out.img
+  grep -qx "error CG007 octarine: $split" verify-non-remotable-analyze.err
+  rc=0
+  coign verify verify-non-remotable.img 2> verify-non-remotable-verify.err || rc=$?
+  cat verify-non-remotable-verify.err
+  test "$rc" -eq 1
+  grep -qx "error: fallback rung primary: $split" verify-non-remotable-verify.err
   ;;
 
 load)

@@ -359,9 +359,7 @@ let verify_cmd =
       | None ->
           die "image holds no profile — run coign profile first"
     in
-    let session =
-      Analysis.Session.create ~classifier ~icc ~constraints:(Constraints.of_image image) ()
-    in
+    let session = Adps.analysis_session image in
     let net = Net_profiler.exact network in
     let primary = Option.map snd (Adps.load_distribution image) in
     let ladder =

@@ -128,11 +128,12 @@ let analysis_session ?profiler ?(extra_constraints = Constraints.empty) image =
 let analyze_with ?profiler ~session ~image ~net () =
   let classifier = Analysis.Session.classifier session in
   let distribution = Analysis.Session.solve ?profiler session ~net in
-  (* The cut construction cannot violate the constraints it was
-     given, but hand-forced extra constraints can be mutually
-     unsatisfiable (e.g. pins splitting a profiled non-remotable pair).
-     Prove the result before writing it into the image — the
-     analyze-time replacement for Replay's runtime abort. *)
+  (* The cut construction cannot violate satisfiable constraints, but
+     pins and profiled non-remotable pairs can admit no finite cut (e.g.
+     pins on both ends of a non-remotable pair), and then the cut
+     crosses an infinite edge. Prove the result before writing it into
+     the image — the analyze-time replacement for Replay's runtime
+     abort. *)
   timed profiler "validation" (fun () ->
       match Analysis.Session.validate session distribution with
       | [] -> ()

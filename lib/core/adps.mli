@@ -93,8 +93,10 @@ val analyze_with :
   Coign_image.Binary_image.t * Analysis.distribution
 (** Stage 2: solve an {!analysis_session} against one network profile,
     prove the result with {!Analysis.Session.validate} (raising
-    {!Lint.Rejected} on CG007 violations), and rewrite the image into
-    distributed mode. [image] should be the image the session was built
+    {!Lint.Rejected} with one CG007 error per broken pin, split
+    co-location pair or split profiled non-remotable pair, so a cut
+    across an infinite edge is never written), and rewrite the image
+    into distributed mode. [image] should be the image the session was built
     from. Adaptive callers keep one session and call this once per
     network condition. With [profiler], the solve and validation record
     under the ["pricing"], ["cut"], and ["validation"] phases. *)

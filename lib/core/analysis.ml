@@ -18,20 +18,23 @@ let location_of d c =
 type violation =
   | Split_classifications of int * int
   | Pin_violated of string * Constraints.location
+  | Split_non_remotable of int * int
 
-(* The constraints a distribution is checked against, resolved over
-   the first [n] classifications: the pinned classes in name order,
-   each classification's class pin as an index among them (-1 for
-   none; [n] entries), and the classification pins and co-location
-   pairs as listed. *)
+(* The hard constraints of a session, resolved over the first [n]
+   classifications: the pinned classes in name order, each
+   classification's class pin as an index among them (-1 for none; [n]
+   entries), the classification pins and co-location pairs as listed,
+   and the graph whose non-remotable pairs are read in place (none for
+   a check by name alone). *)
 type resolved = {
   r_pinned : (string * Constraints.location) array;
   r_class_pin : int array;
   r_classification_pins : (int * Constraints.location) list;
   r_colocated : (int * int) list;
+  r_graph : Icc_graph.t option;
 }
 
-let resolve ~classifier ~constraints ~n =
+let resolve ?graph ~classifier ~constraints ~n () =
   let pinned = Array.of_list (Constraints.pinned_classes constraints) in
   let rec index cname lo hi =
     if lo >= hi then -1
@@ -47,7 +50,18 @@ let resolve ~classifier ~constraints ~n =
           index (Classifier.class_of_classification classifier c) 0 (Array.length pinned));
     r_classification_pins = Constraints.pinned_classifications constraints;
     r_colocated = Constraints.colocated_pairs constraints;
+    r_graph = graph;
   }
+
+(* Each non-remotable pair of the record's graph as its two graph
+   nodes, a classification and a classification or main (node n). *)
+let iter_non_remotable r f =
+  match r.r_graph with
+  | None -> ()
+  | Some g ->
+      for p = 0 to Icc_graph.pair_count g - 1 do
+        if Icc_graph.non_remotable g p then f (Icc_graph.pair_a g p) (Icc_graph.pair_b g p)
+      done
 
 (* The scans below are top-level functions, so on a clean distribution
    [check] builds no closure and returns the shared empty list. *)
@@ -71,12 +85,25 @@ let rec split_violations d = function
         Split_classifications (a, b) :: split_violations d rest
       else split_violations d rest
 
-(* Independent re-check of a distribution against the constraint set:
-   the cut construction makes violations impossible for distributions
-   it computes itself, but distributions can also arrive from a config
-   record or a caller's hand-forced placement. Broken class pins come
-   first, in name order, then classification pins and split
-   co-location pairs as listed. *)
+(* The non-remotable pairs of [g] from pair [p] on that [d] separates;
+   node n is main, on the client whatever [d] holds there. *)
+let rec non_remotable_violations g d p =
+  if p >= Icc_graph.pair_count g then []
+  else
+    let a = Icc_graph.pair_a g p and b = Icc_graph.pair_b g p in
+    let main = b = Icc_graph.main_node g in
+    if
+      Icc_graph.non_remotable g p
+      && location_of d a <> if main then Constraints.Client else location_of d b
+    then Split_non_remotable (a, if main then -1 else b) :: non_remotable_violations g d (p + 1)
+    else non_remotable_violations g d (p + 1)
+
+(* Independent re-check of a distribution against the hard constraints:
+   distributions arrive from config records and hand-forced placements,
+   and unsatisfiable constraints leave a cut crossing an infinite edge.
+   Broken class pins come first, in name order, then classification
+   pins and split co-location pairs as listed, then split non-remotable
+   pairs in pair order. *)
 let check r d =
   let class_violations =
     match off_class_pin r d 0 with
@@ -94,9 +121,10 @@ let check r d =
   class_violations
   @ pin_violations d (Array.length r.r_class_pin) r.r_classification_pins
   @ split_violations d r.r_colocated
+  @ match r.r_graph with None -> [] | Some g -> non_remotable_violations g d 0
 
 let validate ~classifier ~constraints d =
-  check (resolve ~classifier ~constraints ~n:(Classifier.classification_count classifier)) d
+  check (resolve ~classifier ~constraints ~n:(Classifier.classification_count classifier) ()) d
 
 module Session = struct
   (* The network-dependent half of pricing, memoized per network
@@ -111,8 +139,8 @@ module Session = struct
     s_classifier : Classifier.t;
     s_constraints : Constraints.t;
     s_graph : Icc_graph.t;
-    (* The constraints resolved over the graph's classifications, for
-       the build's pins and for [validate]. *)
+    (* The session's hard constraints, resolved once over the graph:
+       the build, [migration_safety] and [validate] read them here. *)
     s_resolved : resolved;
     (* CSR flow arena over the quotient of the infinite edges
        (Flow_network.Components), one zero-capacity slot per pair of
@@ -168,33 +196,22 @@ module Session = struct
     let client = n and server = n + 1 in
     let pack a b = (Int.min a b lsl 30) lor Int.max a b in
     let lo key = key lsr 30 and hi key = key land ((1 lsl 30) - 1) in
-    let resolved = resolve ~classifier ~constraints ~n in
-    (* The infinite undirected edges — non-remotable pairs, pins and
-       colocations — handed to [f] without being stored: with
-       [~terminals:false] those between two classifications, with
-       [~terminals:true] those reaching main or a terminal. *)
-    let pin f c = function
-      | Some Constraints.Client -> f c client
-      | Some Constraints.Server -> f c server
-      | None -> ()
-    in
-    let class_pin_to f c =
-      let i = resolved.r_class_pin.(c) in
-      if i >= 0 then
-        match snd resolved.r_pinned.(i) with
-        | Constraints.Client -> f c client
-        | Constraints.Server -> f c server
-    in
+    let resolved = resolve ~graph ~classifier ~constraints ~n () in
+    (* The record's infinite undirected edges, handed to [f] without
+       being stored: with [~terminals:false] those between two
+       classifications, with [~terminals:true] those reaching main or a
+       terminal. *)
     let iter_infinite ~terminals f =
-      (* A pair's lower end is a classification; its upper one is main
-         when it is n. *)
-      Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
-          if non_remotable && (b >= n) = terminals then f a b);
-      if terminals then
-        for c = 0 to n - 1 do
-          pin f c (Constraints.classification_pin constraints c);
-          class_pin_to f c
-        done
+      iter_non_remotable resolved (fun a b -> if (b >= n) = terminals then f a b);
+      let terminal = function Constraints.Client -> client | Constraints.Server -> server in
+      if terminals then begin
+        List.iter
+          (fun (c, loc) -> if c >= 0 && c < n then f c (terminal loc))
+          resolved.r_classification_pins;
+        Array.iteri
+          (fun c i -> if i >= 0 then f c (terminal (snd resolved.r_pinned.(i))))
+          resolved.r_class_pin
+      end
       else
         List.iter
           (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b)
@@ -230,14 +247,15 @@ module Session = struct
       iter_infinite ~terminals:true mark
     end;
     let nslots = ref 0 in
-    Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable:_ ->
-        let key = pack node.(a) node.(b) in
-        if node.(a) <> node.(b) then
-          match Int_table.find_or_add slot_of key !nslots with
-          | -2 -> ()
-          | sl ->
-              pair_slot.(p) <- sl;
-              if sl = !nslots then incr nslots);
+    for p = 0 to Array.length pair_slot - 1 do
+      let a = node.(Icc_graph.pair_a graph p) and b = node.(Icc_graph.pair_b graph p) in
+      if a <> b then
+        match Int_table.find_or_add slot_of (pack a b) !nslots with
+        | -2 -> ()
+        | sl ->
+            pair_slot.(p) <- sl;
+            if sl = !nslots then incr nslots
+    done;
     (* Both directions of each slot-table edge, the lower node first,
        in table order; [of_edges] lays them out in (src, dst) order.
        Every arc starts at zero; an infinite pair's arcs are raised to
@@ -292,10 +310,6 @@ module Session = struct
 
   let of_graph ?profiler ~classifier ~graph ~constraints () =
     timed profiler "icc_graph_build" (fun () -> build_session ~classifier ~graph ~constraints)
-
-  let create ?profiler ~classifier ~icc ~constraints () =
-    timed profiler "icc_graph_build" (fun () ->
-        build_session ~classifier ~graph:(Icc_graph.build ~classifier ~icc) ~constraints)
 
   let copy t =
     let nodes = Flow_network.node_count t.s_arena in
@@ -471,29 +485,28 @@ module Session = struct
      one end of a co-location chain would split the pair the constraint
      exists to keep whole. *)
   let migration_safety t =
-    let graph = t.s_graph in
-    let n = Icc_graph.classification_count graph in
+    let n = node_count t in
     let comp = t.s_component in
     let safe = Array.make n true in
-    Icc_graph.iter_pairs graph (fun _ ~a ~b ~non_remotable ->
-        if non_remotable then begin
-          if a < n then safe.(comp.(a)) <- false;
-          if b < n then safe.(comp.(b)) <- false
-        end);
+    iter_non_remotable t.s_resolved (fun a b ->
+        safe.(comp.(a)) <- false;
+        if b < n then safe.(comp.(b)) <- false);
     Array.init n (fun c -> safe.(comp.(c)))
 
   (* A classifier that has grown past the session's graph since the
-     build has classifications the session never resolved, so it goes
-     to the by-name check. *)
+     build has classifications the session never resolved: its pins go
+     by name, then the graph's pairs. *)
   let validate t d =
-    if Classifier.classification_count t.s_classifier <> node_count t then
-      validate ~classifier:t.s_classifier ~constraints:t.s_constraints d
-    else check t.s_resolved d
+    let n = Classifier.classification_count t.s_classifier in
+    check
+      (if n = node_count t then t.s_resolved
+       else resolve ~graph:t.s_graph ~classifier:t.s_classifier ~constraints:t.s_constraints ~n ())
+      d
 end
 
 let choose ?profiler ~classifier ~icc ~constraints ~net () =
   Session.solve ?profiler
-    (Session.create ?profiler ~classifier ~icc ~constraints ())
+    (Session.of_graph ?profiler ~classifier ~graph:(Icc_graph.build ~classifier ~icc) ~constraints ())
     ~net
 
 let pp_violation ppf = function
@@ -502,6 +515,10 @@ let pp_violation ppf = function
   | Pin_violated (what, loc) ->
       Format.fprintf ppf "%s is pinned to the %s but placed elsewhere" what
         (Constraints.location_name loc)
+  | Split_non_remotable (a, b) ->
+      Format.fprintf ppf "%s share a non-remotable interface but are split across the cut"
+        (if b < 0 then Printf.sprintf "classification %d and the main program" a
+         else Printf.sprintf "classifications %d and %d" a b)
 
 let server_classifications d =
   let acc = ref [] in

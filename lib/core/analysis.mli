@@ -24,14 +24,18 @@ type distribution = {
 }
 
 type violation =
-  | Split_classifications of int * int
+  | Split_classifications of int * int  (** a co-location pair on both sides *)
   | Pin_violated of string * Constraints.location
+      (** a pinned class (by name) or ["classification c"] placed off its pin *)
+  | Split_non_remotable of int * int
+      (** a profiled non-remotable pair on both sides: classifications
+          [a < b], or [b = -1] for the main program, on the client *)
 
 (** {1 Two-stage engine}
 
-    Stage 1 ({!Session.create}) builds everything network-independent
-    once per profile: the abstract ICC graph ({!Icc_graph}) and a CSR
-    flow arena over its quotient graph. The constraint, pin and
+    Stage 1 ({!Icc_graph}, then {!Session.of_graph}) builds everything
+    network-independent once per profile: the abstract ICC graph and a
+    CSR flow arena over its quotient graph. The constraint, pin and
     non-remotable edges are infinite, so no cut separates their ends:
     each of their components, terminals included, is one arena node,
     and the arena holds one zero-capacity slot per pair of nodes that
@@ -49,18 +53,6 @@ type violation =
 module Session : sig
   type t
 
-  val create :
-    ?profiler:Coign_obs.Profiler.t ->
-    classifier:Classifier.t ->
-    icc:Icc.t ->
-    constraints:Constraints.t ->
-    unit ->
-    t
-  (** Build the network-independent stage: abstract graph, quotient
-      arena, repriceable pair list. [= of_graph ~graph:(Icc_graph.build
-      ~classifier ~icc)]; with [profiler], the graph and arena builds
-      together record under the ["icc_graph_build"] phase. *)
-
   val of_graph :
     ?profiler:Coign_obs.Profiler.t ->
     classifier:Classifier.t ->
@@ -68,16 +60,16 @@ module Session : sig
     constraints:Constraints.t ->
     unit ->
     t
-  (** The stage over an abstract graph already built, e.g. by
-      {!Icc_graph.decode} straight from a stored profile: the
+  (** The stage over an abstract graph ({!Icc_graph.build}, or
+      {!Icc_graph.decode} straight from a stored profile): the
       constraint edges, the repriceable pair list and the CSR arena,
       keyed by packed node pairs and sorted on int keys. Its nodes are
       {!Coign_flowgraph.Flow_network.Components.quotient} of the
       infinite edges, terminals included. A priced pair inside one
       node gets no slot, and pairs between the same two nodes share
       one. When the constraints put both terminals in one component
-      the quotient is the identity, so the solve shows which
-      constraint breaks. With [profiler], this arena build records
+      the quotient is the identity, so the solve crosses an infinite
+      edge and {!validate} names the constraint it breaks. With [profiler], this arena build records
       under the ["icc_graph_build"] phase. *)
 
   val solve :
@@ -139,21 +131,26 @@ module Session : sig
       every cut keeps together, joined by the session's infinite edges
       between two classifications (profiled non-remotable pairs and
       classification co-location pairs), before pins join them to the
-      terminals. Computed once at {!create}. *)
+      terminals. Computed once at {!of_graph}. *)
 
   val migration_safety : t -> bool array
   (** Per-classification static migration-safety facts for the
       resilience layer ({!Fallback}, {!Rte}): a classification is safe
       to migrate live between distributions iff no member of its
-      {!components} touches a non-remotable ICC edge. *)
+      {!components} touches a non-remotable ICC edge. The pairs are
+      the ones the session's build and {!validate} read. *)
 
   val validate : t -> distribution -> violation list
-  (** Exactly {!Analysis.validate} against the session's classifier
-      and constraints, the same violations in the same order, checked
-      against the pins the build resolved once (each classification's
-      class pin). A clean distribution allocates nothing. If the
-      classifier has grown past the session's graph since the build,
-      this is {!Analysis.validate} itself. *)
+  (** {!Analysis.validate} against the session's classifier and
+      constraints — the same violations in the same order, checked
+      against the pins the build resolved once — followed by one
+      [Split_non_remotable] per non-remotable pair of {!graph} the
+      placement separates, in pair order. These are the session's
+      infinite edges, so a {!solve} passes exactly when its [cut_ns] is
+      below {!Coign_flowgraph.Flow_network.infinity_cap}. A clean
+      distribution allocates nothing. If the classifier has grown past
+      the session's graph since the build, pins are checked by name
+      (as {!Analysis.validate} does), then the graph's pairs. *)
 end
 
 val choose :
@@ -167,8 +164,8 @@ val choose :
 (** Run the engine. Every classification known to the classifier gets a
     node even if it never communicated (such nodes land on the client).
     The main program (classification -1) is treated as pinned to the
-    client. Equivalent to {!Session.create} followed by one
-    {!Session.solve}. *)
+    client. Equivalent to {!Session.of_graph} over
+    {!Icc_graph.build} followed by one {!Session.solve}. *)
 
 val location_of : distribution -> int -> Constraints.location
 (** Placement of a classification; classifications outside the analyzed
@@ -178,12 +175,12 @@ val location_of : distribution -> int -> Constraints.location
 val validate :
   classifier:Classifier.t -> constraints:Constraints.t -> distribution ->
   violation list
-(** Prove a distribution honours every constraint. Empty for any
-    distribution {!choose} computed from the same constraints;
-    non-empty for hand-forced or stale placements that split a
-    classification co-location pair or contradict a pin — the
-    analyze-time replacement for {!Coign_sim.Replay}'s runtime
-    remotability abort. *)
+(** Check a distribution against the constraints' pins and
+    co-location pairs: broken class pins in name order, then
+    classification pins and split co-location pairs as listed.
+    Non-empty for hand-forced or stale placements that split a
+    co-location pair or contradict a pin. Holding no graph, it cannot
+    see non-remotable pairs; {!Session.validate} adds them. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -65,7 +65,6 @@ let merge a b =
   { by_class; by_classification; pairs = Ipair_set.union a.pairs b.pairs }
 
 let class_pin t ~cname = Smap.find_opt cname t.by_class
-let classification_pin t c = Imap.find_opt c t.by_classification
 let pinned_classifications t = Imap.bindings t.by_classification
 let colocated_pairs t = Ipair_set.elements t.pairs
 let pinned_classes t = Smap.bindings t.by_class

@@ -38,7 +38,6 @@ val merge : t -> t -> t
     machines. *)
 
 val class_pin : t -> cname:string -> location option
-val classification_pin : t -> int -> location option
 val colocated_pairs : t -> (int * int) list
 val pinned_classes : t -> (string * location) list
 val pinned_classifications : t -> (int * location) list

@@ -24,10 +24,9 @@ let classification_count t = t.n
 let main_node t = t.n
 let pair_count t = Array.length t.pair_a
 
-let iter_pairs t f =
-  for p = 0 to Array.length t.pair_a - 1 do
-    f p ~a:t.pair_a.(p) ~b:t.pair_b.(p) ~non_remotable:t.non_remotable.(p)
-  done
+let pair_a t p = t.pair_a.(p)
+let pair_b t p = t.pair_b.(p)
+let non_remotable t p = t.non_remotable.(p)
 
 (* The one segment accumulator both builders feed, in entry order: a
    segment per ICC cell, an item per non-empty bucket. Pairs and sizes

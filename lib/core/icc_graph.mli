@@ -61,9 +61,12 @@ val main_node : t -> int
 
 val pair_count : t -> int
 
-val iter_pairs : t -> (int -> a:int -> b:int -> non_remotable:bool -> unit) -> unit
-(** Iterate pairs in pair-id order, each with its endpoints [a < b];
-    ids are assigned in first-appearance (entry) order. *)
+val pair_a : t -> int -> int
+val pair_b : t -> int -> int
+val non_remotable : t -> int -> bool
+(** Pair [p]'s endpoints [a < b], and whether any interface between
+    them is non-remotable. Pair ids [0 .. pair_count - 1] are assigned
+    in first-appearance (entry) order. *)
 
 val price : t -> net:Coign_netsim.Net_profiler.t -> pricing
 (** Stage 2's entry point: map a network profile onto the abstract

@@ -22,8 +22,8 @@
       "black web". A finding only: the cut takes its non-remotable
       pairs from the profile.
     - [CG007] (error) — a computed or proposed distribution violates a
-      pin or co-location constraint; raised as {!Rejected} by
-      {!Adps.analyze}.
+      pin or co-location constraint or splits a profiled non-remotable
+      pair; raised as {!Rejected} by {!Adps.analyze}.
 
     The [Coign_verify] explorer emits three further codes through the
     same diagnostic type ([coign verify]):

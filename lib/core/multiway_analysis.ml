@@ -57,10 +57,11 @@ let choose ~classifier ~icc ~machines ~pins ~net () =
     cap.(!e + 1) <- c;
     e := !e + 2
   in
-  Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable ->
-      undirected a b
-        (if non_remotable then Flow_network.infinity_cap
-         else ns_of_us pricing.Icc_graph.pair_us.(p)));
+  for p = 0 to npairs - 1 do
+    undirected (Icc_graph.pair_a graph p) (Icc_graph.pair_b graph p)
+      (if Icc_graph.non_remotable graph p then Flow_network.infinity_cap
+       else ns_of_us pricing.Icc_graph.pair_us.(p))
+  done;
   for c = 0 to n - 1 do
     if pinned.(c) >= 0 then undirected c (n + pinned.(c)) Flow_network.infinity_cap
   done;

@@ -90,10 +90,8 @@ let create ~env ~factory ~seed ~dist wc =
      classification space — the window's slot layout, so a window
      snapshot is directly a scale vector. *)
   let n = Icc_graph.pair_count graph in
-  let a = Array.make n 0 and b = Array.make n 0 in
-  Icc_graph.iter_pairs graph (fun p ~a:pa ~b:pb ~non_remotable:_ ->
-      a.(p) <- cls pa;
-      b.(p) <- cls pb);
+  let a = Array.init n (fun p -> cls (Icc_graph.pair_a graph p)) in
+  let b = Array.init n (fun p -> cls (Icc_graph.pair_b graph p)) in
   let msgs = Icc_graph.pair_messages graph in
   let pbytes = Icc_graph.pair_bytes graph in
   let window = Window.create ~half_life_us:wc.wc_half_life_us ~a ~b in

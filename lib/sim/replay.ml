@@ -55,10 +55,10 @@ let walk ~placement ~charge ~violation events =
             if remotable then
               ignore (charge ~create:false ~request:request_bytes ~reply:reply_bytes : bool)
             else
-              (* Defense in depth: distributions produced by Adps.analyze
-                 are already proven free of cross-cut non-remotable edges
-                 by the static validator (Analysis.validate), so this only
-                 fires for hand-built placements that bypassed it. *)
+              (* Defense in depth: Adps.analyze proves its distribution
+                 splits no profiled non-remotable pair
+                 (Analysis.Session.validate), so this fires only for
+                 pairs the profile never saw or hand-built placements. *)
               violation ~iface ~meth
       | Event.Interface_instantiated _ | Event.Call_retried _ | Event.Instantiation_degraded _
       | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _

@@ -27,13 +27,7 @@ type result = {
   w_watched_comm_us : float;
   w_steady_stale_us : float;
   w_steady_watched_us : float;
-  w_drift_checks : int;
-  w_drift_detections : int;
-  w_repartitions : int;
-  w_migrations : int;
-  w_unchanged_cuts : int;
-  w_rejected_cuts : int;
-  w_last_similarity : float;
+  w_stats : Rte.stats;
   w_tap_offered : int;
   w_tap_sampled : int;
   w_timeline : Rte.watch_checkpoint list;
@@ -201,13 +195,7 @@ let run ?(pool = Parallel.sequential) ?metrics ?(threshold = 0.90) ?(check_every
     w_watched_comm_us = watched.sd_total_comm;
     w_steady_stale_us = stale.sd_phase_comm.(last);
     w_steady_watched_us = watched.sd_phase_comm.(last);
-    w_drift_checks = watched.sd_stats.Rte.st_drift_checks;
-    w_drift_detections = watched.sd_stats.Rte.st_drift_detections;
-    w_repartitions = watched.sd_stats.Rte.st_repartitions;
-    w_migrations = watched.sd_stats.Rte.st_watch_migrations;
-    w_unchanged_cuts = watched.sd_stats.Rte.st_unchanged_cuts;
-    w_rejected_cuts = watched.sd_stats.Rte.st_rejected_cuts;
-    w_last_similarity = watched.sd_stats.Rte.st_last_similarity;
+    w_stats = watched.sd_stats;
     w_tap_offered = watched.sd_tap_offered;
     w_tap_sampled = watched.sd_tap_sampled;
     w_timeline = watched.sd_timeline;
@@ -235,7 +223,8 @@ let pp_text ppf r =
     r.w_phase_stats;
   Format.fprintf ppf
     "drift checks %d, detections %d, repartitions %d (%d instances moved), last similarity %.3f@,"
-    r.w_drift_checks r.w_drift_detections r.w_repartitions r.w_migrations r.w_last_similarity;
+    r.w_stats.Rte.st_drift_checks r.w_stats.Rte.st_drift_detections r.w_stats.Rte.st_repartitions
+    r.w_stats.Rte.st_watch_migrations r.w_stats.Rte.st_last_similarity;
   List.iter
     (fun (k : Rte.watch_checkpoint) ->
       match k.Rte.wk_action with
@@ -313,13 +302,13 @@ let to_json r =
       ("watched_comm_us", Float r.w_watched_comm_us);
       ("steady_stale_us", Float r.w_steady_stale_us);
       ("steady_watched_us", Float r.w_steady_watched_us);
-      ("drift_checks", Int r.w_drift_checks);
-      ("drift_detections", Int r.w_drift_detections);
-      ("repartitions", Int r.w_repartitions);
-      ("migrations", Int r.w_migrations);
-      ("unchanged_cuts", Int r.w_unchanged_cuts);
-      ("rejected_cuts", Int r.w_rejected_cuts);
-      ("last_similarity", Float r.w_last_similarity);
+      ("drift_checks", Int r.w_stats.Rte.st_drift_checks);
+      ("drift_detections", Int r.w_stats.Rte.st_drift_detections);
+      ("repartitions", Int r.w_stats.Rte.st_repartitions);
+      ("migrations", Int r.w_stats.Rte.st_watch_migrations);
+      ("unchanged_cuts", Int r.w_stats.Rte.st_unchanged_cuts);
+      ("rejected_cuts", Int r.w_stats.Rte.st_rejected_cuts);
+      ("last_similarity", Float r.w_stats.Rte.st_last_similarity);
       ("tap_offered", Int r.w_tap_offered);
       ("tap_sampled", Int r.w_tap_sampled);
       ("timeline", Arr (List.map checkpoint r.w_timeline));

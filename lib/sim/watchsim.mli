@@ -46,13 +46,10 @@ type result = {
   w_watched_comm_us : float;
   w_steady_stale_us : float;    (** final-phase comm under the stale cut *)
   w_steady_watched_us : float;  (** final-phase comm under the watch *)
-  w_drift_checks : int;
-  w_drift_detections : int;
-  w_repartitions : int;
-  w_migrations : int;
-  w_unchanged_cuts : int;
-  w_rejected_cuts : int;
-  w_last_similarity : float;
+  w_stats : Coign_core.Rte.stats;
+      (** the watched run's RTE statistics: its drift checks,
+          detections, repartitions, migrations, unchanged and rejected
+          cuts, and last similarity *)
   w_tap_offered : int;     (** observations offered to the sample tap *)
   w_tap_sampled : int;     (** observations the tap passed downstream *)
   w_timeline : Coign_core.Rte.watch_checkpoint list;

@@ -14,8 +14,8 @@
 
     (I2 — location pins on non-terminal rungs — is a per-rung static
     property that {!Fallback.compute} enforces through
-    {!Analysis.validate} when it builds the ladder, not the
-    explorer.)
+    {!Analysis.Session.validate} when it builds the ladder, not the
+    explorer; that check also keeps each rung it builds clear of I1.)
 
     Breaker steps reuse the pure {!Coign_netsim.Health.transition}, so
     the explorer and the RTE share one state machine by construction.

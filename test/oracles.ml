@@ -236,6 +236,13 @@ let classify t ~cname ~stack =
   load_stack memo shadow stack;
   Coign_core.Classifier.classify_memo memo ~cname shadow
 
+(* An analysis session over an in-memory ICC summary: the abstract
+   graph built from it, then the session over the graph. *)
+let session ~classifier ~icc ~constraints =
+  Coign_core.Analysis.Session.of_graph ~classifier
+    ~graph:(Coign_core.Icc_graph.build ~classifier ~icc)
+    ~constraints ()
+
 (* --- Events ---------------------------------------------------------- *)
 
 (* The profiling logger: summarizes [Interface_call] events into the

@@ -119,6 +119,49 @@ let test_tampered_profile () =
             "Icc.decode", "but the classifier has 20" );
         ])
 
+(* The analyzer and the verifier read one set of hard constraints.
+   With the ICC cell 0 -> 28 IFileRead (Octarine.App, pinned to the
+   client, calling Storage.FileServer, pinned to the server) marked
+   non-remotable by a same-length edit, no finite cut exists: analyze
+   exits 1 with a CG007 error naming the split pair and writes no
+   image, and verify exits 1 because the ladder's primary rung splits
+   the same pair. *)
+let test_non_remotable_split_rejected () =
+  in_tmp (fun dir ->
+      let img = profiled_octarine dir in
+      let cell = "0\t28\tIFileRead\t" in
+      let flip line =
+        if String.starts_with ~prefix:(cell ^ "1\t") line then
+          let k = String.length cell + 1 in
+          cell ^ "0" ^ String.sub line k (String.length line - k)
+        else line
+      in
+      let path =
+        tamper ~dir img "non-remotable" Coign_core.Config_keys.icc (fun payload ->
+            String.concat "\n" (List.map flip (String.split_on_char '\n' payload)))
+      in
+      let err = Filename.concat dir "stderr.txt" and out = Filename.concat dir "analyzed.img" in
+      let stderr_of args =
+        let rc =
+          Sys.command (Filename.quote_command exe args ^ " > /dev/null 2> " ^ Filename.quote err)
+        in
+        (rc, read_file err)
+      in
+      let split = "classifications 0 and 28 share a non-remotable interface but are split" in
+      let rc, msg = stderr_of [ "analyze"; path; "-o"; out ] in
+      Alcotest.(check int) "analyze exit" 1 rc;
+      Alcotest.(check bool)
+        ("analyze reports CG007: " ^ msg)
+        true
+        (List.mem ("error CG007 octarine: " ^ split ^ " across the cut")
+           (String.split_on_char '\n' msg));
+      Alcotest.(check bool) "analyze writes no image" false (Sys.file_exists out);
+      let rc, msg = stderr_of [ "verify"; path ] in
+      Alcotest.(check int) "verify exit" 1 rc;
+      Alcotest.(check string) "verify rejects the primary rung"
+        ("error: fallback rung primary: " ^ split ^ " across the cut\n")
+        msg)
+
 (* A corrupt profile log or stored distribution is bad input as well:
    combine, show and run report the decoder's error and exit 1. *)
 let test_malformed_log_and_distribution () =
@@ -567,4 +610,6 @@ let suite =
       test_watch_metrics_golden_octarine;
     Alcotest.test_case "cli trace events and distributed spans golden" `Slow
       test_trace_events_and_distributed_golden;
+    Alcotest.test_case "cli analyze rejects a cut across a non-remotable pair" `Quick
+      test_non_remotable_split_rejected;
   ]

@@ -87,7 +87,7 @@ let profiled =
      run_scenario ctx 4;
      Rte.uninstall rte;
      let icc = Rte.icc rte in
-     let session = Analysis.Session.create ~classifier ~icc ~constraints:Constraints.empty () in
+     let session = Oracles.session ~classifier ~icc ~constraints:Constraints.empty in
      let n = Classifier.classification_count classifier in
      let cback = ref (-1) in
      for c = 0 to n - 1 do

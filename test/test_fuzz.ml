@@ -97,9 +97,7 @@ let verify image =
   match Adps.load_profile image with
   | None -> ()
   | Some (classifier, icc) ->
-      let session =
-        Analysis.Session.create ~classifier ~icc ~constraints:(Constraints.of_image image) ()
-      in
+      let session = Adps.analysis_session image in
       let primary = Option.map snd (Adps.load_distribution image) in
       let ladder = Fallback.compute ?primary session ~net () in
       let truth = Fallback.migration_safety session in

@@ -87,7 +87,7 @@ let photodraw_sweep () =
 let test_session_matches_choose () =
   List.iter
     (fun ((classifier, icc, constraints), nets) ->
-      let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+      let session = Oracles.session ~classifier ~icc ~constraints in
       List.iter
         (fun net ->
           let fresh = Analysis.choose ~classifier ~icc ~constraints ~net () in
@@ -100,7 +100,7 @@ let test_session_reuse_interleaved () =
   (* Re-solving an earlier network after pricing a very different one
      must fully reset every repriced capacity. *)
   let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  let session = Oracles.session ~classifier ~icc ~constraints in
   let isdn = Net_profiler.profile (Coign_util.Prng.create 9L) Network.isdn_128 in
   let san = Net_profiler.profile (Coign_util.Prng.create 9L) Network.san_1g in
   let first = Analysis.Session.solve session ~net:isdn in
@@ -113,7 +113,7 @@ let test_session_reuse_interleaved () =
 
 let test_session_copy_independent () =
   let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  let session = Oracles.session ~classifier ~icc ~constraints in
   let copy = Analysis.Session.copy session in
   let isdn = Net_profiler.profile (Coign_util.Prng.create 5L) Network.isdn_128 in
   let san = Net_profiler.profile (Coign_util.Prng.create 5L) Network.san_1g in
@@ -131,7 +131,7 @@ let test_session_copy_independent () =
 let test_session_empty_profile () =
   let classifier = classifier_with [ "A"; "B" ] in
   let session =
-    Analysis.Session.create ~classifier ~icc:(Icc.create ()) ~constraints:Constraints.empty ()
+    Oracles.session ~classifier ~icc:(Icc.create ()) ~constraints:Constraints.empty
   in
   let d = Analysis.Session.solve session ~net:exact_net in
   Alcotest.(check int) "all client" 0 d.Analysis.server_count;
@@ -161,7 +161,7 @@ let test_session_components () =
     let c = Constraints.pin_class Constraints.empty ~cname:"A" Constraints.Server in
     Constraints.colocate c 1 2
   in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  let session = Oracles.session ~classifier ~icc ~constraints in
   Alcotest.(check (array int))
     "components" [| 0; 0; 0; 3; 4; 5; 6; 7 |]
     (Analysis.Session.components session);
@@ -248,7 +248,7 @@ let prop_session_equals_choose =
           Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.san_1g;
         ]
       in
-      let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+      let session = Oracles.session ~classifier ~icc ~constraints in
       (* Two passes, the second in reverse, so every solve after the
          first exercises repricing of a dirty network. *)
       List.for_all
@@ -281,17 +281,18 @@ let reference_solve ~classifier ~constraints graph pricing =
   let client = n and server = n + 1 in
   let edges = ref [] in
   let undirected a b cap = edges := (a, b, cap) :: (b, a, cap) :: !edges in
-  Icc_graph.iter_pairs graph (fun p ~a ~b ~non_remotable ->
-      undirected a b
-        (if non_remotable then G.infinity_cap
-         else min G.infinity_cap (ns_of_us pricing.Icc_graph.pair_us.(p))));
+  for p = 0 to Icc_graph.pair_count graph - 1 do
+    undirected (Icc_graph.pair_a graph p) (Icc_graph.pair_b graph p)
+      (if Icc_graph.non_remotable graph p then G.infinity_cap
+       else min G.infinity_cap (ns_of_us pricing.Icc_graph.pair_us.(p)))
+  done;
   for c = 0 to n - 1 do
     let pin = function
       | Some Constraints.Client -> undirected c client G.infinity_cap
       | Some Constraints.Server -> undirected c server G.infinity_cap
       | None -> ()
     in
-    pin (Constraints.classification_pin constraints c);
+    pin (List.assoc_opt c (Constraints.pinned_classifications constraints));
     pin
       (Constraints.class_pin constraints ~cname:(Classifier.class_of_classification classifier c))
   done;
@@ -331,7 +332,7 @@ let reference_solve ~classifier ~constraints graph pricing =
    same distribution on the sample profile. *)
 let test_session_algorithms () =
   let classifier, icc, constraints = sample_profile () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  let session = Oracles.session ~classifier ~icc ~constraints in
   let fresh = Analysis.choose ~classifier ~icc ~constraints ~net:exact_net () in
   let solved = Analysis.Session.solve session ~net:exact_net in
   check_same "push-relabel" fresh solved;
@@ -361,43 +362,55 @@ let arb_contracted =
         (String.concat "," (List.map (fun (c, l) -> Printf.sprintf "%d+%d" c l) chains)))
     gen_contracted
 
+(* One [arb_contracted] draw as a profile and its constraints. *)
+let contracted_profile ((n, records, pin_client, pin_server, colocations, _), chains) =
+  let classifier = classifier_with (List.init n (Printf.sprintf "K%d")) in
+  let icc = Icc.create () in
+  List.iteri
+    (fun i (src, dst, size, remotable) ->
+      if src <> dst then
+        Icc.record icc ~src ~dst
+          ~iface:(Printf.sprintf "I%d" (i mod 4))
+          ~remotable ~request:size ~reply:(size / 5))
+    records;
+  List.iter
+    (fun (start, len) ->
+      for c = start to min (n - 2) (start + len - 1) do
+        Icc.record icc ~src:c ~dst:(c + 1) ~iface:"IChain" ~remotable:false
+          ~request:(1_000 * (c + 2)) ~reply:64
+      done)
+    chains;
+  let constraints =
+    match pin_client with
+    | Some c -> Constraints.pin_classification Constraints.empty c Constraints.Client
+    | None -> Constraints.empty
+  in
+  let constraints =
+    match pin_server with
+    | Some c when pin_client <> Some c ->
+        Constraints.pin_classification constraints c Constraints.Server
+    | _ -> constraints
+  in
+  let constraints =
+    List.fold_left
+      (fun acc (a, b) -> if a <> b then Constraints.colocate acc a b else acc)
+      constraints colocations
+  in
+  (classifier, icc, constraints)
+
+let contracted_nets seed =
+  [
+    exact_net;
+    Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.isdn_128;
+    Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.san_1g;
+  ]
+
 let prop_session_equals_uncontracted =
   QCheck.Test.make ~name:"session solve equals a min cut of the uncontracted graph" ~count:200
     arb_contracted
-    (fun ((n, records, pin_client, pin_server, colocations, seed), chains) ->
-      let classifier = classifier_with (List.init n (Printf.sprintf "K%d")) in
-      let icc = Icc.create () in
-      List.iteri
-        (fun i (src, dst, size, remotable) ->
-          if src <> dst then
-            Icc.record icc ~src ~dst
-              ~iface:(Printf.sprintf "I%d" (i mod 4))
-              ~remotable ~request:size ~reply:(size / 5))
-        records;
-      List.iter
-        (fun (start, len) ->
-          for c = start to min (n - 2) (start + len - 1) do
-            Icc.record icc ~src:c ~dst:(c + 1) ~iface:"IChain" ~remotable:false
-              ~request:(1_000 * (c + 2)) ~reply:64
-          done)
-        chains;
-      let constraints =
-        match pin_client with
-        | Some c -> Constraints.pin_classification Constraints.empty c Constraints.Client
-        | None -> Constraints.empty
-      in
-      let constraints =
-        match pin_server with
-        | Some c when pin_client <> Some c ->
-            Constraints.pin_classification constraints c Constraints.Server
-        | _ -> constraints
-      in
-      let constraints =
-        List.fold_left
-          (fun acc (a, b) -> if a <> b then Constraints.colocate acc a b else acc)
-          constraints colocations
-      in
-      let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+    (fun (((_, _, _, _, _, seed), _) as instance) ->
+      let classifier, icc, constraints = contracted_profile instance in
+      let session = Oracles.session ~classifier ~icc ~constraints in
       let graph = Analysis.Session.graph session in
       let rng = Coign_util.Prng.create (Int64.of_int seed) in
       let scale () =
@@ -407,13 +420,7 @@ let prop_session_equals_uncontracted =
         let m = draw () in
         { Icc_graph.sc_messages = m; sc_bytes = (if Coign_util.Prng.int rng 2 = 0 then m else draw ()) }
       in
-      let nets =
-        [
-          exact_net;
-          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.isdn_128;
-          Net_profiler.profile (Coign_util.Prng.create (Int64.of_int seed)) Network.san_1g;
-        ]
-      in
+      let nets = contracted_nets seed in
       let same (a : Analysis.distribution) (b : Analysis.distribution) =
         a.Analysis.cut_ns = b.Analysis.cut_ns
         && a.Analysis.placement = b.Analysis.placement
@@ -437,6 +444,24 @@ let prop_session_equals_uncontracted =
           same (reference unscaled) (Analysis.Session.solve session ~net)
           && same (reference scaled) (Analysis.Session.solve ~scale copy ~net))
         (nets @ List.rev nets))
+
+(* The session validator reads the arena's own infinite edges, so a
+   solve breaks a hard constraint exactly when its cut crosses one:
+   when pins and non-remotable chains join both terminals, the
+   identity-quotient cut is infinite and the validator names what it
+   crosses; otherwise the cut is finite and the validator is silent. *)
+let prop_validate_iff_finite_cut =
+  QCheck.Test.make ~name:"a session solve validates exactly when its cut is finite" ~count:300
+    arb_contracted
+    (fun (((_, _, _, _, _, seed), _) as instance) ->
+      let classifier, icc, constraints = contracted_profile instance in
+      let session = Oracles.session ~classifier ~icc ~constraints in
+      List.for_all
+        (fun net ->
+          let d = Analysis.Session.solve session ~net in
+          Analysis.Session.validate session d = []
+          = (d.Analysis.cut_ns < Coign_flowgraph.Flow_network.infinity_cap))
+        (contracted_nets seed))
 
 (* The stored-text decoder: on any summary's encoding it builds the
    graph [Icc_graph.build] builds over [Icc.decode], and sessions over
@@ -488,7 +513,7 @@ let prop_text_decoder_equals_build =
         Analysis.Session.of_graph ~classifier ~graph:direct ~constraints:Constraints.empty ()
       in
       let from_summary =
-        Analysis.Session.create ~classifier ~icc:decoded ~constraints:Constraints.empty ()
+        Oracles.session ~classifier ~icc:decoded ~constraints:Constraints.empty
       in
       String.equal (Icc.encode decoded) text
       && direct = Icc_graph.build ~classifier ~icc:decoded
@@ -578,15 +603,48 @@ let test_cost_cache_eviction_allocation () =
     (Printf.sprintf "fresh-profile solve: %.0f words past the 64th, %.0f below" past below)
     true (past <= below)
 
+(* The profile's non-remotable pairs, by a walk of its entries
+   independent of [Icc_graph]: an entry between two different nodes
+   (main as node [n]) names the pair (lower node first), pairs keep the
+   order they first appear in, and a pair is non-remotable when any of
+   its entries is. *)
+let non_remotable_pairs icc ~n =
+  let node c = if c < 0 then n else c in
+  let flagged = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun (e : Icc.entry) ->
+      let a = node e.Icc.src and b = node e.Icc.dst in
+      if a <> b then begin
+        let key = (min a b, max a b) in
+        if not (Hashtbl.mem flagged key) then begin
+          Hashtbl.add flagged key false;
+          order := key :: !order
+        end;
+        if not e.Icc.remotable then Hashtbl.replace flagged key true
+      end)
+    (Icc.entries icc);
+  List.filter (Hashtbl.find flagged) (List.rev !order)
+
+(* Those of them a placement separates, main on the client. *)
+let non_remotable_splits icc ~n d =
+  let loc v = if v = n then Constraints.Client else Analysis.location_of d v in
+  List.filter_map
+    (fun (a, b) ->
+      if loc a <> loc b then Some (Analysis.Split_non_remotable (a, if b = n then -1 else b))
+      else None)
+    (non_remotable_pairs icc ~n)
+
 (* Both validators equal the by-name one they replaced
-   ([Oracles.Validate_ref]): on the four apps, with the image's pins
-   alone and with forced classification pins and co-location pairs on
-   top, all three return the same violations in the same order for the
-   solved placement, all-server and all-client placements, placements
-   that break every class pin or split every co-located pair, and a
-   placement shorter than the classifier. A classifier that grows past
-   the session (a new classification of a pinned class, placed on the
-   wrong side after the build) is checked by name too. *)
+   ([Oracles.Validate_ref]), the session's followed by the profiled
+   non-remotable pairs the placement splits: on the four apps, with
+   the image's pins alone and with forced classification pins and
+   co-location pairs on top, all three agree for the solved placement,
+   all-server and all-client placements, placements that break every
+   class pin, split every co-located pair or split every non-remotable
+   pair, and a placement shorter than the classifier. A classifier that
+   grows past the session (a new classification of a pinned class,
+   placed on the wrong side after the build) is checked by name too,
+   then by the session's pairs. *)
 let test_session_validate_is_validate () =
   let open Coign_apps in
   List.iter
@@ -596,6 +654,7 @@ let test_session_validate_is_validate () =
         Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
           sc.App.sc_run
       in
+      let _, icc = Option.get (Adps.load_profile image) in
       let n =
         Classifier.classification_count
           (Analysis.Session.classifier (Adps.analysis_session image))
@@ -603,11 +662,12 @@ let test_session_validate_is_validate () =
       let all_agree what session d =
         let classifier = Analysis.Session.classifier session in
         let constraints = Analysis.Session.constraints session in
-        let expected = Oracles.Validate_ref.validate ~classifier ~constraints d in
+        let by_name = Oracles.Validate_ref.validate ~classifier ~constraints d in
+        let expected = by_name @ non_remotable_splits icc ~n d in
         Alcotest.(check bool)
           (Printf.sprintf "%s %s: %d violations" app.App.app_name what (List.length expected))
           true
-          (Analysis.validate ~classifier ~constraints d = expected
+          (Analysis.validate ~classifier ~constraints d = by_name
           && Analysis.Session.validate session d = expected);
         expected
       in
@@ -644,6 +704,14 @@ let test_session_validate_is_validate () =
             List.iter (fun (a, b) -> p.(a) <- flip p.(b)) (Constraints.colocated_pairs constraints);
             p
           in
+          let non_remotable_split =
+            let p = Array.copy d.Analysis.placement in
+            List.iter
+              (fun (a, b) ->
+                p.(a) <- flip (if b = n then Constraints.Client else p.(b)))
+              (non_remotable_pairs icc ~n);
+            p
+          in
           List.iter
             (fun (case, d) -> ignore (all_agree (what ^ " " ^ case) session d))
             [
@@ -652,12 +720,21 @@ let test_session_validate_is_validate () =
               ("all-client", with_placement (Array.make n Constraints.Client));
               ("pins broken", with_placement pinned_broken);
               ("co-location split", with_placement split);
+              ("non-remotable split", with_placement non_remotable_split);
               ("short", with_placement (Array.sub pinned_broken 0 (n / 2)));
             ];
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: breaking the pins is caught" app.App.app_name what)
             true
-            (Analysis.Session.validate session (with_placement pinned_broken) <> []))
+            (Analysis.Session.validate session (with_placement pinned_broken) <> []);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: splitting the non-remotable pairs is caught"
+               app.App.app_name what)
+            true
+            (non_remotable_pairs icc ~n = []
+            || List.exists
+                 (function Analysis.Split_non_remotable _ -> true | _ -> false)
+                 (Analysis.Session.validate session (with_placement non_remotable_split))))
         [ ("image pins", Constraints.empty); ("forced", forced) ];
       let session =
         Adps.analysis_session
@@ -729,5 +806,6 @@ let suite =
       test_cost_cache_eviction_allocation;
     QCheck_alcotest.to_alcotest prop_session_equals_choose;
     QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
+    QCheck_alcotest.to_alcotest prop_validate_iff_finite_cut;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
   ]

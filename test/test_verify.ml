@@ -601,7 +601,7 @@ let test_pool_lie_counterexamples () =
   let classifier, n, _, cback, _ = Lazy.force vdiscover in
   let ladder = lying_vfy_ladder () in
   let icc = vfy_icc () in
-  let session = Analysis.Session.create ~classifier ~icc ~constraints:Constraints.empty () in
+  let session = Oracles.session ~classifier ~icc ~constraints:Constraints.empty in
   let pool = Fallback.pool_ladder ~hosts:2 session ~net:vnet ladder in
   let m =
     Model.build ~policy:vpolicy ~classifier ~icc ~ladder:pool ~truth:(Array.make n false) ()

@@ -627,9 +627,9 @@ let watchsim_shift ?pool () =
 let test_watchsim_converges_to_oracle () =
   let r = watchsim_shift () in
   let open Coign_sim.Watchsim in
-  Alcotest.(check bool) "drift detected" true (r.w_drift_detections > 0);
-  Alcotest.(check bool) "repartitioned at least once" true (r.w_repartitions > 0);
-  Alcotest.(check bool) "instances migrated live" true (r.w_migrations > 0);
+  Alcotest.(check bool) "drift detected" true (r.w_stats.Rte.st_drift_detections > 0);
+  Alcotest.(check bool) "repartitioned at least once" true (r.w_stats.Rte.st_repartitions > 0);
+  Alcotest.(check bool) "instances migrated live" true (r.w_stats.Rte.st_watch_migrations > 0);
   Alcotest.(check bool) "converged to the oracle cut" true r.w_converged;
   Alcotest.(check bool) "steady-state comm reduced" true
     (r.w_steady_watched_us < r.w_steady_stale_us);
