@@ -200,22 +200,27 @@ module Session = struct
     (* The record's infinite undirected edges, handed to [f] without
        being stored: with [~terminals:false] those between two
        classifications, with [~terminals:true] those reaching main or a
-       terminal. *)
+       terminal. A co-location with one end outside the session (main,
+       or an id past the graph) joins the other end to the client,
+       where [check] reads the outside end. *)
     let iter_infinite ~terminals f =
       iter_non_remotable resolved (fun a b -> if (b >= n) = terminals then f a b);
       let terminal = function Constraints.Client -> client | Constraints.Server -> server in
+      let inside c = c >= 0 && c < n in
       if terminals then begin
         List.iter
-          (fun (c, loc) -> if c >= 0 && c < n then f c (terminal loc))
+          (fun (c, loc) -> if inside c then f c (terminal loc))
           resolved.r_classification_pins;
         Array.iteri
           (fun c i -> if i >= 0 then f c (terminal (snd resolved.r_pinned.(i))))
-          resolved.r_class_pin
+          resolved.r_class_pin;
+        List.iter
+          (fun (a, b) ->
+            if inside a <> inside b then f (if inside a then a else b) client)
+          resolved.r_colocated
       end
       else
-        List.iter
-          (fun (a, b) -> if a >= 0 && a < n && b >= 0 && b < n then f a b)
-          resolved.r_colocated
+        List.iter (fun (a, b) -> if inside a && inside b then f a b) resolved.r_colocated
     in
     (* Edges between two classifications join first: that snapshot is
        [s_component]. Pins and the main node's edges then join
@@ -351,10 +356,6 @@ module Session = struct
             t.s_cost_young_len <- t.s_cost_young_len + 1;
             cost)
 
-  let price t ~net =
-    Icc_graph.price_into t.s_graph ~cost:(cost_table_for t net) t.s_pricing;
-    t.s_pricing
-
   (* With ?scale, an observation window rescales each pair's profiled
      traffic before pricing (online re-partitioning); without it, the
      pricing loop is untouched and its floats are bit for bit the
@@ -365,14 +366,13 @@ module Session = struct
      quotient costs what it costs over the pairs. Zero-cost slots leave
      zero-capacity arcs, which no solver can traverse. *)
   let reprice ?scale t ~net =
-    let pricing =
-      match scale with
-      | None -> price t ~net
-      | Some scale ->
-          Icc_graph.price_scaled_into t.s_graph ~cost:(cost_table_for t net)
-            ~zero_us:(Net_profiler.predict_us net ~bytes:0) ~scale t.s_pricing;
-          t.s_pricing
-    in
+    let cost = cost_table_for t net in
+    (match scale with
+    | None -> Icc_graph.price_into t.s_graph ~cost t.s_pricing
+    | Some scale ->
+        Icc_graph.price_scaled_into t.s_graph ~cost ~zero_us:(Net_profiler.predict_us net ~bytes:0)
+          ~scale t.s_pricing);
+    let pricing = t.s_pricing in
     let arena = t.s_arena in
     for sl = 0 to Array.length t.s_arc_ab - 1 do
       Flow_network.set_arc_cap arena t.s_arc_ab.(sl) 0

@@ -103,13 +103,6 @@ module Session : sig
       while keeping its message-size mix. Omitted, pricing is
       bit-identical to the offline engine. *)
 
-  val price : t -> net:Coign_netsim.Net_profiler.t -> Icc_graph.pricing
-  (** The pricing half of {!solve}: every traffic pair priced against
-      [net] through the session's per-profile cost table (computed
-      once per profile object), into the session's own buffers, which
-      are returned.  The arena is untouched; the next [price] or
-      [solve] overwrites the buffers, so read them before either. *)
-
   val copy : t -> t
   (** An independent session sharing the immutable abstract graph but
       owning its own flow arena, solver scratch and pricing buffers —

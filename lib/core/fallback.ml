@@ -18,7 +18,6 @@ type rung = {
   pr_shard_of : int array;
   pr_shard_count : int;
   pr_replicated : bool array;
-  pr_predicted_us : float;
 }
 
 type t = {
@@ -42,9 +41,9 @@ let component_safety t = Array.copy t.fb_comp_safe
 let migration_safety = Analysis.Session.migration_safety
 
 (* One host per rung: every server-side classification in shard 0,
-   replicated only when all of them are migration-safe, each
+   replicated only when all of them are migration-safe, and each
    classification its own component (components only matter for
-   splitting, which needs two hosts), and the cut's own prediction. *)
+   splitting, which needs two hosts). *)
 let of_rungs ~migration_safe rungs =
   if rungs = [] then raise (Invalid "fallback ladder needs at least one rung");
   let shape = Pool.shape 1 in
@@ -67,7 +66,6 @@ let of_rungs ~migration_safe rungs =
       pr_shard_of = shard_of;
       pr_shard_count = 1;
       pr_replicated = [| !replicated |];
-      pr_predicted_us = d.Analysis.predicted_comm_us;
     }
   in
   let rungs = Array.of_list (List.map rung rungs) in
@@ -131,13 +129,10 @@ let compute ?profiler ?primary session ~net () =
 
 (* --- widening onto a pool ------------------------------------------ *)
 
-let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
+let pool_rung ~name ~component ~comp_safe ~shards ~shape dist =
   let n = Array.length component in
   let shard_of = Array.make n (-1) in
   let replicated = Array.make shards true in
-  (* Each graph node's host, -1 off the pool: the client side and the
-     main node n. *)
-  let host = Array.make (n + 1) (-1) in
   Array.iteri
     (fun c loc ->
       if c < n && loc = Constraints.Server then begin
@@ -147,11 +142,9 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
            pool's anchor host and shard 0 runs unreplicated. *)
         let s = if comp_safe.(rep) then Pool.shard_of ~shards rep else 0 in
         shard_of.(c) <- s;
-        host.(c) <- Pool.host_of shape s;
         if not comp_safe.(rep) then replicated.(s) <- false
       end)
     dist.Analysis.placement;
-  let predicted = Icc_graph.predicted_us graph pricing ~host in
   {
     pr_name = name;
     pr_distribution = dist;
@@ -159,17 +152,12 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards ~shape dist =
     pr_shard_of = shard_of;
     pr_shard_count = shards;
     pr_replicated = replicated;
-    pr_predicted_us = predicted;
   }
 
-let pool_ladder ?(replicas = 2) ~hosts session ~net base =
+let pool_ladder ?(replicas = 2) ~hosts session ~net:_ base =
   if hosts < 1 then raise (Invalid "pool ladder: hosts < 1");
   if replicas < 1 then raise (Invalid "pool ladder: replicas < 1");
-  let graph = Analysis.Session.graph session in
-  let n = Icc_graph.classification_count graph in
-  (* The session's own buffers: every rung reads them before this
-     returns, and the next [price] or [solve] overwrites them. *)
-  let pricing = Analysis.Session.price session ~net in
+  let n = Analysis.Session.node_count session in
   (* Server-side classifications shard at component granularity:
      separating two members across pool hosts would fault (or break a
      co-location constraint) exactly as separating them across the
@@ -183,7 +171,7 @@ let pool_ladder ?(replicas = 2) ~hosts session ~net base =
     component;
   let rung_at ~name ~k dist =
     let shape = Pool.shape ~replicas:(min replicas k) k in
-    pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shards:hosts ~shape dist
+    pool_rung ~name ~component ~comp_safe ~shards:hosts ~shape dist
   in
   let primary = base.fb_rungs.(0).pr_distribution in
   let wide =

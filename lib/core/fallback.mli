@@ -36,15 +36,11 @@ type rung = {
   pr_replicated : bool array;
       (** by shard: whether every member is migration-safe, i.e. the
           shard may keep live replicas and be promoted between hosts *)
-  pr_predicted_us : float;
-      (** priced communication time of the sharded placement: the
-          client/server cut plus inter-host server-server traffic *)
 }
 (** One rung: a two-way cut whose server side is sharded across
     [pr_shape.sh_hosts] hosts.  On a one-host rung every server-side
-    classification is in shard 0, the one shard replicates iff all of
-    them are migration-safe, and [pr_predicted_us] is the cut's own
-    [predicted_comm_us]. *)
+    classification is in shard 0, and the one shard replicates iff all
+    of them are migration-safe. *)
 
 type t
 
@@ -92,10 +88,9 @@ val pool_ladder :
     fewer hosts by {!Pool.host_of} — so a key's shard never changes as
     the pool breathes.  Migration-unsafe components (under the base's
     table, which the result keeps) are pinned to shard 0 and never
-    replicated.  Each rung is priced against [net] through the
-    session's memoised pricing ({!Analysis.Session.price}), with hosts
-    as machines.  [replicas] (default 2) is clamped to each rung's
-    host count.  Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
+    replicated.  A rung carries no price of its own: [net] is not
+    read.  [replicas] (default 2) is clamped to each rung's host
+    count.  Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
 
 val migration_safety : Analysis.Session.t -> bool array
 (** {!Analysis.Session.migration_safety}: a classification is safe to

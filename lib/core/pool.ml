@@ -20,4 +20,11 @@ let shard_in table c = if c >= 0 && c < Array.length table && table.(c) >= 0 the
 
 let host_of shape shard = shard mod shape.sh_hosts
 
-let replica shape shard i = (host_of shape shard + i) mod shape.sh_hosts
+(* A top-level loop, so a walk builds no closure of its own. *)
+let rec walk shape shard ~except ~admits i =
+  if i >= shape.sh_replicas then -1
+  else
+    let h = (host_of shape shard + i) mod shape.sh_hosts in
+    if h <> except && admits h then h else walk shape shard ~except ~admits (i + 1)
+
+let first_replica shape shard ~except ~admits = walk shape shard ~except ~admits 0

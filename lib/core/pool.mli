@@ -7,7 +7,7 @@
     one placement rule every layer shares: a classification key's
     shard is a stable keyed hash ({!shard_of}), a shard's primary host
     is the shard modulo the host count ({!host_of}), and its replicas
-    follow the primary round the ring ({!replica}). The pool ladder
+    follow the primary round the ring ({!first_replica}). The pool ladder
     ({!Fallback.pool_ladder}) applies the rule once per rung; the RTE's
     routing engine and the verifier both read the result. *)
 
@@ -38,7 +38,9 @@ val host_of : shape -> int -> int
 (** [host_of shape shard] is the shard's primary host — round-robin,
     [shard mod sh_hosts]. *)
 
-val replica : shape -> int -> int -> int
-(** [replica shape shard i] is the [i]-th host of the shard's replica
-    ring, [0 <= i < sh_replicas]: the primary ([i = 0]), then the next
-    hosts in ring order. All distinct, allocation-free. *)
+val first_replica : shape -> int -> except:int -> admits:(int -> bool) -> int
+(** The first host of the shard's replica ring (its [sh_replicas]
+    distinct hosts, the primary first, then round the pool) that is not
+    [except] and that [admits] accepts; -1 when there is none. Every
+    promotion takes this walk: the RTE admits hosts whose breaker allows
+    calls, the verifier's model every host but the failed primary. *)

@@ -167,13 +167,7 @@ let link r ~src ~dst ~caller_cls ~callee_cls =
    not [except] and whose breaker admits calls at [now]. Deterministic:
    replica rings are fixed by the shape. *)
 let healthy_replica r ~shape ~except ~now s =
-  let rec pick i =
-    if i >= shape.Pool.sh_replicas then -1
-    else
-      let h = Pool.replica shape s i in
-      if h <> except && Health.allows r.r_health.(h) ~now_us:now then h else pick (i + 1)
-  in
-  pick 0
+  Pool.first_replica shape s ~except ~admits:(fun h -> Health.allows r.r_health.(h) ~now_us:now)
 
 (* Re-home every shard for the current shape: its primary host, unless
    that breaker is open and a standing replica is healthy — then the
@@ -223,62 +217,70 @@ let switch_rung r ~to_rung ~at_us =
   reset_actives r ~now:at_us;
   Rte_env.log_migrations env ~at_us moved
 
+(* The rung rule, shared with the verifier's explorer. *)
+let next_rung ~rungs ~rung ~stuck = function
+  | Health.Open -> if stuck then Int.min (rung + 1) (rungs - 1) else rung
+  | Health.Half_open -> rung
+  | Health.Closed -> 0
+
 (* React to a link's breaker transition. An open promotes every shard
    the host was serving to a healthy replica; a shard with none (or one
-   that may not replicate), and any open on a one-host rung, moves the
-   route one rung down. A close climbs back to the top rung and
-   re-homes the shards. *)
+   that may not replicate), and any open on a one-host rung, leaves the
+   route stuck. The rung rule then picks the rung; a close that keeps
+   it re-homes the shards. *)
 let on_transition r ~host (tr : Health.transition) =
   let env = r.r_env in
   let at_us = tr.Health.tr_at_us in
   let at_int = int_of_float at_us in
   let hb = r.r_health.(host) in
   r.r_ewma_link <- host;
-  match tr.Health.tr_to with
-  | Health.Half_open -> ()
-  | Health.Open ->
-      r.r_opens <- r.r_opens + 1;
-      if env.observed then
-        Rte_env.emit env ~at_us
-          (Event.Breaker_opened
-             {
-               at_us = at_int;
-               failures = Health.consecutive_failures hb;
-               drops = env.faults.Fault.drops;
-               spikes = env.faults.Fault.spikes;
-             });
-      let shape = shape r in
-      let stuck = ref (shape.Pool.sh_hosts = 1) in
-      if not !stuck then
-        Array.iteri
-          (fun s serving ->
-            if serving = host then
-              let h =
-                if r.r_replicated.(s) then healthy_replica r ~shape ~except:host ~now:at_us s
-                else -1
-              in
-              if h < 0 then stuck := true
-              else begin
-                r.r_active.(s) <- h;
-                r.r_promotions <- r.r_promotions + 1;
-                if env.observed then
-                  Rte_env.emit env ~at_us
-                    (Event.Replica_promoted
-                       { at_us = at_int; shard = s; from_host = host; to_host = h })
-              end)
-          r.r_active;
-      if !stuck then begin
-        let bottom = Fallback.rung_count r.r_config.fc_ladder - 1 in
-        let next = min (r.r_rung + 1) bottom in
-        if next <> r.r_rung then switch_rung r ~to_rung:next ~at_us
-      end
-  | Health.Closed ->
-      r.r_closes <- r.r_closes + 1;
-      if env.observed then
-        Rte_env.emit env ~at_us
-          (Event.Breaker_closed
-             { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
-      if r.r_rung <> 0 then switch_rung r ~to_rung:0 ~at_us else reset_actives r ~now:at_us
+  let stuck =
+    match tr.Health.tr_to with
+    | Health.Half_open -> false
+    | Health.Open ->
+        r.r_opens <- r.r_opens + 1;
+        if env.observed then
+          Rte_env.emit env ~at_us
+            (Event.Breaker_opened
+               {
+                 at_us = at_int;
+                 failures = Health.consecutive_failures hb;
+                 drops = env.faults.Fault.drops;
+                 spikes = env.faults.Fault.spikes;
+               });
+        let shape = shape r in
+        let stuck = ref (shape.Pool.sh_hosts = 1) in
+        if not !stuck then
+          Array.iteri
+            (fun s serving ->
+              if serving = host then
+                let h =
+                  if r.r_replicated.(s) then healthy_replica r ~shape ~except:host ~now:at_us s
+                  else -1
+                in
+                if h < 0 then stuck := true
+                else begin
+                  r.r_active.(s) <- h;
+                  r.r_promotions <- r.r_promotions + 1;
+                  if env.observed then
+                    Rte_env.emit env ~at_us
+                      (Event.Replica_promoted
+                         { at_us = at_int; shard = s; from_host = host; to_host = h })
+                end)
+            r.r_active;
+        !stuck
+    | Health.Closed ->
+        r.r_closes <- r.r_closes + 1;
+        if env.observed then
+          Rte_env.emit env ~at_us
+            (Event.Breaker_closed
+               { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
+        false
+  in
+  let rungs = Fallback.rung_count r.r_config.fc_ladder in
+  let next = next_rung ~rungs ~rung:r.r_rung ~stuck tr.Health.tr_to in
+  if next <> r.r_rung then switch_rung r ~to_rung:next ~at_us
+  else if tr.Health.tr_to = Health.Closed then reset_actives r ~now:at_us
 
 (* Deterministic hot-shard check: when one shard carries more than
    [split_share] of the decayed remote-call mass and holds at least two

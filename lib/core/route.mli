@@ -14,6 +14,14 @@
 
 type config
 
+val next_rung : rungs:int -> rung:int -> stuck:bool -> Coign_netsim.Health.state -> int
+(** The rung rule: the rung a route on [rung] of a [rungs]-rung ladder
+    installs when a breaker moves to the given state. An open goes one
+    rung down, clamped at the bottom, when [stuck] (some shard the host
+    served has no healthy replica, as on any one-host rung); a close
+    returns to rung 0; anything else stays. The verifier's explorer
+    applies it to every link event with [stuck = true]. *)
+
 val config :
   ?health:Coign_netsim.Health.policy ->
   ?host_faults:(int * Coign_netsim.Fault.spec) list ->

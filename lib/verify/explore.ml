@@ -24,7 +24,10 @@
    Partial-order reduction: all remotable traffic between separated
    groups drives one shared breaker, and the breaker's inputs carry no
    location information, so every separated pair collapses onto the two
-   link events.  Likewise the safe (truth-safe, ladder-safe) groups
+   link events.  A link event moves the ladder by the RTE's own rung
+   rule, [Route.next_rung], with every open stuck: the RTE on a one-host
+   route, not on a pool rung, where it may promote and stay.  Likewise
+   the safe (truth-safe, ladder-safe) groups
    can't violate any invariant in any order, so their pending moves
    collapse into one atomic Migrate_rest; only risky groups keep
    individual Migrate events.
@@ -132,19 +135,6 @@ let canon (snap : Health.snapshot) =
       | _ -> 0);
   }
 
-(* How a link event's transition moves the ladder, mirroring the RTE
-   routing engine on a one-host route: 1 down a rung on a trip, 2 back
-   to the primary on a close, 0 nowhere. *)
-let ladder_move = function
-  | Some { Health.tr_to = Health.Open; _ } -> 1
-  | Some { Health.tr_to = Health.Closed; _ } -> 2
-  | _ -> 0
-
-let rung_after ~rungs rung = function
-  | 1 -> Int.min (rung + 1) (rungs - 1)
-  | 2 -> 0
-  | _ -> rung
-
 type breakers = {
   b_policy : Health.policy;
   b_chain : float array;  (* the model's cooloff chain *)
@@ -153,7 +143,6 @@ type breakers = {
   b_open : bool array;
   b_ok : int array;  (* successor on link_ok *)
   b_fail : int array;  (* successor on link_fail *)
-  b_move : int array;  (* ladder move on link_ok + 3 * on link_fail *)
   b_cooloff : int array;  (* successor at cooloff expiry; -1: no probe (I3) *)
   b_count : int;
 }
@@ -185,7 +174,7 @@ let build_breakers (m : Model.t) =
   let s0 = canon (Health.initial_snapshot policy) in
   let snap = ref (Array.make 8 s0) and on_chain = ref (Array.make 8 false) in
   let ok = ref (Array.make 8 0) and fail = ref (Array.make 8 0) in
-  let move = ref (Array.make 8 0) and cooloff = ref (Array.make 8 (-1)) in
+  let cooloff = ref (Array.make 8 (-1)) in
   let count = ref 0 in
   let add s =
     let chained =
@@ -206,7 +195,6 @@ let build_breakers (m : Model.t) =
       on_chain := grown !on_chain i false;
       ok := grown !ok i 0;
       fail := grown !fail i 0;
-      move := grown !move i 0;
       cooloff := grown !cooloff i (-1);
       !snap.(i) <- s;
       !on_chain.(i) <- chained;
@@ -230,13 +218,10 @@ let build_breakers (m : Model.t) =
               !cooloff.(i) <- j
           | _ -> !cooloff.(i) <- -1)
       | Health.Closed | Health.Half_open ->
-          let s_ok, tr_ok = Health.transition policy s ~at_us:0. Health.Success in
-          let j_ok = add (canon s_ok) in
-          let s_fail, tr_fail = Health.transition policy s ~at_us:0. Health.Failure in
-          let j_fail = add (canon s_fail) in
+          let j_ok = add (canon (fst (Health.transition policy s ~at_us:0. Health.Success))) in
+          let j_fail = add (canon (fst (Health.transition policy s ~at_us:0. Health.Failure))) in
           !ok.(i) <- j_ok;
-          !fail.(i) <- j_fail;
-          !move.(i) <- ladder_move tr_ok + (3 * ladder_move tr_fail)
+          !fail.(i) <- j_fail
   done;
   let n = !count in
   {
@@ -247,7 +232,6 @@ let build_breakers (m : Model.t) =
     b_open = Array.init n (fun i -> !snap.(i).Health.sn_state = Health.Open);
     b_ok = !ok;
     b_fail = !fail;
-    b_move = !move;
     b_cooloff = !cooloff;
     b_count = n;
   }
@@ -338,7 +322,7 @@ let context m =
   for r = 0 to rungs - 1 do
     for i = 0 to g - 1 do
       let grp = groups.(i) in
-      target.((r * g) + i) <- packed grp.Model.g_targets.(r) (Model.target_host grp r)
+      target.((r * g) + i) <- packed grp.Model.g_targets.(r) grp.Model.g_hosts.(r)
     done
   done;
   {
@@ -445,6 +429,16 @@ let intern ctx st a off =
 
 (* --- Events ----------------------------------------------------------- *)
 
+(* The rung a link event from breaker [brk] to [brk'] leaves: a step is
+   a transition exactly when it changes the state. *)
+let rung_on ctx rung ~brk ~brk' =
+  let snap = ctx.c_breakers.b_snap in
+  let to_ = snap.(brk').Health.sn_state in
+  if to_ = snap.(brk).Health.sn_state then rung
+    (* Every open is stuck: one shared breaker stands for every host
+       link, so while it is open no replica admits calls. *)
+  else Route.next_rung ~rungs:ctx.c_rungs ~rung ~stuck:true to_
+
 (* Enumerate the events enabled in the state (placement [p] of [st],
    [rung], breaker [brk]), in the model's fixed order — breaker events,
    risky migrations by group, migrate_rest, promotions by group — and
@@ -459,9 +453,9 @@ let successors ctx st scratch ~p ~rung ~brk f =
     if brk' < 0 then f ev_cooloff p rung brk true else f ev_cooloff p rung brk' false
   end
   else if st.s_flags.(p) land flag_link <> 0 then begin
-    let move = b.b_move.(brk) in
-    f ev_link_ok p (rung_after ~rungs:ctx.c_rungs rung (move mod 3)) b.b_ok.(brk) false;
-    f ev_link_fail p (rung_after ~rungs:ctx.c_rungs rung (move / 3)) b.b_fail.(brk) false
+    let ok = b.b_ok.(brk) and fail = b.b_fail.(brk) in
+    f ev_link_ok p (rung_on ctx rung ~brk ~brk':ok) ok false;
+    f ev_link_fail p (rung_on ctx rung ~brk ~brk':fail) fail false
   end;
   let target = rung * g in
   let groups = ctx.c_model.Model.m_groups in
@@ -488,14 +482,10 @@ let successors ctx st scratch ~p ~rung ~brk f =
   end;
   for i = 0 to Array.length ctx.c_risky - 1 do
     let gi = ctx.c_risky.(i) in
-    let v = st.s_vecs.(off + gi) in
-    if
-      Array.length groups.(gi).Model.g_rings.(rung) > 1
-      && v land 1 = 1
-      && v = ctx.c_target.(target + gi)
-    then begin
+    let h = groups.(gi).Model.g_promote.(rung) in
+    if h >= 0 && st.s_vecs.(off + gi) = ctx.c_target.(target + gi) then begin
       Array.blit st.s_vecs off scratch 0 g;
-      scratch.(gi) <- (Model.next_replica groups.(gi) rung ~from:(v lsr 1) lsl 1) lor 1;
+      scratch.(gi) <- (h lsl 1) lor 1;
       f (5 + (2 * gi)) (intern ctx st scratch 0) rung brk true
     end
   done

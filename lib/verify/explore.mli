@@ -18,7 +18,9 @@
     explorer; that check also keeps each rung it builds clear of I1.)
 
     Breaker steps reuse the pure {!Coign_netsim.Health.transition}, so
-    the explorer and the RTE share one state machine by construction.
+    the explorer and the RTE share one state machine by construction,
+    and a link event moves the ladder by the RTE's {!Route.next_rung}
+    with every open stuck (one shared breaker stands for every host).
     Counterexamples are replayable event traces: the tests replay each
     through a real breaker and factory.
 
@@ -39,7 +41,7 @@ type event =
   | Migrate_rest  (** all pending safe groups migrate atomically *)
   | Promote of int
       (** one risky group is promoted to the next host of its replica
-          ring ({!Model.next_replica}) — a host loss taking its
+          ring ({!Model.g_promote}) — a host loss taking its
           shard's replica.  Only enabled on rungs where the group's
           shard keeps a replica; promoting safe groups is collapsed
           away like safe migrations *)

@@ -6,7 +6,7 @@
    reduction up front: classifications are partitioned into groups that
    are interchangeable with respect to every checked invariant.  Two
    classifications share a group iff they have the same per-rung
-   placement vector, the same per-rung replica ring (host vector) under
+   placement vector, the same per-rung primary and promotion hosts under
    the ladder, the same ladder migration-safety bit and the same
    derived (truth) safety bit — and neither touches a non-remotable ICC
    edge.  Classifications incident to a non-remotable edge are split
@@ -29,7 +29,8 @@ type group = {
   g_members : int list; (* classifications; -1 is the main program *)
   g_subject : string; (* representative class name, for diagnostics *)
   g_targets : Constraints.location array; (* placement per rung *)
-  g_rings : int array array; (* per rung: the shard's replica ring, primary first *)
+  g_hosts : int array; (* per rung: the shard's primary host, 0 client-side *)
+  g_promote : int array; (* per rung: the host a promotion moves it to, -1 for none *)
   g_ladder_safe : bool; (* what the ladder's table will act on *)
   g_truth_safe : bool; (* what the static facts actually derive *)
 }
@@ -52,21 +53,6 @@ type t = {
 }
 
 let rung_count m = Array.length m.m_rung_names
-
-(* The host a group belongs on under a rung: its shard's primary, as
-   the ladder placed it; 0 client-side. *)
-let target_host g r =
-  let ring = g.g_rings.(r) in
-  if Array.length ring = 0 then 0 else ring.(0)
-
-(* Where the RTE promotes a shard whose host [from] loses its breaker:
-   the first other host of its replica ring; [from] when it has none. *)
-let next_replica g r ~from =
-  let ring = g.g_rings.(r) in
-  let rec pick i =
-    if i >= Array.length ring then from else if ring.(i) <> from then ring.(i) else pick (i + 1)
-  in
-  pick 0
 
 let group_count m = Array.length m.m_groups
 
@@ -119,25 +105,11 @@ let of_pairs ~policy ~classifier ~ladder ~truth ~src ~dst ~iface ~remotable =
   let rungs = Array.length prs in
   let n = Array.length truth in
   let place r c = Analysis.location_of prs.(r).Fallback.pr_distribution c in
-  (* The replica ring of [c]'s shard on rung [r], as the RTE homes and
-     promotes it: one host for a shard that may not replicate. *)
-  let ring r c =
-    if place r c <> Constraints.Server then [||]
-    else
-      let pr = prs.(r) in
-      let s = Pool.shard_in pr.Fallback.pr_shard_of c in
-      let shape = pr.Fallback.pr_shape in
-      let len = if pr.Fallback.pr_replicated.(s) then shape.Pool.sh_replicas else 1 in
-      let hosts = Array.make len 0 in
-      for i = 0 to len - 1 do
-        hosts.(i) <- Pool.replica shape s i
-      done;
-      hosts
-  in
-  (* One signature word per rung: 0 client-side, else the ring.  A
-     ring runs round the pool from its primary, so its primary and
-     whether it is longer than one host name it: 1 + 2 * primary +
-     long.  A last word holds the ladder and truth safety bits. *)
+  (* One signature word per rung: 0 client-side, else the shard's
+     replica ring.  A ring runs round the pool from its primary, so its
+     primary and whether it is longer than one host name it (and with
+     them the promotion host): 1 + 2 * primary + long.  A last word
+     holds the ladder and truth safety bits. *)
   let code r c =
     if place r c <> Constraints.Server then 0
     else
@@ -220,15 +192,33 @@ let of_pairs ~policy ~classifier ~ladder ~truth ~src ~dst ~iface ~remotable =
     let g = group_of.(c + 1) in
     members.(g) <- c :: members.(g)
   done;
+  (* Per rung, a server-side group lives on its shard's primary, and a
+     replicated shard promotes along the RTE's ring walk, every other
+     host admitted. *)
   let groups =
     Array.init ngroups (fun g ->
         let c0 = rep.(g) in
+        let targets = Array.make rungs Constraints.Client in
+        let hosts = Array.make rungs 0 and promote = Array.make rungs (-1) in
+        for r = 0 to rungs - 1 do
+          if place r c0 = Constraints.Server then begin
+            targets.(r) <- Constraints.Server;
+            let pr = prs.(r) in
+            let s = Pool.shard_in pr.Fallback.pr_shard_of c0 in
+            let shape = pr.Fallback.pr_shape in
+            let primary = Pool.host_of shape s in
+            hosts.(r) <- primary;
+            if pr.Fallback.pr_replicated.(s) then
+              promote.(r) <- Pool.first_replica shape s ~except:primary ~admits:(fun _ -> true)
+          end
+        done;
         {
           g_id = g;
           g_members = members.(g);
           g_subject = (if c0 < 0 then "main" else Classifier.class_of_classification classifier c0);
-          g_targets = Array.init rungs (fun r -> place r c0);
-          g_rings = Array.init rungs (fun r -> ring r c0);
+          g_targets = targets;
+          g_hosts = hosts;
+          g_promote = promote;
           g_ladder_safe = ladder_safe c0;
           g_truth_safe = truth_safe c0;
         })

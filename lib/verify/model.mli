@@ -7,7 +7,8 @@
     {e edges} that drive and endanger them, and the finite cooloff
     escalation chain the breaker can visit.  Hosts come from the
     ladder's [pr_shard_of] through {!Coign_core.Pool}, the rule the
-    RTE routes by, so the model checks the placement the system runs.
+    RTE routes by, and promotions take its ring walk
+    ({!Coign_core.Pool.first_replica}): the model checks what runs.
 
     The type is transparent so tests can hand-build adversarial models
     (lying safety tables, unreachable rungs) without forging images. *)
@@ -19,12 +20,19 @@ type group = {
   g_members : int list;  (** classifications; -1 is the main program *)
   g_subject : string;  (** representative class name, for diagnostics *)
   g_targets : Constraints.location array;  (** placement per rung *)
-  g_rings : int array array;
-      (** per rung: the hosts of the group's shard in replica-ring
-          order, primary first ({!Coign_core.Pool.replica}), as the
-          ladder places it; [[||]] where the rung puts the group
-          client-side, one host where its shard keeps no replicas.
-          Members share it, so they share their host on every rung. *)
+  g_hosts : int array;
+      (** per rung: the host the group belongs on, its shard's primary
+          as the ladder placed it, 0 where the rung puts the group
+          client-side.  The ladder computed it from the {e ladder's}
+          safety table, exactly as the RTE does — unsafe components are
+          pinned to shard 0, host 0 — so a lying table shards a
+          truth-unsafe group onto a moving host and the explorer
+          surfaces the consequences.  Members share it, so they share
+          their host on every rung. *)
+  g_promote : int array;
+      (** per rung: where a promotion moves the group off its failed
+          primary, {!Coign_core.Pool.first_replica} with every other
+          host admitted; -1 client-side or for an unreplicated shard *)
   g_ladder_safe : bool;  (** what the ladder's table will act on *)
   g_truth_safe : bool;  (** what the static facts actually derive *)
 }
@@ -50,19 +58,6 @@ type t = {
 
 val rung_count : t -> int
 val group_count : t -> int
-
-val target_host : group -> int -> int
-(** [target_host g r] is the host the group belongs on under rung [r]:
-    the primary of its ring ([g_rings.(r).(0)]), 0 client-side.  The
-    ladder computed it from the {e ladder's} safety table, exactly as
-    the RTE does — unsafe components are pinned to shard 0, host 0 —
-    so a lying table shards a truth-unsafe group onto a moving host and
-    the explorer surfaces the consequences. *)
-
-val next_replica : group -> int -> from:int -> int
-(** [next_replica g r ~from] is where a promotion moves the group when
-    host [from] fails on rung [r]: the first other host of its ring,
-    as the RTE's replica promotion picks it; [from] if there is none. *)
 
 val risky : group -> bool
 (** Ladder-safe but truth-unsafe: the migrations that can manifest
@@ -93,8 +88,8 @@ val build :
 
     It works in ints: the ICC entries are read as {!Icc.columns}, each
     classification's signature is one int per rung (client-side, or
-    its ring's primary host and whether the ring holds more than one
-    host) plus its two safety bits, bucketed by hash in an
+    its shard's primary host and whether its replica ring holds more
+    than one host) plus its two safety bits, bucketed by hash in an
     {!Coign_util.Int_table}, and group pairs aggregate on the packed
     pair.  The result does not depend on the order of the entries: an
     edge's sample interface is picked by the summary's canonical

@@ -422,7 +422,7 @@ module Verify_ref = struct
         let s = Pool.shard_in pr.Fallback.pr_shard_of c in
         let shape = pr.Fallback.pr_shape in
         let len = if pr.Fallback.pr_replicated.(s) then shape.Pool.sh_replicas else 1 in
-        Array.init len (Pool.replica shape s)
+        Array.init len (fun i -> (Pool.host_of shape s + i) mod shape.Pool.sh_hosts)
     in
     let rungs = Array.length prs in
     let members = Array.init (n + 1) (fun i -> i - 1) in
@@ -475,7 +475,9 @@ module Verify_ref = struct
                g_members = ms;
                g_subject = subject c0;
                g_targets = targets;
-               g_rings = rings;
+               g_hosts = Array.map (fun ring -> if ring = [||] then 0 else ring.(0)) rings;
+               g_promote =
+                 Array.map (fun ring -> if Array.length ring > 1 then ring.(1) else -1) rings;
                g_ladder_safe = ladder_safe;
                g_truth_safe = truth_safe;
              })
@@ -552,7 +554,7 @@ module Verify_ref = struct
       st_rung = 0;
       st_snap = canon (Health.initial_snapshot m.Model.m_policy);
       st_locs = Array.map (fun g -> g.Model.g_targets.(0)) m.Model.m_groups;
-      st_hosts = Array.map (fun g -> Model.target_host g 0) m.Model.m_groups;
+      st_hosts = Array.map (fun g -> g.Model.g_hosts.(0)) m.Model.m_groups;
     }
 
   (* The parent's key wrote each host as one character, which raised
@@ -595,7 +597,7 @@ module Verify_ref = struct
     let grp = m.Model.m_groups.(g) in
     grp.Model.g_ladder_safe
     && (st.st_locs.(g) <> grp.Model.g_targets.(st.st_rung)
-       || st.st_hosts.(g) <> Model.target_host grp st.st_rung)
+       || st.st_hosts.(g) <> grp.Model.g_hosts.(st.st_rung))
 
   let enabled m st =
     let migrations =
@@ -613,7 +615,7 @@ module Verify_ref = struct
       |> List.filter_map (fun grp ->
              if
                Model.risky grp
-               && Array.length grp.Model.g_rings.(st.st_rung) > 1
+               && grp.Model.g_promote.(st.st_rung) >= 0
                && st.st_locs.(grp.Model.g_id) = Constraints.Server
                && not (off_target m st grp.Model.g_id)
              then Some (Explore.Promote grp.Model.g_id)
@@ -657,7 +659,7 @@ module Verify_ref = struct
         let grp = m.Model.m_groups.(g) in
         let locs = Array.copy st.st_locs and hosts = Array.copy st.st_hosts in
         locs.(g) <- grp.Model.g_targets.(st.st_rung);
-        hosts.(g) <- Model.target_host grp st.st_rung;
+        hosts.(g) <- grp.Model.g_hosts.(st.st_rung);
         let viols =
           if grp.Model.g_truth_safe then []
           else
@@ -678,14 +680,14 @@ module Verify_ref = struct
           (fun grp ->
             if (not (Model.risky grp)) && off_target m st grp.Model.g_id then begin
               locs.(grp.Model.g_id) <- grp.Model.g_targets.(st.st_rung);
-              hosts.(grp.Model.g_id) <- Model.target_host grp st.st_rung
+              hosts.(grp.Model.g_id) <- grp.Model.g_hosts.(st.st_rung)
             end)
           m.Model.m_groups;
         ({ st with st_locs = locs; st_hosts = hosts }, [])
     | Explore.Promote g ->
         let grp = m.Model.m_groups.(g) in
         let hosts = Array.copy st.st_hosts in
-        hosts.(g) <- Model.next_replica grp st.st_rung ~from:st.st_hosts.(g);
+        hosts.(g) <- grp.Model.g_promote.(st.st_rung);
         let viols =
           [
             ( "CG009",

@@ -293,6 +293,170 @@ let test_fleet_event_logs_golden () =
     ~host_faults:[ (crash, window) ] ();
   check "global partition" ~golden:"golden/fleet_events_partition.txt" ~faults:window ()
 
+(* --- A hot shard splits -------------------------------------------------
+   Spl.Front (client) creates eight server classes, each its own
+   migration-safe component, and pumps 1000-byte blobs at whichever it
+   is told; [idle] charges client compute, moving the virtual clock
+   without traffic. *)
+
+let spl_count = 5
+
+let i_spl_front =
+  Itype.declare "ISplFront"
+    [
+      Idl_type.method_ "pump"
+        [ Idl_type.param "target" Idl_type.Int32; Idl_type.param "rounds" Idl_type.Int32 ];
+      Idl_type.method_ "idle" [ Idl_type.param "ms" Idl_type.Int32 ];
+    ]
+
+let c_spl_backs =
+  List.init spl_count (fun i ->
+      Runtime.define_class (Printf.sprintf "Spl.S%d" i) (fun _ctx _self ->
+          [
+            Combuild.iface i_back
+              [ ("store", fun _ctx args -> Value.Int (Combuild.get_blob args 0)) ];
+          ]))
+
+let c_spl_front =
+  Runtime.define_class "Spl.Front" (fun ctx0 _self ->
+      let backs =
+        Array.of_list
+          (List.map
+             (fun c -> Runtime.create_instance ctx0 c.Runtime.clsid ~iid:(Itype.iid i_back))
+             c_spl_backs)
+      in
+      [
+        Combuild.iface i_spl_front
+          [
+            ( "pump",
+              fun ctx args ->
+                for _ = 1 to Combuild.get_int args 1 do
+                  ignore
+                    (Oracles.call_named ctx
+                       backs.(Combuild.get_int args 0)
+                       "store" [ Value.Blob 1_000 ])
+                done;
+                Value.Unit );
+            ( "idle",
+              fun ctx args ->
+                Runtime.charge ctx ~us:(1_000. *. float_of_int (Combuild.get_int args 0));
+                Value.Unit );
+          ];
+      ])
+
+let spl_registry () = Runtime.registry (c_spl_front :: c_spl_backs)
+
+(* Profile: create the front (and so every back), store once into each. *)
+let spl_profiled =
+  lazy
+    (let ctx = Runtime.create_ctx (spl_registry ()) in
+     let classifier = Classifier.create Classifier.Ifcb in
+     let rte = Rte.install_profiling ~classifier ctx in
+     let front =
+       Runtime.create_instance ctx c_spl_front.Runtime.clsid ~iid:(Itype.iid i_spl_front)
+     in
+     for i = 0 to spl_count - 1 do
+       ignore (Oracles.call_named ctx front "pump" [ Value.Int i; Value.Int 1 ])
+     done;
+     Rte.uninstall rte;
+     let icc = Rte.icc rte in
+     let n = Classifier.classification_count classifier in
+     let cls i =
+       let name = Printf.sprintf "Spl.S%d" i in
+       List.find (fun c -> String.equal (Classifier.class_of_classification classifier c) name)
+         (List.init n Fun.id)
+     in
+     (classifier, icc, n, Array.init spl_count cls))
+
+(* The split trace, derived from the ladder's shard table and the
+   routing rule (a shard over 0.6 of the decayed load is hot, checked
+   every 64 served remote calls; the upper half of its movable
+   components moves to a new shard on the host serving the fewest
+   shards, ties to the lowest). On a pool of 2 the five backs hash into
+   shards 0 and 1, four into one of them, the hot shard [h], whose
+   members c1 < c2 < c3 < c4 are each their own component. Store 64
+   times into each of c1 and c2, alternately: every load is in [h].
+   - Check 1, call 64: [h] holds c1..c4; c3 and c4 move to shard 2 on
+     host 0 (shards per host 1/1: a tie, the lowest).
+   - Check 2, call 128: [h] still carries every call and holds c1, c2;
+     c2 moves to shard 3 on host 1 (shards per host 2/1).
+   Then 10 s of client compute and 10 stores into c2 while host 1 is
+   down from 5 s on. The second failed store opens host 1's breaker;
+   the shards it serves, 1 and 3 (both replicated: the new shard
+   replicates like every safe one), are promoted to host 0, and the
+   route stays on its rung. *)
+let test_hot_shard_splits () =
+  let classifier, icc, n, cls = Lazy.force spl_profiled in
+  let session = Oracles.session ~classifier ~icc ~constraints:Constraints.empty in
+  let primary = Array.make n Constraints.Client in
+  Array.iter (fun c -> primary.(c) <- Constraints.Server) cls;
+  let base =
+    Fallback.of_rungs ~migration_safe:(Array.make n true)
+      [ ("primary", dist primary); ("all-client", dist (Array.make n Constraints.Client)) ]
+  in
+  let net = Net_profiler.exact Network.ethernet_10 in
+  let pl = Fallback.pool_ladder ~hosts:2 session ~net base in
+  let table = (Fallback.rung pl 0).Fallback.pr_shard_of in
+  let in_shard s = List.filter (fun i -> table.(cls.(i)) = s) (List.init spl_count Fun.id) in
+  let hot = if List.length (in_shard 0) >= List.length (in_shard 1) then 0 else 1 in
+  let members = List.sort (fun a b -> compare cls.(a) cls.(b)) (in_shard hot) in
+  Alcotest.(check int) "four backs share the hot shard" 4 (List.length members);
+  let c1 = List.nth members 0 and c2 = List.nth members 1 in
+  let window = { Fault.zero with Fault.fs_crashes_us = [ (5_000_000., 1e12) ] } in
+  let recorder, events = Coign_obs.Sink.collector () in
+  let ctx = Runtime.create_ctx (spl_registry ()) in
+  let rte =
+    Rte.install_distributed ~logger:recorder ~classifier
+      ~config:
+        {
+          Rte.dc_factory_policy = Factory.By_classification (dist primary);
+          dc_network = Network.ethernet_10;
+          dc_jitter = 0.;
+          dc_seed = 1L;
+          dc_faults = None;
+          dc_retry = fixed_retry;
+          dc_resilience = None;
+          dc_fleet = Some (Rte.fleet ~host_faults:[ (1, window) ] pl);
+          dc_watch = None;
+        }
+      ctx
+  in
+  let front =
+    Runtime.create_instance ctx c_spl_front.Runtime.clsid ~iid:(Itype.iid i_spl_front)
+  in
+  let pump target rounds =
+    ignore (Oracles.call_named ctx front "pump" [ Value.Int target; Value.Int rounds ])
+  in
+  for _ = 1 to 64 do
+    pump c1 1;
+    pump c2 1
+  done;
+  ignore (Oracles.call_named ctx front "idle" [ Value.Int 10_000 ]);
+  pump c2 10;
+  let fs = Option.get (Rte.fleet_stats rte) in
+  let st = Rte.stats rte in
+  Rte.uninstall rte;
+  let split shard new_shard moved to_host =
+    Printf.sprintf "split shard %d -> %d, %d moved, host %d" shard new_shard moved to_host
+  in
+  let promoted shard = Printf.sprintf "promote shard %d: 1 -> 0" shard in
+  Alcotest.(check (list string)) "splits, then promotions"
+    [ split hot 2 2 0; split hot 3 1 1; "breaker_opened"; promoted 1; promoted 3 ]
+    (List.filter_map
+       (function
+         | Event.Shard_split { shard; new_shard; moved; to_host; _ } ->
+             Some (split shard new_shard moved to_host)
+         | Event.Replica_promoted { shard; from_host; to_host; _ } ->
+             Some (Printf.sprintf "promote shard %d: %d -> %d" shard from_host to_host)
+         | (Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
+           | Event.Pool_resized _) as e ->
+             Some (Event.kind_name e)
+         | _ -> None)
+       (events ()));
+  Alcotest.(check int) "two splits" 2 fs.Rte.fs_splits;
+  Alcotest.(check int) "four shards" 4 fs.Rte.fs_final_shards;
+  Alcotest.(check int) "on the widest rung" 0 st.Rte.st_final_rung
+
 (* --- Shard-map stability --------------------------------------------- *)
 
 let qcheck_hash_shard_stable =
@@ -308,11 +472,23 @@ let qcheck_replica_ring =
     (fun (k, r, s) ->
       let shape = Pool.shape ~replicas:(min r k) k in
       let primary = Pool.host_of shape s in
-      let ring = List.init shape.Pool.sh_replicas (Pool.replica shape s) in
+      (* The ring, read off the walk: each step admits only the hosts
+         not yet seen. *)
+      let rec walk seen =
+        match Pool.first_replica shape s ~except:(-1) ~admits:(fun h -> not (List.mem h seen)) with
+        | -1 -> List.rev seen
+        | h -> walk (h :: seen)
+      in
+      let ring = walk [] in
       primary = s mod k
       && List.hd ring = primary
       && List.length ring = shape.Pool.sh_replicas
-      && List.length (List.sort_uniq compare ring) = List.length ring)
+      && List.length (List.sort_uniq compare ring) = List.length ring
+      && List.for_all2 (fun i h -> h = (primary + i) mod k)
+           (List.init (List.length ring) Fun.id)
+           ring
+      && Pool.first_replica shape s ~except:primary ~admits:(fun _ -> true)
+         = if shape.Pool.sh_replicas > 1 then (primary + 1) mod k else -1)
 
 let test_ladder_shards_stable_across_rungs () =
   (* "A key's shard never changes as the pool breathes": wherever a
@@ -529,4 +705,5 @@ let suite =
       test_default_grid_runs_distinct_cells;
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;
     Alcotest.test_case "decision event logs (golden)" `Quick test_fleet_event_logs_golden;
+    Alcotest.test_case "a hot shard splits, twice" `Quick test_hot_shard_splits;
   ]

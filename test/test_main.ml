@@ -24,6 +24,7 @@ let () =
       ("obs", Test_obs.suite);
       ("lint", Test_lint.suite);
       ("verify", Test_verify.suite);
+      ("trace", Test_trace.suite);
       ("cli", Test_cli.suite);
       ("fuzz", Test_fuzz.suite);
     ]

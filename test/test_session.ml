@@ -571,6 +571,56 @@ let test_solve_allocation () =
     true
     (words <= float_of_int (n + 16))
 
+(* A co-location with one end outside the session (main, -1, or an id
+   past the graph) reads that end on the client, in the arena as in
+   [check]: the session joins the other end to the client terminal.
+   In the sample profile Logic (3) rides its heavy Store traffic to the
+   server; co-located with main or with an id past the graph, it moves
+   to the client, with Free (4), its co-located partner, and the cut is
+   finite and validates. On the profiled o_oldwp0 image, classification
+   28 (Storage.FileServer) is statically pinned to the server, so 28 ~
+   main cannot hold: the solve's cut crosses an infinite edge, and
+   [Adps.analyze] rejects it. *)
+let test_colocation_outside_the_session () =
+  let classifier, icc, constraints = sample_profile () in
+  let n = Classifier.classification_count classifier in
+  let solve constraints =
+    let session = Oracles.session ~classifier ~icc ~constraints in
+    let d = Analysis.Session.solve session ~net:exact_net in
+    (d, Analysis.Session.validate session d)
+  in
+  let plain, _ = solve constraints in
+  Alcotest.(check bool) "the plain cut serves Logic" true
+    (Analysis.location_of plain 3 = Constraints.Server);
+  List.iter
+    (fun other ->
+      let what = Printf.sprintf "3 ~ %d" other in
+      let d, violations = solve (Constraints.colocate constraints 3 other) in
+      Alcotest.(check bool) (what ^ ": Logic on the client") true
+        (Analysis.location_of d 3 = Constraints.Client);
+      Alcotest.(check bool) (what ^ ": Free with it") true
+        (Analysis.location_of d 4 = Constraints.Client);
+      Alcotest.(check bool) (what ^ ": a finite cut") true
+        (d.Analysis.cut_ns < Coign_flowgraph.Flow_network.infinity_cap);
+      Alcotest.(check int) (what ^ ": it validates") 0 (List.length violations))
+    [ -1; n; n + 7 ];
+  let open Coign_apps in
+  let app = Octarine.app in
+  let sc = App.scenario app "o_oldwp0" in
+  let image, _ =
+    Adps.profile ~image:(Adps.instrument app.App.app_image) ~registry:app.App.app_registry
+      sc.App.sc_run
+  in
+  let extra_constraints = Constraints.colocate Constraints.empty 28 (-1) in
+  let d =
+    Analysis.Session.solve (Adps.analysis_session ~extra_constraints image) ~net:exact_net
+  in
+  Alcotest.(check bool) "28 ~ main against FileServer's pin: an infinite cut" true
+    (d.Analysis.cut_ns >= Coign_flowgraph.Flow_network.infinity_cap);
+  match Adps.analyze ~extra_constraints ~image ~net:exact_net () with
+  | _ -> Alcotest.fail "28 ~ main: expected Lint.Rejected"
+  | exception Lint.Rejected _ -> ()
+
 (* The session caches one cost table per network profile in two
    generations of at most 64, dropping the older generation whole.
    Evicting allocates nothing: a solve against a fresh profile past the
@@ -808,4 +858,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_session_equals_uncontracted;
     QCheck_alcotest.to_alcotest prop_validate_iff_finite_cut;
     QCheck_alcotest.to_alcotest prop_text_decoder_equals_build;
+    Alcotest.test_case "a co-location outside the session joins the client" `Quick
+      test_colocation_outside_the_session;
   ]

@@ -57,7 +57,8 @@ let group id members subject targets ~ladder ~truth =
     g_members = members;
     g_subject = subject;
     g_targets = targets;
-    g_rings = Array.map (fun loc -> if loc = Constraints.Server then [| 0 |] else [||]) targets;
+    g_hosts = Array.map (fun _ -> 0) targets;
+    g_promote = Array.map (fun _ -> -1) targets;
     g_ladder_safe = ladder;
     g_truth_safe = truth;
   }
@@ -300,8 +301,8 @@ let gen_pool_model =
     let cells = Array.of_list cells in
     let pool_rung j k gi =
       let server, primary, len = cells.((j * g) + gi) in
-      if gi = 0 || not server then (Constraints.Client, [||])
-      else (Constraints.Server, Array.init (min len k) (fun i -> (primary + i) mod k))
+      if gi = 0 || not server then (Constraints.Client, 0, -1)
+      else (Constraints.Server, primary, if min len k > 1 then (primary + 1) mod k else -1)
     in
     let groups =
       Array.mapi
@@ -309,8 +310,10 @@ let gen_pool_model =
           let extra = Array.of_list (List.mapi (fun j k -> pool_rung j k gi) ks) in
           {
             grp with
-            Model.g_targets = Array.append (Array.map fst extra) grp.Model.g_targets;
-            g_rings = Array.append (Array.map snd extra) grp.Model.g_rings;
+            Model.g_targets =
+              Array.append (Array.map (fun (loc, _, _) -> loc) extra) grp.Model.g_targets;
+            g_hosts = Array.append (Array.map (fun (_, h, _) -> h) extra) grp.Model.g_hosts;
+            g_promote = Array.append (Array.map (fun (_, _, p) -> p) extra) grp.Model.g_promote;
           })
         m.Model.m_groups
     in
@@ -614,8 +617,8 @@ let test_pool_lie_counterexamples () =
     | [ g ] -> g
     | _ -> Alcotest.fail "Back is not in exactly one group"
   in
-  Alcotest.(check (array int)) "Back pinned to host 0 without replicas on pool-2" [| 0 |]
-    back.Model.g_rings.(0);
+  Alcotest.(check (pair int int)) "Back pinned to host 0 without replicas on pool-2" (0, -1)
+    (back.Model.g_hosts.(0), back.Model.g_promote.(0));
   let r = Explore.run m in
   Alcotest.(check bool) "complete" true r.Explore.r_stats.Explore.sr_complete;
   let codes = List.map (fun v -> v.Explore.vl_code) r.Explore.r_violations in
@@ -747,7 +750,7 @@ let test_one_shard_rule () =
                   let ladder_host = Pool.host_of pr.Fallback.pr_shape s in
                   Alcotest.(check int)
                     (Printf.sprintf "%s rung %d: model host of %d is the ladder's" what r c)
-                    ladder_host (Model.target_host g r);
+                    ladder_host g.Model.g_hosts.(r);
                   Alcotest.(check int)
                     (Printf.sprintf "%s rung %d: RTE host of %d is the ladder's" what r c)
                     ladder_host (rte_host r c);
@@ -768,7 +771,7 @@ let test_one_shard_rule () =
           let model_moves =
             Array.to_list m.Model.m_groups
             |> List.filter (fun g ->
-                   stays g && Model.target_host g r <> Model.target_host g (r + 1))
+                   stays g && g.Model.g_hosts.(r) <> g.Model.g_hosts.(r + 1))
             |> List.map (fun g -> g.Model.g_id)
           in
           let rte_moves =

@@ -390,14 +390,14 @@ let test_pair_bytes_totals () =
 
 (* --- The watch in a deployed RTE ------------------------------------ *)
 
-let run_deployed ?watch ?logger (app, profiled, session, net) ids =
+let run_deployed ?watch ?logger ?(min_window = 16.) (app, profiled, session, net) ids =
   let dist_image, _ = Adps.analyze_with ~session ~image:profiled ~net () in
   let classifier, dist = Option.get (Adps.load_distribution dist_image) in
   let ctx = Coign_com.Runtime.create_ctx app.App.app_registry in
   let wc =
     Option.map
       (fun (threshold, tap) ->
-        Rte.watch ~threshold ~check_every:64 ~min_dwell_us:0. ~min_window:16.
+        Rte.watch ~threshold ~check_every:64 ~min_dwell_us:0. ~min_window
           ~half_life_us:750_000. ~sample_every:4 ?tap ~net
           (Analysis.Session.copy session))
       watch
@@ -506,6 +506,27 @@ let test_watch_emits_drift_events () =
       Alcotest.(check bool) "server counts sane" true (from_servers >= 0 && to_servers >= 0);
       Alcotest.(check bool) "migration count sane" true (migrated >= 0))
     recuts
+
+(* The drift decision needs evidence. On the drift run above, a
+   [min_window] no window mass reaches keeps every check steady, with
+   no detection and no event, although the window's similarity falls
+   below the threshold; at 16 the same run detects. *)
+let test_drift_needs_window_mass () =
+  let staged = octarine_staged () in
+  let ids = [ "o_oldwp0"; "o_oldwp7"; "o_oldwp7"; "o_oldwp7" ] in
+  let recorder, events = Coign_obs.Sink.collector () in
+  let starved = run_deployed ~min_window:1e12 ~watch:(0.90, None) ~logger:recorder staged ids in
+  let timeline = Rte.watch_timeline starved in
+  Alcotest.(check bool) "similarity falls below the threshold" true
+    (List.exists (fun k -> k.Rte.wk_similarity < 0.90) timeline);
+  Alcotest.(check bool) "every check steady" true
+    (List.for_all (fun k -> k.Rte.wk_action = Rte.W_steady) timeline);
+  Alcotest.(check int) "no detection" 0 (Rte.stats starved).Rte.st_drift_detections;
+  Alcotest.(check bool) "no drift event" false
+    (List.exists (function Event.Drift_detected _ -> true | _ -> false) (events ()));
+  let fed = run_deployed ~watch:(0.90, None) staged ids in
+  Alcotest.(check bool) "with the mass, a detection" true
+    ((Rte.stats fed).Rte.st_drift_detections > 0)
 
 (* --- Decision event log (golden) -------------------------------------- *)
 
@@ -689,4 +710,5 @@ let suite =
     Alcotest.test_case "watchsim json parses" `Quick test_watchsim_json_parses;
     Alcotest.test_case "drift run decision events (golden)" `Quick
       test_watch_decision_log_golden;
+    Alcotest.test_case "drift needs window mass" `Quick test_drift_needs_window_mass;
   ]
