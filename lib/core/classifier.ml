@@ -216,13 +216,13 @@ let encode t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (kind_name t.ckind);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (match t.depth with None -> "full" | Some d -> string_of_int d);
+  (match t.depth with None -> Buffer.add_string buf "full" | Some d -> Text_field.add_int buf d);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (string_of_int t.order);
+  Text_field.add_int buf t.order;
   Buffer.add_char buf '\n';
   for id = 0 to t.nclassifications - 1 do
     (* Descriptors never contain newlines or tabs; classes neither. *)
-    Buffer.add_string buf (string_of_int t.counts.(id));
+    Text_field.add_int buf t.counts.(id);
     Buffer.add_char buf '\t';
     Buffer.add_string buf t.classes.(id);
     Buffer.add_char buf '\t';

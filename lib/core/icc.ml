@@ -137,16 +137,27 @@ let map_classifications f t =
 (* Text encoding: one line per (entry, bucket). *)
 let encode t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "calls %d\n" t.calls);
+  let add_field n =
+    Text_field.add_int buf n;
+    Buffer.add_char buf '\t'
+  in
+  Buffer.add_string buf "calls ";
+  Text_field.add_int buf t.calls;
+  Buffer.add_char buf '\n';
   List.iter
     (fun e ->
       ignore
         (Exp_bucket.fold
            (fun ~index ~count ~bytes () ->
-             Buffer.add_string buf
-               (Printf.sprintf "%d\t%d\t%s\t%d\t%d\t%d\t%d\n" e.src e.dst e.iface
-                  (if e.remotable then 1 else 0)
-                  index count bytes))
+             add_field e.src;
+             add_field e.dst;
+             Buffer.add_string buf e.iface;
+             Buffer.add_char buf '\t';
+             add_field (if e.remotable then 1 else 0);
+             add_field index;
+             add_field count;
+             Text_field.add_int buf bytes;
+             Buffer.add_char buf '\n')
            e.messages ()))
     (entries t);
   Buffer.contents buf

@@ -109,17 +109,18 @@ let cosine_correlation a b =
   else if na = 0. || nb = 0. then 0.
   else dot a b /. (na *. nb)
 
-let linear_fit points =
-  let n = Array.length points in
+let linear_fit ~xs ~ys =
+  let n = Array.length xs in
+  if Array.length ys <> n then invalid_arg "Stats.linear_fit: xs and ys differ in length";
   if n < 2 then invalid_arg "Stats.linear_fit: need at least two points";
   let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
-  Array.iter
-    (fun (x, y) ->
-      sx := !sx +. x;
-      sy := !sy +. y;
-      sxx := !sxx +. (x *. x);
-      sxy := !sxy +. (x *. y))
-    points;
+  for i = 0 to n - 1 do
+    let x = float_of_int xs.(i) and y = ys.(i) in
+    sx := !sx +. x;
+    sy := !sy +. y;
+    sxx := !sxx +. (x *. x);
+    sxy := !sxy +. (x *. y)
+  done;
   let nf = float_of_int n in
   let denom = (nf *. !sxx) -. (!sx *. !sx) in
   if denom = 0. then invalid_arg "Stats.linear_fit: degenerate x values";

@@ -23,10 +23,13 @@ val cosine_correlation : float array -> float array -> float
     correlate at 1 (identical behaviour); a zero vector against a
     non-zero vector correlates at 0. *)
 
-val linear_fit : (float * float) array -> float * float
-(** [linear_fit points] is [(intercept, slope)] of the least-squares
-    line through [(x, y)] points — used to recover latency and 1/bandwidth
-    from sampled message timings. Requires at least two distinct [x]. *)
+val linear_fit : xs:int array -> ys:float array -> float * float
+(** [linear_fit ~xs ~ys] is [(intercept, slope)] of the least-squares
+    line through the points [(float xs.(i), ys.(i))], summed in index
+    order in one pass over the two arrays — used to recover latency and
+    1/bandwidth from sampled message timings (sizes in bytes, times in
+    µs). Requires arrays of equal length with at least two distinct
+    [xs]. *)
 
 val ratio_error : predicted:float -> measured:float -> float
 (** Signed relative error [(predicted - measured) / measured]; 0 when

@@ -43,3 +43,16 @@ let rec field_end_within s len i =
 let field_end s i = field_end_within s (String.length s) i
 
 let is_tab s i = i < String.length s && String.unsafe_get s i = '\t'
+
+(* Digits of [m <= 0], most significant first. Working on the negative
+   side reaches [min_int], which has no positive counterpart. *)
+let rec add_nonpositive buf m =
+  if m <= -10 then add_nonpositive buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpositive buf n
+  end
+  else add_nonpositive buf (-n)

@@ -1,6 +1,7 @@
 (** Reading tab- and newline-separated fields of a stored text in
-    place, without copying a field to read it. The decoders of a
-    profile's classifier and ICC entries share these. *)
+    place, without copying a field to read it, and writing its integers
+    without building a string. The codecs of a profile's classifier and
+    ICC entries share these. *)
 
 val bad : int
 (** [min_int]: what {!int} returns for a field that is not an integer.
@@ -19,3 +20,8 @@ val field_end : string -> int -> int
 
 val is_tab : string -> int -> bool
 (** Whether [s.[i]] exists and is a tab. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n] to [buf], digit by digit:
+    no intermediate string. Negatives and [min_int] read as
+    [string_of_int] writes them. *)

@@ -17,6 +17,14 @@ let words_per_run n f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* Whether this build inlines across modules. A dev build compiles each
+   library opaque, so a float returned by another library's inlined
+   function arrives boxed; a release build keeps it unboxed. A gate
+   whose exact bound holds only with inlining reads this. *)
+let inlines_across_modules =
+  let rng = Coign_util.Prng.create 1L and cell = [| 0. |] in
+  words_per_run 10 (fun () -> cell.(0) <- Coign_util.Prng.gaussian rng ~mu:0. ~sigma:1.) < 1.
+
 (* An array of [(src, dst, cap)] edges as the three parallel arrays
    [Flow_network.of_edges] and [Multiway.multiway_cut] take. *)
 let columns edges =

@@ -78,6 +78,126 @@ let partition_cost ~src ~dst ~cap (assignment : int array) =
   done;
   !total
 
+(* --- Network profiles ------------------------------------------------ *)
+
+(* The profiler as it was before a profile stored flat arrays: each
+   observation a [(bytes, us)] tuple built through lists, the means a
+   tuple array, the fit over a float-pair array. [Net_profiler] must
+   reproduce every field of it, bit for bit. *)
+module Profiler_ref = struct
+  open Coign_util
+  open Coign_netsim
+
+  type t = {
+    profiled_name : string;
+    observations : (int * float) array;
+    means : (int * float) array;
+    fixed_us : float;
+    per_byte_us : float;
+  }
+
+  let representative_sizes =
+    let rec go acc size = if size > 1 lsl 20 then List.rev acc else go (size :: acc) (size * 2) in
+    go [ 16 ] 64
+
+  let linear_fit points =
+    let n = Array.length points in
+    if n < 2 then invalid_arg "Profiler_ref.linear_fit: need at least two points";
+    let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
+    Array.iter
+      (fun (x, y) ->
+        sx := !sx +. x;
+        sy := !sy +. y;
+        sxx := !sxx +. (x *. x);
+        sxy := !sxy +. (x *. y))
+      points;
+    let nf = float_of_int n in
+    let denom = (nf *. !sxx) -. (!sx *. !sx) in
+    let slope = ((nf *. !sxy) -. (!sx *. !sy)) /. denom in
+    let intercept = (!sy -. (slope *. !sx)) /. nf in
+    (intercept, slope)
+
+  let means_of (observations : (int * float) array) =
+    let n = Array.length observations in
+    let runs = ref [] and i = ref 0 in
+    while !i < n do
+      let size = fst observations.(!i) in
+      let sum = ref 0. and count = ref 0 in
+      while !i < n && fst observations.(!i) = size do
+        sum := !sum +. snd observations.(!i);
+        incr count;
+        incr i
+      done;
+      runs := (size, !sum /. float_of_int !count) :: !runs
+    done;
+    Array.of_list (List.rev !runs)
+
+  let profile rng net =
+    let observations =
+      List.concat_map
+        (fun size ->
+          List.init 7 (fun _ ->
+              let true_us = Network.message_us net ~bytes:size in
+              let observed = Prng.gaussian rng ~mu:true_us ~sigma:(0.02 *. true_us) in
+              (size, Float.max 0. observed)))
+        representative_sizes
+      |> Array.of_list
+    in
+    let points = Array.map (fun (b, us) -> (float_of_int b, us)) observations in
+    let fixed_us, per_byte_us = linear_fit points in
+    {
+      profiled_name = net.Network.net_name;
+      observations;
+      means = means_of observations;
+      fixed_us;
+      per_byte_us;
+    }
+
+  let exact net =
+    {
+      profiled_name = net.Network.net_name;
+      observations = [||];
+      means = [||];
+      fixed_us = net.Network.proc_us +. net.Network.latency_us;
+      per_byte_us = 8. /. net.Network.bandwidth_mbps;
+    }
+
+  let penalize t ~suffix ~penalty_us =
+    let observations = Array.map (fun (b, us) -> (b, us +. penalty_us)) t.observations in
+    {
+      profiled_name = t.profiled_name ^ "+" ^ suffix;
+      observations;
+      means = means_of observations;
+      fixed_us = t.fixed_us +. penalty_us;
+      per_byte_us = t.per_byte_us;
+    }
+
+  let degrade t =
+    let drop_rate = 0.3 and retry = Fault.default_retry in
+    let p_fail = 1. -. ((1. -. drop_rate) ** 2.) in
+    let expected_retries = p_fail /. (1. -. p_fail) in
+    let penalty_us =
+      expected_retries *. (retry.Fault.rp_timeout_us +. retry.Fault.rp_backoff_us)
+    in
+    penalize t ~suffix:(Printf.sprintf "lossy%g" drop_rate) ~penalty_us
+
+  let link_down t = penalize t ~suffix:"down" ~penalty_us:1e7
+
+  (* Field by field, floats compared by their bits. *)
+  let equal (ref_ : t) (p : Net_profiler.t) =
+    let bits = Int64.bits_of_float in
+    let same_floats a b =
+      Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+    in
+    String.equal ref_.profiled_name p.Net_profiler.profiled_name
+    && Array.map fst ref_.observations = p.Net_profiler.obs_bytes
+    && same_floats (Array.map snd ref_.observations) p.Net_profiler.obs_us
+    && Array.map fst ref_.means = p.Net_profiler.mean_bytes
+    && same_floats (Array.map snd ref_.means) p.Net_profiler.mean_us
+    && bits ref_.fixed_us = bits p.Net_profiler.fixed_us
+    && bits ref_.per_byte_us = bits p.Net_profiler.per_byte_us
+end
+
 (* --- Pricing --------------------------------------------------------- *)
 
 (* Time (µs) for one ICC entry's messages if its endpoints were

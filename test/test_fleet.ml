@@ -368,6 +368,82 @@ let spl_profiled =
      in
      (classifier, icc, n, Array.init spl_count cls))
 
+(* The pool-2 ladder over the five backs, every back on the server in
+   the primary: the rung's shard table puts four backs in one shard, the
+   hot shard [hot], whose members come ascending by classification, and
+   one, [other], in the other shard. *)
+let spl_pool =
+  lazy
+    (let classifier, icc, n, cls = Lazy.force spl_profiled in
+     let session = Oracles.session ~classifier ~icc ~constraints:Constraints.empty in
+     let primary = Array.make n Constraints.Client in
+     Array.iter (fun c -> primary.(c) <- Constraints.Server) cls;
+     let base =
+       Fallback.of_rungs ~migration_safe:(Array.make n true)
+         [ ("primary", dist primary); ("all-client", dist (Array.make n Constraints.Client)) ]
+     in
+     let net = Net_profiler.exact Network.ethernet_10 in
+     let pl = Fallback.pool_ladder ~hosts:2 session ~net base in
+     let table = (Fallback.rung pl 0).Fallback.pr_shard_of in
+     let in_shard s = List.filter (fun i -> table.(cls.(i)) = s) (List.init spl_count Fun.id) in
+     let hot = if List.length (in_shard 0) >= List.length (in_shard 1) then 0 else 1 in
+     let members = List.sort (fun a b -> compare cls.(a) cls.(b)) (in_shard hot) in
+     (primary, pl, hot, members, in_shard (1 - hot)))
+
+let split shard new_shard moved to_host =
+  Printf.sprintf "split shard %d -> %d, %d moved, host %d" shard new_shard moved to_host
+
+(* Drive the front under the distributed RTE on the pool ladder: [pump
+   target rounds] stores [rounds] times into back [target], [idle ms]
+   charges client compute. Returns the routing decisions as lines, the
+   fleet stats and the run stats. *)
+let run_spl ?(host_faults = []) drive =
+  let classifier, _, _, _ = Lazy.force spl_profiled in
+  let primary, pl, _, _, _ = Lazy.force spl_pool in
+  let recorder, events = Coign_obs.Sink.collector () in
+  let ctx = Runtime.create_ctx (spl_registry ()) in
+  let rte =
+    Rte.install_distributed ~logger:recorder ~classifier
+      ~config:
+        {
+          Rte.dc_factory_policy = Factory.By_classification (dist primary);
+          dc_network = Network.ethernet_10;
+          dc_jitter = 0.;
+          dc_seed = 1L;
+          dc_faults = None;
+          dc_retry = fixed_retry;
+          dc_resilience = None;
+          dc_fleet = Some (Rte.fleet ~host_faults pl);
+          dc_watch = None;
+        }
+      ctx
+  in
+  let front =
+    Runtime.create_instance ctx c_spl_front.Runtime.clsid ~iid:(Itype.iid i_spl_front)
+  in
+  let pump target rounds =
+    ignore (Oracles.call_named ctx front "pump" [ Value.Int target; Value.Int rounds ])
+  in
+  let idle ms = ignore (Oracles.call_named ctx front "idle" [ Value.Int ms ]) in
+  drive ~pump ~idle;
+  let fs = Option.get (Rte.fleet_stats rte) in
+  let st = Rte.stats rte in
+  Rte.uninstall rte;
+  let decisions =
+    List.filter_map
+      (function
+        | Event.Shard_split { shard; new_shard; moved; to_host; _ } ->
+            Some (split shard new_shard moved to_host)
+        | Event.Replica_promoted { shard; from_host; to_host; _ } ->
+            Some (Printf.sprintf "promote shard %d: %d -> %d" shard from_host to_host)
+        | (Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
+          | Event.Pool_resized _) as e ->
+            Some (Event.kind_name e)
+        | _ -> None)
+      (events ())
+  in
+  (decisions, fs, st)
+
 (* The split trace, derived from the ladder's shard table and the
    routing rule (a shard over 0.6 of the decayed load is hot, checked
    every 64 served remote calls; the upper half of its movable
@@ -386,76 +462,73 @@ let spl_profiled =
    replicates like every safe one), are promoted to host 0, and the
    route stays on its rung. *)
 let test_hot_shard_splits () =
-  let classifier, icc, n, cls = Lazy.force spl_profiled in
-  let session = Oracles.session ~classifier ~icc ~constraints:Constraints.empty in
-  let primary = Array.make n Constraints.Client in
-  Array.iter (fun c -> primary.(c) <- Constraints.Server) cls;
-  let base =
-    Fallback.of_rungs ~migration_safe:(Array.make n true)
-      [ ("primary", dist primary); ("all-client", dist (Array.make n Constraints.Client)) ]
-  in
-  let net = Net_profiler.exact Network.ethernet_10 in
-  let pl = Fallback.pool_ladder ~hosts:2 session ~net base in
-  let table = (Fallback.rung pl 0).Fallback.pr_shard_of in
-  let in_shard s = List.filter (fun i -> table.(cls.(i)) = s) (List.init spl_count Fun.id) in
-  let hot = if List.length (in_shard 0) >= List.length (in_shard 1) then 0 else 1 in
-  let members = List.sort (fun a b -> compare cls.(a) cls.(b)) (in_shard hot) in
+  let _, _, hot, members, _ = Lazy.force spl_pool in
   Alcotest.(check int) "four backs share the hot shard" 4 (List.length members);
   let c1 = List.nth members 0 and c2 = List.nth members 1 in
   let window = { Fault.zero with Fault.fs_crashes_us = [ (5_000_000., 1e12) ] } in
-  let recorder, events = Coign_obs.Sink.collector () in
-  let ctx = Runtime.create_ctx (spl_registry ()) in
-  let rte =
-    Rte.install_distributed ~logger:recorder ~classifier
-      ~config:
-        {
-          Rte.dc_factory_policy = Factory.By_classification (dist primary);
-          dc_network = Network.ethernet_10;
-          dc_jitter = 0.;
-          dc_seed = 1L;
-          dc_faults = None;
-          dc_retry = fixed_retry;
-          dc_resilience = None;
-          dc_fleet = Some (Rte.fleet ~host_faults:[ (1, window) ] pl);
-          dc_watch = None;
-        }
-      ctx
-  in
-  let front =
-    Runtime.create_instance ctx c_spl_front.Runtime.clsid ~iid:(Itype.iid i_spl_front)
-  in
-  let pump target rounds =
-    ignore (Oracles.call_named ctx front "pump" [ Value.Int target; Value.Int rounds ])
-  in
-  for _ = 1 to 64 do
-    pump c1 1;
-    pump c2 1
-  done;
-  ignore (Oracles.call_named ctx front "idle" [ Value.Int 10_000 ]);
-  pump c2 10;
-  let fs = Option.get (Rte.fleet_stats rte) in
-  let st = Rte.stats rte in
-  Rte.uninstall rte;
-  let split shard new_shard moved to_host =
-    Printf.sprintf "split shard %d -> %d, %d moved, host %d" shard new_shard moved to_host
+  let decisions, fs, st =
+    run_spl ~host_faults:[ (1, window) ] (fun ~pump ~idle ->
+        for _ = 1 to 64 do
+          pump c1 1;
+          pump c2 1
+        done;
+        idle 10_000;
+        pump c2 10)
   in
   let promoted shard = Printf.sprintf "promote shard %d: 1 -> 0" shard in
   Alcotest.(check (list string)) "splits, then promotions"
     [ split hot 2 2 0; split hot 3 1 1; "breaker_opened"; promoted 1; promoted 3 ]
-    (List.filter_map
-       (function
-         | Event.Shard_split { shard; new_shard; moved; to_host; _ } ->
-             Some (split shard new_shard moved to_host)
-         | Event.Replica_promoted { shard; from_host; to_host; _ } ->
-             Some (Printf.sprintf "promote shard %d: %d -> %d" shard from_host to_host)
-         | (Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
-           | Event.Pool_resized _) as e ->
-             Some (Event.kind_name e)
-         | _ -> None)
-       (events ()));
+    decisions;
   Alcotest.(check int) "two splits" 2 fs.Rte.fs_splits;
   Alcotest.(check int) "four shards" 4 fs.Rte.fs_final_shards;
   Alcotest.(check int) "on the widest rung" 0 st.Rte.st_final_rung
+
+(* The split threshold and the half-life, each at a check it decides.
+   A store costs 2,183.2 µs of virtual time (request and reply, 1,104
+   bytes between them over 10BaseT at 650 µs + 0.8 µs/byte each), so
+   at a check a store k calls back weighs q^k, q = 2^(-2183.2/200000)
+   ≈ 0.99246, and the 64 stores of a check span 0.7 half-lives. Each
+   run makes exactly one check, at its 64th store, which splits [h] as
+   in "a hot shard splits, twice": c3 and c4 move to shard 2 on
+   host 0. *)
+
+(* Two stores into c1, one into [other], 21 times, then one more into
+   [other]: 42 of 64 stores in [h], spread evenly, so the decayed
+   share is close to 42/64. Summing the weights: [h] 33.155 and the
+   other shard 17.767, a share of 0.651. Over 0.6, so [h] splits; at a
+   0.7 threshold it would not. *)
+let test_split_share_threshold () =
+  let _, _, hot, members, other = Lazy.force spl_pool in
+  let c1 = List.nth members 0 and o = List.hd other in
+  let decisions, fs, _ =
+    run_spl (fun ~pump ~idle:_ ->
+        for _ = 1 to 21 do
+          pump c1 2;
+          pump o 1
+        done;
+        pump o 1)
+  in
+  Alcotest.(check (list string)) "one split at a share of 0.651" [ split hot 2 2 0 ] decisions;
+  Alcotest.(check int) "one split" 1 fs.Rte.fs_splits
+
+(* 42 stores into [other], 400 ms of client compute, then 22 stores
+   into c1. The idle spans two half-lives, so the older stores keep a
+   quarter of their weight: [h] 20.343 against 7.645, a share of
+   0.727, and [h] splits. With the half-life doubled the idle spans one
+   half-life: [h] 21.149 against 17.900, a share of 0.542, and no shard
+   splits. *)
+let test_split_half_life () =
+  let _, _, hot, members, other = Lazy.force spl_pool in
+  let c1 = List.nth members 0 and o = List.hd other in
+  let decisions, fs, _ =
+    run_spl (fun ~pump ~idle ->
+        pump o 42;
+        idle 400;
+        pump c1 22)
+  in
+  Alcotest.(check (list string)) "the old load decays below 0.4 of the total"
+    [ split hot 2 2 0 ] decisions;
+  Alcotest.(check int) "one split" 1 fs.Rte.fs_splits
 
 (* --- Shard-map stability --------------------------------------------- *)
 
@@ -706,4 +779,6 @@ let suite =
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;
     Alcotest.test_case "decision event logs (golden)" `Quick test_fleet_event_logs_golden;
     Alcotest.test_case "a hot shard splits, twice" `Quick test_hot_shard_splits;
+    Alcotest.test_case "a split needs over 0.6 of the load" `Quick test_split_share_threshold;
+    Alcotest.test_case "the split's load decays by half in 200 ms" `Quick test_split_half_life;
   ]

@@ -78,11 +78,12 @@ let prop_predictions_nonnegative =
    floats, bit for bit. *)
 let oracle_predict_us (p : Net_profiler.t) ~bytes =
   let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (size, us) ->
+  Array.iteri
+    (fun i size ->
+      let us = p.Net_profiler.obs_us.(i) in
       let sum, n = Option.value ~default:(0., 0) (Hashtbl.find_opt tbl size) in
       Hashtbl.replace tbl size (sum +. us, n + 1))
-    p.Net_profiler.observations;
+    p.Net_profiler.obs_bytes;
   let means =
     Hashtbl.fold (fun size (sum, n) acc -> (size, sum /. float_of_int n) :: acc) tbl []
     |> List.sort compare |> Array.of_list
@@ -128,7 +129,7 @@ let prop_predictions_match_oracle =
       List.for_all
         (fun net ->
           let sampled = Net_profiler.profile (Prng.create (Int64.of_int seed)) net in
-          Array.to_list (Array.map fst sampled.Net_profiler.means) = representative_sizes
+          Array.to_list sampled.Net_profiler.mean_bytes = representative_sizes
           && List.for_all
             (fun p ->
               List.for_all
@@ -142,6 +143,76 @@ let prop_predictions_match_oracle =
             ])
         Network.presets)
 
+(* Every profile [Net_profiler] builds equals the one the tuple-and-list
+   profiler built, field by field and bit for bit: sampled, both derived
+   profiles, and the exact one with its derived profiles. *)
+let prop_profiles_match_reference =
+  QCheck.Test.make ~name:"flat profiles equal the tuple profiler's" ~count:50 QCheck.int
+    (fun seed ->
+      let module R = Oracles.Profiler_ref in
+      List.for_all
+        (fun net ->
+          let sampled = Net_profiler.profile (Prng.create (Int64.of_int seed)) net in
+          let ref_sampled = R.profile (Prng.create (Int64.of_int seed)) net in
+          let exact = Net_profiler.exact net and ref_exact = R.exact net in
+          List.for_all
+            (fun (r, p) -> R.equal r p)
+            [
+              (ref_sampled, sampled);
+              (R.degrade ref_sampled, Net_profiler.degrade sampled);
+              (R.link_down ref_sampled, Net_profiler.link_down sampled);
+              (ref_exact, exact);
+              (R.degrade ref_exact, Net_profiler.degrade exact);
+              (R.link_down ref_exact, Net_profiler.link_down exact);
+            ])
+        Network.presets)
+
+(* --- Allocation --------------------------------------------------------
+   A profile is its four arrays and its record: for 112 observations of
+   16 sizes, 2 × (112 + 1) words of observations and 2 × (16 + 1) of
+   means, then 8 for the record and 2 for each of its boxed floats. The
+   fit returns its two floats as a pair (3 words), which the record
+   then holds. That is all a release build allocates. A dev build does
+   not inline across modules, so each size's [Network.message_us]
+   returns a boxed float (2 words) and each draw's [Prng.gaussian]
+   boxes 4 words of floats. A derived profile allocates its
+   shifted observations, its means, its record, one boxed float and its
+   name; it shares the base's sizes. *)
+
+let words_of_array n = float_of_int (n + 1)
+let words_of_string s = float_of_int (1 + ((String.length s + 8) / 8))
+
+let test_profile_allocation () =
+  let rng = Prng.create 3L in
+  let net = Network.ethernet_10 in
+  let p = Net_profiler.profile rng net in
+  let obs = Array.length p.Net_profiler.obs_us and sizes = Array.length p.Net_profiler.mean_us in
+  let arrays_and_record =
+    (2. *. words_of_array obs) +. (2. *. words_of_array sizes) +. 8. +. 4. +. 3.
+  in
+  let bound =
+    if Harness.inlines_across_modules then arrays_and_record
+    else arrays_and_record +. (2. *. float_of_int sizes) +. (4. *. float_of_int obs)
+  in
+  let words = Harness.words_per_run 50 (fun () -> ignore (Net_profiler.profile rng net)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per profile (bound %.0f)" words bound)
+    true (words <= bound)
+
+let test_derived_allocation () =
+  let base = Net_profiler.profile (Prng.create 3L) Network.ethernet_10 in
+  let obs = Array.length base.Net_profiler.obs_us
+  and sizes = Array.length base.Net_profiler.mean_us in
+  List.iter
+    (fun (what, derive) ->
+      let name = (derive base).Net_profiler.profiled_name in
+      let bound = words_of_array obs +. words_of_array sizes +. 8. +. 2. +. words_of_string name in
+      let words = Harness.words_per_run 50 (fun () -> ignore (derive base)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words per %s (bound %.0f)" words what bound)
+        true (words <= bound))
+    [ ("degrade", Net_profiler.degrade); ("link_down", Net_profiler.link_down) ]
+
 let suite =
   [
     Alcotest.test_case "message time formula" `Quick test_message_time_formula;
@@ -154,4 +225,7 @@ let suite =
     Alcotest.test_case "profile deterministic per seed" `Quick test_profile_deterministic_per_seed;
     qtest prop_predictions_nonnegative;
     qtest prop_predictions_match_oracle;
+    qtest prop_profiles_match_reference;
+    Alcotest.test_case "a profile allocates its arrays and record" `Quick test_profile_allocation;
+    Alcotest.test_case "a derived profile shares the sizes" `Quick test_derived_allocation;
   ]

@@ -243,8 +243,9 @@ let test_stats_correlation_basics () =
   Alcotest.(check (float 1e-9)) "one zero" 0. (Stats.cosine_correlation [| 0.; 0. |] [| 1.; 0. |])
 
 let test_stats_linear_fit () =
-  let points = Array.init 10 (fun i -> (float_of_int i, 3. +. (2. *. float_of_int i))) in
-  let intercept, slope = Stats.linear_fit points in
+  let xs = Array.init 10 Fun.id in
+  let ys = Array.map (fun x -> 3. +. (2. *. float_of_int x)) xs in
+  let intercept, slope = Stats.linear_fit ~xs ~ys in
   Alcotest.(check (float 1e-9)) "intercept" 3. intercept;
   Alcotest.(check (float 1e-9)) "slope" 2. slope
 
@@ -459,6 +460,27 @@ let test_field_end_word_scan () =
     done
   done
 
+(* [Text_field.add_int] appends what [string_of_int] writes: on drawn
+   ints of every magnitude, and on 0, -1, both ends of the int range and
+   the powers of ten around them, each after text already in the
+   buffer. *)
+let prop_add_int_is_string_of_int =
+  let edges =
+    [ 0; -1; 1; 9; 10; -9; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map (fun k -> [ k; -k; k - 1; 1 - k ])
+        (List.init 18 (fun i -> int_of_float (10. ** float_of_int (i + 1))))
+  in
+  QCheck.Test.make ~name:"add_int writes string_of_int" ~count:500
+    QCheck.(oneof [ int; small_signed_int; oneofl edges ])
+    (fun n ->
+      List.for_all
+        (fun n ->
+          let buf = Buffer.create 4 in
+          Buffer.add_string buf "x\t";
+          Text_field.add_int buf n;
+          String.equal (Buffer.contents buf) ("x\t" ^ string_of_int n))
+        (n :: edges))
+
 let suite =
   [
     Alcotest.test_case "text field end scans by word" `Quick test_field_end_word_scan;
@@ -495,4 +517,5 @@ let suite =
     Alcotest.test_case "tablefmt alignment" `Quick test_tablefmt_alignment;
     Alcotest.test_case "tablefmt cell mismatch" `Quick test_tablefmt_cell_mismatch;
     Alcotest.test_case "tablefmt cells" `Quick test_tablefmt_cells;
+    qtest prop_add_int_is_string_of_int;
   ]
